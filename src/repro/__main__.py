@@ -120,19 +120,21 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     Builds a two-shard cluster with every opt-in plane enabled
     (containment, memo, durable L2, overload), lands a small paced
     read workload, then prints the introspection surfaces an operator
-    would reach for first: the shard health table, overload counters,
-    open breakers, memo occupancy and L2 stats.  Exits non-zero when
+    would reach for first: the effective configuration, the shard
+    health table, overload counters, open breakers, memo occupancy and
+    L2 stats.  Exits non-zero when
     the smoke reads misbehave or a shard is left unhealthy.
     """
+    import dataclasses
     import random
 
     import repro
     from repro import MemoryProvider, PlacelessKernel
     from repro.cache.policies import (
-        DefaultContainmentPolicy,
-        DefaultMemoPolicy,
-        DefaultOverloadPolicy,
-        DefaultStoragePolicy,
+        ContainmentPolicy,
+        MemoPolicy,
+        OverloadPolicy,
+        StoragePolicy,
     )
     from repro.cluster import CacheCluster
     from repro.properties import SpellingCorrectorProperty
@@ -140,15 +142,21 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     seed = getattr(args, "seed", 7)
     rng = random.Random(seed)
     kernel = PlacelessKernel()
+    wired = {
+        "memo": MemoPolicy(),
+        "overload": OverloadPolicy(),
+        "containment": ContainmentPolicy(),
+        "storage": StoragePolicy(),
+    }
     cluster = CacheCluster(
         kernel,
         2,
         capacity_bytes=1 << 20,
-        memo_policy=DefaultMemoPolicy(),
-        overload_policy=DefaultOverloadPolicy(),
+        memo_policy=wired["memo"],
+        overload_policy=wired["overload"],
         shard_kwargs={
-            "containment_policy": DefaultContainmentPolicy(),
-            "storage_policy": DefaultStoragePolicy(),
+            "containment_policy": wired["containment"],
+            "storage_policy": wired["storage"],
         },
     )
 
@@ -195,6 +203,13 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
           f"{len(problems)} problem(s)")
     for problem in problems:
         print(f"  !! {problem}")
+
+    print("\nconfiguration:")
+    for seam, policy in wired.items():
+        print(f"  {seam:<12} " + " ".join(
+            f"{option}={value}"
+            for option, value in dataclasses.asdict(policy).items()
+        ))
 
     print("\nshard health:")
     unhealthy = 0
@@ -390,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Run a seeded paced workload through a fully-wired "
             "two-shard cluster (containment + memo + durable L2 + "
             "overload) and print the operator introspection surfaces: "
-            "shard health, overload counters, open breakers, memo "
+            "effective configuration, shard health, overload counters, "
+            "open breakers, memo "
             "occupancy and L2 stats.  Exit code 0 when healthy."
         ),
     )

@@ -55,6 +55,7 @@ from repro.streams.base import InputStream, OutputStream
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.entry import CacheEntry
+    from repro.cache.policies import ContainmentPolicy
     from repro.placeless.document import PathMeta
     from repro.placeless.properties import ActiveProperty
     from repro.sim.context import SimContext
@@ -327,16 +328,18 @@ class ContainmentGuard:
 
     def __init__(
         self,
-        policy: Any,
+        policy: "ContainmentPolicy",
         ctx: "SimContext",
         instrumentation: InstrumentationBus,
     ) -> None:
         self.policy = policy
         self.ctx = ctx
         self.instrumentation = instrumentation
-        self.wrappers = BreakerRegistry(policy.wrapper_breaker)
-        self.verifiers = BreakerRegistry(policy.verifier_breaker)
-        self.notifiers = BreakerRegistry(policy.notifier_breaker)
+        self.budget: ExecutionBudget | None = policy.execution_budget()
+        breaker_config = policy.breaker_config()
+        self.wrappers = BreakerRegistry(breaker_config)
+        self.verifiers = BreakerRegistry(breaker_config)
+        self.notifiers = BreakerRegistry(breaker_config)
         self.stats = ContainmentStats()
         instrumentation.subscribe(ContainmentStatsProjection(self.stats))
 
@@ -417,7 +420,7 @@ class ContainmentGuard:
             return self._fallback_input(key, role, stream, meta, cause=error)
         if mode == "corrupt":
             wrapped = chains.CorruptingInputStream(wrapped, site)
-        budget = self.policy.budget
+        budget = self.budget
         if budget is not None and budget.max_bytes is not None:
             wrapped = chains.ByteCapInputStream(wrapped, budget.max_bytes, site)
         return chains.FirewallInputStream(
@@ -479,7 +482,7 @@ class ContainmentGuard:
         self, key: BreakerKey, cost_ms: float
     ) -> BudgetExceededError | None:
         """Pre-invocation cost-cap check; charges the capped time on abort."""
-        budget = self.policy.budget
+        budget = self.budget
         if budget is None:
             return None
         try:
@@ -573,7 +576,7 @@ class ContainmentGuard:
         self, entry: "CacheEntry", verifier: Any
     ) -> None:
         """Budget gate before a verifier runs; raises on overrun."""
-        budget = self.policy.budget
+        budget = self.budget
         if budget is None:
             return
         key = self.verifier_key(entry, verifier)

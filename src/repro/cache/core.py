@@ -469,9 +469,6 @@ class CacheCore:
         """Admission hook: negative-cache an UNCACHEABLE-voting chain."""
         if self.memo is None or fingerprint is None:
             return
-        policy = self.memo_policy
-        if policy is None or not policy.negative_cache:
-            return
         if meta.source_signature is None:
             return
         record = MemoRecord(

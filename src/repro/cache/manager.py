@@ -47,7 +47,6 @@ from repro.cache.policies import (
     AdmissionPolicy,
     ConcurrencyPolicy,
     ContainmentPolicy,
-    DefaultDegradationPolicy,
     DegradationPolicy,
     GreedyDualSizePolicy,
     MemoPolicy,
@@ -110,8 +109,8 @@ class DocumentCache:
         the §4 deployment with both cache levels.
     serve_stale_on_error, stale_serve_max_age_ms,
     verifier_quarantine_threshold, bypass_backing_on_error:
-        Degradation bounds, forwarded to the default
-        :class:`~repro.cache.policies.DefaultDegradationPolicy` (see its
+        Degradation bounds, forwarded to a
+        :class:`~repro.cache.policies.DegradationPolicy` (see its
         docs) — bounded availability-over-freshness stale serving,
         circuit-breaker quarantine of repeatedly-raising verifiers
         (inspect and reset via the policy's ``breakers`` registry), and
@@ -132,8 +131,10 @@ class DocumentCache:
         :class:`~repro.cache.policies.VoteAdmissionPolicy`, the §3
         cacheability-vote behaviour).
     degradation_policy:
-        Override for the degradation bounds/quarantine bookkeeping; when
-        supplied, the four individual degradation arguments are ignored.
+        A ready-made :class:`~repro.cache.policies.DegradationPolicy`
+        in place of the four individual degradation arguments; passing
+        both it and a non-default one of them raises
+        :class:`~repro.errors.CacheError`.
     instrumentation:
         The :class:`~repro.cache.instrumentation.InstrumentationBus`
         stage events are emitted on; a private one is created if not
@@ -141,26 +142,28 @@ class DocumentCache:
         one subscriber.
     recovery_policy:
         Opt-in consistency recovery
-        (:class:`~repro.cache.policies.RecoveryPolicy`, e.g.
-        :class:`~repro.cache.policies.DefaultRecoveryPolicy`): a leased,
-        sequenced notifier channel with gap detection and anti-entropy
-        resync, plus a crash-recovery write-back journal.  ``None`` (the
-        default) keeps the cache byte-identical to its pre-recovery
-        behaviour.
+        (:class:`~repro.cache.policies.RecoveryPolicy`; one option,
+        ``lease_term_ms``): a leased, sequenced notifier channel with
+        gap detection and anti-entropy resync, plus a crash-recovery
+        write-back journal.  ``None`` (the default) keeps the cache
+        byte-identical to its pre-recovery behaviour.
     containment_policy:
         Opt-in containment of misbehaving active-property code
-        (:class:`~repro.cache.policies.ContainmentPolicy`, e.g.
-        :class:`~repro.cache.policies.DefaultContainmentPolicy`):
-        per-(document, code-site) circuit breakers, per-invocation
-        execution budgets and exception firewalls around the stream
-        wrappers, verifier executions and notifier callbacks, with a
-        per-role fallback (skip / force-miss / deny) when a breaker is
-        open.  ``None`` (the default) keeps every property-code seam on
-        its historical unguarded path.
+        (:class:`~repro.cache.policies.ContainmentPolicy`):
+        per-(document, code-site) circuit breakers
+        (``failure_threshold``, ``probation_delay_ms``,
+        ``half_open_successes``), per-invocation execution budgets
+        (``max_cost_ms``, ``max_bytes``) and exception firewalls around
+        the stream wrappers, verifier executions and notifier
+        callbacks.  When a breaker is open an optional property is
+        skipped and a required transformer forces a miss (or, with
+        ``deny_required``, a typed denial).  ``None`` (the default)
+        keeps every property-code seam on its historical unguarded
+        path.
     memo_policy:
         Opt-in transform memoization
-        (:class:`~repro.cache.policies.MemoPolicy`, e.g.
-        :class:`~repro.cache.policies.DefaultMemoPolicy`): a bounded
+        (:class:`~repro.cache.policies.MemoPolicy`; options
+        ``capacity``, ``probe_cost_ms``, ``verify_on_serve``): a bounded
         ``(source signature, chain fingerprint) → output signature``
         memo consulted between adoption and fetch, so a miss whose
         source bytes and transformation chain match a previous fill is
@@ -169,9 +172,9 @@ class DocumentCache:
         byte-identical to the pre-memo pipeline.
     concurrency_policy:
         Opt-in concurrent read path
-        (:class:`~repro.cache.policies.ConcurrencyPolicy`, e.g.
-        :class:`~repro.cache.policies.DefaultConcurrencyPolicy`):
-        :meth:`read_many` drives batches through an asyncio-backed
+        (:class:`~repro.cache.policies.ConcurrencyPolicy`; options
+        ``coalesce``, ``max_followers``): :meth:`read_many` drives
+        batches through an asyncio-backed
         :class:`~repro.sim.scheduler.AsyncScheduler`, and — when the
         policy's ``coalesce`` flag is on — concurrent misses
         single-flight: one provider fetch and one property-chain
@@ -183,8 +186,8 @@ class DocumentCache:
         cache byte-identical to its pre-concurrency behaviour.
     storage_policy:
         Opt-in durable L2 tier
-        (:class:`~repro.cache.policies.StoragePolicy`, e.g.
-        :class:`~repro.cache.policies.DefaultStoragePolicy`): evictions
+        (:class:`~repro.cache.policies.StoragePolicy`; options
+        ``directory``, ``breaker_failure_threshold``): evictions
         demote their bytes and metadata to checksummed on-disk
         segments, misses promote them back under full validity gating
         (chain signature, source probe, CRC, verifiers), the write-back
@@ -196,9 +199,9 @@ class DocumentCache:
         cache byte-identical to its storage-free behaviour.
     overload_policy:
         Opt-in overload robustness
-        (:class:`~repro.cache.policies.OverloadPolicy`, e.g.
-        :class:`~repro.cache.policies.DefaultOverloadPolicy`): every
-        application read carries an end-to-end
+        (:class:`~repro.cache.policies.OverloadPolicy`; ``deadlines``,
+        ``shedding`` and ``hedging`` switch its three mechanisms
+        individually): every application read carries an end-to-end
         :class:`~repro.overload.budget.DeadlineBudget` (tightened to
         the chain's QoS access-time target when one is declared),
         charged implicitly by every virtual-clock charge on the path
@@ -292,10 +295,13 @@ class DocumentCache:
                 share_across_users=share_across_users,
                 backing=backing,
                 retry_policy=retry_policy,
-                serve_stale_on_error=serve_stale_on_error,
-                stale_serve_max_age_ms=stale_serve_max_age_ms,
-                verifier_quarantine_threshold=verifier_quarantine_threshold,
-                bypass_backing_on_error=bypass_backing_on_error,
+                degradation_bounds={
+                    "serve_stale_on_error": serve_stale_on_error,
+                    "stale_serve_max_age_ms": stale_serve_max_age_ms,
+                    "bypass_backing_on_error": bypass_backing_on_error,
+                    "verifier_quarantine_threshold":
+                        verifier_quarantine_threshold,
+                },
             )
         if core is None:
             self._core.name = name
@@ -337,10 +343,7 @@ class DocumentCache:
         share_across_users: bool,
         backing: "DocumentCache | None",
         retry_policy: "RetryPolicy | None",
-        serve_stale_on_error: bool,
-        stale_serve_max_age_ms: float | None,
-        verifier_quarantine_threshold: int | None,
-        bypass_backing_on_error: bool,
+        degradation_bounds: dict[str, typing.Any],
     ) -> CacheCore:
         """Build the state container from the constructor arguments."""
         if capacity_bytes <= 0:
@@ -348,12 +351,18 @@ class DocumentCache:
                 f"capacity must be positive: {capacity_bytes}"
             )
         if degradation_policy is None:
-            degradation_policy = DefaultDegradationPolicy(
-                serve_stale_on_error=serve_stale_on_error,
-                stale_serve_max_age_ms=stale_serve_max_age_ms,
-                bypass_backing_on_error=bypass_backing_on_error,
-                verifier_quarantine_threshold=verifier_quarantine_threshold,
-            )
+            degradation_policy = DegradationPolicy(**degradation_bounds)
+        else:
+            # Every bound defaults to False or None.
+            conflicting = [
+                name for name, value in degradation_bounds.items()
+                if value is not None and value is not False
+            ]
+            if conflicting:
+                raise CacheError(
+                    f"{', '.join(conflicting)} cannot be combined with "
+                    "degradation_policy; set it on the policy instead"
+                )
         ctx = kernel.ctx
         if placement is None:
             topology = ctx.topology
@@ -512,9 +521,7 @@ class DocumentCache:
     @property
     def verifier_quarantine_threshold(self) -> int | None:
         """Consecutive verifier raises before quarantine, if enabled."""
-        return getattr(
-            self._core.degradation, "verifier_quarantine_threshold", None
-        )
+        return self._core.degradation.verifier_quarantine_threshold
 
     # -- introspection ------------------------------------------------------
 

@@ -752,7 +752,7 @@ class SingleFlightStage:
         if guard is not None and self._chain_blocked(guard, ctx):
             core.emit("coalesce", "bailed-contained", key=ctx.key)
             return None
-        keys = self._coalesce_keys(ctx, policy)
+        keys = self._coalesce_keys(ctx)
         for key in keys:
             flight = core.flights.lookup(key)
             if flight is None:
@@ -768,14 +768,10 @@ class SingleFlightStage:
         return None
 
     @staticmethod
-    def _coalesce_keys(ctx: ReadContext, policy) -> tuple:
+    def _coalesce_keys(ctx: ReadContext) -> tuple:
         """The flight-table keys this miss coalesces under."""
         keys: tuple = (("entry", ctx.key),)
-        if (
-            policy.coalesce_memo_plane
-            and ctx.memo_source is not None
-            and ctx.memo_fingerprint is not None
-        ):
+        if ctx.memo_source is not None and ctx.memo_fingerprint is not None:
             keys += (("memo", ctx.memo_source, ctx.memo_fingerprint),)
         return keys
 

@@ -1,27 +1,34 @@
-"""Pluggable cache policies, extracted from the manager monolith.
+"""Cache policies and per-seam configuration.
 
-Three cross-cutting decisions used to be inlined in ``DocumentCache``;
-each now sits behind a small protocol so alternatives can be swapped in
-without touching the pipeline:
+Two kinds of object live here, one import surface for both:
 
-* :class:`AdmissionPolicy` — should fetched content enter the cache?
-  The default (:class:`VoteAdmissionPolicy`) reproduces §3's behaviour:
-  honour the read path's most-restrictive cacheability vote, refuse
-  content larger than the whole cache.
-* :class:`DegradationPolicy` — how far may the cache degrade when the
-  world misbehaves?  Owns the serve-stale bounds, the
-  bypass-failed-backing switch and the verifier-quarantine bookkeeping
-  that PR 1 introduced (thresholds, per-(document, verifier-type)
-  failure streaks).
-* :class:`~repro.cache.replacement.ReplacementPolicy` — who leaves when
-  space runs out; unchanged, re-exported here so the three policy seams
-  share one import surface.
+* **Decisions with more than one implementation** stay behind a
+  protocol.  :class:`AdmissionPolicy` decides whether fetched content
+  enters the cache; the default :class:`VoteAdmissionPolicy` reproduces
+  §3 (honour the read path's most-restrictive cacheability vote, refuse
+  content larger than the whole cache).
+  :class:`~repro.cache.replacement.ReplacementPolicy` — who leaves when
+  space runs out — is re-exported unchanged.
+* **Seam configuration** is one frozen dataclass per opt-in seam:
+  :class:`MemoPolicy`, :class:`ConcurrencyPolicy`,
+  :class:`RecoveryPolicy`, :class:`StoragePolicy`,
+  :class:`OverloadPolicy`, :class:`ContainmentPolicy` and
+  :class:`DegradationPolicy` (the cluster's
+  :class:`~repro.cluster.policy.ClusterPolicy` follows the same shape).
+  Passing an instance to ``DocumentCache`` switches the seam on;
+  ``None`` (the default everywhere) builds nothing and keeps the cache
+  byte-identical to its behaviour without the seam.  Each class
+  validates in ``__post_init__`` (raising
+  :class:`~repro.errors.CacheError`), is immutable — one instance is
+  safely shared by every shard of a cluster — and is also importable
+  under its historical ``DefaultXPolicy`` name.
 """
 
 from __future__ import annotations
 
 import enum
 import typing
+from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from repro.cache.containment import (
@@ -93,48 +100,48 @@ class VoteAdmissionPolicy:
         return AdmissionDecision.ADMIT
 
 
-@runtime_checkable
-class DegradationPolicy(Protocol):
-    """How far the cache may degrade while failures are in progress."""
-
-    serve_stale_on_error: bool
-    stale_serve_max_age_ms: float | None
-    bypass_backing_on_error: bool
-
-    def stale_age_acceptable(self, age_ms: float) -> bool:
-        """May stale bytes of this age be served on fetch failure?"""
-        ...  # pragma: no cover - protocol
-
-    def note_verifier_failure(self, key: tuple["DocumentId", str]) -> bool:
-        """Record one verifier raise; True when this newly quarantines."""
-        ...  # pragma: no cover - protocol
-
-    def note_verifier_success(self, key: tuple["DocumentId", str]) -> None:
-        """A verifier ran clean; reset its failure streak."""
-        ...  # pragma: no cover - protocol
-
-    def is_quarantined(self, key: tuple["DocumentId", str]) -> bool:
-        """Is this (document, verifier type) currently quarantined?"""
-        ...  # pragma: no cover - protocol
-
-
-@runtime_checkable
-class ContainmentPolicy(Protocol):
-    """Configuration seam for the containment layer.
+@dataclass(frozen=True)
+class ContainmentPolicy:
+    """Containment of misbehaving active-property code.
 
     A cache constructed with a containment policy gets a
     :class:`~repro.cache.containment.ContainmentGuard` wrapped around
     the three untrusted-code seams (stream wrappers, verifiers,
-    notifier callbacks).  ``None`` (the default) builds no guard and
-    leaves the cache byte-identical to its uncontained behaviour.
+    notifier callbacks), all sharing one breaker configuration.
     """
 
-    #: Breaker tuning per seam (stream wrappers, verifiers, notifiers).
-    wrapper_breaker: BreakerConfig
-    verifier_breaker: BreakerConfig
-    notifier_breaker: BreakerConfig
-    #: Per-invocation execution caps, or ``None`` for no budgets.
-    budget: ExecutionBudget | None
+    #: The closed → open → half-open tuning shared by every breaker
+    #: (see :class:`~repro.cache.containment.BreakerConfig`).
+    failure_threshold: int = 3
+    probation_delay_ms: float | None = 1_000.0
+    half_open_successes: int = 1
+    #: Per-invocation execution caps; both ``None`` disables budgets.
+    max_cost_ms: float | None = None
+    max_bytes: int | None = None
+    #: Escalate a tripped *required* transformer from force-miss to a
+    #: typed denial.
+    deny_required: bool = False
+
+    def __post_init__(self) -> None:
+        # Both derived configs carry the CacheError validation.
+        self.breaker_config()
+        self.execution_budget()
+
+    def breaker_config(self) -> BreakerConfig:
+        """The breaker tuning for all three seams."""
+        return BreakerConfig(
+            failure_threshold=self.failure_threshold,
+            probation_delay_ms=self.probation_delay_ms,
+            half_open_successes=self.half_open_successes,
+        )
+
+    def execution_budget(self) -> ExecutionBudget | None:
+        """The per-invocation caps, or ``None`` when neither is set."""
+        if self.max_cost_ms is None and self.max_bytes is None:
+            return None
+        return ExecutionBudget(
+            max_cost_ms=self.max_cost_ms, max_bytes=self.max_bytes
+        )
 
     def fallback(self, role: str) -> str:
         """Fallback for a tripped breaker, given the property's role.
@@ -146,243 +153,99 @@ class ContainmentPolicy(Protocol):
         to the kernel) or ``"deny"`` (refuse with
         :class:`~repro.errors.CircuitOpenError`).
         """
-        ...  # pragma: no cover - protocol
-
-
-class DefaultContainmentPolicy:
-    """One breaker configuration for all three seams + role fallbacks.
-
-    Parameters
-    ----------
-    failure_threshold, probation_delay_ms, half_open_successes:
-        The closed → open → half-open state machine tuning shared by
-        every breaker (see :class:`~repro.cache.containment.BreakerConfig`).
-    max_cost_ms, max_bytes:
-        Per-invocation execution budgets; both ``None`` disables them.
-    deny_required, deny_optional:
-        Escalate the corresponding role's fallback from its default
-        (force-miss for required transformers, skip for optional ones)
-        to a typed denial.
-    """
-
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        probation_delay_ms: float | None = 1_000.0,
-        half_open_successes: int = 1,
-        max_cost_ms: float | None = None,
-        max_bytes: int | None = None,
-        deny_required: bool = False,
-        deny_optional: bool = False,
-    ) -> None:
-        config = BreakerConfig(
-            failure_threshold=failure_threshold,
-            probation_delay_ms=probation_delay_ms,
-            half_open_successes=half_open_successes,
-        )
-        self.wrapper_breaker = config
-        self.verifier_breaker = config
-        self.notifier_breaker = config
-        self.budget = (
-            ExecutionBudget(max_cost_ms=max_cost_ms, max_bytes=max_bytes)
-            if max_cost_ms is not None or max_bytes is not None
-            else None
-        )
-        self.deny_required = deny_required
-        self.deny_optional = deny_optional
-
-    def fallback(self, role: str) -> str:
         if role == "required":
             return "deny" if self.deny_required else "force-miss"
-        return "deny" if self.deny_optional else "skip"
+        return "skip"
 
 
-@runtime_checkable
-class MemoPolicy(Protocol):
-    """Configuration seam for the transform memoization plane.
+@dataclass(frozen=True)
+class MemoPolicy:
+    """The transform memoization plane.
 
     A cache constructed with a memo policy gets a bounded
     :class:`~repro.cache.memo.TransformMemo` consulted by the read
     pipeline's memo stage: a miss whose ``(current source signature,
     chain fingerprint)`` pair was recorded by an earlier admission is
     answered with a signature-only adoption instead of a provider fetch
-    plus a full property-chain execution.  ``None`` (the default) keeps
-    the stage a strict no-op and the cache byte-identical to its
-    unmemoized behaviour.
+    plus a full property-chain execution.  UNCACHEABLE-voting chains
+    are negative-cached so repeated misses skip the candidate machinery
+    without ever serving from the memo.
     """
 
     #: Maximum records the memo table holds (LRU beyond that).
-    capacity: int
+    capacity: int = 1024
     #: Virtual cost of probing the repository's current source
     #: signature at consult time (a metadata-only exchange, the memo's
-    #: analogue of the adoption handshake).
-    probe_cost_ms: float
+    #: analogue of ``ADOPTION_COST_MS``).
+    probe_cost_ms: float = 0.2
     #: Re-run a record's verifiers before serving it (the paper's
     #: class-(d) external conditions); ``False`` bypasses the memo for
     #: verifier-gated records instead of trusting them unverified.
-    verify_on_serve: bool
-    #: Remember UNCACHEABLE-voting chains so repeated misses skip the
-    #: candidate machinery without ever serving from the memo.
-    negative_cache: bool
+    verify_on_serve: bool = True
 
-
-class DefaultMemoPolicy:
-    """Transform memoization with sensible bounds, off unless supplied.
-
-    Parameters
-    ----------
-    capacity:
-        LRU bound on the number of memo records.
-    probe_cost_ms:
-        Virtual cost charged per memo consult for the source-signature
-        probe (compare ``ADOPTION_COST_MS``; both are metadata-only
-        exchanges).
-    verify_on_serve:
-        Re-run recorded verifiers before serving a memoized output
-        (default) instead of bypassing verifier-gated records.
-    negative_cache:
-        Negative-cache UNCACHEABLE-voting chains (default on).
-    """
-
-    def __init__(
-        self,
-        capacity: int = 1024,
-        probe_cost_ms: float = 0.2,
-        verify_on_serve: bool = True,
-        negative_cache: bool = True,
-    ) -> None:
-        if capacity < 1:
-            raise CacheError(f"memo capacity must be >= 1: {capacity}")
-        if probe_cost_ms < 0:
+    def __post_init__(self) -> None:
+        if self.capacity < 1:
+            raise CacheError(f"memo capacity must be >= 1: {self.capacity}")
+        if self.probe_cost_ms < 0:
             raise CacheError(
-                f"probe_cost_ms must be non-negative: {probe_cost_ms}"
+                f"probe_cost_ms must be non-negative: {self.probe_cost_ms}"
             )
-        self.capacity = capacity
-        self.probe_cost_ms = probe_cost_ms
-        self.verify_on_serve = verify_on_serve
-        self.negative_cache = negative_cache
 
 
-@runtime_checkable
-class ConcurrencyPolicy(Protocol):
-    """Configuration seam for the concurrent read path.
+@dataclass(frozen=True)
+class ConcurrencyPolicy:
+    """The concurrent read path.
 
-    A cache constructed with a concurrency policy may drive read
-    batches through an :class:`~repro.sim.scheduler.AsyncScheduler`
-    (``DocumentCache.read_many``) and, when ``coalesce`` is on,
-    single-flight concurrent misses: the pipeline's
+    A cache constructed with a concurrency policy drives
+    ``DocumentCache.read_many`` batches through an
+    :class:`~repro.sim.scheduler.AsyncScheduler` and, when ``coalesce``
+    is on, single-flights concurrent misses: the pipeline's
     :class:`~repro.cache.pipeline.SingleFlightStage` shares one
     provider fetch and one property-chain execution among every
     concurrent requester of the same ``(document, user)`` key — and,
-    via the transform-memo plane, the same ``(source signature, chain
-    fingerprint)`` pair.  ``None`` (the default) keeps the stage a
-    strict no-op, ``read_many`` sequential, and the cache
-    byte-identical to its pre-concurrency behaviour.
+    when a memo policy supplies the probed pair, the same ``(source
+    signature, chain fingerprint)`` pair across *different* users.
     """
 
-    #: Coalesce concurrent misses into single flights at all.
-    coalesce: bool
-    #: Additionally coalesce under the memo-plane key, sharing one
-    #: chain execution among *different* users whose chains would
-    #: produce identical bytes (requires a memo policy to have
-    #: populated the context's probe results).
-    coalesce_memo_plane: bool
+    #: Coalesce concurrent misses into single flights (``False`` runs
+    #: the async scheduler with no coalescing — the A16 ablation arm).
+    coalesce: bool = True
     #: Budget bail-out: at most this many reads may park on one flight;
     #: excess reads fetch for themselves.  ``None`` for unbounded.
-    max_followers: int | None
+    max_followers: int | None = None
 
-
-class DefaultConcurrencyPolicy:
-    """Single-flight coalescing with sensible bounds.
-
-    Parameters
-    ----------
-    coalesce:
-        Coalesce concurrent misses (default on — constructing the
-        policy at all is the opt-in; pass ``False`` for an ablation
-        that runs the async scheduler with no coalescing).
-    coalesce_memo_plane:
-        Also coalesce under the ``(source signature, chain
-        fingerprint)`` key (default on; only effective when the cache
-        also has a memo policy, which supplies the probed pair).
-    max_followers:
-        Follower cap per flight (``None`` = unbounded, the default).
-    """
-
-    def __init__(
-        self,
-        coalesce: bool = True,
-        coalesce_memo_plane: bool = True,
-        max_followers: int | None = None,
-    ) -> None:
-        if max_followers is not None and max_followers < 1:
+    def __post_init__(self) -> None:
+        if self.max_followers is not None and self.max_followers < 1:
             raise CacheError(
-                f"max_followers must be >= 1: {max_followers}"
+                f"max_followers must be >= 1: {self.max_followers}"
             )
-        self.coalesce = coalesce
-        self.coalesce_memo_plane = coalesce_memo_plane
-        self.max_followers = max_followers
 
 
-@runtime_checkable
-class RecoveryPolicy(Protocol):
-    """Configuration seam for the consistency-recovery layer.
+@dataclass(frozen=True)
+class RecoveryPolicy:
+    """The consistency-recovery layer.
 
     A cache constructed with a recovery policy gets a leased, sequenced
-    notifier channel (gap detection + anti-entropy resync) and — for
-    write-back caches — a crash-recovery journal.  ``None`` (the
-    default) leaves every recovery mechanism off and the cache
-    byte-identical to its pre-recovery behaviour.
+    notifier channel — (epoch, sequence) stamps with gap detection, and
+    an anti-entropy resync whenever the channel is suspect or the lease
+    lapsed — plus a crash-recovery journal for buffered write-backs.
     """
 
     #: Lease term on the notifier registration; renewals run at half the
     #: term on the virtual clock, so a suspect or lapsed channel is
     #: resynced within one term (the bounded-staleness guarantee).
-    lease_term_ms: float
-    #: Stamp (epoch, sequence) on deliveries and detect gaps.
-    sequence_invalidations: bool
-    #: Journal buffered write-backs so a crash/restart replays them.
-    journal_writes: bool
+    lease_term_ms: float = 2_000.0
 
-    def resync_due(self, *, suspect: bool, lapsed: bool) -> bool:
-        """Should this renewal tick trigger an anti-entropy resync?"""
-        ...  # pragma: no cover - protocol
-
-
-class DefaultRecoveryPolicy:
-    """Everything on: leases + sequencing + journal, resync when needed.
-
-    Parameters
-    ----------
-    lease_term_ms:
-        The notifier-registration lease term (renewed at half-term).
-    sequence_invalidations, journal_writes:
-        Individually disable gap detection or the write-back journal
-        (both on by default) for ablations.
-    """
-
-    def __init__(
-        self,
-        lease_term_ms: float = 2_000.0,
-        sequence_invalidations: bool = True,
-        journal_writes: bool = True,
-    ) -> None:
-        if lease_term_ms <= 0:
+    def __post_init__(self) -> None:
+        if self.lease_term_ms <= 0:
             raise CacheError(
-                f"lease_term_ms must be positive: {lease_term_ms}"
+                f"lease_term_ms must be positive: {self.lease_term_ms}"
             )
-        self.lease_term_ms = lease_term_ms
-        self.sequence_invalidations = sequence_invalidations
-        self.journal_writes = journal_writes
-
-    def resync_due(self, *, suspect: bool, lapsed: bool) -> bool:
-        """Resync whenever the channel is suspect or the lease lapsed."""
-        return suspect or lapsed
 
 
-@runtime_checkable
-class StoragePolicy(Protocol):
-    """Configuration seam for the durable L2 tier.
+@dataclass(frozen=True)
+class StoragePolicy:
+    """The durable L2 tier.
 
     A cache constructed with a storage policy gets an
     :class:`~repro.storage.tier.L2Tier`: evictions demote their bytes
@@ -390,105 +253,28 @@ class StoragePolicy(Protocol):
     back (chain-, source-, CRC- and verifier-gated), the write-back
     journal and transform memo spill to disk, and
     ``DocumentCache.restart()`` recovers all of it after a crash.
-    ``None`` (the default) builds no tier and leaves the cache
-    byte-identical to its storage-free behaviour.
     """
 
-    #: Directory holding the tier's segments, or ``None`` for a private
-    #: temporary directory (fresh per cache — durable across crashes
-    #: within a run, not across processes).
-    directory: "str | None"
-    #: Individually disable the demote / promote / spill flows.
-    demote_on_evict: bool
-    promote_on_hit: bool
-    spill_journal: bool
-    spill_memo: bool
-    #: Re-run verifiers on *every* promotion; recovered records are
-    #: verified on first serve regardless of this knob.
-    verify_on_promote: bool
-    #: Virtual costs of the disk operations (per record) and of the
-    #: promote-time source-signature probe.
-    write_cost_ms: float
-    read_cost_ms: float
-    sync_cost_ms: float
-    probe_cost_ms: float
-    #: Storage-breaker tuning: consecutive disk failures before the
-    #: tier trips open (falling back to L1-only), and the probation
-    #: delay before a half-open retry.
-    breaker_failure_threshold: int
-    breaker_probation_ms: "float | None"
+    #: Directory holding the tier's segments (one subdirectory per
+    #: cache id), or ``None`` for a private temporary directory (fresh
+    #: per cache — durable across crashes within a run, not across
+    #: processes).
+    directory: "str | None" = None
+    #: Consecutive disk failures before the storage breaker trips open
+    #: and the cache falls back to L1-only.
+    breaker_failure_threshold: int = 3
 
-
-class DefaultStoragePolicy:
-    """Durable tier with everything on, off unless supplied.
-
-    Parameters
-    ----------
-    directory:
-        Segment directory (one subdirectory per cache id); ``None``
-        (default) uses a private temporary directory.
-    demote_on_evict, promote_on_hit, spill_journal, spill_memo:
-        Individually disable the four flows (all on by default) for
-        ablations.
-    verify_on_promote:
-        Re-run verifiers on every promotion (default on).  Recovered
-        records are always verified on their first serve even when
-        this is off.
-    write_cost_ms, read_cost_ms, sync_cost_ms, probe_cost_ms:
-        Virtual costs charged per disk write, read, fsync and
-        promote-time source probe.
-    breaker_failure_threshold, breaker_probation_ms:
-        Storage-breaker tuning (see
-        :class:`~repro.cache.containment.BreakerConfig`).
-    """
-
-    def __init__(
-        self,
-        directory: "str | None" = None,
-        demote_on_evict: bool = True,
-        promote_on_hit: bool = True,
-        spill_journal: bool = True,
-        spill_memo: bool = True,
-        verify_on_promote: bool = True,
-        write_cost_ms: float = 0.4,
-        read_cost_ms: float = 0.25,
-        sync_cost_ms: float = 0.5,
-        probe_cost_ms: float = 0.2,
-        breaker_failure_threshold: int = 3,
-        breaker_probation_ms: "float | None" = 2_000.0,
-    ) -> None:
-        for name, value in (
-            ("write_cost_ms", write_cost_ms),
-            ("read_cost_ms", read_cost_ms),
-            ("sync_cost_ms", sync_cost_ms),
-            ("probe_cost_ms", probe_cost_ms),
-        ):
-            if value < 0:
-                raise CacheError(
-                    f"{name} must be non-negative: {value}"
-                )
-        if breaker_failure_threshold < 1:
+    def __post_init__(self) -> None:
+        if self.breaker_failure_threshold < 1:
             raise CacheError(
                 "breaker_failure_threshold must be >= 1: "
-                f"{breaker_failure_threshold}"
+                f"{self.breaker_failure_threshold}"
             )
-        self.directory = directory
-        self.demote_on_evict = demote_on_evict
-        self.promote_on_hit = promote_on_hit
-        self.spill_journal = spill_journal
-        self.spill_memo = spill_memo
-        self.verify_on_promote = verify_on_promote
-        self.write_cost_ms = write_cost_ms
-        self.read_cost_ms = read_cost_ms
-        self.sync_cost_ms = sync_cost_ms
-        self.probe_cost_ms = probe_cost_ms
-        self.breaker_failure_threshold = breaker_failure_threshold
-        self.breaker_probation_ms = breaker_probation_ms
 
 
-@runtime_checkable
-class OverloadPolicy(Protocol):
-    """Configuration seam for the overload-robustness layer.
+@dataclass(frozen=True)
+class OverloadPolicy:
+    """The overload-robustness layer.
 
     A cache constructed with an overload policy gets an
     :class:`~repro.overload.gate.OverloadGate`: reads carry a
@@ -500,221 +286,121 @@ class OverloadPolicy(Protocol):
     :class:`~repro.errors.OverloadShedError`, and — on a
     :class:`~repro.cluster.coordinator.CacheCluster` — gray-failing
     shards are hedged to their replica and hard-failing shards routed
-    around.  ``None`` (the default) builds no gate and leaves the
-    cache byte-identical to its pre-overload behaviour.
+    around.
     """
 
     #: Deadline propagation: budget every read, gate expensive seams.
-    deadlines_enabled: bool
-    #: Allowance for chains without a finite QoS target.
-    default_deadline_ms: float
-    #: Tighten the allowance to the chain's QoS ``max_access_time_ms``.
-    deadline_from_qos: bool
+    deadlines: bool = True
     #: Admission control / load shedding.
-    shedding_enabled: bool
+    shedding: bool = True
+    #: Cluster hedging (ignored by a standalone cache).
+    hedging: bool = True
+    #: Allowance for chains without a finite QoS target (the paper's §3
+    #: example is 250 ms).
+    default_deadline_ms: float = 250.0
+    #: Tighten the allowance to the chain's QoS ``max_access_time_ms``.
+    deadline_from_qos: bool = True
     #: Token-bucket refill rate (reads per virtual second) and capacity.
-    admission_rate_per_s: float
-    admission_burst: float
+    admission_rate_per_s: float = 200.0
+    admission_burst: float = 16.0
     #: Overdraft bound: queue depth past which non-critical reads shed.
-    queue_limit: float
+    queue_limit: float = 32.0
     #: CoDel-style sojourn threshold; bulk reads shed past it, QoS
     #: reads past twice it, critical reads never.
-    sojourn_threshold_ms: float
-    #: Cluster hedging + health (ignored by a standalone cache).
-    hedging_enabled: bool
-    #: Hedge delay = healthy-fleet p95 × this factor, clamped below.
-    hedge_delay_factor: float
-    hedge_delay_min_ms: float
-    hedge_delay_max_ms: float
-    #: Gray detection: EWMA ≥ factor × healthiest peer's EWMA, after
-    #: at least ``health_min_samples`` reads.
-    gray_latency_factor: float
-    health_min_samples: int
-    health_ewma_alpha: float
-    #: Failover: consecutive errors that mark a shard unhealthy, and
-    #: consecutive clean reads that restore it (and its stickiness).
-    unhealthy_error_threshold: int
-    recovery_successes: int
+    sojourn_threshold_ms: float = 100.0
+    #: Fetch-path reads a shard must have served before the cluster's
+    #: :class:`~repro.overload.health.HealthTracker` may call it gray.
+    health_min_samples: int = 8
+
+    def __post_init__(self) -> None:
+        if self.default_deadline_ms <= 0:
+            raise CacheError(
+                "default_deadline_ms must be positive: "
+                f"{self.default_deadline_ms}"
+            )
+        if self.admission_rate_per_s <= 0:
+            raise CacheError(
+                "admission_rate_per_s must be positive: "
+                f"{self.admission_rate_per_s}"
+            )
+        if self.admission_burst < 1:
+            raise CacheError(
+                f"admission_burst must be >= 1: {self.admission_burst}"
+            )
+        if self.queue_limit < 0:
+            raise CacheError(
+                f"queue_limit must be non-negative: {self.queue_limit}"
+            )
+        if self.sojourn_threshold_ms < 0:
+            raise CacheError(
+                "sojourn_threshold_ms must be non-negative: "
+                f"{self.sojourn_threshold_ms}"
+            )
+        if self.health_min_samples < 1:
+            raise CacheError(
+                f"health_min_samples must be >= 1: {self.health_min_samples}"
+            )
 
 
-class DefaultOverloadPolicy:
-    """Deadlines + shedding + hedging with sensible defaults.
+@dataclass(frozen=True)
+class DegradationPolicy:
+    """How far the cache may degrade while failures are in progress.
 
-    Parameters
-    ----------
-    deadlines, shedding, hedging:
-        Individually disable the three mechanisms (all on by default —
-        constructing the policy at all is the opt-in) for ablations.
-    default_deadline_ms:
-        End-to-end budget for reads whose chain carries no finite QoS
-        access-time target (the paper's §3 example is 250 ms).
-    deadline_from_qos:
-        Tighten the budget to the chain's ``max_access_time_ms``.
-    admission_rate_per_s, admission_burst, queue_limit,
-    sojourn_threshold_ms:
-        Admission-controller tuning (see
-        :class:`~repro.overload.admission.AdmissionController`).
-    hedge_delay_factor, hedge_delay_min_ms, hedge_delay_max_ms:
-        Hedge-delay shaping over the healthy-fleet p95.
-    gray_latency_factor, health_min_samples, health_ewma_alpha,
-    unhealthy_error_threshold, recovery_successes:
-        Health-tracker tuning (see
-        :class:`~repro.overload.health.HealthTracker`).
+    The fields mirror the ``DocumentCache`` keyword arguments of the
+    same names; unlike the other seams this one is always present
+    (``DocumentCache`` builds one from those keywords when none is
+    passed) and carries the verifier-quarantine bookkeeping.
     """
 
-    def __init__(
-        self,
-        deadlines: bool = True,
-        shedding: bool = True,
-        hedging: bool = True,
-        default_deadline_ms: float = 250.0,
-        deadline_from_qos: bool = True,
-        admission_rate_per_s: float = 200.0,
-        admission_burst: float = 16.0,
-        queue_limit: float = 32.0,
-        sojourn_threshold_ms: float = 100.0,
-        hedge_delay_factor: float = 1.0,
-        hedge_delay_min_ms: float = 1.0,
-        hedge_delay_max_ms: float = 250.0,
-        gray_latency_factor: float = 3.0,
-        health_min_samples: int = 8,
-        health_ewma_alpha: float = 0.2,
-        unhealthy_error_threshold: int = 3,
-        recovery_successes: int = 3,
-    ) -> None:
-        if default_deadline_ms <= 0:
-            raise CacheError(
-                f"default_deadline_ms must be positive: {default_deadline_ms}"
-            )
-        if admission_rate_per_s <= 0:
-            raise CacheError(
-                f"admission_rate_per_s must be positive: {admission_rate_per_s}"
-            )
-        if admission_burst < 1:
-            raise CacheError(
-                f"admission_burst must be >= 1: {admission_burst}"
-            )
-        if queue_limit < 0:
-            raise CacheError(
-                f"queue_limit must be non-negative: {queue_limit}"
-            )
-        if sojourn_threshold_ms < 0:
-            raise CacheError(
-                f"sojourn_threshold_ms must be non-negative: "
-                f"{sojourn_threshold_ms}"
-            )
-        if hedge_delay_factor <= 0:
-            raise CacheError(
-                f"hedge_delay_factor must be positive: {hedge_delay_factor}"
-            )
-        if not 0 <= hedge_delay_min_ms <= hedge_delay_max_ms:
-            raise CacheError(
-                "hedge delay clamp must satisfy 0 <= min <= max: "
-                f"{hedge_delay_min_ms}..{hedge_delay_max_ms}"
-            )
-        if gray_latency_factor <= 1.0:
-            raise CacheError(
-                f"gray_latency_factor must be > 1: {gray_latency_factor}"
-            )
-        if not 0.0 < health_ewma_alpha <= 1.0:
-            raise CacheError(
-                f"health_ewma_alpha must be in (0, 1]: {health_ewma_alpha}"
-            )
+    #: Serve a stale entry when the fetch behind a miss fails …
+    serve_stale_on_error: bool = False
+    #: … but only if the entry is at most this old (``None`` = any age).
+    stale_serve_max_age_ms: float | None = None
+    #: Let misses route past a failed second-level cache to the kernel.
+    bypass_backing_on_error: bool = False
+    #: Quarantine a verifier after this many consecutive raises
+    #: (``None`` = never quarantine).
+    verifier_quarantine_threshold: int | None = None
+    #: The quarantine, expressed as circuit breakers: threshold-N
+    #: consecutive failures trip, and with no probation delay an open
+    #: breaker is permanent until ``breakers.reset_all()``.  Inspect
+    #: open quarantines via ``breakers.open_keys()``.
+    breakers: BreakerRegistry = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
         if (
-            health_min_samples < 1
-            or unhealthy_error_threshold < 1
-            or recovery_successes < 1
+            self.stale_serve_max_age_ms is not None
+            and self.stale_serve_max_age_ms < 0
         ):
-            raise CacheError(
-                "health_min_samples, unhealthy_error_threshold and "
-                "recovery_successes must be >= 1"
-            )
-        self.deadlines_enabled = deadlines
-        self.shedding_enabled = shedding
-        self.hedging_enabled = hedging
-        self.default_deadline_ms = default_deadline_ms
-        self.deadline_from_qos = deadline_from_qos
-        self.admission_rate_per_s = admission_rate_per_s
-        self.admission_burst = admission_burst
-        self.queue_limit = queue_limit
-        self.sojourn_threshold_ms = sojourn_threshold_ms
-        self.hedge_delay_factor = hedge_delay_factor
-        self.hedge_delay_min_ms = hedge_delay_min_ms
-        self.hedge_delay_max_ms = hedge_delay_max_ms
-        self.gray_latency_factor = gray_latency_factor
-        self.health_min_samples = health_min_samples
-        self.health_ewma_alpha = health_ewma_alpha
-        self.unhealthy_error_threshold = unhealthy_error_threshold
-        self.recovery_successes = recovery_successes
-
-
-class DefaultDegradationPolicy:
-    """The PR-1 degradation cascade, now in one swappable object.
-
-    Parameters mirror the former ``DocumentCache`` keyword arguments:
-    ``serve_stale_on_error`` / ``stale_serve_max_age_ms`` bound the
-    availability-over-freshness fallback, ``bypass_backing_on_error``
-    lets misses route past a failed second level, and
-    ``verifier_quarantine_threshold`` disables a repeatedly-raising
-    verifier after that many consecutive failures.
-    """
-
-    def __init__(
-        self,
-        serve_stale_on_error: bool = False,
-        stale_serve_max_age_ms: float | None = None,
-        bypass_backing_on_error: bool = False,
-        verifier_quarantine_threshold: int | None = None,
-    ) -> None:
-        if stale_serve_max_age_ms is not None and stale_serve_max_age_ms < 0:
             raise CacheError(
                 "stale_serve_max_age_ms must be non-negative: "
-                f"{stale_serve_max_age_ms}"
+                f"{self.stale_serve_max_age_ms}"
             )
-        if (
-            verifier_quarantine_threshold is not None
-            and verifier_quarantine_threshold < 1
-        ):
+        threshold = self.verifier_quarantine_threshold
+        if threshold is not None and threshold < 1:
             raise CacheError(
-                "verifier_quarantine_threshold must be >= 1: "
-                f"{verifier_quarantine_threshold}"
+                f"verifier_quarantine_threshold must be >= 1: {threshold}"
             )
-        self.serve_stale_on_error = serve_stale_on_error
-        self.stale_serve_max_age_ms = stale_serve_max_age_ms
-        self.bypass_backing_on_error = bypass_backing_on_error
-        self.verifier_quarantine_threshold = verifier_quarantine_threshold
-        #: The quarantine, re-expressed as circuit breakers: threshold-N
-        #: consecutive failures trip, and with no probation delay an
-        #: open breaker is permanent until ``breakers.reset_all()`` —
-        #: exactly the historical dict-and-set semantics.  Inspect open
-        #: quarantines via ``breakers.open_keys()``.
-        self.breakers = BreakerRegistry(
-            BreakerConfig(
-                failure_threshold=(
-                    verifier_quarantine_threshold
-                    if verifier_quarantine_threshold is not None
-                    else 1
-                ),
-                probation_delay_ms=None,
-                half_open_successes=1,
-            )
-        )
-
-    # -- serve-stale bounds ----------------------------------------------------
+        object.__setattr__(self, "breakers", BreakerRegistry(BreakerConfig(
+            failure_threshold=threshold if threshold is not None else 1,
+            probation_delay_ms=None,
+            half_open_successes=1,
+        )))
 
     def stale_age_acceptable(self, age_ms: float) -> bool:
+        """May stale bytes of this age be served on fetch failure?"""
         if self.stale_serve_max_age_ms is None:
             return True
         return age_ms <= self.stale_serve_max_age_ms
 
-    # -- verifier quarantine ---------------------------------------------------
-
     def note_verifier_failure(self, key: tuple["DocumentId", str]) -> bool:
+        """Record one verifier raise; True when this newly quarantines."""
         if self.verifier_quarantine_threshold is None:
             return False
         return self.breakers.get(key).record_failure()
 
     def note_verifier_success(self, key: tuple["DocumentId", str]) -> None:
+        """A verifier ran clean; reset its failure streak."""
         if self.verifier_quarantine_threshold is None:
             return
         breaker = self.breakers.peek(key)
@@ -722,5 +408,17 @@ class DefaultDegradationPolicy:
             breaker.record_success()
 
     def is_quarantined(self, key: tuple["DocumentId", str]) -> bool:
+        """Is this (document, verifier type) currently quarantined?"""
         breaker = self.breakers.peek(key)
         return breaker is not None and breaker.state is BreakerState.OPEN
+
+
+#: Historical constructor names, kept because benchmarks, tests and
+#: examples build the configs under them.
+DefaultContainmentPolicy = ContainmentPolicy
+DefaultMemoPolicy = MemoPolicy
+DefaultConcurrencyPolicy = ConcurrencyPolicy
+DefaultRecoveryPolicy = RecoveryPolicy
+DefaultStoragePolicy = StoragePolicy
+DefaultOverloadPolicy = OverloadPolicy
+DefaultDegradationPolicy = DegradationPolicy

@@ -338,24 +338,20 @@ class ConsistencyRecoveryManager:
         self._apply = apply_invalidation
         self.stats = RecoveryStats()
         core.instrumentation.subscribe(RecoveryStatsProjection(self.stats))
-        self.journal: WriteBackJournal | None = (
-            WriteBackJournal() if policy.journal_writes else None
-        )
+        self.journal = WriteBackJournal()
         #: Live references for cached entries, so resync can reconcile
         #: against server state without a directory lookup.
         self._references: dict["EntryKey", "DocumentReference"] = {}
-        #: Receiver-side (epoch, next expected sequence) for the channel.
-        self._expected: tuple[int, int] | None = None
         #: True once a gap (inline or checkpoint) was detected and not
         #: yet repaired by a resync.
         self.suspect = False
         self.lease: NotifierLease | None = None
         self._tick_handle: "ScheduledCall | None" = None
         self._down = False
-        if policy.sequence_invalidations:
-            channel = core.bus.enable_sequencing(core.cache_id)
-            self._expected = (channel.epoch, channel.next_sequence)
-            core.emit("channel", "sequenced")
+        channel = core.bus.enable_sequencing(core.cache_id)
+        #: Receiver-side (epoch, next expected sequence) for the channel.
+        self._expected = (channel.epoch, channel.next_sequence)
+        core.emit("channel", "sequenced")
         self._grant_lease()
 
     # -- lease lifecycle -------------------------------------------------------
@@ -400,7 +396,7 @@ class ConsistencyRecoveryManager:
             lease.renew(now)
             core.emit("lease", "renewed", expires_at_ms=lease.expires_at_ms)
             self._checkpoint_compare()
-        if self.policy.resync_due(suspect=self.suspect, lapsed=lapsed):
+        if self.suspect or lapsed:
             self.resync()
         self._schedule_tick()
 
@@ -411,8 +407,6 @@ class ConsistencyRecoveryManager:
         *trailing* loss, where the dropped notification was the last one
         sent and no later delivery exists to expose the sequence jump.
         """
-        if self._expected is None:
-            return
         checkpoint = self.core.bus.channel_checkpoint(self.core.cache_id)
         if checkpoint is None:
             return
@@ -433,19 +427,12 @@ class ConsistencyRecoveryManager:
 
     def receive(self, invalidation: "Invalidation") -> None:
         """Bus sink: track the sequence stream, then apply normally."""
-        if (
-            self.policy.sequence_invalidations
-            and invalidation.epoch is not None
-            and invalidation.sequence is not None
-        ):
+        if invalidation.epoch is not None and invalidation.sequence is not None:
             self._note_sequence(invalidation.epoch, invalidation.sequence)
         self._apply(invalidation)
 
     def _note_sequence(self, epoch: int, sequence: int) -> None:
         core = self.core
-        if self._expected is None:
-            self._expected = (epoch, sequence + 1)
-            return
         expected_epoch, expected_sequence = self._expected
         if epoch < expected_epoch:
             # A delayed delivery from before the last resync's epoch
@@ -543,10 +530,9 @@ class ConsistencyRecoveryManager:
             )
             self._references.pop(key, None)
             repairs += 1
-        if self.policy.sequence_invalidations:
-            epoch, next_sequence = core.bus.bump_epoch(core.cache_id)
-            self._expected = (epoch, next_sequence)
-            core.emit("channel", "epoch", epoch=epoch)
+        epoch, next_sequence = core.bus.bump_epoch(core.cache_id)
+        self._expected = (epoch, next_sequence)
+        core.emit("channel", "epoch", epoch=epoch)
         self.suspect = False
         core.emit("resync", "completed", repairs=repairs)
         return repairs
@@ -615,8 +601,6 @@ class ConsistencyRecoveryManager:
         content: bytes,
     ) -> None:
         """Buffer hook: journal a write before it is acknowledged."""
-        if self.journal is None:
-            return
         self.journal.append(
             key, reference, content, self.core.ctx.clock.now_ms
         )
@@ -626,8 +610,6 @@ class ConsistencyRecoveryManager:
 
     def journal_mark_flushed(self, key: "EntryKey") -> None:
         """Flush hook: the key's buffered bytes reached the server."""
-        if self.journal is None:
-            return
         marked = self.journal.mark_flushed(key)
         if marked:
             self.core.emit("journal", "flush-marked", key=key, records=marked)
@@ -636,8 +618,6 @@ class ConsistencyRecoveryManager:
 
     def replay_journal(self) -> int:
         """Restore unflushed journalled writes into the dirty buffer."""
-        if self.journal is None:
-            return 0
         core = self.core
         before = dict(core.dirty)
         replayed, skipped = self.journal.replay_into(core.dirty)
@@ -671,13 +651,10 @@ class ConsistencyRecoveryManager:
         """
         self._down = False
         replayed = self.replay_journal()
-        if self.policy.sequence_invalidations:
-            channel = self.core.bus.enable_sequencing(self.core.cache_id)
-            self._expected = (channel.epoch, channel.next_sequence)
-            self.suspect = True
+        channel = self.core.bus.enable_sequencing(self.core.cache_id)
+        self._expected = (channel.epoch, channel.next_sequence)
         self._grant_lease()
-        if self.policy.resync_due(suspect=self.suspect, lapsed=True):
-            self.resync()
+        self.resync()
         return replayed
 
     def stop(self) -> None:

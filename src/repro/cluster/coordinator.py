@@ -66,6 +66,12 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["CacheCluster"]
 
+#: Hedge-delay shaping: the healthy fleet's p95 times the factor,
+#: clamped to the [min, max] window (virtual ms).
+HEDGE_DELAY_FACTOR = 1.0
+HEDGE_DELAY_MIN_MS = 1.0
+HEDGE_DELAY_MAX_MS = 250.0
+
 
 class CacheCluster:
     """A consistent-hash cluster of document caches.
@@ -76,9 +82,10 @@ class CacheCluster:
         The shared Placeless kernel, how many shards to build, and the
         physical content-store capacity *per shard*.
     cluster_policy:
-        What the shards may share (:class:`~repro.cluster.policy
-        .ClusterPolicy`); ``None`` builds fully isolated shards.
-        ``share_memo`` requires a ``memo_policy``.
+        Opt-in sharing (:class:`~repro.cluster.policy.ClusterPolicy`):
+        one transform memo and one flight table span every shard.
+        Requires a ``memo_policy``; ``None`` builds fully isolated
+        shards.
     placement_policy:
         The ``entry key → shard`` decision; defaults to
         :class:`~repro.cluster.placement.HashRingPolicy` over the
@@ -103,9 +110,11 @@ class CacheCluster:
         hedged reads that launch a backup on the replica shard once a
         miss stalls at the fetch seam for the healthy fleet's p95
         (loser cancelled), and placement failover that routes around a
-        shard with ``unhealthy_error_threshold`` consecutive failed
-        reads — sending every fourth read through as a canary so
-        ``recovery_successes`` clean responses restore stickiness.
+        shard with :data:`~repro.overload.health
+        .UNHEALTHY_ERROR_THRESHOLD` consecutive failed reads — sending
+        every fourth read through as a canary so
+        :data:`~repro.overload.health.RECOVERY_SUCCESSES` clean
+        responses restore stickiness.
         ``None`` (the default) keeps routing, reads and digests
         byte-identical to the pre-overload cluster.
     name:
@@ -135,14 +144,8 @@ class CacheCluster:
     ) -> None:
         if shard_count < 1:
             raise CacheError(f"shard_count must be >= 1: {shard_count}")
-        if (
-            cluster_policy is not None
-            and cluster_policy.share_memo
-            and memo_policy is None
-        ):
-            raise CacheError(
-                "cluster_policy.share_memo requires a memo_policy"
-            )
+        if cluster_policy is not None and memo_policy is None:
+            raise CacheError("a cluster_policy requires a memo_policy")
         self.kernel = kernel
         self.ctx = kernel.ctx
         self.name = name
@@ -164,11 +167,7 @@ class CacheCluster:
         self._draining_probes = False
         if overload_policy is not None:
             self.health = HealthTracker(
-                ewma_alpha=overload_policy.health_ewma_alpha,
-                gray_latency_factor=overload_policy.gray_latency_factor,
-                min_samples=overload_policy.health_min_samples,
-                error_threshold=overload_policy.unhealthy_error_threshold,
-                recovery_successes=overload_policy.recovery_successes,
+                min_samples=overload_policy.health_min_samples
             )
         self._next_index = 0
         names = [self._next_name() for _ in range(shard_count)]
@@ -184,8 +183,7 @@ class CacheCluster:
         self.bus = InvalidationBus(self.ctx)
         self.shared_memo: SharedTransformMemo | None = None
         self.shared_flights: FlightTable | None = None
-        if cluster_policy is not None and cluster_policy.share_memo:
-            assert memo_policy is not None
+        if cluster_policy is not None:
             capacity = (
                 cluster_policy.shared_memo_capacity
                 if cluster_policy.shared_memo_capacity is not None
@@ -194,7 +192,6 @@ class CacheCluster:
             self.shared_memo = SharedTransformMemo(
                 capacity, topology=self.topology
             )
-        if cluster_policy is not None and cluster_policy.share_flights:
             self.shared_flights = FlightTable()
         self._shards: dict[str, DocumentCache] = {}
         for shard_name in names:
@@ -408,7 +405,7 @@ class CacheCluster:
         policy = self._overload_policy
         return (
             policy is not None
-            and policy.hedging_enabled
+            and policy.hedging
             and len(self._shards) >= 2
         )
 
@@ -416,18 +413,16 @@ class CacheCluster:
         """How long a miss may stall at the fetch seam before hedging.
 
         The healthy fleet's p95 read latency (excluding the primary),
-        scaled by the policy's ``hedge_delay_factor`` and clamped to
-        its [min, max] window; before the tracker has samples the max
-        is used, so cold clusters hedge conservatively.
+        scaled by ``HEDGE_DELAY_FACTOR`` and clamped to the
+        [``HEDGE_DELAY_MIN_MS``, ``HEDGE_DELAY_MAX_MS``] window; before
+        the tracker has samples the max is used, so cold clusters hedge
+        conservatively.
         """
-        policy = self._overload_policy
-        assert policy is not None and self.health is not None
+        assert self.health is not None
         p95 = self.health.p95_healthy_ms(excluding=primary)
-        base = p95 if p95 is not None else policy.hedge_delay_max_ms
-        delay = base * policy.hedge_delay_factor
-        return min(
-            max(delay, policy.hedge_delay_min_ms), policy.hedge_delay_max_ms
-        )
+        base = p95 if p95 is not None else HEDGE_DELAY_MAX_MS
+        delay = base * HEDGE_DELAY_FACTOR
+        return min(max(delay, HEDGE_DELAY_MIN_MS), HEDGE_DELAY_MAX_MS)
 
     def _hedged_generator(
         self,

@@ -1,7 +1,7 @@
-"""The cluster layer's opt-in configuration seam.
+"""The cluster layer's opt-in configuration.
 
-Mirrors the cache's policy idiom (:mod:`repro.cache.policies`): a
-``runtime_checkable`` protocol plus a validating default.  A
+Mirrors the cache's seam-config idiom (:mod:`repro.cache.policies`): one
+frozen, validating dataclass.  A
 :class:`~repro.cluster.coordinator.CacheCluster` built with
 ``cluster_policy=None`` wires N fully isolated shards — private memo
 tables, private flight tables, no cross-shard traffic — which is both
@@ -12,46 +12,41 @@ a plain :class:`~repro.cache.manager.DocumentCache`).
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from dataclasses import dataclass
 
 from repro.errors import CacheError
 
 __all__ = ["ClusterPolicy", "DefaultClusterPolicy"]
 
 
-@runtime_checkable
-class ClusterPolicy(Protocol):
-    """What the shards of one cluster are allowed to share."""
+@dataclass(frozen=True)
+class ClusterPolicy:
+    """Cross-shard sharing — the configuration A17's treatment arm runs.
 
-    #: One :class:`~repro.cluster.memo_share.SharedTransformMemo` across
-    #: every shard: a chain execution recorded by any shard answers
-    #: every other shard's miss as a signature-only adopt, importing
-    #: the output bytes over the shard link when necessary.
-    share_memo: bool
-    #: One :class:`~repro.sim.scheduler.FlightTable` across every
-    #: shard: single-flight coalescing on the ``(source signature,
-    #: chain fingerprint)`` memo plane spans shard boundaries, so a
-    #: 32-way cross-shard stampede still runs one chain.
-    share_flights: bool
+    One :class:`~repro.cluster.memo_share.SharedTransformMemo` spans
+    every shard: a chain execution recorded by any shard answers every
+    other shard's miss as a signature-only adopt, importing the output
+    bytes over the shard link when necessary.  One
+    :class:`~repro.sim.scheduler.FlightTable` spans them too, so
+    single-flight coalescing on the ``(source signature, chain
+    fingerprint)`` memo plane crosses shard boundaries and a 32-way
+    cross-shard stampede still runs one chain.
+    """
+
     #: Capacity of the shared memo table; ``None`` scales the shard
     #: memo policy's capacity by the shard count.
-    shared_memo_capacity: int | None
+    shared_memo_capacity: int | None = None
 
-
-class DefaultClusterPolicy:
-    """Everything shared — the configuration A17's treatment arm runs."""
-
-    def __init__(
-        self,
-        share_memo: bool = True,
-        share_flights: bool = True,
-        shared_memo_capacity: int | None = None,
-    ) -> None:
-        if shared_memo_capacity is not None and shared_memo_capacity < 1:
+    def __post_init__(self) -> None:
+        if (
+            self.shared_memo_capacity is not None
+            and self.shared_memo_capacity < 1
+        ):
             raise CacheError(
                 "shared_memo_capacity must be >= 1: "
-                f"{shared_memo_capacity}"
+                f"{self.shared_memo_capacity}"
             )
-        self.share_memo = share_memo
-        self.share_flights = share_flights
-        self.shared_memo_capacity = shared_memo_capacity
+
+
+#: Historical constructor name (benchmarks and tests build it by this).
+DefaultClusterPolicy = ClusterPolicy

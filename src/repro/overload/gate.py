@@ -32,7 +32,7 @@ class OverloadGate:
         self.clock = clock
         self.policy = policy
         self.admission: AdmissionController | None = None
-        if policy.shedding_enabled:
+        if policy.shedding:
             self.admission = AdmissionController(
                 clock,
                 rate_per_s=policy.admission_rate_per_s,
@@ -43,7 +43,7 @@ class OverloadGate:
 
     def deadline_ms_for(self, reference) -> float | None:
         """The read's end-to-end allowance, or ``None`` for no deadline."""
-        if not self.policy.deadlines_enabled:
+        if not self.policy.deadlines:
             return None
         budget_ms = self.policy.default_deadline_ms
         if self.policy.deadline_from_qos:

@@ -37,6 +37,16 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["ShardHealth", "HealthTracker"]
 
+#: Smoothing weight of the per-shard fetch-latency EWMA.
+HEALTH_EWMA_ALPHA = 0.2
+#: A shard is gray once its EWMA reaches this multiple of the
+#: healthiest peer's.
+GRAY_LATENCY_FACTOR = 3.0
+#: Consecutive failed reads that mark a shard unhealthy, and
+#: consecutive clean reads that restore it.
+UNHEALTHY_ERROR_THRESHOLD = 3
+RECOVERY_SUCCESSES = 3
+
 
 @dataclass
 class ShardHealth:
@@ -73,11 +83,11 @@ class HealthTracker:
     def __init__(
         self,
         *,
-        ewma_alpha: float = 0.2,
-        gray_latency_factor: float = 3.0,
+        ewma_alpha: float = HEALTH_EWMA_ALPHA,
+        gray_latency_factor: float = GRAY_LATENCY_FACTOR,
         min_samples: int = 8,
-        error_threshold: int = 3,
-        recovery_successes: int = 3,
+        error_threshold: int = UNHEALTHY_ERROR_THRESHOLD,
+        recovery_successes: int = RECOVERY_SUCCESSES,
         window: int = 128,
     ) -> None:
         if not 0.0 < ewma_alpha <= 1.0:

@@ -25,8 +25,7 @@ the bytes off disk, and re-runs the entry's verifiers.  Records
 recovered from a cold catalog carry no live verifier objects, so they
 are rebuilt from the reference's properties and *must* match the
 recorded verifier fingerprints exactly — any mismatch refuses the
-promotion conservatively.  A recovered record is always verified on its
-first serve, regardless of the policy's ``verify_on_promote`` knob.
+promotion conservatively.
 
 **Failure is absorbed, not propagated.**  Disk faults (write failures,
 lying fsyncs, corrupted records, slow I/O — see
@@ -76,6 +75,17 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.placeless.reference import DocumentReference
 
 __all__ = ["L2Record", "StorageStats", "L2Tier"]
+
+#: Virtual costs charged per disk record write, record read and fsync,
+#: and for the promote-time source-signature probe (a metadata-only
+#: exchange, like ``ADOPTION_COST_MS``).
+WRITE_COST_MS = 0.4
+READ_COST_MS = 0.25
+SYNC_COST_MS = 0.5
+PROBE_COST_MS = 0.2
+#: How long a tripped storage breaker keeps the cache L1-only before a
+#: half-open retry.
+BREAKER_PROBATION_MS = 2_000.0
 
 
 @dataclass
@@ -220,7 +230,6 @@ class L2Tier:
 
     def __init__(self, core: "CacheCore", policy: "StoragePolicy") -> None:
         self.core = core
-        self.policy = policy
         self.stats = StorageStats()
         if policy.directory is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-l2-")
@@ -237,7 +246,7 @@ class L2Tier:
         self.memo_log = SegmentLog(directory / "memo.seg")
         self.breakers = BreakerRegistry(BreakerConfig(
             failure_threshold=policy.breaker_failure_threshold,
-            probation_delay_ms=policy.breaker_probation_ms,
+            probation_delay_ms=BREAKER_PROBATION_MS,
             half_open_successes=1,
         ))
         self._breaker_key = ("storage", str(core.cache_id))
@@ -311,7 +320,7 @@ class L2Tier:
         )
         if lost:
             self.stats.fsyncs_lost += 1
-        self.core.ctx.charge(self.policy.sync_cost_ms)
+        self.core.ctx.charge(SYNC_COST_MS)
         for log in logs:
             log.sync(lost=lost)
         return lost
@@ -320,8 +329,6 @@ class L2Tier:
 
     def demote(self, entry: CacheEntry, content: bytes) -> None:
         """Eviction hook: spill the victim's bytes + metadata to disk."""
-        if not self.policy.demote_on_evict:
-            return
         source = entry.policy_state.get("source_signature")
         if source is None:
             # Without a recorded source signature a promotion could not
@@ -338,7 +345,7 @@ class L2Tier:
             return
         if not self._allow("demote"):
             return
-        self._charge_io("demote", self.policy.write_cost_ms)
+        self._charge_io("demote", WRITE_COST_MS)
         action = self._write_fault("demote")
         if action == "fail":
             self.stats.write_failures += 1
@@ -386,8 +393,6 @@ class L2Tier:
         the record — a demoted copy that failed any validity check is
         dead weight, never a second chance to serve stale bytes.
         """
-        if not self.policy.promote_on_hit:
-            return None
         record = self._catalog.get(ctx.key)
         if record is None:
             return None
@@ -405,7 +410,7 @@ class L2Tier:
             return None
         # Gate 2 — probe the *current* source signature (class a: the
         # source changed while the copy sat on disk).
-        core.ctx.charge(self.policy.probe_cost_ms)
+        core.ctx.charge(PROBE_COST_MS)
         if sign(ctx.reference.base.provider.peek()) != (
             record.source_signature
         ):
@@ -413,7 +418,7 @@ class L2Tier:
             self.stats.promote_source_mismatches += 1
             return None
         # Gate 3 — the bytes themselves, CRC- and digest-checked.
-        self._charge_io("promote", self.policy.read_cost_ms)
+        self._charge_io("promote", READ_COST_MS)
         try:
             content = self.disk.get(record.signature)
         except StorageError:
@@ -431,8 +436,7 @@ class L2Tier:
             self._drop_record(record, "verifiers-unreconstructible")
             self.stats.promote_verifier_drops += 1
             return None
-        must_verify = record.recovered or self.policy.verify_on_promote
-        if core.use_verifiers and verifiers and must_verify:
+        if core.use_verifiers and verifiers:
             if not self._verify(ctx.key, verifiers, content):
                 self._drop_record(record, "verifier-refused")
                 self.stats.promote_verifier_drops += 1
@@ -619,11 +623,9 @@ class L2Tier:
         content: bytes,
     ) -> None:
         """Journal hook: mirror one buffered write onto disk."""
-        if not self.policy.spill_journal:
-            return
         if not self._allow("journal"):
             return
-        self._charge_io("journal", self.policy.write_cost_ms)
+        self._charge_io("journal", WRITE_COST_MS)
         action = self._write_fault("journal")
         if action == "fail":
             self.stats.write_failures += 1
@@ -656,11 +658,9 @@ class L2Tier:
         A lost tombstone merely over-replays on the next recover, and
         replay into the dirty buffer is idempotent — so no retry.
         """
-        if not self.policy.spill_journal:
-            return
         if not self._allow("journal"):
             return
-        self._charge_io("journal", self.policy.write_cost_ms)
+        self._charge_io("journal", WRITE_COST_MS)
         if self._write_fault("flushed") is not None:
             self.stats.write_failures += 1
             return
@@ -678,13 +678,11 @@ class L2Tier:
         (d) checks — so only verifier-free records (including negative
         ones) spill.
         """
-        if not self.policy.spill_memo:
-            return
         if record.verifiers or record.verifier_fingerprints:
             return
         if not self._allow("memo"):
             return
-        self._charge_io("memo", self.policy.write_cost_ms)
+        self._charge_io("memo", WRITE_COST_MS)
         action = self._write_fault("memo")
         if action == "fail":
             self.stats.write_failures += 1
@@ -722,7 +720,7 @@ class L2Tier:
             return None
         if not self._allow("materialize"):
             return None
-        self._charge_io("materialize", self.policy.read_cost_ms)
+        self._charge_io("materialize", READ_COST_MS)
         try:
             content = self.disk.get(signature)
         except StorageError:

@@ -19,11 +19,7 @@ from repro.cache.policies import (
     DefaultMemoPolicy,
     DefaultRecoveryPolicy,
 )
-from repro.cluster import (
-    CacheCluster,
-    ClusterPolicy,
-    DefaultClusterPolicy,
-)
+from repro.cluster import CacheCluster, DefaultClusterPolicy
 from repro.errors import CacheError
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.translate import TranslationProperty
@@ -92,11 +88,6 @@ class TestConstructionAndRouting:
                 capacity_bytes=1 << 20,
                 cluster_policy=DefaultClusterPolicy(),
             )
-
-    def test_default_policy_satisfies_protocol_and_validates(self):
-        assert isinstance(DefaultClusterPolicy(), ClusterPolicy)
-        with pytest.raises(CacheError):
-            DefaultClusterPolicy(shared_memo_capacity=0)
 
     def test_injected_memo_requires_memo_policy_on_the_cache(self):
         kernel = PlacelessKernel()

@@ -1,0 +1,23 @@
+"""``python -m repro doctor``: healthy at its default seed, and the
+report shows the effective configuration of every seam it wires."""
+
+from __future__ import annotations
+
+import argparse
+
+from repro.__main__ import _cmd_doctor
+
+
+def test_doctor_is_healthy_and_prints_the_wired_configuration(capsys):
+    assert _cmd_doctor(argparse.Namespace(seed=7)) == 0
+    out = capsys.readouterr().out
+    assert "verdict: healthy" in out
+    block = out.split("configuration:\n", 1)[1].split("\n\n", 1)[0]
+    lines = {
+        line.split()[0]: line.split()[1:] for line in block.splitlines()
+    }
+    assert set(lines) == {"memo", "overload", "containment", "storage"}
+    assert "capacity=1024" in lines["memo"]
+    assert "shedding=True" in lines["overload"]
+    assert "failure_threshold=3" in lines["containment"]
+    assert "breaker_failure_threshold=3" in lines["storage"]

@@ -20,7 +20,6 @@ from repro.cache.policies import (
     AdmissionDecision,
     AdmissionPolicy,
     DefaultDegradationPolicy,
-    DegradationPolicy,
     VoteAdmissionPolicy,
 )
 from repro.cache.stats import CacheStats
@@ -127,8 +126,26 @@ class TestDefaultDegradationPolicy:
         snapshot.clear()
         assert policy.is_quarantined(key)
 
-    def test_satisfies_protocol(self):
-        assert isinstance(DefaultDegradationPolicy(), DegradationPolicy)
+    @pytest.mark.parametrize(
+        "keyword, value",
+        [
+            ("serve_stale_on_error", True),
+            ("stale_serve_max_age_ms", 0.0),
+            ("bypass_backing_on_error", True),
+            ("verifier_quarantine_threshold", 2),
+        ],
+    )
+    def test_policy_plus_its_own_keyword_is_refused(
+        self, kernel, keyword, value
+    ):
+        # Used to be accepted and the keyword silently dropped.
+        with pytest.raises(CacheError, match=keyword):
+            DocumentCache(
+                kernel,
+                capacity_bytes=1 << 20,
+                degradation_policy=DefaultDegradationPolicy(),
+                **{keyword: value},
+            )
 
 
 class TestInstrumentationBus:
