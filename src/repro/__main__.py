@@ -121,8 +121,8 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     (containment, memo, durable L2, overload), lands a small paced
     read workload, then prints the introspection surfaces an operator
     would reach for first: the effective configuration, the shard
-    health table, overload counters, open breakers, memo occupancy and
-    L2 stats.  Exits non-zero when
+    health table, overload counters, read-plan reuse, open breakers,
+    memo occupancy and L2 stats.  Exits non-zero when
     the smoke reads misbehave or a shard is left unhealthy.
     """
     import dataclasses
@@ -231,6 +231,11 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
           f"won={stats.hedges_won} lost={stats.hedges_lost} "
           f"failovers={stats.failovers}")
 
+    ctx = kernel.ctx
+    print("\nread plan:")
+    print(f"  plans cached={ctx.read_plans_built - ctx.read_plans_rebuilt} "
+          f"rebuilds since start={ctx.read_plans_rebuilt}")
+
     print("\nbreakers (open):")
     for name, shard in cluster.shards.items():
         guard = shard.containment
@@ -334,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
             "offered-load sweep with deadlines, load shedding and "
             "hedged reads toggled, plus a gray-shard arm (alias: "
             "overload; supports --smoke), a20 wall-clock scale — "
-            "million-entry churn shootout (gds/gdsf/lru/rc), fast-lane "
-            "vs pipeline reads/sec, allocation probe and peak-RSS "
+            "million-entry churn shootout (gds/gdsf/lru/rc), plain vs "
+            "subscribed hit-path reads/sec, allocation probe and peak-RSS "
             "report (alias: scale; supports --smoke).  Examples: "
             "'repro bench a12', 'repro bench a1 --faults', "
             "'repro bench a14', 'repro bench table1 --faults partition', "
@@ -406,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
             "two-shard cluster (containment + memo + durable L2 + "
             "overload) and print the operator introspection surfaces: "
             "effective configuration, shard health, overload counters, "
-            "open breakers, memo "
+            "read-plan reuse, open breakers, memo "
             "occupancy and L2 stats.  Exit code 0 when healthy."
         ),
     )

@@ -3,8 +3,8 @@
 Two questions the virtual-time benches cannot answer:
 
 1. **Raw speed** — how many reads per *wall-clock* second does the
-   cache sustain on its hit path, and how much does the zero-allocation
-   fast lane (:mod:`repro.cache.fastpath`) buy over the full pipeline?
+   cache sustain on its hit path, and what does an operator pay for
+   attaching a probe to the instrumentation bus (the subscriber tax)?
 2. **Scale** — does a catalog of 10^6 documents under publish/perish
    churn stay inside a bounded resident set, and how do the
    replacement policies (GDS, GDSF, LRU, and the reinforced-counter
@@ -14,10 +14,12 @@ Two questions the virtual-time benches cannot answer:
 Three arms:
 
 * ``hotpath`` — a small fully-cached corpus hammered with Zipf reads,
-  once with the fast lane and once through the staged pipeline.  The
-  two drivers are byte-identical loops, so the reads/sec ratio is the
-  lane's speedup.  An allocation probe (``sys.getallocatedblocks``
-  under a disabled GC) reports net heap blocks per hit.
+  once ``plain`` and once ``subscribed`` (a no-op catch-all subscriber
+  attached after construction, so every per-hit event is materialised
+  for it).  The two drivers are byte-identical loops, so subscribed ÷
+  plain reads/sec is the subscriber tax.  An allocation probe
+  (``sys.getallocatedblocks`` under a disabled GC) reports net heap
+  blocks per hit.
 * ``churn`` — one :class:`~repro.workload.churn.ChurnCatalog` per
   policy, lazily materialized by a shared churn trace with flash
   crowds and a day/night cycle.  Open loop: the driver never sleeps;
@@ -27,8 +29,8 @@ Three arms:
 * ``rss`` — ``ru_maxrss`` snapshots bracketing the arms; the final
   reading is the run's peak and is what CI gates.
 
-CI runs ``--smoke`` and fails on a reads/sec floor, a fast-lane
-speedup floor, an allocation budget, or an RSS ceiling (see
+CI runs ``--smoke`` and fails on a reads/sec floor, a subscriber-tax
+floor, an allocation budget, or an RSS ceiling (see
 ``.github/workflows/ci.yml``).  The full run drives the 10^6-document
 catalog; the smoke run shrinks every axis but exercises the same code.
 """
@@ -72,9 +74,9 @@ CHURN_POLICIES = ("gds", "gdsf", "lru", "rc")
 
 @dataclass
 class HotPathResult:
-    """One hot-path arm: the same read loop, lane on or off."""
+    """One hot-path arm: the same read loop, plain or subscribed."""
 
-    lane: str
+    arm: str
     reads: int
     wall_seconds: float
     reads_per_sec: float
@@ -100,8 +102,9 @@ class ChurnArmResult:
     rss_after_kb: float
 
 
-def _hotpath_world(n_documents: int, *, fast_lane: bool):
-    """A fully-cacheable corpus behind a fresh cache, lane on or off."""
+def _hotpath_world(n_documents: int, *, subscribed: bool = False):
+    """A fully-cacheable corpus behind a fresh default cache, optionally
+    with a late no-op catch-all subscriber on its bus."""
     kernel = PlacelessKernel()
     owner = kernel.create_user("owner")
     catalog = ChurnCatalog(
@@ -111,15 +114,16 @@ def _hotpath_world(n_documents: int, *, fast_lane: bool):
     cache = DocumentCache(
         kernel,
         capacity_bytes=1 << 30,
-        name=f"a20-hot-{'fast' if fast_lane else 'slow'}",
-        fast_lane=fast_lane,
+        name=f"a20-hot-{'subscribed' if subscribed else 'plain'}",
     )
+    if subscribed:
+        cache.instrumentation.subscribe(lambda event: None)
     return cache, corpus
 
 
 #: Reads given per-read lap timing for percentiles.  Kept separate
 #: from the throughput loop: two extra ``perf_counter`` calls per read
-#: are a fixed tax that flattens the fast/slow ratio.
+#: are a fixed tax that flattens the plain/subscribed ratio.
 _LATENCY_SAMPLE = 20_000
 
 
@@ -150,17 +154,19 @@ def run_hotpath(
     n_reads: int = 200_000,
     zipf_alpha: float = 0.8,
 ) -> list[HotPathResult]:
-    """Fast lane vs. staged pipeline on an all-hits workload."""
+    """Plain vs. late-subscribed cache on an all-hits workload."""
     trace = zipf_indices(n_documents, n_reads, zipf_alpha, seed=_SEED + 1)
     results = []
-    for lane, fast_lane in (("fast", True), ("pipeline", False)):
-        cache, corpus = _hotpath_world(n_documents, fast_lane=fast_lane)
+    for arm in ("plain", "subscribed"):
+        cache, corpus = _hotpath_world(
+            n_documents, subscribed=arm == "subscribed"
+        )
         for document in corpus:  # warm: every subsequent read is a hit
             cache.read(document.reference)
         wall, laps = _drive_reads(cache, corpus, trace)
         results.append(
             HotPathResult(
-                lane=lane,
+                arm=arm,
                 reads=n_reads,
                 wall_seconds=wall,
                 reads_per_sec=n_reads / wall,
@@ -173,8 +179,8 @@ def run_hotpath(
 
 
 def run_allocation_probe(n_documents: int = 64) -> float:
-    """Net heap blocks per steady-state fast-lane hit."""
-    cache, corpus = _hotpath_world(n_documents, fast_lane=True)
+    """Net heap blocks per steady-state hit."""
+    cache, corpus = _hotpath_world(n_documents)
     for document in corpus:
         cache.read(document.reference)
     rng = random.Random(_SEED + 2)
@@ -284,7 +290,7 @@ def run_churn_shootout(
 def _format_hotpath(results: list[HotPathResult]) -> str:
     rows = [
         [
-            r.lane,
+            r.arm,
             f"{r.reads}",
             f"{r.reads_per_sec:,.0f}",
             f"{r.wall_p50_us:.1f}",
@@ -294,7 +300,7 @@ def _format_hotpath(results: list[HotPathResult]) -> str:
         for r in results
     ]
     return format_table(
-        ["lane", "reads", "reads/s", "p50 µs", "p99 µs", "hit ratio"], rows
+        ["arm", "reads", "reads/s", "p50 µs", "p99 µs", "hit ratio"], rows
     )
 
 
@@ -342,13 +348,12 @@ def main(smoke: bool = False) -> None:
         blocks_per_hit = run_allocation_probe()
         churn = run_churn_shootout()
 
-    fast = next(r for r in hot if r.lane == "fast")
-    slow = next(r for r in hot if r.lane == "pipeline")
-    speedup = fast.reads_per_sec / slow.reads_per_sec
+    plain, subscribed = hot
+    subscriber_tax = subscribed.reads_per_sec / plain.reads_per_sec
 
-    print("A20 hot path: fast lane vs. staged pipeline")
+    print("A20 hot path: plain vs. one late catch-all subscriber")
     print(_format_hotpath(hot))
-    print(f"\nfast-lane speedup: {speedup:.2f}x")
+    print(f"\nsubscriber tax: {subscriber_tax:.2f} of plain reads/s")
     print(f"allocation probe: {blocks_per_hit:.1f} heap blocks per hit")
     print("\nA20 churn shootout (identical trace per policy)")
     print(_format_churn(churn))
@@ -358,7 +363,7 @@ def main(smoke: bool = False) -> None:
     metrics = {
         "smoke": smoke,
         "hotpath": {
-            r.lane: {
+            r.arm: {
                 "reads": r.reads,
                 "wall_seconds": round(r.wall_seconds, 4),
                 "reads_per_sec": round(r.reads_per_sec, 1),
@@ -368,7 +373,7 @@ def main(smoke: bool = False) -> None:
             }
             for r in hot
         },
-        "fast_lane_speedup": round(speedup, 3),
+        "subscriber_tax": round(subscriber_tax, 3),
         "blocks_per_hit": round(blocks_per_hit, 2),
         "churn": {
             r.policy: {

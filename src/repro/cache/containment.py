@@ -291,6 +291,7 @@ class ContainmentStats:
 class ContainmentStatsProjection:
     """Derives :class:`ContainmentStats` from ``containment`` events."""
 
+    stages = frozenset({"containment"})
     _COUNTERS = {
         "contained": "failures_contained",
         "budget-exceeded": "budget_overruns",
@@ -341,7 +342,10 @@ class ContainmentGuard:
         self.verifiers = BreakerRegistry(breaker_config)
         self.notifiers = BreakerRegistry(breaker_config)
         self.stats = ContainmentStats()
-        instrumentation.subscribe(ContainmentStatsProjection(self.stats))
+        instrumentation.subscribe(
+            ContainmentStatsProjection(self.stats),
+            stages=ContainmentStatsProjection.stages,
+        )
 
     # -- event + breaker bookkeeping -------------------------------------------
 

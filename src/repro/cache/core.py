@@ -19,16 +19,23 @@ import typing
 
 from repro.cache.consistency import Invalidation, InvalidationReason
 from repro.cache.entry import CacheEntry, EntryKey
-from repro.cache.instrumentation import InstrumentationBus, StageEvent
+from repro.cache.instrumentation import (
+    InstrumentationBus,
+    StageCell,
+    StageEvent,
+    StageRecorder,
+    StatsProjection,
+)
 from repro.cache.memo import ChainFingerprint, MemoRecord, TransformMemo
 from repro.cache.notifiers import InvalidationBus, install_minimum_notifiers
 from repro.cache.stats import CacheStats
+from repro.cache.verifiers import Verdict
 from repro.content.signature import sign
 from repro.content.store import ContentStore
 from repro.errors import CacheError
 from repro.events.types import EventType
 from repro.sim.scheduler import FlightTable, Scheduler, SequentialScheduler
-from repro.streams.chain import read_chain_properties
+from repro.streams.chain import read_plan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.containment import ContainmentGuard
@@ -111,6 +118,16 @@ class CacheCore:
         self.backing = backing
         self.retry_policy = retry_policy
         self.stats = CacheStats()
+        #: Per-(stage, outcome) count/latency breakdown for this cache.
+        self.recorder = StageRecorder()
+        # This core's own two accumulators.  Both ride the bus like any
+        # subscriber; for the two per-hit events the core adds into
+        # them directly instead (see :meth:`_rewire`).
+        projection = StatsProjection(self.stats)
+        self._sinks = (projection, self.recorder)
+        instrumentation.subscribe(projection, stages=projection.stages)
+        instrumentation.subscribe(self.recorder)
+        self._wiring_seen: tuple | None = None
         self.store = ContentStore()
         self.entries: dict[EntryKey, CacheEntry] = {}
         #: Secondary index: document → that document's live entries, in
@@ -196,6 +213,124 @@ class CacheCore:
                 payload=payload,
             )
         )
+
+    def _rewire(self) -> None:
+        """Recompute who, besides this core's own sinks, hears the two
+        per-hit events (``verifier/executed``, terminal ``read``).
+
+        Building a :class:`StageEvent` and walking it through the two
+        sinks costs more than the rest of a hit's bookkeeping.
+        Subscribers are independent accumulators, so adding into the
+        sinks directly — same operands, same order as their handlers
+        would — and building the event only for whoever *else* listens
+        (a late catch-all probe, the cluster's health feed) leaves
+        every float sum bit-identical.  A remainder is ``()`` when
+        nobody else listens and ``None`` when the sinks themselves are
+        off the bus — then plain :meth:`emit` is the only correct path.
+        Keyed on the bus's copy-on-write subscriber tuple: noticing
+        "nothing changed" costs the hot path one identity test.
+        """
+        bus, sinks = self.instrumentation, self._sinks
+        self._wiring_seen = bus.subscribers
+
+        def others(stage: str) -> tuple | None:
+            route = bus.route(stage)
+            if not all(sink in route for sink in sinks):
+                return None
+            return tuple(s for s in route if s not in sinks)
+
+        self._verifier_listeners = others("verifier")
+        self._read_listeners = others("read")
+
+    def _record(
+        self, listeners: tuple, stage: str, outcome: str, key: EntryKey,
+        started_ms: float, ended_ms: float, detail: str, value,
+    ) -> None:
+        """One :class:`StageRecorder` cell update sans StageEvent, and
+        the event itself (payload ``{detail: value}``) for *listeners*,
+        if any."""
+        cells = self.recorder.cells
+        cell = cells.get((stage, outcome))
+        if cell is None:
+            cell = cells[(stage, outcome)] = StageCell()
+        cell.count += 1
+        cell.elapsed_ms += ended_ms - started_ms
+        if listeners:
+            event = StageEvent(
+                stage, outcome, key.document_id, key.user_id,
+                started_ms, ended_ms, {detail: value},
+            )
+            for listener in listeners:
+                listener(event)
+
+    def verifier_executed(
+        self, key: EntryKey, started_ms: float, cost_ms: float
+    ) -> None:
+        """Account one verifier run (the hot ``verifier/executed``)."""
+        if self.instrumentation.subscribers is not self._wiring_seen:
+            self._rewire()
+        listeners = self._verifier_listeners
+        if listeners is None:
+            self.emit(
+                "verifier", "executed", key=key,
+                started_ms=started_ms, cost_ms=cost_ms,
+            )
+            return
+        self.stats.verifier_executions += 1
+        self.stats.verifier_cost_ms += cost_ms
+        self._record(
+            listeners, "verifier", "executed", key, started_ms,
+            self.ctx.clock.now_ms, "cost_ms", cost_ms,
+        )
+
+    def hit_served(
+        self, disposition: str, key: EntryKey, started_ms: float, size: int
+    ) -> float:
+        """Account one verified hit (the hot terminal ``read`` event,
+        *disposition* ``hit`` or ``revalidated``); returns the read's
+        elapsed virtual milliseconds."""
+        now = self.ctx.clock.now_ms
+        elapsed = now - started_ms
+        if self.instrumentation.subscribers is not self._wiring_seen:
+            self._rewire()
+        listeners = self._read_listeners
+        if listeners is None:
+            self.emit(
+                "read", disposition, key=key,
+                started_ms=started_ms, bytes=size,
+            )
+            return elapsed
+        stats = self.stats
+        stats.hits += 1
+        stats.hit_latency_ms += elapsed
+        stats.bytes_served_from_cache += size
+        self._record(
+            listeners, "read", disposition, key, started_ms, now,
+            "bytes", size,
+        )
+        return elapsed
+
+    def verifiers_agree(
+        self, key: EntryKey, verifiers, content: bytes,
+        at_ms: float | None = None,
+    ) -> bool:
+        """Re-run *verifiers* over bytes about to be reused (a sibling's
+        entry, a memo record): True when every one says VALID.  Each
+        runs at *at_ms* when given, else at the clock after its charge."""
+        clock = self.ctx.clock
+        for verifier in verifiers:
+            started_ms = clock.now_ms
+            self.ctx.charge(verifier.cost_ms)
+            self.verifier_executed(key, started_ms, verifier.cost_ms)
+            try:
+                result = verifier.run(
+                    clock.now_ms if at_ms is None else at_ms, content
+                )
+            except Exception:
+                return False
+            if result.verdict is not Verdict.VALID:
+                return False
+        return True
 
     # -- fetch (next level down) ---------------------------------------------
 
@@ -411,14 +546,7 @@ class CacheCore:
         Computable from property metadata alone — no content fetch — so
         a cache can predict whether another user's cached bytes apply.
         """
-        return tuple(
-            signature
-            for signature in (
-                p.transform_signature()
-                for p in read_chain_properties(reference)
-            )
-            if signature is not None
-        )
+        return read_plan(reference).chain_signature
 
     # -- transform memoization -------------------------------------------------
 

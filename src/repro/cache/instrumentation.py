@@ -25,8 +25,9 @@ never perturbs simulated time or fault-injection draws.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.stats import CacheStats
@@ -49,9 +50,6 @@ __all__ = [
 #: write-pipeline stages, then auxiliary event sources.
 STAGE_ORDER = (
     "read",
-    "dirty-flush",
-    "lookup",
-    "verifier-gate",
     "adoption",
     "storage",
     "memo",
@@ -84,13 +82,14 @@ STAGE_ORDER = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class StageEvent:
+class StageEvent(NamedTuple):
     """One structured observation emitted by a cache stage.
 
-    A hot type: one is built per observable step of every access, so it
-    is slotted (no per-instance ``__dict__``) and emit sites skip
-    construction entirely when the bus has no subscribers.
+    A hot type: one is built per observable step of every access and
+    handed to every subscriber on its route.  A named tuple keeps it
+    immutable and slotted (no per-instance ``__dict__``) at a quarter
+    of a frozen dataclass's construction cost, and emit sites skip
+    construction entirely when nobody listens.
     """
 
     stage: str
@@ -99,7 +98,7 @@ class StageEvent:
     user_id: "UserId | None" = None
     started_ms: float = 0.0
     ended_ms: float = 0.0
-    payload: dict[str, Any] = field(default_factory=dict)
+    payload: Mapping[str, Any] = MappingProxyType({})
 
     @property
     def elapsed_ms(self) -> float:
@@ -108,7 +107,13 @@ class StageEvent:
 
 
 class InstrumentationBus:
-    """Synchronous fan-out of stage events to subscribers.
+    """Synchronous, stage-routed fan-out of stage events to subscribers.
+
+    A subscriber may declare the stages it consumes; an event is
+    delivered to those subscribers plus the undeclared catch-alls, in
+    subscription order.  Subscribers are independent accumulators, so
+    skipping the ones that would have ignored an event changes nothing
+    they compute.
 
     The subscriber collection is copy-on-write: ``subscribe`` and
     ``unsubscribe`` *replace* an immutable tuple rather than mutating a
@@ -124,21 +129,27 @@ class InstrumentationBus:
 
     def __init__(self) -> None:
         self._subscribers: tuple[Callable[[StageEvent], None], ...] = ()
+        #: Declared stages per subscriber, parallel to ``_subscribers``
+        #: (``None`` = catch-all).
+        self._declared: tuple[frozenset[str] | None, ...] = ()
+        #: stage -> the subscribers it reaches; rebuilt lazily, replaced
+        #: wholesale whenever the subscription set changes.
+        self._routes: dict[str, tuple[Callable[[StageEvent], None], ...]] = {}
 
     @property
     def subscribers(self) -> tuple[Callable[[StageEvent], None], ...]:
         """The current immutable subscriber tuple.
 
-        Copy-on-write means the tuple object is *replaced* whenever the
-        subscription set changes, so holding a reference and comparing
-        by identity is an exact (and O(1)) "has anything changed since
-        I looked" test — the fast read lane's eligibility check.
+        Copy-on-write *replaces* it whenever the subscription set
+        changes, so comparing a held reference by identity is an exact
+        O(1) "has anything changed since I looked" test — the cache
+        core keys its direct accumulation of per-hit events on it.
         """
         return self._subscribers
 
     @property
     def has_subscribers(self) -> bool:
-        """True when at least one subscriber would receive an emit.
+        """True when at least one subscriber is registered.
 
         Emit sites consult this *before* constructing a
         :class:`StageEvent`, so an unobserved bus costs one attribute
@@ -149,9 +160,18 @@ class InstrumentationBus:
     def __bool__(self) -> bool:
         return bool(self._subscribers)
 
-    def subscribe(self, subscriber: Callable[[StageEvent], None]) -> None:
-        """Register a subscriber; it runs inline on every emit."""
+    def subscribe(
+        self,
+        subscriber: Callable[[StageEvent], None],
+        stages: Iterable[str] | None = None,
+    ) -> None:
+        """Register a subscriber; it runs inline on every emit of a
+        stage in *stages* (every stage when ``None``)."""
         self._subscribers = self._subscribers + (subscriber,)
+        self._declared = self._declared + (
+            None if stages is None else frozenset(stages),
+        )
+        self._routes = {}
 
     def unsubscribe(self, subscriber: Callable[[StageEvent], None]) -> None:
         """Remove the first matching subscriber (no-op if absent).
@@ -159,18 +179,36 @@ class InstrumentationBus:
         Matches by equality, not identity — bound methods compare equal
         across accesses even though each access builds a fresh object.
         """
-        subscribers = list(self._subscribers)
-        if subscriber in subscribers:
-            subscribers.remove(subscriber)
-            self._subscribers = tuple(subscribers)
+        if subscriber in self._subscribers:
+            index = self._subscribers.index(subscriber)
+            self._subscribers = (
+                self._subscribers[:index] + self._subscribers[index + 1:]
+            )
+            self._declared = (
+                self._declared[:index] + self._declared[index + 1:]
+            )
+            self._routes = {}
+
+    def route(self, stage: str) -> tuple[Callable[[StageEvent], None], ...]:
+        """The subscribers an event of *stage* reaches, in order."""
+        route = self._routes.get(stage)
+        if route is None:
+            route = self._routes[stage] = tuple(
+                subscriber
+                for subscriber, declared in zip(
+                    self._subscribers, self._declared
+                )
+                if declared is None or stage in declared
+            )
+        return route
 
     def emit(self, event: StageEvent) -> None:
-        """Deliver one event to every subscriber, in subscription order.
+        """Deliver one event along its stage's route.
 
-        Binds the tuple once: subscriptions changed by a subscriber (or
+        Binds the route once: subscriptions changed by a subscriber (or
         by an interleaved read) take effect from the *next* emit.
         """
-        for subscriber in self._subscribers:
+        for subscriber in self.route(event.stage):
             subscriber(event)
 
 
@@ -263,9 +301,16 @@ class StatsProjection:
 
     def __init__(self, stats: "CacheStats") -> None:
         self.stats = stats
+        self._handlers = {
+            name[4:].replace("_", "-"): getattr(self, name)
+            for name in dir(type(self))
+            if name.startswith("_on_")
+        }
+        #: The stages this projection consumes (its ``_on_*`` methods).
+        self.stages = frozenset(self._handlers)
 
     def __call__(self, event: StageEvent) -> None:
-        handler = getattr(self, "_on_" + event.stage.replace("-", "_"), None)
+        handler = self._handlers.get(event.stage)
         if handler is not None:
             handler(event)
 
@@ -406,6 +451,8 @@ class ConcurrencyStats:
 class ConcurrencyStatsProjection:
     """Derives :class:`ConcurrencyStats` from ``coalesce`` events."""
 
+    stages = frozenset({"coalesce"})
+
     def __init__(self) -> None:
         self.stats = ConcurrencyStats()
 
@@ -471,13 +518,13 @@ class OverloadStats:
 class OverloadStatsProjection:
     """Derives :class:`OverloadStats` from the overload-layer stages."""
 
-    _STAGES = frozenset({"overload", "deadline", "hedge", "health"})
+    stages = frozenset({"overload", "deadline", "hedge", "health"})
 
     def __init__(self) -> None:
         self.stats = OverloadStats()
 
     def __call__(self, event: StageEvent) -> None:
-        if event.stage not in self._STAGES:
+        if event.stage not in self.stages:
             return
         stats = self.stats
         if event.stage == "overload":
@@ -516,6 +563,8 @@ class OverloadStatsProjection:
 
 class BusStatsProjection:
     """Derives the invalidation bus's ``BusStats`` from ``bus`` events."""
+
+    stages = frozenset({"bus"})
 
     def __init__(self, stats) -> None:
         self.stats = stats

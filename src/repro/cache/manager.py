@@ -25,7 +25,6 @@ from repro.cache.core import (  # noqa: F401  (constants re-exported for compat)
     CacheCore,
 )
 from repro.cache.entry import CacheEntry, EntryKey
-from repro.cache.fastpath import FastReadLane
 from repro.cache.instrumentation import (
     ConcurrencyStats,
     ConcurrencyStatsProjection,
@@ -33,7 +32,6 @@ from repro.cache.instrumentation import (
     OverloadStats,
     OverloadStatsProjection,
     StageRecorder,
-    StatsProjection,
 )
 from repro.cache.memo import MemoStats, MemoStatsProjection, TransformMemo
 from repro.cache.notifiers import InvalidationBus
@@ -238,6 +236,9 @@ class DocumentCache:
         passes one table to every shard so single-flight coalescing on
         the ``(source signature, chain fingerprint)`` memo plane spans
         shard boundaries; by default each cache owns a private table.
+    fast_lane:
+        Deprecated and ignored — there is one hit path now; accepted
+        until a benchmark PR retires ``probe.cache.hit_us.pipeline``.
     """
 
     def __init__(
@@ -316,12 +317,6 @@ class DocumentCache:
         # memo/recovery wiring must have set up first.
         self._wire_storage(storage_policy)
         self._schedule_fault_crashes(ctx)
-        # The fast lane wires last: it snapshots the instrumentation
-        # subscriber tuple as its eligibility baseline, so every wiring
-        # step's projections must already be subscribed.
-        self._fast: FastReadLane | None = None
-        if fast_lane:
-            self._fast = FastReadLane(self._core, self._reads, self.recorder)
 
     # -- construction steps ---------------------------------------------------
 
@@ -389,10 +384,7 @@ class DocumentCache:
         )
 
     def _wire_pipelines(self) -> None:
-        """Projections, stage recorder, read/write pipelines, prefetch."""
-        self.recorder = StageRecorder()
-        self.instrumentation.subscribe(StatsProjection(self._core.stats))
-        self.instrumentation.subscribe(self.recorder)
+        """Read/write pipelines and the prefetch queue."""
         self._writes = WritePipeline(self._core)
         self._reads = ReadPipeline(self._core, self._writes)
         self._prefetch_queue: list["DocumentReference"] = []
@@ -424,7 +416,9 @@ class DocumentCache:
             memo if memo is not None else TransformMemo(memo_policy.capacity)
         )
         self._memo_stats = MemoStatsProjection()
-        self.instrumentation.subscribe(self._memo_stats)
+        self.instrumentation.subscribe(
+            self._memo_stats, stages=MemoStatsProjection.stages
+        )
 
     def _wire_concurrency(
         self,
@@ -437,7 +431,10 @@ class DocumentCache:
         if concurrency_policy is not None:
             self._core.concurrency = concurrency_policy
             self._concurrency_stats = ConcurrencyStatsProjection()
-            self.instrumentation.subscribe(self._concurrency_stats)
+            self.instrumentation.subscribe(
+                self._concurrency_stats,
+                stages=ConcurrencyStatsProjection.stages,
+            )
 
     def _wire_overload(
         self, overload_policy: OverloadPolicy | None, ctx
@@ -447,7 +444,9 @@ class DocumentCache:
             return
         self._core.overload = OverloadGate(ctx.clock, overload_policy)
         self._overload_stats = OverloadStatsProjection()
-        self.instrumentation.subscribe(self._overload_stats)
+        self.instrumentation.subscribe(
+            self._overload_stats, stages=OverloadStatsProjection.stages
+        )
 
     def _wire_recovery(self, recovery_policy: RecoveryPolicy | None) -> None:
         self._recovery: ConsistencyRecoveryManager | None = None
@@ -483,9 +482,9 @@ class DocumentCache:
     #: handles plus the construction-time configuration flags).
     _CORE_ATTRS = frozenset({
         "kernel", "ctx", "capacity_bytes", "policy", "bus", "stats",
-        "store", "cache_id", "write_mode", "backing", "retry_policy",
-        "install_notifiers", "use_verifiers", "track_staleness",
-        "share_across_users",
+        "recorder", "store", "cache_id", "write_mode", "backing",
+        "retry_policy", "install_notifiers", "use_verifiers",
+        "track_staleness", "share_across_users",
     })
     #: Degradation bounds, readable under their legacy constructor names.
     _DEGRADATION_ATTRS = frozenset({
@@ -591,18 +590,10 @@ class DocumentCache:
         Any collection-prefetch requests queued by properties during the
         read are serviced *after* the outcome is computed, so prefetch
         work never inflates the triggering read's latency.
-
-        With the fast lane enabled (the default), a verified hit on a
-        cache with every optional seam disabled is served inline —
-        byte-identical observable behaviour, none of the staged
-        pipeline's per-read interpreter overhead; anything else falls
-        back to the staged path before the first charge.
         """
-        if self._fast is not None:
-            outcome = self._fast.read(reference)
-        else:
-            outcome = self._reads.read(reference)
-        self._drain_prefetch()
+        outcome = self._reads.read(reference)
+        if self._prefetch_queue:
+            self._drain_prefetch()
         return outcome
 
     def read_many(
@@ -632,50 +623,29 @@ class DocumentCache:
         instant, so sojourn (and the deadline) accrues while earlier
         reads hold the clock.
         """
-        overload = self._core.overload
-        if self._core.concurrency is None:
-            if overload is None:
-                # The historical sequential arm, byte-identical.
-                if not return_exceptions:
-                    return [self.read(reference) for reference in references]
-                outcomes: list = []
-                for reference in references:
-                    try:
-                        outcomes.append(self.read(reference))
-                    except Exception as error:
-                        outcomes.append(error)
-                return outcomes
-            enqueued_ms = self._core.ctx.clock.now_ms
-            gated: list = []
+        core = self._core
+        overload = core.overload
+        # With a gate, every read shares the batch-start enqueue
+        # instant and typed overload outcomes always land in place.
+        enqueued_ms = core.ctx.clock.now_ms if overload is not None else None
+        in_place = (
+            (OverloadShedError, DeadlineExceededError)
+            if overload is not None else ()
+        )
+        if core.concurrency is None:
+            outcomes: list = []
             for reference in references:
                 try:
-                    gated.append(
-                        self._core.scheduler.drive(
-                            self._reads.iterate(
-                                reference, enqueued_ms=enqueued_ms
-                            )
-                        )
-                    )
-                except (OverloadShedError, DeadlineExceededError) as error:
-                    gated.append(error)
+                    outcomes.append(self._reads.read(reference, enqueued_ms))
+                except in_place as error:
+                    outcomes.append(error)
                 except Exception as error:
                     if not return_exceptions:
                         raise
-                    gated.append(error)
+                    outcomes.append(error)
                 self._drain_prefetch()
-            return gated
+            return outcomes
         scheduler = AsyncScheduler()
-        if overload is None:
-            results = scheduler.run(
-                [
-                    self.iterate_read(reference, scheduler=scheduler)
-                    for reference in references
-                ],
-                return_exceptions=return_exceptions,
-            )
-            self._drain_prefetch()
-            return results
-        enqueued_ms = self._core.ctx.clock.now_ms
         results = scheduler.run(
             [
                 self.iterate_read(
@@ -683,12 +653,12 @@ class DocumentCache:
                 )
                 for reference in references
             ],
-            return_exceptions=True,
+            return_exceptions=return_exceptions or overload is not None,
         )
         if not return_exceptions:
             for result in results:
                 if isinstance(result, BaseException) and not isinstance(
-                    result, (OverloadShedError, DeadlineExceededError)
+                    result, in_place
                 ):
                     raise result
         self._drain_prefetch()

@@ -11,12 +11,12 @@ dynamic documents: cache the generator's output keyed by its *inputs*.
 This module supplies the two data structures behind the pipeline's
 ``MemoStage``:
 
-* :class:`ChainFingerprint` — a stable, order-sensitive digest of one
-  read path's transformation chain.  Every property contributes a
-  ``fingerprint()`` covering its code identity, configuration and
-  version; composing them *with their position* makes the fingerprint
-  sensitive to the paper's invalidation class (c): the same properties
-  reordered produce a different fingerprint.
+* :class:`ChainFingerprint` (defined with the read plan in
+  :mod:`repro.streams.chain`, which caches one per reference) — a
+  stable digest of one read path's transformation chain: every
+  property's ``fingerprint()`` (code identity, configuration, version)
+  composed *with its position*, so the same properties reordered
+  fingerprint differently — invalidation class (c).
 * :class:`TransformMemo` — a bounded LRU table mapping
   ``(source signature, chain fingerprint) → output signature`` plus the
   fill metadata needed to rebuild a cache entry.  A second user's miss
@@ -51,14 +51,12 @@ quarantined).
 
 from __future__ import annotations
 
-import hashlib
 import typing
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
 
 from repro.cache.cacheability import Cacheability
-from repro.streams.chain import read_chain_properties
+from repro.streams.chain import ChainFingerprint, read_plan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.core import CacheCore
@@ -78,30 +76,6 @@ __all__ = [
 ]
 
 
-class ChainFingerprint(NamedTuple):
-    """Order-sensitive digest of one read path's transformation chain."""
-
-    digest: str
-
-    @classmethod
-    def compose(cls, fingerprints: Iterable[str]) -> "ChainFingerprint":
-        """Fold per-property fingerprints, tagged with their position.
-
-        Position tagging is what makes the paper's invalidation class
-        (c) observable: ``[a, b]`` and ``[b, a]`` compose differently
-        even though the member set is identical.
-        """
-        hasher = hashlib.md5()
-        for position, fingerprint in enumerate(fingerprints):
-            hasher.update(f"{position}:{fingerprint}\n".encode())
-        return cls(hasher.hexdigest())
-
-    @property
-    def short(self) -> str:
-        """Abbreviated digest for traces."""
-        return self.digest[:8]
-
-
 def fingerprint_reference(
     reference: "DocumentReference",
 ) -> ChainFingerprint:
@@ -112,9 +86,7 @@ def fingerprint_reference(
     path executes (§2), so it is a per-(document, user) key: two users
     of one document with identical chains fingerprint identically.
     """
-    return ChainFingerprint.compose(
-        prop.fingerprint() for prop in read_chain_properties(reference)
-    )
+    return read_plan(reference).fingerprint
 
 
 @dataclass(slots=True)
@@ -309,6 +281,7 @@ class MemoStats:
 class MemoStatsProjection:
     """Instrumentation subscriber deriving :class:`MemoStats`."""
 
+    stages = frozenset({"memo"})
     _COUNTERS = {
         "adopted": "adoptions",
         "missed": "misses",

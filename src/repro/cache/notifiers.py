@@ -119,7 +119,9 @@ class InvalidationBus:
         self.ctx = ctx
         self.stats = BusStats()
         self.instrumentation = instrumentation or InstrumentationBus()
-        self.instrumentation.subscribe(BusStatsProjection(self.stats))
+        self.instrumentation.subscribe(
+            BusStatsProjection(self.stats), stages=BusStatsProjection.stages
+        )
         self._sinks: dict[CacheId, Callable[[Invalidation], None]] = {}
         self._lost_documents: dict[object, int] = {}
         #: Sequenced channels, keyed by cache id.  Sequencing is opt-in

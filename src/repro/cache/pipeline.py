@@ -1,30 +1,34 @@
 """The staged read/write pipeline behind :class:`DocumentCache`.
 
-A read is a fixed sequence of small stages, each a class with one
-``run(ctx)`` method over a shared typed :class:`ReadContext`:
+A read is a **hit prefix** and, when that does not answer it, the
+**miss stages**:
 
-    dirty-flush → lookup → verifier-gate → adoption → l2 → memo →
+    [dirty-flush → lookup → verifier-gate] → adoption → l2 → memo →
     single-flight → fetch → degradation → admission
 
-A stage returns ``None`` to pass the context on, a terminal result
+The prefix is one object, :class:`VerifierGateStage`, and under the
+sequential scheduler one plain method call: a verified hit allocates no
+:class:`ReadContext`, no deadline budget and no generator, whatever
+seams the cache was built with.  Each miss stage is a class with one
+``run(ctx)`` method over a shared :class:`ReadContext`, returning
+``None`` to pass the context on, a terminal result
 (:class:`CacheReadOutcome` for application reads, a ``(content, meta)``
-pair for lower-level ``read_for_fill`` serves) to finish the read, or a
+pair for lower-level ``read_for_fill`` serves), or a
 :class:`~repro.sim.scheduler.Suspension` to park the read on another
 read's in-progress flight.  The write path is the same idea with two
 stages (interpose → buffer) plus a flush stage shared by write-back
-draining and the read path's dirty-flush gate.
+draining and the prefix's dirty check.
 
-Stages stay synchronous; *scheduling* is externalised.  The pipeline
-expresses one access as a generator yielding suspension markers at the
-verifier and fetch/chain seams, and a
-:class:`~repro.sim.scheduler.Scheduler` drives it: the default
-:class:`~repro.sim.scheduler.SequentialScheduler` inline (operation
-order, clock charges and fault-plan consultations exactly as the
-pre-scheduler pipeline performed them — the golden-digest equivalence
-tests pin byte-identical stats and fault traces across the refactor),
-the :class:`~repro.sim.scheduler.AsyncScheduler` as interleaved
-coroutines with single-flight request coalescing (see
-:class:`SingleFlightStage`).
+Stages stay synchronous; *scheduling* is externalised.  The same stage
+objects also run as a generator yielding suspension markers at the
+verifier and fetch/chain seams, for a
+:class:`~repro.sim.scheduler.Scheduler` to drive: the default
+:class:`~repro.sim.scheduler.SequentialScheduler` inline (reads the
+prefix did not terminate, and ``read_for_fill`` — operation order,
+clock charges and fault-plan consultations exactly as the pre-scheduler
+pipeline performed them, which the golden digests pin), the
+:class:`~repro.sim.scheduler.AsyncScheduler` as interleaved coroutines
+with single-flight request coalescing (see :class:`SingleFlightStage`).
 
 Stages hold no state of their own: everything mutable lives in the
 :class:`~repro.cache.core.CacheCore` they share, and every observable
@@ -53,7 +57,7 @@ from repro.sim.scheduler import (
     Scheduler,
     Suspension,
 )
-from repro.streams.chain import property_site, read_chain_properties
+from repro.streams.chain import property_site, read_plan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.overload.budget import DeadlineBudget
@@ -67,8 +71,6 @@ __all__ = [
     "WriteContext",
     "ReadPipeline",
     "WritePipeline",
-    "DirtyFlushStage",
-    "LookupStage",
     "VerifierGateStage",
     "AdoptionStage",
     "L2Stage",
@@ -182,44 +184,53 @@ class WriteContext:
 # -- read stages ---------------------------------------------------------------
 
 
-class DirtyFlushStage:
-    """A write-back user reading their own dirty document must see their
-    buffered write; flush it through the full path first."""
+def chain_blocked(guard, key: EntryKey, chain) -> bool:
+    """True when any chain property's wrapper breaker is open.
+
+    Peeks rather than gets: consulting the memo or the flight table
+    must neither create breakers nor consume half-open probe slots —
+    probing is the fetch path's job.
+    """
+    for prop in chain:
+        breaker = guard.wrappers.peek((key.document_id, property_site(prop)))
+        if breaker is not None and breaker.state is BreakerState.OPEN:
+            return True
+    return False
+
+
+class VerifierGateStage:
+    """The hit prefix: dirty check → lookup → verifier gate → touch →
+    outcome (§3's hit-time check).
+
+    A write-back user reading their own dirty document must see their
+    buffered write, so it is flushed through the full path first; then
+    the live entry for the (document, user) key is served if its
+    verifiers agree.  When a verifier invalidates (or a quarantine or
+    an open breaker forces a miss) the stale bytes and their age are
+    handed back for bounded serve-stale and the read falls through to
+    the miss stages.
+
+    :meth:`serve` is the whole prefix as one plain call — every
+    application read under the sequential driver, in every
+    configuration.  The generator driver splits it at the verifier
+    seam: :meth:`lookup`, the seam, then :meth:`run` hands the entry
+    it found to the same :meth:`serve`.
+    """
 
     def __init__(self, core: CacheCore, writes: "WritePipeline") -> None:
         self.core = core
         self.writes = writes
+        self._hit_path = tuple(core.topology.hit_path())
+
+    def lookup(self, reference: "DocumentReference", key: EntryKey):
+        """Flush the reader's own dirty write, then find the live entry."""
+        core = self.core
+        if key in core.dirty:
+            self.writes.flush(reference)
+        return core.entries.get(key)
 
     def run(self, ctx: ReadContext):
-        if ctx.key in self.core.dirty:
-            self.writes.flush(ctx.reference)
-        return None
-
-
-class LookupStage:
-    """Find the live entry for the (document, user) key, if any."""
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
-
-    def run(self, ctx: ReadContext):
-        ctx.entry = self.core.entries.get(ctx.key)
-        return None
-
-
-class VerifierGateStage:
-    """Serve a hit if the entry's verifiers agree (§3's hit-time check).
-
-    On a verified hit the read terminates here; when a verifier
-    invalidates (or a quarantine forces a miss) the stale bytes and
-    their age are parked on the context for bounded serve-stale and the
-    read falls through to the miss stages.
-    """
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
-
-    def run(self, ctx: ReadContext):
+        """The post-seam half for the generator driver."""
         core = self.core
         entry = ctx.entry
         if entry is not None and core.entries.get(ctx.key) is not entry:
@@ -231,15 +242,52 @@ class VerifierGateStage:
             ctx.entry = entry = core.entries.get(ctx.key)
         if entry is None:
             return None
+        result, stale = self.serve(
+            ctx.reference, ctx.key, ctx.started_ms, ctx.for_fill, entry
+        )
+        if result is None:
+            ctx.entry = None
+            if stale is not None:
+                ctx.stale = stale
+        return result
+
+    def serve(
+        self,
+        reference: "DocumentReference",
+        key: EntryKey,
+        started_ms: float,
+        for_fill: bool = False,
+        entry: CacheEntry | None = None,
+    ):
+        """The prefix for one read: ``(result, stale)``.
+
+        ``result`` is the terminal :class:`CacheReadOutcome` (the
+        ``(content, meta)`` pair of a fill-serving read), or ``None``
+        when the miss stages must continue — then ``stale`` is the
+        invalidated ``(bytes, filled-at)`` pair, if there was one.
+        *entry* is :meth:`lookup`'s result when :meth:`run` passes it.
+        """
+        core = self.core
+        if entry is None:  # lookup(), inlined: a frame is ~1.5 % of a hit
+            if key in core.dirty:
+                self.writes.flush(reference)
+            entry = core.entries.get(key)
+            if entry is None:
+                return None, None
+        sim = core.ctx
+        clock = sim.clock
         content = core.store.get(entry.signature)
-        stale = (content, entry.created_at_ms)
         disposition = "hit"
         # "cache hit" latency: the local (or app→server) hop only.
-        for hop in core.topology.hit_path():
-            core.ctx.charge_hop(hop, entry.size)
+        for hop in self._hit_path:
+            sim.charge_hop(hop, entry.size)
 
         if core.use_verifiers:
             guard = core.containment
+            # The legacy quarantine only has state once some verifier
+            # has raised; until then there is nothing to consult or to
+            # reset, per hit or per verifier.
+            quarantine = guard is None and len(core.degradation.breakers) > 0
             if guard is not None:
                 if guard.verifier_blocked(entry):
                     # A breaker is open on one of the entry's verifiers:
@@ -249,36 +297,30 @@ class VerifierGateStage:
                     # delay the breaker admits a probe.
                     core.drop(entry, InvalidationReason.VERIFIER_FAILED,
                               origin="containment")
-                    ctx.entry = None
-                    ctx.stale = stale
-                    return None
-            elif self._entry_quarantined(entry):
+                    return None, (content, entry.created_at_ms)
+            elif quarantine and self._entry_quarantined(entry):
                 # A repeatedly-failing verifier guards this entry: the
                 # entry cannot be trusted and the verifier cannot be
                 # afforded — force a miss instead of verifying.
                 core.drop(entry, InvalidationReason.VERIFIER_FAILED,
                           origin="quarantine")
-                core.emit("quarantine", "forced-miss", key=ctx.key)
-                ctx.entry = None
-                ctx.stale = stale
-                return None
+                core.emit("quarantine", "forced-miss", key=key)
+                return None, (content, entry.created_at_ms)
             for verifier in entry.verifiers:
-                verifier_started_ms = core.ctx.clock.now_ms
-                core.ctx.charge(verifier.cost_ms)
-                core.emit(
-                    "verifier", "executed", key=ctx.key,
-                    started_ms=verifier_started_ms,
-                    cost_ms=verifier.cost_ms,
+                verifier_started_ms = clock.now_ms
+                sim.charge(verifier.cost_ms)
+                core.verifier_executed(
+                    key, verifier_started_ms, verifier.cost_ms
                 )
                 try:
                     if guard is not None:
                         guard.check_verifier_budget(entry, verifier)
-                    if core.ctx.faults is not None:
-                        core.ctx.faults.check_verifier(
+                    if sim.faults is not None:
+                        sim.faults.check_verifier(
                             verifier.cost_ms,
                             label=type(verifier).__name__,
                         )
-                    result = verifier.run(core.ctx.clock.now_ms, content)
+                    result = verifier.run(clock.now_ms, content)
                 except Exception:
                     if guard is not None:
                         guard.note_verifier_failure(entry, verifier)
@@ -286,14 +328,12 @@ class VerifierGateStage:
                         self._note_failure(entry, verifier)
                     core.drop(entry, InvalidationReason.VERIFIER_FAILED,
                               origin="verifier")
-                    core.emit("verifier", "invalidated", key=ctx.key)
+                    core.emit("verifier", "invalidated", key=key)
                     core.note_verifier_caught_lost(entry)
-                    ctx.entry = None
-                    ctx.stale = (content, entry.created_at_ms)
-                    return None
+                    return None, (content, entry.created_at_ms)
                 if guard is not None:
                     guard.note_verifier_success(entry, verifier)
-                else:
+                elif quarantine:
                     core.degradation.note_verifier_success(
                         core.verifier_fault_key(entry, verifier)
                     )
@@ -304,45 +344,35 @@ class VerifierGateStage:
                         else InvalidationReason.EXTERNAL_CHANGED
                     )
                     core.drop(entry, reason, origin="verifier")
-                    core.emit("verifier", "invalidated", key=ctx.key)
+                    core.emit("verifier", "invalidated", key=key)
                     core.note_verifier_caught_lost(entry)
-                    ctx.entry = None
-                    ctx.stale = (content, entry.created_at_ms)
-                    return None
+                    return None, (content, entry.created_at_ms)
                 if result.verdict is Verdict.REVALIDATED:
                     content = result.patched_content or b""
                     core.replace_content(entry, content)
-                    core.emit("verifier", "revalidated", key=ctx.key)
+                    core.emit("verifier", "revalidated", key=key)
                     disposition = "revalidated"
 
         if entry.cacheability.requires_event_forwarding:
-            core.forward_read(ctx.reference)
+            core.forward_read(reference)
 
-        entry.touch(core.ctx.clock.now_ms)
+        entry.touch(clock.now_ms)
         core.policy.on_access(entry)
-        if core.track_staleness and core.is_stale(ctx.reference, entry):
-            core.emit("staleness", "stale-hit", key=ctx.key)
-        elapsed = core.ctx.clock.now_ms - ctx.started_ms
-        core.emit(
-            "read", disposition, key=ctx.key,
-            started_ms=ctx.started_ms, bytes=len(content),
-        )
-        if ctx.for_fill:
+        if core.track_staleness and core.is_stale(reference, entry):
+            core.emit("staleness", "stale-hit", key=key)
+        elapsed = core.hit_served(disposition, key, started_ms, len(content))
+        if for_fill:
             # Serving an upper cache: re-derive fill metadata from the
             # live entry.  Event forwarding may have invalidated it
             # reentrantly — fall through to the miss stages if so.
-            live = core.entries.get(ctx.key)
+            live = core.entries.get(key)
             if live is not None:
-                return (content, core.meta_from_entry(live))
-            ctx.entry = None
-            return None
+                return (content, core.meta_from_entry(live)), None
+            return None, None
         if entry.policy_state.get("prefetched"):
-            core.emit("prefetch", "hit", key=ctx.key)
+            core.emit("prefetch", "hit", key=key)
             entry.policy_state["prefetched"] = False
-        return CacheReadOutcome(
-            content=content, hit=True, elapsed_ms=elapsed,
-            disposition=disposition,
-        )
+        return CacheReadOutcome(content, True, elapsed, disposition), None
 
     def _entry_quarantined(self, entry: CacheEntry) -> bool:
         core = self.core
@@ -411,8 +441,8 @@ class AdoptionStage:
             if candidate.chain_signature != expected:
                 continue
             content = core.store.get(candidate.signature)
-            if core.use_verifiers and not self._candidate_fresh(
-                candidate, content, now
+            if core.use_verifiers and not core.verifiers_agree(
+                candidate.key, candidate.verifiers, content, now
             ):
                 continue
             # Metadata exchange only: one cache-side hop, no content moves
@@ -447,27 +477,6 @@ class AdoptionStage:
                 core.ctx.charge(NOTIFIER_INSTALL_COST_MS * len(installed))
             return entry
         return None
-
-    def _candidate_fresh(
-        self, candidate: CacheEntry, content: bytes, now_ms: float
-    ) -> bool:
-        """Re-run a candidate's verifiers before adopting its bytes."""
-        core = self.core
-        for verifier in candidate.verifiers:
-            verifier_started_ms = core.ctx.clock.now_ms
-            core.ctx.charge(verifier.cost_ms)
-            core.emit(
-                "verifier", "executed", key=candidate.key,
-                started_ms=verifier_started_ms,
-                cost_ms=verifier.cost_ms,
-            )
-            try:
-                result = verifier.run(now_ms, content)
-            except Exception:
-                return False
-            if result.verdict is not Verdict.VALID:
-                return False
-        return True
 
 
 class L2Stage:
@@ -536,14 +545,12 @@ class MemoStage:
             # read whose deadline already passed.
             core.emit("deadline", "skipped", key=ctx.key, seam="memo")
             return None
-        chain = read_chain_properties(ctx.reference)
+        plan = read_plan(ctx.reference)
         guard = core.containment
-        if guard is not None and self._chain_blocked(guard, ctx.key, chain):
+        if guard is not None and chain_blocked(guard, ctx.key, plan.chain):
             core.emit("memo", "bypass-contained", key=ctx.key)
             return None
-        fingerprint = ChainFingerprint.compose(
-            prop.fingerprint() for prop in chain
-        )
+        fingerprint = plan.fingerprint
         # Admission records under this fingerprint if the miss proceeds.
         ctx.memo_fingerprint = fingerprint
         # Metadata-only probe of the repository's current source
@@ -586,7 +593,7 @@ class MemoStage:
                     core.store.release(record.output_signature)
                 core.emit("memo", "bypass-verifier", key=ctx.key)
                 return None
-            if not self._record_fresh(ctx.key, record, content):
+            if not core.verifiers_agree(ctx.key, record.verifiers, content):
                 # Class (d): an external condition gated this record
                 # and no longer holds — the memo must not serve it.
                 if imported:
@@ -595,41 +602,6 @@ class MemoStage:
                 core.emit("memo", "dropped-verifier", key=ctx.key)
                 return None
         return self._serve(ctx, record, content, imported=imported)
-
-    @staticmethod
-    def _chain_blocked(guard, key: EntryKey, chain) -> bool:
-        """True when any chain property's wrapper breaker is open.
-
-        Peeks rather than gets: a memo consult must neither create
-        breakers nor consume half-open probe slots — probing is the
-        fetch path's job.
-        """
-        for prop in chain:
-            breaker = guard.wrappers.peek(
-                (key.document_id, property_site(prop))
-            )
-            if breaker is not None and breaker.state is BreakerState.OPEN:
-                return True
-        return False
-
-    def _record_fresh(self, key: EntryKey, record, content: bytes) -> bool:
-        """Re-run a record's verifiers before serving its output."""
-        core = self.core
-        for verifier in record.verifiers:
-            verifier_started_ms = core.ctx.clock.now_ms
-            core.ctx.charge(verifier.cost_ms)
-            core.emit(
-                "verifier", "executed", key=key,
-                started_ms=verifier_started_ms,
-                cost_ms=verifier.cost_ms,
-            )
-            try:
-                result = verifier.run(core.ctx.clock.now_ms, content)
-            except Exception:
-                return False
-            if result.verdict is not Verdict.VALID:
-                return False
-        return True
 
     def _serve(
         self, ctx: ReadContext, record, content: bytes,
@@ -749,7 +721,9 @@ class SingleFlightStage:
             core.emit("deadline", "skipped", key=ctx.key, seam="flight")
             return None
         guard = core.containment
-        if guard is not None and self._chain_blocked(guard, ctx):
+        if guard is not None and chain_blocked(
+            guard, ctx.key, read_plan(ctx.reference).chain
+        ):
             core.emit("coalesce", "bailed-contained", key=ctx.key)
             return None
         keys = self._coalesce_keys(ctx)
@@ -774,22 +748,6 @@ class SingleFlightStage:
         if ctx.memo_source is not None and ctx.memo_fingerprint is not None:
             keys += (("memo", ctx.memo_source, ctx.memo_fingerprint),)
         return keys
-
-    @staticmethod
-    def _chain_blocked(guard, ctx: ReadContext) -> bool:
-        """True when any chain property's wrapper breaker is open.
-
-        Mirrors the memo stage's peek-only probe: consulting the flight
-        table must neither create breakers nor consume half-open probe
-        slots.
-        """
-        for prop in read_chain_properties(ctx.reference):
-            breaker = guard.wrappers.peek(
-                (ctx.key.document_id, property_site(prop))
-            )
-            if breaker is not None and breaker.state is BreakerState.OPEN:
-                return True
-        return False
 
 
 class FetchStage:
@@ -967,39 +925,53 @@ class AdmissionStage:
 
 
 class ReadPipeline:
-    """Runs the read stages in order until one produces a result.
+    """Runs the hit prefix, then the miss stages, to a terminal result.
 
-    One read is a generator over the stage sequence; the scheduler that
-    drives it decides whether suspensions interleave other reads
-    (async) or resolve inline (sequential, the default).
+    Two drivers over the same stage objects.  :meth:`read` calls the
+    prefix as a plain method and builds a :class:`ReadContext`, a
+    deadline budget and a generator only if the prefix did not answer.
+    :meth:`iterate` is the whole read as a generator for a scheduler to
+    drive: ``read_many`` batches and cluster fan-outs under the async
+    scheduler, hedged reads, and ``read_for_fill``.
     """
 
     def __init__(self, core: CacheCore, writes: "WritePipeline") -> None:
         self.core = core
-        self.stages = [
-            DirtyFlushStage(core, writes),
-            LookupStage(core),
-            VerifierGateStage(core),
+        self.gate = VerifierGateStage(core, writes)
+        self.fetch = FetchStage(core)
+        self.miss_stages = (
             AdoptionStage(core),
             L2Stage(core),
             MemoStage(core),
             SingleFlightStage(core),
-            FetchStage(core),
+            self.fetch,
             DegradationStage(core),
             AdmissionStage(core),
-        ]
-        #: Seam suspensions yielded *before* the keyed stage when the
-        #: driving scheduler can interleave: the verifier seam and the
-        #: fetch/chain seam, the two places a concurrent read path may
-        #: switch to another read.
-        self._seams = {
-            id(self.stages[2]): VERIFIER_SEAM,
-            id(self.stages[7]): FETCH_SEAM,
-        }
+        )
 
-    def read(self, reference: "DocumentReference") -> CacheReadOutcome:
-        """Application read: run the stages to a ``CacheReadOutcome``."""
-        return self.core.scheduler.drive(self.iterate(reference))
+    def read(
+        self,
+        reference: "DocumentReference",
+        enqueued_ms: float | None = None,
+    ) -> CacheReadOutcome:
+        """Application read: a ``CacheReadOutcome``, the prefix first.
+
+        A lone read has nobody to interleave with, so the generator's
+        seams would be moot; the miss stages still see the scheduler.
+        """
+        core = self.core
+        key = EntryKey.for_reference(reference)
+        started_ms = core.ctx.clock.now_ms
+        if core.overload is not None:
+            self._admit(reference, key, enqueued_ms)
+        result, stale = self.gate.serve(reference, key, started_ms)
+        if result is not None:
+            return result
+        ctx = self._context(
+            reference, key, started_ms, False, core.scheduler, enqueued_ms
+        )
+        ctx.stale = stale
+        return core.scheduler.drive(self._iterate(ctx, prefix_ran=True))
 
     def read_for_fill(self, reference: "DocumentReference"):
         """Lower-level serve: run the stages to ``(content, meta)``."""
@@ -1022,79 +994,115 @@ class ReadPipeline:
         back-dates the read's arrival (``read_many`` batches pass their
         start instant) for the admission controller's sojourn signal.
         """
+        return self._iterate(self._context(
+            reference, EntryKey.for_reference(reference),
+            self.core.ctx.clock.now_ms, for_fill,
+            scheduler or self.core.scheduler, enqueued_ms,
+        ))
+
+    def _context(
+        self,
+        reference: "DocumentReference",
+        key: EntryKey,
+        started_ms: float,
+        for_fill: bool,
+        scheduler: "Scheduler",
+        enqueued_ms: float | None,
+    ) -> ReadContext:
         budget = None
         if self.core.overload is not None and not for_fill:
-            # The budget starts at *enqueue*: queueing delay counts
-            # against the deadline, which is what makes sojourn-based
-            # shedding protect the reads that are admitted.
-            budget = self.core.overload.budget_for(reference, enqueued_ms)
-        ctx = ReadContext(
+            # The budget starts at *enqueue* (else the read's recorded
+            # start): queueing delay counts against the deadline, which
+            # is what makes sojourn-based shedding protect the reads
+            # that are admitted.
+            budget = self.core.overload.budget_for(
+                reference, started_ms if enqueued_ms is None else enqueued_ms
+            )
+        return ReadContext(
             reference=reference,
-            key=EntryKey.for_reference(reference),
-            started_ms=self.core.ctx.clock.now_ms,
+            key=key,
+            started_ms=started_ms,
             for_fill=for_fill,
-            scheduler=scheduler or self.core.scheduler,
+            scheduler=scheduler,
             enqueued_ms=enqueued_ms,
             budget=budget,
         )
-        return self._iterate(ctx)
 
-    def _iterate(self, ctx: ReadContext):
+    def _admit(
+        self,
+        reference: "DocumentReference",
+        key: EntryKey,
+        enqueued_ms: float | None,
+    ) -> None:
+        """Ask admission control; raises the typed error when shed."""
         core = self.core
-        concurrent = ctx.scheduler is not None and ctx.scheduler.supports_concurrency
+        decision = core.overload.admit(reference, enqueued_ms)
+        if decision is None:
+            return
+        priority = PRIORITY_NAMES[decision.priority]
+        if not decision.admitted:
+            core.emit(
+                "overload", "shed", key=key, priority=priority,
+                reason=decision.reason, sojourn_ms=decision.sojourn_ms,
+            )
+            raise OverloadShedError(
+                f"read shed by admission control "
+                f"({decision.reason}: priority {priority}, sojourn "
+                f"{decision.sojourn_ms:.1f}ms, queue depth "
+                f"{decision.queue_depth:.0f})"
+            )
+        core.emit(
+            "overload", "admitted", key=key, priority=priority,
+            sojourn_ms=decision.sojourn_ms,
+        )
+
+    def _iterate(self, ctx: ReadContext, prefix_ran: bool = False):
+        """The generator driver.  With *prefix_ran* the caller already
+        admitted the read and ran the prefix as a plain call (it
+        missed), so the first pass starts at the miss stages."""
+        core = self.core
+        gate = self.gate
+        concurrent = ctx.scheduler.supports_concurrency
         try:
-            if not ctx.for_fill and core.overload is not None:
-                decision = core.overload.admit(ctx.reference, ctx.enqueued_ms)
-                if decision is not None:
-                    if not decision.admitted:
-                        core.emit(
-                            "overload", "shed", key=ctx.key,
-                            priority=PRIORITY_NAMES[decision.priority],
-                            reason=decision.reason,
-                            sojourn_ms=decision.sojourn_ms,
-                        )
-                        raise OverloadShedError(
-                            f"read shed by admission control "
-                            f"({decision.reason}: priority "
-                            f"{PRIORITY_NAMES[decision.priority]}, sojourn "
-                            f"{decision.sojourn_ms:.1f}ms, queue depth "
-                            f"{decision.queue_depth:.0f})"
-                        )
-                    core.emit(
-                        "overload", "admitted", key=ctx.key,
-                        priority=PRIORITY_NAMES[decision.priority],
-                        sojourn_ms=decision.sojourn_ms,
-                    )
+            if not (prefix_ran or ctx.for_fill) and core.overload is not None:
+                self._admit(ctx.reference, ctx.key, ctx.enqueued_ms)
             while True:
-                followed = False
-                for stage in self.stages:
+                result = None
+                if prefix_ran:
+                    prefix_ran = False
+                else:
+                    ctx.entry = gate.lookup(ctx.reference, ctx.key)
                     if concurrent:
-                        seam = self._seams.get(id(stage))
-                        if seam is not None:
-                            yield seam
-                    result = stage.run(ctx)
-                    if isinstance(result, Suspension):
-                        # Park on the leader's flight; on wake, re-enter
-                        # the pipeline from the top, where the leader's
-                        # fill (or memo record) answers this read.
-                        payload = yield result
-                        self._resume_follower(ctx, payload)
-                        followed = True
-                        break
-                    if result is not None:
-                        if ctx.flight is not None:
-                            disposition = getattr(
-                                result, "disposition", "fill"
-                            )
-                            core.flights.close(
-                                ctx.flight, ("landed", disposition)
-                            )
-                            ctx.flight = None
-                        return result
-                if not followed:
-                    raise CacheError(
-                        "read pipeline ended without a terminal stage result"
-                    )  # pragma: no cover - AdmissionStage always terminates
+                        # The two places a concurrent read path may
+                        # switch to another read: here, before the
+                        # verifiers, and before the fetch/chain seam.
+                        yield VERIFIER_SEAM
+                    result = gate.run(ctx)
+                if result is None:
+                    for stage in self.miss_stages:
+                        if concurrent and stage is self.fetch:
+                            yield FETCH_SEAM
+                        result = stage.run(ctx)
+                        if result is not None:
+                            break
+                    else:
+                        raise CacheError(
+                            "read pipeline ended without a terminal "
+                            "stage result"
+                        )  # pragma: no cover - AdmissionStage terminates
+                if isinstance(result, Suspension):
+                    # Park on the leader's flight; on wake, re-enter
+                    # the pipeline from the top, where the leader's
+                    # fill (or memo record) answers this read.
+                    payload = yield result
+                    self._resume_follower(ctx, payload)
+                    continue
+                if ctx.flight is not None:
+                    core.flights.close(ctx.flight, (
+                        "landed", getattr(result, "disposition", "fill"),
+                    ))
+                    ctx.flight = None
+                return result
         except BaseException as error:
             if ctx.flight is not None:
                 # Leader failure: deregister first, then wake followers —

@@ -254,6 +254,8 @@ class RecoveryStats:
 class RecoveryStatsProjection:
     """Derives :class:`RecoveryStats` from recovery stage events."""
 
+    stages = frozenset({"channel", "lease", "resync", "journal", "crash"})
+
     def __init__(self, stats: RecoveryStats) -> None:
         self.stats = stats
 
@@ -337,7 +339,10 @@ class ConsistencyRecoveryManager:
         self.policy = policy
         self._apply = apply_invalidation
         self.stats = RecoveryStats()
-        core.instrumentation.subscribe(RecoveryStatsProjection(self.stats))
+        core.instrumentation.subscribe(
+            RecoveryStatsProjection(self.stats),
+            stages=RecoveryStatsProjection.stages,
+        )
         self.journal = WriteBackJournal()
         #: Live references for cached entries, so resync can reconcile
         #: against server state without a directory lookup.

@@ -230,7 +230,8 @@ class CacheCluster:
         if self.health is not None:
             self.health.track(shard_name)
             shard.instrumentation.subscribe(
-                functools.partial(self.health.on_event, shard_name)
+                functools.partial(self.health.on_event, shard_name),
+                stages=HealthTracker.stages,
             )
         self._shards[shard_name] = shard
         return shard

@@ -27,6 +27,7 @@ across processes — a requirement for the deterministic simulator.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import typing
 from typing import Protocol, runtime_checkable
@@ -53,6 +54,14 @@ def _hash_point(label: str) -> int:
 def placement_label(key: "EntryKey") -> str:
     """The stable string form an entry key is hashed under."""
     return f"{key.document_id}|{key.user_id}"
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _key_point(key: "EntryKey") -> int:
+    """*key*'s point on the ring: a pure function of the key
+    (membership only decides which shard owns it), so it is memoised
+    across routed reads and no ring rebuild ever invalidates it."""
+    return _hash_point(placement_label(key))
 
 
 class PlacementRing:
@@ -116,8 +125,7 @@ class PlacementRing:
         """The shard owning *key*'s arc of the ring."""
         if not self._shards:
             raise WorkloadError("placement ring has no shards")
-        point = _hash_point(placement_label(key))
-        index = bisect.bisect_right(self._points, point)
+        index = bisect.bisect_right(self._points, _key_point(key))
         if index == len(self._points):
             index = 0
         return self._owners[index]
@@ -132,8 +140,7 @@ class PlacementRing:
         """
         if len(self._shards) < 2:
             return None
-        point = _hash_point(placement_label(key))
-        index = bisect.bisect_right(self._points, point)
+        index = bisect.bisect_right(self._points, _key_point(key))
         count = len(self._points)
         for offset in range(count):
             owner = self._owners[(index + offset) % count]

@@ -33,8 +33,7 @@ import typing
 from dataclasses import dataclass
 
 from repro.errors import WorkloadError
-from repro.properties.qos import QoSProperty
-from repro.streams.chain import read_chain_properties
+from repro.streams.chain import read_plan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.clock import VirtualClock
@@ -61,17 +60,13 @@ PRIORITY_NAMES = ("critical", "qos", "bulk")
 
 
 def priority_class(reference) -> int:
-    """Derive a read's priority class from its property chain."""
-    best = PRIORITY_BULK
-    for prop in read_chain_properties(reference):
-        if prop.requests_pinning():
-            return PRIORITY_CRITICAL
-        if (
-            isinstance(prop, QoSProperty)
-            and prop.max_access_time_ms != float("inf")
-        ):
-            best = min(best, PRIORITY_QOS)
-    return best
+    """Derive a read's priority class from its (cached) read plan."""
+    plan = read_plan(reference)
+    if plan.pins:
+        return PRIORITY_CRITICAL
+    if plan.qos_deadline_ms != float("inf"):
+        return PRIORITY_QOS
+    return PRIORITY_BULK
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,8 +14,7 @@ import typing
 
 from repro.overload.admission import AdmissionController, priority_class
 from repro.overload.budget import DeadlineBudget
-from repro.properties.qos import QoSProperty
-from repro.streams.chain import read_chain_properties
+from repro.streams.chain import read_plan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.policies import OverloadPolicy
@@ -47,26 +46,23 @@ class OverloadGate:
             return None
         budget_ms = self.policy.default_deadline_ms
         if self.policy.deadline_from_qos:
-            for prop in read_chain_properties(reference):
-                if (
-                    isinstance(prop, QoSProperty)
-                    and prop.max_access_time_ms != float("inf")
-                ):
-                    budget_ms = min(budget_ms, prop.max_access_time_ms)
+            budget_ms = min(budget_ms, read_plan(reference).qos_deadline_ms)
         return budget_ms
 
     def budget_for(
-        self, reference, enqueued_ms: float | None = None
+        self, reference, started_ms: float | None = None
     ) -> DeadlineBudget | None:
         """Build the read's deadline budget (``None`` = deadlines off).
 
-        ``enqueued_ms`` back-dates the allowance to the read's arrival
-        instant so time already spent queueing counts against it.
+        ``started_ms`` is when the allowance began — the read's enqueue
+        instant if it queued in a batch, else its recorded start — so
+        time already spent counts.  The pipeline asks only once a read
+        has left the hit prefix: no hit consults a deadline.
         """
         budget_ms = self.deadline_ms_for(reference)
         if budget_ms is None:
             return None
-        return DeadlineBudget(self.clock, budget_ms, started_ms=enqueued_ms)
+        return DeadlineBudget(self.clock, budget_ms, started_ms=started_ms)
 
     def admit(
         self, reference, enqueued_ms: float | None = None

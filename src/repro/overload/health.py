@@ -172,6 +172,9 @@ class HealthTracker:
         "miss-promoted",
     })
 
+    #: The stages :meth:`on_event` consumes.
+    stages = frozenset({"read", "fetch"})
+
     def on_event(self, name: str, event: "StageEvent") -> None:
         """Instrumentation-bus subscriber seam for one shard."""
         if event.stage == "read":

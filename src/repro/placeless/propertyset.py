@@ -37,6 +37,14 @@ class PropertyHolder(abc.ABC):
         self.owner = owner
         self.dispatcher = EventDispatcher()
         self._properties: list[Property] = []
+        #: Bumped whenever the *read* stream chain's members, order or
+        #: releases move (attach, detach, reorder, modify — §3's
+        #: invalidation classes (b) and (c)); a cached
+        #: :class:`~repro.streams.chain.ReadPlan` is valid only while
+        #: the epochs it was compiled under still stand.  Properties
+        #: off the read chain (static labels, the notifiers a cache
+        #: installs at fill time) leave it alone.
+        self.chain_epoch = 0
 
     # -- event construction (site-specific) ---------------------------------
 
@@ -105,6 +113,9 @@ class PropertyHolder(abc.ABC):
         )
         if isinstance(prop, ActiveProperty):
             prop.register_with(self.dispatcher)
+            # Registration is what puts the property on a stream chain,
+            # so the epoch moves here and not at the append above.
+            self._read_chain_changed(prop)
             prop.on_attach()
         return prop
 
@@ -136,6 +147,7 @@ class PropertyHolder(abc.ABC):
             raise PropertyNotFoundError(prop.name)
         self._properties.remove(prop)
         if isinstance(prop, ActiveProperty):
+            self._read_chain_changed(prop)
             prop.on_detach()
             prop.cancel_registrations()
             self.dispatcher.unregister_property(prop.property_id)
@@ -171,6 +183,7 @@ class PropertyHolder(abc.ABC):
         old_order = [p.property_id for p in self._properties]
         self._properties = [current[pid] for pid in new_order]
         self.dispatcher.reorder(new_order)
+        self.chain_epoch += 1
         self.dispatcher.dispatch(
             self.make_event(
                 EventType.REORDER_PROPERTIES,
@@ -181,6 +194,7 @@ class PropertyHolder(abc.ABC):
 
     def property_modified(self, prop: Property) -> None:
         """Raise MODIFY_PROPERTY for *prop* (e.g. after an upgrade)."""
+        self._read_chain_changed(prop)
         self.dispatcher.dispatch(
             self.make_event(
                 EventType.MODIFY_PROPERTY,
@@ -190,6 +204,13 @@ class PropertyHolder(abc.ABC):
         )
 
     # -- read/write path helpers --------------------------------------------
+
+    def _read_chain_changed(self, prop: Property) -> None:
+        """Move the epoch if *prop* is (still) on the read stream chain."""
+        if prop.property_id in self.dispatcher.registered_properties(
+            EventType.GET_INPUT_STREAM
+        ):
+            self.chain_epoch += 1
 
     def stream_chain(self, event_type: EventType) -> list[ActiveProperty]:
         """Active properties registered for a stream event, in chain order.

@@ -42,6 +42,9 @@ class DocumentReference(PropertyHolder):
         super().__init__(ctx, owner)
         self.reference_id = reference_id
         self.base = base
+        #: The compiled read chain (:func:`repro.streams.chain.read_plan`),
+        #: cached here beside the interned entry key.
+        self._read_plan = None
         base.register_reference(self)
 
     @property

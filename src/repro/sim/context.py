@@ -53,6 +53,11 @@ class SimContext:
     #: default) keeps the stream wrappers on their historical
     #: unguarded path.
     containment: "ContainmentGuard | None" = None
+    #: Read plans compiled (:func:`repro.streams.chain.read_plan`), and
+    #: how many of those replaced a plan a chain mutation outdated —
+    #: the doctor's ``read plan:`` line.
+    read_plans_built: int = 0
+    read_plans_rebuilt: int = 0
 
     def __post_init__(self) -> None:
         if self.faults is None:

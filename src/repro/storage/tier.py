@@ -66,7 +66,7 @@ from repro.storage.segment import (
     unpack_fields,
 )
 from repro.storage.store import DiskContentStore
-from repro.streams.chain import read_chain_properties
+from repro.streams.chain import read_plan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.core import CacheCore
@@ -467,7 +467,7 @@ class L2Tier:
         minted = [reference.base.provider.make_verifier()]
         minted.extend(
             prop.make_verifier()
-            for prop in read_chain_properties(reference)
+            for prop in read_plan(reference).chain
         )
         rebuilt = [
             verifier for verifier in minted if verifier is not None
@@ -490,11 +490,7 @@ class L2Tier:
         for verifier in verifiers:
             verifier_started_ms = core.ctx.clock.now_ms
             core.ctx.charge(verifier.cost_ms)
-            core.emit(
-                "verifier", "executed", key=key,
-                started_ms=verifier_started_ms,
-                cost_ms=verifier.cost_ms,
-            )
+            core.verifier_executed(key, verifier_started_ms, verifier.cost_ms)
             self.stats.promote_verifier_runs += 1
             try:
                 if core.ctx.faults is not None:

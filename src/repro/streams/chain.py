@@ -31,8 +31,9 @@ they route through its breakers, budgets and exception firewalls.
 
 from __future__ import annotations
 
+import hashlib
 import typing
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from repro.errors import BudgetExceededError, PropertyError, StreamError
 from repro.streams.base import InputStream, OutputStream
@@ -50,6 +51,9 @@ __all__ = [
     "apply_write_wrapper",
     "property_site",
     "read_chain_properties",
+    "ChainFingerprint",
+    "ReadPlan",
+    "read_plan",
     "injected_property_error",
     "FirewallInputStream",
     "FirewallOutputStream",
@@ -155,6 +159,88 @@ def read_chain_properties(reference) -> tuple:
         reference.base.stream_chain(EventType.GET_INPUT_STREAM)
         + reference.stream_chain(EventType.GET_INPUT_STREAM)
     )
+
+
+class ChainFingerprint(NamedTuple):
+    """Order-sensitive digest of one read path's transformation chain."""
+
+    digest: str
+
+    @classmethod
+    def compose(cls, fingerprints: Iterable[str]) -> "ChainFingerprint":
+        """Fold per-property fingerprints, tagged with their position.
+
+        Position tagging is what makes the paper's invalidation class
+        (c) observable: ``[a, b]`` and ``[b, a]`` compose differently
+        even though the member set is identical.
+        """
+        hasher = hashlib.md5()
+        for position, fingerprint in enumerate(fingerprints):
+            hasher.update(f"{position}:{fingerprint}\n".encode())
+        return cls(hasher.hexdigest())
+
+
+class ReadPlan:
+    """Everything the cache derives from one reference's read chain.
+
+    Compiled once by :func:`read_plan` and reused until a chain
+    mutation on the reference or its base document moves their
+    ``chain_epoch``: only §3's invalidation classes (b) and (c) can
+    change a field, and they all funnel through ``PropertyHolder``'s
+    ``attach``/``detach``/``reorder``/``property_modified``.  Mutating
+    a property behind those (assigning ``version`` instead of
+    ``upgrade()``) is invisible to notifiers and to the plan alike.
+    """
+
+    __slots__ = (
+        "base_epoch", "reference_epoch", "chain", "chain_signature",
+        "fingerprint", "pins", "qos_deadline_ms",
+    )
+
+    def __init__(self, reference) -> None:
+        from repro.properties.qos import QoSProperty
+
+        self.base_epoch = reference.base.chain_epoch
+        self.reference_epoch = reference.chain_epoch
+        #: Base-document properties then reference properties (§2).
+        chain = self.chain = read_chain_properties(reference)
+        #: What this read path would record as ``PathMeta.chain_signature``.
+        self.chain_signature = tuple(
+            signature
+            for signature in (prop.transform_signature() for prop in chain)
+            if signature is not None
+        )
+        self.fingerprint = ChainFingerprint.compose(
+            prop.fingerprint() for prop in chain
+        )
+        #: §5's "always available": some property pins the entry.
+        self.pins = any(prop.requests_pinning() for prop in chain)
+        #: Tightest finite QoS access-time target on the chain (§3's
+        #: "access time < .25 seconds"); ``inf`` when none is declared.
+        self.qos_deadline_ms = min(
+            (
+                prop.max_access_time_ms
+                for prop in chain
+                if isinstance(prop, QoSProperty)
+            ),
+            default=float("inf"),
+        )
+
+
+def read_plan(reference) -> ReadPlan:
+    """*reference*'s compiled read chain, rebuilt only after a mutation."""
+    plan = reference._read_plan
+    if (
+        plan is None
+        or plan.reference_epoch != reference.chain_epoch
+        or plan.base_epoch != reference.base.chain_epoch
+    ):
+        ctx = reference.ctx
+        ctx.read_plans_built += 1
+        if plan is not None:
+            ctx.read_plans_rebuilt += 1
+        plan = reference._read_plan = ReadPlan(reference)
+    return plan
 
 
 def injected_property_error(prop: "ActiveProperty") -> PropertyError:

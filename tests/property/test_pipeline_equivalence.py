@@ -41,7 +41,7 @@ def run_seeded_workload(
     capacity_factor: float = 2.0,
     chaos: bool = False,
     overload_policy=None,
-    fast_lane: bool = True,
+    wire=None,
 ) -> dict:
     """One deterministic deployment + trace; returns a comparable snapshot.
 
@@ -89,8 +89,11 @@ def run_seeded_workload(
         verifier_quarantine_threshold=4 if chaos else None,
         overload_policy=overload_policy,
         name=f"equiv-{seed}",
-        fast_lane=fast_lane,
     )
+    if wire is not None:
+        # Late wiring (an extra bus subscriber, a handle for the
+        # caller) after construction and before the first access.
+        wire(cache)
     runner = TraceRunner(
         kernel, corpus, population.references, caches=cache,
         writes_via_cache=(write_mode is WriteMode.WRITE_BACK),

@@ -448,3 +448,43 @@ class TestExplicitManagement:
         cache.read(mine)
         assert cache.stats.hit_ratio == pytest.approx(2 / 3)
         assert cache.stats.lookups == 3
+
+
+class TestDeprecatedFastLaneKeyword:
+    """``fast_lane=`` outlived the lane it switched (the benchmark's
+    probes still pass it); it must select nothing."""
+
+    @staticmethod
+    def _replay(**cache_kwargs):
+        from repro.placeless.kernel import PlacelessKernel
+
+        kernel = PlacelessKernel()
+        owner = kernel.create_user("owner")
+        references = []
+        for index in range(3):
+            base = kernel.create_document(
+                owner,
+                MemoryProvider(kernel.ctx, b"document %d" % index),
+                f"doc-{index}",
+            )
+            reference = kernel.space(owner).add_reference(base)
+            if index == 1:
+                reference.attach(TranslationProperty())
+            references.append(reference)
+        cache = DocumentCache(kernel, capacity_bytes=1 << 20, **cache_kwargs)
+        served = [
+            cache.read(references[step % 3]).content for step in range(12)
+        ]
+        cache.write(references[0], b"rewritten")
+        served.append(cache.read(references[0]).content)
+        return (
+            served,
+            vars(cache.stats),
+            cache.recorder.rows(),
+            kernel.ctx.clock.now_ms,
+            type(cache._reads),
+        )
+
+    def test_fast_lane_false_builds_the_same_cache(self):
+        assert self._replay(fast_lane=False) == self._replay()
+        assert self._replay(fast_lane=True) == self._replay()
