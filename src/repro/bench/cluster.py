@@ -27,11 +27,14 @@ byte-identical is the off-by-default guarantee.
 
 The run writes ``BENCH_A17.json`` through the shared artifact writer;
 CI's cluster job fails the build when the shared arm performed zero
-cross-shard memo imports or the parity digests diverge.
+cross-shard memo imports, the parity digests diverge, or any arm's
+``hits + misses`` differs from the reads it issued (the cluster's
+totals must survive the mid-run ``lose_shard``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass
@@ -65,6 +68,7 @@ class ClusterResult:
     n_epochs: int
     reads: int
     hits: int
+    misses: int
     hit_ratio: float
     chain_executions: int
     memo_adoptions: int
@@ -176,6 +180,7 @@ def run_cluster(
         n_epochs=n_epochs,
         reads=len(latencies),
         hits=stats.hits,
+        misses=stats.misses,
         hit_ratio=cluster.hit_ratio,
         chain_executions=kernel.stats.reads - reads_before,
         memo_adoptions=memo_stats.adoptions if memo_stats else 0,
@@ -366,28 +371,8 @@ def main(smoke: bool = False) -> None:
     metrics = {
         "sweep": [
             {
-                "shard_count": r.shard_count,
-                "shared": r.shared,
-                "n_users": r.n_users,
-                "n_documents": r.n_documents,
-                "n_epochs": r.n_epochs,
-                "reads": r.reads,
-                "hits": r.hits,
-                "hit_ratio": r.hit_ratio,
-                "chain_executions": r.chain_executions,
-                "memo_adoptions": r.memo_adoptions,
-                "memo_imports": r.memo_imports,
-                "import_bytes": r.import_bytes,
-                "invalidations": r.invalidations,
-                "invalidation_shard_touches": r.invalidation_shard_touches,
+                **dataclasses.asdict(r),
                 "invalidation_fanout": r.invalidation_fanout,
-                "add_repairs": r.add_repairs,
-                "loss_repairs": r.loss_repairs,
-                "entries_after": r.entries_after,
-                "mean_ms": r.mean_ms,
-                "p50_ms": r.p50_ms,
-                "p99_ms": r.p99_ms,
-                "wall_reads_per_s": r.wall_reads_per_s,
             }
             for r in results
         ],

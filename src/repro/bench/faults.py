@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 from repro.bench.harness import format_table, write_artifact
 from repro.cache.manager import DocumentCache
+from repro.cache.policies import DegradationPolicy
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.faults.retry import RetryPolicy
 from repro.placeless.kernel import PlacelessKernel
@@ -123,9 +124,11 @@ def run_scenario(name: str, seed: int = 7) -> FaultRunResult:
             max_attempts=3, base_delay_ms=100.0, multiplier=2.0,
             max_delay_ms=1_000.0,
         ),
-        serve_stale_on_error=True,
-        stale_serve_max_age_ms=60_000.0,
-        verifier_quarantine_threshold=5,
+        degradation_policy=DegradationPolicy(
+            serve_stale_on_error=True,
+            stale_serve_max_age_ms=60_000.0,
+            verifier_quarantine_threshold=5,
+        ),
         name=f"faults-{name}",
     )
     runner = TraceRunner(

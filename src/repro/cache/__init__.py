@@ -34,10 +34,10 @@ from repro.cache.containment import (
 from repro.cache.entry import CacheEntry, EntryKey, key_for
 from repro.cache.instrumentation import (
     ConcurrencyStats,
+    CounterProjection,
     InstrumentationBus,
     StageEvent,
     StageRecorder,
-    StatsProjection,
 )
 from repro.cache.manager import CacheReadOutcome, DocumentCache, WriteMode
 from repro.cache.notifiers import (
@@ -108,7 +108,7 @@ __all__ = [
     "InstrumentationBus",
     "StageEvent",
     "StageRecorder",
-    "StatsProjection",
+    "CounterProjection",
     "AdmissionDecision",
     "AdmissionPolicy",
     "VoteAdmissionPolicy",

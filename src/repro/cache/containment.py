@@ -67,7 +67,6 @@ __all__ = [
     "BreakerRegistry",
     "ExecutionBudget",
     "ContainmentStats",
-    "ContainmentStatsProjection",
     "ContainmentGuard",
 ]
 
@@ -287,34 +286,19 @@ class ContainmentStats:
         """Every containment action taken."""
         return sum(getattr(self, f.name) for f in fields(self))
 
-
-class ContainmentStatsProjection:
-    """Derives :class:`ContainmentStats` from ``containment`` events."""
-
-    stages = frozenset({"containment"})
-    _COUNTERS = {
-        "contained": "failures_contained",
-        "budget-exceeded": "budget_overruns",
-        "escaped": "escapes",
-        "tripped": "trips",
-        "reopened": "reopens",
-        "closed": "closes",
-        "probe": "probes",
-        "skipped": "optional_skips",
-        "forced-miss": "forced_misses",
-        "denied": "denials",
-        "suppressed": "notifier_suppressed",
+    RULES: typing.ClassVar[typing.Mapping] = {
+        ("containment", "contained"): (("failures_contained", 1),),
+        ("containment", "budget-exceeded"): (("budget_overruns", 1),),
+        ("containment", "escaped"): (("escapes", 1),),
+        ("containment", "tripped"): (("trips", 1),),
+        ("containment", "reopened"): (("reopens", 1),),
+        ("containment", "closed"): (("closes", 1),),
+        ("containment", "probe"): (("probes", 1),),
+        ("containment", "skipped"): (("optional_skips", 1),),
+        ("containment", "forced-miss"): (("forced_misses", 1),),
+        ("containment", "denied"): (("denials", 1),),
+        ("containment", "suppressed"): (("notifier_suppressed", 1),),
     }
-
-    def __init__(self, stats: ContainmentStats) -> None:
-        self.stats = stats
-
-    def __call__(self, event: StageEvent) -> None:
-        if event.stage != "containment":
-            return
-        name = self._COUNTERS.get(event.outcome)
-        if name is not None:
-            setattr(self.stats, name, getattr(self.stats, name) + 1)
 
 
 class ContainmentGuard:
@@ -342,10 +326,7 @@ class ContainmentGuard:
         self.verifiers = BreakerRegistry(breaker_config)
         self.notifiers = BreakerRegistry(breaker_config)
         self.stats = ContainmentStats()
-        instrumentation.subscribe(
-            ContainmentStatsProjection(self.stats),
-            stages=ContainmentStatsProjection.stages,
-        )
+        instrumentation.track(self.stats)
 
     # -- event + breaker bookkeeping -------------------------------------------
 

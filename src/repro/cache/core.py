@@ -24,7 +24,6 @@ from repro.cache.instrumentation import (
     StageCell,
     StageEvent,
     StageRecorder,
-    StatsProjection,
 )
 from repro.cache.memo import ChainFingerprint, MemoRecord, TransformMemo
 from repro.cache.notifiers import InvalidationBus, install_minimum_notifiers
@@ -118,14 +117,16 @@ class CacheCore:
         self.backing = backing
         self.retry_policy = retry_policy
         self.stats = CacheStats()
+        #: The stats object of every wired seam, by name: ``cache``,
+        #: ``memo``, ``concurrency``, ``overload``, ``containment``,
+        #: ``recovery``, ``storage``.
+        self.metrics: dict[str, typing.Any] = {}
         #: Per-(stage, outcome) count/latency breakdown for this cache.
         self.recorder = StageRecorder()
         # This core's own two accumulators.  Both ride the bus like any
         # subscriber; for the two per-hit events the core adds into
         # them directly instead (see :meth:`_rewire`).
-        projection = StatsProjection(self.stats)
-        self._sinks = (projection, self.recorder)
-        instrumentation.subscribe(projection, stages=projection.stages)
+        self._sinks = (self.track("cache", self.stats), self.recorder)
         instrumentation.subscribe(self.recorder)
         self._wiring_seen: tuple | None = None
         self.store = ContentStore()
@@ -182,6 +183,13 @@ class CacheCore:
         self.name: str = "cache"
 
     # -- instrumentation -----------------------------------------------------
+
+    def track(self, name: str, stats):
+        """Register *stats* as ``metrics[name]`` and derive it from this
+        cache's stage events through its class's ``RULES`` table;
+        returns the subscribed projection."""
+        self.metrics[name] = stats
+        return self.instrumentation.track(stats)
 
     def emit(
         self,
@@ -359,7 +367,19 @@ class CacheCore:
         targeting this cache's name) charges its slow-fetch penalty
         here, before the fetch proper, which is what the cluster's
         hedge delay races against.
+
+        Fetch work starts only here, so here the ``deadline_violations``
+        invariant is observed (never enforced): ``deadline/violated``
+        when the first attempt — before the gray penalty, which is the
+        fetch being slow, not starting late — or a retry begins with
+        *budget* expired.  The fetch gate and backoff cap keep it at 0.
         """
+
+        def observe_start() -> None:
+            if budget is not None and budget.expired:
+                self.emit("deadline", "violated")
+
+        observe_start()
         faults = self.ctx.faults
         if faults is not None:
             gray_ms = faults.gray_fetch_delay_ms(self.name)
@@ -368,10 +388,15 @@ class CacheCore:
                 self.emit("fetch", "gray-slow", delay_ms=gray_ms)
         if self.retry_policy is None:
             return self.fetch(reference)
+
+        def on_retry(attempt: int, delay_ms: float, error) -> None:
+            self.count_retry(attempt, delay_ms, error)
+            observe_start()
+
         return self.retry_policy.call(
             self.ctx,
             lambda: self.fetch(reference),
-            on_retry=self.count_retry,
+            on_retry=on_retry,
             budget_ms=None if budget is None else (lambda: budget.remaining_ms),
         )
 

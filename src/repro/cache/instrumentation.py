@@ -8,11 +8,11 @@ structured :class:`StageEvent` records — stage name, (document, user)
 key, outcome label, virtual-clock start/end — onto an
 :class:`InstrumentationBus`, and everything downstream is a subscriber:
 
-* :class:`StatsProjection` derives today's :class:`CacheStats` counters
-  from the event stream (byte-identical to the pre-pipeline inline
-  mutation — the equivalence tests pin this);
-* :class:`BusStatsProjection` does the same for the invalidation bus's
-  :class:`~repro.cache.notifiers.BusStats`;
+* one :class:`CounterProjection` per stats object derives its named
+  counters from the event stream through that dataclass's ``RULES``
+  table (``CacheStats``, ``BusStats``, ``MemoStats``, … — for
+  ``CacheStats`` byte-identical to the pre-pipeline inline mutation,
+  which the equivalence tests pin);
 * :class:`StageRecorder` aggregates count/latency per (stage, outcome),
   giving the trace runner and benches their per-stage breakdown for
   free.
@@ -24,6 +24,7 @@ never perturbs simulated time or fault-injection draws.
 
 from __future__ import annotations
 
+import dataclasses
 import typing
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -37,12 +38,12 @@ __all__ = [
     "StageEvent",
     "InstrumentationBus",
     "StageRecorder",
+    "ELAPSED",
+    "CounterProjection",
     "StatsProjection",
-    "BusStatsProjection",
+    "merged",
     "ConcurrencyStats",
-    "ConcurrencyStatsProjection",
     "OverloadStats",
-    "OverloadStatsProjection",
     "STAGE_ORDER",
 ]
 
@@ -202,6 +203,14 @@ class InstrumentationBus:
             )
         return route
 
+    def track(self, stats) -> "CounterProjection":
+        """Derive *stats* from this bus's events: subscribe a
+        :class:`CounterProjection` over its class's ``RULES`` table,
+        for the table's stages only; returns the projection."""
+        projection = CounterProjection(stats, stats.RULES)
+        self.subscribe(projection, stages=projection.stages)
+        return projection
+
     def emit(self, event: StageEvent) -> None:
         """Deliver one event along its stage's route.
 
@@ -285,140 +294,79 @@ class StageRecorder:
         return "\n".join(lines)
 
 
-class StatsProjection:
-    """Derives the legacy :class:`CacheStats` counters from stage events.
+#: Increment operand: the event's elapsed virtual milliseconds.
+ELAPSED = "<elapsed>"
 
-    One handler per (stage, outcome) family; the mapping below is the
-    single place where event vocabulary meets counter names.  Float
-    accumulators (latencies, verifier cost, retry delay) are added in
-    emission order, which equals the old inline-mutation order — so the
-    derived stats are bit-for-bit what the monolith produced.
+
+class CounterProjection:
+    """Derives one stats object's named counters from stage events.
+
+    *rules* is the stats dataclass's ``RULES`` table — the single place
+    where that seam's event vocabulary meets its counter names.  It
+    maps ``(stage, outcome)`` (outcome ``None`` matches any outcome of
+    the stage not named explicitly) to a tuple of increments
+    ``(field, operand)``: operand ``1`` counts the event,
+    :data:`ELAPSED` adds its virtual duration, any other string adds
+    that payload key (0 when absent).  A rule may instead be a plain
+    ``function(stats, event)`` — reserved for counters whose *name*
+    comes from the payload (per-priority sheds, per-class repairs,
+    per-reason invalidations).  Increments apply in emission order with
+    the operands the event carries, so float sums are bit-for-bit what
+    inline mutation at the emit sites would produce.
     """
 
-    #: Read dispositions served from the entry table (everything else a
-    #: terminal "read" event reports is a miss).
-    _HIT_DISPOSITIONS = frozenset({"hit", "revalidated"})
-
-    def __init__(self, stats: "CacheStats") -> None:
+    def __init__(self, stats, rules: Mapping) -> None:
         self.stats = stats
-        self._handlers = {
-            name[4:].replace("_", "-"): getattr(self, name)
-            for name in dir(type(self))
-            if name.startswith("_on_")
-        }
-        #: The stages this projection consumes (its ``_on_*`` methods).
-        self.stages = frozenset(self._handlers)
+        self._rules: dict[str, dict] = {}
+        for (stage, outcome), rule in rules.items():
+            self._rules.setdefault(stage, {})[outcome] = rule
+        #: The stages this projection consumes (its table's keys).
+        self.stages = frozenset(self._rules)
 
     def __call__(self, event: StageEvent) -> None:
-        handler = self._handlers.get(event.stage)
-        if handler is not None:
-            handler(event)
-
-    # -- terminal read accounting -------------------------------------------
-
-    def _on_read(self, event: StageEvent) -> None:
+        outcomes = self._rules.get(event.stage)
+        if outcomes is None:
+            return
+        rule = outcomes.get(event.outcome) or outcomes.get(None)
+        if rule is None:
+            return
         stats = self.stats
-        if event.outcome in self._HIT_DISPOSITIONS:
-            stats.hits += 1
-            stats.hit_latency_ms += event.elapsed_ms
-            stats.bytes_served_from_cache += event.payload.get("bytes", 0)
-        else:
-            stats.misses += 1
-            stats.miss_latency_ms += event.elapsed_ms
+        if callable(rule):
+            rule(stats, event)
+            return
+        for name, operand in rule:
+            if operand == 1:
+                amount = 1
+            elif operand is ELAPSED:
+                amount = event.ended_ms - event.started_ms
+            else:
+                amount = event.payload.get(operand, 0)
+            setattr(stats, name, getattr(stats, name) + amount)
 
-    # -- read-pipeline stages -------------------------------------------------
 
-    def _on_verifier(self, event: StageEvent) -> None:
-        stats = self.stats
-        if event.outcome == "executed":
-            stats.verifier_executions += 1
-            stats.verifier_cost_ms += event.payload["cost_ms"]
-        elif event.outcome == "invalidated":
-            stats.verifier_invalidations += 1
-        elif event.outcome == "revalidated":
-            stats.verifier_revalidations += 1
+def StatsProjection(stats: "CacheStats") -> CounterProjection:
+    """:class:`CounterProjection` bound to ``CacheStats.RULES``.
+    Deprecated: removed, like ``DocumentCache(fast_lane=)``, when a
+    benchmark PR stops ``perfbench/probes.py`` constructing it."""
+    return CounterProjection(stats, stats.RULES)
 
-    def _on_quarantine(self, event: StageEvent) -> None:
-        if event.outcome == "added":
-            self.stats.quarantined_verifiers += 1
-        elif event.outcome == "forced-miss":
-            self.stats.quarantine_forced_misses += 1
 
-    def _on_bus_loss(self, event: StageEvent) -> None:
-        if event.outcome == "detected":
-            self.stats.dropped_notifier_detected += 1
-
-    def _on_adoption(self, event: StageEvent) -> None:
-        if event.outcome == "adopted":
-            self.stats.sibling_adoptions += 1
-
-    def _on_fetch(self, event: StageEvent) -> None:
-        stats = self.stats
-        if event.outcome == "failed":
-            stats.fetch_failures += 1
-        elif event.outcome == "retry":
-            stats.retries += 1
-            stats.retry_delay_ms += event.payload["delay_ms"]
-
-    def _on_degradation(self, event: StageEvent) -> None:
-        stats = self.stats
-        if event.outcome == "bypassed":
-            stats.backing_bypasses += 1
-            stats.degraded_serves += 1
-        elif event.outcome == "stale-served":
-            stats.stale_served_on_error += 1
-            stats.degraded_serves += 1
-        elif event.outcome == "stale-rejected":
-            stats.stale_serve_rejected += 1
-
-    def _on_admission(self, event: StageEvent) -> None:
-        if event.outcome == "filled":
-            self.stats.bytes_filled += event.payload["bytes"]
-        elif event.outcome == "uncacheable":
-            self.stats.uncacheable_reads += 1
-
-    def _on_eviction(self, event: StageEvent) -> None:
-        if event.outcome == "evicted":
-            self.stats.evictions += 1
-
-    def _on_invalidation(self, event: StageEvent) -> None:
-        self.stats.record_invalidation(event.payload["reason"])
-
-    def _on_notifier(self, event: StageEvent) -> None:
-        if event.outcome == "delivered":
-            self.stats.notifier_deliveries += 1
-
-    def _on_forward(self, event: StageEvent) -> None:
-        if event.outcome == "read":
-            self.stats.forwarded_reads += 1
-        elif event.outcome == "write":
-            self.stats.forwarded_writes += 1
-
-    def _on_staleness(self, event: StageEvent) -> None:
-        if event.outcome == "stale-hit":
-            self.stats.stale_hits += 1
-
-    def _on_prefetch(self, event: StageEvent) -> None:
-        if event.outcome == "requested":
-            self.stats.prefetch_requests += 1
-        elif event.outcome == "filled":
-            self.stats.prefetch_fills += 1
-        elif event.outcome == "hit":
-            self.stats.prefetched_hits += 1
-
-    # -- write-pipeline stages -------------------------------------------------
-
-    def _on_write(self, event: StageEvent) -> None:
-        if event.outcome == "write-through":
-            self.stats.writes_through += 1
-        elif event.outcome == "write-back":
-            self.stats.writes_backed += 1
-
-    def _on_flush(self, event: StageEvent) -> None:
-        if event.outcome == "flushed":
-            self.stats.flushes += 1
-        elif event.outcome == "failed":
-            self.stats.flush_failures += 1
+def merged(parts: Iterable):
+    """One stats object holding the sum of *parts* (same dataclass, at
+    least one): numeric fields add, in order; ``Counter``/``dict``
+    fields merge key-wise.  Fleet- and cluster-wide totals."""
+    parts = list(parts)
+    total = type(parts[0])()
+    for part in parts:
+        for field in dataclasses.fields(part):
+            value = getattr(part, field.name)
+            mine = getattr(total, field.name)
+            if isinstance(value, dict):
+                for key, count in value.items():
+                    mine[key] = mine.get(key, 0) + count
+            else:
+                setattr(total, field.name, mine + value)
+    return total
 
 
 @dataclass(slots=True)
@@ -447,29 +395,20 @@ class ConcurrencyStats:
         re-led: a promotion re-runs the fetch it was spared)."""
         return max(0, self.follows - self.promotions)
 
+    RULES: typing.ClassVar[Mapping] = {
+        ("coalesce", "led"): (("flights_led", 1),),
+        ("coalesce", "followed"): (("follows", 1),),
+        ("coalesce", "promoted"): (("promotions", 1),),
+        ("coalesce", "bailed-contained"): (("bailed_contained", 1),),
+        ("coalesce", "bailed-capacity"): (("bailed_capacity", 1),),
+    }
 
-class ConcurrencyStatsProjection:
-    """Derives :class:`ConcurrencyStats` from ``coalesce`` events."""
 
-    stages = frozenset({"coalesce"})
-
-    def __init__(self) -> None:
-        self.stats = ConcurrencyStats()
-
-    def __call__(self, event: StageEvent) -> None:
-        if event.stage != "coalesce":
-            return
-        stats = self.stats
-        if event.outcome == "led":
-            stats.flights_led += 1
-        elif event.outcome == "followed":
-            stats.follows += 1
-        elif event.outcome == "promoted":
-            stats.promotions += 1
-        elif event.outcome == "bailed-contained":
-            stats.bailed_contained += 1
-        elif event.outcome == "bailed-capacity":
-            stats.bailed_capacity += 1
+def _count_shed(stats: "OverloadStats", event: StageEvent) -> None:
+    """``overload/shed``: the counter is named by the priority class."""
+    priority = event.payload.get("priority")
+    name = "shed_" + (priority if priority in ("bulk", "qos") else "critical")
+    setattr(stats, name, getattr(stats, name) + 1)
 
 
 @dataclass(slots=True)
@@ -514,72 +453,16 @@ class OverloadStats:
         total = self.admitted + self.shed
         return self.shed / total if total else 0.0
 
-
-class OverloadStatsProjection:
-    """Derives :class:`OverloadStats` from the overload-layer stages."""
-
-    stages = frozenset({"overload", "deadline", "hedge", "health"})
-
-    def __init__(self) -> None:
-        self.stats = OverloadStats()
-
-    def __call__(self, event: StageEvent) -> None:
-        if event.stage not in self.stages:
-            return
-        stats = self.stats
-        if event.stage == "overload":
-            if event.outcome == "admitted":
-                stats.admitted += 1
-            elif event.outcome == "shed":
-                priority = event.payload.get("priority")
-                if priority == "bulk":
-                    stats.shed_bulk += 1
-                elif priority == "qos":
-                    stats.shed_qos += 1
-                else:
-                    stats.shed_critical += 1
-        elif event.stage == "deadline":
-            if event.outcome == "exceeded":
-                stats.deadline_exceeded += 1
-            elif event.outcome == "late":
-                stats.deadline_late += 1
-            elif event.outcome == "skipped":
-                stats.deadline_skips += 1
-            elif event.outcome == "violated":
-                stats.deadline_violations += 1
-        elif event.stage == "hedge":
-            if event.outcome == "launched":
-                stats.hedges_launched += 1
-            elif event.outcome == "won":
-                stats.hedges_won += 1
-            elif event.outcome == "lost":
-                stats.hedges_lost += 1
-        elif event.stage == "health":
-            if event.outcome == "failover":
-                stats.failovers += 1
-            elif event.outcome == "recovered":
-                stats.recoveries += 1
-
-
-class BusStatsProjection:
-    """Derives the invalidation bus's ``BusStats`` from ``bus`` events."""
-
-    stages = frozenset({"bus"})
-
-    def __init__(self, stats) -> None:
-        self.stats = stats
-
-    def __call__(self, event: StageEvent) -> None:
-        if event.stage != "bus":
-            return
-        stats = self.stats
-        if event.outcome == "delivered":
-            stats.deliveries += 1
-            stats.delivery_cost_ms += event.payload.get("cost_ms", 0.0)
-        elif event.outcome == "dropped":
-            stats.dropped += 1
-        elif event.outcome == "lost":
-            stats.lost += 1
-        elif event.outcome == "delayed":
-            stats.delayed += 1
-            stats.delay_ms_total += event.payload.get("delay_ms", 0.0)
+    RULES: typing.ClassVar[Mapping] = {
+        ("overload", "admitted"): (("admitted", 1),),
+        ("overload", "shed"): _count_shed,
+        ("deadline", "exceeded"): (("deadline_exceeded", 1),),
+        ("deadline", "late"): (("deadline_late", 1),),
+        ("deadline", "skipped"): (("deadline_skips", 1),),
+        ("deadline", "violated"): (("deadline_violations", 1),),
+        ("hedge", "launched"): (("hedges_launched", 1),),
+        ("hedge", "won"): (("hedges_won", 1),),
+        ("hedge", "lost"): (("hedges_lost", 1),),
+        ("health", "failover"): (("failovers", 1),),
+        ("health", "recovered"): (("recoveries", 1),),
+    }

@@ -27,13 +27,11 @@ from repro.cache.core import (  # noqa: F401  (constants re-exported for compat)
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.instrumentation import (
     ConcurrencyStats,
-    ConcurrencyStatsProjection,
     InstrumentationBus,
     OverloadStats,
-    OverloadStatsProjection,
     StageRecorder,
 )
-from repro.cache.memo import MemoStats, MemoStatsProjection, TransformMemo
+from repro.cache.memo import MemoStats, TransformMemo
 from repro.cache.notifiers import InvalidationBus
 from repro.cache.pipeline import (
     CacheReadOutcome,
@@ -105,14 +103,6 @@ class DocumentCache:
     backing:
         Optional second-level cache misses are filled through, modelling
         the §4 deployment with both cache levels.
-    serve_stale_on_error, stale_serve_max_age_ms,
-    verifier_quarantine_threshold, bypass_backing_on_error:
-        Degradation bounds, forwarded to a
-        :class:`~repro.cache.policies.DegradationPolicy` (see its
-        docs) — bounded availability-over-freshness stale serving,
-        circuit-breaker quarantine of repeatedly-raising verifiers
-        (inspect and reset via the policy's ``breakers`` registry), and
-        fetching straight from the kernel past a failed backing level.
     retry_policy:
         Optional :class:`~repro.faults.retry.RetryPolicy` applied to
         miss-path fetches and write-back flushes; backoff waits are
@@ -129,10 +119,16 @@ class DocumentCache:
         :class:`~repro.cache.policies.VoteAdmissionPolicy`, the §3
         cacheability-vote behaviour).
     degradation_policy:
-        A ready-made :class:`~repro.cache.policies.DegradationPolicy`
-        in place of the four individual degradation arguments; passing
-        both it and a non-default one of them raises
-        :class:`~repro.errors.CacheError`.
+        How the cache degrades when the level below fails
+        (:class:`~repro.cache.policies.DegradationPolicy`; options
+        ``serve_stale_on_error``, ``stale_serve_max_age_ms``,
+        ``bypass_backing_on_error``, ``verifier_quarantine_threshold``)
+        — bounded availability-over-freshness stale serving, fetching
+        straight from the kernel past a failed backing level, and
+        circuit-breaker quarantine of repeatedly-raising verifiers
+        (inspect and reset via the policy's ``breakers`` registry).
+        Defaults to a policy with every degradation mode off; read the
+        settings back as ``cache.degradation_policy.<field>``.
     instrumentation:
         The :class:`~repro.cache.instrumentation.InstrumentationBus`
         stage events are emitted on; a private one is created if not
@@ -254,11 +250,7 @@ class DocumentCache:
         placement: "CachePlacement | None" = None,
         backing: "DocumentCache | None" = None,
         share_across_users: bool = False,
-        serve_stale_on_error: bool = False,
-        stale_serve_max_age_ms: float | None = None,
         retry_policy: "RetryPolicy | None" = None,
-        verifier_quarantine_threshold: int | None = None,
-        bypass_backing_on_error: bool = False,
         name: str = "cache",
         admission_policy: AdmissionPolicy | None = None,
         degradation_policy: DegradationPolicy | None = None,
@@ -296,13 +288,6 @@ class DocumentCache:
                 share_across_users=share_across_users,
                 backing=backing,
                 retry_policy=retry_policy,
-                degradation_bounds={
-                    "serve_stale_on_error": serve_stale_on_error,
-                    "stale_serve_max_age_ms": stale_serve_max_age_ms,
-                    "bypass_backing_on_error": bypass_backing_on_error,
-                    "verifier_quarantine_threshold":
-                        verifier_quarantine_threshold,
-                },
             )
         if core is None:
             self._core.name = name
@@ -338,26 +323,12 @@ class DocumentCache:
         share_across_users: bool,
         backing: "DocumentCache | None",
         retry_policy: "RetryPolicy | None",
-        degradation_bounds: dict[str, typing.Any],
     ) -> CacheCore:
         """Build the state container from the constructor arguments."""
         if capacity_bytes <= 0:
             raise CacheCapacityError(
                 f"capacity must be positive: {capacity_bytes}"
             )
-        if degradation_policy is None:
-            degradation_policy = DegradationPolicy(**degradation_bounds)
-        else:
-            # Every bound defaults to False or None.
-            conflicting = [
-                name for name, value in degradation_bounds.items()
-                if value is not None and value is not False
-            ]
-            if conflicting:
-                raise CacheError(
-                    f"{', '.join(conflicting)} cannot be combined with "
-                    "degradation_policy; set it on the policy instead"
-                )
         ctx = kernel.ctx
         if placement is None:
             topology = ctx.topology
@@ -369,7 +340,7 @@ class DocumentCache:
             cache_id=ctx.ids.cache(name),
             policy=policy or GreedyDualSizePolicy(),
             admission=admission_policy or VoteAdmissionPolicy(),
-            degradation=degradation_policy,
+            degradation=degradation_policy or DegradationPolicy(),
             bus=bus
             or InvalidationBus(ctx, instrumentation=self.instrumentation),
             instrumentation=self.instrumentation,
@@ -398,13 +369,13 @@ class DocumentCache:
             self._containment = ContainmentGuard(
                 containment_policy, ctx, self.instrumentation
             )
+            self._core.metrics["containment"] = self._containment.stats
             self._core.containment = self._containment
             ctx.containment = self._containment
 
     def _wire_memo(
         self, memo_policy: MemoPolicy | None, memo: TransformMemo | None
     ) -> None:
-        self._memo_stats: MemoStatsProjection | None = None
         if memo_policy is None:
             if memo is not None:
                 raise CacheError(
@@ -415,38 +386,25 @@ class DocumentCache:
         self._core.memo = (
             memo if memo is not None else TransformMemo(memo_policy.capacity)
         )
-        self._memo_stats = MemoStatsProjection()
-        self.instrumentation.subscribe(
-            self._memo_stats, stages=MemoStatsProjection.stages
-        )
+        self._core.track("memo", MemoStats())
 
     def _wire_concurrency(
         self,
         concurrency_policy: ConcurrencyPolicy | None,
         flights: "FlightTable | None",
     ) -> None:
-        self._concurrency_stats: ConcurrencyStatsProjection | None = None
         if flights is not None:
             self._core.flights = flights
         if concurrency_policy is not None:
             self._core.concurrency = concurrency_policy
-            self._concurrency_stats = ConcurrencyStatsProjection()
-            self.instrumentation.subscribe(
-                self._concurrency_stats,
-                stages=ConcurrencyStatsProjection.stages,
-            )
+            self._core.track("concurrency", ConcurrencyStats())
 
     def _wire_overload(
         self, overload_policy: OverloadPolicy | None, ctx
     ) -> None:
-        self._overload_stats: OverloadStatsProjection | None = None
-        if overload_policy is None:
-            return
-        self._core.overload = OverloadGate(ctx.clock, overload_policy)
-        self._overload_stats = OverloadStatsProjection()
-        self.instrumentation.subscribe(
-            self._overload_stats, stages=OverloadStatsProjection.stages
-        )
+        if overload_policy is not None:
+            self._core.overload = OverloadGate(ctx.clock, overload_policy)
+            self._core.track("overload", OverloadStats())
 
     def _wire_recovery(self, recovery_policy: RecoveryPolicy | None) -> None:
         self._recovery: ConsistencyRecoveryManager | None = None
@@ -486,18 +444,10 @@ class DocumentCache:
         "retry_policy", "install_notifiers", "use_verifiers",
         "track_staleness", "share_across_users",
     })
-    #: Degradation bounds, readable under their legacy constructor names.
-    _DEGRADATION_ATTRS = frozenset({
-        "serve_stale_on_error", "stale_serve_max_age_ms",
-        "bypass_backing_on_error",
-    })
 
     def __getattr__(self, name: str):
-        if not name.startswith("_"):
-            if name in DocumentCache._CORE_ATTRS:
-                return getattr(self._core, name)
-            if name in DocumentCache._DEGRADATION_ATTRS:
-                return getattr(self._core.degradation, name)
+        if name in DocumentCache._CORE_ATTRS:
+            return getattr(self._core, name)
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )
@@ -516,11 +466,6 @@ class DocumentCache:
     def degradation_policy(self) -> DegradationPolicy:
         """The degradation/quarantine policy."""
         return self._core.degradation
-
-    @property
-    def verifier_quarantine_threshold(self) -> int | None:
-        """Consecutive verifier raises before quarantine, if enabled."""
-        return self._core.degradation.verifier_quarantine_threshold
 
     # -- introspection ------------------------------------------------------
 
@@ -762,9 +707,7 @@ class DocumentCache:
     @property
     def containment_stats(self) -> ContainmentStats | None:
         """Containment counters (``None`` without a containment policy)."""
-        return (
-            self._containment.stats if self._containment is not None else None
-        )
+        return self._core.metrics.get("containment")
 
     # -- transform memoization -------------------------------------------------
 
@@ -781,9 +724,7 @@ class DocumentCache:
     @property
     def memo_stats(self) -> MemoStats | None:
         """Memo-plane counters (``None`` without a memo policy)."""
-        return (
-            self._memo_stats.stats if self._memo_stats is not None else None
-        )
+        return self._core.metrics.get("memo")
 
     # -- concurrency -----------------------------------------------------------
 
@@ -795,11 +736,7 @@ class DocumentCache:
     @property
     def concurrency_stats(self) -> ConcurrencyStats | None:
         """Single-flight counters (``None`` without a concurrency policy)."""
-        return (
-            self._concurrency_stats.stats
-            if self._concurrency_stats is not None
-            else None
-        )
+        return self._core.metrics.get("concurrency")
 
     # -- overload --------------------------------------------------------------
 
@@ -812,11 +749,7 @@ class DocumentCache:
     @property
     def overload_stats(self) -> OverloadStats | None:
         """Overload-layer counters (``None`` without an overload policy)."""
-        return (
-            self._overload_stats.stats
-            if self._overload_stats is not None
-            else None
-        )
+        return self._core.metrics.get("overload")
 
     # -- durable storage -------------------------------------------------------
 
@@ -828,7 +761,7 @@ class DocumentCache:
     @property
     def storage_stats(self) -> "StorageStats | None":
         """Durable-tier counters (``None`` without a storage policy)."""
-        return self._core.l2.stats if self._core.l2 is not None else None
+        return self._core.metrics.get("storage")
 
     def compact_storage(self) -> int:
         """Reclaim dead bytes in the durable tier; returns bytes freed.
@@ -852,7 +785,7 @@ class DocumentCache:
     @property
     def recovery_stats(self) -> RecoveryStats | None:
         """Recovery-layer counters (``None`` without a recovery policy)."""
-        return self._recovery.stats if self._recovery is not None else None
+        return self._core.metrics.get("recovery")
 
     def resync(self) -> int:
         """Force one anti-entropy resync; returns entries repaired.

@@ -56,11 +56,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.cache.cacheability import Cacheability
+from repro.cache.instrumentation import CounterProjection
 from repro.streams.chain import ChainFingerprint, read_plan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.core import CacheCore
-    from repro.cache.instrumentation import StageEvent
     from repro.cache.verifiers import Verifier
     from repro.content.signature import ContentSignature
     from repro.ids import DocumentId
@@ -277,35 +277,23 @@ class MemoStats:
         """Total lookups that reached the memo table."""
         return self.adoptions + self.misses + self.negative_hits
 
-
-class MemoStatsProjection:
-    """Instrumentation subscriber deriving :class:`MemoStats`."""
-
-    stages = frozenset({"memo"})
-    _COUNTERS = {
-        "adopted": "adoptions",
-        "missed": "misses",
-        "negative-hit": "negative_hits",
-        "recorded": "records",
-        "negative-recorded": "negative_records",
-        "bypass-contained": "contained_bypasses",
-        "bypass-verifier": "verifier_bypasses",
-        "dropped-dead": "dead_drops",
-        "dropped-verifier": "verifier_drops",
+    RULES: typing.ClassVar[typing.Mapping] = {
+        ("memo", "adopted"): (("adoptions", 1), ("imports", "imported")),
+        ("memo", "missed"): (("misses", 1),),
+        ("memo", "negative-hit"): (("negative_hits", 1),),
+        ("memo", "recorded"): (("records", 1),),
+        ("memo", "negative-recorded"): (("negative_records", 1),),
+        ("memo", "bypass-contained"): (("contained_bypasses", 1),),
+        ("memo", "bypass-verifier"): (("verifier_bypasses", 1),),
+        ("memo", "dropped-dead"): (("dead_drops", 1),),
+        ("memo", "dropped-verifier"): (("verifier_drops", 1),),
+        ("memo", "purged"): (("purged", "records"),),
+        ("memo", "evicted"): (("evictions", "records"),),
     }
 
-    def __init__(self, stats: MemoStats | None = None) -> None:
-        self.stats = stats if stats is not None else MemoStats()
 
-    def __call__(self, event: "StageEvent") -> None:
-        if event.stage != "memo":
-            return
-        counter = self._COUNTERS.get(event.outcome)
-        if counter is not None:
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-            if event.outcome == "adopted" and event.payload.get("imported"):
-                self.stats.imports += 1
-        elif event.outcome == "purged":
-            self.stats.purged += event.payload.get("records", 0)
-        elif event.outcome == "evicted":
-            self.stats.evictions += event.payload.get("records", 0)
+def MemoStatsProjection() -> CounterProjection:
+    """:class:`CounterProjection` bound to a fresh :class:`MemoStats`.
+    Deprecated: removed, like ``DocumentCache(fast_lane=)``, when a
+    benchmark PR stops ``perfbench/probes.py`` constructing it."""
+    return CounterProjection(MemoStats(), MemoStats.RULES)

@@ -27,14 +27,10 @@ from __future__ import annotations
 
 import typing
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar, Mapping
 
 from repro.cache.consistency import Invalidation, InvalidationReason
-from repro.cache.instrumentation import (
-    BusStatsProjection,
-    InstrumentationBus,
-    StageEvent,
-)
+from repro.cache.instrumentation import InstrumentationBus, StageEvent
 from repro.errors import NotifierError, RepositoryOfflineError
 from repro.events.types import Event, EventType
 from repro.ids import CacheId, UserId
@@ -77,6 +73,15 @@ class BusStats:
     delayed: int = 0
     delay_ms_total: float = 0.0
 
+    RULES: ClassVar[Mapping] = {
+        ("bus", "delivered"): (
+            ("deliveries", 1), ("delivery_cost_ms", "cost_ms"),
+        ),
+        ("bus", "dropped"): (("dropped", 1),),
+        ("bus", "lost"): (("lost", 1),),
+        ("bus", "delayed"): (("delayed", 1), ("delay_ms_total", "delay_ms")),
+    }
+
 
 @dataclass
 class ChannelState:
@@ -107,8 +112,7 @@ class InvalidationBus:
     Delivery accounting is emitted as ``bus`` stage events on an
     :class:`~repro.cache.instrumentation.InstrumentationBus` (pass the
     cache's to get bus rows in its stage breakdown); :attr:`stats` is
-    derived from those events by a
-    :class:`~repro.cache.instrumentation.BusStatsProjection`.
+    derived from those events through ``BusStats.RULES``.
     """
 
     def __init__(
@@ -119,9 +123,7 @@ class InvalidationBus:
         self.ctx = ctx
         self.stats = BusStats()
         self.instrumentation = instrumentation or InstrumentationBus()
-        self.instrumentation.subscribe(
-            BusStatsProjection(self.stats), stages=BusStatsProjection.stages
-        )
+        self.instrumentation.track(self.stats)
         self._sinks: dict[CacheId, Callable[[Invalidation], None]] = {}
         self._lost_documents: dict[object, int] = {}
         #: Sequenced channels, keyed by cache id.  Sequencing is opt-in

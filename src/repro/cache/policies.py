@@ -346,10 +346,9 @@ class OverloadPolicy:
 class DegradationPolicy:
     """How far the cache may degrade while failures are in progress.
 
-    The fields mirror the ``DocumentCache`` keyword arguments of the
-    same names; unlike the other seams this one is always present
-    (``DocumentCache`` builds one from those keywords when none is
-    passed) and carries the verifier-quarantine bookkeeping.
+    Unlike the other seams this one is always present (``DocumentCache``
+    builds an all-off one when none is passed) and carries the
+    verifier-quarantine bookkeeping.
     """
 
     #: Serve a stale entry when the fetch behind a miss fails …

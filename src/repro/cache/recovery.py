@@ -40,7 +40,7 @@ without one behaves byte-identically to the pre-recovery code):
 Everything observable is emitted as stage events (``channel``,
 ``lease``, ``resync``, ``journal``, ``crash``) on the cache's
 instrumentation bus; :class:`RecoveryStats` is derived from those
-events by :class:`RecoveryStatsProjection`, deliberately *separate*
+events through its ``RULES`` table, deliberately *separate*
 from :class:`~repro.cache.stats.CacheStats` so the golden-digest
 equivalence tests keep pinning the legacy counters unchanged.
 """
@@ -74,7 +74,6 @@ __all__ = [
     "JournalRecord",
     "WriteBackJournal",
     "RecoveryStats",
-    "RecoveryStatsProjection",
     "ConsistencyRecoveryManager",
 ]
 
@@ -218,6 +217,14 @@ class WriteBackJournal:
         return replayed, skipped
 
 
+def _count_repair(stats: "RecoveryStats", event: StageEvent) -> None:
+    """``resync/repaired``: also attributed to the payload's
+    consistency class."""
+    stats.resync_repairs += 1
+    cls = event.payload.get("invalidation_class", 0)
+    stats.repairs_by_class[cls] = stats.repairs_by_class.get(cls, 0) + 1
+
+
 @dataclass
 class RecoveryStats:
     """Counters for the recovery layer, derived from stage events.
@@ -250,71 +257,28 @@ class RecoveryStats:
     crashes: int = 0
     restarts: int = 0
 
-
-class RecoveryStatsProjection:
-    """Derives :class:`RecoveryStats` from recovery stage events."""
-
-    stages = frozenset({"channel", "lease", "resync", "journal", "crash"})
-
-    def __init__(self, stats: RecoveryStats) -> None:
-        self.stats = stats
-
-    def __call__(self, event: StageEvent) -> None:
-        handler = getattr(self, "_on_" + event.stage, None)
-        if handler is not None:
-            handler(event)
-
-    def _on_channel(self, event: StageEvent) -> None:
-        stats = self.stats
-        if event.outcome == "gap":
-            stats.gaps_detected += 1
-            stats.notifications_missed += event.payload.get("missed", 0)
-        elif event.outcome == "checkpoint-gap":
-            stats.checkpoint_gaps += 1
-            stats.notifications_missed += event.payload.get("missed", 0)
-        elif event.outcome == "late":
-            stats.late_deliveries += 1
-        elif event.outcome == "epoch":
-            stats.epoch_bumps += 1
-
-    def _on_lease(self, event: StageEvent) -> None:
-        stats = self.stats
-        if event.outcome == "granted":
-            stats.lease_grants += 1
-        elif event.outcome == "renewed":
-            stats.lease_renewals += 1
-        elif event.outcome == "blocked":
-            stats.lease_renewals_blocked += 1
-        elif event.outcome == "lapsed":
-            stats.lease_lapses += 1
-
-    def _on_resync(self, event: StageEvent) -> None:
-        stats = self.stats
-        if event.outcome == "started":
-            stats.resyncs += 1
-        elif event.outcome == "repaired":
-            stats.resync_repairs += 1
-            cls = event.payload.get("invalidation_class", 0)
-            stats.repairs_by_class[cls] = (
-                stats.repairs_by_class.get(cls, 0) + 1
-            )
-
-    def _on_journal(self, event: StageEvent) -> None:
-        stats = self.stats
-        if event.outcome == "appended":
-            stats.journal_appends += 1
-        elif event.outcome == "flush-marked":
-            stats.journal_flush_marks += 1
-        elif event.outcome == "replayed":
-            stats.journal_replayed += 1
-        elif event.outcome == "replay-skipped":
-            stats.journal_replays_skipped += 1
-
-    def _on_crash(self, event: StageEvent) -> None:
-        if event.outcome == "crashed":
-            self.stats.crashes += 1
-        elif event.outcome == "restarted":
-            self.stats.restarts += 1
+    RULES: typing.ClassVar[typing.Mapping] = {
+        ("channel", "gap"): (
+            ("gaps_detected", 1), ("notifications_missed", "missed"),
+        ),
+        ("channel", "checkpoint-gap"): (
+            ("checkpoint_gaps", 1), ("notifications_missed", "missed"),
+        ),
+        ("channel", "late"): (("late_deliveries", 1),),
+        ("channel", "epoch"): (("epoch_bumps", 1),),
+        ("lease", "granted"): (("lease_grants", 1),),
+        ("lease", "renewed"): (("lease_renewals", 1),),
+        ("lease", "blocked"): (("lease_renewals_blocked", 1),),
+        ("lease", "lapsed"): (("lease_lapses", 1),),
+        ("resync", "started"): (("resyncs", 1),),
+        ("resync", "repaired"): _count_repair,
+        ("journal", "appended"): (("journal_appends", 1),),
+        ("journal", "flush-marked"): (("journal_flush_marks", 1),),
+        ("journal", "replayed"): (("journal_replayed", 1),),
+        ("journal", "replay-skipped"): (("journal_replays_skipped", 1),),
+        ("crash", "crashed"): (("crashes", 1),),
+        ("crash", "restarted"): (("restarts", 1),),
+    }
 
 
 class ConsistencyRecoveryManager:
@@ -339,10 +303,7 @@ class ConsistencyRecoveryManager:
         self.policy = policy
         self._apply = apply_invalidation
         self.stats = RecoveryStats()
-        core.instrumentation.subscribe(
-            RecoveryStatsProjection(self.stats),
-            stages=RecoveryStatsProjection.stages,
-        )
+        core.track("recovery", self.stats)
         self.journal = WriteBackJournal()
         #: Live references for cached entries, so resync can reconcile
         #: against server state without a directory lookup.

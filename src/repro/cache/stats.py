@@ -11,20 +11,36 @@ simulation where ground truth is known).
 Since the pipeline refactor these counters are no longer mutated inline
 by the cache: every stage emits structured
 :class:`~repro.cache.instrumentation.StageEvent` records, and a
-:class:`~repro.cache.instrumentation.StatsProjection` subscribed to the
-cache's instrumentation bus derives the counters from the event stream.
-The dataclass itself is unchanged, so everything that reads
+:class:`~repro.cache.instrumentation.CounterProjection` subscribed to
+the cache's instrumentation bus derives the counters from the event
+stream through the :attr:`CacheStats.RULES` table below.  The
+dataclass's fields are unchanged, so everything that reads
 ``cache.stats`` keeps working.
 """
 
 from __future__ import annotations
 
+import typing
 from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.cache.consistency import InvalidationReason
+from repro.cache.instrumentation import ELAPSED, merged
 
 __all__ = ["CacheStats"]
+
+#: Terminal ``read`` events: the dispositions served from the entry
+#: table are hits; everything else a read reports is a miss.
+_HIT = (
+    ("hits", 1),
+    ("hit_latency_ms", ELAPSED),
+    ("bytes_served_from_cache", "bytes"),
+)
+
+
+def _count_invalidation(stats: "CacheStats", event) -> None:
+    """``invalidation/*``: the counter is keyed by the payload's reason."""
+    stats.record_invalidation(event.payload["reason"])
 
 
 @dataclass
@@ -143,14 +159,43 @@ class CacheStats:
         the whole deployment (used by placement experiments to report
         across per-user application-level caches).
         """
-        total = cls()
-        for part in parts:
-            for field_name, value in vars(part).items():
-                if field_name == "invalidations":
-                    total.invalidations.update(value)
-                else:
-                    setattr(
-                        total, field_name,
-                        getattr(total, field_name) + value,
-                    )
-        return total
+        return merged(parts) if parts else cls()
+
+    RULES: typing.ClassVar[typing.Mapping] = {
+        ("read", "hit"): _HIT,
+        ("read", "revalidated"): _HIT,
+        ("read", None): (("misses", 1), ("miss_latency_ms", ELAPSED)),
+        ("verifier", "executed"): (
+            ("verifier_executions", 1), ("verifier_cost_ms", "cost_ms"),
+        ),
+        ("verifier", "invalidated"): (("verifier_invalidations", 1),),
+        ("verifier", "revalidated"): (("verifier_revalidations", 1),),
+        ("quarantine", "added"): (("quarantined_verifiers", 1),),
+        ("quarantine", "forced-miss"): (("quarantine_forced_misses", 1),),
+        ("bus-loss", "detected"): (("dropped_notifier_detected", 1),),
+        ("adoption", "adopted"): (("sibling_adoptions", 1),),
+        ("fetch", "failed"): (("fetch_failures", 1),),
+        ("fetch", "retry"): (("retries", 1), ("retry_delay_ms", "delay_ms")),
+        ("degradation", "bypassed"): (
+            ("backing_bypasses", 1), ("degraded_serves", 1),
+        ),
+        ("degradation", "stale-served"): (
+            ("stale_served_on_error", 1), ("degraded_serves", 1),
+        ),
+        ("degradation", "stale-rejected"): (("stale_serve_rejected", 1),),
+        ("admission", "filled"): (("bytes_filled", "bytes"),),
+        ("admission", "uncacheable"): (("uncacheable_reads", 1),),
+        ("eviction", "evicted"): (("evictions", 1),),
+        ("invalidation", None): _count_invalidation,
+        ("notifier", "delivered"): (("notifier_deliveries", 1),),
+        ("forward", "read"): (("forwarded_reads", 1),),
+        ("forward", "write"): (("forwarded_writes", 1),),
+        ("staleness", "stale-hit"): (("stale_hits", 1),),
+        ("prefetch", "requested"): (("prefetch_requests", 1),),
+        ("prefetch", "filled"): (("prefetch_fills", 1),),
+        ("prefetch", "hit"): (("prefetched_hits", 1),),
+        ("write", "write-through"): (("writes_through", 1),),
+        ("write", "write-back"): (("writes_backed", 1),),
+        ("flush", "flushed"): (("flushes", 1),),
+        ("flush", "failed"): (("flush_failures", 1),),
+    }

@@ -31,15 +31,13 @@ byte-identical to a plain ``DocumentCache``.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import typing
 
 from repro.cache.consistency import InvalidationReason
 from repro.cache.entry import EntryKey
-from repro.cache.instrumentation import OverloadStats
+from repro.cache.instrumentation import merged
 from repro.cache.manager import CacheReadOutcome, DocumentCache
-from repro.cache.memo import MemoStats
 from repro.cache.notifiers import InvalidationBus
 from repro.cache.stats import CacheStats
 from repro.cluster.memo_share import SharedTransformMemo
@@ -53,7 +51,8 @@ from repro.sim.topology import ClusterTopology
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.entry import CacheEntry
-    from repro.cache.instrumentation import ConcurrencyStats
+    from repro.cache.instrumentation import ConcurrencyStats, OverloadStats
+    from repro.cache.memo import MemoStats
     from repro.cache.policies import (
         ConcurrencyPolicy,
         MemoPolicy,
@@ -194,6 +193,9 @@ class CacheCluster:
             )
             self.shared_flights = FlightTable()
         self._shards: dict[str, DocumentCache] = {}
+        #: ``core.metrics`` of the shards :meth:`lose_shard` removed,
+        #: folded per group name.
+        self._retired: dict[str, typing.Any] = {}
         for shard_name in names:
             self._build_shard(shard_name)
         #: Cluster-level invalidation bookkeeping (A17's fan-out metric).
@@ -272,74 +274,45 @@ class CacheCluster:
 
     # -- aggregated statistics ------------------------------------------------
 
-    @staticmethod
-    def _sum_counters(total, parts) -> None:
-        """Sum dataclass counter fields of *parts* into *total*."""
-        for part in parts:
-            for field in dataclasses.fields(part):
-                setattr(
-                    total, field.name,
-                    getattr(total, field.name) + getattr(part, field.name),
-                )
+    def _total(self, name: str):
+        """``core.metrics[name]`` summed over every live shard plus the
+        shards :meth:`lose_shard` retired (``None`` when no shard ever
+        kept that group) — totals never go backwards when a shard
+        leaves."""
+        parts = [
+            shard.core.metrics[name]
+            for shard in self._shards.values()
+            if name in shard.core.metrics
+        ]
+        if name in self._retired:
+            parts.append(self._retired[name])
+        return merged(parts) if parts else None
 
     def aggregate_stats(self) -> CacheStats:
-        """Numeric cache counters summed across every live shard."""
-        total = CacheStats()
-        self._sum_counters(
-            total, (shard.stats for shard in self._shards.values())
-        )
-        return total
+        """Cache counters summed across every shard, live or lost."""
+        return self._total("cache")
 
     @property
     def hit_ratio(self) -> float:
         """Hits over reads, cluster-wide (0.0 when nothing was read)."""
-        stats = self.aggregate_stats()
-        reads = stats.hits + stats.misses
-        return stats.hits / reads if reads else 0.0
+        return self.aggregate_stats().hit_ratio
 
     @property
-    def memo_stats(self) -> MemoStats | None:
+    def memo_stats(self) -> "MemoStats | None":
         """Memo counters summed across shards (``None`` without memo)."""
-        per_shard = [
-            shard.memo_stats
-            for shard in self._shards.values()
-            if shard.memo_stats is not None
-        ]
-        if not per_shard:
-            return None
-        total = MemoStats()
-        self._sum_counters(total, per_shard)
-        return total
+        return self._total("memo")
 
     @property
     def concurrency_stats(self) -> "ConcurrencyStats | None":
         """Single-flight counters summed across shards."""
-        per_shard = [
-            shard.concurrency_stats
-            for shard in self._shards.values()
-            if shard.concurrency_stats is not None
-        ]
-        if not per_shard:
-            return None
-        total = type(per_shard[0])()
-        self._sum_counters(total, per_shard)
-        return total
+        return self._total("concurrency")
 
     @property
-    def overload_stats(self) -> OverloadStats | None:
+    def overload_stats(self) -> "OverloadStats | None":
         """Overload counters summed across shards (``None`` without an
         overload policy) — admission sheds, deadline outcomes, hedge
         launches/wins and health failovers/recoveries."""
-        per_shard = [
-            shard.overload_stats
-            for shard in self._shards.values()
-            if shard.overload_stats is not None
-        ]
-        if not per_shard:
-            return None
-        total = OverloadStats()
-        self._sum_counters(total, per_shard)
-        return total
+        return self._total("overload")
 
     def health_snapshot(self) -> dict[str, dict[str, object]]:
         """Per-shard health table (empty without an overload policy)."""
@@ -752,7 +725,9 @@ class CacheCluster:
         cluster-wide memo view outlives any one member (records whose
         bytes died with the shard self-heal at consult time).  The
         survivors then run the same rebalance-as-resync pass, after
-        which the dead shard's keys place on them.  Returns the
+        which the dead shard's keys place on them.  The dead shard's
+        counters are folded into the cluster's retired totals, so every
+        aggregate still accounts for the reads it served.  Returns the
         survivors' repair count.
         """
         try:
@@ -775,6 +750,11 @@ class CacheCluster:
         if shard.recovery is not None:
             shard.recovery.stop()
         self.bus.unregister(shard.cache_id)
+        for name, stats in shard.core.metrics.items():
+            kept = self._retired.get(name)
+            self._retired[name] = merged(
+                [stats] if kept is None else [kept, stats]
+            )
         return self.rebalance()
 
     def crash_shard(self, shard_name: str) -> None:

@@ -230,7 +230,8 @@ class L2Tier:
 
     def __init__(self, core: "CacheCore", policy: "StoragePolicy") -> None:
         self.core = core
-        self.stats = StorageStats()
+        #: Written directly by the tier, not derived from stage events.
+        self.stats = core.metrics["storage"] = StorageStats()
         if policy.directory is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-l2-")
             directory = Path(self._tmp.name)

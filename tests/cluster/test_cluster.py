@@ -9,6 +9,8 @@ reused anti-entropy resync rather than a parallel repair path.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cache.entry import EntryKey
@@ -307,6 +309,50 @@ class TestTopologyChurn:
         victim.core.memo = None
         victim.crash()
         assert len(cluster.shared_memo) == records_before
+
+    def test_totals_conserve_reads_across_shard_loss(self):
+        # Totals used to sum the surviving shards only, so losing a
+        # shard took the reads it had served out of every aggregate.
+        _, _, population, cluster = _deploy(4, shared=True)
+        references = _all_references(population, 8, 4)
+
+        def totals() -> dict[str, int]:
+            counted = {}
+            for group in (
+                cluster.aggregate_stats(), cluster.memo_stats,
+                cluster.concurrency_stats,
+            ):
+                for field in dataclasses.fields(group):
+                    value = getattr(group, field.name)
+                    if isinstance(value, (int, float)):
+                        counted[f"{type(group).__name__}.{field.name}"] = value
+            return counted
+
+        issued = len(cluster.read_many(references))
+        cluster.add_shard()
+        issued += len(cluster.read_many(references))
+        before = totals()
+        hit_ratio_before = cluster.hit_ratio
+        cluster.lose_shard(next(iter(cluster.shards)))
+        after = totals()
+        # (Float sums are re-added in a new shard order: last-digit slack.)
+        lower = {
+            name: (before[name], after[name])
+            for name in before
+            if after[name] < before[name]
+            and after[name] != pytest.approx(before[name])
+        }
+        assert not lower
+        stats = cluster.aggregate_stats()
+        assert stats.hits + stats.misses == issued
+        assert cluster.hit_ratio == hit_ratio_before
+        issued += len(cluster.read_many(references))
+        stats = cluster.aggregate_stats()
+        assert stats.hits + stats.misses == issued
+        assert sum(stats.invalidations.values()) >= sum(
+            shard.stats.invalidations.total()
+            for shard in cluster.shards.values()
+        )
 
 
 class TestSequentialFallback:

@@ -22,7 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.policies import DefaultConcurrencyPolicy, DefaultMemoPolicy
+from repro.cache.policies import (
+    DefaultConcurrencyPolicy,
+    DefaultMemoPolicy,
+    DegradationPolicy,
+)
 from repro.cluster import CacheCluster, DefaultClusterPolicy
 from repro.faults.plan import FaultPlan
 from repro.placeless.kernel import PlacelessKernel
@@ -62,7 +66,9 @@ def _build(seed: int, chaos: bool = False):
         cluster_policy=DefaultClusterPolicy(),
         concurrency_policy=DefaultConcurrencyPolicy(),
         memo_policy=DefaultMemoPolicy(),
-        shard_kwargs={"serve_stale_on_error": chaos},
+        shard_kwargs={
+            "degradation_policy": DegradationPolicy(serve_stale_on_error=chaos)
+        },
         name=f"cluster-prop-{seed}",
     )
     return kernel, corpus, population, cluster

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.manager import DocumentCache
+from repro.cache.policies import DegradationPolicy
 from repro.errors import ContentUnavailableError, RepositoryOfflineError
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.faults.retry import RetryPolicy
@@ -46,7 +47,9 @@ def _expire_and_break(kernel) -> None:
 
 class TestServeStaleOnError:
     def test_stale_bytes_served_and_counted(self):
-        kernel, _, reference, cache = _deployment(serve_stale_on_error=True)
+        kernel, _, reference, cache = _deployment(
+            degradation_policy=DegradationPolicy(serve_stale_on_error=True)
+        )
         first = cache.read(reference)
         _expire_and_break(kernel)
         outcome = cache.read(reference)
@@ -67,8 +70,10 @@ class TestServeStaleOnError:
 
     def test_staleness_bound_honored(self):
         kernel, _, reference, cache = _deployment(
-            serve_stale_on_error=True,
-            stale_serve_max_age_ms=TTL_MS,  # entry will be 2×TTL old
+            degradation_policy=DegradationPolicy(
+                serve_stale_on_error=True,
+                stale_serve_max_age_ms=TTL_MS,  # entry will be 2×TTL old
+            ),
         )
         cache.read(reference)
         _expire_and_break(kernel)
@@ -79,8 +84,10 @@ class TestServeStaleOnError:
 
     def test_bound_admits_young_enough_stale_bytes(self):
         kernel, _, reference, cache = _deployment(
-            serve_stale_on_error=True,
-            stale_serve_max_age_ms=TTL_MS * 10,
+            degradation_policy=DegradationPolicy(
+                serve_stale_on_error=True,
+                stale_serve_max_age_ms=TTL_MS * 10,
+            ),
         )
         cache.read(reference)
         _expire_and_break(kernel)
@@ -93,7 +100,9 @@ class TestServeStaleOnError:
 class TestVerifierQuarantine:
     def test_repeated_failures_quarantine_then_force_misses(self):
         kernel, _, reference, cache = _deployment(
-            verifier_quarantine_threshold=2,
+            degradation_policy=DegradationPolicy(
+                verifier_quarantine_threshold=2
+            ),
         )
         cache.read(reference)  # fill
         # Every verifier execution now raises.
@@ -112,7 +121,9 @@ class TestVerifierQuarantine:
 
     def test_breaker_reset_restores_verification(self):
         kernel, _, reference, cache = _deployment(
-            verifier_quarantine_threshold=1,
+            degradation_policy=DegradationPolicy(
+                verifier_quarantine_threshold=1
+            ),
         )
         cache.read(reference)
         kernel.ctx.faults = FaultPlan(
@@ -130,7 +141,9 @@ class TestVerifierQuarantine:
 
     def test_success_resets_the_failure_count(self):
         kernel, _, reference, cache = _deployment(
-            verifier_quarantine_threshold=2,
+            degradation_policy=DegradationPolicy(
+                verifier_quarantine_threshold=2
+            ),
         )
         cache.read(reference)
         kernel.ctx.faults = FaultPlan(
@@ -151,8 +164,10 @@ class TestBypassBacking:
         kernel, corpus, reference, backing = _deployment()
         front = DocumentCache(
             kernel, capacity_bytes=1 << 20,
-            backing=backing, bypass_backing_on_error=bypass,
-            name="front",
+            backing=backing, name="front",
+            degradation_policy=DegradationPolicy(
+                bypass_backing_on_error=bypass
+            ),
         )
         # The second level is unreachable; the kernel itself is healthy.
         def unreachable(reference):
@@ -179,7 +194,7 @@ class TestBypassBacking:
 class TestOutageRecovery:
     def test_transparency_restored_after_the_window(self):
         kernel, _, reference, cache = _deployment(
-            serve_stale_on_error=True,
+            degradation_policy=DegradationPolicy(serve_stale_on_error=True),
             retry_policy=RetryPolicy(max_attempts=2, base_delay_ms=10.0),
         )
         cache.read(reference)

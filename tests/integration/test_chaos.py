@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.cache.manager import DocumentCache
+from repro.cache.policies import DegradationPolicy
 from repro.cache.stats import CacheStats
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.faults.retry import RetryPolicy
@@ -189,9 +190,11 @@ def _run_faulted_chaos(seed: int, n_events: int = 300):
         kernel,
         capacity_bytes=2 * sum(d.size_bytes for d in corpus),
         retry_policy=RetryPolicy(max_attempts=3, base_delay_ms=50.0),
-        serve_stale_on_error=True,
-        stale_serve_max_age_ms=60_000.0,
-        verifier_quarantine_threshold=5,
+        degradation_policy=DegradationPolicy(
+            serve_stale_on_error=True,
+            stale_serve_max_age_ms=60_000.0,
+            verifier_quarantine_threshold=5,
+        ),
         name="faulted-chaos",
     )
     runner = TraceRunner(

@@ -14,7 +14,13 @@ from __future__ import annotations
 from repro.cache.manager import CacheReadOutcome, DocumentCache
 from repro.cache.policies import DefaultOverloadPolicy
 from repro.cluster import CacheCluster
-from repro.errors import DeadlineExceededError, OverloadShedError
+from repro.errors import (
+    ContentUnavailableError,
+    DeadlineExceededError,
+    OverloadShedError,
+)
+from repro.faults.retry import RetryPolicy
+from repro.overload.budget import DeadlineBudget
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.qos import AlwaysAvailableProperty
 from repro.workload.documents import CorpusSpec, build_corpus
@@ -158,6 +164,58 @@ class TestFlashCrowdShedding:
         # The invariant the CI gate pins: no work ever *starts* past an
         # expired deadline.
         assert stats.deadline_violations == 0
+
+    def test_the_violation_invariant_can_fail(self):
+        # Nothing used to emit ``deadline/violated``, so the counter
+        # (and every gate on it) read zero whatever the pipeline did.
+        cache, references = _deploy(_tight_policy(shedding=False))
+        clock = cache.ctx.clock
+        budget = DeadlineBudget(clock, 1.0)
+        cache.core.fetch_with_retry(references[0], budget=budget)
+        assert cache.overload_stats.deadline_violations == 0
+        assert budget.expired  # the fetch itself overran: late, not violated
+        cache.core.fetch_with_retry(references[0], budget=budget)
+        assert cache.overload_stats.deadline_violations == 1
+
+    def test_a_retry_begun_past_the_deadline_is_a_violation(self):
+        class BudgetBlindRetry:
+            """Sleeps its backoff whatever the budget says — the bug
+            ``RetryPolicy.call``'s ``delay_ms >= remaining`` rule rules
+            out."""
+
+            def call(self, ctx, fn, on_retry, budget_ms):
+                try:
+                    return fn()
+                except ContentUnavailableError as error:
+                    ctx.charge(50.0)
+                    on_retry(1, 50.0, error)
+                    return fn()
+
+        def run(retry_policy):
+            cache, references = _deploy(_tight_policy(shedding=False))
+            core = cache.core
+            core.retry_policy = retry_policy
+            fetch, failures = core.fetch, [ContentUnavailableError("down")]
+
+            def fails_once(reference):
+                if failures:
+                    raise failures.pop()
+                return fetch(reference)
+
+            core.fetch = fails_once
+            budget = DeadlineBudget(core.ctx.clock, 10.0)
+            try:
+                core.fetch_with_retry(references[0], budget=budget)
+            except ContentUnavailableError:
+                pass
+            return cache.stats.retries, cache.overload_stats
+
+        retries, stats = run(BudgetBlindRetry())
+        assert (retries, stats.deadline_violations) == (1, 1)
+        # The real policy refuses the 50 ms sleep a 10 ms budget cannot
+        # cover, so no attempt ever begins late.
+        retries, stats = run(RetryPolicy(max_attempts=2, base_delay_ms=50.0))
+        assert (retries, stats.deadline_violations) == (0, 0)
 
 
 class TestCacheClusterParity:

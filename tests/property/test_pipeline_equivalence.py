@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.manager import DocumentCache, WriteMode
+from repro.cache.policies import DegradationPolicy
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.placeless.kernel import PlacelessKernel
@@ -84,9 +85,11 @@ def run_seeded_workload(
             if chaos
             else None
         ),
-        serve_stale_on_error=chaos,
-        stale_serve_max_age_ms=30_000.0 if chaos else None,
-        verifier_quarantine_threshold=4 if chaos else None,
+        degradation_policy=DegradationPolicy(
+            serve_stale_on_error=chaos,
+            stale_serve_max_age_ms=30_000.0 if chaos else None,
+            verifier_quarantine_threshold=4 if chaos else None,
+        ),
         overload_policy=overload_policy,
         name=f"equiv-{seed}",
     )

@@ -19,6 +19,7 @@ from hypothesis.stateful import (
 )
 
 from repro.cache.manager import DocumentCache
+from repro.cache.policies import DegradationPolicy
 from repro.errors import ProviderError
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
@@ -54,8 +55,9 @@ def _build_deployment(capacity_bytes: int):
     cache = DocumentCache(
         kernel, capacity_bytes=capacity_bytes,
         retry_policy=RetryPolicy(max_attempts=2, base_delay_ms=5.0),
-        serve_stale_on_error=True,
-        verifier_quarantine_threshold=3,
+        degradation_policy=DegradationPolicy(
+            serve_stale_on_error=True, verifier_quarantine_threshold=3
+        ),
     )
     return kernel, users, providers, refs, cache
 

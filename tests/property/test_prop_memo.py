@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.manager import DocumentCache
-from repro.cache.policies import DefaultMemoPolicy
+from repro.cache.policies import DefaultMemoPolicy, DegradationPolicy
 from repro.faults.plan import FaultPlan
 from repro.placeless.kernel import PlacelessKernel
 from repro.workload.documents import CorpusSpec, build_corpus
@@ -60,7 +60,7 @@ def _build(seed: int, memo: bool, chaos: bool = False):
         kernel,
         capacity_bytes=1 << 30,
         memo_policy=DefaultMemoPolicy() if memo else None,
-        serve_stale_on_error=chaos,
+        degradation_policy=DegradationPolicy(serve_stale_on_error=chaos),
         name=f"memo-prop-{seed}-{memo}",
     )
     return kernel, corpus, population, cache

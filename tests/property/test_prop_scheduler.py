@@ -25,7 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.manager import DocumentCache
-from repro.cache.policies import DefaultConcurrencyPolicy, DefaultMemoPolicy
+from repro.cache.policies import (
+    DefaultConcurrencyPolicy,
+    DefaultMemoPolicy,
+    DegradationPolicy,
+)
 from repro.faults.plan import FaultPlan
 from repro.placeless.kernel import PlacelessKernel
 from repro.workload.documents import CorpusSpec, build_corpus
@@ -65,7 +69,7 @@ def _build(seed: int, chaos: bool = False):
         capacity_bytes=1 << 30,
         concurrency_policy=DefaultConcurrencyPolicy(),
         memo_policy=DefaultMemoPolicy(),
-        serve_stale_on_error=chaos,
+        degradation_policy=DegradationPolicy(serve_stale_on_error=chaos),
         name=f"sched-prop-{seed}",
     )
     return kernel, corpus, population, cache

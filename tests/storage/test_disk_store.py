@@ -1,4 +1,5 @@
-"""Disk content store: refcounts, verification, compaction, recovery."""
+"""Disk content store: the shared refcount contract, then what only a
+disk can do — verification, compaction, recovery."""
 
 from __future__ import annotations
 
@@ -7,54 +8,26 @@ import pytest
 from repro.content.signature import sign
 from repro.errors import StorageError
 from repro.storage import DiskContentStore
+from tests.unit.test_content import ContentStoreContract, put_bytes
 
 
-def _put(store: DiskContentStore, content: bytes):
-    signature = sign(content)
-    store.put_signed(content, signature)
-    return signature
+class TestRefcounts(ContentStoreContract):
+    """The in-memory store's refcount contract, kept on disk."""
 
+    missing_error = StorageError
 
-class TestRefcounts:
-    def test_put_dedupes_and_counts_references(self, tmp_path):
-        store = DiskContentStore(tmp_path / "c.seg")
-        signature = _put(store, b"shared bytes")
+    @pytest.fixture
+    def store(self, tmp_path):
+        return DiskContentStore(tmp_path / "c.seg")
+
+    def test_duplicate_put_appends_no_second_frame(self, store):
+        put_bytes(store, b"shared bytes")
         before = store.log.size
-        _put(store, b"shared bytes")
-        assert store.log.size == before  # deduped: no second frame
-        assert store.refcount(signature) == 2
-
-    def test_adopt_adds_a_reference(self, tmp_path):
-        store = DiskContentStore(tmp_path / "c.seg")
-        signature = _put(store, b"adopted")
-        store.adopt(signature)
-        assert store.refcount(signature) == 2
-
-    def test_release_to_zero_forgets_the_blob(self, tmp_path):
-        store = DiskContentStore(tmp_path / "c.seg")
-        signature = _put(store, b"short-lived")
-        store.release(signature)
-        assert signature not in store
-        assert store.refcount(signature) == 0
-
-    def test_mismatched_signature_rejected(self, tmp_path):
-        store = DiskContentStore(tmp_path / "c.seg")
-        with pytest.raises(AssertionError):
-            store.put_signed(b"content", sign(b"other content"))
+        put_bytes(store, b"shared bytes")
+        assert store.log.size == before
 
 
 class TestReads:
-    def test_get_round_trips(self, tmp_path):
-        store = DiskContentStore(tmp_path / "c.seg")
-        signature = _put(store, b"bytes on the platter")
-        assert store.get(signature) == b"bytes on the platter"
-        assert store.size_of(signature) == len(b"bytes on the platter")
-
-    def test_get_missing_raises(self, tmp_path):
-        store = DiskContentStore(tmp_path / "c.seg")
-        with pytest.raises(StorageError):
-            store.get(sign(b"never stored"))
-
     def test_corrupt_write_detected_at_read(self, tmp_path):
         store = DiskContentStore(tmp_path / "c.seg")
         content = b"garbled on the way down"
@@ -68,7 +41,7 @@ class TestRecovery:
     def test_reopen_rebuilds_index_with_zero_refcounts(self, tmp_path):
         path = tmp_path / "c.seg"
         store = DiskContentStore(path)
-        signature = _put(store, b"survives reopen")
+        signature = put_bytes(store, b"survives reopen")
         store.sync()
         fresh = DiskContentStore(path)
         assert signature in fresh
@@ -77,16 +50,16 @@ class TestRecovery:
 
     def test_crash_loses_unsynced_content(self, tmp_path):
         store = DiskContentStore(tmp_path / "c.seg")
-        durable = _put(store, b"synced")
+        durable = put_bytes(store, b"synced")
         store.sync()
-        volatile = _put(store, b"never synced")
+        volatile = put_bytes(store, b"never synced")
         store.crash()
         assert durable in store
         assert volatile not in store
 
     def test_crash_rebuild_drops_corrupt_slots(self, tmp_path):
         store = DiskContentStore(tmp_path / "c.seg")
-        good = _put(store, b"good")
+        good = put_bytes(store, b"good")
         bad_content = b"bad bytes, bad disk"
         store.put_signed(bad_content, sign(bad_content), corrupt=True)
         store.sync()
@@ -100,8 +73,8 @@ class TestRecovery:
 class TestCompaction:
     def test_compact_frees_dead_bytes_and_keeps_live_reads(self, tmp_path):
         store = DiskContentStore(tmp_path / "c.seg")
-        dead = _put(store, b"x" * 256)
-        live = _put(store, b"y" * 64)
+        dead = put_bytes(store, b"x" * 256)
+        live = put_bytes(store, b"y" * 64)
         store.release(dead)
         freed = store.compact()
         assert freed > 0
@@ -110,7 +83,7 @@ class TestCompaction:
 
     def test_compact_preserves_refcounts(self, tmp_path):
         store = DiskContentStore(tmp_path / "c.seg")
-        live = _put(store, b"kept across the rewrite")
+        live = put_bytes(store, b"kept across the rewrite")
         store.adopt(live)
         store.compact()
         assert store.refcount(live) == 2

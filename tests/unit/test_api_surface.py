@@ -33,6 +33,36 @@ class TestTopLevelApi:
         assert all(part.isdigit() for part in parts)
 
 
+class TestOneCounterProjection:
+    def test_counter_projection_is_the_only_projection_class(self):
+        found = {
+            f"{module_name}.{name}"
+            for module_name in ALL_MODULES
+            for name, obj in vars(importlib.import_module(module_name)).items()
+            if inspect.isclass(obj)
+            and obj.__module__ == module_name
+            and name.endswith("Projection")
+        }
+        assert found == {"repro.cache.instrumentation.CounterProjection"}
+
+    @pytest.mark.parametrize(
+        "module_name, removed",
+        [
+            ("repro.cache.instrumentation", "BusStatsProjection"),
+            ("repro.cache.instrumentation", "ConcurrencyStatsProjection"),
+            ("repro.cache.instrumentation", "OverloadStatsProjection"),
+            ("repro.cache.recovery", "RecoveryStatsProjection"),
+            ("repro.cache.containment", "ContainmentStatsProjection"),
+        ],
+    )
+    def test_the_per_seam_projection_classes_are_gone(
+        self, module_name, removed
+    ):
+        module = importlib.import_module(module_name)
+        assert not hasattr(module, removed)
+        assert removed not in module.__all__
+
+
 class TestModuleHygiene:
     @pytest.mark.parametrize("module_name", ALL_MODULES)
     def test_module_imports_cleanly(self, module_name):

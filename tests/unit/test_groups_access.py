@@ -7,6 +7,7 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.cache.manager import DocumentCache
+from repro.cache.policies import DegradationPolicy
 from repro.errors import PermissionDeniedError, RepositoryOfflineError
 from repro.properties.access import AccessControlProperty, WatermarkProperty
 from repro.properties.translate import TranslationProperty
@@ -169,7 +170,8 @@ class TestServeStaleOnError:
     def test_stale_served_when_repository_offline(self, kernel, flaky_world):
         origin, reference = flaky_world
         cache = DocumentCache(
-            kernel, capacity_bytes=1 << 20, serve_stale_on_error=True
+            kernel, capacity_bytes=1 << 20,
+            degradation_policy=DegradationPolicy(serve_stale_on_error=True),
         )
         cache.read(reference)
         kernel.ctx.clock.advance(2000.0)  # TTL expired
@@ -193,7 +195,8 @@ class TestServeStaleOnError:
     ):
         origin, reference = flaky_world
         cache = DocumentCache(
-            kernel, capacity_bytes=1 << 20, serve_stale_on_error=True
+            kernel, capacity_bytes=1 << 20,
+            degradation_policy=DegradationPolicy(serve_stale_on_error=True),
         )
         kernel.ctx.latency.set_repository_offline("www")
         with pytest.raises(RepositoryOfflineError):
@@ -202,7 +205,8 @@ class TestServeStaleOnError:
     def test_recovery_after_repository_returns(self, kernel, flaky_world):
         origin, reference = flaky_world
         cache = DocumentCache(
-            kernel, capacity_bytes=1 << 20, serve_stale_on_error=True
+            kernel, capacity_bytes=1 << 20,
+            degradation_policy=DegradationPolicy(serve_stale_on_error=True),
         )
         cache.read(reference)
         kernel.ctx.clock.advance(2000.0)

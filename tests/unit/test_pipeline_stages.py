@@ -5,28 +5,47 @@ policy is swapped in through the ``DocumentCache`` constructor."""
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import inspect
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cache.cacheability import Cacheability
+from repro.cache.consistency import InvalidationReason
+from repro.cache.containment import ContainmentStats
 from repro.cache.instrumentation import (
-    BusStatsProjection,
+    ELAPSED,
+    ConcurrencyStats,
+    CounterProjection,
     InstrumentationBus,
+    OverloadStats,
     StageEvent,
     StageRecorder,
     StatsProjection,
+    merged,
 )
 from repro.cache.manager import DocumentCache
+from repro.cache.memo import MemoStats, MemoStatsProjection
+from repro.cache.notifiers import BusStats
 from repro.cache.policies import (
     AdmissionDecision,
     AdmissionPolicy,
     DefaultDegradationPolicy,
     VoteAdmissionPolicy,
 )
+from repro.cache.recovery import RecoveryStats
 from repro.cache.stats import CacheStats
 from repro.errors import CacheError
+from repro.faults.plan import FaultStats
 from repro.ids import DocumentId
 from repro.placeless.document import PathMeta
+from repro.placeless.kernel import KernelStats
 from repro.providers.memory import MemoryProvider
+from repro.storage.tier import StorageStats
 
 
 def _meta(vote: Cacheability) -> PathMeta:
@@ -127,25 +146,23 @@ class TestDefaultDegradationPolicy:
         assert policy.is_quarantined(key)
 
     @pytest.mark.parametrize(
-        "keyword, value",
+        "keyword",
         [
-            ("serve_stale_on_error", True),
-            ("stale_serve_max_age_ms", 0.0),
-            ("bypass_backing_on_error", True),
-            ("verifier_quarantine_threshold", 2),
+            "serve_stale_on_error", "stale_serve_max_age_ms",
+            "bypass_backing_on_error", "verifier_quarantine_threshold",
         ],
     )
-    def test_policy_plus_its_own_keyword_is_refused(
-        self, kernel, keyword, value
-    ):
-        # Used to be accepted and the keyword silently dropped.
-        with pytest.raises(CacheError, match=keyword):
+    def test_policy_plus_its_own_keyword_is_refused(self, kernel, keyword):
+        # The policy is the only spelling: the four per-field keywords
+        # (and the conflict check that policed the overlap) are gone.
+        with pytest.raises(TypeError, match=keyword):
             DocumentCache(
                 kernel,
                 capacity_bytes=1 << 20,
                 degradation_policy=DefaultDegradationPolicy(),
-                **{keyword: value},
+                **{keyword: None},
             )
+        assert len(inspect.signature(DocumentCache).parameters) == 26
 
 
 class TestInstrumentationBus:
@@ -213,10 +230,172 @@ class TestStageRecorder:
         assert "stale-on-error" in recorder.render()
 
 
+#: Every events-derived stats dataclass; each declares its ``RULES``.
+TABLES = [
+    CacheStats, BusStats, ConcurrencyStats, OverloadStats, MemoStats,
+    RecoveryStats, ContainmentStats,
+]
+#: The function rules (the counter's *name* comes from the payload):
+#: payloads to drive each with, and the fields each must move.
+FUNCTION_CASES = {
+    ("invalidation", None): [(
+        {"reason": InvalidationReason.EXPLICIT},
+        {"invalidations": {InvalidationReason.EXPLICIT: 1}},
+    )],
+    ("overload", "shed"): [
+        ({"priority": "bulk"}, {"shed_bulk": 1}),
+        ({"priority": "qos"}, {"shed_qos": 1}),
+        ({"priority": "critical"}, {"shed_critical": 1}),
+        ({}, {"shed_critical": 1}),
+    ],
+    ("resync", "repaired"): [(
+        {"invalidation_class": 3},
+        {"resync_repairs": 1, "repairs_by_class": {3: 1}},
+    )],
+}
+_ELAPSED_MS = 2.5
+_PAYLOAD_VALUE = 3
+
+
+def _cases(key, rule):
+    """Synthetic events for one rule, each with the field deltas it owes."""
+    stage, outcome = key
+    if callable(rule):
+        cases = FUNCTION_CASES[key]
+    else:
+        payload, moved = {}, {}
+        for name, operand in rule:
+            if operand == 1:
+                amount = 1
+            elif operand is ELAPSED:
+                amount = _ELAPSED_MS
+            else:
+                payload[operand] = amount = _PAYLOAD_VALUE
+            moved[name] = moved.get(name, 0) + amount
+        cases = [(payload, moved)]
+    return [
+        (
+            StageEvent(
+                stage, outcome or "any-other-outcome", started_ms=1.0,
+                ended_ms=1.0 + _ELAPSED_MS, payload=payload,
+            ),
+            moved,
+        )
+        for payload, moved in cases
+    ]
+
+
+def _values(stats) -> dict:
+    # Not ``dataclasses.asdict``: its deep copy mangles ``Counter``s.
+    return {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)}
+
+
+@pytest.fixture(scope="module")
+def emitted_literals() -> set[str]:
+    """Every string constant in ``src/repro`` outside a ``RULES`` table."""
+    found: set[str] = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        in_tables = {
+            id(node)
+            for table in ast.walk(tree)
+            if isinstance(table, ast.AnnAssign)
+            and getattr(table.target, "id", None) == "RULES"
+            for node in ast.walk(table)
+        }
+        found.update(
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in in_tables
+        )
+    return found
+
+
 class TestStatsProjection:
-    def _project(self, *events: StageEvent) -> CacheStats:
+    """The one ``CounterProjection`` over all seven ``RULES`` tables,
+    plus worked examples for the two tables the paper's trade-offs are
+    read from (``CacheStats``, ``BusStats``)."""
+
+    tables = pytest.mark.parametrize(
+        "stats_type", TABLES, ids=lambda t: t.__name__
+    )
+
+    @tables
+    def test_each_rule_moves_exactly_its_fields(self, stats_type):
+        for key, rule in stats_type.RULES.items():
+            for event, moved in _cases(key, rule):
+                stats = stats_type()
+                CounterProjection(stats, stats_type.RULES)(event)
+                expected = _values(stats_type())
+                expected.update(moved)
+                assert _values(stats) == expected, (key, event.payload)
+
+    @tables
+    def test_event_outside_the_table_moves_nothing(self, stats_type):
+        stats = stats_type()
+        projection = CounterProjection(stats, stats_type.RULES)
+        projection(StageEvent("no-such-stage", "whatever"))
+        for stage in projection.stages:
+            if (stage, None) not in stats_type.RULES:
+                projection(StageEvent(stage, "no-such-outcome"))
+        assert stats == stats_type()
+
+    @tables
+    def test_stages_are_the_tables_stages(self, stats_type):
+        projection = CounterProjection(stats_type(), stats_type.RULES)
+        assert projection.stages == {stage for stage, _ in stats_type.RULES}
+
+    @tables
+    def test_every_rule_targets_a_real_field(self, stats_type):
+        names = {field.name for field in dataclasses.fields(stats_type)}
+        for key, rule in stats_type.RULES.items():
+            if callable(rule):
+                assert key in FUNCTION_CASES, key
+                continue
+            for name, operand in rule:
+                assert name in names, (key, name)
+                assert operand == 1 or isinstance(operand, str), (key, name)
+
+    @tables
+    def test_every_field_is_written_by_some_rule(self, stats_type):
+        written = set()
+        for key, rule in stats_type.RULES.items():
+            for _, moved in _cases(key, rule):
+                written.update(moved)
+        assert written == {f.name for f in dataclasses.fields(stats_type)}
+
+    def test_directly_written_stats_declare_no_table(self):
+        # Mutated inline by their owners, not derived from stage events.
+        for stats_type in (StorageStats, KernelStats, FaultStats):
+            assert not hasattr(stats_type, "RULES"), stats_type
+
+    @tables
+    def test_every_outcome_is_emitted_somewhere(
+        self, stats_type, emitted_literals
+    ):
+        # A rule nothing feeds is a counter that cannot move: the old
+        # ``deadline/violated`` branch pinned a CI gate at zero forever.
+        for stage, outcome in stats_type.RULES:
+            assert stage in emitted_literals, (stage, outcome)
+            assert outcome is None or outcome in emitted_literals, (
+                stage, outcome,
+            )
+
+    def test_deprecated_bindings_bind_the_generic_class(self):
         stats = CacheStats()
         projection = StatsProjection(stats)
+        assert type(projection) is CounterProjection
+        assert projection.stats is stats
+        assert projection.stages == {s for s, _ in CacheStats.RULES}
+        memo = MemoStatsProjection()
+        assert type(memo) is CounterProjection
+        assert memo.stats == MemoStats() and memo.stages == {"memo"}
+
+    def _project(self, *events: StageEvent) -> CacheStats:
+        stats = CacheStats()
+        projection = CounterProjection(stats, CacheStats.RULES)
         for event in events:
             projection(event)
         return stats
@@ -260,29 +439,62 @@ class TestStatsProjection:
         stats = self._project(StageEvent("no-such-stage", "whatever"))
         assert stats == CacheStats()
 
-
-class TestBusStatsProjection:
     def test_only_bus_events_counted(self):
-        class Stats:
-            deliveries = 0
-            delivery_cost_ms = 0.0
-            dropped = 0
-            lost = 0
-            delayed = 0
-            delay_ms_total = 0.0
-
-        stats = Stats()
-        projection = BusStatsProjection(stats)
+        stats = BusStats()
+        projection = CounterProjection(stats, BusStats.RULES)
         projection(StageEvent("bus", "delivered", payload={"cost_ms": 2.0}))
         projection(StageEvent("bus", "lost"))
         projection(StageEvent("bus", "delayed", payload={"delay_ms": 50.0}))
         projection(StageEvent("bus", "dropped"))
         projection(StageEvent("read", "hit"))  # not a bus event
-        assert stats.deliveries == 1
-        assert stats.delivery_cost_ms == pytest.approx(2.0)
-        assert stats.lost == 1 and stats.dropped == 1
-        assert stats.delayed == 1
-        assert stats.delay_ms_total == pytest.approx(50.0)
+        assert stats == BusStats(
+            deliveries=1, delivery_cost_ms=2.0, dropped=1, lost=1,
+            delayed=1, delay_ms_total=50.0,
+        )
+
+    def test_memo_imports_sum_the_adoptions_flag(self):
+        memo = MemoStats()
+        projection = CounterProjection(memo, MemoStats.RULES)
+        projection(StageEvent("memo", "adopted"))
+        projection(StageEvent("memo", "adopted", payload={"imported": True}))
+        projection(StageEvent("memo", "purged", payload={"records": 7}))
+        assert (memo.adoptions, memo.imports, memo.purged) == (2, 1, 7)
+        assert type(memo.imports) is int
+
+
+class TestMerged:
+    def test_cache_stats_sum_and_merge_the_counter_field(self):
+        first = CacheStats(hits=2, hit_latency_ms=0.5)
+        first.record_invalidation(InvalidationReason.EXPLICIT)
+        second = CacheStats(hits=3, misses=1, hit_latency_ms=0.25)
+        second.record_invalidation(InvalidationReason.EXPLICIT)
+        second.record_invalidation(InvalidationReason.EVICTED)
+        total = merged([first, second])
+        assert type(total) is CacheStats
+        assert (total.hits, total.misses) == (5, 1)
+        assert total.hit_latency_ms == 0.75
+        assert total.invalidations == Counter(
+            {InvalidationReason.EXPLICIT: 2, InvalidationReason.EVICTED: 1}
+        )
+        assert type(total.invalidations) is Counter
+        # The parts are read, never written.
+        assert first.hits == 2 and len(first.invalidations) == 1
+        assert CacheStats.merged([first, second]) == total
+        assert CacheStats.merged([]) == CacheStats()
+
+    def test_recovery_stats_merge_the_dict_field(self):
+        first = RecoveryStats(resyncs=1, repairs_by_class={1: 2, 4: 1})
+        second = RecoveryStats(resyncs=2, repairs_by_class={4: 3})
+        total = merged([first, second])
+        assert total.resyncs == 3
+        assert total.repairs_by_class == {1: 2, 4: 4}
+        assert first.repairs_by_class == {1: 2, 4: 1}
+
+    def test_memo_stats_sum_every_field(self):
+        parts = [MemoStats(adoptions=1, imports=1), MemoStats(adoptions=4)]
+        total = merged(parts)
+        assert total == MemoStats(adoptions=5, imports=1)
+        assert total.chain_executions_avoided == 5
 
 
 class _RejectEverything:
@@ -324,8 +536,8 @@ class TestPolicyInjection:
             kernel, capacity_bytes=1 << 20, degradation_policy=policy
         )
         assert cache.degradation_policy is policy
-        assert cache.serve_stale_on_error is True
-        assert cache.verifier_quarantine_threshold == 2
+        assert not hasattr(cache, "serve_stale_on_error")
+        assert not hasattr(cache, "verifier_quarantine_threshold")
 
     def test_breakdown_records_hit_and_miss_reads(self, kernel, reference):
         cache = DocumentCache(kernel, capacity_bytes=1 << 20)
