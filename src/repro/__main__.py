@@ -3,7 +3,8 @@
 Commands
 --------
 ``bench [EXPERIMENT] [--faults [SCENARIO]]``
-    Run one experiment (``table1``, ``a1`` … ``a20``) or all of them;
+    Run one experiment (``table1``, ``a1`` … ``a20``) or all of them
+    (``--smoke`` reaches every experiment that has a smoke mode);
     ``--faults`` runs it under a named chaos fault scenario
     (``standard`` when the name is omitted, ``partition`` / ``crash``
     to add a bus blackout or a mid-run cache crash, ``misbehave``
@@ -64,6 +65,7 @@ _EXPERIMENT_MODULES = {
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     import importlib
+    import inspect
 
     scenario_name = getattr(args, "faults", None)
     if scenario_name is not None:
@@ -81,31 +83,37 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         set_default_fault_scenario(NAMED_CHAOS_SCENARIOS[scenario_name])
     try:
         if args.experiment == "all":
-            from repro.bench.__main__ import main as run_all
-
-            run_all()
-            return 0
-        module_name = _EXPERIMENT_MODULES.get(args.experiment)
-        if module_name is None:
+            # Aliases share a module: each experiment runs once, in
+            # registry order.
+            selected = list(dict.fromkeys(_EXPERIMENT_MODULES.values()))
+        elif args.experiment in _EXPERIMENT_MODULES:
+            selected = [_EXPERIMENT_MODULES[args.experiment]]
+        else:
             print(
                 f"unknown experiment {args.experiment!r}; "
                 f"choose from: all, {', '.join(_EXPERIMENT_MODULES)}",
                 file=sys.stderr,
             )
             return 2
-        bench_main = importlib.import_module(module_name).main
-        if getattr(args, "smoke", False):
-            import inspect
-
-            if "smoke" not in inspect.signature(bench_main).parameters:
+        smoke = getattr(args, "smoke", False)
+        for module_name in selected:
+            module = importlib.import_module(module_name)
+            takes_smoke = (
+                "smoke" in inspect.signature(module.main).parameters
+            )
+            if args.experiment == "all":
+                title = (module.__doc__ or module_name).splitlines()[0]
+                print(f"\n{'=' * 72}\n{title}\n{'=' * 72}")
+            elif smoke and not takes_smoke:
                 print(
                     f"experiment {args.experiment!r} has no smoke mode",
                     file=sys.stderr,
                 )
                 return 2
-            bench_main(smoke=True)
-        else:
-            bench_main()
+            if smoke and takes_smoke:
+                module.main(smoke=True)
+            else:
+                module.main()
         return 0
     finally:
         if scenario_name is not None:

@@ -15,11 +15,24 @@ One module per experiment in DESIGN.md's index:
   end-to-end;
 * :mod:`repro.bench.qos` — A6, QoS cost inflation under pressure;
 * :mod:`repro.bench.chains` — A7, latency vs. property-chain length;
-* :mod:`repro.bench.faults` — A12, availability and degraded serves
-  under injected faults (outages, lossy notifier bus, flaky fetches).
+* :mod:`repro.bench.placement`, :mod:`~repro.bench.collections`,
+  :mod:`~repro.bench.external`, :mod:`~repro.bench.writes` — A8–A11,
+  cache placement, collection prefetch, notifier-vs-verifier placement
+  of one external dependency, write-through vs. write-back;
+* :mod:`repro.bench.faults`, :mod:`~repro.bench.recovery`,
+  :mod:`~repro.bench.containment` — A12–A14, availability under
+  injected faults, consistency recovery, misbehaving property code;
+* :mod:`repro.bench.memo`, :mod:`~repro.bench.stampede`,
+  :mod:`~repro.bench.cluster`, :mod:`~repro.bench.persistence`,
+  :mod:`~repro.bench.overload`, :mod:`~repro.bench.scale` — A15–A20,
+  one per opt-in seam (transform memo, single-flight, sharded cluster,
+  durable L2, overload control) plus the wall-clock scale run, each
+  with a ``--smoke`` size.  A12–A20 write ``BENCH_<ID>.json``.
 
-Each module exposes ``run_*`` returning structured rows and a ``main()``
-that prints the paper-style table; ``python -m repro.bench`` runs all.
+The id → module registry is ``repro.__main__._EXPERIMENT_MODULES``;
+each module exposes ``run_*`` returning structured rows and a ``main()``
+that prints the paper-style table, and ``python -m repro.bench`` (or
+``python -m repro bench all``) runs every one of them from it.
 """
 
 from repro.bench.harness import format_table, mean

@@ -1,56 +1,21 @@
-"""Run every experiment and print every table: ``python -m repro.bench``."""
+"""Run every experiment and print every table: ``python -m repro.bench``.
+
+The same run as ``python -m repro bench all``: one registry
+(:data:`repro.__main__._EXPERIMENT_MODULES`), and ``--smoke`` /
+``--faults`` pass straight through.
+"""
 
 from __future__ import annotations
 
-from repro.bench import (
-    cacheability,
-    chains,
-    cluster,
-    collections,
-    containment,
-    external,
-    faults,
-    invalidation,
-    memo,
-    notifier_verifier,
-    placement,
-    qos,
-    recovery,
-    replacement,
-    sharing,
-    stampede,
-    table1,
-    writes,
-)
+import sys
 
-_EXPERIMENTS = (
-    ("Table 1", table1),
-    ("A1 notifier/verifier", notifier_verifier),
-    ("A2 replacement", replacement),
-    ("A3 sharing", sharing),
-    ("A4 cacheability", cacheability),
-    ("A5 invalidation classes", invalidation),
-    ("A6 QoS", qos),
-    ("A7 chain latency", chains),
-    ("A8 cache placement", placement),
-    ("A9 collection prefetch", collections),
-    ("A10 external-dependency placement", external),
-    ("A11 write modes", writes),
-    ("A12 fault injection", faults),
-    ("A13 consistency recovery", recovery),
-    ("A14 containment", containment),
-    ("A15 transform memoization", memo),
-    ("A16 single-flight stampedes", stampede),
-    ("A17 cluster topology", cluster),
-)
+from repro.__main__ import main as cli_main
 
 
-def main() -> None:
-    """Run all experiments in DESIGN.md order."""
-    for label, module in _EXPERIMENTS:
-        print(f"\n{'=' * 72}\n{label}\n{'=' * 72}")
-        module.main()
+def main() -> int:
+    """Run all experiments in registry order."""
+    return cli_main(["bench", "all", *sys.argv[1:]])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

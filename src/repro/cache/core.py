@@ -3,8 +3,9 @@
 :class:`CacheCore` is the hub every pipeline stage holds: the entry
 table, the content store, the replacement/admission/degradation
 policies, the topology, the instrumentation bus and the invalidation
-bus.  It owns the *mechanics* that several stages share — fill, drop,
-evict, content replacement, event forwarding — while the per-stage
+bus.  It owns the *mechanics* that several stages share — install and
+arm (the one way a version becomes a live entry), drop, evict, content
+replacement, event forwarding — while the per-stage
 *logic* (verifier gating, adoption scanning, fetch/degradation,
 admission) lives in :mod:`repro.cache.pipeline` and the public API in
 :mod:`repro.cache.manager`.
@@ -409,47 +410,85 @@ class CacheCore:
     # -- entry-table mechanics -------------------------------------------------
 
     def fill(
-        self, reference: "DocumentReference", key: EntryKey,
-        content: bytes, meta,
+        self, reference: "DocumentReference", content: bytes, meta
     ) -> CacheEntry:
-        """Insert (or refresh) the entry for *key* with *content*."""
-        existing = self.entries.get(key)
-        if existing is not None:
-            self.remove_entry(existing)
-
+        """Admit fetched *content* as *reference*'s (new) live entry."""
+        key = EntryKey.for_reference(reference)
+        # The superseded version's bytes must not count against the
+        # capacity the eviction below makes room in.
+        self.displace(key)
         # Sign once: the signature feeds the store (which would
         # otherwise re-hash the same bytes) and the transform memo.
         signature = sign(content)
         self.store.put_signed(content, signature)
         self.evict_to_capacity(protect=key)
+        entry = self.install(
+            reference, meta, signature, len(content), meta.verifiers
+        )
+        # Fill overhead: register the returned verifiers and install the
+        # minimum notifier set — Table 1's miss-vs-no-cache delta.
+        self.ctx.charge(VERIFIER_INSTALL_COST_MS * len(meta.verifiers))
+        self.arm(reference, entry)
+        return entry
+
+    def install(
+        self, reference: "DocumentReference", facts, signature,
+        size: int, verifiers,
+    ) -> CacheEntry:
+        """Make the version ``signature`` the live entry for *reference*.
+
+        The one place a version's facts become a :class:`CacheEntry`.
+        *facts* is whichever record the caller holds — the read path's
+        ``PathMeta``, a sibling's ``CacheEntry``, a ``MemoRecord``, an
+        ``L2Record`` — all of which spell the §3 metadata the same way:
+        ``cacheability``, ``replacement_cost_ms``, ``chain_signature``,
+        ``source_signature``, ``pinned``.  The caller already holds the
+        store reference the entry takes over (``put_signed``/``adopt``).
+        Nothing else writes the entry table or the per-document index.
+        """
+        key = EntryKey.for_reference(reference)
+        self.displace(key)
         now = self.ctx.clock.now_ms
         entry = CacheEntry(
             key=key,
             signature=signature,
-            size=len(content),
-            cacheability=meta.cacheability,
-            verifiers=list(meta.verifiers),
-            replacement_cost_ms=meta.replacement_cost_ms,
-            chain_signature=meta.chain_signature,
+            size=size,
+            cacheability=facts.cacheability,
+            verifiers=list(verifiers),
+            replacement_cost_ms=facts.replacement_cost_ms,
+            chain_signature=facts.chain_signature,
             reference_id=reference.reference_id,
             created_at_ms=now,
             last_access_ms=now,
+            pinned=facts.pinned,
+            source_signature=facts.source_signature,
         )
-        entry.pinned = bool(getattr(meta, "pin", False))
-        entry.policy_state["source_signature"] = meta.source_signature
-        self.insert_entry(entry)
+        self.entries[key] = entry
+        bucket = self.entries_by_document.get(key.document_id)
+        if bucket is None:
+            bucket = self.entries_by_document[key.document_id] = {}
+        bucket[key] = entry
         self.policy.on_insert(entry)
-        # Fill overhead: register the returned verifiers and install the
-        # minimum notifier set — Table 1's miss-vs-no-cache delta.
-        self.ctx.charge(VERIFIER_INSTALL_COST_MS * len(meta.verifiers))
+        return entry
+
+    def arm(self, reference: "DocumentReference", entry: CacheEntry) -> None:
+        """Arm a just-installed entry: the §3 minimum notifier set on
+        the reference's path (charged per notifier created), and the
+        recovery manager's handle on the reference for resync."""
         if self.install_notifiers:
             installed = install_minimum_notifiers(
                 reference, self.bus, self.cache_id
             )
             self.ctx.charge(NOTIFIER_INSTALL_COST_MS * len(installed))
         if self.recovery is not None:
-            self.recovery.note_reference(key, reference)
-        return entry
+            self.recovery.note_reference(entry.key, reference)
+
+    def displace(self, key: EntryKey) -> None:
+        """Forget the entry *key* maps to, if any: it is being
+        superseded, not invalidated, so nothing is emitted."""
+        existing = self.entries.get(key)
+        if existing is not None:
+            self.remove_entry(existing)
 
     def evict_to_capacity(self, protect: EntryKey | None = None) -> None:
         """Evict victims until physical bytes fit the capacity.
@@ -511,19 +550,6 @@ class CacheCore:
         if entry is not None:
             self.drop(entry, reason, origin="internal")
 
-    def insert_entry(self, entry: CacheEntry) -> None:
-        """Install an entry in the table and the per-document index.
-
-        Every site that writes ``entries[key]`` must go through here so
-        the secondary index stays exact.
-        """
-        key = entry.key
-        self.entries[key] = entry
-        bucket = self.entries_by_document.get(key.document_id)
-        if bucket is None:
-            bucket = self.entries_by_document[key.document_id] = {}
-        bucket[key] = entry
-
     def entries_for_document(
         self, document_id: "DocumentId"
     ) -> dict[EntryKey, CacheEntry]:
@@ -561,8 +587,8 @@ class CacheCore:
             replacement_cost_ms=entry.replacement_cost_ms,
             chain_signature=entry.chain_signature,
             properties_executed=0,
-            source_signature=entry.policy_state.get("source_signature"),
-            pin=entry.pinned,
+            source_signature=entry.source_signature,
+            pinned=entry.pinned,
         )
 
     def expected_chain_signature(self, reference: "DocumentReference"):
@@ -604,7 +630,7 @@ class CacheCore:
             ),
             replacement_cost_ms=entry.replacement_cost_ms,
             chain_signature=entry.chain_signature,
-            pin=entry.pinned,
+            pinned=entry.pinned,
         )
         evicted = self.memo.record(record)
         if self.l2 is not None:
@@ -662,7 +688,7 @@ class CacheCore:
         this is simulation-side omniscience, not something a real cache
         could do.
         """
-        recorded = entry.policy_state.get("source_signature")
+        recorded = entry.source_signature
         if recorded is None:
             return False
         return reference.base.provider.peek_signature() != recorded

@@ -92,6 +92,10 @@ class CacheEntry:
     #: Pinned entries are never chosen as replacement victims (§5's
     #: "always available" QoS requirement).
     pinned: bool = False
+    #: Signature of the raw source bytes the version was produced from
+    #: (``None`` when the read path could not supply one): what resync,
+    #: L2 demotion and staleness accounting compare the live source to.
+    source_signature: ContentSignature | None = None
     #: Replacement-policy scratch state (e.g. the GDS H-value).
     policy_state: dict = field(default_factory=dict)
 

@@ -18,12 +18,7 @@ import typing
 
 from repro.cache.consistency import Invalidation, InvalidationReason
 from repro.cache.containment import ContainmentGuard, ContainmentStats
-from repro.cache.core import (  # noqa: F401  (constants re-exported for compat)
-    ADOPTION_COST_MS,
-    NOTIFIER_INSTALL_COST_MS,
-    VERIFIER_INSTALL_COST_MS,
-    CacheCore,
-)
+from repro.cache.core import CacheCore
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.instrumentation import (
     ConcurrencyStats,
@@ -70,7 +65,55 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.placeless.reference import DocumentReference
     from repro.storage.tier import L2Tier, StorageStats
 
-__all__ = ["WriteMode", "CacheReadOutcome", "DocumentCache"]
+__all__ = ["WriteMode", "CacheReadOutcome", "DocumentCache", "settle_batch"]
+
+
+def settle_batch(
+    references: typing.Sequence["DocumentReference"],
+    read_one: typing.Callable[["DocumentReference"], CacheReadOutcome],
+    iterate: typing.Callable[["DocumentReference", AsyncScheduler], typing.Any],
+    *,
+    concurrent: bool,
+    gated: bool,
+    return_exceptions: bool,
+) -> list:
+    """Run a batch to termination; every read's result in submission order.
+
+    The one statement of how a batch settles, for a single cache and a
+    cluster alike.  *concurrent* batches run every reference's *iterate*
+    generator on one :class:`~repro.sim.scheduler.AsyncScheduler`;
+    otherwise *read_one* runs them in turn.  Either way, a *gated*
+    batch's typed overload outcomes (shed, deadline exceeded) always
+    land in place — an overloaded batch is an expected outcome, not a
+    caller bug — and any other failure lands in place with
+    *return_exceptions*, else is re-raised (the first in submission
+    order, once a concurrent batch has run to termination).
+    """
+    in_place = (OverloadShedError, DeadlineExceededError) if gated else ()
+    if not concurrent:
+        outcomes: list = []
+        for reference in references:
+            try:
+                outcomes.append(read_one(reference))
+            except in_place as error:
+                outcomes.append(error)
+            except Exception as error:
+                if not return_exceptions:
+                    raise
+                outcomes.append(error)
+        return outcomes
+    scheduler = AsyncScheduler()
+    results = scheduler.run(
+        [iterate(reference, scheduler) for reference in references],
+        return_exceptions=True,
+    )
+    if not return_exceptions:
+        for result in results:
+            if isinstance(result, BaseException) and not isinstance(
+                result, in_place
+            ):
+                raise result
+    return results
 
 
 class DocumentCache:
@@ -557,56 +600,39 @@ class DocumentCache:
         sequential :meth:`read` calls, so callers can use ``read_many``
         unconditionally.
 
-        With ``return_exceptions`` per-read failures are returned
-        in-place instead of re-raised (the whole batch always runs to
-        termination either way).  With an ``overload_policy``, shed and
-        deadline-failed reads are *always* returned in-place as typed
+        Failures settle by :func:`settle_batch`'s rule: in place with
+        ``return_exceptions``, and — with an ``overload_policy`` —
+        always in place for the typed
         :class:`~repro.errors.OverloadShedError` /
-        :class:`~repro.errors.DeadlineExceededError` entries — an
-        overloaded batch is an expected outcome, not a caller bug —
-        and every read in the batch shares the batch-start enqueue
-        instant, so sojourn (and the deadline) accrues while earlier
-        reads hold the clock.
+        :class:`~repro.errors.DeadlineExceededError` outcomes.  A gated
+        batch's reads also share the batch-start enqueue instant, so
+        sojourn (and the deadline) accrues while earlier reads hold the
+        clock.
         """
         core = self._core
-        overload = core.overload
-        # With a gate, every read shares the batch-start enqueue
-        # instant and typed overload outcomes always land in place.
-        enqueued_ms = core.ctx.clock.now_ms if overload is not None else None
-        in_place = (
-            (OverloadShedError, DeadlineExceededError)
-            if overload is not None else ()
-        )
-        if core.concurrency is None:
-            outcomes: list = []
-            for reference in references:
-                try:
-                    outcomes.append(self._reads.read(reference, enqueued_ms))
-                except in_place as error:
-                    outcomes.append(error)
-                except Exception as error:
-                    if not return_exceptions:
-                        raise
-                    outcomes.append(error)
+        gated = core.overload is not None
+        # With a gate, every read shares the batch-start enqueue instant.
+        enqueued_ms = core.ctx.clock.now_ms if gated else None
+        concurrent = core.concurrency is not None
+
+        def read_one(reference):
+            try:
+                return self._reads.read(reference, enqueued_ms)
+            finally:
                 self._drain_prefetch()
-            return outcomes
-        scheduler = AsyncScheduler()
-        results = scheduler.run(
-            [
-                self.iterate_read(
-                    reference, scheduler=scheduler, enqueued_ms=enqueued_ms
-                )
-                for reference in references
-            ],
-            return_exceptions=return_exceptions or overload is not None,
+
+        results = settle_batch(
+            references,
+            read_one,
+            lambda reference, scheduler: self.iterate_read(
+                reference, scheduler=scheduler, enqueued_ms=enqueued_ms
+            ),
+            concurrent=concurrent,
+            gated=gated,
+            return_exceptions=return_exceptions,
         )
-        if not return_exceptions:
-            for result in results:
-                if isinstance(result, BaseException) and not isinstance(
-                    result, in_place
-                ):
-                    raise result
-        self._drain_prefetch()
+        if concurrent:
+            self._drain_prefetch()
         return results
 
     def iterate_read(

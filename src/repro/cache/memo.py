@@ -109,7 +109,7 @@ class MemoRecord:
     verifier_fingerprints: tuple[str, ...] = ()
     replacement_cost_ms: float = 0.0
     chain_signature: tuple[str, ...] = ()
-    pin: bool = False
+    pinned: bool = False
 
     @property
     def key(self) -> tuple["ContentSignature", ChainFingerprint]:

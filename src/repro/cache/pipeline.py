@@ -9,15 +9,19 @@ A read is a **hit prefix** and, when that does not answer it, the
 The prefix is one object, :class:`VerifierGateStage`, and under the
 sequential scheduler one plain method call: a verified hit allocates no
 :class:`ReadContext`, no deadline budget and no generator, whatever
-seams the cache was built with.  Each miss stage is a class with one
-``run(ctx)`` method over a shared :class:`ReadContext`, returning
-``None`` to pass the context on, a terminal result
-(:class:`CacheReadOutcome` for application reads, a ``(content, meta)``
-pair for lower-level ``read_for_fill`` serves), or a
+seams the cache was built with.  Each miss stage is a
+:class:`MissStage` with one ``run(ctx)`` method over a shared
+:class:`ReadContext`, returning ``None`` to pass the context on, a
+terminal result (:class:`CacheReadOutcome` for application reads, a
+``(content, meta)`` pair for lower-level ``read_for_fill`` serves —
+both built by :meth:`MissStage.finish`, the one way a miss ends), or a
 :class:`~repro.sim.scheduler.Suspension` to park the read on another
-read's in-progress flight.  The write path is the same idea with two
-stages (interpose → buffer) plus a flush stage shared by write-back
-draining and the prefix's dirty check.
+read's in-progress flight.  The four stages that can answer (adoption,
+l2, memo, admission) differ only in how they come to hold the bytes:
+each then hands the version to :meth:`CacheCore.install` / ``arm``.
+The write path is the same idea with two stages (interpose → buffer)
+plus a flush stage shared by write-back draining and the prefix's
+dirty check.
 
 Stages stay synchronous; *scheduling* is externalised.  The same stage
 objects also run as a generator yielding suspension markers at the
@@ -43,10 +47,9 @@ from dataclasses import dataclass
 
 from repro.cache.consistency import InvalidationReason
 from repro.cache.containment import BreakerState
-from repro.cache.core import ADOPTION_COST_MS, NOTIFIER_INSTALL_COST_MS, CacheCore
+from repro.cache.core import ADOPTION_COST_MS, CacheCore
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.memo import ChainFingerprint
-from repro.cache.notifiers import install_minimum_notifiers
 from repro.cache.policies import AdmissionDecision
 from repro.cache.verifiers import Verdict
 from repro.errors import CacheError, OverloadShedError
@@ -72,6 +75,7 @@ __all__ = [
     "ReadPipeline",
     "WritePipeline",
     "VerifierGateStage",
+    "MissStage",
     "AdoptionStage",
     "L2Stage",
     "MemoStage",
@@ -392,7 +396,46 @@ class VerifierGateStage:
             core.emit("quarantine", "added", key=entry.key)
 
 
-class AdoptionStage:
+class MissStage:
+    """What the miss stages share: the core, the metadata-exchange
+    charge of a serve that moves no bytes, and the one way a miss ends."""
+
+    def __init__(self, core: CacheCore) -> None:
+        self.core = core
+
+    def exchange_metadata(self) -> None:
+        """Charge establishing a (document, user) → signature mapping
+        over bytes that are already local: the cache-side hop with no
+        content moving, plus the mapping handshake."""
+        core = self.core
+        for hop in core.topology.hit_path():
+            core.ctx.charge_hop(hop, 0)
+        core.ctx.charge(ADOPTION_COST_MS)
+
+    def finish(
+        self, ctx: ReadContext, disposition: str, content: bytes,
+        entry: CacheEntry | None = None,
+    ):
+        """The miss terminal: account the read and build its result.
+
+        A fill-serving read gets ``(content, meta)`` — the fetched path
+        metadata, or the metadata of the *entry* a stage installed to
+        answer without fetching; an application read gets its
+        :class:`CacheReadOutcome`.
+        """
+        core = self.core
+        core.emit(
+            "read", disposition, key=ctx.key, started_ms=ctx.started_ms
+        )
+        if ctx.for_fill:
+            return content, (
+                ctx.meta if entry is None else core.meta_from_entry(entry)
+            )
+        elapsed = core.ctx.clock.now_ms - ctx.started_ms
+        return CacheReadOutcome(content, False, elapsed, disposition)
+
+
+class AdoptionStage(MissStage):
     """§3 signature adoption: reuse another user's identical version.
 
     A candidate must be another user's valid entry for the same base
@@ -401,34 +444,10 @@ class AdoptionStage:
     changed) before the signature mapping is established.
     """
 
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
-
     def run(self, ctx: ReadContext):
         core = self.core
         if not core.share_across_users:
             return None
-        adopted = self._try_adopt(ctx)
-        if adopted is None:
-            return None
-        core.emit(
-            "read", "miss-adopted", key=ctx.key, started_ms=ctx.started_ms
-        )
-        if ctx.for_fill:
-            return (
-                core.store.get(adopted.signature),
-                core.meta_from_entry(adopted),
-            )
-        elapsed = core.ctx.clock.now_ms - ctx.started_ms
-        return CacheReadOutcome(
-            content=core.store.get(adopted.signature),
-            hit=False,
-            elapsed_ms=elapsed,
-            disposition="miss-adopted",
-        )
-
-    def _try_adopt(self, ctx: ReadContext) -> CacheEntry | None:
-        core = self.core
         key = ctx.key
         expected = core.expected_chain_signature(ctx.reference)
         now = core.ctx.clock.now_ms
@@ -445,51 +464,29 @@ class AdoptionStage:
                 candidate.key, candidate.verifiers, content, now
             ):
                 continue
-            # Metadata exchange only: one cache-side hop, no content moves
-            # across the network (the bytes are already local).
-            for hop in core.topology.hit_path():
-                core.ctx.charge_hop(hop, 0)
-            core.ctx.charge(ADOPTION_COST_MS)
+            self.exchange_metadata()
             core.store.adopt(candidate.signature)
-            entry = CacheEntry(
-                key=key,
-                signature=candidate.signature,
-                size=candidate.size,
-                cacheability=candidate.cacheability,
-                verifiers=list(candidate.verifiers),
-                replacement_cost_ms=candidate.replacement_cost_ms,
-                chain_signature=expected,
-                reference_id=ctx.reference.reference_id,
-                created_at_ms=now,
-                last_access_ms=now,
+            entry = core.install(
+                ctx.reference, candidate, candidate.signature,
+                candidate.size, candidate.verifiers,
             )
-            entry.pinned = candidate.pinned
-            entry.policy_state["source_signature"] = (
-                candidate.policy_state.get("source_signature")
-            )
-            core.insert_entry(entry)
-            core.policy.on_insert(entry)
             core.emit("adoption", "adopted", key=key)
-            if core.install_notifiers:
-                installed = install_minimum_notifiers(
-                    ctx.reference, core.bus, core.cache_id
-                )
-                core.ctx.charge(NOTIFIER_INSTALL_COST_MS * len(installed))
-            return entry
+            core.arm(ctx.reference, entry)
+            return self.finish(ctx, "miss-adopted", content, entry)
         return None
 
 
-class L2Stage:
+class L2Stage(MissStage):
     """Durable-tier promotion: answer a miss from the on-disk L2 tier.
 
     Sits between adoption and the memo: an adoption needs another
     user's *live* entry, while the L2 tier remembers entries this cache
     itself evicted — including across a crash/restart, which is the
-    whole point.  The stage delegates entirely to
-    :meth:`~repro.storage.tier.L2Tier.promote`, which re-gates the
-    demoted copy on the reference's current chain signature, a charged
-    source-signature probe, the record's CRC/digest and (for recovered
-    records, unconditionally) its verifiers before serving it as a
+    whole point.  :meth:`~repro.storage.tier.L2Tier.promote` re-gates
+    the demoted copy on the reference's current chain signature, a
+    charged source-signature probe, the record's CRC/digest and (for
+    recovered records, unconditionally) its verifiers; a copy that
+    survives is installed like any other version and served as a
     ``miss-promoted`` read.
 
     A strict no-op when no storage policy is configured, so the default
@@ -497,22 +494,37 @@ class L2Stage:
     no-op while the storage breaker is open — the L1-only fallback.
     """
 
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
-
     def run(self, ctx: ReadContext):
-        if self.core.l2 is None:
+        core = self.core
+        l2 = core.l2
+        if l2 is None:
             return None
         if ctx.budget is not None and ctx.budget.expired:
             # An expired read skips the disk probe and CRC work: the
             # fetch gate downstream fails it into the degradation
             # ladder without spending more of anyone's time.
-            self.core.emit("deadline", "skipped", key=ctx.key, seam="l2")
+            core.emit("deadline", "skipped", key=ctx.key, seam="l2")
             return None
-        return self.core.l2.promote(ctx)
+        survivor = l2.promote(ctx.key, ctx.reference)
+        if survivor is None:
+            return None
+        record, content, verifiers = survivor
+        self.exchange_metadata()
+        # Leaves exactly the one store reference the entry takes over.
+        core.store.put_signed(content, record.signature)
+        entry = core.install(
+            ctx.reference, record, record.signature, record.size, verifiers
+        )
+        core.arm(ctx.reference, entry)
+        l2.retire(record)
+        # The promoted bytes are new physical content in L1 — make
+        # room, protecting the entry just built.
+        core.evict_to_capacity(protect=ctx.key)
+        core.emit("storage", "promoted", key=ctx.key, bytes=record.size)
+        return self.finish(ctx, "miss-promoted", content, entry)
 
 
-class MemoStage:
+class MemoStage(MissStage):
     """Transform memoization: answer a miss from the
     ``(source signature, chain fingerprint) → output signature`` memo.
 
@@ -531,9 +543,6 @@ class MemoStage:
     breaker on any chain property bypasses the memo, because the
     recorded output was produced by code that is currently quarantined.
     """
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
 
     def run(self, ctx: ReadContext):
         core = self.core
@@ -601,71 +610,27 @@ class MemoStage:
                 memo.discard(record)
                 core.emit("memo", "dropped-verifier", key=ctx.key)
                 return None
-        return self._serve(ctx, record, content, imported=imported)
-
-    def _serve(
-        self, ctx: ReadContext, record, content: bytes,
-        *, imported: bool = False,
-    ):
-        """Adopt the recorded output signature and build the entry."""
-        core = self.core
-        key = ctx.key
-        # Metadata exchange only, as in adoption: the local hop with no
-        # content moving, plus the signature-mapping handshake.
-        for hop in core.topology.hit_path():
-            core.ctx.charge_hop(hop, 0)
-        core.ctx.charge(ADOPTION_COST_MS)
+        self.exchange_metadata()
         if not imported:
             # An import already holds the one store reference taken by
             # ``materialize``'s ``put_signed``; the entry takes it over.
             core.store.adopt(record.output_signature)
-        existing = core.entries.get(key)
-        if existing is not None:
-            core.remove_entry(existing)
-        now = core.ctx.clock.now_ms
-        entry = CacheEntry(
-            key=key,
-            signature=record.output_signature,
-            size=record.size,
-            cacheability=record.cacheability,
-            verifiers=list(record.verifiers),
-            replacement_cost_ms=record.replacement_cost_ms,
-            chain_signature=record.chain_signature,
-            reference_id=ctx.reference.reference_id,
-            created_at_ms=now,
-            last_access_ms=now,
+        entry = core.install(
+            ctx.reference, record, record.output_signature, record.size,
+            record.verifiers,
         )
-        entry.pinned = record.pin
-        entry.policy_state["source_signature"] = record.source_signature
-        core.insert_entry(entry)
-        core.policy.on_insert(entry)
-        if core.install_notifiers:
-            installed = install_minimum_notifiers(
-                ctx.reference, core.bus, core.cache_id
-            )
-            core.ctx.charge(NOTIFIER_INSTALL_COST_MS * len(installed))
-        if core.recovery is not None:
-            core.recovery.note_reference(key, ctx.reference)
+        core.arm(ctx.reference, entry)
         if imported:
             # Imported bytes are new physical content in this store —
             # make room for them, protecting the entry just built.
-            core.evict_to_capacity(protect=key)
-            core.emit("memo", "adopted", key=key, imported=True)
+            core.evict_to_capacity(protect=ctx.key)
+            core.emit("memo", "adopted", key=ctx.key, imported=True)
         else:
-            core.emit("memo", "adopted", key=key)
-        core.emit(
-            "read", "miss-memoized", key=key, started_ms=ctx.started_ms,
-        )
-        if ctx.for_fill:
-            return (content, core.meta_from_entry(entry))
-        elapsed = core.ctx.clock.now_ms - ctx.started_ms
-        return CacheReadOutcome(
-            content=content, hit=False, elapsed_ms=elapsed,
-            disposition="miss-memoized",
-        )
+            core.emit("memo", "adopted", key=ctx.key)
+        return self.finish(ctx, "miss-memoized", content, entry)
 
 
-class SingleFlightStage:
+class SingleFlightStage(MissStage):
     """Coalesce concurrent misses into one fetch + one chain execution.
 
     The last gate before the fetch/chain seam.  Under a concurrent
@@ -701,9 +666,6 @@ class SingleFlightStage:
     configured or the driving scheduler cannot suspend (the sequential
     default), so golden digests are untouched.
     """
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
 
     def run(self, ctx: ReadContext):
         core = self.core
@@ -750,16 +712,13 @@ class SingleFlightStage:
         return keys
 
 
-class FetchStage:
+class FetchStage(MissStage):
     """Full read through the level below, under the retry policy.
 
     Application reads trap the failure for the degradation stage;
     fill-serving reads let it propagate to the upper cache, whose own
     degradation cascade decides.
     """
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
 
     def run(self, ctx: ReadContext):
         core = self.core
@@ -805,13 +764,10 @@ class FetchStage:
             ctx.degraded = True
 
 
-class DegradationStage:
+class DegradationStage(MissStage):
     """The fetch-failure cascade: fresh content fetched past a failed
     backing level first, bounded stale bytes second, and only then does
     the read fail."""
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
 
     def run(self, ctx: ReadContext):
         if ctx.fetch_error is None:
@@ -855,26 +811,16 @@ class DegradationStage:
         if not core.degradation.stale_age_acceptable(age_ms):
             core.emit("degradation", "stale-rejected", key=ctx.key)
             return None
-        elapsed = core.ctx.clock.now_ms - ctx.started_ms
         core.emit("degradation", "stale-served", key=ctx.key)
-        core.emit(
-            "read", "stale-on-error", key=ctx.key, started_ms=ctx.started_ms
-        )
-        return CacheReadOutcome(
-            content=content, hit=False, elapsed_ms=elapsed,
-            disposition="stale-on-error",
-        )
+        return self.finish(ctx, "stale-on-error", content)
 
 
-class AdmissionStage:
+class AdmissionStage(MissStage):
     """Terminal miss stage: consult the admission policy, fill, account.
 
     The returned cacheability vote decides whether/how to fill (§3);
     content larger than the whole cache is served but never admitted.
     """
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
 
     def run(self, ctx: ReadContext):
         core = self.core
@@ -887,16 +833,7 @@ class AdmissionStage:
             # but never admitted, so every access misses to the kernel
             # until the breaker closes.
             core.emit("admission", "contained", key=ctx.key)
-            core.emit(
-                "read", disposition, key=ctx.key, started_ms=ctx.started_ms
-            )
-            if ctx.for_fill:
-                return (content, meta)
-            elapsed = core.ctx.clock.now_ms - ctx.started_ms
-            return CacheReadOutcome(
-                content=content, hit=False, elapsed_ms=elapsed,
-                disposition=disposition,
-            )
+            return self.finish(ctx, disposition, content)
         decision = core.admission.decide(content, meta, core.capacity_bytes)
         if decision is AdmissionDecision.UNCACHEABLE:
             core.emit("admission", "uncacheable", key=ctx.key)
@@ -906,22 +843,13 @@ class AdmissionStage:
             core.emit("admission", "oversize", key=ctx.key)
             disposition = "miss-oversize"
         else:
-            entry = core.fill(ctx.reference, ctx.key, content, meta)
+            entry = core.fill(ctx.reference, content, meta)
             core.emit("admission", "filled", key=ctx.key, bytes=len(content))
             if not ctx.degraded:
                 # A degraded fill (containment skip or backing bypass)
                 # ran a partial chain — its output must not be memoized.
                 core.memo_record_output(ctx.memo_fingerprint, meta, entry)
-        core.emit(
-            "read", disposition, key=ctx.key, started_ms=ctx.started_ms
-        )
-        if ctx.for_fill:
-            return (content, meta)
-        elapsed = core.ctx.clock.now_ms - ctx.started_ms
-        return CacheReadOutcome(
-            content=content, hit=False, elapsed_ms=elapsed,
-            disposition=disposition,
-        )
+        return self.finish(ctx, disposition, content)
 
 
 class ReadPipeline:

@@ -537,7 +537,7 @@ class ConsistencyRecoveryManager:
             if sorted(expected_chain) == sorted(entry.chain_signature):
                 return InvalidationReason.PROPERTY_REORDERED
             return InvalidationReason.PROPERTY_MODIFIED
-        recorded_source = entry.policy_state.get("source_signature")
+        recorded_source = entry.source_signature
         if (
             recorded_source is not None
             and reference.base.provider.peek_signature() != recorded_source

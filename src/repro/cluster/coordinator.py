@@ -37,16 +37,16 @@ import typing
 from repro.cache.consistency import InvalidationReason
 from repro.cache.entry import EntryKey
 from repro.cache.instrumentation import merged
-from repro.cache.manager import CacheReadOutcome, DocumentCache
+from repro.cache.manager import CacheReadOutcome, DocumentCache, settle_batch
 from repro.cache.notifiers import InvalidationBus
 from repro.cache.stats import CacheStats
 from repro.cluster.memo_share import SharedTransformMemo
 from repro.cluster.placement import HashRingPolicy, PlacementPolicy
 from repro.cluster.policy import ClusterPolicy
-from repro.errors import CacheError, DeadlineExceededError, OverloadShedError
+from repro.errors import CacheError
 from repro.overload.health import HealthTracker
 from repro.overload.hedge import hedged_iterate
-from repro.sim.scheduler import AsyncScheduler, FlightTable, InlineScheduler
+from repro.sim.scheduler import FlightTable, InlineScheduler
 from repro.sim.topology import ClusterTopology
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -408,8 +408,8 @@ class CacheCluster:
     ):
         """The shard's pipeline generator, hedge-wrapped when warranted.
 
-        A hedge is armed only when the health tracker classifies the
-        primary as *gray* — hedging a healthy shard's misses would not
+        A hedge is armed only when hedging is on and the health tracker
+        classifies the primary as *gray* — hedging a healthy shard's misses would not
         just double load for nothing: in the synchronous simulator the
         backup always lands first, so the cancelled primary never fills
         and every future read of the key would miss-and-hedge forever.
@@ -425,6 +425,8 @@ class CacheCluster:
         primary = shard.iterate_read(
             reference, scheduler=scheduler, enqueued_ms=enqueued_ms
         )
+        if not self._hedging_active():
+            return primary
         assert self.health is not None
         if not self.health.is_gray(primary_name):
             return primary
@@ -529,81 +531,43 @@ class CacheCluster:
         shard B on the same leader.  Without one, the batch degenerates
         to sequential routed reads (the byte-equivalence baseline).
 
-        With an ``overload_policy`` the batch mirrors
-        :meth:`~repro.cache.manager.DocumentCache.read_many` exactly:
-        every read shares the batch-start enqueue instant (sojourn and
-        deadlines accrue while earlier reads hold the clock), each
-        generator is hedge-wrapped when hedging is on, and shed /
-        deadline-failed reads are *always* returned in-place as typed
-        :class:`~repro.errors.OverloadShedError` /
-        :class:`~repro.errors.DeadlineExceededError` entries,
-        regardless of ``return_exceptions``.
+        The batch settles by the same
+        :func:`~repro.cache.manager.settle_batch` rule as
+        :meth:`~repro.cache.manager.DocumentCache.read_many`; what the
+        cluster adds is routing.  With an ``overload_policy`` every
+        read shares the batch-start enqueue instant (sojourn and
+        deadlines accrue while earlier reads hold the clock) and each
+        generator is hedge-wrapped when hedging is on.
         """
-        overload = self._overload_policy
-        if self._concurrency is None:
-            if overload is None:
-                # The historical sequential arm, byte-identical.
-                if not return_exceptions:
-                    return [self.read(reference) for reference in references]
-                outcomes: list = []
-                for reference in references:
-                    try:
-                        outcomes.append(self.read(reference))
-                    except Exception as error:
-                        outcomes.append(error)
-                return outcomes
-            enqueued_ms = self.ctx.clock.now_ms
-            gated: list = []
-            for reference in references:
-                try:
-                    gated.append(
-                        self._read_budgeted(reference, enqueued_ms)
-                    )
-                except (OverloadShedError, DeadlineExceededError) as error:
-                    gated.append(error)
-                except Exception as error:
-                    if not return_exceptions:
-                        raise
-                    gated.append(error)
-            return gated
-        scheduler = AsyncScheduler()
-        hedging = self._hedging_active()
-        enqueued_ms = self.ctx.clock.now_ms if overload is not None else None
+        gated = self._overload_policy is not None
+        concurrent = self._concurrency is not None
+        enqueued_ms = self.ctx.clock.now_ms if gated else None
         touched: dict[str, DocumentCache] = {}
-        generators = []
-        for reference in references:
+
+        def iterate(reference, scheduler):
             shard = self._route(reference)
             touched[shard.cache_id] = shard
-            if hedging:
-                generators.append(
-                    self._hedged_generator(
-                        shard,
-                        reference,
-                        scheduler=scheduler,
-                        enqueued_ms=enqueued_ms,
-                    )
-                )
-            else:
-                generators.append(
-                    shard.iterate_read(
-                        reference,
-                        scheduler=scheduler,
-                        enqueued_ms=enqueued_ms,
-                    )
-                )
-        results = scheduler.run(
-            generators,
-            return_exceptions=return_exceptions or overload is not None,
+            return self._hedged_generator(
+                shard, reference, scheduler=scheduler, enqueued_ms=enqueued_ms
+            )
+
+        def read_one(reference):
+            if gated:
+                return self._read_budgeted(reference, enqueued_ms)
+            return self.read(reference)  # the historical sequential arm
+
+        results = settle_batch(
+            references,
+            read_one,
+            iterate,
+            concurrent=concurrent,
+            gated=gated,
+            return_exceptions=return_exceptions,
         )
-        if overload is not None and not return_exceptions:
-            for result in results:
-                if isinstance(result, BaseException) and not isinstance(
-                    result, (OverloadShedError, DeadlineExceededError)
-                ):
-                    raise result
-        for shard in touched.values():
-            shard.drain_prefetch()
-        self._drain_probes()
+        if concurrent:
+            for shard in touched.values():
+                shard.drain_prefetch()
+            self._drain_probes()
         return results
 
     def _read_budgeted(
@@ -611,23 +575,15 @@ class CacheCluster:
     ) -> CacheReadOutcome:
         """One routed read carrying the batch's enqueue instant."""
         shard = self._route(reference)
-        if self._hedging_active():
-            scheduler = InlineScheduler()
-            outcome = scheduler.drive(
-                self._hedged_generator(
-                    shard,
-                    reference,
-                    scheduler=scheduler,
-                    enqueued_ms=enqueued_ms,
-                )
+        scheduler = (
+            InlineScheduler() if self._hedging_active()
+            else shard.core.scheduler
+        )
+        outcome = scheduler.drive(
+            self._hedged_generator(
+                shard, reference, scheduler=scheduler, enqueued_ms=enqueued_ms
             )
-        else:
-            scheduler = shard.core.scheduler
-            outcome = scheduler.drive(
-                shard.iterate_read(
-                    reference, scheduler=scheduler, enqueued_ms=enqueued_ms
-                )
-            )
+        )
         shard.drain_prefetch()
         self._drain_probes()
         return outcome

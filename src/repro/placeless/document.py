@@ -63,7 +63,7 @@ class PathMeta:
     source_signature: ContentSignature | None = None
     #: True when a property on the path asked for the entry to be pinned
     #: ("always available", §5).
-    pin: bool = False
+    pinned: bool = False
     #: Optional transformers skipped by the containment layer on this
     #: path; any skip marks the served result degraded.
     contained_skips: int = 0
@@ -84,7 +84,7 @@ class PathMeta:
         self.replacement_cost_ms += prop.replacement_cost_bonus_ms()
         self.properties_executed += 1
         if prop.requests_pinning():
-            self.pin = True
+            self.pinned = True
         vote = prop.cacheability_vote()
         if vote is not None:
             self.votes.append(vote)

@@ -49,9 +49,9 @@ from pathlib import Path
 
 from repro.cache.cacheability import Cacheability
 from repro.cache.containment import BreakerConfig, BreakerRegistry
-from repro.cache.entry import CacheEntry, EntryKey
+from repro.cache.entry import EntryKey
 from repro.cache.memo import ChainFingerprint, MemoRecord
-from repro.cache.notifiers import install_minimum_notifiers
+from repro.cache.verifiers import Verdict
 from repro.content.signature import ContentSignature, sign
 from repro.errors import PlacelessError, StorageError
 from repro.ids import DocumentId, ReferenceId, UserId
@@ -70,6 +70,7 @@ from repro.streams.chain import read_plan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.core import CacheCore
+    from repro.cache.entry import CacheEntry
     from repro.cache.policies import StoragePolicy
     from repro.cache.verifiers import Verifier
     from repro.placeless.reference import DocumentReference
@@ -78,7 +79,7 @@ __all__ = ["L2Record", "StorageStats", "L2Tier"]
 
 #: Virtual costs charged per disk record write, record read and fsync,
 #: and for the promote-time source-signature probe (a metadata-only
-#: exchange, like ``ADOPTION_COST_MS``).
+#: exchange with the repository).
 WRITE_COST_MS = 0.4
 READ_COST_MS = 0.25
 SYNC_COST_MS = 0.5
@@ -328,9 +329,9 @@ class L2Tier:
 
     # -- demote-on-evict -------------------------------------------------------
 
-    def demote(self, entry: CacheEntry, content: bytes) -> None:
+    def demote(self, entry: "CacheEntry", content: bytes) -> None:
         """Eviction hook: spill the victim's bytes + metadata to disk."""
-        source = entry.policy_state.get("source_signature")
+        source = entry.source_signature
         if source is None:
             # Without a recorded source signature a promotion could not
             # probe for out-of-band changes — safer to just miss.
@@ -386,15 +387,17 @@ class L2Tier:
 
     # -- promote-on-hit --------------------------------------------------------
 
-    def promote(self, ctx):
-        """Miss hook (the pipeline's L2 stage): try a demoted copy.
+    def promote(self, key: EntryKey, reference: "DocumentReference"):
+        """Miss hook (the pipeline's L2 stage): try *key*'s demoted copy.
 
         Returns ``None`` to fall through to the memo/fetch stages, or
-        the terminal read result.  Every gate that refuses also drops
-        the record — a demoted copy that failed any validity check is
-        dead weight, never a second chance to serve stale bytes.
+        the ``(record, content, verifiers)`` that passed all four
+        validity gates, for the stage to install and then
+        :meth:`retire`.  Every gate that refuses also drops the
+        record — a demoted copy that failed any validity check is dead
+        weight, never a second chance to serve stale bytes.
         """
-        record = self._catalog.get(ctx.key)
+        record = self._catalog.get(key)
         if record is None:
             return None
         core = self.core
@@ -403,7 +406,7 @@ class L2Tier:
         # Gate 1 — the chain this reference would run today must match
         # the chain that produced the demoted bytes (invalidation
         # classes b/c: property add/remove/modify/reorder).
-        if core.expected_chain_signature(ctx.reference) != (
+        if core.expected_chain_signature(reference) != (
             record.chain_signature
         ):
             self._drop_record(record, "chain-changed")
@@ -412,7 +415,7 @@ class L2Tier:
         # Gate 2 — probe the *current* source signature (class a: the
         # source changed while the copy sat on disk).
         core.ctx.charge(PROBE_COST_MS)
-        if sign(ctx.reference.base.provider.peek()) != (
+        if sign(reference.base.provider.peek()) != (
             record.source_signature
         ):
             self._drop_record(record, "source-changed")
@@ -427,24 +430,32 @@ class L2Tier:
             self._drop_record(record, "corrupt", release=False)
             self.stats.promote_corrupt_drops += 1
             self._fail("promote")
-            self.core.emit("storage", "corrupt-dropped", key=ctx.key)
+            self.core.emit("storage", "corrupt-dropped", key=key)
             return None
         # Gate 4 — verifiers (class d: external conditions).  Recovered
         # records rebuild them from the reference's properties and must
         # match the recorded fingerprints exactly.
-        verifiers = self._verifiers_for(record, ctx.reference)
+        verifiers = self._verifiers_for(record, reference)
         if verifiers is None:
             self._drop_record(record, "verifiers-unreconstructible")
             self.stats.promote_verifier_drops += 1
             return None
         if core.use_verifiers and verifiers:
-            if not self._verify(ctx.key, verifiers, content):
+            if not self._verify(key, verifiers, content):
                 self._drop_record(record, "verifier-refused")
                 self.stats.promote_verifier_drops += 1
-                self.core.emit("storage", "verifier-dropped", key=ctx.key)
+                self.core.emit("storage", "verifier-dropped", key=key)
                 return None
         self._ok()
-        return self._serve(ctx, record, content, verifiers)
+        return record, content, verifiers
+
+    def retire(self, record: L2Record) -> None:
+        """Promotion hook: *record*'s copy is live in L1 again.  Tiering
+        is exclusive, so it leaves the catalog (tombstoned on disk)."""
+        self.stats.promotions += 1
+        if record.recovered:
+            self.stats.recovered_promotions += 1
+        self._drop_record(record, "promoted")
 
     def _verifiers_for(
         self, record: L2Record, reference: "DocumentReference"
@@ -483,10 +494,10 @@ class L2Tier:
     def _verify(
         self, key: EntryKey, verifiers: "list[Verifier]", content: bytes
     ) -> bool:
-        """Run *verifiers* over the promoted bytes (mirrors the memo's
-        serve-time re-verification, fault seam included)."""
-        from repro.cache.verifiers import Verdict
-
+        """Run *verifiers* over the promoted bytes: True when every one
+        says VALID.  Unlike the core's re-verification of memo records
+        and sibling entries, each run also consults the fault plan's
+        verifier seam, as the hit-time gate does (DESIGN.md §6)."""
         core = self.core
         for verifier in verifiers:
             verifier_started_ms = core.ctx.clock.now_ms
@@ -504,70 +515,6 @@ class L2Tier:
             if result.verdict is not Verdict.VALID:
                 return False
         return True
-
-    def _serve(self, ctx, record: L2Record, content: bytes, verifiers):
-        """Install the promoted entry and terminate the read.
-
-        Mirrors the memo stage's serve path: the local hop at zero
-        bytes, the adoption handshake charge, ``put_signed`` leaving
-        exactly one store reference the entry takes over, then the
-        bookkeeping every fill performs.  Exclusive tiering: the
-        promoted copy leaves the L2 catalog.
-        """
-        from repro.cache.core import ADOPTION_COST_MS, NOTIFIER_INSTALL_COST_MS
-        from repro.cache.pipeline import CacheReadOutcome
-
-        core = self.core
-        key = ctx.key
-        for hop in core.topology.hit_path():
-            core.ctx.charge_hop(hop, 0)
-        core.ctx.charge(ADOPTION_COST_MS)
-        core.store.put_signed(content, record.signature)
-        existing = core.entries.get(key)
-        if existing is not None:
-            core.remove_entry(existing)
-        now = core.ctx.clock.now_ms
-        entry = CacheEntry(
-            key=key,
-            signature=record.signature,
-            size=record.size,
-            cacheability=record.cacheability,
-            verifiers=list(verifiers),
-            replacement_cost_ms=record.replacement_cost_ms,
-            chain_signature=record.chain_signature,
-            reference_id=ctx.reference.reference_id,
-            created_at_ms=now,
-            last_access_ms=now,
-        )
-        entry.pinned = record.pinned
-        entry.policy_state["source_signature"] = record.source_signature
-        core.insert_entry(entry)
-        core.policy.on_insert(entry)
-        if core.install_notifiers:
-            installed = install_minimum_notifiers(
-                ctx.reference, core.bus, core.cache_id
-            )
-            core.ctx.charge(NOTIFIER_INSTALL_COST_MS * len(installed))
-        if core.recovery is not None:
-            core.recovery.note_reference(key, ctx.reference)
-        if record.recovered:
-            self.stats.recovered_promotions += 1
-        self._drop_record(record, "promoted")
-        # The promoted bytes are new physical content in L1 — make
-        # room, protecting the entry just built.
-        core.evict_to_capacity(protect=key)
-        self.stats.promotions += 1
-        core.emit("storage", "promoted", key=key, bytes=record.size)
-        core.emit(
-            "read", "miss-promoted", key=key, started_ms=ctx.started_ms
-        )
-        if ctx.for_fill:
-            return (content, core.meta_from_entry(entry))
-        elapsed = core.ctx.clock.now_ms - ctx.started_ms
-        return CacheReadOutcome(
-            content=content, hit=False, elapsed_ms=elapsed,
-            disposition="miss-promoted",
-        )
 
     # -- drops -----------------------------------------------------------------
 
@@ -700,7 +647,7 @@ class L2Tier:
             "cacheability": record.cacheability.name,
             "cost": record.replacement_cost_ms,
             "chain": list(record.chain_signature),
-            "pin": record.pin,
+            "pin": record.pinned,
         }, sort_keys=True).encode("utf-8"), corrupt=(action == "corrupt"))
         self._sync("memo", self.memo_log)
         self.stats.memo_spills += 1
@@ -878,7 +825,7 @@ class L2Tier:
                     cacheability=Cacheability[data["cacheability"]],
                     replacement_cost_ms=data["cost"],
                     chain_signature=tuple(data["chain"]),
-                    pin=data["pin"],
+                    pinned=data["pin"],
                 )
             except (ValueError, KeyError):
                 self.stats.corrupt_records_recovered += 1

@@ -258,6 +258,44 @@ class TestCLIRouting:
             module = importlib.import_module(module_name)
             assert callable(module.main), module_name
 
+    @pytest.mark.parametrize("entry", ["repro bench all", "repro.bench"])
+    def test_all_runs_the_whole_registry_and_forwards_smoke(
+        self, entry, monkeypatch
+    ):
+        # One registry: A18–A20 used to be missing from a second table,
+        # and ``all`` dropped ``--smoke`` on the floor.
+        import importlib
+        import inspect
+        import sys
+
+        from repro.__main__ import _EXPERIMENT_MODULES
+        from repro.bench.__main__ import main as bench_main
+
+        ran: list[tuple[str, bool]] = []
+        modules = list(dict.fromkeys(_EXPERIMENT_MODULES.values()))
+        smokeable = set()
+        for name in modules:
+            module = importlib.import_module(name)
+            if "smoke" in inspect.signature(module.main).parameters:
+                smokeable.add(name)
+                monkeypatch.setattr(
+                    module, "main",
+                    lambda smoke=False, name=name: ran.append((name, smoke)),
+                )
+            else:
+                monkeypatch.setattr(
+                    module, "main", lambda name=name: ran.append((name, False))
+                )
+        if entry == "repro.bench":
+            monkeypatch.setattr(sys, "argv", ["repro.bench", "--smoke"])
+            assert bench_main() == 0
+        else:
+            assert cli_main(["bench", "all", "--smoke"]) == 0
+        assert ran == [(name, name in smokeable) for name in modules]
+        assert len(modules) == 21
+        assert {"repro.bench.persistence", "repro.bench.overload",
+                "repro.bench.scale"} <= smokeable
+
     def test_parser_builds(self):
         from repro.__main__ import build_parser
 

@@ -1,0 +1,177 @@
+"""The install contract: however a version enters the cache, it enters whole.
+
+Four sources put a ``(document, user)`` version into the entry table —
+a fetch fill, a sibling adoption, a memo serve (local, or importing the
+bytes from another shard) and an L2 promotion (live, or of a record
+recovered across a crash).  Every one goes through
+``CacheCore.install`` + ``CacheCore.arm`` and ends at
+``MissStage.finish``; this suite runs the same assertions against all
+of them, for an application read and for a fill-serving read.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.cache.entry import EntryKey
+from repro.cache.manager import DocumentCache
+from repro.cache.notifiers import install_minimum_notifiers
+from repro.cache.policies import MemoPolicy, RecoveryPolicy, StoragePolicy
+from repro.cluster import CacheCluster, ClusterPolicy
+from repro.placeless.kernel import PlacelessKernel
+from repro.properties.translate import TranslationProperty
+from repro.providers.memory import MemoryProvider
+
+
+def _world(n_users: int = 2, n_documents: int = 1):
+    """*n_documents* same-sized translated documents, one reference per
+    user each (identical chains, so any user's version fits another)."""
+    kernel = PlacelessKernel()
+    users = [kernel.create_user(f"user-{n}") for n in range(n_users)]
+    references = []
+    for d in range(n_documents):
+        body = f"document {d:02d}: ".encode() + bytes(range(32, 112))
+        base = kernel.create_document(
+            users[0], MemoryProvider(kernel.ctx, body), f"doc-{d}"
+        )
+        base.attach(TranslationProperty())
+        references.append(
+            [kernel.space(user).add_reference(base) for user in users]
+        )
+    return kernel, references
+
+
+def _fill():
+    kernel, ((target, _),) = _world()
+    cache = DocumentCache(
+        kernel, capacity_bytes=1 << 20, recovery_policy=RecoveryPolicy()
+    )
+    return cache, target, "miss"
+
+
+def _adoption():
+    kernel, ((sibling, target),) = _world()
+    cache = DocumentCache(
+        kernel, capacity_bytes=1 << 20, share_across_users=True,
+        recovery_policy=RecoveryPolicy(),
+    )
+    cache.read(sibling)
+    return cache, target, "miss-adopted"
+
+
+def _memo():
+    kernel, ((first, target),) = _world()
+    cache = DocumentCache(
+        kernel, capacity_bytes=1 << 20, memo_policy=MemoPolicy(),
+        recovery_policy=RecoveryPolicy(),
+    )
+    cache.read(first)
+    return cache, target, "miss-memoized"
+
+
+def _memo_import():
+    kernel, (row,) = _world(n_users=8)
+    cluster = CacheCluster(
+        kernel, 4, capacity_bytes=1 << 20, cluster_policy=ClusterPolicy(),
+        memo_policy=MemoPolicy(), recovery_policy=RecoveryPolicy(),
+    )
+    first = row[0]
+    target = next(
+        reference for reference in row
+        if cluster.shard_for(reference) is not cluster.shard_for(first)
+    )
+    cluster.read(first)
+    # The record is in the shared plane, the bytes only in the first
+    # shard's store: the target's shard must import them.
+    shard = cluster.shard_for(target)
+    assert len(shard.core.store) == 0
+    return shard, target, "miss-memoized"
+
+
+def _l2(recovered: bool = False):
+    kernel, rows = _world(n_users=1, n_documents=3)
+    references = [row[0] for row in rows]
+    # Two slots of (translated) bytes: reading three demotes the first.
+    slot = len(kernel.read(references[0]).content)
+    cache = DocumentCache(
+        kernel, capacity_bytes=2 * slot,
+        storage_policy=StoragePolicy(), recovery_policy=RecoveryPolicy(),
+    )
+    for reference in references:
+        cache.read(reference)
+    target = references[0]
+    assert EntryKey.for_reference(target) in cache.storage
+    if recovered:
+        cache.crash()
+        cache.restart()
+        assert cache.storage_stats.recovered_entries > 0
+    return cache, target, "miss-promoted"
+
+
+def _l2_recovered():
+    return _l2(recovered=True)
+
+
+SOURCES = pytest.mark.parametrize(
+    "source", [_fill, _adoption, _memo, _memo_import, _l2, _l2_recovered],
+    ids=lambda source: source.__name__.strip("_"),
+)
+
+
+@SOURCES
+@pytest.mark.parametrize("for_fill", [False, True], ids=["read", "for-fill"])
+def test_every_source_installs_a_whole_entry(source, for_fill):
+    cache, reference, disposition = source()
+    core = cache.core
+    key = EntryKey.for_reference(reference)
+    assert key not in core.entries
+
+    if for_fill:
+        content, meta = cache.read_for_fill(reference)
+    else:
+        outcome = cache.read(reference)
+        content = outcome.content
+        assert (outcome.hit, outcome.disposition) == (False, disposition)
+    assert core.recorder.cells[("read", disposition)].count == 1
+
+    # In the table *and* the per-document index, as one object.
+    entry = core.entries[key]
+    assert core.entries_for_document(key.document_id)[key] is entry
+    assert core.store.get(entry.signature) == content
+    assert entry.size == len(content)
+    # One store reference per entry naming the signature — no more (a
+    # leak pins the bytes forever), no fewer (a sibling's drop would
+    # free bytes this entry still serves).
+    assert core.store.refcount(entry.signature) == sum(
+        1 for other in core.entries.values()
+        if other.signature == entry.signature
+    )
+    assert core.store.physical_bytes <= core.capacity_bytes
+    # Armed: the §3 minimum notifier set is already on the path, and
+    # the recovery manager resyncs against this very reference.
+    assert install_minimum_notifiers(reference, core.bus, core.cache_id) == []
+    assert core.recovery._references[key] is reference
+
+    if for_fill:
+        # The facts the installer read are the facts an upper cache is
+        # handed (a fetch fill returns the path's own richer metadata).
+        rebuilt = core.meta_from_entry(entry)
+        for fact in (
+            "cacheability", "replacement_cost_ms", "chain_signature",
+            "source_signature", "pinned", "verifiers",
+        ):
+            assert getattr(meta, fact) == getattr(rebuilt, fact), fact
+        if disposition != "miss":
+            assert meta == rebuilt
+    # And the next read of it is an ordinary verified hit.
+    again = cache.read(reference)
+    assert (again.disposition, again.content) == ("hit", content)
+
+
+def test_import_and_recovered_arms_took_the_path_they_name():
+    shard, reference, _ = _memo_import()
+    shard.read(reference)
+    assert shard.memo_stats.imports == 1
+    cache, reference, _ = _l2_recovered()
+    cache.read(reference)
+    assert cache.storage_stats.recovered_promotions == 1

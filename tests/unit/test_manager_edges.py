@@ -197,3 +197,51 @@ class TestChainSignatureEdges:
         their_translator.upgrade()  # v2 != my v1
         outcome = cache.read(theirs)
         assert outcome.disposition == "miss"  # no adoption across versions
+
+
+class TestSettleBatch:
+    """The one batch-settling rule behind both ``read_many``s."""
+
+    @staticmethod
+    def _settle(concurrent, gated, return_exceptions):
+        from repro.cache.manager import settle_batch
+        from repro.errors import OverloadShedError
+
+        def read_one(item):
+            if isinstance(item, BaseException):
+                raise item
+            return item
+
+        def iterate(item, scheduler):
+            return read_one(item)
+            yield  # pragma: no cover - makes this a generator
+
+        batch = ["a", OverloadShedError("shed"), "b", ValueError("boom"), "c"]
+        return batch, lambda: settle_batch(
+            batch, read_one, iterate, concurrent=concurrent, gated=gated,
+            return_exceptions=return_exceptions,
+        )
+
+    @pytest.mark.parametrize("concurrent", [False, True])
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_return_exceptions_lands_everything_in_place(
+        self, concurrent, gated
+    ):
+        batch, settle = self._settle(concurrent, gated, True)
+        assert settle() == batch
+
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_gated_overload_outcomes_land_in_place_others_raise(
+        self, concurrent
+    ):
+        _, settle = self._settle(concurrent, True, False)
+        with pytest.raises(ValueError, match="boom"):
+            settle()
+
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_ungated_first_failure_raises(self, concurrent):
+        from repro.errors import OverloadShedError
+
+        _, settle = self._settle(concurrent, False, False)
+        with pytest.raises(OverloadShedError):
+            settle()

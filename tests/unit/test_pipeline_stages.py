@@ -291,11 +291,20 @@ def _values(stats) -> dict:
 
 
 @pytest.fixture(scope="module")
-def emitted_literals() -> set[str]:
+def source_trees() -> dict[Path, ast.Module]:
+    """Every module of ``src/repro``, parsed, by path under the package."""
+    root = Path(repro.__file__).parent
+    return {
+        path.relative_to(root): ast.parse(path.read_text())
+        for path in root.rglob("*.py")
+    }
+
+
+@pytest.fixture(scope="module")
+def emitted_literals(source_trees) -> set[str]:
     """Every string constant in ``src/repro`` outside a ``RULES`` table."""
     found: set[str] = set()
-    for path in Path(repro.__file__).parent.rglob("*.py"):
-        tree = ast.parse(path.read_text())
+    for tree in source_trees.values():
         in_tables = {
             id(node)
             for table in ast.walk(tree)
@@ -311,6 +320,42 @@ def emitted_literals() -> set[str]:
             and id(node) not in in_tables
         )
     return found
+
+
+def test_one_way_into_the_cache_and_one_way_out_of_a_miss(source_trees):
+    # A version becomes an entry in ``CacheCore.install`` and is armed in
+    # ``CacheCore.arm``; a read ends at the gate (hit) or at
+    # ``MissStage.finish`` (everything else).  A second site for any of
+    # these is a copy that will drift (benches build their own worlds).
+    calls = Counter(
+        (node.func.id, str(path))
+        for path, tree in source_trees.items()
+        if path.parts[0] != "bench"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    )
+    sites = {
+        name: sorted(path for (called, path) in calls if called == name)
+        for name in (
+            "CacheEntry", "install_minimum_notifiers", "CacheReadOutcome"
+        )
+    }
+    assert sites == {
+        "CacheEntry": ["cache/core.py"],
+        "install_minimum_notifiers": ["cache/core.py"],
+        "CacheReadOutcome": ["cache/pipeline.py"],
+    }
+    assert calls["CacheEntry", "cache/core.py"] == 1
+    assert calls["install_minimum_notifiers", "cache/core.py"] == 1
+    assert calls["CacheReadOutcome", "cache/pipeline.py"] == 2
+    # ... and the metadata-exchange handshake is charged in one place.
+    assert [
+        str(path)
+        for path, tree in source_trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "ADOPTION_COST_MS"
+        and isinstance(node.ctx, ast.Load)
+    ] == ["cache/pipeline.py"]
 
 
 class TestStatsProjection:
