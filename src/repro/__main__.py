@@ -335,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
             "executions avoided and cold-miss latency with the memo on "
             "vs off (alias: memo; supports --smoke), a16 single-flight "
             "stampedes — chain executions per distinct key and follower "
-            "latency with coalescing on vs off under the asyncio "
-            "scheduler (alias: stampede; supports --smoke), a17 cluster "
+            "latency with coalescing on vs off in interleaved "
+            "batches (alias: stampede; supports --smoke), a17 cluster "
             "topology — shard-count sweep with cross-shard memo sharing "
             "on vs off, topology churn repaired via resync, and a "
             "single-cache parity probe (alias: cluster; supports "

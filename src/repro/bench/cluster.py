@@ -120,7 +120,7 @@ def run_cluster(
     Each epoch invalidates one rotating document cluster-wide, mutates
     its source out of band (a fresh chain key), then lands the full
     ``n_users × n_documents`` batch through :meth:`CacheCluster
-    .read_many` — one deterministic scheduler fanning across every
+    .read_many` — one deterministic FIFO batch fanning across every
     shard.  At one third of the run the cluster grows by a shard
     (rebalance-as-resync); at two thirds it loses its first shard (the
     survivors repair through the same resync).  Both arms see the

@@ -38,6 +38,7 @@ from repro.cluster import CacheCluster
 from repro.errors import DeadlineExceededError, OverloadShedError
 from repro.faults.scenarios import grayshard_chaos_scenario
 from repro.placeless.kernel import PlacelessKernel
+from repro.sim.scheduler import drive
 from repro.workload.documents import CorpusSpec, build_corpus
 from repro.workload.users import build_population
 
@@ -156,7 +157,6 @@ def run_load(
         overload_policy=_policy_for(arm),
         name=f"a19-{arm}-{n_users}",
     )
-    scheduler = cache.core.scheduler
     offered = completed = within = shed = deadline_errors = stale = 0
     latencies: list[float] = []
     wall_started = time.perf_counter()
@@ -178,10 +178,10 @@ def run_load(
                     # Back-date the arrival to the wave instant so the
                     # sojourn gate and the deadline budget both see the
                     # queueing delay, exactly as read_many batches do.
-                    outcome = scheduler.drive(
+                    outcome = drive(
                         cache.iterate_read(
                             reference,
-                            scheduler=scheduler,
+                            concurrent=False,
                             enqueued_ms=arrival_ms,
                         )
                     )

@@ -81,7 +81,7 @@ def run_stampede(
     ``wave_width`` reads per document in a single concurrent batch —
     every arrival in the wave is in the pipeline before any fill
     completes, the open-loop regime a closed feedback loop never
-    reaches.  Both arms run under the asyncio scheduler with the memo
+    reaches.  Both arms run as interleaved batches with the memo
     on; only the ``coalesce`` flag differs, so the delta is the
     single-flight machinery alone.
     """

@@ -19,6 +19,7 @@ from __future__ import annotations
 import typing
 
 from repro.cache.consistency import Invalidation, InvalidationReason
+from repro.cache.containment import BreakerConfig, BreakerRegistry, BreakerState
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.instrumentation import (
     InstrumentationBus,
@@ -34,7 +35,7 @@ from repro.content.signature import sign
 from repro.content.store import ContentStore
 from repro.errors import CacheError
 from repro.events.types import EventType
-from repro.sim.scheduler import FlightTable, Scheduler, SequentialScheduler
+from repro.sim.scheduler import FlightTable
 from repro.streams.chain import read_plan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -107,6 +108,17 @@ class CacheCore:
         self.policy = policy
         self.admission = admission
         self.degradation = degradation
+        threshold = degradation.verifier_quarantine_threshold
+        #: The legacy verifier quarantine, as circuit breakers keyed by
+        #: :meth:`verifier_fault_key`: ``threshold`` consecutive raises
+        #: trip, and with no probation delay an open breaker stays open
+        #: until ``quarantine.reset_all()``.  State, so per cache — the
+        #: policy that sets the threshold may be shared by many.
+        self.quarantine = BreakerRegistry(BreakerConfig(
+            failure_threshold=threshold if threshold is not None else 1,
+            probation_delay_ms=None,
+            half_open_successes=1,
+        ))
         self.bus = bus
         self.instrumentation = instrumentation
         self.topology = topology
@@ -155,14 +167,9 @@ class CacheCore:
         #: golden digests byte-identical.
         self.memo: TransformMemo | None = None
         self.memo_policy: "MemoPolicy | None" = None
-        #: The scheduler that drives pipeline generators.  Sequential by
-        #: default — the historical one-access-at-a-time regime every
-        #: golden digest pins; ``read_many`` swaps in an
-        #: :class:`~repro.sim.scheduler.AsyncScheduler` per batch.
-        self.scheduler: "Scheduler" = SequentialScheduler()
         #: In-progress single-flight misses (always constructed, only
-        #: ever populated under a concurrent scheduler with a
-        #: concurrency policy whose ``coalesce`` flag is on).
+        #: ever populated by a ``concurrent`` read under a concurrency
+        #: policy whose ``coalesce`` flag is on).
         self.flights = FlightTable()
         #: The concurrency policy, installed by the manager when one is
         #: configured; ``None`` (the default) keeps the single-flight
@@ -701,6 +708,23 @@ class CacheCore:
         objects), so repeated failures accumulate per document and
         verifier type rather than per object."""
         return (entry.document_id, type(verifier).__name__)
+
+    def note_verifier_failure(self, key: tuple["DocumentId", str]) -> bool:
+        """Record one verifier raise; True when this newly quarantines."""
+        if self.degradation.verifier_quarantine_threshold is None:
+            return False
+        return self.quarantine.get(key).record_failure()
+
+    def note_verifier_success(self, key: tuple["DocumentId", str]) -> None:
+        """A verifier ran clean; reset its failure streak."""
+        breaker = self.quarantine.peek(key)
+        if breaker is not None:
+            breaker.record_success()
+
+    def is_quarantined(self, key: tuple["DocumentId", str]) -> bool:
+        """Is this (document, verifier type) currently quarantined?"""
+        breaker = self.quarantine.peek(key)
+        return breaker is not None and breaker.state is BreakerState.OPEN
 
     def note_verifier_caught_lost(self, entry: CacheEntry) -> None:
         """Count a verifier invalidation that covered a lost callback."""

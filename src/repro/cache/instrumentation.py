@@ -119,7 +119,7 @@ class InstrumentationBus:
     The subscriber collection is copy-on-write: ``subscribe`` and
     ``unsubscribe`` *replace* an immutable tuple rather than mutating a
     list in place, and ``emit`` iterates whatever tuple it captured.
-    Under the concurrent scheduler a stage callback may subscribe or
+    In an interleaved batch a stage callback may subscribe or
     unsubscribe mid-emit (e.g. a probe detaching itself when a batch
     finishes) while another read is delivering events at a suspension
     point; with a shared mutable list that is the classic

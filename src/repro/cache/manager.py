@@ -56,7 +56,7 @@ from repro.errors import (
 )
 from repro.ids import DocumentId, UserId
 from repro.overload.gate import OverloadGate
-from repro.sim.scheduler import AsyncScheduler, FlightTable
+from repro.sim.scheduler import FlightTable, run_batch
 from repro.sim.topology import CachePlacement, Topology
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -71,7 +71,7 @@ __all__ = ["WriteMode", "CacheReadOutcome", "DocumentCache", "settle_batch"]
 def settle_batch(
     references: typing.Sequence["DocumentReference"],
     read_one: typing.Callable[["DocumentReference"], CacheReadOutcome],
-    iterate: typing.Callable[["DocumentReference", AsyncScheduler], typing.Any],
+    iterate: typing.Callable[["DocumentReference"], typing.Generator],
     *,
     concurrent: bool,
     gated: bool,
@@ -80,9 +80,10 @@ def settle_batch(
     """Run a batch to termination; every read's result in submission order.
 
     The one statement of how a batch settles, for a single cache and a
-    cluster alike.  *concurrent* batches run every reference's *iterate*
-    generator on one :class:`~repro.sim.scheduler.AsyncScheduler`;
-    otherwise *read_one* runs them in turn.  Either way, a *gated*
+    cluster alike.  *concurrent* batches interleave every reference's
+    *iterate* generator under :func:`~repro.sim.scheduler.run_batch`
+    (which returns failures in place — the re-raise rule is stated only
+    here); otherwise *read_one* runs them in turn.  Either way, a *gated*
     batch's typed overload outcomes (shed, deadline exceeded) always
     land in place — an overloaded batch is an expected outcome, not a
     caller bug — and any other failure lands in place with
@@ -102,14 +103,10 @@ def settle_batch(
                     raise
                 outcomes.append(error)
         return outcomes
-    scheduler = AsyncScheduler()
-    results = scheduler.run(
-        [iterate(reference, scheduler) for reference in references],
-        return_exceptions=True,
-    )
+    results = run_batch(iterate(reference) for reference in references)
     if not return_exceptions:
         for result in results:
-            if isinstance(result, BaseException) and not isinstance(
+            if isinstance(result, Exception) and not isinstance(
                 result, in_place
             ):
                 raise result
@@ -169,7 +166,7 @@ class DocumentCache:
         — bounded availability-over-freshness stale serving, fetching
         straight from the kernel past a failed backing level, and
         circuit-breaker quarantine of repeatedly-raising verifiers
-        (inspect and reset via the policy's ``breakers`` registry).
+        (per cache: inspect and reset via ``cache.core.quarantine``).
         Defaults to a policy with every degradation mode off; read the
         settings back as ``cache.degradation_policy.<field>``.
     instrumentation:
@@ -210,9 +207,9 @@ class DocumentCache:
     concurrency_policy:
         Opt-in concurrent read path
         (:class:`~repro.cache.policies.ConcurrencyPolicy`; options
-        ``coalesce``, ``max_followers``): :meth:`read_many` drives
-        batches through an asyncio-backed
-        :class:`~repro.sim.scheduler.AsyncScheduler`, and — when the
+        ``coalesce``, ``max_followers``): :meth:`read_many`
+        interleaves batches under
+        :func:`~repro.sim.scheduler.run_batch`, and — when the
         policy's ``coalesce`` flag is on — concurrent misses
         single-flight: one provider fetch and one property-chain
         execution shared among every concurrent requester of the same
@@ -507,7 +504,7 @@ class DocumentCache:
 
     @property
     def degradation_policy(self) -> DegradationPolicy:
-        """The degradation/quarantine policy."""
+        """The degradation policy (configuration only)."""
         return self._core.degradation
 
     # -- introspection ------------------------------------------------------
@@ -592,8 +589,8 @@ class DocumentCache:
     ) -> list[CacheReadOutcome]:
         """Read a batch concurrently; outcomes in submission order.
 
-        With a ``concurrency_policy``, the batch runs under an
-        asyncio-backed :class:`~repro.sim.scheduler.AsyncScheduler`:
+        With a ``concurrency_policy``, the batch runs under
+        :func:`~repro.sim.scheduler.run_batch`'s FIFO ready queue:
         reads interleave at the verifier and fetch/chain seams, and —
         when the policy coalesces — concurrent misses on one key share
         a single flight.  Without one, the batch degenerates to
@@ -624,8 +621,8 @@ class DocumentCache:
         results = settle_batch(
             references,
             read_one,
-            lambda reference, scheduler: self.iterate_read(
-                reference, scheduler=scheduler, enqueued_ms=enqueued_ms
+            lambda reference: self.iterate_read(
+                reference, concurrent=True, enqueued_ms=enqueued_ms
             ),
             concurrent=concurrent,
             gated=gated,
@@ -639,21 +636,21 @@ class DocumentCache:
         self,
         reference: "DocumentReference",
         *,
-        scheduler,
+        concurrent: bool,
         enqueued_ms: float | None = None,
     ):
-        """One read as a suspendable generator for an external scheduler.
+        """One read as a suspendable generator for an external driver.
 
         The cluster-layer seam behind :meth:`read_many`: a coordinator
-        fanning a batch across several caches builds one
-        :class:`~repro.sim.scheduler.AsyncScheduler`, collects each
-        target cache's generator through this method, and drives them
-        together — deterministic interleaving and single-flight
-        coalescing then span cache boundaries.  Callers must
-        :meth:`drain_prefetch` once the batch completes.
+        fanning a batch across several caches collects each target
+        cache's ``concurrent`` generator through this method and hands
+        them all to one :func:`~repro.sim.scheduler.run_batch` —
+        deterministic interleaving and single-flight coalescing then
+        span cache boundaries.  Callers must :meth:`drain_prefetch`
+        once the batch completes.
         """
         return self._reads.iterate(
-            reference, scheduler=scheduler, enqueued_ms=enqueued_ms
+            reference, concurrent=concurrent, enqueued_ms=enqueued_ms
         )
 
     def drain_prefetch(self) -> None:

@@ -168,7 +168,7 @@ class TransformMemo:
         """Forget one record (no-op when already gone or superseded).
 
         Identity-guarded: only removes the mapping when the table still
-        holds *this* record object.  Under the concurrent scheduler a
+        holds *this* record object.  In an interleaved batch a
         read can decide to discard a record (dead output signature,
         failed verifier), suspend at a seam, and resume after another
         read has re-recorded a fresh record under the same key — a

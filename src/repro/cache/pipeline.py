@@ -6,8 +6,8 @@ A read is a **hit prefix** and, when that does not answer it, the
     [dirty-flush → lookup → verifier-gate] → adoption → l2 → memo →
     single-flight → fetch → degradation → admission
 
-The prefix is one object, :class:`VerifierGateStage`, and under the
-sequential scheduler one plain method call: a verified hit allocates no
+The prefix is one object, :class:`VerifierGateStage`, and for a lone
+read one plain method call: a verified hit allocates no
 :class:`ReadContext`, no deadline budget and no generator, whatever
 seams the cache was built with.  Each miss stage is a
 :class:`MissStage` with one ``run(ctx)`` method over a shared
@@ -19,20 +19,19 @@ both built by :meth:`MissStage.finish`, the one way a miss ends), or a
 read's in-progress flight.  The four stages that can answer (adoption,
 l2, memo, admission) differ only in how they come to hold the bytes:
 each then hands the version to :meth:`CacheCore.install` / ``arm``.
-The write path is the same idea with two stages (interpose → buffer)
-plus a flush stage shared by write-back draining and the prefix's
-dirty check.
+The write path is the same idea with two stages (interpose → buffer),
+run as a plain call, plus a flush stage shared by write-back draining
+and the prefix's dirty check.
 
 Stages stay synchronous; *scheduling* is externalised.  The same stage
-objects also run as a generator yielding suspension markers at the
-verifier and fetch/chain seams, for a
-:class:`~repro.sim.scheduler.Scheduler` to drive: the default
-:class:`~repro.sim.scheduler.SequentialScheduler` inline (reads the
-prefix did not terminate, and ``read_for_fill`` — operation order,
-clock charges and fault-plan consultations exactly as the pre-scheduler
-pipeline performed them, which the golden digests pin), the
-:class:`~repro.sim.scheduler.AsyncScheduler` as interleaved coroutines
-with single-flight request coalescing (see :class:`SingleFlightStage`).
+objects also run as a generator: :func:`~repro.sim.scheduler.drive`
+runs it inline (reads the prefix did not terminate, and
+``read_for_fill`` — operation order, clock charges and fault-plan
+consultations exactly as a plain call performs them, which the golden
+digests pin), and a ``concurrent`` one yields suspension markers at the
+verifier and fetch/chain seams for
+:func:`~repro.sim.scheduler.run_batch` to interleave, with single-flight
+request coalescing (see :class:`SingleFlightStage`).
 
 Stages hold no state of their own: everything mutable lives in the
 :class:`~repro.cache.core.CacheCore` they share, and every observable
@@ -54,12 +53,7 @@ from repro.cache.policies import AdmissionDecision
 from repro.cache.verifiers import Verdict
 from repro.errors import CacheError, OverloadShedError
 from repro.overload.admission import PRIORITY_NAMES
-from repro.sim.scheduler import (
-    FETCH_SEAM,
-    VERIFIER_SEAM,
-    Scheduler,
-    Suspension,
-)
+from repro.sim.scheduler import FETCH_SEAM, VERIFIER_SEAM, Suspension, drive
 from repro.streams.chain import property_site, read_plan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -156,10 +150,10 @@ class ReadContext:
     #: The source signature the memo stage probed alongside the
     #: fingerprint — together they form the memo-plane coalescing key.
     memo_source: typing.Any = None
-    #: The scheduler driving this read (set by the pipeline; defaults to
-    #: the core's sequential scheduler).  Nested reads — prefetch
+    #: May this read yield seams and open or join flights?  True only
+    #: for batch members and hedged reads; nested reads — prefetch
     #: drains, backing-cache fills — always run sequentially.
-    scheduler: "Scheduler | None" = None
+    concurrent: bool = False
     #: The single-flight this read *leads*, if any; resolved when the
     #: read terminates (landed) or raises (failed → follower promotion).
     flight: typing.Any = None
@@ -214,11 +208,10 @@ class VerifierGateStage:
     handed back for bounded serve-stale and the read falls through to
     the miss stages.
 
-    :meth:`serve` is the whole prefix as one plain call — every
-    application read under the sequential driver, in every
-    configuration.  The generator driver splits it at the verifier
-    seam: :meth:`lookup`, the seam, then :meth:`run` hands the entry
-    it found to the same :meth:`serve`.
+    :meth:`serve` is the whole prefix as one plain call — every lone
+    application read, in every configuration.  The generator splits it
+    at the verifier seam: :meth:`lookup`, the seam, then :meth:`run`
+    hands the entry it found to the same :meth:`serve`.
     """
 
     def __init__(self, core: CacheCore, writes: "WritePipeline") -> None:
@@ -238,9 +231,9 @@ class VerifierGateStage:
         core = self.core
         entry = ctx.entry
         if entry is not None and core.entries.get(ctx.key) is not entry:
-            # The lookup ran before the verifier seam; under a
-            # concurrent scheduler an interleaved read may have dropped
-            # (or replaced) the entry while this read was suspended.
+            # The lookup ran before the verifier seam; in a batch an
+            # interleaved read may have dropped (or replaced) the entry
+            # while this read was suspended.
             # Re-anchor on the live table — sequentially nothing can
             # intervene, so this is the same object the lookup found.
             ctx.entry = entry = core.entries.get(ctx.key)
@@ -291,7 +284,7 @@ class VerifierGateStage:
             # The legacy quarantine only has state once some verifier
             # has raised; until then there is nothing to consult or to
             # reset, per hit or per verifier.
-            quarantine = guard is None and len(core.degradation.breakers) > 0
+            quarantine = guard is None and len(core.quarantine) > 0
             if guard is not None:
                 if guard.verifier_blocked(entry):
                     # A breaker is open on one of the entry's verifiers:
@@ -338,7 +331,7 @@ class VerifierGateStage:
                 if guard is not None:
                     guard.note_verifier_success(entry, verifier)
                 elif quarantine:
-                    core.degradation.note_verifier_success(
+                    core.note_verifier_success(
                         core.verifier_fault_key(entry, verifier)
                     )
                 if result.verdict is Verdict.INVALID:
@@ -381,15 +374,13 @@ class VerifierGateStage:
     def _entry_quarantined(self, entry: CacheEntry) -> bool:
         core = self.core
         return any(
-            core.degradation.is_quarantined(
-                core.verifier_fault_key(entry, verifier)
-            )
+            core.is_quarantined(core.verifier_fault_key(entry, verifier))
             for verifier in entry.verifiers
         )
 
     def _note_failure(self, entry: CacheEntry, verifier) -> None:
         core = self.core
-        newly = core.degradation.note_verifier_failure(
+        newly = core.note_verifier_failure(
             core.verifier_fault_key(entry, verifier)
         )
         if newly:
@@ -633,9 +624,9 @@ class MemoStage(MissStage):
 class SingleFlightStage(MissStage):
     """Coalesce concurrent misses into one fetch + one chain execution.
 
-    The last gate before the fetch/chain seam.  Under a concurrent
-    scheduler with a :class:`~repro.cache.policies.ConcurrencyPolicy`
-    whose ``coalesce`` flag is on, a miss probes the core's
+    The last gate before the fetch/chain seam.  On a ``concurrent``
+    read with a :class:`~repro.cache.policies.ConcurrencyPolicy` whose
+    ``coalesce`` flag is on, a miss probes the core's
     :class:`~repro.sim.scheduler.FlightTable` under two keys:
 
     * the ``(document, user)`` entry key — N concurrent reads of one
@@ -663,17 +654,14 @@ class SingleFlightStage(MissStage):
     reads may park on one flight — excess reads fetch for themselves.
 
     The stage is a strict no-op when no concurrency policy is
-    configured or the driving scheduler cannot suspend (the sequential
-    default), so golden digests are untouched.
+    configured or the read is not ``concurrent`` (the default), so
+    golden digests are untouched.
     """
 
     def run(self, ctx: ReadContext):
         core = self.core
         policy = core.concurrency
-        if policy is None or not policy.coalesce:
-            return None
-        scheduler = ctx.scheduler
-        if scheduler is None or not scheduler.supports_concurrency:
+        if policy is None or not policy.coalesce or not ctx.concurrent:
             return None
         if ctx.budget is not None and ctx.budget.expired:
             # An expired read neither follows (it cannot afford the
@@ -855,12 +843,13 @@ class AdmissionStage(MissStage):
 class ReadPipeline:
     """Runs the hit prefix, then the miss stages, to a terminal result.
 
-    Two drivers over the same stage objects.  :meth:`read` calls the
+    Two entries over the same stage objects.  :meth:`read` calls the
     prefix as a plain method and builds a :class:`ReadContext`, a
     deadline budget and a generator only if the prefix did not answer.
-    :meth:`iterate` is the whole read as a generator for a scheduler to
-    drive: ``read_many`` batches and cluster fan-outs under the async
-    scheduler, hedged reads, and ``read_for_fill``.
+    :meth:`iterate` is the whole read as a generator: ``read_many``
+    batches and cluster fan-outs under
+    :func:`~repro.sim.scheduler.run_batch`, hedged reads, and
+    ``read_for_fill``.
     """
 
     def __init__(self, core: CacheCore, writes: "WritePipeline") -> None:
@@ -884,8 +873,8 @@ class ReadPipeline:
     ) -> CacheReadOutcome:
         """Application read: a ``CacheReadOutcome``, the prefix first.
 
-        A lone read has nobody to interleave with, so the generator's
-        seams would be moot; the miss stages still see the scheduler.
+        A lone read has nobody to interleave with, so it yields no
+        seams and neither opens nor joins a flight.
         """
         core = self.core
         key = EntryKey.for_reference(reference)
@@ -896,36 +885,37 @@ class ReadPipeline:
         if result is not None:
             return result
         ctx = self._context(
-            reference, key, started_ms, False, core.scheduler, enqueued_ms
+            reference, key, started_ms, for_fill=False, concurrent=False,
+            enqueued_ms=enqueued_ms,
         )
         ctx.stale = stale
-        return core.scheduler.drive(self._iterate(ctx, prefix_ran=True))
+        return drive(self._iterate(ctx, prefix_ran=True))
 
     def read_for_fill(self, reference: "DocumentReference"):
         """Lower-level serve: run the stages to ``(content, meta)``."""
-        return self.core.scheduler.drive(self.iterate(reference, for_fill=True))
+        return drive(self.iterate(reference, for_fill=True))
 
     def iterate(
         self,
         reference: "DocumentReference",
         *,
         for_fill: bool = False,
-        scheduler: "Scheduler | None" = None,
+        concurrent: bool = False,
         enqueued_ms: float | None = None,
     ):
-        """One read as a scheduler-drivable generator.
+        """One read as a generator for ``drive`` or ``run_batch``.
 
-        ``scheduler`` is whatever will drive the generator; the
-        single-flight stage consults it to decide whether suspending is
-        possible at all.  Nested reads (prefetch drains, backing-cache
-        fills) leave it unset and run sequentially.  ``enqueued_ms``
+        ``concurrent`` says the read may yield seam markers and open or
+        join flights — i.e. that whatever drives it can interleave and
+        park it.  Nested reads (prefetch drains, backing-cache fills)
+        leave it off and run sequentially.  ``enqueued_ms``
         back-dates the read's arrival (``read_many`` batches pass their
         start instant) for the admission controller's sojourn signal.
         """
         return self._iterate(self._context(
             reference, EntryKey.for_reference(reference),
             self.core.ctx.clock.now_ms, for_fill,
-            scheduler or self.core.scheduler, enqueued_ms,
+            concurrent, enqueued_ms,
         ))
 
     def _context(
@@ -934,7 +924,7 @@ class ReadPipeline:
         key: EntryKey,
         started_ms: float,
         for_fill: bool,
-        scheduler: "Scheduler",
+        concurrent: bool,
         enqueued_ms: float | None,
     ) -> ReadContext:
         budget = None
@@ -951,7 +941,7 @@ class ReadPipeline:
             key=key,
             started_ms=started_ms,
             for_fill=for_fill,
-            scheduler=scheduler,
+            concurrent=concurrent,
             enqueued_ms=enqueued_ms,
             budget=budget,
         )
@@ -985,12 +975,12 @@ class ReadPipeline:
         )
 
     def _iterate(self, ctx: ReadContext, prefix_ran: bool = False):
-        """The generator driver.  With *prefix_ran* the caller already
+        """The read as a generator.  With *prefix_ran* the caller already
         admitted the read and ran the prefix as a plain call (it
         missed), so the first pass starts at the miss stages."""
         core = self.core
         gate = self.gate
-        concurrent = ctx.scheduler.supports_concurrency
+        concurrent = ctx.concurrent
         try:
             if not (prefix_ran or ctx.for_fill) and core.overload is not None:
                 self._admit(ctx.reference, ctx.key, ctx.enqueued_ms)
@@ -1153,16 +1143,10 @@ class WritePipeline:
         self._flush_stage = FlushStage(core)
 
     def write(self, reference: "DocumentReference", content: bytes) -> float:
-        """Write through (or into) the cache; returns elapsed virtual ms."""
-        return self.core.scheduler.drive(self.iterate(reference, content))
+        """Write through (or into) the cache; returns elapsed virtual ms.
 
-    def iterate(self, reference: "DocumentReference", content: bytes):
-        """One write as a scheduler-drivable generator.
-
-        Writes are short critical sections — interpose/buffer mutate
-        shared state — so the only suspension point is *before* the
-        stages run: under a concurrent scheduler a write may interleave
-        with in-flight reads at that seam, but never mid-mutation.
+        A plain call: writes are short critical sections — interpose and
+        buffer mutate shared state — so they never suspend.
         """
         ctx = WriteContext(
             reference=reference,
@@ -1170,11 +1154,6 @@ class WritePipeline:
             content=content,
             started_ms=self.core.ctx.clock.now_ms,
         )
-        return self._iterate(ctx)
-
-    def _iterate(self, ctx: WriteContext):
-        if self.core.scheduler.supports_concurrency:
-            yield FETCH_SEAM
         for stage in self.stages:
             if stage.run(ctx):
                 break

@@ -28,21 +28,15 @@ from __future__ import annotations
 
 import enum
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
-from repro.cache.containment import (
-    BreakerConfig,
-    BreakerRegistry,
-    BreakerState,
-    ExecutionBudget,
-)
+from repro.cache.containment import BreakerConfig, ExecutionBudget
 from repro.cache.replacement import GreedyDualSizePolicy, ReplacementPolicy
 from repro.errors import CacheError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.entry import CacheEntry
-    from repro.ids import DocumentId
     from repro.placeless.document import PathMeta
 
 __all__ = [
@@ -196,9 +190,9 @@ class MemoPolicy:
 class ConcurrencyPolicy:
     """The concurrent read path.
 
-    A cache constructed with a concurrency policy drives
-    ``DocumentCache.read_many`` batches through an
-    :class:`~repro.sim.scheduler.AsyncScheduler` and, when ``coalesce``
+    A cache constructed with a concurrency policy interleaves
+    ``DocumentCache.read_many`` batches under
+    :func:`~repro.sim.scheduler.run_batch` and, when ``coalesce``
     is on, single-flights concurrent misses: the pipeline's
     :class:`~repro.cache.pipeline.SingleFlightStage` shares one
     provider fetch and one property-chain execution among every
@@ -207,8 +201,8 @@ class ConcurrencyPolicy:
     signature, chain fingerprint)`` pair across *different* users.
     """
 
-    #: Coalesce concurrent misses into single flights (``False`` runs
-    #: the async scheduler with no coalescing — the A16 ablation arm).
+    #: Coalesce concurrent misses into single flights (``False``
+    #: interleaves the batch with no coalescing — the A16 ablation arm).
     coalesce: bool = True
     #: Budget bail-out: at most this many reads may park on one flight;
     #: excess reads fetch for themselves.  ``None`` for unbounded.
@@ -347,8 +341,9 @@ class DegradationPolicy:
     """How far the cache may degrade while failures are in progress.
 
     Unlike the other seams this one is always present (``DocumentCache``
-    builds an all-off one when none is passed) and carries the
-    verifier-quarantine bookkeeping.
+    builds an all-off one when none is passed).  Pure configuration: the
+    quarantine state the threshold governs lives on each cache's
+    :class:`~repro.cache.core.CacheCore`.
     """
 
     #: Serve a stale entry when the fetch behind a miss fails …
@@ -360,11 +355,6 @@ class DegradationPolicy:
     #: Quarantine a verifier after this many consecutive raises
     #: (``None`` = never quarantine).
     verifier_quarantine_threshold: int | None = None
-    #: The quarantine, expressed as circuit breakers: threshold-N
-    #: consecutive failures trip, and with no probation delay an open
-    #: breaker is permanent until ``breakers.reset_all()``.  Inspect
-    #: open quarantines via ``breakers.open_keys()``.
-    breakers: BreakerRegistry = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if (
@@ -380,36 +370,12 @@ class DegradationPolicy:
             raise CacheError(
                 f"verifier_quarantine_threshold must be >= 1: {threshold}"
             )
-        object.__setattr__(self, "breakers", BreakerRegistry(BreakerConfig(
-            failure_threshold=threshold if threshold is not None else 1,
-            probation_delay_ms=None,
-            half_open_successes=1,
-        )))
 
     def stale_age_acceptable(self, age_ms: float) -> bool:
         """May stale bytes of this age be served on fetch failure?"""
         if self.stale_serve_max_age_ms is None:
             return True
         return age_ms <= self.stale_serve_max_age_ms
-
-    def note_verifier_failure(self, key: tuple["DocumentId", str]) -> bool:
-        """Record one verifier raise; True when this newly quarantines."""
-        if self.verifier_quarantine_threshold is None:
-            return False
-        return self.breakers.get(key).record_failure()
-
-    def note_verifier_success(self, key: tuple["DocumentId", str]) -> None:
-        """A verifier ran clean; reset its failure streak."""
-        if self.verifier_quarantine_threshold is None:
-            return
-        breaker = self.breakers.peek(key)
-        if breaker is not None:
-            breaker.record_success()
-
-    def is_quarantined(self, key: tuple["DocumentId", str]) -> bool:
-        """Is this (document, verifier type) currently quarantined?"""
-        breaker = self.breakers.peek(key)
-        return breaker is not None and breaker.state is BreakerState.OPEN
 
 
 #: Historical constructor names, kept because benchmarks, tests and

@@ -2,8 +2,8 @@
 
 :class:`CacheCluster` owns N :class:`~repro.cache.manager.DocumentCache`
 shards and routes every ``(document, user)`` entry key to one of them
-through a pluggable :class:`~repro.cluster.placement.PlacementPolicy`
-(consistent hashing by default).  The shards are real, fully wired
+by consistent hashing (:class:`~repro.cluster.placement.HashRingPolicy`).
+The shards are real, fully wired
 caches — each with its own content store, entry table, projections and
 (optionally) recovery manager — built through the manager's injection
 seams rather than a parallel construction path:
@@ -16,8 +16,8 @@ seams rather than a parallel construction path:
   as every shard's memo (cross-shard memo sharing) and one
   :class:`~repro.sim.scheduler.FlightTable` as every shard's flight
   table (single-flight coalescing spanning shard boundaries);
-* :meth:`read_many` fans a batch across shards on *one* deterministic
-  :class:`~repro.sim.scheduler.AsyncScheduler`, so cross-shard batches
+* :meth:`read_many` fans a batch across shards under *one*
+  :func:`~repro.sim.scheduler.run_batch`, so cross-shard batches
   interleave and coalesce exactly like same-shard ones;
 * ring rebalancing and shard loss reuse the A13 anti-entropy resync —
   :meth:`~repro.cache.recovery.ConsistencyRecoveryManager.resync` with
@@ -41,12 +41,12 @@ from repro.cache.manager import CacheReadOutcome, DocumentCache, settle_batch
 from repro.cache.notifiers import InvalidationBus
 from repro.cache.stats import CacheStats
 from repro.cluster.memo_share import SharedTransformMemo
-from repro.cluster.placement import HashRingPolicy, PlacementPolicy
+from repro.cluster.placement import HashRingPolicy
 from repro.cluster.policy import ClusterPolicy
 from repro.errors import CacheError
 from repro.overload.health import HealthTracker
 from repro.overload.hedge import hedged_iterate
-from repro.sim.scheduler import FlightTable, InlineScheduler
+from repro.sim.scheduler import FlightTable, drive
 from repro.sim.topology import ClusterTopology
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -85,11 +85,6 @@ class CacheCluster:
         one transform memo and one flight table span every shard.
         Requires a ``memo_policy``; ``None`` builds fully isolated
         shards.
-    placement_policy:
-        The ``entry key → shard`` decision; defaults to
-        :class:`~repro.cluster.placement.HashRingPolicy` over the
-        initial shards.  A policy supplied with shards already
-        registered is used as-is; missing shard names are added.
     topology:
         Per-shard link costs (:class:`~repro.sim.topology
         .ClusterTopology`); a default all-pairs ``shard-to-shard``
@@ -132,7 +127,6 @@ class CacheCluster:
         capacity_bytes: int,
         *,
         cluster_policy: ClusterPolicy | None = None,
-        placement_policy: PlacementPolicy | None = None,
         topology: ClusterTopology | None = None,
         memo_policy: "MemoPolicy | None" = None,
         concurrency_policy: "ConcurrencyPolicy | None" = None,
@@ -170,10 +164,7 @@ class CacheCluster:
             )
         self._next_index = 0
         names = [self._next_name() for _ in range(shard_count)]
-        self._placement = placement_policy or HashRingPolicy(names)
-        for shard_name in names:
-            if shard_name not in self._placement.shards():
-                self._placement.add_shard(shard_name)
+        self._placement = HashRingPolicy(names)
         self.topology = topology or ClusterTopology(shards=list(names))
         for shard_name in names:
             if shard_name not in self.topology.shards:
@@ -328,7 +319,6 @@ class CacheCluster:
 
     def _route(self, reference: "DocumentReference") -> DocumentCache:
         key = EntryKey.for_reference(reference)
-        self._placement.note_access(key)
         shard_name = self._placement.place(key)
         if self.health is not None:
             shard_name = self._failover(key, shard_name)
@@ -360,17 +350,10 @@ class CacheCluster:
         return replica if replica is not None else primary
 
     def _replica_name(self, key: EntryKey, primary: str) -> str | None:
-        """The backup shard for *key*: ring-adjacent when the policy
-        can say (``replica_for``), else the first other live shard."""
-        replica_for = getattr(self._placement, "replica_for", None)
-        if replica_for is not None:
-            replica = replica_for(key, primary)
-            if replica is not None and replica in self._shards:
-                return replica
-            return None
-        for shard_name in self._shards:
-            if shard_name != primary:
-                return shard_name
+        """The backup shard for *key*: its ring successor, if live."""
+        replica = self._placement.replica_for(key, primary)
+        if replica is not None and replica in self._shards:
+            return replica
         return None
 
     # -- hedged reads ---------------------------------------------------------
@@ -403,7 +386,7 @@ class CacheCluster:
         shard: DocumentCache,
         reference: "DocumentReference",
         *,
-        scheduler,
+        concurrent: bool,
         enqueued_ms: float | None = None,
     ):
         """The shard's pipeline generator, hedge-wrapped when warranted.
@@ -417,13 +400,13 @@ class CacheCluster:
         state and only a genuinely slow shard's misses divert.
 
         The backup is a plain sequential read on the replica shard —
-        its core scheduler cannot suspend, so it can never park on the
-        flight the primary may be leading.  A backup win ``close()``\\ s
+        a lone read never joins a flight, so it can never park on the
+        one the primary may be leading.  A backup win ``close()``\\ s
         the primary; its led flight fails over to follower promotion.
         """
         primary_name = shard.core.name
         primary = shard.iterate_read(
-            reference, scheduler=scheduler, enqueued_ms=enqueued_ms
+            reference, concurrent=concurrent, enqueued_ms=enqueued_ms
         )
         if not self._hedging_active():
             return primary
@@ -499,16 +482,9 @@ class CacheCluster:
     def read(self, reference: "DocumentReference") -> CacheReadOutcome:
         """Read through the owning shard (hedged when the overload
         policy enables hedging and a replica shard exists)."""
-        shard = self._route(reference)
         if not self._hedging_active():
-            return shard.read(reference)
-        scheduler = InlineScheduler()
-        outcome = scheduler.drive(
-            self._hedged_generator(shard, reference, scheduler=scheduler)
-        )
-        shard.drain_prefetch()
-        self._drain_probes()
-        return outcome
+            return self._route(reference).read(reference)
+        return self._read_driven(reference)
 
     def write(self, reference: "DocumentReference", content: bytes) -> float:
         """Write through the owning shard; returns elapsed virtual ms."""
@@ -523,8 +499,8 @@ class CacheCluster:
         """Read a batch across shards; outcomes in submission order.
 
         With a ``concurrency_policy`` the whole batch — regardless of
-        how many shards it touches — runs on one deterministic
-        :class:`~repro.sim.scheduler.AsyncScheduler`: each reference's
+        how many shards it touches — runs under one
+        :func:`~repro.sim.scheduler.run_batch`: each reference's
         pipeline generator comes from its owning shard via
         :meth:`~repro.cache.manager.DocumentCache.iterate_read`, and
         with shared flights a miss on shard A parks followers from
@@ -544,16 +520,16 @@ class CacheCluster:
         enqueued_ms = self.ctx.clock.now_ms if gated else None
         touched: dict[str, DocumentCache] = {}
 
-        def iterate(reference, scheduler):
+        def iterate(reference):
             shard = self._route(reference)
             touched[shard.cache_id] = shard
             return self._hedged_generator(
-                shard, reference, scheduler=scheduler, enqueued_ms=enqueued_ms
+                shard, reference, concurrent=True, enqueued_ms=enqueued_ms
             )
 
         def read_one(reference):
             if gated:
-                return self._read_budgeted(reference, enqueued_ms)
+                return self._read_driven(reference, enqueued_ms)
             return self.read(reference)  # the historical sequential arm
 
         results = settle_batch(
@@ -570,18 +546,21 @@ class CacheCluster:
             self._drain_probes()
         return results
 
-    def _read_budgeted(
-        self, reference: "DocumentReference", enqueued_ms: float
+    def _read_driven(
+        self, reference: "DocumentReference", enqueued_ms: float | None = None
     ) -> CacheReadOutcome:
-        """One routed read carrying the batch's enqueue instant."""
+        """One routed read through the generator seam: hedge-wrapped
+        when hedging is on, and carrying a batch's enqueue instant.
+
+        With hedging the read is ``concurrent`` so that it yields the
+        fetch seam the hedge watches for; driven alone, it may lead a
+        flight but never follows one.
+        """
         shard = self._route(reference)
-        scheduler = (
-            InlineScheduler() if self._hedging_active()
-            else shard.core.scheduler
-        )
-        outcome = scheduler.drive(
+        outcome = drive(
             self._hedged_generator(
-                shard, reference, scheduler=scheduler, enqueued_ms=enqueued_ms
+                shard, reference, concurrent=self._hedging_active(),
+                enqueued_ms=enqueued_ms,
             )
         )
         shard.drain_prefetch()

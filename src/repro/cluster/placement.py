@@ -1,23 +1,12 @@
 """Entry-key placement across cache shards.
 
 The cluster layer spreads ``(document, user)`` entry keys over N
-:class:`~repro.cache.manager.DocumentCache` shards.  Two placement
-policies are supplied behind one protocol:
-
-* :class:`HashRingPolicy` — classic consistent hashing over a
-  :class:`PlacementRing` with virtual nodes: placement is balanced to
-  within a small factor of ideal, and a shard join/leave moves only the
-  keys in the arcs the changed shard owned (≈ ``K / N`` of the
-  keyspace), never reshuffling the survivors' keys among themselves.
-* :class:`ReinforcedCounterPolicy` — the ring plus per-key *reinforced
-  counters* in the spirit of Leconte's cache-network placement analysis
-  (arXiv:1501.03446): each access to a key reinforces a bounded counter
-  and a key whose counter reaches the pin threshold sticks to the shard
-  that has been serving it, even across ring changes, until decay (the
-  counter's "death") lets it drift back to the ring.  Under the
-  Zipf-with-churn workload shapes of Olmos et al. (arXiv:1403.5479)
-  this keeps the hottest keys' entries and memo locality stable while
-  rebalances shuffle only the cold tail.
+:class:`~repro.cache.manager.DocumentCache` shards by classic
+consistent hashing: :class:`HashRingPolicy` over a
+:class:`PlacementRing` with virtual nodes.  Placement is balanced to
+within a small factor of ideal, and a shard join/leave moves only the
+keys in the arcs the changed shard owned (≈ ``K / N`` of the keyspace),
+never reshuffling the survivors' keys among themselves.
 
 Placement keys are hashed by their stable string form
 ``"{document_id}|{user_id}"`` so placement is identical across runs and
@@ -30,19 +19,13 @@ import bisect
 import functools
 import hashlib
 import typing
-from typing import Protocol, runtime_checkable
 
 from repro.errors import WorkloadError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.entry import EntryKey
 
-__all__ = [
-    "PlacementRing",
-    "PlacementPolicy",
-    "HashRingPolicy",
-    "ReinforcedCounterPolicy",
-]
+__all__ = ["PlacementRing", "HashRingPolicy"]
 
 
 def _hash_point(label: str) -> int:
@@ -149,33 +132,9 @@ class PlacementRing:
         return None
 
 
-@runtime_checkable
-class PlacementPolicy(Protocol):
-    """Pluggable ``entry key → shard name`` placement decision."""
-
-    def shards(self) -> list[str]:
-        """Currently placeable shard names."""
-        ...  # pragma: no cover - protocol
-
-    def add_shard(self, shard: str) -> None:
-        """A shard joined the cluster."""
-        ...  # pragma: no cover - protocol
-
-    def remove_shard(self, shard: str) -> None:
-        """A shard left the cluster (planned or lost)."""
-        ...  # pragma: no cover - protocol
-
-    def place(self, key: "EntryKey") -> str:
-        """The shard that owns *key* right now."""
-        ...  # pragma: no cover - protocol
-
-    def note_access(self, key: "EntryKey") -> None:
-        """One read/write of *key* landed (placement feedback signal)."""
-        ...  # pragma: no cover - protocol
-
-
 class HashRingPolicy:
-    """The default policy: pure consistent hashing, no feedback."""
+    """The cluster's ``entry key → shard name`` decision: pure
+    consistent hashing, no feedback."""
 
     def __init__(
         self, shards: typing.Iterable[str] = (), replicas: int = 64
@@ -197,104 +156,3 @@ class HashRingPolicy:
     def replica_for(self, key: "EntryKey", primary: str) -> str | None:
         """*key*'s ring-successor replica (see the ring's method)."""
         return self.ring.replica_for(key, primary)
-
-    def note_access(self, key: "EntryKey") -> None:
-        """Stateless placement ignores access feedback."""
-
-
-class ReinforcedCounterPolicy:
-    """Ring placement with reinforced-counter stickiness.
-
-    Per arXiv:1501.03446's insurance-against-churn intuition: every
-    access to a key reinforces a counter bounded at ``counter_cap``;
-    once the counter reaches ``pin_threshold`` the key is *pinned* to
-    the shard currently serving it and keeps placing there across ring
-    changes — a rebalance that would move a hot key is deferred until
-    the key has cooled.  Every ``decay_interval`` accesses (a
-    deterministic clockless schedule) all counters halve; a counter
-    that decays below the threshold unpins its key and the ring takes
-    over again.  Cold keys never pin, so join/leave still moves only
-    ≈ ``K / N`` of the keyspace.
-    """
-
-    def __init__(
-        self,
-        shards: typing.Iterable[str] = (),
-        replicas: int = 64,
-        pin_threshold: int = 3,
-        counter_cap: int = 8,
-        decay_interval: int = 256,
-    ) -> None:
-        if pin_threshold < 1:
-            raise WorkloadError(
-                f"pin_threshold must be >= 1: {pin_threshold}"
-            )
-        if counter_cap < pin_threshold:
-            raise WorkloadError(
-                f"counter_cap must be >= pin_threshold: {counter_cap}"
-            )
-        if decay_interval < 1:
-            raise WorkloadError(
-                f"decay_interval must be >= 1: {decay_interval}"
-            )
-        self.ring = PlacementRing(shards, replicas=replicas)
-        self.pin_threshold = pin_threshold
-        self.counter_cap = counter_cap
-        self.decay_interval = decay_interval
-        self._counters: dict[str, int] = {}
-        self._pins: dict[str, str] = {}
-        self._accesses = 0
-
-    def shards(self) -> list[str]:
-        return self.ring.shards
-
-    def add_shard(self, shard: str) -> None:
-        self.ring.add_shard(shard)
-
-    def remove_shard(self, shard: str) -> None:
-        self.ring.remove_shard(shard)
-        # Pins to a dead shard are void; their keys fall back to the ring.
-        self._pins = {
-            label: pinned
-            for label, pinned in self._pins.items()
-            if pinned != shard
-        }
-
-    def place(self, key: "EntryKey") -> str:
-        label = placement_label(key)
-        pinned = self._pins.get(label)
-        if pinned is not None and pinned in self.ring:
-            return pinned
-        return self.ring.place(key)
-
-    def replica_for(self, key: "EntryKey", primary: str) -> str | None:
-        """*key*'s ring-successor replica; pins never bind a backup —
-        a hedge/failover target must differ from wherever the key is
-        pinned, which :meth:`PlacementRing.replica_for`'s ``primary``
-        exclusion already guarantees."""
-        return self.ring.replica_for(key, primary)
-
-    def note_access(self, key: "EntryKey") -> None:
-        label = placement_label(key)
-        counter = min(self._counters.get(label, 0) + 1, self.counter_cap)
-        self._counters[label] = counter
-        if counter >= self.pin_threshold and label not in self._pins:
-            self._pins[label] = self.place(key)
-        self._accesses += 1
-        if self._accesses % self.decay_interval == 0:
-            self._decay()
-
-    def _decay(self) -> None:
-        decayed: dict[str, int] = {}
-        for label, counter in self._counters.items():
-            counter //= 2
-            if counter > 0:
-                decayed[label] = counter
-            if counter < self.pin_threshold:
-                self._pins.pop(label, None)
-        self._counters = decayed
-
-    @property
-    def pinned(self) -> dict[str, str]:
-        """Live ``placement label → shard`` pins (for inspection)."""
-        return dict(self._pins)

@@ -243,9 +243,8 @@ class ClockError(PlacelessError):
 
 
 class SchedulerError(PlacelessError):
-    """Misuse of a read-path scheduler (e.g. waiting on a flight from
-    the sequential scheduler, or nesting an async batch inside a
-    running event loop)."""
+    """Misuse of a read driver (a flight wait under the sequential
+    ``drive``, or a batch left with a parked read nobody will wake)."""
 
 
 class WorkloadError(PlacelessError):

@@ -18,11 +18,11 @@ read on the replica shard to completion:
   it paused; the hedge cost is only the charged delay.
 
 The combinator is a generator that forwards every other suspension
-(verifier seams, single-flight waits) to whichever scheduler is
-driving it, so the same code serves ``CacheCluster.read`` (driven
-sequentially) and ``read_many`` (driven by the deterministic
-``AsyncScheduler``).  Everything is charged to one global virtual
-clock, which keeps hedge outcomes seed-deterministic.
+(verifier seams, single-flight waits) to whatever is driving it, so the
+same code serves ``CacheCluster.read`` (``drive``, alone) and
+``read_many`` (``run_batch``, interleaved).  Everything is charged to
+one global virtual clock, which keeps hedge outcomes
+seed-deterministic.
 """
 
 from __future__ import annotations

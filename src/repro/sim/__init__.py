@@ -8,18 +8,17 @@ active-property execution) charges a deterministic cost to a
 :class:`~repro.sim.clock.VirtualClock` through a
 :class:`~repro.sim.latency.LatencyModel`.  Benchmarks then report virtual
 milliseconds whose *relative* magnitudes follow the paper, alongside real
-wall-clock numbers from pytest-benchmark.
+wall-clock numbers from ``perfbench/``.
 """
 
 from repro.sim.clock import ScheduledCall, VirtualClock
 from repro.sim.context import SimContext
 from repro.sim.scheduler import (
-    AsyncScheduler,
     Flight,
     FlightTable,
-    Scheduler,
-    SequentialScheduler,
     Suspension,
+    drive,
+    run_batch,
 )
 from repro.sim.latency import (
     HopCost,
@@ -33,12 +32,11 @@ __all__ = [
     "SimContext",
     "VirtualClock",
     "ScheduledCall",
-    "Scheduler",
-    "SequentialScheduler",
-    "AsyncScheduler",
     "Suspension",
     "Flight",
     "FlightTable",
+    "drive",
+    "run_batch",
     "LatencyModel",
     "LatencySample",
     "HopCost",

@@ -1,46 +1,43 @@
-"""Read-path schedulers: sequential virtual-clock mode and asyncio mode.
+"""Driving suspended reads: one sequential driver, one batch driver.
 
-Everything in this repro ran sequentially on the virtual clock: one
-read executed start-to-finish before the next began.  A real deployment
-has thousands of in-flight reads, and concurrent misses on one hot
+One read at a time on the virtual clock is the paper's regime; a real
+deployment has many reads in flight, and concurrent misses on one hot
 document would stampede the provider and re-run the active-property
-chain once per requester.  This module introduces the *scheduler*
-abstraction that lets the staged read/write pipeline run under either
-regime without duplicating any stage code:
+chain once per requester.  The read pipeline therefore expresses one
+access as a *generator* that may yield :class:`Suspension` markers at
+the two seams where other work may interleave — before the verifier
+gate and before the fetch/chain execution — and this module holds the
+two functions that run such generators to their results:
 
-* Stages stay synchronous.  The pipeline expresses one access as a
-  Python *generator* that yields :class:`Suspension` markers at the
-  seams where a concurrent implementation may interleave work — before
-  the verifier gate and before the fetch/chain execution — and a
-  scheduler *drives* that generator to its terminal value.
-* :class:`SequentialScheduler` (the default) drives the generator
-  inline, resolving every suspension immediately.  The operation order,
-  virtual-clock charges and fault-plan consultations are exactly those
-  of the pre-scheduler pipeline, which is what keeps the golden digests
-  bit-for-bit.
-* :class:`AsyncScheduler` drives each generator as an asyncio coroutine:
-  a yielded suspension awaits — a bare cooperative yield for seam
-  markers, the owning :class:`Flight` for single-flight waits — so many
-  reads interleave deterministically (asyncio's ready queue is FIFO and
-  nothing here uses wall-clock timers or randomness; the same batch
-  replays identically).
+* :func:`drive` runs one generator inline, resolving every seam at
+  once: operation order, clock charges and fault-plan consultations are
+  those of a plain call, which keeps the golden digests bit-for-bit.
+* :func:`run_batch` interleaves many on an explicit FIFO ready queue.
+  Reads start in submission order; a seam marker sends the read to the
+  tail; a flight wait parks the read on the flight, and resolving the
+  flight re-queues its parked reads, in wait order, at that instant;
+  results and exceptions land in submission order.  No wall clock, no
+  randomness: identical batches replay identically.
+
+Whether a read *may* yield seams and open or join flights is one bit,
+``concurrent``, taken by the pipeline's generator entry points; a
+generator built without it never suspends, so :func:`drive` suffices.
 
 Single-flight coalescing lives here too, because a *flight* is a
 scheduling construct: :class:`FlightTable` maps in-progress miss keys —
 the ``(document, user)`` entry key and, via the transform-memo plane,
 the ``(source signature, chain fingerprint)`` pair — to the
-:class:`Flight` its leader opened.  Followers suspend on the flight and,
+:class:`Flight` its leader opened.  Followers park on the flight and,
 once the leader lands, re-enter the pipeline where the leader's fill
-(or memo record) answers them without a second provider fetch or chain
-execution.  A leader that fails *fails over*: the flight resolves with
-the error, the first follower to wake finds the table empty and is
-promoted to lead its own fetch.
+(or memo record) answers them without a second fetch or chain
+execution.  A leader that fails resolves the flight with its error: the
+first follower to wake finds the table empty and is promoted to lead.
 """
 
 from __future__ import annotations
 
-import asyncio
-from typing import Any, Generator, Iterable, Protocol, runtime_checkable
+from collections import deque
+from typing import Any, Generator, Iterable
 
 from repro.errors import SchedulerError
 
@@ -50,21 +47,19 @@ __all__ = [
     "FETCH_SEAM",
     "Flight",
     "FlightTable",
-    "Scheduler",
-    "SequentialScheduler",
-    "InlineScheduler",
-    "AsyncScheduler",
+    "drive",
+    "run_batch",
 ]
 
 
 class Suspension:
-    """One point where the driving scheduler may interleave other work.
+    """One point where the batch driver may interleave other work.
 
     ``seam`` names the pipeline seam ("verifier", "fetch", "flight");
     ``flight`` is set when the suspension waits on a single-flight
-    leader rather than merely offering the scheduler a chance to run
+    leader rather than merely offering the driver a chance to run
     someone else.  Seam-only suspensions are interned module constants,
-    so the hot sequential path allocates nothing per read.
+    so yielding one allocates nothing.
     """
 
     __slots__ = ("seam", "flight")
@@ -78,8 +73,7 @@ class Suspension:
         return f"<Suspension {self.seam}{waiting}>"
 
 
-#: Interned seam markers yielded before the corresponding stages; the
-#: sequential driver resolves them without allocating or charging.
+#: Interned seam markers yielded before the corresponding stages.
 VERIFIER_SEAM = Suspension("verifier")
 FETCH_SEAM = Suspension("fetch")
 
@@ -89,51 +83,46 @@ class Flight:
 
     The leader registers the flight under its coalescing keys, runs the
     normal fetch/chain path, and resolves the flight when its read
-    terminates.  Followers ``wait()`` and receive the resolution
-    payload: ``("landed", disposition)`` on success, ``("failed",
-    error)`` when the leader's read raised — the cue for leader-failure
-    promotion.  The event is lazy so flights can be constructed outside
-    a running loop (the sequential scheduler never waits on one).
+    terminates.  Followers are parked on it by :func:`run_batch` and
+    resume with the resolution payload: ``("landed", disposition)`` on
+    success, ``("failed", error)`` when the leader's read raised — the
+    cue for leader-failure promotion.
     """
 
-    __slots__ = ("keys", "waiters", "_event", "_payload")
+    __slots__ = ("keys", "payload", "_parked")
 
     def __init__(self, keys: tuple[Any, ...]) -> None:
         self.keys = keys
-        #: Followers currently suspended on this flight (the budget
-        #: bail-out compares this against the policy's follower cap).
-        self.waiters = 0
-        self._event: asyncio.Event | None = None
-        self._payload: tuple[str, Any] | None = None
+        #: The resolution; ``None`` until the leader landed or failed.
+        self.payload: tuple[str, Any] | None = None
+        self._parked: list[tuple[deque, Any]] = []
 
     @property
-    def resolved(self) -> bool:
-        """True once the leader landed or failed."""
-        return self._payload is not None
+    def waiters(self) -> int:
+        """Followers currently parked on this flight (the budget
+        bail-out compares this against the policy's follower cap)."""
+        return len(self._parked)
 
     def describe(self) -> str:
         """Short human-readable key list for traces."""
         return "+".join(str(key) for key in self.keys)
 
-    async def wait(self) -> tuple[str, Any]:
-        """Suspend until the leader resolves; returns the payload."""
-        if self._payload is not None:
-            return self._payload
-        if self._event is None:
-            self._event = asyncio.Event()
-        self.waiters += 1
-        try:
-            await self._event.wait()
-        finally:
-            self.waiters -= 1
-        assert self._payload is not None
-        return self._payload
+    def park(self, ready: deque, ticket: Any) -> None:
+        """Hold *ticket* until the leader resolves; :meth:`resolve`
+        then appends ``(ticket, payload)`` to *ready* (at once, if it
+        already has)."""
+        if self.payload is not None:
+            ready.append((ticket, self.payload))
+        else:
+            self._parked.append((ready, ticket))
 
     def resolve(self, payload: tuple[str, Any]) -> None:
-        """Leader landing/failure: release every waiting follower."""
-        self._payload = payload
-        if self._event is not None:
-            self._event.set()
+        """Leader landing/failure: re-queue every parked follower, in
+        the order they parked."""
+        self.payload = payload
+        parked, self._parked = self._parked, []
+        for ready, ticket in parked:
+            ready.append((ticket, payload))
 
 
 class FlightTable:
@@ -170,144 +159,64 @@ class FlightTable:
                 del self._flights[key]
         flight.resolve(payload)
 
-    def in_flight(self) -> int:
-        """Distinct flights currently registered."""
-        return len(set(id(f) for f in self._flights.values()))
-
     def __len__(self) -> int:
         return len(self._flights)
 
 
-@runtime_checkable
-class Scheduler(Protocol):
-    """Drives pipeline generators to their terminal values.
+def drive(generator: Generator) -> Any:
+    """Run one pipeline generator to its terminal value, inline.
 
-    ``supports_concurrency`` gates the single-flight machinery: the
-    pipeline only opens or joins flights when the driving scheduler can
-    actually suspend a read, so the sequential mode never pays for (or
-    observes) coalescing state.
+    Every seam resolves immediately.  A lone read has no leader to wait
+    for, so a flight wait here is a wiring error and raises.
     """
-
-    supports_concurrency: bool
-
-    def drive(self, generator: Generator) -> Any:
-        """Run one pipeline generator to completion, resolving suspensions."""
-        ...  # pragma: no cover - protocol
-
-
-class SequentialScheduler:
-    """The historical regime: one access at a time, inline.
-
-    Every suspension resolves to ``None`` immediately — no interleaving,
-    no flights — so a pipeline driven by this scheduler performs exactly
-    the operation sequence the pre-scheduler pipeline did.  This is the
-    default on every cache and the mode all golden digests pin.
-    """
-
-    supports_concurrency = False
-
-    def drive(self, generator: Generator) -> Any:
-        payload = None
-        while True:
-            try:
-                step = generator.send(payload)
-            except StopIteration as stop:
-                return stop.value
-            if step is not None and step.flight is not None:
-                # Cannot happen while supports_concurrency is False (the
-                # pipeline never opens flights under this scheduler) —
-                # guard against a stage wiring error all the same.
-                raise SchedulerError(
-                    "sequential scheduler cannot wait on a flight"
-                )
-            payload = None
-
-
-class InlineScheduler(SequentialScheduler):
-    """Sequential driving of a *concurrency-capable* pipeline.
-
-    Identical to :class:`SequentialScheduler` except that it advertises
-    ``supports_concurrency``, so the pipeline yields its seam markers
-    (and may lead — though never follow — a single flight).  The
-    cluster's hedged single reads need exactly this: the hedge
-    combinator watches for the fetch seam, but the read itself is
-    driven inline with no event loop.  A follower wait cannot arise —
-    an inline read runs alone, so no other leader's flight can be in
-    the table when it looks — and :meth:`SequentialScheduler.drive`
-    guards against it regardless.
-    """
-
-    supports_concurrency = True
-
-
-class AsyncScheduler:
-    """asyncio-backed concurrent mode.
-
-    ``run`` executes a batch of pipeline generators on a private event
-    loop: each generator becomes a coroutine that awaits at every
-    yielded suspension — ``asyncio.sleep(0)`` for seam markers (a
-    cooperative yield that lets other reads interleave), or the named
-    :class:`Flight` for single-flight followers.  Scheduling is
-    deterministic: tasks start in submission order, the ready queue is
-    FIFO, and nothing awaits wall-clock time, so identical batches
-    replay identically (the scheduler property tests pin this across
-    chaos seeds).
-    """
-
-    supports_concurrency = True
-
-    def run(
-        self,
-        generators: Iterable[Generator],
-        *,
-        return_exceptions: bool = False,
-    ) -> list[Any]:
-        """Drive *generators* concurrently; results in submission order.
-
-        With ``return_exceptions`` the result list carries raised
-        exceptions in-place (the stampede bench and the promotion tests
-        need the per-read failures); otherwise the first failure —
-        in submission order — is re-raised after the batch completes,
-        so a failing batch still runs every read to termination.
-        """
-        if self._loop_running():
-            raise SchedulerError(
-                "AsyncScheduler.run cannot nest inside a running event loop"
-            )
-        results = asyncio.run(self._gather(list(generators)))
-        if not return_exceptions:
-            for result in results:
-                if isinstance(result, BaseException):
-                    raise result
-        return results
-
-    def drive(self, generator: Generator) -> Any:
-        """Single-generator convenience used by nested sequential calls."""
-        return SequentialScheduler().drive(generator)
-
-    @staticmethod
-    def _loop_running() -> bool:
+    while True:
         try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            return False
-        return True
+            step = generator.send(None)
+        except StopIteration as stop:
+            return stop.value
+        if step.flight is not None:
+            raise SchedulerError(
+                "a sequentially driven read cannot wait on flight "
+                f"{step.flight.describe()}"
+            )
 
-    async def _gather(self, generators: list[Generator]) -> list[Any]:
-        return await asyncio.gather(
-            *(self._drive(generator) for generator in generators),
-            return_exceptions=True,
-        )
 
-    async def _drive(self, generator: Generator) -> Any:
-        payload: Any = None
-        while True:
-            try:
-                step = generator.send(payload)
-            except StopIteration as stop:
-                return stop.value
-            if step is None or step.flight is None:
-                await asyncio.sleep(0)
-                payload = None
+def run_batch(generators: Iterable[Generator]) -> list[Any]:
+    """Interleave *generators* by the module's FIFO rule; results in
+    submission order.
+
+    A generator that raises has the exception as its result, in place,
+    and the rest of the batch still runs; callers decide what to
+    re-raise.  If the ready queue drains while a read is still parked,
+    nothing in this batch will ever resolve its flight: that raises
+    :class:`~repro.errors.SchedulerError` rather than hanging or
+    inventing a result.
+    """
+    reads = list(generators)
+    results: list[Any] = [None] * len(reads)
+    parked: dict[int, Flight] = {}
+    ready: deque = deque((index, None) for index in range(len(reads)))
+    while ready:
+        index, payload = ready.popleft()
+        parked.pop(index, None)
+        try:
+            step = reads[index].send(payload)
+        except StopIteration as stop:
+            results[index] = stop.value
+        except Exception as error:
+            results[index] = error
+        else:
+            if step.flight is None:
+                ready.append((index, None))
             else:
-                payload = await step.flight.wait()
+                parked[index] = step.flight
+                step.flight.park(ready, index)
+    if parked:
+        stalled = ", ".join(
+            f"read {index} on flight {flight.describe()}"
+            for index, flight in parked.items()
+        )
+        raise SchedulerError(
+            f"batch stalled with no runnable read: {stalled}"
+        )
+    return results

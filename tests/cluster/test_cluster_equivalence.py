@@ -1,9 +1,9 @@
-"""Sequential ≡ async equivalence, extended to ``CacheCluster.read_many``.
+"""Sequential ≡ batch equivalence, extended to ``CacheCluster.read_many``.
 
 The single-cache property (tests/property/test_prop_scheduler.py)
-promises that driving a read burst through the asyncio scheduler serves
+promises that driving a read burst as one interleaved batch serves
 byte-identical content to sequential reads.  The cluster fans one
-``read_many`` batch across shards on one scheduler, with cross-shard
+``read_many`` batch across shards in one FIFO queue, with cross-shard
 single-flight and memo imports in the middle — so the property is
 re-stated at cluster scope: per-burst bytes are identical whether the
 burst runs as routed sequential ``read`` calls or as one fanned

@@ -1,4 +1,4 @@
-"""Placement properties: ring balance, minimal movement, pinning.
+"""Placement properties: ring balance, minimal movement.
 
 The consistent-hash ring's contract is structural — deterministic
 placement, membership, and *minimal key movement* under shard
@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 from repro.cache.entry import EntryKey
 from repro.cluster.placement import (
     HashRingPolicy,
-    PlacementPolicy,
     PlacementRing,
-    ReinforcedCounterPolicy,
     placement_label,
 )
 from repro.errors import WorkloadError
@@ -108,72 +106,16 @@ class TestPlacementRing:
 
 class TestHashRingPolicy:
     def test_satisfies_protocol_and_delegates(self):
+        """The four calls ``CacheCluster`` makes all answer from the ring."""
         policy = HashRingPolicy(["a", "b"])
-        assert isinstance(policy, PlacementPolicy)
         key = EntryKey("doc", "user")
         placed = policy.place(key)
-        policy.note_access(key)  # stateless: must not change placement
-        assert policy.place(key) == placed
+        assert placed == policy.ring.place(key)
+        assert policy.replica_for(key, placed) == policy.ring.replica_for(
+            key, placed
+        )
         policy.add_shard("c")
         assert policy.shards() == ["a", "b", "c"]
         policy.remove_shard("c")
         assert policy.shards() == ["a", "b"]
-
-
-class TestReinforcedCounterPolicy:
-    def test_parameter_validation(self):
-        with pytest.raises(WorkloadError):
-            ReinforcedCounterPolicy(["a"], pin_threshold=0)
-        with pytest.raises(WorkloadError):
-            ReinforcedCounterPolicy(["a"], pin_threshold=3, counter_cap=2)
-        with pytest.raises(WorkloadError):
-            ReinforcedCounterPolicy(["a"], decay_interval=0)
-
-    def test_hot_key_pins_to_its_serving_shard(self):
-        policy = ReinforcedCounterPolicy(
-            ["a", "b", "c"], pin_threshold=3, decay_interval=10_000
-        )
-        key = EntryKey("hot-doc", "hot-user")
-        home = policy.place(key)
-        for _ in range(3):
-            policy.note_access(key)
-        assert policy.pinned == {placement_label(key): home}
-        # A ring change that would move the key is deferred by the pin.
-        policy.add_shard("d")
-        assert policy.place(key) == home
-
-    def test_cold_keys_never_pin(self):
-        policy = ReinforcedCounterPolicy(
-            ["a", "b"], pin_threshold=3, decay_interval=10_000
-        )
-        for key in _keys(40):
-            policy.note_access(key)  # one access each: all cold
-        assert policy.pinned == {}
-
-    def test_decay_unpins_cooled_keys(self):
-        policy = ReinforcedCounterPolicy(
-            ["a", "b"], pin_threshold=4, counter_cap=4, decay_interval=8
-        )
-        hot = EntryKey("hot", "u")
-        for _ in range(4):
-            policy.note_access(hot)
-        assert placement_label(hot) in policy.pinned
-        # Fill out decay intervals with cold traffic; 4 → 2 → 1 < 4.
-        cold = _keys(16, seed=9)
-        for index in range(16):
-            policy.note_access(cold[index])
-        assert placement_label(hot) not in policy.pinned
-        assert policy.place(hot) == policy.ring.place(hot)
-
-    def test_losing_the_pinned_shard_voids_the_pin(self):
-        policy = ReinforcedCounterPolicy(
-            ["a", "b", "c"], pin_threshold=2, decay_interval=10_000
-        )
-        key = EntryKey("doc", "user")
-        home = policy.place(key)
-        for _ in range(2):
-            policy.note_access(key)
-        assert policy.pinned[placement_label(key)] == home
-        policy.remove_shard(home)
-        assert placement_label(key) not in policy.pinned
-        assert policy.place(key) != home
+        assert policy.place(key) == placed

@@ -1,5 +1,5 @@
-"""Targeted tests for the two shared structures the concurrent
-scheduler exposed: the instrumentation bus's subscriber collection and
+"""Targeted tests for the two shared structures interleaved
+batches exposed: the instrumentation bus's subscriber collection and
 the transform memo's record table.
 
 Cooperative concurrency means no data tears, but interleaving at

@@ -1,4 +1,4 @@
-"""Single-flight semantics under the asyncio scheduler.
+"""Single-flight semantics inside an interleaved batch.
 
 The contract the tentpole promises: N concurrent misses on one hot key
 cost exactly one provider fetch and one property-chain execution — the

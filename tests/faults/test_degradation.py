@@ -113,7 +113,7 @@ class TestVerifierQuarantine:
         assert cache.stats.quarantined_verifiers == 0
         cache.read(reference)  # failure 2 → quarantined
         assert cache.stats.quarantined_verifiers == 1
-        assert cache.degradation_policy.breakers.open_keys()
+        assert cache.core.quarantine.open_keys()
         before = cache.stats.quarantine_forced_misses
         outcome = cache.read(reference)  # no verifier runs: forced miss
         assert not outcome.hit
@@ -130,7 +130,7 @@ class TestVerifierQuarantine:
             kernel.ctx.clock, verifier_failure_probability=1.0
         )
         cache.read(reference)
-        breakers = cache.degradation_policy.breakers
+        breakers = cache.core.quarantine
         assert breakers.open_keys()
         # The verifier fault is repaired; lift the quarantine.
         kernel.ctx.faults = None
@@ -157,6 +157,32 @@ class TestVerifierQuarantine:
         )
         cache.read(reference)  # failure 1 again — not a quarantine
         assert cache.stats.quarantined_verifiers == 0
+
+    def test_caches_sharing_one_policy_keep_separate_quarantines(self):
+        """One policy object configures many caches (every shard of a
+        cluster gets the same ``shard_kwargs``); a verifier raising in
+        one must not quarantine it in the others."""
+        policy = DegradationPolicy(verifier_quarantine_threshold=1)
+        kernel, _, reference, first = _deployment(degradation_policy=policy)
+        second = DocumentCache(
+            kernel, capacity_bytes=1 << 20, degradation_policy=policy,
+            name="second",
+        )
+        first.read(reference)
+        second.read(reference)
+        kernel.ctx.faults = FaultPlan(
+            kernel.ctx.clock, verifier_failure_probability=1.0
+        )
+        first.read(reference)  # raises in `first` only → quarantined there
+        kernel.ctx.faults = None
+        assert first.stats.quarantined_verifiers == 1
+        assert first.core.quarantine.open_keys()
+        assert not second.core.quarantine.open_keys()
+        assert second.read(reference).hit  # verified, not a forced miss
+        assert second.stats.quarantine_forced_misses == 0
+        # Lifting one cache's quarantine is that cache's business only.
+        second.core.quarantine.reset_all()
+        assert first.core.quarantine.open_keys()
 
 
 class TestBypassBacking:

@@ -18,9 +18,10 @@ from repro.bench.memo import run_memo
 from repro.bench.notifier_verifier import run_notifier_verifier
 from repro.bench.placement import run_placement
 from repro.bench.qos import run_qos
-from repro.bench.replacement import run_replacement
+from repro.bench.replacement import run_capacity_sweep, run_replacement
 from repro.bench.sharing import run_sharing
 from repro.bench.table1 import format_table1, run_table1
+from repro.bench.writes import run_write_modes
 
 
 class TestTable1:
@@ -96,6 +97,19 @@ class TestA2Replacement:
 
     def test_all_policies_get_some_hits(self, rows):
         assert all(r.hit_ratio > 0.05 for r in rows.values())
+
+    def test_cost_aware_leads_lru_at_every_cache_size(self):
+        # A2b, the Greedy-Dual-Size paper's capacity series.
+        sweep = run_capacity_sweep(
+            policies=("gds", "lru"), fractions=(0.05, 0.25),
+            n_documents=60, n_reads=600,
+        )
+        for fraction, results in sweep.items():
+            by_name = {r.policy: r for r in results}
+            assert (
+                by_name["gds"].mean_latency_ms
+                <= by_name["lru"].mean_latency_ms
+            ), fraction
 
 
 class TestA3Sharing:
@@ -173,6 +187,8 @@ class TestA7Chains:
     def test_hit_latency_stays_flat(self, rows):
         hits = [r.hit_ms for r in rows]
         assert max(hits) - min(hits) < 0.1
+        # ... so the longer the chain, the more a hit saves.
+        assert rows[-1].speedup > rows[0].speedup
 
     def test_replacement_cost_grows_with_chain(self, rows):
         costs = [r.replacement_cost_ms for r in rows]
@@ -220,6 +236,7 @@ class TestA9Collections:
     def test_prefetch_costs_speculative_fills(self, rows):
         assert rows["prefetch"].prefetch_fills > 0
         assert rows["no-prefetch"].prefetch_fills == 0
+        assert rows["prefetch"].hit_ratio >= rows["no-prefetch"].hit_ratio
 
 
 class TestA10ExternalPlacement:
@@ -241,6 +258,27 @@ class TestA10ExternalPlacement:
         fast, slow = rows["notifier-fast"], rows["notifier-slow"]
         assert fast.stale_ratio < slow.stale_ratio
         assert fast.samples_taken > slow.samples_taken
+
+
+class TestA11WriteModes:
+    @pytest.fixture(scope="class")
+    def rows(self):
+        results = run_write_modes(n_saves=40, saves_per_flush=5)
+        return {r.mode: r for r in results}
+
+    def test_write_back_saves_are_cheaper_and_commit_less(self, rows):
+        through, back = rows["write-through"], rows["write-back"]
+        assert back.mean_save_latency_ms < through.mean_save_latency_ms / 2
+        assert back.repository_commits < through.repository_commits / 2
+
+    def test_write_back_pays_with_a_visibility_window(self, rows):
+        assert rows["write-through"].reviewer_staleness == 0.0
+        assert rows["write-back"].reviewer_staleness > 0.5
+
+    def test_write_path_properties_observe_every_buffered_save(self, rows):
+        # Via WRITE_FORWARDED, not just the flushes.
+        back = rows["write-back"]
+        assert back.versions_observed >= back.saves
 
 
 class TestA14Containment:

@@ -252,7 +252,7 @@ class TestFaultedChaosInvariants:
         # lifted, pending delayed deliveries drained.
         kernel.ctx.clock.advance(5_000.0)
         kernel.ctx.faults = None
-        cache.degradation_policy.breakers.reset_all()
+        cache.core.quarantine.reset_all()
         for user_index in range(3):
             for document_index in range(8):
                 reference = population.reference(user_index, document_index)

@@ -5,11 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.entry import EntryKey
-from repro.cluster.placement import (
-    HashRingPolicy,
-    PlacementRing,
-    ReinforcedCounterPolicy,
-)
+from repro.cluster.placement import HashRingPolicy, PlacementRing
 from repro.errors import WorkloadError
 from repro.ids import DocumentId, UserId
 from repro.overload.health import HealthTracker
@@ -142,11 +138,3 @@ class TestReplicaPlacement:
         hash_policy = HashRingPolicy(["s0", "s1"])
         primary = hash_policy.place(key)
         assert hash_policy.replica_for(key, primary) != primary
-        counter_policy = ReinforcedCounterPolicy(
-            ["s0", "s1"], pin_threshold=1
-        )
-        # Pin the key to its current shard: the backup must still come
-        # off the ring, never the pin.
-        counter_policy.note_access(key)
-        pinned = counter_policy.place(key)
-        assert counter_policy.replica_for(key, pinned) != pinned

@@ -121,7 +121,7 @@ class FaultedCacheMachine(RuleBasedStateMachine):
     @rule()
     def repair_the_world(self):
         self.kernel.ctx.faults = self._healthy_plan
-        self.cache.degradation_policy.breakers.reset_all()
+        self.cache.core.quarantine.reset_all()
 
     @invariant()
     def bookkeeping_holds(self):
@@ -174,7 +174,7 @@ class TestFaultedReadSequences:
                 except ProviderError:
                     pass
         kernel.ctx.faults = None
-        cache.degradation_policy.breakers.reset_all()
+        cache.core.quarantine.reset_all()
         for user in range(N_USERS):
             for doc in range(N_DOCS):
                 assert (

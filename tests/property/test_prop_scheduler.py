@@ -1,8 +1,8 @@
-"""Property-based equivalence between the two schedulers.
+"""Property-based equivalence between the two read drivers.
 
 The contract: for a seed-derived interleaving of read bursts, writes
 and out-of-band source mutations, driving every read burst through
-``read_many`` under the asyncio scheduler (with single-flight
+``read_many`` as one interleaved batch (with single-flight
 coalescing on) serves **byte-identical content** to driving the same
 burst as sequential ``read`` calls — and both modes conserve the
 accounting invariant ``hits + misses == reads served``.  Coalescing may
@@ -12,8 +12,8 @@ application observes on a healthy deployment.
 
 Under the chaos fault plan the two modes legitimately diverge — a
 coalesced batch makes fewer fetches, shifting every subsequent
-per-seam RNG draw — so there the properties are per-mode: the async
-scheduler is *deterministic* (same seed twice → identical outcome
+per-seam RNG draw — so there the properties are per-mode: the batch
+driver is *deterministic* (same seed twice → identical outcome
 sequence and stats at the pinned chaos seeds 77/101/202) and conserves
 hits + misses.
 """

@@ -63,6 +63,49 @@ class TestOneCounterProjection:
         assert removed not in module.__all__
 
 
+class TestOneReadDriver:
+    """Suspended reads have two drivers, both functions; the pluggable
+    layers that only ever had one configuration per call site are gone."""
+
+    @pytest.mark.parametrize(
+        "module_name, removed",
+        [
+            ("repro.sim.scheduler", "Scheduler"),
+            ("repro.sim.scheduler", "SequentialScheduler"),
+            ("repro.sim.scheduler", "InlineScheduler"),
+            ("repro.sim.scheduler", "AsyncScheduler"),
+            ("repro.cluster.placement", "PlacementPolicy"),
+            ("repro.cluster.placement", "ReinforcedCounterPolicy"),
+            ("repro.cluster", "PlacementPolicy"),
+            ("repro.cluster", "ReinforcedCounterPolicy"),
+        ],
+    )
+    def test_the_single_configuration_layers_are_gone(
+        self, module_name, removed
+    ):
+        module = importlib.import_module(module_name)
+        assert not hasattr(module, removed)
+        assert removed not in module.__all__
+
+    def test_concurrent_is_internal_and_placement_is_not_a_keyword(self):
+        from repro.cache.manager import DocumentCache
+        from repro.cluster import CacheCluster
+
+        cluster = inspect.signature(CacheCluster).parameters
+        assert len(cluster) == 11
+        assert "placement_policy" not in cluster
+        for constructor in (DocumentCache, CacheCluster):
+            parameters = inspect.signature(constructor).parameters
+            assert not {"concurrent", "scheduler"} & set(parameters)
+
+    def test_the_cache_core_holds_no_scheduler(self):
+        from repro.cache.manager import DocumentCache
+        from repro.placeless.kernel import PlacelessKernel
+
+        core = DocumentCache(PlacelessKernel(), capacity_bytes=1024).core
+        assert not hasattr(core, "scheduler")
+
+
 class TestModuleHygiene:
     @pytest.mark.parametrize("module_name", ALL_MODULES)
     def test_module_imports_cleanly(self, module_name):

@@ -212,7 +212,7 @@ class TestSettleBatch:
                 raise item
             return item
 
-        def iterate(item, scheduler):
+        def iterate(item):
             return read_one(item)
             yield  # pragma: no cover - makes this a generator
 

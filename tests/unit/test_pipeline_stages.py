@@ -43,7 +43,7 @@ from repro.errors import CacheError
 from repro.faults.plan import FaultStats
 from repro.ids import DocumentId
 from repro.placeless.document import PathMeta
-from repro.placeless.kernel import KernelStats
+from repro.placeless.kernel import KernelStats, PlacelessKernel
 from repro.providers.memory import MemoryProvider
 from repro.storage.tier import StorageStats
 
@@ -103,47 +103,56 @@ class TestDefaultDegradationPolicy:
         assert policy.stale_age_acceptable(500.0)
         assert not policy.stale_age_acceptable(500.1)
 
+    @staticmethod
+    def _core(**degradation):
+        """The quarantine lives on each cache's core; the policy only
+        configures its threshold."""
+        return DocumentCache(
+            PlacelessKernel(), capacity_bytes=1024,
+            degradation_policy=DefaultDegradationPolicy(**degradation),
+        ).core
+
     def test_quarantine_requires_consecutive_failures(self):
-        policy = DefaultDegradationPolicy(verifier_quarantine_threshold=3)
+        core = self._core(verifier_quarantine_threshold=3)
         key = (DocumentId(1), "ThresholdVerifier")
-        assert not policy.note_verifier_failure(key)
-        assert not policy.note_verifier_failure(key)
+        assert not core.note_verifier_failure(key)
+        assert not core.note_verifier_failure(key)
         # A clean run resets the streak, so the next failure is #1 again.
-        policy.note_verifier_success(key)
-        assert not policy.note_verifier_failure(key)
-        assert not policy.note_verifier_failure(key)
-        assert policy.note_verifier_failure(key)  # newly quarantined
-        assert policy.is_quarantined(key)
+        core.note_verifier_success(key)
+        assert not core.note_verifier_failure(key)
+        assert not core.note_verifier_failure(key)
+        assert core.note_verifier_failure(key)  # newly quarantined
+        assert core.is_quarantined(key)
         # Already quarantined: further failures are not "newly".
-        assert not policy.note_verifier_failure(key)
+        assert not core.note_verifier_failure(key)
 
     def test_no_threshold_means_no_quarantine(self):
-        policy = DefaultDegradationPolicy()
+        core = self._core()
         key = (DocumentId(1), "V")
         for _ in range(100):
-            policy.note_verifier_failure(key)
-        assert not policy.is_quarantined(key)
-        assert policy.breakers.open_keys() == set()
+            core.note_verifier_failure(key)
+        assert not core.is_quarantined(key)
+        assert core.quarantine.open_keys() == set()
 
     def test_breaker_reset_clears_streaks_too(self):
-        policy = DefaultDegradationPolicy(verifier_quarantine_threshold=1)
+        core = self._core(verifier_quarantine_threshold=1)
         a = (DocumentId(1), "A")
         b = (DocumentId(2), "B")
-        policy.note_verifier_failure(a)
-        policy.note_verifier_failure(b)
-        assert policy.breakers.open_keys() == {a, b}
-        assert policy.breakers.reset_all() == 2
-        assert policy.breakers.open_keys() == set()
+        core.note_verifier_failure(a)
+        core.note_verifier_failure(b)
+        assert core.quarantine.open_keys() == {a, b}
+        assert core.quarantine.reset_all() == 2
+        assert core.quarantine.open_keys() == set()
         # Streaks were cleared: one failure re-quarantines (threshold 1).
-        assert policy.note_verifier_failure(a)
+        assert core.note_verifier_failure(a)
 
     def test_open_keys_returns_a_copy(self):
-        policy = DefaultDegradationPolicy(verifier_quarantine_threshold=1)
+        core = self._core(verifier_quarantine_threshold=1)
         key = (DocumentId(1), "A")
-        policy.note_verifier_failure(key)
-        snapshot = policy.breakers.open_keys()
+        core.note_verifier_failure(key)
+        snapshot = core.quarantine.open_keys()
         snapshot.clear()
-        assert policy.is_quarantined(key)
+        assert core.is_quarantined(key)
 
     @pytest.mark.parametrize(
         "keyword",
@@ -356,6 +365,30 @@ def test_one_way_into_the_cache_and_one_way_out_of_a_miss(source_trees):
         if isinstance(node, ast.Name) and node.id == "ADOPTION_COST_MS"
         and isinstance(node.ctx, ast.Load)
     ] == ["cache/pipeline.py"]
+
+
+def test_one_driver_for_suspended_reads(source_trees):
+    # Interleaving is ``sim.scheduler.run_batch``'s FIFO queue, which the
+    # goldens pin; an event loop would put it back in the stdlib's hands.
+    imported = {
+        (alias.name if isinstance(node, ast.Import) else node.module or "")
+        .split(".")[0]
+        for tree in source_trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert "asyncio" not in imported
+    # The write path never suspends: no generator in ``WritePipeline``.
+    writes = next(
+        node
+        for node in ast.walk(source_trees[Path("cache/pipeline.py")])
+        if isinstance(node, ast.ClassDef) and node.name == "WritePipeline"
+    )
+    assert not any(
+        isinstance(node, (ast.Yield, ast.YieldFrom))
+        for node in ast.walk(writes)
+    )
 
 
 class TestStatsProjection:

@@ -16,10 +16,12 @@ from typing import NamedTuple
 import pytest
 
 from repro.cache import policies
+from repro.cache.manager import DocumentCache
 from repro.cluster import coordinator
 from repro.cluster import policy as cluster_policy
 from repro.errors import CacheError
 from repro.overload import health
+from repro.placeless.kernel import PlacelessKernel
 from repro.storage import tier
 
 
@@ -217,12 +219,23 @@ class TestConfigContract:
     def test_option_count(self):
         assert sum(len(_options(config.cls)) for config in CONFIGS) == 29
 
+    @per_config
+    def test_every_field_is_an_option(self, config):
+        """Pure configuration: no derived or stateful field rides along
+        (a shared instance must not share state between its caches)."""
+        names = [f.name for f in dataclasses.fields(config.cls)]
+        assert names == _options(config.cls) == list(config.defaults)
+
     def test_degradation_replace_gets_a_fresh_quarantine(self):
+        """The quarantine is per cache, whichever policy configured it."""
         original = policies.DegradationPolicy(verifier_quarantine_threshold=1)
-        original.note_verifier_failure(("doc", "V"))
         copy = dataclasses.replace(original, serve_stale_on_error=True)
-        assert original.is_quarantined(("doc", "V"))
-        assert not copy.is_quarantined(("doc", "V"))
+        kernel = PlacelessKernel()
+        first = DocumentCache(kernel, 1024, degradation_policy=original).core
+        second = DocumentCache(kernel, 1024, degradation_policy=copy).core
+        first.note_verifier_failure(("doc", "V"))
+        assert first.is_quarantined(("doc", "V"))
+        assert not second.is_quarantined(("doc", "V"))
 
 
 @pytest.mark.parametrize(
