@@ -109,7 +109,7 @@ class ReadResult:
     source_size: int
 
     def read_all(self) -> bytes:
-        """Drain and close the stream (convenience)."""
+        """Read the stream whole (one ``read(-1)``) and close it."""
         try:
             return self.stream.read(-1)
         finally:

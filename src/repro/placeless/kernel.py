@@ -30,7 +30,6 @@ from repro.placeless.reference import DocumentReference
 from repro.placeless.space import DocumentSpace
 from repro.providers.base import BitProvider
 from repro.sim.context import SimContext
-from repro.streams.chain import drain
 
 __all__ = ["KernelReadOutcome", "KernelStats", "PlacelessKernel"]
 
@@ -150,10 +149,15 @@ class PlacelessKernel:
         path, and the network hops between application, reference server
         and base server.  Returns the final content together with the
         accumulated caching metadata.
+
+        The stream chain is read whole (``read(-1)``): each transform
+        runs once over its entire input rather than once per pulled
+        chunk.  Applications that pull in pieces (``repro.nfs``,
+        :func:`~repro.streams.chain.drain`) get the same bytes.
         """
         started_ms = self.ctx.clock.now_ms
         result = reference.open_input()
-        content = drain(result.stream)
+        content = result.read_all()
         for hop in self.ctx.topology.fetch_path():
             self.ctx.charge_hop(hop, len(content))
         self.stats.reads += 1

@@ -21,6 +21,7 @@ from repro.placeless.properties import ActiveProperty
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.manager import DocumentCache
+    from repro.placeless.reference import DocumentReference
 
 __all__ = ["CollectionPrefetchProperty", "attach_collection_prefetch"]
 
@@ -52,7 +53,8 @@ class CollectionPrefetchProperty(ActiveProperty):
         return {EventType.GET_INPUT_STREAM, EventType.READ_FORWARDED}
 
     def handle(self, event: Event) -> Any:
-        reference = self.attachment
+        # Attached per member reference (see the module docstring).
+        reference = typing.cast("DocumentReference | None", self.attachment)
         if reference is None:
             return None
         siblings = self.collection.siblings_of(reference)

@@ -62,6 +62,9 @@ class _DecryptingInputStream(InputStream):
         self._offset += len(chunk)
         return plain
 
+    def _read_rest(self) -> bytes:
+        return self._read_chunk(-1)
+
     def _on_close(self) -> None:
         self._inner.close()
 

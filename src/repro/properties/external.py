@@ -31,7 +31,7 @@ from typing import Any, Callable
 from repro.cache.consistency import Invalidation, InvalidationReason
 from repro.cache.verifiers import PredicateVerifier, Verifier
 from repro.errors import PropertyError
-from repro.events.timers import TimerService
+from repro.events.timers import TimerService, TimerSubscription
 from repro.events.types import Event, EventType
 from repro.ids import CacheId
 from repro.placeless.properties import ActiveProperty
@@ -100,7 +100,7 @@ class ExternalDependencyProperty(ActiveProperty):
         self.sample_cost_ms = sample_cost_ms
         self.polls = 0
         self.invalidations_pushed = 0
-        self._subscription = None
+        self._subscription: TimerSubscription | None = None
         self._last_seen: Any = None
 
     def events_of_interest(self):
@@ -145,6 +145,7 @@ class ExternalDependencyProperty(ActiveProperty):
     def on_attach(self) -> None:
         if self.mode != "notifier":
             return
+        assert self.timers is not None and self.property_id is not None
         base = getattr(self.attachment, "base", self.attachment)
         self._last_seen = self.observe()
         self._subscription = self.timers.subscribe_periodic(
@@ -162,6 +163,8 @@ class ExternalDependencyProperty(ActiveProperty):
     def handle(self, event: Event) -> Any:
         if event.type is not EventType.TIMER or self.mode != "notifier":
             return None
+        assert self.attachment is not None
+        assert self.bus is not None and self.cache_id is not None
         # Poll at the server: charge the sampling cost there.
         self.attachment.ctx.charge(self.sample_cost_ms)
         self.polls += 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.events.timers import TimerService
+from repro.events.timers import TimerService, TimerSubscription
 from repro.events.types import Event, EventType
 from repro.placeless.properties import ActiveProperty
 from repro.providers.simfs import SimulatedFileSystem
@@ -47,12 +47,13 @@ class ReplicationProperty(ActiveProperty):
         self.replica_path = replica_path
         self.period_ms = period_ms
         self.replications = 0
-        self._subscription = None
+        self._subscription: TimerSubscription | None = None
 
     def events_of_interest(self):
         return {EventType.TIMER}
 
     def on_attach(self) -> None:
+        assert self.property_id is not None, "property must be bound first"
         base = getattr(self.attachment, "base", self.attachment)
         self._subscription = self._timers.subscribe_periodic(
             property_id=self.property_id,

@@ -11,13 +11,14 @@ correction applied word-wise, line by line — because only its *stream
 behaviour* matters to caching.  It transforms both the read and the write
 path, exactly as in the paper, and its transform signature includes its
 dictionary fingerprint and version so upgrading the corrector changes the
-signature (and triggers MODIFY_PROPERTY invalidation).
+signature (and triggers MODIFY_PROPERTY invalidation).  The dictionary
+is a shared :class:`~repro.streams.transforms.WordTable`: correctors
+with equal dictionaries hold one object between them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import re
+from typing import Mapping
 
 from repro.events.types import Event, EventType
 from repro.placeless.properties import ActiveProperty
@@ -25,13 +26,13 @@ from repro.streams.base import InputStream, OutputStream
 from repro.streams.transforms import (
     BufferedTransformOutputStream,
     LineTransformInputStream,
+    WordTable,
     text_transform,
 )
 
 __all__ = ["SpellingCorrectorProperty", "DEFAULT_CORRECTIONS"]
 
-#: A small default dictionary (with the paper's own title words in it).
-DEFAULT_CORRECTIONS: dict[str, str] = {
+_DEFAULT_WORDS = WordTable.of({
     "teh": "the",
     "adress": "address",
     "recieve": "receive",
@@ -42,9 +43,9 @@ DEFAULT_CORRECTIONS: dict[str, str] = {
     "propertys": "properties",
     "consistancy": "consistency",
     "performence": "performance",
-}
-
-_WORD_RE = re.compile(r"[A-Za-z]+")
+})
+#: A small default dictionary (with the paper's own title words in it).
+DEFAULT_CORRECTIONS: Mapping[str, str] = _DEFAULT_WORDS.mapping
 
 
 class SpellingCorrectorProperty(ActiveProperty):
@@ -55,36 +56,37 @@ class SpellingCorrectorProperty(ActiveProperty):
 
     def __init__(
         self,
-        corrections: dict[str, str] | None = None,
+        corrections: Mapping[str, str] | None = None,
         name: str = "spell-correct",
         version: int = 1,
     ) -> None:
         super().__init__(name, version)
-        self.corrections = dict(
-            DEFAULT_CORRECTIONS if corrections is None else corrections
+        self._words = (
+            _DEFAULT_WORDS if corrections is None
+            else WordTable.of(corrections)
         )
         self.words_corrected = 0
+
+    @property
+    def corrections(self) -> Mapping[str, str]:
+        """The correction dictionary (read-only; see
+        :meth:`upgrade_dictionary`)."""
+        return self._words.mapping
 
     def events_of_interest(self):
         return {EventType.GET_INPUT_STREAM, EventType.GET_OUTPUT_STREAM}
 
-    def _correct_word(self, match: re.Match[str]) -> str:
-        word = match.group(0)
-        replacement = self.corrections.get(word.lower())
-        if replacement is None:
-            return word
-        self.words_corrected += 1
-        if word[0].isupper():
-            replacement = replacement.capitalize()
-        return replacement
-
     def correct_text(self, text: str) -> str:
         """Apply the correction dictionary to *text*."""
-        return _WORD_RE.sub(self._correct_word, text)
+        corrected, replaced = self._words.substitute(text)
+        self.words_corrected += replaced
+        return corrected
 
     def wrap_input(self, stream: InputStream, event: Event) -> InputStream:
+        # ``[A-Za-z]+`` cannot span a newline, so correcting many lines
+        # at once corrects each of them.
         return LineTransformInputStream(
-            stream, text_transform(self.correct_text)
+            stream, text_transform(self.correct_text, newline_transparent=True)
         )
 
     def wrap_output(self, stream: OutputStream, event: Event) -> OutputStream:
@@ -93,16 +95,16 @@ class SpellingCorrectorProperty(ActiveProperty):
         )
 
     def transform_signature(self) -> str:
-        fingerprint = hashlib.md5(
-            repr(sorted(self.corrections.items())).encode()
-        ).hexdigest()[:8]
-        return f"spellcheck/{self.name}/v{self.version}/{fingerprint}"
+        return (
+            f"spellcheck/{self.name}/v{self.version}"
+            f"/{self._words.fingerprint}"
+        )
 
-    def upgrade_dictionary(self, corrections: dict[str, str]) -> None:
+    def upgrade_dictionary(self, corrections: Mapping[str, str]) -> None:
         """Install a new correction dictionary — a new release (§3).
 
         Merges the new entries, bumps the version and raises
         MODIFY_PROPERTY so notifiers invalidate dependent cache entries.
         """
-        self.corrections.update(corrections)
+        self._words = WordTable.of({**self.corrections, **corrections})
         self.upgrade()

@@ -8,23 +8,27 @@ longer valid" (§3 consistency class 2).
 The translator is a word-table substitution over the read path.  It is a
 *buffered* transform (a real translator needs the full sentence/document)
 which also makes it one of the expensive properties replacement policies
-should favour keeping cached.
+should favour keeping cached.  The table is a shared
+:class:`~repro.streams.transforms.WordTable`: translators with equal
+tables hold one object between them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import re
+from typing import Mapping
 
 from repro.events.types import Event, EventType
 from repro.placeless.properties import ActiveProperty
 from repro.streams.base import InputStream
-from repro.streams.transforms import BufferedTransformInputStream, text_transform
+from repro.streams.transforms import (
+    BufferedTransformInputStream,
+    WordTable,
+    text_transform,
+)
 
 __all__ = ["TranslationProperty", "ENGLISH_TO_FRENCH"]
 
-#: A small English→French word table sufficient for the examples/tests.
-ENGLISH_TO_FRENCH: dict[str, str] = {
+_DEFAULT_WORDS = WordTable.of({
     "the": "le",
     "a": "un",
     "and": "et",
@@ -48,9 +52,9 @@ ENGLISH_TO_FRENCH: dict[str, str] = {
     "content": "contenu",
     "hello": "bonjour",
     "world": "monde",
-}
-
-_WORD_RE = re.compile(r"[A-Za-z]+")
+})
+#: A small English→French word table sufficient for the examples/tests.
+ENGLISH_TO_FRENCH: Mapping[str, str] = _DEFAULT_WORDS.mapping
 
 
 class TranslationProperty(ActiveProperty):
@@ -61,32 +65,31 @@ class TranslationProperty(ActiveProperty):
 
     def __init__(
         self,
-        table: dict[str, str] | None = None,
+        table: Mapping[str, str] | None = None,
         name: str = "translate-to-french",
         target_language: str = "fr",
         version: int = 1,
     ) -> None:
         super().__init__(name, version)
-        self.table = dict(ENGLISH_TO_FRENCH if table is None else table)
+        self._words = (
+            _DEFAULT_WORDS if table is None else WordTable.of(table)
+        )
         self.target_language = target_language
         self.words_translated = 0
+
+    @property
+    def table(self) -> Mapping[str, str]:
+        """The word table (read-only)."""
+        return self._words.mapping
 
     def events_of_interest(self):
         return {EventType.GET_INPUT_STREAM}
 
-    def _translate_word(self, match: re.Match[str]) -> str:
-        word = match.group(0)
-        replacement = self.table.get(word.lower())
-        if replacement is None:
-            return word
-        self.words_translated += 1
-        if word[0].isupper():
-            replacement = replacement.capitalize()
-        return replacement
-
     def translate_text(self, text: str) -> str:
         """Apply the word table to *text*."""
-        return _WORD_RE.sub(self._translate_word, text)
+        translated, replaced = self._words.substitute(text)
+        self.words_translated += replaced
+        return translated
 
     def wrap_input(self, stream: InputStream, event: Event) -> InputStream:
         return BufferedTransformInputStream(
@@ -94,10 +97,7 @@ class TranslationProperty(ActiveProperty):
         )
 
     def transform_signature(self) -> str:
-        fingerprint = hashlib.md5(
-            repr(sorted(self.table.items())).encode()
-        ).hexdigest()[:8]
         return (
             f"translate/{self.name}/{self.target_language}"
-            f"/v{self.version}/{fingerprint}"
+            f"/v{self.version}/{self._words.fingerprint}"
         )

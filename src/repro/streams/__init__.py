@@ -25,6 +25,7 @@ from repro.streams.transforms import (
     ChunkTransformInputStream,
     ChunkTransformOutputStream,
     LineTransformInputStream,
+    WordTable,
     text_transform,
 )
 
@@ -41,6 +42,7 @@ __all__ = [
     "ChunkTransformInputStream",
     "ChunkTransformOutputStream",
     "LineTransformInputStream",
+    "WordTable",
     "text_transform",
     "build_input_chain",
     "build_output_chain",

@@ -27,8 +27,9 @@ class InputStream(abc.ABC):
     """A readable byte stream.
 
     Subclasses implement :meth:`_read_chunk`; the base class handles
-    closed-state checking and the ``read everything`` convention
-    (``size < 0``).
+    closed-state checking and routes the ``read everything`` convention
+    (``size < 0``) to :meth:`_read_rest`, which a stream that can
+    produce its remainder in one step overrides.
     """
 
     def __init__(self) -> None:
@@ -47,13 +48,7 @@ class InputStream(abc.ABC):
         if self._closed:
             raise StreamClosedError("read from closed stream")
         if size < 0:
-            pieces = []
-            while True:
-                chunk = self._read_chunk(65536)
-                if not chunk:
-                    break
-                pieces.append(chunk)
-            return b"".join(pieces)
+            return self._read_rest()
         if size == 0:
             return b""
         return self._read_chunk(size)
@@ -77,6 +72,22 @@ class InputStream(abc.ABC):
     @abc.abstractmethod
     def _read_chunk(self, size: int) -> bytes:
         """Produce at most *size* bytes, ``b""`` at end of stream."""
+
+    def _read_rest(self) -> bytes:
+        """Everything not yet read (``b""`` at end of stream).
+
+        The default pulls 64 KiB chunks.  An override must return the
+        bytes — or raise the error — this loop would have: a transform
+        runs it once over ``inner.read(-1)``, a checking wrapper
+        forwards ``read(-1)`` inward and keeps its checks.
+        """
+        pieces = []
+        while True:
+            chunk = self._read_chunk(65536)
+            if not chunk:
+                break
+            pieces.append(chunk)
+        return b"".join(pieces)
 
     def _on_close(self) -> None:
         """Hook for subclasses to propagate close to wrapped streams."""
@@ -137,6 +148,11 @@ class BytesInputStream(InputStream):
         self._position += len(chunk)
         return chunk
 
+    def _read_rest(self) -> bytes:
+        rest = self._data[self._position :]
+        self._position = len(self._data)
+        return rest
+
     @property
     def remaining(self) -> int:
         """Bytes not yet read."""
@@ -176,6 +192,9 @@ class CountingInputStream(InputStream):
         chunk = self._inner.read(size)
         self.bytes_read += len(chunk)
         return chunk
+
+    def _read_rest(self) -> bytes:
+        return self._read_chunk(-1)
 
     def _on_close(self) -> None:
         self._inner.close()

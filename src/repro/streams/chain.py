@@ -121,8 +121,10 @@ def build_output_chain(
 def drain(source: InputStream, chunk_size: int = 4096) -> bytes:
     """Read *source* to end of stream in *chunk_size* pieces and close it.
 
-    Reading chunk-wise (rather than ``read(-1)``) exercises the chunk and
-    line transform paths the way a real application would.
+    The application-shaped reader: an editor or ``repro.nfs`` pulls a
+    file in pieces, which exercises the chunk and line transform paths
+    that ``read(-1)`` — what :meth:`PlacelessKernel.read` issues —
+    answers in one step.  Both deliver the same bytes.
     """
     pieces = []
     try:
@@ -318,7 +320,8 @@ class FirewallInputStream(InputStream):
     Reports the stream's fate to the containment guard: ``on_failure``
     once if any read raises (the error still propagates — a mid-stream
     failure cannot be skipped retroactively, but the breaker learns),
-    ``on_success`` once when end of stream is reached cleanly.
+    ``on_success`` once when end of stream is reached cleanly — by an
+    empty chunk or by a ``read(-1)``, which is forwarded inward whole.
     """
 
     def __init__(
@@ -341,10 +344,13 @@ class FirewallInputStream(InputStream):
                 self._reported = True
                 self._on_failure(error)
             raise
-        if not chunk and not self._reported:
+        if (size < 0 or not chunk) and not self._reported:
             self._reported = True
             self._on_success()
         return chunk
+
+    def _read_rest(self) -> bytes:
+        return self._read_chunk(-1)
 
     def _on_close(self) -> None:
         self._inner.close()
@@ -386,7 +392,15 @@ class FirewallOutputStream(OutputStream):
 
 
 class ByteCapInputStream(InputStream):
-    """Enforces an execution budget's byte cap on a property stream."""
+    """Enforces an execution budget's byte cap on a property stream.
+
+    The cap exists to stop an over-producing property, so it does not
+    forward ``read(-1)``: it keeps the default 64 KiB loop and checks
+    the running total after every chunk — a runaway stream is cut off
+    within one chunk of the cap instead of being materialised first.
+    The cap trips on the same streams whatever the reader's chunking;
+    how far the streams *beneath* had got by then depends on it.
+    """
 
     def __init__(self, inner: InputStream, max_bytes: int, site: str) -> None:
         super().__init__()

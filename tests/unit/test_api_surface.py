@@ -106,6 +106,59 @@ class TestOneReadDriver:
         assert not hasattr(core, "scheduler")
 
 
+class TestOneWordSubstitution:
+    """The corrector and the translator share `streams.WordTable`; the
+    kernel reads whole and leaves `drain` to chunked applications."""
+
+    def test_word_table_is_exported_beside_the_transform_streams(self):
+        import repro.streams
+        import repro.streams.transforms
+
+        for module in (repro.streams, repro.streams.transforms):
+            assert "WordTable" in module.__all__
+            assert "text_transform" in module.__all__
+        assert "drain" in repro.streams.__all__
+
+    def test_the_hand_copied_word_callbacks_are_gone(self):
+        from repro.properties.spellcheck import SpellingCorrectorProperty
+        from repro.properties.translate import TranslationProperty
+        import repro.properties.spellcheck as spellcheck
+        import repro.properties.translate as translate
+
+        assert not hasattr(SpellingCorrectorProperty, "_correct_word")
+        assert not hasattr(TranslationProperty, "_translate_word")
+        for module in (spellcheck, translate):
+            assert not hasattr(module, "_WORD_RE")
+
+    def test_the_word_table_runs_no_regex_and_keeps_no_memo(self):
+        import repro.streams.transforms as transforms
+
+        assert not hasattr(transforms, "re")
+        assert not hasattr(transforms, "_WORD_RE")
+        assert not hasattr(transforms, "MEMO_TOKENS")
+        assert set(transforms.WordTable.__slots__) == {
+            "mapping", "fingerprint", "_lookup", "__weakref__",
+        }
+
+    def test_the_kernel_no_longer_imports_drain(self):
+        import repro.placeless.kernel as kernel
+
+        assert not hasattr(kernel, "drain")
+
+    def test_no_new_constructor_keyword(self):
+        from repro.cache.manager import DocumentCache
+        from repro.properties.spellcheck import SpellingCorrectorProperty
+        from repro.properties.translate import TranslationProperty
+
+        assert len(inspect.signature(DocumentCache).parameters) == 26
+        assert list(inspect.signature(SpellingCorrectorProperty).parameters) == [
+            "corrections", "name", "version",
+        ]
+        assert list(inspect.signature(TranslationProperty).parameters) == [
+            "table", "name", "target_language", "version",
+        ]
+
+
 class TestModuleHygiene:
     @pytest.mark.parametrize("module_name", ALL_MODULES)
     def test_module_imports_cleanly(self, module_name):

@@ -2,7 +2,8 @@
 
 Covers the circuit-breaker state machine and registry, execution
 budgets, the guard's per-role fallbacks at the stream-wrapper seam
-(skip / force-miss / deny), the notifier firewall, the deprecated
+(skip / force-miss / deny), the stream firewalls and the byte cap under
+the kernel's whole read, the notifier firewall, the deprecated
 quarantine bridge, and the off-by-default guarantee that
 :class:`~repro.cache.stats.CacheStats` gains no fields.
 """
@@ -24,12 +25,20 @@ from repro.cache.containment import (
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import DefaultContainmentPolicy
 from repro.cache.stats import CacheStats
-from repro.errors import BudgetExceededError, CacheError, CircuitOpenError
+from repro.errors import (
+    BudgetExceededError,
+    CacheError,
+    CircuitOpenError,
+    StreamError,
+)
 from repro.events.types import EventType
 from repro.placeless.kernel import PlacelessKernel
 from repro.placeless.properties import ActiveProperty
+from repro.properties.translate import TranslationProperty
 from repro.providers.memory import MemoryProvider
 from repro.sim.context import SimContext
+from repro.streams.base import InputStream
+from repro.streams.chain import drain
 
 
 class RaisingProperty(ActiveProperty):
@@ -63,6 +72,70 @@ class ExpensiveProperty(ActiveProperty):
 
     def events_of_interest(self):
         return {EventType.GET_INPUT_STREAM}
+
+
+class MidStreamFailureProperty(ActiveProperty):
+    """Wraps cleanly, then fails once *healthy_bytes* have been read."""
+
+    execution_cost_ms = 0.1
+
+    def __init__(self, healthy_bytes=4, name="flaky-stream"):
+        super().__init__(name)
+        self.healthy_bytes = healthy_bytes
+        self.misbehave = True
+
+    def events_of_interest(self):
+        return {EventType.GET_INPUT_STREAM}
+
+    def wrap_input(self, stream, event):
+        return _FailingAfter(stream, self) if self.misbehave else stream
+
+
+class EndlessProperty(ActiveProperty):
+    """A runaway transformer: its stream never reaches end of stream."""
+
+    execution_cost_ms = 0.1
+
+    def __init__(self, name="endless"):
+        super().__init__(name)
+        self.bytes_produced = 0
+
+    def events_of_interest(self):
+        return {EventType.GET_INPUT_STREAM}
+
+    def wrap_input(self, stream, event):
+        return _Endless(stream, self)
+
+
+class _Endless(InputStream):
+    def __init__(self, inner, prop):
+        super().__init__()
+        self._inner = inner
+        self._prop = prop
+
+    def _read_chunk(self, size):
+        self._prop.bytes_produced += size
+        return b"x" * size
+
+    def _on_close(self):
+        self._inner.close()
+
+
+class _FailingAfter(InputStream):
+    def __init__(self, inner, prop):
+        super().__init__()
+        self._inner = inner
+        self._left = prop.healthy_bytes
+
+    def _read_chunk(self, size):
+        if self._left <= 0:
+            raise StreamError("transformer broke mid-stream")
+        chunk = self._inner.read(min(size, self._left))
+        self._left -= len(chunk)
+        return chunk
+
+    def _on_close(self):
+        self._inner.close()
 
 
 def _deployment(policy, prop=None, content=b"hello world"):
@@ -270,6 +343,121 @@ class TestWrapperSeamFallbacks:
         assert stats.budget_overruns == 1
         # The access paid the 5 ms cap, not the 50 ms runaway cost.
         assert kernel.ctx.clock.now_ms - before < 50.0
+
+
+class TestStreamSeamUnderTheWholeRead:
+    """``kernel.read`` issues one ``read(-1)``; the firewalls forward
+    it inward and report as they do under a chunked drain, the byte
+    cap answers it in 64 KiB chunks so that it still bounds the work."""
+
+    def test_byte_cap_trips_on_the_running_total(self):
+        content = b"the cache " * 50
+        kernel, cache, reference = _deployment(
+            DefaultContainmentPolicy(failure_threshold=1, max_bytes=100),
+            TranslationProperty(),
+            content,
+        )
+        with pytest.raises(BudgetExceededError):
+            kernel.read(reference)
+        stats = cache.containment_stats
+        assert stats.budget_overruns == 1
+        assert stats.escapes == 0
+        assert stats.trips == 1
+        assert cache.containment.wrappers.open_keys()
+
+    def test_byte_cap_passes_a_stream_within_budget(self):
+        kernel, cache, reference = _deployment(
+            DefaultContainmentPolicy(failure_threshold=1, max_bytes=100),
+            TranslationProperty(),
+            b"the cache",
+        )
+        assert kernel.read(reference).content == b"le cache"
+        assert cache.containment_stats.total == 0
+        assert not cache.containment.wrappers.open_keys()
+
+    def test_byte_cap_counts_what_the_property_emits(self):
+        # 96 source bytes, 144 translated ones: the cap is on the
+        # property's output, whichever way it is pulled.
+        content = b"a " * 48
+        for pull in (
+            lambda kernel, reference: kernel.read(reference),
+            lambda kernel, reference: drain(reference.open_input().stream, 16),
+        ):
+            kernel, cache, reference = _deployment(
+                DefaultContainmentPolicy(max_bytes=100),
+                TranslationProperty(),
+                content,
+            )
+            with pytest.raises(BudgetExceededError):
+                pull(kernel, reference)
+            assert cache.containment_stats.budget_overruns == 1
+
+    def test_byte_cap_stops_an_endless_stream_within_one_chunk(self):
+        # The cap bounds the work, not just the result: a whole read
+        # forwarded through it would never come back from this stream.
+        prop = EndlessProperty()
+        kernel, cache, reference = _deployment(
+            DefaultContainmentPolicy(failure_threshold=1, max_bytes=1000),
+            prop,
+        )
+        with pytest.raises(BudgetExceededError):
+            kernel.read(reference)
+        assert prop.bytes_produced <= 1000 + 65536
+        assert cache.containment_stats.budget_overruns == 1
+        assert cache.containment.wrappers.open_keys()
+
+    def test_mid_stream_failure_is_reported_once_and_trips_the_breaker(self):
+        prop = MidStreamFailureProperty()
+        kernel, cache, reference = _deployment(
+            DefaultContainmentPolicy(failure_threshold=1), prop
+        )
+        with pytest.raises(StreamError):
+            kernel.read(reference)
+        stats = cache.containment_stats
+        assert stats.escapes == 1
+        assert stats.trips == 1
+        # The open breaker now skips the property without running it.
+        outcome = kernel.read(reference)
+        assert outcome.content == b"hello world"
+        assert outcome.meta.contained_skips == 1
+        assert stats.escapes == 1
+
+    def test_clean_whole_read_closes_a_half_open_breaker(self):
+        prop = MidStreamFailureProperty()
+        kernel, cache, reference = _deployment(
+            DefaultContainmentPolicy(
+                failure_threshold=1,
+                probation_delay_ms=500.0,
+                half_open_successes=1,
+            ),
+            prop,
+        )
+        with pytest.raises(StreamError):
+            kernel.read(reference)
+        prop.misbehave = False
+        kernel.ctx.clock.advance(600.0)
+        assert kernel.read(reference).content == b"hello world"
+        stats = cache.containment_stats
+        assert stats.probes == 1
+        # End of stream was reported exactly once: one close, and the
+        # next read finds a closed breaker (no further probe).
+        assert stats.closes == 1
+        assert not cache.containment.wrappers.open_keys()
+        kernel.read(reference)
+        assert (stats.probes, stats.closes) == (1, 1)
+
+    def test_stacked_firewalls_each_report_their_own_stream(self):
+        inner_prop = TranslationProperty(name="inner")
+        outer_prop = MidStreamFailureProperty(name="outer")
+        kernel, cache, reference = _deployment(
+            DefaultContainmentPolicy(failure_threshold=1), inner_prop
+        )
+        reference.attach(outer_prop)
+        with pytest.raises(StreamError):
+            kernel.read(reference)
+        open_sites = {site for _, site in cache.containment.wrappers.open_keys()}
+        assert open_sites == {"stream:outer"}
+        assert cache.containment_stats.escapes == 1
 
 
 class TestNotifierFirewall:
