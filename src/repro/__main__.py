@@ -244,20 +244,12 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     print(f"  plans cached={ctx.read_plans_built - ctx.read_plans_rebuilt} "
           f"rebuilds since start={ctx.read_plans_rebuilt}")
 
+    # One guard fences the kernel's property code for every shard.
     print("\nbreakers (open):")
-    for name, shard in cluster.shards.items():
-        guard = shard.containment
-        open_counts = {
-            site: len(registry.open_keys())
-            for site, registry in (
-                ("wrappers", guard.wrappers),
-                ("verifiers", guard.verifiers),
-                ("notifiers", guard.notifiers),
-            )
-        }
-        print(f"  {name:<12} " + " ".join(
-            f"{site}={count}" for site, count in open_counts.items()
-        ))
+    print("  " + " ".join(
+        f"{seam}={len(keys)}"
+        for seam, keys in ctx.containment.open_sites().items()
+    ))
 
     print("\nmemo:")
     for name, shard in cluster.shards.items():

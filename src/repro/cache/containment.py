@@ -28,12 +28,20 @@ transformer forces the access to miss to the kernel (the untransformed
 result is never admitted); or the policy may *deny* with a typed
 :class:`~repro.errors.CircuitOpenError`.
 
-Everything here is **off by default**: a cache constructed without a
-``containment_policy`` never builds a guard and behaves byte-identically
-to the uncontained pipeline (the golden-digest equivalence tests pin
-this).  New counters live in :class:`ContainmentStats`, projected from
-``containment`` stage events — :class:`~repro.cache.stats.CacheStats`
-gains no fields.
+Stream wrappers and notifier callbacks run in the *kernel's* world, not
+in any one cache, so there is one guard per
+:class:`~repro.sim.context.SimContext` (DESIGN.md §6.2): the first cache
+that passes a ``containment_policy`` builds it, later caches passing an
+equal policy attach to it, a different policy is refused.  The policy
+opts a cache's *own* seams in (verifier gate, memo and single-flight
+bail-outs); its kernel reads pass through the world's guard either way.
+
+Everything here is **off by default**: on a context where no cache
+passes a ``containment_policy`` no guard is built and every cache
+behaves byte-identically to the uncontained pipeline (the golden-digest
+equivalence tests pin this).  New counters live in
+:class:`ContainmentStats`, projected from ``containment`` stage events —
+:class:`~repro.cache.stats.CacheStats` gains no fields.
 """
 
 from __future__ import annotations
@@ -44,14 +52,8 @@ from dataclasses import dataclass, fields
 from typing import Any, Callable
 
 from repro.cache.instrumentation import InstrumentationBus, StageEvent
-from repro.errors import (
-    BudgetExceededError,
-    CacheError,
-    CircuitOpenError,
-    ContainmentError,
-)
+from repro.errors import BudgetExceededError, CacheError, CircuitOpenError
 from repro.streams import chain as chains
-from repro.streams.base import InputStream, OutputStream
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.entry import CacheEntry
@@ -63,6 +65,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "BreakerState",
     "BreakerConfig",
+    "verifier_key",
     "CircuitBreaker",
     "BreakerRegistry",
     "ExecutionBudget",
@@ -74,6 +77,13 @@ __all__ = [
 #: ``stream:<property name>``, the verifier type name (matching the
 #: legacy quarantine key shape), or ``notifier:<property name>``.
 BreakerKey = tuple[Any, str]
+
+
+def verifier_key(entry: "CacheEntry", verifier: Any) -> BreakerKey:
+    """The breaker (and legacy quarantine) key for one entry's verifier:
+    stable across refills (which rebuild verifier objects), so repeated
+    failures accumulate per document and verifier type, not per object."""
+    return (entry.document_id, type(verifier).__name__)
 
 
 class BreakerState(enum.Enum):
@@ -304,11 +314,12 @@ class ContainmentStats:
 class ContainmentGuard:
     """Coordinates breakers, budgets and firewalls across the three seams.
 
-    One guard per cache, built from a
-    :class:`~repro.cache.policies.ContainmentPolicy` and attached to
-    both the cache core (verifier/notifier seams) and the simulation
-    context (stream-wrapper seam, consulted by
-    :mod:`repro.streams.chain`).
+    One per simulation context, at ``ctx.containment``, where
+    :mod:`repro.streams.chain` (stream wrappers) and
+    :mod:`repro.cache.notifiers` (callbacks) find it; a cache built with
+    its policy holds it as ``core.containment`` for the verifier gate.
+    Its events ride the bus of the cache that built it; no cache owns
+    it, so shards may come and go under it.
     """
 
     def __init__(
@@ -363,107 +374,14 @@ class ContainmentGuard:
         if registry.get(key).record_success(self.ctx.clock.now_ms):
             self._emit("closed", *key)
 
-    # -- stream-wrapper seam ---------------------------------------------------
+    # -- stream-wrapper seam: what streams.chain.interpose asks, in order -------
 
-    def wrap_input(
-        self,
-        prop: "ActiveProperty",
-        stream: InputStream,
-        event: Any,
-        meta: "PathMeta",
-    ) -> InputStream:
-        """Firewalled equivalent of absorb + ``prop.wrap_input``."""
-        ctx = self.ctx
-        if getattr(prop, "is_infrastructure", False):
-            meta.absorb_property(ctx, prop)
-            return prop.wrap_input(stream, event)
-        site = chains.property_site(prop)
-        key: BreakerKey = (event.document_id, site)
-        role = self._role(prop)
-        if not self._allow(self.wrappers, key):
-            return self._fallback_input(key, role, stream, meta, cause=None)
-        plan = ctx.faults
-        mode = plan.check_property(site) if plan is not None else None
-        cost = prop.execution_cost_ms
-        if mode == "runaway" and plan is not None:
-            cost += plan.property_runaway_cost_ms
-        overrun = self._check_budget(key, cost)
-        if overrun is not None:
-            return self._fallback_input(key, role, stream, meta, cause=overrun)
-        try:
-            meta.absorb_property(ctx, prop)
-            if mode == "runaway" and plan is not None:
-                ctx.charge(plan.property_runaway_cost_ms)
-            if mode == "raise":
-                raise chains.injected_property_error(prop)
-            wrapped = prop.wrap_input(stream, event)
-        except ContainmentError:
-            raise
-        except Exception as error:
-            self._emit("contained", *key, error=type(error).__name__)
-            self._failure(self.wrappers, key)
-            return self._fallback_input(key, role, stream, meta, cause=error)
-        if mode == "corrupt":
-            wrapped = chains.CorruptingInputStream(wrapped, site)
-        budget = self.budget
-        if budget is not None and budget.max_bytes is not None:
-            wrapped = chains.ByteCapInputStream(wrapped, budget.max_bytes, site)
-        return chains.FirewallInputStream(
-            wrapped,
-            on_failure=lambda error: self._stream_failure(key, error),
-            on_success=lambda: self._success(self.wrappers, key),
-        )
+    def admit(self, key: BreakerKey) -> bool:
+        """May the property behind *key* run?  (An open breaker past its
+        probation admits the caller as the half-open probe.)"""
+        return self._allow(self.wrappers, key)
 
-    def wrap_output(
-        self, prop: "ActiveProperty", stream: OutputStream, event: Any
-    ) -> OutputStream:
-        """Firewalled equivalent of charge + ``prop.wrap_output``."""
-        ctx = self.ctx
-        if getattr(prop, "is_infrastructure", False):
-            ctx.charge(prop.execution_cost_ms)
-            return prop.wrap_output(stream, event)
-        site = chains.property_site(prop)
-        key: BreakerKey = (event.document_id, site)
-        role = self._role(prop)
-        if not self._allow(self.wrappers, key):
-            return self._fallback_output(key, role, stream, cause=None)
-        plan = ctx.faults
-        mode = plan.check_property(site) if plan is not None else None
-        cost = prop.execution_cost_ms
-        if mode == "runaway" and plan is not None:
-            cost += plan.property_runaway_cost_ms
-        overrun = self._check_budget(key, cost)
-        if overrun is not None:
-            return self._fallback_output(key, role, stream, cause=overrun)
-        try:
-            ctx.charge(prop.execution_cost_ms)
-            if mode == "runaway" and plan is not None:
-                ctx.charge(plan.property_runaway_cost_ms)
-            if mode == "raise":
-                raise chains.injected_property_error(prop)
-            wrapped = prop.wrap_output(stream, event)
-        except ContainmentError:
-            raise
-        except Exception as error:
-            self._emit("contained", *key, error=type(error).__name__)
-            self._failure(self.wrappers, key)
-            return self._fallback_output(key, role, stream, cause=error)
-        if mode == "corrupt":
-            wrapped = chains.CorruptingOutputStream(wrapped, site)
-        return chains.FirewallOutputStream(
-            wrapped,
-            on_failure=lambda error: self._stream_failure(key, error),
-            on_success=lambda: self._success(self.wrappers, key),
-        )
-
-    def _role(self, prop: "ActiveProperty") -> str:
-        return (
-            "required"
-            if getattr(prop, "transforms_reads", False)
-            else "optional"
-        )
-
-    def _check_budget(
+    def over_budget(
         self, key: BreakerKey, cost_ms: float
     ) -> BudgetExceededError | None:
         """Pre-invocation cost-cap check; charges the capped time on abort."""
@@ -481,60 +399,85 @@ class ContainmentGuard:
             return error
         return None
 
-    def _stream_failure(self, key: BreakerKey, error: BaseException) -> None:
-        if isinstance(error, BudgetExceededError):
-            self._emit("budget-exceeded", *key, error=type(error).__name__)
-        else:
-            self._emit("escaped", *key, error=type(error).__name__)
+    def contained(self, key: BreakerKey, error: BaseException) -> None:
+        """The property raised while interposing; the breaker learns."""
+        self._emit("contained", *key, error=type(error).__name__)
         self._failure(self.wrappers, key)
 
-    def _fallback_input(
+    def fall_back(
         self,
         key: BreakerKey,
-        role: str,
-        stream: InputStream,
-        meta: "PathMeta",
+        prop: "ActiveProperty",
+        stream: Any,
+        meta: "PathMeta | None",
         cause: BaseException | None,
-    ) -> InputStream:
-        decision = self.policy.fallback(role)
-        if decision == "deny":
+    ) -> Any:
+        """The property will not run: hand back *stream* unwrapped, or deny.
+
+        By role (:meth:`ContainmentPolicy.fallback`): an optional
+        property is skipped, a required transformer forces a miss or is
+        denied.  The write path (*meta* ``None``) has no degraded-serve
+        option — skipping a *required* transformer there would store
+        wrong bytes — so it skips optional properties and denies
+        everything else.
+        """
+        required = getattr(prop, "transforms_reads", False)
+        decision = self.policy.fallback("required" if required else "optional")
+        if decision == "deny" or (meta is None and decision != "skip"):
             self._emit("denied", *key)
             raise CircuitOpenError(
                 f"containment denied {key[1]} for document {key[0]}"
+                + ("" if meta is not None else " (write)")
             ) from cause
         if decision == "force-miss":
             meta.contained_required += 1
             self._emit("forced-miss", *key, seam="wrapper")
         else:
-            meta.contained_skips += 1
+            if meta is not None:
+                meta.contained_skips += 1
             self._emit("skipped", *key)
         return stream
 
-    def _fallback_output(
-        self,
-        key: BreakerKey,
-        role: str,
-        stream: OutputStream,
-        cause: BaseException | None,
-    ) -> OutputStream:
-        # Writes have no degraded-serve option: skipping a *required*
-        # transformer on the write path would store wrong bytes, so only
-        # optional properties may be skipped; everything else denies.
-        if self.policy.fallback(role) == "skip":
-            self._emit("skipped", *key)
-            return stream
-        self._emit("denied", *key)
-        raise CircuitOpenError(
-            f"containment denied {key[1]} for document {key[0]} (write)"
-        ) from cause
+    def firewall(self, key: BreakerKey, wrapped: Any, reading: bool) -> Any:
+        """Fence a property's stream: byte cap (reads), then the firewall
+        that reports the stream's fate to the breaker exactly once."""
+
+        def on_failure(error: BaseException) -> None:
+            capped = isinstance(error, BudgetExceededError)
+            self._emit(
+                "budget-exceeded" if capped else "escaped", *key,
+                error=type(error).__name__,
+            )
+            self._failure(self.wrappers, key)
+
+        def on_success() -> None:
+            self._success(self.wrappers, key)
+
+        if not reading:
+            return chains.FirewallOutputStream(wrapped, on_failure, on_success)
+        budget = self.budget
+        if budget is not None and budget.max_bytes is not None:
+            wrapped = chains.ByteCapInputStream(
+                wrapped, budget.max_bytes, key[1]
+            )
+        return chains.FirewallInputStream(wrapped, on_failure, on_success)
+
+    def chain_blocked(self, document_id: Any, chain) -> bool:
+        """True when any of *chain*'s wrapper breakers is open.
+
+        Peeks rather than gets: consulting the memo or the flight table
+        must neither create breakers nor consume half-open probe slots —
+        probing is the fetch path's job.
+        """
+        for prop in chain:
+            breaker = self.wrappers.peek(
+                (document_id, chains.property_site(prop))
+            )
+            if breaker is not None and breaker.state is BreakerState.OPEN:
+                return True
+        return False
 
     # -- verifier seam ---------------------------------------------------------
-
-    def verifier_key(
-        self, entry: "CacheEntry", verifier: Any
-    ) -> BreakerKey:
-        """Same key shape as the legacy quarantine's fault key."""
-        return (entry.document_id, type(verifier).__name__)
 
     def verifier_blocked(self, entry: "CacheEntry") -> bool:
         """Is any of the entry's verifiers behind an open breaker?
@@ -546,9 +489,7 @@ class ContainmentGuard:
         """
         blocked = False
         for verifier in entry.verifiers:
-            if not self._allow(
-                self.verifiers, self.verifier_key(entry, verifier)
-            ):
+            if not self._allow(self.verifiers, verifier_key(entry, verifier)):
                 blocked = True
         if blocked:
             self._emit(
@@ -564,7 +505,7 @@ class ContainmentGuard:
         budget = self.budget
         if budget is None:
             return
-        key = self.verifier_key(entry, verifier)
+        key = verifier_key(entry, verifier)
         try:
             budget.check_cost(verifier.cost_ms, key[1])
         except BudgetExceededError:
@@ -574,12 +515,12 @@ class ContainmentGuard:
     def note_verifier_failure(
         self, entry: "CacheEntry", verifier: Any
     ) -> None:
-        self._failure(self.verifiers, self.verifier_key(entry, verifier))
+        self._failure(self.verifiers, verifier_key(entry, verifier))
 
     def note_verifier_success(
         self, entry: "CacheEntry", verifier: Any
     ) -> None:
-        self._success(self.verifiers, self.verifier_key(entry, verifier))
+        self._success(self.verifiers, verifier_key(entry, verifier))
 
     # -- notifier seam ---------------------------------------------------------
 

@@ -110,10 +110,11 @@ class CacheCore:
         self.degradation = degradation
         threshold = degradation.verifier_quarantine_threshold
         #: The legacy verifier quarantine, as circuit breakers keyed by
-        #: :meth:`verifier_fault_key`: ``threshold`` consecutive raises
-        #: trip, and with no probation delay an open breaker stays open
-        #: until ``quarantine.reset_all()``.  State, so per cache — the
-        #: policy that sets the threshold may be shared by many.
+        #: :func:`~repro.cache.containment.verifier_key`: ``threshold``
+        #: consecutive raises trip, and with no probation delay an open
+        #: breaker stays open until ``quarantine.reset_all()``.  State,
+        #: so per cache — the policy that sets the threshold may be
+        #: shared by many.
         self.quarantine = BreakerRegistry(BreakerConfig(
             failure_threshold=threshold if threshold is not None else 1,
             probation_delay_ms=None,
@@ -156,10 +157,11 @@ class CacheCore:
         #: when a recovery policy is configured; ``None`` (the default)
         #: leaves every pipeline seam recovery-free and byte-identical.
         self.recovery: "ConsistencyRecoveryManager | None" = None
-        #: The containment guard wrapped around property-code seams,
-        #: installed by the manager when a containment policy is
-        #: configured; ``None`` (the default) keeps every seam on the
-        #: historical unguarded path.
+        #: This cache's handle on the world's containment guard
+        #: (``ctx.containment``), set by the manager when a containment
+        #: policy is configured; ``None`` (the default) keeps this
+        #: cache's own seams — verifier gate, memo and single-flight
+        #: bail-outs — on the historical unguarded path.
         self.containment: "ContainmentGuard | None" = None
         #: The transform memoization plane, installed by the manager
         #: when a memo policy is configured; ``None`` (the default)
@@ -328,17 +330,26 @@ class CacheCore:
 
     def verifiers_agree(
         self, key: EntryKey, verifiers, content: bytes,
-        at_ms: float | None = None,
+        at_ms: float | None = None, faulted: bool = False,
     ) -> bool:
         """Re-run *verifiers* over bytes about to be reused (a sibling's
-        entry, a memo record): True when every one says VALID.  Each
-        runs at *at_ms* when given, else at the clock after its charge."""
+        entry, a memo record, a demoted copy): True when every one says
+        VALID.  Each runs at *at_ms* when given, else at the clock after
+        its charge.  *faulted* runs also consult the fault plan's
+        verifier seam, as the hit-time gate does — set where the bytes
+        would be served as the key's own version (L2 promotion), not
+        where they are reused for another key (DESIGN.md §6)."""
         clock = self.ctx.clock
+        faults = self.ctx.faults if faulted else None
         for verifier in verifiers:
             started_ms = clock.now_ms
             self.ctx.charge(verifier.cost_ms)
             self.verifier_executed(key, started_ms, verifier.cost_ms)
             try:
+                if faults is not None:
+                    faults.check_verifier(
+                        verifier.cost_ms, label=type(verifier).__name__
+                    )
                 result = verifier.run(
                     clock.now_ms if at_ms is None else at_ms, content
                 )
@@ -699,15 +710,6 @@ class CacheCore:
         if recorded is None:
             return False
         return reference.base.provider.peek_signature() != recorded
-
-    @staticmethod
-    def verifier_fault_key(
-        entry: CacheEntry, verifier
-    ) -> tuple["DocumentId", str]:
-        """Quarantine key: stable across refills (which rebuild verifier
-        objects), so repeated failures accumulate per document and
-        verifier type rather than per object."""
-        return (entry.document_id, type(verifier).__name__)
 
     def note_verifier_failure(self, key: tuple["DocumentId", str]) -> bool:
         """Record one verifier raise; True when this newly quarantines."""

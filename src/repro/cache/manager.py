@@ -191,9 +191,13 @@ class DocumentCache:
         the stream wrappers, verifier executions and notifier
         callbacks.  When a breaker is open an optional property is
         skipped and a required transformer forces a miss (or, with
-        ``deny_required``, a typed denial).  ``None`` (the default)
-        keeps every property-code seam on its historical unguarded
-        path.
+        ``deny_required``, a typed denial).  The guard belongs to the
+        kernel's context, not to this cache: the first contained cache
+        builds it, later ones passing an equal policy attach to it, a
+        different policy raises :class:`~repro.errors.CacheError`.
+        ``None`` (the default) keeps this cache's verifier gate and
+        memo/single-flight bail-outs unguarded; its kernel reads are
+        fenced only if some other cache on the kernel built a guard.
     memo_policy:
         Opt-in transform memoization
         (:class:`~repro.cache.policies.MemoPolicy`; options
@@ -404,14 +408,23 @@ class DocumentCache:
     def _wire_containment(
         self, containment_policy: ContainmentPolicy | None, ctx
     ) -> None:
-        self._containment: ContainmentGuard | None = None
-        if containment_policy is not None:
-            self._containment = ContainmentGuard(
+        """Opt this cache's own seams into the world's guard, building
+        it if this is the first contained cache on the context."""
+        if containment_policy is None:
+            return
+        guard = ctx.containment
+        if guard is None:
+            guard = ctx.containment = ContainmentGuard(
                 containment_policy, ctx, self.instrumentation
             )
-            self._core.metrics["containment"] = self._containment.stats
-            self._core.containment = self._containment
-            ctx.containment = self._containment
+        elif guard.policy != containment_policy:
+            raise CacheError(
+                "this kernel's property code is already contained under "
+                f"{guard.policy}; two tunings cannot both govern one "
+                f"wrapper (got {containment_policy})"
+            )
+        self._core.metrics["containment"] = guard.stats
+        self._core.containment = guard
 
     def _wire_memo(
         self, memo_policy: MemoPolicy | None, memo: TransformMemo | None
@@ -724,8 +737,9 @@ class DocumentCache:
 
     @property
     def containment(self) -> ContainmentGuard | None:
-        """The containment guard, when a containment policy is set."""
-        return self._containment
+        """The world's containment guard, when this cache was built
+        with a containment policy (``None`` otherwise)."""
+        return self._core.containment
 
     @property
     def containment_stats(self) -> ContainmentStats | None:

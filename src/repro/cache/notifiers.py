@@ -345,7 +345,7 @@ class NotifierProperty(ActiveProperty):
         if self._suppressed(event):
             self.events_filtered += 1
             return None
-        guard = getattr(self.bus.ctx, "containment", None)
+        guard = self.bus.ctx.containment
         if guard is not None:
             return guard.run_notifier(self, event, self._notify)
         return self._notify(event)

@@ -45,7 +45,7 @@ import typing
 from dataclasses import dataclass
 
 from repro.cache.consistency import InvalidationReason
-from repro.cache.containment import BreakerState
+from repro.cache.containment import verifier_key
 from repro.cache.core import ADOPTION_COST_MS, CacheCore
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.memo import ChainFingerprint
@@ -54,7 +54,7 @@ from repro.cache.verifiers import Verdict
 from repro.errors import CacheError, OverloadShedError
 from repro.overload.admission import PRIORITY_NAMES
 from repro.sim.scheduler import FETCH_SEAM, VERIFIER_SEAM, Suspension, drive
-from repro.streams.chain import property_site, read_plan
+from repro.streams.chain import read_plan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.overload.budget import DeadlineBudget
@@ -180,20 +180,6 @@ class WriteContext:
 
 
 # -- read stages ---------------------------------------------------------------
-
-
-def chain_blocked(guard, key: EntryKey, chain) -> bool:
-    """True when any chain property's wrapper breaker is open.
-
-    Peeks rather than gets: consulting the memo or the flight table
-    must neither create breakers nor consume half-open probe slots —
-    probing is the fetch path's job.
-    """
-    for prop in chain:
-        breaker = guard.wrappers.peek((key.document_id, property_site(prop)))
-        if breaker is not None and breaker.state is BreakerState.OPEN:
-            return True
-    return False
 
 
 class VerifierGateStage:
@@ -331,9 +317,7 @@ class VerifierGateStage:
                 if guard is not None:
                     guard.note_verifier_success(entry, verifier)
                 elif quarantine:
-                    core.note_verifier_success(
-                        core.verifier_fault_key(entry, verifier)
-                    )
+                    core.note_verifier_success(verifier_key(entry, verifier))
                 if result.verdict is Verdict.INVALID:
                     reason = (
                         InvalidationReason.SOURCE_UPDATED_OUT_OF_BAND
@@ -374,16 +358,13 @@ class VerifierGateStage:
     def _entry_quarantined(self, entry: CacheEntry) -> bool:
         core = self.core
         return any(
-            core.is_quarantined(core.verifier_fault_key(entry, verifier))
+            core.is_quarantined(verifier_key(entry, verifier))
             for verifier in entry.verifiers
         )
 
     def _note_failure(self, entry: CacheEntry, verifier) -> None:
         core = self.core
-        newly = core.note_verifier_failure(
-            core.verifier_fault_key(entry, verifier)
-        )
-        if newly:
+        if core.note_verifier_failure(verifier_key(entry, verifier)):
             core.emit("quarantine", "added", key=entry.key)
 
 
@@ -547,7 +528,9 @@ class MemoStage(MissStage):
             return None
         plan = read_plan(ctx.reference)
         guard = core.containment
-        if guard is not None and chain_blocked(guard, ctx.key, plan.chain):
+        if guard is not None and guard.chain_blocked(
+            ctx.key.document_id, plan.chain
+        ):
             core.emit("memo", "bypass-contained", key=ctx.key)
             return None
         fingerprint = plan.fingerprint
@@ -671,8 +654,8 @@ class SingleFlightStage(MissStage):
             core.emit("deadline", "skipped", key=ctx.key, seam="flight")
             return None
         guard = core.containment
-        if guard is not None and chain_blocked(
-            guard, ctx.key, read_plan(ctx.reference).chain
+        if guard is not None and guard.chain_blocked(
+            ctx.key.document_id, read_plan(ctx.reference).chain
         ):
             core.emit("coalesce", "bailed-contained", key=ctx.key)
             return None

@@ -98,10 +98,11 @@ class VoteAdmissionPolicy:
 class ContainmentPolicy:
     """Containment of misbehaving active-property code.
 
-    A cache constructed with a containment policy gets a
-    :class:`~repro.cache.containment.ContainmentGuard` wrapped around
-    the three untrusted-code seams (stream wrappers, verifiers,
-    notifier callbacks), all sharing one breaker configuration.
+    The first cache constructed with a containment policy builds its
+    kernel context's :class:`~repro.cache.containment.ContainmentGuard`
+    around the three untrusted-code seams (stream wrappers, verifiers,
+    notifier callbacks), all sharing one breaker configuration; later
+    caches on that context must pass an equal policy to attach.
     """
 
     #: The closed → open → half-open tuning shared by every breaker

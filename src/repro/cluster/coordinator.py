@@ -16,6 +16,11 @@ seams rather than a parallel construction path:
   as every shard's memo (cross-shard memo sharing) and one
   :class:`~repro.sim.scheduler.FlightTable` as every shard's flight
   table (single-flight coalescing spanning shard boundaries);
+* a ``containment_policy`` in ``shard_kwargs`` attaches every shard to
+  the kernel context's one
+  :class:`~repro.cache.containment.ContainmentGuard`, so breakers and
+  their counters belong to the world the property code runs in and
+  outlive any shard (:attr:`CacheCluster.containment_stats`);
 * :meth:`read_many` fans a batch across shards under *one*
   :func:`~repro.sim.scheduler.run_batch`, so cross-shard batches
   interleave and coalesce exactly like same-shard ones;
@@ -50,6 +55,7 @@ from repro.sim.scheduler import FlightTable, drive
 from repro.sim.topology import ClusterTopology
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cache.containment import ContainmentStats
     from repro.cache.entry import CacheEntry
     from repro.cache.instrumentation import ConcurrencyStats, OverloadStats
     from repro.cache.memo import MemoStats
@@ -174,13 +180,8 @@ class CacheCluster:
         self.shared_memo: SharedTransformMemo | None = None
         self.shared_flights: FlightTable | None = None
         if cluster_policy is not None:
-            capacity = (
-                cluster_policy.shared_memo_capacity
-                if cluster_policy.shared_memo_capacity is not None
-                else memo_policy.capacity * shard_count
-            )
             self.shared_memo = SharedTransformMemo(
-                capacity, topology=self.topology
+                memo_policy.capacity * shard_count, topology=self.topology
             )
             self.shared_flights = FlightTable()
         self._shards: dict[str, DocumentCache] = {}
@@ -304,6 +305,15 @@ class CacheCluster:
         overload policy) — admission sheds, deadline outcomes, hedge
         launches/wins and health failovers/recoveries."""
         return self._total("overload")
+
+    @property
+    def containment_stats(self) -> "ContainmentStats | None":
+        """The kernel-wide containment guard's counters (``None``
+        without one).  Every contained shard's
+        ``core.metrics["containment"]`` is this same object, so it is
+        never summed across shards and never retired with one."""
+        guard = self.ctx.containment
+        return guard.stats if guard is not None else None
 
     def health_snapshot(self) -> dict[str, dict[str, object]]:
         """Per-shard health table (empty without an overload policy)."""
@@ -686,6 +696,8 @@ class CacheCluster:
             shard.recovery.stop()
         self.bus.unregister(shard.cache_id)
         for name, stats in shard.core.metrics.items():
+            if stats is self.containment_stats:
+                continue  # the world's, not the shard's to retire
             kept = self._retired.get(name)
             self._retired[name] = merged(
                 [stats] if kept is None else [kept, stats]

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import CacheError
-
 __all__ = ["ClusterPolicy", "DefaultClusterPolicy"]
 
 
@@ -30,22 +28,10 @@ class ClusterPolicy:
     :class:`~repro.sim.scheduler.FlightTable` spans them too, so
     single-flight coalescing on the ``(source signature, chain
     fingerprint)`` memo plane crosses shard boundaries and a 32-way
-    cross-shard stampede still runs one chain.
+    cross-shard stampede still runs one chain.  The shared memo holds
+    the shard memo policy's capacity times the shard count; there is
+    nothing to set — constructing the policy is the opt-in.
     """
-
-    #: Capacity of the shared memo table; ``None`` scales the shard
-    #: memo policy's capacity by the shard count.
-    shared_memo_capacity: int | None = None
-
-    def __post_init__(self) -> None:
-        if (
-            self.shared_memo_capacity is not None
-            and self.shared_memo_capacity < 1
-        ):
-            raise CacheError(
-                "shared_memo_capacity must be >= 1: "
-                f"{self.shared_memo_capacity}"
-            )
 
 
 #: Historical constructor name (benchmarks and tests build it by this).

@@ -11,6 +11,10 @@ one pick up the process-wide default scenario (installed by the CLI's
 ``--faults`` flag), so fault injection can infiltrate experiments that
 build their own contexts without any plumbing changes.
 
+Like the fault plan, the containment guard
+(:attr:`SimContext.containment`) lives here because it belongs to the
+world, not to any one of the caches standing on it.
+
 The clock is also the sole time source for the cache's instrumentation:
 pipeline stages stamp their :class:`~repro.cache.instrumentation.StageEvent`
 records from ``ctx.now_ms``, so stage-latency breakdowns are virtual
@@ -48,10 +52,12 @@ class SimContext:
     #: Fault-injection schedule for this run; ``None`` means a healthy
     #: world (unless a process-wide default scenario is installed).
     faults: "FaultPlan | None" = None
-    #: Containment guard wrapped around property-code seams; attached by
-    #: a cache constructed with a containment policy.  ``None`` (the
-    #: default) keeps the stream wrappers on their historical
-    #: unguarded path.
+    #: The world's one containment guard, fencing the property code
+    #: that runs on this context's kernel (stream wrappers, notifier
+    #: callbacks) whichever cache a read came through.  Built by the
+    #: first cache constructed with a containment policy and never
+    #: replaced; ``None`` (the default) keeps those seams on their
+    #: historical unguarded path.
     containment: "ContainmentGuard | None" = None
     #: Read plans compiled (:func:`repro.streams.chain.read_plan`), and
     #: how many of those replaced a plan a chain mutation outdated —

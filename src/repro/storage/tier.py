@@ -51,7 +51,6 @@ from repro.cache.cacheability import Cacheability
 from repro.cache.containment import BreakerConfig, BreakerRegistry
 from repro.cache.entry import EntryKey
 from repro.cache.memo import ChainFingerprint, MemoRecord
-from repro.cache.verifiers import Verdict
 from repro.content.signature import ContentSignature, sign
 from repro.errors import PlacelessError, StorageError
 from repro.ids import DocumentId, ReferenceId, UserId
@@ -441,7 +440,14 @@ class L2Tier:
             self.stats.promote_verifier_drops += 1
             return None
         if core.use_verifiers and verifiers:
-            if not self._verify(key, verifiers, content):
+            runs_before = core.stats.verifier_executions
+            agreed = core.verifiers_agree(
+                key, verifiers, content, faulted=True
+            )
+            self.stats.promote_verifier_runs += (
+                core.stats.verifier_executions - runs_before
+            )
+            if not agreed:
                 self._drop_record(record, "verifier-refused")
                 self.stats.promote_verifier_drops += 1
                 self.core.emit("storage", "verifier-dropped", key=key)
@@ -490,31 +496,6 @@ class L2Tier:
         if fingerprints != record.verifier_fingerprints:
             return None
         return rebuilt
-
-    def _verify(
-        self, key: EntryKey, verifiers: "list[Verifier]", content: bytes
-    ) -> bool:
-        """Run *verifiers* over the promoted bytes: True when every one
-        says VALID.  Unlike the core's re-verification of memo records
-        and sibling entries, each run also consults the fault plan's
-        verifier seam, as the hit-time gate does (DESIGN.md §6)."""
-        core = self.core
-        for verifier in verifiers:
-            verifier_started_ms = core.ctx.clock.now_ms
-            core.ctx.charge(verifier.cost_ms)
-            core.verifier_executed(key, verifier_started_ms, verifier.cost_ms)
-            self.stats.promote_verifier_runs += 1
-            try:
-                if core.ctx.faults is not None:
-                    core.ctx.faults.check_verifier(
-                        verifier.cost_ms, label=type(verifier).__name__
-                    )
-                result = verifier.run(core.ctx.clock.now_ms, content)
-            except Exception:
-                return False
-            if result.verdict is not Verdict.VALID:
-                return False
-        return True
 
     # -- drops -----------------------------------------------------------------
 

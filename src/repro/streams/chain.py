@@ -21,12 +21,14 @@ construction closes the partially-built chain before the error
 propagates, so no half-wrapped stream leaks to the caller.
 
 This module is also the stream seam of the containment layer:
-:func:`apply_read_wrapper` / :func:`apply_write_wrapper` are the single
-points where property stream code actually runs on a document path.
-Without a containment guard they preserve the historical absorb+wrap
-behaviour byte-for-byte (plus optional seed-deterministic misbehaviour
-injection from the fault plan); with a guard attached to the context
-they route through its breakers, budgets and exception firewalls.
+:func:`interpose` — reached as :func:`apply_read_wrapper` /
+:func:`apply_write_wrapper` — is the single body in which property
+stream code runs on a document path.  On a context without a
+containment guard it is the historical absorb+wrap byte-for-byte (plus
+optional seed-deterministic misbehaviour injection from the fault
+plan); on a context that carries one (``ctx.containment``, one per
+world, whichever cache the read came through) every step defers to the
+guard's breakers, budgets and exception firewalls.
 """
 
 from __future__ import annotations
@@ -35,7 +37,12 @@ import hashlib
 import typing
 from typing import Any, Callable, Iterable, NamedTuple
 
-from repro.errors import BudgetExceededError, PropertyError, StreamError
+from repro.errors import (
+    BudgetExceededError,
+    ContainmentError,
+    PropertyError,
+    StreamError,
+)
 from repro.streams.base import InputStream, OutputStream
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -47,6 +54,7 @@ __all__ = [
     "build_input_chain",
     "build_output_chain",
     "drain",
+    "interpose",
     "apply_read_wrapper",
     "apply_write_wrapper",
     "property_site",
@@ -54,7 +62,6 @@ __all__ = [
     "ChainFingerprint",
     "ReadPlan",
     "read_plan",
-    "injected_property_error",
     "FirewallInputStream",
     "FirewallOutputStream",
     "ByteCapInputStream",
@@ -245,73 +252,70 @@ def read_plan(reference) -> ReadPlan:
     return plan
 
 
-def injected_property_error(prop: "ActiveProperty") -> PropertyError:
-    """The exception an injected *raise*-mode misbehaviour throws."""
-    return PropertyError(
-        f"injected failure in property {prop.name!r}"
-    )
-
-
-def apply_read_wrapper(
+def interpose(
     ctx: "SimContext",
     prop: "ActiveProperty",
-    stream: InputStream,
+    stream: Any,
     event: Any,
-    meta: "PathMeta",
-) -> InputStream:
-    """Run one property's read-path interposition (absorb + wrap).
+    meta: "PathMeta | None" = None,
+) -> Any:
+    """Run one property's interposition on a document path.
 
-    This is where untrusted property code executes on the read path.
-    With a containment guard on the context the invocation runs behind
-    its breaker, budget and firewall; without one, behaviour is the
-    historical ``meta.absorb_property`` + ``prop.wrap_input`` —
-    augmented only by the fault plan's seed-deterministic property
-    misbehaviour, which (uncontained) propagates to the application.
+    The one place untrusted property stream code executes.  On the read
+    path (*meta* given) the property is absorbed into the path metadata
+    and wraps the input stream; on the write path (*meta* ``None``) its
+    cost is charged and it wraps the output stream.  In front of it
+    stand the fault plan's seed-deterministic misbehaviour and, when
+    the context carries a containment guard, the guard's decisions.
+    The breaker is asked before the plan, so a property that is not run
+    draws no RNG; without a guard the plan always draws and what it
+    injects reaches the application.  Infrastructure properties (the
+    cache's own notifiers) are neither faulted nor fenced.
     """
-    guard = getattr(ctx, "containment", None)
+    reading = meta is not None
+    guard = plan = mode = None
+    if not getattr(prop, "is_infrastructure", False):
+        guard, plan = ctx.containment, ctx.faults
+    if guard is not None or plan is not None:
+        site = property_site(prop)
     if guard is not None:
-        return guard.wrap_input(prop, stream, event, meta)
-    plan = ctx.faults
-    mode = None
-    if plan is not None and not getattr(prop, "is_infrastructure", False):
-        mode = plan.check_property(property_site(prop))
-    meta.absorb_property(ctx, prop)
-    if mode == "runaway" and plan is not None:
-        ctx.charge(plan.property_runaway_cost_ms)
-    if mode == "raise":
-        raise injected_property_error(prop)
-    wrapped = prop.wrap_input(stream, event)
-    if mode == "corrupt":
-        wrapped = CorruptingInputStream(wrapped, property_site(prop))
-    return wrapped
-
-
-def apply_write_wrapper(
-    ctx: "SimContext",
-    prop: "ActiveProperty",
-    stream: OutputStream,
-    event: Any,
-) -> OutputStream:
-    """Run one property's write-path interposition (charge + wrap).
-
-    The write-path twin of :func:`apply_read_wrapper`.
-    """
-    guard = getattr(ctx, "containment", None)
+        key = (event.document_id, site)
+        if not guard.admit(key):
+            return guard.fall_back(key, prop, stream, meta, None)
+    if plan is not None:
+        mode = plan.check_property(site)
+    runaway_ms = plan.property_runaway_cost_ms if mode == "runaway" else 0.0
     if guard is not None:
-        return guard.wrap_output(prop, stream, event)
-    plan = ctx.faults
-    mode = None
-    if plan is not None and not getattr(prop, "is_infrastructure", False):
-        mode = plan.check_property(property_site(prop))
-    ctx.charge(prop.execution_cost_ms)
-    if mode == "runaway" and plan is not None:
-        ctx.charge(plan.property_runaway_cost_ms)
-    if mode == "raise":
-        raise injected_property_error(prop)
-    wrapped = prop.wrap_output(stream, event)
+        overrun = guard.over_budget(key, prop.execution_cost_ms + runaway_ms)
+        if overrun is not None:
+            return guard.fall_back(key, prop, stream, meta, overrun)
+    try:
+        if reading:
+            meta.absorb_property(ctx, prop)
+        else:
+            ctx.charge(prop.execution_cost_ms)
+        if mode == "runaway":
+            ctx.charge(runaway_ms)
+        if mode == "raise":
+            raise PropertyError(f"injected failure in property {prop.name!r}")
+        wrap = prop.wrap_input if reading else prop.wrap_output
+        wrapped = wrap(stream, event)
+    except Exception as error:
+        if guard is None or isinstance(error, ContainmentError):
+            raise
+        guard.contained(key, error)
+        return guard.fall_back(key, prop, stream, meta, error)
     if mode == "corrupt":
-        wrapped = CorruptingOutputStream(wrapped, property_site(prop))
-    return wrapped
+        wrapped = (
+            CorruptingInputStream if reading else CorruptingOutputStream
+        )(wrapped, site)
+    if guard is None:
+        return wrapped
+    return guard.firewall(key, wrapped, reading)
+
+
+#: The seam's two public names; the write path is the call without *meta*.
+apply_read_wrapper = apply_write_wrapper = interpose
 
 
 class FirewallInputStream(InputStream):

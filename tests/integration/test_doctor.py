@@ -1,5 +1,6 @@
-"""``python -m repro doctor``: healthy at its default seed, and the
-report shows the effective configuration of every seam it wires."""
+"""``python -m repro doctor``: healthy at its default seed, the report
+shows the effective configuration of every seam it wires, and the
+kernel-wide containment guard's breakers are listed once."""
 
 from __future__ import annotations
 
@@ -21,3 +22,5 @@ def test_doctor_is_healthy_and_prints_the_wired_configuration(capsys):
     assert "shedding=True" in lines["overload"]
     assert "failure_threshold=3" in lines["containment"]
     assert "breaker_failure_threshold=3" in lines["storage"]
+    breakers = out.split("breakers (open):\n", 1)[1].split("\n\n", 1)[0]
+    assert breakers.split() == ["wrapper=0", "verifier=0", "notifier=0"]
