@@ -2,9 +2,10 @@
 
 Commands
 --------
-``bench [EXPERIMENT] [--faults [SCENARIO]]``
-    Run one experiment (``table1``, ``a1`` … ``a20``) or all of them
-    (``--smoke`` reaches every experiment that has a smoke mode);
+``bench [EXPERIMENT] [--smoke] [--faults [SCENARIO]]``
+    Run one experiment (``table1``, ``a1`` … ``a20``) or all of them;
+    ``--smoke`` runs each at its reduced size (an experiment with one
+    size runs that size) and every run writes ``BENCH_<ID>.json``;
     ``--faults`` runs it under a named chaos fault scenario
     (``standard`` when the name is omitted, ``partition`` / ``crash``
     to add a bus blackout or a mid-run cache crash, ``misbehave``
@@ -29,6 +30,11 @@ import sys
 
 __all__ = ["main"]
 
+#: THE experiment index: name → module, in run order.  A later name for
+#: a module already listed is its alias.  Everything else the CLI says
+#: about experiments — accepted ids, the parser epilog, the ``bench``
+#: help, ``repro info``, the ``all`` run — is derived from this table
+#: and from the first docstring line of each module.
 _EXPERIMENT_MODULES = {
     "table1": "repro.bench.table1",
     "a1": "repro.bench.notifier_verifier",
@@ -63,9 +69,23 @@ _EXPERIMENT_MODULES = {
 }
 
 
+def _experiment_index() -> str:
+    """One line per experiment: its names, then what it measures."""
+    import importlib
+
+    names: dict[str, list[str]] = {}
+    for name, module_name in _EXPERIMENT_MODULES.items():
+        names.setdefault(module_name, []).append(name)
+    lines = []
+    for module_name, (experiment_id, *aliases) in names.items():
+        title = importlib.import_module(module_name).__doc__.splitlines()[0]
+        alias = f" ({', '.join(aliases)})" if aliases else ""
+        lines.append(f"  {experiment_id + alias:<22}{title}")
+    return "\n".join(lines)
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     import importlib
-    import inspect
 
     scenario_name = getattr(args, "faults", None)
     if scenario_name is not None:
@@ -95,25 +115,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        smoke = getattr(args, "smoke", False)
         for module_name in selected:
             module = importlib.import_module(module_name)
-            takes_smoke = (
-                "smoke" in inspect.signature(module.main).parameters
-            )
             if args.experiment == "all":
-                title = (module.__doc__ or module_name).splitlines()[0]
+                title = module.__doc__.splitlines()[0]
                 print(f"\n{'=' * 72}\n{title}\n{'=' * 72}")
-            elif smoke and not takes_smoke:
-                print(
-                    f"experiment {args.experiment!r} has no smoke mode",
-                    file=sys.stderr,
-                )
-                return 2
-            if smoke and takes_smoke:
-                module.main(smoke=True)
-            else:
-                module.main()
+            module.main(smoke=args.smoke)
         return 0
     finally:
         if scenario_name is not None:
@@ -298,7 +305,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"repro {repro.__version__} — reproduction of "
           "'Caching Documents with Active Properties' (HotOS 1999)")
     print(f"public API symbols: {len(repro.__all__)}")
-    print("experiments:", ", ".join(["all"] + list(_EXPERIMENT_MODULES)))
+    print("experiments (repro bench <id>, or all):")
+    print(_experiment_index())
     print("docs: README.md, DESIGN.md, EXPERIMENTS.md")
     return 0
 
@@ -309,42 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Placeless Documents active-property caching — "
         "paper reproduction toolkit",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
-            "experiments: table1 (paper Table 1 access times), "
-            "a1 notifier-vs-verifier, a2 replacement policies, "
-            "a3 cross-user sharing, a4 cacheability votes, "
-            "a5 invalidation classes, a6 QoS pinning, a7 property "
-            "chains, a8 cache placement, a9 collection prefetch, "
-            "a10 external dependencies, a11 write modes, "
-            "a12 availability under injected faults (alias: faults; "
-            "includes the per-stage pipeline breakdown and a "
-            "reproducibility check), a13 consistency recovery — "
-            "staleness and recovery latency under notification loss, "
-            "partitions and crashes (alias: recovery), a14 containment "
-            "of misbehaving active-property code — availability and "
-            "latency with circuit breakers, budgets and firewalls "
-            "(alias: containment), a15 transform memoization — chain "
-            "executions avoided and cold-miss latency with the memo on "
-            "vs off (alias: memo; supports --smoke), a16 single-flight "
-            "stampedes — chain executions per distinct key and follower "
-            "latency with coalescing on vs off in interleaved "
-            "batches (alias: stampede; supports --smoke), a17 cluster "
-            "topology — shard-count sweep with cross-shard memo sharing "
-            "on vs off, topology churn repaired via resync, and a "
-            "single-cache parity probe (alias: cluster; supports "
-            "--smoke), a18 persistent L2 tier — warm-vs-cold restart "
-            "hit ratios, restart-to-recovery latency and disk-fault "
-            "degradation with crash instants mid-run (alias: "
-            "persistence; supports --smoke), a19 overload robustness — "
-            "offered-load sweep with deadlines, load shedding and "
-            "hedged reads toggled, plus a gray-shard arm (alias: "
-            "overload; supports --smoke), a20 wall-clock scale — "
-            "million-entry churn shootout (gds/gdsf/lru/rc), plain vs "
-            "subscribed hit-path reads/sec, allocation probe and peak-RSS "
-            "report (alias: scale; supports --smoke).  Examples: "
-            "'repro bench a12', 'repro bench a1 --faults', "
-            "'repro bench a14', 'repro bench table1 --faults partition', "
-            "'repro bench --faults' (all experiments under chaos)."
+            "experiments (id, alias in brackets, what it measures):\n"
+            f"{_experiment_index()}\n\n"
+            "examples: 'repro bench a12', 'repro bench a16 --smoke', "
+            "'repro bench a1 --faults',\n'repro bench table1 --faults "
+            "partition', 'repro bench --faults' (all under chaos)."
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
@@ -362,16 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "experiment", nargs="?", default="all",
-        help="table1, a1..a20, faults (alias for a12), recovery (alias "
-        "for a13), containment (alias for a14), memo (alias for a15), "
-        "stampede (alias for a16), cluster (alias for a17), "
-        "persistence (alias for a18), overload (alias for a19), "
-        "scale (alias for a20), or all (default)",
+        help="all (default), or one of: " + ", ".join(_EXPERIMENT_MODULES),
     )
     bench.add_argument(
         "--smoke", action="store_true",
-        help="reduced-size run for CI perf-smoke jobs (supported by "
-        "a15 through a20; still writes the BENCH_<ID>.json artifact)",
+        help="run at the reduced size the CI gates use (an experiment "
+        "with one size runs that size; BENCH_<ID>.json is still written)",
     )
     bench.add_argument(
         "--faults", nargs="?", const="standard", default=None,

@@ -23,15 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table
+from repro.bench.harness import corpus_world, table, write_artifact
 from repro.cache.manager import DocumentCache
-from repro.placeless.kernel import PlacelessKernel
 from repro.properties.audit import ReadAuditTrailProperty
 from repro.properties.uncacheable import UncacheableProperty
-from repro.workload.documents import CorpusSpec, build_corpus
 from repro.workload.trace import zipf_indices
 
 __all__ = ["CacheabilityResult", "run_cacheability", "main"]
+
+_SEED = 31
 
 
 @dataclass
@@ -56,13 +56,7 @@ class CacheabilityResult:
 def _run_config(
     config: str, n_documents: int, n_reads: int, seed: int
 ) -> CacheabilityResult:
-    kernel = PlacelessKernel()
-    owner = kernel.create_user("owner")
-    corpus = build_corpus(
-        kernel,
-        owner,
-        CorpusSpec(n_documents=n_documents, ttl_ms=3_600_000.0, seed=seed),
-    )
+    kernel, _, corpus = corpus_world(n_documents, seed)
     audits: list[ReadAuditTrailProperty] = []
     for document in corpus:
         if config == "with-events":
@@ -94,7 +88,7 @@ def _run_config(
 
 
 def run_cacheability(
-    n_documents: int = 30, n_reads: int = 1200, seed: int = 31
+    n_documents: int = 30, n_reads: int = 1200, seed: int = _SEED
 ) -> list[CacheabilityResult]:
     """Run the three configurations over identical traces."""
     return [
@@ -103,35 +97,24 @@ def run_cacheability(
     ]
 
 
-def main() -> None:
-    """Print the A4 table."""
+TITLE = (
+    "A4. CACHEABLE_WITH_EVENTS keeps tracking complete at near-cache "
+    "latency; the WWW alternative pays full latency."
+)
+
+COLUMNS = (
+    ("config", "config"),
+    ("hit ratio", "hit_ratio"),
+    ("mean latency (ms)", "mean_latency_ms"),
+    ("forwarded reads", "forwarded_reads"),
+    ("audit saw", lambda r: f"{r.reads_observed_by_audit}/{r.total_reads}"),
+    ("audit complete", "audit_complete"),
+)
+
+
+def main(smoke: bool = False) -> None:
+    """Print the A4 table and write ``BENCH_A4.json`` (one size)."""
     rows = run_cacheability()
-    print(
-        format_table(
-            [
-                "config",
-                "hit ratio",
-                "mean latency (ms)",
-                "forwarded reads",
-                "audit saw",
-                "audit complete",
-            ],
-            [
-                (
-                    r.config,
-                    r.hit_ratio,
-                    r.mean_latency_ms,
-                    r.forwarded_reads,
-                    f"{r.reads_observed_by_audit}/{r.total_reads}",
-                    r.audit_complete,
-                )
-                for r in rows
-            ],
-            title="A4. CACHEABLE_WITH_EVENTS keeps tracking complete at "
-            "near-cache latency; the WWW alternative pays full latency.",
-        )
-    )
+    print(table(rows, COLUMNS, title=TITLE))
+    write_artifact("a4", {"configs": rows}, seed=_SEED)
 
-
-if __name__ == "__main__":
-    main()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table, mean
+from repro.bench.harness import mean, table, write_artifact
 from repro.cache.manager import DocumentCache
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.spellcheck import SpellingCorrectorProperty
@@ -21,6 +21,8 @@ from repro.providers.web import WebOrigin, WebProvider
 from repro.workload.documents import generate_text
 
 __all__ = ["ChainLengthResult", "run_chain_latency", "main"]
+
+_SEED = 53
 
 
 @dataclass
@@ -57,7 +59,7 @@ def run_chain_latency(
     lengths: tuple[int, ...] = (0, 1, 2, 4, 6, 8),
     document_bytes: int = 8000,
     repeats: int = 5,
-    seed: int = 53,
+    seed: int = _SEED,
 ) -> list[ChainLengthResult]:
     """Measure uncached and cache-hit latency per chain length."""
     results = []
@@ -94,33 +96,23 @@ def run_chain_latency(
     return results
 
 
-def main() -> None:
-    """Print the A7 table."""
+TITLE = (
+    "A7. Latency vs. property-chain length: the cached/uncached gap grows "
+    "with the chain."
+)
+
+COLUMNS = (
+    ("chain length", "chain_length"),
+    ("uncached (ms)", "uncached_ms"),
+    ("cache hit (ms)", "hit_ms"),
+    ("speedup", "speedup"),
+    ("replacement cost (ms)", "replacement_cost_ms"),
+)
+
+
+def main(smoke: bool = False) -> None:
+    """Print the A7 table and write ``BENCH_A7.json`` (one size)."""
     rows = run_chain_latency()
-    print(
-        format_table(
-            [
-                "chain length",
-                "uncached (ms)",
-                "cache hit (ms)",
-                "speedup",
-                "replacement cost (ms)",
-            ],
-            [
-                (
-                    r.chain_length,
-                    r.uncached_ms,
-                    r.hit_ms,
-                    r.speedup,
-                    r.replacement_cost_ms,
-                )
-                for r in rows
-            ],
-            title="A7. Latency vs. property-chain length: the cached/"
-            "uncached gap grows with the chain.",
-        )
-    )
+    print(table(rows, COLUMNS, title=TITLE))
+    write_artifact("a7", {"lengths": rows}, seed=_SEED)
 
-
-if __name__ == "__main__":
-    main()

@@ -34,12 +34,17 @@ totals must survive the mid-run ``lose_shard``).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import time
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table, mean, percentile, write_artifact
+from repro.bench.harness import (
+    fmt,
+    mean,
+    percentile,
+    shared_chain_world,
+    table,
+    write_artifact,
+)
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import (
     DefaultConcurrencyPolicy,
@@ -48,9 +53,6 @@ from repro.cache.policies import (
 )
 from repro.cluster import CacheCluster, DefaultClusterPolicy
 from repro.placeless.kernel import PlacelessKernel
-from repro.properties.translate import TranslationProperty
-from repro.workload.documents import CorpusSpec, build_corpus
-from repro.workload.users import build_population
 
 __all__ = ["ClusterResult", "run_cluster", "run_sweep", "check_parity", "main"]
 
@@ -82,7 +84,6 @@ class ClusterResult:
     mean_ms: float
     p50_ms: float
     p99_ms: float
-    wall_reads_per_s: float
 
     @property
     def invalidation_fanout(self) -> float:
@@ -127,17 +128,8 @@ def run_cluster(
     identical event script, so the shared-vs-isolated delta is the
     memo/flight sharing alone.
     """
-    kernel = PlacelessKernel()
-    owner = kernel.create_user("owner")
-    corpus = build_corpus(
-        kernel,
-        owner,
-        CorpusSpec(n_documents=n_documents, ttl_ms=3_600_000.0, seed=seed),
-    )
-    for document in corpus:
-        document.reference.base.attach(TranslationProperty())
-    population = build_population(
-        kernel, corpus, n_users, personalized_fraction=0.0, seed=seed
+    kernel, corpus, population = shared_chain_world(
+        n_documents, n_users, seed
     )
     cluster = _build_cluster(kernel, shard_count, shared)
     add_epoch = n_epochs // 3 if shard_count > 1 else -1
@@ -145,7 +137,6 @@ def run_cluster(
     reads_before = kernel.stats.reads
     add_repairs = loss_repairs = 0
     latencies: list[float] = []
-    wall_started = time.perf_counter()
     for epoch in range(n_epochs):
         if epoch == add_epoch:
             repairs_before = cluster.rebalance_repairs
@@ -168,7 +159,6 @@ def run_cluster(
         for outcome in cluster.read_many(references):
             latencies.append(outcome.elapsed_ms)
         kernel.ctx.clock.advance(100.0)
-    wall_s = time.perf_counter() - wall_started
     stats = cluster.aggregate_stats()
     memo_stats = cluster.memo_stats
     shared_memo = cluster.shared_memo
@@ -194,7 +184,6 @@ def run_cluster(
         mean_ms=mean(latencies),
         p50_ms=percentile(latencies, 50),
         p99_ms=percentile(latencies, 99),
-        wall_reads_per_s=len(latencies) / wall_s if wall_s else 0.0,
     )
 
 
@@ -208,17 +197,8 @@ def check_parity(seed: int = _SEED) -> dict:
     """
 
     def replay(kind: str) -> str:
-        kernel = PlacelessKernel()
-        owner = kernel.create_user("owner")
-        corpus = build_corpus(
-            kernel,
-            owner,
-            CorpusSpec(n_documents=5, ttl_ms=3_600_000.0, seed=seed),
-        )
-        for document in corpus:
-            document.reference.base.attach(TranslationProperty())
-        population = build_population(
-            kernel, corpus, 4, personalized_fraction=0.5, seed=seed
+        kernel, corpus, population = shared_chain_world(
+            5, 4, seed, personalized_fraction=0.5
         )
         if kind == "single":
             target: DocumentCache | CacheCluster = DocumentCache(
@@ -277,20 +257,14 @@ def run_sweep(
     seed: int = _SEED,
 ) -> list[ClusterResult]:
     """The A17 sweep: every shard count, isolated then shared."""
-    results = []
-    for shard_count in shard_counts:
-        for shared in (False, True):
-            results.append(
-                run_cluster(
-                    shard_count,
-                    shared,
-                    n_users=n_users,
-                    n_documents=n_documents,
-                    n_epochs=n_epochs,
-                    seed=seed,
-                )
-            )
-    return results
+    return [
+        run_cluster(
+            shard_count, shared, n_users=n_users,
+            n_documents=n_documents, n_epochs=n_epochs, seed=seed,
+        )
+        for shard_count in shard_counts
+        for shared in (False, True)
+    ]
 
 
 def _savings(isolated: ClusterResult, shared: ClusterResult) -> float:
@@ -300,53 +274,40 @@ def _savings(isolated: ClusterResult, shared: ClusterResult) -> float:
     return 1.0 - shared.chain_executions / isolated.chain_executions
 
 
+FULL = dict(shard_counts=(1, 2, 4, 8), n_users=32, n_documents=6, n_epochs=6)
+SMOKE = dict(shard_counts=(1, 4), n_users=32, n_documents=3, n_epochs=3)
+
+COLUMNS = (
+    ("shards", "shard_count"),
+    ("shared", "shared"),
+    ("reads", "reads"),
+    ("hit ratio", fmt("hit_ratio", ".3f")),
+    ("chain execs", "chain_executions"),
+    ("imports", "memo_imports"),
+    ("fan-out", fmt("invalidation_fanout", ".2f")),
+    ("add rep", "add_repairs"),
+    ("loss rep", "loss_repairs"),
+    ("mean ms", "mean_ms"),
+    ("p99 ms", "p99_ms"),
+)
+
+
 def main(smoke: bool = False) -> None:
     """Print the A17 table and write ``BENCH_A17.json``."""
-    if smoke:
-        shard_counts: tuple[int, ...] = (1, 4)
-        n_documents = 3
-        n_epochs = 3
-    else:
-        shard_counts = (1, 2, 4, 8)
-        n_documents = 6
-        n_epochs = 6
-    n_users = 32
-    results = run_sweep(
-        shard_counts=shard_counts,
-        n_users=n_users,
-        n_documents=n_documents,
-        n_epochs=n_epochs,
-    )
+    size = SMOKE if smoke else FULL
+    shard_counts = size["shard_counts"]
+    results = run_sweep(**size)
     by_arm = {(r.shard_count, r.shared): r for r in results}
     print(
-        format_table(
-            [
-                "shards", "shared", "reads", "hit ratio", "chain execs",
-                "imports", "fan-out", "add rep", "loss rep",
-                "mean ms", "p99 ms",
-            ],
-            [
-                (
-                    r.shard_count,
-                    r.shared,
-                    r.reads,
-                    f"{r.hit_ratio:.3f}",
-                    r.chain_executions,
-                    r.memo_imports,
-                    f"{r.invalidation_fanout:.2f}",
-                    r.add_repairs,
-                    r.loss_repairs,
-                    r.mean_ms,
-                    r.p99_ms,
-                )
-                for r in results
-            ],
+        table(
+            results,
+            COLUMNS,
             title=(
                 "A17. Cluster topology: shard sweep under a "
-                f"{n_users}-way workload ({n_documents} documents x "
-                f"{n_epochs} epochs, one add_shard + one lose_shard "
-                "mid-run; shared arm = one memo plane + one flight "
-                "table across shards)"
+                f"{size['n_users']}-way workload ({size['n_documents']} "
+                f"documents x {size['n_epochs']} epochs, one add_shard + "
+                "one lose_shard mid-run; shared arm = one memo plane + "
+                "one flight table across shards)"
             ),
         )
     )
@@ -368,30 +329,25 @@ def main(smoke: bool = False) -> None:
     headline_count = max(c for c in shard_counts if c >= 4)
     headline_shared = by_arm[(headline_count, True)]
     headline_isolated = by_arm[(headline_count, False)]
-    metrics = {
-        "sweep": [
-            {
-                **dataclasses.asdict(r),
-                "invalidation_fanout": r.invalidation_fanout,
-            }
-            for r in results
-        ],
-        "parity": parity,
-        "headline": {
-            "shard_count": headline_count,
-            "memo_adoptions": headline_shared.memo_adoptions,
-            "memo_imports": headline_shared.memo_imports,
-            "chain_executions_shared": headline_shared.chain_executions,
-            "chain_executions_isolated": headline_isolated.chain_executions,
-            "chain_savings": _savings(headline_isolated, headline_shared),
-            "invalidation_fanout": headline_shared.invalidation_fanout,
-            "parity_ok": parity["parity_ok"],
+    write_artifact(
+        "a17",
+        {
+            "sweep": results,
+            "parity": parity,
+            "headline": {
+                "shard_count": headline_count,
+                "memo_adoptions": headline_shared.memo_adoptions,
+                "memo_imports": headline_shared.memo_imports,
+                "chain_executions_shared": headline_shared.chain_executions,
+                "chain_executions_isolated": (
+                    headline_isolated.chain_executions
+                ),
+                "chain_savings": _savings(headline_isolated, headline_shared),
+                "invalidation_fanout": headline_shared.invalidation_fanout,
+                "parity_ok": parity["parity_ok"],
+            },
+            "smoke": smoke,
         },
-        "smoke": smoke,
-    }
-    path = write_artifact("a17", metrics, seed=_SEED)
-    print(f"\nwrote {path.name}")
+        seed=_SEED,
+    )
 
-
-if __name__ == "__main__":
-    main()

@@ -17,15 +17,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table, mean
+from repro.bench.harness import corpus_world, mean, table, write_artifact
 from repro.cache.manager import DocumentCache
 from repro.placeless.collection import DocumentCollection
-from repro.placeless.kernel import PlacelessKernel
 from repro.properties.collection import attach_collection_prefetch
-from repro.workload.documents import CorpusSpec, build_corpus
 from repro.workload.trace import zipf_indices
 
 __all__ = ["CollectionResult", "run_collections", "main"]
+
+_SEED = 29
 
 
 @dataclass
@@ -43,15 +43,8 @@ class CollectionResult:
 
 def _run(prefetch: bool, n_collections: int, collection_size: int,
          n_bursts: int, burst: int, seed: int) -> CollectionResult:
-    kernel = PlacelessKernel()
-    owner = kernel.create_user("owner")
-    corpus = build_corpus(
-        kernel, owner,
-        CorpusSpec(
-            n_documents=n_collections * collection_size,
-            ttl_ms=3_600_000.0,
-            seed=seed,
-        ),
+    kernel, owner, corpus = corpus_world(
+        n_collections * collection_size, seed
     )
     cache = DocumentCache(
         kernel, capacity_bytes=1 << 30,
@@ -96,7 +89,7 @@ def run_collections(
     collection_size: int = 8,
     n_bursts: int = 150,
     burst: int = 4,
-    seed: int = 29,
+    seed: int = _SEED,
 ) -> list[CollectionResult]:
     """Run with and without collection prefetch over identical bursts."""
     return [
@@ -105,23 +98,23 @@ def run_collections(
     ]
 
 
-def main() -> None:
-    """Print the A9 table."""
+TITLE = (
+    "A9. Collection-aware prefetch on burst (project-style) access "
+    "patterns."
+)
+
+COLUMNS = (
+    ("config", "config"),
+    ("mean read latency (ms)", "mean_read_latency_ms"),
+    ("follow-read latency (ms)", "mean_follow_latency_ms"),
+    ("hit ratio", "hit_ratio"),
+    ("prefetch fills", "prefetch_fills"),
+)
+
+
+def main(smoke: bool = False) -> None:
+    """Print the A9 table and write ``BENCH_A9.json`` (one size)."""
     rows = run_collections()
-    print(
-        format_table(
-            ["config", "mean read latency (ms)", "follow-read latency (ms)",
-             "hit ratio", "prefetch fills"],
-            [
-                (r.config, r.mean_read_latency_ms,
-                 r.mean_follow_latency_ms, r.hit_ratio, r.prefetch_fills)
-                for r in rows
-            ],
-            title="A9. Collection-aware prefetch on burst (project-style) "
-            "access patterns.",
-        )
-    )
+    print(table(rows, COLUMNS, title=TITLE))
+    write_artifact("a9", {"configs": rows}, seed=_SEED)
 
-
-if __name__ == "__main__":
-    main()

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table, write_artifact
+from repro.bench.harness import fmt, table, write_artifact
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import DefaultContainmentPolicy
 from repro.errors import ContainmentError, PropertyError, StreamError
@@ -154,7 +154,7 @@ def _p99(latencies: list[float]) -> float:
 class AvailabilityResult:
     """One (misbehaving-rate, containment) cell of the A14 sweep."""
 
-    rate: float
+    misbehave_rate: float
     contained: bool
     reads: int
     failures: int
@@ -180,7 +180,7 @@ def run_availability(
     stats = cache.containment_stats
     reads = len(latencies)
     return AvailabilityResult(
-        rate=rate,
+        misbehave_rate=rate,
         contained=contained,
         reads=reads,
         failures=failures,
@@ -254,55 +254,43 @@ def run_recovery(
     )
 
 
-def main() -> None:
-    """Print the A14 containment tables."""
-    rates = (0.0, 0.10, 0.25)
-    rows = []
-    availability_metrics = []
-    baseline = None
-    headline = None
-    for rate in rates:
-        for contained in (False, True):
-            r = run_availability(rate, contained)
-            availability_metrics.append(
-                {
-                    "misbehave_rate": rate,
-                    "contained": contained,
-                    "reads": r.reads,
-                    "failures": r.failures,
-                    "availability": r.availability,
-                    "p99_latency_ms": r.p99_latency_ms,
-                    "trips": r.trips,
-                    "escapes": r.escapes,
-                }
-            )
-            if rate == 0.0 and not contained:
-                baseline = r.availability
-            if rate == 0.10 and contained:
-                headline = r.availability
-            rows.append(
-                (
-                    f"{rate:.0%}",
-                    r.contained,
-                    r.reads,
-                    r.failures,
-                    f"{r.availability:.1%}",
-                    r.degraded,
-                    f"{r.p99_latency_ms:.1f}",
-                    r.trips,
-                    r.contained_raises,
-                    r.budget_overruns,
-                    r.escapes,
-                )
-            )
+AVAILABILITY_COLUMNS = (
+    ("misbehave rate", fmt("misbehave_rate", ".0%")),
+    ("contained", "contained"),
+    ("reads", "reads"),
+    ("failed", "failures"),
+    ("availability", fmt("availability", ".1%")),
+    ("degraded", "degraded"),
+    ("p99 ms", fmt("p99_latency_ms", ".1f")),
+    ("trips", "trips"),
+    ("contained", "contained_raises"),
+    ("budget kills", "budget_overruns"),
+    ("escapes", "escapes"),
+)
+
+RECOVERY_COLUMNS = (
+    ("rate", fmt("rate", ".0%")),
+    ("open after faults", "open_after_faults"),
+    ("probation ms", fmt("probation_delay_ms", ".0f")),
+    ("probe rounds", "recovery_rounds"),
+    ("open after", "open_after_recovery"),
+    ("closes", "closes"),
+    ("degraded after", "recovered_degraded_reads"),
+    ("failures after", "recovered_failures"),
+)
+
+
+def main(smoke: bool = False) -> None:
+    """Print the A14 containment tables (one size)."""
+    cells = {
+        (rate, contained): run_availability(rate, contained)
+        for rate in (0.0, 0.10, 0.25)
+        for contained in (False, True)
+    }
     print(
-        format_table(
-            [
-                "misbehave rate", "contained", "reads", "failed",
-                "availability", "degraded", "p99 ms", "trips",
-                "contained", "budget kills", "escapes",
-            ],
-            rows,
+        table(
+            cells.values(),
+            AVAILABILITY_COLUMNS,
             title=(
                 "A14a. Access availability and p99 latency vs "
                 "misbehaving-property rate (8 docs x 30 write+read "
@@ -312,33 +300,19 @@ def main() -> None:
             ),
         )
     )
-    if baseline is not None and headline is not None:
-        print(
-            f"\nheadline: contained availability at 10% misbehave rate "
-            f"is {headline:.1%} vs fault-free baseline {baseline:.1%} "
-            f"(delta {baseline - headline:+.1%})"
-        )
-    print()
-    r = run_recovery()
+    baseline = cells[0.0, False].availability
+    headline = cells[0.10, True].availability
     print(
-        format_table(
-            [
-                "rate", "open after faults", "probation ms",
-                "probe rounds", "open after", "closes",
-                "degraded after", "failures after",
-            ],
-            [
-                (
-                    f"{r.rate:.0%}",
-                    r.open_after_faults,
-                    f"{r.probation_delay_ms:.0f}",
-                    r.recovery_rounds,
-                    r.open_after_recovery,
-                    r.closes,
-                    r.recovered_degraded_reads,
-                    r.recovered_failures,
-                )
-            ],
+        f"\nheadline: contained availability at 10% misbehave rate "
+        f"is {headline:.1%} vs fault-free baseline {baseline:.1%} "
+        f"(delta {baseline - headline:+.1%})"
+    )
+    print()
+    recovery = run_recovery()
+    print(
+        table(
+            [recovery],
+            RECOVERY_COLUMNS,
             title=(
                 "A14b. Breaker recovery after the faults clear (one "
                 "probation window + "
@@ -347,21 +321,8 @@ def main() -> None:
             ),
         )
     )
-    path = write_artifact(
+    write_artifact(
         "a14",
-        {
-            "availability": availability_metrics,
-            "recovery": {
-                "rate": r.rate,
-                "open_after_faults": r.open_after_faults,
-                "open_after_recovery": r.open_after_recovery,
-                "closes": r.closes,
-                "recovered_failures": r.recovered_failures,
-            },
-        },
+        {"availability": list(cells.values()), "recovery": recovery},
     )
-    print(f"wrote {path.name}")
 
-
-if __name__ == "__main__":
-    main()

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table
+from repro.bench.harness import table, write_artifact
 from repro.cache.manager import DocumentCache
 from repro.cache.notifiers import InvalidationBus
 from repro.placeless.kernel import PlacelessKernel
@@ -34,6 +34,8 @@ from repro.properties.external import ExternalDependencyProperty
 from repro.providers.memory import MemoryProvider
 
 __all__ = ["ExternalPlacementResult", "run_external_placement", "main"]
+
+_SEED = 37
 
 
 @dataclass
@@ -123,38 +125,39 @@ def run_external_placement(
     change_interval_ms: float = 2_000.0,
     fast_poll_ms: float = 500.0,
     slow_poll_ms: float = 5_000.0,
-    seed: int = 37,
+    seed: int = _SEED,
 ) -> list[ExternalPlacementResult]:
     """Run the three placements over identical external-change timelines."""
-    results = [
-        _run("verifier", n_reads, read_gap_ms, change_interval_ms,
-             fast_poll_ms, seed),
-        _run("notifier-fast", n_reads, read_gap_ms, change_interval_ms,
-             fast_poll_ms, seed),
-        _run("notifier-slow", n_reads, read_gap_ms, change_interval_ms,
-             slow_poll_ms, seed),
-    ]
-    return results
-
-
-def main() -> None:
-    """Print the A10 table."""
-    rows = run_external_placement()
-    print(
-        format_table(
-            ["placement", "reads", "stale reads", "staleness",
-             "hit latency (ms)", "samples", "invalidations pushed"],
-            [
-                (r.placement, r.reads, r.stale_reads, r.stale_ratio,
-                 r.mean_hit_latency_ms, r.samples_taken,
-                 r.invalidations_pushed)
-                for r in rows
-            ],
-            title="A10. The same external-dependency policy as a verifier "
-            "vs. a (fast/slow polling) notifier.",
+    return [
+        _run(placement, n_reads, read_gap_ms, change_interval_ms,
+             poll_period_ms, seed)
+        for placement, poll_period_ms in (
+            ("verifier", fast_poll_ms),
+            ("notifier-fast", fast_poll_ms),
+            ("notifier-slow", slow_poll_ms),
         )
-    )
+    ]
 
 
-if __name__ == "__main__":
-    main()
+TITLE = (
+    "A10. The same external-dependency policy as a verifier vs. a "
+    "(fast/slow polling) notifier."
+)
+
+COLUMNS = (
+    ("placement", "placement"),
+    ("reads", "reads"),
+    ("stale reads", "stale_reads"),
+    ("staleness", "stale_ratio"),
+    ("hit latency (ms)", "mean_hit_latency_ms"),
+    ("samples", "samples_taken"),
+    ("invalidations pushed", "invalidations_pushed"),
+)
+
+
+def main(smoke: bool = False) -> None:
+    """Print the A10 table and write ``BENCH_A10.json`` (one size)."""
+    rows = run_external_placement()
+    print(table(rows, COLUMNS, title=TITLE))
+    write_artifact("a10", {"placements": rows}, seed=_SEED)
+

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table, write_artifact
+from repro.bench.harness import table, write_artifact
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import DegradationPolicy
 from repro.faults.plan import FaultPlan, OutageWindow
@@ -38,7 +38,16 @@ from repro.workload.runner import RunnerReport, TraceRunner
 from repro.workload.trace import TraceSpec, generate_trace
 from repro.workload.users import build_population
 
-__all__ = ["SCENARIOS", "FaultRunResult", "run_scenario", "run_all", "main"]
+__all__ = [
+    "SCENARIOS",
+    "FaultRunResult",
+    "ScenarioSummary",
+    "run_scenario",
+    "run_all",
+    "main",
+]
+
+_SEED = 7
 
 #: Virtual span of the trace is roughly n_events * mean think time; the
 #: outage window sits squarely in the middle of it.
@@ -99,8 +108,39 @@ class FaultRunResult:
         snapshot["invalidations"] = dict(snapshot["invalidations"])
         return snapshot
 
+    def summary(self) -> "ScenarioSummary":
+        """The scenario's reported numbers, off the live objects."""
+        stats = self.cache.stats
+        return ScenarioSummary(
+            scenario=self.scenario,
+            availability=self.report.availability,
+            hit_ratio=self.report.hit_ratio,
+            retries=stats.retries,
+            degraded_serves=stats.degraded_serves,
+            stale_served_on_error=stats.stale_served_on_error,
+            bus_lost=self.cache.bus.stats.lost,
+            dropped_notifier_detected=stats.dropped_notifier_detected,
+            faults_injected=self.plan.stats.total,
+        )
 
-def run_scenario(name: str, seed: int = 7) -> FaultRunResult:
+
+@dataclass
+class ScenarioSummary:
+    """One row of the A12 table (a :class:`FaultRunResult` holds the
+    live cache and plan; this is what gets printed and written)."""
+
+    scenario: str
+    availability: float
+    hit_ratio: float
+    retries: int
+    degraded_serves: int
+    stale_served_on_error: int
+    bus_lost: int
+    dropped_notifier_detected: int
+    faults_injected: int
+
+
+def run_scenario(name: str, seed: int = _SEED) -> FaultRunResult:
     """Run one fault scenario; returns its result bundle."""
     kernel = PlacelessKernel()
     kernel.ctx.faults = _scenario_plan(name, kernel.ctx.clock, seed)
@@ -148,12 +188,12 @@ def run_scenario(name: str, seed: int = 7) -> FaultRunResult:
     )
 
 
-def run_all(seed: int = 7) -> list[FaultRunResult]:
+def run_all(seed: int = _SEED) -> list[FaultRunResult]:
     """Every scenario, identical workload, fresh deployment each."""
     return [run_scenario(name, seed=seed) for name in SCENARIOS]
 
 
-def reproducibility_check(seed: int = 7) -> bool:
+def reproducibility_check(seed: int = _SEED) -> bool:
     """Same seed twice → identical injection trace and identical stats."""
     first = run_scenario("combined", seed=seed)
     second = run_scenario("combined", seed=seed)
@@ -164,40 +204,29 @@ def reproducibility_check(seed: int = 7) -> bool:
     )
 
 
-def main() -> None:
-    """Print the A12 availability-under-faults table."""
+TITLE = (
+    "A12. Availability and degraded serves under injected faults "
+    "(600-event Zipf trace, 3 users, 8 documents)"
+)
+
+COLUMNS = (
+    ("scenario", "scenario"),
+    ("availability", "availability"),
+    ("hit ratio", "hit_ratio"),
+    ("retries", "retries"),
+    ("degraded", "degraded_serves"),
+    ("stale-on-err", "stale_served_on_error"),
+    ("bus lost", "bus_lost"),
+    ("lost-detected", "dropped_notifier_detected"),
+    ("faults injected", "faults_injected"),
+)
+
+
+def main(smoke: bool = False) -> None:
+    """Print the A12 availability-under-faults table (one size)."""
     results = run_all()
-    rows = []
-    for result in results:
-        stats = result.cache.stats
-        bus = result.cache.bus.stats
-        rows.append(
-            (
-                result.scenario,
-                result.report.availability,
-                result.report.hit_ratio,
-                stats.retries,
-                stats.degraded_serves,
-                stats.stale_served_on_error,
-                bus.lost,
-                stats.dropped_notifier_detected,
-                result.plan.stats.total,
-            )
-        )
-    print(
-        format_table(
-            [
-                "scenario", "availability", "hit ratio", "retries",
-                "degraded", "stale-on-err", "bus lost", "lost-detected",
-                "faults injected",
-            ],
-            rows,
-            title=(
-                "A12. Availability and degraded serves under injected "
-                "faults (600-event Zipf trace, 3 users, 8 documents)"
-            ),
-        )
-    )
+    rows = [result.summary() for result in results]
+    print(table(rows, COLUMNS, title=TITLE))
     # Per-stage pipeline breakdown for the nastiest scenario: which
     # stages the reads traversed, how often each outcome occurred, and
     # what it cost in virtual time (from the instrumentation bus).
@@ -213,26 +242,7 @@ def main() -> None:
         "reproducibility: identical seed -> identical fault trace and "
         f"stats: {'OK' if identical else 'FAILED'}"
     )
-    path = write_artifact(
-        "a12",
-        {
-            "scenarios": [
-                {
-                    "scenario": result.scenario,
-                    "availability": result.report.availability,
-                    "hit_ratio": result.report.hit_ratio,
-                    "retries": result.cache.stats.retries,
-                    "degraded_serves": result.cache.stats.degraded_serves,
-                    "faults_injected": result.plan.stats.total,
-                }
-                for result in results
-            ],
-            "reproducible": identical,
-        },
-        seed=7,
+    write_artifact(
+        "a12", {"scenarios": rows, "reproducible": identical}, seed=_SEED
     )
-    print(f"wrote {path.name}")
 
-
-if __name__ == "__main__":
-    main()

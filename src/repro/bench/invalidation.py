@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table
+from repro.bench.harness import table, write_artifact
 from repro.cache.manager import DocumentCache
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.spellcheck import SpellingCorrectorProperty
@@ -30,6 +30,8 @@ from repro.providers.filesystem import FileSystemProvider
 from repro.workload.documents import generate_text
 
 __all__ = ["InvalidationStep", "run_invalidation_classes", "main"]
+
+_SEED = 3
 
 
 @dataclass
@@ -46,7 +48,7 @@ class InvalidationStep:
     reasons: tuple[str, ...]
 
 
-def run_invalidation_classes(seed: int = 3) -> list[InvalidationStep]:
+def run_invalidation_classes(seed: int = _SEED) -> list[InvalidationStep]:
     """Run the scripted scenario; every step re-warms the cache first."""
     kernel = PlacelessKernel()
     users = {name: kernel.create_user(name) for name in ("eyal", "paul", "doug")}
@@ -152,27 +154,27 @@ def run_invalidation_classes(seed: int = 3) -> list[InvalidationStep]:
     return steps
 
 
-def main() -> None:
-    """Print the A5 table."""
+def _joined(name: str):
+    """A cell listing the tuple-valued attribute *name* (``-`` if empty)."""
+    return lambda step: ",".join(getattr(step, name)) or "-"
+
+
+TITLE = (
+    "A5. Each consistency class invalidates exactly the affected entries."
+)
+
+COLUMNS = (
+    ("mutation", "step"),
+    ("class", "consistency_class"),
+    ("invalidated", _joined("invalidated_users")),
+    ("survived", _joined("survived_users")),
+    ("reasons", _joined("reasons")),
+)
+
+
+def main(smoke: bool = False) -> None:
+    """Print the A5 table and write ``BENCH_A5.json`` (one size)."""
     steps = run_invalidation_classes()
-    print(
-        format_table(
-            ["mutation", "class", "invalidated", "survived", "reasons"],
-            [
-                (
-                    s.step,
-                    s.consistency_class,
-                    ",".join(s.invalidated_users) or "-",
-                    ",".join(s.survived_users) or "-",
-                    ",".join(s.reasons) or "-",
-                )
-                for s in steps
-            ],
-            title="A5. Each consistency class invalidates exactly the "
-            "affected entries.",
-        )
-    )
+    print(table(steps, COLUMNS, title=TITLE))
+    write_artifact("a5", {"steps": steps}, seed=_SEED)
 
-
-if __name__ == "__main__":
-    main()

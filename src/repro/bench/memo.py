@@ -11,9 +11,10 @@ the memo on and off over a corpus whose base documents carry a shared
 * chain executions (kernel reads — each one runs the full chain) and
   the fraction the memo avoided (ideal for N users: ``1 - 1/N``);
 * cold-read virtual latency mean/p50/p99 — memoized misses skip the
-  repository hop and the chain's execution cost;
-* the per-emit instrumentation overhead note for the satellite fast
-  path (an unobserved bus skips ``StageEvent`` construction entirely).
+  repository hop and the chain's execution cost.
+
+(What an instrumentation emit costs on the wall clock is perfbench's
+``probe.cache.instrumentation.emit_us.*``, not this experiment's.)
 
 The run writes ``BENCH_A15.json`` through the shared artifact writer;
 CI's perf-smoke job fails the build when the shared-users scenario
@@ -22,19 +23,21 @@ avoids zero chain executions.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table, mean, percentile, write_artifact
-from repro.cache.instrumentation import InstrumentationBus, StageEvent
+from repro.bench.harness import (
+    fmt,
+    mean,
+    percentile,
+    record,
+    shared_chain_world,
+    table,
+    write_artifact,
+)
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import DefaultMemoPolicy
-from repro.placeless.kernel import PlacelessKernel
-from repro.properties.translate import TranslationProperty
-from repro.workload.documents import CorpusSpec, build_corpus
-from repro.workload.users import build_population
 
-__all__ = ["MemoResult", "run_memo", "run_sweep", "run_overhead_probe", "main"]
+__all__ = ["MemoResult", "run_memo", "run_sweep", "main"]
 
 _SEED = 31
 
@@ -79,18 +82,7 @@ def run_memo(
     per document — the memo's best case, and the workload §3 describes
     ("all the transformations requested by the users are the same").
     """
-    kernel = PlacelessKernel()
-    owner = kernel.create_user("owner")
-    corpus = build_corpus(
-        kernel,
-        owner,
-        CorpusSpec(n_documents=n_documents, ttl_ms=3_600_000.0, seed=seed),
-    )
-    for document in corpus:
-        document.reference.base.attach(TranslationProperty())
-    population = build_population(
-        kernel, corpus, n_users, personalized_fraction=0.0, seed=seed
-    )
+    kernel, _, population = shared_chain_world(n_documents, n_users, seed)
     cache = DocumentCache(
         kernel,
         capacity_bytes=1 << 30,
@@ -125,95 +117,43 @@ def run_sweep(
     seed: int = _SEED,
 ) -> list[MemoResult]:
     """The A15 sweep: every user count, memo off then on."""
-    results = []
-    for n_users in user_counts:
-        for memo in (False, True):
-            results.append(
-                run_memo(n_users, memo, n_documents=n_documents, seed=seed)
-            )
-    return results
+    return [
+        run_memo(n_users, memo, n_documents=n_documents, seed=seed)
+        for n_users in user_counts
+        for memo in (False, True)
+    ]
 
 
-def run_overhead_probe(iterations: int = 100_000) -> dict[str, float]:
-    """Wall-clock per-emit cost of the instrumentation fast path.
+FULL = dict(user_counts=(1, 2, 4, 8, 16), n_documents=8)
+SMOKE = dict(user_counts=(1, 4), n_documents=4)
 
-    Mirrors the emit site in :meth:`CacheCore.emit`: an unobserved bus
-    costs one attribute load and a truth test; a subscribed bus builds
-    the (slotted) :class:`StageEvent` and fans it out.  This is the one
-    real-time measurement in the suite — it characterises simulator
-    overhead, not virtual-clock behaviour, so it never touches the
-    simulation results.
-    """
-
-    def emit_site(bus: InstrumentationBus) -> None:
-        if not bus.has_subscribers:
-            return
-        bus.emit(StageEvent(stage="read", outcome="hit"))
-
-    idle_bus = InstrumentationBus()
-    started = time.perf_counter()
-    for _ in range(iterations):
-        emit_site(idle_bus)
-    idle_s = time.perf_counter() - started
-
-    observed_bus = InstrumentationBus()
-    sink: list[StageEvent] = []
-    observed_bus.subscribe(sink.append)
-    started = time.perf_counter()
-    for _ in range(iterations):
-        emit_site(observed_bus)
-    observed_s = time.perf_counter() - started
-    sink.clear()
-    return {
-        "emits": float(iterations),
-        "unobserved_ns_per_emit": idle_s / iterations * 1e9,
-        "subscribed_ns_per_emit": observed_s / iterations * 1e9,
-    }
+COLUMNS = (
+    ("users", "n_users"),
+    ("memo", "memo"),
+    ("reads", "reads"),
+    ("chain execs", "chain_executions"),
+    ("avoided", "chain_executions_avoided"),
+    ("avoided %", fmt("avoided_pct", ".1%")),
+    ("mean ms", "mean_ms"),
+    ("p50 ms", "p50_ms"),
+    ("p99 ms", "p99_ms"),
+)
 
 
 def main(smoke: bool = False) -> None:
-    """Print the A15 tables and write ``BENCH_A15.json``."""
-    if smoke:
-        user_counts: tuple[int, ...] = (1, 4)
-        n_documents = 4
-    else:
-        user_counts = (1, 2, 4, 8, 16)
-        n_documents = 8
-    results = run_sweep(user_counts=user_counts, n_documents=n_documents)
+    """Print the A15 table and write ``BENCH_A15.json``."""
+    size = SMOKE if smoke else FULL
+    results = run_sweep(**size)
     print(
-        format_table(
-            [
-                "users", "memo", "reads", "chain execs", "avoided",
-                "avoided %", "mean ms", "p50 ms", "p99 ms",
-            ],
-            [
-                (
-                    r.n_users,
-                    r.memo,
-                    r.reads,
-                    r.chain_executions,
-                    r.chain_executions_avoided,
-                    f"{r.avoided_pct:.1%}",
-                    r.mean_ms,
-                    r.p50_ms,
-                    r.p99_ms,
-                )
-                for r in results
-            ],
+        table(
+            results,
+            COLUMNS,
             title=(
                 "A15. Transform memoization: cold reads, every user "
-                f"sharing one translation chain ({n_documents} "
+                f"sharing one translation chain ({size['n_documents']} "
                 "documents; memo ideal avoided = 1 - 1/users)"
             ),
         )
-    )
-    overhead = run_overhead_probe()
-    print(
-        "\nInstrumentation fast path (wall clock, "
-        f"{overhead['emits']:.0f} emits): "
-        f"{overhead['unobserved_ns_per_emit']:.0f} ns/emit unobserved vs "
-        f"{overhead['subscribed_ns_per_emit']:.0f} ns/emit subscribed — "
-        "an unobserved bus skips StageEvent construction entirely."
     )
     shared = max(
         (r for r in results if r.memo), key=lambda r: r.n_users
@@ -222,37 +162,17 @@ def main(smoke: bool = False) -> None:
         r for r in results
         if not r.memo and r.n_users == shared.n_users
     )
-    metrics = {
-        "sweep": [
-            {
-                "n_users": r.n_users,
-                "n_documents": r.n_documents,
-                "memo": r.memo,
-                "reads": r.reads,
-                "chain_executions": r.chain_executions,
-                "chain_executions_avoided": r.chain_executions_avoided,
-                "avoided_pct": r.avoided_pct,
-                "mean_ms": r.mean_ms,
-                "p50_ms": r.p50_ms,
-                "p99_ms": r.p99_ms,
-            }
-            for r in results
-        ],
-        "shared": {
-            "n_users": shared.n_users,
-            "reads": shared.reads,
-            "chain_executions": shared.chain_executions,
-            "chain_executions_avoided": shared.chain_executions_avoided,
-            "avoided_pct": shared.avoided_pct,
-            "mean_ms_memo_on": shared.mean_ms,
-            "mean_ms_memo_off": baseline.mean_ms,
+    write_artifact(
+        "a15",
+        {
+            "sweep": results,
+            "shared": {
+                **record(shared),
+                "mean_ms_memo_on": shared.mean_ms,
+                "mean_ms_memo_off": baseline.mean_ms,
+            },
+            "smoke": smoke,
         },
-        "overhead": overhead,
-        "smoke": smoke,
-    }
-    path = write_artifact("a15", metrics, seed=_SEED)
-    print(f"\nwrote {path.name}")
+        seed=_SEED,
+    )
 
-
-if __name__ == "__main__":
-    main()

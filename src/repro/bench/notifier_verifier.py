@@ -23,14 +23,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table
+from repro.bench.harness import corpus_world, table, write_artifact
 from repro.cache.manager import DocumentCache
 from repro.cache.notifiers import InvalidationBus
-from repro.placeless.kernel import PlacelessKernel
-from repro.workload.documents import CorpusSpec, build_corpus, generate_text
+from repro.workload.documents import generate_text
 from repro.workload.trace import TraceEventKind, TraceSpec, generate_trace
 
 __all__ = ["ConsistencyConfigResult", "run_notifier_verifier", "main"]
+
+_SEED = 7
 
 
 @dataclass
@@ -62,25 +63,16 @@ def run_notifier_verifier(
     p_write: float = 0.04,
     p_out_of_band: float = 0.04,
     ttl_ms: float = 30_000.0,
-    seed: int = 7,
+    seed: int = _SEED,
 ) -> list[ConsistencyConfigResult]:
     """Run the four configurations over identical workloads."""
-    results = []
-    for label, install_notifiers, use_verifiers in CONFIGURATIONS:
-        results.append(
-            _run_one(
-                label,
-                install_notifiers,
-                use_verifiers,
-                n_documents=n_documents,
-                n_events=n_events,
-                p_write=p_write,
-                p_out_of_band=p_out_of_band,
-                ttl_ms=ttl_ms,
-                seed=seed,
-            )
+    return [
+        _run_one(
+            label, install_notifiers, use_verifiers,
+            n_documents, n_events, p_write, p_out_of_band, ttl_ms, seed,
         )
-    return results
+        for label, install_notifiers, use_verifiers in CONFIGURATIONS
+    ]
 
 
 def _run_one(
@@ -94,14 +86,8 @@ def _run_one(
     ttl_ms: float,
     seed: int,
 ) -> ConsistencyConfigResult:
-    kernel = PlacelessKernel()
-    owner = kernel.create_user("owner")
+    kernel, _, corpus = corpus_world(n_documents, seed, ttl_ms=ttl_ms)
     writer = kernel.create_user("writer")
-    corpus = build_corpus(
-        kernel,
-        owner,
-        CorpusSpec(n_documents=n_documents, ttl_ms=ttl_ms, seed=seed),
-    )
     # The writer holds their own references; their writes reach the reader
     # through base-document notifiers (in-band class 1).
     writer_refs = [
@@ -158,37 +144,25 @@ def _run_one(
     )
 
 
-def main() -> None:
-    """Print the A1 table."""
+TITLE = (
+    "A1. Notifier vs. verifier trade-off (consistency vs. latency vs. "
+    "system load)."
+)
+
+COLUMNS = (
+    ("config", "config"),
+    ("hit ratio", "hit_ratio"),
+    ("hit latency (ms)", "mean_hit_latency_ms"),
+    ("verifier cost (ms)", "verifier_cost_ms"),
+    ("notifier msgs", "notifier_deliveries"),
+    ("stale hits", "stale_hits"),
+    ("staleness", "staleness_ratio"),
+)
+
+
+def main(smoke: bool = False) -> None:
+    """Print the A1 table and write ``BENCH_A1.json`` (one size)."""
     rows = run_notifier_verifier()
-    print(
-        format_table(
-            [
-                "config",
-                "hit ratio",
-                "hit latency (ms)",
-                "verifier cost (ms)",
-                "notifier msgs",
-                "stale hits",
-                "staleness",
-            ],
-            [
-                (
-                    r.config,
-                    r.hit_ratio,
-                    r.mean_hit_latency_ms,
-                    r.verifier_cost_ms,
-                    r.notifier_deliveries,
-                    r.stale_hits,
-                    r.staleness_ratio,
-                )
-                for r in rows
-            ],
-            title="A1. Notifier vs. verifier trade-off (consistency vs. "
-            "latency vs. system load).",
-        )
-    )
+    print(table(rows, COLUMNS, title=TITLE))
+    write_artifact("a1", {"configs": rows}, seed=_SEED)
 
-
-if __name__ == "__main__":
-    main()

@@ -28,10 +28,15 @@ or wrong byte is recorded.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table, mean, percentile, write_artifact
+from repro.bench.harness import (
+    fmt,
+    mean,
+    percentile,
+    table,
+    write_artifact,
+)
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import DefaultOverloadPolicy
 from repro.cluster import CacheCluster
@@ -113,7 +118,6 @@ class LoadResult:
     mean_ms: float
     p50_ms: float
     p99_ms: float
-    wall_reads_per_s: float
 
     @property
     def goodput_per_s(self) -> float:
@@ -159,7 +163,6 @@ def run_load(
     )
     offered = completed = within = shed = deadline_errors = stale = 0
     latencies: list[float] = []
-    wall_started = time.perf_counter()
     start_ms = clock.now_ms
     for wave in range(n_waves):
         arrival_ms = start_ms + wave * _WAVE_INTERVAL_MS
@@ -200,7 +203,6 @@ def run_load(
                 latencies.append(latency_ms)
                 if latency_ms <= _DEADLINE_TARGET_MS:
                     within += 1
-    wall_s = time.perf_counter() - wall_started
     return LoadResult(
         arm=arm,
         offered_per_s=(
@@ -218,7 +220,6 @@ def run_load(
         mean_ms=mean(latencies),
         p50_ms=percentile(latencies, 50),
         p99_ms=percentile(latencies, 99),
-        wall_reads_per_s=offered / wall_s if wall_s else 0.0,
     )
 
 
@@ -229,19 +230,14 @@ def run_sweep(
     seed: int = _SEED,
 ) -> list[LoadResult]:
     """The A19 sweep: every offered level under each policy arm."""
-    results = []
-    for n_users in user_counts:
-        for arm in _ARMS:
-            results.append(
-                run_load(
-                    n_users,
-                    arm,
-                    n_documents=n_documents,
-                    n_waves=n_waves,
-                    seed=seed,
-                )
-            )
-    return results
+    return [
+        run_load(
+            n_users, arm,
+            n_documents=n_documents, n_waves=n_waves, seed=seed,
+        )
+        for n_users in user_counts
+        for arm in _ARMS
+    ]
 
 
 @dataclass
@@ -344,38 +340,48 @@ def run_grayshard(
     )
 
 
+FULL = dict(
+    sweep=dict(user_counts=(6, 12, 25, 50), n_waves=8),
+    grayshard=dict(n_rounds=20),
+)
+SMOKE = dict(
+    sweep=dict(user_counts=(25, 50), n_waves=4),
+    grayshard=dict(n_rounds=16),
+)
+
+SWEEP_COLUMNS = (
+    ("offered/s", fmt("offered_per_s", ".0f")),
+    ("arm", "arm"),
+    ("offered", "offered"),
+    ("ok", "completed"),
+    ("in-ddl", "within_deadline"),
+    ("shed", "shed"),
+    ("goodput/s", fmt("goodput_per_s", ".0f")),
+    ("shed%", lambda r: f"{100 * r.shed_ratio:.0f}"),
+    ("p50 ms", "p50_ms"),
+    ("p99 ms", "p99_ms"),
+)
+
+GRAYSHARD_COLUMNS = (
+    ("hedging", "hedging"),
+    ("reads", "reads"),
+    ("hedges", "hedges_launched"),
+    ("won", "hedges_won"),
+    ("p99 ms", "p99_ms"),
+    ("window p99 ms", "window_p99_ms"),
+    ("violations", "deadline_violations"),
+    ("wrong bytes", "wrong_bytes_served"),
+)
+
+
 def main(smoke: bool = False) -> None:
     """Print the A19 tables and write ``BENCH_A19.json``."""
-    if smoke:
-        user_counts: tuple[int, ...] = (25, 50)
-        n_waves = 4
-        n_rounds = 16
-    else:
-        user_counts = (6, 12, 25, 50)
-        n_waves = 8
-        n_rounds = 20
-    sweep = run_sweep(user_counts=user_counts, n_waves=n_waves)
+    size = SMOKE if smoke else FULL
+    sweep = run_sweep(**size["sweep"])
     print(
-        format_table(
-            [
-                "offered/s", "arm", "offered", "ok", "in-ddl", "shed",
-                "goodput/s", "shed%", "p50 ms", "p99 ms",
-            ],
-            [
-                (
-                    f"{r.offered_per_s:.0f}",
-                    r.arm,
-                    r.offered,
-                    r.completed,
-                    r.within_deadline,
-                    r.shed,
-                    f"{r.goodput_per_s:.0f}",
-                    f"{100 * r.shed_ratio:.0f}",
-                    r.p50_ms,
-                    r.p99_ms,
-                )
-                for r in sweep
-            ],
+        table(
+            sweep,
+            SWEEP_COLUMNS,
             title=(
                 "A19. Overload sweep: open-loop waves of personalized "
                 "cold misses (wave-relative latency vs the "
@@ -383,32 +389,17 @@ def main(smoke: bool = False) -> None:
             ),
         )
     )
-    gray_off = run_grayshard(False, n_rounds=n_rounds)
-    gray_on = run_grayshard(True, n_rounds=n_rounds)
+    gray_off = run_grayshard(False, **size["grayshard"])
+    gray_on = run_grayshard(True, **size["grayshard"])
     ratio = (
         gray_off.window_p99_ms / gray_on.window_p99_ms
         if gray_on.window_p99_ms
         else 0.0
     )
     print(
-        format_table(
-            [
-                "hedging", "reads", "hedges", "won", "p99 ms",
-                "window p99 ms", "violations", "wrong bytes",
-            ],
-            [
-                (
-                    r.hedging,
-                    r.reads,
-                    r.hedges_launched,
-                    r.hedges_won,
-                    r.p99_ms,
-                    r.window_p99_ms,
-                    r.deadline_violations,
-                    r.wrong_bytes_served,
-                )
-                for r in (gray_off, gray_on)
-            ],
+        table(
+            (gray_off, gray_on),
+            GRAYSHARD_COLUMNS,
             title=(
                 "A19. Gray shard: two-shard cluster, cluster-0 fetches "
                 f"+150 ms in-window (p99 ratio off/on = {ratio:.1f}x)"
@@ -416,75 +407,38 @@ def main(smoke: bool = False) -> None:
         )
     )
     peak = max(r.goodput_per_s for r in sweep if r.arm == "shed")
+    most_users = max(r.n_users for r in sweep)
     at_2x = next(
-        r for r in sweep
-        if r.arm == "shed" and r.n_users == max(user_counts)
+        r for r in sweep if r.arm == "shed" and r.n_users == most_users
     )
     off_2x = next(
-        r for r in sweep
-        if r.arm == "off" and r.n_users == max(user_counts)
+        r for r in sweep if r.arm == "off" and r.n_users == most_users
     )
-    metrics = {
-        "sweep": [
-            {
-                "arm": r.arm,
-                "offered_per_s": r.offered_per_s,
-                "n_users": r.n_users,
-                "n_waves": r.n_waves,
-                "offered": r.offered,
-                "completed": r.completed,
-                "within_deadline": r.within_deadline,
-                "shed": r.shed,
-                "deadline_errors": r.deadline_errors,
-                "stale_serves": r.stale_serves,
-                "goodput_per_s": r.goodput_per_s,
-                "shed_ratio": r.shed_ratio,
-                "mean_ms": r.mean_ms,
-                "p50_ms": r.p50_ms,
-                "p99_ms": r.p99_ms,
-                "wall_reads_per_s": r.wall_reads_per_s,
-            }
-            for r in sweep
-        ],
-        "grayshard": [
-            {
-                "hedging": r.hedging,
-                "reads": r.reads,
-                "window_reads": r.window_reads,
-                "hedges_launched": r.hedges_launched,
-                "hedges_won": r.hedges_won,
-                "hedges_lost": r.hedges_lost,
-                "deadline_violations": r.deadline_violations,
-                "wrong_bytes_served": r.wrong_bytes_served,
-                "gray_slow_fetches": r.gray_slow_fetches,
-                "mean_ms": r.mean_ms,
-                "p99_ms": r.p99_ms,
-                "window_p99_ms": r.window_p99_ms,
-            }
-            for r in (gray_off, gray_on)
-        ],
-        "headline": {
-            "peak_goodput_per_s": peak,
-            "goodput_at_2x_shed": at_2x.goodput_per_s,
-            "goodput_at_2x_off": off_2x.goodput_per_s,
-            "goodput_2x_fraction_of_peak": (
-                at_2x.goodput_per_s / peak if peak else 0.0
-            ),
-            "shed_ratio_at_2x": at_2x.shed_ratio,
-            "gray_p99_ratio": ratio,
-            "hedges_won": gray_on.hedges_won,
-            "deadline_violations": (
-                gray_off.deadline_violations + gray_on.deadline_violations
-            ),
-            "wrong_bytes_served": (
-                gray_off.wrong_bytes_served + gray_on.wrong_bytes_served
-            ),
+    write_artifact(
+        "a19",
+        {
+            "sweep": sweep,
+            "grayshard": (gray_off, gray_on),
+            "headline": {
+                "peak_goodput_per_s": peak,
+                "goodput_at_2x_shed": at_2x.goodput_per_s,
+                "goodput_at_2x_off": off_2x.goodput_per_s,
+                "goodput_2x_fraction_of_peak": (
+                    at_2x.goodput_per_s / peak if peak else 0.0
+                ),
+                "shed_ratio_at_2x": at_2x.shed_ratio,
+                "gray_p99_ratio": ratio,
+                "hedges_won": gray_on.hedges_won,
+                "deadline_violations": (
+                    gray_off.deadline_violations
+                    + gray_on.deadline_violations
+                ),
+                "wrong_bytes_served": (
+                    gray_off.wrong_bytes_served + gray_on.wrong_bytes_served
+                ),
+            },
+            "smoke": smoke,
         },
-        "smoke": smoke,
-    }
-    path = write_artifact("a19", metrics, seed=_SEED)
-    print(f"\nwrote {path.name}")
+        seed=_SEED,
+    )
 
-
-if __name__ == "__main__":
-    main()

@@ -1,22 +1,19 @@
-"""Wall-clock, RSS and allocation measurement for the perf benches.
+"""RSS and allocation instruments for the A20 scale bench.
 
 Everything else in :mod:`repro.bench` measures *virtual* time — the
-simulation's latency model.  The A20 scale bench measures the
-*interpreter*: how many reads per wall-clock second the cache sustains,
-how much resident memory a million-entry table costs, and how many
-heap blocks one hit allocates.  The helpers here are the shared
+simulation's latency model.  A20 also measures the *interpreter*: how
+much resident memory a million-entry table costs and how many heap
+blocks one hit allocates (wall-clock *timing* of the read path belongs
+to ``perfbench/``, which calibrates and pairs its runs).  The two
 instruments:
 
-* :func:`timed` — monotonic wall-clock timing of a callable;
 * :func:`peak_rss_kb` — the process high-water mark from ``getrusage``
   (kilobytes on Linux; normalized from bytes on macOS);
 * :func:`allocation_probe` — heap blocks allocated per operation,
   measured with ``sys.getallocatedblocks`` under a disabled collector
   so a concurrent GC cannot turn a zero-allocation loop into a
-  negative number;
-* :func:`tracemalloc_breakdown` — optional top-N allocation-site
-  attribution for diagnosing a budget regression (never used inside a
-  timed section: tracemalloc multiplies allocation cost).
+  negative number (``tests/unit/test_perf_budget.py`` pins the hit
+  path's budget with it).
 """
 
 from __future__ import annotations
@@ -24,25 +21,9 @@ from __future__ import annotations
 import gc
 import resource
 import sys
-import time
-import tracemalloc
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable
 
-__all__ = [
-    "timed",
-    "peak_rss_kb",
-    "allocation_probe",
-    "tracemalloc_breakdown",
-]
-
-T = TypeVar("T")
-
-
-def timed(fn: Callable[[], T]) -> tuple[T, float]:
-    """Run *fn*; return ``(result, elapsed_seconds)`` (monotonic)."""
-    started = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - started
+__all__ = ["peak_rss_kb", "allocation_probe"]
 
 
 def peak_rss_kb() -> float:
@@ -85,26 +66,3 @@ def allocation_probe(
         if was_enabled:
             gc.enable()
     return (after - before) / iterations
-
-
-def tracemalloc_breakdown(
-    operation: Callable[[], Any],
-    iterations: int = 64,
-    top: int = 10,
-) -> list[str]:
-    """Top allocation sites for *operation*, one formatted line each.
-
-    Diagnostic only — run it when :func:`allocation_probe` exceeds a
-    budget to see *where* the blocks come from; never inside a timed
-    section.
-    """
-    tracemalloc.start()
-    try:
-        baseline = tracemalloc.take_snapshot()
-        for _ in range(iterations):
-            operation()
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    stats = snapshot.compare_to(baseline, "lineno")[:top]
-    return [str(stat) for stat in stats]

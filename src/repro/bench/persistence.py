@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table, percentile, write_artifact
+from repro.bench.harness import fmt, percentile, table, write_artifact
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import DefaultStoragePolicy
 from repro.faults.plan import FaultPlan
@@ -240,76 +240,60 @@ def run_arm(
     )
 
 
+FULL = dict(n_docs=18, crash_at=3_000.0, rounds_post=8)
+SMOKE = dict(n_docs=9, crash_at=1_500.0, rounds_post=4)
+
+RESTART_COLUMNS = (
+    ("arm", "label"),
+    ("storage", "storage"),
+    ("hostile disk", "hostile_disk"),
+    ("pre reads", "reads_pre"),
+    ("post reads", "reads_post"),
+    ("pre p99 ms", "pre_p99_ms"),
+    ("post hit ratio", fmt("post_hit_ratio", ".0%")),
+    ("restart→p99 ms", fmt("restart_to_p99_ms", ".0f")),
+    ("post mean ms", "post_mean_ms"),
+    ("wrong bytes", "wrong_bytes_served"),
+)
+
+TIER_COLUMNS = (
+    ("arm", "label"),
+    ("demoted", "demotions"),
+    ("promoted", "promotions"),
+    ("recovered", "recovered_entries"),
+    ("rec-promoted", "recovered_promotions"),
+    ("corrupt-dropped", "corrupt_records_recovered"),
+    ("dropped", "dropped_records"),
+    ("write fails", "write_failures"),
+    ("fallback skips", "fallback_skips"),
+    ("trips", "breaker_trips"),
+    ("closes", "breaker_closes"),
+)
+
+
 def main(smoke: bool = False) -> None:
     """Print the A18 persistence tables and write ``BENCH_A18.json``."""
-    sizing = (
-        dict(n_docs=9, crash_at=1_500.0, rounds_post=4)
-        if smoke
-        else dict(n_docs=18, crash_at=3_000.0, rounds_post=8)
-    )
-    cold = run_arm(False, label="cold", **sizing)
-    warm = run_arm(True, label="warm", **sizing)
-    chaos = run_arm(True, hostile_disk=True, label="diskchaos", **sizing)
+    size = SMOKE if smoke else FULL
+    cold = run_arm(False, label="cold", **size)
+    warm = run_arm(True, label="warm", **size)
+    chaos = run_arm(True, hostile_disk=True, label="diskchaos", **size)
     arms = (cold, warm, chaos)
-    rows = [
-        (
-            arm.label,
-            arm.storage,
-            arm.hostile_disk,
-            arm.reads_pre,
-            arm.reads_post,
-            arm.pre_p99_ms,
-            f"{arm.post_hit_ratio:.0%}",
-            (
-                "-" if arm.restart_to_p99_ms is None
-                else f"{arm.restart_to_p99_ms:.0f}"
-            ),
-            arm.post_mean_ms,
-            arm.wrong_bytes_served,
-        )
-        for arm in arms
-    ]
     print(
-        format_table(
-            [
-                "arm", "storage", "hostile disk", "pre reads",
-                "post reads", "pre p99 ms", "post hit ratio",
-                "restart→p99 ms", "post mean ms", "wrong bytes",
-            ],
-            rows,
+        table(
+            arms,
+            RESTART_COLUMNS,
             title=(
                 "A18a. Restart recovery, cold vs warm vs hostile disk "
-                f"(crash at {arms[0].crash_at_ms:.0f}ms virtual; warm "
+                f"(crash at {cold.crash_at_ms:.0f}ms virtual; warm "
                 "hit = served without a full backing fetch)"
             ),
         )
     )
     print()
-    rows = [
-        (
-            arm.label,
-            arm.demotions,
-            arm.promotions,
-            arm.recovered_entries,
-            arm.recovered_promotions,
-            arm.corrupt_records_recovered,
-            arm.dropped_records,
-            arm.write_failures,
-            arm.fallback_skips,
-            arm.breaker_trips,
-            arm.breaker_closes,
-        )
-        for arm in arms
-        if arm.storage
-    ]
     print(
-        format_table(
-            [
-                "arm", "demoted", "promoted", "recovered",
-                "rec-promoted", "corrupt-dropped", "dropped",
-                "write fails", "fallback skips", "trips", "closes",
-            ],
-            rows,
+        table(
+            [arm for arm in arms if arm.storage],
+            TIER_COLUMNS,
             title=(
                 "A18b. Durable-tier accounting (recovered entries are "
                 "verifier-gated on first serve; corrupt records are "
@@ -317,51 +301,22 @@ def main(smoke: bool = False) -> None:
             ),
         )
     )
-    metrics = {
-        "smoke": smoke,
-        "arms": [
-            {
-                "label": arm.label,
-                "storage": arm.storage,
-                "hostile_disk": arm.hostile_disk,
-                "crash_at_ms": arm.crash_at_ms,
-                "reads_pre": arm.reads_pre,
-                "reads_post": arm.reads_post,
-                "pre_p50_ms": arm.pre_p50_ms,
-                "pre_p99_ms": arm.pre_p99_ms,
-                "post_hit_ratio": arm.post_hit_ratio,
-                "post_warm_hits": arm.post_warm_hits,
-                "restart_to_p99_ms": arm.restart_to_p99_ms,
-                "post_mean_ms": arm.post_mean_ms,
-                "wrong_bytes_served": arm.wrong_bytes_served,
-                "dispositions": arm.dispositions,
-                "demotions": arm.demotions,
-                "promotions": arm.promotions,
-                "recovered_entries": arm.recovered_entries,
-                "recovered_promotions": arm.recovered_promotions,
-                "corrupt_records_recovered": arm.corrupt_records_recovered,
-                "dropped_records": arm.dropped_records,
-                "write_failures": arm.write_failures,
-                "fallback_skips": arm.fallback_skips,
-                "breaker_trips": arm.breaker_trips,
-                "breaker_closes": arm.breaker_closes,
-            }
-            for arm in arms
-        ],
-        "headline": {
-            "warm_hits": warm.post_warm_hits,
-            "cold_post_hit_ratio": cold.post_hit_ratio,
-            "warm_post_hit_ratio": warm.post_hit_ratio,
-            "warm_beats_cold": warm.post_hit_ratio > cold.post_hit_ratio,
-            "recovered_promotions": warm.recovered_promotions,
-            "corrupt_records_recovered": chaos.corrupt_records_recovered,
-            "fallback_skips": chaos.fallback_skips,
-            "wrong_bytes_served": sum(a.wrong_bytes_served for a in arms),
+    write_artifact(
+        "a18",
+        {
+            "smoke": smoke,
+            "arms": arms,
+            "headline": {
+                "warm_hits": warm.post_warm_hits,
+                "cold_post_hit_ratio": cold.post_hit_ratio,
+                "warm_post_hit_ratio": warm.post_hit_ratio,
+                "warm_beats_cold": warm.post_hit_ratio > cold.post_hit_ratio,
+                "recovered_promotions": warm.recovered_promotions,
+                "corrupt_records_recovered": chaos.corrupt_records_recovered,
+                "fallback_skips": chaos.fallback_skips,
+                "wrong_bytes_served": sum(a.wrong_bytes_served for a in arms),
+            },
         },
-    }
-    path = write_artifact("a18", metrics, seed=_SEED)
-    print(f"wrote {path.name}")
+        seed=_SEED,
+    )
 
-
-if __name__ == "__main__":
-    main()

@@ -24,16 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table
+from repro.bench.harness import corpus_world, table, write_artifact
 from repro.cache.manager import DocumentCache
 from repro.cache.notifiers import InvalidationBus
-from repro.placeless.kernel import PlacelessKernel
 from repro.sim.topology import CachePlacement
-from repro.workload.documents import CorpusSpec, build_corpus
 from repro.workload.trace import TraceSpec, generate_trace
 from repro.workload.users import build_population
 
 __all__ = ["PlacementResult", "run_placement", "main"]
+
+_SEED = 19
 
 
 @dataclass
@@ -51,12 +51,7 @@ class PlacementResult:
 
 
 def _workload(n_documents: int, n_users: int, n_events: int, seed: int):
-    kernel = PlacelessKernel()
-    owner = kernel.create_user("owner")
-    corpus = build_corpus(
-        kernel, owner,
-        CorpusSpec(n_documents=n_documents, ttl_ms=3_600_000.0, seed=seed),
-    )
+    kernel, _, corpus = corpus_world(n_documents, seed)
     population = build_population(
         kernel, corpus, n_users, personalized_fraction=0.0, seed=seed
     )
@@ -128,7 +123,7 @@ def run_placement(
     n_users: int = 6,
     n_events: int = 2400,
     capacity: int = 64 << 20,
-    seed: int = 19,
+    seed: int = _SEED,
 ) -> list[PlacementResult]:
     """Run the three deployments over identical workloads."""
     return [
@@ -139,24 +134,25 @@ def run_placement(
     ]
 
 
-def main() -> None:
-    """Print the A8 table."""
+TITLE = (
+    "A8. Cache placement: application-level vs. server co-located vs. a "
+    "two-level hierarchy (6 users, shared docs)."
+)
+
+COLUMNS = (
+    ("deployment", "deployment"),
+    ("mean latency (ms)", "mean_latency_ms"),
+    ("combined hit ratio", "combined_hit_ratio"),
+    ("L1 hit ratio", "l1_hit_ratio"),
+    ("L2 hit ratio", "l2_hit_ratio"),
+    ("kernel reads", "kernel_reads"),
+    ("cached MB", lambda r: r.bytes_cached / 1e6),
+)
+
+
+def main(smoke: bool = False) -> None:
+    """Print the A8 table and write ``BENCH_A8.json`` (one size)."""
     rows = run_placement()
-    print(
-        format_table(
-            ["deployment", "mean latency (ms)", "combined hit ratio",
-             "L1 hit ratio", "L2 hit ratio", "kernel reads", "cached MB"],
-            [
-                (r.deployment, r.mean_latency_ms, r.combined_hit_ratio,
-                 r.l1_hit_ratio, r.l2_hit_ratio, r.kernel_reads,
-                 r.bytes_cached / 1e6)
-                for r in rows
-            ],
-            title="A8. Cache placement: application-level vs. server "
-            "co-located vs. a two-level hierarchy (6 users, shared docs).",
-        )
-    )
+    print(table(rows, COLUMNS, title=TITLE))
+    write_artifact("a8", {"deployments": rows}, seed=_SEED)
 
-
-if __name__ == "__main__":
-    main()

@@ -17,15 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table
+from repro.bench.harness import corpus_world, table, write_artifact
 from repro.cache.manager import DocumentCache
 from repro.cache.replacement import GreedyDualSizePolicy
-from repro.placeless.kernel import PlacelessKernel
 from repro.properties.qos import QoSProperty
-from repro.workload.documents import CorpusSpec, build_corpus
 from repro.workload.trace import zipf_indices
 
 __all__ = ["QoSResult", "run_qos", "main"]
+
+_SEED = 41
 
 
 @dataclass
@@ -49,13 +49,7 @@ def _run_config(
     capacity_fraction: float,
     seed: int,
 ) -> QoSResult:
-    kernel = PlacelessKernel()
-    owner = kernel.create_user("owner")
-    corpus = build_corpus(
-        kernel,
-        owner,
-        CorpusSpec(n_documents=n_documents, ttl_ms=3_600_000.0, seed=seed),
-    )
+    kernel, _, corpus = corpus_world(n_documents, seed)
     # QoS documents: the least popular tail of the Zipf ordering.
     qos_indices = set(range(n_documents - n_qos, n_documents))
     qos_props: dict[int, QoSProperty] = {}
@@ -109,7 +103,7 @@ def run_qos(
     n_reads: int = 3000,
     target_ms: float = 5.0,
     capacity_fraction: float = 0.08,
-    seed: int = 41,
+    seed: int = _SEED,
 ) -> list[QoSResult]:
     """Run with and without inflation over identical traces.
 
@@ -131,35 +125,24 @@ def run_qos(
     ]
 
 
-def main() -> None:
-    """Print the A6 table."""
+TITLE = (
+    "A6. QoS replacement-cost inflation keeps tail documents resident "
+    "under pressure."
+)
+
+COLUMNS = (
+    ("config", "config"),
+    ("qos accesses", "qos_accesses"),
+    ("compliant", "qos_compliant"),
+    ("compliance", "qos_compliance"),
+    ("qos mean latency (ms)", "qos_mean_latency_ms"),
+    ("overall hit ratio", "overall_hit_ratio"),
+)
+
+
+def main(smoke: bool = False) -> None:
+    """Print the A6 table and write ``BENCH_A6.json`` (one size)."""
     rows = run_qos()
-    print(
-        format_table(
-            [
-                "config",
-                "qos accesses",
-                "compliant",
-                "compliance",
-                "qos mean latency (ms)",
-                "overall hit ratio",
-            ],
-            [
-                (
-                    r.config,
-                    r.qos_accesses,
-                    r.qos_compliant,
-                    r.qos_compliance,
-                    r.qos_mean_latency_ms,
-                    r.overall_hit_ratio,
-                )
-                for r in rows
-            ],
-            title="A6. QoS replacement-cost inflation keeps tail documents "
-            "resident under pressure.",
-        )
-    )
+    print(table(rows, COLUMNS, title=TITLE))
+    write_artifact("a6", {"configs": rows}, seed=_SEED)
 
-
-if __name__ == "__main__":
-    main()

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table, write_artifact
+from repro.bench.harness import fmt, table, write_artifact
 from repro.cache.manager import DocumentCache
 from repro.cache.pipeline import WriteMode
 from repro.cache.policies import DefaultRecoveryPolicy
@@ -295,46 +295,51 @@ def run_crash(journal: bool, seed: int = 7, n_documents: int = 6) -> CrashResult
     )
 
 
-def main() -> None:
-    """Print the A13 consistency-recovery tables."""
-    loss_rates = (0.0, 0.25, 0.5)
-    convergence_metrics = []
-    rows = []
-    for loss_rate in loss_rates:
-        for recovery in (False, True):
-            r = run_convergence(loss_rate, recovery)
-            convergence_metrics.append(
-                {
-                    "loss_rate": loss_rate,
-                    "recovery": recovery,
-                    "converged": r.converged,
-                    "unbounded": r.unbounded,
-                    "mean_staleness_ms": r.mean_staleness_ms,
-                    "max_staleness_ms": r.max_staleness_ms,
-                    "resyncs": r.resyncs,
-                }
-            )
-            rows.append(
-                (
-                    f"{loss_rate:.0%}",
-                    r.recovery,
-                    r.converged,
-                    r.unbounded,
-                    r.mean_staleness_ms,
-                    r.max_staleness_ms,
-                    r.gaps_detected,
-                    r.checkpoint_gaps,
-                    r.resyncs,
-                )
-            )
+CONVERGENCE_COLUMNS = (
+    ("loss rate", fmt("loss_rate", ".0%")),
+    ("recovery", "recovery"),
+    ("converged", "converged"),
+    ("unbounded", "unbounded"),
+    ("mean stale ms", "mean_staleness_ms"),
+    ("max stale ms", "max_staleness_ms"),
+    ("gaps", "gaps_detected"),
+    ("ckpt gaps", "checkpoint_gaps"),
+    ("resyncs", "resyncs"),
+)
+
+PARTITION_COLUMNS = (
+    ("recovery", "recovery"),
+    ("partition drops", "dropped_by_partition"),
+    ("converged", "converged"),
+    ("stale ms", fmt("staleness_ms", ".0f")),
+    ("within 1 term", "within_one_lease_term"),
+    ("lapses", "lease_lapses"),
+    ("resyncs", "resyncs"),
+)
+
+CRASH_COLUMNS = (
+    ("journal", "journal"),
+    ("acked", "acknowledged"),
+    ("pre-flushed", "flushed_before_crash"),
+    ("replayed", "replayed"),
+    ("2nd-replay skips", "replay_skipped_on_second_pass"),
+    ("byte-identical", "restored_byte_identical"),
+    ("lost", "lost"),
+    ("dup flushes", "duplicate_flushes"),
+)
+
+
+def main(smoke: bool = False) -> None:
+    """Print the A13 consistency-recovery tables (one size)."""
+    convergence = [
+        run_convergence(loss_rate, recovery)
+        for loss_rate in (0.0, 0.25, 0.5)
+        for recovery in (False, True)
+    ]
     print(
-        format_table(
-            [
-                "loss rate", "recovery", "converged", "unbounded",
-                "mean stale ms", "max stale ms", "gaps", "ckpt gaps",
-                "resyncs",
-            ],
-            rows,
+        table(
+            convergence,
+            CONVERGENCE_COLUMNS,
             title=(
                 "A13a. Staleness window vs notification-loss rate "
                 f"(12 writes, horizon {_HORIZON_MS:.0f}ms = unbounded, "
@@ -343,27 +348,11 @@ def main() -> None:
         )
     )
     print()
-    rows = []
-    for recovery in (False, True):
-        r = run_partition(recovery)
-        rows.append(
-            (
-                r.recovery,
-                r.dropped_by_partition,
-                r.converged,
-                "-" if r.staleness_ms is None else f"{r.staleness_ms:.0f}",
-                r.within_one_lease_term,
-                r.lease_lapses,
-                r.resyncs,
-            )
-        )
+    partition = [run_partition(recovery) for recovery in (False, True)]
     print(
-        format_table(
-            [
-                "recovery", "partition drops", "converged", "stale ms",
-                "within 1 term", "lapses", "resyncs",
-            ],
-            rows,
+        table(
+            partition,
+            PARTITION_COLUMNS,
             title=(
                 "A13b. Convergence after a 3s invalidation-bus blackout "
                 "swallows a write (recovery bound: partition end + one "
@@ -372,39 +361,11 @@ def main() -> None:
         )
     )
     print()
-    rows = []
-    crash_metrics = []
-    for journal in (False, True):
-        r = run_crash(journal)
-        crash_metrics.append(
-            {
-                "journal": journal,
-                "acknowledged": r.acknowledged,
-                "replayed": r.replayed,
-                "restored_byte_identical": r.restored_byte_identical,
-                "lost": r.lost,
-            }
-        )
-        rows.append(
-            (
-                r.journal,
-                r.acknowledged,
-                r.flushed_before_crash,
-                r.replayed,
-                r.replay_skipped_on_second_pass,
-                r.restored_byte_identical,
-                r.lost,
-                r.duplicate_flushes,
-            )
-        )
+    crash = [run_crash(journal) for journal in (False, True)]
     print(
-        format_table(
-            [
-                "journal", "acked", "pre-flushed", "replayed",
-                "2nd-replay skips", "byte-identical", "lost",
-                "dup flushes",
-            ],
-            rows,
+        table(
+            crash,
+            CRASH_COLUMNS,
             title=(
                 "A13c. Write-back durability across an injected cache "
                 "crash (journal replays the unflushed suffix; double "
@@ -412,12 +373,8 @@ def main() -> None:
             ),
         )
     )
-    path = write_artifact(
+    write_artifact(
         "a13",
-        {"convergence": convergence_metrics, "crash": crash_metrics},
+        {"convergence": convergence, "partition": partition, "crash": crash},
     )
-    print(f"wrote {path.name}")
 
-
-if __name__ == "__main__":
-    main()

@@ -19,13 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table
+from repro.bench.harness import corpus_world, fmt, table, write_artifact
 from repro.cache.manager import DocumentCache
 from repro.cache.replacement import make_policy
-from repro.placeless.kernel import PlacelessKernel
 from repro.properties.spellcheck import SpellingCorrectorProperty
 from repro.properties.translate import TranslationProperty
-from repro.workload.documents import CorpusSpec, build_corpus
 from repro.workload.trace import zipf_indices
 
 __all__ = [
@@ -36,6 +34,8 @@ __all__ = [
     "main",
     "DEFAULT_POLICIES",
 ]
+
+_SEED = 11
 
 DEFAULT_POLICIES = (
     "gds",
@@ -55,6 +55,7 @@ class PolicyResult:
     """Metrics of one policy run."""
 
     policy: str
+    capacity_fraction: float
     hit_ratio: float
     total_latency_ms: float
     mean_latency_ms: float
@@ -64,13 +65,7 @@ class PolicyResult:
 
 def _build_world(n_documents: int, seed: int):
     """Corpus + heterogeneous chains, rebuilt identically per policy."""
-    kernel = PlacelessKernel()
-    owner = kernel.create_user("owner")
-    corpus = build_corpus(
-        kernel,
-        owner,
-        CorpusSpec(n_documents=n_documents, ttl_ms=3_600_000.0, seed=seed),
-    )
+    kernel, _, corpus = corpus_world(n_documents, seed)
     rng = random.Random(seed + 1)
     for document in corpus:
         roll = rng.random()
@@ -89,7 +84,7 @@ def run_replacement(
     n_reads: int = 3000,
     capacity_fraction: float = 0.10,
     zipf_alpha: float = 0.8,
-    seed: int = 11,
+    seed: int = _SEED,
 ) -> list[PolicyResult]:
     """Replay the identical trace under each policy."""
     # Size the cache from one throwaway world so every run matches.
@@ -120,6 +115,7 @@ def run_replacement(
         results.append(
             PolicyResult(
                 policy=policy_name,
+                capacity_fraction=capacity_fraction,
                 hit_ratio=cache.stats.hit_ratio,
                 total_latency_ms=total_latency,
                 mean_latency_ms=total_latency / n_reads,
@@ -143,7 +139,7 @@ def run_capacity_sweep(
     fractions: tuple[float, ...] = (0.03, 0.05, 0.10, 0.20, 0.40),
     n_documents: int = 120,
     n_reads: int = 1500,
-    seed: int = 11,
+    seed: int = _SEED,
 ) -> dict[float, list[PolicyResult]]:
     """The figure-style series: policy performance across cache sizes.
 
@@ -164,66 +160,54 @@ def run_capacity_sweep(
     }
 
 
+TITLE = (
+    "A2. Replacement policies under a 10%-of-corpus cache (cost-aware GDS "
+    "should lead on latency)."
+)
+
+COLUMNS = (
+    ("policy", "policy"),
+    ("hit ratio", "hit_ratio"),
+    ("mean latency (ms)", "mean_latency_ms"),
+    ("total latency (s)", lambda r: r.total_latency_ms / 1000.0),
+    ("latency saved (s)", lambda r: r.latency_saved_vs_nocache_ms / 1000.0),
+    ("evictions", "evictions"),
+)
+
+SWEEP_COLUMNS = (
+    ("capacity", fmt("capacity_fraction", ".0%")),
+    ("policy", "policy"),
+    ("hit ratio", "hit_ratio"),
+    ("mean latency (ms)", "mean_latency_ms"),
+)
+
+
 def format_capacity_sweep(sweep: dict[float, list[PolicyResult]]) -> str:
     """Render the sweep as one row per (capacity, policy)."""
-    rows = []
-    for fraction, results in sorted(sweep.items()):
-        for result in results:
-            rows.append(
-                (
-                    f"{fraction:.0%}",
-                    result.policy,
-                    result.hit_ratio,
-                    result.mean_latency_ms,
-                )
-            )
-    return format_table(
-        ["capacity", "policy", "hit ratio", "mean latency (ms)"],
-        rows,
+    return table(
+        [r for _, results in sorted(sweep.items()) for r in results],
+        SWEEP_COLUMNS,
         title="A2b. Policies across cache sizes (series; best policy per "
         "size reads top of each group).",
     )
 
 
-def main() -> None:
-    """Print the A2 table (policies sorted by total latency, best first)."""
+def main(smoke: bool = False) -> None:
+    """Print the A2 tables (policies sorted by total latency, best first;
+    one size) and write ``BENCH_A2.json``."""
     rows = run_replacement()
-    print(
-        format_table(
-            [
-                "policy",
-                "hit ratio",
-                "mean latency (ms)",
-                "total latency (s)",
-                "latency saved (s)",
-                "evictions",
-            ],
-            [
-                (
-                    r.policy,
-                    r.hit_ratio,
-                    r.mean_latency_ms,
-                    r.total_latency_ms / 1000.0,
-                    r.latency_saved_vs_nocache_ms / 1000.0,
-                    r.evictions,
-                )
-                for r in rows
-            ],
-            title="A2. Replacement policies under a 10%-of-corpus cache "
-            "(cost-aware GDS should lead on latency).",
-        )
-    )
+    print(table(rows, COLUMNS, title=TITLE))
     print()
-    print(
-        format_capacity_sweep(
-            run_capacity_sweep(
-                fractions=(0.05, 0.10, 0.25),
-                n_documents=80,
-                n_reads=800,
-            )
-        )
+    sweep = run_capacity_sweep(
+        fractions=(0.05, 0.10, 0.25), n_documents=80, n_reads=800
+    )
+    print(format_capacity_sweep(sweep))
+    write_artifact(
+        "a2",
+        {
+            "policies": rows,
+            "capacity_sweep": [r for rs in sweep.values() for r in rs],
+        },
+        seed=_SEED,
     )
 
-
-if __name__ == "__main__":
-    main()

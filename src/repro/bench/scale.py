@@ -1,38 +1,34 @@
-"""A20: million-entry churn workloads and hot-path raw speed.
+"""A20: million-entry churn shootout — replacement policies at scale.
 
-Two questions the virtual-time benches cannot answer:
-
-1. **Raw speed** — how many reads per *wall-clock* second does the
-   cache sustain on its hit path, and what does an operator pay for
-   attaching a probe to the instrumentation bus (the subscriber tax)?
-2. **Scale** — does a catalog of 10^6 documents under publish/perish
-   churn stay inside a bounded resident set, and how do the
-   replacement policies (GDS, GDSF, LRU, and the reinforced-counter
-   policy) compare when the entry table is large and the working set
-   keeps shifting?
+The question the virtual-time benches cannot answer: does a catalog of
+10^6 documents under publish/perish churn stay inside a bounded
+resident set, and how do the replacement policies (GDS, GDSF, LRU, and
+the reinforced-counter policy) compare when the entry table is large
+and the working set keeps shifting?  This is the one experiment that
+reads the wall clock, because it is a policy comparison at a size where
+the interpreter's own cost per eviction decides the ranking — it is not
+a timer: what a hit, a late bus subscriber or an emit costs is measured
+by ``perfbench`` (``hot_hits``, ``probe.cache.hit_us.extra_subscriber``)
+with calibration and pairs.
 
 Three arms:
 
-* ``hotpath`` — a small fully-cached corpus hammered with Zipf reads,
-  once ``plain`` and once ``subscribed`` (a no-op catch-all subscriber
-  attached after construction, so every per-hit event is materialised
-  for it).  The two drivers are byte-identical loops, so subscribed ÷
-  plain reads/sec is the subscriber tax.  An allocation probe
-  (``sys.getallocatedblocks`` under a disabled GC) reports net heap
-  blocks per hit.
 * ``churn`` — one :class:`~repro.workload.churn.ChurnCatalog` per
   policy, lazily materialized by a shared churn trace with flash
   crowds and a day/night cycle.  Open loop: the driver never sleeps;
   think times advance only the virtual clock.  Reports wall reads/sec,
   wall p50/p99 per read, hit ratio, evictions, and how many documents
   the trace actually forced into existence.
+* ``allocation`` — ``sys.getallocatedblocks`` under a disabled GC
+  reports net heap blocks per steady-state hit on a small fully-cached
+  corpus (the budget ``tests/unit/test_perf_budget.py`` pins).
 * ``rss`` — ``ru_maxrss`` snapshots bracketing the arms; the final
   reading is the run's peak and is what CI gates.
 
-CI runs ``--smoke`` and fails on a reads/sec floor, a subscriber-tax
-floor, an allocation budget, or an RSS ceiling (see
-``.github/workflows/ci.yml``).  The full run drives the 10^6-document
-catalog; the smoke run shrinks every axis but exercises the same code.
+CI runs ``--smoke`` and fails on the allocation budget, an RSS ceiling
+or a missing churn arm (see ``.github/workflows/ci.yml``).  The full run
+drives the 10^6-document catalog; the smoke run shrinks every axis but
+exercises the same code.
 """
 
 from __future__ import annotations
@@ -42,7 +38,13 @@ from array import array
 from dataclasses import dataclass
 from time import perf_counter
 
-from repro.bench.harness import format_table, percentile, write_artifact
+from repro.bench.harness import (
+    fmt,
+    percentile,
+    record,
+    table,
+    write_artifact,
+)
 from repro.bench.perf import allocation_probe, peak_rss_kb
 from repro.cache.manager import DocumentCache
 from repro.cache.replacement import make_policy
@@ -54,12 +56,10 @@ from repro.workload.churn import (
     generate_churn,
 )
 from repro.workload.documents import CorpusSpec
-from repro.workload.trace import zipf_indices
 
 __all__ = [
-    "HotPathResult",
     "ChurnArmResult",
-    "run_hotpath",
+    "run_allocation_probe",
     "run_churn_shootout",
     "main",
     "CHURN_POLICIES",
@@ -70,19 +70,6 @@ _SEED = 61
 #: Shootout lineup: the two cost-aware paper policies, the classic
 #: baseline, and the reinforced-counter policy added for this arm.
 CHURN_POLICIES = ("gds", "gdsf", "lru", "rc")
-
-
-@dataclass
-class HotPathResult:
-    """One hot-path arm: the same read loop, plain or subscribed."""
-
-    arm: str
-    reads: int
-    wall_seconds: float
-    reads_per_sec: float
-    hit_ratio: float
-    wall_p50_us: float
-    wall_p99_us: float
 
 
 @dataclass
@@ -102,89 +89,18 @@ class ChurnArmResult:
     rss_after_kb: float
 
 
-def _hotpath_world(n_documents: int, *, subscribed: bool = False):
-    """A fully-cacheable corpus behind a fresh default cache, optionally
-    with a late no-op catch-all subscriber on its bus."""
+def run_allocation_probe(n_documents: int = 64) -> float:
+    """Net heap blocks per steady-state hit."""
     kernel = PlacelessKernel()
     owner = kernel.create_user("owner")
     catalog = ChurnCatalog(
         kernel, owner, CorpusSpec(n_documents=n_documents, seed=_SEED)
     )
-    corpus = catalog.materialize_all()
-    cache = DocumentCache(
-        kernel,
-        capacity_bytes=1 << 30,
-        name=f"a20-hot-{'subscribed' if subscribed else 'plain'}",
-    )
-    if subscribed:
-        cache.instrumentation.subscribe(lambda event: None)
-    return cache, corpus
-
-
-#: Reads given per-read lap timing for percentiles.  Kept separate
-#: from the throughput loop: two extra ``perf_counter`` calls per read
-#: are a fixed tax that flattens the plain/subscribed ratio.
-_LATENCY_SAMPLE = 20_000
-
-
-def _drive_reads(cache, corpus, trace) -> tuple[float, array]:
-    """Replay *trace*; return (throughput-loop seconds, sampled lap µs).
-
-    Two passes over the same reference sequence: a tight loop timed as
-    a whole (the reads/sec number), then a lap-timed sample for
-    p50/p99.  Both arms of the hot-path comparison run the identical
-    driver, so the ratio is the cache's, not the harness's.
-    """
-    references = [corpus[index].reference for index in trace]
-    read = cache.read
-    started = perf_counter()
-    for reference in references:
-        read(reference)
-    wall = perf_counter() - started
-    laps = array("d")
-    for reference in references[:_LATENCY_SAMPLE]:
-        lap = perf_counter()
-        read(reference)
-        laps.append((perf_counter() - lap) * 1e6)
-    return wall, laps
-
-
-def run_hotpath(
-    n_documents: int = 256,
-    n_reads: int = 200_000,
-    zipf_alpha: float = 0.8,
-) -> list[HotPathResult]:
-    """Plain vs. late-subscribed cache on an all-hits workload."""
-    trace = zipf_indices(n_documents, n_reads, zipf_alpha, seed=_SEED + 1)
-    results = []
-    for arm in ("plain", "subscribed"):
-        cache, corpus = _hotpath_world(
-            n_documents, subscribed=arm == "subscribed"
-        )
-        for document in corpus:  # warm: every subsequent read is a hit
-            cache.read(document.reference)
-        wall, laps = _drive_reads(cache, corpus, trace)
-        results.append(
-            HotPathResult(
-                arm=arm,
-                reads=n_reads,
-                wall_seconds=wall,
-                reads_per_sec=n_reads / wall,
-                hit_ratio=cache.stats.hit_ratio,
-                wall_p50_us=percentile(laps, 50.0),
-                wall_p99_us=percentile(laps, 99.0),
-            )
-        )
-    return results
-
-
-def run_allocation_probe(n_documents: int = 64) -> float:
-    """Net heap blocks per steady-state hit."""
-    cache, corpus = _hotpath_world(n_documents)
-    for document in corpus:
-        cache.read(document.reference)
+    cache = DocumentCache(kernel, capacity_bytes=1 << 30, name="a20-hot")
+    references = [d.reference for d in catalog.materialize_all()]
+    for reference in references:  # warm: every later read is a hit
+        cache.read(reference)
     rng = random.Random(_SEED + 2)
-    references = [document.reference for document in corpus]
 
     def one_hit() -> None:
         cache.read(references[rng.randrange(len(references))])
@@ -287,115 +203,55 @@ def run_churn_shootout(
     return results
 
 
-def _format_hotpath(results: list[HotPathResult]) -> str:
-    rows = [
-        [
-            r.arm,
-            f"{r.reads}",
-            f"{r.reads_per_sec:,.0f}",
-            f"{r.wall_p50_us:.1f}",
-            f"{r.wall_p99_us:.1f}",
-            f"{r.hit_ratio:.3f}",
-        ]
-        for r in results
-    ]
-    return format_table(
-        ["arm", "reads", "reads/s", "p50 µs", "p99 µs", "hit ratio"], rows
-    )
+FULL = dict(
+    probe_documents=64,
+    churn=dict(n_documents=1_000_000, n_events=300_000, zipf_alpha=1.1),
+)
+SMOKE = dict(
+    probe_documents=32,
+    churn=dict(n_documents=5_000, n_events=4_000, zipf_alpha=0.9),
+)
+
+COLUMNS = (
+    ("policy", "policy"),
+    ("reads", "reads"),
+    ("reads/s", fmt("reads_per_sec", ",.0f")),
+    ("p50 µs", fmt("wall_p50_us", ".1f")),
+    ("p99 µs", fmt("wall_p99_us", ".1f")),
+    ("hit ratio", fmt("hit_ratio", ".3f")),
+    ("evict", "evictions"),
+    ("docs built", "materialized"),
+    ("rss MiB", lambda r: f"{r.rss_after_kb / 1024.0:,.0f}"),
+)
 
 
-def _format_churn(results: list[ChurnArmResult]) -> str:
-    rows = [
-        [
-            r.policy,
-            f"{r.reads}",
-            f"{r.reads_per_sec:,.0f}",
-            f"{r.wall_p50_us:.1f}",
-            f"{r.wall_p99_us:.1f}",
-            f"{r.hit_ratio:.3f}",
-            f"{r.evictions}",
-            f"{r.materialized}",
-            f"{r.rss_after_kb / 1024.0:,.0f}",
-        ]
-        for r in results
-    ]
-    return format_table(
-        [
-            "policy",
-            "reads",
-            "reads/s",
-            "p50 µs",
-            "p99 µs",
-            "hit ratio",
-            "evict",
-            "docs built",
-            "rss MiB",
-        ],
-        rows,
-    )
+def _rounded(row: dict) -> dict:
+    """Wall-clock floats carry noise, not digits: keep four decimals."""
+    return {
+        key: round(value, 4) if isinstance(value, float) else value
+        for key, value in row.items()
+    }
 
 
 def main(smoke: bool = False) -> None:
-    """Run all three arms, print the tables, write ``BENCH_A20.json``."""
-    if smoke:
-        hot = run_hotpath(n_documents=128, n_reads=60_000)
-        blocks_per_hit = run_allocation_probe(n_documents=32)
-        churn = run_churn_shootout(
-            n_documents=5_000, n_events=4_000, zipf_alpha=0.9
-        )
-    else:
-        hot = run_hotpath()
-        blocks_per_hit = run_allocation_probe()
-        churn = run_churn_shootout()
-
-    plain, subscribed = hot
-    subscriber_tax = subscribed.reads_per_sec / plain.reads_per_sec
-
-    print("A20 hot path: plain vs. one late catch-all subscriber")
-    print(_format_hotpath(hot))
-    print(f"\nsubscriber tax: {subscriber_tax:.2f} of plain reads/s")
+    """Run the arms, print the table, write ``BENCH_A20.json``."""
+    size = SMOKE if smoke else FULL
+    blocks_per_hit = run_allocation_probe(size["probe_documents"])
+    churn = run_churn_shootout(**size["churn"])
     print(f"allocation probe: {blocks_per_hit:.1f} heap blocks per hit")
     print("\nA20 churn shootout (identical trace per policy)")
-    print(_format_churn(churn))
+    print(table(churn, COLUMNS))
     peak_kb = peak_rss_kb()
-    print(f"\npeak RSS: {peak_kb / 1024.0:,.0f} MiB")
-
-    metrics = {
-        "smoke": smoke,
-        "hotpath": {
-            r.arm: {
-                "reads": r.reads,
-                "wall_seconds": round(r.wall_seconds, 4),
-                "reads_per_sec": round(r.reads_per_sec, 1),
-                "hit_ratio": round(r.hit_ratio, 4),
-                "wall_p50_us": round(r.wall_p50_us, 2),
-                "wall_p99_us": round(r.wall_p99_us, 2),
-            }
-            for r in hot
+    print(f"\npeak RSS: {peak_kb / 1024.0:,.0f} MiB\n")
+    write_artifact(
+        "a20",
+        {
+            "smoke": smoke,
+            "blocks_per_hit": round(blocks_per_hit, 2),
+            "churn": {r.policy: _rounded(record(r)) for r in churn},
+            "catalog_documents": size["churn"]["n_documents"],
+            "peak_rss_kb": round(peak_kb, 1),
         },
-        "subscriber_tax": round(subscriber_tax, 3),
-        "blocks_per_hit": round(blocks_per_hit, 2),
-        "churn": {
-            r.policy: {
-                "events": r.events,
-                "reads": r.reads,
-                "wall_seconds": round(r.wall_seconds, 4),
-                "reads_per_sec": round(r.reads_per_sec, 1),
-                "hit_ratio": round(r.hit_ratio, 4),
-                "wall_p50_us": round(r.wall_p50_us, 2),
-                "wall_p99_us": round(r.wall_p99_us, 2),
-                "evictions": r.evictions,
-                "materialized": r.materialized,
-                "rss_after_kb": round(r.rss_after_kb, 1),
-            }
-            for r in churn
-        },
-        "catalog_documents": 5_000 if smoke else 1_000_000,
-        "peak_rss_kb": round(peak_kb, 1),
-    }
-    path = write_artifact("a20", metrics, seed=_SEED)
-    print(f"\nwrote {path}")
+        seed=_SEED,
+    )
 
-
-if __name__ == "__main__":
-    main()

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table
+from repro.bench.harness import corpus_world, fmt, table, write_artifact
 from repro.cache.manager import DocumentCache
-from repro.placeless.kernel import PlacelessKernel
-from repro.workload.documents import CorpusSpec, build_corpus
 from repro.workload.users import build_population
 
 __all__ = ["SharingResult", "run_sharing", "main"]
+
+_SEED = 23
 
 
 @dataclass
@@ -56,18 +56,12 @@ def run_sharing(
     fractions: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0),
     n_documents: int = 15,
     n_users: int = 16,
-    seed: int = 23,
+    seed: int = _SEED,
 ) -> list[SharingResult]:
     """Sweep personalization fraction, everyone reads everything."""
     results = []
     for fraction in fractions:
-        kernel = PlacelessKernel()
-        owner = kernel.create_user("owner")
-        corpus = build_corpus(
-            kernel,
-            owner,
-            CorpusSpec(n_documents=n_documents, ttl_ms=3_600_000.0, seed=seed),
-        )
+        kernel, _, corpus = corpus_world(n_documents, seed)
         population = build_population(
             kernel, corpus, n_users, personalized_fraction=fraction, seed=seed
         )
@@ -89,35 +83,24 @@ def run_sharing(
     return results
 
 
-def main() -> None:
-    """Print the A3 table."""
+TITLE = (
+    "A3. Content-signature sharing as personalization rises (16 users x "
+    "15 documents)."
+)
+
+COLUMNS = (
+    ("personalized", fmt("personalized_fraction", ".0%")),
+    ("entries", "n_entries"),
+    ("distinct contents", "distinct_contents"),
+    ("logical MB", lambda r: r.logical_bytes / 1e6),
+    ("physical MB", lambda r: r.physical_bytes / 1e6),
+    ("dedup factor", "dedup_factor"),
+)
+
+
+def main(smoke: bool = False) -> None:
+    """Print the A3 table and write ``BENCH_A3.json`` (one size)."""
     rows = run_sharing()
-    print(
-        format_table(
-            [
-                "personalized",
-                "entries",
-                "distinct contents",
-                "logical MB",
-                "physical MB",
-                "dedup factor",
-            ],
-            [
-                (
-                    f"{r.personalized_fraction:.0%}",
-                    r.n_entries,
-                    r.distinct_contents,
-                    r.logical_bytes / 1e6,
-                    r.physical_bytes / 1e6,
-                    r.dedup_factor,
-                )
-                for r in rows
-            ],
-            title="A3. Content-signature sharing as personalization rises "
-            "(16 users x 15 documents).",
-        )
-    )
+    print(table(rows, COLUMNS, title=TITLE))
+    write_artifact("a3", {"levels": rows}, seed=_SEED)
 
-
-if __name__ == "__main__":
-    main()

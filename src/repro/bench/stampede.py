@@ -13,8 +13,9 @@ mutates their sources out of band, so each (document, wave) pair is one
 * fetches saved (followers answered from the leader's fill) and the
   flight-table accounting (flights led, follows, promotions);
 * virtual read latency mean/p50/p99 — a follower's latency includes its
-  wait on the leader, the price of coalescing — and wall-clock reads/s
-  for the simulator itself.
+  wait on the leader, the price of coalescing.  (What a batched read
+  costs the simulator on the wall clock is perfbench's
+  ``probe.sim.scheduler.read_many_us_per_read.*``.)
 
 The run writes ``BENCH_A16.json`` through the shared artifact writer;
 CI's concurrency job fails the build when the coalesced stampede saves
@@ -23,16 +24,17 @@ zero fetches.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table, mean, percentile, write_artifact
+from repro.bench.harness import (
+    mean,
+    percentile,
+    shared_chain_world,
+    table,
+    write_artifact,
+)
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import DefaultConcurrencyPolicy, DefaultMemoPolicy
-from repro.placeless.kernel import PlacelessKernel
-from repro.properties.translate import TranslationProperty
-from repro.workload.documents import CorpusSpec, build_corpus
-from repro.workload.users import build_population
 
 __all__ = ["StampedeResult", "run_stampede", "run_sweep", "main"]
 
@@ -57,7 +59,6 @@ class StampedeResult:
     mean_ms: float
     p50_ms: float
     p99_ms: float
-    wall_reads_per_s: float
 
     @property
     def chain_executions_per_key(self) -> float:
@@ -85,17 +86,8 @@ def run_stampede(
     on; only the ``coalesce`` flag differs, so the delta is the
     single-flight machinery alone.
     """
-    kernel = PlacelessKernel()
-    owner = kernel.create_user("owner")
-    corpus = build_corpus(
-        kernel,
-        owner,
-        CorpusSpec(n_documents=n_documents, ttl_ms=3_600_000.0, seed=seed),
-    )
-    for document in corpus:
-        document.reference.base.attach(TranslationProperty())
-    population = build_population(
-        kernel, corpus, wave_width, personalized_fraction=0.0, seed=seed
+    kernel, corpus, population = shared_chain_world(
+        n_documents, wave_width, seed
     )
     cache = DocumentCache(
         kernel,
@@ -106,7 +98,6 @@ def run_stampede(
     )
     reads_before = kernel.stats.reads
     latencies: list[float] = []
-    wall_started = time.perf_counter()
     for wave in range(n_waves):
         for document_index, document in enumerate(corpus):
             cache.invalidate_document(
@@ -122,7 +113,6 @@ def run_stampede(
         ]
         for outcome in cache.read_many(references):
             latencies.append(outcome.elapsed_ms)
-    wall_s = time.perf_counter() - wall_started
     stats = cache.concurrency_stats
     assert stats is not None
     return StampedeResult(
@@ -140,7 +130,6 @@ def run_stampede(
         mean_ms=mean(latencies),
         p50_ms=percentile(latencies, 50),
         p99_ms=percentile(latencies, 99),
-        wall_reads_per_s=len(latencies) / wall_s if wall_s else 0.0,
     )
 
 
@@ -151,60 +140,45 @@ def run_sweep(
     seed: int = _SEED,
 ) -> list[StampedeResult]:
     """The A16 sweep: every wave width, coalescing off then on."""
-    results = []
-    for wave_width in wave_widths:
-        for coalesce in (False, True):
-            results.append(
-                run_stampede(
-                    wave_width,
-                    coalesce,
-                    n_documents=n_documents,
-                    n_waves=n_waves,
-                    seed=seed,
-                )
-            )
-    return results
+    return [
+        run_stampede(
+            wave_width, coalesce,
+            n_documents=n_documents, n_waves=n_waves, seed=seed,
+        )
+        for wave_width in wave_widths
+        for coalesce in (False, True)
+    ]
+
+
+FULL = dict(wave_widths=(4, 8, 16, 32), n_documents=4, n_waves=5)
+SMOKE = dict(wave_widths=(32,), n_documents=2, n_waves=2)
+
+COLUMNS = (
+    ("wave", "wave_width"),
+    ("coalesce", "coalesce"),
+    ("reads", "reads"),
+    ("keys", "distinct_keys"),
+    ("chain execs", "chain_executions"),
+    ("execs/key", "chain_executions_per_key"),
+    ("saved", "fetches_saved"),
+    ("mean ms", "mean_ms"),
+    ("p99 ms", "p99_ms"),
+)
 
 
 def main(smoke: bool = False) -> None:
     """Print the A16 table and write ``BENCH_A16.json``."""
-    if smoke:
-        wave_widths: tuple[int, ...] = (32,)
-        n_documents = 2
-        n_waves = 2
-    else:
-        wave_widths = (4, 8, 16, 32)
-        n_documents = 4
-        n_waves = 5
-    results = run_sweep(
-        wave_widths=wave_widths, n_documents=n_documents, n_waves=n_waves
-    )
+    size = SMOKE if smoke else FULL
+    results = run_sweep(**size)
     print(
-        format_table(
-            [
-                "wave", "coalesce", "reads", "keys", "chain execs",
-                "execs/key", "saved", "mean ms", "p99 ms", "reads/s",
-            ],
-            [
-                (
-                    r.wave_width,
-                    r.coalesce,
-                    r.reads,
-                    r.distinct_keys,
-                    r.chain_executions,
-                    r.chain_executions_per_key,
-                    r.fetches_saved,
-                    r.mean_ms,
-                    r.p99_ms,
-                    f"{r.wall_reads_per_s:.0f}",
-                )
-                for r in results
-            ],
+        table(
+            results,
+            COLUMNS,
             title=(
                 "A16. Single-flight stampedes: open-loop waves of "
-                f"cold cross-user misses ({n_documents} documents x "
-                f"{n_waves} waves; coalesced ideal execs/key = 1.0, "
-                "uncoalesced = wave width)"
+                f"cold cross-user misses ({size['n_documents']} documents "
+                f"x {size['n_waves']} waves; coalesced ideal execs/key = "
+                "1.0, uncoalesced = wave width)"
             ),
         )
     )
@@ -215,45 +189,24 @@ def main(smoke: bool = False) -> None:
         r for r in results
         if not r.coalesce and r.wave_width == widest_on.wave_width
     )
-    metrics = {
-        "sweep": [
-            {
-                "wave_width": r.wave_width,
-                "n_documents": r.n_documents,
-                "n_waves": r.n_waves,
-                "coalesce": r.coalesce,
-                "reads": r.reads,
-                "distinct_keys": r.distinct_keys,
-                "chain_executions": r.chain_executions,
-                "chain_executions_per_key": r.chain_executions_per_key,
-                "flights_led": r.flights_led,
-                "follows": r.follows,
-                "promotions": r.promotions,
-                "fetches_saved": r.fetches_saved,
-                "mean_ms": r.mean_ms,
-                "p50_ms": r.p50_ms,
-                "p99_ms": r.p99_ms,
-                "wall_reads_per_s": r.wall_reads_per_s,
-            }
-            for r in results
-        ],
-        "headline": {
-            "wave_width": widest_on.wave_width,
-            "chain_executions_per_key_coalesced": (
-                widest_on.chain_executions_per_key
-            ),
-            "chain_executions_per_key_uncoalesced": (
-                widest_off.chain_executions_per_key
-            ),
-            "fetches_saved": widest_on.fetches_saved,
-            "mean_ms_coalesced": widest_on.mean_ms,
-            "mean_ms_uncoalesced": widest_off.mean_ms,
+    write_artifact(
+        "a16",
+        {
+            "sweep": results,
+            "headline": {
+                "wave_width": widest_on.wave_width,
+                "chain_executions_per_key_coalesced": (
+                    widest_on.chain_executions_per_key
+                ),
+                "chain_executions_per_key_uncoalesced": (
+                    widest_off.chain_executions_per_key
+                ),
+                "fetches_saved": widest_on.fetches_saved,
+                "mean_ms_coalesced": widest_on.mean_ms,
+                "mean_ms_uncoalesced": widest_off.mean_ms,
+            },
+            "smoke": smoke,
         },
-        "smoke": smoke,
-    }
-    path = write_artifact("a16", metrics, seed=_SEED)
-    print(f"\nwrote {path.name}")
+        seed=_SEED,
+    )
 
-
-if __name__ == "__main__":
-    main()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.harness import format_table, mean
+from repro.bench.harness import mean, table, write_artifact
 from repro.cache.manager import DocumentCache
 from repro.placeless.kernel import PlacelessKernel
 from repro.sim.topology import CachePlacement
@@ -111,19 +111,30 @@ def run_table1(
     return rows
 
 
+#: Table 1 as the paper prints it.
+COLUMNS = (
+    (
+        "original source (size)",
+        lambda row: f"{row.repository} ({row.size_bytes} bytes)",
+    ),
+    ("no cache", "no_cache_ms"),
+    ("cache miss", "miss_ms"),
+    ("cache hit", "hit_ms"),
+)
+
+DERIVED_COLUMNS = (
+    ("document", "label"),
+    ("hit speedup", "hit_speedup"),
+    ("miss overhead (ms)", "miss_overhead_ms"),
+    ("overhead %", lambda row: 100.0 * row.miss_overhead_fraction),
+)
+
+
 def format_table1(rows: list[Table1Row]) -> str:
     """Render the rows the way the paper prints Table 1."""
-    return format_table(
-        ["original source (size)", "no cache", "cache miss", "cache hit"],
-        [
-            (
-                f"{row.repository} ({row.size_bytes} bytes)",
-                row.no_cache_ms,
-                row.miss_ms,
-                row.hit_ms,
-            )
-            for row in rows
-        ],
+    return table(
+        rows,
+        COLUMNS,
         title=(
             "Table 1. Document content access times in milliseconds for an "
             "application-level cache (virtual time)."
@@ -131,27 +142,17 @@ def format_table1(rows: list[Table1Row]) -> str:
     )
 
 
-def main() -> None:
-    """Print Table 1 plus the derived overhead/speedup columns."""
+def main(smoke: bool = False) -> None:
+    """Print Table 1 plus the derived overhead/speedup columns (one size)."""
     rows = run_table1()
     print(format_table1(rows))
     print()
     print(
-        format_table(
-            ["document", "hit speedup", "miss overhead (ms)", "overhead %"],
-            [
-                (
-                    row.label,
-                    row.hit_speedup,
-                    row.miss_overhead_ms,
-                    100.0 * row.miss_overhead_fraction,
-                )
-                for row in rows
-            ],
+        table(
+            rows,
+            DERIVED_COLUMNS,
             title="Derived: caching hides latency; miss overhead is small.",
         )
     )
+    write_artifact("table1", {"rows": rows})
 
-
-if __name__ == "__main__":
-    main()

@@ -7,8 +7,11 @@ conclusion fails the suite, not just the benchmark report.
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
+from repro.bench import harness
 from repro.bench.cacheability import run_cacheability
 from repro.bench.chains import run_chain_latency
 from repro.bench.containment import run_availability, run_recovery
@@ -22,6 +25,7 @@ from repro.bench.replacement import run_capacity_sweep, run_replacement
 from repro.bench.sharing import run_sharing
 from repro.bench.table1 import format_table1, run_table1
 from repro.bench.writes import run_write_modes
+from tests.integration import bench_golden
 
 
 class TestTable1:
@@ -349,3 +353,39 @@ class TestMemoization:
     def test_memoized_misses_are_cheaper(self, cells):
         assert cells[True].mean_ms < cells[False].mean_ms
         assert cells[True].p50_ms < cells[False].p50_ms
+
+
+class TestGoldenMetrics:
+    """Table 1–A19 are virtual-clock: a smoke run's artifact is a pure
+    function of the seed, pinned in ``golden/bench_smoke.json``.  Tier-1
+    re-runs the cheapest seam experiments (~0.3 s together); CI's
+    ``benchmarks`` job compares all 21 with the same function."""
+
+    @pytest.mark.parametrize(
+        "experiment_id, module_name",
+        [
+            ("A13", "recovery"),
+            ("A15", "memo"),
+            ("A16", "stampede"),
+            ("A17", "cluster"),
+            ("A18", "persistence"),
+        ],
+    )
+    def test_smoke_artifact_equals_the_golden(
+        self, experiment_id, module_name, tmp_path, monkeypatch, capsys
+    ):
+        # Outside a git checkout the artifact lands in the working
+        # directory: keep the repo root's BENCH files out of it.
+        monkeypatch.setattr(harness, "_git", lambda *argv: None)
+        monkeypatch.chdir(tmp_path)
+        importlib.import_module(f"repro.bench.{module_name}").main(smoke=True)
+        assert f"wrote BENCH_{experiment_id}.json" in capsys.readouterr().out
+        assert bench_golden.compare(tmp_path, only=(experiment_id,)) == []
+
+    def test_a_moved_metric_is_reported_by_path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_git", lambda *argv: None)
+        monkeypatch.chdir(tmp_path)
+        harness.write_artifact("a16", {"smoke": True, "sweep": []}, seed=47)
+        lines = bench_golden.compare(tmp_path, only=("A16",))
+        assert "A16.metrics.sweep: 2 rows -> 0 rows" in lines
+        assert any(line.startswith("A16.metrics.headline: ") for line in lines)

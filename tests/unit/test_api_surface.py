@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -157,6 +159,95 @@ class TestOneWordSubstitution:
         assert list(inspect.signature(TranslationProperty).parameters) == [
             "table", "name", "target_language", "version",
         ]
+
+
+class TestOneBenchReport:
+    """Every experiment states its result once (a dataclass + a column
+    list), is driven one way (``main(smoke)``) and — A20 apart — reads
+    only the virtual clock.  AST-level, so a copy cannot hide behind an
+    alias."""
+
+    BENCH = pathlib.Path(importlib.import_module("repro.bench").__file__).parent
+    #: The modules allowed to lay out a table or read the wall clock.
+    EXEMPT = {"harness.py", "perf.py", "scale.py"}
+
+    def _trees(self):
+        for path in sorted(self.BENCH.glob("*.py")):
+            yield path.name, ast.parse(path.read_text())
+
+    def test_only_the_harness_lays_out_a_table(self):
+        for name, tree in self._trees():
+            if name in self.EXEMPT:
+                continue
+            called = {
+                node.func.id
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+            }
+            assert "format_table" not in called, name
+
+    def test_the_virtual_clock_experiments_import_no_wall_clock(self):
+        for name, tree in self._trees():
+            if name in self.EXEMPT:
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported = {alias.name for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    imported = {node.module} | {
+                        alias.name for alias in node.names
+                    }
+                else:
+                    continue
+                assert not imported & {"time", "perf_counter"}, name
+
+    def test_every_experiment_takes_smoke_and_writes_its_artifact(self):
+        from repro.__main__ import _EXPERIMENT_MODULES
+
+        ids = {}
+        for experiment_id, module_name in _EXPERIMENT_MODULES.items():
+            ids.setdefault(module_name, experiment_id)
+        assert len(ids) == 21
+        for module_name, experiment_id in ids.items():
+            module = importlib.import_module(module_name)
+            assert list(inspect.signature(module.main).parameters) == [
+                "smoke"
+            ], module_name
+            (main,) = [
+                node
+                for node in ast.parse(inspect.getsource(module)).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main"
+            ]
+            written = [
+                node.args[0].value
+                for node in ast.walk(main)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "write_artifact"
+            ]
+            assert written == [experiment_id], module_name
+
+    def test_the_cli_does_not_sniff_signatures(self):
+        import repro.__main__ as cli
+
+        tree = ast.parse(inspect.getsource(cli))
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+        }
+        assert "inspect" not in imported
+        assert "has no smoke mode" not in inspect.getsource(cli)
+
+    def test_the_dead_harness_helpers_are_gone(self):
+        import repro.bench.harness as harness
+        import repro.bench.perf as perf
+
+        assert not hasattr(harness, "format_csv")
+        assert perf.__all__ == ["peak_rss_kb", "allocation_probe"]
+        for name in ("format_table", "mean", "percentile", "write_artifact"):
+            assert name in harness.__all__
 
 
 class TestModuleHygiene:

@@ -262,10 +262,10 @@ class TestCLIRouting:
     def test_all_runs_the_whole_registry_and_forwards_smoke(
         self, entry, monkeypatch
     ):
-        # One registry: A18–A20 used to be missing from a second table,
-        # and ``all`` dropped ``--smoke`` on the floor.
+        # One registry and one protocol: A18–A20 used to be missing from
+        # a second table, ``all`` dropped ``--smoke`` on the floor, and
+        # 15 of the 21 mains could not take it at all.
         import importlib
-        import inspect
         import sys
 
         from repro.__main__ import _EXPERIMENT_MODULES
@@ -273,28 +273,50 @@ class TestCLIRouting:
 
         ran: list[tuple[str, bool]] = []
         modules = list(dict.fromkeys(_EXPERIMENT_MODULES.values()))
-        smokeable = set()
         for name in modules:
-            module = importlib.import_module(name)
-            if "smoke" in inspect.signature(module.main).parameters:
-                smokeable.add(name)
-                monkeypatch.setattr(
-                    module, "main",
-                    lambda smoke=False, name=name: ran.append((name, smoke)),
-                )
-            else:
-                monkeypatch.setattr(
-                    module, "main", lambda name=name: ran.append((name, False))
-                )
+            monkeypatch.setattr(
+                importlib.import_module(name), "main",
+                lambda smoke=False, name=name: ran.append((name, smoke)),
+            )
         if entry == "repro.bench":
             monkeypatch.setattr(sys, "argv", ["repro.bench", "--smoke"])
             assert bench_main() == 0
         else:
             assert cli_main(["bench", "all", "--smoke"]) == 0
-        assert ran == [(name, name in smokeable) for name in modules]
+        assert ran == [(name, True) for name in modules]
         assert len(modules) == 21
-        assert {"repro.bench.persistence", "repro.bench.overload",
-                "repro.bench.scale"} <= smokeable
+
+    def test_smoke_reaches_a_one_size_experiment(self, capsys):
+        # ``--smoke`` used to exit 2 ("has no smoke mode") on 15 ids.
+        assert cli_main(["bench", "a5", "--smoke"]) == 0
+        assert "consistency class" in capsys.readouterr().out
+
+    def test_index_is_derived_from_the_registry(self, capsys):
+        # Ids, aliases, parser epilog, ``bench`` help and ``repro info``
+        # all come from _EXPERIMENT_MODULES + each module's first
+        # docstring line.
+        import importlib
+
+        from repro.__main__ import (
+            _EXPERIMENT_MODULES,
+            _experiment_index,
+            build_parser,
+        )
+
+        index = _experiment_index().splitlines()
+        assert len(index) == 21
+        assert index[12].split()[:2] == ["a12", "(faults)"]
+        for module_name in _EXPERIMENT_MODULES.values():
+            title = importlib.import_module(module_name).__doc__
+            assert title.splitlines()[0] in _experiment_index()
+        parser = build_parser()
+        assert _experiment_index() in parser.epilog
+        assert cli_main(["info"]) == 0
+        assert _experiment_index() in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            parser.parse_args(["bench", "--help"])
+        bench_help = " ".join(capsys.readouterr().out.split())
+        assert ", ".join(_EXPERIMENT_MODULES) in bench_help
 
     def test_parser_builds(self):
         from repro.__main__ import build_parser

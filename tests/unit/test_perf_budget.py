@@ -19,7 +19,7 @@ import itertools
 
 import pytest
 
-from repro.bench.perf import allocation_probe, peak_rss_kb, timed
+from repro.bench.perf import allocation_probe, peak_rss_kb
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import OverloadPolicy
 from repro.placeless.kernel import PlacelessKernel
@@ -75,8 +75,5 @@ def test_hit_stays_under_allocation_budget(configuration):
     )
 
 
-def test_timed_and_rss_helpers():
-    value, elapsed = timed(lambda: sum(range(1000)))
-    assert value == sum(range(1000))
-    assert elapsed >= 0.0
+def test_peak_rss_helper():
     assert peak_rss_kb() > 0.0

@@ -1,8 +1,7 @@
-"""Tests for the event recorder and the remaining harness helpers."""
+"""Tests for the event recorder."""
 
 from __future__ import annotations
 
-from repro.bench.harness import format_csv
 from repro.events.recorder import EventRecorder
 from repro.events.types import EventType
 from repro.properties.translate import TranslationProperty
@@ -77,15 +76,3 @@ class TestEventRecorder:
         kernel.read(reference)
         recorder.clear()
         assert recorder.events_seen() == []
-
-
-class TestFormatCsv:
-    def test_basic_csv(self):
-        text = format_csv(["a", "b"], [(1, "x"), (2, "y,z")])
-        lines = text.splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1,x"
-        assert lines[2] == '2,"y,z"'
-
-    def test_empty_rows(self):
-        assert format_csv(["only"], []) == "only\n"
