@@ -439,7 +439,6 @@ class CacheCore:
         # otherwise re-hash the same bytes) and the transform memo.
         signature = sign(content)
         self.store.put_signed(content, signature)
-        self.evict_to_capacity(protect=key)
         entry = self.install(
             reference, meta, signature, len(content), meta.verifiers
         )
@@ -463,9 +462,20 @@ class CacheCore:
         ``source_signature``, ``pinned``.  The caller already holds the
         store reference the entry takes over (``put_signed``/``adopt``).
         Nothing else writes the entry table or the per-document index.
+
+        Install makes room *before* the entry exists — the one capacity
+        rule for every source — so the heap policy never meets, pops and
+        orphans the entry being installed.  If room cannot be made the
+        handed-over store reference is released and the error propagates:
+        a fill that fails leaves the store as it found it.
         """
         key = EntryKey.for_reference(reference)
         self.displace(key)
+        try:
+            self.evict_to_capacity()
+        except CacheError:
+            self.store.release(signature)
+            raise
         now = self.ctx.clock.now_ms
         entry = CacheEntry(
             key=key,

@@ -489,9 +489,6 @@ class L2Stage(MissStage):
         )
         core.arm(ctx.reference, entry)
         l2.retire(record)
-        # The promoted bytes are new physical content in L1 — make
-        # room, protecting the entry just built.
-        core.evict_to_capacity(protect=ctx.key)
         core.emit("storage", "promoted", key=ctx.key, bytes=record.size)
         return self.finish(ctx, "miss-promoted", content, entry)
 
@@ -595,9 +592,6 @@ class MemoStage(MissStage):
         )
         core.arm(ctx.reference, entry)
         if imported:
-            # Imported bytes are new physical content in this store —
-            # make room for them, protecting the entry just built.
-            core.evict_to_capacity(protect=ctx.key)
             core.emit("memo", "adopted", key=ctx.key, imported=True)
         else:
             core.emit("memo", "adopted", key=ctx.key)

@@ -156,12 +156,16 @@ class _HeapPolicy(ReplacementPolicy):
             if entry is None or entry.policy_state.get(id(self)) != stamp:
                 continue  # stale heap item
             if entry.pinned or key == protect:
-                # Live but unevictable right now.  Historically these
-                # keys were filtered out of the candidate dict before
-                # the policy saw them, so their popped heap item was
-                # dropped and the entry stayed orphaned until its next
-                # access re-pushed it; preserving that keeps victim
-                # sequences byte-identical to the pinned goldens.
+                # Live but unevictable right now: its popped heap item
+                # is dropped, and the entry is out of the heap until its
+                # next access re-pushes it (victim sequences are pinned
+                # by the goldens that way).  That is safe for the two
+                # kinds that reach here — a pinned entry is never a
+                # victim anyway, and the only caller passing ``protect``
+                # is ``replace_content`` on the hit path, whose
+                # ``on_access`` re-pushes the entry at once.  Installs
+                # make room before their entry exists (``CacheCore
+                # .install``), so no path orphans the entry it just built.
                 self._stamps.pop(key, None)
                 continue
             self._stamps.pop(key, None)

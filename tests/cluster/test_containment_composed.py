@@ -263,17 +263,13 @@ def _run_matrix_cell(contained, memo, concurrent, shard_count):
         kernel, corpus, _SPEC.n_users, personalized_fraction=0.5,
         seed=CHAOS_SEED,
     ).references
-    # Tight, so that every shard evicts — except where a cross-shard
-    # memo import can happen.  That path installs its entry and then
-    # evicts with the entry protected; the heap policies drop a
-    # protected entry they pop, and a shard left holding only such
-    # orphans fails its next fill with "nothing evictable" — a latent
-    # bug this matrix found at two of the three chaos seeds, recorded
-    # in ROADMAP item 3; replacement order is not this change's to move.
+    # Tight, so that every shard evicts in every cell — including the
+    # memo × 4-shard ones, where cross-shard imports install under
+    # pressure (the path that used to orphan its own entry).
     total = sum(d.size_bytes for d in corpus)
     cluster = CacheCluster(
         kernel, shard_count,
-        capacity_bytes=2 * total if memo and shard_count > 1 else total // 2,
+        capacity_bytes=total // 2,
         cluster_policy=ClusterPolicy() if memo else None,
         memo_policy=MemoPolicy() if memo else None,
         concurrency_policy=ConcurrencyPolicy() if concurrent else None,

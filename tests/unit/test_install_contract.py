@@ -6,7 +6,9 @@ bytes from another shard) and an L2 promotion (live, or of a record
 recovered across a crash).  Every one goes through
 ``CacheCore.install`` + ``CacheCore.arm`` and ends at
 ``MissStage.finish``; this suite runs the same assertions against all
-of them, for an application read and for a fill-serving read.
+of them, for an application read and for a fill-serving read — and
+again with the cache full, because ``install`` is also the one place
+room is made: before the entry exists, whatever the source.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.cache.manager import DocumentCache
 from repro.cache.notifiers import install_minimum_notifiers
 from repro.cache.policies import MemoPolicy, RecoveryPolicy, StoragePolicy
 from repro.cluster import CacheCluster, ClusterPolicy
+from repro.errors import CacheError
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.translate import TranslationProperty
 from repro.providers.memory import MemoryProvider
@@ -175,3 +178,70 @@ def test_import_and_recovered_arms_took_the_path_they_name():
     cache, reference, _ = _l2_recovered()
     cache.read(reference)
     assert cache.storage_stats.recovered_promotions == 1
+
+
+def _under_pressure(cache):
+    """Leave *cache* exactly full, with something resident to evict:
+    an install that brings new bytes must then make room for them."""
+    core = cache.core
+    if not core.entries:
+        kernel = core.kernel
+        owner = kernel.create_user("ballast-owner")
+        cache.read(
+            kernel.import_document(
+                owner, MemoryProvider(kernel.ctx, b"ballast " * 16), "ballast"
+            )
+        )
+    core.capacity_bytes = core.store.physical_bytes
+    # Every resident is dearer to refetch than the newcomer will be, so
+    # the newcomer is the replacement heap's first pop once it is in.
+    for entry in core.entries.values():
+        entry.replacement_cost_ms *= 1_000.0
+        core.policy.on_access(entry)
+    return core
+
+
+@SOURCES
+def test_every_source_makes_room_before_it_installs(source):
+    cache, reference, disposition = source()
+    core = _under_pressure(cache)
+    key = EntryKey.for_reference(reference)
+    signatures_before = {e.signature for e in core.entries.values()}
+    evictions = core.stats.evictions
+
+    assert cache.read(reference).disposition == disposition
+
+    entry = core.entries[key]
+    assert core.store.physical_bytes <= core.capacity_bytes
+    if entry.signature not in signatures_before:
+        assert core.stats.evictions > evictions  # new bytes: room was made
+    # The entry just built is still the policy's to choose: with every
+    # other entry pinned it must come back as the victim.  (The paths
+    # that installed first and then evicted with ``protect=key`` had the
+    # heap policy pop, drop and orphan it; a shard left holding only
+    # such orphans had bytes and no victim.)
+    for other in core.entries.values():
+        other.pinned = other is not entry
+    assert core.policy.select_victim(core.entries) == key
+
+
+def test_a_fill_that_cannot_make_room_leaves_the_store_as_it_found_it():
+    kernel, rows = _world(n_users=1, n_documents=2)
+    resident, target = rows[0][0], rows[1][0]
+    cache = DocumentCache(kernel, capacity_bytes=1 << 20)
+    cache.read(resident)
+    core = cache.core
+    core.capacity_bytes = core.store.physical_bytes
+    (entry,) = core.entries.values()
+    entry.pinned = True  # everything else is pinned: no victim
+    physical, stored = core.store.physical_bytes, len(core.store)
+
+    with pytest.raises(CacheError, match="nothing evictable"):
+        cache.read(target)
+
+    assert EntryKey.for_reference(target) not in core.entries
+    # The reference ``fill`` took for the bytes it fetched is released:
+    # no orphaned bytes, no extra count on the resident's.
+    assert (core.store.physical_bytes, len(core.store)) == (physical, stored)
+    assert core.store.refcount(entry.signature) == 1
+    assert cache.read(resident).disposition == "hit"
