@@ -432,8 +432,9 @@ class CacheCore:
     ) -> CacheEntry:
         """Admit fetched *content* as *reference*'s (new) live entry."""
         key = EntryKey.for_reference(reference)
-        # The superseded version's bytes must not count against the
-        # capacity the eviction below makes room in.
+        # The superseded version's bytes are released before the new
+        # ones land, so they never count against the capacity
+        # ``install`` makes room in.
         self.displace(key)
         # Sign once: the signature feeds the store (which would
         # otherwise re-hash the same bytes) and the transform memo.

@@ -101,10 +101,9 @@ def compare(directory: pathlib.Path, only: tuple[str, ...] = ()) -> list[str]:
 
 def main(argv: list[str]) -> int:
     if argv == ["--update"]:
-        GOLDEN.write_text(
-            json.dumps(load(ROOT), indent=1, sort_keys=True) + "\n"
-        )
-        print(f"pinned {len(load(ROOT))} artifacts in {GOLDEN.name}")
+        found = load(ROOT)
+        GOLDEN.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")
+        print(f"pinned {len(found)} artifacts in {GOLDEN.name}")
         return 0
     lines = compare(pathlib.Path(argv[0]) if argv else ROOT)
     print("\n".join(lines) or "BENCH_*.json match the golden metrics")

@@ -361,6 +361,14 @@ class TestGoldenMetrics:
     re-runs the cheapest seam experiments (~0.3 s together); CI's
     ``benchmarks`` job compares all 21 with the same function."""
 
+    @pytest.fixture
+    def artifact_dir(self, tmp_path, monkeypatch):
+        # Outside a git checkout the artifact lands in the working
+        # directory: keep the repo root's BENCH files out of it.
+        monkeypatch.setattr(harness, "_git", lambda *argv: None)
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
     @pytest.mark.parametrize(
         "experiment_id, module_name",
         [
@@ -372,20 +380,14 @@ class TestGoldenMetrics:
         ],
     )
     def test_smoke_artifact_equals_the_golden(
-        self, experiment_id, module_name, tmp_path, monkeypatch, capsys
+        self, experiment_id, module_name, artifact_dir, capsys
     ):
-        # Outside a git checkout the artifact lands in the working
-        # directory: keep the repo root's BENCH files out of it.
-        monkeypatch.setattr(harness, "_git", lambda *argv: None)
-        monkeypatch.chdir(tmp_path)
         importlib.import_module(f"repro.bench.{module_name}").main(smoke=True)
         assert f"wrote BENCH_{experiment_id}.json" in capsys.readouterr().out
-        assert bench_golden.compare(tmp_path, only=(experiment_id,)) == []
+        assert bench_golden.compare(artifact_dir, only=(experiment_id,)) == []
 
-    def test_a_moved_metric_is_reported_by_path(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "_git", lambda *argv: None)
-        monkeypatch.chdir(tmp_path)
+    def test_a_moved_metric_is_reported_by_path(self, artifact_dir):
         harness.write_artifact("a16", {"smoke": True, "sweep": []}, seed=47)
-        lines = bench_golden.compare(tmp_path, only=("A16",))
+        lines = bench_golden.compare(artifact_dir, only=("A16",))
         assert "A16.metrics.sweep: 2 rows -> 0 rows" in lines
         assert any(line.startswith("A16.metrics.headline: ") for line in lines)
