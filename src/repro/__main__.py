@@ -16,7 +16,8 @@ Commands
     Run a seeded smoke workload through a fully-wired two-shard
     cluster and print a health report: smoke-read outcomes, the
     per-shard health table, overload counters, circuit-breaker states,
-    memo occupancy and durable-tier stats.  Exit code 0 when healthy.
+    memo occupancy, durable-tier stats and every shard's entries.  Exit
+    code 0 when healthy.
 ``demo``
     Run the quickstart scenario inline (no file needed).
 ``info``
@@ -129,6 +130,34 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             clear_default_fault_scenario()
 
 
+def describe_cache(cache) -> str:
+    """Human-readable dump of one cache's state, one line per entry."""
+    core = cache.core
+    lines = [
+        f"{core.cache_id}: {len(core.entries)} entries, "
+        f"{core.store.physical_bytes}/{core.capacity_bytes} bytes "
+        f"({len(core.store)} distinct contents), "
+        f"policy={core.policy.name}, mode={core.write_mode.value}"
+    ]
+    for entry in sorted(core.entries.values(), key=lambda e: str(e.key)):
+        flags = []
+        if entry.pinned:
+            flags.append("pinned")
+        if entry.is_dirty:
+            flags.append("dirty")
+        lines.append(
+            f"  {entry.key} -> {entry.signature.short} "
+            f"{entry.size}B {entry.cacheability.name} "
+            f"verifiers={len(entry.verifiers)} "
+            f"cost={entry.replacement_cost_ms:.2f}ms "
+            f"accesses={entry.access_count}"
+            + (f" [{','.join(flags)}]" if flags else "")
+        )
+    if core.dirty:
+        lines.append(f"  dirty write-backs pending: {len(core.dirty)}")
+    return "\n".join(lines)
+
+
 def _cmd_doctor(args: argparse.Namespace) -> int:
     """Seeded smoke workload + health report over a wired cluster.
 
@@ -137,8 +166,9 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     read workload, then prints the introspection surfaces an operator
     would reach for first: the effective configuration, the shard
     health table, overload counters, read-plan reuse, open breakers,
-    memo occupancy and L2 stats.  Exits non-zero when
-    the smoke reads misbehave or a shard is left unhealthy.
+    memo occupancy, L2 stats and each shard's entry table.  Exits
+    non-zero when the smoke reads misbehave or a shard is left
+    unhealthy.
     """
     import dataclasses
     import random
@@ -271,6 +301,10 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         print(f"  {name:<12} demotions={storage.demotions} "
               f"promotions={storage.promotions} "
               f"write_failures={storage.write_failures}")
+
+    print("\nentries:")
+    for shard in cluster.shards.values():
+        print("  " + describe_cache(shard).replace("\n", "\n  "))
 
     healthy = not problems and unhealthy == 0
     print(f"\nverdict: {'healthy' if healthy else 'UNHEALTHY'}")

@@ -9,8 +9,8 @@ property execution times, and write-through/write-back modes with
 operation-event forwarding.
 
 The cache itself is a staged pipeline (:mod:`repro.cache.pipeline`)
-over a shared :mod:`core <repro.cache.core>`, with cross-cutting
-decisions behind pluggable :mod:`policies <repro.cache.policies>` and
+over a shared :mod:`core <repro.cache.core>`, with each opt-in seam
+configured by one :mod:`policy <repro.cache.policies>` dataclass and
 every counter derived from the structured-event
 :mod:`instrumentation <repro.cache.instrumentation>` bus;
 :mod:`manager <repro.cache.manager>` is the wiring plus public API.
@@ -48,7 +48,6 @@ from repro.cache.notifiers import (
 from repro.cache.pipeline import ReadPipeline, WritePipeline
 from repro.cache.policies import (
     AdmissionDecision,
-    AdmissionPolicy,
     ConcurrencyPolicy,
     ContainmentPolicy,
     DefaultConcurrencyPolicy,
@@ -59,7 +58,6 @@ from repro.cache.policies import (
     DegradationPolicy,
     RecoveryPolicy,
     StoragePolicy,
-    VoteAdmissionPolicy,
 )
 from repro.cache.recovery import (
     ConsistencyRecoveryManager,
@@ -110,8 +108,6 @@ __all__ = [
     "StageRecorder",
     "CounterProjection",
     "AdmissionDecision",
-    "AdmissionPolicy",
-    "VoteAdmissionPolicy",
     "DegradationPolicy",
     "DefaultDegradationPolicy",
     "ContainmentPolicy",

@@ -33,16 +33,16 @@ from repro.cache.stats import CacheStats
 from repro.cache.verifiers import Verdict
 from repro.content.signature import sign
 from repro.content.store import ContentStore
-from repro.errors import CacheError
+from repro.errors import CacheCapacityError, CacheError
 from repro.events.types import EventType
 from repro.sim.scheduler import FlightTable
+from repro.sim.topology import Topology
 from repro.streams.chain import read_plan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.containment import ContainmentGuard
     from repro.cache.manager import DocumentCache, WriteMode
     from repro.cache.policies import (
-        AdmissionPolicy,
         ConcurrencyPolicy,
         DegradationPolicy,
         MemoPolicy,
@@ -50,13 +50,13 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache.recovery import ConsistencyRecoveryManager
     from repro.cache.replacement import ReplacementPolicy
     from repro.faults.retry import RetryPolicy
-    from repro.ids import CacheId, DocumentId
+    from repro.ids import DocumentId, UserId
     from repro.overload.budget import DeadlineBudget
     from repro.overload.gate import OverloadGate
     from repro.placeless.kernel import PlacelessKernel
     from repro.placeless.reference import DocumentReference
     from repro.sim.context import SimContext
-    from repro.sim.topology import Topology
+    from repro.sim.topology import CachePlacement
     from repro.storage.tier import L2Tier
 
 __all__ = [
@@ -86,13 +86,11 @@ class CacheCore:
         self,
         kernel: "PlacelessKernel",
         capacity_bytes: int,
-        cache_id: "CacheId",
+        name: str,
         policy: "ReplacementPolicy",
-        admission: "AdmissionPolicy",
         degradation: "DegradationPolicy",
-        bus: InvalidationBus,
-        instrumentation: InstrumentationBus,
-        topology: "Topology",
+        bus: InvalidationBus | None,
+        placement: "CachePlacement | None",
         write_mode: "WriteMode",
         install_notifiers: bool,
         use_verifiers: bool,
@@ -101,12 +99,18 @@ class CacheCore:
         backing: "DocumentCache | None",
         retry_policy: "RetryPolicy | None",
     ) -> None:
+        if capacity_bytes <= 0:
+            raise CacheCapacityError(
+                f"capacity must be positive: {capacity_bytes}"
+            )
         self.kernel = kernel
         self.ctx: "SimContext" = kernel.ctx
         self.capacity_bytes = capacity_bytes
-        self.cache_id = cache_id
+        #: The plain cache name, before id-minting prefixes it — the
+        #: target string fault-plan gray windows match against.
+        self.name = name
+        self.cache_id = self.ctx.ids.cache(name)
         self.policy = policy
-        self.admission = admission
         self.degradation = degradation
         threshold = degradation.verifier_quarantine_threshold
         #: The legacy verifier quarantine, as circuit breakers keyed by
@@ -120,9 +124,14 @@ class CacheCore:
             probation_delay_ms=None,
             half_open_successes=1,
         ))
-        self.bus = bus
-        self.instrumentation = instrumentation
-        self.topology = topology
+        #: Every stage event of this cache is emitted here.
+        self.instrumentation = instrumentation = InstrumentationBus()
+        # A private invalidation bus reports its deliveries there too.
+        self.bus = bus or InvalidationBus(self.ctx, instrumentation)
+        self.topology = (
+            self.ctx.topology if placement is None
+            else Topology(placement=placement)
+        )
         self.write_mode = write_mode
         self.install_notifiers = install_notifiers
         self.use_verifiers = use_verifiers
@@ -187,10 +196,6 @@ class CacheCore:
         #: ``None`` (the default) keeps every read unbudgeted and
         #: unshed — the historical path the golden digests pin.
         self.overload: "OverloadGate | None" = None
-        #: The plain cache name (the manager's ``name`` argument, before
-        #: id-minting prefixes it) — the target string fault-plan gray
-        #: windows match against.
-        self.name: str = "cache"
 
     # -- instrumentation -----------------------------------------------------
 
@@ -578,6 +583,48 @@ class CacheCore:
         entry = self.entries.get(key)
         if entry is not None:
             self.drop(entry, reason, origin="internal")
+
+    def apply_invalidation(self, invalidation: Invalidation) -> None:
+        """Sink for the invalidation bus (notifier deliveries)."""
+        self.emit(
+            "notifier", "delivered",
+            key=EntryKey(invalidation.document_id, invalidation.user_id),
+        )
+        self._drop_covered(invalidation)
+
+    def invalidate_document(
+        self, document_id: "DocumentId", user_id: "UserId | None" = None
+    ) -> int:
+        """Explicitly drop entries for a document; returns count dropped."""
+        return self._drop_covered(Invalidation(
+            reason=InvalidationReason.EXPLICIT,
+            document_id=document_id,
+            user_id=user_id,
+            at_ms=self.ctx.clock.now_ms,
+        ))
+
+    def _drop_covered(self, invalidation: Invalidation) -> int:
+        """Drop the entries *invalidation* covers; returns how many.
+
+        An invalidation names its document, so only that document's
+        bucket can match.  Bucket order is global insertion order
+        restricted to the document, so drops happen in the relative
+        order a full-table scan would produce.
+        """
+        dropped = 0
+        for key in list(self.entries_for_document(invalidation.document_id)):
+            if invalidation.matches_key(key):
+                self.drop(
+                    self.entries[key], invalidation.reason,
+                    origin=invalidation.origin,
+                )
+                dropped += 1
+        return dropped
+
+    def clear(self) -> None:
+        """Drop every entry (flushing nothing; dirty buffers survive)."""
+        for entry in list(self.entries.values()):
+            self.drop(entry, InvalidationReason.EXPLICIT)
 
     def entries_for_document(
         self, document_id: "DocumentId"

@@ -378,16 +378,14 @@ class ConcurrencyStats:
     another read's flight — each one is a provider fetch and a chain
     execution that did *not* happen.  ``promotions`` counts followers
     that woke from a failed leader and led their own fetch;
-    ``bailed_contained`` / ``bailed_capacity`` count misses that
-    declined to coalesce (open breaker on the chain / follower budget
-    exhausted) and fetched for themselves.
+    ``bailed_contained`` counts misses that declined to coalesce (open
+    breaker on the chain) and fetched for themselves.
     """
 
     flights_led: int = 0
     follows: int = 0
     promotions: int = 0
     bailed_contained: int = 0
-    bailed_capacity: int = 0
 
     @property
     def fetches_saved(self) -> int:
@@ -400,7 +398,6 @@ class ConcurrencyStats:
         ("coalesce", "followed"): (("follows", 1),),
         ("coalesce", "promoted"): (("promotions", 1),),
         ("coalesce", "bailed-contained"): (("bailed_contained", 1),),
-        ("coalesce", "bailed-capacity"): (("bailed_capacity", 1),),
     }
 
 

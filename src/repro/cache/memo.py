@@ -255,9 +255,6 @@ class MemoStats:
     negative_records: int = 0
     #: Consults skipped because a chain property's breaker is open.
     contained_bypasses: int = 0
-    #: Verifier-gated records skipped because the policy declines to
-    #: re-verify at serve time.
-    verifier_bypasses: int = 0
     #: Records pruned because their output bytes left the content store.
     dead_drops: int = 0
     #: Records pruned because a verifier failed at serve time.
@@ -284,7 +281,6 @@ class MemoStats:
         ("memo", "recorded"): (("records", 1),),
         ("memo", "negative-recorded"): (("negative_records", 1),),
         ("memo", "bypass-contained"): (("contained_bypasses", 1),),
-        ("memo", "bypass-verifier"): (("verifier_bypasses", 1),),
         ("memo", "dropped-dead"): (("dead_drops", 1),),
         ("memo", "dropped-verifier"): (("verifier_drops", 1),),
         ("memo", "purged"): (("purged", "records"),),

@@ -151,8 +151,10 @@ class InvalidationBus:
         self._sinks[cache_id] = sink
 
     def unregister(self, cache_id: CacheId) -> None:
-        """Remove a cache (e.g. it shut down); deliveries to it drop."""
+        """Remove a cache (e.g. it shut down): deliveries to it drop,
+        and its sequenced channel, if it had one, is forgotten."""
         self._sinks.pop(cache_id, None)
+        self._channels.pop(cache_id, None)
 
     # -- sequenced channels (consistency recovery) ----------------------------
 

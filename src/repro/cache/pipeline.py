@@ -49,7 +49,7 @@ from repro.cache.containment import verifier_key
 from repro.cache.core import ADOPTION_COST_MS, CacheCore
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.memo import ChainFingerprint
-from repro.cache.policies import AdmissionDecision
+from repro.cache.policies import AdmissionDecision, vote_admission
 from repro.cache.verifiers import Verdict
 from repro.errors import CacheError, OverloadShedError
 from repro.overload.admission import PRIORITY_NAMES
@@ -567,20 +567,16 @@ class MemoStage(MissStage):
                 return None
             content = materialized
             imported = True
-        if core.use_verifiers and record.verifiers:
-            if not core.memo_policy.verify_on_serve:
-                if imported:
-                    core.store.release(record.output_signature)
-                core.emit("memo", "bypass-verifier", key=ctx.key)
-                return None
-            if not core.verifiers_agree(ctx.key, record.verifiers, content):
-                # Class (d): an external condition gated this record
-                # and no longer holds — the memo must not serve it.
-                if imported:
-                    core.store.release(record.output_signature)
-                memo.discard(record)
-                core.emit("memo", "dropped-verifier", key=ctx.key)
-                return None
+        if core.use_verifiers and not core.verifiers_agree(
+            ctx.key, record.verifiers, content
+        ):
+            # Class (d): an external condition gated this record and no
+            # longer holds — the memo must not serve it.
+            if imported:
+                core.store.release(record.output_signature)
+            memo.discard(record)
+            core.emit("memo", "dropped-verifier", key=ctx.key)
+            return None
         self.exchange_metadata()
         if not imported:
             # An import already holds the one store reference taken by
@@ -627,8 +623,7 @@ class SingleFlightStage(MissStage):
     Containment semantics survive coalescing by bailing out instead of
     sharing: an open breaker on any chain property bypasses the flight
     table entirely (a quarantined chain's output must not fan out to N
-    followers), and the policy's ``max_followers`` budget caps how many
-    reads may park on one flight — excess reads fetch for themselves.
+    followers).
 
     The stage is a strict no-op when no concurrency policy is
     configured or the read is not ``concurrent`` (the default), so
@@ -658,10 +653,6 @@ class SingleFlightStage(MissStage):
             flight = core.flights.lookup(key)
             if flight is None:
                 continue
-            max_followers = policy.max_followers
-            if max_followers is not None and flight.waiters >= max_followers:
-                core.emit("coalesce", "bailed-capacity", key=ctx.key)
-                return None
             core.emit("coalesce", "followed", key=ctx.key)
             return Suspension("flight", flight)
         ctx.flight = core.flights.open(keys)
@@ -781,7 +772,7 @@ class DegradationStage(MissStage):
 
 
 class AdmissionStage(MissStage):
-    """Terminal miss stage: consult the admission policy, fill, account.
+    """Terminal miss stage: take the §3 vote, fill, account.
 
     The returned cacheability vote decides whether/how to fill (§3);
     content larger than the whole cache is served but never admitted.
@@ -799,7 +790,7 @@ class AdmissionStage(MissStage):
             # until the breaker closes.
             core.emit("admission", "contained", key=ctx.key)
             return self.finish(ctx, disposition, content)
-        decision = core.admission.decide(content, meta, core.capacity_bytes)
+        decision = vote_admission(content, meta, core.capacity_bytes)
         if decision is AdmissionDecision.UNCACHEABLE:
             core.emit("admission", "uncacheable", key=ctx.key)
             disposition = "uncacheable"

@@ -2,13 +2,13 @@
 
 Two kinds of object live here, one import surface for both:
 
-* **Decisions with more than one implementation** stay behind a
-  protocol.  :class:`AdmissionPolicy` decides whether fetched content
-  enters the cache; the default :class:`VoteAdmissionPolicy` reproduces
-  §3 (honour the read path's most-restrictive cacheability vote, refuse
-  content larger than the whole cache).
+* **Decisions.**  :func:`vote_admission` is §3's fill rule — honour the
+  read path's most-restrictive cacheability vote, refuse content larger
+  than the whole cache.  What may be cached travels with the content,
+  so the cache has no admission hook of its own.
   :class:`~repro.cache.replacement.ReplacementPolicy` — who leaves when
-  space runs out — is re-exported unchanged.
+  space runs out, the one decision with several implementations — is
+  re-exported unchanged.
 * **Seam configuration** is one frozen dataclass per opt-in seam:
   :class:`MemoPolicy`, :class:`ConcurrencyPolicy`,
   :class:`RecoveryPolicy`, :class:`StoragePolicy`,
@@ -29,20 +29,17 @@ from __future__ import annotations
 import enum
 import typing
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 from repro.cache.containment import BreakerConfig, ExecutionBudget
 from repro.cache.replacement import GreedyDualSizePolicy, ReplacementPolicy
 from repro.errors import CacheError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.entry import CacheEntry
     from repro.placeless.document import PathMeta
 
 __all__ = [
     "AdmissionDecision",
-    "AdmissionPolicy",
-    "VoteAdmissionPolicy",
+    "vote_admission",
     "DegradationPolicy",
     "DefaultDegradationPolicy",
     "ContainmentPolicy",
@@ -63,35 +60,22 @@ __all__ = [
 
 
 class AdmissionDecision(enum.Enum):
-    """What the admission policy decided about fetched content."""
+    """What :func:`vote_admission` decided about fetched content."""
 
     ADMIT = "admit"
     UNCACHEABLE = "uncacheable"
     OVERSIZE = "oversize"
 
 
-@runtime_checkable
-class AdmissionPolicy(Protocol):
-    """Decides whether fetched content may fill the cache."""
-
-    def decide(
-        self, content: bytes, meta: "PathMeta", capacity_bytes: int
-    ) -> AdmissionDecision:
-        """Classify one fill candidate."""
-        ...  # pragma: no cover - protocol
-
-
-class VoteAdmissionPolicy:
-    """§3 behaviour: the cacheability vote gates, whole-cache size caps."""
-
-    def decide(
-        self, content: bytes, meta: "PathMeta", capacity_bytes: int
-    ) -> AdmissionDecision:
-        if not meta.cacheability.allows_caching:
-            return AdmissionDecision.UNCACHEABLE
-        if len(content) > capacity_bytes:
-            return AdmissionDecision.OVERSIZE
-        return AdmissionDecision.ADMIT
+def vote_admission(
+    content: bytes, meta: "PathMeta", capacity_bytes: int
+) -> AdmissionDecision:
+    """§3's fill rule: the cacheability vote gates, whole-cache size caps."""
+    if not meta.cacheability.allows_caching:
+        return AdmissionDecision.UNCACHEABLE
+    if len(content) > capacity_bytes:
+        return AdmissionDecision.OVERSIZE
+    return AdmissionDecision.ADMIT
 
 
 @dataclass(frozen=True)
@@ -164,7 +148,9 @@ class MemoPolicy:
     answered with a signature-only adoption instead of a provider fetch
     plus a full property-chain execution.  UNCACHEABLE-voting chains
     are negative-cached so repeated misses skip the candidate machinery
-    without ever serving from the memo.
+    without ever serving from the memo.  A record that carries verifiers
+    (the paper's class-(d) external conditions) re-runs them on every
+    serve.
     """
 
     #: Maximum records the memo table holds (LRU beyond that).
@@ -173,10 +159,6 @@ class MemoPolicy:
     #: signature at consult time (a metadata-only exchange, the memo's
     #: analogue of ``ADOPTION_COST_MS``).
     probe_cost_ms: float = 0.2
-    #: Re-run a record's verifiers before serving it (the paper's
-    #: class-(d) external conditions); ``False`` bypasses the memo for
-    #: verifier-gated records instead of trusting them unverified.
-    verify_on_serve: bool = True
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -205,15 +187,6 @@ class ConcurrencyPolicy:
     #: Coalesce concurrent misses into single flights (``False``
     #: interleaves the batch with no coalescing — the A16 ablation arm).
     coalesce: bool = True
-    #: Budget bail-out: at most this many reads may park on one flight;
-    #: excess reads fetch for themselves.  ``None`` for unbounded.
-    max_followers: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_followers is not None and self.max_followers < 1:
-            raise CacheError(
-                f"max_followers must be >= 1: {self.max_followers}"
-            )
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,6 @@ from repro.errors import (
 )
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from typing import Callable
-
     from repro.cache.consistency import Invalidation
     from repro.cache.core import CacheCore
     from repro.cache.entry import CacheEntry, EntryKey
@@ -293,15 +291,9 @@ class ConsistencyRecoveryManager:
     :meth:`resync`.
     """
 
-    def __init__(
-        self,
-        core: "CacheCore",
-        policy: "RecoveryPolicy",
-        apply_invalidation: "Callable[[Invalidation], None]",
-    ) -> None:
+    def __init__(self, core: "CacheCore", policy: "RecoveryPolicy") -> None:
         self.core = core
         self.policy = policy
-        self._apply = apply_invalidation
         self.stats = RecoveryStats()
         core.track("recovery", self.stats)
         self.journal = WriteBackJournal()
@@ -395,7 +387,7 @@ class ConsistencyRecoveryManager:
         """Bus sink: track the sequence stream, then apply normally."""
         if invalidation.epoch is not None and invalidation.sequence is not None:
             self._note_sequence(invalidation.epoch, invalidation.sequence)
-        self._apply(invalidation)
+        self.core.apply_invalidation(invalidation)
 
     def _note_sequence(self, epoch: int, sequence: int) -> None:
         core = self.core
@@ -622,10 +614,3 @@ class ConsistencyRecoveryManager:
         self._grant_lease()
         self.resync()
         return replayed
-
-    def stop(self) -> None:
-        """Cancel the renewal tick (teardown hook for tests/benches)."""
-        self._down = True
-        if self._tick_handle is not None:
-            self._tick_handle.cancel()
-            self._tick_handle = None

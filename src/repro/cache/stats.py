@@ -137,13 +137,6 @@ class CacheStats:
         """Stale hits over hits (0.0 when no hits)."""
         return self.stale_hits / self.hits if self.hits else 0.0
 
-    @property
-    def degraded_serve_ratio(self) -> float:
-        """Degraded-mode serves over lookups (0.0 when no lookups)."""
-        if self.lookups == 0:
-            return 0.0
-        return self.degraded_serves / self.lookups
-
     def invalidations_by_class(self) -> Counter:
         """Invalidations aggregated to the paper's four classes."""
         by_class: Counter = Counter()

@@ -5,8 +5,8 @@ shards and routes every ``(document, user)`` entry key to one of them
 by consistent hashing (:class:`~repro.cluster.placement.HashRingPolicy`).
 The shards are real, fully wired
 caches — each with its own content store, entry table, projections and
-(optionally) recovery manager — built through the manager's injection
-seams rather than a parallel construction path:
+(optionally) recovery manager — built by the one ``DocumentCache``
+constructor, which takes what the shards share as arguments:
 
 * one :class:`~repro.cache.notifiers.InvalidationBus` is shared, each
   shard registering its own cache id, so the paper's notifier model
@@ -42,7 +42,7 @@ import typing
 from repro.cache.consistency import InvalidationReason
 from repro.cache.entry import EntryKey
 from repro.cache.instrumentation import merged
-from repro.cache.manager import CacheReadOutcome, DocumentCache, settle_batch
+from repro.cache.manager import CacheReadOutcome, DocumentCache
 from repro.cache.notifiers import InvalidationBus
 from repro.cache.stats import CacheStats
 from repro.cluster.memo_share import SharedTransformMemo
@@ -51,7 +51,7 @@ from repro.cluster.policy import ClusterPolicy
 from repro.errors import CacheError
 from repro.overload.health import HealthTracker
 from repro.overload.hedge import hedged_iterate
-from repro.sim.scheduler import FlightTable, drive
+from repro.sim.scheduler import FlightTable, drive, settle_batch
 from repro.sim.topology import ClusterTopology
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -91,12 +91,6 @@ class CacheCluster:
         one transform memo and one flight table span every shard.
         Requires a ``memo_policy``; ``None`` builds fully isolated
         shards.
-    topology:
-        Per-shard link costs (:class:`~repro.sim.topology
-        .ClusterTopology`); a default all-pairs ``shard-to-shard``
-        topology is built when omitted.  Installed into the kernel's
-        latency model either way so cross-shard transfers charge the
-        virtual clock.
     memo_policy, concurrency_policy, recovery_policy:
         Forwarded to every shard.  A recovery policy is required for
         :meth:`rebalance`, :meth:`add_shard` and :meth:`lose_shard`
@@ -121,9 +115,10 @@ class CacheCluster:
         Prefix for shard names (``{name}-0`` … ``{name}-{N-1}``).
     shard_kwargs:
         Extra keyword arguments forwarded verbatim to every
-        ``DocumentCache`` (write mode, feature flags, …).  Must not
-        contain stateful per-cache objects — every shard receives the
-        same mapping.
+        ``DocumentCache`` (write mode, feature flags, …), in one
+        mapping with the four policies above — naming one of those
+        here as well is a ``TypeError``.  Must not contain stateful
+        per-cache objects — every shard receives the same mapping.
     """
 
     def __init__(
@@ -133,7 +128,6 @@ class CacheCluster:
         capacity_bytes: int,
         *,
         cluster_policy: ClusterPolicy | None = None,
-        topology: ClusterTopology | None = None,
         memo_policy: "MemoPolicy | None" = None,
         concurrency_policy: "ConcurrencyPolicy | None" = None,
         recovery_policy: "RecoveryPolicy | None" = None,
@@ -150,11 +144,6 @@ class CacheCluster:
         self.name = name
         self.cluster_policy = cluster_policy
         self.capacity_bytes = capacity_bytes
-        self._memo_policy = memo_policy
-        self._concurrency = concurrency_policy
-        self._recovery_policy = recovery_policy
-        self._shard_kwargs = dict(shard_kwargs or {})
-        self._overload_policy = overload_policy
         #: Shard-health classification (``None`` without an overload
         #: policy): EWMA latency + error streaks per shard, fed from
         #: every shard's instrumentation bus.
@@ -171,10 +160,10 @@ class CacheCluster:
         self._next_index = 0
         names = [self._next_name() for _ in range(shard_count)]
         self._placement = HashRingPolicy(names)
-        self.topology = topology or ClusterTopology(shards=list(names))
-        for shard_name in names:
-            if shard_name not in self.topology.shards:
-                self.topology.add_shard(shard_name)
+        #: Per-shard link costs (all pairs ``shard-to-shard``), installed
+        #: into the kernel's latency model so cross-shard transfers
+        #: charge the virtual clock.
+        self.topology = ClusterTopology(shards=list(names))
         self.topology.install(self.ctx.latency)
         self.bus = InvalidationBus(self.ctx)
         self.shared_memo: SharedTransformMemo | None = None
@@ -184,6 +173,16 @@ class CacheCluster:
                 memo_policy.capacity * shard_count, topology=self.topology
             )
             self.shared_flights = FlightTable()
+        #: The configuration every shard is built with, present and
+        #: future (what the cluster owns — bus, memo, flights — is
+        #: passed beside it).
+        self._shard_kwargs = dict(
+            memo_policy=memo_policy,
+            concurrency_policy=concurrency_policy,
+            recovery_policy=recovery_policy,
+            overload_policy=overload_policy,
+            **(shard_kwargs or {}),
+        )
         self._shards: dict[str, DocumentCache] = {}
         #: ``core.metrics`` of the shards :meth:`lose_shard` removed,
         #: folded per group name.
@@ -211,10 +210,6 @@ class CacheCluster:
             capacity_bytes=self.capacity_bytes,
             bus=self.bus,
             name=shard_name,
-            memo_policy=self._memo_policy,
-            concurrency_policy=self._concurrency,
-            recovery_policy=self._recovery_policy,
-            overload_policy=self._overload_policy,
             memo=self.shared_memo,
             flights=self.shared_flights,
             **self._shard_kwargs,
@@ -369,7 +364,7 @@ class CacheCluster:
     # -- hedged reads ---------------------------------------------------------
 
     def _hedging_active(self) -> bool:
-        policy = self._overload_policy
+        policy = self._shard_kwargs["overload_policy"]
         return (
             policy is not None
             and policy.hedging
@@ -518,15 +513,15 @@ class CacheCluster:
         to sequential routed reads (the byte-equivalence baseline).
 
         The batch settles by the same
-        :func:`~repro.cache.manager.settle_batch` rule as
+        :func:`~repro.sim.scheduler.settle_batch` rule as
         :meth:`~repro.cache.manager.DocumentCache.read_many`; what the
         cluster adds is routing.  With an ``overload_policy`` every
         read shares the batch-start enqueue instant (sojourn and
         deadlines accrue while earlier reads hold the clock) and each
         generator is hedge-wrapped when hedging is on.
         """
-        gated = self._overload_policy is not None
-        concurrent = self._concurrency is not None
+        gated = self._shard_kwargs["overload_policy"] is not None
+        concurrent = self._shard_kwargs["concurrency_policy"] is not None
         enqueued_ms = self.ctx.clock.now_ms if gated else None
         touched: dict[str, DocumentCache] = {}
 
@@ -664,16 +659,18 @@ class CacheCluster:
     def lose_shard(self, shard_name: str) -> int:
         """Simulate one shard's failure; survivors repair via resync.
 
-        The dead shard's volatile state vanishes (a crash), its bus
-        registration and leases are torn down, and it leaves the ring
-        — with the shared memo plane *detached first*, because the
-        cluster-wide memo view outlives any one member (records whose
-        bytes died with the shard self-heal at consult time).  The
-        survivors then run the same rebalance-as-resync pass, after
-        which the dead shard's keys place on them.  The dead shard's
-        counters are folded into the cluster's retired totals, so every
-        aggregate still accounts for the reads it served.  Returns the
-        survivors' repair count.
+        The dead shard's volatile state vanishes (a crash), everything
+        it had on the bus and the clock — registration, lease tick,
+        the fault plan's scheduled crash instants — is torn down
+        (:meth:`~repro.cache.manager.DocumentCache.shutdown`), and it
+        leaves the ring — with the shared memo plane *detached first*,
+        because the cluster-wide memo view outlives any one member
+        (records whose bytes died with the shard self-heal at consult
+        time).  The survivors then run the same rebalance-as-resync
+        pass, after which the dead shard's keys place on them.  The
+        dead shard's counters are folded into the cluster's retired
+        totals, so every aggregate still accounts for the reads it
+        served.  Returns the survivors' repair count.
         """
         try:
             shard = self._shards.pop(shard_name)
@@ -691,10 +688,7 @@ class CacheCluster:
             # The dead process's view dies with it; the shared plane
             # must not be purged by this one member's crash.
             shard.core.memo = None
-        shard.crash()
-        if shard.recovery is not None:
-            shard.recovery.stop()
-        self.bus.unregister(shard.cache_id)
+        shard.shutdown()
         for name, stats in shard.core.metrics.items():
             if stats is self.containment_stats:
                 continue  # the world's, not the shard's to retire

@@ -143,7 +143,6 @@ class LatencyModel:
         )
         self._jitter_fraction = jitter_fraction
         self._rng = random.Random(seed)
-        self._down_links: set[str] = set()
 
     def _jitter(self, cost_ms: float) -> float:
         if self._jitter_fraction == 0.0:
@@ -158,23 +157,7 @@ class LatencyModel:
             table_entry = self.hops[hop]
         except KeyError:
             raise WorkloadError(f"unknown hop: {hop!r}") from None
-        if hop in self._down_links:
-            raise RepositoryOfflineError(f"network link {hop!r} is down")
         return self._jitter(table_entry.cost_ms(size_bytes))
-
-    def set_link_down(self, hop: str, down: bool = True) -> None:
-        """Toggle a topology link's reachability (failure injection).
-
-        The scheduled-window counterpart lives in
-        :class:`~repro.faults.plan.FaultPlan`; this is the manual toggle
-        for tests that flip a link mid-scenario.
-        """
-        if hop not in self.hops:
-            raise WorkloadError(f"unknown hop: {hop!r}")
-        if down:
-            self._down_links.add(hop)
-        else:
-            self._down_links.discard(hop)
 
     def repository_cost_ms(self, repository: str, size_bytes: int) -> float:
         """Service latency of fetching *size_bytes* from the repository."""

@@ -7,7 +7,7 @@ chain once per requester.  The read pipeline therefore expresses one
 access as a *generator* that may yield :class:`Suspension` markers at
 the two seams where other work may interleave — before the verifier
 gate and before the fetch/chain execution — and this module holds the
-two functions that run such generators to their results:
+functions that run such generators to their results:
 
 * :func:`drive` runs one generator inline, resolving every seam at
   once: operation order, clock charges and fault-plan consultations are
@@ -18,6 +18,8 @@ two functions that run such generators to their results:
   flight re-queues its parked reads, in wait order, at that instant;
   results and exceptions land in submission order.  No wall clock, no
   randomness: identical batches replay identically.
+* :func:`settle_batch` is what ``read_many`` calls, on a cache and on a
+  cluster: it picks the driver and states which failures land in place.
 
 Whether a read *may* yield seams and open or join flights is one bit,
 ``concurrent``, taken by the pipeline's generator entry points; a
@@ -37,9 +39,13 @@ first follower to wake finds the table empty and is promoted to lead.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator, Iterable
+from typing import Any, Callable, Generator, Iterable, Sequence
 
-from repro.errors import SchedulerError
+from repro.errors import (
+    DeadlineExceededError,
+    OverloadShedError,
+    SchedulerError,
+)
 
 __all__ = [
     "Suspension",
@@ -49,6 +55,7 @@ __all__ = [
     "FlightTable",
     "drive",
     "run_batch",
+    "settle_batch",
 ]
 
 
@@ -99,8 +106,7 @@ class Flight:
 
     @property
     def waiters(self) -> int:
-        """Followers currently parked on this flight (the budget
-        bail-out compares this against the policy's follower cap)."""
+        """Followers currently parked on this flight."""
         return len(self._parked)
 
     def describe(self) -> str:
@@ -219,4 +225,49 @@ def run_batch(generators: Iterable[Generator]) -> list[Any]:
         raise SchedulerError(
             f"batch stalled with no runnable read: {stalled}"
         )
+    return results
+
+
+def settle_batch(
+    references: Sequence[Any],
+    read_one: Callable[[Any], Any],
+    iterate: Callable[[Any], Generator],
+    *,
+    concurrent: bool,
+    gated: bool,
+    return_exceptions: bool,
+) -> list:
+    """Run a batch to termination; every read's result in submission order.
+
+    The one statement of how a batch settles, for a single cache and a
+    cluster alike.  *concurrent* batches interleave every reference's
+    *iterate* generator under :func:`run_batch` (which returns failures
+    in place — the re-raise rule is stated only here); otherwise
+    *read_one* runs them in turn.  Either way, a *gated* batch's typed
+    overload outcomes (shed, deadline exceeded) always land in place —
+    an overloaded batch is an expected outcome, not a caller bug — and
+    any other failure lands in place with *return_exceptions*, else is
+    re-raised (the first in submission order, once a concurrent batch
+    has run to termination).
+    """
+    in_place = (OverloadShedError, DeadlineExceededError) if gated else ()
+    if not concurrent:
+        outcomes: list = []
+        for reference in references:
+            try:
+                outcomes.append(read_one(reference))
+            except in_place as error:
+                outcomes.append(error)
+            except Exception as error:
+                if not return_exceptions:
+                    raise
+                outcomes.append(error)
+        return outcomes
+    results = run_batch(iterate(reference) for reference in references)
+    if not return_exceptions:
+        for result in results:
+            if isinstance(result, Exception) and not isinstance(
+                result, in_place
+            ):
+                raise result
     return results

@@ -201,13 +201,6 @@ class DiskContentStore:
             for slot in self._by_signature.values()
         )
 
-    @property
-    def dead_bytes(self) -> int:
-        """File bytes not accounted to any live blob (compaction debt)."""
-        return max(0, self.log.size - sum(
-            slot.size for slot in self._by_signature.values()
-        ))
-
     def _slot(self, signature: ContentSignature) -> DiskSlot:
         try:
             return self._by_signature[signature]

@@ -53,7 +53,7 @@ class TestSchedulerDefaults:
 
     def test_no_concurrency_policy_by_default(self):
         cache = DocumentCache(PlacelessKernel(), capacity_bytes=1024)
-        assert cache.concurrency_policy is None
+        assert cache.core.concurrency is None
         assert cache.concurrency_stats is None
         assert len(cache._core.flights) == 0
 

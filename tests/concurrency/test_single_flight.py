@@ -260,17 +260,3 @@ class TestBailOuts:
         assert stats.flights_led == 0
         assert stats.follows == 0
         assert all(not o.hit for o in outcomes)
-
-    def test_max_followers_budget_caps_one_flight(self):
-        _, provider, (reference,), cache = _deployment(
-            concurrency_policy=DefaultConcurrencyPolicy(max_followers=4)
-        )
-        outcomes = cache.read_many([reference] * 8)
-        stats = cache.concurrency_stats
-        # 1 leader + 4 followers; the remaining 3 exceed the budget and
-        # fetch for themselves.
-        assert stats.flights_led == 1
-        assert stats.follows == 4
-        assert stats.bailed_capacity == 3
-        assert provider.retrievals == 1 + 3
-        assert len({o.content for o in outcomes}) == 1

@@ -144,7 +144,7 @@ TestFilerMachine = FilerMachine.TestCase
 
 
 class TestChainSignatureConsistency:
-    """Adoption safety hinges on `_expected_chain_signature` predicting
+    """Adoption safety hinges on `core.expected_chain_signature` predicting
     exactly what a real read path records; they must never drift."""
 
     @given(
@@ -173,7 +173,7 @@ class TestChainSignatureConsistency:
 
                 site.attach(ReadAuditTrailProperty(name=f"a{serial}"))
         cache = DocumentCache(kernel, capacity_bytes=1 << 20)
-        predicted = cache._expected_chain_signature(reference)
+        predicted = cache.core.expected_chain_signature(reference)
         result = reference.open_input()
         result.read_all()
         assert result.meta.chain_signature == predicted

@@ -24,6 +24,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.cache.entry import EntryKey
 from repro.cache.manager import DocumentCache
 from repro.cache.pipeline import WriteMode
 from repro.cache.policies import DefaultRecoveryPolicy
@@ -100,7 +101,7 @@ class JournalDurabilityMachine(RuleBasedStateMachine):
         for doc, content in self.acknowledged.items():
             if self.providers[doc].peek() == content:
                 continue
-            key = self.cache._key(self.refs[doc])
+            key = EntryKey.for_reference(self.refs[doc])
             assert key in recoverable
             assert recoverable[key][1] == content
 

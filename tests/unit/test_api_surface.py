@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -19,6 +20,68 @@ def _walk_modules():
 
 
 ALL_MODULES = sorted(_walk_modules())
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
+
+#: The options ledger: every constructor keyword of the cache, by name.
+#: Growing a list is a design decision (CONTRIBUTING: "a new option
+#: needs two non-test callers with different values"), not a side effect.
+CONSTRUCTOR_KEYWORDS = {
+    "repro.cache.manager.DocumentCache": [
+        "kernel", "capacity_bytes", "policy", "bus", "write_mode",
+        "install_notifiers", "use_verifiers", "track_staleness",
+        "placement", "backing", "share_across_users", "retry_policy",
+        "name", "degradation_policy", "recovery_policy",
+        "containment_policy", "memo_policy", "concurrency_policy",
+        "storage_policy", "overload_policy", "memo", "flights",
+        "fast_lane",
+    ],
+    "repro.cluster.coordinator.CacheCluster": [
+        "kernel", "shard_count", "capacity_bytes", "cluster_policy",
+        "memo_policy", "concurrency_policy", "recovery_policy",
+        "overload_policy", "name", "shard_kwargs",
+    ],
+    "repro.cache.core.CacheCore": [
+        "kernel", "capacity_bytes", "name", "policy", "degradation",
+        "bus", "placement", "write_mode", "install_notifiers",
+        "use_verifiers", "track_staleness", "share_across_users",
+        "backing", "retry_policy",
+    ],
+}
+
+#: Options nothing under ``src/repro/`` (outside the defining module),
+#: ``perfbench/`` or ``examples/`` sets, and the one reason each stays.
+UNCALLED_OPTIONS = {
+    "DocumentCache.fast_lane":
+        "awaiting the benchmark PR: perfbench/probes.py forwards it",
+    "MemoPolicy.capacity":
+        "tests-only but load-bearing: the LRU bound is reached by shrinking it",
+    "MemoPolicy.probe_cost_ms":
+        "deferred to ROADMAP item 3: a virtual-cost constant in option form",
+    "OverloadPolicy.deadlines":
+        "tests-only but load-bearing: test_shedding isolates the gate",
+    "OverloadPolicy.default_deadline_ms":
+        "tests-only but load-bearing: on-but-idle overload equivalence",
+    "OverloadPolicy.deadline_from_qos":
+        "tests-only but load-bearing: on-but-idle overload equivalence",
+    "OverloadPolicy.admission_burst":
+        "tests-only but load-bearing: on-but-idle overload equivalence",
+    "OverloadPolicy.queue_limit":
+        "tests-only but load-bearing: on-but-idle overload equivalence",
+    "OverloadPolicy.sojourn_threshold_ms":
+        "tests-only but load-bearing: on-but-idle overload equivalence",
+    "ContainmentPolicy.max_bytes":
+        "safety: caps what runaway property code may stream",
+    "ContainmentPolicy.deny_required":
+        "safety: typed denial instead of serving untransformed bytes",
+    "DegradationPolicy.bypass_backing_on_error":
+        "error handling: the way past a failed second-level cache",
+}
+
+
+def _resolve(dotted: str):
+    module_name, name = dotted.rsplit(".", 1)
+    return getattr(importlib.import_module(module_name), name)
 
 
 class TestTopLevelApi:
@@ -94,8 +157,7 @@ class TestOneReadDriver:
         from repro.cluster import CacheCluster
 
         cluster = inspect.signature(CacheCluster).parameters
-        assert len(cluster) == 11
-        assert "placement_policy" not in cluster
+        assert not {"placement_policy", "topology"} & set(cluster)
         for constructor in (DocumentCache, CacheCluster):
             parameters = inspect.signature(constructor).parameters
             assert not {"concurrent", "scheduler"} & set(parameters)
@@ -148,17 +210,104 @@ class TestOneWordSubstitution:
         assert not hasattr(kernel, "drain")
 
     def test_no_new_constructor_keyword(self):
-        from repro.cache.manager import DocumentCache
         from repro.properties.spellcheck import SpellingCorrectorProperty
         from repro.properties.translate import TranslationProperty
 
-        assert len(inspect.signature(DocumentCache).parameters) == 26
+        for dotted, keywords in CONSTRUCTOR_KEYWORDS.items():
+            found = list(inspect.signature(_resolve(dotted)).parameters)
+            assert found == keywords, dotted
         assert list(inspect.signature(SpellingCorrectorProperty).parameters) == [
             "corrections", "name", "version",
         ]
         assert list(inspect.signature(TranslationProperty).parameters) == [
             "table", "name", "target_language", "version",
         ]
+
+
+class TestOptionsLedger:
+    """An option exists because somebody other than a test sets it.
+
+    AST-level over every call in ``src/repro/`` (the defining module
+    excluded), ``perfbench/`` and ``examples/``: a keyword or policy
+    field counts as *called* when a call to the class (or its
+    ``DefaultX`` alias) passes it, by name or by position — or, for
+    ``DocumentCache``, when it is a key of the ``shard_kwargs`` literal
+    a ``CacheCluster`` call forwards.  What nobody calls is listed in
+    ``UNCALLED_OPTIONS`` with its reason, or is deleted.
+    """
+
+    @staticmethod
+    def _classes() -> dict:
+        from repro.cache import policies
+        from repro.cluster.policy import ClusterPolicy
+
+        classes = {
+            _resolve(dotted): list(keywords)
+            for dotted, keywords in CONSTRUCTOR_KEYWORDS.items()
+        }
+        configs = [getattr(policies, name) for name in policies.__all__]
+        for cls in (*configs, ClusterPolicy):
+            # ``DefaultXPolicy is XPolicy``: the dict keeps one of them.
+            if dataclasses.is_dataclass(cls):
+                classes[cls] = [f.name for f in dataclasses.fields(cls)]
+        return classes
+
+    @staticmethod
+    def _calls():
+        """``(callee name, positional count, keywords)`` of every call."""
+        for directory in ("src/repro", "perfbench", "examples"):
+            for path in sorted((REPO / directory).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Call):
+                        callee = getattr(
+                            node.func, "id", getattr(node.func, "attr", None)
+                        )
+                        yield path, callee, len(node.args), node.keywords
+
+    def test_every_option_has_a_caller_outside_tests(self):
+        classes = self._classes()
+        calls = list(self._calls())
+        uncalled = set()
+        for cls, options in classes.items():
+            defining = pathlib.Path(inspect.getsourcefile(cls)).resolve()
+            names = {cls.__name__, f"Default{cls.__name__}"}
+            called: set = set()
+            for path, callee, positional, keywords in calls:
+                if path == defining:
+                    continue
+                if callee in names:
+                    called.update(options[:positional])
+                    called.update(keyword.arg for keyword in keywords)
+                if cls.__name__ == "DocumentCache" and callee == "CacheCluster":
+                    for keyword in keywords:
+                        if keyword.arg == "shard_kwargs" and isinstance(
+                            keyword.value, ast.Dict
+                        ):
+                            called.update(
+                                key.value for key in keyword.value.keys
+                                if isinstance(key, ast.Constant)
+                            )
+            uncalled.update(
+                f"{cls.__name__}.{option}"
+                for option in options if option not in called
+            )
+        assert uncalled == set(UNCALLED_OPTIONS)
+        assert all(len(reason) > 10 for reason in UNCALLED_OPTIONS.values())
+
+    def test_the_idle_knobs_and_their_plumbing_are_gone(self):
+        from repro.cache import policies
+        from repro.cache.manager import DocumentCache
+
+        for removed in ("AdmissionPolicy", "VoteAdmissionPolicy"):
+            assert not hasattr(policies, removed)
+            assert not hasattr(importlib.import_module("repro.cache"), removed)
+        assert not hasattr(DocumentCache, "_build_core")
+        assert not [
+            name for name in vars(DocumentCache) if name.startswith("_wire_")
+        ]
+        assert not {"core", "admission_policy", "instrumentation"} & set(
+            inspect.signature(DocumentCache).parameters
+        )
 
 
 class TestOneBenchReport:

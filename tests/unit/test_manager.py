@@ -7,6 +7,7 @@ import pytest
 
 from repro.cache.cacheability import Cacheability
 from repro.cache.consistency import InvalidationReason
+from repro.cache.entry import EntryKey
 from repro.cache.manager import DocumentCache, WriteMode
 from repro.cache.notifiers import InvalidationBus
 from repro.cache.replacement import LRUPolicy
@@ -84,7 +85,7 @@ class TestHitMiss:
         kernel, base, mine, _, _, cache = world
         assert len(cache) == 0
         cache.read(mine)
-        assert cache._key(mine) in cache
+        assert EntryKey.for_reference(mine) in cache
 
 
 class TestVerifiers:

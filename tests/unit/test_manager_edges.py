@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.__main__ import describe_cache
 from repro.cache.manager import DocumentCache
 from repro.cache.verifiers import ThresholdVerifier
 from repro.events.types import EventType
@@ -157,6 +158,8 @@ class TestForwardingEdges:
 
 
 class TestDescribe:
+    """The entry-table dump ``python -m repro doctor`` prints per shard."""
+
     def test_describe_lists_entries_and_flags(self, kernel, user):
         reference = kernel.import_document(
             user, MemoryProvider(kernel.ctx, b"doc"), "doc"
@@ -168,14 +171,14 @@ class TestDescribe:
         cache = DocumentCache(kernel, capacity_bytes=1 << 20)
         cache.read(reference)
         cache.read(pinned_ref)
-        text = cache.describe()
+        text = describe_cache(cache)
         assert "2 entries" in text
         assert "[pinned]" in text
         assert "gds" in text
 
     def test_describe_empty_cache(self, kernel):
         cache = DocumentCache(kernel, capacity_bytes=1024)
-        text = cache.describe()
+        text = describe_cache(cache)
         assert "0 entries" in text
 
 
@@ -204,7 +207,7 @@ class TestSettleBatch:
 
     @staticmethod
     def _settle(concurrent, gated, return_exceptions):
-        from repro.cache.manager import settle_batch
+        from repro.sim.scheduler import settle_batch
         from repro.errors import OverloadShedError
 
         def read_one(item):

@@ -1,7 +1,7 @@
-"""Unit tests for the pieces extracted from the cache monolith: the
-pluggable admission/degradation policies, the instrumentation bus with
-its projections, and the staged pipeline's observable behaviour when a
-policy is swapped in through the ``DocumentCache`` constructor."""
+"""Unit tests for the pieces extracted from the cache monolith: the §3
+admission vote and the degradation policy, the instrumentation bus with
+its projections, and the staged pipeline's observable behaviour under
+what travels with the content (votes) and what the constructor sets."""
 
 from __future__ import annotations
 
@@ -33,9 +33,8 @@ from repro.cache.memo import MemoStats, MemoStatsProjection
 from repro.cache.notifiers import BusStats
 from repro.cache.policies import (
     AdmissionDecision,
-    AdmissionPolicy,
     DefaultDegradationPolicy,
-    VoteAdmissionPolicy,
+    vote_admission,
 )
 from repro.cache.recovery import RecoveryStats
 from repro.cache.stats import CacheStats
@@ -44,6 +43,7 @@ from repro.faults.plan import FaultStats
 from repro.ids import DocumentId
 from repro.placeless.document import PathMeta
 from repro.placeless.kernel import KernelStats, PlacelessKernel
+from repro.properties.uncacheable import UncacheableProperty
 from repro.providers.memory import MemoryProvider
 from repro.storage.tier import StorageStats
 
@@ -53,36 +53,31 @@ def _meta(vote: Cacheability) -> PathMeta:
 
 
 class TestVoteAdmissionPolicy:
+    """``vote_admission``: the one fill rule (there is no policy object)."""
+
     def test_unrestricted_content_admitted(self):
-        policy = VoteAdmissionPolicy()
-        decision = policy.decide(
+        decision = vote_admission(
             b"x" * 10, _meta(Cacheability.UNRESTRICTED), capacity_bytes=100
         )
         assert decision is AdmissionDecision.ADMIT
 
     def test_uncacheable_vote_wins_over_size(self):
-        policy = VoteAdmissionPolicy()
-        decision = policy.decide(
+        decision = vote_admission(
             b"x" * 1000, _meta(Cacheability.UNCACHEABLE), capacity_bytes=100
         )
         assert decision is AdmissionDecision.UNCACHEABLE
 
     def test_content_larger_than_whole_cache_is_oversize(self):
-        policy = VoteAdmissionPolicy()
-        decision = policy.decide(
+        decision = vote_admission(
             b"x" * 101, _meta(Cacheability.UNRESTRICTED), capacity_bytes=100
         )
         assert decision is AdmissionDecision.OVERSIZE
 
     def test_exactly_capacity_sized_content_admitted(self):
-        policy = VoteAdmissionPolicy()
-        decision = policy.decide(
+        decision = vote_admission(
             b"x" * 100, _meta(Cacheability.UNRESTRICTED), capacity_bytes=100
         )
         assert decision is AdmissionDecision.ADMIT
-
-    def test_satisfies_protocol(self):
-        assert isinstance(VoteAdmissionPolicy(), AdmissionPolicy)
 
 
 class TestDefaultDegradationPolicy:
@@ -171,7 +166,7 @@ class TestDefaultDegradationPolicy:
                 degradation_policy=DefaultDegradationPolicy(),
                 **{keyword: None},
             )
-        assert len(inspect.signature(DocumentCache).parameters) == 26
+        assert keyword not in inspect.signature(DocumentCache).parameters
 
 
 class TestInstrumentationBus:
@@ -575,15 +570,9 @@ class TestMerged:
         assert total.chain_executions_avoided == 5
 
 
-class _RejectEverything:
-    """Admission policy stub: nothing may enter the cache."""
-
-    def decide(self, content, meta, capacity_bytes):
-        return AdmissionDecision.UNCACHEABLE
-
-
 class TestPolicyInjection:
-    """Swapping a policy through the constructor changes stage behaviour."""
+    """What the content's properties vote, and what the constructor
+    sets, changes stage behaviour."""
 
     @pytest.fixture
     def reference(self, kernel, user):
@@ -591,15 +580,14 @@ class TestPolicyInjection:
         base = kernel.create_document(user, provider, "doc")
         return kernel.space(user).add_reference(base)
 
-    def test_custom_admission_policy_blocks_fills(self, kernel, reference):
-        cache = DocumentCache(
-            kernel, capacity_bytes=1 << 20,
-            admission_policy=_RejectEverything(),
-        )
+    def test_uncacheable_vote_blocks_fills(self, kernel, reference):
+        reference.attach(UncacheableProperty())
+        cache = DocumentCache(kernel, capacity_bytes=1 << 20)
         for _ in range(3):
             outcome = cache.read(reference)
             assert not outcome.hit
             assert outcome.disposition == "uncacheable"
+            assert outcome.content == b"pipeline bytes"
         assert len(cache) == 0
         assert cache.stats.uncacheable_reads == 3
         breakdown = cache.stage_breakdown()
@@ -628,14 +616,12 @@ class TestPolicyInjection:
         # Virtual time: the one hit is far cheaper than the one miss.
         assert cells[("read", "hit")].mean_ms < cells[("read", "miss")].mean_ms
 
-    def test_shared_instrumentation_bus_observes_cache(self, kernel,
-                                                       reference):
-        instrumentation = InstrumentationBus()
+    def test_subscriber_on_cache_instrumentation_observes_reads(
+        self, kernel, reference
+    ):
         recorder = StageRecorder()
-        instrumentation.subscribe(recorder)
-        cache = DocumentCache(
-            kernel, capacity_bytes=1 << 20, instrumentation=instrumentation
-        )
+        cache = DocumentCache(kernel, capacity_bytes=1 << 20)
+        cache.instrumentation.subscribe(recorder)
         cache.read(reference)
         assert recorder.cells[("read", "miss")].count == 1
         assert cache.stats.misses == 1

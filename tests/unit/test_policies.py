@@ -42,18 +42,18 @@ CONFIGS = [
     Config(
         policies.MemoPolicy,
         policies.DefaultMemoPolicy,
-        {"capacity": 1024, "probe_cost_ms": 0.2, "verify_on_serve": True},
+        {"capacity": 1024, "probe_cost_ms": 0.2},
         {"capacity": 16, "probe_cost_ms": 0.0},
         [{"capacity": 0}, {"probe_cost_ms": -1.0}],
-        ["negative_cache"],
+        ["negative_cache", "verify_on_serve"],
     ),
     Config(
         policies.ConcurrencyPolicy,
         policies.DefaultConcurrencyPolicy,
-        {"coalesce": True, "max_followers": None},
-        {"coalesce": False, "max_followers": 2},
-        [{"max_followers": 0}],
-        ["coalesce_memo_plane"],
+        {"coalesce": True},
+        {"coalesce": False},
+        [],
+        ["coalesce_memo_plane", "max_followers"],
     ),
     Config(
         policies.RecoveryPolicy,
@@ -218,7 +218,7 @@ class TestConfigContract:
             cls(**{item: True})
 
     def test_option_count(self):
-        assert sum(len(_options(config.cls)) for config in CONFIGS) == 28
+        assert sum(len(_options(config.cls)) for config in CONFIGS) == 26
 
     @per_config
     def test_every_field_is_an_option(self, config):
