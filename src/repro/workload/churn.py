@@ -33,8 +33,9 @@ import enum
 import random
 import typing
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from repro.errors import WorkloadError
@@ -103,6 +104,10 @@ class ZipfSampler:
         return bisect_left(cumulative, rng.random() * total, 0, n_live - 1)
 
 
+#: The web repositories a catalog can mint into, beside the ``nfs`` filer.
+_WEB_HOSTS = ("parcweb", "www")
+
+
 class ChurnCatalog:
     """A lazily-materialized synthetic corpus.
 
@@ -132,26 +137,38 @@ class ChurnCatalog:
         names = [n for n, _ in spec.repository_mix]
         if abs(sum(weights) - 1.0) > 1e-9:
             raise WorkloadError("repository_mix probabilities must sum to 1")
+        for name in names:
+            if name != "nfs" and name not in _WEB_HOSTS:
+                raise WorkloadError(
+                    f"repository_mix names {name!r}: the catalog mints "
+                    f"only nfs, {', '.join(_WEB_HOSTS)}"
+                )
         self.kernel = kernel
         self.owner = owner
         self.spec = spec
         self._names = names
         # The one RNG pass: identical draw order to the eager builder
         # (lognormvariate then choices, per index), so the per-index
-        # scalars are the same no matter which builder ran.
+        # scalars are the same no matter which builder ran.  The bisect
+        # is the draw ``rng.choices(names, weights)`` makes, without its
+        # rebuilding the cumulative weights per index.
         rng = random.Random(spec.seed)
+        cumulative = list(accumulate(weights))
+        total = cumulative[-1]
+        last = len(names) - 1
         sizes = array("l")
         repositories = array("b")
         for _ in range(spec.n_documents):
             size = int(rng.lognormvariate(spec.size_mu, spec.size_sigma))
             sizes.append(max(spec.min_size, min(spec.max_size, size)))
-            repositories.append(names.index(rng.choices(names, weights)[0]))
+            repositories.append(
+                bisect_right(cumulative, rng.random() * total, 0, last)
+            )
         self._sizes = sizes
         self._repositories = repositories
         self._filesystem = SimulatedFileSystem(kernel.ctx.clock)
         self._origins = {
-            "parcweb": WebOrigin(kernel.ctx.clock, host="parcweb"),
-            "www": WebOrigin(kernel.ctx.clock, host="www"),
+            host: WebOrigin(kernel.ctx.clock, host=host) for host in _WEB_HOSTS
         }
         self._documents: dict[int, CorpusDocument] = {}
 

@@ -44,39 +44,47 @@ _WORDS = (
 ).split()
 
 
+#: The draw-order contract (DESIGN §3.7): ``rng.choice(_WORDS)`` is
+#: ``getrandbits(6)`` -- the top 6 bits of one 32-bit output -- redrawn
+#: while >= 44, and ``randbytes(4 * n)`` is *n* outputs, little-endian.
+#: So every fourth byte, ``>> 2``, is a pick, and one >= 176 a redraw.
+_SPACED = tuple(word + " " for word in _WORDS)
+_PICK = bytes(byte >> 2 for byte in range(256))
+_REDRAWN = bytes(range(len(_WORDS) << 2, 256))
+#: 32-bit outputs per bulk draw (~20 KB of text), so the transient
+#: buffers stay small whatever the document size.
+_MAX_DRAWS = 4096
+
+
 def generate_text(size_bytes: int, seed: int = 0) -> bytes:
     """Deterministic English-ish text of exactly *size_bytes* bytes.
 
     Words are drawn from a pool that overlaps the transform properties'
     dictionaries; lines wrap at ~72 columns, paragraphs every 6 lines.
+    The bytes are those of one ``rng.choice(_WORDS)`` per word on
+    ``random.Random(seed)``, drawn in bulk; the stream is private to the
+    call, so the words drawn past *size_bytes* cost nothing downstream.
     """
     if size_bytes < 0:
         raise WorkloadError(f"size must be non-negative: {size_bytes}")
     rng = random.Random(seed)
-    pieces: list[str] = []
-    line_len = 0
-    lines_in_paragraph = 0
-    total = 0
-    while total < size_bytes:
-        word = rng.choice(_WORDS)
-        if line_len + len(word) + 1 > 72:
-            if lines_in_paragraph >= 5:
-                separator = "\n\n"
-                lines_in_paragraph = 0
-            else:
-                separator = "\n"
-                lines_in_paragraph += 1
-            line_len = 0
-        elif pieces:
-            separator = " "
-        else:
-            separator = ""
-        chunk = separator + word
-        line_len += len(chunk)
-        pieces.append(chunk)
-        total += len(chunk)
-    text = "".join(pieces)[:size_bytes]
-    return text.encode("ascii")
+    text = ""
+    while len(text) <= size_bytes:
+        draws = min((size_bytes - len(text)) // 4 + 16, _MAX_DRAWS)
+        picks = rng.randbytes(4 * draws)[3::4].translate(_PICK, _REDRAWN)
+        text += "".join([_SPACED[pick] for pick in picks])
+    # Every word carries its trailing space, so a line is everything up
+    # to the last space inside its width.  The width counts that space
+    # and the separator that opened the line -- 73 columns less "", "\n"
+    # or "\n\n" -- which is what the pinned corpus digests were cut from.
+    lines: list[str] = []
+    start, separator = 0, ""
+    while start < len(text):
+        stop = text.rfind(" ", start, start + 73 - len(separator))
+        separator = "\n" if (len(lines) + 1) % 6 else "\n\n"
+        lines.append(text[start:stop] + separator)
+        start = stop + 1
+    return "".join(lines)[:size_bytes].encode("ascii")
 
 
 @dataclass

@@ -45,7 +45,7 @@ def readme_slice() -> str:
 
 
 ROWS = {
-    "benchmark corpus (57-word pool)": lambda: generate_text(
+    "benchmark corpus (44-word pool)": lambda: generate_text(
         4600, seed=rng.randrange(10**6)
     ).decode(),
     "this repo's README (4.6 KB slices)": readme_slice,

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import collections
+import random
 
 import pytest
 
 from repro.bench.harness import format_table, mean, percentile
 from repro.errors import WorkloadError
 from repro.placeless.kernel import PlacelessKernel
+from repro.workload.churn import ChurnCatalog
 from repro.workload.documents import (
     CorpusSpec,
     build_corpus,
@@ -92,6 +94,36 @@ class TestCorpus:
         spec = CorpusSpec(repository_mix=(("nfs", 0.5),))
         with pytest.raises(WorkloadError):
             build_corpus(kernel, owner, spec)
+
+    def test_unmintable_repository_is_rejected_by_name(self):
+        kernel = PlacelessKernel()
+        owner = kernel.create_user("o")
+        spec = CorpusSpec(repository_mix=(("nfs", 0.5), ("dms", 0.5)))
+        with pytest.raises(WorkloadError, match="'dms'"):
+            ChurnCatalog(kernel, owner, spec)
+
+    @pytest.mark.parametrize(
+        "mix",
+        [
+            CorpusSpec.repository_mix,
+            (("www", 0.25), ("nfs", 0.75)),
+            (("parcweb", 0.0), ("nfs", 1.0), ("www", 0.0)),
+        ],
+    )
+    def test_setup_pass_is_the_choices_draw(self, mix):
+        """Sizes and repositories as ``lognormvariate`` + ``choices`` give them."""
+        spec = CorpusSpec(n_documents=500, repository_mix=mix, seed=9)
+        kernel = PlacelessKernel()
+        catalog = ChurnCatalog(kernel, kernel.create_user("o"), spec)
+        rng = random.Random(spec.seed)
+        names = [name for name, _ in mix]
+        weights = [weight for _, weight in mix]
+        for index in range(spec.n_documents):
+            size = int(rng.lognormvariate(spec.size_mu, spec.size_sigma))
+            assert catalog.size_of(index) == max(
+                spec.min_size, min(spec.max_size, size)
+            )
+            assert catalog.repository_of(index) == rng.choices(names, weights)[0]
 
     def test_content_matches_declared_size(self):
         kernel = PlacelessKernel()
