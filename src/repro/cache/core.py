@@ -31,7 +31,6 @@ from repro.cache.memo import ChainFingerprint, MemoRecord, TransformMemo
 from repro.cache.notifiers import InvalidationBus, install_minimum_notifiers
 from repro.cache.stats import CacheStats
 from repro.cache.verifiers import Verdict
-from repro.content.signature import sign
 from repro.content.store import ContentStore
 from repro.errors import CacheCapacityError, CacheError
 from repro.events.types import EventType
@@ -225,17 +224,13 @@ class CacheCore:
         if not self.instrumentation.has_subscribers:
             return
         now = self.ctx.clock.now_ms
-        self.instrumentation.emit(
-            StageEvent(
-                stage=stage,
-                outcome=outcome,
-                document_id=key.document_id if key is not None else None,
-                user_id=key.user_id if key is not None else None,
-                started_ms=now if started_ms is None else started_ms,
-                ended_ms=now if ended_ms is None else ended_ms,
-                payload=payload,
-            )
-        )
+        document_id, user_id = key if key is not None else (None, None)
+        self.instrumentation.emit(StageEvent(
+            stage, outcome, document_id, user_id,
+            now if started_ms is None else started_ms,
+            now if ended_ms is None else ended_ms,
+            payload,
+        ))
 
     def _rewire(self) -> None:
         """Recompute who, besides this core's own sinks, hears the two
@@ -436,15 +431,11 @@ class CacheCore:
         self, reference: "DocumentReference", content: bytes, meta
     ) -> CacheEntry:
         """Admit fetched *content* as *reference*'s (new) live entry."""
-        key = EntryKey.for_reference(reference)
-        # The superseded version's bytes are released before the new
-        # ones land, so they never count against the capacity
-        # ``install`` makes room in.
-        self.displace(key)
-        # Sign once: the signature feeds the store (which would
-        # otherwise re-hash the same bytes) and the transform memo.
-        signature = sign(content)
-        self.store.put_signed(content, signature)
+        # ``put`` signs, once: the signature feeds the entry and the
+        # transform memo.  ``install`` displaces the superseded version
+        # before it makes room, so its bytes never count against the
+        # capacity.
+        signature = self.store.put(content)
         entry = self.install(
             reference, meta, signature, len(content), meta.verifiers
         )

@@ -48,7 +48,8 @@ __all__ = [
     "DEFAULT_REASON_MAP",
 ]
 
-#: How watched events map to invalidation reasons by default.
+#: How watched events map to invalidation reasons by default; shared,
+#: read-only, by every notifier that overrides nothing.
 DEFAULT_REASON_MAP: dict[EventType, InvalidationReason] = {
     EventType.CONTENT_UPDATED: InvalidationReason.SOURCE_UPDATED_IN_BAND,
     EventType.GET_OUTPUT_STREAM: InvalidationReason.OPENED_FOR_WRITE,
@@ -58,6 +59,17 @@ DEFAULT_REASON_MAP: dict[EventType, InvalidationReason] = {
     EventType.REORDER_PROPERTIES: InvalidationReason.PROPERTY_REORDERED,
     EventType.TIMER: InvalidationReason.EXTERNAL_CHANGED,
 }
+
+#: The minimum set's two watch sets (§3's worked example), built once.
+_WRITE_WATCH = frozenset(
+    {EventType.GET_OUTPUT_STREAM, EventType.CONTENT_UPDATED}
+)
+_PROPERTY_WATCH = frozenset({
+    EventType.SET_PROPERTY,
+    EventType.REMOVE_PROPERTY,
+    EventType.MODIFY_PROPERTY,
+    EventType.REORDER_PROPERTIES,
+})
 
 
 @dataclass
@@ -320,7 +332,7 @@ class NotifierProperty(ActiveProperty):
         self,
         bus: InvalidationBus,
         cache_id: CacheId,
-        watch: set[EventType],
+        watch: set[EventType] | frozenset[EventType],
         scope_user: UserId | None = None,
         predicate: Callable[[Event], bool] | None = None,
         reason_map: dict[EventType, InvalidationReason] | None = None,
@@ -331,17 +343,18 @@ class NotifierProperty(ActiveProperty):
             raise NotifierError("notifier must watch at least one event type")
         self.bus = bus
         self.cache_id = cache_id
-        self.watch = set(watch)
+        self.watch = frozenset(watch)
         self.scope_user = scope_user
         self.predicate = predicate
-        self.reason_map = dict(DEFAULT_REASON_MAP)
-        if reason_map:
-            self.reason_map.update(reason_map)
+        self.reason_map = (
+            {**DEFAULT_REASON_MAP, **reason_map} if reason_map
+            else DEFAULT_REASON_MAP
+        )
         self.notifications_sent = 0
         self.events_filtered = 0
 
-    def events_of_interest(self) -> set[EventType]:
-        return set(self.watch)
+    def events_of_interest(self) -> frozenset[EventType]:
+        return self.watch
 
     def handle(self, event: Event) -> Any:
         if self._suppressed(event):
@@ -414,7 +427,7 @@ def install_minimum_notifiers(
         notifier = NotifierProperty(
             bus,
             cache_id,
-            watch={EventType.GET_OUTPUT_STREAM, EventType.CONTENT_UPDATED},
+            watch=_WRITE_WATCH,
             scope_user=owner,
             # "if the file is opened for writing by another user" — the
             # user's own writes are handled locally by their cache.
@@ -429,12 +442,7 @@ def install_minimum_notifiers(
         notifier = NotifierProperty(
             bus,
             cache_id,
-            watch={
-                EventType.SET_PROPERTY,
-                EventType.REMOVE_PROPERTY,
-                EventType.MODIFY_PROPERTY,
-                EventType.REORDER_PROPERTIES,
-            },
+            watch=_PROPERTY_WATCH,
             scope_user=None,  # universal property changes affect everyone
             name=base_props_name,
         )
@@ -446,12 +454,7 @@ def install_minimum_notifiers(
         notifier = NotifierProperty(
             bus,
             cache_id,
-            watch={
-                EventType.SET_PROPERTY,
-                EventType.REMOVE_PROPERTY,
-                EventType.MODIFY_PROPERTY,
-                EventType.REORDER_PROPERTIES,
-            },
+            watch=_PROPERTY_WATCH,
             scope_user=owner,  # personal properties affect only this user
             name=ref_props_name,
         )

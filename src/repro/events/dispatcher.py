@@ -25,7 +25,7 @@ __all__ = ["Registration", "EventDispatcher"]
 Handler = Callable[[Event], Any]
 
 
-@dataclass
+@dataclass(slots=True)
 class Registration:
     """One property's interest in one event type."""
 
@@ -59,10 +59,11 @@ class EventDispatcher:
         handler: Handler,
     ) -> Registration:
         """Register *handler* for *event_type* on behalf of a property."""
-        if event_type not in self._registrations:
+        registrations = self._registrations.get(event_type)
+        if registrations is None:
             raise UnknownEventError(event_type)
         registration = Registration(property_id, event_type, handler)
-        self._registrations[event_type].append(registration)
+        registrations.append(registration)
         return registration
 
     def unregister_property(self, property_id: PropertyId) -> int:
@@ -114,8 +115,11 @@ class EventDispatcher:
         registration list, so a handler that registers or cancels
         registrations affects only future dispatches.
         """
+        registrations = self._registrations[event.type]
+        if not registrations:
+            return []
         results: list[Any] = []
-        for registration in list(self._registrations[event.type]):
+        for registration in list(registrations):
             if not registration.active:
                 continue
             results.append(registration.handler(event))

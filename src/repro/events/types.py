@@ -50,6 +50,10 @@ class EventType(enum.Enum):
     #: Same as :attr:`READ_FORWARDED` for writes under a write-back cache.
     WRITE_FORWARDED = "write-forwarded"
 
+    # Members are singletons keyed into every dispatcher's table:
+    # identity hashing, not Enum's Python-level ``hash(self._name_)``.
+    __hash__ = object.__hash__
+
     @property
     def is_stream_event(self) -> bool:
         """True for the two events that carry stream interposition."""

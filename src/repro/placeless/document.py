@@ -20,7 +20,7 @@ from typing import Any
 
 from repro.cache.cacheability import Cacheability
 from repro.cache.verifiers import Verifier
-from repro.content.signature import ContentSignature, sign
+from repro.content.signature import ContentSignature
 from repro.events.types import Event, EventType
 from repro.ids import DocumentId, UserId
 from repro.placeless.properties import ActiveProperty, AttachmentSite
@@ -213,13 +213,13 @@ class BaseDocument(PropertyHolder):
         """
         self.dispatcher.dispatch(event)
         fetch = self.provider.fetch()
-        meta.source_signature = sign(fetch.content)
+        meta.source_signature = self.provider.signature_of(fetch.content)
         meta.replacement_cost_ms += fetch.retrieval_cost_ms
         meta.votes.append(fetch.cacheability)
         if fetch.verifier is not None:
             meta.verifiers.append(fetch.verifier)
         stream: InputStream = BytesInputStream(fetch.content)
-        for prop in self.stream_chain(EventType.GET_INPUT_STREAM):
+        for prop in self.read_chain():
             stream = apply_read_wrapper(self.ctx, prop, stream, event, meta)
         return stream, len(fetch.content)
 

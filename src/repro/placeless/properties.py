@@ -13,7 +13,7 @@ from __future__ import annotations
 import abc
 import enum
 import typing
-from typing import Any
+from typing import AbstractSet, Any
 
 from repro.cache.cacheability import Cacheability
 from repro.cache.verifiers import Verifier
@@ -150,7 +150,7 @@ class ActiveProperty(Property):
 
     # -- registration ------------------------------------------------------
 
-    def events_of_interest(self) -> set[EventType]:
+    def events_of_interest(self) -> AbstractSet[EventType]:
         """Event types this property registers for (default: none)."""
         return set()
 

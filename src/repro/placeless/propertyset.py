@@ -37,6 +37,12 @@ class PropertyHolder(abc.ABC):
         self.owner = owner
         self.dispatcher = EventDispatcher()
         self._properties: list[Property] = []
+        #: name -> how many attached properties carry it (names may
+        #: repeat); what makes :meth:`has_property` one probe however
+        #: many notifiers the caches have armed here.
+        self._names: dict[str, int] = {}
+        #: ``(chain_epoch, chain)`` as last compiled by :meth:`read_chain`.
+        self._read_chain: tuple[int, tuple[ActiveProperty, ...]] = (-1, ())
         #: Bumped whenever the *read* stream chain's members, order or
         #: releases move (attach, detach, reorder, modify — §3's
         #: invalidation classes (b) and (c)); a cached
@@ -77,7 +83,7 @@ class PropertyHolder(abc.ABC):
 
     def has_property(self, name: str) -> bool:
         """True if any attached property is named *name*."""
-        return any(p.name == name for p in self._properties)
+        return name in self._names
 
     def __iter__(self) -> Iterator[Property]:
         return iter(self._properties)
@@ -100,6 +106,7 @@ class PropertyHolder(abc.ABC):
         property_id = self.ctx.ids.property(prop.name)
         prop._bind(self, property_id, self.site, acting_user or self.owner)
         self._properties.append(prop)
+        self._names[prop.name] = self._names.get(prop.name, 0) + 1
         # Announce the addition to the *previously* registered properties
         # before registering the newcomer, so a property does not observe
         # its own attachment (mirroring removal, where the property is
@@ -146,6 +153,9 @@ class PropertyHolder(abc.ABC):
         if prop not in self._properties:
             raise PropertyNotFoundError(prop.name)
         self._properties.remove(prop)
+        remaining = self._names.pop(prop.name) - 1
+        if remaining:
+            self._names[prop.name] = remaining
         if isinstance(prop, ActiveProperty):
             self._read_chain_changed(prop)
             prop.on_detach()
@@ -212,11 +222,27 @@ class PropertyHolder(abc.ABC):
         ):
             self.chain_epoch += 1
 
+    def read_chain(self) -> tuple[ActiveProperty, ...]:
+        """The ``GET_INPUT_STREAM`` chain, compiled once per epoch.
+
+        What the kernel's read path and the cache's
+        :class:`~repro.streams.chain.ReadPlan` both walk.  Every change
+        of that chain's members or order moves :attr:`chain_epoch`, and
+        arming a notifier does not, so a read costs the same however
+        many caches and users watch this holder.
+        """
+        epoch, chain = self._read_chain
+        if epoch != self.chain_epoch:
+            chain = tuple(self.stream_chain(EventType.GET_INPUT_STREAM))
+            self._read_chain = (self.chain_epoch, chain)
+        return chain
+
     def stream_chain(self, event_type: EventType) -> list[ActiveProperty]:
         """Active properties registered for a stream event, in chain order.
 
         These are the properties whose custom streams join the calling
-        chain for that operation.
+        chain for that operation.  The write path and introspection
+        derive it per call; reads go through :meth:`read_chain`.
         """
         registered = set(self.dispatcher.registered_properties(event_type))
         return [

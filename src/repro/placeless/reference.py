@@ -81,7 +81,7 @@ class DocumentReference(PropertyHolder):
         meta = PathMeta()
         stream, source_size = self.base.begin_read(event, meta)
         self.dispatcher.dispatch(event)
-        for prop in self.stream_chain(EventType.GET_INPUT_STREAM):
+        for prop in self.read_chain():
             stream = apply_read_wrapper(self.ctx, prop, stream, event, meta)
         return ReadResult(stream=stream, meta=meta, source_size=source_size)
 

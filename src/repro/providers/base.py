@@ -62,7 +62,7 @@ class BitProvider(abc.ABC):
         self.ctx = ctx
         self.fetch_count = 0
         self.store_count = 0
-        #: Identity-keyed single-slot memo for :meth:`peek_signature`.
+        #: Identity-keyed single-slot memo for :meth:`signature_of`.
         self._signature_memo: "tuple[bytes, ContentSignature] | None" = None
         #: Callbacks invoked after each in-band store, used by the kernel
         #: to snoop content updates (§3 consistency class 1, in-band).
@@ -106,14 +106,22 @@ class BitProvider(abc.ABC):
         """Signature of the current content, without charging latency.
 
         Staleness probes (write-back ``is_stale``, the transform memo's
-        source check) call this once per read; re-hashing an unchanged
-        blob each time dominates the probe cost at churn-workload rates.
-        Every concrete provider returns the *same bytes object* until the
-        repository content is replaced, so a single-slot memo keyed on
-        the object's identity is exact: mutation swaps in a new bytes
-        object and misses the memo.
+        source check) call this once per read.
         """
-        content = self._retrieve()
+        return self.signature_of(self._retrieve())
+
+    def signature_of(self, content: bytes) -> "ContentSignature":
+        """``sign(content)`` through a single-slot memo keyed on the
+        bytes object's identity, so the read path (``begin_read``) and
+        the probes above hash each fetched blob once between them.
+
+        The memo holds the object it keyed, so the identity cannot be
+        reused and a memo hit is exact.  ``memory`` / ``filesystem`` /
+        ``web`` / ``dms`` providers hand out one object until the
+        content is replaced, and hit from the second call on;
+        ``composite``, ``live`` and ``mail`` build a fresh object per
+        retrieval, where a miss is a re-hash, never a wrong signature.
+        """
         memo = self._signature_memo
         if memo is not None and memo[0] is content:
             return memo[1]

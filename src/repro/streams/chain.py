@@ -162,12 +162,7 @@ def read_chain_properties(reference) -> tuple:
     signature and chain fingerprint machinery can predict a read path
     without running it.
     """
-    from repro.events.types import EventType
-
-    return tuple(
-        reference.base.stream_chain(EventType.GET_INPUT_STREAM)
-        + reference.stream_chain(EventType.GET_INPUT_STREAM)
-    )
+    return reference.base.read_chain() + reference.read_chain()
 
 
 class ChainFingerprint(NamedTuple):

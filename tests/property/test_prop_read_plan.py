@@ -9,6 +9,13 @@ call: ``read_chain_properties``, the chain signature, the composed
 ``ChainFingerprint``, the QoS-tightened deadline and the priority
 class.  And between mutations the plan must not be rebuilt at all.
 
+The second property holds the *kernel's* side of the same chain:
+``PropertyHolder.read_chain()`` — what ``kernel.read`` and the plan both
+walk — against ``stream_chain`` re-derived per call, ``has_property``
+against the name scan it replaced, and the bytes of a read against a
+chain wrapped from scratch, while two caches arm notifiers for three
+users in between (which must move neither epoch).
+
 Seeds come from hypothesis and from the pinned chaos seeds 77/101/202.
 """
 
@@ -21,6 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.manager import DocumentCache
+from repro.cache.notifiers import install_minimum_notifiers
+from repro.events.types import EventType
+from repro.streams.base import BytesInputStream
 from repro.cache.memo import ChainFingerprint, fingerprint_reference
 from repro.cache.policies import MemoPolicy, OverloadPolicy
 from repro.overload.admission import (
@@ -154,3 +164,95 @@ def test_cached_plan_equals_scratch_derivation(seed):
 @pytest.mark.parametrize("seed", _CHAOS_SEEDS)
 def test_cached_plan_equals_scratch_derivation_at_chaos_seeds(seed):
     _check_interleaving(seed)
+
+
+# -- the kernel's compiled chain and the name index ----------------------------
+
+#: Names drawn with repeats, so duplicates and re-attachment happen.
+_LABELS = ("label-a", "label-b", "spell-dup", "never-attached")
+
+
+def _scratch_read(reference) -> bytes:
+    """The read path rebuilt from scratch: no compiled chain, no cache."""
+    event = reference.make_event(EventType.GET_INPUT_STREAM)
+    stream = BytesInputStream(reference.base.provider.peek())
+    for holder in (reference.base, reference):
+        for prop in holder.stream_chain(EventType.GET_INPUT_STREAM):
+            stream = prop.wrap_input(stream, event)
+    return stream.read(-1)
+
+
+def _mutate_named(rng: random.Random, site, serial: int) -> None:
+    """:func:`_mutate`, plus same-name attaches and ``detach_by_name``."""
+    action = rng.choice(("mutate", "mutate", "label", "dup", "by-name"))
+    if action == "label":
+        site.attach(StaticProperty(rng.choice(_LABELS[:2])))
+    elif action == "dup":
+        site.attach(SpellingCorrectorProperty(name="spell-dup"))
+    elif action == "by-name":
+        name = rng.choice(_LABELS)
+        if any(p.name == name for p in site.properties):
+            site.detach_by_name(name)
+    else:
+        _mutate(rng, site, serial)
+
+
+def _check_read_chain(seed: int) -> None:
+    rng = random.Random(seed)
+    kernel = PlacelessKernel()
+    owner = kernel.create_user("owner")
+    base = kernel.create_document(
+        owner, MemoryProvider(kernel.ctx, b"teh wrod in the documnet"), "doc"
+    )
+    references = [
+        kernel.space(kernel.create_user(f"user-{i}")).add_reference(base)
+        for i in range(3)
+    ]
+    caches = [
+        DocumentCache(kernel, capacity_bytes=1 << 20, name=f"chain-{seed}-{i}")
+        for i in range(2)
+    ]
+    holders = [base, *references]
+    ctx = kernel.ctx
+    for step in range(_STEPS):
+        roll = rng.random()
+        if roll < 0.4:
+            _mutate_named(rng, rng.choice(holders), step)
+        else:
+            # Arming — directly, or as the tail of a miss — is off the
+            # read chain: no epoch moves, no plan is rebuilt.
+            epochs = [holder.chain_epoch for holder in holders]
+            rebuilt = ctx.read_plans_rebuilt
+            cache, reference = rng.choice(caches), rng.choice(references)
+            if roll < 0.7:
+                install_minimum_notifiers(
+                    reference, cache.core.bus, cache.core.cache_id
+                )
+            else:
+                cache.read(reference)
+            assert [holder.chain_epoch for holder in holders] == epochs
+            assert ctx.read_plans_rebuilt == rebuilt, (seed, step)
+        for holder in holders:
+            assert holder.read_chain() == tuple(
+                holder.stream_chain(EventType.GET_INPUT_STREAM)
+            ), (seed, step)
+            names = {p.name for p in holder.properties} | set(_LABELS)
+            for name in names:
+                assert holder.has_property(name) == any(
+                    p.name == name for p in holder.properties
+                ), (seed, step, name)
+        for reference in references:
+            assert kernel.read(reference).content == _scratch_read(
+                reference
+            ), (seed, step)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16))
+def test_compiled_read_chain_equals_scratch_chain(seed):
+    _check_read_chain(seed)
+
+
+@pytest.mark.parametrize("seed", _CHAOS_SEEDS)
+def test_compiled_read_chain_equals_scratch_chain_at_chaos_seeds(seed):
+    _check_read_chain(seed)

@@ -1,4 +1,4 @@
-"""Per-read allocation budget on the hit path.
+"""Per-read budgets: allocations on the hit path, counts on the miss path.
 
 The A20 hot-path work turned steady-state hits into a near-allocation-
 free loop: interned keys, memoized signatures, O(1) stat accumulation,
@@ -11,11 +11,19 @@ than showing up later as a throughput drop in A20.
 The probe counts *net* heap blocks per read with the collector
 disabled, after a warmup that populates every cache and memo the
 steady state relies on.
+
+The miss path's budgets are exact counts, which a shared CI box can
+hold where it cannot hold a wall-clock number: MD5 constructions per
+miss (each byte string is hashed once), and Python-level calls per miss
+and per plain kernel read, which must not depend on how many users'
+notifiers are armed on the document.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import sys
 
 import pytest
 
@@ -23,6 +31,8 @@ from repro.bench.perf import allocation_probe, peak_rss_kb
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import OverloadPolicy
 from repro.placeless.kernel import PlacelessKernel
+from repro.properties.spellcheck import SpellingCorrectorProperty
+from repro.providers.memory import MemoryProvider
 from repro.workload.documents import CorpusSpec, build_corpus
 
 #: Net heap blocks allowed per steady-state hit.  The path currently
@@ -77,3 +87,89 @@ def test_hit_stays_under_allocation_budget(configuration):
 
 def test_peak_rss_helper():
     assert peak_rss_kb() > 0.0
+
+
+# -- miss-path count budgets ----------------------------------------------------
+
+
+def _armed_world(n_users: int):
+    """One document read once through one cache by each of *n_users*
+    (so each has armed its notifiers); user 0 personalises."""
+    kernel = PlacelessKernel()
+    base = kernel.create_document(
+        kernel.create_user("owner"),
+        MemoryProvider(kernel.ctx, b"teh quick brown fox " * 40), "doc",
+    )
+    references = [
+        kernel.space(kernel.create_user(f"user-{i}")).add_reference(base)
+        for i in range(n_users)
+    ]
+    references[0].attach(SpellingCorrectorProperty())
+    cache = DocumentCache(kernel, capacity_bytes=1 << 28)
+    for reference in references:
+        cache.read(reference)
+    return kernel, cache, references
+
+
+def _md5_constructions(monkeypatch, action) -> int:
+    real, calls = hashlib.md5, []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            hashlib, "md5", lambda *args: calls.append(1) or real(*args)
+        )
+        action()
+    return len(calls)
+
+
+def test_each_byte_string_is_hashed_once_per_miss(monkeypatch):
+    kernel, cache, (reference, *_) = _armed_world(2)
+    newcomer = kernel.import_document(
+        reference.owner, MemoryProvider(kernel.ctx, b"first sight"), "new"
+    )
+    outcome = None
+
+    def read(ref):
+        nonlocal outcome
+        outcome = cache.read(ref)
+
+    # First sight: the source bytes and the output bytes, once each.
+    assert _md5_constructions(monkeypatch, lambda: read(newcomer)) == 2
+    assert outcome.disposition == "miss"
+    # Unchanged source: its signature is the provider's memo; only the
+    # (re-transformed) output is hashed.
+    cache.invalidate_document(reference.document_id)
+    assert _md5_constructions(monkeypatch, lambda: read(reference)) == 1
+    assert outcome.disposition == "miss"
+    assert _md5_constructions(monkeypatch, lambda: read(reference)) == 0
+
+
+def _calls(action) -> int:
+    """Python and C function calls *action* makes (``sys.setprofile``)."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    sys.setprofile(tracer)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def _calls_per_read(n_users: int) -> tuple[int, int]:
+    """(calls of a re-miss of user 0's entry, calls of a plain kernel
+    read by the last user) with *n_users* armed on the document."""
+    kernel, cache, references = _armed_world(n_users)
+    cache.invalidate_document(references[0].document_id, references[0].owner)
+    misses = cache.stats.misses
+    remiss = _calls(lambda: cache.read(references[0]))
+    assert cache.stats.misses == misses + 1
+    return remiss, _calls(lambda: kernel.read(references[-1]))
+
+
+def test_miss_and_kernel_read_do_not_scan_armed_users():
+    assert _calls_per_read(64) == _calls_per_read(2)

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.cache.cacheability import Cacheability
 from repro.cache.verifiers import CompositeVerifier, Verdict
+from repro.content.signature import sign
 from repro.errors import ContentUnavailableError, ProviderError
 from repro.providers.composite import CompositeProvider
 from repro.providers.dms import DMSProvider, DocumentManagementSystem
 from repro.providers.filesystem import FileSystemProvider
 from repro.providers.live import LiveFeedProvider
+from repro.providers.mail import (
+    MailboxDigestProvider,
+    MailServer,
+    MessageProvider,
+)
 from repro.providers.memory import MemoryProvider
 from repro.providers.simfs import SimulatedFileSystem
 from repro.providers.web import WebOrigin, WebProvider
@@ -297,3 +305,88 @@ class TestDMS:
         dms.create("b", b"")
         dms.create("a", b"")
         assert dms.documents() == ["a", "b"]
+
+
+# -- the signature memo, provider by provider ----------------------------------
+
+
+def _memory(ctx):
+    provider = MemoryProvider(ctx, b"alpha")
+    return provider, lambda: provider.mutate_out_of_band(b"beta")
+
+
+def _filesystem(ctx):
+    filesystem = SimulatedFileSystem(ctx.clock)
+    filesystem.write("/doc", b"alpha")
+    provider = FileSystemProvider(ctx, filesystem, "/doc")
+    return provider, lambda: filesystem.write("/doc", b"beta")
+
+
+def _web(ctx):
+    origin = WebOrigin(ctx.clock, host="www")
+    origin.publish("/page", b"alpha")
+    provider = WebProvider(ctx, origin, "/page")
+    return provider, lambda: origin.publish("/page", b"beta")
+
+
+def _dms(ctx):
+    dms = DocumentManagementSystem(ctx.clock)
+    dms.create("doc", b"alpha")
+    provider = DMSProvider(ctx, dms, "doc", "karin")
+    return provider, lambda: provider.store(b"beta")
+
+
+def _composite(ctx):
+    part = MemoryProvider(ctx, b"alpha")
+    provider = CompositeProvider(ctx, [part, MemoryProvider(ctx, b"tail")])
+    return provider, lambda: part.mutate_out_of_band(b"beta")
+
+
+def _live(ctx):
+    frames = [b"alpha"]
+    provider = LiveFeedProvider(ctx, frame_source=lambda now, n: frames[0] * 2)
+    return provider, lambda: frames.__setitem__(0, b"beta")
+
+
+def _mail(ctx, provider_class, *uid):
+    server = MailServer(ctx.clock)
+    server.deliver("inbox", "karin@parc", "draft", b"alpha")
+    provider = provider_class(ctx, server, "inbox", *uid)
+    return provider, lambda: server.deliver("inbox", "doug@parc", "re", b"beta")
+
+
+#: kind -> (factory, does the provider hand out one bytes object until
+#: the content is replaced?).  Where it does not, the memo misses and
+#: the blob is hashed again — slower, never wrong.
+_SIGNED = {
+    "memory": (_memory, True),
+    "filesystem": (_filesystem, True),
+    "web": (_web, True),
+    "dms": (_dms, True),
+    "composite": (_composite, False),
+    "live": (_live, False),
+    "mail-message": (lambda ctx: _mail(ctx, MessageProvider, 1), False),
+    "mail-digest": (lambda ctx: _mail(ctx, MailboxDigestProvider), False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SIGNED))
+def test_signature_memo_is_exact_or_misses(ctx, monkeypatch, kind):
+    factory, same_object = _SIGNED[kind]
+    provider, change = factory(ctx)
+    real, hashed = hashlib.md5, []
+    monkeypatch.setattr(
+        hashlib, "md5", lambda *args: hashed.append(1) or real(*args)
+    )
+    for _ in range(2):
+        fetched = provider.fetch().content
+        assert provider.signature_of(fetched).digest == real(fetched).hexdigest()
+        hashed.clear()
+        assert provider.peek_signature().digest == real(
+            provider.peek()
+        ).hexdigest()
+        # Same object: the probe reuses the read path's hash.
+        assert (provider.peek() is fetched) == same_object
+        assert len(hashed) == (0 if same_object else 1)
+        change()
+    assert provider.peek_signature() == sign(provider.peek())
