@@ -107,6 +107,13 @@ class _HeapPolicy(ReplacementPolicy):
 
     Subclasses implement :meth:`priority` — lower evicts first.
 
+    A stamp is policy-wide (one counter for every push, which also
+    breaks priority ties in push order), never per entry: an entry
+    re-installed under a key an *invalidated* incarnation once held
+    must not share ``(key, stamp)`` with the heap items that one left
+    behind, or a dead priority is accepted as current and compaction
+    can never drop it.
+
     ``_stamps`` mirrors each key's current stamp purely for compaction
     bookkeeping: ``len(self._heap) - len(self._stamps)`` is the stale
     item count, and a rebuild keeps exactly the items whose ``(key,
@@ -115,7 +122,7 @@ class _HeapPolicy(ReplacementPolicy):
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, EntryKey, int]] = []
+        self._heap: list[tuple[float, int, EntryKey]] = []
         self._serials = itertools.count()
         self._stamps: dict[EntryKey, int] = {}
 
@@ -124,13 +131,10 @@ class _HeapPolicy(ReplacementPolicy):
         """Eviction priority; the minimum is evicted first."""
 
     def _push(self, entry: CacheEntry) -> None:
-        stamp = entry.policy_state.get(id(self), 0) + 1
+        stamp = next(self._serials)
         entry.policy_state[id(self)] = stamp
         self._stamps[entry.key] = stamp
-        heapq.heappush(
-            self._heap,
-            (self.priority(entry), next(self._serials), entry.key, stamp),
-        )
+        heapq.heappush(self._heap, (self.priority(entry), stamp, entry.key))
         self._maybe_compact()
 
     def on_insert(self, entry: CacheEntry) -> None:
@@ -151,7 +155,7 @@ class _HeapPolicy(ReplacementPolicy):
         protect: EntryKey | None = None,
     ) -> EntryKey:
         while self._heap:
-            priority, _, key, stamp = heapq.heappop(self._heap)
+            priority, stamp, key = heapq.heappop(self._heap)
             entry = entries.get(key)
             if entry is None or entry.policy_state.get(id(self)) != stamp:
                 continue  # stale heap item
@@ -200,7 +204,7 @@ class _HeapPolicy(ReplacementPolicy):
             return
         stamps = self._stamps
         self._heap = [
-            item for item in heap if stamps.get(item[2]) == item[3]
+            item for item in heap if stamps.get(item[2]) == item[1]
         ]
         heapq.heapify(self._heap)
 

@@ -14,9 +14,11 @@ import os
 
 import pytest
 
+from repro.cache.entry import EntryKey
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import DegradationPolicy
 from repro.cache.stats import CacheStats
+from repro.cache.verifiers import TTLVerifier
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.faults.retry import RetryPolicy
 from repro.placeless.kernel import PlacelessKernel
@@ -65,6 +67,16 @@ def chaos_run():
         track_staleness=True,
         name="chaos",
     )
+    # Ground-truth stale hits no declared window explains: the entry
+    # served carried no TTL verifier (a pure observer of the bus).
+    unexplained_stale: list = []
+
+    def audit_stale_hit(event) -> None:
+        entry = cache.core.entries[EntryKey(event.document_id, event.user_id)]
+        if not any(isinstance(v, TTLVerifier) for v in entry.verifiers):
+            unexplained_stale.append(entry.key)
+
+    cache.instrumentation.subscribe(audit_stale_hit, stages=("staleness",))
     runner = TraceRunner(
         kernel, corpus, population.references, caches=cache,
         writes_via_cache=False,
@@ -83,6 +95,7 @@ def chaos_run():
         "replication": replication,
         "audit": audit,
         "replica_fs": replica_fs,
+        "unexplained_stale": unexplained_stale,
     }
 
 
@@ -145,10 +158,17 @@ class TestChaosInvariants:
         assert audit.reads_observed == len(audit.trail)
 
     def test_staleness_bounded(self, chaos_run):
-        _, _, _, cache, _, _ = chaos_run
-        # Notifiers + verifiers together: some TTL-window staleness is
-        # possible, runaway staleness is a bug.
-        assert cache.stats.staleness_ratio < 0.25
+        _, _, _, cache, _, extras = chaos_run
+        # Notifiers + verifiers together: staleness is possible only
+        # inside a TTL window (an out-of-band change to a web document
+        # its TTL verifier has not yet expired on); anything else is a
+        # bug, and so is runaway staleness.  The ratio is a property of
+        # the seed's trace and of which entries replacement keeps: 0.011
+        # / 0.068 / 0.256 at seeds 77 / 101 / 202 (0.229 at 202 while
+        # re-installed entries were still evicted through their dead
+        # incarnation's heap priority).
+        assert extras["unexplained_stale"] == []
+        assert cache.stats.staleness_ratio < 0.30
 
     def test_stats_merge_roundtrip(self, chaos_run):
         _, _, _, cache, _, _ = chaos_run

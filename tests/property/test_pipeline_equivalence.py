@@ -160,8 +160,8 @@ GOLDEN_DIGESTS = {
     "writethrough": "b0ccc5a210bdf103",
     "writethrough-sharing": "f9c3a64ba0de7f0a",
     "writeback": "3202d90c7c33907b",
-    "small-cache": "ed2ad506eb07beb3",
-    "chaos": "a782be4a83ca7057",
+    "small-cache": "d2d7dd7570ee47c5",
+    "chaos": "701542da97f0cc0f",
 }
 
 _CONFIGS = {

@@ -232,6 +232,33 @@ class TestHeapCompaction:
         assert len(policy._heap) <= 2 * _COMPACT_MIN_HEAP
         assert policy.stale_items <= len(policy._heap)
 
+    def test_reinstalled_key_does_not_alias_its_dead_incarnations(self):
+        from repro.cache.replacement import _COMPACT_MIN_HEAP
+
+        # Invalidate + re-install under the *same* keys: what a notifier
+        # or verifier does to a hot document.  The dead incarnation's
+        # heap items must neither count as the newcomer's (per-entry
+        # stamps restarted at 1 and matched them) nor survive compaction.
+        policy = LRUPolicy()
+        table = register(policy, [make_entry(f"doc-{i}") for i in range(64)])
+        recency = list(table)  # least recently pushed first
+        hot = recency[:8]
+        for cycle in range(4800):
+            key = hot[cycle % 8]
+            policy.on_remove(table.pop(key))  # invalidated, not evicted
+            entry = table[key] = make_entry(key.document_id.value)
+            policy.on_insert(entry)
+            if cycle % 2:  # odd keys are re-read before the next round
+                policy.on_access(entry)
+            recency.remove(key)
+            recency.append(key)
+        assert len(policy._heap) <= 2 * _COMPACT_MIN_HEAP
+        victims = []
+        while table:
+            victims.append(policy.select_victim(table))
+            policy.on_remove(table.pop(victims[-1]))
+        assert victims == recency
+
     def test_compaction_preserves_victim_order(self):
         from repro.cache.replacement import LRUPolicy
 
@@ -251,7 +278,7 @@ class TestHeapCompaction:
         compacted._heap = [
             item
             for item in compacted._heap
-            if compacted._stamps.get(item[2]) == item[3]
+            if compacted._stamps.get(item[2]) == item[1]
         ]
         import heapq
 
