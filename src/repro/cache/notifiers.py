@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import typing
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable, ClassVar, Mapping
 
 from repro.cache.consistency import Invalidation, InvalidationReason
@@ -50,7 +51,7 @@ __all__ = [
 
 #: How watched events map to invalidation reasons by default; shared,
 #: read-only, by every notifier that overrides nothing.
-DEFAULT_REASON_MAP: dict[EventType, InvalidationReason] = {
+DEFAULT_REASON_MAP: Mapping[EventType, InvalidationReason] = MappingProxyType({
     EventType.CONTENT_UPDATED: InvalidationReason.SOURCE_UPDATED_IN_BAND,
     EventType.GET_OUTPUT_STREAM: InvalidationReason.OPENED_FOR_WRITE,
     EventType.SET_PROPERTY: InvalidationReason.PROPERTY_ADDED,
@@ -58,7 +59,7 @@ DEFAULT_REASON_MAP: dict[EventType, InvalidationReason] = {
     EventType.MODIFY_PROPERTY: InvalidationReason.PROPERTY_MODIFIED,
     EventType.REORDER_PROPERTIES: InvalidationReason.PROPERTY_REORDERED,
     EventType.TIMER: InvalidationReason.EXTERNAL_CHANGED,
-}
+})
 
 #: The minimum set's two watch sets (§3's worked example), built once.
 _WRITE_WATCH = frozenset(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.placeless.kernel import PlacelessKernel
@@ -52,3 +54,14 @@ def filesystem(kernel) -> SimulatedFileSystem:
 def web_origin(kernel) -> WebOrigin:
     """A simulated parcweb origin on the kernel's clock."""
     return WebOrigin(kernel.ctx.clock, host="parcweb")
+
+
+@pytest.fixture
+def md5_calls(monkeypatch) -> list:
+    """One item per ``hashlib.md5`` construction since the last
+    ``clear()`` — the exact count of byte strings signed."""
+    real, calls = hashlib.md5, []
+    monkeypatch.setattr(
+        hashlib, "md5", lambda *args: calls.append(1) or real(*args)
+    )
+    return calls

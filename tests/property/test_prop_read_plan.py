@@ -28,11 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.manager import DocumentCache
-from repro.cache.notifiers import install_minimum_notifiers
-from repro.events.types import EventType
-from repro.streams.base import BytesInputStream
 from repro.cache.memo import ChainFingerprint, fingerprint_reference
+from repro.cache.notifiers import install_minimum_notifiers
 from repro.cache.policies import MemoPolicy, OverloadPolicy
+from repro.events.types import EventType
 from repro.overload.admission import (
     PRIORITY_BULK,
     PRIORITY_CRITICAL,
@@ -46,6 +45,7 @@ from repro.properties.qos import AlwaysAvailableProperty, QoSProperty
 from repro.properties.spellcheck import SpellingCorrectorProperty
 from repro.properties.translate import TranslationProperty
 from repro.providers.memory import MemoryProvider
+from repro.streams.base import BytesInputStream
 from repro.streams.chain import read_chain_properties, read_plan
 
 _CHAOS_SEEDS = (77, 101, 202)

@@ -21,7 +21,6 @@ notifiers are armed on the document.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import sys
 
@@ -111,36 +110,23 @@ def _armed_world(n_users: int):
     return kernel, cache, references
 
 
-def _md5_constructions(monkeypatch, action) -> int:
-    real, calls = hashlib.md5, []
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            hashlib, "md5", lambda *args: calls.append(1) or real(*args)
-        )
-        action()
-    return len(calls)
-
-
-def test_each_byte_string_is_hashed_once_per_miss(monkeypatch):
+def test_each_byte_string_is_hashed_once_per_miss(md5_calls):
     kernel, cache, (reference, *_) = _armed_world(2)
     newcomer = kernel.import_document(
         reference.owner, MemoryProvider(kernel.ctx, b"first sight"), "new"
     )
-    outcome = None
-
-    def read(ref):
-        nonlocal outcome
-        outcome = cache.read(ref)
-
     # First sight: the source bytes and the output bytes, once each.
-    assert _md5_constructions(monkeypatch, lambda: read(newcomer)) == 2
-    assert outcome.disposition == "miss"
+    md5_calls.clear()
+    assert cache.read(newcomer).disposition == "miss"
+    assert len(md5_calls) == 2
     # Unchanged source: its signature is the provider's memo; only the
-    # (re-transformed) output is hashed.
+    # (re-transformed) output is hashed.  A hit hashes nothing.
     cache.invalidate_document(reference.document_id)
-    assert _md5_constructions(monkeypatch, lambda: read(reference)) == 1
-    assert outcome.disposition == "miss"
-    assert _md5_constructions(monkeypatch, lambda: read(reference)) == 0
+    md5_calls.clear()
+    assert cache.read(reference).disposition == "miss"
+    assert len(md5_calls) == 1
+    assert cache.read(reference).hit
+    assert len(md5_calls) == 1
 
 
 def _calls(action) -> int:

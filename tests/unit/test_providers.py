@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-
 import pytest
 
 from repro.cache.cacheability import Cacheability
@@ -343,9 +341,9 @@ def _composite(ctx):
 
 
 def _live(ctx):
-    frames = [b"alpha"]
-    provider = LiveFeedProvider(ctx, frame_source=lambda now, n: frames[0] * 2)
-    return provider, lambda: frames.__setitem__(0, b"beta")
+    frames = [b"gamma", b"beta", b"alpha"]  # equal bytes, fresh object per frame
+    provider = LiveFeedProvider(ctx, frame_source=lambda now, n: frames[-1] * 2)
+    return provider, frames.pop
 
 
 def _mail(ctx, provider_class, *uid):
@@ -371,22 +369,17 @@ _SIGNED = {
 
 
 @pytest.mark.parametrize("kind", sorted(_SIGNED))
-def test_signature_memo_is_exact_or_misses(ctx, monkeypatch, kind):
+def test_signature_memo_is_exact_or_misses(ctx, md5_calls, kind):
     factory, same_object = _SIGNED[kind]
     provider, change = factory(ctx)
-    real, hashed = hashlib.md5, []
-    monkeypatch.setattr(
-        hashlib, "md5", lambda *args: hashed.append(1) or real(*args)
-    )
     for _ in range(2):
         fetched = provider.fetch().content
-        assert provider.signature_of(fetched).digest == real(fetched).hexdigest()
-        hashed.clear()
-        assert provider.peek_signature().digest == real(
-            provider.peek()
-        ).hexdigest()
+        assert provider.signature_of(fetched) == sign(fetched)
+        md5_calls.clear()
         # Same object: the probe reuses the read path's hash.
+        signature = provider.peek_signature()
+        assert len(md5_calls) == (0 if same_object else 1)
         assert (provider.peek() is fetched) == same_object
-        assert len(hashed) == (0 if same_object else 1)
+        assert signature == sign(provider.peek())
         change()
     assert provider.peek_signature() == sign(provider.peek())
