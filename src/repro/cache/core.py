@@ -224,13 +224,17 @@ class CacheCore:
         if not self.instrumentation.has_subscribers:
             return
         now = self.ctx.clock.now_ms
-        document_id, user_id = key if key is not None else (None, None)
-        self.instrumentation.emit(StageEvent(
-            stage, outcome, document_id, user_id,
-            now if started_ms is None else started_ms,
-            now if ended_ms is None else ended_ms,
-            payload,
-        ))
+        self.instrumentation.emit(
+            StageEvent(
+                stage=stage,
+                outcome=outcome,
+                document_id=key.document_id if key is not None else None,
+                user_id=key.user_id if key is not None else None,
+                started_ms=now if started_ms is None else started_ms,
+                ended_ms=now if ended_ms is None else ended_ms,
+                payload=payload,
+            )
+        )
 
     def _rewire(self) -> None:
         """Recompute who, besides this core's own sinks, hears the two

@@ -35,6 +35,13 @@ from repro.workload.users import build_population
 #: historical seed 77 so golden expectations stay easy to reproduce.
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "77"))
 
+#: ``stale hits / hits`` of the storm at each seed CI runs.  The trace is
+#: seed-determined, so these are pins; any other seed gets the 0.25
+#: alarm.  Seed 202 sits above it on one document: 59 of its 60 stale
+#: hits are in-window reads of hot web document doc-0001, which GDS
+#: (rightly) never evicts, after out-of-band changes to it.
+_PINNED_STALENESS = {77: 1 / 91, 101: 9 / 133, 202: 60 / 234}
+
 
 @pytest.fixture(scope="module")
 def chaos_run():
@@ -162,13 +169,15 @@ class TestChaosInvariants:
         # Notifiers + verifiers together: staleness is possible only
         # inside a TTL window (an out-of-band change to a web document
         # its TTL verifier has not yet expired on); anything else is a
-        # bug, and so is runaway staleness.  The ratio is a property of
-        # the seed's trace and of which entries replacement keeps: 0.011
-        # / 0.068 / 0.256 at seeds 77 / 101 / 202 (0.229 at 202 while
-        # re-installed entries were still evicted through their dead
-        # incarnation's heap priority).
+        # bug, and so is runaway staleness.
         assert extras["unexplained_stale"] == []
-        assert cache.stats.staleness_ratio < 0.30
+        ratio = cache.stats.staleness_ratio
+        if CHAOS_SEED in _PINNED_STALENESS:
+            assert ratio == pytest.approx(
+                _PINNED_STALENESS[CHAOS_SEED], abs=0.005
+            )
+        else:
+            assert ratio < 0.25
 
     def test_stats_merge_roundtrip(self, chaos_run):
         _, _, _, cache, _, _ = chaos_run
