@@ -32,172 +32,73 @@ paper-vs-measured record; ``python -m repro.bench`` regenerates every
 table.
 """
 
-from repro.cache import (
-    Cacheability,
-    CacheEntry,
-    CacheReadOutcome,
-    CacheStats,
-    DocumentCache,
-    EntryKey,
-    GreedyDualSizePolicy,
-    Invalidation,
-    InvalidationBus,
-    InvalidationClass,
-    InvalidationReason,
-    LRUPolicy,
-    NotifierProperty,
-    ReplacementPolicy,
-    TTLVerifier,
-    Verdict,
-    Verifier,
-    WriteMode,
-    install_minimum_notifiers,
-    make_policy,
-)
-from repro.errors import PlacelessError
-from repro.events import Event, EventType
-from repro.faults import (
-    FaultPlan,
-    FaultStats,
-    OutageWindow,
-    RetryPolicy,
-    standard_chaos_scenario,
-)
-from repro.ids import (
-    CacheId,
-    DocumentId,
-    PropertyId,
-    ReferenceId,
-    UserId,
-    VersionId,
-)
-from repro.events import EventRecorder
-from repro.nfs import NFSMount, NFSServer
-from repro.placeless import (
-    ActiveProperty,
-    AttachmentSite,
-    BaseDocument,
-    DocumentCollection,
-    DocumentReference,
-    DocumentSpace,
-    PlacelessKernel,
-    Property,
-    ReadResult,
-    StaticProperty,
-    WriteResult,
-)
-from repro.providers import (
-    BitProvider,
-    CompositeProvider,
-    DMSProvider,
-    DocumentManagementSystem,
-    FileSystemProvider,
-    LiveFeedProvider,
-    MailboxDigestProvider,
-    MailServer,
-    MemoryProvider,
-    MessageProvider,
-    SimulatedFileSystem,
-    WebOrigin,
-    WebProvider,
-)
-from repro.cluster import (
-    CacheCluster,
-    ClusterPolicy,
-    DefaultClusterPolicy,
-    PlacementRing,
-)
-from repro.workload import TraceRunner
-from repro.sim import (
-    CachePlacement,
-    LatencyModel,
-    SimContext,
-    Topology,
-    VirtualClock,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # middleware
-    "PlacelessKernel",
-    "BaseDocument",
-    "DocumentReference",
-    "DocumentSpace",
-    "DocumentCollection",
-    "Property",
-    "StaticProperty",
-    "ActiveProperty",
-    "AttachmentSite",
-    "ReadResult",
-    "WriteResult",
-    "Event",
-    "EventType",
-    # providers
-    "BitProvider",
-    "MemoryProvider",
-    "FileSystemProvider",
-    "SimulatedFileSystem",
-    "WebOrigin",
-    "WebProvider",
-    "LiveFeedProvider",
-    "CompositeProvider",
-    "DocumentManagementSystem",
-    "DMSProvider",
-    "MailServer",
-    "MessageProvider",
-    "MailboxDigestProvider",
-    # cache
-    "DocumentCache",
-    "CacheReadOutcome",
-    "WriteMode",
-    "CacheEntry",
-    "EntryKey",
-    "Cacheability",
-    "CacheStats",
-    "Invalidation",
-    "InvalidationClass",
-    "InvalidationReason",
-    "InvalidationBus",
-    "NotifierProperty",
-    "install_minimum_notifiers",
-    "Verifier",
-    "Verdict",
-    "TTLVerifier",
-    "ReplacementPolicy",
-    "GreedyDualSizePolicy",
-    "LRUPolicy",
-    "make_policy",
-    # cluster
-    "CacheCluster",
-    "ClusterPolicy",
-    "DefaultClusterPolicy",
-    "PlacementRing",
-    # NFS façade
-    "NFSServer",
-    "NFSMount",
-    # fault injection
-    "FaultPlan",
-    "FaultStats",
-    "OutageWindow",
-    "RetryPolicy",
-    "standard_chaos_scenario",
-    # tooling
-    "EventRecorder",
-    "TraceRunner",
-    # simulation
-    "SimContext",
-    "VirtualClock",
-    "LatencyModel",
-    "Topology",
-    "CachePlacement",
-    # ids / errors
-    "DocumentId",
-    "ReferenceId",
-    "UserId",
-    "PropertyId",
-    "CacheId",
-    "VersionId",
-    "PlacelessError",
-    "__version__",
-]
+#: The public names, by the package that defines each.  Nothing is
+#: imported until a name is first used, so ``import repro.placeless``
+#: loads the middleware and not the cache above it.
+_EXPORTS = {
+    "repro.placeless": (
+        "PlacelessKernel", "BaseDocument", "DocumentReference",
+        "DocumentSpace", "DocumentCollection", "Property",
+        "StaticProperty", "ActiveProperty", "AttachmentSite",
+        "ReadResult", "WriteResult",
+    ),
+    "repro.events": ("Event", "EventType"),
+    "repro.providers": (
+        "BitProvider", "MemoryProvider", "FileSystemProvider",
+        "SimulatedFileSystem", "WebOrigin", "WebProvider",
+        "LiveFeedProvider", "CompositeProvider",
+        "DocumentManagementSystem", "DMSProvider", "MailServer",
+        "MessageProvider", "MailboxDigestProvider",
+    ),
+    "repro.contract": (
+        "Cacheability", "Invalidation", "InvalidationClass",
+        "InvalidationReason", "Verifier", "Verdict", "TTLVerifier",
+    ),
+    "repro.cache": (
+        "DocumentCache", "CacheReadOutcome", "WriteMode", "CacheEntry",
+        "EntryKey", "CacheStats", "InvalidationBus", "NotifierProperty",
+        "install_minimum_notifiers", "ReplacementPolicy",
+        "GreedyDualSizePolicy", "LRUPolicy", "make_policy",
+    ),
+    "repro.cluster": (
+        "CacheCluster", "ClusterPolicy", "DefaultClusterPolicy",
+        "PlacementRing",
+    ),
+    "repro.nfs": ("NFSServer", "NFSMount"),
+    "repro.faults": (
+        "FaultPlan", "FaultStats", "OutageWindow", "RetryPolicy",
+        "standard_chaos_scenario",
+    ),
+    "repro.properties": ("EventRecorder",),
+    "repro.workload": ("TraceRunner",),
+    "repro.sim": (
+        "SimContext", "VirtualClock", "LatencyModel", "Topology",
+        "CachePlacement",
+    ),
+    "repro.ids": (
+        "DocumentId", "ReferenceId", "UserId", "PropertyId", "CacheId",
+        "VersionId",
+    ),
+    "repro.errors": ("PlacelessError",),
+}
+_MODULE_OF = {
+    name: module for module, names in _EXPORTS.items() for name in names
+}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -16,12 +16,6 @@ every counter derived from the structured-event
 :mod:`manager <repro.cache.manager>` is the wiring plus public API.
 """
 
-from repro.cache.cacheability import Cacheability
-from repro.cache.consistency import (
-    Invalidation,
-    InvalidationClass,
-    InvalidationReason,
-)
 from repro.cache.containment import (
     BreakerConfig,
     BreakerRegistry,
@@ -77,7 +71,13 @@ from repro.cache.replacement import (
     make_policy,
 )
 from repro.cache.stats import CacheStats
-from repro.cache.verifiers import (
+from repro.contract.cacheability import Cacheability
+from repro.contract.consistency import (
+    Invalidation,
+    InvalidationClass,
+    InvalidationReason,
+)
+from repro.contract.verifiers import (
     AlwaysInvalidVerifier,
     AlwaysValidVerifier,
     CompositeVerifier,

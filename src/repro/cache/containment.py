@@ -53,14 +53,15 @@ from typing import Any, Callable
 
 from repro.cache.instrumentation import InstrumentationBus, StageEvent
 from repro.errors import BudgetExceededError, CacheError, CircuitOpenError
+from repro.placeless.chain import property_site
+from repro.placeless.document import PathMeta
+from repro.placeless.properties import ActiveProperty
+from repro.sim.context import SimContext
 from repro.streams import chain as chains
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cache.entry import CacheEntry
     from repro.cache.policies import ContainmentPolicy
-    from repro.placeless.document import PathMeta
-    from repro.placeless.properties import ActiveProperty
-    from repro.sim.context import SimContext
 
 __all__ = [
     "BreakerState",
@@ -471,7 +472,7 @@ class ContainmentGuard:
         """
         for prop in chain:
             breaker = self.wrappers.peek(
-                (document_id, chains.property_site(prop))
+                (document_id, property_site(prop))
             )
             if breaker is not None and breaker.state is BreakerState.OPEN:
                 return True

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.cache.consistency import Invalidation, InvalidationReason
 from repro.cache.containment import BreakerConfig, BreakerRegistry, BreakerState
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.instrumentation import (
@@ -30,15 +29,24 @@ from repro.cache.instrumentation import (
 from repro.cache.memo import ChainFingerprint, MemoRecord, TransformMemo
 from repro.cache.notifiers import InvalidationBus, install_minimum_notifiers
 from repro.cache.stats import CacheStats
-from repro.cache.verifiers import Verdict
 from repro.content.store import ContentStore
+from repro.contract.consistency import Invalidation, InvalidationReason
+from repro.contract.verifiers import Verdict
 from repro.errors import CacheCapacityError, CacheError
 from repro.events.types import EventType
+from repro.faults.retry import RetryPolicy
+from repro.ids import DocumentId, UserId
+from repro.overload.budget import DeadlineBudget
+from repro.overload.gate import OverloadGate
+from repro.placeless.chain import read_plan
+from repro.placeless.document import PathMeta
+from repro.placeless.kernel import PlacelessKernel
+from repro.placeless.reference import DocumentReference
+from repro.sim.context import SimContext
 from repro.sim.scheduler import FlightTable
-from repro.sim.topology import Topology
-from repro.streams.chain import read_plan
+from repro.sim.topology import CachePlacement, Topology
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cache.containment import ContainmentGuard
     from repro.cache.manager import DocumentCache, WriteMode
     from repro.cache.policies import (
@@ -48,14 +56,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     )
     from repro.cache.recovery import ConsistencyRecoveryManager
     from repro.cache.replacement import ReplacementPolicy
-    from repro.faults.retry import RetryPolicy
-    from repro.ids import DocumentId, UserId
-    from repro.overload.budget import DeadlineBudget
-    from repro.overload.gate import OverloadGate
-    from repro.placeless.kernel import PlacelessKernel
-    from repro.placeless.reference import DocumentReference
-    from repro.sim.context import SimContext
-    from repro.sim.topology import CachePlacement
     from repro.storage.tier import L2Tier
 
 __all__ = [
@@ -650,8 +650,6 @@ class CacheCore:
 
     def meta_from_entry(self, entry: CacheEntry):
         """Reconstruct read-path metadata from a stored entry."""
-        from repro.placeless.document import PathMeta
-
         return PathMeta(
             verifiers=list(entry.verifiers),
             votes=[entry.cacheability],

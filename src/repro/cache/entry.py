@@ -13,18 +13,15 @@ entries whose transformed content is identical.
 
 from __future__ import annotations
 
-import typing
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from repro.cache.cacheability import Cacheability
-from repro.cache.consistency import Invalidation
-from repro.cache.verifiers import Verifier
 from repro.content.signature import ContentSignature
+from repro.contract.cacheability import Cacheability
+from repro.contract.consistency import Invalidation
+from repro.contract.verifiers import Verifier
 from repro.ids import DocumentId, ReferenceId, UserId
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.placeless.reference import DocumentReference
+from repro.placeless.reference import DocumentReference
 
 __all__ = ["EntryKey", "CacheEntry", "key_for"]
 

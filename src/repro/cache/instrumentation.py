@@ -30,9 +30,10 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+from repro.ids import DocumentId, UserId
+
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cache.stats import CacheStats
-    from repro.ids import DocumentId, UserId
 
 __all__ = [
     "StageEvent",

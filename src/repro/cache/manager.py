@@ -45,15 +45,15 @@ from repro.cache.policies import (
 )
 from repro.cache.recovery import ConsistencyRecoveryManager, RecoveryStats
 from repro.errors import CacheError
+from repro.faults.retry import RetryPolicy
 from repro.ids import DocumentId, UserId
 from repro.overload.gate import OverloadGate
+from repro.placeless.kernel import PlacelessKernel
+from repro.placeless.reference import DocumentReference
 from repro.sim.scheduler import FlightTable, settle_batch
+from repro.sim.topology import CachePlacement
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults.retry import RetryPolicy
-    from repro.placeless.kernel import PlacelessKernel
-    from repro.placeless.reference import DocumentReference
-    from repro.sim.topology import CachePlacement
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.storage.tier import L2Tier, StorageStats
 
 __all__ = ["WriteMode", "CacheReadOutcome", "DocumentCache"]
@@ -177,6 +177,21 @@ class DocumentCache:
         fast_lane: bool = True,
     ) -> None:
         ctx = kernel.ctx
+        # Arguments are judged before the first side effect.
+        if memo is not None and memo_policy is None:
+            raise CacheError("an injected memo table requires a memo_policy")
+        guard = ctx.containment
+        if (
+            containment_policy is not None
+            and guard is not None
+            and guard.policy != containment_policy
+        ):
+            raise CacheError(
+                "this kernel's property code is already contained under "
+                f"{guard.policy}; two tunings cannot both govern one "
+                f"wrapper (got {containment_policy})"
+            )
+        builds_guard = containment_policy is not None and guard is None
         core = self._core = CacheCore(
             kernel,
             capacity_bytes,
@@ -198,64 +213,69 @@ class DocumentCache:
         self._reads = ReadPipeline(core, self._writes)
         self._prefetch_queue: list["DocumentReference"] = []
         self._draining_prefetch = False
+        self._scheduled_crashes: list = []
         # The one wiring sequence.  Its order is the order in which
         # subscriptions land on the instrumentation bus, the sink on the
         # invalidation bus and calls on the clock — which every golden
         # digest pins: containment, memo, concurrency, overload,
-        # recovery, storage, scheduled crashes.
-        if containment_policy is not None:
-            # Opt this cache's own seams into the world's guard,
-            # building it if this is the first contained cache.
-            guard = ctx.containment
-            if guard is None:
-                guard = ctx.containment = ContainmentGuard(
-                    containment_policy, ctx, self.instrumentation
+        # recovery, storage, scheduled crashes.  All or nothing: a step
+        # that raises takes the earlier ones back off the context, the
+        # bus and the clock.
+        try:
+            if containment_policy is not None:
+                # Opt this cache's own seams into the world's guard,
+                # building it if this is the first contained cache.
+                if guard is None:
+                    guard = ctx.containment = ContainmentGuard(
+                        containment_policy, ctx, self.instrumentation
+                    )
+                core.metrics["containment"] = guard.stats
+                core.containment = guard
+            if memo_policy is not None:
+                core.memo_policy = memo_policy
+                core.memo = (
+                    memo if memo is not None
+                    else TransformMemo(memo_policy.capacity)
                 )
-            elif guard.policy != containment_policy:
-                raise CacheError(
-                    "this kernel's property code is already contained under "
-                    f"{guard.policy}; two tunings cannot both govern one "
-                    f"wrapper (got {containment_policy})"
-                )
-            core.metrics["containment"] = guard.stats
-            core.containment = guard
-        if memo_policy is not None:
-            core.memo_policy = memo_policy
-            core.memo = (
-                memo if memo is not None else TransformMemo(memo_policy.capacity)
-            )
-            core.track("memo", MemoStats())
-        elif memo is not None:
-            raise CacheError("an injected memo table requires a memo_policy")
-        if flights is not None:
-            core.flights = flights
-        if concurrency_policy is not None:
-            core.concurrency = concurrency_policy
-            core.track("concurrency", ConcurrencyStats())
-        if overload_policy is not None:
-            core.overload = OverloadGate(ctx.clock, overload_policy)
-            core.track("overload", OverloadStats())
-        if recovery_policy is not None:
-            core.recovery = ConsistencyRecoveryManager(core, recovery_policy)
-            core.bus.register(core.cache_id, core.recovery.receive)
-        else:
-            core.bus.register(core.cache_id, core.apply_invalidation)
-        if storage_policy is not None:
-            # Last of the seams: the tier's construction-time recovery
-            # scan reloads into the memo table and dirty buffer.
-            from repro.storage.tier import L2Tier
+                core.track("memo", MemoStats())
+            if flights is not None:
+                core.flights = flights
+            if concurrency_policy is not None:
+                core.concurrency = concurrency_policy
+                core.track("concurrency", ConcurrencyStats())
+            if overload_policy is not None:
+                core.overload = OverloadGate(ctx.clock, overload_policy)
+                core.track("overload", OverloadStats())
+            if recovery_policy is not None:
+                core.recovery = ConsistencyRecoveryManager(core, recovery_policy)
+                core.bus.register(core.cache_id, core.recovery.receive)
+            else:
+                core.bus.register(core.cache_id, core.apply_invalidation)
+            if storage_policy is not None:
+                # Last of the seams: the tier's construction-time recovery
+                # scan reloads into the memo table and dirty buffer.
+                from repro.storage.tier import L2Tier
 
-            core.l2 = L2Tier(core, storage_policy)
-        # Scheduled crash instants apply to every cache on the faulted
-        # context, journalled or not — the unjournalled one simply loses
-        # its unflushed writes, which is the A13 contrast.  The handles
-        # are kept so :meth:`shutdown` can take them off the clock.
-        plan = ctx.faults
-        self._scheduled_crashes = [
-            ctx.clock.call_at(instant, self._crash_and_restart)
-            for instant in (plan.cache_crashes if plan is not None else ())
-            if instant >= ctx.clock.now_ms
-        ]
+                core.l2 = L2Tier(core, storage_policy)
+            # Scheduled crash instants apply to every cache on the faulted
+            # context, journalled or not — the unjournalled one simply
+            # loses its unflushed writes, which is the A13 contrast.  The
+            # handles are kept so :meth:`shutdown` can take them off the
+            # clock.
+            plan = ctx.faults
+            self._scheduled_crashes = [
+                ctx.clock.call_at(instant, self._crash_and_restart)
+                for instant in (plan.cache_crashes if plan is not None else ())
+                if instant >= ctx.clock.now_ms
+            ]
+        except BaseException:
+            # An injected memo table is its owner's, not this cache's
+            # to purge on the way out.
+            core.memo = None
+            self.shutdown()
+            if builds_guard:
+                ctx.containment = None
+            raise
 
     # -- wiring access -------------------------------------------------------
 

@@ -55,16 +55,16 @@ import typing
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.cache.cacheability import Cacheability
 from repro.cache.instrumentation import CounterProjection
-from repro.streams.chain import ChainFingerprint, read_plan
+from repro.content.signature import ContentSignature
+from repro.contract.cacheability import Cacheability
+from repro.contract.verifiers import Verifier
+from repro.ids import DocumentId
+from repro.placeless.chain import ChainFingerprint, read_plan
+from repro.placeless.reference import DocumentReference
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cache.core import CacheCore
-    from repro.cache.verifiers import Verifier
-    from repro.content.signature import ContentSignature
-    from repro.ids import DocumentId
-    from repro.placeless.reference import DocumentReference
 
 __all__ = [
     "ChainFingerprint",

@@ -25,21 +25,18 @@ Pieces:
 
 from __future__ import annotations
 
-import typing
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, ClassVar, Mapping
 
-from repro.cache.consistency import Invalidation, InvalidationReason
 from repro.cache.instrumentation import InstrumentationBus, StageEvent
+from repro.contract.consistency import Invalidation, InvalidationReason
 from repro.errors import NotifierError, RepositoryOfflineError
 from repro.events.types import Event, EventType
 from repro.ids import CacheId, UserId
 from repro.placeless.properties import ActiveProperty
+from repro.placeless.reference import DocumentReference
 from repro.sim.context import SimContext
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.placeless.reference import DocumentReference
 
 __all__ = [
     "InvalidationBus",

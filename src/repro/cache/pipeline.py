@@ -44,22 +44,20 @@ import enum
 import typing
 from dataclasses import dataclass
 
-from repro.cache.consistency import InvalidationReason
 from repro.cache.containment import verifier_key
 from repro.cache.core import ADOPTION_COST_MS, CacheCore
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.memo import ChainFingerprint
 from repro.cache.policies import AdmissionDecision, vote_admission
-from repro.cache.verifiers import Verdict
+from repro.contract.consistency import InvalidationReason
+from repro.contract.verifiers import Verdict
 from repro.errors import CacheError, OverloadShedError
 from repro.overload.admission import PRIORITY_NAMES
+from repro.overload.budget import DeadlineBudget
+from repro.placeless.chain import read_plan
+from repro.placeless.document import PathMeta
+from repro.placeless.reference import DocumentReference
 from repro.sim.scheduler import FETCH_SEAM, VERIFIER_SEAM, Suspension, drive
-from repro.streams.chain import read_plan
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.overload.budget import DeadlineBudget
-    from repro.placeless.document import PathMeta
-    from repro.placeless.reference import DocumentReference
 
 __all__ = [
     "WriteMode",
@@ -329,7 +327,7 @@ class VerifierGateStage:
                     core.note_verifier_caught_lost(entry)
                     return None, (content, entry.created_at_ms)
                 if result.verdict is Verdict.REVALIDATED:
-                    content = result.patched_content or b""
+                    content = result.patched_content
                     core.replace_content(entry, content)
                     core.emit("verifier", "revalidated", key=key)
                     disposition = "revalidated"

@@ -27,15 +27,12 @@ Two kinds of object live here, one import surface for both:
 from __future__ import annotations
 
 import enum
-import typing
 from dataclasses import dataclass
 
 from repro.cache.containment import BreakerConfig, ExecutionBudget
 from repro.cache.replacement import GreedyDualSizePolicy, ReplacementPolicy
 from repro.errors import CacheError
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.placeless.document import PathMeta
+from repro.placeless.document import PathMeta
 
 __all__ = [
     "AdmissionDecision",

@@ -50,22 +50,21 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, field
 
-from repro.cache.consistency import InvalidationReason
 from repro.cache.instrumentation import StageEvent
-from repro.cache.verifiers import Verdict
+from repro.contract.consistency import Invalidation, InvalidationReason
+from repro.contract.verifiers import Verdict
 from repro.errors import (
     LeaseExpiredError,
     NotificationLostError,
     PlacelessError,
 )
+from repro.placeless.reference import DocumentReference
+from repro.sim.clock import ScheduledCall
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.consistency import Invalidation
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cache.core import CacheCore
     from repro.cache.entry import CacheEntry, EntryKey
     from repro.cache.policies import RecoveryPolicy
-    from repro.placeless.reference import DocumentReference
-    from repro.sim.clock import ScheduledCall
 
 __all__ = [
     "NotifierLease",

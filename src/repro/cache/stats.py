@@ -24,8 +24,8 @@ import typing
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.cache.consistency import InvalidationReason
 from repro.cache.instrumentation import ELAPSED, merged
+from repro.contract.consistency import InvalidationReason
 
 __all__ = ["CacheStats"]
 

@@ -39,35 +39,31 @@ from __future__ import annotations
 import functools
 import typing
 
-from repro.cache.consistency import InvalidationReason
-from repro.cache.entry import EntryKey
-from repro.cache.instrumentation import merged
+from repro.cache.containment import ContainmentStats
+from repro.cache.entry import CacheEntry, EntryKey
+from repro.cache.instrumentation import ConcurrencyStats, OverloadStats, merged
 from repro.cache.manager import CacheReadOutcome, DocumentCache
+from repro.cache.memo import MemoStats
 from repro.cache.notifiers import InvalidationBus
+from repro.cache.policies import (
+    ConcurrencyPolicy,
+    MemoPolicy,
+    OverloadPolicy,
+    RecoveryPolicy,
+)
 from repro.cache.stats import CacheStats
 from repro.cluster.memo_share import SharedTransformMemo
 from repro.cluster.placement import HashRingPolicy
 from repro.cluster.policy import ClusterPolicy
+from repro.contract.consistency import InvalidationReason
 from repro.errors import CacheError
+from repro.ids import DocumentId, UserId
 from repro.overload.health import HealthTracker
 from repro.overload.hedge import hedged_iterate
+from repro.placeless.kernel import PlacelessKernel
+from repro.placeless.reference import DocumentReference
 from repro.sim.scheduler import FlightTable, drive, settle_batch
 from repro.sim.topology import ClusterTopology
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.containment import ContainmentStats
-    from repro.cache.entry import CacheEntry
-    from repro.cache.instrumentation import ConcurrencyStats, OverloadStats
-    from repro.cache.memo import MemoStats
-    from repro.cache.policies import (
-        ConcurrencyPolicy,
-        MemoPolicy,
-        OverloadPolicy,
-        RecoveryPolicy,
-    )
-    from repro.ids import DocumentId, UserId
-    from repro.placeless.kernel import PlacelessKernel
-    from repro.placeless.reference import DocumentReference
 
 __all__ = ["CacheCluster"]
 
@@ -652,7 +648,13 @@ class CacheCluster:
         shard_name = self._next_name()
         self._placement.add_shard(shard_name)
         self.topology.add_shard(shard_name)
-        self._build_shard(shard_name)
+        try:
+            self._build_shard(shard_name)
+        except BaseException:
+            # No shard, no ring position: keys must not route to it.
+            self._placement.remove_shard(shard_name)
+            self.topology.remove_shard(shard_name)
+            raise
         self.rebalance()
         return shard_name
 

@@ -31,14 +31,11 @@ correctness.
 
 from __future__ import annotations
 
-import typing
 
+from repro.cache.core import CacheCore
 from repro.cache.memo import MemoRecord, TransformMemo
 from repro.errors import CacheError
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.core import CacheCore
-    from repro.sim.topology import ClusterTopology
+from repro.sim.topology import ClusterTopology
 
 __all__ = ["SharedTransformMemo"]
 

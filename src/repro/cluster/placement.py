@@ -20,10 +20,8 @@ import functools
 import hashlib
 import typing
 
+from repro.cache.entry import EntryKey
 from repro.errors import WorkloadError
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.entry import EntryKey
 
 __all__ = ["PlacementRing", "HashRingPolicy"]
 

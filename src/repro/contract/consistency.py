@@ -98,7 +98,7 @@ class Invalidation:
     #: (bookkeeping).
     origin: str = "internal"
     #: Channel epoch/sequence stamped by a sequencing
-    #: :class:`~repro.cache.notifiers.InvalidationBus` channel; ``None``
+    #: channel of the cache's ``InvalidationBus``; ``None``
     #: on unsequenced deliveries (sequencing is opt-in per cache).  The
     #: receiver uses these for gap detection: a jump in ``sequence``
     #: within one ``epoch`` proves a notification was lost in transit.

@@ -13,7 +13,6 @@ those events occur on their document.  This package provides:
 """
 
 from repro.events.dispatcher import EventDispatcher, Registration
-from repro.events.recorder import EventRecorder, RecordedEvent
 from repro.events.timers import TimerService, TimerSubscription
 from repro.events.types import Event, EventType
 
@@ -24,6 +23,4 @@ __all__ = [
     "Registration",
     "TimerService",
     "TimerSubscription",
-    "EventRecorder",
-    "RecordedEvent",
 ]

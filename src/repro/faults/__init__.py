@@ -23,9 +23,6 @@ from repro.faults.plan import (
     FaultRecord,
     FaultStats,
     OutageWindow,
-    clear_default_fault_scenario,
-    default_fault_plan,
-    set_default_fault_scenario,
 )
 from repro.faults.retry import RetryPolicy
 from repro.faults.scenarios import (
@@ -41,6 +38,10 @@ from repro.faults.scenarios import (
     partition_scenario,
     standard_chaos_scenario,
 )
+from repro.sim.context import (
+    clear_default_fault_scenario,
+    set_default_fault_scenario,
+)
 
 __all__ = [
     "FaultPlan",
@@ -50,7 +51,6 @@ __all__ = [
     "RetryPolicy",
     "set_default_fault_scenario",
     "clear_default_fault_scenario",
-    "default_fault_plan",
     "outage_scenario",
     "lossy_bus_scenario",
     "flaky_fetch_scenario",

@@ -44,8 +44,8 @@ The plan is consulted at the seams the system already has:
 from __future__ import annotations
 
 import random
-import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import (
     ContentUnavailableError,
@@ -53,20 +53,13 @@ from repro.errors import (
     VerifierError,
     WorkloadError,
 )
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from typing import Callable, Sequence
-
-    from repro.sim.clock import VirtualClock
+from repro.sim.clock import VirtualClock
 
 __all__ = [
     "OutageWindow",
     "FaultRecord",
     "FaultStats",
     "FaultPlan",
-    "set_default_fault_scenario",
-    "clear_default_fault_scenario",
-    "default_fault_plan",
 ]
 
 
@@ -581,30 +574,3 @@ class FaultPlan:
                 self._record("link", "down", hop)
                 return True
         return False
-
-
-#: Process-wide default scenario, consulted by every freshly constructed
-#: :class:`~repro.sim.context.SimContext`; lets the CLI's ``--faults``
-#: flag infiltrate experiments that build their own contexts.
-_default_scenario: "Callable[[VirtualClock], FaultPlan] | None" = None
-
-
-def set_default_fault_scenario(
-    factory: "Callable[[VirtualClock], FaultPlan]",
-) -> None:
-    """Install a factory applied to every new :class:`SimContext`."""
-    global _default_scenario
-    _default_scenario = factory
-
-
-def clear_default_fault_scenario() -> None:
-    """Remove the process-wide default scenario (the normal state)."""
-    global _default_scenario
-    _default_scenario = None
-
-
-def default_fault_plan(clock: "VirtualClock") -> FaultPlan | None:
-    """Build a plan from the default scenario, or ``None`` if unset."""
-    if _default_scenario is None:
-        return None
-    return _default_scenario(clock)

@@ -15,17 +15,13 @@ flushes; anything else that talks to a flaky seam can reuse
 
 from __future__ import annotations
 
-import typing
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from repro.errors import ProviderError, WorkloadError
+from repro.sim.context import SimContext
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from typing import Callable, TypeVar
-
-    from repro.sim.context import SimContext
-
-    T = typing.TypeVar("T")
+T = TypeVar("T")
 
 __all__ = ["RetryPolicy"]
 

@@ -14,12 +14,9 @@ configured with retries and degradation modes.
 
 from __future__ import annotations
 
-import typing
 
 from repro.faults.plan import FaultPlan, OutageWindow
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.clock import VirtualClock
+from repro.sim.clock import VirtualClock
 
 __all__ = [
     "outage_scenario",

@@ -29,14 +29,11 @@ Two signals gate a read:
 
 from __future__ import annotations
 
-import typing
 from dataclasses import dataclass
 
 from repro.errors import WorkloadError
-from repro.streams.chain import read_plan
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.clock import VirtualClock
+from repro.placeless.chain import read_plan
+from repro.sim.clock import VirtualClock
 
 __all__ = [
     "PRIORITY_CRITICAL",

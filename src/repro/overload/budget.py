@@ -14,12 +14,9 @@ the policy's default.
 
 from __future__ import annotations
 
-import typing
 
 from repro.errors import DeadlineExceededError, WorkloadError
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.clock import VirtualClock
+from repro.sim.clock import VirtualClock
 
 __all__ = ["DeadlineBudget"]
 

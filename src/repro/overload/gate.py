@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import typing
 
-from repro.overload.admission import AdmissionController, priority_class
+from repro.overload.admission import (
+    AdmissionController,
+    AdmissionDecision,
+    priority_class,
+)
 from repro.overload.budget import DeadlineBudget
-from repro.streams.chain import read_plan
+from repro.placeless.chain import read_plan
+from repro.sim.clock import VirtualClock
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cache.policies import OverloadPolicy
-    from repro.overload.admission import AdmissionDecision
-    from repro.sim.clock import VirtualClock
 
 __all__ = ["OverloadGate"]
 

@@ -27,15 +27,11 @@ seed-deterministic.
 
 from __future__ import annotations
 
-import typing
+from typing import Callable, Generator
 
 from repro.errors import CacheError
+from repro.sim.clock import VirtualClock
 from repro.sim.scheduler import FETCH_SEAM
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from typing import Callable, Generator
-
-    from repro.sim.clock import VirtualClock
 
 __all__ = ["hedged_iterate"]
 

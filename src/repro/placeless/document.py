@@ -18,11 +18,12 @@ import typing
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.cache.cacheability import Cacheability
-from repro.cache.verifiers import Verifier
 from repro.content.signature import ContentSignature
+from repro.contract.cacheability import Cacheability
+from repro.contract.verifiers import Verifier
 from repro.events.types import Event, EventType
 from repro.ids import DocumentId, UserId
+from repro.placeless.chain import apply_read_wrapper, apply_write_wrapper
 from repro.placeless.properties import ActiveProperty, AttachmentSite
 from repro.placeless.propertyset import PropertyHolder
 from repro.providers.base import BitProvider
@@ -33,9 +34,8 @@ from repro.streams.base import (
     InputStream,
     OutputStream,
 )
-from repro.streams.chain import apply_read_wrapper, apply_write_wrapper
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.placeless.reference import DocumentReference
 
 __all__ = ["PathMeta", "ReadResult", "WriteResult", "BaseDocument"]

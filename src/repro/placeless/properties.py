@@ -15,14 +15,14 @@ import enum
 import typing
 from typing import AbstractSet, Any
 
-from repro.cache.cacheability import Cacheability
-from repro.cache.verifiers import Verifier
+from repro.contract.cacheability import Cacheability
+from repro.contract.verifiers import Verifier
 from repro.events.dispatcher import EventDispatcher, Registration
 from repro.events.types import Event, EventType
 from repro.ids import PropertyId, UserId
 from repro.streams.base import InputStream, OutputStream
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.placeless.document import BaseDocument
     from repro.placeless.reference import DocumentReference
 
@@ -215,6 +215,11 @@ class ActiveProperty(Property):
         """
         return False
 
+    def access_time_target_ms(self) -> float:
+        """This property's QoS access-time target (§3's "access time
+        < .25 seconds"); ``inf`` — the default — declares none."""
+        return float("inf")
+
     def replacement_cost_bonus_ms(self) -> float:
         """Extra replacement cost this property contributes beyond its
         execution time.
@@ -260,7 +265,7 @@ class ActiveProperty(Property):
         MODIFY_PROPERTY case — changes it) and any
         :meth:`fingerprint_config`.  Position in the chain is *not*
         included here; :meth:`ChainFingerprint.compose
-        <repro.cache.memo.ChainFingerprint.compose>` tags positions when
+        <repro.placeless.chain.ChainFingerprint.compose>` tags positions when
         folding, which is what makes reordering observable (invalidation
         class (c)).
         """

@@ -46,7 +46,7 @@ class PropertyHolder(abc.ABC):
         #: Bumped whenever the *read* stream chain's members, order or
         #: releases move (attach, detach, reorder, modify — §3's
         #: invalidation classes (b) and (c)); a cached
-        #: :class:`~repro.streams.chain.ReadPlan` is valid only while
+        #: :class:`~repro.placeless.chain.ReadPlan` is valid only while
         #: the epochs it was compiled under still stand.  Properties
         #: off the read chain (static labels, the notifiers a cache
         #: installs at fill time) leave it alone.
@@ -226,7 +226,7 @@ class PropertyHolder(abc.ABC):
         """The ``GET_INPUT_STREAM`` chain, compiled once per epoch.
 
         What the kernel's read path and the cache's
-        :class:`~repro.streams.chain.ReadPlan` both walk.  Every change
+        :class:`~repro.placeless.chain.ReadPlan` both walk.  Every change
         of that chain's members or order moves :attr:`chain_epoch`, and
         arming a notifier does not, so a read costs the same however
         many caches and users watch this holder.

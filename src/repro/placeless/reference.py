@@ -13,6 +13,7 @@ from typing import Any
 
 from repro.events.types import Event, EventType
 from repro.ids import ReferenceId, UserId
+from repro.placeless.chain import apply_read_wrapper, apply_write_wrapper
 from repro.placeless.document import (
     BaseDocument,
     PathMeta,
@@ -22,7 +23,6 @@ from repro.placeless.document import (
 from repro.placeless.properties import AttachmentSite
 from repro.placeless.propertyset import PropertyHolder
 from repro.sim.context import SimContext
-from repro.streams.chain import apply_read_wrapper, apply_write_wrapper
 
 __all__ = ["DocumentReference"]
 
@@ -42,7 +42,7 @@ class DocumentReference(PropertyHolder):
         super().__init__(ctx, owner)
         self.reference_id = reference_id
         self.base = base
-        #: The compiled read chain (:func:`repro.streams.chain.read_plan`),
+        #: The compiled read chain (:func:`repro.placeless.chain.read_plan`),
         #: cached here beside the interned entry key.
         self._read_plan = None
         base.register_reference(self)

@@ -22,6 +22,7 @@ from repro.properties.compression import CompressionProperty
 from repro.properties.encryption import EncryptionProperty
 from repro.properties.external import ExternalDependencyProperty
 from repro.properties.qos import AlwaysAvailableProperty, QoSProperty
+from repro.properties.recorder import EventRecorder, RecordedEvent
 from repro.properties.replication import ReplicationProperty
 from repro.properties.spellcheck import SpellingCorrectorProperty
 from repro.properties.summarize import SummaryProperty
@@ -47,4 +48,6 @@ __all__ = [
     "UncacheableProperty",
     "EncryptionProperty",
     "CompressionProperty",
+    "EventRecorder",
+    "RecordedEvent",
 ]

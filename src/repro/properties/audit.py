@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.cache.cacheability import Cacheability
+from repro.contract.cacheability import Cacheability
 from repro.events.types import Event, EventType
 from repro.ids import UserId
 from repro.placeless.properties import ActiveProperty

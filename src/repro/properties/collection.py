@@ -18,10 +18,7 @@ from typing import Any
 from repro.events.types import Event, EventType
 from repro.placeless.collection import DocumentCollection
 from repro.placeless.properties import ActiveProperty
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.manager import DocumentCache
-    from repro.placeless.reference import DocumentReference
+from repro.placeless.reference import DocumentReference
 
 __all__ = ["CollectionPrefetchProperty", "attach_collection_prefetch"]
 
@@ -31,7 +28,9 @@ class CollectionPrefetchProperty(ActiveProperty):
 
     ``max_siblings`` bounds how much speculative work one read can
     trigger (prefetching a 500-document collection on every access would
-    be a denial of service on the Placeless servers).
+    be a denial of service on the Placeless servers).  *cache* is
+    whatever will do the prefetching: anything with
+    ``request_prefetch(reference) -> bool`` (a ``DocumentCache``).
     """
 
     execution_cost_ms = 0.05
@@ -39,7 +38,7 @@ class CollectionPrefetchProperty(ActiveProperty):
     def __init__(
         self,
         collection: DocumentCollection,
-        cache: "DocumentCache",
+        cache: Any,
         max_siblings: int | None = None,
         name: str | None = None,
     ) -> None:
@@ -70,7 +69,7 @@ class CollectionPrefetchProperty(ActiveProperty):
 
 def attach_collection_prefetch(
     collection: DocumentCollection,
-    cache: "DocumentCache",
+    cache: Any,
     max_siblings: int | None = None,
 ) -> list[CollectionPrefetchProperty]:
     """Attach a prefetch property to every member of *collection*."""

@@ -25,11 +25,10 @@ evaluation.
 
 from __future__ import annotations
 
-import typing
 from typing import Any, Callable
 
-from repro.cache.consistency import Invalidation, InvalidationReason
-from repro.cache.verifiers import PredicateVerifier, Verifier
+from repro.contract.consistency import Invalidation, InvalidationReason
+from repro.contract.verifiers import PredicateVerifier, Verifier
 from repro.errors import PropertyError
 from repro.events.timers import TimerService, TimerSubscription
 from repro.events.types import Event, EventType
@@ -37,9 +36,6 @@ from repro.ids import CacheId
 from repro.placeless.properties import ActiveProperty
 from repro.streams.base import InputStream
 from repro.streams.transforms import BufferedTransformInputStream
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.notifiers import InvalidationBus
 
 __all__ = ["ExternalDependencyProperty"]
 
@@ -61,7 +57,9 @@ class ExternalDependencyProperty(ActiveProperty):
         runs (see module docstring).
     timers, bus, cache_id:
         Required in notifier mode: the timer service that drives polling,
-        and the bus/cache the invalidation is delivered to.
+        and the bus/cache the invalidation is delivered to (*bus* is
+        anything with ``deliver(cache_id, invalidation)`` — the cache's
+        ``InvalidationBus``).
     poll_period_ms:
         Notifier-mode polling period; the staleness window.
     sample_cost_ms:
@@ -77,7 +75,7 @@ class ExternalDependencyProperty(ActiveProperty):
         observe: Callable[[], Any],
         mode: str = "verifier",
         timers: TimerService | None = None,
-        bus: "InvalidationBus | None" = None,
+        bus: Any = None,
         cache_id: CacheId | None = None,
         poll_period_ms: float = 5000.0,
         sample_cost_ms: float = 0.3,

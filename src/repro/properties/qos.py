@@ -55,6 +55,9 @@ class QoSProperty(ActiveProperty):
     def replacement_cost_bonus_ms(self) -> float:
         return self.inflation_ms
 
+    def access_time_target_ms(self) -> float:
+        return self.max_access_time_ms
+
     def record_access(self, elapsed_ms: float) -> None:
         """Record one observed access latency against the target."""
         self.observed_access_times_ms.append(elapsed_ms)

@@ -9,7 +9,7 @@ personalization, etc.).
 
 from __future__ import annotations
 
-from repro.cache.cacheability import Cacheability
+from repro.contract.cacheability import Cacheability
 from repro.events.types import EventType
 from repro.placeless.properties import ActiveProperty
 

@@ -22,9 +22,9 @@ import abc
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.cache.cacheability import Cacheability
-from repro.cache.verifiers import Verifier
 from repro.content.signature import ContentSignature, sign
+from repro.contract.cacheability import Cacheability
+from repro.contract.verifiers import Verifier
 from repro.sim.context import SimContext
 from repro.streams.base import BytesInputStream, InputStream
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.cache.cacheability import Cacheability
-from repro.cache.verifiers import CompositeVerifier, Verifier
+from repro.contract.cacheability import Cacheability
+from repro.contract.verifiers import CompositeVerifier, Verifier
 from repro.errors import ProviderError
 from repro.providers.base import BitProvider, ProviderFetch
 from repro.sim.context import SimContext

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cache.verifiers import ModificationTimeVerifier, Verifier
+from repro.contract.verifiers import ModificationTimeVerifier, Verifier
 from repro.errors import ContentUnavailableError, ProviderError
 from repro.providers.base import BitProvider
 from repro.sim.clock import VirtualClock

@@ -11,7 +11,7 @@ returns a verifier that polls the last-modification time of the file."
 
 from __future__ import annotations
 
-from repro.cache.verifiers import ModificationTimeVerifier, Verifier
+from repro.contract.verifiers import ModificationTimeVerifier, Verifier
 from repro.providers.base import BitProvider
 from repro.providers.simfs import SimulatedFileSystem
 from repro.sim.context import SimContext

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.cache.cacheability import Cacheability
-from repro.cache.verifiers import AlwaysInvalidVerifier, Verifier
+from repro.contract.cacheability import Cacheability
+from repro.contract.verifiers import AlwaysInvalidVerifier, Verifier
 from repro.errors import ProviderError
 from repro.providers.base import BitProvider
 from repro.sim.context import SimContext

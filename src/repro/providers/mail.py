@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cache.verifiers import (
+from repro.contract.verifiers import (
     AlwaysValidVerifier,
     ModificationTimeVerifier,
     Verifier,

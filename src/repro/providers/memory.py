@@ -8,7 +8,7 @@ counter, so out-of-band mutations are still detectable.
 
 from __future__ import annotations
 
-from repro.cache.verifiers import ModificationTimeVerifier, Verifier
+from repro.contract.verifiers import ModificationTimeVerifier, Verifier
 from repro.providers.base import BitProvider
 from repro.sim.context import SimContext
 

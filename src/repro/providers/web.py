@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cache.verifiers import TTLVerifier, Verifier
+from repro.contract.verifiers import TTLVerifier, Verifier
 from repro.errors import ContentUnavailableError
 from repro.providers.base import BitProvider
 from repro.sim.clock import VirtualClock

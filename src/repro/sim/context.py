@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 import typing
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import RepositoryOfflineError
 from repro.ids import IdGenerator
@@ -33,11 +34,34 @@ from repro.sim.clock import VirtualClock
 from repro.sim.latency import LatencyModel
 from repro.sim.topology import Topology
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if typing.TYPE_CHECKING:  # pragma: no cover - the two world-scoped slots' types
     from repro.cache.containment import ContainmentGuard
     from repro.faults.plan import FaultPlan
 
-__all__ = ["SimContext"]
+__all__ = [
+    "SimContext",
+    "set_default_fault_scenario",
+    "clear_default_fault_scenario",
+]
+
+#: Process-wide default scenario, consulted by every freshly constructed
+#: :class:`SimContext`; lets the CLI's ``--faults`` flag infiltrate
+#: experiments that build their own contexts.
+_default_scenario: "Callable[[VirtualClock], FaultPlan] | None" = None
+
+
+def set_default_fault_scenario(
+    factory: "Callable[[VirtualClock], FaultPlan]",
+) -> None:
+    """Install a factory applied to every new :class:`SimContext`."""
+    global _default_scenario
+    _default_scenario = factory
+
+
+def clear_default_fault_scenario() -> None:
+    """Remove the process-wide default scenario (the normal state)."""
+    global _default_scenario
+    _default_scenario = None
 
 
 @dataclass
@@ -59,17 +83,15 @@ class SimContext:
     #: replaced; ``None`` (the default) keeps those seams on their
     #: historical unguarded path.
     containment: "ContainmentGuard | None" = None
-    #: Read plans compiled (:func:`repro.streams.chain.read_plan`), and
+    #: Read plans compiled (:func:`repro.placeless.chain.read_plan`), and
     #: how many of those replaced a plan a chain mutation outdated —
     #: the doctor's ``read plan:`` line.
     read_plans_built: int = 0
     read_plans_rebuilt: int = 0
 
     def __post_init__(self) -> None:
-        if self.faults is None:
-            from repro.faults.plan import default_fault_plan
-
-            self.faults = default_fault_plan(self.clock)
+        if self.faults is None and _default_scenario is not None:
+            self.faults = _default_scenario(self.clock)
 
     @property
     def now_ms(self) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import WorkloadError
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.sim.latency import HopCost, LatencyModel
 
 __all__ = [

@@ -43,17 +43,21 @@ from __future__ import annotations
 import json
 import re
 import tempfile
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.cache.cacheability import Cacheability
 from repro.cache.containment import BreakerConfig, BreakerRegistry
-from repro.cache.entry import EntryKey
+from repro.cache.core import CacheCore
+from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.memo import ChainFingerprint, MemoRecord
+from repro.cache.policies import StoragePolicy
 from repro.content.signature import ContentSignature, sign
+from repro.contract.cacheability import Cacheability
+from repro.contract.verifiers import Verifier
 from repro.errors import PlacelessError, StorageError
 from repro.ids import DocumentId, ReferenceId, UserId
+from repro.placeless.chain import read_plan
+from repro.placeless.reference import DocumentReference
 from repro.storage.segment import (
     K_DEMOTE,
     K_DROP,
@@ -65,14 +69,6 @@ from repro.storage.segment import (
     unpack_fields,
 )
 from repro.storage.store import DiskContentStore
-from repro.streams.chain import read_plan
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache.core import CacheCore
-    from repro.cache.entry import CacheEntry
-    from repro.cache.policies import StoragePolicy
-    from repro.cache.verifiers import Verifier
-    from repro.placeless.reference import DocumentReference
 
 __all__ = ["L2Record", "StorageStats", "L2Tier"]
 
@@ -241,10 +237,15 @@ class L2Tier:
                 str(core.cache_id)
             )
         self.directory = directory
-        self.disk = DiskContentStore(directory / "content.seg")
-        self.catalog_log = SegmentLog(directory / "catalog.seg")
-        self.journal_log = SegmentLog(directory / "journal.seg")
-        self.memo_log = SegmentLog(directory / "memo.seg")
+        try:
+            self.disk = DiskContentStore(directory / "content.seg")
+            self.catalog_log = SegmentLog(directory / "catalog.seg")
+            self.journal_log = SegmentLog(directory / "journal.seg")
+            self.memo_log = SegmentLog(directory / "memo.seg")
+        except OSError as error:
+            raise StorageError(
+                f"storage directory {directory} is unusable: {error}"
+            ) from error
         self.breakers = BreakerRegistry(BreakerConfig(
             failure_threshold=policy.breaker_failure_threshold,
             probation_delay_ms=BREAKER_PROBATION_MS,

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import random
-import typing
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -39,6 +38,9 @@ from itertools import accumulate
 from typing import Iterator
 
 from repro.errors import WorkloadError
+from repro.ids import UserId
+from repro.placeless.kernel import PlacelessKernel
+from repro.providers.base import BitProvider
 from repro.providers.filesystem import FileSystemProvider
 from repro.providers.simfs import SimulatedFileSystem
 from repro.providers.web import WebOrigin, WebProvider
@@ -47,11 +49,6 @@ from repro.workload.documents import (
     CorpusSpec,
     generate_text,
 )
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.ids import UserId
-    from repro.placeless.kernel import PlacelessKernel
-    from repro.providers.base import BitProvider
 
 __all__ = [
     "ZipfSampler",

@@ -23,8 +23,8 @@ from repro.cache.policies import (
     MemoPolicy,
     RecoveryPolicy,
 )
-from repro.cache.verifiers import Verifier
 from repro.cluster import CacheCluster, ClusterPolicy
+from repro.contract.verifiers import Verifier
 from repro.errors import (
     CacheError,
     ContainmentError,

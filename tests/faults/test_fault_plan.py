@@ -10,15 +10,13 @@ from repro.errors import (
     VerifierError,
     WorkloadError,
 )
-from repro.faults.plan import (
-    FaultPlan,
-    FaultRecord,
-    OutageWindow,
+from repro.faults.plan import FaultPlan, FaultRecord, OutageWindow
+from repro.sim.clock import VirtualClock
+from repro.sim.context import (
+    SimContext,
     clear_default_fault_scenario,
     set_default_fault_scenario,
 )
-from repro.sim.clock import VirtualClock
-from repro.sim.context import SimContext
 
 
 class TestOutageWindow:

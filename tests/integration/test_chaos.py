@@ -18,7 +18,7 @@ from repro.cache.entry import EntryKey
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import DegradationPolicy
 from repro.cache.stats import CacheStats
-from repro.cache.verifiers import TTLVerifier
+from repro.contract.verifiers import TTLVerifier
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.faults.retry import RetryPolicy
 from repro.placeless.kernel import PlacelessKernel

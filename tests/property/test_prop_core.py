@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
-from repro.cache.cacheability import Cacheability
+from repro.contract.cacheability import Cacheability
 from repro.sim.clock import VirtualClock
 from repro.workload.trace import zipf_indices
 

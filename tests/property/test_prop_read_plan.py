@@ -3,7 +3,7 @@
 A seed-derived interleaving of attach / detach / reorder / upgrade on a
 base document and on two users' references, mixed with reads through a
 memo + overload cache, must leave every reference's cached
-:class:`~repro.streams.chain.ReadPlan` equal — at *every* step — to
+:class:`~repro.placeless.chain.ReadPlan` equal — at *every* step — to
 what the pre-plan code derived by re-walking the property sets on each
 call: ``read_chain_properties``, the chain signature, the composed
 ``ChainFingerprint``, the QoS-tightened deadline and the priority
@@ -38,6 +38,7 @@ from repro.overload.admission import (
     PRIORITY_QOS,
     priority_class,
 )
+from repro.placeless.chain import read_chain_properties, read_plan
 from repro.placeless.kernel import PlacelessKernel
 from repro.placeless.properties import ActiveProperty, StaticProperty
 from repro.properties.audit import ReadAuditTrailProperty
@@ -46,7 +47,6 @@ from repro.properties.spellcheck import SpellingCorrectorProperty
 from repro.properties.translate import TranslationProperty
 from repro.providers.memory import MemoryProvider
 from repro.streams.base import BytesInputStream
-from repro.streams.chain import read_chain_properties, read_plan
 
 _CHAOS_SEEDS = (77, 101, 202)
 _DEFAULT_DEADLINE_MS = 2_000.0

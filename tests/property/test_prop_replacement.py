@@ -10,10 +10,10 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.entry import CacheEntry, EntryKey
-from repro.cache.cacheability import Cacheability
 from repro.cache.manager import DocumentCache
 from repro.cache.replacement import GreedyDualSizePolicy, make_policy
 from repro.content.signature import sign
+from repro.contract.cacheability import Cacheability
 from repro.ids import DocumentId, UserId
 from repro.placeless.kernel import PlacelessKernel
 from repro.providers.memory import MemoryProvider

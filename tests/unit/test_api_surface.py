@@ -12,6 +12,7 @@ import pkgutil
 import pytest
 
 import repro
+from tests.unit.test_layers import loaded_above_the_middleware
 
 
 def _walk_modules():
@@ -91,6 +92,17 @@ class TestTopLevelApi:
 
     def test_no_duplicate_exports(self):
         assert len(repro.__all__) == len(set(repro.__all__))
+
+    def test_dir_lists_every_exported_name(self):
+        assert set(repro.__all__) <= set(dir(repro))
+
+    def test_import_repro_alone_loads_nothing_above_the_middleware(self):
+        # Names resolve on first use: the layering holds in a running
+        # interpreter, and ``from repro import X`` pays only for X.
+        assert loaded_above_the_middleware("import repro") == []
+        assert loaded_above_the_middleware(
+            "from repro import PlacelessKernel, MemoryProvider, Verifier"
+        ) == []
 
     def test_version_is_semver_ish(self):
         parts = repro.__version__.split(".")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.cache.cacheability import Cacheability
+from repro.contract.cacheability import Cacheability
 
 
 class TestOrdering:

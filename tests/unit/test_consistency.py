@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from repro.cache.consistency import (
+from repro.cache.entry import CacheEntry, EntryKey
+from repro.content.signature import sign
+from repro.contract.cacheability import Cacheability
+from repro.contract.consistency import (
     Invalidation,
     InvalidationClass,
     InvalidationReason,
 )
-from repro.cache.cacheability import Cacheability
-from repro.cache.entry import CacheEntry, EntryKey
-from repro.content.signature import sign
 from repro.ids import DocumentId, UserId
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.manager import DocumentCache
-from repro.cache.verifiers import Verdict
+from repro.contract.verifiers import Verdict
 from repro.errors import ContentUnavailableError, ProviderError
 from repro.providers.mail import (
     MailboxDigestProvider,

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.cacheability import Cacheability
-from repro.cache.consistency import InvalidationReason
 from repro.cache.entry import EntryKey
 from repro.cache.manager import DocumentCache, WriteMode
 from repro.cache.notifiers import InvalidationBus
 from repro.cache.replacement import LRUPolicy
-from repro.cache.verifiers import ThresholdVerifier, Verifier, VerifierResult, Verdict
+from repro.contract.cacheability import Cacheability
+from repro.contract.consistency import InvalidationReason
+from repro.contract.verifiers import ThresholdVerifier, Verifier, VerifierResult, Verdict
 from repro.errors import CacheCapacityError
 from repro.events.types import EventType
 from repro.placeless.properties import ActiveProperty
@@ -177,6 +177,43 @@ class TestVerifiers:
         assert cache.stats.verifier_revalidations == 1
         # The patched bytes are what subsequent hits serve.
         assert cache.read(mine).content == b"quote:150.0"
+
+    @pytest.mark.parametrize(
+        "patch", [None, b""], ids=["no-bytes", "explicit-empty-patch"]
+    )
+    def test_revalidated_serves_only_bytes_the_verifier_handed_over(
+        self, kernel, user, patch
+    ):
+        class RevalidatingVerifier(Verifier):
+            def verify(self, now_ms, content):
+                return VerifierResult(Verdict.REVALIDATED, patch)
+
+        class RevalidatingProperty(ActiveProperty):
+            def events_of_interest(self):
+                return {EventType.GET_INPUT_STREAM}
+
+            def make_verifier(self):
+                return RevalidatingVerifier()
+
+        mine = kernel.import_document(
+            user, MemoryProvider(kernel.ctx, b"body"), "doc"
+        )
+        mine.attach(RevalidatingProperty("revalidator"))
+        cache = DocumentCache(kernel, capacity_bytes=1 << 20)
+        assert cache.read(mine).content == b"body"
+        later = [cache.read(mine), cache.read(mine)]
+        if patch is None:
+            # A verdict without bytes is a failed verifier: invalidate
+            # and refetch — never ``b""`` stored and served as a hit.
+            assert [(o.hit, o.content) for o in later] == [(False, b"body")] * 2
+            assert (
+                cache.stats.invalidations[InvalidationReason.VERIFIER_FAILED]
+                == 2
+            )
+        else:
+            assert [(o.disposition, o.content) for o in later] == [
+                ("revalidated", b"")
+            ] * 2
 
 
 class TestCacheability:

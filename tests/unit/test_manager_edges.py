@@ -7,7 +7,7 @@ import pytest
 
 from repro.__main__ import describe_cache
 from repro.cache.manager import DocumentCache
-from repro.cache.verifiers import ThresholdVerifier
+from repro.contract.verifiers import ThresholdVerifier
 from repro.events.types import EventType
 from repro.placeless.properties import ActiveProperty
 from repro.properties.audit import ReadAuditTrailProperty

@@ -28,12 +28,12 @@ from repro.cache.policies import (
 from repro.content.signature import sign
 from repro.content.store import ContentStore
 from repro.errors import CacheError
+from repro.placeless.chain import property_site
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.spellcheck import SpellingCorrectorProperty
 from repro.properties.translate import TranslationProperty
 from repro.properties.uncacheable import UncacheableProperty
 from repro.providers.memory import MemoryProvider
-from repro.streams.chain import property_site
 
 
 def build_world(content=b"hello world of documents", n_users=2):

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.consistency import Invalidation, InvalidationReason
 from repro.cache.notifiers import (
     InvalidationBus,
     NotifierProperty,
     install_minimum_notifiers,
 )
+from repro.contract.consistency import Invalidation, InvalidationReason
 from repro.errors import NotifierError
 from repro.events.types import EventType
 from repro.placeless.properties import StaticProperty

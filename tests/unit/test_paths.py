@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.cacheability import Cacheability
-from repro.cache.verifiers import AlwaysValidVerifier
+from repro.contract.cacheability import Cacheability
+from repro.contract.verifiers import AlwaysValidVerifier
 from repro.events.types import Event, EventType
 from repro.placeless.properties import ActiveProperty
 from repro.providers.memory import MemoryProvider

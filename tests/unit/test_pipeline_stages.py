@@ -14,8 +14,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cache.cacheability import Cacheability
-from repro.cache.consistency import InvalidationReason
 from repro.cache.containment import ContainmentStats
 from repro.cache.instrumentation import (
     ELAPSED,
@@ -38,6 +36,8 @@ from repro.cache.policies import (
 )
 from repro.cache.recovery import RecoveryStats
 from repro.cache.stats import CacheStats
+from repro.contract.cacheability import Cacheability
+from repro.contract.consistency import InvalidationReason
 from repro.errors import CacheError
 from repro.faults.plan import FaultStats
 from repro.ids import DocumentId

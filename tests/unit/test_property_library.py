@@ -6,7 +6,7 @@ import zlib
 
 import pytest
 
-from repro.cache.cacheability import Cacheability
+from repro.contract.cacheability import Cacheability
 from repro.events.types import EventType
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.audit import ReadAuditTrailProperty

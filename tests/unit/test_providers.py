@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.cacheability import Cacheability
-from repro.cache.verifiers import CompositeVerifier, Verdict
 from repro.content.signature import sign
+from repro.contract.cacheability import Cacheability
+from repro.contract.verifiers import CompositeVerifier, Verdict
 from repro.errors import ContentUnavailableError, ProviderError
 from repro.providers.composite import CompositeProvider
 from repro.providers.dms import DMSProvider, DocumentManagementSystem

@@ -70,7 +70,7 @@ class TestAtoms:
         assert found == [refs["draft"]]
 
     def test_is_active_ignores_infrastructure(self, library, kernel):
-        from repro.events.recorder import EventRecorder
+        from repro.properties.recorder import EventRecorder
 
         refs, space = library
         refs["memo"].attach(EventRecorder())

@@ -22,10 +22,10 @@ from repro.overload.admission import (
     PRIORITY_QOS,
     priority_class,
 )
+from repro.placeless.chain import read_chain_properties, read_plan
 from repro.properties.qos import AlwaysAvailableProperty, QoSProperty
 from repro.properties.spellcheck import SpellingCorrectorProperty
 from repro.properties.translate import TranslationProperty
-from repro.streams.chain import read_chain_properties, read_plan
 
 from tests.unit.test_memo import build_world
 

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.events.recorder import EventRecorder
 from repro.events.types import EventType
+from repro.properties.recorder import EventRecorder
 from repro.properties.translate import TranslationProperty
 from repro.providers.memory import MemoryProvider
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.cacheability import Cacheability
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.replacement import (
     FIFOPolicy,
@@ -17,6 +16,7 @@ from repro.cache.replacement import (
     make_policy,
 )
 from repro.content.signature import sign
+from repro.contract.cacheability import Cacheability
 from repro.errors import CacheError
 from repro.ids import DocumentId, UserId
 

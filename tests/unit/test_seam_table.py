@@ -1,8 +1,8 @@
 """The stream seam, as a table.
 
 One property's interposition on a document path — what
-:func:`~repro.streams.chain.apply_read_wrapper` and
-:func:`~repro.streams.chain.apply_write_wrapper` do with a fault mode, a
+:func:`~repro.placeless.chain.apply_read_wrapper` and
+:func:`~repro.placeless.chain.apply_write_wrapper` do with a fault mode, a
 containment guard, a breaker state and the property's role — observed
 cell by cell: the virtual-clock charge, the fault plan's
 ``injection_trace()``, the containment events, ``PathMeta``'s skip
@@ -31,6 +31,11 @@ from repro.cache.containment import ContainmentGuard
 from repro.cache.instrumentation import InstrumentationBus
 from repro.cache.policies import ContainmentPolicy
 from repro.faults.plan import FaultPlan
+from repro.placeless.chain import (
+    apply_read_wrapper,
+    apply_write_wrapper,
+    property_site,
+)
 from repro.placeless.document import PathMeta
 from repro.placeless.properties import ActiveProperty
 from repro.sim.context import SimContext
@@ -39,11 +44,6 @@ from repro.streams.base import (
     BytesOutputStream,
     InputStream,
     OutputStream,
-)
-from repro.streams.chain import (
-    apply_read_wrapper,
-    apply_write_wrapper,
-    property_site,
 )
 
 DOCUMENT = "doc"

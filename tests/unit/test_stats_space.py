@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.consistency import InvalidationClass, InvalidationReason
 from repro.cache.stats import CacheStats
+from repro.contract.consistency import InvalidationClass, InvalidationReason
 from repro.errors import ReferenceNotFoundError
 from repro.providers.memory import MemoryProvider
 

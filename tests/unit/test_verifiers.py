@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.verifiers import (
+from repro.contract.verifiers import (
     AlwaysInvalidVerifier,
     AlwaysValidVerifier,
     CompositeVerifier,
@@ -13,8 +13,19 @@ from repro.cache.verifiers import (
     ThresholdVerifier,
     TTLVerifier,
     Verdict,
+    VerifierResult,
 )
 from repro.errors import VerifierError
+
+
+class TestVerifierResult:
+    def test_revalidated_must_carry_the_patched_bytes(self):
+        with pytest.raises(VerifierError):
+            VerifierResult(Verdict.REVALIDATED)
+
+    def test_an_explicit_empty_patch_is_legal(self):
+        result = VerifierResult(Verdict.REVALIDATED, b"")
+        assert result.patched_content == b"" and result.serves_from_cache
 
 
 class TestTrivialVerifiers:
