@@ -1,13 +1,13 @@
-"""Shared cache state and entry-table mechanics for the staged pipeline.
+"""Shared cache state and entry-table mechanics for the read/write paths.
 
-:class:`CacheCore` is the hub every pipeline stage holds: the entry
-table, the content store, the replacement/admission/degradation
-policies, the topology, the instrumentation bus and the invalidation
-bus.  It owns the *mechanics* that several stages share — install and
-arm (the one way a version becomes a live entry), drop, evict, content
-replacement, event forwarding — while the per-stage
-*logic* (verifier gating, adoption scanning, fetch/degradation,
-admission) lives in :mod:`repro.cache.pipeline` and the public API in
+:class:`CacheCore` is the hub both pipelines hold: the entry table, the
+content store, the replacement/admission/degradation policies, the
+topology, the instrumentation bus and the invalidation bus.  It owns
+the *mechanics* that several steps share — install and arm (the one
+way a version becomes a live entry), drop, evict, content replacement,
+event forwarding — while the per-step *logic* (verifier gating,
+adoption scanning, fetch/degradation, admission) lives in
+:mod:`repro.cache.pipeline` and the public API in
 :mod:`repro.cache.manager`.
 
 Everything here charges the virtual clock in exactly the order the
@@ -49,11 +49,7 @@ from repro.sim.topology import CachePlacement, Topology
 if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cache.containment import ContainmentGuard
     from repro.cache.manager import DocumentCache, WriteMode
-    from repro.cache.policies import (
-        ConcurrencyPolicy,
-        DegradationPolicy,
-        MemoPolicy,
-    )
+    from repro.cache.policies import ConcurrencyPolicy, DegradationPolicy
     from repro.cache.recovery import ConsistencyRecoveryManager
     from repro.cache.replacement import ReplacementPolicy
     from repro.storage.tier import L2Tier
@@ -63,6 +59,7 @@ __all__ = [
     "NOTIFIER_INSTALL_COST_MS",
     "VERIFIER_INSTALL_COST_MS",
     "ADOPTION_COST_MS",
+    "PROBE_COST_MS",
 ]
 
 #: Simulated cost of creating one notifier property at fill time — part
@@ -73,6 +70,10 @@ VERIFIER_INSTALL_COST_MS = 0.05
 #: Simulated cost of the metadata exchange that establishes a
 #: (document, user) → signature mapping from another user's entry.
 ADOPTION_COST_MS = 0.3
+#: Simulated cost of probing the repository's current source signature
+#: (a metadata-only exchange): the memo step's class-(a) check and the
+#: L2 tier's promote-time source gate.
+PROBE_COST_MS = 0.2
 
 #: Shared empty read-only bucket for documents with no cached entries.
 _NO_ENTRIES: dict = {}
@@ -173,21 +174,20 @@ class CacheCore:
         self.containment: "ContainmentGuard | None" = None
         #: The transform memoization plane, installed by the manager
         #: when a memo policy is configured; ``None`` (the default)
-        #: keeps the read pipeline's memo stage a strict no-op and the
+        #: keeps the read pipeline's memo step a strict no-op and the
         #: golden digests byte-identical.
         self.memo: TransformMemo | None = None
-        self.memo_policy: "MemoPolicy | None" = None
         #: In-progress single-flight misses (always constructed, only
         #: ever populated by a ``concurrent`` read under a concurrency
         #: policy whose ``coalesce`` flag is on).
         self.flights = FlightTable()
         #: The concurrency policy, installed by the manager when one is
         #: configured; ``None`` (the default) keeps the single-flight
-        #: stage a strict no-op.
+        #: step a strict no-op.
         self.concurrency: "ConcurrencyPolicy | None" = None
         #: The durable L2 tier, installed by the manager when a storage
         #: policy is configured; ``None`` (the default) keeps the
-        #: pipeline's storage stage a strict no-op, evictions purely
+        #: pipeline's L2 step a strict no-op, evictions purely
         #: destructive and restarts cold.
         self.l2: "L2Tier | None" = None
         #: The overload gate (deadlines + admission control), installed
@@ -679,7 +679,7 @@ class CacheCore:
         """Admission hook: memoize a freshly admitted transform output.
 
         Only called for undegraded, admitted fills; a ``None``
-        fingerprint means the memo stage never consulted (memo off, or
+        fingerprint means the memo step never consulted (memo off, or
         the chain was containment-blocked) and nothing is recorded.
         """
         if self.memo is None or fingerprint is None:

@@ -37,7 +37,7 @@ class EntryKey(NamedTuple):
         """The canonical key for a document reference.
 
         Every site that needs a (document, user) key — the manager, the
-        pipeline stages, notifier/invalidation matching, stats
+        pipelines, notifier/invalidation matching, stats
         attribution — must construct it through here, so the key shape
         is defined exactly once.
 

@@ -232,7 +232,6 @@ class DocumentCache:
                 core.metrics["containment"] = guard.stats
                 core.containment = guard
             if memo_policy is not None:
-                core.memo_policy = memo_policy
                 core.memo = (
                     memo if memo is not None
                     else TransformMemo(memo_policy.capacity)

@@ -9,7 +9,7 @@ bytes and the same chain.  Vcache makes the matching observation for
 dynamic documents: cache the generator's output keyed by its *inputs*.
 
 This module supplies the two data structures behind the pipeline's
-``MemoStage``:
+memo step (``ReadPipeline._memo``):
 
 * :class:`ChainFingerprint` (defined with the read plan in
   :mod:`repro.streams.chain`, which caches one per reference) — a

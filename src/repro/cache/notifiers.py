@@ -214,25 +214,11 @@ class InvalidationBus:
         if plan is not None:
             if plan.check_bus_delivery(str(cache_id)):
                 # Partition blackout: the delivery dies on the floor.
-                self._emit(
-                    "lost",
-                    document_id=invalidation.document_id,
-                    partition=True,
-                )
-                if invalidation.document_id is not None:
-                    self._lost_documents[invalidation.document_id] = (
-                        self._lost_documents.get(invalidation.document_id, 0)
-                        + 1
-                    )
+                self._lose(invalidation, partition=True)
                 return
             action, delay_ms = plan.notifier_disposition(str(cache_id))
             if action == "drop":
-                self._emit("lost", document_id=invalidation.document_id)
-                if invalidation.document_id is not None:
-                    self._lost_documents[invalidation.document_id] = (
-                        self._lost_documents.get(invalidation.document_id, 0)
-                        + 1
-                    )
+                self._lose(invalidation)
                 return
             if action == "delay":
                 self._emit(
@@ -272,16 +258,22 @@ class InvalidationBus:
         except RepositoryOfflineError:
             # The notification died in transit on a downed link: it is
             # lost, exactly like a fault-plan drop.
-            self._emit("lost", document_id=invalidation.document_id)
-            if invalidation.document_id is not None:
-                self._lost_documents[invalidation.document_id] = (
-                    self._lost_documents.get(invalidation.document_id, 0) + 1
-                )
+            self._lose(invalidation)
             return
         self._emit(
             "delivered", document_id=invalidation.document_id, cost_ms=cost
         )
         sink(invalidation)
+
+    def _lose(self, invalidation: Invalidation, **payload) -> None:
+        """One delivery died: account it, and remember its document for
+        the verifier that later catches what it missed."""
+        document_id = invalidation.document_id
+        self._emit("lost", document_id=document_id, **payload)
+        if document_id is not None:
+            self._lost_documents[document_id] = (
+                self._lost_documents.get(document_id, 0) + 1
+            )
 
     def consume_lost(self, document_id: object) -> bool:
         """Report (and forget) one lost invalidation for *document_id*.

@@ -1,41 +1,39 @@
-"""The staged read/write pipeline behind :class:`DocumentCache`.
+"""The read and write paths behind :class:`DocumentCache`.
 
 A read is a **hit prefix** and, when that does not answer it, the
-**miss stages**:
+**miss steps**, which :meth:`ReadPipeline._iterate` calls in this order:
 
-    [dirty-flush → lookup → verifier-gate] → adoption → l2 → memo →
-    single-flight → fetch → degradation → admission
+    prefix: dirty-flush → lookup → verifier gate  (one call: serve)
+    miss: _adopt → _promote → _memo → _coalesce → _fetch → _degrade → _fill
 
-The prefix is one object, :class:`VerifierGateStage`, and for a lone
-read one plain method call: a verified hit allocates no
-:class:`ReadContext`, no deadline budget and no generator, whatever
-seams the cache was built with.  Each miss stage is a
-:class:`MissStage` with one ``run(ctx)`` method over a shared
-:class:`ReadContext`, returning ``None`` to pass the context on, a
-terminal result (:class:`CacheReadOutcome` for application reads, a
-``(content, meta)`` pair for lower-level ``read_for_fill`` serves —
-both built by :meth:`MissStage.finish`, the one way a miss ends), or a
-:class:`~repro.sim.scheduler.Suspension` to park the read on another
-read's in-progress flight.  The four stages that can answer (adoption,
-l2, memo, admission) differ only in how they come to hold the bytes:
-each then hands the version to :meth:`CacheCore.install` / ``arm``.
-The write path is the same idea with two stages (interpose → buffer),
-run as a plain call, plus a flush stage shared by write-back draining
+The prefix is :meth:`ReadPipeline.serve`, and for a lone read one plain
+method call: a verified hit allocates no :class:`ReadContext`, no
+deadline budget and no generator, whatever seams the cache was built
+with.  Each miss step is a private :class:`ReadPipeline` method over
+the read's :class:`ReadContext`.  Four of them can answer the read —
+adoption, L2 promotion, memo and the admission fill — and differ only
+in how they come to hold the bytes: each hands the version to
+:meth:`CacheCore.install` / ``arm`` and ends in
+:meth:`ReadPipeline._finish`, the one way a miss ends (a
+:class:`CacheReadOutcome` for application reads, a ``(content, meta)``
+pair for lower-level ``read_for_fill`` serves).  Single-flight may
+instead park the read on another read's in-progress flight.  The write
+path is :meth:`WritePipeline.write` (through, or into the write-back
+buffer) plus :meth:`WritePipeline.flush`, shared by write-back draining
 and the prefix's dirty check.
 
-Stages stay synchronous; *scheduling* is externalised.  The same stage
-objects also run as a generator: :func:`~repro.sim.scheduler.drive`
-runs it inline (reads the prefix did not terminate, and
-``read_for_fill`` — operation order, clock charges and fault-plan
-consultations exactly as a plain call performs them, which the golden
-digests pin), and a ``concurrent`` one yields suspension markers at the
-verifier and fetch/chain seams for
-:func:`~repro.sim.scheduler.run_batch` to interleave, with single-flight
-request coalescing (see :class:`SingleFlightStage`).
+Steps stay synchronous; *scheduling* is externalised.  The miss runs
+as a generator: :func:`~repro.sim.scheduler.drive` runs it inline
+(reads the prefix did not terminate, and ``read_for_fill`` — operation
+order, clock charges and fault-plan consultations exactly as a plain
+call performs them, which the golden digests pin), and a
+``concurrent`` one yields suspension markers at the verifier and fetch
+seams for :func:`~repro.sim.scheduler.run_batch` to interleave, with
+single-flight request coalescing (see :meth:`ReadPipeline._coalesce`).
 
-Stages hold no state of their own: everything mutable lives in the
-:class:`~repro.cache.core.CacheCore` they share, and every observable
-step is emitted onto the core's instrumentation bus.
+Steps are methods: everything mutable lives in the
+:class:`~repro.cache.core.CacheCore` the two pipelines share, and every
+observable step is emitted onto the core's instrumentation bus.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import typing
 from dataclasses import dataclass
 
 from repro.cache.containment import verifier_key
-from repro.cache.core import ADOPTION_COST_MS, CacheCore
+from repro.cache.core import ADOPTION_COST_MS, PROBE_COST_MS, CacheCore
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.memo import ChainFingerprint
 from repro.cache.policies import AdmissionDecision, vote_admission
@@ -63,21 +61,8 @@ __all__ = [
     "WriteMode",
     "CacheReadOutcome",
     "ReadContext",
-    "WriteContext",
     "ReadPipeline",
     "WritePipeline",
-    "VerifierGateStage",
-    "MissStage",
-    "AdoptionStage",
-    "L2Stage",
-    "MemoStage",
-    "SingleFlightStage",
-    "FetchStage",
-    "DegradationStage",
-    "AdmissionStage",
-    "InterposeStage",
-    "BufferStage",
-    "FlushStage",
 ]
 
 
@@ -118,7 +103,7 @@ class CacheReadOutcome:
 
 @dataclass(slots=True)
 class ReadContext:
-    """Mutable state threaded through the read stages for one read."""
+    """Mutable state threaded through the miss steps for one read."""
 
     reference: "DocumentReference"
     key: EntryKey
@@ -128,24 +113,22 @@ class ReadContext:
     #: fetch failures propagate undegraded, and hits re-derive fill
     #: metadata from the live entry.
     for_fill: bool = False
-    #: The looked-up entry, cleared when a gate invalidates it.
-    entry: CacheEntry | None = None
     #: Invalidated-but-still-held bytes and their fill time, kept for
     #: bounded serve-stale-on-error.
     stale: tuple[bytes, float] | None = None
-    #: Fetched content + path metadata, once the fetch stage ran.
+    #: Fetched content + path metadata, once the fetch step ran.
     content: bytes | None = None
     meta: "PathMeta | None" = None
     #: True when the content was fetched past a failed backing level.
     degraded: bool = False
-    #: The fetch failure awaiting the degradation stage's decision.
+    #: The fetch failure awaiting the degradation step's decision.
     fetch_error: BaseException | None = None
-    #: The chain fingerprint the memo stage computed for this read;
+    #: The chain fingerprint the memo step computed for this read;
     #: ``None`` when the memo is off or the chain was not consultable
     #: (e.g. containment-blocked), in which case admission records
     #: nothing.
     memo_fingerprint: ChainFingerprint | None = None
-    #: The source signature the memo stage probed alongside the
+    #: The source signature the memo step probed alongside the
     #: fingerprint — together they form the memo-plane coalescing key.
     memo_source: typing.Any = None
     #: May this read yield seams and open or join flights?  True only
@@ -155,9 +138,6 @@ class ReadContext:
     #: The single-flight this read *leads*, if any; resolved when the
     #: read terminates (landed) or raises (failed → follower promotion).
     flight: typing.Any = None
-    #: Times this read suspended on another read's flight and re-entered
-    #: the pipeline (0 for leaders and uncoalesced reads).
-    follows: int = 0
     #: When the read entered the system (a batch's start instant for
     #: ``read_many``); the admission controller's sojourn signal.
     #: ``None`` means it arrived the moment the pipeline started.
@@ -167,35 +147,15 @@ class ReadContext:
     budget: "DeadlineBudget | None" = None
 
 
-@dataclass(slots=True)
-class WriteContext:
-    """Mutable state threaded through the write stages for one write."""
+class ReadPipeline:
+    """Runs the hit prefix, then the miss steps, to a terminal result.
 
-    reference: "DocumentReference"
-    key: EntryKey
-    content: bytes
-    started_ms: float
-
-
-# -- read stages ---------------------------------------------------------------
-
-
-class VerifierGateStage:
-    """The hit prefix: dirty check → lookup → verifier gate → touch →
-    outcome (§3's hit-time check).
-
-    A write-back user reading their own dirty document must see their
-    buffered write, so it is flushed through the full path first; then
-    the live entry for the (document, user) key is served if its
-    verifiers agree.  When a verifier invalidates (or a quarantine or
-    an open breaker forces a miss) the stale bytes and their age are
-    handed back for bounded serve-stale and the read falls through to
-    the miss stages.
-
-    :meth:`serve` is the whole prefix as one plain call — every lone
-    application read, in every configuration.  The generator splits it
-    at the verifier seam: :meth:`lookup`, the seam, then :meth:`run`
-    hands the entry it found to the same :meth:`serve`.
+    Two entries over the same steps.  :meth:`read` calls the prefix as
+    a plain method and builds a :class:`ReadContext`, a deadline budget
+    and a generator only if the prefix did not answer.  :meth:`iterate`
+    is the whole read as a generator: ``read_many`` batches and cluster
+    fan-outs under :func:`~repro.sim.scheduler.run_batch`, hedged
+    reads, and ``read_for_fill``.
     """
 
     def __init__(self, core: CacheCore, writes: "WritePipeline") -> None:
@@ -203,34 +163,202 @@ class VerifierGateStage:
         self.writes = writes
         self._hit_path = tuple(core.topology.hit_path())
 
-    def lookup(self, reference: "DocumentReference", key: EntryKey):
+    def read(
+        self,
+        reference: "DocumentReference",
+        enqueued_ms: float | None = None,
+    ) -> CacheReadOutcome:
+        """Application read: a ``CacheReadOutcome``, the prefix first.
+
+        A lone read has nobody to interleave with, so it yields no
+        seams and neither opens nor joins a flight.
+        """
+        core = self.core
+        key = EntryKey.for_reference(reference)
+        started_ms = core.ctx.clock.now_ms
+        if core.overload is not None:
+            self._admit(reference, key, enqueued_ms)
+        result, stale = self.serve(reference, key, started_ms)
+        if result is not None:
+            return result
+        ctx = self._context(
+            reference, key, started_ms, for_fill=False, concurrent=False,
+            enqueued_ms=enqueued_ms,
+        )
+        ctx.stale = stale
+        return drive(self._iterate(ctx, prefix_ran=True))
+
+    def read_for_fill(self, reference: "DocumentReference"):
+        """Lower-level serve: run the steps to ``(content, meta)``."""
+        return drive(self.iterate(reference, for_fill=True))
+
+    def iterate(
+        self,
+        reference: "DocumentReference",
+        *,
+        for_fill: bool = False,
+        concurrent: bool = False,
+        enqueued_ms: float | None = None,
+    ):
+        """One read as a generator for ``drive`` or ``run_batch``.
+
+        ``concurrent`` says the read may yield seam markers and open or
+        join flights — i.e. that whatever drives it can interleave and
+        park it.  Nested reads (prefetch drains, backing-cache fills)
+        leave it off and run sequentially.  ``enqueued_ms``
+        back-dates the read's arrival (``read_many`` batches pass their
+        start instant) for the admission controller's sojourn signal.
+        """
+        return self._iterate(self._context(
+            reference, EntryKey.for_reference(reference),
+            self.core.ctx.clock.now_ms, for_fill,
+            concurrent, enqueued_ms,
+        ))
+
+    def _context(
+        self,
+        reference: "DocumentReference",
+        key: EntryKey,
+        started_ms: float,
+        for_fill: bool,
+        concurrent: bool,
+        enqueued_ms: float | None,
+    ) -> ReadContext:
+        budget = None
+        if self.core.overload is not None and not for_fill:
+            # The budget starts at *enqueue* (else the read's recorded
+            # start): queueing delay counts against the deadline, which
+            # is what makes sojourn-based shedding protect the reads
+            # that are admitted.
+            budget = self.core.overload.budget_for(
+                reference, started_ms if enqueued_ms is None else enqueued_ms
+            )
+        return ReadContext(
+            reference=reference,
+            key=key,
+            started_ms=started_ms,
+            for_fill=for_fill,
+            concurrent=concurrent,
+            enqueued_ms=enqueued_ms,
+            budget=budget,
+        )
+
+    def _admit(
+        self,
+        reference: "DocumentReference",
+        key: EntryKey,
+        enqueued_ms: float | None,
+    ) -> None:
+        """Ask admission control; raises the typed error when shed."""
+        core = self.core
+        decision = core.overload.admit(reference, enqueued_ms)
+        if decision is None:
+            return
+        priority = PRIORITY_NAMES[decision.priority]
+        if not decision.admitted:
+            core.emit(
+                "overload", "shed", key=key, priority=priority,
+                reason=decision.reason, sojourn_ms=decision.sojourn_ms,
+            )
+            raise OverloadShedError(
+                f"read shed by admission control "
+                f"({decision.reason}: priority {priority}, sojourn "
+                f"{decision.sojourn_ms:.1f}ms, queue depth "
+                f"{decision.queue_depth:.0f})"
+            )
+        core.emit(
+            "overload", "admitted", key=key, priority=priority,
+            sojourn_ms=decision.sojourn_ms,
+        )
+
+    def _iterate(self, ctx: ReadContext, prefix_ran: bool = False):
+        """The read as a generator: the prefix, then the miss steps in
+        the order the module docstring states.  With *prefix_ran* the
+        caller already admitted the read and ran the prefix as a plain
+        call (it missed), so the first pass starts at the miss steps.
+        The loop is a follower's re-entry from the top after its wait."""
+        core = self.core
+        try:
+            if not (prefix_ran or ctx.for_fill) and core.overload is not None:
+                self._admit(ctx.reference, ctx.key, ctx.enqueued_ms)
+            while True:
+                if not prefix_ran:
+                    entry = self._lookup(ctx.reference, ctx.key)
+                    if ctx.concurrent:
+                        # The two places a concurrent read may switch to
+                        # another read: here, before the verifiers, and
+                        # before the fetch.
+                        yield VERIFIER_SEAM
+                        if entry is not None:
+                            # An interleaved read may have dropped (or
+                            # replaced) the entry while this one was
+                            # suspended: re-anchor on the live table.
+                            entry = core.entries.get(ctx.key)
+                    if entry is not None:
+                        result, ctx.stale = self.serve(
+                            ctx.reference, ctx.key, ctx.started_ms,
+                            ctx.for_fill, entry,
+                        )
+                        if result is not None:
+                            break
+                prefix_ran = False
+                result = (
+                    self._adopt(ctx) or self._promote(ctx) or self._memo(ctx)
+                )
+                if result is not None:
+                    break
+                suspension = self._coalesce(ctx)
+                if suspension is not None:
+                    # Park on the leader's flight; on wake, re-enter from
+                    # the top, where the leader's fill (or memo record)
+                    # answers this read.
+                    self._resume_follower(ctx, (yield suspension))
+                    continue
+                if ctx.concurrent:
+                    yield FETCH_SEAM
+                self._fetch(ctx)
+                result = self._degrade(ctx) or self._fill(ctx)
+                break
+            if ctx.flight is not None:
+                core.flights.close(ctx.flight, (
+                    "landed", getattr(result, "disposition", "fill"),
+                ))
+                ctx.flight = None
+            return result
+        except BaseException as error:
+            if ctx.flight is not None:
+                # Leader failure: deregister first, then wake followers —
+                # the first to resume finds no flight and promotes
+                # itself to lead its own fetch.
+                core.flights.close(ctx.flight, ("failed", error))
+                ctx.flight = None
+            raise
+
+    def _resume_follower(self, ctx: ReadContext, payload) -> None:
+        """Reset per-attempt state after a flight wait; keep started_ms.
+
+        The follower's latency deliberately includes the wait: its read
+        began when it began, and the leader's remaining work is the
+        price of coalescing.
+        """
+        ctx.stale = None
+        ctx.content = None
+        ctx.meta = None
+        ctx.degraded = False
+        ctx.fetch_error = None
+        ctx.memo_fingerprint = None
+        ctx.memo_source = None
+        if payload is not None and payload[0] == "failed":
+            self.core.emit("coalesce", "promoted", key=ctx.key)
+
+    # -- the hit prefix -------------------------------------------------------
+
+    def _lookup(self, reference: "DocumentReference", key: EntryKey):
         """Flush the reader's own dirty write, then find the live entry."""
         core = self.core
         if key in core.dirty:
             self.writes.flush(reference)
         return core.entries.get(key)
-
-    def run(self, ctx: ReadContext):
-        """The post-seam half for the generator driver."""
-        core = self.core
-        entry = ctx.entry
-        if entry is not None and core.entries.get(ctx.key) is not entry:
-            # The lookup ran before the verifier seam; in a batch an
-            # interleaved read may have dropped (or replaced) the entry
-            # while this read was suspended.
-            # Re-anchor on the live table — sequentially nothing can
-            # intervene, so this is the same object the lookup found.
-            ctx.entry = entry = core.entries.get(ctx.key)
-        if entry is None:
-            return None
-        result, stale = self.serve(
-            ctx.reference, ctx.key, ctx.started_ms, ctx.for_fill, entry
-        )
-        if result is None:
-            ctx.entry = None
-            if stale is not None:
-                ctx.stale = stale
-        return result
 
     def serve(
         self,
@@ -240,16 +368,23 @@ class VerifierGateStage:
         for_fill: bool = False,
         entry: CacheEntry | None = None,
     ):
-        """The prefix for one read: ``(result, stale)``.
+        """The hit prefix, §3's hit-time check: dirty check → lookup →
+        verifier gate → touch → outcome, as ``(result, stale)``.
 
-        ``result`` is the terminal :class:`CacheReadOutcome` (the
-        ``(content, meta)`` pair of a fill-serving read), or ``None``
-        when the miss stages must continue — then ``stale`` is the
-        invalidated ``(bytes, filled-at)`` pair, if there was one.
-        *entry* is :meth:`lookup`'s result when :meth:`run` passes it.
+        A write-back user reading their own dirty document must see
+        their buffered write, so it is flushed through the full path
+        first; then the live entry for the (document, user) key is
+        served if its verifiers agree.  ``result`` is the terminal
+        :class:`CacheReadOutcome` (the ``(content, meta)`` pair of a
+        fill-serving read), or ``None`` when the miss steps must
+        continue — then ``stale`` is the invalidated ``(bytes,
+        filled-at)`` pair, if a verifier, a quarantine or an open
+        breaker dropped the entry, for bounded serve-stale.  *entry* is
+        :meth:`_lookup`'s result when the generator split the prefix at
+        the verifier seam.
         """
         core = self.core
-        if entry is None:  # lookup(), inlined: a frame is ~1.5 % of a hit
+        if entry is None:  # _lookup(), inlined: a frame is ~1.5 % of a hit
             if key in core.dirty:
                 self.writes.flush(reference)
             entry = core.entries.get(key)
@@ -343,7 +478,7 @@ class VerifierGateStage:
         if for_fill:
             # Serving an upper cache: re-derive fill metadata from the
             # live entry.  Event forwarding may have invalidated it
-            # reentrantly — fall through to the miss stages if so.
+            # reentrantly — fall through to the miss steps if so.
             live = core.entries.get(key)
             if live is not None:
                 return (content, core.meta_from_entry(live)), None
@@ -365,15 +500,9 @@ class VerifierGateStage:
         if core.note_verifier_failure(verifier_key(entry, verifier)):
             core.emit("quarantine", "added", key=entry.key)
 
+    # -- the miss steps -------------------------------------------------------
 
-class MissStage:
-    """What the miss stages share: the core, the metadata-exchange
-    charge of a serve that moves no bytes, and the one way a miss ends."""
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
-
-    def exchange_metadata(self) -> None:
+    def _exchange_metadata(self) -> None:
         """Charge establishing a (document, user) → signature mapping
         over bytes that are already local: the cache-side hop with no
         content moving, plus the mapping handshake."""
@@ -382,14 +511,14 @@ class MissStage:
             core.ctx.charge_hop(hop, 0)
         core.ctx.charge(ADOPTION_COST_MS)
 
-    def finish(
+    def _finish(
         self, ctx: ReadContext, disposition: str, content: bytes,
         entry: CacheEntry | None = None,
     ):
         """The miss terminal: account the read and build its result.
 
         A fill-serving read gets ``(content, meta)`` — the fetched path
-        metadata, or the metadata of the *entry* a stage installed to
+        metadata, or the metadata of the *entry* a step installed to
         answer without fetching; an application read gets its
         :class:`CacheReadOutcome`.
         """
@@ -404,17 +533,15 @@ class MissStage:
         elapsed = core.ctx.clock.now_ms - ctx.started_ms
         return CacheReadOutcome(content, False, elapsed, disposition)
 
+    def _adopt(self, ctx: ReadContext):
+        """§3 signature adoption: reuse another user's identical version.
 
-class AdoptionStage(MissStage):
-    """§3 signature adoption: reuse another user's identical version.
-
-    A candidate must be another user's valid entry for the same base
-    document whose recorded chain signature equals what this reference's
-    chain would produce; its verifiers are re-run (the source could have
-    changed) before the signature mapping is established.
-    """
-
-    def run(self, ctx: ReadContext):
+        A candidate must be another user's valid entry for the same base
+        document whose recorded chain signature equals what this
+        reference's chain would produce; its verifiers are re-run (the
+        source could have changed) before the signature mapping is
+        established.
+        """
         core = self.core
         if not core.share_across_users:
             return None
@@ -434,7 +561,7 @@ class AdoptionStage(MissStage):
                 candidate.key, candidate.verifiers, content, now
             ):
                 continue
-            self.exchange_metadata()
+            self._exchange_metadata()
             core.store.adopt(candidate.signature)
             entry = core.install(
                 ctx.reference, candidate, candidate.signature,
@@ -442,29 +569,23 @@ class AdoptionStage(MissStage):
             )
             core.emit("adoption", "adopted", key=key)
             core.arm(ctx.reference, entry)
-            return self.finish(ctx, "miss-adopted", content, entry)
+            return self._finish(ctx, "miss-adopted", content, entry)
         return None
 
+    def _promote(self, ctx: ReadContext):
+        """Durable-tier promotion: answer a miss from the on-disk L2 tier.
 
-class L2Stage(MissStage):
-    """Durable-tier promotion: answer a miss from the on-disk L2 tier.
-
-    Sits between adoption and the memo: an adoption needs another
-    user's *live* entry, while the L2 tier remembers entries this cache
-    itself evicted — including across a crash/restart, which is the
-    whole point.  :meth:`~repro.storage.tier.L2Tier.promote` re-gates
-    the demoted copy on the reference's current chain signature, a
-    charged source-signature probe, the record's CRC/digest and (for
-    recovered records, unconditionally) its verifiers; a copy that
-    survives is installed like any other version and served as a
-    ``miss-promoted`` read.
-
-    A strict no-op when no storage policy is configured, so the default
-    pipeline stays byte-identical to the pre-storage one; likewise a
-    no-op while the storage breaker is open — the L1-only fallback.
-    """
-
-    def run(self, ctx: ReadContext):
+        Between adoption and the memo: an adoption needs another user's
+        *live* entry, while the L2 tier remembers entries this cache
+        itself evicted — including across a crash/restart, which is the
+        whole point.  :meth:`~repro.storage.tier.L2Tier.promote` re-gates
+        the demoted copy on the reference's current chain signature, a
+        charged source-signature probe, the record's CRC/digest and (for
+        recovered records, unconditionally) its verifiers; a copy that
+        survives is installed like any other version and served as a
+        ``miss-promoted`` read.  A no-op without a storage policy, and
+        while the storage breaker is open — the L1-only fallback.
+        """
         core = self.core
         l2 = core.l2
         if l2 is None:
@@ -479,7 +600,7 @@ class L2Stage(MissStage):
         if survivor is None:
             return None
         record, content, verifiers = survivor
-        self.exchange_metadata()
+        self._exchange_metadata()
         # Leaves exactly the one store reference the entry takes over.
         core.store.put_signed(content, record.signature)
         entry = core.install(
@@ -488,36 +609,31 @@ class L2Stage(MissStage):
         core.arm(ctx.reference, entry)
         l2.retire(record)
         core.emit("storage", "promoted", key=ctx.key, bytes=record.size)
-        return self.finish(ctx, "miss-promoted", content, entry)
+        return self._finish(ctx, "miss-promoted", content, entry)
 
+    def _memo(self, ctx: ReadContext):
+        """Transform memoization: answer a miss from the
+        ``(source signature, chain fingerprint) → output signature`` memo.
 
-class MemoStage(MissStage):
-    """Transform memoization: answer a miss from the
-    ``(source signature, chain fingerprint) → output signature`` memo.
-
-    Sits between adoption and fetch: an adoption needs another user's
-    *live* entry, while the memo remembers what an identical chain
-    produced from identical source bytes even after every entry for it
-    is gone.  A memo serve is a metadata-only exchange — one
-    source-signature probe, the local hop, a
-    :meth:`~repro.content.store.ContentStore.adopt` — with no provider
-    fetch and no property-chain execution.
-
-    The stage is a strict no-op when no memo policy is configured, so
-    the default pipeline stays byte-identical to the pre-memo one.
-    Consults participate in all four §3 invalidation classes (see
-    :mod:`repro.cache.memo`) and respect the containment layer: an open
-    breaker on any chain property bypasses the memo, because the
-    recorded output was produced by code that is currently quarantined.
-    """
-
-    def run(self, ctx: ReadContext):
+        Between L2 promotion and fetch: an adoption needs another user's
+        *live* entry, while the memo remembers what an identical chain
+        produced from identical source bytes even after every entry for
+        it is gone.  A memo serve is a metadata-only exchange — one
+        source-signature probe, the local hop, a
+        :meth:`~repro.content.store.ContentStore.adopt` — with no
+        provider fetch and no property-chain execution.  A no-op without
+        a memo policy.  Consults participate in all four §3 invalidation
+        classes (see :mod:`repro.cache.memo`) and respect the
+        containment layer: an open breaker on any chain property
+        bypasses the memo, because the recorded output was produced by
+        code that is currently quarantined.
+        """
         core = self.core
         memo = core.memo
         if memo is None:
             return None
         if ctx.budget is not None and ctx.budget.expired:
-            # Same fast-fail as the L2 stage: no probe charge for a
+            # Same fast-fail as the L2 step: no probe charge for a
             # read whose deadline already passed.
             core.emit("deadline", "skipped", key=ctx.key, seam="memo")
             return None
@@ -534,11 +650,10 @@ class MemoStage(MissStage):
         # Metadata-only probe of the repository's current source
         # signature — invalidation class (a): a changed source never
         # matches a stale record.
-        assert core.memo_policy is not None
-        core.ctx.charge(core.memo_policy.probe_cost_ms)
+        core.ctx.charge(PROBE_COST_MS)
         source_signature = ctx.reference.base.provider.peek_signature()
         # The probed pair doubles as the memo-plane coalescing key for
-        # the single-flight stage downstream.
+        # the single-flight step downstream.
         ctx.memo_source = source_signature
         record = memo.lookup(source_signature, fingerprint)
         if record is None:
@@ -575,7 +690,7 @@ class MemoStage(MissStage):
             memo.discard(record)
             core.emit("memo", "dropped-verifier", key=ctx.key)
             return None
-        self.exchange_metadata()
+        self._exchange_metadata()
         if not imported:
             # An import already holds the one store reference taken by
             # ``materialize``'s ``put_signed``; the entry takes it over.
@@ -589,46 +704,39 @@ class MemoStage(MissStage):
             core.emit("memo", "adopted", key=ctx.key, imported=True)
         else:
             core.emit("memo", "adopted", key=ctx.key)
-        return self.finish(ctx, "miss-memoized", content, entry)
+        return self._finish(ctx, "miss-memoized", content, entry)
 
+    def _coalesce(self, ctx: ReadContext) -> Suspension | None:
+        """Single-flight: coalesce concurrent misses into one fetch + one
+        chain execution, or return the :class:`Suspension` that parks
+        this read on the flight it follows.
 
-class SingleFlightStage(MissStage):
-    """Coalesce concurrent misses into one fetch + one chain execution.
+        The last gate before the fetch.  On a ``concurrent`` read with a
+        :class:`~repro.cache.policies.ConcurrencyPolicy` whose
+        ``coalesce`` flag is on, a miss probes the core's
+        :class:`~repro.sim.scheduler.FlightTable` under two keys:
 
-    The last gate before the fetch/chain seam.  On a ``concurrent``
-    read with a :class:`~repro.cache.policies.ConcurrencyPolicy` whose
-    ``coalesce`` flag is on, a miss probes the core's
-    :class:`~repro.sim.scheduler.FlightTable` under two keys:
+        * the ``(document, user)`` entry key — N concurrent reads of one
+          reference share one fill;
+        * via the A15 memo plane, the ``(source signature, chain
+          fingerprint)`` pair — concurrent cold misses by *different*
+          users whose chains would produce identical bytes share one
+          chain execution, with followers answered by the leader's memo
+          record.
 
-    * the ``(document, user)`` entry key — N concurrent reads of one
-      reference share one fill;
-    * via the A15 memo plane, the ``(source signature, chain
-      fingerprint)`` pair — concurrent cold misses by *different* users
-      whose chains would produce identical bytes share one chain
-      execution, with followers answered by the leader's memo record.
-
-    A hit on either key suspends the read on the leader's flight; when
-    the leader lands, the follower re-enters the pipeline from the top,
-    where the leader's fill answers it as a verifier-gated hit (same
-    key) or a signature-only memo adoption (memo-plane key) — the
-    "follower adopts the leader's signed result" rule, built on
-    :meth:`~repro.content.store.ContentStore.put_signed` having already
-    placed the leader's bytes in the store.  A leader that *fails*
-    resolves the flight with its error: the first follower to wake
-    finds the table empty and promotes itself to leader; the rest
-    re-follow the promoted read.
-
-    Containment semantics survive coalescing by bailing out instead of
-    sharing: an open breaker on any chain property bypasses the flight
-    table entirely (a quarantined chain's output must not fan out to N
-    followers).
-
-    The stage is a strict no-op when no concurrency policy is
-    configured or the read is not ``concurrent`` (the default), so
-    golden digests are untouched.
-    """
-
-    def run(self, ctx: ReadContext):
+        When the leader lands, a follower re-enters from the top, where
+        the leader's fill answers it as a verifier-gated hit (same key)
+        or a signature-only memo adoption (memo-plane key) — built on
+        :meth:`~repro.content.store.ContentStore.put_signed` having
+        already placed the leader's bytes in the store.  A leader that
+        *fails* resolves the flight with its error: the first follower
+        to wake finds the table empty and promotes itself to leader; the
+        rest re-follow the promoted read.  An open breaker on any chain
+        property bypasses the flight table entirely (a quarantined
+        chain's output must not fan out to N followers).  A no-op
+        without a concurrency policy or on a read that is not
+        ``concurrent`` (the default), so golden digests are untouched.
+        """
         core = self.core
         policy = core.concurrency
         if policy is None or not policy.coalesce or not ctx.concurrent:
@@ -646,7 +754,9 @@ class SingleFlightStage(MissStage):
         ):
             core.emit("coalesce", "bailed-contained", key=ctx.key)
             return None
-        keys = self._coalesce_keys(ctx)
+        keys: tuple = (("entry", ctx.key),)
+        if ctx.memo_source is not None and ctx.memo_fingerprint is not None:
+            keys += (("memo", ctx.memo_source, ctx.memo_fingerprint),)
         for key in keys:
             flight = core.flights.lookup(key)
             if flight is None:
@@ -657,38 +767,23 @@ class SingleFlightStage(MissStage):
         core.emit("coalesce", "led", key=ctx.key)
         return None
 
-    @staticmethod
-    def _coalesce_keys(ctx: ReadContext) -> tuple:
-        """The flight-table keys this miss coalesces under."""
-        keys: tuple = (("entry", ctx.key),)
-        if ctx.memo_source is not None and ctx.memo_fingerprint is not None:
-            keys += (("memo", ctx.memo_source, ctx.memo_fingerprint),)
-        return keys
+    def _fetch(self, ctx: ReadContext) -> None:
+        """Full read through the level below, under the retry policy.
 
-
-class FetchStage(MissStage):
-    """Full read through the level below, under the retry policy.
-
-    Application reads trap the failure for the degradation stage;
-    fill-serving reads let it propagate to the upper cache, whose own
-    degradation cascade decides.
-    """
-
-    def run(self, ctx: ReadContext):
+        Application reads trap the failure for :meth:`_degrade`;
+        fill-serving reads (which carry no budget) let it propagate to
+        the upper cache, whose own degradation cascade decides.
+        """
         core = self.core
-        if ctx.for_fill:
-            ctx.content, ctx.meta = core.fetch_with_retry(ctx.reference)
-            self._mark_contained(ctx)
-            return None
         budget = ctx.budget
         if budget is not None and budget.expired:
             # The deadline ran out before the expensive part began:
             # don't start a fetch whose result nobody will wait for.
-            # The degradation stage downstream may still answer with
-            # acceptable stale bytes before the error surfaces.
+            # The degradation step may still answer with acceptable
+            # stale bytes before the error surfaces.
             core.emit("deadline", "exceeded", key=ctx.key, seam="fetch")
             ctx.fetch_error = budget.exceeded("fetch")
-            return None
+            return
         try:
             ctx.content, ctx.meta = core.fetch_with_retry(
                 ctx.reference, budget=budget
@@ -696,87 +791,62 @@ class FetchStage(MissStage):
         except CacheError:
             raise
         except Exception as error:
+            if ctx.for_fill:
+                raise
             core.emit("fetch", "failed", key=ctx.key)
             ctx.fetch_error = error
-            return None
+            return
         if budget is not None and budget.expired:
             # The fetch itself overran the deadline.  The bytes are
             # fresh and already paid for, so they are served — "late",
             # not a violation (a violation is starting work past the
             # deadline, which the gate above rules out).
             core.emit("deadline", "late", key=ctx.key, seam="fetch")
-        self._mark_contained(ctx)
-        return None
-
-    @staticmethod
-    def _mark_contained(ctx: ReadContext) -> None:
-        """A containment skip anywhere on the path degrades the serve."""
-        meta = ctx.meta
-        if meta is not None and (
-            meta.contained_skips or meta.contained_required
-        ):
+        # A containment skip anywhere on the path degrades the serve.
+        if ctx.meta.contained_skips or ctx.meta.contained_required:
             ctx.degraded = True
 
-
-class DegradationStage(MissStage):
-    """The fetch-failure cascade: fresh content fetched past a failed
-    backing level first, bounded stale bytes second, and only then does
-    the read fail."""
-
-    def run(self, ctx: ReadContext):
-        if ctx.fetch_error is None:
-            return None
-        core = self.core
-        recovered = self._bypass_backing(ctx.reference)
-        if recovered is not None:
-            core.emit("degradation", "bypassed", key=ctx.key)
-            ctx.content, ctx.meta = recovered
-            ctx.degraded = True
-            ctx.fetch_error = None
-            return None
-        outcome = self._serve_stale(ctx)
-        if outcome is None:
-            raise ctx.fetch_error
-        return outcome
-
-    def _bypass_backing(self, reference: "DocumentReference"):
-        """Degraded fetch past a failed backing level, or ``None``.
+    def _degrade(self, ctx: ReadContext) -> CacheReadOutcome | None:
+        """The fetch-failure cascade: fresh content fetched past a failed
+        backing level first, bounded stale bytes second, and only then
+        does the read fail.
 
         When the second-level cache is unreachable, a cache configured
         with ``bypass_backing_on_error`` goes straight to the kernel —
         the content is fresh, only the hierarchy is degraded.
         """
+        error = ctx.fetch_error
+        if error is None:
+            return None
         core = self.core
-        if core.backing is None or not core.degradation.bypass_backing_on_error:
-            return None
-        try:
-            outcome = core.kernel.read(reference)
-        except Exception:
-            return None
-        return outcome.content, outcome.meta
-
-    def _serve_stale(self, ctx: ReadContext) -> CacheReadOutcome | None:
-        """Bounded serve-stale-on-error, or ``None`` if not permitted."""
-        core = self.core
-        if not core.degradation.serve_stale_on_error or ctx.stale is None:
-            return None
-        content, filled_at_ms = ctx.stale
-        age_ms = core.ctx.clock.now_ms - filled_at_ms
-        if not core.degradation.stale_age_acceptable(age_ms):
+        policy = core.degradation
+        if core.backing is not None and policy.bypass_backing_on_error:
+            try:
+                outcome = core.kernel.read(ctx.reference)
+            except Exception:
+                pass
+            else:
+                core.emit("degradation", "bypassed", key=ctx.key)
+                ctx.content, ctx.meta = outcome.content, outcome.meta
+                ctx.degraded = True
+                ctx.fetch_error = None
+                return None
+        if policy.serve_stale_on_error and ctx.stale is not None:
+            content, filled_at_ms = ctx.stale
+            if policy.stale_age_acceptable(
+                core.ctx.clock.now_ms - filled_at_ms
+            ):
+                core.emit("degradation", "stale-served", key=ctx.key)
+                return self._finish(ctx, "stale-on-error", content)
             core.emit("degradation", "stale-rejected", key=ctx.key)
-            return None
-        core.emit("degradation", "stale-served", key=ctx.key)
-        return self.finish(ctx, "stale-on-error", content)
+        raise error
 
+    def _fill(self, ctx: ReadContext):
+        """Admission, the last step: take the §3 vote, fill, account.
 
-class AdmissionStage(MissStage):
-    """Terminal miss stage: take the §3 vote, fill, account.
-
-    The returned cacheability vote decides whether/how to fill (§3);
-    content larger than the whole cache is served but never admitted.
-    """
-
-    def run(self, ctx: ReadContext):
+        The returned cacheability vote decides whether/how to fill (§3);
+        content larger than the whole cache is served but never admitted.
+        """
         core = self.core
         content, meta = ctx.content, ctx.meta
         assert content is not None and meta is not None
@@ -787,7 +857,7 @@ class AdmissionStage(MissStage):
             # but never admitted, so every access misses to the kernel
             # until the breaker closes.
             core.emit("admission", "contained", key=ctx.key)
-            return self.finish(ctx, disposition, content)
+            return self._finish(ctx, disposition, content)
         decision = vote_admission(content, meta, core.capacity_bytes)
         if decision is AdmissionDecision.UNCACHEABLE:
             core.emit("admission", "uncacheable", key=ctx.key)
@@ -803,278 +873,57 @@ class AdmissionStage(MissStage):
                 # A degraded fill (containment skip or backing bypass)
                 # ran a partial chain — its output must not be memoized.
                 core.memo_record_output(ctx.memo_fingerprint, meta, entry)
-        return self.finish(ctx, disposition, content)
+        return self._finish(ctx, disposition, content)
 
 
-class ReadPipeline:
-    """Runs the hit prefix, then the miss stages, to a terminal result.
+class WritePipeline:
+    """Interposes on writes (§4) and drains the write-back buffer.
 
-    Two entries over the same stage objects.  :meth:`read` calls the
-    prefix as a plain method and builds a :class:`ReadContext`, a
-    deadline budget and a generator only if the prefix did not answer.
-    :meth:`iterate` is the whole read as a generator: ``read_many``
-    batches and cluster fan-outs under
-    :func:`~repro.sim.scheduler.run_batch`, hedged reads, and
-    ``read_for_fill``.
+    A write goes straight through (invalidating locally) or, in
+    write-back mode, into the dirty buffer paying only the local hop;
+    :meth:`flush` later pushes a buffered write through the full path.
     """
 
-    def __init__(self, core: CacheCore, writes: "WritePipeline") -> None:
+    def __init__(self, core: CacheCore) -> None:
         self.core = core
-        self.gate = VerifierGateStage(core, writes)
-        self.fetch = FetchStage(core)
-        self.miss_stages = (
-            AdoptionStage(core),
-            L2Stage(core),
-            MemoStage(core),
-            SingleFlightStage(core),
-            self.fetch,
-            DegradationStage(core),
-            AdmissionStage(core),
-        )
 
-    def read(
-        self,
-        reference: "DocumentReference",
-        enqueued_ms: float | None = None,
-    ) -> CacheReadOutcome:
-        """Application read: a ``CacheReadOutcome``, the prefix first.
+    def write(self, reference: "DocumentReference", content: bytes) -> float:
+        """Write through (or into) the cache; returns elapsed virtual ms.
 
-        A lone read has nobody to interleave with, so it yields no
-        seams and neither opens nor joins a flight.
+        A plain call: a write is a short critical section over shared
+        state, so it never suspends.
         """
         core = self.core
         key = EntryKey.for_reference(reference)
         started_ms = core.ctx.clock.now_ms
-        if core.overload is not None:
-            self._admit(reference, key, enqueued_ms)
-        result, stale = self.gate.serve(reference, key, started_ms)
-        if result is not None:
-            return result
-        ctx = self._context(
-            reference, key, started_ms, for_fill=False, concurrent=False,
-            enqueued_ms=enqueued_ms,
-        )
-        ctx.stale = stale
-        return drive(self._iterate(ctx, prefix_ran=True))
-
-    def read_for_fill(self, reference: "DocumentReference"):
-        """Lower-level serve: run the stages to ``(content, meta)``."""
-        return drive(self.iterate(reference, for_fill=True))
-
-    def iterate(
-        self,
-        reference: "DocumentReference",
-        *,
-        for_fill: bool = False,
-        concurrent: bool = False,
-        enqueued_ms: float | None = None,
-    ):
-        """One read as a generator for ``drive`` or ``run_batch``.
-
-        ``concurrent`` says the read may yield seam markers and open or
-        join flights — i.e. that whatever drives it can interleave and
-        park it.  Nested reads (prefetch drains, backing-cache fills)
-        leave it off and run sequentially.  ``enqueued_ms``
-        back-dates the read's arrival (``read_many`` batches pass their
-        start instant) for the admission controller's sojourn signal.
-        """
-        return self._iterate(self._context(
-            reference, EntryKey.for_reference(reference),
-            self.core.ctx.clock.now_ms, for_fill,
-            concurrent, enqueued_ms,
-        ))
-
-    def _context(
-        self,
-        reference: "DocumentReference",
-        key: EntryKey,
-        started_ms: float,
-        for_fill: bool,
-        concurrent: bool,
-        enqueued_ms: float | None,
-    ) -> ReadContext:
-        budget = None
-        if self.core.overload is not None and not for_fill:
-            # The budget starts at *enqueue* (else the read's recorded
-            # start): queueing delay counts against the deadline, which
-            # is what makes sojourn-based shedding protect the reads
-            # that are admitted.
-            budget = self.core.overload.budget_for(
-                reference, started_ms if enqueued_ms is None else enqueued_ms
-            )
-        return ReadContext(
-            reference=reference,
-            key=key,
-            started_ms=started_ms,
-            for_fill=for_fill,
-            concurrent=concurrent,
-            enqueued_ms=enqueued_ms,
-            budget=budget,
-        )
-
-    def _admit(
-        self,
-        reference: "DocumentReference",
-        key: EntryKey,
-        enqueued_ms: float | None,
-    ) -> None:
-        """Ask admission control; raises the typed error when shed."""
-        core = self.core
-        decision = core.overload.admit(reference, enqueued_ms)
-        if decision is None:
-            return
-        priority = PRIORITY_NAMES[decision.priority]
-        if not decision.admitted:
-            core.emit(
-                "overload", "shed", key=key, priority=priority,
-                reason=decision.reason, sojourn_ms=decision.sojourn_ms,
-            )
-            raise OverloadShedError(
-                f"read shed by admission control "
-                f"({decision.reason}: priority {priority}, sojourn "
-                f"{decision.sojourn_ms:.1f}ms, queue depth "
-                f"{decision.queue_depth:.0f})"
-            )
-        core.emit(
-            "overload", "admitted", key=key, priority=priority,
-            sojourn_ms=decision.sojourn_ms,
-        )
-
-    def _iterate(self, ctx: ReadContext, prefix_ran: bool = False):
-        """The read as a generator.  With *prefix_ran* the caller already
-        admitted the read and ran the prefix as a plain call (it
-        missed), so the first pass starts at the miss stages."""
-        core = self.core
-        gate = self.gate
-        concurrent = ctx.concurrent
-        try:
-            if not (prefix_ran or ctx.for_fill) and core.overload is not None:
-                self._admit(ctx.reference, ctx.key, ctx.enqueued_ms)
-            while True:
-                result = None
-                if prefix_ran:
-                    prefix_ran = False
-                else:
-                    ctx.entry = gate.lookup(ctx.reference, ctx.key)
-                    if concurrent:
-                        # The two places a concurrent read path may
-                        # switch to another read: here, before the
-                        # verifiers, and before the fetch/chain seam.
-                        yield VERIFIER_SEAM
-                    result = gate.run(ctx)
-                if result is None:
-                    for stage in self.miss_stages:
-                        if concurrent and stage is self.fetch:
-                            yield FETCH_SEAM
-                        result = stage.run(ctx)
-                        if result is not None:
-                            break
-                    else:
-                        raise CacheError(
-                            "read pipeline ended without a terminal "
-                            "stage result"
-                        )  # pragma: no cover - AdmissionStage terminates
-                if isinstance(result, Suspension):
-                    # Park on the leader's flight; on wake, re-enter
-                    # the pipeline from the top, where the leader's
-                    # fill (or memo record) answers this read.
-                    payload = yield result
-                    self._resume_follower(ctx, payload)
-                    continue
-                if ctx.flight is not None:
-                    core.flights.close(ctx.flight, (
-                        "landed", getattr(result, "disposition", "fill"),
-                    ))
-                    ctx.flight = None
-                return result
-        except BaseException as error:
-            if ctx.flight is not None:
-                # Leader failure: deregister first, then wake followers —
-                # the first to resume finds no flight and promotes
-                # itself to lead its own fetch.
-                core.flights.close(ctx.flight, ("failed", error))
-                ctx.flight = None
-            raise
-
-    def _resume_follower(self, ctx: ReadContext, payload) -> None:
-        """Reset per-attempt state after a flight wait; keep started_ms.
-
-        The follower's latency deliberately includes the wait: its read
-        began when it began, and the leader's remaining work is the
-        price of coalescing.
-        """
-        ctx.entry = None
-        ctx.stale = None
-        ctx.content = None
-        ctx.meta = None
-        ctx.degraded = False
-        ctx.fetch_error = None
-        ctx.memo_fingerprint = None
-        ctx.memo_source = None
-        ctx.follows += 1
-        if payload is not None and payload[0] == "failed":
-            self.core.emit("coalesce", "promoted", key=ctx.key)
-
-
-# -- write stages --------------------------------------------------------------
-
-
-class InterposeStage:
-    """Route the write: straight through (invalidating locally) or into
-    the buffer stage, paying only the local hop now."""
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
-
-    def run(self, ctx: WriteContext):
-        core = self.core
         if core.write_mode is WriteMode.WRITE_THROUGH:
-            core.kernel.write(ctx.reference, ctx.content)
-            core.emit("write", "write-through", key=ctx.key)
-            core.invalidate_local(ctx.key, InvalidationReason.LOCAL_WRITE)
-            return True
-        # Write-back: buffer locally; only the local hop is paid now.
-        for hop in core.topology.hit_path():
-            core.ctx.charge_hop(hop, len(ctx.content))
-        return None
-
-
-class BufferStage:
-    """Write-back terminal: buffer dirty bytes, supersede the read entry,
-    forward WRITE_FORWARDED to interested properties."""
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
-
-    def run(self, ctx: WriteContext):
-        core = self.core
-        core.dirty[ctx.key] = (ctx.reference, bytes(ctx.content))
-        if core.recovery is not None:
-            # Journal before acknowledging: once write() returns, a
-            # crash must not be able to lose these bytes.
-            core.recovery.journal_append(
-                ctx.key, ctx.reference, ctx.content
-            )
-        # The cached read entry (if any) no longer reflects what this
-        # user would read — their buffered write supersedes it.
-        core.invalidate_local(ctx.key, InvalidationReason.LOCAL_WRITE)
-        core.emit("write", "write-back", key=ctx.key)
-        core.forward_write(ctx.reference, len(ctx.content))
-        return True
-
-
-class FlushStage:
-    """Push one buffered write-back through the full write path.
-
-    Runs under the retry policy, if one is configured.  A flush that
-    still fails keeps the dirty buffer (the write is not lost; a later
-    flush can retry) and re-raises.
-    """
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
+            core.kernel.write(reference, content)
+            core.emit("write", "write-through", key=key)
+            core.invalidate_local(key, InvalidationReason.LOCAL_WRITE)
+        else:
+            for hop in core.topology.hit_path():
+                core.ctx.charge_hop(hop, len(content))
+            core.dirty[key] = (reference, bytes(content))
+            if core.recovery is not None:
+                # Journal before acknowledging: once write() returns, a
+                # crash must not be able to lose these bytes.
+                core.recovery.journal_append(key, reference, content)
+            # The cached read entry (if any) no longer reflects what
+            # this user would read — their buffered write supersedes it.
+            core.invalidate_local(key, InvalidationReason.LOCAL_WRITE)
+            core.emit("write", "write-back", key=key)
+            # WRITE_FORWARDED to the properties that asked for it.
+            core.forward_write(reference, len(content))
+        return core.ctx.clock.now_ms - started_ms
 
     def flush(self, reference: "DocumentReference") -> bool:
+        """Push one buffered write-back through the full write path
+        (False when nothing is dirty).
+
+        Runs under the retry policy, if one is configured.  A flush that
+        still fails keeps the dirty buffer (the write is not lost; a
+        later flush can retry) and re-raises.
+        """
         core = self.core
         key = EntryKey.for_reference(reference)
         buffered = core.dirty.pop(key, None)
@@ -1098,36 +947,6 @@ class FlushStage:
         if core.recovery is not None:
             core.recovery.journal_mark_flushed(key)
         return True
-
-
-class WritePipeline:
-    """Runs the write stages; owns the flush stage for drains too."""
-
-    def __init__(self, core: CacheCore) -> None:
-        self.core = core
-        self.stages = [InterposeStage(core), BufferStage(core)]
-        self._flush_stage = FlushStage(core)
-
-    def write(self, reference: "DocumentReference", content: bytes) -> float:
-        """Write through (or into) the cache; returns elapsed virtual ms.
-
-        A plain call: writes are short critical sections — interpose and
-        buffer mutate shared state — so they never suspend.
-        """
-        ctx = WriteContext(
-            reference=reference,
-            key=EntryKey.for_reference(reference),
-            content=content,
-            started_ms=self.core.ctx.clock.now_ms,
-        )
-        for stage in self.stages:
-            if stage.run(ctx):
-                break
-        return self.core.ctx.clock.now_ms - ctx.started_ms
-
-    def flush(self, reference: "DocumentReference") -> bool:
-        """Flush one buffered write-back (False when nothing is dirty)."""
-        return self._flush_stage.flush(reference)
 
     def flush_all(self) -> int:
         """Flush every buffered write-back; returns how many flushed."""

@@ -140,7 +140,7 @@ class MemoPolicy:
 
     A cache constructed with a memo policy gets a bounded
     :class:`~repro.cache.memo.TransformMemo` consulted by the read
-    pipeline's memo stage: a miss whose ``(current source signature,
+    pipeline's memo step: a miss whose ``(current source signature,
     chain fingerprint)`` pair was recorded by an earlier admission is
     answered with a signature-only adoption instead of a provider fetch
     plus a full property-chain execution.  UNCACHEABLE-voting chains
@@ -152,18 +152,10 @@ class MemoPolicy:
 
     #: Maximum records the memo table holds (LRU beyond that).
     capacity: int = 1024
-    #: Virtual cost of probing the repository's current source
-    #: signature at consult time (a metadata-only exchange, the memo's
-    #: analogue of ``ADOPTION_COST_MS``).
-    probe_cost_ms: float = 0.2
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise CacheError(f"memo capacity must be >= 1: {self.capacity}")
-        if self.probe_cost_ms < 0:
-            raise CacheError(
-                f"probe_cost_ms must be non-negative: {self.probe_cost_ms}"
-            )
 
 
 @dataclass(frozen=True)
@@ -174,7 +166,8 @@ class ConcurrencyPolicy:
     ``DocumentCache.read_many`` batches under
     :func:`~repro.sim.scheduler.run_batch` and, when ``coalesce``
     is on, single-flights concurrent misses: the pipeline's
-    :class:`~repro.cache.pipeline.SingleFlightStage` shares one
+    single-flight step (:meth:`~repro.cache.pipeline.ReadPipeline._coalesce`)
+    shares one
     provider fetch and one property-chain execution among every
     concurrent requester of the same ``(document, user)`` key — and,
     when a memo policy supplies the probed pair, the same ``(source

@@ -30,12 +30,12 @@ without one behaves byte-identically to the pre-recovery code):
   modified / properties changed / property order changed / external
   dependency changed).  The resync then starts a fresh channel epoch,
   so prior losses are forgotten and sequencing restarts clean.
-* **A write-back journal** — every buffered dirty write is appended to
-  an in-order journal before the write is acknowledged; a crash wipes
-  the entry table and dirty buffer, and restart replays the unflushed
-  journal suffix back into the dirty buffer idempotently (double replay
-  restores nothing twice, and a later flush pushes each write exactly
-  once).
+* **A write-back journal** — every buffered dirty write is journalled
+  before the write is acknowledged, and a flush retires it; a crash
+  wipes the entry table and dirty buffer, and restart replays each
+  key's latest unflushed write back into the dirty buffer idempotently
+  (double replay restores nothing twice, and a later flush pushes each
+  write exactly once).
 
 Everything observable is emitted as stage events (``channel``,
 ``lease``, ``resync``, ``journal``, ``crash``) on the cache's
@@ -68,7 +68,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
 
 __all__ = [
     "NotifierLease",
-    "JournalRecord",
     "WriteBackJournal",
     "RecoveryStats",
     "ConsistencyRecoveryManager",
@@ -114,88 +113,41 @@ class NotifierLease:
             )
 
 
-@dataclass
-class JournalRecord:
-    """One journalled write-back: the bytes one buffered write promised."""
-
-    key: "EntryKey"
-    reference: "DocumentReference"
-    content: bytes
-    appended_at_ms: float
-    flushed: bool = False
-
-
 class WriteBackJournal:
-    """Append-only journal of buffered write-backs, for crash recovery.
+    """The acknowledged-but-unflushed write-backs, for crash recovery.
 
-    The journal is appended *before* the write is acknowledged to the
-    application, so "acknowledged" implies "journalled".  Flush marks
-    are recorded per key (a flush pushes the key's latest buffered
-    bytes, superseding any earlier buffered versions of the same key),
-    and replay restores, for each key, the latest unflushed record —
-    skipping keys already dirty, which makes double replay a no-op.
+    A write is journalled *before* it is acknowledged to the
+    application, so "acknowledged" implies "journalled".  Replay needs
+    only each key's latest unflushed ``(reference, bytes)``, in the
+    order the keys first became unflushed, so that is all the journal
+    holds: :attr:`pending`, assigned on append (a later write to a key
+    supersedes the earlier one in place) and deleted when a flush
+    reaches the server.  Re-appending the same bytes — the duplicated
+    tail an fsync-lost spill retry leaves — changes nothing, and replay
+    skips keys already dirty, so double replay is a no-op.
     """
 
     def __init__(self) -> None:
-        self.records: list[JournalRecord] = []
+        self.pending: dict[
+            "EntryKey", tuple["DocumentReference", bytes]
+        ] = {}
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.pending)
 
     def append(
         self,
         key: "EntryKey",
         reference: "DocumentReference",
         content: bytes,
-        now_ms: float,
-    ) -> JournalRecord:
-        """Journal one buffered write before it is acknowledged.
-
-        A duplicated tail is coalesced: re-appending the tail record's
-        exact bytes for the same (still unflushed) key returns the tail
-        instead of journalling twice.  The disk-spill path produces
-        exactly this shape when an fsync is reported lost and the spill
-        retries — the retry must not make replay restore the write
-        twice, nor inflate the unflushed backlog.
-        """
-        if self.records:
-            tail = self.records[-1]
-            if (
-                tail.key == key
-                and not tail.flushed
-                and tail.content == bytes(content)
-            ):
-                return tail
-        record = JournalRecord(
-            key=key,
-            reference=reference,
-            content=bytes(content),
-            appended_at_ms=now_ms,
-        )
-        self.records.append(record)
-        return record
+    ) -> None:
+        """Journal one buffered write before it is acknowledged."""
+        self.pending[key] = (reference, bytes(content))
 
     def mark_flushed(self, key: "EntryKey") -> int:
-        """A flush for *key* reached the server; retire its records.
-
-        Every unflushed record for the key is marked (the flush wrote
-        the latest buffered bytes, which supersede the earlier ones).
-        Returns how many records were newly marked.
-        """
-        marked = 0
-        for record in self.records:
-            if record.key == key and not record.flushed:
-                record.flushed = True
-                marked += 1
-        return marked
-
-    def unflushed(self) -> dict["EntryKey", JournalRecord]:
-        """Latest unflushed record per key, in journal order."""
-        latest: dict["EntryKey", JournalRecord] = {}
-        for record in self.records:
-            if not record.flushed:
-                latest[record.key] = record
-        return latest
+        """A flush for *key* reached the server: retire its write.
+        Returns 1 when the key was unflushed, else 0."""
+        return 0 if self.pending.pop(key, None) is None else 1
 
     def replay_into(self, dirty: dict) -> tuple[int, int]:
         """Restore unflushed writes into a (post-crash) dirty buffer.
@@ -205,11 +157,11 @@ class WriteBackJournal:
         """
         replayed = 0
         skipped = 0
-        for key, record in self.unflushed().items():
+        for key, buffered in self.pending.items():
             if key in dirty:
                 skipped += 1
                 continue
-            dirty[key] = (record.reference, record.content)
+            dirty[key] = buffered
             replayed += 1
         return replayed, skipped
 
@@ -558,9 +510,7 @@ class ConsistencyRecoveryManager:
         content: bytes,
     ) -> None:
         """Buffer hook: journal a write before it is acknowledged."""
-        self.journal.append(
-            key, reference, content, self.core.ctx.clock.now_ms
-        )
+        self.journal.append(key, reference, content)
         self.core.emit("journal", "appended", key=key, bytes=len(content))
         if self.core.l2 is not None:
             self.core.l2.spill_journal_append(key, reference, content)
@@ -578,12 +528,10 @@ class ConsistencyRecoveryManager:
         core = self.core
         before = dict(core.dirty)
         replayed, skipped = self.journal.replay_into(core.dirty)
-        for key, record in self.journal.unflushed().items():
+        for key, (_, content) in self.journal.pending.items():
             if key in before:
                 continue
-            core.emit(
-                "journal", "replayed", key=key, bytes=len(record.content)
-            )
+            core.emit("journal", "replayed", key=key, bytes=len(content))
         for _ in range(skipped):
             core.emit("journal", "replay-skipped")
         return replayed

@@ -19,10 +19,10 @@ The paper's examples are all represented:
   needed" — :class:`ThresholdVerifier`, which can *revalidate* by patching
   the cached content in place.
 
-In the staged pipeline, verifiers run inside the read pipeline's
-``VerifierGateStage`` (on every hit, behind the quarantine gate) and in
-the adoption stage's freshness probe; each execution is charged to the
-virtual clock and emitted as a ``verifier`` stage event.
+In the cache, verifiers run in the read pipeline's hit prefix,
+``ReadPipeline.serve`` (on every hit, behind the quarantine gate), and
+in the adoption step's freshness probe; each execution is charged to
+the virtual clock and emitted as a ``verifier`` stage event.
 
 Each verifier carries an execution cost in virtual milliseconds; the
 cache charges it on every hit, which is exactly the trade-off §3 flags:

@@ -1,11 +1,11 @@
 """End-to-end deadline budgets charged against the virtual clock.
 
 A :class:`DeadlineBudget` is created when a read enters the pipeline
-and rides the read context through every stage.  It holds an *absolute*
+and rides the read context through every step.  It holds an *absolute*
 virtual-time deadline, so any work charged to the clock anywhere on the
 read path — fetch latency, chain execution, verifier runs, retry
 backoff, L2 promotion probes, shard hops, single-flight follower waits
-— counts against it automatically; stages only need to *consult* the
+— counts against it automatically; steps only need to *consult* the
 budget at the seams where giving up early is cheaper than finishing
 late.  The paper's QoS property ("access time < .25 seconds", §3)
 supplies the per-document target; documents without one fall back to

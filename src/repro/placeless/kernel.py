@@ -11,11 +11,11 @@ crosses, so that an uncached access pays
 exactly as Table 1's "no cache" column does.
 
 :meth:`PlacelessKernel.read` and :meth:`PlacelessKernel.write` are also
-the cache pipeline's backing operations: the read pipeline's fetch stage
+the cache pipeline's backing operations: the read pipeline's fetch step
 calls ``read`` on a miss (the returned
 :class:`~repro.placeless.document.PathMeta` feeds the admission vote,
 the verifier installation and the replacement cost), and the write
-pipeline's interpose/flush stages call ``write``.
+pipeline's write-through and flush call ``write``.
 """
 
 from __future__ import annotations

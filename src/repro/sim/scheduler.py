@@ -80,7 +80,7 @@ class Suspension:
         return f"<Suspension {self.seam}{waiting}>"
 
 
-#: Interned seam markers yielded before the corresponding stages.
+#: Interned seam markers yielded before the corresponding steps.
 VERIFIER_SEAM = Suspension("verifier")
 FETCH_SEAM = Suspension("fetch")
 

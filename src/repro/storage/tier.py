@@ -47,11 +47,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.cache.containment import BreakerConfig, BreakerRegistry
-from repro.cache.core import CacheCore
+from repro.cache.core import PROBE_COST_MS, CacheCore
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.memo import ChainFingerprint, MemoRecord
 from repro.cache.policies import StoragePolicy
-from repro.content.signature import ContentSignature, sign
+from repro.content.signature import ContentSignature
 from repro.contract.cacheability import Cacheability
 from repro.contract.verifiers import Verifier
 from repro.errors import PlacelessError, StorageError
@@ -72,13 +72,11 @@ from repro.storage.store import DiskContentStore
 
 __all__ = ["L2Record", "StorageStats", "L2Tier"]
 
-#: Virtual costs charged per disk record write, record read and fsync,
-#: and for the promote-time source-signature probe (a metadata-only
-#: exchange with the repository).
+#: Virtual costs charged per disk record write, record read and fsync
+#: (the promote-time source probe costs ``core.PROBE_COST_MS``).
 WRITE_COST_MS = 0.4
 READ_COST_MS = 0.25
 SYNC_COST_MS = 0.5
-PROBE_COST_MS = 0.2
 #: How long a tripped storage breaker keeps the cache L1-only before a
 #: half-open retry.
 BREAKER_PROBATION_MS = 2_000.0
@@ -109,34 +107,31 @@ class L2Record:
 
     def to_payload(self) -> bytes:
         """Serialize for the catalog segment (live verifiers excluded)."""
-        return json.dumps({
-            "document": self.key.document_id.value,
-            "user": self.key.user_id.value,
-            "digest": self.signature.digest,
-            "size": self.size,
-            "cacheability": self.cacheability.name,
-            "cost": self.replacement_cost_ms,
-            "chain": list(self.chain_signature),
-            "verifier_fps": list(self.verifier_fingerprints),
-            "source": (
+        return _key_json(
+            self.key,
+            digest=self.signature.digest,
+            size=self.size,
+            cacheability=self.cacheability.name,
+            cost=self.replacement_cost_ms,
+            chain=list(self.chain_signature),
+            verifier_fps=list(self.verifier_fingerprints),
+            source=(
                 None if self.source_signature is None
                 else self.source_signature.digest
             ),
-            "reference": (
+            reference=(
                 None if self.reference_id is None
                 else self.reference_id.value
             ),
-            "pinned": self.pinned,
-        }, sort_keys=True).encode("utf-8")
+            pinned=self.pinned,
+        )
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "L2Record":
         """Rebuild a (recovered, verifier-free) record from the catalog."""
         data = json.loads(payload.decode("utf-8"))
         return cls(
-            key=EntryKey(
-                DocumentId(data["document"]), UserId(data["user"])
-            ),
+            key=_key_of(data),
             signature=ContentSignature(data["digest"]),
             size=data["size"],
             cacheability=Cacheability[data["cacheability"]],
@@ -215,6 +210,21 @@ class StorageStats:
     #: Bytes reclaimed by compactions.
     compacted_bytes: int = 0
     by_reason: dict[str, int] = field(default_factory=dict)
+
+
+def _key_json(key: EntryKey, **fields) -> bytes:
+    """A segment payload naming *key*: ``document`` and ``user`` plus
+    *fields*, as sorted-key JSON."""
+    return json.dumps({
+        "document": key.document_id.value,
+        "user": key.user_id.value,
+        **fields,
+    }, sort_keys=True).encode("utf-8")
+
+
+def _key_of(data: dict) -> EntryKey:
+    """The key a decoded :func:`_key_json` payload names."""
+    return EntryKey(DocumentId(data["document"]), UserId(data["user"]))
 
 
 def _sanitize(name: str) -> str:
@@ -388,11 +398,11 @@ class L2Tier:
     # -- promote-on-hit --------------------------------------------------------
 
     def promote(self, key: EntryKey, reference: "DocumentReference"):
-        """Miss hook (the pipeline's L2 stage): try *key*'s demoted copy.
+        """Miss hook (the pipeline's L2 step): try *key*'s demoted copy.
 
-        Returns ``None`` to fall through to the memo/fetch stages, or
+        Returns ``None`` to fall through to the memo/fetch steps, or
         the ``(record, content, verifiers)`` that passed all four
-        validity gates, for the stage to install and then
+        validity gates, for the step to install and then
         :meth:`retire`.  Every gate that refuses also drops the
         record — a demoted copy that failed any validity check is dead
         weight, never a second chance to serve stale bytes.
@@ -415,7 +425,7 @@ class L2Tier:
         # Gate 2 — probe the *current* source signature (class a: the
         # source changed while the copy sat on disk).
         core.ctx.charge(PROBE_COST_MS)
-        if sign(reference.base.provider.peek()) != (
+        if reference.base.provider.peek_signature() != (
             record.source_signature
         ):
             self._drop_record(record, "source-changed")
@@ -534,10 +544,7 @@ class L2Tier:
         if self._write_fault("tombstone") is not None:
             self.stats.write_failures += 1
             return
-        self.catalog_log.append(K_DROP, json.dumps({
-            "document": record.key.document_id.value,
-            "user": record.key.user_id.value,
-        }, sort_keys=True).encode("utf-8"))
+        self.catalog_log.append(K_DROP, _key_json(record.key))
         self._sync("tombstone", self.catalog_log)
 
     # -- journal / memo spill --------------------------------------------------
@@ -558,11 +565,7 @@ class L2Tier:
             self._fail("journal")
             return
         payload = pack_fields(
-            json.dumps({
-                "document": key.document_id.value,
-                "user": key.user_id.value,
-                "reference": reference.reference_id.value,
-            }, sort_keys=True).encode("utf-8"),
+            _key_json(key, reference=reference.reference_id.value),
             bytes(content),
         )
         self.journal_log.append(
@@ -590,10 +593,7 @@ class L2Tier:
         if self._write_fault("flushed") is not None:
             self.stats.write_failures += 1
             return
-        self.journal_log.append(K_FLUSHED, json.dumps({
-            "document": key.document_id.value,
-            "user": key.user_id.value,
-        }, sort_keys=True).encode("utf-8"))
+        self.journal_log.append(K_FLUSHED, _key_json(key))
         self._sync("flushed", self.journal_log)
 
     def spill_memo_record(self, record: MemoRecord) -> None:
@@ -702,10 +702,7 @@ class L2Tier:
                 self._catalog[record.key] = record
             elif kind == K_DROP:
                 try:
-                    data = json.loads(payload.decode("utf-8"))
-                    key = EntryKey(
-                        DocumentId(data["document"]), UserId(data["user"])
-                    )
+                    key = _key_of(json.loads(payload.decode("utf-8")))
                 except (ValueError, KeyError):
                     continue
                 self._catalog.pop(key, None)
@@ -748,19 +745,14 @@ class L2Tier:
                 try:
                     meta_raw, content = unpack_fields(payload)
                     data = json.loads(meta_raw.decode("utf-8"))
-                    key = EntryKey(
-                        DocumentId(data["document"]), UserId(data["user"])
-                    )
+                    key = _key_of(data)
                 except (StorageError, ValueError, KeyError):
                     self.stats.corrupt_records_recovered += 1
                     continue
                 latest[key] = (data["reference"], content)
             elif kind == K_FLUSHED:
                 try:
-                    data = json.loads(payload.decode("utf-8"))
-                    key = EntryKey(
-                        DocumentId(data["document"]), UserId(data["user"])
-                    )
+                    key = _key_of(json.loads(payload.decode("utf-8")))
                 except (ValueError, KeyError):
                     continue
                 latest.pop(key, None)

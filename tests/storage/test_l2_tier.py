@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.cache.entry import EntryKey
 from repro.cache.manager import DocumentCache
 from repro.cache.memo import ChainFingerprint, MemoRecord
 from repro.cache.pipeline import WriteMode
@@ -12,6 +13,7 @@ from repro.cache.policies import (
 )
 from repro.content.signature import sign
 from repro.faults.plan import FaultPlan
+from repro.placeless.chain import read_plan
 from repro.placeless.kernel import PlacelessKernel
 from repro.providers.memory import MemoryProvider
 from repro.storage import K_JOURNAL
@@ -105,6 +107,20 @@ class TestDemotePromote:
         assert outcome.disposition != "miss-promoted"
         assert cache.storage_stats.promote_source_mismatches == 1
 
+    def test_promote_probes_an_unchanged_source_without_rehashing(
+        self, md5_calls
+    ):
+        _, cache, _, references = _deployment()
+        for reference in references:
+            cache.read(reference)
+        read_plan(references[0])  # the chain fingerprint, hashed once
+        md5_calls.clear()
+        key = EntryKey.for_reference(references[0])
+        assert cache.storage.promote(key, references[0]) is not None
+        # Only the disk bytes' CRC and digest check hashes: the source
+        # probe answers from the provider's signature memo.
+        assert len(md5_calls) == 1
+
 
 class TestCrashRestart:
     def test_restart_recovers_demoted_entries(self):
@@ -192,7 +208,7 @@ class TestJournalSpill:
         cache.crash()
         # Model full process death: the in-memory journal is gone too;
         # only what the tier spilled to disk survives.
-        cache.recovery.journal.records.clear()
+        cache.recovery.journal.pending.clear()
         cache.restart()
         assert cache.storage_stats.journal_replayed == 1
         cache.flush_all()
@@ -210,7 +226,7 @@ class TestJournalSpill:
         log.append(K_JOURNAL, payload)
         log.sync()
         cache.crash()
-        cache.recovery.journal.records.clear()
+        cache.recovery.journal.pending.clear()
         cache.restart()
         assert cache.storage_stats.journal_replayed == 1
         flushes_before = cache.stats.flushes
@@ -223,7 +239,7 @@ class TestJournalSpill:
         cache.write(references[0], b"flushed-before-crash")
         cache.flush(references[0])
         cache.crash()
-        cache.recovery.journal.records.clear()
+        cache.recovery.journal.pending.clear()
         cache.restart()
         assert cache.storage_stats.journal_replayed == 0
 
@@ -231,13 +247,11 @@ class TestJournalSpill:
         _, cache, _, references = self._write_back_cache()
         journal = cache.recovery.journal
         cache.write(references[0], b"same bytes")
-        record = journal.records[-1]
+        [(key, (reference, _))] = journal.pending.items()
         # The spill-retry shape at the in-memory layer: re-appending the
-        # tail's exact bytes returns the tail instead of a new record.
-        assert journal.append(
-            record.key, record.reference, b"same bytes", 0.0
-        ) is record
-        assert len(journal.records) == 1
+        # same bytes for the same key changes nothing.
+        journal.append(key, reference, b"same bytes")
+        assert journal.pending == {key: (reference, b"same bytes")}
 
 
 class TestMemoSpill:

@@ -57,8 +57,6 @@ UNCALLED_OPTIONS = {
         "awaiting the benchmark PR: perfbench/probes.py forwards it",
     "MemoPolicy.capacity":
         "tests-only but load-bearing: the LRU bound is reached by shrinking it",
-    "MemoPolicy.probe_cost_ms":
-        "deferred to ROADMAP item 3: a virtual-cost constant in option form",
     "OverloadPolicy.deadlines":
         "tests-only but load-bearing: test_shedding isolates the gate",
     "OverloadPolicy.default_deadline_ms":

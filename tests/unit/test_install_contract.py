@@ -5,7 +5,7 @@ a fetch fill, a sibling adoption, a memo serve (local, or importing the
 bytes from another shard) and an L2 promotion (live, or of a record
 recovered across a crash).  Every one goes through
 ``CacheCore.install`` + ``CacheCore.arm`` and ends at
-``MissStage.finish``; this suite runs the same assertions against all
+``ReadPipeline._finish``; this suite runs the same assertions against all
 of them, for an application read and for a fill-serving read — and
 again with the cache full, because ``install`` is also the one place
 room is made: before the entry exists, whatever the source.

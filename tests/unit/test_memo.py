@@ -415,8 +415,6 @@ class TestMemoEndToEnd:
     def test_policy_validation(self):
         with pytest.raises(CacheError):
             DefaultMemoPolicy(capacity=0)
-        with pytest.raises(CacheError):
-            DefaultMemoPolicy(probe_cost_ms=-1.0)
 
     def test_stats_projection_counts(self):
         stats = MemoStats()

@@ -328,9 +328,9 @@ def emitted_literals(source_trees) -> set[str]:
 
 def test_one_way_into_the_cache_and_one_way_out_of_a_miss(source_trees):
     # A version becomes an entry in ``CacheCore.install`` and is armed in
-    # ``CacheCore.arm``; a read ends at the gate (hit) or at
-    # ``MissStage.finish`` (everything else).  A second site for any of
-    # these is a copy that will drift (benches build their own worlds).
+    # ``CacheCore.arm``; a read ends at ``ReadPipeline.serve`` (hit) or at
+    # ``ReadPipeline._finish`` (everything else).  A second site for any
+    # of these is a copy that will drift (benches build their own worlds).
     calls = Counter(
         (node.func.id, str(path))
         for path, tree in source_trees.items()
@@ -383,6 +383,52 @@ def test_one_driver_for_suspended_reads(source_trees):
     assert not any(
         isinstance(node, (ast.Yield, ast.YieldFrom))
         for node in ast.walk(writes)
+    )
+
+
+PIPELINE = Path(repro.__file__).parent / "cache" / "pipeline.py"
+
+
+def test_the_pipeline_is_two_classes_of_steps(source_trees):
+    # A step is a method, not a class: the five classes are the two
+    # pipelines and the values they exchange.
+    tree = source_trees[Path("cache/pipeline.py")]
+    assert [
+        node.name for node in tree.body if isinstance(node, ast.ClassDef)
+    ] == [
+        "WriteMode", "CacheReadOutcome", "ReadContext", "ReadPipeline",
+        "WritePipeline",
+    ]
+    assert "pragma: no cover" not in PIPELINE.read_text()
+
+
+def test_the_miss_order_is_written_once(source_trees):
+    # The module docstring states the order of a miss; ``_iterate`` calls
+    # each step exactly once, in that order, as straight-line code.
+    tree = source_trees[Path("cache/pipeline.py")]
+    stated = next(
+        line.split(":", 1)[1].split("→")
+        for line in ast.get_docstring(tree).splitlines()
+        if line.strip().startswith("miss:")
+    )
+    steps = [step.strip() for step in stated]
+    assert len(steps) == 7
+    iterate = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_iterate"
+    )
+    calls = sorted(
+        (node.lineno, node.col_offset, node.func.attr)
+        for node in ast.walk(iterate)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "self"
+        and node.func.attr in steps
+    )
+    assert [name for _, _, name in calls] == steps
+    assert not any(
+        isinstance(node, ast.For) for node in ast.walk(iterate)
     )
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.cache import policies
+from repro.cache import core, policies
 from repro.cache.manager import DocumentCache
 from repro.cluster import coordinator
 from repro.cluster import policy as cluster_policy
@@ -42,10 +42,10 @@ CONFIGS = [
     Config(
         policies.MemoPolicy,
         policies.DefaultMemoPolicy,
-        {"capacity": 1024, "probe_cost_ms": 0.2},
-        {"capacity": 16, "probe_cost_ms": 0.0},
-        [{"capacity": 0}, {"probe_cost_ms": -1.0}],
-        ["negative_cache", "verify_on_serve"],
+        {"capacity": 1024},
+        {"capacity": 16},
+        [{"capacity": 0}],
+        ["negative_cache", "verify_on_serve", "probe_cost_ms"],
     ),
     Config(
         policies.ConcurrencyPolicy,
@@ -218,7 +218,7 @@ class TestConfigContract:
             cls(**{item: True})
 
     def test_option_count(self):
-        assert sum(len(_options(config.cls)) for config in CONFIGS) == 26
+        assert sum(len(_options(config.cls)) for config in CONFIGS) == 25
 
     @per_config
     def test_every_field_is_an_option(self, config):
@@ -242,10 +242,10 @@ class TestConfigContract:
 @pytest.mark.parametrize(
     "module, name, value",
     [
+        (core, "PROBE_COST_MS", 0.2),
         (tier, "WRITE_COST_MS", 0.4),
         (tier, "READ_COST_MS", 0.25),
         (tier, "SYNC_COST_MS", 0.5),
-        (tier, "PROBE_COST_MS", 0.2),
         (tier, "BREAKER_PROBATION_MS", 2_000.0),
         (coordinator, "HEDGE_DELAY_FACTOR", 1.0),
         (coordinator, "HEDGE_DELAY_MIN_MS", 1.0),

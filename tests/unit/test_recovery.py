@@ -213,8 +213,8 @@ class TestJournal:
     def test_replay_restores_latest_unflushed_per_key(self):
         journal = WriteBackJournal()
         key = EntryKey("doc", "user")
-        journal.append(key, "ref", b"first", 1.0)
-        journal.append(key, "ref", b"second", 2.0)
+        journal.append(key, "ref", b"first")
+        journal.append(key, "ref", b"second")
         dirty = {}
         assert journal.replay_into(dirty) == (1, 0)
         assert dirty[key] == ("ref", b"second")
@@ -222,7 +222,7 @@ class TestJournal:
     def test_replay_is_idempotent(self):
         journal = WriteBackJournal()
         key = EntryKey("doc", "user")
-        journal.append(key, "ref", b"bytes", 1.0)
+        journal.append(key, "ref", b"bytes")
         dirty = {}
         assert journal.replay_into(dirty) == (1, 0)
         assert journal.replay_into(dirty) == (0, 1)
@@ -231,10 +231,40 @@ class TestJournal:
     def test_mark_flushed_retires_all_records_for_the_key(self):
         journal = WriteBackJournal()
         key = EntryKey("doc", "user")
-        journal.append(key, "ref", b"first", 1.0)
-        journal.append(key, "ref", b"second", 2.0)
-        assert journal.mark_flushed(key) == 2
+        journal.append(key, "ref", b"first")
+        journal.append(key, "ref", b"second")
+        assert journal.mark_flushed(key)
+        assert len(journal) == 0
         assert journal.replay_into({}) == (0, 0)
+
+    def test_replay_order_is_first_unflushed_order(self):
+        journal = WriteBackJournal()
+        first, second = EntryKey("a", "user"), EntryKey("b", "user")
+        journal.append(first, "ref-a", b"a1")
+        journal.append(second, "ref-b", b"b1")
+        journal.append(first, "ref-a", b"a2")
+        assert list(journal.pending) == [first, second]
+        journal.mark_flushed(first)
+        journal.append(first, "ref-a", b"a3")
+        dirty = {}
+        assert journal.replay_into(dirty) == (2, 0)
+        assert list(dirty.items()) == [
+            (second, ("ref-b", b"b1")), (first, ("ref-a", b"a3")),
+        ]
+
+    def test_flushed_writes_leave_the_journal(self):
+        # Replay reads only what is unflushed, so a flushed write must not
+        # stay behind: the journal of a cache that flushes what it writes
+        # stays empty however long it runs.
+        _, cache, reader_ref, _, _ = _deployment(
+            write_mode=WriteMode.WRITE_BACK
+        )
+        for index in range(1_000):
+            cache.write(reader_ref, b"write %d" % index)
+            cache.flush(reader_ref)
+        assert len(cache.recovery.journal) == 0
+        assert cache.recovery_stats.journal_appends == 1_000
+        assert cache.recovery_stats.journal_flush_marks == 1_000
 
 
 class TestCrashRestart:
