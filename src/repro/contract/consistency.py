@@ -63,6 +63,10 @@ class InvalidationReason(enum.Enum):
     #: Bookkeeping: a verifier raised; treated as conservatively stale.
     VERIFIER_FAILED = "verifier-failed"
 
+    # Members key every cache's invalidation counter: identity hashing,
+    # not Enum's Python-level ``hash(self._name_)``.
+    __hash__ = object.__hash__
+
     @property
     def invalidation_class(self) -> InvalidationClass:
         """Which of the paper's four classes this reason belongs to."""

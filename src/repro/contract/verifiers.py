@@ -65,21 +65,21 @@ class Verdict(enum.Enum):
     REVALIDATED = "revalidated"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class VerifierResult:
     """Verdict plus, for :attr:`Verdict.REVALIDATED`, the patched bytes.
 
     A ``REVALIDATED`` verdict must carry them (``b""`` is a legal,
     empty, patch): the cache stores and serves exactly what it is
     handed, so one without bytes is refused here, as a failed verifier.
+    Immutable: VALID and INVALID are answered with two shared instances.
     """
 
     verdict: Verdict
     patched_content: bytes | None = None
 
     def __post_init__(self) -> None:
-        # Runs on every hit that has a verifier: two identity tests.
-        if self.patched_content is None and self.verdict is _REVALIDATED:
+        if self.patched_content is None and self.verdict is Verdict.REVALIDATED:
             raise VerifierError("a REVALIDATED verdict carries no patched content")
 
     @property
@@ -88,7 +88,8 @@ class VerifierResult:
         return self.verdict is not Verdict.INVALID
 
 
-_REVALIDATED = Verdict.REVALIDATED
+_VALID = VerifierResult(Verdict.VALID)
+_INVALID = VerifierResult(Verdict.INVALID)
 
 
 class Verifier(abc.ABC):
@@ -142,14 +143,14 @@ class AlwaysValidVerifier(Verifier):
     """Trivially valid — for content with no external dependencies."""
 
     def verify(self, now_ms: float, content: bytes) -> VerifierResult:
-        return VerifierResult(Verdict.VALID)
+        return _VALID
 
 
 class AlwaysInvalidVerifier(Verifier):
     """Trivially invalid — forces a refetch on every access (testing)."""
 
     def verify(self, now_ms: float, content: bytes) -> VerifierResult:
-        return VerifierResult(Verdict.INVALID)
+        return _INVALID
 
 
 class TTLVerifier(Verifier):
@@ -175,8 +176,8 @@ class TTLVerifier(Verifier):
 
     def verify(self, now_ms: float, content: bytes) -> VerifierResult:
         if now_ms < self.expires_ms:
-            return VerifierResult(Verdict.VALID)
-        return VerifierResult(Verdict.INVALID)
+            return _VALID
+        return _INVALID
 
 
 class ModificationTimeVerifier(Verifier):
@@ -204,8 +205,8 @@ class ModificationTimeVerifier(Verifier):
     def verify(self, now_ms: float, content: bytes) -> VerifierResult:
         current = self._probe()
         if current == self.observed_mtime_ms:
-            return VerifierResult(Verdict.VALID)
-        return VerifierResult(Verdict.INVALID)
+            return _VALID
+        return _INVALID
 
 
 class PredicateVerifier(Verifier):
@@ -227,8 +228,8 @@ class PredicateVerifier(Verifier):
 
     def verify(self, now_ms: float, content: bytes) -> VerifierResult:
         if self._predicate(now_ms, content):
-            return VerifierResult(Verdict.VALID)
-        return VerifierResult(Verdict.INVALID)
+            return _VALID
+        return _INVALID
 
 
 class CompositeVerifier(Verifier):
@@ -254,8 +255,8 @@ class CompositeVerifier(Verifier):
         for part in self.parts:
             result = part.run(now_ms, content)
             if result.verdict is not Verdict.VALID:
-                return VerifierResult(Verdict.INVALID)
-        return VerifierResult(Verdict.VALID)
+                return _INVALID
+        return _VALID
 
 
 class ThresholdVerifier(Verifier):
@@ -295,9 +296,9 @@ class ThresholdVerifier(Verifier):
     def verify(self, now_ms: float, content: bytes) -> VerifierResult:
         current = self._observe()
         if self._drift(current) <= self.threshold_fraction:
-            return VerifierResult(Verdict.VALID)
+            return _VALID
         if self._patcher is None:
-            return VerifierResult(Verdict.INVALID)
+            return _INVALID
         patched = self._patcher(content, current)
         self.baseline = current
         return VerifierResult(Verdict.REVALIDATED, patched_content=patched)

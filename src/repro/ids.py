@@ -8,16 +8,17 @@ The Placeless Documents design distinguishes several id namespaces:
 * **properties** are identified within the document they are attached to;
 * **caches** must be addressable so notifiers can deliver invalidations.
 
-Using distinct frozen-dataclass types (rather than bare strings) keeps
-the id spaces from being confused — a reference id can never be passed
-where a document id is expected without the type being visible at the call
-site — while remaining hashable, comparable and cheap.
+Each namespace is a ``str`` subclass whose text carries the namespace
+(``DocumentId("7")`` *is* ``"doc:7"``): a reference id can never be
+passed where a document id is expected without the type being visible
+at the call site, two namespaces never compare equal, and hashing and
+equality run in C — every read probes its ``(document, user)`` key.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import defaultdict
 from typing import Iterator
 
 __all__ = [
@@ -31,38 +32,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DocumentId:
+class _Id(str):
+    """A namespaced id: the text is ``prefix + value``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, prefix: str) -> None:
+        cls._prefix = prefix
+
+    def __new__(cls, value: str) -> _Id:
+        return str.__new__(cls, cls._prefix + value)  # non-str: TypeError
+
+    @property
+    def value(self) -> str:
+        """The id without its namespace prefix."""
+        return self[len(self._prefix):]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(value={self.value!r})"
+
+    def __reduce__(self):
+        return type(self), (self.value,)
+
+
+class DocumentId(_Id, prefix="doc:"):
     """Identity of a base document, unique across the kernel."""
 
-    value: str
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"doc:{self.value}"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReferenceId:
+class ReferenceId(_Id, prefix="ref:"):
     """Identity of one user's reference to a base document."""
 
-    value: str
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"ref:{self.value}"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UserId:
+class UserId(_Id, prefix="user:"):
     """Identity of a user (owner of a document space)."""
 
-    value: str
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"user:{self.value}"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PropertyId:
+class PropertyId(_Id, prefix="prop:"):
     """Identity of a property attachment.
 
     Two attachments of the "same" property class to different documents get
@@ -71,30 +82,19 @@ class PropertyId:
     many times with different parameters.
     """
 
-    value: str
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"prop:{self.value}"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CacheId:
+class CacheId(_Id, prefix="cache:"):
     """Identity of a cache instance, used as a notifier delivery address."""
 
-    value: str
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"cache:{self.value}"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VersionId:
+class VersionId(_Id, prefix="version:"):
     """Identity of a saved document version (the versioning property)."""
 
-    value: str
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"version:{self.value}"
+    __slots__ = ()
 
 
 class IdGenerator:
@@ -107,17 +107,12 @@ class IdGenerator:
     """
 
     def __init__(self) -> None:
-        self._counters: dict[str, Iterator[int]] = {}
-
-    def _next(self, namespace: str) -> int:
-        counter = self._counters.get(namespace)
-        if counter is None:
-            counter = itertools.count(1)
-            self._counters[namespace] = counter
-        return next(counter)
+        self._counters: dict[str, Iterator[int]] = defaultdict(
+            lambda: itertools.count(1)
+        )
 
     def _make(self, namespace: str, hint: str | None) -> str:
-        serial = self._next(namespace)
+        serial = next(self._counters[namespace])
         if hint:
             return f"{serial}-{hint}"
         return str(serial)

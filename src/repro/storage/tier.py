@@ -243,9 +243,7 @@ class L2Tier:
             directory = Path(self._tmp.name)
         else:
             self._tmp = None
-            directory = Path(policy.directory) / _sanitize(
-                str(core.cache_id)
-            )
+            directory = Path(policy.directory) / _sanitize(core.cache_id)
         self.directory = directory
         try:
             self.disk = DiskContentStore(directory / "content.seg")

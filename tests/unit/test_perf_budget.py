@@ -16,7 +16,10 @@ The miss path's budgets are exact counts, which a shared CI box can
 hold where it cannot hold a wall-clock number: MD5 constructions per
 miss (each byte string is hashed once), and Python-level calls per miss
 and per plain kernel read, which must not depend on how many users'
-notifiers are armed on the document.
+notifiers are armed on the document.  Hits and re-misses also have an
+exact budget of *zero* Python ``__hash__`` / ``__eq__`` frames: ids are
+``str`` subclasses and the invalidation reasons hash by identity, so
+every key probe runs in C.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import sys
 import pytest
 
 from repro.bench.perf import allocation_probe, peak_rss_kb
+from repro.cache.entry import EntryKey
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import OverloadPolicy
 from repro.placeless.kernel import PlacelessKernel
@@ -90,6 +94,9 @@ def test_peak_rss_helper():
 
 # -- miss-path count budgets ----------------------------------------------------
 
+#: Python-level key-probe frames; a hit and a re-miss must run none.
+_KEY_DUNDERS = ("__hash__", "__eq__")
+
 
 def _armed_world(n_users: int):
     """One document read once through one cache by each of *n_users*
@@ -129,13 +136,17 @@ def test_each_byte_string_is_hashed_once_per_miss(md5_calls):
     assert len(md5_calls) == 1
 
 
-def _calls(action) -> int:
-    """Python and C function calls *action* makes (``sys.setprofile``)."""
+def _calls(action, names: tuple[str, ...] = ()) -> int:
+    """Python and C function calls *action* makes (``sys.setprofile``);
+    with *names*, only the Python frames of functions so named."""
     count = 0
 
     def tracer(frame, event, arg):
         nonlocal count
-        if event in ("call", "c_call"):
+        if names:
+            if event == "call" and frame.f_code.co_name in names:
+                count += 1
+        elif event in ("call", "c_call"):
             count += 1
 
     sys.setprofile(tracer)
@@ -159,3 +170,26 @@ def _calls_per_read(n_users: int) -> tuple[int, int]:
 
 def test_miss_and_kernel_read_do_not_scan_armed_users():
     assert _calls_per_read(64) == _calls_per_read(2)
+
+
+def test_key_probes_run_no_python_hash_or_eq():
+    # Every read probes ``dirty`` and ``entries`` by (document, user), and
+    # an invalidation counts its reason: Python frames there tax each one.
+    kernel, cache, (reference, *_) = _armed_world(2)
+    hits = cache.stats.hits
+    assert _calls(lambda: cache.read(reference), _KEY_DUNDERS) == 0
+    assert cache.stats.hits == hits + 1
+
+    def invalidate_and_remiss() -> None:
+        cache.invalidate_document(reference.document_id)
+        assert cache.read(reference).disposition == "miss"
+
+    assert _calls(invalidate_and_remiss, _KEY_DUNDERS) == 0
+
+
+def test_a_verified_hit_builds_no_verifier_result():
+    # The entry carries a ModificationTimeVerifier; its VALID verdict is
+    # a shared instance, so no ``VerifierResult.__post_init__`` runs.
+    kernel, cache, (reference, *_) = _armed_world(2)
+    assert cache.core.entries[EntryKey.for_reference(reference)].verifiers
+    assert _calls(lambda: cache.read(reference), ("__post_init__",)) == 0

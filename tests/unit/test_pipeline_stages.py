@@ -109,7 +109,7 @@ class TestDefaultDegradationPolicy:
 
     def test_quarantine_requires_consecutive_failures(self):
         core = self._core(verifier_quarantine_threshold=3)
-        key = (DocumentId(1), "ThresholdVerifier")
+        key = (DocumentId("1"), "ThresholdVerifier")
         assert not core.note_verifier_failure(key)
         assert not core.note_verifier_failure(key)
         # A clean run resets the streak, so the next failure is #1 again.
@@ -123,7 +123,7 @@ class TestDefaultDegradationPolicy:
 
     def test_no_threshold_means_no_quarantine(self):
         core = self._core()
-        key = (DocumentId(1), "V")
+        key = (DocumentId("1"), "V")
         for _ in range(100):
             core.note_verifier_failure(key)
         assert not core.is_quarantined(key)
@@ -131,8 +131,8 @@ class TestDefaultDegradationPolicy:
 
     def test_breaker_reset_clears_streaks_too(self):
         core = self._core(verifier_quarantine_threshold=1)
-        a = (DocumentId(1), "A")
-        b = (DocumentId(2), "B")
+        a = (DocumentId("1"), "A")
+        b = (DocumentId("2"), "B")
         core.note_verifier_failure(a)
         core.note_verifier_failure(b)
         assert core.quarantine.open_keys() == {a, b}
@@ -143,7 +143,7 @@ class TestDefaultDegradationPolicy:
 
     def test_open_keys_returns_a_copy(self):
         core = self._core(verifier_quarantine_threshold=1)
-        key = (DocumentId(1), "A")
+        key = (DocumentId("1"), "A")
         core.note_verifier_failure(key)
         snapshot = core.quarantine.open_keys()
         snapshot.clear()
