@@ -631,12 +631,16 @@ class DocumentCache:
         — the lease tick (the crash stops it), the fault plan's
         scheduled crash instants, the invalidation sink and its
         sequenced channel — so a departed cache (a shard its cluster
-        lost) can never come back as a zombie.
+        lost) can never come back as a zombie.  The durable tier's
+        files are closed and the cache is L1-only from then on.
         """
         self.crash()
         for scheduled in self._scheduled_crashes:
             scheduled.cancel()
         self._core.bus.unregister(self._core.cache_id)
+        if self._core.l2 is not None:
+            self._core.l2.close()
+            self._core.l2 = None
 
     # -- invalidation ------------------------------------------------------------
 

@@ -27,12 +27,24 @@ The format is deliberately crash-shaped:
   plan decides the fsync silently lied).  :meth:`crash` truncates the
   file back to the watermark — the simulation's model of process death
   plus page-cache loss.
+
+A log opens its file once, unbuffered, and keeps the descriptor: an
+append is one positioned write of header and payload
+(:func:`os.pwritev`), a point read is :func:`os.pread` at the frame
+offset, and truncation is :func:`os.ftruncate` on the same descriptor.
+With no user-space buffer, every append is a single kernel write, so a
+killed process loses nothing the kernel had accepted.  Compaction swaps
+a new file into place, so :meth:`SegmentLog.replace_with` reopens the
+descriptor on it — appends must not land in the unlinked old inode.
+:meth:`SegmentLog.close` releases the descriptor (a garbage-collected
+log releases it too).  Positioned I/O is POSIX-only.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+import weakref
 import zlib
 from pathlib import Path
 
@@ -100,8 +112,8 @@ class SegmentLog:
     def __init__(self, path: "Path | str") -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.touch(exist_ok=True)
-        self._size = self.path.stat().st_size
+        self._open()
+        self._size = os.fstat(self._fd).st_size
         #: Offset confirmed durable by the last (non-lost) fsync.  A
         #: freshly opened log trusts what it finds on disk — recovery
         #: scans decide what of it is usable.
@@ -110,6 +122,28 @@ class SegmentLog:
         self.torn_truncations = 0
         #: Complete-but-corrupt records skipped across scans/reads.
         self.corrupt_skips = 0
+
+    def _open(self) -> None:
+        """Hold a read-write descriptor on :attr:`path`, creating it.
+
+        The finalizer is the one place the descriptor is closed — by
+        :meth:`close`, :meth:`replace_with` or garbage collection, once
+        — so a collected log cannot close a number since reused.
+        """
+        self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o666)
+        self._closer = weakref.finalize(self, os.close, self._fd)
+
+    def _live(self) -> int:
+        """The held descriptor; raises once the log is closed."""
+        if self._fd < 0:
+            raise StorageError(f"segment {self.path} is closed")
+        return self._fd
+
+    def close(self) -> None:
+        """Release the descriptor; idempotent.  Later appends and reads
+        raise :class:`StorageError`."""
+        self._closer()
+        self._fd = -1
 
     @property
     def size(self) -> int:
@@ -138,11 +172,12 @@ class SegmentLog:
             _MAGIC, kind, len(payload), zlib.crc32(payload) & 0xFFFFFFFF
         )
         offset = self._size
-        with open(self.path, "r+b") as handle:
-            handle.seek(offset)
-            handle.write(header)
-            handle.write(written)
-        self._size = offset + _HEADER.size + len(payload)
+        length = _HEADER.size + len(payload)
+        if os.pwritev(self._live(), (header, written), offset) != length:
+            raise StorageError(
+                f"short write at offset {offset} in {self.path}"
+            )
+        self._size = offset + length
         return offset
 
     def sync(self, *, lost: bool = False) -> None:
@@ -157,25 +192,23 @@ class SegmentLog:
 
     def crash(self) -> None:
         """Truncate to the durable watermark (process death + cache loss)."""
-        with open(self.path, "r+b") as handle:
-            handle.truncate(self._durable)
+        os.ftruncate(self._live(), self._durable)
         self._size = self._durable
 
     def read(self, offset: int) -> tuple[int, bytes]:
         """The ``(kind, payload)`` at *offset*; raises on any damage."""
-        with open(self.path, "rb") as handle:
-            handle.seek(offset)
-            header = handle.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                raise StorageError(
-                    f"short record header at offset {offset} in {self.path}"
-                )
-            magic, kind, length, crc = _HEADER.unpack(header)
-            if magic != _MAGIC:
-                raise StorageError(
-                    f"bad record magic at offset {offset} in {self.path}"
-                )
-            payload = handle.read(length)
+        fd = self._live()
+        header = os.pread(fd, _HEADER.size, offset)
+        if len(header) < _HEADER.size:
+            raise StorageError(
+                f"short record header at offset {offset} in {self.path}"
+            )
+        magic, kind, length, crc = _HEADER.unpack(header)
+        if magic != _MAGIC:
+            raise StorageError(
+                f"bad record magic at offset {offset} in {self.path}"
+            )
+        payload = os.pread(fd, length, offset + _HEADER.size)
         if len(payload) < length:
             raise StorageError(
                 f"short record payload at offset {offset} in {self.path}"
@@ -220,8 +253,7 @@ class SegmentLog:
                 records.append((kind, payload, offset))
             offset = body_start + length
         if truncate_at is not None:
-            with open(self.path, "r+b") as handle:
-                handle.truncate(truncate_at)
+            os.ftruncate(self._live(), truncate_at)
             self._size = truncate_at
             self._durable = min(self._durable, truncate_at)
             self.torn_truncations += 1
@@ -230,10 +262,12 @@ class SegmentLog:
     def replace_with(self, records: list[tuple[int, bytes]]) -> dict[int, int]:
         """Atomically rewrite the log to exactly *records* (compaction).
 
-        Writes the survivors to a sibling file, fsyncs it, and swaps it
-        into place with :func:`os.replace`; returns a map from each
-        record's *input index* to its new offset.
+        Writes the survivors to a sibling file, fsyncs it, swaps it into
+        place with :func:`os.replace` and reopens the held descriptor on
+        it; returns a map from each record's *input index* to its new
+        offset.
         """
+        self._live()
         scratch = self.path.with_suffix(self.path.suffix + ".compact")
         offsets: dict[int, int] = {}
         with open(scratch, "wb") as handle:
@@ -250,6 +284,8 @@ class SegmentLog:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(scratch, self.path)
-        self._size = self.path.stat().st_size
+        self._closer()
+        self._open()
+        self._size = os.fstat(self._fd).st_size
         self._durable = self._size
         return offsets

@@ -212,14 +212,19 @@ class StorageStats:
     by_reason: dict[str, int] = field(default_factory=dict)
 
 
+#: The one sorted-key encoder for segment payloads; ``json.dumps`` with
+#: an option builds a new encoder per call, and the bytes are the same.
+_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def _key_json(key: EntryKey, **fields) -> bytes:
     """A segment payload naming *key*: ``document`` and ``user`` plus
     *fields*, as sorted-key JSON."""
-    return json.dumps({
+    return _JSON.encode({
         "document": key.document_id.value,
         "user": key.user_id.value,
         **fields,
-    }, sort_keys=True).encode("utf-8")
+    }).encode("utf-8")
 
 
 def _key_of(data: dict) -> EntryKey:
@@ -572,8 +577,8 @@ class L2Tier:
         if self._sync("journal", self.journal_log):
             # The fsync lied.  Re-append and sync honestly — if the
             # first frame actually reached the platter this produces a
-            # duplicated tail record, which replay (latest-per-key) and
-            # the in-memory journal's tail coalescing both tolerate.
+            # duplicated tail record, which replay tolerates: it keeps
+            # the latest record per key and skips keys already dirty.
             self.journal_log.append(K_JOURNAL, payload)
             self._sync("journal-retry", self.journal_log)
         self.stats.journal_spills += 1
@@ -612,7 +617,7 @@ class L2Tier:
             self.stats.write_failures += 1
             self._fail("memo")
             return
-        self.memo_log.append(K_MEMO, json.dumps({
+        self.memo_log.append(K_MEMO, _JSON.encode({
             "source": record.source_signature.digest,
             "fingerprint": record.fingerprint.digest,
             "output": (
@@ -628,7 +633,7 @@ class L2Tier:
             "cost": record.replacement_cost_ms,
             "chain": list(record.chain_signature),
             "pin": record.pinned,
-        }, sort_keys=True).encode("utf-8"), corrupt=(action == "corrupt"))
+        }).encode("utf-8"), corrupt=(action == "corrupt"))
         self._sync("memo", self.memo_log)
         self.stats.memo_spills += 1
         self._ok()
@@ -665,6 +670,16 @@ class L2Tier:
         self.stats.compacted_bytes += freed
         self.core.emit("storage", "compacted", bytes=freed)
         return freed
+
+    def close(self) -> None:
+        """Release the four segment descriptors, and the directory when
+        the tier made its own; idempotent.  Disk I/O raises after."""
+        for log in (
+            self.disk.log, self.catalog_log, self.journal_log, self.memo_log
+        ):
+            log.close()
+        if self._tmp is not None:
+            self._tmp.cleanup()
 
     # -- crash / recover -------------------------------------------------------
 

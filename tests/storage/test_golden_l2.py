@@ -51,17 +51,20 @@ def _run_workload(storage: bool, seed: int) -> list[bytes]:
     )
     rng = random.Random(seed)
     served: list[bytes] = []
-    for op in range(N_OPS):
-        index = rng.randrange(N_DOCS)
-        if rng.random() < 0.08:
-            # Out-of-band mutation: the provider changes under the
-            # cache with no notification.  Both arms must converge on
-            # the new bytes the same way.
-            providers[index].store(
-                f"mutated-{index}-at-op-{op}".encode()
-            )
-        kernel.ctx.clock.advance(10.0)
-        served.append(cache.read(references[index]).content)
+    try:
+        for op in range(N_OPS):
+            index = rng.randrange(N_DOCS)
+            if rng.random() < 0.08:
+                # Out-of-band mutation: the provider changes under the
+                # cache with no notification.  Both arms must converge
+                # on the new bytes the same way.
+                providers[index].store(
+                    f"mutated-{index}-at-op-{op}".encode()
+                )
+            kernel.ctx.clock.advance(10.0)
+            served.append(cache.read(references[index]).content)
+    finally:
+        cache.shutdown()
     return served
 
 

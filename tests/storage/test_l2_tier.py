@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cache.entry import EntryKey
 from repro.cache.manager import DocumentCache
 from repro.cache.memo import ChainFingerprint, MemoRecord
@@ -11,12 +13,14 @@ from repro.cache.policies import (
     DefaultRecoveryPolicy,
     DefaultStoragePolicy,
 )
+from repro.cluster import CacheCluster
 from repro.content.signature import sign
+from repro.errors import StorageError
 from repro.faults.plan import FaultPlan
 from repro.placeless.chain import read_plan
 from repro.placeless.kernel import PlacelessKernel
 from repro.providers.memory import MemoryProvider
-from repro.storage import K_JOURNAL
+from repro.storage import K_CONTENT, K_JOURNAL
 
 
 def _deployment(n_docs=6, slots=2, *, faults=None, storage=None, **cache_kwargs):
@@ -43,29 +47,46 @@ def _deployment(n_docs=6, slots=2, *, faults=None, storage=None, **cache_kwargs)
     return kernel, cache, providers, references
 
 
+@pytest.fixture
+def deployment():
+    """:func:`_deployment`, with every cache it built shut down when the
+    test ends: tier files closed and the tier's private directory
+    removed, not left to the collector."""
+    caches: list[DocumentCache] = []
+
+    def build(*args, **kwargs):
+        world = _deployment(*args, **kwargs)
+        caches.append(world[1])
+        return world
+
+    yield build
+    for cache in caches:
+        cache.shutdown()
+
+
 class TestWiring:
     def test_off_by_default(self):
         cache = DocumentCache(PlacelessKernel(), capacity_bytes=1024)
         assert cache.storage is None
         assert cache.storage_stats is None
 
-    def test_tier_present_with_policy(self):
-        _, cache, _, _ = _deployment()
+    def test_tier_present_with_policy(self, deployment):
+        _, cache, _, _ = deployment()
         assert cache.storage is not None
         assert len(cache.storage) == 0
 
 
 class TestDemotePromote:
-    def test_eviction_demotes_to_disk(self):
-        _, cache, providers, references = _deployment()
+    def test_eviction_demotes_to_disk(self, deployment):
+        _, cache, providers, references = deployment()
         for reference in references:
             cache.read(reference)
         stats = cache.storage_stats
         assert stats.demotions == 4  # 6 docs through 2 slots
         assert len(cache.storage) == 4
 
-    def test_promote_serves_without_refetch(self):
-        _, cache, providers, references = _deployment()
+    def test_promote_serves_without_refetch(self, deployment):
+        _, cache, providers, references = deployment()
         for reference in references:
             cache.read(reference)
         outcome = cache.read(references[0])
@@ -73,8 +94,8 @@ class TestDemotePromote:
         assert outcome.content == providers[0].peek()
         assert cache.storage_stats.promotions == 1
 
-    def test_tiering_is_exclusive(self):
-        _, cache, _, references = _deployment()
+    def test_tiering_is_exclusive(self, deployment):
+        _, cache, _, references = deployment()
         for reference in references:
             cache.read(reference)
         key = cache.storage.catalog_keys()[0]
@@ -88,15 +109,15 @@ class TestDemotePromote:
                 break
         assert key not in cache.storage
 
-    def test_verify_on_promote_runs_verifiers(self):
-        _, cache, _, references = _deployment()
+    def test_verify_on_promote_runs_verifiers(self, deployment):
+        _, cache, _, references = deployment()
         for reference in references:
             cache.read(reference)
         cache.read(references[0])
         assert cache.storage_stats.promote_verifier_runs >= 1
 
-    def test_promote_refuses_changed_source(self):
-        _, cache, providers, references = _deployment()
+    def test_promote_refuses_changed_source(self, deployment):
+        _, cache, providers, references = deployment()
         for reference in references:
             cache.read(reference)
         # Out-of-band mutation: no notification reaches the cache, the
@@ -108,9 +129,9 @@ class TestDemotePromote:
         assert cache.storage_stats.promote_source_mismatches == 1
 
     def test_promote_probes_an_unchanged_source_without_rehashing(
-        self, md5_calls
+        self, deployment, md5_calls
     ):
-        _, cache, _, references = _deployment()
+        _, cache, _, references = deployment()
         for reference in references:
             cache.read(reference)
         read_plan(references[0])  # the chain fingerprint, hashed once
@@ -123,8 +144,8 @@ class TestDemotePromote:
 
 
 class TestCrashRestart:
-    def test_restart_recovers_demoted_entries(self):
-        _, cache, providers, references = _deployment()
+    def test_restart_recovers_demoted_entries(self, deployment):
+        _, cache, providers, references = deployment()
         for reference in references:
             cache.read(reference)
         demoted = len(cache.storage)
@@ -135,8 +156,10 @@ class TestCrashRestart:
         assert stats.recovered_entries == demoted
         assert stats.restarts == 1
 
-    def test_recovered_entry_is_verifier_gated_on_first_serve(self):
-        _, cache, providers, references = _deployment()
+    def test_recovered_entry_is_verifier_gated_on_first_serve(
+        self, deployment
+    ):
+        _, cache, providers, references = deployment()
         for reference in references:
             cache.read(reference)
         cache.crash()
@@ -148,8 +171,8 @@ class TestCrashRestart:
         assert cache.storage_stats.recovered_promotions == 1
         assert cache.storage_stats.promote_verifier_runs == runs_before + 1
 
-    def test_recovered_entry_refuses_changed_source(self):
-        _, cache, providers, references = _deployment()
+    def test_recovered_entry_refuses_changed_source(self, deployment):
+        _, cache, providers, references = deployment()
         for reference in references:
             cache.read(reference)
         cache.crash()
@@ -159,8 +182,8 @@ class TestCrashRestart:
         assert outcome.content == b"changed while the cache was down"
         assert outcome.disposition != "miss-promoted"
 
-    def test_unsynced_demotions_do_not_survive_a_lying_fsync(self):
-        _, cache, _, references = _deployment(
+    def test_unsynced_demotions_do_not_survive_a_lying_fsync(self, deployment):
+        _, cache, _, references = deployment(
             faults={"seed": 7, "disk_fsync_lost_probability": 1.0},
         )
         for reference in references:
@@ -174,8 +197,8 @@ class TestCrashRestart:
 
 
 class TestDegradation:
-    def test_breaker_trips_to_l1_only_and_reads_stay_correct(self):
-        _, cache, providers, references = _deployment(
+    def test_breaker_trips_to_l1_only_and_reads_stay_correct(self, deployment):
+        _, cache, providers, references = deployment(
             faults={"seed": 7, "disk_write_fail_probability": 1.0},
         )
         for index, reference in enumerate(references):
@@ -193,16 +216,18 @@ class TestDegradation:
 
 
 class TestJournalSpill:
-    def _write_back_cache(self):
-        return _deployment(
+    def _write_back_cache(self, deployment):
+        return deployment(
             write_mode=WriteMode.WRITE_BACK,
             use_verifiers=False,
             recovery_policy=DefaultRecoveryPolicy(),
             slots=6,
         )
 
-    def test_spilled_journal_replays_after_total_process_loss(self):
-        _, cache, providers, references = self._write_back_cache()
+    def test_spilled_journal_replays_after_total_process_loss(
+        self, deployment
+    ):
+        _, cache, providers, references = self._write_back_cache(deployment)
         cache.write(references[0], b"acknowledged-write")
         assert cache.storage_stats.journal_spills == 1
         cache.crash()
@@ -214,8 +239,8 @@ class TestJournalSpill:
         cache.flush_all()
         assert providers[0].peek() == b"acknowledged-write"
 
-    def test_duplicated_tail_replays_once(self):
-        _, cache, providers, references = self._write_back_cache()
+    def test_duplicated_tail_replays_once(self, deployment):
+        _, cache, providers, references = self._write_back_cache(deployment)
         cache.write(references[0], b"acknowledged-write")
         log = cache.storage.journal_log
         records, _ = log.scan_records()
@@ -234,8 +259,8 @@ class TestJournalSpill:
         assert cache.stats.flushes == flushes_before + 1
         assert providers[0].peek() == b"acknowledged-write"
 
-    def test_flushed_writes_are_not_replayed(self):
-        _, cache, providers, references = self._write_back_cache()
+    def test_flushed_writes_are_not_replayed(self, deployment):
+        _, cache, providers, references = self._write_back_cache(deployment)
         cache.write(references[0], b"flushed-before-crash")
         cache.flush(references[0])
         cache.crash()
@@ -243,8 +268,8 @@ class TestJournalSpill:
         cache.restart()
         assert cache.storage_stats.journal_replayed == 0
 
-    def test_in_memory_journal_coalesces_duplicated_tail(self):
-        _, cache, _, references = self._write_back_cache()
+    def test_in_memory_journal_coalesces_duplicated_tail(self, deployment):
+        _, cache, _, references = self._write_back_cache(deployment)
         journal = cache.recovery.journal
         cache.write(references[0], b"same bytes")
         [(key, (reference, _))] = journal.pending.items()
@@ -255,8 +280,8 @@ class TestJournalSpill:
 
 
 class TestMemoSpill:
-    def test_verifier_free_memo_record_spills_and_reloads(self):
-        _, cache, _, _ = _deployment(
+    def test_verifier_free_memo_record_spills_and_reloads(self, deployment):
+        _, cache, _, _ = deployment(
             memo_policy=DefaultMemoPolicy(), slots=6,
         )
         tier = cache.storage
@@ -275,8 +300,8 @@ class TestMemoSpill:
         )
         assert reloaded is not None and reloaded.is_negative
 
-    def test_records_with_verifiers_stay_in_memory_only(self):
-        _, cache, _, references = _deployment(
+    def test_records_with_verifiers_stay_in_memory_only(self, deployment):
+        _, cache, _, references = deployment(
             memo_policy=DefaultMemoPolicy(), slots=6,
         )
         for reference in references:
@@ -285,3 +310,40 @@ class TestMemoSpill:
         # so their memo records must never spill (a reloaded record
         # without its live verifiers would dodge class-(d) checks).
         assert cache.storage_stats.memo_spills == 0
+
+
+class TestClose:
+    def test_shutdown_closes_the_tier_once(self, deployment):
+        _, cache, _, references = deployment()
+        for reference in references:
+            cache.read(reference)
+        tier = cache.storage
+        cache.shutdown()
+        assert cache.storage is None  # L1-only from here on
+        assert not tier.directory.exists()  # the private directory went
+        for log in (
+            tier.disk.log, tier.catalog_log, tier.journal_log, tier.memo_log
+        ):
+            with pytest.raises(StorageError):
+                log.append(K_CONTENT, b"after close")
+            with pytest.raises(StorageError):
+                log.read(0)
+        tier.close()  # closing again is harmless, and so is
+        cache.shutdown()  # shutting down again
+
+    def test_a_lost_shard_closes_its_tier(self):
+        kernel = PlacelessKernel()
+        cluster = CacheCluster(
+            kernel, 2, 1 << 20,
+            recovery_policy=DefaultRecoveryPolicy(),
+            shard_kwargs={"storage_policy": DefaultStoragePolicy()},
+        )
+        name, lost = next(iter(cluster.shards.items()))
+        tier = lost.storage
+        try:
+            cluster.lose_shard(name)
+            assert lost.storage is None
+            assert not tier.directory.exists()
+        finally:
+            for survivor in cluster.shards.values():
+                survivor.shutdown()

@@ -59,29 +59,32 @@ def test_no_stale_byte_served_across_crash(seed, crash_at, mutate_mask):
         storage_policy=DefaultStoragePolicy(),
         name="prop-storage",
     )
-    clock = kernel.ctx.clock
-    mutated = False
-    step = 0
-    while clock.now_ms < crash_at + _TAIL_MS:
-        clock.advance(10.0)  # the scheduled crash+restart fires in here
-        if not mutated and clock.now_ms >= crash_at:
-            # The cache is freshly restarted and its L1 is empty: any
-            # stale byte from here on could only come off the disk
-            # tier.  Rewrite a drawn subset of sources out-of-band so
-            # every recovered copy of them is silently stale.
-            for index in range(N_DOCS):
-                if mutate_mask >> index & 1:
-                    rewritten = f"rewritten-{index}-while-down".encode()
-                    providers[index].store(rewritten)
-                    truth[index] = rewritten
-            mutated = True
-        index = step % N_DOCS
-        step += 1
-        outcome = cache.read(references[index])
-        assert outcome.content == truth[index], (
-            f"stale bytes served for doc {index} at "
-            f"{clock.now_ms:.0f}ms (seed {seed}, crash at "
-            f"{crash_at:.0f}ms, disposition {outcome.disposition!r})"
-        )
-    assert cache.storage_stats.crashes == 1
-    assert cache.storage_stats.restarts == 1
+    try:
+        clock = kernel.ctx.clock
+        mutated = False
+        step = 0
+        while clock.now_ms < crash_at + _TAIL_MS:
+            clock.advance(10.0)  # the scheduled crash+restart fires in here
+            if not mutated and clock.now_ms >= crash_at:
+                # The cache is freshly restarted and its L1 is empty: any
+                # stale byte from here on could only come off the disk
+                # tier.  Rewrite a drawn subset of sources out-of-band so
+                # every recovered copy of them is silently stale.
+                for index in range(N_DOCS):
+                    if mutate_mask >> index & 1:
+                        rewritten = f"rewritten-{index}-while-down".encode()
+                        providers[index].store(rewritten)
+                        truth[index] = rewritten
+                mutated = True
+            index = step % N_DOCS
+            step += 1
+            outcome = cache.read(references[index])
+            assert outcome.content == truth[index], (
+                f"stale bytes served for doc {index} at "
+                f"{clock.now_ms:.0f}ms (seed {seed}, crash at "
+                f"{crash_at:.0f}ms, disposition {outcome.disposition!r})"
+            )
+        assert cache.storage_stats.crashes == 1
+        assert cache.storage_stats.restarts == 1
+    finally:
+        cache.shutdown()

@@ -136,3 +136,47 @@ class TestCompaction:
         records, corrupt = log.scan_records()
         assert corrupt == 0
         assert [p for _, p, _ in records] == [b"live"]
+
+    def test_append_after_replace_lands_in_the_live_file(self, tmp_path):
+        # Compaction swaps a new inode in under the path; an append into
+        # the held descriptor of the old one would vanish on reopen.
+        path = tmp_path / "t.seg"
+        log = SegmentLog(path)
+        log.append(K_CONTENT, b"dead")
+        log.replace_with([(K_CONTENT, b"live")])
+        offset = log.append(K_CONTENT, b"after")
+        assert log.read(offset) == (K_CONTENT, b"after")
+        records, corrupt = SegmentLog(path).scan_records()
+        assert corrupt == 0
+        assert [p for _, p, _ in records] == [b"live", b"after"]
+
+
+class TestDescriptor:
+    def test_crash_truncates_through_the_held_descriptor(self, tmp_path):
+        path = tmp_path / "t.seg"
+        log = SegmentLog(path)
+        log.append(K_CONTENT, b"kept")
+        log.sync()
+        log.append(K_CONTENT, b"lost")
+        log.crash()
+        assert path.stat().st_size == log.durable_size == log.size
+        offset = log.append(K_CONTENT, b"next")  # appends at the watermark
+        records, _ = SegmentLog(path).scan_records()
+        assert [(p, o) for _, p, o in records] == [
+            (b"kept", 0), (b"next", offset),
+        ]
+
+    def test_close_twice_is_harmless(self, tmp_path):
+        log = SegmentLog(tmp_path / "t.seg")
+        log.append(K_CONTENT, b"x")
+        log.close()
+        log.close()
+
+    def test_read_or_append_after_close_raises(self, tmp_path):
+        log = SegmentLog(tmp_path / "t.seg")
+        offset = log.append(K_CONTENT, b"x")
+        log.close()
+        with pytest.raises(StorageError):
+            log.read(offset)
+        with pytest.raises(StorageError):
+            log.append(K_CONTENT, b"y")

@@ -14,7 +14,9 @@ steady state relies on.
 
 The miss path's budgets are exact counts, which a shared CI box can
 hold where it cannot hold a wall-clock number: MD5 constructions per
-miss (each byte string is hashed once), and Python-level calls per miss
+miss (each byte string is hashed once), files opened per L2 demotion,
+promotion and tombstone (none: the segment descriptors are held), and
+Python-level calls per miss
 and per plain kernel read, which must not depend on how many users'
 notifiers are armed on the document.  Hits and re-misses also have an
 exact budget of *zero* Python ``__hash__`` / ``__eq__`` frames: ids are
@@ -24,7 +26,10 @@ every key probe runs in C.
 
 from __future__ import annotations
 
+import builtins
+import io
 import itertools
+import os
 import sys
 
 import pytest
@@ -32,7 +37,7 @@ import pytest
 from repro.bench.perf import allocation_probe, peak_rss_kb
 from repro.cache.entry import EntryKey
 from repro.cache.manager import DocumentCache
-from repro.cache.policies import OverloadPolicy
+from repro.cache.policies import OverloadPolicy, StoragePolicy
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.spellcheck import SpellingCorrectorProperty
 from repro.providers.memory import MemoryProvider
@@ -134,6 +139,63 @@ def test_each_byte_string_is_hashed_once_per_miss(md5_calls):
     assert len(md5_calls) == 1
     assert cache.read(reference).hit
     assert len(md5_calls) == 1
+
+
+@pytest.fixture
+def open_calls(monkeypatch) -> list:
+    """The path of every file opened (``open`` / ``io.open`` or
+    ``os.open``) since the last ``clear()``."""
+    calls: list = []
+
+    def counting(real):
+        def opener(path, *args, **kwargs):
+            calls.append(path)
+            return real(path, *args, **kwargs)
+        return opener
+
+    monkeypatch.setattr(builtins, "open", counting(io.open))
+    monkeypatch.setattr(io, "open", counting(io.open))
+    monkeypatch.setattr(os, "open", counting(os.open))
+    return calls
+
+
+def test_l2_records_reuse_the_held_segment_files(open_calls, tmp_path):
+    # Four one-size documents through two L1 slots, over a built tier.
+    kernel = PlacelessKernel()
+    owner = kernel.create_user("owner")
+    references = [
+        kernel.import_document(
+            owner, MemoryProvider(kernel.ctx, b"%d" % i * 300), f"d{i}"
+        )
+        for i in range(4)
+    ]
+    cache = DocumentCache(
+        kernel, capacity_bytes=600,
+        storage_policy=StoragePolicy(directory=str(tmp_path)),
+    )
+    stats, tier = cache.storage_stats, cache.storage
+    try:
+        cache.read(references[0])
+        cache.read(references[1])
+        open_calls.clear()
+        cache.read(references[2])  # evicts: one demotion of new bytes
+        assert stats.demotions == 1
+        assert open_calls == []
+        # A served promotion: the record read and its tombstone (plus
+        # the demotion that makes room for it).
+        (demoted,) = [
+            reference for reference in references
+            if EntryKey.for_reference(reference) in tier
+        ]
+        assert cache.read(demoted).disposition == "miss-promoted"
+        assert (stats.promotions, stats.demotions) == (1, 2)
+        assert open_calls == []
+        # A tombstone alone.
+        tier.drop(tier.catalog_keys()[0])
+        assert stats.by_reason["invalidated"] == 1
+        assert open_calls == []
+    finally:
+        cache.shutdown()
 
 
 def _calls(action, names: tuple[str, ...] = ()) -> int:
