@@ -126,8 +126,9 @@ class CacheCore:
         ))
         #: Every stage event of this cache is emitted here.
         self.instrumentation = instrumentation = InstrumentationBus()
-        # A private invalidation bus reports its deliveries there too.
-        self.bus = bus or InvalidationBus(self.ctx, instrumentation)
+        # The invalidation bus, shared or private, counts its deliveries
+        # in its own ``stats``; this cache counts what it receives.
+        self.bus = bus or InvalidationBus(self.ctx)
         self.topology = (
             self.ctx.topology if placement is None
             else Topology(placement=placement)
@@ -147,8 +148,8 @@ class CacheCore:
         #: Per-(stage, outcome) count/latency breakdown for this cache.
         self.recorder = StageRecorder()
         # This core's own two accumulators.  Both ride the bus like any
-        # subscriber; for the two per-hit events the core adds into
-        # them directly instead (see :meth:`_rewire`).
+        # subscriber; for the two per-hit events and notifier deliveries
+        # the core adds into them directly instead (see :meth:`_rewire`).
         self._sinks = (self.track("cache", self.stats), self.recorder)
         instrumentation.subscribe(self.recorder)
         self._wiring_seen: tuple | None = None
@@ -237,8 +238,10 @@ class CacheCore:
         )
 
     def _rewire(self) -> None:
-        """Recompute who, besides this core's own sinks, hears the two
-        per-hit events (``verifier/executed``, terminal ``read``).
+        """Recompute who, besides this core's own sinks, hears the three
+        hot events: the two per-hit ones (``verifier/executed``,
+        terminal ``read``) and ``notifier/delivered``, which a write
+        fans out once per armed notifier.
 
         Building a :class:`StageEvent` and walking it through the two
         sinks costs more than the rest of a hit's bookkeeping.
@@ -263,14 +266,16 @@ class CacheCore:
 
         self._verifier_listeners = others("verifier")
         self._read_listeners = others("read")
+        self._notifier_listeners = others("notifier")
 
     def _record(
-        self, listeners: tuple, stage: str, outcome: str, key: EntryKey,
-        started_ms: float, ended_ms: float, detail: str, value,
+        self, listeners: tuple, stage: str, outcome: str,
+        key: EntryKey | Invalidation, started_ms: float, ended_ms: float,
+        detail: str | None = None, value=None,
     ) -> None:
         """One :class:`StageRecorder` cell update sans StageEvent, and
-        the event itself (payload ``{detail: value}``) for *listeners*,
-        if any."""
+        the event itself (payload ``{detail: value}``, empty without a
+        *detail*) for *listeners*, if any."""
         cells = self.recorder.cells
         cell = cells.get((stage, outcome))
         if cell is None:
@@ -280,7 +285,7 @@ class CacheCore:
         if listeners:
             event = StageEvent(
                 stage, outcome, key.document_id, key.user_id,
-                started_ms, ended_ms, {detail: value},
+                started_ms, ended_ms, {} if detail is None else {detail: value},
             )
             for listener in listeners:
                 listener(event)
@@ -580,11 +585,22 @@ class CacheCore:
             self.drop(entry, reason, origin="internal")
 
     def apply_invalidation(self, invalidation: Invalidation) -> None:
-        """Sink for the invalidation bus (notifier deliveries)."""
-        self.emit(
-            "notifier", "delivered",
-            key=EntryKey(invalidation.document_id, invalidation.user_id),
-        )
+        """Sink for the invalidation bus: account one notifier delivery
+        (the hot ``notifier/delivered``), then drop what it covers."""
+        if self.instrumentation.subscribers is not self._wiring_seen:
+            self._rewire()
+        listeners = self._notifier_listeners
+        if listeners is None:
+            self.emit(
+                "notifier", "delivered",
+                key=EntryKey(invalidation.document_id, invalidation.user_id),
+            )
+        else:
+            self.stats.notifier_deliveries += 1
+            now = self.ctx.clock.now_ms
+            self._record(
+                listeners, "notifier", "delivered", invalidation, now, now
+            )
         self._drop_covered(invalidation)
 
     def invalidate_document(
@@ -804,9 +820,6 @@ class CacheCore:
         self, reference: "DocumentReference", size: int
     ) -> None:
         """Forward a buffered write as WRITE_FORWARDED events, if wanted."""
-        event = reference.make_event(
-            EventType.WRITE_FORWARDED, payload={"size": size}
-        )
         base_wants = reference.base.dispatcher.has_listener(
             EventType.WRITE_FORWARDED
         )
@@ -815,6 +828,10 @@ class CacheCore:
         )
         if not (base_wants or ref_wants):
             return
+        # Stamped before the hops are charged, as the write happened.
+        event = reference.make_event(
+            EventType.WRITE_FORWARDED, payload={"size": size}
+        )
         for hop in self.topology.notifier_path():
             self.ctx.charge_hop(hop, 0)
         if base_wants:

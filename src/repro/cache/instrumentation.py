@@ -10,9 +10,10 @@ key, outcome label, virtual-clock start/end — onto an
 
 * one :class:`CounterProjection` per stats object derives its named
   counters from the event stream through that dataclass's ``RULES``
-  table (``CacheStats``, ``BusStats``, ``MemoStats``, … — for
+  table (``CacheStats``, ``MemoStats``, ``RecoveryStats``, … — for
   ``CacheStats`` byte-identical to the pre-pipeline inline mutation,
-  which the equivalence tests pin);
+  which the equivalence tests pin; the invalidation bus's
+  ``BusStats`` is written directly by the bus, not derived);
 * :class:`StageRecorder` aggregates count/latency per (stage, outcome),
   giving the trace runner and benches their per-stage breakdown for
   free.
@@ -70,7 +71,6 @@ STAGE_ORDER = (
     "forward",
     "prefetch",
     "staleness",
-    "bus",
     "bus-loss",
     "channel",
     "lease",
@@ -157,9 +157,6 @@ class InstrumentationBus:
         :class:`StageEvent`, so an unobserved bus costs one attribute
         load and a truth test per would-be event.
         """
-        return bool(self._subscribers)
-
-    def __bool__(self) -> bool:
         return bool(self._subscribers)
 
     def subscribe(

@@ -10,8 +10,9 @@ Pieces:
 
 * :class:`InvalidationBus` — the delivery fabric between the Placeless
   servers (where notifiers execute) and the caches; charges the
-  notifier-path network hops and counts deliveries, which is the
-  "load to the Placeless system" side of the A1 trade-off.
+  notifier-path network hops and counts deliveries in its own
+  :class:`BusStats`, which is the "load to the Placeless system" side
+  of the A1 trade-off.
 * :class:`NotifierProperty` — a configurable notifier: which events it
   watches, how each maps to an invalidation reason, an optional semantic
   *predicate* (the semantic-callback integration), and the entry scope it
@@ -27,9 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, ClassVar, Mapping
+from typing import Any, Callable, Mapping
 
-from repro.cache.instrumentation import InstrumentationBus, StageEvent
 from repro.contract.consistency import Invalidation, InvalidationReason
 from repro.errors import NotifierError, RepositoryOfflineError
 from repro.events.types import Event, EventType
@@ -72,25 +72,19 @@ _PROPERTY_WATCH = frozenset({
 
 @dataclass
 class BusStats:
-    """Delivery-side counters (the notifier load on the system)."""
+    """Delivery-side counters (the notifier load on the system),
+    written by the :class:`InvalidationBus` that owns them."""
 
     deliveries: int = 0
     delivery_cost_ms: float = 0.0
+    #: Deliveries to a cache id with no registered sink.
     dropped: int = 0
-    #: Deliveries silently discarded by fault injection (the paper's
-    #: lost-callback problem) and deliveries deferred by injected delay.
+    #: Deliveries silently discarded by fault injection or a downed
+    #: link (the paper's lost-callback problem) and deliveries deferred
+    #: by injected delay.
     lost: int = 0
     delayed: int = 0
     delay_ms_total: float = 0.0
-
-    RULES: ClassVar[Mapping] = {
-        ("bus", "delivered"): (
-            ("deliveries", 1), ("delivery_cost_ms", "cost_ms"),
-        ),
-        ("bus", "dropped"): (("dropped", 1),),
-        ("bus", "lost"): (("lost", 1),),
-        ("bus", "delayed"): (("delayed", 1), ("delay_ms_total", "delay_ms")),
-    }
 
 
 @dataclass
@@ -119,40 +113,21 @@ class InvalidationBus:
     per document so the cache manager can count how many of them a
     verifier subsequently detected.
 
-    Delivery accounting is emitted as ``bus`` stage events on an
-    :class:`~repro.cache.instrumentation.InstrumentationBus` (pass the
-    cache's to get bus rows in its stage breakdown); :attr:`stats` is
-    derived from those events through ``BusStats.RULES``.
+    Delivery accounting is the bus's own: each delivered, dropped, lost
+    or delayed invalidation adds into :attr:`stats` where it happens.
+    It emits no stage events — the receiving cache accounts its side
+    of a delivery (``notifier/delivered``) on its own instrumentation.
     """
 
-    def __init__(
-        self,
-        ctx: SimContext,
-        instrumentation: InstrumentationBus | None = None,
-    ) -> None:
+    def __init__(self, ctx: SimContext) -> None:
         self.ctx = ctx
         self.stats = BusStats()
-        self.instrumentation = instrumentation or InstrumentationBus()
-        self.instrumentation.track(self.stats)
         self._sinks: dict[CacheId, Callable[[Invalidation], None]] = {}
         self._lost_documents: dict[object, int] = {}
         #: Sequenced channels, keyed by cache id.  Sequencing is opt-in
         #: (the recovery layer enables it); unsequenced caches see the
         #: exact pre-recovery delivery behaviour.
         self._channels: dict[CacheId, ChannelState] = {}
-
-    def _emit(self, outcome: str, document_id=None, **payload) -> None:
-        now = self.ctx.clock.now_ms
-        self.instrumentation.emit(
-            StageEvent(
-                stage="bus",
-                outcome=outcome,
-                document_id=document_id,
-                started_ms=now,
-                ended_ms=now,
-                payload=payload,
-            )
-        )
 
     def register(
         self, cache_id: CacheId, sink: Callable[[Invalidation], None]
@@ -214,18 +189,15 @@ class InvalidationBus:
         if plan is not None:
             if plan.check_bus_delivery(str(cache_id)):
                 # Partition blackout: the delivery dies on the floor.
-                self._lose(invalidation, partition=True)
+                self._lose(invalidation)
                 return
             action, delay_ms = plan.notifier_disposition(str(cache_id))
             if action == "drop":
                 self._lose(invalidation)
                 return
             if action == "delay":
-                self._emit(
-                    "delayed",
-                    document_id=invalidation.document_id,
-                    delay_ms=delay_ms,
-                )
+                self.stats.delayed += 1
+                self.stats.delay_ms_total += delay_ms
                 self.ctx.clock.call_after(
                     delay_ms,
                     lambda: self._deliver_now(
@@ -246,7 +218,7 @@ class InvalidationBus:
         """
         sink = self._sinks.get(cache_id)
         if sink is None:
-            self._emit("dropped", document_id=invalidation.document_id)
+            self.stats.dropped += 1
             return
         cost = 0.0
         try:
@@ -260,16 +232,15 @@ class InvalidationBus:
             # lost, exactly like a fault-plan drop.
             self._lose(invalidation)
             return
-        self._emit(
-            "delivered", document_id=invalidation.document_id, cost_ms=cost
-        )
+        self.stats.deliveries += 1
+        self.stats.delivery_cost_ms += cost
         sink(invalidation)
 
-    def _lose(self, invalidation: Invalidation, **payload) -> None:
+    def _lose(self, invalidation: Invalidation) -> None:
         """One delivery died: account it, and remember its document for
         the verifier that later catches what it missed."""
+        self.stats.lost += 1
         document_id = invalidation.document_id
-        self._emit("lost", document_id=document_id, **payload)
         if document_id is not None:
             self._lost_documents[document_id] = (
                 self._lost_documents.get(document_id, 0) + 1

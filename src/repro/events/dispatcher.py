@@ -112,8 +112,10 @@ class EventDispatcher:
 
         Handlers run in registration (chain) order; each handler's return
         value is collected.  Handlers are invoked against a snapshot of the
-        registration list, so a handler that registers or cancels
-        registrations affects only future dispatches.
+        registration list, so a registration added by a handler first runs
+        on the next dispatch.  Liveness is checked per handler, though: a
+        handler that cancels a later registration — as detaching its
+        property does — stops it within this same dispatch.
         """
         registrations = self._registrations[event.type]
         if not registrations:

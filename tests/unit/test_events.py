@@ -9,6 +9,9 @@ from repro.events.timers import TimerService
 from repro.events.types import Event, EventType
 from repro.ids import DocumentId, PropertyId, UserId
 from repro.errors import ClockError
+from repro.placeless.kernel import PlacelessKernel
+from repro.placeless.properties import ActiveProperty
+from repro.providers.memory import MemoryProvider
 from repro.sim.clock import VirtualClock
 
 
@@ -153,6 +156,41 @@ class TestDispatcher:
         assert seen == []
         dispatcher.dispatch(make_event())
         assert len(seen) == 1
+
+    def test_handler_cancelling_a_later_registration_stops_it_now(self):
+        # The snapshot fixes who *may* run; liveness is read per handler.
+        dispatcher = EventDispatcher()
+        seen = []
+        dispatcher.register(
+            PropertyId("first"), EventType.GET_INPUT_STREAM,
+            lambda event: later.cancel(),
+        )
+        later = dispatcher.register(
+            PropertyId("later"), EventType.GET_INPUT_STREAM, seen.append
+        )
+        assert dispatcher.dispatch(make_event()) == [None]
+        assert seen == []
+
+    def test_property_detaching_a_later_one_stops_it_now(self):
+        kernel = PlacelessKernel()
+        owner = kernel.create_user("owner")
+        base = kernel.create_document(
+            owner, MemoryProvider(kernel.ctx, b"bytes"), "doc"
+        )
+
+        class Watcher(ActiveProperty):
+            def events_of_interest(self):
+                return {EventType.TIMER}
+
+        class Detacher(Watcher):
+            def handle(self, event):
+                base.detach(later)
+
+        base.attach(Detacher("detacher"))
+        later = base.attach(Watcher("later"))
+        base.dispatcher.dispatch(base.make_event(EventType.TIMER))
+        assert later.dispatch_count == 0
+        assert not later.is_attached
 
 
 class TestTimerService:

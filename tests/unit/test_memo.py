@@ -198,10 +198,12 @@ class TestInstrumentationFastPath:
 
     def test_has_subscribers_tracks_subscriptions(self):
         bus = InstrumentationBus()
-        assert not bus.has_subscribers and not bus
+        # ``has_subscribers`` is the one spelling: an idle bus is still
+        # truthy, so ``bus or InstrumentationBus()`` keeps the bus given.
+        assert not bus.has_subscribers and bus
         sink = []
         bus.subscribe(sink.append)
-        assert bus.has_subscribers and bus
+        assert bus.has_subscribers
         bus.unsubscribe(sink.append)
         assert not bus.has_subscribers
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.notifiers import (
+    BusStats,
     InvalidationBus,
     NotifierProperty,
     install_minimum_notifiers,
@@ -12,6 +13,7 @@ from repro.cache.notifiers import (
 from repro.contract.consistency import Invalidation, InvalidationReason
 from repro.errors import NotifierError
 from repro.events.types import EventType
+from repro.faults.plan import FaultPlan, OutageWindow
 from repro.placeless.properties import StaticProperty
 from repro.properties.translate import TranslationProperty
 from repro.providers.memory import MemoryProvider
@@ -74,6 +76,89 @@ class TestInvalidationBus:
             Invalidation(InvalidationReason.EXPLICIT, base.document_id),
         )
         assert kernel.ctx.clock.now_ms > before
+
+
+def _lost_by_partition(clock):
+    return FaultPlan(clock, bus_outages=(OutageWindow(0.0, 1e9),))
+
+
+def _lost_by_drop(clock):
+    return FaultPlan(clock, notifier_loss_probability=1.0)
+
+
+def _lost_on_a_downed_link(clock):
+    return FaultPlan(clock, link_outages=(OutageWindow(0.0, 1e9),))
+
+
+class TestBusStats:
+    """The bus counts every delivery attempt where it is decided."""
+
+    def test_deliveries_and_their_cost_sum(self, world):
+        kernel, base, _, _, bus = world
+        cache_id, received = collect(bus, kernel)
+        costs = []
+        for _ in range(3):
+            before = kernel.ctx.clock.now_ms
+            bus.deliver(
+                cache_id,
+                Invalidation(InvalidationReason.EXPLICIT, base.document_id),
+            )
+            costs.append(kernel.ctx.clock.now_ms - before)
+        assert len(received) == 3
+        assert bus.stats == BusStats(
+            deliveries=3, delivery_cost_ms=pytest.approx(sum(costs))
+        )
+        assert bus.stats.delivery_cost_ms > 0
+
+    def test_no_sink_is_dropped_not_lost(self, world):
+        kernel, base, _, _, bus = world
+        ghost = kernel.ctx.ids.cache("ghost")
+        for _ in range(2):
+            bus.deliver(
+                ghost,
+                Invalidation(InvalidationReason.EXPLICIT, base.document_id),
+            )
+        assert bus.stats == BusStats(dropped=2)
+        assert not bus.consume_lost(base.document_id)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [_lost_by_drop, _lost_by_partition, _lost_on_a_downed_link],
+        ids=["fault-plan-drop", "partition", "offline-link"],
+    )
+    def test_losses_are_counted_and_remembered(self, world, plan):
+        kernel, base, _, _, bus = world
+        cache_id, received = collect(bus, kernel)
+        kernel.ctx.faults = plan(kernel.ctx.clock)
+        bus.deliver(
+            cache_id,
+            Invalidation(InvalidationReason.EXPLICIT, base.document_id),
+        )
+        assert received == []
+        assert bus.stats == BusStats(lost=1)
+        assert bus.consume_lost(base.document_id)
+        assert not bus.consume_lost(base.document_id)
+
+    def test_delays_count_now_and_deliver_later_uncharged(self, world):
+        kernel, base, _, _, bus = world
+        cache_id, received = collect(bus, kernel)
+        kernel.ctx.faults = FaultPlan(
+            kernel.ctx.clock,
+            notifier_delay_probability=1.0,
+            notifier_delay_ms=50.0,
+        )
+        for _ in range(2):
+            bus.deliver(
+                cache_id,
+                Invalidation(InvalidationReason.EXPLICIT, base.document_id),
+            )
+        assert received == []
+        assert bus.stats == BusStats(delayed=2, delay_ms_total=100.0)
+        kernel.ctx.clock.advance(50.0)
+        assert len(received) == 2
+        assert bus.stats.deliveries == 2
+        assert bus.stats.delivery_cost_ms > 0
+        assert (bus.stats.delayed, bus.stats.delay_ms_total) == (2, 100.0)
 
 
 class TestNotifierProperty:

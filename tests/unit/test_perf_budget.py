@@ -22,6 +22,10 @@ notifiers are armed on the document.  Hits and re-misses also have an
 exact budget of *zero* Python ``__hash__`` / ``__eq__`` frames: ids are
 ``str`` subclasses and the invalidation reasons hash by identity, so
 every key probe runs in C.
+
+Writes have exact budgets too: a notifier delivery builds a
+``StageEvent`` only for a subscriber other than the cache's own
+counters, and a write-back write nobody forwards builds no ``Event``.
 """
 
 from __future__ import annotations
@@ -31,14 +35,18 @@ import io
 import itertools
 import os
 import sys
+from collections import Counter
 
 import pytest
 
 from repro.bench.perf import allocation_probe, peak_rss_kb
 from repro.cache.entry import EntryKey
-from repro.cache.manager import DocumentCache
+from repro.cache.instrumentation import StageEvent
+from repro.cache.manager import DocumentCache, WriteMode
 from repro.cache.policies import OverloadPolicy, StoragePolicy
+from repro.placeless.document import BaseDocument
 from repro.placeless.kernel import PlacelessKernel
+from repro.placeless.reference import DocumentReference
 from repro.properties.spellcheck import SpellingCorrectorProperty
 from repro.providers.memory import MemoryProvider
 from repro.workload.documents import CorpusSpec, build_corpus
@@ -103,7 +111,7 @@ def test_peak_rss_helper():
 _KEY_DUNDERS = ("__hash__", "__eq__")
 
 
-def _armed_world(n_users: int):
+def _armed_world(n_users: int, **cache_kwargs):
     """One document read once through one cache by each of *n_users*
     (so each has armed its notifiers); user 0 personalises."""
     kernel = PlacelessKernel()
@@ -116,7 +124,7 @@ def _armed_world(n_users: int):
         for i in range(n_users)
     ]
     references[0].attach(SpellingCorrectorProperty())
-    cache = DocumentCache(kernel, capacity_bytes=1 << 28)
+    cache = DocumentCache(kernel, capacity_bytes=1 << 28, **cache_kwargs)
     for reference in references:
         cache.read(reference)
     return kernel, cache, references
@@ -255,3 +263,58 @@ def test_a_verified_hit_builds_no_verifier_result():
     kernel, cache, (reference, *_) = _armed_world(2)
     assert cache.core.entries[EntryKey.for_reference(reference)].verifiers
     assert _calls(lambda: cache.read(reference), ("__post_init__",)) == 0
+
+
+# -- write-path count budgets ---------------------------------------------------
+
+
+@pytest.fixture
+def built_stages(monkeypatch) -> Counter:
+    """The stage of every ``StageEvent`` constructed, by count."""
+    built: Counter = Counter()
+    real = StageEvent.__new__
+
+    def counting(cls, *args, **kwargs):
+        built[args[0] if args else kwargs["stage"]] += 1
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(StageEvent, "__new__", staticmethod(counting))
+    return built
+
+
+@pytest.mark.parametrize("late_subscriber", [False, True])
+def test_notifier_deliveries_build_events_only_for_listeners(
+    built_stages, late_subscriber
+):
+    # A write fans out one delivery per armed notifier of another user:
+    # the bus counts it and the cache adds it into its own sinks, so an
+    # event is built only for a subscriber that is not one of them.
+    kernel, cache, (writer, *_) = _armed_world(8)
+    if late_subscriber:
+        cache.instrumentation.subscribe(lambda event: None)
+    sent, stats = cache.core.bus.stats, cache.stats
+    delivered, received = sent.deliveries, stats.notifier_deliveries
+    built_stages.clear()
+    cache.write(writer, b"a new version " * 40)
+    fanned_out = stats.notifier_deliveries - received
+    assert fanned_out == sent.deliveries - delivered > 0
+    assert built_stages["notifier"] == (fanned_out if late_subscriber else 0)
+    assert built_stages["bus"] == 0
+
+
+def test_write_back_without_a_forward_listener_builds_no_event(monkeypatch):
+    kernel, cache, (reference, *_) = _armed_world(
+        2, write_mode=WriteMode.WRITE_BACK
+    )
+    made: list = []
+    for holder in (BaseDocument, DocumentReference):
+        real = holder.make_event
+
+        def counting(self, event_type, *args, _real=real, **kwargs):
+            made.append(event_type)
+            return _real(self, event_type, *args, **kwargs)
+
+        monkeypatch.setattr(holder, "make_event", counting)
+    cache.write(reference, b"buffered")
+    assert cache.stats.writes_backed == 1
+    assert made == []
