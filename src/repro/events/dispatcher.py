@@ -6,6 +6,13 @@ properties on that document are invoked" (§2) — in the order the
 properties are attached, because §3 makes property *order* a consistency
 dimension (spell-check before vs. after translation).
 
+A property registers once for its whole interest set: one
+:class:`Registration` is listed under each event type it names, so one
+``cancel()`` silences it everywhere.  The table holds a list only for a
+type somebody watches; an unwatched type costs a dispatcher nothing,
+which matters because every holder owns one and every (document, user)
+pair a cache sees arms three notifiers on it.
+
 The dispatcher does not know about base-vs-reference ordering; the
 document objects compose their two dispatchers in the paper's order
 (reads: base first, then reference; writes: reference first, then base).
@@ -14,7 +21,7 @@ document objects compose their two dispatchers in the paper's order
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import AbstractSet, Any, Callable
 
 from repro.errors import UnknownEventError
 from repro.events.types import Event, EventType
@@ -25,12 +32,13 @@ __all__ = ["Registration", "EventDispatcher"]
 Handler = Callable[[Event], Any]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Registration:
-    """One property's interest in one event type."""
+    """One property's interest in a set of event types (compared, and
+    hashed, by identity)."""
 
     property_id: PropertyId
-    event_type: EventType
+    event_types: frozenset[EventType]
     handler: Handler
     active: bool = True
 
@@ -42,54 +50,63 @@ class Registration:
 class EventDispatcher:
     """Ordered event registration table for one attachment point.
 
-    Registrations for each event type are kept in a list whose order
-    follows property attachment order; :meth:`reorder` re-sorts every list
-    when the owning document's property chain is permuted.
+    Registrations for each watched event type are kept in a list whose
+    order follows property attachment order; :meth:`reorder` re-sorts
+    every list when the owning document's property chain is permuted.
     """
 
     def __init__(self) -> None:
-        self._registrations: dict[EventType, list[Registration]] = {
-            event_type: [] for event_type in EventType
-        }
+        self._registrations: dict[EventType, list[Registration]] = {}
 
     def register(
         self,
         property_id: PropertyId,
-        event_type: EventType,
+        event_types: AbstractSet[EventType],
         handler: Handler,
     ) -> Registration:
-        """Register *handler* for *event_type* on behalf of a property."""
-        registrations = self._registrations.get(event_type)
-        if registrations is None:
-            raise UnknownEventError(event_type)
-        registration = Registration(property_id, event_type, handler)
-        registrations.append(registration)
+        """Register *handler* for every type in *event_types* on behalf
+        of a property, as one registration."""
+        event_types = frozenset(event_types)
+        for event_type in event_types:
+            if not isinstance(event_type, EventType):
+                raise UnknownEventError(event_type)
+        registration = Registration(property_id, event_types, handler)
+        for event_type in event_types:
+            self._registrations.setdefault(event_type, []).append(registration)
         return registration
 
     def unregister_property(self, property_id: PropertyId) -> int:
         """Drop every registration owned by *property_id*.
 
-        Returns the number of registrations removed.  Called when a
-        property is detached from its document.
+        Returns the number of distinct registrations removed.  Called
+        when a property is detached from its document; a type nobody
+        watches any more loses its list.
         """
-        removed = 0
+        removed: set[Registration] = set()
+        table: dict[EventType, list[Registration]] = {}
         for event_type, registrations in self._registrations.items():
-            kept = [r for r in registrations if r.property_id != property_id]
-            removed += len(registrations) - len(kept)
-            self._registrations[event_type] = kept
-        return removed
+            kept = []
+            for registration in registrations:
+                if registration.property_id == property_id:
+                    removed.add(registration)
+                else:
+                    kept.append(registration)
+            if kept:
+                table[event_type] = kept
+        self._registrations = table
+        return len(removed)
 
     def registered_properties(self, event_type: EventType) -> list[PropertyId]:
         """Property ids with live registrations for *event_type*, in order."""
         return [
             r.property_id
-            for r in self._registrations[event_type]
+            for r in self._registrations.get(event_type, ())
             if r.active
         ]
 
     def has_listener(self, event_type: EventType) -> bool:
         """True if any live registration exists for *event_type*."""
-        return any(r.active for r in self._registrations[event_type])
+        return any(r.active for r in self._registrations.get(event_type, ()))
 
     def reorder(self, chain_order: list[PropertyId]) -> None:
         """Re-sort registrations to follow a new property chain order.
@@ -117,7 +134,7 @@ class EventDispatcher:
         handler that cancels a later registration — as detaching its
         property does — stops it within this same dispatch.
         """
-        registrations = self._registrations[event.type]
+        registrations = self._registrations.get(event.type)
         if not registrations:
             return []
         results: list[Any] = []

@@ -22,9 +22,10 @@ from repro.sim.clock import ScheduledCall, VirtualClock
 __all__ = ["TimerSubscription", "TimerService"]
 
 
-@dataclass
+@dataclass(eq=False)
 class TimerSubscription:
-    """A live timer owned by one property on one document."""
+    """A live timer owned by one property on one document (compared, and
+    hashed, by identity)."""
 
     property_id: PropertyId
     document_id: DocumentId
@@ -33,12 +34,16 @@ class TimerSubscription:
     cancelled: bool = False
     fires: int = 0
     _scheduled: ScheduledCall | None = field(default=None, repr=False)
+    _service: TimerService | None = field(default=None, repr=False)
 
     def cancel(self) -> None:
-        """Stop the timer; a periodic timer will not re-arm."""
+        """Stop the timer; a periodic timer will not re-arm.  The service
+        forgets it, and with it :attr:`deliver` (a detached property)."""
         self.cancelled = True
         if self._scheduled is not None:
             self._scheduled.cancel()
+        if self._service is not None:
+            self._service._forget(self)
 
 
 class TimerService:
@@ -46,7 +51,9 @@ class TimerService:
 
     def __init__(self, clock: VirtualClock) -> None:
         self._clock = clock
-        self._subscriptions: list[TimerSubscription] = []
+        #: The live subscriptions, in subscription order: a cancelled
+        #: one or a fired one-shot is dropped at once.
+        self._subscriptions: dict[TimerSubscription, None] = {}
 
     @property
     def clock(self) -> VirtualClock:
@@ -78,8 +85,11 @@ class TimerService:
         )
 
     def live_subscriptions(self) -> list[TimerSubscription]:
-        """All subscriptions that have not been cancelled."""
-        return [s for s in self._subscriptions if not s.cancelled]
+        """Every subscription not cancelled and not a fired one-shot."""
+        return list(self._subscriptions)
+
+    def _forget(self, subscription: TimerSubscription) -> None:
+        self._subscriptions.pop(subscription, None)
 
     def _subscribe(
         self,
@@ -94,8 +104,9 @@ class TimerService:
             document_id=document_id,
             period_ms=period_ms,
             deliver=deliver,
+            _service=self,
         )
-        self._subscriptions.append(subscription)
+        self._subscriptions[subscription] = None
         self._arm(subscription, first_delay_ms)
         return subscription
 
@@ -110,6 +121,8 @@ class TimerService:
                 payload={"property_id": subscription.property_id},
                 at_ms=self._clock.now_ms,
             )
+            if subscription.period_ms is None:
+                self._forget(subscription)
             subscription.deliver(event)
             if subscription.period_ms is not None and not subscription.cancelled:
                 self._arm(subscription, subscription.period_ms)

@@ -2,10 +2,11 @@
 
 "Properties can be static labels like 'budget related', or active objects
 that implement a desired behavior" (§1).  Active properties are event
-driven (§2): on attachment they register for the events they care about;
-when dispatched on the read or write path they may interpose custom
-streams; and for caching (§3) they can vote a cacheability level, return
-a verifier, and contribute their execution time to the replacement cost.
+driven (§2): on attachment they register, once, for the set of events
+they care about; when dispatched on the read or write path they may
+interpose custom streams; and for caching (§3) they can vote a
+cacheability level, return a verifier, and contribute their execution
+time to the replacement cost.
 """
 
 from __future__ import annotations
@@ -116,7 +117,10 @@ class ActiveProperty(Property):
     """Base class for active properties.
 
     Subclasses declare the events they want via :meth:`events_of_interest`
-    and override the hooks that matter to them:
+    — registered once, as one
+    :class:`~repro.events.dispatcher.Registration` for the whole set,
+    when the property is attached — and override the hooks that matter
+    to them:
 
     * :meth:`handle` — arbitrary event processing;
     * :meth:`wrap_input` / :meth:`wrap_output` — custom stream
@@ -142,7 +146,7 @@ class ActiveProperty(Property):
         super().__init__(name)
         self.version = version
         self.dispatch_count = 0
-        self._registrations: list[Registration] = []
+        self._registration: Registration | None = None
 
     @property
     def is_active(self) -> bool:
@@ -155,19 +159,20 @@ class ActiveProperty(Property):
         return set()
 
     def register_with(self, dispatcher: EventDispatcher) -> None:
-        """Register interest with the attachment point's dispatcher."""
+        """Register interest with the attachment point's dispatcher: one
+        registration for the whole interest set, none for an empty one."""
         assert self.property_id is not None, "property must be bound first"
-        for event_type in self.events_of_interest():
-            registration = dispatcher.register(
-                self.property_id, event_type, self._dispatched
+        event_types = self.events_of_interest()
+        if event_types:
+            self._registration = dispatcher.register(
+                self.property_id, event_types, self._dispatched
             )
-            self._registrations.append(registration)
 
-    def cancel_registrations(self) -> None:
-        """Cancel every live registration (on detach)."""
-        for registration in self._registrations:
-            registration.cancel()
-        self._registrations.clear()
+    def cancel_registration(self) -> None:
+        """Cancel the live registration, if any (on detach)."""
+        if self._registration is not None:
+            self._registration.cancel()
+            self._registration = None
 
     def _dispatched(self, event: Event) -> Any:
         self.dispatch_count += 1
@@ -184,7 +189,7 @@ class ActiveProperty(Property):
         """
 
     def on_detach(self) -> None:
-        """Called just before registrations are cancelled (default: no-op)."""
+        """Called just before the registration is cancelled (default: no-op)."""
 
     def handle(self, event: Event) -> Any:
         """Process one event (default: no-op)."""

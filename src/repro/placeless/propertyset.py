@@ -159,7 +159,7 @@ class PropertyHolder(abc.ABC):
         if isinstance(prop, ActiveProperty):
             self._read_chain_changed(prop)
             prop.on_detach()
-            prop.cancel_registrations()
+            prop.cancel_registration()
             self.dispatcher.unregister_property(prop.property_id)
         payload = self._property_payload(prop)
         prop._unbind()

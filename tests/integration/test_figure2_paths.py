@@ -67,12 +67,12 @@ class TestWritePath:
         order = []
         base.dispatcher.register(
             kernel.ctx.ids.property("probe-base"),
-            EventType.GET_OUTPUT_STREAM,
+            {EventType.GET_OUTPUT_STREAM},
             lambda e: order.append("base"),
         )
         reference.dispatcher.register(
             kernel.ctx.ids.property("probe-ref"),
-            EventType.GET_OUTPUT_STREAM,
+            {EventType.GET_OUTPUT_STREAM},
             lambda e: order.append("reference"),
         )
         mount.write_file("/hotos.doc", b"x")
@@ -92,12 +92,12 @@ class TestReadPath:
         order = []
         base.dispatcher.register(
             kernel.ctx.ids.property("probe-base"),
-            EventType.GET_INPUT_STREAM,
+            {EventType.GET_INPUT_STREAM},
             lambda e: order.append("base"),
         )
         reference.dispatcher.register(
             kernel.ctx.ids.property("probe-ref"),
-            EventType.GET_INPUT_STREAM,
+            {EventType.GET_INPUT_STREAM},
             lambda e: order.append("reference"),
         )
         mount.read_file("/hotos.doc")

@@ -187,7 +187,7 @@ class TestWritePath:
         seen = []
         base.dispatcher.register(
             kernel.ctx.ids.property("watch"),
-            EventType.CONTENT_UPDATED,
+            {EventType.CONTENT_UPDATED},
             seen.append,
         )
         reference.write_content(b"X")

@@ -26,11 +26,17 @@ every key probe runs in C.
 Writes have exact budgets too: a notifier delivery builds a
 ``StageEvent`` only for a subscriber other than the cache's own
 counters, and a write-back write nobody forwards builds no ``Event``.
+
+So does what a world keeps alive: the objects the cyclic collector
+tracks per new reference and per first read (three notifiers armed).
+Every holder and every armed notifier is long-lived, so each one they
+cost is walked by every full collection for the rest of the run.
 """
 
 from __future__ import annotations
 
 import builtins
+import gc
 import io
 import itertools
 import os
@@ -318,3 +324,55 @@ def test_write_back_without_a_forward_listener_builds_no_event(monkeypatch):
     cache.write(reference, b"buffered")
     assert cache.stats.writes_backed == 1
     assert made == []
+
+
+# -- tracked-object budgets -----------------------------------------------------
+
+
+def _tracked(action) -> int:
+    """Net objects the cyclic collector tracks after *action* (counted
+    with the collector off, so nothing is freed behind the count)."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        action()
+        return len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+
+
+def _tracked_per_step() -> dict[str, int]:
+    kernel = PlacelessKernel()
+    base = kernel.create_document(
+        kernel.create_user("owner"),
+        MemoryProvider(kernel.ctx, b"teh quick brown fox " * 40), "doc",
+    )
+    cache = DocumentCache(kernel, capacity_bytes=1 << 28)
+    first, second = (
+        kernel.space(kernel.create_user(f"user-{i}")) for i in range(2)
+    )
+    references: list = []
+    counts = {
+        "add_reference": _tracked(
+            lambda: references.append(first.add_reference(base))
+        )
+    }
+    references.append(second.add_reference(base))
+    counts["first_read"] = _tracked(lambda: cache.read(references[0]))
+    counts["second_user_first_read"] = _tracked(
+        lambda: cache.read(references[1])
+    )
+    return counts
+
+
+def test_holders_and_armed_notifiers_track_few_objects():
+    # A holder lists only the event types something watches (a new
+    # reference watches none), and a notifier registers once for its
+    # whole watch set: one ``Registration`` and one bound method.
+    _tracked_per_step()  # process-wide memos and interned ids
+    assert _tracked_per_step() == {
+        "add_reference": 6,
+        "first_read": 55,
+        "second_user_first_read": 26,
+    }
