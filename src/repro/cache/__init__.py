@@ -10,8 +10,9 @@ operation-event forwarding.
 
 The cache itself is a staged pipeline (:mod:`repro.cache.pipeline`)
 over a shared :mod:`core <repro.cache.core>`, with each opt-in seam
-configured by one :mod:`policy <repro.cache.policies>` dataclass and
-every counter derived from the structured-event
+configured by one :mod:`policy <repro.cache.policies>` dataclass,
+every counter written where its event is decided, and stage events
+reported to a per-stage recorder and, for whoever subscribes, the
 :mod:`instrumentation <repro.cache.instrumentation>` bus;
 :mod:`manager <repro.cache.manager>` is the wiring plus public API.
 """

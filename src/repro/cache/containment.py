@@ -40,7 +40,8 @@ Everything here is **off by default**: on a context where no cache
 passes a ``containment_policy`` no guard is built and every cache
 behaves byte-identically to the uncontained pipeline (the golden-digest
 equivalence tests pin this).  New counters live in
-:class:`ContainmentStats`, projected from ``containment`` stage events —
+:class:`ContainmentStats`, written by the guard beside each
+``containment`` stage event it reports —
 :class:`~repro.cache.stats.CacheStats` gains no fields.
 """
 
@@ -49,9 +50,8 @@ from __future__ import annotations
 import enum
 import typing
 from dataclasses import dataclass, fields
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
-from repro.cache.instrumentation import InstrumentationBus, StageEvent
 from repro.errors import BudgetExceededError, CacheError, CircuitOpenError
 from repro.placeless.chain import property_site
 from repro.placeless.document import PathMeta
@@ -78,6 +78,14 @@ __all__ = [
 #: ``stream:<property name>``, the verifier type name (matching the
 #: legacy quarantine key shape), or ``notifier:<property name>``.
 BreakerKey = tuple[Any, str]
+
+
+class _EventKey(NamedTuple):
+    """What a ``containment`` event is about: a document and no user,
+    since property code runs in the kernel's world, not a user's."""
+
+    document_id: Any
+    user_id: None = None
 
 
 def verifier_key(entry: "CacheEntry", verifier: Any) -> BreakerKey:
@@ -261,7 +269,7 @@ class ExecutionBudget:
 
 @dataclass
 class ContainmentStats:
-    """Counters for the containment layer, projected from stage events.
+    """Counters for the containment layer, written by the guard.
 
     Deliberately separate from :class:`~repro.cache.stats.CacheStats`,
     which must not change shape while containment is off by default.
@@ -297,20 +305,6 @@ class ContainmentStats:
         """Every containment action taken."""
         return sum(getattr(self, f.name) for f in fields(self))
 
-    RULES: typing.ClassVar[typing.Mapping] = {
-        ("containment", "contained"): (("failures_contained", 1),),
-        ("containment", "budget-exceeded"): (("budget_overruns", 1),),
-        ("containment", "escaped"): (("escapes", 1),),
-        ("containment", "tripped"): (("trips", 1),),
-        ("containment", "reopened"): (("reopens", 1),),
-        ("containment", "closed"): (("closes", 1),),
-        ("containment", "probe"): (("probes", 1),),
-        ("containment", "skipped"): (("optional_skips", 1),),
-        ("containment", "forced-miss"): (("forced_misses", 1),),
-        ("containment", "denied"): (("denials", 1),),
-        ("containment", "suppressed"): (("notifier_suppressed", 1),),
-    }
-
 
 class ContainmentGuard:
     """Coordinates breakers, budgets and firewalls across the three seams.
@@ -319,42 +313,35 @@ class ContainmentGuard:
     :mod:`repro.streams.chain` (stream wrappers) and
     :mod:`repro.cache.notifiers` (callbacks) find it; a cache built with
     its policy holds it as ``core.containment`` for the verifier gate.
-    Its events ride the bus of the cache that built it; no cache owns
-    it, so shards may come and go under it.
+    It writes its own :attr:`stats` and reports each event through
+    *emit*, the ``emit`` of the cache that built it; no cache owns it,
+    so shards may come and go under it.
     """
 
     def __init__(
         self,
         policy: "ContainmentPolicy",
         ctx: "SimContext",
-        instrumentation: InstrumentationBus,
+        emit: Callable[..., None],
     ) -> None:
         self.policy = policy
         self.ctx = ctx
-        self.instrumentation = instrumentation
+        self._report = emit
         self.budget: ExecutionBudget | None = policy.execution_budget()
         breaker_config = policy.breaker_config()
         self.wrappers = BreakerRegistry(breaker_config)
         self.verifiers = BreakerRegistry(breaker_config)
         self.notifiers = BreakerRegistry(breaker_config)
         self.stats = ContainmentStats()
-        instrumentation.track(self.stats)
 
     # -- event + breaker bookkeeping -------------------------------------------
 
     def _emit(
         self, outcome: str, document_id: Any, site: str, **payload: Any
     ) -> None:
-        now = self.ctx.clock.now_ms
-        self.instrumentation.emit(
-            StageEvent(
-                "containment",
-                outcome,
-                document_id=document_id,
-                started_ms=now,
-                ended_ms=now,
-                payload={"site": site, **payload},
-            )
+        self._report(
+            "containment", outcome, _EventKey(document_id),
+            site=site, **payload,
         )
 
     def _allow(self, registry: BreakerRegistry, key: BreakerKey) -> bool:
@@ -362,6 +349,7 @@ class ContainmentGuard:
         was_open = breaker.state is BreakerState.OPEN
         allowed = breaker.allow(self.ctx.clock.now_ms)
         if allowed and was_open:
+            self.stats.probes += 1
             self._emit("probe", key[0], key[1])
         return allowed
 
@@ -369,10 +357,16 @@ class ContainmentGuard:
         breaker = registry.get(key)
         was_half_open = breaker.state is BreakerState.HALF_OPEN
         if breaker.record_failure(self.ctx.clock.now_ms):
-            self._emit("reopened" if was_half_open else "tripped", *key)
+            if was_half_open:
+                self.stats.reopens += 1
+                self._emit("reopened", *key)
+            else:
+                self.stats.trips += 1
+                self._emit("tripped", *key)
 
     def _success(self, registry: BreakerRegistry, key: BreakerKey) -> None:
         if registry.get(key).record_success(self.ctx.clock.now_ms):
+            self.stats.closes += 1
             self._emit("closed", *key)
 
     # -- stream-wrapper seam: what streams.chain.interpose asks, in order -------
@@ -395,6 +389,7 @@ class ContainmentGuard:
             # The runaway code ran until the budget killed it: the cap,
             # not the full runaway cost, is what the access pays.
             self.ctx.charge(budget.max_cost_ms or 0.0)
+            self.stats.budget_overruns += 1
             self._emit("budget-exceeded", *key, cost_ms=cost_ms)
             self._failure(self.wrappers, key)
             return error
@@ -402,6 +397,7 @@ class ContainmentGuard:
 
     def contained(self, key: BreakerKey, error: BaseException) -> None:
         """The property raised while interposing; the breaker learns."""
+        self.stats.failures_contained += 1
         self._emit("contained", *key, error=type(error).__name__)
         self._failure(self.wrappers, key)
 
@@ -425,6 +421,7 @@ class ContainmentGuard:
         required = getattr(prop, "transforms_reads", False)
         decision = self.policy.fallback("required" if required else "optional")
         if decision == "deny" or (meta is None and decision != "skip"):
+            self.stats.denials += 1
             self._emit("denied", *key)
             raise CircuitOpenError(
                 f"containment denied {key[1]} for document {key[0]}"
@@ -432,10 +429,12 @@ class ContainmentGuard:
             ) from cause
         if decision == "force-miss":
             meta.contained_required += 1
+            self.stats.forced_misses += 1
             self._emit("forced-miss", *key, seam="wrapper")
         else:
             if meta is not None:
                 meta.contained_skips += 1
+            self.stats.optional_skips += 1
             self._emit("skipped", *key)
         return stream
 
@@ -444,11 +443,13 @@ class ContainmentGuard:
         that reports the stream's fate to the breaker exactly once."""
 
         def on_failure(error: BaseException) -> None:
-            capped = isinstance(error, BudgetExceededError)
-            self._emit(
-                "budget-exceeded" if capped else "escaped", *key,
-                error=type(error).__name__,
-            )
+            if isinstance(error, BudgetExceededError):
+                self.stats.budget_overruns += 1
+                outcome = "budget-exceeded"
+            else:
+                self.stats.escapes += 1
+                outcome = "escaped"
+            self._emit(outcome, *key, error=type(error).__name__)
             self._failure(self.wrappers, key)
 
         def on_success() -> None:
@@ -493,6 +494,7 @@ class ContainmentGuard:
             if not self._allow(self.verifiers, verifier_key(entry, verifier)):
                 blocked = True
         if blocked:
+            self.stats.forced_misses += 1
             self._emit(
                 "forced-miss", entry.document_id, "verifier-gate",
                 seam="verifier",
@@ -510,6 +512,7 @@ class ContainmentGuard:
         try:
             budget.check_cost(verifier.cost_ms, key[1])
         except BudgetExceededError:
+            self.stats.budget_overruns += 1
             self._emit("budget-exceeded", *key, cost_ms=verifier.cost_ms)
             raise
 
@@ -540,11 +543,13 @@ class ContainmentGuard:
         document_id = getattr(event, "document_id", None)
         key: BreakerKey = (document_id, f"notifier:{prop.name}")
         if not self._allow(self.notifiers, key):
+            self.stats.notifier_suppressed += 1
             self._emit("suppressed", *key)
             return None
         try:
             result = call(event)
         except Exception as error:
+            self.stats.failures_contained += 1
             self._emit("contained", *key, error=type(error).__name__)
             self._failure(self.notifiers, key)
             return None

@@ -5,7 +5,8 @@ content store, the replacement/admission/degradation policies, the
 topology, the instrumentation bus and the invalidation bus.  It owns
 the *mechanics* that several steps share — install and arm (the one
 way a version becomes a live entry), drop, evict, content replacement,
-event forwarding — while the per-step *logic* (verifier gating,
+event forwarding, and :meth:`CacheCore.emit`, the one way a step
+reports a stage event — while the per-step *logic* (verifier gating,
 adoption scanning, fetch/degradation, admission) lives in
 :mod:`repro.cache.pipeline` and the public API in
 :mod:`repro.cache.manager`.
@@ -125,7 +126,7 @@ class CacheCore:
             half_open_successes=1,
         ))
         #: Every stage event of this cache is emitted here.
-        self.instrumentation = instrumentation = InstrumentationBus()
+        self.instrumentation = InstrumentationBus()
         # The invalidation bus, shared or private, counts its deliveries
         # in its own ``stats``; this cache counts what it receives.
         self.bus = bus or InvalidationBus(self.ctx)
@@ -143,16 +144,12 @@ class CacheCore:
         self.stats = CacheStats()
         #: The stats object of every wired seam, by name: ``cache``,
         #: ``memo``, ``concurrency``, ``overload``, ``containment``,
-        #: ``recovery``, ``storage``.
-        self.metrics: dict[str, typing.Any] = {}
-        #: Per-(stage, outcome) count/latency breakdown for this cache.
+        #: ``recovery``, ``storage``.  Each counter in them is written
+        #: where its event is decided, not derived from the bus.
+        self.metrics: dict[str, typing.Any] = {"cache": self.stats}
+        #: Per-(stage, outcome) count/latency breakdown for this cache,
+        #: written by :meth:`emit` (it is not a bus subscriber).
         self.recorder = StageRecorder()
-        # This core's own two accumulators.  Both ride the bus like any
-        # subscriber; for the two per-hit events and notifier deliveries
-        # the core adds into them directly instead (see :meth:`_rewire`).
-        self._sinks = (self.track("cache", self.stats), self.recorder)
-        instrumentation.subscribe(self.recorder)
-        self._wiring_seen: tuple | None = None
         self.store = ContentStore()
         self.entries: dict[EntryKey, CacheEntry] = {}
         #: Secondary index: document → that document's live entries, in
@@ -199,142 +196,67 @@ class CacheCore:
 
     # -- instrumentation -----------------------------------------------------
 
-    def track(self, name: str, stats):
-        """Register *stats* as ``metrics[name]`` and derive it from this
-        cache's stage events through its class's ``RULES`` table;
-        returns the subscribed projection."""
-        self.metrics[name] = stats
-        return self.instrumentation.track(stats)
-
     def emit(
         self,
         stage: str,
         outcome: str,
-        key: EntryKey | None = None,
+        key: "EntryKey | Invalidation | None" = None,
         started_ms: float | None = None,
         ended_ms: float | None = None,
         **payload,
     ) -> None:
-        """Emit one stage event; timestamps default to *now*.
+        """Report one stage event that ended at *ended_ms* (default:
+        now) and started at *started_ms* (default: when it ended).
 
-        Fast path: with nothing subscribed, skip the
-        :class:`StageEvent` construction entirely — emission must cost
-        nothing when nobody is listening (the A15 bench notes quantify
-        the per-access saving).
+        Adds it into this cache's :class:`StageRecorder` cell, and
+        builds a :class:`StageEvent` only when a subscriber hears
+        *stage* — with none, an event costs a dict probe and two adds.
+        Counters are not derived here: the caller has already written
+        the ones this event decides.  *key* is anything carrying a
+        ``document_id`` and a ``user_id`` (an entry key, a delivered
+        :class:`Invalidation`).
         """
-        if not self.instrumentation.has_subscribers:
-            return
-        now = self.ctx.clock.now_ms
-        self.instrumentation.emit(
-            StageEvent(
-                stage=stage,
-                outcome=outcome,
-                document_id=key.document_id if key is not None else None,
-                user_id=key.user_id if key is not None else None,
-                started_ms=now if started_ms is None else started_ms,
-                ended_ms=now if ended_ms is None else ended_ms,
-                payload=payload,
-            )
-        )
-
-    def _rewire(self) -> None:
-        """Recompute who, besides this core's own sinks, hears the three
-        hot events: the two per-hit ones (``verifier/executed``,
-        terminal ``read``) and ``notifier/delivered``, which a write
-        fans out once per armed notifier.
-
-        Building a :class:`StageEvent` and walking it through the two
-        sinks costs more than the rest of a hit's bookkeeping.
-        Subscribers are independent accumulators, so adding into the
-        sinks directly — same operands, same order as their handlers
-        would — and building the event only for whoever *else* listens
-        (a late catch-all probe, the cluster's health feed) leaves
-        every float sum bit-identical.  A remainder is ``()`` when
-        nobody else listens and ``None`` when the sinks themselves are
-        off the bus — then plain :meth:`emit` is the only correct path.
-        Keyed on the bus's copy-on-write subscriber tuple: noticing
-        "nothing changed" costs the hot path one identity test.
-        """
-        bus, sinks = self.instrumentation, self._sinks
-        self._wiring_seen = bus.subscribers
-
-        def others(stage: str) -> tuple | None:
-            route = bus.route(stage)
-            if not all(sink in route for sink in sinks):
-                return None
-            return tuple(s for s in route if s not in sinks)
-
-        self._verifier_listeners = others("verifier")
-        self._read_listeners = others("read")
-        self._notifier_listeners = others("notifier")
-
-    def _record(
-        self, listeners: tuple, stage: str, outcome: str,
-        key: EntryKey | Invalidation, started_ms: float, ended_ms: float,
-        detail: str | None = None, value=None,
-    ) -> None:
-        """One :class:`StageRecorder` cell update sans StageEvent, and
-        the event itself (payload ``{detail: value}``, empty without a
-        *detail*) for *listeners*, if any."""
+        if ended_ms is None:
+            ended_ms = self.ctx.clock.now_ms
+        if started_ms is None:
+            started_ms = ended_ms
         cells = self.recorder.cells
         cell = cells.get((stage, outcome))
         if cell is None:
             cell = cells[(stage, outcome)] = StageCell()
         cell.count += 1
         cell.elapsed_ms += ended_ms - started_ms
-        if listeners:
-            event = StageEvent(
-                stage, outcome, key.document_id, key.user_id,
-                started_ms, ended_ms, {} if detail is None else {detail: value},
-            )
-            for listener in listeners:
-                listener(event)
+        bus = self.instrumentation
+        if bus.has_subscribers and bus.hears(stage):
+            bus.emit(StageEvent(
+                stage, outcome,
+                None if key is None else key.document_id,
+                None if key is None else key.user_id,
+                started_ms, ended_ms, payload,
+            ))
 
     def verifier_executed(
         self, key: EntryKey, started_ms: float, cost_ms: float
     ) -> None:
-        """Account one verifier run (the hot ``verifier/executed``)."""
-        if self.instrumentation.subscribers is not self._wiring_seen:
-            self._rewire()
-        listeners = self._verifier_listeners
-        if listeners is None:
-            self.emit(
-                "verifier", "executed", key=key,
-                started_ms=started_ms, cost_ms=cost_ms,
-            )
-            return
-        self.stats.verifier_executions += 1
-        self.stats.verifier_cost_ms += cost_ms
-        self._record(
-            listeners, "verifier", "executed", key, started_ms,
-            self.ctx.clock.now_ms, "cost_ms", cost_ms,
-        )
+        """Account one verifier run."""
+        stats = self.stats
+        stats.verifier_executions += 1
+        stats.verifier_cost_ms += cost_ms
+        self.emit("verifier", "executed", key, started_ms, cost_ms=cost_ms)
 
     def hit_served(
         self, disposition: str, key: EntryKey, started_ms: float, size: int
     ) -> float:
-        """Account one verified hit (the hot terminal ``read`` event,
+        """Account one verified hit (the terminal ``read`` event,
         *disposition* ``hit`` or ``revalidated``); returns the read's
         elapsed virtual milliseconds."""
         now = self.ctx.clock.now_ms
         elapsed = now - started_ms
-        if self.instrumentation.subscribers is not self._wiring_seen:
-            self._rewire()
-        listeners = self._read_listeners
-        if listeners is None:
-            self.emit(
-                "read", disposition, key=key,
-                started_ms=started_ms, bytes=size,
-            )
-            return elapsed
         stats = self.stats
         stats.hits += 1
         stats.hit_latency_ms += elapsed
         stats.bytes_served_from_cache += size
-        self._record(
-            listeners, "read", disposition, key, started_ms, now,
-            "bytes", size,
-        )
+        self.emit("read", disposition, key, started_ms, now, bytes=size)
         return elapsed
 
     def verifiers_agree(
@@ -405,6 +327,9 @@ class CacheCore:
 
         def observe_start() -> None:
             if budget is not None and budget.expired:
+                stats = self.metrics.get("overload")
+                if stats is not None:
+                    stats.deadline_violations += 1
                 self.emit("deadline", "violated")
 
         observe_start()
@@ -432,6 +357,8 @@ class CacheCore:
         self, attempt: int, delay_ms: float, error: BaseException
     ) -> None:
         """Retry-policy callback: account one backoff wait."""
+        self.stats.retries += 1
+        self.stats.retry_delay_ms += delay_ms
         self.emit("fetch", "retry", delay_ms=delay_ms, attempt=attempt)
 
     # -- entry-table mechanics -------------------------------------------------
@@ -547,6 +474,7 @@ class CacheCore:
                 # to the durable tier before the entry is destroyed.
                 self.l2.demote(victim, self.store.get(victim.signature))
             self.drop(victim, InvalidationReason.EVICTED, origin="internal")
+            self.stats.evictions += 1
             self.emit("eviction", "evicted", key=victim_key)
 
     def drop(
@@ -565,6 +493,7 @@ class CacheCore:
                 origin=origin,
             )
         )
+        self.stats.record_invalidation(reason)
         self.emit(
             "invalidation", reason.value, key=entry.key,
             reason=reason, origin=origin,
@@ -585,22 +514,10 @@ class CacheCore:
             self.drop(entry, reason, origin="internal")
 
     def apply_invalidation(self, invalidation: Invalidation) -> None:
-        """Sink for the invalidation bus: account one notifier delivery
-        (the hot ``notifier/delivered``), then drop what it covers."""
-        if self.instrumentation.subscribers is not self._wiring_seen:
-            self._rewire()
-        listeners = self._notifier_listeners
-        if listeners is None:
-            self.emit(
-                "notifier", "delivered",
-                key=EntryKey(invalidation.document_id, invalidation.user_id),
-            )
-        else:
-            self.stats.notifier_deliveries += 1
-            now = self.ctx.clock.now_ms
-            self._record(
-                listeners, "notifier", "delivered", invalidation, now, now
-            )
+        """Sink for the invalidation bus: account one notifier delivery,
+        then drop what it covers."""
+        self.stats.notifier_deliveries += 1
+        self.emit("notifier", "delivered", invalidation)
         self._drop_covered(invalidation)
 
     def invalidate_document(
@@ -719,9 +636,12 @@ class CacheCore:
         )
         evicted = self.memo.record(record)
         if self.l2 is not None:
-            self.l2.spill_memo_record(record)
+            self.l2.spill_memo(record)
+        stats = self.metrics["memo"]
+        stats.records += 1
         self.emit("memo", "recorded", key=entry.key)
         if evicted:
+            stats.evictions += evicted
             self.emit("memo", "evicted", records=evicted)
 
     def memo_record_negative(
@@ -745,9 +665,12 @@ class CacheCore:
         )
         evicted = self.memo.record(record)
         if self.l2 is not None:
-            self.l2.spill_memo_record(record)
+            self.l2.spill_memo(record)
+        stats = self.metrics["memo"]
+        stats.negative_records += 1
         self.emit("memo", "negative-recorded", key=key)
         if evicted:
+            stats.evictions += evicted
             self.emit("memo", "evicted", records=evicted)
 
     def memo_purge(self, origin: str) -> int:
@@ -761,6 +684,7 @@ class CacheCore:
             return 0
         purged = self.memo.purge_all()
         if purged:
+            self.metrics["memo"].purged += purged
             self.emit("memo", "purged", records=purged, origin=origin)
         return purged
 
@@ -798,6 +722,7 @@ class CacheCore:
     def note_verifier_caught_lost(self, entry: CacheEntry) -> None:
         """Count a verifier invalidation that covered a lost callback."""
         if self.bus.consume_lost(entry.document_id):
+            self.stats.dropped_notifier_detected += 1
             self.emit("bus-loss", "detected", key=entry.key)
 
     # -- event forwarding -------------------------------------------------------
@@ -814,6 +739,7 @@ class CacheCore:
         event = reference.make_event(EventType.READ_FORWARDED)
         reference.base.dispatcher.dispatch(event)
         reference.dispatcher.dispatch(event)
+        self.stats.forwarded_reads += 1
         self.emit("forward", "read", key=EntryKey.for_reference(reference))
 
     def forward_write(
@@ -838,4 +764,5 @@ class CacheCore:
             reference.base.dispatcher.dispatch(event)
         if ref_wants:
             reference.dispatcher.dispatch(event)
+        self.stats.forwarded_writes += 1
         self.emit("forward", "write", key=EntryKey.for_reference(reference))

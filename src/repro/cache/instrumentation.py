@@ -1,22 +1,24 @@
 """The unified cache instrumentation bus.
 
-The monolithic cache mutated :class:`~repro.cache.stats.CacheStats`
-counters inline at ~40 scattered sites, which made per-mechanism
-accounting impossible to extend: adding one observable meant touching
-the manager.  The pipelined cache instead has every stage emit
-structured :class:`StageEvent` records — stage name, (document, user)
-key, outcome label, virtual-clock start/end — onto an
-:class:`InstrumentationBus`, and everything downstream is a subscriber:
+Every observable step of a cache access is one *stage event* — stage
+name, (document, user) key, outcome label, virtual-clock start/end,
+payload.  :meth:`~repro.cache.core.CacheCore.emit` is where a stage
+reports one; it does two things and nothing else:
 
-* one :class:`CounterProjection` per stats object derives its named
-  counters from the event stream through that dataclass's ``RULES``
-  table (``CacheStats``, ``MemoStats``, ``RecoveryStats``, … — for
-  ``CacheStats`` byte-identical to the pre-pipeline inline mutation,
-  which the equivalence tests pin; the invalidation bus's
-  ``BusStats`` is written directly by the bus, not derived);
-* :class:`StageRecorder` aggregates count/latency per (stage, outcome),
-  giving the trace runner and benches their per-stage breakdown for
-  free.
+* adds the event's count and virtual duration into the cache's
+  :class:`StageRecorder` cell for its (stage, outcome), which gives
+  the trace runner and benches their per-stage breakdown;
+* builds a :class:`StageEvent` and hands it to this module's
+  :class:`InstrumentationBus` — only when a subscriber hears its stage
+  (a probe, the cluster's health feed, a test).
+
+The stats dataclasses (``CacheStats``, ``MemoStats``,
+``ConcurrencyStats``, ``OverloadStats``, ``RecoveryStats``,
+``ContainmentStats``) are *not* derived from events: each counter is
+incremented at the line that decides it, beside that emit.  The
+``RULES`` tables ``CacheStats`` and ``MemoStats`` still carry, with
+:class:`CounterProjection`, state what the counters would be if they
+were derived — the tests use them as the oracle.
 
 Events are emitted synchronously (subscribers run inline at the emit
 site) and timing comes from the virtual clock only, so instrumentation
@@ -91,7 +93,7 @@ class StageEvent(NamedTuple):
     handed to every subscriber on its route.  A named tuple keeps it
     immutable and slotted (no per-instance ``__dict__``) at a quarter
     of a frozen dataclass's construction cost, and emit sites skip
-    construction entirely when nobody listens.
+    construction entirely when nobody hears the stage.
     """
 
     stage: str
@@ -137,27 +139,11 @@ class InstrumentationBus:
         #: stage -> the subscribers it reaches; rebuilt lazily, replaced
         #: wholesale whenever the subscription set changes.
         self._routes: dict[str, tuple[Callable[[StageEvent], None], ...]] = {}
-
-    @property
-    def subscribers(self) -> tuple[Callable[[StageEvent], None], ...]:
-        """The current immutable subscriber tuple.
-
-        Copy-on-write *replaces* it whenever the subscription set
-        changes, so comparing a held reference by identity is an exact
-        O(1) "has anything changed since I looked" test — the cache
-        core keys its direct accumulation of per-hit events on it.
-        """
-        return self._subscribers
-
-    @property
-    def has_subscribers(self) -> bool:
-        """True when at least one subscriber is registered.
-
-        Emit sites consult this *before* constructing a
-        :class:`StageEvent`, so an unobserved bus costs one attribute
-        load and a truth test per would-be event.
-        """
-        return bool(self._subscribers)
+        #: True when at least one subscriber is registered.  Emit sites
+        #: read it *before* constructing a :class:`StageEvent`, so an
+        #: unobserved bus costs one attribute load and a truth test per
+        #: would-be event.
+        self.has_subscribers = False
 
     def subscribe(
         self,
@@ -171,6 +157,7 @@ class InstrumentationBus:
             None if stages is None else frozenset(stages),
         )
         self._routes = {}
+        self.has_subscribers = True
 
     def unsubscribe(self, subscriber: Callable[[StageEvent], None]) -> None:
         """Remove the first matching subscriber (no-op if absent).
@@ -187,8 +174,9 @@ class InstrumentationBus:
                 self._declared[:index] + self._declared[index + 1:]
             )
             self._routes = {}
+            self.has_subscribers = bool(self._subscribers)
 
-    def route(self, stage: str) -> tuple[Callable[[StageEvent], None], ...]:
+    def _route(self, stage: str) -> tuple[Callable[[StageEvent], None], ...]:
         """The subscribers an event of *stage* reaches, in order."""
         route = self._routes.get(stage)
         if route is None:
@@ -201,13 +189,10 @@ class InstrumentationBus:
             )
         return route
 
-    def track(self, stats) -> "CounterProjection":
-        """Derive *stats* from this bus's events: subscribe a
-        :class:`CounterProjection` over its class's ``RULES`` table,
-        for the table's stages only; returns the projection."""
-        projection = CounterProjection(stats, stats.RULES)
-        self.subscribe(projection, stages=projection.stages)
-        return projection
+    def hears(self, stage: str) -> bool:
+        """True when an event of *stage* would reach some subscriber;
+        emit sites ask before building a :class:`StageEvent`."""
+        return bool(self._route(stage))
 
     def emit(self, event: StageEvent) -> None:
         """Deliver one event along its stage's route.
@@ -215,7 +200,7 @@ class InstrumentationBus:
         Binds the route once: subscriptions changed by a subscriber (or
         by an interleaved read) take effect from the *next* emit.
         """
-        for subscriber in self.route(event.stage):
+        for subscriber in self._route(event.stage):
             subscriber(event)
 
 
@@ -292,12 +277,18 @@ class StageRecorder:
         return "\n".join(lines)
 
 
-#: Increment operand: the event's elapsed virtual milliseconds.
+#: Increment operand: the event's elapsed virtual milliseconds
+#: (deprecated with :class:`CounterProjection`).
 ELAPSED = "<elapsed>"
 
 
 class CounterProjection:
     """Derives one stats object's named counters from stage events.
+
+    Deprecated, and wired into no cache: counters are written where
+    they are decided.  Kept, with ``CacheStats.RULES`` and
+    ``MemoStats.RULES``, for ``perfbench/probes.py`` and as the tests'
+    oracle, until a benchmark PR stops the probes constructing it.
 
     *rules* is the stats dataclass's ``RULES`` table — the single place
     where that seam's event vocabulary meets its counter names.  It
@@ -391,20 +382,6 @@ class ConcurrencyStats:
         re-led: a promotion re-runs the fetch it was spared)."""
         return max(0, self.follows - self.promotions)
 
-    RULES: typing.ClassVar[Mapping] = {
-        ("coalesce", "led"): (("flights_led", 1),),
-        ("coalesce", "followed"): (("follows", 1),),
-        ("coalesce", "promoted"): (("promotions", 1),),
-        ("coalesce", "bailed-contained"): (("bailed_contained", 1),),
-    }
-
-
-def _count_shed(stats: "OverloadStats", event: StageEvent) -> None:
-    """``overload/shed``: the counter is named by the priority class."""
-    priority = event.payload.get("priority")
-    name = "shed_" + (priority if priority in ("bulk", "qos") else "critical")
-    setattr(stats, name, getattr(stats, name) + 1)
-
 
 @dataclass(slots=True)
 class OverloadStats:
@@ -447,17 +424,3 @@ class OverloadStats:
         """Fraction of gated reads that were shed (0.0 when idle)."""
         total = self.admitted + self.shed
         return self.shed / total if total else 0.0
-
-    RULES: typing.ClassVar[Mapping] = {
-        ("overload", "admitted"): (("admitted", 1),),
-        ("overload", "shed"): _count_shed,
-        ("deadline", "exceeded"): (("deadline_exceeded", 1),),
-        ("deadline", "late"): (("deadline_late", 1),),
-        ("deadline", "skipped"): (("deadline_skips", 1),),
-        ("deadline", "violated"): (("deadline_violations", 1),),
-        ("hedge", "launched"): (("hedges_launched", 1),),
-        ("hedge", "won"): (("hedges_won", 1),),
-        ("hedge", "lost"): (("hedges_lost", 1),),
-        ("health", "failover"): (("failovers", 1),),
-        ("health", "recovered"): (("recoveries", 1),),
-    }

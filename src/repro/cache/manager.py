@@ -7,9 +7,10 @@ replacement, write-through/write-back — but the mechanics live
 elsewhere: :class:`~repro.cache.core.CacheCore` holds the state,
 :mod:`repro.cache.pipeline` the staged read and write paths,
 :mod:`repro.cache.policies` the per-seam configuration, and
-:mod:`repro.cache.instrumentation` the structured-event bus every
-counter is derived from.  This module is only the wiring plus the
-public surface.
+:mod:`repro.cache.instrumentation` the stage-event bus observers
+subscribe to.  Counters are written where they are decided, into the
+stats objects this module wires into ``core.metrics``.  This module is
+only the wiring plus the public surface.
 """
 
 from __future__ import annotations
@@ -214,20 +215,19 @@ class DocumentCache:
         self._prefetch_queue: list["DocumentReference"] = []
         self._draining_prefetch = False
         self._scheduled_crashes: list = []
-        # The one wiring sequence.  Its order is the order in which
-        # subscriptions land on the instrumentation bus, the sink on the
-        # invalidation bus and calls on the clock — which every golden
-        # digest pins: containment, memo, concurrency, overload,
-        # recovery, storage, scheduled crashes.  All or nothing: a step
-        # that raises takes the earlier ones back off the context, the
-        # bus and the clock.
+        # The one wiring sequence.  Its order is the order in which the
+        # sink lands on the invalidation bus and calls on the clock —
+        # which every golden digest pins: containment, memo,
+        # concurrency, overload, recovery, storage, scheduled crashes.
+        # All or nothing: a step that raises takes the earlier ones
+        # back off the context, the bus and the clock.
         try:
             if containment_policy is not None:
                 # Opt this cache's own seams into the world's guard,
                 # building it if this is the first contained cache.
                 if guard is None:
                     guard = ctx.containment = ContainmentGuard(
-                        containment_policy, ctx, self.instrumentation
+                        containment_policy, ctx, core.emit
                     )
                 core.metrics["containment"] = guard.stats
                 core.containment = guard
@@ -236,15 +236,15 @@ class DocumentCache:
                     memo if memo is not None
                     else TransformMemo(memo_policy.capacity)
                 )
-                core.track("memo", MemoStats())
+                core.metrics["memo"] = MemoStats()
             if flights is not None:
                 core.flights = flights
             if concurrency_policy is not None:
                 core.concurrency = concurrency_policy
-                core.track("concurrency", ConcurrencyStats())
+                core.metrics["concurrency"] = ConcurrencyStats()
             if overload_policy is not None:
                 core.overload = OverloadGate(ctx.clock, overload_policy)
-                core.track("overload", OverloadStats())
+                core.metrics["overload"] = OverloadStats()
             if recovery_policy is not None:
                 core.recovery = ConsistencyRecoveryManager(core, recovery_policy)
                 core.bus.register(core.cache_id, core.recovery.receive)
@@ -440,6 +440,7 @@ class DocumentCache:
         ):
             return False
         self._prefetch_queue.append(reference)
+        self._core.stats.prefetch_requests += 1
         self._core.emit("prefetch", "requested", key=key)
         return True
 
@@ -460,6 +461,7 @@ class DocumentCache:
                 entry = self._core.entries.get(key)
                 if entry is not None:
                     entry.policy_state["prefetched"] = True
+                    self._core.stats.prefetch_fills += 1
                     self._core.emit("prefetch", "filled", key=key)
         finally:
             self._draining_prefetch = False
@@ -579,6 +581,8 @@ class DocumentCache:
         survives for :meth:`restart` to replay.
         """
         core = self._core
+        if core.recovery is not None:
+            core.recovery.stats.crashes += 1
         core.emit(
             "crash", "crashed",
             entries=len(core.entries), dirty=len(core.dirty),
@@ -616,6 +620,8 @@ class DocumentCache:
             replayed = core.recovery.on_restart()
         if core.l2 is not None:
             core.l2.recover()
+        if core.recovery is not None:
+            core.recovery.stats.restarts += 1
         core.emit("crash", "restarted", replayed=replayed)
         return replayed
 

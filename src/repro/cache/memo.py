@@ -236,7 +236,9 @@ class TransformMemo:
 
 @dataclass(slots=True)
 class MemoStats:
-    """Counters derived from ``memo`` stage events."""
+    """Counters for the memo plane, written beside each ``memo`` stage
+    event.  ``RULES`` is the oracle the tests project (deprecated with
+    :class:`~repro.cache.instrumentation.CounterProjection`)."""
 
     #: Misses served from the memo (each one is a provider fetch plus a
     #: full chain execution that did not happen).

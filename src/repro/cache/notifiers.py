@@ -122,7 +122,7 @@ class InvalidationBus:
     def __init__(self, ctx: SimContext) -> None:
         self.ctx = ctx
         self.stats = BusStats()
-        self._sinks: dict[CacheId, Callable[[Invalidation], None]] = {}
+        self._receivers: dict[CacheId, Callable[[Invalidation], None]] = {}
         self._lost_documents: dict[object, int] = {}
         #: Sequenced channels, keyed by cache id.  Sequencing is opt-in
         #: (the recovery layer enables it); unsequenced caches see the
@@ -133,12 +133,12 @@ class InvalidationBus:
         self, cache_id: CacheId, sink: Callable[[Invalidation], None]
     ) -> None:
         """Register a cache's invalidation sink under its id."""
-        self._sinks[cache_id] = sink
+        self._receivers[cache_id] = sink
 
     def unregister(self, cache_id: CacheId) -> None:
         """Remove a cache (e.g. it shut down): deliveries to it drop,
         and its sequenced channel, if it had one, is forgotten."""
-        self._sinks.pop(cache_id, None)
+        self._receivers.pop(cache_id, None)
         self._channels.pop(cache_id, None)
 
     # -- sequenced channels (consistency recovery) ----------------------------
@@ -216,7 +216,7 @@ class InvalidationBus:
         cost is accounted in the stats but not re-charged to the clock
         (the delay already covered the transit time).
         """
-        sink = self._sinks.get(cache_id)
+        sink = self._receivers.get(cache_id)
         if sink is None:
             self.stats.dropped += 1
             return

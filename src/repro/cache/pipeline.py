@@ -32,8 +32,9 @@ seams for :func:`~repro.sim.scheduler.run_batch` to interleave, with
 single-flight request coalescing (see :meth:`ReadPipeline._coalesce`).
 
 Steps are methods: everything mutable lives in the
-:class:`~repro.cache.core.CacheCore` the two pipelines share, and every
-observable step is emitted onto the core's instrumentation bus.
+:class:`~repro.cache.core.CacheCore` the two pipelines share.  A step
+that decides a counter writes it, then reports the stage event through
+:meth:`~repro.cache.core.CacheCore.emit`.
 """
 
 from __future__ import annotations
@@ -255,7 +256,14 @@ class ReadPipeline:
         if decision is None:
             return
         priority = PRIORITY_NAMES[decision.priority]
+        stats = core.metrics["overload"]
         if not decision.admitted:
+            if priority == "bulk":
+                stats.shed_bulk += 1
+            elif priority == "qos":
+                stats.shed_qos += 1
+            else:
+                stats.shed_critical += 1
             core.emit(
                 "overload", "shed", key=key, priority=priority,
                 reason=decision.reason, sojourn_ms=decision.sojourn_ms,
@@ -266,6 +274,7 @@ class ReadPipeline:
                 f"{decision.sojourn_ms:.1f}ms, queue depth "
                 f"{decision.queue_depth:.0f})"
             )
+        stats.admitted += 1
         core.emit(
             "overload", "admitted", key=key, priority=priority,
             sojourn_ms=decision.sojourn_ms,
@@ -349,6 +358,7 @@ class ReadPipeline:
         ctx.memo_fingerprint = None
         ctx.memo_source = None
         if payload is not None and payload[0] == "failed":
+            self.core.metrics["concurrency"].promotions += 1
             self.core.emit("coalesce", "promoted", key=ctx.key)
 
     # -- the hit prefix -------------------------------------------------------
@@ -420,6 +430,7 @@ class ReadPipeline:
                 # afforded — force a miss instead of verifying.
                 core.drop(entry, InvalidationReason.VERIFIER_FAILED,
                           origin="quarantine")
+                core.stats.quarantine_forced_misses += 1
                 core.emit("quarantine", "forced-miss", key=key)
                 return None, (content, entry.created_at_ms)
             for verifier in entry.verifiers:
@@ -444,6 +455,7 @@ class ReadPipeline:
                         self._note_failure(entry, verifier)
                     core.drop(entry, InvalidationReason.VERIFIER_FAILED,
                               origin="verifier")
+                    core.stats.verifier_invalidations += 1
                     core.emit("verifier", "invalidated", key=key)
                     core.note_verifier_caught_lost(entry)
                     return None, (content, entry.created_at_ms)
@@ -458,12 +470,14 @@ class ReadPipeline:
                         else InvalidationReason.EXTERNAL_CHANGED
                     )
                     core.drop(entry, reason, origin="verifier")
+                    core.stats.verifier_invalidations += 1
                     core.emit("verifier", "invalidated", key=key)
                     core.note_verifier_caught_lost(entry)
                     return None, (content, entry.created_at_ms)
                 if result.verdict is Verdict.REVALIDATED:
                     content = result.patched_content
                     core.replace_content(entry, content)
+                    core.stats.verifier_revalidations += 1
                     core.emit("verifier", "revalidated", key=key)
                     disposition = "revalidated"
 
@@ -473,6 +487,7 @@ class ReadPipeline:
         entry.touch(clock.now_ms)
         core.policy.on_access(entry)
         if core.track_staleness and core.is_stale(reference, entry):
+            core.stats.stale_hits += 1
             core.emit("staleness", "stale-hit", key=key)
         elapsed = core.hit_served(disposition, key, started_ms, len(content))
         if for_fill:
@@ -484,6 +499,7 @@ class ReadPipeline:
                 return (content, core.meta_from_entry(live)), None
             return None, None
         if entry.policy_state.get("prefetched"):
+            core.stats.prefetched_hits += 1
             core.emit("prefetch", "hit", key=key)
             entry.policy_state["prefetched"] = False
         return CacheReadOutcome(content, True, elapsed, disposition), None
@@ -498,6 +514,7 @@ class ReadPipeline:
     def _note_failure(self, entry: CacheEntry, verifier) -> None:
         core = self.core
         if core.note_verifier_failure(verifier_key(entry, verifier)):
+            core.stats.quarantined_verifiers += 1
             core.emit("quarantine", "added", key=entry.key)
 
     # -- the miss steps -------------------------------------------------------
@@ -523,14 +540,14 @@ class ReadPipeline:
         :class:`CacheReadOutcome`.
         """
         core = self.core
-        core.emit(
-            "read", disposition, key=ctx.key, started_ms=ctx.started_ms
-        )
+        elapsed = core.ctx.clock.now_ms - ctx.started_ms
+        core.stats.misses += 1
+        core.stats.miss_latency_ms += elapsed
+        core.emit("read", disposition, key=ctx.key, started_ms=ctx.started_ms)
         if ctx.for_fill:
             return content, (
                 ctx.meta if entry is None else core.meta_from_entry(entry)
             )
-        elapsed = core.ctx.clock.now_ms - ctx.started_ms
         return CacheReadOutcome(content, False, elapsed, disposition)
 
     def _adopt(self, ctx: ReadContext):
@@ -567,6 +584,7 @@ class ReadPipeline:
                 ctx.reference, candidate, candidate.signature,
                 candidate.size, candidate.verifiers,
             )
+            core.stats.sibling_adoptions += 1
             core.emit("adoption", "adopted", key=key)
             core.arm(ctx.reference, entry)
             return self._finish(ctx, "miss-adopted", content, entry)
@@ -594,6 +612,7 @@ class ReadPipeline:
             # An expired read skips the disk probe and CRC work: the
             # fetch gate downstream fails it into the degradation
             # ladder without spending more of anyone's time.
+            core.metrics["overload"].deadline_skips += 1
             core.emit("deadline", "skipped", key=ctx.key, seam="l2")
             return None
         survivor = l2.promote(ctx.key, ctx.reference)
@@ -635,6 +654,7 @@ class ReadPipeline:
         if ctx.budget is not None and ctx.budget.expired:
             # Same fast-fail as the L2 step: no probe charge for a
             # read whose deadline already passed.
+            core.metrics["overload"].deadline_skips += 1
             core.emit("deadline", "skipped", key=ctx.key, seam="memo")
             return None
         plan = read_plan(ctx.reference)
@@ -642,6 +662,7 @@ class ReadPipeline:
         if guard is not None and guard.chain_blocked(
             ctx.key.document_id, plan.chain
         ):
+            core.metrics["memo"].contained_bypasses += 1
             core.emit("memo", "bypass-contained", key=ctx.key)
             return None
         fingerprint = plan.fingerprint
@@ -655,13 +676,16 @@ class ReadPipeline:
         # The probed pair doubles as the memo-plane coalescing key for
         # the single-flight step downstream.
         ctx.memo_source = source_signature
+        stats = core.metrics["memo"]
         record = memo.lookup(source_signature, fingerprint)
         if record is None:
+            stats.misses += 1
             core.emit("memo", "missed", key=ctx.key)
             return None
         if record.is_negative:
             # Classes (b)/(d): this chain votes UNCACHEABLE for this
             # source — skip straight to the fetch path.
+            stats.negative_hits += 1
             core.emit("memo", "negative-hit", key=ctx.key)
             return None
         imported = False
@@ -676,6 +700,7 @@ class ReadPipeline:
             materialized = memo.materialize(record, core)
             if materialized is None:
                 memo.discard(record)
+                stats.dead_drops += 1
                 core.emit("memo", "dropped-dead", key=ctx.key)
                 return None
             content = materialized
@@ -688,6 +713,7 @@ class ReadPipeline:
             if imported:
                 core.store.release(record.output_signature)
             memo.discard(record)
+            stats.verifier_drops += 1
             core.emit("memo", "dropped-verifier", key=ctx.key)
             return None
         self._exchange_metadata()
@@ -700,7 +726,9 @@ class ReadPipeline:
             record.verifiers,
         )
         core.arm(ctx.reference, entry)
+        stats.adoptions += 1
         if imported:
+            stats.imports += 1
             core.emit("memo", "adopted", key=ctx.key, imported=True)
         else:
             core.emit("memo", "adopted", key=ctx.key)
@@ -746,12 +774,14 @@ class ReadPipeline:
             # wait) nor leads (its fetch gate will refuse, stranding
             # followers on a doomed flight) — it falls straight through
             # to the fetch gate and the degradation ladder.
+            core.metrics["overload"].deadline_skips += 1
             core.emit("deadline", "skipped", key=ctx.key, seam="flight")
             return None
         guard = core.containment
         if guard is not None and guard.chain_blocked(
             ctx.key.document_id, read_plan(ctx.reference).chain
         ):
+            core.metrics["concurrency"].bailed_contained += 1
             core.emit("coalesce", "bailed-contained", key=ctx.key)
             return None
         keys: tuple = (("entry", ctx.key),)
@@ -761,9 +791,11 @@ class ReadPipeline:
             flight = core.flights.lookup(key)
             if flight is None:
                 continue
+            core.metrics["concurrency"].follows += 1
             core.emit("coalesce", "followed", key=ctx.key)
             return Suspension("flight", flight)
         ctx.flight = core.flights.open(keys)
+        core.metrics["concurrency"].flights_led += 1
         core.emit("coalesce", "led", key=ctx.key)
         return None
 
@@ -781,6 +813,7 @@ class ReadPipeline:
             # don't start a fetch whose result nobody will wait for.
             # The degradation step may still answer with acceptable
             # stale bytes before the error surfaces.
+            core.metrics["overload"].deadline_exceeded += 1
             core.emit("deadline", "exceeded", key=ctx.key, seam="fetch")
             ctx.fetch_error = budget.exceeded("fetch")
             return
@@ -793,6 +826,7 @@ class ReadPipeline:
         except Exception as error:
             if ctx.for_fill:
                 raise
+            core.stats.fetch_failures += 1
             core.emit("fetch", "failed", key=ctx.key)
             ctx.fetch_error = error
             return
@@ -801,6 +835,7 @@ class ReadPipeline:
             # fresh and already paid for, so they are served — "late",
             # not a violation (a violation is starting work past the
             # deadline, which the gate above rules out).
+            core.metrics["overload"].deadline_late += 1
             core.emit("deadline", "late", key=ctx.key, seam="fetch")
         # A containment skip anywhere on the path degrades the serve.
         if ctx.meta.contained_skips or ctx.meta.contained_required:
@@ -826,6 +861,8 @@ class ReadPipeline:
             except Exception:
                 pass
             else:
+                core.stats.backing_bypasses += 1
+                core.stats.degraded_serves += 1
                 core.emit("degradation", "bypassed", key=ctx.key)
                 ctx.content, ctx.meta = outcome.content, outcome.meta
                 ctx.degraded = True
@@ -836,8 +873,11 @@ class ReadPipeline:
             if policy.stale_age_acceptable(
                 core.ctx.clock.now_ms - filled_at_ms
             ):
+                core.stats.stale_served_on_error += 1
+                core.stats.degraded_serves += 1
                 core.emit("degradation", "stale-served", key=ctx.key)
                 return self._finish(ctx, "stale-on-error", content)
+            core.stats.stale_serve_rejected += 1
             core.emit("degradation", "stale-rejected", key=ctx.key)
         raise error
 
@@ -860,6 +900,7 @@ class ReadPipeline:
             return self._finish(ctx, disposition, content)
         decision = vote_admission(content, meta, core.capacity_bytes)
         if decision is AdmissionDecision.UNCACHEABLE:
+            core.stats.uncacheable_reads += 1
             core.emit("admission", "uncacheable", key=ctx.key)
             disposition = "uncacheable"
             core.memo_record_negative(ctx.memo_fingerprint, ctx.key, meta)
@@ -868,6 +909,7 @@ class ReadPipeline:
             disposition = "miss-oversize"
         else:
             entry = core.fill(ctx.reference, content, meta)
+            core.stats.bytes_filled += len(content)
             core.emit("admission", "filled", key=ctx.key, bytes=len(content))
             if not ctx.degraded:
                 # A degraded fill (containment skip or backing bypass)
@@ -898,6 +940,7 @@ class WritePipeline:
         started_ms = core.ctx.clock.now_ms
         if core.write_mode is WriteMode.WRITE_THROUGH:
             core.kernel.write(reference, content)
+            core.stats.writes_through += 1
             core.emit("write", "write-through", key=key)
             core.invalidate_local(key, InvalidationReason.LOCAL_WRITE)
         else:
@@ -911,6 +954,7 @@ class WritePipeline:
             # The cached read entry (if any) no longer reflects what
             # this user would read — their buffered write supersedes it.
             core.invalidate_local(key, InvalidationReason.LOCAL_WRITE)
+            core.stats.writes_backed += 1
             core.emit("write", "write-back", key=key)
             # WRITE_FORWARDED to the properties that asked for it.
             core.forward_write(reference, len(content))
@@ -941,8 +985,10 @@ class WritePipeline:
                 )
         except Exception:
             core.dirty[key] = buffered
+            core.stats.flush_failures += 1
             core.emit("flush", "failed", key=key)
             raise
+        core.stats.flushes += 1
         core.emit("flush", "flushed", key=key)
         if core.recovery is not None:
             core.recovery.journal_mark_flushed(key)

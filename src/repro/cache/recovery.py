@@ -37,12 +37,12 @@ without one behaves byte-identically to the pre-recovery code):
   (double replay restores nothing twice, and a later flush pushes each
   write exactly once).
 
-Everything observable is emitted as stage events (``channel``,
-``lease``, ``resync``, ``journal``, ``crash``) on the cache's
-instrumentation bus; :class:`RecoveryStats` is derived from those
-events through its ``RULES`` table, deliberately *separate*
-from :class:`~repro.cache.stats.CacheStats` so the golden-digest
-equivalence tests keep pinning the legacy counters unchanged.
+Everything observable is reported as a stage event (``channel``,
+``lease``, ``resync``, ``journal``, ``crash``) through the cache's
+``emit``, beside the :class:`RecoveryStats` counter it decides.  Those
+counters are deliberately *separate* from
+:class:`~repro.cache.stats.CacheStats` so the golden-digest equivalence
+tests keep pinning the legacy counters unchanged.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, field
 
-from repro.cache.instrumentation import StageEvent
 from repro.contract.consistency import Invalidation, InvalidationReason
 from repro.contract.verifiers import Verdict
 from repro.errors import (
@@ -166,17 +165,9 @@ class WriteBackJournal:
         return replayed, skipped
 
 
-def _count_repair(stats: "RecoveryStats", event: StageEvent) -> None:
-    """``resync/repaired``: also attributed to the payload's
-    consistency class."""
-    stats.resync_repairs += 1
-    cls = event.payload.get("invalidation_class", 0)
-    stats.repairs_by_class[cls] = stats.repairs_by_class.get(cls, 0) + 1
-
-
 @dataclass
 class RecoveryStats:
-    """Counters for the recovery layer, derived from stage events.
+    """Counters for the recovery layer.
 
     Deliberately separate from :class:`~repro.cache.stats.CacheStats`:
     the pipeline-equivalence tests pin a digest over the legacy counter
@@ -206,29 +197,6 @@ class RecoveryStats:
     crashes: int = 0
     restarts: int = 0
 
-    RULES: typing.ClassVar[typing.Mapping] = {
-        ("channel", "gap"): (
-            ("gaps_detected", 1), ("notifications_missed", "missed"),
-        ),
-        ("channel", "checkpoint-gap"): (
-            ("checkpoint_gaps", 1), ("notifications_missed", "missed"),
-        ),
-        ("channel", "late"): (("late_deliveries", 1),),
-        ("channel", "epoch"): (("epoch_bumps", 1),),
-        ("lease", "granted"): (("lease_grants", 1),),
-        ("lease", "renewed"): (("lease_renewals", 1),),
-        ("lease", "blocked"): (("lease_renewals_blocked", 1),),
-        ("lease", "lapsed"): (("lease_lapses", 1),),
-        ("resync", "started"): (("resyncs", 1),),
-        ("resync", "repaired"): _count_repair,
-        ("journal", "appended"): (("journal_appends", 1),),
-        ("journal", "flush-marked"): (("journal_flush_marks", 1),),
-        ("journal", "replayed"): (("journal_replayed", 1),),
-        ("journal", "replay-skipped"): (("journal_replays_skipped", 1),),
-        ("crash", "crashed"): (("crashes", 1),),
-        ("crash", "restarted"): (("restarts", 1),),
-    }
-
 
 class ConsistencyRecoveryManager:
     """Per-cache coordinator for leases, gap detection, resync, journal.
@@ -245,8 +213,7 @@ class ConsistencyRecoveryManager:
     def __init__(self, core: "CacheCore", policy: "RecoveryPolicy") -> None:
         self.core = core
         self.policy = policy
-        self.stats = RecoveryStats()
-        core.track("recovery", self.stats)
+        self.stats = core.metrics["recovery"] = RecoveryStats()
         self.journal = WriteBackJournal()
         #: Live references for cached entries, so resync can reconcile
         #: against server state without a directory lookup.
@@ -268,6 +235,7 @@ class ConsistencyRecoveryManager:
     def _grant_lease(self) -> None:
         now = self.core.ctx.clock.now_ms
         self.lease = NotifierLease.grant(self.policy.lease_term_ms, now)
+        self.stats.lease_grants += 1
         self.core.emit(
             "lease", "granted", expires_at_ms=self.lease.expires_at_ms
         )
@@ -288,21 +256,26 @@ class ConsistencyRecoveryManager:
         lease = self.lease
         assert lease is not None
         lapsed = False
+        stats = self.stats
         plan = core.ctx.faults
         if plan is not None and plan.bus_partitioned(str(core.cache_id)):
             # The renewal cannot reach the bus.  The lease keeps its old
             # expiry; once that passes, the channel was provably dark.
+            stats.lease_renewals_blocked += 1
             core.emit("lease", "blocked")
             if lease.lapsed(now):
                 lapsed = True
+                stats.lease_lapses += 1
                 core.emit("lease", "lapsed", expired_at_ms=lease.expires_at_ms)
         else:
             if lease.lapsed(now):
                 # Expired between ticks (e.g. while the cache was busy
                 # past the expiry or after a long partition ended).
                 lapsed = True
+                stats.lease_lapses += 1
                 core.emit("lease", "lapsed", expired_at_ms=lease.expires_at_ms)
             lease.renew(now)
+            stats.lease_renewals += 1
             core.emit("lease", "renewed", expires_at_ms=lease.expires_at_ms)
             self._checkpoint_compare()
         if self.suspect or lapsed:
@@ -323,6 +296,8 @@ class ConsistencyRecoveryManager:
         expected_epoch, expected_sequence = self._expected
         if epoch == expected_epoch and next_sequence > expected_sequence:
             missed = next_sequence - expected_sequence
+            self.stats.checkpoint_gaps += 1
+            self.stats.notifications_missed += missed
             self.core.emit(
                 "channel", "checkpoint-gap",
                 missed=missed,
@@ -346,11 +321,14 @@ class ConsistencyRecoveryManager:
         if epoch < expected_epoch:
             # A delayed delivery from before the last resync's epoch
             # bump; the resync already reconciled whatever it reported.
+            self.stats.late_deliveries += 1
             core.emit("channel", "late", epoch=epoch, sequence=sequence)
             return
         if epoch > expected_epoch:
             # Should not happen (epoch bumps are receiver-initiated),
             # but treat a surprise epoch as a total loss of tracking.
+            self.stats.gaps_detected += 1
+            self.stats.notifications_missed += sequence
             core.emit(
                 "channel", "gap",
                 missed=sequence,
@@ -371,9 +349,12 @@ class ConsistencyRecoveryManager:
             return
         if sequence < expected_sequence:
             # Duplicate or out-of-order late arrival within the epoch.
+            self.stats.late_deliveries += 1
             core.emit("channel", "late", epoch=epoch, sequence=sequence)
             return
         missed = sequence - expected_sequence
+        self.stats.gaps_detected += 1
+        self.stats.notifications_missed += missed
         core.emit(
             "channel", "gap",
             missed=missed,
@@ -416,6 +397,8 @@ class ConsistencyRecoveryManager:
         repair reuses anti-entropy instead of growing a second path.
         """
         core = self.core
+        stats = self.stats
+        stats.resyncs += 1
         core.emit("resync", "started", entries=len(core.entries))
         # A resync runs because this cache suspects it missed
         # invalidations — the memo's records are under the same
@@ -432,15 +415,19 @@ class ConsistencyRecoveryManager:
             if reason is None:
                 continue
             core.drop(entry, reason, origin="resync")
+            cls = reason.invalidation_class.value
+            stats.resync_repairs += 1
+            stats.repairs_by_class[cls] = stats.repairs_by_class.get(cls, 0) + 1
             core.emit(
                 "resync", "repaired", key=key,
                 reason=reason.value,
-                invalidation_class=reason.invalidation_class.value,
+                invalidation_class=cls,
             )
             self._references.pop(key, None)
             repairs += 1
         epoch, next_sequence = core.bus.bump_epoch(core.cache_id)
         self._expected = (epoch, next_sequence)
+        stats.epoch_bumps += 1
         core.emit("channel", "epoch", epoch=epoch)
         self.suspect = False
         core.emit("resync", "completed", repairs=repairs)
@@ -511,6 +498,7 @@ class ConsistencyRecoveryManager:
     ) -> None:
         """Buffer hook: journal a write before it is acknowledged."""
         self.journal.append(key, reference, content)
+        self.stats.journal_appends += 1
         self.core.emit("journal", "appended", key=key, bytes=len(content))
         if self.core.l2 is not None:
             self.core.l2.spill_journal_append(key, reference, content)
@@ -519,6 +507,7 @@ class ConsistencyRecoveryManager:
         """Flush hook: the key's buffered bytes reached the server."""
         marked = self.journal.mark_flushed(key)
         if marked:
+            self.stats.journal_flush_marks += 1
             self.core.emit("journal", "flush-marked", key=key, records=marked)
         if self.core.l2 is not None:
             self.core.l2.spill_journal_flushed(key)
@@ -531,8 +520,10 @@ class ConsistencyRecoveryManager:
         for key, (_, content) in self.journal.pending.items():
             if key in before:
                 continue
+            self.stats.journal_replayed += 1
             core.emit("journal", "replayed", key=key, bytes=len(content))
         for _ in range(skipped):
+            self.stats.journal_replays_skipped += 1
             core.emit("journal", "replay-skipped")
         return replayed
 

@@ -8,14 +8,14 @@ deliveries (server load), invalidations attributed per reason, and
 staleness (hits that served out-of-date bytes, measurable only in
 simulation where ground truth is known).
 
-Since the pipeline refactor these counters are no longer mutated inline
-by the cache: every stage emits structured
-:class:`~repro.cache.instrumentation.StageEvent` records, and a
-:class:`~repro.cache.instrumentation.CounterProjection` subscribed to
-the cache's instrumentation bus derives the counters from the event
-stream through the :attr:`CacheStats.RULES` table below.  The
-dataclass's fields are unchanged, so everything that reads
-``cache.stats`` keeps working.
+Each counter is incremented at the line that decides it — the hit in
+:meth:`~repro.cache.core.CacheCore.hit_served`, a miss in
+``ReadPipeline._finish``, an eviction in ``evict_to_capacity`` — beside
+the stage event that line reports.  :attr:`CacheStats.RULES` states
+the same counters as a function of the event stream; no cache is wired
+to it (it is deprecated with
+:class:`~repro.cache.instrumentation.CounterProjection`), and the
+tests project it as the oracle the direct writes must match.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 shards and routes every ``(document, user)`` entry key to one of them
 by consistent hashing (:class:`~repro.cluster.placement.HashRingPolicy`).
 The shards are real, fully wired
-caches — each with its own content store, entry table, projections and
+caches — each with its own content store, entry table, stats and
 (optionally) recovery manager — built by the one ``DocumentCache``
 constructor, which takes what the shards share as arguments:
 
@@ -330,17 +330,16 @@ class CacheCluster:
         health = self.health
         assert health is not None
         unhealthy = health.is_unhealthy(primary)
+        core = self._shards[primary].core
         if unhealthy and primary not in self._failed_over:
             self._failed_over.add(primary)
-            self._shards[primary].core.emit(
-                "health", "failover", shard=primary
-            )
+            core.metrics["overload"].failovers += 1
+            core.emit("health", "failover", shard=primary)
         elif not unhealthy and primary in self._failed_over:
             self._failed_over.discard(primary)
             self._probes.pop(primary, None)
-            self._shards[primary].core.emit(
-                "health", "recovered", shard=primary
-            )
+            core.metrics["overload"].recoveries += 1
+            core.emit("health", "recovered", shard=primary)
         if not unhealthy or len(self._shards) < 2:
             return primary
         count = self._probes.get(primary, 0) + 1
@@ -422,6 +421,13 @@ class CacheCluster:
         backup = self._shards[backup_name]
 
         def note(outcome: str) -> None:
+            stats = shard.core.metrics["overload"]
+            if outcome == "launched":
+                stats.hedges_launched += 1
+            elif outcome == "won":
+                stats.hedges_won += 1
+            else:
+                stats.hedges_lost += 1
             shard.core.emit(
                 "hedge", outcome, shard=primary_name, backup=backup_name
             )

@@ -599,7 +599,7 @@ class L2Tier:
         self.journal_log.append(K_FLUSHED, _key_json(key))
         self._sync("flushed", self.journal_log)
 
-    def spill_memo_record(self, record: MemoRecord) -> None:
+    def spill_memo(self, record: MemoRecord) -> None:
         """Memo hook: persist one verifier-free memo record.
 
         Records carrying live verifier objects are not serializable —
@@ -781,6 +781,8 @@ class L2Tier:
                 continue
             core.dirty[key] = (reference, content)
             self.stats.journal_replayed += 1
+            if core.recovery is not None:
+                core.recovery.stats.journal_replayed += 1
             core.emit(
                 "journal", "replayed", key=key, bytes=len(content)
             )

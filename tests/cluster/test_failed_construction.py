@@ -79,7 +79,7 @@ def test_a_failed_constructor_leaves_no_zombie(point, tmp_path):
     if error is StorageError:
         assert "not-a-directory" in str(raised.value)  # names the directory
     assert ctx.containment is None
-    assert bus._sinks == {} and bus._channels == {}
+    assert bus._receivers == {} and bus._channels == {}
     assert ctx.clock.pending() == 0
     # The world is as it was: a cache with *another* containment tuning
     # is not refused on behalf of the one that never came to be.

@@ -290,7 +290,7 @@ class TestMemoSpill:
             fingerprint=ChainFingerprint("chain-fp"),
             output_signature=None,  # negative record: verifier-free
         )
-        tier.spill_memo_record(record)
+        tier.spill_memo(record)
         assert cache.storage_stats.memo_spills == 1
         cache.crash()
         cache.restart()

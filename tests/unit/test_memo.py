@@ -213,17 +213,23 @@ class TestInstrumentationFastPath:
         with pytest.raises(AttributeError):
             event.stage = "write"
 
-    def test_core_emit_skips_unobserved_bus(self):
+    def test_core_emit_skips_unobserved_bus(self, monkeypatch):
         kernel, _, (reference, _) = build_world()
         cache = DocumentCache(kernel, capacity_bytes=1 << 20)
-        # Strip the projections the manager subscribed so nothing
-        # observes the bus; derived stats must then stay untouched.
-        bus = cache.instrumentation
-        for subscriber in list(bus._subscribers):
-            bus.unsubscribe(subscriber)
+        # Nothing subscribes to a fresh cache's bus — not its counters,
+        # not its recorder — so a read puts no event on it; both are
+        # still written, at the line that decides them.
+        assert not cache.instrumentation.has_subscribers
+        emitted: list = []
+        monkeypatch.setattr(
+            InstrumentationBus, "emit",
+            lambda bus, event: emitted.append(event),
+        )
         outcome = cache.read(reference)
         assert outcome.disposition == "miss"
-        assert cache.stats.misses == 0  # the emit never happened
+        assert emitted == []
+        assert cache.stats.misses == 1
+        assert cache.recorder.cells[("read", "miss")].count == 1
 
 
 class TestMemoEndToEnd:

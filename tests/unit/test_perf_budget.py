@@ -23,9 +23,13 @@ exact budget of *zero* Python ``__hash__`` / ``__eq__`` frames: ids are
 ``str`` subclasses and the invalidation reasons hash by identity, so
 every key probe runs in C.
 
-Writes have exact budgets too: a notifier delivery builds a
-``StageEvent`` only for a subscriber other than the cache's own
-counters, and a write-back write nobody forwards builds no ``Event``.
+Events have exact budgets too: a cache counts where it decides and
+adds into its ``StageRecorder`` itself, so a ``StageEvent`` is built
+only for a subscriber outside the cache — none for a miss, a hit, an
+eviction, a write fan-out, a flush or a crash nobody listens to, one
+per recorded event for a catch-all, and in a cluster only what the
+health feed consumes.  A write-back write nobody forwards builds no
+``Event``.
 
 So does what a world keeps alive: the objects the cyclic collector
 tracks per new reference and per first read (three notifiers armed).
@@ -49,7 +53,9 @@ from repro.bench.perf import allocation_probe, peak_rss_kb
 from repro.cache.entry import EntryKey
 from repro.cache.instrumentation import StageEvent
 from repro.cache.manager import DocumentCache, WriteMode
-from repro.cache.policies import OverloadPolicy, StoragePolicy
+from repro.cache.policies import OverloadPolicy, RecoveryPolicy, StoragePolicy
+from repro.cluster import CacheCluster
+from repro.overload.health import HealthTracker
 from repro.placeless.document import BaseDocument
 from repro.placeless.kernel import PlacelessKernel
 from repro.placeless.reference import DocumentReference
@@ -308,6 +314,81 @@ def test_notifier_deliveries_build_events_only_for_listeners(
     assert built_stages["bus"] == 0
 
 
+def _budget_steps(built: Counter, subscriber=None) -> dict[str, tuple]:
+    """Per step: ``(events built, events recorded)``.  Two caches of
+    two-user worlds — one write-through, squeezed so one more document
+    evicts, and one write-back with a recovery policy — each with
+    *subscriber* on its bus, if given."""
+
+    def step(cache, action) -> tuple[int, int]:
+        built.clear()
+        before = sum(cell.count for cell in cache.recorder.cells.values())
+        action()
+        after = sum(cell.count for cell in cache.recorder.cells.values())
+        return sum(built.values()), after - before
+
+    kernel, through, (writer, _) = _armed_world(2)
+    # Room for what is resident now, so one more document evicts.
+    through.core.capacity_bytes = through.core.store.physical_bytes
+    _, back, (buffered, _) = _armed_world(
+        2, write_mode=WriteMode.WRITE_BACK, recovery_policy=RecoveryPolicy(),
+    )
+    other = kernel.space(writer.owner).add_reference(
+        kernel.create_document(
+            writer.owner, MemoryProvider(kernel.ctx, b"other " * 10), "other"
+        )
+    )
+    through.invalidate_document(writer.document_id, writer.owner)
+    if subscriber is not None:
+        through.instrumentation.subscribe(subscriber)
+        back.instrumentation.subscribe(subscriber)
+    steps = {
+        "miss": (through, lambda: through.read(writer)),
+        "hit": (through, lambda: through.read(writer)),
+        "eviction": (through, lambda: through.read(other)),
+        "write-through fan-out": (
+            through, lambda: through.write(writer, b"a new version"),
+        ),
+        "write-back": (back, lambda: back.write(buffered, b"buffered")),
+        "flush": (back, back.flush_all),
+        "crash + restart": (back, lambda: (back.crash(), back.restart())),
+    }
+    counts = {name: step(*pair) for name, pair in steps.items()}
+    assert through.stats.evictions and through.stats.notifier_deliveries
+    assert back.stats.flushes and back.recovery_stats.restarts
+    return counts
+
+
+def test_an_unobserved_cache_builds_no_stage_event(built_stages):
+    counts = _budget_steps(built_stages)
+    assert all(recorded for _, recorded in counts.values()), counts
+    built = {name: built for name, (built, _) in counts.items()}
+    assert built == dict.fromkeys(counts, 0)
+
+
+def test_a_catch_all_gets_one_event_per_recorded_event(built_stages):
+    seen: list = []
+    counts = _budget_steps(built_stages, seen.append)
+    assert all(built == recorded for built, recorded in counts.values())
+    assert len(seen) == sum(built for built, _ in counts.values())
+
+
+def test_a_cluster_builds_only_the_health_feed(built_stages):
+    kernel = PlacelessKernel()
+    owner = kernel.create_user("owner")
+    corpus = build_corpus(kernel, owner, CorpusSpec(n_documents=8, seed=13))
+    cluster = CacheCluster(
+        kernel, 2, capacity_bytes=1 << 28, overload_policy=OverloadPolicy()
+    )
+    built_stages.clear()
+    for _ in range(2):
+        for document in corpus:
+            cluster.read(document.reference)
+    cluster.write(corpus[0].reference, b"a new version")
+    assert built_stages["read"] == 2 * len(corpus)
+    assert set(built_stages) <= HealthTracker.stages
+
+
 def test_write_back_without_a_forward_listener_builds_no_event(monkeypatch):
     kernel, cache, (reference, *_) = _armed_world(
         2, write_mode=WriteMode.WRITE_BACK
@@ -373,6 +454,6 @@ def test_holders_and_armed_notifiers_track_few_objects():
     _tracked_per_step()  # process-wide memos and interned ids
     assert _tracked_per_step() == {
         "add_reference": 6,
-        "first_read": 55,
+        "first_read": 52,
         "second_user_first_read": 26,
     }

@@ -47,6 +47,13 @@ from repro.properties.uncacheable import UncacheableProperty
 from repro.providers.memory import MemoryProvider
 from repro.storage.tier import StorageStats
 
+from tests.property.test_counter_oracle import (
+    CONCURRENCY_RULES,
+    CONTAINMENT_RULES,
+    OVERLOAD_RULES,
+    RECOVERY_RULES,
+)
+
 
 def _meta(vote: Cacheability) -> PathMeta:
     return PathMeta(votes=[vote])
@@ -234,11 +241,19 @@ class TestStageRecorder:
         assert "stale-on-error" in recorder.render()
 
 
-#: Every events-derived stats dataclass; each declares its ``RULES``.
-TABLES = [
-    CacheStats, ConcurrencyStats, OverloadStats, MemoStats, RecoveryStats,
-    ContainmentStats,
-]
+#: Every stats dataclass with the table that states it as a function of
+#: stage events.  ``CacheStats`` and ``MemoStats`` still carry theirs;
+#: the other four are only written where they are decided, and their
+#: tables live on in the counter oracle (tests/property/
+#: test_counter_oracle.py).
+TABLES = {
+    CacheStats: CacheStats.RULES,
+    ConcurrencyStats: CONCURRENCY_RULES,
+    OverloadStats: OVERLOAD_RULES,
+    MemoStats: MemoStats.RULES,
+    RecoveryStats: RECOVERY_RULES,
+    ContainmentStats: CONTAINMENT_RULES,
+}
 #: The function rules (the counter's *name* comes from the payload):
 #: payloads to drive each with, and the fields each must move.
 FUNCTION_CASES = {
@@ -302,6 +317,30 @@ def source_trees() -> dict[Path, ast.Module]:
         path.relative_to(root): ast.parse(path.read_text())
         for path in root.rglob("*.py")
     }
+
+
+@pytest.fixture(scope="module")
+def written_in_place(source_trees) -> set[str]:
+    """Every attribute ``src/repro`` writes in place: ``x.name += ...``,
+    and ``x.name[key] += ...`` or ``x.name[key] = ...``."""
+    found: set[str] = set()
+    for tree in source_trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign):
+                targets = [node.target]
+            elif isinstance(node, ast.Assign):
+                targets = [
+                    target for target in node.targets
+                    if isinstance(target, ast.Subscript)
+                ]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Subscript):
+                    target = target.value
+                if isinstance(target, ast.Attribute):
+                    found.add(target.attr)
+    return found
 
 
 @pytest.fixture(scope="module")
@@ -433,21 +472,22 @@ def test_the_miss_order_is_written_once(source_trees):
 
 
 class TestStatsProjection:
-    """The one ``CounterProjection`` over all six ``RULES`` tables, plus
-    worked examples for ``CacheStats``, the table the paper's trade-offs
-    are read from (the bus's ``BusStats`` is written by the bus itself:
-    ``tests/unit/test_notifiers.py``)."""
+    """The one ``CounterProjection`` over all six tables, plus worked
+    examples for ``CacheStats``, the table the paper's trade-offs are
+    read from (the bus's ``BusStats`` is written by the bus itself:
+    ``tests/unit/test_notifiers.py``).  No cache projects them: the
+    counter oracle holds the direct writes to them."""
 
     tables = pytest.mark.parametrize(
-        "stats_type", TABLES, ids=lambda t: t.__name__
+        "stats_type", list(TABLES), ids=lambda t: t.__name__
     )
 
     @tables
     def test_each_rule_moves_exactly_its_fields(self, stats_type):
-        for key, rule in stats_type.RULES.items():
+        for key, rule in TABLES[stats_type].items():
             for event, moved in _cases(key, rule):
                 stats = stats_type()
-                CounterProjection(stats, stats_type.RULES)(event)
+                CounterProjection(stats, TABLES[stats_type])(event)
                 expected = _values(stats_type())
                 expected.update(moved)
                 assert _values(stats) == expected, (key, event.payload)
@@ -455,22 +495,22 @@ class TestStatsProjection:
     @tables
     def test_event_outside_the_table_moves_nothing(self, stats_type):
         stats = stats_type()
-        projection = CounterProjection(stats, stats_type.RULES)
+        projection = CounterProjection(stats, TABLES[stats_type])
         projection(StageEvent("no-such-stage", "whatever"))
         for stage in projection.stages:
-            if (stage, None) not in stats_type.RULES:
+            if (stage, None) not in TABLES[stats_type]:
                 projection(StageEvent(stage, "no-such-outcome"))
         assert stats == stats_type()
 
     @tables
     def test_stages_are_the_tables_stages(self, stats_type):
-        projection = CounterProjection(stats_type(), stats_type.RULES)
-        assert projection.stages == {stage for stage, _ in stats_type.RULES}
+        projection = CounterProjection(stats_type(), TABLES[stats_type])
+        assert projection.stages == {stage for stage, _ in TABLES[stats_type]}
 
     @tables
     def test_every_rule_targets_a_real_field(self, stats_type):
         names = {field.name for field in dataclasses.fields(stats_type)}
-        for key, rule in stats_type.RULES.items():
+        for key, rule in TABLES[stats_type].items():
             if callable(rule):
                 assert key in FUNCTION_CASES, key
                 continue
@@ -481,14 +521,40 @@ class TestStatsProjection:
     @tables
     def test_every_field_is_written_by_some_rule(self, stats_type):
         written = set()
-        for key, rule in stats_type.RULES.items():
+        for key, rule in TABLES[stats_type].items():
             for _, moved in _cases(key, rule):
                 written.update(moved)
         assert written == {f.name for f in dataclasses.fields(stats_type)}
 
+    @tables
+    def test_every_field_is_written_in_the_source(
+        self, stats_type, written_in_place, source_trees
+    ):
+        # A field nothing writes is a counter that cannot move.  Every
+        # counter is an in-place write at the line that decides it (a
+        # keyed one — invalidations by reason, repairs by class —
+        # through its subscript); this is the dead-counter guard the
+        # tables were before the direct writes.
+        fields = {f.name for f in dataclasses.fields(stats_type)}
+        assert fields <= written_in_place, fields - written_in_place
+        if stats_type is CacheStats:
+            called = {
+                node.func.attr
+                for tree in source_trees.values()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+            }
+            assert "record_invalidation" in called
+
     def test_directly_written_stats_declare_no_table(self):
-        # Mutated inline by their owners, not derived from stage events.
-        for stats_type in (StorageStats, KernelStats, FaultStats, BusStats):
+        # Written inline by their owners, not derived from stage events:
+        # only ``CacheStats`` and ``MemoStats`` keep a ``RULES`` table.
+        for stats_type in (
+            StorageStats, KernelStats, FaultStats, BusStats,
+            ConcurrencyStats, OverloadStats, RecoveryStats,
+            ContainmentStats,
+        ):
             assert not hasattr(stats_type, "RULES"), stats_type
 
     @tables
@@ -497,7 +563,7 @@ class TestStatsProjection:
     ):
         # A rule nothing feeds is a counter that cannot move: the old
         # ``deadline/violated`` branch pinned a CI gate at zero forever.
-        for stage, outcome in stats_type.RULES:
+        for stage, outcome in TABLES[stats_type]:
             assert stage in emitted_literals, (stage, outcome)
             assert outcome is None or outcome in emitted_literals, (
                 stage, outcome,

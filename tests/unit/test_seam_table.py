@@ -28,7 +28,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cache.containment import ContainmentGuard
-from repro.cache.instrumentation import InstrumentationBus
 from repro.cache.policies import ContainmentPolicy
 from repro.faults.plan import FaultPlan
 from repro.placeless.chain import (
@@ -136,14 +135,16 @@ def observe(cell: str) -> tuple:
         budget = {} if guarded == "guard-unbudgeted" else {
             "max_cost_ms": 5.0, "max_bytes": 1 << 20,
         }
-        bus = InstrumentationBus()
-        bus.subscribe(lambda event: events.append(event.outcome))
+
+        def report(stage, outcome, key, **payload) -> None:
+            events.append(outcome)
+
         guard = ctx.containment = ContainmentGuard(
             ContainmentPolicy(
                 failure_threshold=1, probation_delay_ms=PROBATION_MS,
                 deny_required=role == "deny_required", **budget,
             ),
-            ctx, bus,
+            ctx, report,
         )
         if breaker != "closed":
             guard.wrappers.get(
