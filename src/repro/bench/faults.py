@@ -18,7 +18,7 @@ degraded-serve counts per scenario:
   absorb most of it;
 * ``combined`` — all of the above at once.
 
-The experiment ends with a reproducibility check: the ``outage``
+The experiment ends with a reproducibility check: the ``combined``
 scenario is run twice with the same seed and must produce byte-identical
 fault-injection traces and identical cache statistics.
 """
@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bench.harness import table, write_artifact
+from repro.cache.instrumentation import StageRecorder
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import DegradationPolicy
 from repro.faults.plan import FaultPlan, OutageWindow
@@ -95,12 +96,14 @@ SCENARIOS = ("baseline", "outage", "lossy-bus", "flaky-fetch", "combined")
 
 @dataclass
 class FaultRunResult:
-    """One scenario's outcome: the report, cache, and the fault plan."""
+    """One scenario's outcome: the report, cache, fault plan, and the
+    per-stage breakdown its subscribed recorder saw."""
 
     scenario: str
     report: RunnerReport
     cache: DocumentCache
     plan: FaultPlan
+    stages: StageRecorder
 
     def stats_snapshot(self) -> dict:
         """Comparable snapshot of the run's cache statistics."""
@@ -171,6 +174,8 @@ def run_scenario(name: str, seed: int = _SEED) -> FaultRunResult:
         ),
         name=f"faults-{name}",
     )
+    stages = StageRecorder()
+    cache.instrumentation.subscribe(stages)
     runner = TraceRunner(
         kernel, corpus, population.references, caches=cache,
         writes_via_cache=False,
@@ -184,7 +189,7 @@ def run_scenario(name: str, seed: int = _SEED) -> FaultRunResult:
     report = runner.execute(generate_trace(spec))
     return FaultRunResult(
         scenario=name, report=report, cache=cache,
-        plan=kernel.ctx.faults,
+        plan=kernel.ctx.faults, stages=stages,
     )
 
 
@@ -230,10 +235,9 @@ def main(smoke: bool = False) -> None:
     # Per-stage pipeline breakdown for the nastiest scenario: which
     # stages the reads traversed, how often each outcome occurred, and
     # what it cost in virtual time (from the instrumentation bus).
-    combined = results[-1]
     print()
     print(
-        combined.cache.stage_breakdown().render(
+        results[-1].stages.render(
             title="combined scenario: pipeline stage breakdown"
         )
     )

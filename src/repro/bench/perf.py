@@ -47,8 +47,8 @@ def allocation_probe(
     """Mean heap blocks allocated (net) per call of *operation*.
 
     The warmup laps populate caches (interned keys, memoized
-    signatures, recorder cells) so the steady state is what gets
-    measured.  The collector is disabled across the measured laps:
+    signatures) so the steady state is what gets measured.  The
+    collector is disabled across the measured laps:
     ``sys.getallocatedblocks`` counts live blocks, and a GC pass in the
     middle of the window would deflate (or sign-flip) the delta.
     """

@@ -12,7 +12,7 @@ The cache itself is a staged pipeline (:mod:`repro.cache.pipeline`)
 over a shared :mod:`core <repro.cache.core>`, with each opt-in seam
 configured by one :mod:`policy <repro.cache.policies>` dataclass,
 every counter written where its event is decided, and stage events
-reported to a per-stage recorder and, for whoever subscribes, the
+published, for whoever subscribes, on the
 :mod:`instrumentation <repro.cache.instrumentation>` bus;
 :mod:`manager <repro.cache.manager>` is the wiring plus public API.
 """
@@ -28,7 +28,6 @@ from repro.cache.containment import (
 )
 from repro.cache.entry import CacheEntry, EntryKey, key_for
 from repro.cache.instrumentation import (
-    ConcurrencyStats,
     CounterProjection,
     InstrumentationBus,
     StageEvent,
@@ -71,7 +70,7 @@ from repro.cache.replacement import (
     SizePolicy,
     make_policy,
 )
-from repro.cache.stats import CacheStats
+from repro.cache.stats import CacheStats, ConcurrencyStats
 from repro.contract.cacheability import Cacheability
 from repro.contract.consistency import (
     Invalidation,

@@ -21,12 +21,7 @@ import typing
 
 from repro.cache.containment import BreakerConfig, BreakerRegistry, BreakerState
 from repro.cache.entry import CacheEntry, EntryKey
-from repro.cache.instrumentation import (
-    InstrumentationBus,
-    StageCell,
-    StageEvent,
-    StageRecorder,
-)
+from repro.cache.instrumentation import InstrumentationBus, StageEvent
 from repro.cache.memo import ChainFingerprint, MemoRecord, TransformMemo
 from repro.cache.notifiers import InvalidationBus, install_minimum_notifiers
 from repro.cache.stats import CacheStats
@@ -147,9 +142,6 @@ class CacheCore:
         #: ``recovery``, ``storage``.  Each counter in them is written
         #: where its event is decided, not derived from the bus.
         self.metrics: dict[str, typing.Any] = {"cache": self.stats}
-        #: Per-(stage, outcome) count/latency breakdown for this cache,
-        #: written by :meth:`emit` (it is not a bus subscriber).
-        self.recorder = StageRecorder()
         self.store = ContentStore()
         self.entries: dict[EntryKey, CacheEntry] = {}
         #: Secondary index: document → that document's live entries, in
@@ -205,29 +197,22 @@ class CacheCore:
         ended_ms: float | None = None,
         **payload,
     ) -> None:
-        """Report one stage event that ended at *ended_ms* (default:
+        """Publish one stage event that ended at *ended_ms* (default:
         now) and started at *started_ms* (default: when it ended).
 
-        Adds it into this cache's :class:`StageRecorder` cell, and
-        builds a :class:`StageEvent` only when a subscriber hears
-        *stage* — with none, an event costs a dict probe and two adds.
-        Counters are not derived here: the caller has already written
-        the ones this event decides.  *key* is anything carrying a
-        ``document_id`` and a ``user_id`` (an entry key, a delivered
-        :class:`Invalidation`).
+        Builds a :class:`StageEvent` only when a subscriber hears
+        *stage*; with none, an event costs an attribute load and a truth
+        test, and reads no clock.  Counters are not derived here: the
+        caller has already written the ones this event decides.  *key*
+        is anything carrying a ``document_id`` and a ``user_id`` (an
+        entry key, a delivered :class:`Invalidation`).
         """
-        if ended_ms is None:
-            ended_ms = self.ctx.clock.now_ms
-        if started_ms is None:
-            started_ms = ended_ms
-        cells = self.recorder.cells
-        cell = cells.get((stage, outcome))
-        if cell is None:
-            cell = cells[(stage, outcome)] = StageCell()
-        cell.count += 1
-        cell.elapsed_ms += ended_ms - started_ms
         bus = self.instrumentation
         if bus.has_subscribers and bus.hears(stage):
+            if ended_ms is None:
+                ended_ms = self.ctx.clock.now_ms
+            if started_ms is None:
+                started_ms = ended_ms
             bus.emit(StageEvent(
                 stage, outcome,
                 None if key is None else key.document_id,

@@ -3,22 +3,20 @@
 Every observable step of a cache access is one *stage event* — stage
 name, (document, user) key, outcome label, virtual-clock start/end,
 payload.  :meth:`~repro.cache.core.CacheCore.emit` is where a stage
-reports one; it does two things and nothing else:
-
-* adds the event's count and virtual duration into the cache's
-  :class:`StageRecorder` cell for its (stage, outcome), which gives
-  the trace runner and benches their per-stage breakdown;
-* builds a :class:`StageEvent` and hands it to this module's
-  :class:`InstrumentationBus` — only when a subscriber hears its stage
-  (a probe, the cluster's health feed, a test).
+publishes one: it builds a :class:`StageEvent` and hands it to this
+module's :class:`InstrumentationBus` only when a subscriber hears its
+stage (a probe, the cluster's health feed, a test).  With no
+subscriber, an event builds nothing and reads no clock.
 
 The stats dataclasses (``CacheStats``, ``MemoStats``,
 ``ConcurrencyStats``, ``OverloadStats``, ``RecoveryStats``,
 ``ContainmentStats``) are *not* derived from events: each counter is
-incremented at the line that decides it, beside that emit.  The
-``RULES`` tables ``CacheStats`` and ``MemoStats`` still carry, with
-:class:`CounterProjection`, state what the counters would be if they
-were derived — the tests use them as the oracle.
+incremented at the line that decides it, beside that emit, and
+``core.metrics`` holds them all.  A per-stage count and virtual-time
+breakdown is a :class:`StageRecorder` that whoever wants one
+subscribes.  The ``RULES`` tables ``CacheStats`` and ``MemoStats``
+still carry, with :class:`CounterProjection`, state what the counters
+would be if they were derived — the tests use them as the oracle.
 
 Events are emitted synchronously (subscribers run inline at the emit
 site) and timing comes from the virtual clock only, so instrumentation
@@ -27,7 +25,6 @@ never perturbs simulated time or fault-injection draws.
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -45,9 +42,6 @@ __all__ = [
     "ELAPSED",
     "CounterProjection",
     "StatsProjection",
-    "merged",
-    "ConcurrencyStats",
-    "OverloadStats",
     "STAGE_ORDER",
 ]
 
@@ -218,7 +212,10 @@ class StageCell:
 
 
 class StageRecorder:
-    """Aggregates events into a per-stage outcome + timing breakdown."""
+    """Aggregates events into a per-stage outcome + timing breakdown.
+
+    A bus subscriber like any other: subscribe one to a cache's
+    ``instrumentation`` before the reads it should see."""
 
     def __init__(self) -> None:
         self.cells: dict[tuple[str, str], StageCell] = {}
@@ -229,15 +226,6 @@ class StageRecorder:
             cell = self.cells[(event.stage, event.outcome)] = StageCell()
         cell.count += 1
         cell.elapsed_ms += event.elapsed_ms
-
-    def merge(self, other: "StageRecorder") -> None:
-        """Fold another recorder's cells into this one (fleet reporting)."""
-        for key, cell in other.cells.items():
-            mine = self.cells.get(key)
-            if mine is None:
-                mine = self.cells[key] = StageCell()
-            mine.count += cell.count
-            mine.elapsed_ms += cell.elapsed_ms
 
     def rows(self) -> list[tuple[str, str, int, float, float]]:
         """(stage, outcome, count, total_ms, mean_ms), canonical order."""
@@ -257,7 +245,7 @@ class StageRecorder:
         ]
 
     def render(self, title: str | None = None) -> str:
-        """Plain-text breakdown table (for the trace runner and benches)."""
+        """Plain-text breakdown table (for benches and reports)."""
         lines = []
         if title:
             lines.append(title)
@@ -338,89 +326,3 @@ def StatsProjection(stats: "CacheStats") -> CounterProjection:
     Deprecated: removed, like ``DocumentCache(fast_lane=)``, when a
     benchmark PR stops ``perfbench/probes.py`` constructing it."""
     return CounterProjection(stats, stats.RULES)
-
-
-def merged(parts: Iterable):
-    """One stats object holding the sum of *parts* (same dataclass, at
-    least one): numeric fields add, in order; ``Counter``/``dict``
-    fields merge key-wise.  Fleet- and cluster-wide totals."""
-    parts = list(parts)
-    total = type(parts[0])()
-    for part in parts:
-        for field in dataclasses.fields(part):
-            value = getattr(part, field.name)
-            mine = getattr(total, field.name)
-            if isinstance(value, dict):
-                for key, count in value.items():
-                    mine[key] = mine.get(key, 0) + count
-            else:
-                setattr(total, field.name, mine + value)
-    return total
-
-
-@dataclass(slots=True)
-class ConcurrencyStats:
-    """Counters for the single-flight coalescing plane.
-
-    ``flights_led`` counts reads that registered a flight (one fetch +
-    one chain execution each); ``follows`` counts suspensions on
-    another read's flight — each one is a provider fetch and a chain
-    execution that did *not* happen.  ``promotions`` counts followers
-    that woke from a failed leader and led their own fetch;
-    ``bailed_contained`` counts misses that declined to coalesce (open
-    breaker on the chain) and fetched for themselves.
-    """
-
-    flights_led: int = 0
-    follows: int = 0
-    promotions: int = 0
-    bailed_contained: int = 0
-
-    @property
-    def fetches_saved(self) -> int:
-        """Provider fetches avoided by coalescing (follows that never
-        re-led: a promotion re-runs the fetch it was spared)."""
-        return max(0, self.follows - self.promotions)
-
-
-@dataclass(slots=True)
-class OverloadStats:
-    """Counters for the overload layer (deadlines, shedding, hedging).
-
-    ``admitted`` / ``shed_*`` come from the admission gate at the top
-    of the read pipeline; shed counts are split by priority class so
-    the defining overload property — BULK sheds before QOS, CRITICAL
-    never sheds — is directly assertable.  ``deadline_exceeded`` counts
-    reads whose budget ran out *before* the fetch began (they degrade
-    via serve-stale or fail, but never start work nobody will wait
-    for); ``deadline_late`` counts fetches that finished past their
-    deadline — served, because the bytes were already paid for.
-    ``deadline_violations`` is the invariant counter the CI gate pins
-    at zero: work *started* past an expired deadline, impossible by
-    construction of the fetch gate.  Hedge and health counters are fed
-    by the cluster layer.
-    """
-
-    admitted: int = 0
-    shed_bulk: int = 0
-    shed_qos: int = 0
-    shed_critical: int = 0
-    deadline_exceeded: int = 0
-    deadline_late: int = 0
-    deadline_skips: int = 0
-    deadline_violations: int = 0
-    hedges_launched: int = 0
-    hedges_won: int = 0
-    hedges_lost: int = 0
-    failovers: int = 0
-    recoveries: int = 0
-
-    @property
-    def shed(self) -> int:
-        """Total reads refused by admission control."""
-        return self.shed_bulk + self.shed_qos + self.shed_critical
-
-    def shed_ratio(self) -> float:
-        """Fraction of gated reads that were shed (0.0 when idle)."""
-        total = self.admitted + self.shed
-        return self.shed / total if total else 0.0

@@ -20,11 +20,6 @@ import typing
 from repro.cache.containment import ContainmentGuard, ContainmentStats
 from repro.cache.core import CacheCore
 from repro.cache.entry import CacheEntry, EntryKey
-from repro.cache.instrumentation import (
-    ConcurrencyStats,
-    OverloadStats,
-    StageRecorder,
-)
 from repro.cache.memo import MemoStats, TransformMemo
 from repro.cache.notifiers import InvalidationBus
 from repro.cache.pipeline import (
@@ -45,10 +40,16 @@ from repro.cache.policies import (
     StoragePolicy,
 )
 from repro.cache.recovery import ConsistencyRecoveryManager, RecoveryStats
-from repro.errors import CacheError
+from repro.cache.stats import ConcurrencyStats
+from repro.errors import (
+    UNAVAILABLE_ERRORS,
+    CacheError,
+    DeadlineExceededError,
+    OverloadShedError,
+)
 from repro.faults.retry import RetryPolicy
 from repro.ids import DocumentId, UserId
-from repro.overload.gate import OverloadGate
+from repro.overload.gate import OverloadGate, OverloadStats
 from repro.placeless.kernel import PlacelessKernel
 from repro.placeless.reference import DocumentReference
 from repro.sim.scheduler import FlightTable, settle_batch
@@ -214,6 +215,9 @@ class DocumentCache:
         self._reads = ReadPipeline(core, self._writes)
         self._prefetch_queue: list["DocumentReference"] = []
         self._draining_prefetch = False
+        #: Siblings whose prefetch failed in the current drain; they are
+        #: not queued again until it ends.
+        self._prefetch_dropped: set[EntryKey] = set()
         self._scheduled_crashes: list = []
         # The one wiring sequence.  Its order is the order in which the
         # sink lands on the invalidation bus and calls on the clock —
@@ -282,7 +286,7 @@ class DocumentCache:
     #: handles plus the construction-time configuration flags).
     _CORE_ATTRS = frozenset({
         "kernel", "ctx", "capacity_bytes", "policy", "bus", "stats",
-        "recorder", "store", "cache_id", "write_mode", "backing",
+        "store", "cache_id", "write_mode", "backing",
         "retry_policy", "install_notifiers", "use_verifiers",
         "track_staleness", "share_across_users",
     })
@@ -324,10 +328,6 @@ class DocumentCache:
     def used_bytes(self) -> int:
         """Physical (deduplicated) bytes currently cached."""
         return self._core.store.physical_bytes
-
-    def stage_breakdown(self) -> StageRecorder:
-        """Per-(stage, outcome) count/latency recorder for this cache."""
-        return self.recorder
 
     # -- read path -----------------------------------------------------------
 
@@ -432,7 +432,7 @@ class DocumentCache:
         (used by ``CollectionPrefetchProperty`` to tailor caching for
         related documents).  Returns True if queued."""
         key = EntryKey.for_reference(reference)
-        if key in self._core.entries:
+        if key in self._core.entries or key in self._prefetch_dropped:
             return False
         if any(
             EntryKey.for_reference(queued) == key
@@ -447,7 +447,10 @@ class DocumentCache:
     def drain_prefetch(self) -> None:
         """Fill every queued collection prefetch (misses only; no
         recursion) — after a read or, for an external driver of
-        :meth:`iterate_read`, once its batch completes."""
+        :meth:`iterate_read`, once its batch completes.  A sibling
+        that cannot be read now (unavailable, shed, out of deadline) is
+        dropped for the rest of the drain; it never fails the demand
+        read that queued it."""
         if self._draining_prefetch:
             return
         self._draining_prefetch = True
@@ -457,7 +460,14 @@ class DocumentCache:
                 key = EntryKey.for_reference(reference)
                 if key in self._core.entries:
                     continue
-                self._reads.read(reference)
+                try:
+                    self._reads.read(reference)
+                except (*UNAVAILABLE_ERRORS, OverloadShedError,
+                        DeadlineExceededError):
+                    # Speculative work; the failed fetch is already
+                    # counted where it failed.
+                    self._prefetch_dropped.add(key)
+                    continue
                 entry = self._core.entries.get(key)
                 if entry is not None:
                     entry.policy_state["prefetched"] = True
@@ -465,6 +475,7 @@ class DocumentCache:
                     self._core.emit("prefetch", "filled", key=key)
         finally:
             self._draining_prefetch = False
+            self._prefetch_dropped.clear()
 
     # -- write path -----------------------------------------------------------
 

@@ -12,8 +12,9 @@ Two kinds of object live here, one import surface for both:
 * **Seam configuration** is one frozen dataclass per opt-in seam:
   :class:`MemoPolicy`, :class:`ConcurrencyPolicy`,
   :class:`RecoveryPolicy`, :class:`StoragePolicy`,
-  :class:`OverloadPolicy`, :class:`ContainmentPolicy` and
-  :class:`DegradationPolicy` (the cluster's
+  :class:`OverloadPolicy` (declared beside its gate in
+  :mod:`repro.overload.gate`, re-exported here),
+  :class:`ContainmentPolicy` and :class:`DegradationPolicy` (the cluster's
   :class:`~repro.cluster.policy.ClusterPolicy` follows the same shape).
   Passing an instance to ``DocumentCache`` switches the seam on;
   ``None`` (the default everywhere) builds nothing and keeps the cache
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 from repro.cache.containment import BreakerConfig, ExecutionBudget
 from repro.cache.replacement import GreedyDualSizePolicy, ReplacementPolicy
 from repro.errors import CacheError
+from repro.overload.gate import OverloadPolicy
 from repro.placeless.document import PathMeta
 
 __all__ = [
@@ -227,76 +229,6 @@ class StoragePolicy:
             raise CacheError(
                 "breaker_failure_threshold must be >= 1: "
                 f"{self.breaker_failure_threshold}"
-            )
-
-
-@dataclass(frozen=True)
-class OverloadPolicy:
-    """The overload-robustness layer.
-
-    A cache constructed with an overload policy gets an
-    :class:`~repro.overload.gate.OverloadGate`: reads carry a
-    :class:`~repro.overload.budget.DeadlineBudget` derived from the
-    chain's QoS access-time target (expiry degrades through the
-    serve-stale ladder before raising
-    :class:`~repro.errors.DeadlineExceededError`), an admission
-    controller sheds the lowest priority class past saturation with
-    :class:`~repro.errors.OverloadShedError`, and — on a
-    :class:`~repro.cluster.coordinator.CacheCluster` — gray-failing
-    shards are hedged to their replica and hard-failing shards routed
-    around.
-    """
-
-    #: Deadline propagation: budget every read, gate expensive seams.
-    deadlines: bool = True
-    #: Admission control / load shedding.
-    shedding: bool = True
-    #: Cluster hedging (ignored by a standalone cache).
-    hedging: bool = True
-    #: Allowance for chains without a finite QoS target (the paper's §3
-    #: example is 250 ms).
-    default_deadline_ms: float = 250.0
-    #: Tighten the allowance to the chain's QoS ``max_access_time_ms``.
-    deadline_from_qos: bool = True
-    #: Token-bucket refill rate (reads per virtual second) and capacity.
-    admission_rate_per_s: float = 200.0
-    admission_burst: float = 16.0
-    #: Overdraft bound: queue depth past which non-critical reads shed.
-    queue_limit: float = 32.0
-    #: CoDel-style sojourn threshold; bulk reads shed past it, QoS
-    #: reads past twice it, critical reads never.
-    sojourn_threshold_ms: float = 100.0
-    #: Fetch-path reads a shard must have served before the cluster's
-    #: :class:`~repro.overload.health.HealthTracker` may call it gray.
-    health_min_samples: int = 8
-
-    def __post_init__(self) -> None:
-        if self.default_deadline_ms <= 0:
-            raise CacheError(
-                "default_deadline_ms must be positive: "
-                f"{self.default_deadline_ms}"
-            )
-        if self.admission_rate_per_s <= 0:
-            raise CacheError(
-                "admission_rate_per_s must be positive: "
-                f"{self.admission_rate_per_s}"
-            )
-        if self.admission_burst < 1:
-            raise CacheError(
-                f"admission_burst must be >= 1: {self.admission_burst}"
-            )
-        if self.queue_limit < 0:
-            raise CacheError(
-                f"queue_limit must be non-negative: {self.queue_limit}"
-            )
-        if self.sojourn_threshold_ms < 0:
-            raise CacheError(
-                "sojourn_threshold_ms must be non-negative: "
-                f"{self.sojourn_threshold_ms}"
-            )
-        if self.health_min_samples < 1:
-            raise CacheError(
-                f"health_min_samples must be >= 1: {self.health_min_samples}"
             )
 
 

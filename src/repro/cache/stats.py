@@ -16,18 +16,24 @@ the same counters as a function of the event stream; no cache is wired
 to it (it is deprecated with
 :class:`~repro.cache.instrumentation.CounterProjection`), and the
 tests project it as the oracle the direct writes must match.
+
+:class:`ConcurrencyStats` (the single-flight plane's counters) and
+:func:`merged`, which sums any of the stats dataclasses into a fleet-
+or cluster-wide total, live here too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import typing
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from repro.cache.instrumentation import ELAPSED, merged
+from repro.cache.instrumentation import ELAPSED
 from repro.contract.consistency import InvalidationReason
 
-__all__ = ["CacheStats"]
+__all__ = ["CacheStats", "ConcurrencyStats", "merged"]
 
 #: Terminal ``read`` events: the dispositions served from the entry
 #: table are hits; everything else a read reports is a miss.
@@ -36,6 +42,24 @@ _HIT = (
     ("hit_latency_ms", ELAPSED),
     ("bytes_served_from_cache", "bytes"),
 )
+
+
+def merged(parts: Iterable):
+    """One stats object holding the sum of *parts* (same dataclass, at
+    least one): numeric fields add, in order; ``Counter``/``dict``
+    fields merge key-wise.  Fleet- and cluster-wide totals."""
+    parts = list(parts)
+    total = type(parts[0])()
+    for part in parts:
+        for member in dataclasses.fields(part):
+            value = getattr(part, member.name)
+            mine = getattr(total, member.name)
+            if isinstance(value, dict):
+                for key, count in value.items():
+                    mine[key] = mine.get(key, 0) + count
+            else:
+                setattr(total, member.name, mine + value)
+    return total
 
 
 def _count_invalidation(stats: "CacheStats", event) -> None:
@@ -192,3 +216,28 @@ class CacheStats:
         ("flush", "flushed"): (("flushes", 1),),
         ("flush", "failed"): (("flush_failures", 1),),
     }
+
+
+@dataclass(slots=True)
+class ConcurrencyStats:
+    """Counters for the single-flight coalescing plane.
+
+    ``flights_led`` counts reads that registered a flight (one fetch +
+    one chain execution each); ``follows`` counts suspensions on
+    another read's flight — each one is a provider fetch and a chain
+    execution that did *not* happen.  ``promotions`` counts followers
+    that woke from a failed leader and led their own fetch;
+    ``bailed_contained`` counts misses that declined to coalesce (open
+    breaker on the chain) and fetched for themselves.
+    """
+
+    flights_led: int = 0
+    follows: int = 0
+    promotions: int = 0
+    bailed_contained: int = 0
+
+    @property
+    def fetches_saved(self) -> int:
+        """Provider fetches avoided by coalescing (follows that never
+        re-led: a promotion re-runs the fetch it was spared)."""
+        return max(0, self.follows - self.promotions)

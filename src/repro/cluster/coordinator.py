@@ -41,7 +41,6 @@ import typing
 
 from repro.cache.containment import ContainmentStats
 from repro.cache.entry import CacheEntry, EntryKey
-from repro.cache.instrumentation import ConcurrencyStats, OverloadStats, merged
 from repro.cache.manager import CacheReadOutcome, DocumentCache
 from repro.cache.memo import MemoStats
 from repro.cache.notifiers import InvalidationBus
@@ -51,13 +50,14 @@ from repro.cache.policies import (
     OverloadPolicy,
     RecoveryPolicy,
 )
-from repro.cache.stats import CacheStats
+from repro.cache.stats import CacheStats, ConcurrencyStats, merged
 from repro.cluster.memo_share import SharedTransformMemo
 from repro.cluster.placement import HashRingPolicy
 from repro.cluster.policy import ClusterPolicy
 from repro.contract.consistency import InvalidationReason
 from repro.errors import CacheError
 from repro.ids import DocumentId, UserId
+from repro.overload.gate import OverloadStats
 from repro.overload.health import HealthTracker
 from repro.overload.hedge import hedged_iterate
 from repro.placeless.kernel import PlacelessKernel

@@ -45,6 +45,7 @@ __all__ = [
     "ClockError",
     "SchedulerError",
     "WorkloadError",
+    "UNAVAILABLE_ERRORS",
 ]
 
 
@@ -249,3 +250,9 @@ class SchedulerError(PlacelessError):
 
 class WorkloadError(PlacelessError):
     """A workload/trace generator was configured inconsistently."""
+
+
+#: What a read raises when its document is unavailable — a repository
+#: or link down, or active-property code failing on the path — and no
+#: degradation mode applied.  A trace counts these as failed reads.
+UNAVAILABLE_ERRORS = (ProviderError, PropertyError, StreamError, ContainmentError)

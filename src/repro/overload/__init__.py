@@ -6,7 +6,7 @@ the ROADMAP's "millions of users" north star the dominant failure mode
 is *overload* — every component healthy, yet queues growing without
 bound and p99 exploding.  This package turns the QoS promise into
 enforcement machinery, all off by default behind
-:class:`~repro.cache.policies.OverloadPolicy`:
+:class:`~repro.overload.gate.OverloadPolicy`:
 
 * :class:`DeadlineBudget` (:mod:`repro.overload.budget`) — an absolute
   virtual-time deadline carried in the read context and consulted at

@@ -1,17 +1,20 @@
 """The per-cache overload facade the read pipeline consults.
 
 One :class:`OverloadGate` is wired onto each cache core that carries an
-:class:`~repro.cache.policies.OverloadPolicy`.  It owns the cache's
-:class:`~repro.overload.admission.AdmissionController` and builds the
-:class:`~repro.overload.budget.DeadlineBudget` for each read — from the
-chain's QoS access-time target when one is attached (the paper's
-"access time < .25 seconds" promise, §3), else the policy default.
+:class:`OverloadPolicy`; the seam's configuration and its
+:class:`OverloadStats` counters are declared here, beside it.  The gate
+owns the cache's :class:`~repro.overload.admission.AdmissionController`
+and builds the :class:`~repro.overload.budget.DeadlineBudget` for each
+read — from the chain's QoS access-time target when one is attached
+(the paper's "access time < .25 seconds" promise, §3), else the policy
+default.
 """
 
 from __future__ import annotations
 
-import typing
+from dataclasses import dataclass
 
+from repro.errors import CacheError
 from repro.overload.admission import (
     AdmissionController,
     AdmissionDecision,
@@ -21,16 +24,126 @@ from repro.overload.budget import DeadlineBudget
 from repro.placeless.chain import read_plan
 from repro.sim.clock import VirtualClock
 
-if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.cache.policies import OverloadPolicy
+__all__ = ["OverloadGate", "OverloadPolicy", "OverloadStats"]
 
-__all__ = ["OverloadGate"]
+
+@dataclass(frozen=True)
+class OverloadPolicy:
+    """The overload-robustness layer.
+
+    A cache constructed with an overload policy gets an
+    :class:`OverloadGate`: reads carry a
+    :class:`~repro.overload.budget.DeadlineBudget` derived from the
+    chain's QoS access-time target (expiry degrades through the
+    serve-stale ladder before raising
+    :class:`~repro.errors.DeadlineExceededError`), an admission
+    controller sheds the lowest priority class past saturation with
+    :class:`~repro.errors.OverloadShedError`, and — on a
+    :class:`~repro.cluster.coordinator.CacheCluster` — gray-failing
+    shards are hedged to their replica and hard-failing shards routed
+    around.
+    """
+
+    #: Deadline propagation: budget every read, gate expensive seams.
+    deadlines: bool = True
+    #: Admission control / load shedding.
+    shedding: bool = True
+    #: Cluster hedging (ignored by a standalone cache).
+    hedging: bool = True
+    #: Allowance for chains without a finite QoS target (the paper's §3
+    #: example is 250 ms).
+    default_deadline_ms: float = 250.0
+    #: Tighten the allowance to the chain's QoS ``max_access_time_ms``.
+    deadline_from_qos: bool = True
+    #: Token-bucket refill rate (reads per virtual second) and capacity.
+    admission_rate_per_s: float = 200.0
+    admission_burst: float = 16.0
+    #: Overdraft bound: queue depth past which non-critical reads shed.
+    queue_limit: float = 32.0
+    #: CoDel-style sojourn threshold; bulk reads shed past it, QoS
+    #: reads past twice it, critical reads never.
+    sojourn_threshold_ms: float = 100.0
+    #: Fetch-path reads a shard must have served before the cluster's
+    #: :class:`~repro.overload.health.HealthTracker` may call it gray.
+    health_min_samples: int = 8
+
+    def __post_init__(self) -> None:
+        if self.default_deadline_ms <= 0:
+            raise CacheError(
+                "default_deadline_ms must be positive: "
+                f"{self.default_deadline_ms}"
+            )
+        if self.admission_rate_per_s <= 0:
+            raise CacheError(
+                "admission_rate_per_s must be positive: "
+                f"{self.admission_rate_per_s}"
+            )
+        if self.admission_burst < 1:
+            raise CacheError(
+                f"admission_burst must be >= 1: {self.admission_burst}"
+            )
+        if self.queue_limit < 0:
+            raise CacheError(
+                f"queue_limit must be non-negative: {self.queue_limit}"
+            )
+        if self.sojourn_threshold_ms < 0:
+            raise CacheError(
+                "sojourn_threshold_ms must be non-negative: "
+                f"{self.sojourn_threshold_ms}"
+            )
+        if self.health_min_samples < 1:
+            raise CacheError(
+                f"health_min_samples must be >= 1: {self.health_min_samples}"
+            )
+
+
+@dataclass(slots=True)
+class OverloadStats:
+    """Counters for the overload layer (deadlines, shedding, hedging).
+
+    ``admitted`` / ``shed_*`` come from the admission gate at the top
+    of the read pipeline; shed counts are split by priority class so
+    the defining overload property — BULK sheds before QOS, CRITICAL
+    never sheds — is directly assertable.  ``deadline_exceeded`` counts
+    reads whose budget ran out *before* the fetch began (they degrade
+    via serve-stale or fail, but never start work nobody will wait
+    for); ``deadline_late`` counts fetches that finished past their
+    deadline — served, because the bytes were already paid for.
+    ``deadline_violations`` is the invariant counter the CI gate pins
+    at zero: work *started* past an expired deadline, impossible by
+    construction of the fetch gate.  Hedge and health counters are fed
+    by the cluster layer.
+    """
+
+    admitted: int = 0
+    shed_bulk: int = 0
+    shed_qos: int = 0
+    shed_critical: int = 0
+    deadline_exceeded: int = 0
+    deadline_late: int = 0
+    deadline_skips: int = 0
+    deadline_violations: int = 0
+    hedges_launched: int = 0
+    hedges_won: int = 0
+    hedges_lost: int = 0
+    failovers: int = 0
+    recoveries: int = 0
+
+    @property
+    def shed(self) -> int:
+        """Total reads refused by admission control."""
+        return self.shed_bulk + self.shed_qos + self.shed_critical
+
+    def shed_ratio(self) -> float:
+        """Fraction of gated reads that were shed (0.0 when idle)."""
+        total = self.admitted + self.shed
+        return self.shed / total if total else 0.0
 
 
 class OverloadGate:
     """Deadline + admission decisions for one cache."""
 
-    def __init__(self, clock: "VirtualClock", policy: "OverloadPolicy") -> None:
+    def __init__(self, clock: VirtualClock, policy: OverloadPolicy) -> None:
         self.clock = clock
         self.policy = policy
         self.admission: AdmissionController | None = None

@@ -16,15 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.cache.instrumentation import StageRecorder
 from repro.cache.manager import DocumentCache
-from repro.errors import (
-    ContainmentError,
-    PropertyError,
-    ProviderError,
-    StreamError,
-    WorkloadError,
-)
+from repro.errors import UNAVAILABLE_ERRORS, WorkloadError
 from repro.placeless.kernel import PlacelessKernel
 from repro.placeless.reference import DocumentReference
 from repro.properties.translate import TranslationProperty
@@ -144,22 +137,6 @@ class TraceRunner:
         """Current external value for a document (0 before any change)."""
         return self.externals.get(document_index, 0)
 
-    def stage_breakdown(self) -> StageRecorder:
-        """Fleet-wide per-stage outcome/latency breakdown.
-
-        Merges every distinct cache's :class:`StageRecorder` (a shared
-        cache is counted once), so a trace run can report which pipeline
-        stages its reads hit and what each outcome cost in virtual time.
-        """
-        merged = StageRecorder()
-        seen: set[int] = set()
-        for cache in self._caches:
-            if cache is None or id(cache) in seen:
-                continue
-            seen.add(id(cache))
-            merged.merge(cache.stage_breakdown())
-        return merged
-
     def _writer_reference(self, document_index: int) -> DocumentReference:
         if self._writer is None:
             self._writer = self.kernel.create_user("trace-writer")
@@ -225,8 +202,7 @@ class TraceRunner:
                             report.hits += 1
                         if outcome.degraded:
                             report.degraded_reads += 1
-                except (ProviderError, PropertyError, StreamError,
-                        ContainmentError):
+                except UNAVAILABLE_ERRORS:
                     # The repository/link is down (or active-property
                     # code blew up mid-path) and every degradation mode
                     # was exhausted; the trace carries on — that is
@@ -245,8 +221,7 @@ class TraceRunner:
                             self._writer_reference(event.document_index),
                             content,
                         )
-                except (ProviderError, PropertyError, StreamError,
-                        ContainmentError):
+                except UNAVAILABLE_ERRORS:
                     report.write_failures += 1
                 else:
                     report.writes += 1

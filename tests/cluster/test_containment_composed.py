@@ -98,14 +98,6 @@ def _reference_owned_by(kernel, cluster, shard_name):
             return reference
 
 
-def _outcomes(shard, stage):
-    return {
-        outcome: count
-        for row_stage, outcome, count, *_ in shard.stage_breakdown().rows()
-        if row_stage == stage
-    }
-
-
 def _tripped(kernel, cluster, shard_name):
     """A reference on *shard_name* whose flaky transformer has just
     tripped its breaker (``failure_threshold`` degraded reads)."""
@@ -134,10 +126,14 @@ class TestOneGuardPerWorld:
         # A quarantined chain's output must not fan out: the owning
         # shard's memo and flight table both stand aside.
         assert cluster.read(reference).degraded
-        assert _outcomes(owner, "memo").get("bypass-contained") == 1
+        assert owner.memo_stats.contained_bypasses == 1
         batch = cluster.read_many([reference] * 4)
         assert all(outcome.degraded for outcome in batch)
-        assert _outcomes(owner, "coalesce") == {"bailed-contained": 4}
+        flights = owner.concurrency_stats
+        assert (
+            flights.flights_led, flights.follows, flights.promotions,
+            flights.bailed_contained,
+        ) == (0, 0, 0, 4)
         assert cluster.containment_stats.trips == 1
         assert cluster.containment_stats.forced_misses == (
             POLICY.failure_threshold + 5

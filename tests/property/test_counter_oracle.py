@@ -27,11 +27,7 @@ import typing
 
 import pytest
 
-from repro.cache.instrumentation import (
-    CounterProjection,
-    OverloadStats,
-    StageEvent,
-)
+from repro.cache.instrumentation import CounterProjection, StageEvent
 from repro.cache.manager import DocumentCache, WriteMode
 from repro.cache.memo import MemoStats
 from repro.cache.policies import (
@@ -52,6 +48,7 @@ from repro.events.types import EventType
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.faults.scenarios import grayshard_chaos_scenario
 from repro.overload.budget import DeadlineBudget
+from repro.overload.gate import OverloadStats
 from repro.placeless.collection import DocumentCollection
 from repro.placeless.kernel import PlacelessKernel
 from repro.placeless.properties import ActiveProperty

@@ -3,25 +3,26 @@
 There is a single hit path (the verifier-gate prefix), and what an
 operator attaches to the instrumentation bus must never change what it
 computes.  The per-hit events (``verifier/executed``, terminal
-``read``) are added into the cache's own ``CacheStats`` and
-``StageRecorder`` directly and materialised as ``StageEvent`` objects
-only for whoever *else* listens, so these tests hold three subscriber
-sets to the same bar the pipeline refactor was held to:
+``read``) are counted into the cache's own ``CacheStats`` directly and
+materialised as ``StageEvent`` objects only for whoever listens, so
+these tests hold three subscriber sets to the same bar the pipeline
+refactor was held to:
 
-(a) nothing extra, (b) one late catch-all subscriber, (c) one late
-stage-filtered subscriber — byte-identical golden digests, stats,
-virtual clock, fault trace and recorder rows, seeded and under chaos;
-and the late subscriber must see exactly the events the recorder
+(a) nothing extra, (b) one late catch-all :class:`StageRecorder`, (c)
+one late stage-filtered :class:`StageRecorder` — byte-identical golden
+digests, stats, virtual clock and fault trace, seeded and under chaos;
+the filtered recorder sees exactly the catch-all's rows for its stages,
+and a late subscriber must see exactly the events the counters
 counted, no more and no fewer.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from repro.cache.instrumentation import StageRecorder
 
 from tests.property.test_pipeline_equivalence import (
     _CONFIGS,
@@ -40,21 +41,43 @@ _SUBSCRIBER_SETS = {
 
 
 def _run(subscribers: str, **config):
-    """One seeded run; ``(snapshot, recorder rows, events seen)``."""
-    seen: Counter = Counter()
-    handle = {}
+    """One seeded run; ``(snapshot, rows the late subscriber recorded)``."""
+    recorder = StageRecorder()
 
     def wire(cache) -> None:
-        handle["cache"] = cache
         stages = _SUBSCRIBER_SETS[subscribers]
         if stages is not ...:
-            cache.instrumentation.subscribe(
-                lambda event: seen.update([(event.stage, event.outcome)]),
-                stages=stages,
-            )
+            cache.instrumentation.subscribe(recorder, stages=stages)
 
     snapshot = run_seeded_workload(wire=wire, **config)
-    return snapshot, handle["cache"].recorder.rows(), seen
+    return snapshot, recorder.rows()
+
+
+def _filtered(rows):
+    stages = _SUBSCRIBER_SETS["filtered"]
+    return [row for row in rows if row[0] in stages]
+
+
+def _assert_counts_match_stats(rows, stats) -> None:
+    """The ``read`` and ``verifier`` events a subscriber saw are the
+    ones the counters written beside them counted."""
+    counted = {(stage, outcome): count for stage, outcome, count, *_ in rows}
+    assert counted[("read", "hit")] > 0  # the hot events occurred
+    assert counted[("verifier", "executed")] > 0
+    reads = {
+        outcome: count for (stage, outcome), count in counted.items()
+        if stage == "read"
+    }
+    hits = reads.pop("hit") + reads.pop("revalidated", 0)
+    assert hits == stats["hits"]
+    assert sum(reads.values()) == stats["misses"]
+    assert counted[("verifier", "executed")] == stats["verifier_executions"]
+    assert counted.get(("verifier", "invalidated"), 0) == (
+        stats["verifier_invalidations"]
+    )
+    assert counted.get(("verifier", "revalidated"), 0) == (
+        stats["verifier_revalidations"]
+    )
 
 
 class TestGoldens:
@@ -63,48 +86,44 @@ class TestGoldens:
     @pytest.mark.parametrize("subscribers", list(_SUBSCRIBER_SETS))
     def test_all_configs_match_goldens(self, subscribers):
         for name, config in _CONFIGS.items():
-            snapshot, _, _ = _run(subscribers, **config)
+            snapshot, _ = _run(subscribers, **config)
             assert digest(snapshot) == GOLDEN_DIGESTS[name], name
 
 
 class TestSubscriberIndependence:
     """Arbitrary seeds: every subscriber set → identical observables."""
 
+    @staticmethod
+    def _check(**config) -> None:
+        plain, _ = _run("none", **config)
+        catch_all, everything = _run("catch-all", **config)
+        filtered, some = _run("filtered", **config)
+        assert catch_all == plain
+        assert filtered == plain
+        assert some == _filtered(everything)
+
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_snapshots_identical(self, seed):
-        plain = _run("none", seed=seed)
-        for subscribers in ("catch-all", "filtered"):
-            observed = _run(subscribers, seed=seed)
-            assert observed[:2] == plain[:2], subscribers
+        self._check(seed=seed)
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_chaos_snapshots_identical(self, seed):
-        plain = _run("none", seed=seed, chaos=True)
-        for subscribers in ("catch-all", "filtered"):
-            observed = _run(subscribers, seed=seed, chaos=True)
-            assert observed[:2] == plain[:2], subscribers
+        self._check(seed=seed, chaos=True)
 
 
 class TestLateSubscriber:
-    """Direct accumulation drops no event a listener is owed."""
+    """Direct counting drops no event a listener is owed."""
 
     @pytest.mark.parametrize(
         "chaos", [False, True], ids=["healthy", "chaos"]
     )
     def test_catch_all_counts(self, chaos):
-        _, rows, seen = _run("catch-all", seed=7, chaos=chaos)
-        counted = {(stage, outcome): count for stage, outcome, count, *_ in rows}
-        assert counted[("read", "hit")] > 0  # the hot events occurred
-        assert counted[("verifier", "executed")] > 0
-        assert dict(seen) == counted
+        snapshot, rows = _run("catch-all", seed=7, chaos=chaos)
+        _assert_counts_match_stats(rows, snapshot["stats"])
 
     def test_filtered_counts(self):
-        _, rows, seen = _run("filtered", seed=7, chaos=True)
-        counted = {
-            (stage, outcome): count
-            for stage, outcome, count, *_ in rows
-            if stage in ("read", "verifier")
-        }
-        assert dict(seen) == counted
+        snapshot, rows = _run("filtered", seed=7, chaos=True)
+        assert rows == _filtered(_run("catch-all", seed=7, chaos=True)[1])
+        _assert_counts_match_stats(rows, snapshot["stats"])

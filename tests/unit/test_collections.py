@@ -6,6 +6,7 @@ import pytest
 
 from repro.cache.manager import DocumentCache
 from repro.errors import PlacelessError
+from repro.faults.plan import FaultPlan, OutageWindow
 from repro.placeless.collection import DocumentCollection
 from repro.placeless.properties import StaticProperty
 from repro.properties.collection import (
@@ -143,3 +144,29 @@ class TestPrefetch:
         attach_collection_prefetch(collection, cache)
         cache.read(refs[0])
         assert cache.stats.prefetch_requests == 3
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["read", "read_many"])
+    def test_an_offline_sibling_does_not_fail_the_demand_read(
+        self, kernel, project, batched
+    ):
+        # The middle sibling's repository is inside an outage: its
+        # speculative fill fails, is counted, and is dropped; the demand
+        # read and the other siblings are unaffected.
+        refs, collection = project
+        refs[2].base.provider.repository_name = "dms"
+        kernel.ctx.faults = FaultPlan(
+            kernel.ctx.clock,
+            outages=(OutageWindow(0.0, float("inf"), target="dms"),),
+        )
+        cache = DocumentCache(kernel, capacity_bytes=1 << 20)
+        attach_collection_prefetch(collection, cache)
+        if batched:
+            (outcome,) = cache.read_many([refs[0]])
+        else:
+            outcome = cache.read(refs[0])
+        assert outcome.content == b"chapter 0"
+        cached = [cache.entry_for(ref) is not None for ref in refs]
+        assert cached == [True, True, False, True]
+        assert cache.stats.prefetch_fills == 2
+        assert cache.stats.prefetch_requests == 3
+        assert cache.stats.fetch_failures == 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.entry import EntryKey
+from repro.cache.instrumentation import StageRecorder
 from repro.cache.manager import DocumentCache
 from repro.cache.notifiers import install_minimum_notifiers
 from repro.cache.policies import MemoPolicy, RecoveryPolicy, StoragePolicy
@@ -128,6 +129,8 @@ def test_every_source_installs_a_whole_entry(source, for_fill):
     core = cache.core
     key = EntryKey.for_reference(reference)
     assert key not in core.entries
+    reads = StageRecorder()
+    core.instrumentation.subscribe(reads, stages=("read",))
 
     if for_fill:
         content, meta = cache.read_for_fill(reference)
@@ -135,7 +138,7 @@ def test_every_source_installs_a_whole_entry(source, for_fill):
         outcome = cache.read(reference)
         content = outcome.content
         assert (outcome.hit, outcome.disposition) == (False, disposition)
-    assert core.recorder.cells[("read", disposition)].count == 1
+    assert [row[:3] for row in reads.rows()] == [("read", disposition, 1)]
 
     # In the table *and* the per-document index, as one object.
     entry = core.entries[key]

@@ -52,8 +52,6 @@ ANNOTATION_ONLY_UPWARD = {
         "SimContext carries the world's FaultPlan in a typed slot",
     ("repro.sim.context", "cache"):
         "SimContext carries the world's ContainmentGuard in a typed slot",
-    ("repro.overload.gate", "cache"):
-        "OverloadPolicy is declared beside the other seven seam policies",
     ("repro.overload.health", "cache"):
         "the tracker is subscribed to a shard's bus and is handed StageEvents",
     ("repro.cache.core", "storage"):
@@ -151,7 +149,7 @@ class TestLayers:
             if RANK[dest] >= RANK[source]
         }
         assert set(ANNOTATION_ONLY_UPWARD) | RUNTIME_UPWARD == live
-        assert len(ANNOTATION_ONLY_UPWARD) <= 5
+        assert len(ANNOTATION_ONLY_UPWARD) <= 4
         assert all(ANNOTATION_ONLY_UPWARD.values())
 
     def test_the_middleware_does_not_name_the_cache(self):

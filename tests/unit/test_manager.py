@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.entry import EntryKey
+from repro.cache.instrumentation import StageRecorder
 from repro.cache.manager import DocumentCache, WriteMode
 from repro.cache.notifiers import InvalidationBus
 from repro.cache.replacement import LRUPolicy
@@ -510,6 +511,8 @@ class TestDeprecatedFastLaneKeyword:
                 reference.attach(TranslationProperty())
             references.append(reference)
         cache = DocumentCache(kernel, capacity_bytes=1 << 20, **cache_kwargs)
+        recorder = StageRecorder()
+        cache.instrumentation.subscribe(recorder)
         served = [
             cache.read(references[step % 3]).content for step in range(12)
         ]
@@ -518,7 +521,7 @@ class TestDeprecatedFastLaneKeyword:
         return (
             served,
             vars(cache.stats),
-            cache.recorder.rows(),
+            recorder.rows(),
             kernel.ctx.clock.now_ms,
             type(cache._reads),
         )

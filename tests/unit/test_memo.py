@@ -216,9 +216,9 @@ class TestInstrumentationFastPath:
     def test_core_emit_skips_unobserved_bus(self, monkeypatch):
         kernel, _, (reference, _) = build_world()
         cache = DocumentCache(kernel, capacity_bytes=1 << 20)
-        # Nothing subscribes to a fresh cache's bus — not its counters,
-        # not its recorder — so a read puts no event on it; both are
-        # still written, at the line that decides them.
+        # Nothing subscribes to a fresh cache's bus — its counters are
+        # not subscribers — so a read puts no event on it; the counters
+        # are still written, at the line that decides them.
         assert not cache.instrumentation.has_subscribers
         emitted: list = []
         monkeypatch.setattr(
@@ -229,7 +229,6 @@ class TestInstrumentationFastPath:
         assert outcome.disposition == "miss"
         assert emitted == []
         assert cache.stats.misses == 1
-        assert cache.recorder.cells[("read", "miss")].count == 1
 
 
 class TestMemoEndToEnd:

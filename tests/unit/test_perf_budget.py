@@ -24,11 +24,10 @@ exact budget of *zero* Python ``__hash__`` / ``__eq__`` frames: ids are
 every key probe runs in C.
 
 Events have exact budgets too: a cache counts where it decides and
-adds into its ``StageRecorder`` itself, so a ``StageEvent`` is built
-only for a subscriber outside the cache — none for a miss, a hit, an
-eviction, a write fan-out, a flush or a crash nobody listens to, one
-per recorded event for a catch-all, and in a cluster only what the
-health feed consumes.  A write-back write nobody forwards builds no
+``CacheCore.emit`` only publishes, so a ``StageEvent`` is built only
+for a subscriber — none for a miss, a hit, an eviction, a write
+fan-out, a flush or a crash nobody listens to, one per emitted event
+for a catch-all, and in a cluster only what the health feed consumes.  A write-back write nobody forwards builds no
 ``Event``.
 
 So does what a world keeps alive: the objects the cyclic collector
@@ -50,6 +49,7 @@ from collections import Counter
 import pytest
 
 from repro.bench.perf import allocation_probe, peak_rss_kb
+from repro.cache.core import CacheCore
 from repro.cache.entry import EntryKey
 from repro.cache.instrumentation import StageEvent
 from repro.cache.manager import DocumentCache, WriteMode
@@ -294,6 +294,20 @@ def built_stages(monkeypatch) -> Counter:
     return built
 
 
+@pytest.fixture
+def emitted(monkeypatch) -> Counter:
+    """The stage of every ``CacheCore.emit`` call, by count."""
+    calls: Counter = Counter()
+    real = CacheCore.emit
+
+    def counting(self, stage, *args, **kwargs):
+        calls[stage] += 1
+        return real(self, stage, *args, **kwargs)
+
+    monkeypatch.setattr(CacheCore, "emit", counting)
+    return calls
+
+
 @pytest.mark.parametrize("late_subscriber", [False, True])
 def test_notifier_deliveries_build_events_only_for_listeners(
     built_stages, late_subscriber
@@ -314,18 +328,19 @@ def test_notifier_deliveries_build_events_only_for_listeners(
     assert built_stages["bus"] == 0
 
 
-def _budget_steps(built: Counter, subscriber=None) -> dict[str, tuple]:
-    """Per step: ``(events built, events recorded)``.  Two caches of
+def _budget_steps(
+    built: Counter, emitted: Counter, subscriber=None
+) -> dict[str, tuple]:
+    """Per step: ``(events built, events emitted)``.  Two caches of
     two-user worlds — one write-through, squeezed so one more document
     evicts, and one write-back with a recovery policy — each with
     *subscriber* on its bus, if given."""
 
     def step(cache, action) -> tuple[int, int]:
         built.clear()
-        before = sum(cell.count for cell in cache.recorder.cells.values())
+        emitted.clear()
         action()
-        after = sum(cell.count for cell in cache.recorder.cells.values())
-        return sum(built.values()), after - before
+        return sum(built.values()), sum(emitted.values())
 
     kernel, through, (writer, _) = _armed_world(2)
     # Room for what is resident now, so one more document evicts.
@@ -359,17 +374,17 @@ def _budget_steps(built: Counter, subscriber=None) -> dict[str, tuple]:
     return counts
 
 
-def test_an_unobserved_cache_builds_no_stage_event(built_stages):
-    counts = _budget_steps(built_stages)
-    assert all(recorded for _, recorded in counts.values()), counts
+def test_an_unobserved_cache_builds_no_stage_event(built_stages, emitted):
+    counts = _budget_steps(built_stages, emitted)
+    assert all(reported for _, reported in counts.values()), counts
     built = {name: built for name, (built, _) in counts.items()}
     assert built == dict.fromkeys(counts, 0)
 
 
-def test_a_catch_all_gets_one_event_per_recorded_event(built_stages):
+def test_a_catch_all_gets_one_event_per_emitted_event(built_stages, emitted):
     seen: list = []
-    counts = _budget_steps(built_stages, seen.append)
-    assert all(built == recorded for built, recorded in counts.values())
+    counts = _budget_steps(built_stages, emitted, seen.append)
+    assert all(built == reported for built, reported in counts.values())
     assert len(seen) == sum(built for built, _ in counts.values())
 
 
@@ -454,6 +469,6 @@ def test_holders_and_armed_notifiers_track_few_objects():
     _tracked_per_step()  # process-wide memos and interned ids
     assert _tracked_per_step() == {
         "add_reference": 6,
-        "first_read": 52,
+        "first_read": 47,
         "second_user_first_read": 26,
     }

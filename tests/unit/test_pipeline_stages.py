@@ -17,14 +17,11 @@ import repro
 from repro.cache.containment import ContainmentStats
 from repro.cache.instrumentation import (
     ELAPSED,
-    ConcurrencyStats,
     CounterProjection,
     InstrumentationBus,
-    OverloadStats,
     StageEvent,
     StageRecorder,
     StatsProjection,
-    merged,
 )
 from repro.cache.manager import DocumentCache
 from repro.cache.memo import MemoStats, MemoStatsProjection
@@ -35,12 +32,13 @@ from repro.cache.policies import (
     vote_admission,
 )
 from repro.cache.recovery import RecoveryStats
-from repro.cache.stats import CacheStats
+from repro.cache.stats import CacheStats, ConcurrencyStats, merged
 from repro.contract.cacheability import Cacheability
 from repro.contract.consistency import InvalidationReason
 from repro.errors import CacheError
 from repro.faults.plan import FaultStats
 from repro.ids import DocumentId
+from repro.overload.gate import OverloadStats
 from repro.placeless.document import PathMeta
 from repro.placeless.kernel import KernelStats, PlacelessKernel
 from repro.properties.uncacheable import UncacheableProperty
@@ -220,16 +218,6 @@ class TestStageRecorder:
         recorder(StageEvent("unknown-stage", "x"))
         stages = [row[0] for row in recorder.rows()]
         assert stages == ["read", "eviction", "unknown-stage"]
-
-    def test_merge_folds_cells(self):
-        left, right = StageRecorder(), StageRecorder()
-        left(StageEvent("read", "hit", started_ms=0.0, ended_ms=1.0))
-        right(StageEvent("read", "hit", started_ms=0.0, ended_ms=2.0))
-        right(StageEvent("flush", "flushed"))
-        left.merge(right)
-        assert left.cells[("read", "hit")].count == 2
-        assert left.cells[("read", "hit")].elapsed_ms == pytest.approx(3.0)
-        assert left.cells[("flush", "flushed")].count == 1
 
     def test_render_empty_recorder(self):
         text = StageRecorder().render(title="empty")
@@ -690,9 +678,7 @@ class TestPolicyInjection:
             assert outcome.content == b"pipeline bytes"
         assert len(cache) == 0
         assert cache.stats.uncacheable_reads == 3
-        breakdown = cache.stage_breakdown()
-        assert breakdown.cells[("admission", "uncacheable")].count == 3
-        assert ("admission", "filled") not in breakdown.cells
+        assert cache.stats.bytes_filled == 0
 
     def test_custom_degradation_policy_is_exposed(self, kernel, reference):
         policy = DefaultDegradationPolicy(
@@ -707,9 +693,11 @@ class TestPolicyInjection:
 
     def test_breakdown_records_hit_and_miss_reads(self, kernel, reference):
         cache = DocumentCache(kernel, capacity_bytes=1 << 20)
+        recorder = StageRecorder()
+        cache.instrumentation.subscribe(recorder)
         cache.read(reference)
         cache.read(reference)
-        cells = cache.stage_breakdown().cells
+        cells = recorder.cells
         assert cells[("read", "miss")].count == 1
         assert cells[("read", "hit")].count == 1
         assert cells[("admission", "filled")].count == 1
