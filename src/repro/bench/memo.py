@@ -1,12 +1,12 @@
 """A15: transform memoization — chain executions avoided, miss latency.
 
-§3's signature sharing covers users with *live* identical entries; the
-transform memo extends it across time: ``(source signature, chain
-fingerprint) → output signature``, so the second user's cold miss
-becomes a signature adoption instead of a provider fetch plus a full
-active-property chain execution.  This bench sweeps the user count with
-the memo on and off over a corpus whose base documents carry a shared
-(expensive, buffered) translation chain, and reports:
+§3's signature sharing stores identical transformed content once; the
+transform memo also skips *producing* it again: ``(source signature,
+chain fingerprint) → output signature``, so the second user's cold miss
+becomes a signature-only memo serve instead of a provider fetch plus a
+full active-property chain execution.  This bench sweeps the user count
+with the memo on and off over a corpus whose base documents carry a
+shared (expensive, buffered) translation chain, and reports:
 
 * chain executions (kernel reads — each one runs the full chain) and
   the fraction the memo avoided (ideal for N users: ``1 - 1/N``);

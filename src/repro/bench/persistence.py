@@ -45,7 +45,7 @@ _READ_GAP_MS = 15.0
 _WARMUP_MS = 600.0
 #: Dispositions that avoided a full backing-store fetch.
 _WARM_DISPOSITIONS = frozenset(
-    {"hit", "revalidated", "miss-promoted", "miss-memoized", "miss-adopted"}
+    {"hit", "revalidated", "miss-promoted", "miss-memoized"}
 )
 #: Hostile-disk seam probabilities for the degradation arm.
 _DISK_FAULTS = {

@@ -13,11 +13,12 @@ Three deployments over the same multi-user Zipf workload:
 * **both** — per-user app-level caches backed by the shared server cache
   (the two-level hierarchy): local hits where possible, server hits
   where a sibling already fetched, full path only on a global miss;
-* **server+adoption** / **both+adoption** — the same with §3's
-  signature-adoption optimization enabled at the server cache, so a
-  user's first access to a document another (identically-configured)
-  user already fetched is served by establishing the signature mapping
-  instead of running the full read path.
+* **server+memo** / **both+memo** — the same with §3's sharing of
+  identical transformed content switched on at the server cache (a
+  :class:`~repro.cache.policies.MemoPolicy`), so a user's first access
+  to a document another (identically-configured) user already fetched
+  is served from the transform memo — a source-signature probe and a
+  signature mapping — instead of running the full read path.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from repro.bench.harness import corpus_world, table, write_artifact
 from repro.cache.manager import DocumentCache
 from repro.cache.notifiers import InvalidationBus
+from repro.cache.policies import MemoPolicy
 from repro.sim.topology import CachePlacement
 from repro.workload.trace import TraceSpec, generate_trace
 from repro.workload.users import build_population
@@ -69,14 +71,14 @@ def _run(deployment: str, n_documents: int, n_users: int, n_events: int,
     )
     bus = InvalidationBus(kernel.ctx)
 
-    adoption = deployment.endswith("+adoption")
-    tier = deployment.removesuffix("+adoption")
+    memo = deployment.endswith("+memo")
+    tier = deployment.removesuffix("+memo")
     server_cache = None
     if tier in ("server", "both"):
         server_cache = DocumentCache(
             kernel, capacity_bytes=capacity, bus=bus,
             placement=CachePlacement.SERVER_COLOCATED,
-            share_across_users=adoption, name="a8-server",
+            memo_policy=MemoPolicy() if memo else None, name="a8-server",
         )
     app_caches: list[DocumentCache] = []
     if tier in ("app-level", "both"):
@@ -129,7 +131,7 @@ def run_placement(
     return [
         _run(deployment, n_documents, n_users, n_events, capacity, seed)
         for deployment in (
-            "app-level", "server", "server+adoption", "both", "both+adoption",
+            "app-level", "server", "server+memo", "both", "both+memo",
         )
     ]
 

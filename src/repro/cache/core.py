@@ -7,7 +7,7 @@ the *mechanics* that several steps share — install and arm (the one
 way a version becomes a live entry), drop, evict, content replacement,
 event forwarding, and :meth:`CacheCore.emit`, the one way a step
 reports a stage event — while the per-step *logic* (verifier gating,
-adoption scanning, fetch/degradation, admission) lives in
+memo consults, fetch/degradation, admission) lives in
 :mod:`repro.cache.pipeline` and the public API in
 :mod:`repro.cache.manager`.
 
@@ -34,7 +34,6 @@ from repro.faults.retry import RetryPolicy
 from repro.ids import DocumentId, UserId
 from repro.overload.budget import DeadlineBudget
 from repro.overload.gate import OverloadGate
-from repro.placeless.chain import read_plan
 from repro.placeless.document import PathMeta
 from repro.placeless.kernel import PlacelessKernel
 from repro.placeless.reference import DocumentReference
@@ -64,7 +63,8 @@ NOTIFIER_INSTALL_COST_MS = 0.15
 #: Simulated cost of receiving/registering one verifier at fill time.
 VERIFIER_INSTALL_COST_MS = 0.05
 #: Simulated cost of the metadata exchange that establishes a
-#: (document, user) → signature mapping from another user's entry.
+#: (document, user) → signature mapping over bytes the cache already
+#: holds: charged for a memo serve and an L2 promotion.
 ADOPTION_COST_MS = 0.3
 #: Simulated cost of probing the repository's current source signature
 #: (a metadata-only exchange): the memo step's class-(a) check and the
@@ -91,7 +91,6 @@ class CacheCore:
         install_notifiers: bool,
         use_verifiers: bool,
         track_staleness: bool,
-        share_across_users: bool,
         backing: "DocumentCache | None",
         retry_policy: "RetryPolicy | None",
     ) -> None:
@@ -133,7 +132,6 @@ class CacheCore:
         self.install_notifiers = install_notifiers
         self.use_verifiers = use_verifiers
         self.track_staleness = track_staleness
-        self.share_across_users = share_across_users
         self.backing = backing
         self.retry_policy = retry_policy
         self.stats = CacheStats()
@@ -145,9 +143,9 @@ class CacheCore:
         self.store = ContentStore()
         self.entries: dict[EntryKey, CacheEntry] = {}
         #: Secondary index: document → that document's live entries, in
-        #: global insertion order.  Adoption scans and invalidation
-        #: fan-out were O(total entries) per event without it, which is
-        #: what made million-entry tables unusable.
+        #: global insertion order.  Invalidation fan-out was O(total
+        #: entries) per event without it, which is what made
+        #: million-entry tables unusable.
         self.entries_by_document: dict[
             "DocumentId", dict[EntryKey, CacheEntry]
         ] = {}
@@ -246,15 +244,15 @@ class CacheCore:
 
     def verifiers_agree(
         self, key: EntryKey, verifiers, content: bytes,
-        at_ms: float | None = None, faulted: bool = False,
+        faulted: bool = False,
     ) -> bool:
-        """Re-run *verifiers* over bytes about to be reused (a sibling's
-        entry, a memo record, a demoted copy): True when every one says
-        VALID.  Each runs at *at_ms* when given, else at the clock after
-        its charge.  *faulted* runs also consult the fault plan's
-        verifier seam, as the hit-time gate does — set where the bytes
-        would be served as the key's own version (L2 promotion), not
-        where they are reused for another key (DESIGN.md §6)."""
+        """Re-run *verifiers* over bytes about to be reused (a memo
+        record, a demoted copy): True when every one says VALID.  Each
+        runs at the clock after its charge.  *faulted* runs also consult
+        the fault plan's verifier seam, as the hit-time gate does — set
+        where the bytes would be served as the key's own version (L2
+        promotion), not where they are reused for another key
+        (DESIGN.md §6)."""
         clock = self.ctx.clock
         faults = self.ctx.faults if faulted else None
         for verifier in verifiers:
@@ -266,9 +264,7 @@ class CacheCore:
                     faults.check_verifier(
                         verifier.cost_ms, label=type(verifier).__name__
                     )
-                result = verifier.run(
-                    clock.now_ms if at_ms is None else at_ms, content
-                )
+                result = verifier.run(clock.now_ms, content)
             except Exception:
                 return False
             if result.verdict is not Verdict.VALID:
@@ -374,9 +370,9 @@ class CacheCore:
 
         The one place a version's facts become a :class:`CacheEntry`.
         *facts* is whichever record the caller holds — the read path's
-        ``PathMeta``, a sibling's ``CacheEntry``, a ``MemoRecord``, an
-        ``L2Record`` — all of which spell the §3 metadata the same way:
-        ``cacheability``, ``replacement_cost_ms``, ``chain_signature``,
+        ``PathMeta``, a ``MemoRecord``, an ``L2Record`` — all of which
+        spell the §3 metadata the same way: ``cacheability``,
+        ``replacement_cost_ms``, ``chain_signature``,
         ``source_signature``, ``pinned``.  The caller already holds the
         store reference the entry takes over (``put_signed``/``adopt``).
         Nothing else writes the entry table or the per-document index.
@@ -577,14 +573,6 @@ class CacheCore:
             source_signature=entry.source_signature,
             pinned=entry.pinned,
         )
-
-    def expected_chain_signature(self, reference: "DocumentReference"):
-        """The chain signature this reference's read path would record.
-
-        Computable from property metadata alone — no content fetch — so
-        a cache can predict whether another user's cached bytes apply.
-        """
-        return read_plan(reference).chain_signature
 
     # -- transform memoization -------------------------------------------------
 

@@ -49,7 +49,6 @@ __all__ = [
 #: write-pipeline stages, then auxiliary event sources.
 STAGE_ORDER = (
     "read",
-    "adoption",
     "storage",
     "memo",
     "coalesce",

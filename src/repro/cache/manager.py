@@ -97,12 +97,6 @@ class DocumentCache:
     backing:
         Optional second-level cache misses are filled through (§4's
         deployment with both cache levels).
-    share_across_users:
-        §3's signature adoption: a miss that finds another user's valid
-        entry with an identical transformation-chain signature adopts
-        its content signature (after re-running its verifiers) instead
-        of executing the read path.  Off by default — the paper
-        describes it as an extension beyond the prototype.
     retry_policy:
         Optional :class:`~repro.faults.retry.RetryPolicy` for miss-path
         fetches and write-back flushes; backoff is charged to the
@@ -125,7 +119,9 @@ class DocumentCache:
         different policy raises :class:`~repro.errors.CacheError`.
     memo_policy:
         :class:`~repro.cache.policies.MemoPolicy` — transform
-        memoization between adoption and fetch.
+        memoization between L2 promotion and fetch: the one way a
+        miss is answered with bytes another user's read produced (§3's
+        sharing of identical transformed content).  Off by default.
     concurrency_policy:
         :class:`~repro.cache.policies.ConcurrencyPolicy` —
         :meth:`read_many` interleaves its batch and single-flights
@@ -164,7 +160,6 @@ class DocumentCache:
         track_staleness: bool = False,
         placement: "CachePlacement | None" = None,
         backing: "DocumentCache | None" = None,
-        share_across_users: bool = False,
         retry_policy: "RetryPolicy | None" = None,
         name: str = "cache",
         degradation_policy: DegradationPolicy | None = None,
@@ -206,7 +201,6 @@ class DocumentCache:
             install_notifiers=install_notifiers,
             use_verifiers=use_verifiers,
             track_staleness=track_staleness,
-            share_across_users=share_across_users,
             backing=backing,
             retry_policy=retry_policy,
         )
@@ -288,7 +282,7 @@ class DocumentCache:
         "kernel", "ctx", "capacity_bytes", "policy", "bus", "stats",
         "store", "cache_id", "write_mode", "backing",
         "retry_policy", "install_notifiers", "use_verifiers",
-        "track_staleness", "share_across_users",
+        "track_staleness",
     })
 
     def __getattr__(self, name: str):

@@ -12,11 +12,15 @@ This module supplies the two data structures behind the pipeline's
 memo step (``ReadPipeline._memo``):
 
 * :class:`ChainFingerprint` (defined with the read plan in
-  :mod:`repro.streams.chain`, which caches one per reference) — a
-  stable digest of one read path's transformation chain: every
-  property's ``fingerprint()`` (code identity, configuration, version)
-  composed *with its position*, so the same properties reordered
-  fingerprint differently — invalidation class (c).
+  :mod:`repro.placeless.chain`, which caches one per reference as
+  ``ReadPlan.fingerprint``) — a stable digest of one read path's
+  property chain: every property's ``transform_signature()``, its
+  read-path identity (code identity, name, version and whatever
+  configuration shapes its output), composed *with its position*, so
+  the same properties reordered fingerprint differently — invalidation
+  class (c).  It is the same identity an entry records as its chain
+  signature, so the memo and the L2 tier agree on which chains are
+  one.
 * :class:`TransformMemo` — a bounded LRU table mapping
   ``(source signature, chain fingerprint) → output signature`` plus the
   fill metadata needed to rebuild a cache entry.  A second user's miss
@@ -25,6 +29,9 @@ memo step (``ReadPipeline._memo``):
   fetch and a chain execution.  The table holds *no* content-store
   references of its own (refcount-aware by construction): a record whose
   output bytes have been evicted is detected at consult time and pruned.
+
+A chain that is not ``ReadPlan.shareable`` (an access check or an
+audit trail on it must see every read) never consults or records.
 
 The four §3 invalidation classes map onto the memo as follows:
 
@@ -60,33 +67,18 @@ from repro.content.signature import ContentSignature
 from repro.contract.cacheability import Cacheability
 from repro.contract.verifiers import Verifier
 from repro.ids import DocumentId
-from repro.placeless.chain import ChainFingerprint, read_plan
-from repro.placeless.reference import DocumentReference
+from repro.placeless.chain import ChainFingerprint
 
 if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cache.core import CacheCore
 
 __all__ = [
     "ChainFingerprint",
-    "fingerprint_reference",
     "MemoRecord",
     "TransformMemo",
     "MemoStats",
     "MemoStatsProjection",
 ]
-
-
-def fingerprint_reference(
-    reference: "DocumentReference",
-) -> ChainFingerprint:
-    """The chain fingerprint *reference*'s read path would produce.
-
-    Computed from property metadata alone — no content fetch, no chain
-    execution — over the same base-then-reference chain order the read
-    path executes (§2), so it is a per-(document, user) key: two users
-    of one document with identical chains fingerprint identically.
-    """
-    return read_plan(reference).fingerprint
 
 
 @dataclass(slots=True)

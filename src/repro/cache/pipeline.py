@@ -4,14 +4,14 @@ A read is a **hit prefix** and, when that does not answer it, the
 **miss steps**, which :meth:`ReadPipeline._iterate` calls in this order:
 
     prefix: dirty-flush → lookup → verifier gate  (one call: serve)
-    miss: _adopt → _promote → _memo → _coalesce → _fetch → _degrade → _fill
+    miss: _promote → _memo → _coalesce → _fetch → _degrade → _fill
 
 The prefix is :meth:`ReadPipeline.serve`, and for a lone read one plain
 method call: a verified hit allocates no :class:`ReadContext`, no
 deadline budget and no generator, whatever seams the cache was built
 with.  Each miss step is a private :class:`ReadPipeline` method over
-the read's :class:`ReadContext`.  Four of them can answer the read —
-adoption, L2 promotion, memo and the admission fill — and differ only
+the read's :class:`ReadContext`.  Three of them can answer the read —
+L2 promotion, memo and the admission fill — and differ only
 in how they come to hold the bytes: each hands the version to
 :meth:`CacheCore.install` / ``arm`` and ends in
 :meth:`ReadPipeline._finish`, the one way a miss ends (a
@@ -82,8 +82,8 @@ class CacheReadOutcome:
     hit: bool
     elapsed_ms: float
     #: "hit", "revalidated", "miss", "miss-verifier", "miss-invalidated",
-    #: "uncacheable", "miss-oversize", "miss-adopted", "miss-memoized"
-    #: (served by the transform memo: signature adoption, no chain
+    #: "uncacheable", "miss-oversize", "miss-memoized" (served by the
+    #: transform memo: the recorded output's signature, no chain
     #: execution), "miss-promoted" (served by promoting a demoted copy
     #: back from the durable L2 tier — chain-, source-, CRC- and
     #: verifier-gated), or a degraded mode: "stale-on-error" (bounded
@@ -311,9 +311,7 @@ class ReadPipeline:
                         if result is not None:
                             break
                 prefix_ran = False
-                result = (
-                    self._adopt(ctx) or self._promote(ctx) or self._memo(ctx)
-                )
+                result = self._promote(ctx) or self._memo(ctx)
                 if result is not None:
                     break
                 suspension = self._coalesce(ctx)
@@ -550,51 +548,10 @@ class ReadPipeline:
             )
         return CacheReadOutcome(content, False, elapsed, disposition)
 
-    def _adopt(self, ctx: ReadContext):
-        """§3 signature adoption: reuse another user's identical version.
-
-        A candidate must be another user's valid entry for the same base
-        document whose recorded chain signature equals what this
-        reference's chain would produce; its verifiers are re-run (the
-        source could have changed) before the signature mapping is
-        established.
-        """
-        core = self.core
-        if not core.share_across_users:
-            return None
-        key = ctx.key
-        expected = core.expected_chain_signature(ctx.reference)
-        now = core.ctx.clock.now_ms
-        # Scan only this document's bucket: adoption candidates are by
-        # definition other users' entries for the *same* document, and a
-        # full-table scan per miss is O(entries) at churn scale.
-        for candidate in list(core.entries_for_document(key.document_id).values()):
-            if candidate.user_id == key.user_id:
-                continue
-            if candidate.chain_signature != expected:
-                continue
-            content = core.store.get(candidate.signature)
-            if core.use_verifiers and not core.verifiers_agree(
-                candidate.key, candidate.verifiers, content, now
-            ):
-                continue
-            self._exchange_metadata()
-            core.store.adopt(candidate.signature)
-            entry = core.install(
-                ctx.reference, candidate, candidate.signature,
-                candidate.size, candidate.verifiers,
-            )
-            core.stats.sibling_adoptions += 1
-            core.emit("adoption", "adopted", key=key)
-            core.arm(ctx.reference, entry)
-            return self._finish(ctx, "miss-adopted", content, entry)
-        return None
-
     def _promote(self, ctx: ReadContext):
         """Durable-tier promotion: answer a miss from the on-disk L2 tier.
 
-        Between adoption and the memo: an adoption needs another user's
-        *live* entry, while the L2 tier remembers entries this cache
+        First of the miss steps: the L2 tier remembers entries this cache
         itself evicted — including across a crash/restart, which is the
         whole point.  :meth:`~repro.storage.tier.L2Tier.promote` re-gates
         the demoted copy on the reference's current chain signature, a
@@ -627,6 +584,10 @@ class ReadPipeline:
         )
         core.arm(ctx.reference, entry)
         l2.retire(record)
+        if entry.cacheability.requires_event_forwarding:
+            # Served without a kernel read, like a hit: the properties
+            # that asked to see every read (an audit trail) hear it.
+            core.forward_read(ctx.reference)
         core.emit("storage", "promoted", key=ctx.key, bytes=record.size)
         return self._finish(ctx, "miss-promoted", content, entry)
 
@@ -634,16 +595,20 @@ class ReadPipeline:
         """Transform memoization: answer a miss from the
         ``(source signature, chain fingerprint) → output signature`` memo.
 
-        Between L2 promotion and fetch: an adoption needs another user's
-        *live* entry, while the memo remembers what an identical chain
-        produced from identical source bytes even after every entry for
-        it is gone.  A memo serve is a metadata-only exchange — one
-        source-signature probe, the local hop, a
-        :meth:`~repro.content.store.ContentStore.adopt` — with no
+        Between L2 promotion and fetch, and the one way a miss is
+        answered with bytes another user's read produced (§3's sharing
+        of identical transformed content): the memo remembers what an
+        identical chain produced from identical source bytes, for any
+        user, even after every entry for it is gone.  A memo serve is a
+        metadata-only exchange — one source-signature probe, the local
+        hop, a :meth:`~repro.content.store.ContentStore.adopt` — with no
         provider fetch and no property-chain execution.  A no-op without
-        a memo policy.  Consults participate in all four §3 invalidation
-        classes (see :mod:`repro.cache.memo`) and respect the
-        containment layer: an open breaker on any chain property
+        a memo policy, and for a chain that is not
+        :attr:`~repro.placeless.chain.ReadPlan.shareable` (a property on
+        it handles read events — an access check, an audit trail — and
+        must see this read).  Consults participate in all four §3
+        invalidation classes (see :mod:`repro.cache.memo`) and respect
+        the containment layer: an open breaker on any chain property
         bypasses the memo, because the recorded output was produced by
         code that is currently quarantined.
         """
@@ -651,13 +616,16 @@ class ReadPipeline:
         memo = core.memo
         if memo is None:
             return None
+        plan = read_plan(ctx.reference)
+        if not plan.shareable:
+            # Nothing consulted, nothing recorded, no memo-plane flight.
+            return None
         if ctx.budget is not None and ctx.budget.expired:
             # Same fast-fail as the L2 step: no probe charge for a
             # read whose deadline already passed.
             core.metrics["overload"].deadline_skips += 1
             core.emit("deadline", "skipped", key=ctx.key, seam="memo")
             return None
-        plan = read_plan(ctx.reference)
         guard = core.containment
         if guard is not None and guard.chain_blocked(
             ctx.key.document_id, plan.chain
@@ -754,7 +722,7 @@ class ReadPipeline:
 
         When the leader lands, a follower re-enters from the top, where
         the leader's fill answers it as a verifier-gated hit (same key)
-        or a signature-only memo adoption (memo-plane key) — built on
+        or a signature-only memo serve (memo-plane key) — built on
         :meth:`~repro.content.store.ContentStore.put_signed` having
         already placed the leader's bytes in the store.  A leader that
         *fails* resolves the flight with its error: the first follower

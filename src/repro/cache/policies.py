@@ -143,13 +143,15 @@ class MemoPolicy:
     A cache constructed with a memo policy gets a bounded
     :class:`~repro.cache.memo.TransformMemo` consulted by the read
     pipeline's memo step: a miss whose ``(current source signature,
-    chain fingerprint)`` pair was recorded by an earlier admission is
-    answered with a signature-only adoption instead of a provider fetch
-    plus a full property-chain execution.  UNCACHEABLE-voting chains
-    are negative-cached so repeated misses skip the candidate machinery
-    without ever serving from the memo.  A record that carries verifiers
-    (the paper's class-(d) external conditions) re-runs them on every
-    serve.
+    chain fingerprint)`` pair was recorded by an earlier admission — any
+    user's — is answered with the recorded output's content signature
+    instead of a provider fetch plus a full property-chain execution:
+    the cache's one way to share transformed content across users
+    (which chains may share: :class:`~repro.placeless.chain.ReadPlan`).
+    UNCACHEABLE-voting chains are negative-cached so repeated misses
+    skip the candidate machinery without ever serving from the memo.
+    A record that carries verifiers (the paper's class-(d) external
+    conditions) re-runs them on every serve.
     """
 
     #: Maximum records the memo table holds (LRU beyond that).

@@ -57,6 +57,7 @@ from repro.errors import (
     NotificationLostError,
     PlacelessError,
 )
+from repro.placeless.chain import read_plan
 from repro.placeless.reference import DocumentReference
 from repro.sim.clock import ScheduledCall
 
@@ -462,7 +463,7 @@ class ConsistencyRecoveryManager:
         (class 4, or class 1 for source-labelled verifiers).
         """
         core = self.core
-        expected_chain = core.expected_chain_signature(reference)
+        expected_chain = read_plan(reference).chain_signature
         if expected_chain != entry.chain_signature:
             if sorted(expected_chain) == sorted(entry.chain_signature):
                 return InvalidationReason.PROPERTY_REORDERED

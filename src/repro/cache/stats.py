@@ -93,9 +93,6 @@ class CacheStats:
     prefetch_fills: int = 0
     #: Hits served from entries that a prefetch (not a demand read) filled.
     prefetched_hits: int = 0
-    #: Misses served by adopting another user's identical cached version
-    #: (§3's signature-sharing optimization) instead of a full read.
-    sibling_adoptions: int = 0
     #: Stale bytes served because the refetch failed (availability mode).
     stale_served_on_error: int = 0
     #: Stale-serve candidates rejected because the entry exceeded the
@@ -190,7 +187,6 @@ class CacheStats:
         ("quarantine", "added"): (("quarantined_verifiers", 1),),
         ("quarantine", "forced-miss"): (("quarantine_forced_misses", 1),),
         ("bus-loss", "detected"): (("dropped_notifier_detected", 1),),
-        ("adoption", "adopted"): (("sibling_adoptions", 1),),
         ("fetch", "failed"): (("fetch_failures", 1),),
         ("fetch", "retry"): (("retries", 1), ("retry_delay_ms", "delay_ms")),
         ("degradation", "bypassed"): (

@@ -21,7 +21,7 @@ The paper's examples are all represented:
 
 In the cache, verifiers run in the read pipeline's hit prefix,
 ``ReadPipeline.serve`` (on every hit, behind the quarantine gate), and
-in the adoption step's freshness probe; each execution is charged to
+before a memo record or a demoted L2 copy is served; each execution is charged to
 the virtual clock and emitted as a ``verifier`` stage event.
 
 Each verifier carries an execution cost in virtual milliseconds; the

@@ -11,7 +11,7 @@ errors) and classifies shards three ways:
   ``gray_latency_factor`` times the healthiest peer's, with at least
   ``min_samples`` fetch-path observations: the hedge trigger.  Only
   reads that actually went through a provider fetch feed the latency
-  signals — hits (and signature-only adoptions) are local and fast on
+  signals — hits (and signature-only memo serves) are local and fast on
   *every* shard, gray or not, so mixing them in would both mask a
   slow shard behind its fast hits and make a healthy shard's normal
   miss tail look gray next to a peer serving only hits;
@@ -168,8 +168,7 @@ class HealthTracker:
     #: local work that is fast on every shard, excluded from the
     #: latency signals (see the module docstring).
     _FAST_PATHS = frozenset({
-        "hit", "revalidated", "miss-adopted", "miss-memoized",
-        "miss-promoted",
+        "hit", "revalidated", "miss-memoized", "miss-promoted",
     })
 
     #: The stages :meth:`on_event` consumes.

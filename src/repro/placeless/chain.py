@@ -22,12 +22,12 @@ import typing
 from typing import Any, Iterable, NamedTuple
 
 from repro.errors import ContainmentError, PropertyError
+from repro.placeless.properties import ActiveProperty
 from repro.sim.context import SimContext
 from repro.streams.chain import CorruptingInputStream, CorruptingOutputStream
 
 if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.placeless.document import PathMeta
-    from repro.placeless.properties import ActiveProperty
 
 __all__ = [
     "interpose",
@@ -59,21 +59,22 @@ def read_chain_properties(reference) -> tuple:
 
 
 class ChainFingerprint(NamedTuple):
-    """Order-sensitive digest of one read path's transformation chain."""
+    """Order-sensitive digest of one read path's property chain."""
 
     digest: str
 
     @classmethod
-    def compose(cls, fingerprints: Iterable[str]) -> "ChainFingerprint":
-        """Fold per-property fingerprints, tagged with their position.
+    def compose(cls, signatures: Iterable[str]) -> "ChainFingerprint":
+        """Fold per-property ``transform_signature()`` strings, each
+        tagged with its position.
 
         Position tagging is what makes the paper's invalidation class
         (c) observable: ``[a, b]`` and ``[b, a]`` compose differently
         even though the member set is identical.
         """
         hasher = hashlib.md5()
-        for position, fingerprint in enumerate(fingerprints):
-            hasher.update(f"{position}:{fingerprint}\n".encode())
+        for position, signature in enumerate(signatures):
+            hasher.update(f"{position}:{signature}\n".encode())
         return cls(hasher.hexdigest())
 
 
@@ -91,7 +92,7 @@ class ReadPlan:
 
     __slots__ = (
         "base_epoch", "reference_epoch", "chain", "chain_signature",
-        "fingerprint", "pins", "qos_deadline_ms",
+        "fingerprint", "shareable", "pins", "qos_deadline_ms",
     )
 
     def __init__(self, reference) -> None:
@@ -99,14 +100,19 @@ class ReadPlan:
         self.reference_epoch = reference.chain_epoch
         #: Base-document properties then reference properties (§2).
         chain = self.chain = read_chain_properties(reference)
-        #: What this read path would record as ``PathMeta.chain_signature``.
+        #: Every chain property's read-path identity, in order: what this
+        #: read path records as ``PathMeta.chain_signature``.
         self.chain_signature = tuple(
-            signature
-            for signature in (prop.transform_signature() for prop in chain)
-            if signature is not None
+            prop.transform_signature() for prop in chain
         )
-        self.fingerprint = ChainFingerprint.compose(
-            prop.fingerprint() for prop in chain
+        #: The transform memo's key for this chain.
+        self.fingerprint = ChainFingerprint.compose(self.chain_signature)
+        #: May another read's output answer this one?  Not when a chain
+        #: property handles read events (an access check, an audit
+        #: trail): it must see every read.  Judged from the code, so a
+        #: new such property is covered without declaring anything.
+        self.shareable = all(
+            type(prop).handle is ActiveProperty.handle for prop in chain
         )
         #: §5's "always available": some property pins the entry.
         self.pins = any(prop.requests_pinning() for prop in chain)

@@ -53,8 +53,9 @@ class PathMeta:
     verifiers: list[Verifier] = field(default_factory=list)
     votes: list[Cacheability] = field(default_factory=list)
     replacement_cost_ms: float = 0.0
-    #: Ordered transform signatures (base chain then reference chain);
-    #: equal lists over the same source bytes produce identical content.
+    #: Every read-chain property's ``transform_signature()``, base chain
+    #: then reference chain; equal lists over the same source bytes
+    #: produce identical content.
     chain_signature: tuple[str, ...] = ()
     #: Number of active properties dispatched along the path.
     properties_executed: int = 0
@@ -91,9 +92,9 @@ class PathMeta:
         verifier = prop.make_verifier()
         if verifier is not None:
             self.verifiers.append(verifier)
-        signature = prop.transform_signature()
-        if signature is not None:
-            self.chain_signature = self.chain_signature + (signature,)
+        self.chain_signature = self.chain_signature + (
+            prop.transform_signature(),
+        )
 
 
 @dataclass

@@ -235,49 +235,31 @@ class ActiveProperty(Property):
         """
         return 0.0
 
-    #: True when this property transforms content on the read path; used
-    #: to decide whether two users' chains produce identical content.
+    #: True when this property transforms content on the read path:
+    #: adding, removing or modifying it invalidates cached entries (§3),
+    #: and the containment layer treats it as *required*.
     transforms_reads: bool = False
 
-    def transform_signature(self) -> str | None:
-        """Stable identity of this property's read-path transformation.
+    def transform_signature(self) -> str:
+        """This property's read-path identity.
 
-        ``None`` when the property does not transform reads.  Two chains
-        with equal ordered signature lists produce byte-identical content
-        from the same source bytes, which is what lets the cache share
-        entries between users via content signatures.
-        """
-        if not self.transforms_reads:
-            return None
-        return f"{type(self).__name__}/{self.name}/v{self.version}"
+        One string per property on a read chain, whether it transforms
+        content or not: the ordered list of them is the chain signature
+        an entry records (``PathMeta.chain_signature``), and their
+        position-tagged composition is the chain fingerprint the
+        transform memo keys on.  Two chains with equal lists produce
+        byte-identical content from the same source bytes, which is what
+        lets the cache share one version between users.
 
-    def fingerprint_config(self) -> str:
-        """Configuration that affects this property's read-path output.
-
-        Subclasses whose transformation depends on constructor state
-        beyond ``name``/``version`` (a target language, a summary
-        length, a threshold) return a stable rendering of it here so
-        two differently-configured instances of the same class
-        fingerprint differently.  Default: no extra configuration.
-        """
-        return ""
-
-    def fingerprint(self) -> str:
-        """Stable identity of this property for chain fingerprinting.
-
-        Covers code identity (the fully-qualified class), the attachment
-        name, the release version (so :meth:`upgrade` — the paper's
-        MODIFY_PROPERTY case — changes it) and any
-        :meth:`fingerprint_config`.  Position in the chain is *not*
-        included here; :meth:`ChainFingerprint.compose
-        <repro.placeless.chain.ChainFingerprint.compose>` tags positions when
-        folding, which is what makes reordering observable (invalidation
-        class (c)).
+        The default covers code identity (the fully-qualified class),
+        the attachment name and the release version, so :meth:`upgrade`
+        — the paper's MODIFY_PROPERTY case — changes it.  A property
+        whose output depends on further configuration (a word table, a
+        target language, a key, a length) must put it here too, or two
+        differently-configured instances would share output.
         """
         cls = type(self)
-        base = f"{cls.__module__}.{cls.__qualname__}/{self.name}/v{self.version}"
-        config = self.fingerprint_config()
-        return f"{base}?{config}" if config else base
+        return f"{cls.__module__}.{cls.__qualname__}/{self.name}/v{self.version}"
 
     # -- modification ------------------------------------------------------------
 

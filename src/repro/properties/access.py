@@ -6,10 +6,15 @@ layer in opposite directions:
 * :class:`AccessControlProperty` denies operations to non-authorized
   users *before* any content flows — the error propagates through the
   read path, so a cache never stores anything for a denied user;
-* :class:`WatermarkProperty` stamps the reading user's identity into the
-  content, making every user's version byte-distinct — the worst case
-  for content sharing, and a property whose transform signature must be
-  per-user so the §3 adoption optimization correctly refuses to share.
+* :class:`WatermarkProperty` stamps its owner's identity into the
+  content; attached to each user's reference it makes every user's
+  version byte-distinct — the worst case for content sharing — and its
+  transform signature names the owner, so the transform memo correctly
+  refuses to share.
+
+The access check handles every read event, so a chain carrying it is
+not ``ReadPlan.shareable``: no user is served bytes another was allowed
+to read.
 """
 
 from __future__ import annotations
@@ -74,12 +79,15 @@ class AccessControlProperty(ActiveProperty):
 
 
 class WatermarkProperty(ActiveProperty):
-    """Stamps the reading user's identity into every read.
+    """Stamps its owner's identity into every read.
 
-    The transform signature embeds the *owner*, so two users carrying
-    "the same" watermark property still produce distinct chain
-    signatures — their content genuinely differs, and the cache must
-    neither share bytes nor adopt entries across them.
+    Attach one to each user's reference to mark every user's copy.  The
+    stamp is the attachment's owner, never the reader of the moment, so
+    the output is a function of the property's configuration alone: the
+    transform signature embeds the same *owner*, two users carrying
+    "the same" watermark property produce distinct chain signatures,
+    and the cache never shares bytes or memoized output across them.
+    A base-document watermark stamps the document's owner for everyone.
     """
 
     execution_cost_ms = 0.2
@@ -92,8 +100,7 @@ class WatermarkProperty(ActiveProperty):
         return {EventType.GET_INPUT_STREAM}
 
     def wrap_input(self, stream: InputStream, event: Event) -> InputStream:
-        who = event.user_id or self.owner
-        stamp = f"\n-- watermarked for {who} --".encode()
+        stamp = f"\n-- watermarked for {self.owner} --".encode()
         return BufferedTransformInputStream(stream, lambda data: data + stamp)
 
     def transform_signature(self) -> str:

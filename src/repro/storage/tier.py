@@ -419,9 +419,7 @@ class L2Tier:
         # Gate 1 — the chain this reference would run today must match
         # the chain that produced the demoted bytes (invalidation
         # classes b/c: property add/remove/modify/reorder).
-        if core.expected_chain_signature(reference) != (
-            record.chain_signature
-        ):
+        if read_plan(reference).chain_signature != record.chain_signature:
             self._drop_record(record, "chain-changed")
             self.stats.promote_chain_mismatches += 1
             return None

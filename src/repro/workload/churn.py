@@ -292,8 +292,8 @@ class ChurnSpec:
     mean_think_time_ms: float = 0.0
     #: Fraction of documents carrying only universal (user-independent)
     #: properties; the rest are personalized per user.  Universal
-    #: documents are the ones signature sharing/adoption can serve
-    #: across users (§3).
+    #: documents are the ones the transform memo can share across
+    #: users (§3).
     universal_fraction: float = 0.5
     seed: int = 0
 

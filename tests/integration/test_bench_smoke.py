@@ -214,13 +214,17 @@ class TestA8Placement:
         assert rows["server"].bytes_cached < rows["app-level"].bytes_cached
 
     def test_adoption_collapses_kernel_reads(self, rows):
+        # A memo serve adopts another user's output signature: each
+        # document's chain runs once, whoever reads it first.
         assert (
-            rows["server+adoption"].kernel_reads < rows["server"].kernel_reads
+            rows["server+memo"].kernel_reads < rows["server"].kernel_reads
         )
+        assert rows["server+memo"].kernel_reads == 25
+        assert rows["both+memo"].kernel_reads == 25
 
     def test_hierarchy_with_adoption_wins(self, rows):
         best = min(rows.values(), key=lambda r: r.mean_latency_ms)
-        assert best.deployment == "both+adoption"
+        assert best.deployment == "both+memo"
 
 
 class TestA9Collections:

@@ -3,8 +3,8 @@
 A research lab: a group space shares project documents on the filer; a
 manager reads summaries; the team's mail thread is a prefetched
 collection; an access-controlled budget file rejects outsiders; all
-reads flow through a two-level cache hierarchy with the adoption
-optimization at the shared server cache.
+reads flow through a two-level cache hierarchy with the transform memo
+(§3's sharing across users) at the shared server cache.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import pytest
 
 from repro.cache.manager import DocumentCache
 from repro.cache.notifiers import InvalidationBus
+from repro.cache.policies import MemoPolicy
 from repro.errors import PermissionDeniedError
 from repro.nfs.server import NFSServer
 from repro.placeless.collection import DocumentCollection
@@ -66,7 +67,7 @@ def office():
     server_cache = DocumentCache(
         kernel, capacity_bytes=1 << 20, bus=bus,
         placement=CachePlacement.SERVER_COLOCATED,
-        share_across_users=True, name="office-l2",
+        memo_policy=MemoPolicy(), name="office-l2",
     )
     app_cache = DocumentCache(
         kernel, capacity_bytes=1 << 20, bus=bus,
@@ -116,6 +117,15 @@ class TestAccessControl:
         app_cache, _ = office["caches"]
         outcome = app_cache.read(office["refs"]["karin_budget"])
         assert b"100000" in outcome.content
+
+    def test_doug_is_denied_after_karin_read_it(self, office):
+        # Karin's read leaves the budget in the shared server cache and
+        # its memo; the access check must still see Doug's read.
+        app_cache, server_cache = office["caches"]
+        app_cache.read(office["refs"]["karin_budget"])
+        with pytest.raises(PermissionDeniedError):
+            app_cache.read(office["refs"]["doug_budget"])
+        assert server_cache.memo_stats.adoptions == 0
 
 
 class TestHierarchyAndVersioning:

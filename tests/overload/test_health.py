@@ -44,8 +44,8 @@ class TestHealthTracker:
                 self.outcome = outcome
 
         tracker = self._tracker()
-        for outcome in ("hit", "revalidated", "miss-adopted",
-                        "miss-memoized", "miss-promoted"):
+        for outcome in ("hit", "revalidated", "miss-memoized",
+                        "miss-promoted"):
             tracker.on_event("s0", Event(outcome))
         assert tracker.track("s0").fetches == 0
         tracker.on_event("s0", Event("miss"))

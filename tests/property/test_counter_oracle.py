@@ -218,7 +218,7 @@ def _mutate(document, rng: random.Random) -> None:
 @pytest.mark.parametrize(
     "config",
     [
-        dict(share_across_users=True),
+        dict(),
         dict(capacity_factor=0.25),
         dict(chaos=True),
         dict(write_mode=WriteMode.WRITE_BACK),
@@ -267,7 +267,7 @@ class _Verified(ActiveProperty):
 
 def test_property_driven_counters_match():
     # Forwarding, an UNCACHEABLE vote, a revalidating and a raising
-    # verifier, collection prefetch, sibling adoption, ground-truth
+    # verifier, collection prefetch, a memo serve, ground-truth
     # staleness and the degradation ladder: each once in a scripted
     # prefix, then mixed in a seeded stream with failing fetches.
     seed = CHAOS_SEED
@@ -294,7 +294,7 @@ def test_property_driven_counters_match():
     cache = DocumentCache(
         kernel, capacity_bytes=1 << 24, backing=backing,
         write_mode=WriteMode.WRITE_BACK, track_staleness=True,
-        share_across_users=True,
+        memo_policy=MemoPolicy(),
         degradation_policy=DegradationPolicy(
             serve_stale_on_error=True, stale_serve_max_age_ms=10_000.0,
             bypass_backing_on_error=True, verifier_quarantine_threshold=2,
@@ -349,13 +349,13 @@ def test_property_driven_counters_match():
         except PlacelessError:
             pass
         ctx.clock.advance(rng.uniform(10.0, 200.0))
-    assert oracle.check() == {"cache"}
+    assert oracle.check() == {"cache", "memo"}
     stats = cache.stats
     assert stats.forwarded_reads and stats.forwarded_writes
     assert stats.uncacheable_reads and stats.verifier_revalidations
     assert stats.quarantined_verifiers and stats.quarantine_forced_misses
     assert stats.prefetch_fills and stats.prefetched_hits
-    assert stats.stale_hits and stats.sibling_adoptions
+    assert stats.stale_hits and cache.memo_stats.adoptions
     assert stats.stale_served_on_error and stats.flush_failures
     assert stats.backing_bypasses and stats.fetch_failures
 

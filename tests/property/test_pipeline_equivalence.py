@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.manager import DocumentCache, WriteMode
-from repro.cache.policies import DegradationPolicy
+from repro.cache.policies import DegradationPolicy, MemoPolicy
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.placeless.kernel import PlacelessKernel
@@ -38,7 +38,7 @@ def run_seeded_workload(
     seed: int,
     *,
     write_mode: WriteMode = WriteMode.WRITE_THROUGH,
-    share_across_users: bool = False,
+    memo_policy=None,
     capacity_factor: float = 2.0,
     chaos: bool = False,
     overload_policy=None,
@@ -76,7 +76,7 @@ def run_seeded_workload(
             1024, int(capacity_factor * sum(d.size_bytes for d in corpus))
         ),
         write_mode=write_mode,
-        share_across_users=share_across_users,
+        memo_policy=memo_policy,
         retry_policy=(
             RetryPolicy(
                 max_attempts=3, base_delay_ms=50.0, multiplier=2.0,
@@ -157,16 +157,16 @@ def digest(snapshot: dict) -> str:
 #: change here means observable behaviour changed — stats, virtual
 #: timing, or the fault-injection trace.
 GOLDEN_DIGESTS = {
-    "writethrough": "b0ccc5a210bdf103",
-    "writethrough-sharing": "f9c3a64ba0de7f0a",
-    "writeback": "3202d90c7c33907b",
-    "small-cache": "d2d7dd7570ee47c5",
-    "chaos": "701542da97f0cc0f",
+    "writethrough": "402a15361cdedab5",
+    "writethrough-memo": "58e9689fcf932f60",
+    "writeback": "222a47ff904059a0",
+    "small-cache": "d7a3d68e7c7d331d",
+    "chaos": "45bbdb7beb56cb47",
 }
 
 _CONFIGS = {
     "writethrough": dict(seed=11),
-    "writethrough-sharing": dict(seed=11, share_across_users=True),
+    "writethrough-memo": dict(seed=11, memo_policy=MemoPolicy()),
     "writeback": dict(seed=23, write_mode=WriteMode.WRITE_BACK),
     "small-cache": dict(seed=37, capacity_factor=0.25),
     "chaos": dict(seed=7, chaos=True),
@@ -181,8 +181,13 @@ class TestGoldenEquivalence:
         assert digest(snap) == GOLDEN_DIGESTS["writethrough"]
 
     def test_writethrough_sharing(self):
-        snap = run_seeded_workload(**_CONFIGS["writethrough-sharing"])
-        assert digest(snap) == GOLDEN_DIGESTS["writethrough-sharing"]
+        # §3's sharing across users, through the transform memo.
+        caches = []
+        snap = run_seeded_workload(
+            **_CONFIGS["writethrough-memo"], wire=caches.append
+        )
+        assert caches[0].memo_stats.adoptions > 0
+        assert digest(snap) == GOLDEN_DIGESTS["writethrough-memo"]
 
     def test_writeback(self):
         snap = run_seeded_workload(**_CONFIGS["writeback"])

@@ -5,8 +5,9 @@ Key invariants:
 * the NFS layer is a faithful byte transport: whatever an application
   writes through a (transform-free) mount is read back identically,
   regardless of write/read chunking;
-* the §3 adoption optimization is *transparent*: an adopted entry serves
-  exactly the bytes a full read-path execution would have produced;
+* §3's sharing across users is *transparent*: a memo-served entry
+  serves exactly the bytes a full read-path execution would have
+  produced;
 * the simulated filer behaves like a dict of paths under random
   operation sequences.
 """
@@ -17,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.cache.manager import DocumentCache
+from repro.cache.policies import MemoPolicy
 from repro.nfs.server import NFSServer
+from repro.placeless.chain import read_plan
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.spellcheck import SpellingCorrectorProperty
 from repro.properties.translate import TranslationProperty
@@ -82,15 +85,14 @@ class TestAdoptionTransparency:
             ref_a.attach(SpellingCorrectorProperty())
             ref_b.attach(SpellingCorrectorProperty())
         cache = DocumentCache(
-            kernel, capacity_bytes=1 << 20, share_across_users=True
+            kernel, capacity_bytes=1 << 20, memo_policy=MemoPolicy()
         )
         cache.read(ref_a)
         adopted = cache.read(ref_b)
         ground_truth = kernel.read(ref_b).content
         assert adopted.content == ground_truth
-        if with_chain or True:
-            # Identical chains must actually have adopted.
-            assert adopted.disposition == "miss-adopted"
+        # Identical chains must actually have shared.
+        assert adopted.disposition == "miss-memoized"
 
 
 class FilerMachine(RuleBasedStateMachine):
@@ -144,8 +146,9 @@ TestFilerMachine = FilerMachine.TestCase
 
 
 class TestChainSignatureConsistency:
-    """Adoption safety hinges on `core.expected_chain_signature` predicting
-    exactly what a real read path records; they must never drift."""
+    """Sharing safety hinges on the read plan's chain signature
+    predicting exactly what a real read path records; they must never
+    drift."""
 
     @given(
         st.lists(st.sampled_from(["spell", "translate", "none"]), max_size=4),
@@ -172,8 +175,7 @@ class TestChainSignatureConsistency:
                 from repro.properties.audit import ReadAuditTrailProperty
 
                 site.attach(ReadAuditTrailProperty(name=f"a{serial}"))
-        cache = DocumentCache(kernel, capacity_bytes=1 << 20)
-        predicted = cache.core.expected_chain_signature(reference)
+        predicted = read_plan(reference).chain_signature
         result = reference.open_input()
         result.read_all()
         assert result.meta.chain_signature == predicted

@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.manager import DocumentCache
-from repro.cache.memo import ChainFingerprint, fingerprint_reference
+from repro.cache.memo import ChainFingerprint
 from repro.cache.notifiers import install_minimum_notifiers
 from repro.cache.policies import MemoPolicy, OverloadPolicy
 from repro.events.types import EventType
@@ -67,10 +67,14 @@ _FACTORIES = (
 def _scratch(reference) -> tuple:
     """What the pre-plan code derived per call, re-walking everything."""
     chain = read_chain_properties(reference)
-    signature = tuple(
-        s for s in (p.transform_signature() for p in chain) if s is not None
+    signature = tuple(p.transform_signature() for p in chain)
+    fingerprint = ChainFingerprint.compose(signature)
+    shareable = not any(
+        "handle" in vars(cls)
+        for p in chain
+        for cls in type(p).__mro__
+        if cls is not ActiveProperty and issubclass(cls, ActiveProperty)
     )
-    fingerprint = ChainFingerprint.compose(p.fingerprint() for p in chain)
     deadline_ms = _DEFAULT_DEADLINE_MS
     priority = PRIORITY_BULK
     for prop in chain:
@@ -83,7 +87,7 @@ def _scratch(reference) -> tuple:
             priority = min(priority, PRIORITY_QOS)
     if any(prop.requests_pinning() for prop in chain):
         priority = PRIORITY_CRITICAL
-    return chain, signature, fingerprint, deadline_ms, priority
+    return chain, signature, fingerprint, shareable, deadline_ms, priority
 
 
 def _mutate(rng: random.Random, site, serial: int) -> None:
@@ -139,8 +143,9 @@ def _check_interleaving(seed: int) -> None:
             plan = read_plan(reference)
             assert (
                 plan.chain,
-                cache.core.expected_chain_signature(reference),
-                fingerprint_reference(reference),
+                plan.chain_signature,
+                plan.fingerprint,
+                plan.shareable,
                 gate.deadline_ms_for(reference),
                 priority_class(reference),
             ) == _scratch(reference), (seed, step)

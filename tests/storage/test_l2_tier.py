@@ -19,6 +19,7 @@ from repro.errors import StorageError
 from repro.faults.plan import FaultPlan
 from repro.placeless.chain import read_plan
 from repro.placeless.kernel import PlacelessKernel
+from repro.properties.audit import ReadAuditTrailProperty
 from repro.providers.memory import MemoryProvider
 from repro.storage import K_CONTENT, K_JOURNAL
 
@@ -93,6 +94,32 @@ class TestDemotePromote:
         assert outcome.disposition == "miss-promoted"
         assert outcome.content == providers[0].peek()
         assert cache.storage_stats.promotions == 1
+
+    def test_promotion_is_forwarded_to_the_audit_trail(self):
+        # A promotion answers the read without the kernel, like a hit:
+        # the audit trail must still hear it, as a forwarded read.
+        kernel = PlacelessKernel()
+        user = kernel.create_user("alice")
+        references, trails = [], []
+        for i in range(3):
+            reference = kernel.import_document(
+                user, MemoryProvider(kernel.ctx, bytes([65 + i]) * 4_000),
+                f"d{i}",
+            )
+            trails.append(reference.attach(ReadAuditTrailProperty()))
+            references.append(reference)
+        cache = DocumentCache(
+            kernel, capacity_bytes=9_000,
+            storage_policy=DefaultStoragePolicy(),
+        )
+        try:
+            outcomes = [cache.read(references[i]) for i in (0, 1, 2, 0)]
+        finally:
+            cache.shutdown()
+        assert outcomes[-1].disposition == "miss-promoted"
+        assert [record.via_cache for record in trails[0].trail] == [
+            False, True,
+        ]
 
     def test_tiering_is_exclusive(self, deployment):
         _, cache, _, references = deployment()

@@ -31,7 +31,7 @@ CONSTRUCTOR_KEYWORDS = {
     "repro.cache.manager.DocumentCache": [
         "kernel", "capacity_bytes", "policy", "bus", "write_mode",
         "install_notifiers", "use_verifiers", "track_staleness",
-        "placement", "backing", "share_across_users", "retry_policy",
+        "placement", "backing", "retry_policy",
         "name", "degradation_policy", "recovery_policy",
         "containment_policy", "memo_policy", "concurrency_policy",
         "storage_policy", "overload_policy", "memo", "flights",
@@ -45,8 +45,7 @@ CONSTRUCTOR_KEYWORDS = {
     "repro.cache.core.CacheCore": [
         "kernel", "capacity_bytes", "name", "policy", "degradation",
         "bus", "placement", "write_mode", "install_notifiers",
-        "use_verifiers", "track_staleness", "share_across_users",
-        "backing", "retry_policy",
+        "use_verifiers", "track_staleness", "backing", "retry_policy",
     ],
 }
 

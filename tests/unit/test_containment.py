@@ -535,7 +535,7 @@ class TestOffByDefaultGuarantee:
             "notifier_deliveries", "forwarded_reads", "forwarded_writes",
             "evictions", "writes_through", "writes_backed", "flushes",
             "prefetch_requests", "prefetch_fills", "prefetched_hits",
-            "sibling_adoptions", "stale_served_on_error",
+            "stale_served_on_error",
             "stale_serve_rejected", "retries", "retry_delay_ms",
             "fetch_failures", "degraded_serves", "backing_bypasses",
             "quarantined_verifiers", "quarantine_forced_misses",

@@ -1,5 +1,6 @@
-"""Tests for the §4/§5 extensions: pinning, adoption, hierarchies,
-placement, and external-dependency policy placement."""
+"""Tests for the §4/§5 extensions: pinning, sharing across users
+through the transform memo, hierarchies, placement, and
+external-dependency policy placement."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.cache.manager import DocumentCache
 from repro.cache.notifiers import InvalidationBus
+from repro.cache.policies import MemoPolicy
 from repro.cache.replacement import LRUPolicy
 from repro.errors import CacheError, PropertyError
 from repro.placeless.kernel import PlacelessKernel
@@ -65,6 +67,9 @@ class TestPinning:
 
 
 class TestAdoption:
+    """§3's sharing across users: a second user's miss on identical
+    transformed content is a signature-only memo serve."""
+
     @pytest.fixture
     def shared_doc(self, kernel, user, other_user):
         provider = MemoryProvider(kernel.ctx, b"the world document")
@@ -73,45 +78,43 @@ class TestAdoption:
         theirs = kernel.space(other_user).add_reference(base)
         return provider, base, mine, theirs
 
+    @staticmethod
+    def _cache(kernel):
+        return DocumentCache(
+            kernel, capacity_bytes=1 << 20, memo_policy=MemoPolicy()
+        )
+
     def test_identical_chains_adopt(self, kernel, shared_doc):
         provider, base, mine, theirs = shared_doc
         mine.attach(TranslationProperty())
         theirs.attach(TranslationProperty())
-        cache = DocumentCache(
-            kernel, capacity_bytes=1 << 20, share_across_users=True
-        )
+        cache = self._cache(kernel)
         first = cache.read(mine)
         second = cache.read(theirs)
-        assert second.disposition == "miss-adopted"
+        assert second.disposition == "miss-memoized"
         assert second.content == first.content
         assert second.elapsed_ms < first.elapsed_ms / 3
-        assert cache.stats.sibling_adoptions == 1
+        assert cache.memo_stats.adoptions == 1
         assert kernel.stats.reads == 1  # only one full path ran
 
     def test_plain_references_adopt(self, kernel, shared_doc):
         provider, base, mine, theirs = shared_doc
-        cache = DocumentCache(
-            kernel, capacity_bytes=1 << 20, share_across_users=True
-        )
+        cache = self._cache(kernel)
         cache.read(mine)
-        assert cache.read(theirs).disposition == "miss-adopted"
+        assert cache.read(theirs).disposition == "miss-memoized"
 
     def test_different_chains_do_not_adopt(self, kernel, shared_doc):
         provider, base, mine, theirs = shared_doc
         mine.attach(TranslationProperty())
-        cache = DocumentCache(
-            kernel, capacity_bytes=1 << 20, share_across_users=True
-        )
+        cache = self._cache(kernel)
         cache.read(mine)
         outcome = cache.read(theirs)
         assert outcome.disposition == "miss"
-        assert cache.stats.sibling_adoptions == 0
+        assert cache.memo_stats.adoptions == 0
 
     def test_stale_candidate_not_adopted(self, kernel, shared_doc):
         provider, base, mine, theirs = shared_doc
-        cache = DocumentCache(
-            kernel, capacity_bytes=1 << 20, share_across_users=True
-        )
+        cache = self._cache(kernel)
         cache.read(mine)
         provider.mutate_out_of_band(b"changed behind the cache")
         outcome = cache.read(theirs)
@@ -126,18 +129,14 @@ class TestAdoption:
 
     def test_adopted_entry_hits_afterwards(self, kernel, shared_doc):
         provider, base, mine, theirs = shared_doc
-        cache = DocumentCache(
-            kernel, capacity_bytes=1 << 20, share_across_users=True
-        )
+        cache = self._cache(kernel)
         cache.read(mine)
         cache.read(theirs)
         assert cache.read(theirs).hit
 
     def test_adoption_shares_bytes(self, kernel, shared_doc):
         provider, base, mine, theirs = shared_doc
-        cache = DocumentCache(
-            kernel, capacity_bytes=1 << 20, share_across_users=True
-        )
+        cache = self._cache(kernel)
         cache.read(mine)
         cache.read(theirs)
         assert len(cache) == 2

@@ -7,7 +7,7 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.cache.manager import DocumentCache
-from repro.cache.policies import DegradationPolicy
+from repro.cache.policies import DegradationPolicy, MemoPolicy
 from repro.errors import PermissionDeniedError, RepositoryOfflineError
 from repro.properties.access import AccessControlProperty, WatermarkProperty
 from repro.properties.translate import TranslationProperty
@@ -148,13 +148,35 @@ class TestWatermark:
     def test_adoption_refuses_watermarked_content(self, kernel, watermarked):
         mine, theirs = watermarked
         cache = DocumentCache(
-            kernel, capacity_bytes=1 << 20, share_across_users=True
+            kernel, capacity_bytes=1 << 20, memo_policy=MemoPolicy()
         )
         cache.read(mine)
         outcome = cache.read(theirs)
-        # Chain signatures embed the owner, so no adoption can occur.
+        # Chain signatures embed the owner, so the memo cannot match.
         assert outcome.disposition == "miss"
-        assert cache.stats.sibling_adoptions == 0
+        assert cache.memo_stats.adoptions == 0
+        assert str(theirs.owner).encode() in outcome.content
+
+    def test_base_watermark_is_shared_as_its_owner_stamps_it(
+        self, kernel, user, other_user
+    ):
+        # On the base document the watermark's signature names the
+        # document's owner for every reader, so its output must too: a
+        # reader-dependent stamp would let the memo hand one reader's
+        # stamp to another.
+        base = kernel.create_document(
+            user, MemoryProvider(kernel.ctx, b"the report"), "report"
+        )
+        base.attach(WatermarkProperty())
+        mine = kernel.space(user).add_reference(base)
+        theirs = kernel.space(other_user).add_reference(base)
+        cache = DocumentCache(
+            kernel, capacity_bytes=1 << 20, memo_policy=MemoPolicy()
+        )
+        cache.read(mine)
+        outcome = cache.read(theirs)
+        assert outcome.content == kernel.read(theirs).content
+        assert str(user).encode() in outcome.content
 
 
 class TestServeStaleOnError:

@@ -1,8 +1,8 @@
 """The install contract: however a version enters the cache, it enters whole.
 
-Four sources put a ``(document, user)`` version into the entry table —
-a fetch fill, a sibling adoption, a memo serve (local, or importing the
-bytes from another shard) and an L2 promotion (live, or of a record
+Three sources put a ``(document, user)`` version into the entry table —
+a fetch fill, a memo serve (local, or importing the bytes from another
+shard) and an L2 promotion (live, or of a record
 recovered across a crash).  Every one goes through
 ``CacheCore.install`` + ``CacheCore.arm`` and ends at
 ``ReadPipeline._finish``; this suite runs the same assertions against all
@@ -51,16 +51,6 @@ def _fill():
         kernel, capacity_bytes=1 << 20, recovery_policy=RecoveryPolicy()
     )
     return cache, target, "miss"
-
-
-def _adoption():
-    kernel, ((sibling, target),) = _world()
-    cache = DocumentCache(
-        kernel, capacity_bytes=1 << 20, share_across_users=True,
-        recovery_policy=RecoveryPolicy(),
-    )
-    cache.read(sibling)
-    return cache, target, "miss-adopted"
 
 
 def _memo():
@@ -117,7 +107,7 @@ def _l2_recovered():
 
 
 SOURCES = pytest.mark.parametrize(
-    "source", [_fill, _adoption, _memo, _memo_import, _l2, _l2_recovered],
+    "source", [_fill, _memo, _memo_import, _l2, _l2_recovered],
     ids=lambda source: source.__name__.strip("_"),
 )
 

@@ -1,5 +1,5 @@
 """Edge-case tests for the cache manager: revalidation under pressure,
-adoption corner cases, describe(), and forwarding details."""
+memo-sharing corner cases, describe(), and forwarding details."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 
 from repro.__main__ import describe_cache
 from repro.cache.manager import DocumentCache
+from repro.cache.policies import MemoPolicy
 from repro.contract.verifiers import ThresholdVerifier
 from repro.events.types import EventType
 from repro.placeless.properties import ActiveProperty
@@ -78,10 +79,10 @@ class TestAdoptionEdges:
         mine = kernel.space(user).add_reference(base)
         theirs = kernel.space(other_user).add_reference(base)
         cache = DocumentCache(
-            kernel, capacity_bytes=1 << 20, share_across_users=True
+            kernel, capacity_bytes=1 << 20, memo_policy=MemoPolicy()
         )
         cache.read(mine)
-        assert cache.read(theirs).disposition == "miss-adopted"
+        assert cache.read(theirs).disposition == "miss-memoized"
         assert cache.entry_for(theirs).pinned
 
     def test_adoption_skipped_when_verifiers_disabled_still_works(
@@ -93,12 +94,12 @@ class TestAdoptionEdges:
         theirs = kernel.space(other_user).add_reference(base)
         cache = DocumentCache(
             kernel, capacity_bytes=1 << 20,
-            share_across_users=True, use_verifiers=False,
+            memo_policy=MemoPolicy(), use_verifiers=False,
         )
         cache.read(mine)
-        # Without verifiers the candidate is adopted unchecked — the
+        # Without verifiers the record is served unchecked — the
         # documented trade-off of disabling verifiers.
-        assert cache.read(theirs).disposition == "miss-adopted"
+        assert cache.read(theirs).disposition == "miss-memoized"
 
     def test_adoption_within_hierarchy_backing(self, kernel, user, other_user):
         provider = MemoryProvider(kernel.ctx, b"shared bytes")
@@ -107,7 +108,7 @@ class TestAdoptionEdges:
         theirs = kernel.space(other_user).add_reference(base)
         l2 = DocumentCache(
             kernel, capacity_bytes=1 << 20,
-            share_across_users=True, name="l2",
+            memo_policy=MemoPolicy(), name="l2",
         )
         l1_mine = DocumentCache(
             kernel, capacity_bytes=1 << 20, backing=l2, name="l1a"
@@ -117,10 +118,10 @@ class TestAdoptionEdges:
         )
         l1_mine.read(mine)
         l1_theirs.read(theirs)
-        # The second user's L1 miss was served via L2 adoption — one
+        # The second user's L1 miss was served by L2's memo — one
         # kernel read total.
         assert kernel.stats.reads == 1
-        assert l2.stats.sibling_adoptions == 1
+        assert l2.memo_stats.adoptions == 1
 
 
 class TestForwardingEdges:
@@ -194,12 +195,12 @@ class TestChainSignatureEdges:
         mine.attach(my_translator)
         theirs.attach(their_translator)
         cache = DocumentCache(
-            kernel, capacity_bytes=1 << 20, share_across_users=True
+            kernel, capacity_bytes=1 << 20, memo_policy=MemoPolicy()
         )
         cache.read(mine)
         their_translator.upgrade()  # v2 != my v1
         outcome = cache.read(theirs)
-        assert outcome.disposition == "miss"  # no adoption across versions
+        assert outcome.disposition == "miss"  # no sharing across versions
 
 
 class TestSettleBatch:

@@ -3,8 +3,10 @@
 Covers the chain-fingerprint protocol (all four §3 invalidation
 classes), the bounded refcount-aware memo table, the admission fast
 path (``put_signed``), the instrumentation fast path, and the memo
-stage end-to-end: a second user's miss becomes a signature adoption
-with no provider fetch and no chain execution.
+stage end-to-end: a second user's miss becomes a signature-only memo
+serve with no provider fetch and no chain execution — unless the chain
+is configured differently or carries a property that must see every
+read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from repro.cache.memo import (
     MemoRecord,
     MemoStats,
     TransformMemo,
-    fingerprint_reference,
 )
 from repro.cache.policies import (
     DefaultContainmentPolicy,
@@ -27,10 +28,14 @@ from repro.cache.policies import (
 )
 from repro.content.signature import sign
 from repro.content.store import ContentStore
-from repro.errors import CacheError
-from repro.placeless.chain import property_site
+from repro.errors import CacheError, PermissionDeniedError
+from repro.placeless.chain import property_site, read_plan
 from repro.placeless.kernel import PlacelessKernel
+from repro.properties.access import AccessControlProperty, WatermarkProperty
+from repro.properties.audit import ReadAuditTrailProperty
+from repro.properties.encryption import EncryptionProperty
 from repro.properties.spellcheck import SpellingCorrectorProperty
+from repro.properties.summarize import SummaryProperty
 from repro.properties.translate import TranslationProperty
 from repro.properties.uncacheable import UncacheableProperty
 from repro.providers.memory import MemoryProvider
@@ -48,6 +53,38 @@ def build_world(content=b"hello world of documents", n_users=2):
         user = kernel.create_user(f"user-{index}")
         references.append(kernel.space(user).add_reference(base))
     return kernel, base, references
+
+
+def fingerprint_reference(reference) -> ChainFingerprint:
+    """The memo key *reference*'s read path would record under."""
+    return read_plan(reference).fingerprint
+
+
+#: Two configurations of one shipped property, as factories for user A's
+#: and user B's reference: same class, same name, same version, output
+#: that differs only by configuration.
+TWO_CONFIGURATIONS = {
+    "translation": (
+        lambda: TranslationProperty({"hello": "bonjour"}),
+        lambda: TranslationProperty(
+            {"hello": "hola"}, target_language="es"
+        ),
+    ),
+    "spelling": (
+        lambda: SpellingCorrectorProperty({"wrold": "world"}),
+        lambda: SpellingCorrectorProperty({"wrold": "word"}),
+    ),
+    "summary": (
+        lambda: SummaryProperty(sentences_per_paragraph=1),
+        lambda: SummaryProperty(sentences_per_paragraph=2),
+    ),
+    # Attached at each user's own reference: two owners.
+    "watermark": (WatermarkProperty, WatermarkProperty),
+    "encryption": (
+        lambda: EncryptionProperty(b"key-a"),
+        lambda: EncryptionProperty(b"key-b"),
+    ),
+}
 
 
 def memo_cache(kernel, **kwargs):
@@ -91,18 +128,23 @@ class TestChainFingerprint:
         reference.reorder([second.property_id, first.property_id])
         assert fingerprint_reference(reference) != before
 
-    def test_configuration_feeds_fingerprint(self):
-        # Same class, same name, same version — only the configuration
-        # hook differs, and that alone must change the fingerprint.
-        class Configured(TranslationProperty):
-            def __init__(self, lang):
-                super().__init__()
-                self.lang = lang
-
-            def fingerprint_config(self):
-                return f"lang={self.lang}"
-
-        assert Configured("de").fingerprint() != Configured("es").fingerprint()
+    @pytest.mark.parametrize("name", sorted(TWO_CONFIGURATIONS))
+    def test_memo_serves_only_its_own_configuration(self, name):
+        # Same class, same name, same version: only the configuration
+        # differs, and that alone must keep B off A's memo record.
+        kernel, _, (ref_a, ref_b) = build_world(
+            b"hello wrold. A second sentence. A third.\n\nNext one. Last."
+        )
+        make_a, make_b = TWO_CONFIGURATIONS[name]
+        ref_a.attach(make_a())
+        ref_b.attach(make_b())
+        expected = kernel.read(ref_b).content
+        assert expected != kernel.read(ref_a).content
+        cache = memo_cache(kernel)
+        cache.read(ref_a)
+        outcome = cache.read(ref_b)
+        assert outcome.content == expected
+        assert outcome.disposition == "miss"
 
     def test_compose_is_position_sensitive(self):
         assert ChainFingerprint.compose(["a", "b"]) != (
@@ -316,6 +358,30 @@ class TestMemoEndToEnd:
         stats = cache.memo_stats
         assert stats.negative_hits == 1
         assert stats.adoptions == 0
+
+    def test_base_access_check_sees_every_reader(self):
+        # The check transforms nothing, so its chain used to share: b
+        # was served a's bytes.  It handles read events, so the memo
+        # must not consult, record or fly for its chain at all.
+        kernel, base, (ref_a, ref_b) = build_world()
+        base.attach(AccessControlProperty(allowed={ref_a.owner}))
+        cache = memo_cache(kernel)
+        cache.read(ref_a)
+        with pytest.raises(PermissionDeniedError):
+            cache.read(ref_b)
+        stats = cache.memo_stats
+        assert (stats.consults, stats.records, len(cache.memo)) == (0, 0, 0)
+
+    def test_base_audit_trail_sees_every_read(self):
+        kernel, base, (ref_a, ref_b) = build_world()
+        audit = base.attach(ReadAuditTrailProperty())
+        cache = memo_cache(kernel)
+        for reference in (ref_a, ref_b, ref_a, ref_b):
+            cache.read(reference)
+        assert [record.user for record in audit.trail] == [
+            ref_a.owner, ref_b.owner, ref_a.owner, ref_b.owner,
+        ]
+        assert audit.cache_served_reads == 2
 
     def test_verifier_gated_record_reverified_on_serve(self):
         # Every memo serve re-runs the record's verifiers — not just

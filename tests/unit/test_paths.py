@@ -121,7 +121,7 @@ class TestReadPath:
         # provider's verifier + voting property's verifier
         assert len(meta.verifiers) == 2
         assert meta.properties_executed == 2
-        assert len(meta.chain_signature) == 1  # only tagging transforms
+        assert len(meta.chain_signature) == 2  # every chain property
 
     def test_meta_source_signature_set(self, world):
         kernel, base, reference, _ = world

@@ -439,7 +439,7 @@ def test_the_miss_order_is_written_once(source_trees):
         if line.strip().startswith("miss:")
     )
     steps = [step.strip() for step in stated]
-    assert len(steps) == 7
+    assert len(steps) == 6
     iterate = next(
         node for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name == "_iterate"

@@ -189,10 +189,16 @@ class TestLifecycleEvents:
 
 
 class TestTransformSignature:
-    def test_non_transforming_has_no_signature(self):
-        prop = RecordingProperty()
+    def test_non_transforming_signature_is_its_code_identity(self):
+        # Every read-chain property has a read-path identity: the memo
+        # key and the chain signature cover checks as well as
+        # transformers.
+        prop = RecordingProperty(name="r")
         prop.transforms_reads = False
-        assert prop.transform_signature() is None
+        cls = type(prop)
+        assert prop.transform_signature() == (
+            f"{cls.__module__}.{cls.__qualname__}/r/v1"
+        )
 
     def test_signature_includes_version(self):
         prop = RecordingProperty(name="t")

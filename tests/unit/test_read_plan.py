@@ -14,7 +14,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.manager import DocumentCache
-from repro.cache.memo import fingerprint_reference
 from repro.cache.policies import OverloadPolicy
 from repro.overload.admission import (
     PRIORITY_BULK,
@@ -47,8 +46,7 @@ class TestPlanReuse:
         built = kernel.ctx.read_plans_built
         for _ in range(5):
             cache.read(reference)
-            cache.core.expected_chain_signature(reference)
-            fingerprint_reference(reference)
+            read_plan(reference).fingerprint
             priority_class(reference)
         assert read_plan(reference) is plan
         assert kernel.ctx.read_plans_built == built
@@ -103,10 +101,8 @@ class TestChainMutations:
 
     @staticmethod
     def _observed(cache, reference):
-        return (
-            cache.core.expected_chain_signature(reference),
-            fingerprint_reference(reference),
-        )
+        plan = read_plan(reference)
+        return plan.chain_signature, plan.fingerprint
 
     SITES = {
         "base": lambda base, reference: base,
