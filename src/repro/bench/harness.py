@@ -58,11 +58,11 @@ def mean(values: Iterable[float]) -> float:
 
 def percentile(values: Iterable[float], p: float) -> float:
     """The *p*-th percentile (0–100), nearest-rank; 0.0 when empty."""
+    if not 0 <= p <= 100:
+        raise ValueError(f"percentile out of range: {p}")
     ordered = sorted(values)
     if not ordered:
         return 0.0
-    if not 0 <= p <= 100:
-        raise ValueError(f"percentile out of range: {p}")
     rank = max(0, min(len(ordered) - 1, round(p / 100 * (len(ordered) - 1))))
     return ordered[rank]
 

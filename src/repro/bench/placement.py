@@ -1,24 +1,27 @@
-"""A8: cache placement — application-level, server co-located, both.
+"""A8: cache placement — application-level vs. server co-located.
 
 §4: "We also experimented with caches co-located with the Placeless
 server and on the machine where applications are run."
 
-Three deployments over the same multi-user Zipf workload:
+Four deployments over the same multi-user Zipf workload:
 
 * **app-level** — each user machine runs its own cache (hits are local,
   but no cross-user sharing: every machine fills independently);
 * **server** — one cache at the Placeless reference server (hits cross
   the app→server hop, but all users share one cache, so a document any
   user fetched is warm for everyone);
-* **both** — per-user app-level caches backed by the shared server cache
-  (the two-level hierarchy): local hits where possible, server hits
-  where a sibling already fetched, full path only on a global miss;
-* **server+memo** / **both+memo** — the same with §3's sharing of
-  identical transformed content switched on at the server cache (a
+* **server+memo** — the server cache with §3's sharing of identical
+  transformed content switched on (a
   :class:`~repro.cache.policies.MemoPolicy`), so a user's first access
   to a document another (identically-configured) user already fetched
   is served from the transform memo — a source-signature probe and a
-  signature mapping — instead of running the full read path.
+  signature mapping — instead of running the full read path;
+* **app+memo** — the per-user application-level caches, each with a
+  ``MemoPolicy``, sharing one
+  :class:`~repro.cluster.memo_share.SharedTransformMemo`: local hits,
+  and a user's first access to a document a sibling already fetched
+  imports the sibling's bytes over the app→reference-server hop (the
+  hop a server cache's hit crosses) instead of running the read path.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from repro.bench.harness import corpus_world, table, write_artifact
 from repro.cache.manager import DocumentCache
 from repro.cache.notifiers import InvalidationBus
 from repro.cache.policies import MemoPolicy
-from repro.sim.topology import CachePlacement
+from repro.cluster.memo_share import SharedTransformMemo
+from repro.sim.topology import CachePlacement, ClusterTopology
 from repro.workload.trace import TraceSpec, generate_trace
 from repro.workload.users import build_population
 
@@ -44,10 +48,8 @@ class PlacementResult:
 
     deployment: str
     mean_latency_ms: float
-    #: Fraction of reads answered without running the full read path.
-    combined_hit_ratio: float
-    l1_hit_ratio: float
-    l2_hit_ratio: float
+    #: Cache hits over reads, across every cache of the deployment.
+    hit_ratio: float
     kernel_reads: int
     bytes_cached: int
 
@@ -64,59 +66,57 @@ def _workload(n_documents: int, n_users: int, n_events: int, seed: int):
     return kernel, corpus, population, list(generate_trace(spec))
 
 
-def _run(deployment: str, n_documents: int, n_users: int, n_events: int,
-         capacity: int, seed: int) -> PlacementResult:
-    kernel, corpus, population, trace = _workload(
-        n_documents, n_users, n_events, seed
-    )
+def _caches(deployment: str, kernel, n_users: int,
+            capacity: int) -> list[DocumentCache]:
     bus = InvalidationBus(kernel.ctx)
-
-    memo = deployment.endswith("+memo")
-    tier = deployment.removesuffix("+memo")
-    server_cache = None
-    if tier in ("server", "both"):
-        server_cache = DocumentCache(
+    if deployment.startswith("server"):
+        return [DocumentCache(
             kernel, capacity_bytes=capacity, bus=bus,
             placement=CachePlacement.SERVER_COLOCATED,
-            memo_policy=MemoPolicy() if memo else None, name="a8-server",
+            memo_policy=MemoPolicy() if deployment == "server+memo" else None,
+            name="a8-server",
+        )]
+    names = [f"a8-app-{user_index}" for user_index in range(n_users)]
+    plane = None
+    if deployment == "app+memo":
+        plane = SharedTransformMemo(
+            MemoPolicy().capacity * n_users,
+            topology=ClusterTopology(
+                shards=list(names), default_link="app-to-reference"
+            ),
         )
-    app_caches: list[DocumentCache] = []
-    if tier in ("app-level", "both"):
-        app_caches = [
-            DocumentCache(
-                kernel, capacity_bytes=capacity, bus=bus,
-                placement=CachePlacement.APPLICATION_LEVEL,
-                backing=server_cache,
-                name=f"a8-app-{user_index}",
-            )
-            for user_index in range(n_users)
-        ]
+    caches = []
+    for name in names:
+        cache = DocumentCache(
+            kernel, capacity_bytes=capacity, bus=bus,
+            placement=CachePlacement.APPLICATION_LEVEL,
+            memo_policy=None if plane is None else MemoPolicy(),
+            memo=plane, name=name,
+        )
+        if plane is not None:
+            plane.attach(name, cache.core)
+        caches.append(cache)
+    return caches
 
+
+def _run(deployment: str, n_documents: int, n_users: int, n_events: int,
+         capacity: int, seed: int) -> PlacementResult:
+    kernel, _, population, trace = _workload(
+        n_documents, n_users, n_events, seed
+    )
+    caches = _caches(deployment, kernel, n_users, capacity)
     total_latency = 0.0
     for event in trace:
         reference = population.reference(event.user_index, event.document_index)
-        if tier == "server":
-            outcome = server_cache.read(reference)
-        else:
-            outcome = app_caches[event.user_index].read(reference)
-        total_latency += outcome.elapsed_ms
-
-    l1_hits = sum(c.stats.hits for c in app_caches)
-    l1_lookups = sum(c.stats.lookups for c in app_caches)
-    l2_hits = server_cache.stats.hits if server_cache else 0
-    l2_lookups = server_cache.stats.lookups if server_cache else 0
-    combined_hits = l1_hits + l2_hits
-    bytes_cached = sum(c.used_bytes for c in app_caches)
-    if server_cache is not None:
-        bytes_cached += server_cache.used_bytes
+        # The one server cache, or the reader's own app-level cache.
+        cache = caches[event.user_index % len(caches)]
+        total_latency += cache.read(reference).elapsed_ms
     return PlacementResult(
         deployment=deployment,
         mean_latency_ms=total_latency / len(trace),
-        combined_hit_ratio=combined_hits / len(trace),
-        l1_hit_ratio=l1_hits / l1_lookups if l1_lookups else 0.0,
-        l2_hit_ratio=l2_hits / l2_lookups if l2_lookups else 0.0,
+        hit_ratio=sum(c.stats.hits for c in caches) / len(trace),
         kernel_reads=kernel.stats.reads,
-        bytes_cached=bytes_cached,
+        bytes_cached=sum(c.used_bytes for c in caches),
     )
 
 
@@ -127,26 +127,22 @@ def run_placement(
     capacity: int = 64 << 20,
     seed: int = _SEED,
 ) -> list[PlacementResult]:
-    """Run the three deployments over identical workloads."""
+    """Run the four deployments over identical workloads."""
     return [
         _run(deployment, n_documents, n_users, n_events, capacity, seed)
-        for deployment in (
-            "app-level", "server", "server+memo", "both", "both+memo",
-        )
+        for deployment in ("app-level", "server", "server+memo", "app+memo")
     ]
 
 
 TITLE = (
-    "A8. Cache placement: application-level vs. server co-located vs. a "
-    "two-level hierarchy (6 users, shared docs)."
+    "A8. Cache placement: application-level vs. server co-located, "
+    "each with and without §3's sharing (6 users, shared docs)."
 )
 
 COLUMNS = (
     ("deployment", "deployment"),
     ("mean latency (ms)", "mean_latency_ms"),
-    ("combined hit ratio", "combined_hit_ratio"),
-    ("L1 hit ratio", "l1_hit_ratio"),
-    ("L2 hit ratio", "l2_hit_ratio"),
+    ("hit ratio", "hit_ratio"),
     ("kernel reads", "kernel_reads"),
     ("cached MB", lambda r: r.bytes_cached / 1e6),
 )
@@ -157,4 +153,3 @@ def main(smoke: bool = False) -> None:
     rows = run_placement()
     print(table(rows, COLUMNS, title=TITLE))
     write_artifact("a8", {"deployments": rows}, seed=_SEED)
-

@@ -34,7 +34,6 @@ from repro.faults.retry import RetryPolicy
 from repro.ids import DocumentId, UserId
 from repro.overload.budget import DeadlineBudget
 from repro.overload.gate import OverloadGate
-from repro.placeless.document import PathMeta
 from repro.placeless.kernel import PlacelessKernel
 from repro.placeless.reference import DocumentReference
 from repro.sim.context import SimContext
@@ -43,7 +42,7 @@ from repro.sim.topology import CachePlacement, Topology
 
 if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cache.containment import ContainmentGuard
-    from repro.cache.manager import DocumentCache, WriteMode
+    from repro.cache.manager import WriteMode
     from repro.cache.policies import ConcurrencyPolicy, DegradationPolicy
     from repro.cache.recovery import ConsistencyRecoveryManager
     from repro.cache.replacement import ReplacementPolicy
@@ -91,7 +90,6 @@ class CacheCore:
         install_notifiers: bool,
         use_verifiers: bool,
         track_staleness: bool,
-        backing: "DocumentCache | None",
         retry_policy: "RetryPolicy | None",
     ) -> None:
         if capacity_bytes <= 0:
@@ -132,7 +130,6 @@ class CacheCore:
         self.install_notifiers = install_notifiers
         self.use_verifiers = use_verifiers
         self.track_staleness = track_staleness
-        self.backing = backing
         self.retry_policy = retry_policy
         self.stats = CacheStats()
         #: The stats object of every wired seam, by name: ``cache``,
@@ -271,17 +268,10 @@ class CacheCore:
                 return False
         return True
 
-    # -- fetch (next level down) ---------------------------------------------
+    # -- fetch ----------------------------------------------------------------
 
     def fetch(self, reference: "DocumentReference"):
-        """Fetch content + path metadata from the next level down.
-
-        With a backing cache this is the second-level cache (which may
-        itself hit or miss); without one it is the full Placeless read
-        path.
-        """
-        if self.backing is not None:
-            return self.backing.read_for_fill(reference)
+        """Fetch content + path metadata: the full Placeless read path."""
         outcome = self.kernel.read(reference)
         return outcome.content, outcome.meta
 
@@ -290,7 +280,7 @@ class CacheCore:
         reference: "DocumentReference",
         budget: "DeadlineBudget | None" = None,
     ):
-        """Fetch from the level below under the retry policy, if any.
+        """Fetch under the retry policy, if any.
 
         A *budget* caps retry backoff at the read's remaining deadline
         (re-evaluated before each sleep) — retries never burn time the
@@ -559,20 +549,6 @@ class CacheCore:
         entry.signature = self.store.put(content)
         entry.size = len(content)
         self.evict_to_capacity(protect=entry.key)
-
-    # -- cross-cutting helpers -------------------------------------------------
-
-    def meta_from_entry(self, entry: CacheEntry):
-        """Reconstruct read-path metadata from a stored entry."""
-        return PathMeta(
-            verifiers=list(entry.verifiers),
-            votes=[entry.cacheability],
-            replacement_cost_ms=entry.replacement_cost_ms,
-            chain_signature=entry.chain_signature,
-            properties_executed=0,
-            source_signature=entry.source_signature,
-            pinned=entry.pinned,
-        )
 
     # -- transform memoization -------------------------------------------------
 

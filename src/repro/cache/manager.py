@@ -94,9 +94,6 @@ class DocumentCache:
         Where *this* cache sits (overrides the topology default): an
         application-level cache serves hits over the local hop, a
         server-colocated one over the app→reference-server hop (§4).
-    backing:
-        Optional second-level cache misses are filled through (§4's
-        deployment with both cache levels).
     retry_policy:
         Optional :class:`~repro.faults.retry.RetryPolicy` for miss-path
         fetches and write-back flushes; backoff is charged to the
@@ -138,8 +135,9 @@ class DocumentCache:
         An injected :class:`~repro.cache.memo.TransformMemo` (requires a
         ``memo_policy``) and :class:`~repro.sim.scheduler.FlightTable`:
         a cluster passes one of each to every shard so memo serves and
-        single-flight coalescing span shard boundaries.  By default
-        each cache owns private ones.
+        single-flight coalescing span shard boundaries; per-user
+        application-level caches can share one memo the same way.  By
+        default each cache owns private ones.
     fast_lane:
         Deprecated and ignored — there is one hit path now; accepted
         until a benchmark PR retires ``probe.cache.hit_us.pipeline``.
@@ -159,7 +157,6 @@ class DocumentCache:
         use_verifiers: bool = True,
         track_staleness: bool = False,
         placement: "CachePlacement | None" = None,
-        backing: "DocumentCache | None" = None,
         retry_policy: "RetryPolicy | None" = None,
         name: str = "cache",
         degradation_policy: DegradationPolicy | None = None,
@@ -201,7 +198,6 @@ class DocumentCache:
             install_notifiers=install_notifiers,
             use_verifiers=use_verifiers,
             track_staleness=track_staleness,
-            backing=backing,
             retry_policy=retry_policy,
         )
         self.instrumentation = core.instrumentation
@@ -280,9 +276,8 @@ class DocumentCache:
     #: handles plus the construction-time configuration flags).
     _CORE_ATTRS = frozenset({
         "kernel", "ctx", "capacity_bytes", "policy", "bus", "stats",
-        "store", "cache_id", "write_mode", "backing",
-        "retry_policy", "install_notifiers", "use_verifiers",
-        "track_staleness",
+        "store", "cache_id", "write_mode", "retry_policy",
+        "install_notifiers", "use_verifiers", "track_staleness",
     })
 
     def __getattr__(self, name: str):
@@ -408,16 +403,6 @@ class DocumentCache:
         return self._reads.iterate(
             reference, concurrent=concurrent, enqueued_ms=enqueued_ms
         )
-
-    def read_for_fill(self, reference: "DocumentReference"):
-        """Serve an upper-level cache: content plus fill metadata.
-
-        A hit synthesizes the metadata the upper cache needs (verifiers,
-        cacheability, replacement cost, chain signature) from the stored
-        entry — the same information the read path originally supplied;
-        a miss runs the normal miss path and reuses its metadata.
-        """
-        return self._reads.read_for_fill(reference)
 
     # -- collection prefetch (§5 "related documents") -------------------------
 

@@ -14,9 +14,8 @@ the read's :class:`ReadContext`.  Three of them can answer the read —
 L2 promotion, memo and the admission fill — and differ only
 in how they come to hold the bytes: each hands the version to
 :meth:`CacheCore.install` / ``arm`` and ends in
-:meth:`ReadPipeline._finish`, the one way a miss ends (a
-:class:`CacheReadOutcome` for application reads, a ``(content, meta)``
-pair for lower-level ``read_for_fill`` serves).  Single-flight may
+:meth:`ReadPipeline._finish`, the one way a miss ends.  Every read,
+hit or miss, returns a :class:`CacheReadOutcome`.  Single-flight may
 instead park the read on another read's in-progress flight.  The write
 path is :meth:`WritePipeline.write` (through, or into the write-back
 buffer) plus :meth:`WritePipeline.flush`, shared by write-back draining
@@ -24,9 +23,9 @@ and the prefix's dirty check.
 
 Steps stay synchronous; *scheduling* is externalised.  The miss runs
 as a generator: :func:`~repro.sim.scheduler.drive` runs it inline
-(reads the prefix did not terminate, and ``read_for_fill`` — operation
-order, clock charges and fault-plan consultations exactly as a plain
-call performs them, which the golden digests pin), and a
+(reads the prefix did not terminate — operation order, clock charges
+and fault-plan consultations exactly as a plain call performs them,
+which the golden digests pin), and a
 ``concurrent`` one yields suspension markers at the verifier and fetch
 seams for :func:`~repro.sim.scheduler.run_batch` to interleave, with
 single-flight request coalescing (see :meth:`ReadPipeline._coalesce`).
@@ -88,7 +87,7 @@ class CacheReadOutcome:
     #: back from the durable L2 tier — chain-, source-, CRC- and
     #: verifier-gated), or a degraded mode: "stale-on-error" (bounded
     #: stale bytes served because the refetch failed) / "miss-degraded"
-    #: (fetched past a failed backing level).
+    #: (a containment skip left part of the chain unrun).
     disposition: str
 
     @property
@@ -109,19 +108,12 @@ class ReadContext:
     reference: "DocumentReference"
     key: EntryKey
     started_ms: float
-    #: True when a lower-level cache serves an upper one: the terminal
-    #: result is ``(content, meta)`` instead of a ``CacheReadOutcome``,
-    #: fetch failures propagate undegraded, and hits re-derive fill
-    #: metadata from the live entry.
-    for_fill: bool = False
     #: Invalidated-but-still-held bytes and their fill time, kept for
     #: bounded serve-stale-on-error.
     stale: tuple[bytes, float] | None = None
     #: Fetched content + path metadata, once the fetch step ran.
     content: bytes | None = None
     meta: "PathMeta | None" = None
-    #: True when the content was fetched past a failed backing level.
-    degraded: bool = False
     #: The fetch failure awaiting the degradation step's decision.
     fetch_error: BaseException | None = None
     #: The chain fingerprint the memo step computed for this read;
@@ -134,7 +126,7 @@ class ReadContext:
     memo_source: typing.Any = None
     #: May this read yield seams and open or join flights?  True only
     #: for batch members and hedged reads; nested reads — prefetch
-    #: drains, backing-cache fills — always run sequentially.
+    #: drains — always run sequentially.
     concurrent: bool = False
     #: The single-flight this read *leads*, if any; resolved when the
     #: read terminates (landed) or raises (failed → follower promotion).
@@ -155,8 +147,8 @@ class ReadPipeline:
     a plain method and builds a :class:`ReadContext`, a deadline budget
     and a generator only if the prefix did not answer.  :meth:`iterate`
     is the whole read as a generator: ``read_many`` batches and cluster
-    fan-outs under :func:`~repro.sim.scheduler.run_batch`, hedged
-    reads, and ``read_for_fill``.
+    fan-outs under :func:`~repro.sim.scheduler.run_batch`, and hedged
+    reads.
     """
 
     def __init__(self, core: CacheCore, writes: "WritePipeline") -> None:
@@ -183,21 +175,16 @@ class ReadPipeline:
         if result is not None:
             return result
         ctx = self._context(
-            reference, key, started_ms, for_fill=False, concurrent=False,
+            reference, key, started_ms, concurrent=False,
             enqueued_ms=enqueued_ms,
         )
         ctx.stale = stale
         return drive(self._iterate(ctx, prefix_ran=True))
 
-    def read_for_fill(self, reference: "DocumentReference"):
-        """Lower-level serve: run the steps to ``(content, meta)``."""
-        return drive(self.iterate(reference, for_fill=True))
-
     def iterate(
         self,
         reference: "DocumentReference",
         *,
-        for_fill: bool = False,
         concurrent: bool = False,
         enqueued_ms: float | None = None,
     ):
@@ -205,15 +192,14 @@ class ReadPipeline:
 
         ``concurrent`` says the read may yield seam markers and open or
         join flights — i.e. that whatever drives it can interleave and
-        park it.  Nested reads (prefetch drains, backing-cache fills)
-        leave it off and run sequentially.  ``enqueued_ms``
-        back-dates the read's arrival (``read_many`` batches pass their
-        start instant) for the admission controller's sojourn signal.
+        park it.  Nested reads (prefetch drains) leave it off and run
+        sequentially.  ``enqueued_ms`` back-dates the read's arrival
+        (``read_many`` batches pass their start instant) for the
+        admission controller's sojourn signal.
         """
         return self._iterate(self._context(
             reference, EntryKey.for_reference(reference),
-            self.core.ctx.clock.now_ms, for_fill,
-            concurrent, enqueued_ms,
+            self.core.ctx.clock.now_ms, concurrent, enqueued_ms,
         ))
 
     def _context(
@@ -221,12 +207,11 @@ class ReadPipeline:
         reference: "DocumentReference",
         key: EntryKey,
         started_ms: float,
-        for_fill: bool,
         concurrent: bool,
         enqueued_ms: float | None,
     ) -> ReadContext:
         budget = None
-        if self.core.overload is not None and not for_fill:
+        if self.core.overload is not None:
             # The budget starts at *enqueue* (else the read's recorded
             # start): queueing delay counts against the deadline, which
             # is what makes sojourn-based shedding protect the reads
@@ -238,7 +223,6 @@ class ReadPipeline:
             reference=reference,
             key=key,
             started_ms=started_ms,
-            for_fill=for_fill,
             concurrent=concurrent,
             enqueued_ms=enqueued_ms,
             budget=budget,
@@ -288,7 +272,7 @@ class ReadPipeline:
         The loop is a follower's re-entry from the top after its wait."""
         core = self.core
         try:
-            if not (prefix_ran or ctx.for_fill) and core.overload is not None:
+            if not prefix_ran and core.overload is not None:
                 self._admit(ctx.reference, ctx.key, ctx.enqueued_ms)
             while True:
                 if not prefix_ran:
@@ -305,8 +289,7 @@ class ReadPipeline:
                             entry = core.entries.get(ctx.key)
                     if entry is not None:
                         result, ctx.stale = self.serve(
-                            ctx.reference, ctx.key, ctx.started_ms,
-                            ctx.for_fill, entry,
+                            ctx.reference, ctx.key, ctx.started_ms, entry,
                         )
                         if result is not None:
                             break
@@ -327,9 +310,7 @@ class ReadPipeline:
                 result = self._degrade(ctx) or self._fill(ctx)
                 break
             if ctx.flight is not None:
-                core.flights.close(ctx.flight, (
-                    "landed", getattr(result, "disposition", "fill"),
-                ))
+                core.flights.close(ctx.flight, ("landed", result.disposition))
                 ctx.flight = None
             return result
         except BaseException as error:
@@ -351,7 +332,6 @@ class ReadPipeline:
         ctx.stale = None
         ctx.content = None
         ctx.meta = None
-        ctx.degraded = False
         ctx.fetch_error = None
         ctx.memo_fingerprint = None
         ctx.memo_source = None
@@ -373,7 +353,6 @@ class ReadPipeline:
         reference: "DocumentReference",
         key: EntryKey,
         started_ms: float,
-        for_fill: bool = False,
         entry: CacheEntry | None = None,
     ):
         """The hit prefix, §3's hit-time check: dirty check → lookup →
@@ -383,8 +362,7 @@ class ReadPipeline:
         their buffered write, so it is flushed through the full path
         first; then the live entry for the (document, user) key is
         served if its verifiers agree.  ``result`` is the terminal
-        :class:`CacheReadOutcome` (the ``(content, meta)`` pair of a
-        fill-serving read), or ``None`` when the miss steps must
+        :class:`CacheReadOutcome`, or ``None`` when the miss steps must
         continue — then ``stale`` is the invalidated ``(bytes,
         filled-at)`` pair, if a verifier, a quarantine or an open
         breaker dropped the entry, for bounded serve-stale.  *entry* is
@@ -488,14 +466,6 @@ class ReadPipeline:
             core.stats.stale_hits += 1
             core.emit("staleness", "stale-hit", key=key)
         elapsed = core.hit_served(disposition, key, started_ms, len(content))
-        if for_fill:
-            # Serving an upper cache: re-derive fill metadata from the
-            # live entry.  Event forwarding may have invalidated it
-            # reentrantly — fall through to the miss steps if so.
-            live = core.entries.get(key)
-            if live is not None:
-                return (content, core.meta_from_entry(live)), None
-            return None, None
         if entry.policy_state.get("prefetched"):
             core.stats.prefetched_hits += 1
             core.emit("prefetch", "hit", key=key)
@@ -528,24 +498,13 @@ class ReadPipeline:
 
     def _finish(
         self, ctx: ReadContext, disposition: str, content: bytes,
-        entry: CacheEntry | None = None,
-    ):
-        """The miss terminal: account the read and build its result.
-
-        A fill-serving read gets ``(content, meta)`` — the fetched path
-        metadata, or the metadata of the *entry* a step installed to
-        answer without fetching; an application read gets its
-        :class:`CacheReadOutcome`.
-        """
+    ) -> CacheReadOutcome:
+        """The miss terminal: account the read and build its outcome."""
         core = self.core
         elapsed = core.ctx.clock.now_ms - ctx.started_ms
         core.stats.misses += 1
         core.stats.miss_latency_ms += elapsed
         core.emit("read", disposition, key=ctx.key, started_ms=ctx.started_ms)
-        if ctx.for_fill:
-            return content, (
-                ctx.meta if entry is None else core.meta_from_entry(entry)
-            )
         return CacheReadOutcome(content, False, elapsed, disposition)
 
     def _promote(self, ctx: ReadContext):
@@ -589,7 +548,7 @@ class ReadPipeline:
             # that asked to see every read (an audit trail) hear it.
             core.forward_read(ctx.reference)
         core.emit("storage", "promoted", key=ctx.key, bytes=record.size)
-        return self._finish(ctx, "miss-promoted", content, entry)
+        return self._finish(ctx, "miss-promoted", content)
 
     def _memo(self, ctx: ReadContext):
         """Transform memoization: answer a miss from the
@@ -700,7 +659,7 @@ class ReadPipeline:
             core.emit("memo", "adopted", key=ctx.key, imported=True)
         else:
             core.emit("memo", "adopted", key=ctx.key)
-        return self._finish(ctx, "miss-memoized", content, entry)
+        return self._finish(ctx, "miss-memoized", content)
 
     def _coalesce(self, ctx: ReadContext) -> Suspension | None:
         """Single-flight: coalesce concurrent misses into one fetch + one
@@ -768,12 +727,8 @@ class ReadPipeline:
         return None
 
     def _fetch(self, ctx: ReadContext) -> None:
-        """Full read through the level below, under the retry policy.
-
-        Application reads trap the failure for :meth:`_degrade`;
-        fill-serving reads (which carry no budget) let it propagate to
-        the upper cache, whose own degradation cascade decides.
-        """
+        """Full read through the kernel, under the retry policy; a
+        failure is trapped for :meth:`_degrade`."""
         core = self.core
         budget = ctx.budget
         if budget is not None and budget.expired:
@@ -792,8 +747,6 @@ class ReadPipeline:
         except CacheError:
             raise
         except Exception as error:
-            if ctx.for_fill:
-                raise
             core.stats.fetch_failures += 1
             core.emit("fetch", "failed", key=ctx.key)
             ctx.fetch_error = error
@@ -805,37 +758,15 @@ class ReadPipeline:
             # deadline, which the gate above rules out).
             core.metrics["overload"].deadline_late += 1
             core.emit("deadline", "late", key=ctx.key, seam="fetch")
-        # A containment skip anywhere on the path degrades the serve.
-        if ctx.meta.contained_skips or ctx.meta.contained_required:
-            ctx.degraded = True
 
     def _degrade(self, ctx: ReadContext) -> CacheReadOutcome | None:
-        """The fetch-failure cascade: fresh content fetched past a failed
-        backing level first, bounded stale bytes second, and only then
-        does the read fail.
-
-        When the second-level cache is unreachable, a cache configured
-        with ``bypass_backing_on_error`` goes straight to the kernel —
-        the content is fresh, only the hierarchy is degraded.
-        """
+        """The fetch-failure ladder: bounded stale bytes, or the read
+        fails with the fetch's error."""
         error = ctx.fetch_error
         if error is None:
             return None
         core = self.core
         policy = core.degradation
-        if core.backing is not None and policy.bypass_backing_on_error:
-            try:
-                outcome = core.kernel.read(ctx.reference)
-            except Exception:
-                pass
-            else:
-                core.stats.backing_bypasses += 1
-                core.stats.degraded_serves += 1
-                core.emit("degradation", "bypassed", key=ctx.key)
-                ctx.content, ctx.meta = outcome.content, outcome.meta
-                ctx.degraded = True
-                ctx.fetch_error = None
-                return None
         if policy.serve_stale_on_error and ctx.stale is not None:
             content, filled_at_ms = ctx.stale
             if policy.stale_age_acceptable(
@@ -858,7 +789,9 @@ class ReadPipeline:
         core = self.core
         content, meta = ctx.content, ctx.meta
         assert content is not None and meta is not None
-        disposition = "miss-degraded" if ctx.degraded else "miss"
+        # A containment skip anywhere on the path degrades the serve.
+        degraded = bool(meta.contained_skips or meta.contained_required)
+        disposition = "miss-degraded" if degraded else "miss"
         if meta.contained_required:
             # A *required* transformer was skipped by the containment
             # layer: the untransformed bytes may be served (degraded)
@@ -879,9 +812,9 @@ class ReadPipeline:
             entry = core.fill(ctx.reference, content, meta)
             core.stats.bytes_filled += len(content)
             core.emit("admission", "filled", key=ctx.key, bytes=len(content))
-            if not ctx.degraded:
-                # A degraded fill (containment skip or backing bypass)
-                # ran a partial chain — its output must not be memoized.
+            if not degraded:
+                # A degraded fill ran a partial chain — its output must
+                # not be memoized.
                 core.memo_record_output(ctx.memo_fingerprint, meta, entry)
         return self._finish(ctx, disposition, content)
 

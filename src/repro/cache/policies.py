@@ -248,8 +248,6 @@ class DegradationPolicy:
     serve_stale_on_error: bool = False
     #: … but only if the entry is at most this old (``None`` = any age).
     stale_serve_max_age_ms: float | None = None
-    #: Let misses route past a failed second-level cache to the kernel.
-    bypass_backing_on_error: bool = False
     #: Quarantine a verifier after this many consecutive raises
     #: (``None`` = never quarantine).
     verifier_quarantine_threshold: int | None = None

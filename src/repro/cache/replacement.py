@@ -17,9 +17,9 @@ paper's two extensions selectable:
 
 Baselines for the A2 ablation: LRU, LFU, FIFO, SIZE (evict largest),
 Greedy-Dual (cost-aware but size-blind) and RANDOM.
-:class:`ReinforcedCounterPolicy` (the A20 shootout's fourth arm) ports
-the cluster placement layer's reinforced counters — capped per-entry
-counters with deterministic epoch decay — into a replacement policy.
+:class:`ReinforcedCounterPolicy` (the A20 shootout's fourth arm) turns
+the reinforced counters of arXiv:1501.03446 — capped per-entry counters
+with deterministic epoch decay — into a replacement policy.
 
 All heap-backed policies use lazy deletion: each (re)insertion stamps the
 entry; stale heap items are skipped at pop time.  Under churn the stale
@@ -27,9 +27,9 @@ items would otherwise accumulate without bound (every insert/remove
 cycle leaves one behind), so the heap compacts itself whenever stale
 items outnumber live ones past a threshold.
 
-Replacement is one of the cache's three pluggable policy seams (with
-admission and degradation); :mod:`repro.cache.policies` re-exports
-:class:`ReplacementPolicy` so the seams share one import surface, and
+Replacement is the one cache decision with several implementations;
+:mod:`repro.cache.policies` re-exports :class:`ReplacementPolicy` beside
+the seam configurations so they share one import surface, and
 ``CacheCore.evict_to_capacity`` is the sole call site.
 """
 
@@ -326,8 +326,8 @@ class SizePolicy(_HeapPolicy):
 class ReinforcedCounterPolicy(_HeapPolicy):
     """Capped reinforcement counters with deterministic epoch decay.
 
-    The replacement-side port of the cluster placement layer's
-    reinforced counters (arXiv:1501.03446's multilevel variant): each
+    Reinforced counters as a replacement policy (arXiv:1501.03446's
+    multilevel variant, there a content-placement rule): each
     access bumps a per-entry counter capped at ``counter_cap``; every
     ``decay_interval`` accesses (policy-wide) opens a new epoch that
     halves every counter.  The halving is applied lazily — an entry's

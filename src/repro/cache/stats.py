@@ -103,12 +103,8 @@ class CacheStats:
     retry_delay_ms: float = 0.0
     #: Fetches that still failed after exhausting the retry policy.
     fetch_failures: int = 0
-    #: Reads answered in a degradation mode (stale-on-error or a fetch
-    #: served by bypassing a failed backing level).
+    #: Reads answered in a degradation mode (stale-on-error).
     degraded_serves: int = 0
-    #: Fetches served straight from the kernel because the backing
-    #: (second-level) cache was unreachable.
-    backing_bypasses: int = 0
     #: Verifiers quarantined after repeated failures, and the misses the
     #: quarantine forced.
     quarantined_verifiers: int = 0
@@ -189,9 +185,6 @@ class CacheStats:
         ("bus-loss", "detected"): (("dropped_notifier_detected", 1),),
         ("fetch", "failed"): (("fetch_failures", 1),),
         ("fetch", "retry"): (("retries", 1), ("retry_delay_ms", "delay_ms")),
-        ("degradation", "bypassed"): (
-            ("backing_bypasses", 1), ("degraded_serves", 1),
-        ),
         ("degradation", "stale-served"): (
             ("stale_served_on_error", 1), ("degraded_serves", 1),
         ),

@@ -38,8 +38,8 @@ class RunnerReport:
     #: Reads that failed with a provider error (outage/unavailability)
     #: even after the cache's retries and degradation modes.
     read_failures: int = 0
-    #: Reads answered in a degradation mode (stale-on-error or a fetch
-    #: that bypassed a failed backing level).
+    #: Reads answered in a degradation mode (stale-on-error, or a
+    #: containment skip's ``miss-degraded``).
     degraded_reads: int = 0
     writes: int = 0
     #: In-band writes rejected by an offline repository.

@@ -1,4 +1,4 @@
-"""Graceful degradation: stale serves, quarantine, bypass, recovery."""
+"""Graceful degradation: stale serves, quarantine, recovery."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import DegradationPolicy
-from repro.errors import ContentUnavailableError, RepositoryOfflineError
+from repro.errors import RepositoryOfflineError
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.faults.retry import RetryPolicy
 from repro.placeless.kernel import PlacelessKernel
@@ -183,38 +183,6 @@ class TestVerifierQuarantine:
         # Lifting one cache's quarantine is that cache's business only.
         second.core.quarantine.reset_all()
         assert first.core.quarantine.open_keys()
-
-
-class TestBypassBacking:
-    def _stacked(self, bypass: bool):
-        kernel, corpus, reference, backing = _deployment()
-        front = DocumentCache(
-            kernel, capacity_bytes=1 << 20,
-            backing=backing, name="front",
-            degradation_policy=DegradationPolicy(
-                bypass_backing_on_error=bypass
-            ),
-        )
-        # The second level is unreachable; the kernel itself is healthy.
-        def unreachable(reference):
-            raise ContentUnavailableError("backing level down")
-        backing.read_for_fill = unreachable
-        return kernel, reference, front
-
-    def test_bypass_fetches_fresh_past_the_failed_level(self):
-        kernel, reference, front = self._stacked(bypass=True)
-        outcome = front.read(reference)
-        assert outcome.disposition == "miss-degraded"
-        assert outcome.degraded
-        assert outcome.content == kernel.read(reference).content
-        assert front.stats.backing_bypasses == 1
-        assert front.stats.degraded_serves == 1
-
-    def test_without_bypass_the_read_fails(self):
-        _, reference, front = self._stacked(bypass=False)
-        with pytest.raises(ContentUnavailableError):
-            front.read(reference)
-        assert front.stats.backing_bypasses == 0
 
 
 class TestOutageRecovery:

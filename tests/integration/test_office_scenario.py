@@ -2,9 +2,9 @@
 
 A research lab: a group space shares project documents on the filer; a
 manager reads summaries; the team's mail thread is a prefetched
-collection; an access-controlled budget file rejects outsiders; all
-reads flow through a two-level cache hierarchy with the transform memo
-(§3's sharing across users) at the shared server cache.
+collection; an access-controlled budget file rejects outsiders; each
+person reads through their own application-level cache, and the caches
+share one transform-memo plane (§3's sharing across users).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import pytest
 from repro.cache.manager import DocumentCache
 from repro.cache.notifiers import InvalidationBus
 from repro.cache.policies import MemoPolicy
+from repro.cluster.memo_share import SharedTransformMemo
 from repro.errors import PermissionDeniedError
 from repro.nfs.server import NFSServer
 from repro.placeless.collection import DocumentCollection
@@ -25,7 +26,7 @@ from repro.properties.versioning import VersioningProperty
 from repro.providers.filesystem import FileSystemProvider
 from repro.providers.mail import MailServer, MessageProvider
 from repro.providers.simfs import SimulatedFileSystem
-from repro.sim.topology import CachePlacement
+from repro.sim.topology import ClusterTopology
 
 
 @pytest.fixture
@@ -64,15 +65,20 @@ def office():
     doug_budget_ref = kernel.space(doug).add_reference(budget, "budget")
 
     bus = InvalidationBus(kernel.ctx)
-    server_cache = DocumentCache(
-        kernel, capacity_bytes=1 << 20, bus=bus,
-        placement=CachePlacement.SERVER_COLOCATED,
-        memo_policy=MemoPolicy(), name="office-l2",
+    people = ("karin", "doug", "manager")
+    plane = SharedTransformMemo(
+        MemoPolicy().capacity,
+        topology=ClusterTopology(
+            shards=list(people), default_link="app-to-reference"
+        ),
     )
-    app_cache = DocumentCache(
-        kernel, capacity_bytes=1 << 20, bus=bus,
-        backing=server_cache, name="office-l1",
-    )
+    caches = {}
+    for person in people:
+        caches[person] = DocumentCache(
+            kernel, capacity_bytes=1 << 20, bus=bus,
+            memo_policy=MemoPolicy(), memo=plane, name=f"office-{person}",
+        )
+        plane.attach(person, caches[person].core)
     return {
         "kernel": kernel,
         "filer": filer,
@@ -83,14 +89,15 @@ def office():
             "karin_budget": karin_budget_ref,
             "doug_budget": doug_budget_ref,
         },
-        "caches": (app_cache, server_cache),
+        "caches": caches,
+        "plane": plane,
         "users": {"karin": karin, "doug": doug, "manager": manager},
     }
 
 
 class TestGroupSharing:
     def test_group_members_share_one_cached_version(self, office):
-        app_cache, _ = office["caches"]
+        app_cache = office["caches"]["karin"]
         team_ref = office["refs"]["team_design"]
         app_cache.read(team_ref)
         # Any member acting through the group reference hits the same
@@ -109,33 +116,35 @@ class TestGroupSharing:
 
 class TestAccessControl:
     def test_doug_cannot_read_budget(self, office):
-        app_cache, _ = office["caches"]
         with pytest.raises(PermissionDeniedError):
-            app_cache.read(office["refs"]["doug_budget"])
+            office["caches"]["doug"].read(office["refs"]["doug_budget"])
 
     def test_karin_reads_budget_fine(self, office):
-        app_cache, _ = office["caches"]
-        outcome = app_cache.read(office["refs"]["karin_budget"])
+        outcome = office["caches"]["karin"].read(
+            office["refs"]["karin_budget"]
+        )
         assert b"100000" in outcome.content
 
     def test_doug_is_denied_after_karin_read_it(self, office):
-        # Karin's read leaves the budget in the shared server cache and
-        # its memo; the access check must still see Doug's read.
-        app_cache, server_cache = office["caches"]
-        app_cache.read(office["refs"]["karin_budget"])
+        # Karin's read leaves the budget in her cache, next to the
+        # shared memo plane; the access check must still see Doug's read.
+        caches = office["caches"]
+        caches["karin"].read(office["refs"]["karin_budget"])
         with pytest.raises(PermissionDeniedError):
-            app_cache.read(office["refs"]["doug_budget"])
-        assert server_cache.memo_stats.adoptions == 0
+            caches["doug"].read(office["refs"]["doug_budget"])
+        assert caches["doug"].memo_stats.adoptions == 0
+        assert office["plane"].imports == 0
 
 
 class TestHierarchyAndVersioning:
     def test_edit_through_nfs_versions_and_invalidates(self, office):
         kernel = office["kernel"]
-        app_cache, server_cache = office["caches"]
+        karin_cache = office["caches"]["karin"]
+        manager_cache = office["caches"]["manager"]
         team_ref = office["refs"]["team_design"]
         manager_ref = office["refs"]["manager_design"]
-        app_cache.read(team_ref)
-        app_cache.read(manager_ref)
+        karin_cache.read(team_ref)
+        manager_cache.read(manager_ref)
 
         # Karin edits through MS-Word/NFS using the team reference.
         nfs = NFSServer(kernel)
@@ -146,16 +155,18 @@ class TestHierarchyAndVersioning:
         # The universal versioning property archived the old content.
         versioning = team_ref.base.find_property("versioning")
         assert versioning.version_count == 1
-        # Both cached views (team + manager) were invalidated.
-        team_view = app_cache.read(team_ref)
-        manager_view = app_cache.read(manager_ref)
+        # Both cached views (team + manager), in two caches, were
+        # invalidated.
+        team_view = karin_cache.read(team_ref)
+        manager_view = manager_cache.read(manager_ref)
+        assert not manager_view.hit
         assert not team_view.hit or b"v2" in team_view.content
         assert b"Design v2." in team_view.content
         assert manager_view.content == b"Design v2."  # summary of v2
 
     def test_out_of_band_filer_change_caught(self, office):
         kernel = office["kernel"]
-        app_cache, _ = office["caches"]
+        app_cache = office["caches"]["karin"]
         team_ref = office["refs"]["team_design"]
         app_cache.read(team_ref)
         kernel.ctx.clock.advance(5.0)
@@ -170,7 +181,7 @@ class TestHierarchyAndVersioning:
 class TestMailThread:
     def test_thread_prefetch(self, office):
         kernel = office["kernel"]
-        app_cache, _ = office["caches"]
+        app_cache = office["caches"]["karin"]
         karin = office["users"]["karin"]
         mail = MailServer(kernel.ctx.clock)
         for n in range(3):

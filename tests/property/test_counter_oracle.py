@@ -42,6 +42,7 @@ from repro.cache.policies import (
 from repro.cache.recovery import RecoveryStats
 from repro.cache.stats import CacheStats
 from repro.cluster import CacheCluster, ClusterPolicy
+from repro.cluster.memo_share import SharedTransformMemo
 from repro.contract.verifiers import ThresholdVerifier, Verifier
 from repro.errors import PlacelessError
 from repro.events.types import EventType
@@ -267,7 +268,8 @@ class _Verified(ActiveProperty):
 
 def test_property_driven_counters_match():
     # Forwarding, an UNCACHEABLE vote, a revalidating and a raising
-    # verifier, collection prefetch, a memo serve, ground-truth
+    # verifier, collection prefetch, a memo serve imported from a
+    # sibling cache's store, ground-truth
     # staleness and the degradation ladder: each once in a scripted
     # prefix, then mixed in a seeded stream with failing fetches.
     seed = CHAOS_SEED
@@ -290,27 +292,39 @@ def test_property_driven_counters_match():
     exploding.attach(_Verified("exploding", _Exploding))
     versioned = population.reference(2, 4)
     versioned.attach(VersioningProperty())
-    backing = DocumentCache(kernel, capacity_bytes=1 << 24, name="backing")
+    # A sibling app-level cache on one memo plane, so a memo serve can
+    # import its bytes.
+    plane = SharedTransformMemo(MemoPolicy().capacity)
+    peer = DocumentCache(
+        kernel, capacity_bytes=1 << 24, memo_policy=MemoPolicy(),
+        memo=plane, name="peer",
+    )
     cache = DocumentCache(
-        kernel, capacity_bytes=1 << 24, backing=backing,
+        kernel, capacity_bytes=1 << 24,
         write_mode=WriteMode.WRITE_BACK, track_staleness=True,
-        memo_policy=MemoPolicy(),
+        memo_policy=MemoPolicy(), memo=plane,
         degradation_policy=DegradationPolicy(
             serve_stale_on_error=True, stale_serve_max_age_ms=10_000.0,
-            bypass_backing_on_error=True, verifier_quarantine_threshold=2,
+            verifier_quarantine_threshold=2,
         ),
     )
+    for name, member in (("peer", peer), ("cache", cache)):
+        plane.attach(name, member.core)
     shelf = DocumentCollection("shelf", population.users[1])
     for document in (5, 6, 7):
         shelf.add(population.reference(1, document))
     attach_collection_prefetch(shelf, cache)
     oracle = Oracle()
     oracle.watch(cache)
-    oracle.watch(backing)
+    oracle.watch(peer)
     rng = random.Random(seed)
 
     # The scripted prefix: no faults but one provider outage.
     ctx.faults = FaultPlan(ctx.clock, outages=(OutageWindow(5_000.0, 6_000.0),))
+    peer.read(population.reference(1, 4))
+    assert cache.read(population.reference(0, 4)).disposition == (
+        "miss-memoized"
+    )
     for reference in (audited, audited, uncacheable, quoted):
         cache.read(reference)
     quote[0] *= 1.2
@@ -355,9 +369,9 @@ def test_property_driven_counters_match():
     assert stats.uncacheable_reads and stats.verifier_revalidations
     assert stats.quarantined_verifiers and stats.quarantine_forced_misses
     assert stats.prefetch_fills and stats.prefetched_hits
-    assert stats.stale_hits and cache.memo_stats.adoptions
+    assert stats.stale_hits and cache.memo_stats.imports
     assert stats.stale_served_on_error and stats.flush_failures
-    assert stats.backing_bypasses and stats.fetch_failures
+    assert stats.degraded_serves and stats.fetch_failures
 
 
 # -- recovery ----------------------------------------------------------------

@@ -157,11 +157,11 @@ def digest(snapshot: dict) -> str:
 #: change here means observable behaviour changed — stats, virtual
 #: timing, or the fault-injection trace.
 GOLDEN_DIGESTS = {
-    "writethrough": "402a15361cdedab5",
-    "writethrough-memo": "58e9689fcf932f60",
-    "writeback": "222a47ff904059a0",
-    "small-cache": "d7a3d68e7c7d331d",
-    "chaos": "45bbdb7beb56cb47",
+    "writethrough": "c31da4020175139a",
+    "writethrough-memo": "0b66ee3bd843c2d2",
+    "writeback": "8e4a1c3290a91480",
+    "small-cache": "66b7936b696d7400",
+    "chaos": "28a3c6447103ada7",
 }
 
 _CONFIGS = {

@@ -31,7 +31,7 @@ CONSTRUCTOR_KEYWORDS = {
     "repro.cache.manager.DocumentCache": [
         "kernel", "capacity_bytes", "policy", "bus", "write_mode",
         "install_notifiers", "use_verifiers", "track_staleness",
-        "placement", "backing", "retry_policy",
+        "placement", "retry_policy",
         "name", "degradation_policy", "recovery_policy",
         "containment_policy", "memo_policy", "concurrency_policy",
         "storage_policy", "overload_policy", "memo", "flights",
@@ -45,7 +45,7 @@ CONSTRUCTOR_KEYWORDS = {
     "repro.cache.core.CacheCore": [
         "kernel", "capacity_bytes", "name", "policy", "degradation",
         "bus", "placement", "write_mode", "install_notifiers",
-        "use_verifiers", "track_staleness", "backing", "retry_policy",
+        "use_verifiers", "track_staleness", "retry_policy",
     ],
 }
 
@@ -72,8 +72,6 @@ UNCALLED_OPTIONS = {
         "safety: caps what runaway property code may stream",
     "ContainmentPolicy.deny_required":
         "safety: typed denial instead of serving untransformed bytes",
-    "DegradationPolicy.bypass_backing_on_error":
-        "error handling: the way past a failed second-level cache",
 }
 
 

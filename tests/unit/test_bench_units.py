@@ -86,11 +86,10 @@ class TestConfigurations:
 class TestPlacementResult:
     def test_fields_roundtrip(self):
         result = PlacementResult(
-            deployment="both", mean_latency_ms=1.0,
-            combined_hit_ratio=0.5, l1_hit_ratio=0.4, l2_hit_ratio=0.1,
+            deployment="app+memo", mean_latency_ms=1.0, hit_ratio=0.5,
             kernel_reads=10, bytes_cached=1024,
         )
-        assert result.deployment == "both"
+        assert result.deployment == "app+memo"
         assert result.bytes_cached == 1024
 
 

@@ -537,7 +537,7 @@ class TestOffByDefaultGuarantee:
             "prefetch_requests", "prefetch_fills", "prefetched_hits",
             "stale_served_on_error",
             "stale_serve_rejected", "retries", "retry_delay_ms",
-            "fetch_failures", "degraded_serves", "backing_bypasses",
+            "fetch_failures", "degraded_serves",
             "quarantined_verifiers", "quarantine_forced_misses",
             "dropped_notifier_detected", "flush_failures",
             "bytes_served_from_cache", "bytes_filled", "hit_latency_ms",

@@ -1,6 +1,7 @@
 """Tests for the §4/§5 extensions: pinning, sharing across users
-through the transform memo, hierarchies, placement, and
-external-dependency policy placement."""
+through the transform memo (within one cache and across app-level
+caches on one memo plane), placement, and external-dependency policy
+placement."""
 
 from __future__ import annotations
 
@@ -10,13 +11,15 @@ from repro.cache.manager import DocumentCache
 from repro.cache.notifiers import InvalidationBus
 from repro.cache.policies import MemoPolicy
 from repro.cache.replacement import LRUPolicy
+from repro.cluster.memo_share import SharedTransformMemo
 from repro.errors import CacheError, PropertyError
 from repro.placeless.kernel import PlacelessKernel
+from repro.properties.access import AccessControlProperty
 from repro.properties.external import ExternalDependencyProperty
 from repro.properties.qos import AlwaysAvailableProperty
 from repro.properties.translate import TranslationProperty
 from repro.providers.memory import MemoryProvider
-from repro.sim.topology import CachePlacement
+from repro.sim.topology import CachePlacement, ClusterTopology
 
 
 def make_refs(kernel, user, count, size=100):
@@ -144,63 +147,109 @@ class TestAdoption:
         assert cache.store.refcount(cache.entry_for(mine).signature) == 2
 
 
-class TestHierarchy:
-    @pytest.fixture
-    def two_level(self, kernel, user):
-        bus = InvalidationBus(kernel.ctx)
-        l2 = DocumentCache(
-            kernel, capacity_bytes=1 << 20, bus=bus,
-            placement=CachePlacement.SERVER_COLOCATED, name="l2",
-        )
-        l1 = DocumentCache(
-            kernel, capacity_bytes=1 << 20, bus=bus,
+def plane_caches(kernel, count, capacity=1 << 20, policy_class=None):
+    """Per-user application-level caches sharing one memo plane."""
+    names = [f"app-{index}" for index in range(count)]
+    plane = SharedTransformMemo(
+        MemoPolicy().capacity * count,
+        topology=ClusterTopology(
+            shards=list(names), default_link="app-to-reference"
+        ),
+    )
+    bus = InvalidationBus(kernel.ctx)
+    caches = []
+    for name in names:
+        cache = DocumentCache(
+            kernel, capacity_bytes=capacity, bus=bus,
             placement=CachePlacement.APPLICATION_LEVEL,
-            backing=l2, name="l1",
+            policy=None if policy_class is None else policy_class(),
+            memo_policy=MemoPolicy(), memo=plane, name=name,
         )
-        refs = make_refs(kernel, user, 3)
-        return l1, l2, refs
+        plane.attach(name, cache.core)
+        caches.append(cache)
+    return plane, caches
 
-    def test_miss_fills_both_levels(self, two_level):
-        l1, l2, refs = two_level
-        l1.read(refs[0])
-        assert l1.entry_for(refs[0]) is not None
-        assert l2.entry_for(refs[0]) is not None
-        assert l1.stats.misses == 1 and l2.stats.misses == 1
 
-    def test_l1_hit_does_not_touch_l2(self, two_level):
-        l1, l2, refs = two_level
-        l1.read(refs[0])
-        l1.read(refs[0])
-        assert l1.stats.hits == 1
-        assert l2.stats.lookups == 1  # only the original fill
+class TestSharedPlane:
+    """§3's sharing across app-level caches: one memo plane, and a
+    sibling's store as the source of bytes this cache no longer holds."""
 
-    def test_l2_serves_after_l1_eviction(self, kernel, user):
-        bus = InvalidationBus(kernel.ctx)
-        l2 = DocumentCache(kernel, capacity_bytes=1 << 20, bus=bus, name="l2")
-        l1 = DocumentCache(
-            kernel, capacity_bytes=250, bus=bus, backing=l2,
-            policy=LRUPolicy(), name="l1",
+    @pytest.fixture
+    def shared(self, kernel, user, other_user):
+        base = kernel.create_document(
+            user, MemoryProvider(kernel.ctx, b"the shared report"), "doc"
         )
+        mine = kernel.space(user).add_reference(base)
+        theirs = kernel.space(other_user).add_reference(base)
+        plane, caches = plane_caches(kernel, 2)
+        return plane, caches, mine, theirs
+
+    def test_second_user_imports_from_the_sibling(self, kernel, shared):
+        plane, (a, b), mine, theirs = shared
+        first = a.read(mine)
+        outcome = b.read(theirs)
+        assert outcome.disposition == "miss-memoized"
+        assert outcome.content == first.content
+        assert kernel.stats.reads == 1
+        assert plane.imports == 1 and b.memo_stats.imports == 1
+
+    def test_a_hit_does_not_touch_the_plane(self, kernel, shared):
+        plane, (a, b), mine, theirs = shared
+        a.read(mine)
+        b.read(theirs)
+        # Each cache holds its own copy: a hit consults nothing shared.
+        assert a.read(mine).hit and b.read(theirs).hit
+        assert (a.memo_stats.consults, b.memo_stats.consults) == (1, 1)
+        assert plane.imports == 1 and kernel.stats.reads == 1
+
+    def test_evicted_bytes_come_back_from_a_sibling(self, kernel, user,
+                                                    other_user):
         refs = make_refs(kernel, user, 4, size=100)
-        for ref in refs:
-            l1.read(ref)
-        # refs[0] was evicted from L1 but lives in L2.
-        assert l1.entry_for(refs[0]) is None
-        assert l2.entry_for(refs[0]) is not None
-        kernel_reads_before = kernel.stats.reads
-        outcome = l1.read(refs[0])
-        assert not outcome.hit            # L1 missed...
-        assert l2.stats.hits == 1         # ...but L2 served it
-        assert kernel.stats.reads == kernel_reads_before
-
-    def test_hierarchy_consistency(self, two_level, kernel, other_user):
-        l1, l2, refs = two_level
-        l1.read(refs[0])
+        plane, (a, b) = plane_caches(
+            kernel, 2, capacity=250, policy_class=LRUPolicy
+        )
         theirs = kernel.space(other_user).add_reference(refs[0].base)
-        kernel.write(theirs, b"rewritten by bob")
-        outcome = l1.read(refs[0])
-        assert not outcome.hit
-        assert outcome.content == b"rewritten by bob"
+        b.read(theirs)
+        for ref in refs:
+            a.read(ref)
+        # refs[0] was evicted from A but lives in B's store.
+        assert a.entry_for(refs[0]) is None
+        assert b.entry_for(theirs) is not None
+        reads_before, imports_before = kernel.stats.reads, plane.imports
+        outcome = a.read(refs[0])
+        assert outcome.disposition == "miss-memoized"
+        assert outcome.content == b"A" * 100
+        assert kernel.stats.reads == reads_before
+        assert plane.imports == imports_before + 1
+
+    def test_another_users_write_reaches_every_cache(self, kernel, shared):
+        _, (a, b), mine, theirs = shared
+        a.read(mine)
+        b.read(theirs)
+        third = kernel.create_user("carol")
+        kernel.write(
+            kernel.space(third).add_reference(mine.base), b"rewritten by carol"
+        )
+        for cache, reference in ((a, mine), (b, theirs)):
+            outcome = cache.read(reference)
+            assert not outcome.hit
+            assert outcome.content == b"rewritten by carol"
+
+    def test_access_checked_chain_is_never_imported(self, kernel, user,
+                                                    other_user):
+        base = kernel.create_document(
+            user, MemoryProvider(kernel.ctx, b"payroll"), "doc"
+        )
+        base.attach(AccessControlProperty(allowed={user, other_user}))
+        mine = kernel.space(user).add_reference(base)
+        theirs = kernel.space(other_user).add_reference(base)
+        plane, (a, b) = plane_caches(kernel, 2)
+        a.read(mine)
+        assert b.read(theirs).disposition == "miss"
+        # The access check saw the second read: the kernel ran it.
+        assert kernel.stats.reads == 2
+        assert plane.imports == 0 and len(plane) == 0
+        assert b.memo_stats.consults == 0
 
 
 class TestPlacementLatency:

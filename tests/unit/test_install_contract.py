@@ -6,7 +6,8 @@ shard) and an L2 promotion (live, or of a record
 recovered across a crash).  Every one goes through
 ``CacheCore.install`` + ``CacheCore.arm`` and ends at
 ``ReadPipeline._finish``; this suite runs the same assertions against all
-of them, for an application read and for a fill-serving read — and
+of them, for a plain read and for the same read driven as a generator
+(``iterate_read``, the batch and cluster entry) — and
 again with the cache full, because ``install`` is also the one place
 room is made: before the entry exists, whatever the source.
 """
@@ -25,6 +26,7 @@ from repro.errors import CacheError
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.translate import TranslationProperty
 from repro.providers.memory import MemoryProvider
+from repro.sim.scheduler import drive
 
 
 def _world(n_users: int = 2, n_documents: int = 1):
@@ -113,8 +115,8 @@ SOURCES = pytest.mark.parametrize(
 
 
 @SOURCES
-@pytest.mark.parametrize("for_fill", [False, True], ids=["read", "for-fill"])
-def test_every_source_installs_a_whole_entry(source, for_fill):
+@pytest.mark.parametrize("driven", [False, True], ids=["read", "iterate"])
+def test_every_source_installs_a_whole_entry(source, driven):
     cache, reference, disposition = source()
     core = cache.core
     key = EntryKey.for_reference(reference)
@@ -122,12 +124,12 @@ def test_every_source_installs_a_whole_entry(source, for_fill):
     reads = StageRecorder()
     core.instrumentation.subscribe(reads, stages=("read",))
 
-    if for_fill:
-        content, meta = cache.read_for_fill(reference)
+    if driven:
+        outcome = drive(cache.iterate_read(reference, concurrent=False))
     else:
         outcome = cache.read(reference)
-        content = outcome.content
-        assert (outcome.hit, outcome.disposition) == (False, disposition)
+    content = outcome.content
+    assert (outcome.hit, outcome.disposition) == (False, disposition)
     assert [row[:3] for row in reads.rows()] == [("read", disposition, 1)]
 
     # In the table *and* the per-document index, as one object.
@@ -148,17 +150,6 @@ def test_every_source_installs_a_whole_entry(source, for_fill):
     assert install_minimum_notifiers(reference, core.bus, core.cache_id) == []
     assert core.recovery._references[key] is reference
 
-    if for_fill:
-        # The facts the installer read are the facts an upper cache is
-        # handed (a fetch fill returns the path's own richer metadata).
-        rebuilt = core.meta_from_entry(entry)
-        for fact in (
-            "cacheability", "replacement_cost_ms", "chain_signature",
-            "source_signature", "pinned", "verifiers",
-        ):
-            assert getattr(meta, fact) == getattr(rebuilt, fact), fact
-        if disposition != "miss":
-            assert meta == rebuilt
     # And the next read of it is an ordinary verified hit.
     again = cache.read(reference)
     assert (again.disposition, again.content) == ("hit", content)

@@ -3,7 +3,8 @@
 Every ``import`` statement under ``src/repro/`` — module-level,
 function-level and ``TYPE_CHECKING`` alike — either stays inside its
 package or goes *down* :data:`LAYERS`.  ``python -m
-tests.unit.test_layers`` prints the package graph as it stands.
+tests.unit.test_layers`` prints the package graph as it stands.  The
+source also stays under a line ceiling, so it cannot creep back.
 """
 
 from __future__ import annotations
@@ -209,6 +210,33 @@ class TestFreshInterpreter:
         assert loaded_above_the_middleware(
             "import repro.placeless.kernel, repro.providers, repro.properties"
         ) == []
+
+
+#: Lines of Python under ``src/repro`` and in ``cache/manager.py``, as
+#: they stand.  A ceiling, not a target: deleting code lowers the count
+#: and the next change may lower the ceiling to match.
+SRC_LINE_CEILING = 24_487
+MANAGER_LINE_CEILING = 651
+
+
+def _line_count(path: pathlib.Path) -> int:
+    return len(path.read_text().splitlines())
+
+
+def test_src_stays_under_its_line_ceiling():
+    why = (
+        "raise the ceiling only in a change whose CHANGES.md entry says "
+        "why the new lines are worth it"
+    )
+    total = sum(_line_count(path) for path in SRC.rglob("*.py"))
+    assert total <= SRC_LINE_CEILING, (
+        f"src/repro has {total} lines, ceiling {SRC_LINE_CEILING}: {why}"
+    )
+    manager = _line_count(SRC / "cache" / "manager.py")
+    assert manager <= MANAGER_LINE_CEILING, (
+        f"cache/manager.py has {manager} lines, ceiling "
+        f"{MANAGER_LINE_CEILING}: {why}"
+    )
 
 
 def main() -> int:

@@ -8,6 +8,7 @@ import pytest
 from repro.__main__ import describe_cache
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import MemoPolicy
+from repro.cluster.memo_share import SharedTransformMemo
 from repro.contract.verifiers import ThresholdVerifier
 from repro.events.types import EventType
 from repro.placeless.properties import ActiveProperty
@@ -101,27 +102,28 @@ class TestAdoptionEdges:
         # documented trade-off of disabling verifiers.
         assert cache.read(theirs).disposition == "miss-memoized"
 
-    def test_adoption_within_hierarchy_backing(self, kernel, user, other_user):
+    def test_adoption_across_caches_on_one_memo_plane(
+        self, kernel, user, other_user
+    ):
         provider = MemoryProvider(kernel.ctx, b"shared bytes")
         base = kernel.create_document(user, provider, "doc")
         mine = kernel.space(user).add_reference(base)
         theirs = kernel.space(other_user).add_reference(base)
-        l2 = DocumentCache(
-            kernel, capacity_bytes=1 << 20,
-            memo_policy=MemoPolicy(), name="l2",
-        )
-        l1_mine = DocumentCache(
-            kernel, capacity_bytes=1 << 20, backing=l2, name="l1a"
-        )
-        l1_theirs = DocumentCache(
-            kernel, capacity_bytes=1 << 20, backing=l2, name="l1b"
-        )
-        l1_mine.read(mine)
-        l1_theirs.read(theirs)
-        # The second user's L1 miss was served by L2's memo — one
-        # kernel read total.
+        plane = SharedTransformMemo(MemoPolicy().capacity)
+        caches = []
+        for name, reference in (("app-a", mine), ("app-b", theirs)):
+            cache = DocumentCache(
+                kernel, capacity_bytes=1 << 20,
+                memo_policy=MemoPolicy(), memo=plane, name=name,
+            )
+            plane.attach(name, cache.core)
+            cache.read(reference)
+            caches.append(cache)
+        # The second user's miss was served by the shared memo, with the
+        # bytes imported from the first cache — one kernel read total.
         assert kernel.stats.reads == 1
-        assert l2.memo_stats.adoptions == 1
+        assert caches[1].memo_stats.adoptions == 1
+        assert caches[1].memo_stats.imports == 1
 
 
 class TestForwardingEdges:

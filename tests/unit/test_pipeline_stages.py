@@ -600,14 +600,12 @@ class TestStatsProjection:
 
     def test_degradation_outcomes(self):
         stats = self._project(
-            StageEvent("degradation", "bypassed"),
             StageEvent("degradation", "stale-served"),
             StageEvent("degradation", "stale-rejected"),
         )
-        assert stats.backing_bypasses == 1
         assert stats.stale_served_on_error == 1
         assert stats.stale_serve_rejected == 1
-        assert stats.degraded_serves == 2
+        assert stats.degraded_serves == 1
 
     def test_unknown_stage_is_ignored(self):
         stats = self._project(StageEvent("no-such-stage", "whatever"))

@@ -125,7 +125,6 @@ CONFIGS = [
         policies.DefaultDegradationPolicy,
         {
             "serve_stale_on_error": False, "stale_serve_max_age_ms": None,
-            "bypass_backing_on_error": False,
             "verifier_quarantine_threshold": None,
         },
         {"serve_stale_on_error": True, "verifier_quarantine_threshold": 2},
@@ -133,7 +132,7 @@ CONFIGS = [
             {"stale_serve_max_age_ms": -1.0},
             {"verifier_quarantine_threshold": 0},
         ],
-        [],
+        ["bypass_backing_on_error"],
     ),
     Config(
         cluster_policy.ClusterPolicy,
@@ -218,7 +217,7 @@ class TestConfigContract:
             cls(**{item: True})
 
     def test_option_count(self):
-        assert sum(len(_options(config.cls)) for config in CONFIGS) == 25
+        assert sum(len(_options(config.cls)) for config in CONFIGS) == 24
 
     @per_config
     def test_every_field_is_an_option(self, config):

@@ -248,6 +248,9 @@ class TestHarness:
         assert percentile(values, 50) == 50
         assert percentile(values, 100) == 100
         assert percentile([], 50) == 0.0
+        # The range is checked before the empty-input shortcut.
+        with pytest.raises(ValueError):
+            percentile([], 150)
 
     def test_percentile_out_of_range(self):
         with pytest.raises(ValueError):
