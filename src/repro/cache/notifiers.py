@@ -58,16 +58,14 @@ DEFAULT_REASON_MAP: Mapping[EventType, InvalidationReason] = MappingProxyType({
     EventType.TIMER: InvalidationReason.EXTERNAL_CHANGED,
 })
 
-#: The minimum set's two watch sets (§3's worked example), built once.
-_WRITE_WATCH = frozenset(
-    {EventType.GET_OUTPUT_STREAM, EventType.CONTENT_UPDATED}
-)
-_PROPERTY_WATCH = frozenset({
-    EventType.SET_PROPERTY,
-    EventType.REMOVE_PROPERTY,
-    EventType.MODIFY_PROPERTY,
-    EventType.REORDER_PROPERTIES,
+#: The minimum set's two watch sets (§3's worked example), built once:
+#: writes, and the property changes (those that can change content,
+#: plus reordering).
+_WRITE_WATCH = frozenset({EventType.GET_OUTPUT_STREAM, EventType.CONTENT_UPDATED})
+_CHANGE_EVENTS = frozenset({
+    EventType.SET_PROPERTY, EventType.REMOVE_PROPERTY, EventType.MODIFY_PROPERTY
 })
+_PROPERTY_WATCH = _CHANGE_EVENTS | {EventType.REORDER_PROPERTIES}
 
 
 @dataclass
@@ -85,6 +83,24 @@ class BusStats:
     lost: int = 0
     delayed: int = 0
     delay_ms_total: float = 0.0
+
+
+class NotifierNames(dict[UserId, str]):
+    """One cache's minimum-set notifier names, each built once: the two
+    property watches', and (keyed by owner) each user's write watch's.
+    Every document the cache arms shares these strings."""
+
+    __slots__ = ("cache_id", "base_properties", "ref_properties")
+
+    def __init__(self, cache_id: CacheId) -> None:
+        super().__init__()
+        self.cache_id = cache_id
+        self.base_properties = f"notify-base-properties:{cache_id.value}"
+        self.ref_properties = f"notify-ref-properties:{cache_id.value}"
+
+    def __missing__(self, owner: UserId) -> str:
+        name = self[owner] = f"notify-writes:{self.cache_id.value}:{owner.value}"
+        return name
 
 
 @dataclass
@@ -128,6 +144,14 @@ class InvalidationBus:
         #: (the recovery layer enables it); unsequenced caches see the
         #: exact pre-recovery delivery behaviour.
         self._channels: dict[CacheId, ChannelState] = {}
+        self._notifier_names: dict[CacheId, NotifierNames] = {}
+
+    def notifier_names(self, cache_id: CacheId) -> NotifierNames:
+        """The minimum notifier set's names for *cache_id*, built once."""
+        names = self._notifier_names.get(cache_id)
+        if names is None:
+            names = self._notifier_names[cache_id] = NotifierNames(cache_id)
+        return names
 
     def register(
         self, cache_id: CacheId, sink: Callable[[Invalidation], None]
@@ -275,7 +299,9 @@ class NotifierProperty(ActiveProperty):
     scope_user:
         ``None`` invalidates every user's entry for the document (the
         change is universal); a specific user invalidates only that
-        user's personalized version.
+        user's personalized version, and is not told of that user's own
+        writes — their cache handles those locally (§3: "opened for
+        writing by another user").
     predicate:
         Optional semantic filter — "semantic callbacks are triggered only
         if some predicate is satisfied" — receiving the event; return
@@ -304,7 +330,7 @@ class NotifierProperty(ActiveProperty):
             raise NotifierError("notifier must watch at least one event type")
         self.bus = bus
         self.cache_id = cache_id
-        self.watch = frozenset(watch)
+        self.interest = frozenset(watch)
         self.scope_user = scope_user
         self.predicate = predicate
         self.reason_map = (
@@ -313,9 +339,6 @@ class NotifierProperty(ActiveProperty):
         )
         self.notifications_sent = 0
         self.events_filtered = 0
-
-    def events_of_interest(self) -> frozenset[EventType]:
-        return self.watch
 
     def handle(self, event: Event) -> Any:
         if self._suppressed(event):
@@ -347,13 +370,15 @@ class NotifierProperty(ActiveProperty):
         # installation cascading into invalidation storms).
         if event.payload.get("infrastructure"):
             return True
-        # Property additions/removals only matter when the property
-        # "could modify the content" (§3): static labels don't invalidate.
-        if event.type in (EventType.SET_PROPERTY, EventType.REMOVE_PROPERTY):
+        # Property additions, removals and modifications only matter when
+        # the property "could modify the content" (§3): static labels
+        # don't invalidate.
+        if event.type in _CHANGE_EVENTS:
             if not event.payload.get("transforms_reads", False):
                 return True
-        if event.type is EventType.MODIFY_PROPERTY:
-            if not event.payload.get("transforms_reads", False):
+        # A scoped notifier leaves its own user's writes to their cache.
+        if event.type in _WRITE_WATCH and self.scope_user is not None:
+            if event.user_id == self.scope_user:
                 return True
         if self.predicate is not None and not self.predicate(event):
             return True
@@ -381,45 +406,21 @@ def install_minimum_notifiers(
     """
     base = reference.base
     owner = reference.owner
+    names = bus.notifier_names(cache_id)
     installed: list[NotifierProperty] = []
-
-    write_watch_name = f"notify-writes:{cache_id.value}:{owner.value}"
-    if not base.has_property(write_watch_name):
-        notifier = NotifierProperty(
-            bus,
-            cache_id,
-            watch=_WRITE_WATCH,
-            scope_user=owner,
-            # "if the file is opened for writing by another user" — the
-            # user's own writes are handled locally by their cache.
-            predicate=lambda event: event.user_id != owner,
-            name=write_watch_name,
-        )
-        base.attach(notifier, acting_user=owner)
-        installed.append(notifier)
-
-    base_props_name = f"notify-base-properties:{cache_id.value}"
-    if not base.has_property(base_props_name):
-        notifier = NotifierProperty(
-            bus,
-            cache_id,
-            watch=_PROPERTY_WATCH,
-            scope_user=None,  # universal property changes affect everyone
-            name=base_props_name,
-        )
-        base.attach(notifier, acting_user=owner)
-        installed.append(notifier)
-
-    ref_props_name = f"notify-ref-properties:{cache_id.value}"
-    if not reference.has_property(ref_props_name):
-        notifier = NotifierProperty(
-            bus,
-            cache_id,
-            watch=_PROPERTY_WATCH,
-            scope_user=owner,  # personal properties affect only this user
-            name=ref_props_name,
-        )
-        reference.attach(notifier, acting_user=owner)
-        installed.append(notifier)
-
+    for holder, name, watch, scope_user in (
+        # Other users' writes: the scope user's own are handled locally
+        # by their cache.
+        (base, names[owner], _WRITE_WATCH, owner),
+        # Universal property changes affect everyone, personal ones
+        # only this user.
+        (base, names.base_properties, _PROPERTY_WATCH, None),
+        (reference, names.ref_properties, _PROPERTY_WATCH, owner),
+    ):
+        if not holder.has_property(name):
+            notifier = NotifierProperty(
+                bus, cache_id, watch, scope_user=scope_user, name=name
+            )
+            holder.attach(notifier, acting_user=owner)
+            installed.append(notifier)
     return installed

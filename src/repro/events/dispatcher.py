@@ -8,10 +8,11 @@ dimension (spell-check before vs. after translation).
 
 A property registers once for its whole interest set: one
 :class:`Registration` is listed under each event type it names, so one
-``cancel()`` silences it everywhere.  The table holds a list only for a
-type somebody watches; an unwatched type costs a dispatcher nothing,
-which matters because every holder owns one and every (document, user)
-pair a cache sees arms three notifiers on it.
+``cancel()`` silences it everywhere.  The table holds an entry only for
+a type somebody watches, and that entry is an immutable tuple rebuilt
+on each change; an unwatched type costs a dispatcher nothing, which
+matters because every holder owns one and every (document, user) pair a
+cache sees arms three notifiers on it.
 
 The dispatcher does not know about base-vs-reference ordering; the
 document objects compose their two dispatchers in the paper's order
@@ -38,6 +39,7 @@ class Registration:
     hashed, by identity)."""
 
     property_id: PropertyId
+    #: The caller's frozenset, kept as is (properties share theirs).
     event_types: frozenset[EventType]
     handler: Handler
     active: bool = True
@@ -50,13 +52,22 @@ class Registration:
 class EventDispatcher:
     """Ordered event registration table for one attachment point.
 
-    Registrations for each watched event type are kept in a list whose
+    Registrations for each watched event type are kept in a tuple whose
     order follows property attachment order; :meth:`reorder` re-sorts
-    every list when the owning document's property chain is permuted.
+    every tuple when the owning document's property chain is permuted.
     """
 
     def __init__(self) -> None:
-        self._registrations: dict[EventType, list[Registration]] = {}
+        self._registrations: dict[EventType, tuple[Registration, ...]] = {}
+
+    @staticmethod
+    def checked(event_types: AbstractSet[EventType]) -> frozenset[EventType]:
+        """*event_types* as a frozenset (the same object if it is one),
+        or :class:`UnknownEventError` if a member is not an event type."""
+        for event_type in event_types:
+            if not isinstance(event_type, EventType):
+                raise UnknownEventError(event_type)
+        return frozenset(event_types)
 
     def register(
         self,
@@ -66,13 +77,11 @@ class EventDispatcher:
     ) -> Registration:
         """Register *handler* for every type in *event_types* on behalf
         of a property, as one registration."""
-        event_types = frozenset(event_types)
-        for event_type in event_types:
-            if not isinstance(event_type, EventType):
-                raise UnknownEventError(event_type)
+        event_types = self.checked(event_types)
         registration = Registration(property_id, event_types, handler)
+        table = self._registrations
         for event_type in event_types:
-            self._registrations.setdefault(event_type, []).append(registration)
+            table[event_type] = table.get(event_type, ()) + (registration,)
         return registration
 
     def unregister_property(self, property_id: PropertyId) -> int:
@@ -80,17 +89,15 @@ class EventDispatcher:
 
         Returns the number of distinct registrations removed.  Called
         when a property is detached from its document; a type nobody
-        watches any more loses its list.
+        watches any more loses its entry.
         """
         removed: set[Registration] = set()
-        table: dict[EventType, list[Registration]] = {}
+        table: dict[EventType, tuple[Registration, ...]] = {}
         for event_type, registrations in self._registrations.items():
-            kept = []
-            for registration in registrations:
-                if registration.property_id == property_id:
-                    removed.add(registration)
-                else:
-                    kept.append(registration)
+            removed.update(
+                r for r in registrations if r.property_id == property_id
+            )
+            kept = tuple(r for r in registrations if r not in removed)
             if kept:
                 table[event_type] = kept
         self._registrations = table
@@ -119,18 +126,18 @@ class EventDispatcher:
         rank = {pid: index for index, pid in enumerate(chain_order)}
         fallback = len(rank)
         for event_type, registrations in self._registrations.items():
-            self._registrations[event_type] = sorted(
+            self._registrations[event_type] = tuple(sorted(
                 registrations,
                 key=lambda r: rank.get(r.property_id, fallback),
-            )
+            ))
 
     def dispatch(self, event: Event) -> list[Any]:
         """Invoke every live handler registered for the event's type.
 
         Handlers run in registration (chain) order; each handler's return
-        value is collected.  Handlers are invoked against a snapshot of the
-        registration list, so a registration added by a handler first runs
-        on the next dispatch.  Liveness is checked per handler, though: a
+        value is collected.  The type's tuple is the snapshot: a
+        registration added by a handler replaces it, and so first runs on
+        the next dispatch.  Liveness is checked per handler, though: a
         handler that cancels a later registration — as detaching its
         property does — stops it within this same dispatch.
         """
@@ -138,7 +145,7 @@ class EventDispatcher:
         if not registrations:
             return []
         results: list[Any] = []
-        for registration in list(registrations):
+        for registration in registrations:
             if not registration.active:
                 continue
             results.append(registration.handler(event))

@@ -116,11 +116,12 @@ class StaticProperty(Property):
 class ActiveProperty(Property):
     """Base class for active properties.
 
-    Subclasses declare the events they want via :meth:`events_of_interest`
-    — registered once, as one
-    :class:`~repro.events.dispatcher.Registration` for the whole set,
-    when the property is attached — and override the hooks that matter
-    to them:
+    Subclasses declare the events they want in :attr:`interest` (one
+    frozenset per class, shared by every instance), or per configuration
+    by overriding :meth:`events_of_interest` — registered once, as one
+    :class:`~repro.events.dispatcher.Registration` whose handler is the
+    property itself (:meth:`__call__`), when the property is attached —
+    and override the hooks that matter to them:
 
     * :meth:`handle` — arbitrary event processing;
     * :meth:`wrap_input` / :meth:`wrap_output` — custom stream
@@ -141,6 +142,8 @@ class ActiveProperty(Property):
 
     #: Simulated execution time per dispatch, in virtual milliseconds.
     execution_cost_ms: float = 0.1
+    #: The event types every instance registers for (default: none).
+    interest: frozenset[EventType] = frozenset()
 
     def __init__(self, name: str, version: int = 1) -> None:
         super().__init__(name)
@@ -155,17 +158,18 @@ class ActiveProperty(Property):
     # -- registration ------------------------------------------------------
 
     def events_of_interest(self) -> AbstractSet[EventType]:
-        """Event types this property registers for (default: none)."""
-        return set()
+        """Event types this property registers for: :attr:`interest`."""
+        return self.interest
 
-    def register_with(self, dispatcher: EventDispatcher) -> None:
-        """Register interest with the attachment point's dispatcher: one
-        registration for the whole interest set, none for an empty one."""
+    def register_with(
+        self, dispatcher: EventDispatcher, event_types: frozenset[EventType]
+    ) -> None:
+        """Register the (checked) interest set with the attachment
+        point's dispatcher: one registration, none for an empty set."""
         assert self.property_id is not None, "property must be bound first"
-        event_types = self.events_of_interest()
         if event_types:
             self._registration = dispatcher.register(
-                self.property_id, event_types, self._dispatched
+                self.property_id, event_types, self
             )
 
     def cancel_registration(self) -> None:
@@ -174,7 +178,8 @@ class ActiveProperty(Property):
             self._registration.cancel()
             self._registration = None
 
-    def _dispatched(self, event: Event) -> Any:
+    def __call__(self, event: Event) -> Any:
+        """Run one dispatched event: the registration's handler."""
         self.dispatch_count += 1
         return self.handle(event)
 

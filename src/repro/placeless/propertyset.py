@@ -103,6 +103,12 @@ class PropertyHolder(abc.ABC):
             raise DuplicatePropertyError(
                 f"{prop.name!r} is already attached elsewhere"
             )
+        # Checked before anything moves: a bad interest set raises
+        # UnknownEventError and leaves no half-attached property behind.
+        interest = (
+            EventDispatcher.checked(prop.events_of_interest())
+            if isinstance(prop, ActiveProperty) else frozenset()
+        )
         property_id = self.ctx.ids.property(prop.name)
         prop._bind(self, property_id, self.site, acting_user or self.owner)
         self._properties.append(prop)
@@ -119,7 +125,7 @@ class PropertyHolder(abc.ABC):
             )
         )
         if isinstance(prop, ActiveProperty):
-            prop.register_with(self.dispatcher)
+            prop.register_with(self.dispatcher, interest)
             # Registration is what puts the property on a stream chain,
             # so the epoch moves here and not at the append above.
             self._read_chain_changed(prop)

@@ -30,6 +30,14 @@ from repro.streams.transforms import BufferedTransformInputStream
 
 __all__ = ["AccessControlProperty", "WatermarkProperty"]
 
+#: The access check's interest set per ``(deny_reads, deny_writes)``.
+_ACCESS_INTEREST = {
+    (True, True): frozenset({EventType.GET_INPUT_STREAM, EventType.GET_OUTPUT_STREAM}),
+    (True, False): frozenset({EventType.GET_INPUT_STREAM}),
+    (False, True): frozenset({EventType.GET_OUTPUT_STREAM}),
+    (False, False): frozenset(),
+}
+
 
 class AccessControlProperty(ActiveProperty):
     """Denies reads/writes by users outside the allowed set.
@@ -56,12 +64,7 @@ class AccessControlProperty(ActiveProperty):
         self.denials = 0
 
     def events_of_interest(self):
-        events = set()
-        if self.deny_reads:
-            events.add(EventType.GET_INPUT_STREAM)
-        if self.deny_writes:
-            events.add(EventType.GET_OUTPUT_STREAM)
-        return events
+        return _ACCESS_INTEREST[bool(self.deny_reads), bool(self.deny_writes)]
 
     def _is_allowed(self, user: UserId | None) -> bool:
         if user is None:
@@ -92,12 +95,10 @@ class WatermarkProperty(ActiveProperty):
 
     execution_cost_ms = 0.2
     transforms_reads = True
+    interest = frozenset({EventType.GET_INPUT_STREAM})
 
     def __init__(self, name: str = "watermark", version: int = 1) -> None:
         super().__init__(name, version)
-
-    def events_of_interest(self):
-        return {EventType.GET_INPUT_STREAM}
 
     def wrap_input(self, stream: InputStream, event: Event) -> InputStream:
         stamp = f"\n-- watermarked for {self.owner} --".encode()

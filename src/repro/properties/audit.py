@@ -36,13 +36,11 @@ class ReadAuditTrailProperty(ActiveProperty):
     """Appends a record per read, including cache-served (forwarded) reads."""
 
     execution_cost_ms = 0.05
+    interest = frozenset({EventType.GET_INPUT_STREAM, EventType.READ_FORWARDED})
 
     def __init__(self, name: str = "read-audit-trail", version: int = 1) -> None:
         super().__init__(name, version)
         self.trail: list[AuditRecord] = []
-
-    def events_of_interest(self):
-        return {EventType.GET_INPUT_STREAM, EventType.READ_FORWARDED}
 
     def handle(self, event: Event) -> Any:
         record = AuditRecord(

@@ -34,6 +34,7 @@ class CollectionPrefetchProperty(ActiveProperty):
     """
 
     execution_cost_ms = 0.05
+    interest = frozenset({EventType.GET_INPUT_STREAM, EventType.READ_FORWARDED})
 
     def __init__(
         self,
@@ -47,9 +48,6 @@ class CollectionPrefetchProperty(ActiveProperty):
         self.cache = cache
         self.max_siblings = max_siblings
         self.prefetches_requested = 0
-
-    def events_of_interest(self):
-        return {EventType.GET_INPUT_STREAM, EventType.READ_FORWARDED}
 
     def handle(self, event: Event) -> Any:
         # Attached per member reference (see the module docstring).

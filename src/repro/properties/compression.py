@@ -27,6 +27,7 @@ class CompressionProperty(ActiveProperty):
 
     execution_cost_ms = 0.3
     transforms_reads = True
+    interest = frozenset({EventType.GET_INPUT_STREAM, EventType.GET_OUTPUT_STREAM})
 
     def __init__(
         self, level: int = 6, name: str = "compress-at-rest", version: int = 1
@@ -35,9 +36,6 @@ class CompressionProperty(ActiveProperty):
         if not 0 <= level <= 9:
             raise ValueError(f"zlib level must be 0..9: {level}")
         self.level = level
-
-    def events_of_interest(self):
-        return {EventType.GET_INPUT_STREAM, EventType.GET_OUTPUT_STREAM}
 
     def _decompress(self, data: bytes) -> bytes:
         if not data:

@@ -92,6 +92,7 @@ class EncryptionProperty(ActiveProperty):
 
     execution_cost_ms = 0.4
     transforms_reads = True
+    interest = frozenset({EventType.GET_INPUT_STREAM, EventType.GET_OUTPUT_STREAM})
 
     def __init__(
         self, key: bytes, name: str = "encrypt-at-rest", version: int = 1
@@ -100,9 +101,6 @@ class EncryptionProperty(ActiveProperty):
         if not key:
             raise ValueError("encryption key must be non-empty")
         self.key = bytes(key)
-
-    def events_of_interest(self):
-        return {EventType.GET_INPUT_STREAM, EventType.GET_OUTPUT_STREAM}
 
     def wrap_input(self, stream: InputStream, event: Event) -> InputStream:
         return _DecryptingInputStream(stream, self.key)

@@ -69,6 +69,9 @@ class ExternalDependencyProperty(ActiveProperty):
 
     execution_cost_ms = 0.2
     transforms_reads = True
+    interest = frozenset({EventType.GET_INPUT_STREAM})
+    #: Notifier mode polls on the timer too.
+    _polled_interest = interest | {EventType.TIMER}
 
     def __init__(
         self,
@@ -102,10 +105,7 @@ class ExternalDependencyProperty(ActiveProperty):
         self._last_seen: Any = None
 
     def events_of_interest(self):
-        events = {EventType.GET_INPUT_STREAM}
-        if self.mode == "notifier":
-            events.add(EventType.TIMER)
-        return events
+        return self._polled_interest if self.mode == "notifier" else self.interest
 
     # -- the transform itself -------------------------------------------------
 
@@ -150,7 +150,7 @@ class ExternalDependencyProperty(ActiveProperty):
             property_id=self.property_id,
             document_id=base.document_id,
             period_ms=self.poll_period_ms,
-            deliver=self._dispatched,
+            deliver=self,
         )
 
     def on_detach(self) -> None:

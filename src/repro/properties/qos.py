@@ -28,6 +28,9 @@ class QoSProperty(ActiveProperty):
     """Declares an access-time target and inflates replacement cost."""
 
     execution_cost_ms = 0.02
+    # Registering for the read path makes the property execute there,
+    # which is what lets it contribute its replacement-cost bonus.
+    interest = frozenset({EventType.GET_INPUT_STREAM})
 
     def __init__(
         self,
@@ -46,11 +49,6 @@ class QoSProperty(ActiveProperty):
         #: Access times observed for this document (filled by callers or
         #: benches that track whether the QoS target is met).
         self.observed_access_times_ms: list[float] = []
-
-    def events_of_interest(self):
-        # Registering for the read path makes the property execute there,
-        # which is what lets it contribute its replacement-cost bonus.
-        return {EventType.GET_INPUT_STREAM}
 
     def replacement_cost_bonus_ms(self) -> float:
         return self.inflation_ms

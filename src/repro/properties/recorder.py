@@ -18,6 +18,9 @@ from repro.placeless.properties import ActiveProperty
 
 __all__ = ["RecordedEvent", "EventRecorder"]
 
+#: A default recorder's watch, shared by every one of them.
+_EVERY_EVENT = frozenset(EventType)
+
 
 @dataclass
 class RecordedEvent:
@@ -43,11 +46,8 @@ class EventRecorder(ActiveProperty):
         name: str = "event-recorder",
     ) -> None:
         super().__init__(name)
-        self.watch = set(watch) if watch else set(EventType)
+        self.interest = frozenset(watch) if watch else _EVERY_EVENT
         self.records: list[RecordedEvent] = []
-
-    def events_of_interest(self) -> set[EventType]:
-        return set(self.watch)
 
     def handle(self, event: Event) -> Any:
         record = RecordedEvent(at_ms=event.at_ms, event=event)

@@ -31,6 +31,7 @@ class ReplicationProperty(ActiveProperty):
     """Copies source content to a replica filesystem on a periodic timer."""
 
     execution_cost_ms = 1.0
+    interest = frozenset({EventType.TIMER})
 
     def __init__(
         self,
@@ -49,9 +50,6 @@ class ReplicationProperty(ActiveProperty):
         self.replications = 0
         self._subscription: TimerSubscription | None = None
 
-    def events_of_interest(self):
-        return {EventType.TIMER}
-
     def on_attach(self) -> None:
         assert self.property_id is not None, "property must be bound first"
         base = getattr(self.attachment, "base", self.attachment)
@@ -59,7 +57,7 @@ class ReplicationProperty(ActiveProperty):
             property_id=self.property_id,
             document_id=base.document_id,
             period_ms=self.period_ms,
-            deliver=self._dispatched,
+            deliver=self,
         )
 
     def on_detach(self) -> None:

@@ -53,6 +53,7 @@ class SpellingCorrectorProperty(ActiveProperty):
 
     execution_cost_ms = 0.8
     transforms_reads = True
+    interest = frozenset({EventType.GET_INPUT_STREAM, EventType.GET_OUTPUT_STREAM})
 
     def __init__(
         self,
@@ -72,9 +73,6 @@ class SpellingCorrectorProperty(ActiveProperty):
         """The correction dictionary (read-only; see
         :meth:`upgrade_dictionary`)."""
         return self._words.mapping
-
-    def events_of_interest(self):
-        return {EventType.GET_INPUT_STREAM, EventType.GET_OUTPUT_STREAM}
 
     def correct_text(self, text: str) -> str:
         """Apply the correction dictionary to *text*."""

@@ -27,6 +27,7 @@ class SummaryProperty(ActiveProperty):
 
     execution_cost_ms = 1.5
     transforms_reads = True
+    interest = frozenset({EventType.GET_INPUT_STREAM})
 
     def __init__(
         self,
@@ -38,9 +39,6 @@ class SummaryProperty(ActiveProperty):
         super().__init__(name, version)
         self.sentences_per_paragraph = sentences_per_paragraph
         self.max_sentences = max_sentences
-
-    def events_of_interest(self):
-        return {EventType.GET_INPUT_STREAM}
 
     def summarize_text(self, text: str) -> str:
         """Keep the leading sentences of each paragraph."""

@@ -62,6 +62,7 @@ class TranslationProperty(ActiveProperty):
 
     execution_cost_ms = 2.5
     transforms_reads = True
+    interest = frozenset({EventType.GET_INPUT_STREAM})
 
     def __init__(
         self,
@@ -81,9 +82,6 @@ class TranslationProperty(ActiveProperty):
     def table(self) -> Mapping[str, str]:
         """The word table (read-only)."""
         return self._words.mapping
-
-    def events_of_interest(self):
-        return {EventType.GET_INPUT_STREAM}
 
     def translate_text(self, text: str) -> str:
         """Apply the word table to *text*."""

@@ -20,12 +20,10 @@ class UncacheableProperty(ActiveProperty):
     """Votes UNCACHEABLE on every read path it participates in."""
 
     execution_cost_ms = 0.01
+    interest = frozenset({EventType.GET_INPUT_STREAM})
 
     def __init__(self, name: str = "uncacheable", version: int = 1) -> None:
         super().__init__(name, version)
-
-    def events_of_interest(self):
-        return {EventType.GET_INPUT_STREAM}
 
     def cacheability_vote(self) -> Cacheability:
         return Cacheability.UNCACHEABLE

@@ -43,13 +43,11 @@ class VersioningProperty(ActiveProperty):
     """Archives the old content each time the document is opened for writing."""
 
     execution_cost_ms = 0.6
+    interest = frozenset({EventType.GET_OUTPUT_STREAM, EventType.WRITE_FORWARDED})
 
     def __init__(self, name: str = "versioning", version: int = 1) -> None:
         super().__init__(name, version)
         self.snapshots: list[VersionSnapshot] = []
-
-    def events_of_interest(self):
-        return {EventType.GET_OUTPUT_STREAM, EventType.WRITE_FORWARDED}
 
     def _base_document(self):
         """The base document, whether attached at the base or a reference."""

@@ -222,8 +222,8 @@ class TestDispatcher:
             EventType.TIMER, EventType.GET_INPUT_STREAM
         }
         for event_type in registration.event_types:
-            (listed,) = dispatcher._registrations[event_type]
-            assert listed is registration
+            listed = dispatcher._registrations[event_type]
+            assert type(listed) is tuple and listed == (registration,)
         dispatcher.dispatch(make_event(EventType.TIMER))
         dispatcher.dispatch(make_event())
         assert len(seen) == 2

@@ -297,6 +297,35 @@ class TestMinimumNotifiers:
             for i in received
         )
 
+    def test_documents_share_watch_sets_and_names(self, world):
+        kernel, _, mine, _, bus = world
+        cache_id, _ = collect(bus, kernel)
+        other = kernel.space(mine.owner).add_reference(
+            kernel.create_document(
+                mine.owner, MemoryProvider(kernel.ctx, b"other"), "other"
+            )
+        )
+        one = install_minimum_notifiers(mine, bus, cache_id)
+        two = install_minimum_notifiers(other, bus, cache_id)
+        assert len(one) == len(two) == 3
+        for a, b in zip(one, two):
+            assert a.name is b.name
+            assert a.events_of_interest() is b.events_of_interest()
+            assert a.predicate is None  # no closure per notifier
+
+    def test_a_scoped_write_watch_skips_its_users_writes(self, world):
+        kernel, base, mine, theirs, bus = world
+        cache_id, received = collect(bus, kernel)
+        notifier = NotifierProperty(
+            bus, cache_id, watch={EventType.GET_OUTPUT_STREAM},
+            scope_user=mine.owner,
+        )
+        base.attach(notifier)
+        mine.write_content(b"my own write")
+        assert (received, notifier.events_filtered) == ([], 1)
+        theirs.write_content(b"their write")
+        assert [i.user_id for i in received] == [mine.owner]
+
     def test_personal_property_watch(self, world):
         kernel, base, mine, _, bus = world
         cache_id, received = collect(bus, kernel)

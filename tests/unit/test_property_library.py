@@ -6,13 +6,21 @@ import zlib
 
 import pytest
 
+import repro.properties
+from repro.cache.notifiers import InvalidationBus, NotifierProperty
 from repro.contract.cacheability import Cacheability
 from repro.events.types import EventType
+from repro.placeless.collection import DocumentCollection
 from repro.placeless.kernel import PlacelessKernel
+from repro.placeless.properties import ActiveProperty
+from repro.properties.access import AccessControlProperty, WatermarkProperty
 from repro.properties.audit import ReadAuditTrailProperty
+from repro.properties.collection import CollectionPrefetchProperty
 from repro.properties.compression import CompressionProperty
 from repro.properties.encryption import EncryptionProperty
-from repro.properties.qos import QoSProperty
+from repro.properties.external import ExternalDependencyProperty
+from repro.properties.qos import AlwaysAvailableProperty, QoSProperty
+from repro.properties.recorder import EventRecorder
 from repro.properties.replication import ReplicationProperty
 from repro.properties.spellcheck import SpellingCorrectorProperty
 from repro.properties.summarize import SummaryProperty
@@ -316,3 +324,80 @@ class TestCompression:
     def test_invalid_level_raises(self):
         with pytest.raises(ValueError):
             CompressionProperty(level=10)
+
+
+# -- shared interest sets -------------------------------------------------------
+
+#: A watch built once by the caller, and handed to every instance as is.
+_WATCH = frozenset({EventType.GET_OUTPUT_STREAM, EventType.CONTENT_UPDATED})
+
+#: Per shipped active property, one factory (from a kernel) for each
+#: configuration its interest set depends on.
+_CONFIGURATIONS = {
+    "AccessControlProperty": (
+        lambda k: AccessControlProperty(allowed=set()),
+        lambda k: AccessControlProperty(allowed=set(), deny_writes=False),
+        lambda k: AccessControlProperty(allowed=set(), deny_reads=False),
+    ),
+    "AlwaysAvailableProperty": (lambda k: AlwaysAvailableProperty(),),
+    "CollectionPrefetchProperty": (
+        lambda k: CollectionPrefetchProperty(
+            DocumentCollection("c", k.create_user("c")), cache=None
+        ),
+    ),
+    "CompressionProperty": (lambda k: CompressionProperty(),),
+    "EncryptionProperty": (lambda k: EncryptionProperty(b"key"),),
+    "EventRecorder": (
+        lambda k: EventRecorder(),
+        lambda k: EventRecorder(watch=_WATCH),
+    ),
+    "ExternalDependencyProperty": (
+        lambda k: ExternalDependencyProperty(lambda: 1),
+        lambda k: ExternalDependencyProperty(
+            lambda: 1, mode="notifier", timers=k.timers,
+            bus=InvalidationBus(k.ctx), cache_id=k.ctx.ids.cache("c"),
+        ),
+    ),
+    "NotifierProperty": (
+        lambda k: NotifierProperty(
+            InvalidationBus(k.ctx), k.ctx.ids.cache("c"), watch=_WATCH
+        ),
+    ),
+    "QoSProperty": (lambda k: QoSProperty(),),
+    "ReadAuditTrailProperty": (lambda k: ReadAuditTrailProperty(),),
+    "ReplicationProperty": (
+        lambda k: ReplicationProperty(
+            k.timers, SimulatedFileSystem(k.ctx.clock), "/replica"
+        ),
+    ),
+    "SpellingCorrectorProperty": (lambda k: SpellingCorrectorProperty(),),
+    "SummaryProperty": (lambda k: SummaryProperty(),),
+    "TranslationProperty": (lambda k: TranslationProperty(),),
+    "UncacheableProperty": (lambda k: UncacheableProperty(),),
+    "VersioningProperty": (lambda k: VersioningProperty(),),
+    "WatermarkProperty": (lambda k: WatermarkProperty(),),
+}
+
+_SHIPPED = sorted(
+    {
+        cls
+        for cls in map(repro.properties.__dict__.get, repro.properties.__all__)
+        if isinstance(cls, type) and issubclass(cls, ActiveProperty)
+    } | {NotifierProperty},
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("cls", _SHIPPED, ids=lambda cls: cls.__name__)
+def test_instances_share_one_interest_set(cls, kernel, user):
+    # A new shipped property needs its configurations listed above.
+    configurations = _CONFIGURATIONS[cls.__name__]
+    base = kernel.create_document(user, MemoryProvider(kernel.ctx), "doc")
+    for make in configurations:
+        first, second = make(kernel), make(kernel)
+        assert type(first) is cls
+        interest = first.events_of_interest()
+        assert type(interest) is frozenset and interest
+        assert second.events_of_interest() is interest
+        base.attach(first)
+        assert first._registration.event_types is interest

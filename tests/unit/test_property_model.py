@@ -8,6 +8,7 @@ from repro.errors import (
     DuplicatePropertyError,
     PropertyNotFoundError,
     PropertyOrderError,
+    UnknownEventError,
 )
 from repro.events.types import Event, EventType
 from repro.placeless.properties import (
@@ -16,6 +17,7 @@ from repro.placeless.properties import (
     StaticProperty,
 )
 from repro.placeless.kernel import PlacelessKernel
+from repro.properties.recorder import EventRecorder
 from repro.providers.memory import MemoryProvider
 
 
@@ -79,6 +81,31 @@ class TestAttachment:
         base.attach(prop)
         with pytest.raises(DuplicatePropertyError):
             base.attach(prop)
+
+    def test_a_bad_interest_set_attaches_nothing(self, base):
+        recorder = base.attach(EventRecorder())
+        chain = base.read_chain()
+        before = (
+            base.properties, base.chain_epoch,
+            dict(base.dispatcher._registrations), list(recorder.records),
+        )
+        bad = RecordingProperty(
+            "bad", events={EventType.GET_INPUT_STREAM, "get-input-stream"}
+        )
+        with pytest.raises(UnknownEventError):
+            base.attach(bad)
+        assert before == (
+            base.properties, base.chain_epoch,
+            dict(base.dispatcher._registrations), list(recorder.records),
+        )
+        assert base.read_chain() is chain
+        assert not base.has_property("bad")
+        assert not bad.is_attached
+        assert (bad.property_id, bad.site, bad.owner) == (None, None, None)
+        # Nothing half-done blocks a later, valid attach of the same object.
+        bad._events = {EventType.GET_INPUT_STREAM}
+        base.attach(bad)
+        assert base.read_chain() == (recorder, bad)
 
     def test_detach_unbinds(self, base):
         prop = StaticProperty("label")
