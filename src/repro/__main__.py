@@ -140,18 +140,13 @@ def describe_cache(cache) -> str:
         f"policy={core.policy.name}, mode={core.write_mode.value}"
     ]
     for entry in sorted(core.entries.values(), key=lambda e: str(e.key)):
-        flags = []
-        if entry.pinned:
-            flags.append("pinned")
-        if entry.is_dirty:
-            flags.append("dirty")
         lines.append(
             f"  {entry.key} -> {entry.signature.short} "
             f"{entry.size}B {entry.cacheability.name} "
             f"verifiers={len(entry.verifiers)} "
             f"cost={entry.replacement_cost_ms:.2f}ms "
             f"accesses={entry.access_count}"
-            + (f" [{','.join(flags)}]" if flags else "")
+            + (" [pinned]" if entry.pinned else "")
         )
     if core.dirty:
         lines.append(f"  dirty write-backs pending: {len(core.dirty)}")

@@ -119,7 +119,6 @@ class FaultRunResult:
             availability=self.report.availability,
             hit_ratio=self.report.hit_ratio,
             retries=stats.retries,
-            degraded_serves=stats.degraded_serves,
             stale_served_on_error=stats.stale_served_on_error,
             bus_lost=self.cache.bus.stats.lost,
             dropped_notifier_detected=stats.dropped_notifier_detected,
@@ -136,7 +135,6 @@ class ScenarioSummary:
     availability: float
     hit_ratio: float
     retries: int
-    degraded_serves: int
     stale_served_on_error: int
     bus_lost: int
     dropped_notifier_detected: int
@@ -219,7 +217,6 @@ COLUMNS = (
     ("availability", "availability"),
     ("hit ratio", "hit_ratio"),
     ("retries", "retries"),
-    ("degraded", "degraded_serves"),
     ("stale-on-err", "stale_served_on_error"),
     ("bus lost", "bus_lost"),
     ("lost-detected", "dropped_notifier_detected"),

@@ -26,7 +26,7 @@ from repro.cache.containment import (
     ContainmentStats,
     ExecutionBudget,
 )
-from repro.cache.entry import CacheEntry, EntryKey, key_for
+from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.instrumentation import (
     CounterProjection,
     InstrumentationBus,
@@ -97,7 +97,6 @@ __all__ = [
     "InvalidationReason",
     "CacheEntry",
     "EntryKey",
-    "key_for",
     "DocumentCache",
     "CacheReadOutcome",
     "WriteMode",

@@ -455,15 +455,6 @@ class CacheCore:
         origin: str = "internal",
     ) -> None:
         """Invalidate and remove an entry, releasing its content bytes."""
-        entry.invalidate(
-            Invalidation(
-                reason=reason,
-                document_id=entry.document_id,
-                user_id=entry.user_id,
-                at_ms=self.ctx.clock.now_ms,
-                origin=origin,
-            )
-        )
         self.stats.record_invalidation(reason)
         self.emit(
             "invalidation", reason.value, key=entry.key,
@@ -572,13 +563,9 @@ class CacheCore:
             source_signature=meta.source_signature,
             fingerprint=fingerprint,
             output_signature=entry.signature,
-            document_id=entry.document_id,
             size=entry.size,
             cacheability=entry.cacheability,
             verifiers=tuple(entry.verifiers),
-            verifier_fingerprints=tuple(
-                verifier.fingerprint() for verifier in entry.verifiers
-            ),
             replacement_cost_ms=entry.replacement_cost_ms,
             chain_signature=entry.chain_signature,
             pinned=entry.pinned,
@@ -589,35 +576,6 @@ class CacheCore:
         stats = self.metrics["memo"]
         stats.records += 1
         self.emit("memo", "recorded", key=entry.key)
-        if evicted:
-            stats.evictions += evicted
-            self.emit("memo", "evicted", records=evicted)
-
-    def memo_record_negative(
-        self,
-        fingerprint: ChainFingerprint | None,
-        key: EntryKey,
-        meta,
-    ) -> None:
-        """Admission hook: negative-cache an UNCACHEABLE-voting chain."""
-        if self.memo is None or fingerprint is None:
-            return
-        if meta.source_signature is None:
-            return
-        record = MemoRecord(
-            source_signature=meta.source_signature,
-            fingerprint=fingerprint,
-            output_signature=None,
-            document_id=key.document_id,
-            cacheability=meta.cacheability,
-            chain_signature=meta.chain_signature,
-        )
-        evicted = self.memo.record(record)
-        if self.l2 is not None:
-            self.l2.spill_memo(record)
-        stats = self.metrics["memo"]
-        stats.negative_records += 1
-        self.emit("memo", "negative-recorded", key=key)
         if evicted:
             stats.evictions += evicted
             self.emit("memo", "evicted", records=evicted)

@@ -13,17 +13,16 @@ entries whose transformed content is identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from repro.content.signature import ContentSignature
 from repro.contract.cacheability import Cacheability
-from repro.contract.consistency import Invalidation
 from repro.contract.verifiers import Verifier
 from repro.ids import DocumentId, ReferenceId, UserId
 from repro.placeless.reference import DocumentReference
 
-__all__ = ["EntryKey", "CacheEntry", "key_for"]
+__all__ = ["EntryKey", "CacheEntry"]
 
 
 class EntryKey(NamedTuple):
@@ -57,14 +56,18 @@ class EntryKey(NamedTuple):
         return f"({self.document_id}, {self.user_id})"
 
 
-def key_for(reference: "DocumentReference") -> EntryKey:
-    """Module-level alias for :meth:`EntryKey.for_reference`."""
-    return EntryKey.for_reference(reference)
-
-
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
-    """One user's cached version of one document's transformed content."""
+    """One user's cached version of one document's transformed content.
+
+    The §3 record: the content signature plus the verifiers,
+    cacheability vote and replacement cost the read path returned.  An
+    invalidated entry is not kept around — ``CacheCore.drop`` removes
+    it — and a write-back's pending bytes live in ``CacheCore.dirty``,
+    never on the entry (the write drops it).  Replacement policies keep
+    their per-entry bookkeeping in their own tables, keyed by
+    :class:`EntryKey`.
+    """
 
     key: EntryKey
     signature: ContentSignature
@@ -82,10 +85,6 @@ class CacheEntry:
     created_at_ms: float
     last_access_ms: float
     access_count: int = 1
-    #: Set when the entry is invalidated; kept for attribution/reporting.
-    invalidation: Invalidation | None = None
-    #: Dirty bytes buffered by a write-back cache, pending flush.
-    dirty_content: bytes | None = None
     #: Pinned entries are never chosen as replacement victims (§5's
     #: "always available" QoS requirement).
     pinned: bool = False
@@ -93,8 +92,9 @@ class CacheEntry:
     #: (``None`` when the read path could not supply one): what resync,
     #: L2 demotion and staleness accounting compare the live source to.
     source_signature: ContentSignature | None = None
-    #: Replacement-policy scratch state (e.g. the GDS H-value).
-    policy_state: dict = field(default_factory=dict)
+    #: Filled by a collection prefetch and not yet read on demand; the
+    #: first hit counts as a prefetched hit and clears it.
+    prefetched: bool = False
 
     @property
     def document_id(self) -> DocumentId:
@@ -106,22 +106,7 @@ class CacheEntry:
         """The user half of the key."""
         return self.key.user_id
 
-    @property
-    def valid(self) -> bool:
-        """True until the entry is invalidated."""
-        return self.invalidation is None
-
-    @property
-    def is_dirty(self) -> bool:
-        """True while a write-back has unflushed local bytes."""
-        return self.dirty_content is not None
-
     def touch(self, now_ms: float) -> None:
         """Record one access."""
         self.last_access_ms = now_ms
         self.access_count += 1
-
-    def invalidate(self, invalidation: Invalidation) -> None:
-        """Mark the entry stale (first invalidation wins)."""
-        if self.invalidation is None:
-            self.invalidation = invalidation

@@ -449,7 +449,7 @@ class DocumentCache:
                     continue
                 entry = self._core.entries.get(key)
                 if entry is not None:
-                    entry.policy_state["prefetched"] = True
+                    entry.prefetched = True
                     self._core.stats.prefetch_fills += 1
                     self._core.emit("prefetch", "filled", key=key)
         finally:

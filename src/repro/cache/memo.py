@@ -44,9 +44,8 @@ The four §3 invalidation classes map onto the memo as follows:
     permuted chain changes the key the same way.
 (d) **external conditions (verifiers)** — a record carrying verifiers is
     re-verified before it is served (or bypassed entirely, per
-    :class:`~repro.cache.policies.MemoPolicy`); chains voting
-    UNCACHEABLE are negative-cached so repeated misses skip the lookup
-    machinery without ever serving from the memo.
+    :class:`~repro.cache.policies.MemoPolicy`); a chain voting
+    UNCACHEABLE records nothing, so the memo never serves it.
 
 Recovery and containment integrate at the edges: an anti-entropy resync
 purges the whole table (a resync exists precisely because cached state
@@ -66,7 +65,6 @@ from repro.cache.instrumentation import CounterProjection
 from repro.content.signature import ContentSignature
 from repro.contract.cacheability import Cacheability
 from repro.contract.verifiers import Verifier
-from repro.ids import DocumentId
 from repro.placeless.chain import ChainFingerprint
 
 if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -83,22 +81,16 @@ __all__ = [
 
 @dataclass(slots=True)
 class MemoRecord:
-    """One memoized ``(source, chain) → output`` mapping.
-
-    ``output_signature`` of ``None`` marks a *negative* record: the
-    chain voted UNCACHEABLE for this source, so the pipeline should not
-    bother consulting candidates or recording again — it falls straight
-    through to the fetch path.
-    """
+    """One memoized ``(source, chain) → output`` mapping, plus the fill
+    metadata a served entry is rebuilt from.  Only admitted outputs are
+    recorded: an UNCACHEABLE vote leaves nothing to record."""
 
     source_signature: "ContentSignature"
     fingerprint: ChainFingerprint
-    output_signature: "ContentSignature | None"
-    document_id: "DocumentId | None" = None
+    output_signature: "ContentSignature"
     size: int = 0
     cacheability: Cacheability = Cacheability.UNRESTRICTED
     verifiers: tuple["Verifier", ...] = ()
-    verifier_fingerprints: tuple[str, ...] = ()
     replacement_cost_ms: float = 0.0
     chain_signature: tuple[str, ...] = ()
     pinned: bool = False
@@ -107,11 +99,6 @@ class MemoRecord:
     def key(self) -> tuple["ContentSignature", ChainFingerprint]:
         """The memo-table key of this record."""
         return (self.source_signature, self.fingerprint)
-
-    @property
-    def is_negative(self) -> bool:
-        """True for the UNCACHEABLE negative-cache sentinel."""
-        return self.output_signature is None
 
 
 class TransformMemo:
@@ -176,17 +163,6 @@ class TransformMemo:
         self._records.clear()
         return purged
 
-    def purge_document(self, document_id: "DocumentId") -> int:
-        """Drop every record attributed to one document."""
-        doomed = [
-            key
-            for key, record in self._records.items()
-            if record.document_id == document_id
-        ]
-        for key in doomed:
-            del self._records[key]
-        return len(doomed)
-
     def materialize(
         self, record: MemoRecord, core: "CacheCore"
     ) -> bytes | None:
@@ -209,13 +185,9 @@ class TransformMemo:
         recorded output signature are read back off disk, CRC-gated,
         with the same single-reference contract.
         """
-        if record.output_signature is not None and core.l2 is not None:
+        if core.l2 is not None:
             return core.l2.materialize_bytes(record.output_signature)
         return None
-
-    def records(self) -> list[MemoRecord]:
-        """All live records, LRU order (oldest first); for inspection."""
-        return list(self._records.values())
 
     def __len__(self) -> int:
         return len(self._records)
@@ -241,12 +213,8 @@ class MemoStats:
     imports: int = 0
     #: Consults that found no record and fell through to the fetch path.
     misses: int = 0
-    #: Consults answered by the UNCACHEABLE negative-cache sentinel.
-    negative_hits: int = 0
     #: Output records written at admission time.
     records: int = 0
-    #: Negative (UNCACHEABLE) records written at admission time.
-    negative_records: int = 0
     #: Consults skipped because a chain property's breaker is open.
     contained_bypasses: int = 0
     #: Records pruned because their output bytes left the content store.
@@ -265,15 +233,17 @@ class MemoStats:
 
     @property
     def consults(self) -> int:
-        """Total lookups that reached the memo table."""
-        return self.adoptions + self.misses + self.negative_hits
+        """Total lookups that reached the memo table: each one adopts,
+        misses, or finds a record and drops it."""
+        return (
+            self.adoptions + self.misses + self.dead_drops
+            + self.verifier_drops
+        )
 
     RULES: typing.ClassVar[typing.Mapping] = {
         ("memo", "adopted"): (("adoptions", 1), ("imports", "imported")),
         ("memo", "missed"): (("misses", 1),),
-        ("memo", "negative-hit"): (("negative_hits", 1),),
         ("memo", "recorded"): (("records", 1),),
-        ("memo", "negative-recorded"): (("negative_records", 1),),
         ("memo", "bypass-contained"): (("contained_bypasses", 1),),
         ("memo", "dropped-dead"): (("dead_drops", 1),),
         ("memo", "dropped-verifier"): (("verifier_drops", 1),),

@@ -466,10 +466,10 @@ class ReadPipeline:
             core.stats.stale_hits += 1
             core.emit("staleness", "stale-hit", key=key)
         elapsed = core.hit_served(disposition, key, started_ms, len(content))
-        if entry.policy_state.get("prefetched"):
+        if entry.prefetched:
             core.stats.prefetched_hits += 1
             core.emit("prefetch", "hit", key=key)
-            entry.policy_state["prefetched"] = False
+            entry.prefetched = False
         return CacheReadOutcome(content, True, elapsed, disposition), None
 
     def _entry_quarantined(self, entry: CacheEntry) -> bool:
@@ -608,12 +608,6 @@ class ReadPipeline:
         if record is None:
             stats.misses += 1
             core.emit("memo", "missed", key=ctx.key)
-            return None
-        if record.is_negative:
-            # Classes (b)/(d): this chain votes UNCACHEABLE for this
-            # source — skip straight to the fetch path.
-            stats.negative_hits += 1
-            core.emit("memo", "negative-hit", key=ctx.key)
             return None
         imported = False
         if record.output_signature in core.store:
@@ -773,7 +767,6 @@ class ReadPipeline:
                 core.ctx.clock.now_ms - filled_at_ms
             ):
                 core.stats.stale_served_on_error += 1
-                core.stats.degraded_serves += 1
                 core.emit("degradation", "stale-served", key=ctx.key)
                 return self._finish(ctx, "stale-on-error", content)
             core.stats.stale_serve_rejected += 1
@@ -804,7 +797,6 @@ class ReadPipeline:
             core.stats.uncacheable_reads += 1
             core.emit("admission", "uncacheable", key=ctx.key)
             disposition = "uncacheable"
-            core.memo_record_negative(ctx.memo_fingerprint, ctx.key, meta)
         elif decision is AdmissionDecision.OVERSIZE:
             core.emit("admission", "oversize", key=ctx.key)
             disposition = "miss-oversize"

@@ -148,8 +148,8 @@ class MemoPolicy:
     instead of a provider fetch plus a full property-chain execution:
     the cache's one way to share transformed content across users
     (which chains may share: :class:`~repro.placeless.chain.ReadPlan`).
-    UNCACHEABLE-voting chains are negative-cached so repeated misses
-    skip the candidate machinery without ever serving from the memo.
+    An UNCACHEABLE-voting chain records nothing and is never served
+    from the memo.
     A record that carries verifiers (the paper's class-(d) external
     conditions) re-runs them on every serve.
     """

@@ -114,11 +114,11 @@ class _HeapPolicy(ReplacementPolicy):
     behind, or a dead priority is accepted as current and compaction
     can never drop it.
 
-    ``_stamps`` mirrors each key's current stamp purely for compaction
-    bookkeeping: ``len(self._heap) - len(self._stamps)`` is the stale
-    item count, and a rebuild keeps exactly the items whose ``(key,
-    stamp)`` pair is current.  The authoritative staleness check at pop
-    time stays ``entry.policy_state[id(self)]``, as before.
+    ``_stamps`` holds each live key's current stamp: a heap item is
+    current exactly when its ``(key, stamp)`` pair matches, which is the
+    staleness check at pop time, the stale item count
+    (``len(self._heap) - len(self._stamps)``) and what a compaction
+    rebuild keeps.
     """
 
     def __init__(self) -> None:
@@ -132,7 +132,6 @@ class _HeapPolicy(ReplacementPolicy):
 
     def _push(self, entry: CacheEntry) -> None:
         stamp = next(self._serials)
-        entry.policy_state[id(self)] = stamp
         self._stamps[entry.key] = stamp
         heapq.heappush(self._heap, (self.priority(entry), stamp, entry.key))
         self._maybe_compact()
@@ -157,7 +156,7 @@ class _HeapPolicy(ReplacementPolicy):
         while self._heap:
             priority, stamp, key = heapq.heappop(self._heap)
             entry = entries.get(key)
-            if entry is None or entry.policy_state.get(id(self)) != stamp:
+            if entry is None or self._stamps.get(key) != stamp:
                 continue  # stale heap item
             if entry.pinned or key == protect:
                 # Live but unevictable right now: its popped heap item
@@ -350,10 +349,11 @@ class ReinforcedCounterPolicy(_HeapPolicy):
         self.decay_interval = decay_interval
         self._epoch = 0
         self._accesses = 0
+        #: ``key → (counter, epoch of its last bump)`` per live entry.
+        self._counters: dict[EntryKey, tuple[int, int]] = {}
 
     def _counter_of(self, entry: CacheEntry) -> int:
-        counter = entry.policy_state.get((id(self), "counter"), 0)
-        born = entry.policy_state.get((id(self), "epoch"), self._epoch)
+        counter, born = self._counters.get(entry.key, (0, self._epoch))
         return counter >> (self._epoch - born)
 
     def _note_access(self, entry: CacheEntry) -> None:
@@ -361,8 +361,7 @@ class ReinforcedCounterPolicy(_HeapPolicy):
         if self._accesses % self.decay_interval == 0:
             self._epoch += 1
         counter = min(self._counter_of(entry) + 1, self.counter_cap)
-        entry.policy_state[(id(self), "counter")] = counter
-        entry.policy_state[(id(self), "epoch")] = self._epoch
+        self._counters[entry.key] = (counter, self._epoch)
 
     def priority(self, entry: CacheEntry) -> float:
         return float(self._counter_of(entry))
@@ -374,6 +373,10 @@ class ReinforcedCounterPolicy(_HeapPolicy):
     def on_access(self, entry: CacheEntry) -> None:
         self._note_access(entry)
         self._push(entry)
+
+    def on_remove(self, entry: CacheEntry) -> None:
+        super().on_remove(entry)
+        self._counters.pop(entry.key, None)
 
 
 class RandomPolicy(ReplacementPolicy):

@@ -602,10 +602,9 @@ class L2Tier:
 
         Records carrying live verifier objects are not serializable —
         and a reloaded record without its verifiers would dodge class
-        (d) checks — so only verifier-free records (including negative
-        ones) spill.
+        (d) checks — so only verifier-free records spill.
         """
-        if record.verifiers or record.verifier_fingerprints:
+        if record.verifiers:
             return
         if not self._allow("memo"):
             return
@@ -618,14 +617,7 @@ class L2Tier:
         self.memo_log.append(K_MEMO, _JSON.encode({
             "source": record.source_signature.digest,
             "fingerprint": record.fingerprint.digest,
-            "output": (
-                None if record.output_signature is None
-                else record.output_signature.digest
-            ),
-            "document": (
-                None if record.document_id is None
-                else record.document_id.value
-            ),
+            "output": record.output_signature.digest,
             "size": record.size,
             "cacheability": record.cacheability.name,
             "cost": record.replacement_cost_ms,
@@ -786,7 +778,12 @@ class L2Tier:
             )
 
     def _reload_memo(self) -> None:
-        """Verifier-free memo records back into the live memo table."""
+        """Verifier-free memo records back into the live memo table.
+
+        A record without an output digest is malformed — counted, never
+        reloaded: a memo record must name bytes a serve can adopt (a
+        segment written when UNCACHEABLE votes were recorded holds them).
+        """
         core = self.core
         records, corrupt = self.memo_log.scan_records()
         self.stats.corrupt_records_recovered += corrupt
@@ -797,17 +794,12 @@ class L2Tier:
                 continue
             try:
                 data = json.loads(payload.decode("utf-8"))
+                if not isinstance(data["output"], str):
+                    raise ValueError(f"no output digest: {data['output']!r}")
                 record = MemoRecord(
                     source_signature=ContentSignature(data["source"]),
                     fingerprint=ChainFingerprint(data["fingerprint"]),
-                    output_signature=(
-                        None if data["output"] is None
-                        else ContentSignature(data["output"])
-                    ),
-                    document_id=(
-                        None if data["document"] is None
-                        else DocumentId(data["document"])
-                    ),
+                    output_signature=ContentSignature(data["output"]),
                     size=data["size"],
                     cacheability=Cacheability[data["cacheability"]],
                     replacement_cost_ms=data["cost"],

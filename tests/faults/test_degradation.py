@@ -57,7 +57,6 @@ class TestServeStaleOnError:
         assert outcome.degraded and not outcome.hit
         assert outcome.content == first.content  # the stale bytes
         assert cache.stats.stale_served_on_error == 1
-        assert cache.stats.degraded_serves == 1
         assert cache.stats.fetch_failures == 1
 
     def test_disabled_by_default_the_read_fails(self):

@@ -157,11 +157,11 @@ def digest(snapshot: dict) -> str:
 #: change here means observable behaviour changed — stats, virtual
 #: timing, or the fault-injection trace.
 GOLDEN_DIGESTS = {
-    "writethrough": "c31da4020175139a",
-    "writethrough-memo": "0b66ee3bd843c2d2",
-    "writeback": "8e4a1c3290a91480",
-    "small-cache": "66b7936b696d7400",
-    "chaos": "28a3c6447103ada7",
+    "writethrough": "52617e2be85abe91",
+    "writethrough-memo": "0fb37ed0a6eae19e",
+    "writeback": "ae9e0cb212043d98",
+    "small-cache": "07e885d5285c3c2b",
+    "chaos": "e7a3466fdf86108b",
 }
 
 _CONFIGS = {

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cache.entry import EntryKey
@@ -21,7 +23,7 @@ from repro.placeless.chain import read_plan
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.audit import ReadAuditTrailProperty
 from repro.providers.memory import MemoryProvider
-from repro.storage import K_CONTENT, K_JOURNAL
+from repro.storage import K_CONTENT, K_JOURNAL, K_MEMO
 
 
 def _deployment(n_docs=6, slots=2, *, faults=None, storage=None, **cache_kwargs):
@@ -315,7 +317,8 @@ class TestMemoSpill:
         record = MemoRecord(
             source_signature=sign(b"source bytes"),
             fingerprint=ChainFingerprint("chain-fp"),
-            output_signature=None,  # negative record: verifier-free
+            output_signature=sign(b"output bytes"),
+            size=12,
         )
         tier.spill_memo(record)
         assert cache.storage_stats.memo_spills == 1
@@ -325,7 +328,37 @@ class TestMemoSpill:
         reloaded = cache._core.memo.lookup(
             record.source_signature, record.fingerprint
         )
-        assert reloaded is not None and reloaded.is_negative
+        assert reloaded is not None
+        assert reloaded.output_signature == record.output_signature
+        assert reloaded.size == 12
+
+    def test_a_record_without_an_output_is_refused_on_reload(
+        self, deployment
+    ):
+        # The shape an UNCACHEABLE vote once spilled: a null output
+        # digest.  Reloading it would put a record with no output
+        # signature in the memo; it is malformed instead.
+        _, cache, _, _ = deployment(
+            memo_policy=DefaultMemoPolicy(), slots=6,
+        )
+        source = sign(b"source bytes")
+        fingerprint = ChainFingerprint("chain-fp")
+        log = cache.storage.memo_log
+        log.append(K_MEMO, json.dumps({
+            "source": source.digest, "fingerprint": fingerprint.digest,
+            "output": None, "document": "d0", "size": 0,
+            "cacheability": "UNCACHEABLE", "cost": 0.0, "chain": [],
+            "pin": False,
+        }, sort_keys=True).encode("utf-8"))
+        log.sync()
+        corrupt_before = cache.storage_stats.corrupt_records_recovered
+        cache.crash()
+        cache.restart()
+        stats = cache.storage_stats
+        assert stats.corrupt_records_recovered == corrupt_before + 1
+        assert stats.memo_reloaded == 0
+        assert cache._core.memo.lookup(source, fingerprint) is None
+        assert len(cache._core.memo) == 0
 
     def test_records_with_verifiers_stay_in_memory_only(self, deployment):
         _, cache, _, references = deployment(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.content.signature import sign
 from repro.contract.cacheability import Cacheability
@@ -96,33 +98,18 @@ def make_entry() -> CacheEntry:
 
 
 class TestCacheEntry:
-    def test_fresh_entry_is_valid(self):
-        assert make_entry().valid
-
     def test_touch_updates_access(self):
         entry = make_entry()
         entry.touch(42.0)
         assert entry.last_access_ms == 42.0
         assert entry.access_count == 2
 
-    def test_first_invalidation_wins(self):
+    def test_entry_is_a_fixed_record(self):
+        # Slotted: nothing can hang scratch state on an entry.
         entry = make_entry()
-        first = Invalidation(
-            InvalidationReason.PROPERTY_ADDED, DocumentId("d")
-        )
-        second = Invalidation(
-            InvalidationReason.EVICTED, DocumentId("d")
-        )
-        entry.invalidate(first)
-        entry.invalidate(second)
-        assert entry.invalidation is first
-        assert not entry.valid
-
-    def test_dirty_flag(self):
-        entry = make_entry()
-        assert not entry.is_dirty
-        entry.dirty_content = b"pending"
-        assert entry.is_dirty
+        assert not hasattr(entry, "__dict__")
+        with pytest.raises(AttributeError):
+            entry.policy_state = {}
 
     def test_key_accessors(self):
         entry = make_entry()

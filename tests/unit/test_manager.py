@@ -80,7 +80,6 @@ class TestHitMiss:
         assert entry is not None
         assert entry.size == len(b"hello world")
         assert entry.replacement_cost_ms > 0
-        assert entry.valid
 
     def test_contains_and_len(self, world):
         kernel, base, mine, _, _, cache = world

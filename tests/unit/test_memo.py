@@ -205,18 +205,6 @@ class TestTransformMemo:
         assert memo.purge_all() == 1
         assert len(memo) == 0
 
-    def test_purge_document_is_selective(self):
-        memo = TransformMemo(4)
-        from repro.ids import DocumentId
-
-        doc_a, doc_b = DocumentId("doc-a"), DocumentId("doc-b")
-        a, b = self._record("a"), self._record("b")
-        a.document_id, b.document_id = doc_a, doc_b
-        memo.record(a)
-        memo.record(b)
-        assert memo.purge_document(doc_a) == 1
-        assert memo.lookup(*b.key) is b
-
 
 class TestPutSigned:
     """Satellite 1: the admission path signs once."""
@@ -346,18 +334,18 @@ class TestMemoEndToEnd:
         assert cache.memo_stats.adoptions == 0
         assert spell_a is not spell_b
 
-    def test_uncacheable_chain_is_negative_cached(self):
-        # Class (d): UNCACHEABLE votes record the negative sentinel and
-        # later consults skip the serve machinery without adopting.
+    def test_uncacheable_chain_records_nothing(self):
+        # Class (d): an UNCACHEABLE vote leaves nothing in the memo, so
+        # every later consult misses and the chain runs again.
         kernel, base, (ref_a, ref_b) = build_world()
         base.attach(UncacheableProperty())
         cache = memo_cache(kernel)
         assert cache.read(ref_a).disposition == "uncacheable"
-        assert cache.memo_stats.negative_records == 1
         assert cache.read(ref_b).disposition == "uncacheable"
+        assert len(cache.memo) == 0
         stats = cache.memo_stats
-        assert stats.negative_hits == 1
-        assert stats.adoptions == 0
+        assert stats.misses == 2
+        assert stats.records == 0 and stats.adoptions == 0
 
     def test_base_access_check_sees_every_reader(self):
         # The check transforms nothing, so its chain used to share: b
@@ -418,6 +406,22 @@ class TestMemoEndToEnd:
         assert cache.read(ref_b).disposition == "miss"
         assert cache.memo_stats.dead_drops == 1
         assert len(cache.memo) == 1  # the refetch re-recorded
+
+    @pytest.mark.parametrize("drop", ["dead", "verifier"])
+    def test_consults_count_records_found_and_dropped(self, drop):
+        # A lookup that finds a record and prunes it reached the table
+        # as surely as one that adopted or missed.
+        kernel, base, (ref_a, ref_b) = build_world()
+        cache = memo_cache(kernel, use_verifiers=(drop == "verifier"))
+        cache.read(ref_a)
+        if drop == "dead":
+            cache.clear()
+        else:
+            base.provider.mutate_out_of_band(base.provider.peek())
+        assert cache.read(ref_b).disposition == "miss"
+        stats = cache.memo_stats
+        assert stats.misses == 1 and stats.dead_drops + stats.verifier_drops == 1
+        assert stats.consults == 2
 
     def test_lru_bound_emits_evictions(self):
         kernel = PlacelessKernel()
@@ -492,6 +496,7 @@ class TestMemoEndToEnd:
     def test_stats_projection_counts(self):
         stats = MemoStats()
         assert stats.consults == 0
-        stats.adoptions, stats.misses, stats.negative_hits = 3, 2, 1
-        assert stats.consults == 6
+        stats.adoptions, stats.misses = 3, 2
+        stats.dead_drops, stats.verifier_drops = 1, 4
+        assert stats.consults == 10
         assert stats.chain_executions_avoided == 3

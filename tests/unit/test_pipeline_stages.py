@@ -605,7 +605,6 @@ class TestStatsProjection:
         )
         assert stats.stale_served_on_error == 1
         assert stats.stale_serve_rejected == 1
-        assert stats.degraded_serves == 1
 
     def test_unknown_stage_is_ignored(self):
         stats = self._project(StageEvent("no-such-stage", "whatever"))

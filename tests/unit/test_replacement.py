@@ -328,6 +328,23 @@ class TestReinforcedCounter:
         # Lazy halving: the stored counter is shifted by elapsed epochs.
         assert policy._counter_of(entry) <= counter_now
 
+    def test_a_reinstalled_key_starts_unreinforced(self):
+        # The counter belongs to the entry, not the key: removing an
+        # entry forgets it, so a new entry under the same key starts
+        # from one access.
+        from repro.cache.replacement import ReinforcedCounterPolicy
+
+        policy = ReinforcedCounterPolicy()
+        entry = make_entry("doc")
+        register(policy, [entry])
+        for _ in range(5):
+            policy.on_access(entry)
+        assert policy.priority(entry) == 6.0
+        policy.on_remove(entry)
+        again = make_entry("doc")
+        policy.on_insert(again)
+        assert policy.priority(again) == 1.0
+
     def test_factory_knows_rc(self):
         policy = make_policy("rc")
         assert policy.name == "rc"
