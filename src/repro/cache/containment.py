@@ -156,6 +156,13 @@ class CircuitBreaker:
         self.probe_successes = 0
         self.opened_at_ms = 0.0
 
+    def refuses(self, now_ms: float) -> bool:
+        """Would :meth:`allow` refuse right now?  Changes nothing."""
+        delay = self.config.probation_delay_ms
+        return self.state is BreakerState.OPEN and (
+            delay is None or now_ms - self.opened_at_ms < delay
+        )
+
     def allow(self, now_ms: float) -> bool:
         """May the guarded code run right now?
 
@@ -163,8 +170,7 @@ class CircuitBreaker:
         half-open and admits the caller as its probe.
         """
         if self.state is BreakerState.OPEN:
-            delay = self.config.probation_delay_ms
-            if delay is None or now_ms - self.opened_at_ms < delay:
+            if self.refuses(now_ms):
                 return False
             self.state = BreakerState.HALF_OPEN
             self.probe_successes = 0
@@ -203,7 +209,9 @@ class CircuitBreaker:
 
 
 class BreakerRegistry:
-    """Lazily-created breakers, one per (document, code-site) key."""
+    """Lazily-created breakers, one per (document, code-site) key.  A
+    closed breaker with no failures behaves exactly like none, so the
+    guard creates one (:meth:`get`) only for code that has failed."""
 
     def __init__(self, config: BreakerConfig) -> None:
         self.config = config
@@ -345,7 +353,9 @@ class ContainmentGuard:
         )
 
     def _allow(self, registry: BreakerRegistry, key: BreakerKey) -> bool:
-        breaker = registry.get(key)
+        breaker = registry.peek(key)
+        if breaker is None:
+            return True
         was_open = breaker.state is BreakerState.OPEN
         allowed = breaker.allow(self.ctx.clock.now_ms)
         if allowed and was_open:
@@ -365,7 +375,10 @@ class ContainmentGuard:
                 self._emit("tripped", *key)
 
     def _success(self, registry: BreakerRegistry, key: BreakerKey) -> None:
-        if registry.get(key).record_success(self.ctx.clock.now_ms):
+        breaker = registry.peek(key)
+        if breaker is not None and breaker.record_success(
+            self.ctx.clock.now_ms
+        ):
             self.stats.closes += 1
             self._emit("closed", *key)
 
@@ -556,7 +569,7 @@ class ContainmentGuard:
         self._success(self.notifiers, key)
         return result
 
-    # -- introspection / reset -------------------------------------------------
+    # -- introspection ---------------------------------------------------------
 
     def open_sites(self) -> dict[str, set[BreakerKey]]:
         """Currently-open breakers per seam (for benches and bridges)."""
@@ -565,11 +578,3 @@ class ContainmentGuard:
             "verifier": self.verifiers.open_keys(),
             "notifier": self.notifiers.open_keys(),
         }
-
-    def reset(self) -> int:
-        """Forget every breaker across all seams; returns open count."""
-        return (
-            self.wrappers.reset_all()
-            + self.verifiers.reset_all()
-            + self.notifiers.reset_all()
-        )

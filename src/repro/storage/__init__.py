@@ -29,16 +29,12 @@ from repro.storage.segment import (
     K_JOURNAL,
     K_MEMO,
     SegmentLog,
-    pack_fields,
-    unpack_fields,
 )
 from repro.storage.store import DiskContentStore, DiskSlot
 from repro.storage.tier import L2Record, L2Tier, StorageStats
 
 __all__ = [
     "SegmentLog",
-    "pack_fields",
-    "unpack_fields",
     "K_CONTENT",
     "K_DEMOTE",
     "K_DROP",

@@ -11,6 +11,13 @@ Record framing::
     | b"PL" | u8   | big-endian| of payload | length bytes  |
     +-------+------+-----------+------------+---------------+
 
+Every payload is one :func:`pack_record` record: the format byte
+``0x02``, then the fields its kind's :data:`LAYOUTS` entry names and
+types, in order and without names, as one :mod:`marshal` (version 2)
+tuple.  :func:`unpack_record` raises :class:`~repro.errors.StorageError`
+for any other shape or field type, and a replay site counts such a
+record as corrupt.
+
 The format is deliberately crash-shaped:
 
 * **Torn tails truncate.**  A crash can leave a partial record at the
@@ -30,8 +37,9 @@ The format is deliberately crash-shaped:
 
 A log opens its file once, unbuffered, and keeps the descriptor: an
 append is one positioned write of header and payload
-(:func:`os.pwritev`), a point read is :func:`os.pread` at the frame
-offset, and truncation is :func:`os.ftruncate` on the same descriptor.
+(:func:`os.pwritev`), a point read is one :func:`os.pread` of a frame
+whose length the caller holds (a content slot does), and truncation is
+:func:`os.ftruncate` on the same descriptor.
 With no user-space buffer, every append is a single kernel write, so a
 killed process loses nothing the kernel had accepted.  Compaction swaps
 a new file into place, so :meth:`SegmentLog.replace_with` reopens the
@@ -42,6 +50,7 @@ log releases it too).  Positioned I/O is POSIX-only.
 
 from __future__ import annotations
 
+import marshal
 import os
 import struct
 import weakref
@@ -52,8 +61,10 @@ from repro.errors import StorageError
 
 __all__ = [
     "SegmentLog",
-    "pack_fields",
-    "unpack_fields",
+    "HEADER_SIZE",
+    "LAYOUTS",
+    "pack_record",
+    "unpack_record",
     "K_CONTENT",
     "K_DEMOTE",
     "K_DROP",
@@ -70,34 +81,72 @@ K_JOURNAL = 4
 K_FLUSHED = 5
 K_MEMO = 6
 
+#: Each kind's payload fields, one type code each: ``s`` str, ``b``
+#: bytes, ``q`` int, ``d`` float, ``?`` bool, ``o`` str or ``None``,
+#: ``t`` a tuple of str.
+LAYOUTS = {
+    K_CONTENT: "sb",  # digest, bytes
+    # document, user, digest, size, cacheability, cost, chain, verifier
+    # fingerprints, source (or none), pinned
+    K_DEMOTE: "sssqqdtto?",
+    K_DROP: "ss",  # tombstone: document, user
+    K_JOURNAL: "sssb",  # document, user, reference, bytes
+    K_FLUSHED: "ss",  # document, user
+    # source, fingerprint, output, size, cacheability, cost, chain, pinned
+    K_MEMO: "sssqqdt?",
+}
+
 _MAGIC = b"PL"
 _HEADER = struct.Struct(">2sBII")  # magic, kind, payload length, crc32
-_FIELD = struct.Struct(">I")
+#: Bytes a frame adds to its payload.
+HEADER_SIZE = _HEADER.size
+
+#: Format 1 payloads (sorted-key JSON, or length-prefixed fields) began
+#: with ``{`` or a zero byte, so they fail to decode as corrupt.
+_FORMAT = b"\x02"
+#: :mod:`marshal` version 2 writes floats exactly and no back-references,
+#: so equal fields always give equal bytes; every CPython 3 reads it.
+_MARSHAL_VERSION = 2
+_TYPES = {
+    "s": (str,), "b": (bytes,), "q": (int,), "d": (float,),
+    "?": (bool,), "o": (str, type(None)), "t": (tuple,),
+}
 
 
-def pack_fields(*fields: bytes) -> bytes:
-    """Frame *fields* as length-prefixed byte strings in one payload."""
-    parts: list[bytes] = []
-    for field in fields:
-        parts.append(_FIELD.pack(len(field)))
-        parts.append(field)
-    return b"".join(parts)
+def pack_record(*fields) -> bytes:
+    """The format byte, then *fields* as one marshalled tuple."""
+    return _FORMAT + marshal.dumps(fields, _MARSHAL_VERSION)
 
 
-def unpack_fields(payload: bytes) -> list[bytes]:
-    """Invert :func:`pack_fields`; raises :class:`StorageError` on damage."""
-    fields: list[bytes] = []
-    offset = 0
-    while offset < len(payload):
-        if offset + _FIELD.size > len(payload):
-            raise StorageError("truncated field header in segment payload")
-        (length,) = _FIELD.unpack_from(payload, offset)
-        offset += _FIELD.size
-        if offset + length > len(payload):
-            raise StorageError("truncated field body in segment payload")
-        fields.append(payload[offset:offset + length])
-        offset += length
+def _fits(code: str, value) -> bool:
+    return type(value) in _TYPES[code] and (
+        code != "t" or all(type(item) is str for item in value)
+    )
+
+
+def unpack_record(layout: str, payload: bytes) -> tuple:
+    """Invert :func:`pack_record`; anything but one *layout* record
+    raises :class:`StorageError`.  Only a payload whose CRC held gets
+    here, so it is bytes this module wrote (the trust a ``.pyc`` file's
+    marshalled code gets from its header)."""
+    try:
+        if payload[:1] != _FORMAT:
+            raise ValueError("not a format-2 record")
+        fields = marshal.loads(memoryview(payload)[1:])
+    except (ValueError, EOFError, TypeError) as error:
+        raise StorageError(f"malformed segment payload: {error}") from None
+    if not (
+        type(fields) is tuple and len(fields) == len(layout)
+        and all(map(_fits, layout, fields))
+    ):
+        raise StorageError(f"segment payload is not a {layout!r} record")
     return fields
+
+
+def _header(kind: int, payload: bytes) -> bytes:
+    return _HEADER.pack(
+        _MAGIC, kind, len(payload), zlib.crc32(payload) & 0xFFFFFFFF
+    )
 
 
 class SegmentLog:
@@ -168,9 +217,7 @@ class SegmentLog:
             flipped = bytearray(payload)
             flipped[len(flipped) // 2] ^= 0xFF
             written = bytes(flipped)
-        header = _HEADER.pack(
-            _MAGIC, kind, len(payload), zlib.crc32(payload) & 0xFFFFFFFF
-        )
+        header = _header(kind, payload)
         offset = self._size
         length = _HEADER.size + len(payload)
         if os.pwritev(self._live(), (header, written), offset) != length:
@@ -195,24 +242,20 @@ class SegmentLog:
         os.ftruncate(self._live(), self._durable)
         self._size = self._durable
 
-    def read(self, offset: int) -> tuple[int, bytes]:
-        """The ``(kind, payload)`` at *offset*; raises on any damage."""
-        fd = self._live()
-        header = os.pread(fd, _HEADER.size, offset)
-        if len(header) < _HEADER.size:
+    def read(self, offset: int, length: int) -> tuple[int, bytes]:
+        """The ``(kind, payload)`` of the *length*-byte frame (header
+        included) at *offset*, read with one :func:`os.pread`; raises on
+        any damage to its magic, length or CRC."""
+        frame = os.pread(self._live(), length, offset)
+        # A short frame pads to a header whose magic cannot match.
+        magic, kind, size, crc = _HEADER.unpack_from(
+            frame.ljust(_HEADER.size)
+        )
+        if magic != _MAGIC or _HEADER.size + size != len(frame):
             raise StorageError(
-                f"short record header at offset {offset} in {self.path}"
+                f"no {length}-byte record at offset {offset} in {self.path}"
             )
-        magic, kind, length, crc = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise StorageError(
-                f"bad record magic at offset {offset} in {self.path}"
-            )
-        payload = os.pread(fd, length, offset + _HEADER.size)
-        if len(payload) < length:
-            raise StorageError(
-                f"short record payload at offset {offset} in {self.path}"
-            )
+        payload = frame[_HEADER.size:]
         if zlib.crc32(payload) & 0xFFFFFFFF != crc:
             self.corrupt_skips += 1
             raise StorageError(
@@ -273,10 +316,7 @@ class SegmentLog:
         with open(scratch, "wb") as handle:
             position = 0
             for index, (kind, payload) in enumerate(records):
-                header = _HEADER.pack(
-                    _MAGIC, kind, len(payload),
-                    zlib.crc32(payload) & 0xFFFFFFFF,
-                )
+                header = _header(kind, payload)
                 handle.write(header)
                 handle.write(payload)
                 offsets[index] = position

@@ -25,22 +25,25 @@ from pathlib import Path
 from repro.content.signature import ContentSignature, sign
 from repro.errors import StorageError
 from repro.storage.segment import (
+    HEADER_SIZE,
     K_CONTENT,
+    LAYOUTS,
     SegmentLog,
-    pack_fields,
-    unpack_fields,
+    pack_record,
+    unpack_record,
 )
 
 __all__ = ["DiskSlot", "DiskContentStore"]
 
 
-@dataclass
+@dataclass(slots=True)
 class DiskSlot:
-    """Index entry for one distinct byte string held on disk."""
+    """One distinct byte string on disk, in a *length*-byte frame."""
 
     signature: ContentSignature
     offset: int
     size: int
+    length: int
     refcount: int = 0
 
 
@@ -63,11 +66,11 @@ class DiskContentStore:
             if kind != K_CONTENT:
                 continue
             try:
-                digest_raw, content = unpack_fields(payload)
+                digest, content = unpack_record(LAYOUTS[K_CONTENT], payload)
             except StorageError:
                 self.corrupt_dropped += 1
                 continue
-            signature = ContentSignature(digest_raw.decode("ascii"))
+            signature = ContentSignature(digest)
             if sign(content) != signature:
                 # The frame's CRC held but the content does not match
                 # its recorded digest — treat as corruption, not data.
@@ -75,6 +78,7 @@ class DiskContentStore:
                 continue
             self._by_signature[signature] = DiskSlot(
                 signature=signature, offset=offset, size=len(content),
+                length=HEADER_SIZE + len(payload),
             )
 
     def put_signed(
@@ -96,10 +100,11 @@ class DiskContentStore:
         )
         slot = self._by_signature.get(signature)
         if slot is None:
-            payload = pack_fields(signature.digest.encode("ascii"), content)
+            payload = pack_record(signature.digest, content)
             offset = self.log.append(K_CONTENT, payload, corrupt=corrupt)
             slot = DiskSlot(
                 signature=signature, offset=offset, size=len(content),
+                length=HEADER_SIZE + len(payload),
             )
             self._by_signature[signature] = slot
         slot.refcount += 1
@@ -117,9 +122,10 @@ class DiskContentStore:
         (the L2 tier) converts that into a drop plus a breaker failure.
         """
         slot = self._slot(signature)
-        _, payload = self.log.read(slot.offset)  # raises on CRC mismatch
-        digest_raw, content = unpack_fields(payload)
-        if digest_raw.decode("ascii") != signature.digest:
+        # One pread of the whole frame; raises on any framing or CRC damage.
+        _, payload = self.log.read(slot.offset, slot.length)
+        digest, content = unpack_record(LAYOUTS[K_CONTENT], payload)
+        if digest != signature.digest:
             raise StorageError(
                 f"content record at offset {slot.offset} belongs to "
                 f"another signature (wanted {signature.short})"
@@ -162,7 +168,7 @@ class DiskContentStore:
         live = sorted(self._by_signature.values(), key=lambda s: s.offset)
         records: list[tuple[int, bytes]] = []
         for slot in live:
-            _, payload = self.log.read(slot.offset)
+            _, payload = self.log.read(slot.offset, slot.length)
             records.append((K_CONTENT, payload))
         offsets = self.log.replace_with(records)
         for index, slot in enumerate(live):

@@ -13,6 +13,10 @@ segments in one directory:
 * ``memo.seg`` — verifier-free transform-memo records, so a restarted
   cache keeps its ``(source, chain) → output`` knowledge.
 
+Every record is a binary :func:`~repro.storage.segment.pack_record`
+payload in its kind's layout; replay counts a record that does not
+decode in ``corrupt_records_recovered`` and goes on.
+
 **Tiering is exclusive**: eviction *demotes* an entry's bytes and
 metadata to disk; a later miss *promotes* them back — removing the disk
 copy — instead of fetching and re-running the property chain.
@@ -29,10 +33,9 @@ promotion conservatively.
 
 **Failure is absorbed, not propagated.**  Disk faults (write failures,
 lying fsyncs, corrupted records, slow I/O — see
-:meth:`~repro.faults.plan.FaultPlan.check_disk_write`) count against a
-storage circuit breaker (the containment layer's
-:class:`~repro.cache.containment.CircuitBreaker` machinery with
-storage-tuned config); while the breaker is open every L2 operation is
+:meth:`~repro.faults.plan.FaultPlan.check_disk_write`) count against
+the tier's one :class:`~repro.cache.containment.CircuitBreaker`
+(storage-tuned config); while it is open every L2 operation is
 skipped and the cache falls back to plain L1 semantics.  No read ever
 errors because the disk is sick, and no stale or damaged byte is ever
 served because every promotion is gated.
@@ -40,13 +43,12 @@ served because every promotion is gated.
 
 from __future__ import annotations
 
-import json
 import re
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.cache.containment import BreakerConfig, BreakerRegistry
+from repro.cache.containment import BreakerConfig, CircuitBreaker
 from repro.cache.core import PROBE_COST_MS, CacheCore
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.memo import ChainFingerprint, MemoRecord
@@ -64,9 +66,10 @@ from repro.storage.segment import (
     K_FLUSHED,
     K_JOURNAL,
     K_MEMO,
+    LAYOUTS,
     SegmentLog,
-    pack_fields,
-    unpack_fields,
+    pack_record,
+    unpack_record,
 )
 from repro.storage.store import DiskContentStore
 
@@ -82,7 +85,7 @@ SYNC_COST_MS = 0.5
 BREAKER_PROBATION_MS = 2_000.0
 
 
-@dataclass
+@dataclass(slots=True)
 class L2Record:
     """One demoted entry's metadata, as held in the in-memory catalog."""
 
@@ -94,7 +97,6 @@ class L2Record:
     chain_signature: tuple[str, ...]
     verifier_fingerprints: tuple[str, ...]
     source_signature: ContentSignature | None
-    reference_id: "ReferenceId | None"
     pinned: bool = False
     #: True when this record was rebuilt from the on-disk catalog (no
     #: live verifier objects); such records are always verified on
@@ -107,46 +109,32 @@ class L2Record:
 
     def to_payload(self) -> bytes:
         """Serialize for the catalog segment (live verifiers excluded)."""
-        return _key_json(
-            self.key,
-            digest=self.signature.digest,
-            size=self.size,
-            cacheability=self.cacheability.name,
-            cost=self.replacement_cost_ms,
-            chain=list(self.chain_signature),
-            verifier_fps=list(self.verifier_fingerprints),
-            source=(
-                None if self.source_signature is None
-                else self.source_signature.digest
-            ),
-            reference=(
-                None if self.reference_id is None
-                else self.reference_id.value
-            ),
-            pinned=self.pinned,
+        source = self.source_signature
+        return _keyed(
+            self.key, self.signature.digest, self.size,
+            self.cacheability.value, self.replacement_cost_ms,
+            self.chain_signature, self.verifier_fingerprints,
+            None if source is None else source.digest, self.pinned,
         )
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "L2Record":
-        """Rebuild a (recovered, verifier-free) record from the catalog."""
-        data = json.loads(payload.decode("utf-8"))
+        """Rebuild a (recovered, verifier-free) record from the catalog;
+        raises :class:`StorageError` on a malformed payload."""
+        (key, digest, size, vote, cost, chain, fingerprints, source,
+         pinned) = _key_and(K_DEMOTE, payload)
         return cls(
-            key=_key_of(data),
-            signature=ContentSignature(data["digest"]),
-            size=data["size"],
-            cacheability=Cacheability[data["cacheability"]],
-            replacement_cost_ms=data["cost"],
-            chain_signature=tuple(data["chain"]),
-            verifier_fingerprints=tuple(data["verifier_fps"]),
+            key=key,
+            signature=ContentSignature(digest),
+            size=size,
+            cacheability=_vote(vote),
+            replacement_cost_ms=cost,
+            chain_signature=chain,
+            verifier_fingerprints=fingerprints,
             source_signature=(
-                None if data["source"] is None
-                else ContentSignature(data["source"])
+                None if source is None else ContentSignature(source)
             ),
-            reference_id=(
-                None if data["reference"] is None
-                else ReferenceId(data["reference"])
-            ),
-            pinned=data["pinned"],
+            pinned=pinned,
             recovered=True,
             verifiers=None,
         )
@@ -212,24 +200,50 @@ class StorageStats:
     by_reason: dict[str, int] = field(default_factory=dict)
 
 
-#: The one sorted-key encoder for segment payloads; ``json.dumps`` with
-#: an option builds a new encoder per call, and the bytes are the same.
-_JSON = json.JSONEncoder(sort_keys=True)
+def _vote(value: int) -> Cacheability:
+    """The cacheability a record names; :class:`StorageError` if none."""
+    try:
+        return Cacheability(value)
+    except ValueError:
+        raise StorageError(f"no cacheability {value!r}") from None
 
 
-def _key_json(key: EntryKey, **fields) -> bytes:
-    """A segment payload naming *key*: ``document`` and ``user`` plus
-    *fields*, as sorted-key JSON."""
-    return _JSON.encode({
-        "document": key.document_id.value,
-        "user": key.user_id.value,
-        **fields,
-    }).encode("utf-8")
+def _keyed(key: EntryKey, *fields) -> bytes:
+    """A payload naming *key* (document, user) before *fields*."""
+    return pack_record(key.document_id.value, key.user_id.value, *fields)
 
 
-def _key_of(data: dict) -> EntryKey:
-    """The key a decoded :func:`_key_json` payload names."""
-    return EntryKey(DocumentId(data["document"]), UserId(data["user"]))
+def _key_and(kind: int, payload: bytes) -> tuple:
+    """Invert :func:`_keyed` for a *kind* record: ``(key, *fields)``."""
+    document, user, *fields = unpack_record(LAYOUTS[kind], payload)
+    return (EntryKey(DocumentId(document), UserId(user)), *fields)
+
+
+def _memo_payload(record: MemoRecord) -> bytes:
+    """A memo segment payload for *record* (its verifiers excluded)."""
+    return pack_record(
+        record.source_signature.digest, record.fingerprint.digest,
+        record.output_signature.digest,
+        record.size, record.cacheability.value, record.replacement_cost_ms,
+        record.chain_signature, record.pinned,
+    )
+
+
+def _memo_record(payload: bytes) -> MemoRecord:
+    """Invert :func:`_memo_payload`; raises :class:`StorageError`."""
+    source, fingerprint, output, size, vote, cost, chain, pinned = (
+        unpack_record(LAYOUTS[K_MEMO], payload)
+    )
+    return MemoRecord(
+        source_signature=ContentSignature(source),
+        fingerprint=ChainFingerprint(fingerprint),
+        output_signature=ContentSignature(output),
+        size=size,
+        cacheability=_vote(vote),
+        replacement_cost_ms=cost,
+        chain_signature=chain,
+        pinned=pinned,
+    )
 
 
 def _sanitize(name: str) -> str:
@@ -259,12 +273,12 @@ class L2Tier:
             raise StorageError(
                 f"storage directory {directory} is unusable: {error}"
             ) from error
-        self.breakers = BreakerRegistry(BreakerConfig(
+        #: The tier's one storage breaker.
+        self.breaker = CircuitBreaker(BreakerConfig(
             failure_threshold=policy.breaker_failure_threshold,
             probation_delay_ms=BREAKER_PROBATION_MS,
             half_open_successes=1,
         ))
-        self._breaker_key = ("storage", str(core.cache_id))
         self._catalog: dict[EntryKey, L2Record] = {}
         # Corrupt content drops already credited to the stats; the
         # content index rebuilds both at open and inside crash(), so
@@ -280,31 +294,24 @@ class L2Tier:
 
     @property
     def breaker_open(self) -> bool:
-        """True while the storage breaker refuses disk operations."""
-        breaker = self.breakers.peek(self._breaker_key)
-        return breaker is not None and not breaker.allow(
-            self.core.ctx.clock.now_ms
-        )
+        """True while the storage breaker refuses disk operations.  A pure
+        query: looking never turns the breaker half-open."""
+        return self.breaker.refuses(self.core.ctx.clock.now_ms)
 
     def _allow(self, site: str) -> bool:
-        breaker = self.breakers.get(self._breaker_key)
-        if breaker.allow(self.core.ctx.clock.now_ms):
+        if self.breaker.allow(self.core.ctx.clock.now_ms):
             return True
         self.stats.fallback_skips += 1
         self.core.emit("storage", "fallback", site=site)
         return False
 
     def _ok(self) -> None:
-        if self.breakers.get(self._breaker_key).record_success(
-            self.core.ctx.clock.now_ms
-        ):
+        if self.breaker.record_success():
             self.stats.breaker_closes += 1
             self.core.emit("storage", "breaker-closed")
 
     def _fail(self, site: str) -> None:
-        if self.breakers.get(self._breaker_key).record_failure(
-            self.core.ctx.clock.now_ms
-        ):
+        if self.breaker.record_failure(self.core.ctx.clock.now_ms):
             self.stats.breaker_trips += 1
             self.core.emit("storage", "breaker-open", site=site)
 
@@ -378,7 +385,6 @@ class L2Tier:
                 verifier.fingerprint() for verifier in entry.verifiers
             ),
             source_signature=source,
-            reference_id=entry.reference_id,
             pinned=entry.pinned,
             verifiers=list(entry.verifiers),
         )
@@ -545,7 +551,7 @@ class L2Tier:
         if self._write_fault("tombstone") is not None:
             self.stats.write_failures += 1
             return
-        self.catalog_log.append(K_DROP, _key_json(record.key))
+        self.catalog_log.append(K_DROP, _keyed(record.key))
         self._sync("tombstone", self.catalog_log)
 
     # -- journal / memo spill --------------------------------------------------
@@ -565,10 +571,7 @@ class L2Tier:
             self.stats.write_failures += 1
             self._fail("journal")
             return
-        payload = pack_fields(
-            _key_json(key, reference=reference.reference_id.value),
-            bytes(content),
-        )
+        payload = _keyed(key, reference.reference_id.value, bytes(content))
         self.journal_log.append(
             K_JOURNAL, payload, corrupt=(action == "corrupt")
         )
@@ -594,7 +597,7 @@ class L2Tier:
         if self._write_fault("flushed") is not None:
             self.stats.write_failures += 1
             return
-        self.journal_log.append(K_FLUSHED, _key_json(key))
+        self.journal_log.append(K_FLUSHED, _keyed(key))
         self._sync("flushed", self.journal_log)
 
     def spill_memo(self, record: MemoRecord) -> None:
@@ -614,16 +617,9 @@ class L2Tier:
             self.stats.write_failures += 1
             self._fail("memo")
             return
-        self.memo_log.append(K_MEMO, _JSON.encode({
-            "source": record.source_signature.digest,
-            "fingerprint": record.fingerprint.digest,
-            "output": record.output_signature.digest,
-            "size": record.size,
-            "cacheability": record.cacheability.name,
-            "cost": record.replacement_cost_ms,
-            "chain": list(record.chain_signature),
-            "pin": record.pinned,
-        }).encode("utf-8"), corrupt=(action == "corrupt"))
+        self.memo_log.append(
+            K_MEMO, _memo_payload(record), corrupt=(action == "corrupt")
+        )
         self._sync("memo", self.memo_log)
         self.stats.memo_spills += 1
         self._ok()
@@ -696,19 +692,15 @@ class L2Tier:
         self.stats.corrupt_records_recovered += corrupt
         self._catalog.clear()
         for kind, payload, _ in catalog_records:
-            if kind == K_DEMOTE:
-                try:
+            try:
+                if kind == K_DEMOTE:
                     record = L2Record.from_payload(payload)
-                except (ValueError, KeyError):
-                    self.stats.corrupt_records_recovered += 1
-                    continue
-                self._catalog[record.key] = record
-            elif kind == K_DROP:
-                try:
-                    key = _key_of(json.loads(payload.decode("utf-8")))
-                except (ValueError, KeyError):
-                    continue
-                self._catalog.pop(key, None)
+                    self._catalog[record.key] = record
+                elif kind == K_DROP:
+                    (key,) = _key_and(K_DROP, payload)
+                    self._catalog.pop(key, None)
+            except StorageError:
+                self.stats.corrupt_records_recovered += 1
         # Records whose bytes were lost to a crash or corruption are
         # dead; survivors re-take their content references.
         for key, record in list(self._catalog.items()):
@@ -744,21 +736,15 @@ class L2Tier:
         self.stats.corrupt_records_recovered += corrupt
         latest: dict[EntryKey, tuple[str, bytes]] = {}
         for kind, payload, _ in records:
-            if kind == K_JOURNAL:
-                try:
-                    meta_raw, content = unpack_fields(payload)
-                    data = json.loads(meta_raw.decode("utf-8"))
-                    key = _key_of(data)
-                except (StorageError, ValueError, KeyError):
-                    self.stats.corrupt_records_recovered += 1
-                    continue
-                latest[key] = (data["reference"], content)
-            elif kind == K_FLUSHED:
-                try:
-                    key = _key_of(json.loads(payload.decode("utf-8")))
-                except (ValueError, KeyError):
-                    continue
-                latest.pop(key, None)
+            try:
+                if kind == K_JOURNAL:
+                    key, reference_id, content = _key_and(K_JOURNAL, payload)
+                    latest[key] = (reference_id, content)
+                elif kind == K_FLUSHED:
+                    (key,) = _key_and(K_FLUSHED, payload)
+                    latest.pop(key, None)
+            except StorageError:
+                self.stats.corrupt_records_recovered += 1
         for key, (reference_id, content) in latest.items():
             if key in core.dirty:
                 continue
@@ -780,9 +766,9 @@ class L2Tier:
     def _reload_memo(self) -> None:
         """Verifier-free memo records back into the live memo table.
 
-        A record without an output digest is malformed — counted, never
-        reloaded: a memo record must name bytes a serve can adopt (a
-        segment written when UNCACHEABLE votes were recorded holds them).
+        A malformed record — one without an output digest among them: a
+        memo record must name bytes a serve can adopt — is counted,
+        never reloaded.
         """
         core = self.core
         records, corrupt = self.memo_log.scan_records()
@@ -793,20 +779,8 @@ class L2Tier:
             if kind != K_MEMO:
                 continue
             try:
-                data = json.loads(payload.decode("utf-8"))
-                if not isinstance(data["output"], str):
-                    raise ValueError(f"no output digest: {data['output']!r}")
-                record = MemoRecord(
-                    source_signature=ContentSignature(data["source"]),
-                    fingerprint=ChainFingerprint(data["fingerprint"]),
-                    output_signature=ContentSignature(data["output"]),
-                    size=data["size"],
-                    cacheability=Cacheability[data["cacheability"]],
-                    replacement_cost_ms=data["cost"],
-                    chain_signature=tuple(data["chain"]),
-                    pinned=data["pin"],
-                )
-            except (ValueError, KeyError):
+                record = _memo_record(payload)
+            except StorageError:
                 self.stats.corrupt_records_recovered += 1
                 continue
             core.memo.record(record)

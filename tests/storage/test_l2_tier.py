@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import struct
 
 import pytest
 
+from repro.cache.containment import BreakerState
 from repro.cache.entry import EntryKey
 from repro.cache.manager import DocumentCache
 from repro.cache.memo import ChainFingerprint, MemoRecord
@@ -14,16 +16,28 @@ from repro.cache.policies import (
     DefaultMemoPolicy,
     DefaultRecoveryPolicy,
     DefaultStoragePolicy,
+    StoragePolicy,
 )
 from repro.cluster import CacheCluster
 from repro.content.signature import sign
+from repro.contract.cacheability import Cacheability
 from repro.errors import StorageError
 from repro.faults.plan import FaultPlan
 from repro.placeless.chain import read_plan
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.audit import ReadAuditTrailProperty
 from repro.providers.memory import MemoryProvider
-from repro.storage import K_CONTENT, K_JOURNAL, K_MEMO
+from repro.storage import (
+    K_CONTENT,
+    K_DEMOTE,
+    K_DROP,
+    K_FLUSHED,
+    K_JOURNAL,
+    K_MEMO,
+    SegmentLog,
+)
+from repro.storage.segment import HEADER_SIZE, pack_record
+from repro.storage.tier import BREAKER_PROBATION_MS
 
 
 def _deployment(n_docs=6, slots=2, *, faults=None, storage=None, **cache_kwargs):
@@ -243,6 +257,24 @@ class TestDegradation:
             assert cache.read(reference).content == providers[index].peek()
         assert stats.fallback_skips > skips_before
 
+    def test_reading_the_breaker_never_starts_its_probation(
+        self, deployment
+    ):
+        kernel, cache, _, references = deployment(
+            faults={"seed": 7, "disk_write_fail_probability": 1.0},
+        )
+        for reference in references:
+            cache.read(reference)
+        tier = cache.storage
+        assert tier.breaker_open
+        kernel.ctx.clock.advance(BREAKER_PROBATION_MS + 1.0)
+        # Past probation the next disk operation may probe, so the
+        # breaker no longer refuses — but looking must not pick the
+        # probe: the state stays OPEN however often it is read.
+        assert not tier.breaker_open
+        assert not tier.breaker_open
+        assert tier.breaker.state is BreakerState.OPEN
+
 
 class TestJournalSpill:
     def _write_back_cache(self, deployment):
@@ -344,12 +376,11 @@ class TestMemoSpill:
         source = sign(b"source bytes")
         fingerprint = ChainFingerprint("chain-fp")
         log = cache.storage.memo_log
-        log.append(K_MEMO, json.dumps({
-            "source": source.digest, "fingerprint": fingerprint.digest,
-            "output": None, "document": "d0", "size": 0,
-            "cacheability": "UNCACHEABLE", "cost": 0.0, "chain": [],
-            "pin": False,
-        }, sort_keys=True).encode("utf-8"))
+        # The memo layout with its output slot empty.
+        log.append(K_MEMO, pack_record(
+            source.digest, fingerprint.digest, None, 0,
+            Cacheability.UNCACHEABLE.value, 0.0, (), False,
+        ))
         log.sync()
         corrupt_before = cache.storage_stats.corrupt_records_recovered
         cache.crash()
@@ -372,6 +403,136 @@ class TestMemoSpill:
         assert cache.storage_stats.memo_spills == 0
 
 
+def _fields_1(*parts: bytes) -> bytes:
+    """Length-prefixed fields, as payload format 1 framed them."""
+    return b"".join(struct.pack(">I", len(part)) + part for part in parts)
+
+
+def _json_1(**fields) -> bytes:
+    """A sorted-key JSON payload, as payload format 1 wrote them."""
+    return json.dumps(fields, sort_keys=True).encode("utf-8")
+
+
+#: Per record kind: its segment, its frame kind, the policies its replay
+#: needs, and CRC-valid payloads of the wrong shape — what format 1 read
+#: as a JSON list or string, and a format-2 record of another layout.
+_WRONG_SHAPES = {
+    "catalog": ("catalog.seg", K_DEMOTE, {}, [
+        b"[]", b'"x"', pack_record("d0", "alice"),
+        pack_record(
+            "d0", "alice", "digest", 1, 9, 0.0, (), (),
+            None, False,
+        ),  # no cacheability has the value 9
+    ]),
+    "tombstone": ("catalog.seg", K_DROP, {}, [
+        b"[]", pack_record("d0", "alice", "extra"),
+    ]),
+    "journal": ("journal.seg", K_JOURNAL, {}, [
+        _fields_1(b"[]", b"bytes"),
+        pack_record("d0", "alice"),
+    ]),
+    "flushed": ("journal.seg", K_FLUSHED, {}, [
+        b"[1]", pack_record("d0", "alice", "r", b"x"),
+    ]),
+    "memo": ("memo.seg", K_MEMO, {"memo_policy": DefaultMemoPolicy()}, [
+        b"[]", pack_record("d0", "alice"),
+    ]),
+}
+
+
+class TestMalformedRecords:
+    """A CRC-valid record of the wrong shape is corrupt, not fatal: the
+    tier counts it in ``corrupt_records_recovered`` and comes up."""
+
+    @pytest.mark.parametrize("kind", list(_WRONG_SHAPES))
+    def test_a_wrong_shape_record_is_counted_and_skipped(
+        self, deployment, tmp_path, kind
+    ):
+        segment, frame_kind, policies, payloads = _WRONG_SHAPES[kind]
+        storage = StoragePolicy(directory=str(tmp_path))
+        _, first, _, _ = deployment(storage=storage, **policies)
+        directory = first.storage.directory
+        first.shutdown()
+        log = SegmentLog(directory / segment)
+        for payload in payloads:
+            log.append(frame_kind, payload)
+        log.close()
+        _, cache, providers, references = deployment(
+            storage=storage, **policies
+        )
+        stats = cache.storage_stats
+        assert stats.corrupt_records_recovered == len(payloads)
+        assert (len(cache.storage), stats.journal_replayed) == (0, 0)
+        assert stats.memo_reloaded == 0
+        assert cache.read(references[0]).content == providers[0].peek()
+
+    def test_a_directory_of_format_1_records_recovers_cold(
+        self, deployment, tmp_path
+    ):
+        storage = StoragePolicy(directory=str(tmp_path))
+        policies = {"memo_policy": DefaultMemoPolicy()}
+        _, first, providers, references = deployment(
+            storage=storage, **policies
+        )
+        directory = first.storage.directory
+        first.shutdown()
+        # What format 1 wrote for one demoted document, a demotion and
+        # its tombstone, an unflushed write, a flushed mark and a memo
+        # record — each a record format 1 would have replayed.
+        reference, content = references[0], providers[0].peek()
+        key = EntryKey.for_reference(reference)
+        digest = sign(content).digest
+        named = {"document": key.document_id.value, "user": key.user_id.value}
+        plan = read_plan(reference)
+        minted = [reference.base.provider.make_verifier()] + [
+            prop.make_verifier() for prop in plan.chain
+        ]
+        demoted = _json_1(
+            **named, digest=digest, size=len(content),
+            cacheability="UNRESTRICTED", cost=1.0,
+            chain=list(plan.chain_signature),
+            verifier_fps=[v.fingerprint() for v in minted if v is not None],
+            source=digest, reference=reference.reference_id.value,
+            pinned=False,
+        )
+        records = {
+            "content.seg": [(K_CONTENT, _fields_1(digest.encode(), content))],
+            "catalog.seg": [
+                (K_DEMOTE, demoted), (K_DEMOTE, demoted),
+                (K_DROP, _json_1(**named)), (K_DEMOTE, demoted),
+            ],
+            "journal.seg": [
+                (K_JOURNAL, _fields_1(
+                    _json_1(**named, reference=reference.reference_id.value),
+                    b"unflushed",
+                )),
+                (K_FLUSHED, _json_1(**named)),
+            ],
+            "memo.seg": [(K_MEMO, _json_1(
+                source=digest, fingerprint=plan.fingerprint.digest,
+                output=digest, size=len(content),
+                cacheability="UNRESTRICTED", cost=1.0, chain=[], pin=False,
+            ))],
+        }
+        for segment, frames in records.items():
+            log = SegmentLog(directory / segment)
+            for frame_kind, payload in frames:
+                log.append(frame_kind, payload)
+            log.close()
+        _, cache, providers, references = deployment(
+            storage=storage, **policies
+        )
+        stats = cache.storage_stats
+        assert stats.corrupt_records_recovered == sum(
+            len(frames) for frames in records.values()
+        )
+        assert len(cache.storage) == len(cache.storage.disk) == 0
+        assert (stats.journal_replayed, stats.memo_reloaded) == (0, 0)
+        outcome = cache.read(references[0])
+        assert outcome.disposition == "miss"
+        assert outcome.content == providers[0].peek()
+
+
 class TestClose:
     def test_shutdown_closes_the_tier_once(self, deployment):
         _, cache, _, references = deployment()
@@ -387,7 +548,7 @@ class TestClose:
             with pytest.raises(StorageError):
                 log.append(K_CONTENT, b"after close")
             with pytest.raises(StorageError):
-                log.read(0)
+                log.read(0, HEADER_SIZE)
         tier.close()  # closing again is harmless, and so is
         cache.shutdown()  # shutting down again
 

@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import StorageError
-from repro.storage import (
-    K_CONTENT,
-    K_DEMOTE,
-    SegmentLog,
-    pack_fields,
-    unpack_fields,
-)
+from repro.storage import K_CONTENT, K_DEMOTE, SegmentLog
+from repro.storage.segment import HEADER_SIZE, pack_record, unpack_record
+
+
+def _frame(payload: bytes) -> int:
+    """The length of the frame that holds *payload*."""
+    return HEADER_SIZE + len(payload)
 
 
 class TestFraming:
@@ -19,8 +19,16 @@ class TestFraming:
         log = SegmentLog(tmp_path / "t.seg")
         first = log.append(K_CONTENT, b"alpha")
         second = log.append(K_DEMOTE, b"beta")
-        assert log.read(first) == (K_CONTENT, b"alpha")
-        assert log.read(second) == (K_DEMOTE, b"beta")
+        assert log.read(first, _frame(b"alpha")) == (K_CONTENT, b"alpha")
+        assert log.read(second, _frame(b"beta")) == (K_DEMOTE, b"beta")
+
+    def test_a_read_of_the_wrong_length_raises(self, tmp_path):
+        log = SegmentLog(tmp_path / "t.seg")
+        offset = log.append(K_CONTENT, b"alpha")
+        log.append(K_CONTENT, b"beta")
+        for length in (_frame(b"alpha") - 1, _frame(b"alpha") + 1, 3):
+            with pytest.raises(StorageError):
+                log.read(offset, length)
 
     def test_scan_returns_records_in_order(self, tmp_path):
         log = SegmentLog(tmp_path / "t.seg")
@@ -32,16 +40,34 @@ class TestFraming:
             (K_CONTENT, b"one"), (K_CONTENT, b"two"),
         ]
 
-    def test_pack_unpack_fields_round_trip(self):
-        payload = pack_fields(b"meta", b"content \x00 with zeros", b"")
-        assert unpack_fields(payload) == [
-            b"meta", b"content \x00 with zeros", b"",
-        ]
+    def test_pack_unpack_record_round_trip(self):
+        fields = (
+            b"content \x00 with zeros", "naïve \ud800", None, ("a", ""),
+            -7, 0.1, True,
+        )
+        payload = pack_record(*fields)
+        assert tuple(unpack_record("bsotqd?", payload)) == fields
 
-    def test_unpack_fields_raises_on_truncation(self):
-        payload = pack_fields(b"meta", b"content")
+    def test_unpack_record_raises_on_truncation(self):
+        payload = pack_record("meta", b"content")
         with pytest.raises(StorageError):
-            unpack_fields(payload[:-3])
+            unpack_record("sb", payload[:-3])
+
+    @pytest.mark.parametrize("fields", [
+        ("meta", "not bytes"), ("meta",), ("meta", b"x", b"y"),
+        (b"meta", b"x"),
+    ])
+    def test_unpack_record_raises_on_another_shape(self, fields):
+        with pytest.raises(StorageError):
+            unpack_record("sb", pack_record(*fields))
+
+    @pytest.mark.parametrize("code, value", [
+        ("q", True), ("q", 1.0), ("?", 1), ("o", b"x"), ("t", ("a", 1)),
+        ("t", ["a"]), ("d", "0.5"), ("d", 1),
+    ])
+    def test_unpack_record_checks_each_field_type(self, code, value):
+        with pytest.raises(StorageError):
+            unpack_record(code, pack_record(value))
 
 
 class TestDurability:
@@ -93,7 +119,7 @@ class TestDamage:
         log = SegmentLog(tmp_path / "t.seg")
         offset = log.append(K_CONTENT, b"garbled", corrupt=True)
         with pytest.raises(StorageError):
-            log.read(offset)
+            log.read(offset, _frame(b"garbled"))
 
     def test_torn_tail_truncated_on_scan(self, tmp_path):
         path = tmp_path / "t.seg"
@@ -132,7 +158,8 @@ class TestCompaction:
         offsets = log.replace_with([(K_CONTENT, b"live")])
         assert log.size < before
         assert log.durable_size == log.size
-        assert log.read(offsets[0]) == (K_CONTENT, b"live")
+        live = log.read(offsets[0], _frame(b"live"))
+        assert live == (K_CONTENT, b"live")
         records, corrupt = log.scan_records()
         assert corrupt == 0
         assert [p for _, p, _ in records] == [b"live"]
@@ -145,7 +172,7 @@ class TestCompaction:
         log.append(K_CONTENT, b"dead")
         log.replace_with([(K_CONTENT, b"live")])
         offset = log.append(K_CONTENT, b"after")
-        assert log.read(offset) == (K_CONTENT, b"after")
+        assert log.read(offset, _frame(b"after")) == (K_CONTENT, b"after")
         records, corrupt = SegmentLog(path).scan_records()
         assert corrupt == 0
         assert [p for _, p, _ in records] == [b"live", b"after"]
@@ -177,6 +204,6 @@ class TestDescriptor:
         offset = log.append(K_CONTENT, b"x")
         log.close()
         with pytest.raises(StorageError):
-            log.read(offset)
+            log.read(offset, _frame(b"x"))
         with pytest.raises(StorageError):
             log.append(K_CONTENT, b"y")

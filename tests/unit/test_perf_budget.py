@@ -15,7 +15,10 @@ steady state relies on.
 The miss path's budgets are exact counts, which a shared CI box can
 hold where it cannot hold a wall-clock number: MD5 constructions per
 miss (each byte string is hashed once), files opened per L2 demotion,
-promotion and tombstone (none: the segment descriptors are held), and
+promotion and tombstone (none: the segment descriptors are held),
+positioned writes and reads per demotion and promotion (two frames and
+no JSON encode; one read), breakers created by fault-free traffic
+through a contained cache (none), and
 Python-level calls per miss
 and per plain kernel read, which must not depend on how many users'
 notifiers are armed on the document.  Hits and re-misses also have an
@@ -43,6 +46,7 @@ import builtins
 import gc
 import io
 import itertools
+import json
 import os
 import sys
 import tracemalloc
@@ -55,7 +59,12 @@ from repro.cache.core import CacheCore
 from repro.cache.entry import EntryKey
 from repro.cache.instrumentation import StageEvent
 from repro.cache.manager import DocumentCache, WriteMode
-from repro.cache.policies import OverloadPolicy, RecoveryPolicy, StoragePolicy
+from repro.cache.policies import (
+    ContainmentPolicy,
+    OverloadPolicy,
+    RecoveryPolicy,
+    StoragePolicy,
+)
 from repro.cluster import CacheCluster
 from repro.overload.health import HealthTracker
 from repro.placeless.document import BaseDocument
@@ -181,8 +190,9 @@ def open_calls(monkeypatch) -> list:
     return calls
 
 
-def test_l2_records_reuse_the_held_segment_files(open_calls, tmp_path):
-    # Four one-size documents through two L1 slots, over a built tier.
+def _l2_world(tmp_path) -> tuple[DocumentCache, list]:
+    """Four one-size documents through two L1 slots, over a built tier,
+    with the first two read: the next new document demotes one."""
     kernel = PlacelessKernel()
     owner = kernel.create_user("owner")
     references = [
@@ -195,20 +205,31 @@ def test_l2_records_reuse_the_held_segment_files(open_calls, tmp_path):
         kernel, capacity_bytes=600,
         storage_policy=StoragePolicy(directory=str(tmp_path)),
     )
+    cache.read(references[0])
+    cache.read(references[1])
+    return cache, references
+
+
+def _demoted(cache: DocumentCache, references: list):
+    """The one reference whose entry sits in the L2 tier."""
+    (demoted,) = [
+        reference for reference in references
+        if EntryKey.for_reference(reference) in cache.storage
+    ]
+    return demoted
+
+
+def test_l2_records_reuse_the_held_segment_files(open_calls, tmp_path):
+    cache, references = _l2_world(tmp_path)
     stats, tier = cache.storage_stats, cache.storage
     try:
-        cache.read(references[0])
-        cache.read(references[1])
         open_calls.clear()
         cache.read(references[2])  # evicts: one demotion of new bytes
         assert stats.demotions == 1
         assert open_calls == []
         # A served promotion: the record read and its tombstone (plus
         # the demotion that makes room for it).
-        (demoted,) = [
-            reference for reference in references
-            if EntryKey.for_reference(reference) in tier
-        ]
+        demoted = _demoted(cache, references)
         assert cache.read(demoted).disposition == "miss-promoted"
         assert (stats.promotions, stats.demotions) == (1, 2)
         assert open_calls == []
@@ -218,6 +239,73 @@ def test_l2_records_reuse_the_held_segment_files(open_calls, tmp_path):
         assert open_calls == []
     finally:
         cache.shutdown()
+
+
+@pytest.fixture
+def io_calls(monkeypatch) -> Counter:
+    """Calls of ``os.pwritev`` and ``os.pread``, and JSON encodes (as
+    ``json``), since the last ``clear()``."""
+    calls: Counter = Counter()
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("pwritev", "pread"):
+        monkeypatch.setattr(os, name, counting(name, getattr(os, name)))
+    for name in ("encode", "iterencode"):
+        real = getattr(json.JSONEncoder, name)
+        monkeypatch.setattr(json.JSONEncoder, name, counting("json", real))
+    return calls
+
+
+def test_l2_demotion_writes_two_frames_and_no_json(io_calls, tmp_path):
+    cache, references = _l2_world(tmp_path)
+    try:
+        io_calls.clear()
+        cache.read(references[2])  # evicts: one demotion of new bytes
+        assert cache.storage_stats.demotions == 1
+        # The content frame and the catalog record, binary-encoded.
+        assert io_calls == Counter(pwritev=2)
+    finally:
+        cache.shutdown()
+
+
+def test_l2_promotion_reads_its_frame_with_one_pread(io_calls, tmp_path):
+    cache, references = _l2_world(tmp_path)
+    try:
+        cache.read(references[2])
+        demoted = _demoted(cache, references)
+        io_calls.clear()
+        assert cache.read(demoted).disposition == "miss-promoted"
+        # The slot knows its frame's length: header and payload in one
+        # read (then the tombstone and the room-making demotion write).
+        assert io_calls["pread"] == 1
+        assert io_calls["json"] == 0
+    finally:
+        cache.shutdown()
+
+
+def test_fault_free_traffic_creates_no_breaker():
+    # Reads through a wrapper property, verified hits, a write's notifier
+    # fan-out and the re-misses after it: every guarded call succeeds,
+    # and a breaker that never failed is no breaker at all.
+    kernel, cache, references = _armed_world(
+        4, containment_policy=ContainmentPolicy()
+    )
+    stats, guard = cache.stats, cache.containment
+    for reference in references:
+        assert cache.read(reference).hit
+    delivered = stats.notifier_deliveries
+    cache.write(references[0], b"a new version " * 40)
+    for reference in references:
+        cache.read(reference)
+    assert stats.notifier_deliveries > delivered
+    assert stats.verifier_executions and stats.misses > len(references)
+    registries = (guard.wrappers, guard.verifiers, guard.notifiers)
+    assert [len(registry) for registry in registries] == [0, 0, 0]
 
 
 def _calls(action, names: tuple[str, ...] = ()) -> int:
