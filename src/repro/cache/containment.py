@@ -208,6 +208,11 @@ class CircuitBreaker:
         return False
 
 
+def _notifier_key(prop: Any, event: Any) -> BreakerKey:
+    """The breaker key of a notifier callback on *event*'s document."""
+    return (getattr(event, "document_id", None), f"notifier:{prop.name}")
+
+
 class BreakerRegistry:
     """Lazily-created breakers, one per (document, code-site) key.  A
     closed breaker with no failures behaves exactly like none, so the
@@ -553,20 +558,22 @@ class ContainmentGuard:
         handlers); while its breaker is open the callback is suppressed
         entirely — mirroring how a crashed notifier simply misses events.
         """
-        document_id = getattr(event, "document_id", None)
-        key: BreakerKey = (document_id, f"notifier:{prop.name}")
-        if not self._allow(self.notifiers, key):
+        breakers = self.notifiers._breakers  # empty until one has failed
+        key = _notifier_key(prop, event) if breakers else None
+        if key is not None and not self._allow(self.notifiers, key):
             self.stats.notifier_suppressed += 1
             self._emit("suppressed", *key)
             return None
         try:
             result = call(event)
         except Exception as error:
+            key = key or _notifier_key(prop, event)
             self.stats.failures_contained += 1
             self._emit("contained", *key, error=type(error).__name__)
             self._failure(self.notifiers, key)
             return None
-        self._success(self.notifiers, key)
+        if breakers:
+            self._success(self.notifiers, key or _notifier_key(prop, event))
         return result
 
     # -- introspection ---------------------------------------------------------

@@ -70,9 +70,6 @@ ADOPTION_COST_MS = 0.3
 #: L2 tier's promote-time source gate.
 PROBE_COST_MS = 0.2
 
-#: Shared empty read-only bucket for documents with no cached entries.
-_NO_ENTRIES: dict = {}
-
 
 class CacheCore:
     """Mutable state + shared mechanics behind one ``DocumentCache``."""
@@ -497,13 +494,17 @@ class CacheCore:
         """Drop the entries *invalidation* covers; returns how many.
 
         An invalidation names its document, so only that document's
-        bucket can match.  Bucket order is global insertion order
-        restricted to the document, so drops happen in the relative
+        bucket (usually none) can match.  Bucket order is global insertion
+        order restricted to the document, so drops happen in the relative
         order a full-table scan would produce.
         """
+        bucket = self.entries_by_document.get(invalidation.document_id)
+        if bucket is None:
+            return 0
+        scope = invalidation.user_id
         dropped = 0
-        for key in list(self.entries_for_document(invalidation.document_id)):
-            if invalidation.matches_key(key):
+        for key in list(bucket):
+            if scope is None or key.user_id == scope:
                 self.drop(
                     self.entries[key], invalidation.reason,
                     origin=invalidation.origin,
@@ -515,12 +516,6 @@ class CacheCore:
         """Drop every entry (flushing nothing; dirty buffers survive)."""
         for entry in list(self.entries.values()):
             self.drop(entry, InvalidationReason.EXPLICIT)
-
-    def entries_for_document(
-        self, document_id: "DocumentId"
-    ) -> dict[EntryKey, CacheEntry]:
-        """The document's live entries (empty dict when none cached)."""
-        return self.entries_by_document.get(document_id, _NO_ENTRIES)
 
     def remove_entry(self, entry: CacheEntry) -> None:
         """Forget an entry and release its content-store reference."""

@@ -31,7 +31,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from repro.contract.consistency import Invalidation, InvalidationReason
-from repro.errors import NotifierError, RepositoryOfflineError
+from repro.errors import NotifierError
 from repro.events.types import Event, EventType
 from repro.ids import CacheId, UserId
 from repro.placeless.properties import ActiveProperty
@@ -237,25 +237,26 @@ class InvalidationBus:
         """Hand one invalidation to its sink, optionally charging hops.
 
         Delayed deliveries run inside a clock callback; their network
-        cost is accounted in the stats but not re-charged to the clock
-        (the delay already covered the transit time).
+        cost is accounted in the stats but neither re-charged to the
+        clock nor checked for outages (the delay covered the transit).
         """
         sink = self._receivers.get(cache_id)
         if sink is None:
             self.stats.dropped += 1
             return
+        ctx = self.ctx
+        plan = ctx.faults if charge else None
         cost = 0.0
-        try:
-            for hop in self.ctx.topology.notifier_path():
-                if charge:
-                    cost += self.ctx.charge_hop(hop, 0)
-                else:
-                    cost += self.ctx.latency.hop_cost_ms(hop, 0)
-        except RepositoryOfflineError:
-            # The notification died in transit on a downed link: it is
-            # lost, exactly like a fault-plan drop.
-            self._lose(invalidation)
-            return
+        for hop in ctx.topology.notifier_path():
+            if plan is not None and plan.link_down(hop):
+                # The notification died in transit on a downed link: it
+                # is lost, exactly like a fault-plan drop.
+                self._lose(invalidation)
+                return
+            hop_ms = ctx.latency.hop_cost_ms(hop, 0)
+            if charge:
+                ctx.clock.charge(hop_ms)
+            cost += hop_ms
         self.stats.deliveries += 1
         self.stats.delivery_cost_ms += cost
         sink(invalidation)

@@ -83,7 +83,7 @@ class InvalidationReason(enum.Enum):
         return mapping.get(self, InvalidationClass.BOOKKEEPING)
 
 
-@dataclass
+@dataclass(slots=True)
 class Invalidation:
     """One invalidation as delivered to (or raised inside) a cache.
 
@@ -119,7 +119,3 @@ class Invalidation:
         if self.document_id != document_id:
             return False
         return self.user_id is None or self.user_id == user_id
-
-    def matches_key(self, key) -> bool:
-        """True if this invalidation covers the given :class:`EntryKey`."""
-        return self.matches(key.document_id, key.user_id)

@@ -103,6 +103,10 @@ class EventDispatcher:
         self._registrations = table
         return len(removed)
 
+    def registrations(self, event_type: EventType) -> tuple[Registration, ...]:
+        """The type's registration tuple: replaced on every change."""
+        return self._registrations.get(event_type, ())
+
     def registered_properties(self, event_type: EventType) -> list[PropertyId]:
         """Property ids with live registrations for *event_type*, in order."""
         return [

@@ -33,8 +33,8 @@ The plan is consulted at the seams the system already has:
 * :meth:`FaultPlan.check_property` — from the stream-wrapper seam in
   :mod:`repro.streams.chain`; picks a property-misbehaviour mode
   (``raise`` / ``runaway`` / ``corrupt``) for one wrapper invocation.
-* :meth:`FaultPlan.link_down` — from :meth:`SimContext.charge_hop`;
-  scheduled topology-link outages.
+* :meth:`FaultPlan.link_down` — from :meth:`SimContext.charge_hop` and
+  the bus's delivery body; scheduled topology-link outages.
 * :meth:`FaultPlan.check_disk_write` / :meth:`FaultPlan.check_disk_sync`
   / :meth:`FaultPlan.disk_io_delay_ms` — from the durable L2 tier in
   :mod:`repro.storage`; inject write failures, corrupted records,

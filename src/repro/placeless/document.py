@@ -241,8 +241,7 @@ class BaseDocument(PropertyHolder):
         # Base wrappers execute last on the write path, hence are applied
         # innermost; within the base chain, chain order is preserved by
         # wrapping in reverse.
-        base_chain = self.stream_chain(EventType.GET_OUTPUT_STREAM)
-        for prop in reversed(base_chain):
+        for prop in reversed(self.write_chain()):
             stream = apply_write_wrapper(self.ctx, prop, stream, event)
         return stream, sink
 

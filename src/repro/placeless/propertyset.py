@@ -31,6 +31,9 @@ class PropertyHolder(abc.ABC):
     """Ordered property chain + lifecycle-event plumbing."""
 
     site: AttachmentSite
+    #: ``(registrations, chain)`` as last compiled by :meth:`write_chain`;
+    #: class-level, so a holder never written carries no attribute for it.
+    _write_chain: tuple[tuple, tuple[ActiveProperty, ...]] = ((), ())
 
     def __init__(self, ctx: SimContext, owner: UserId) -> None:
         self.ctx = ctx
@@ -243,12 +246,23 @@ class PropertyHolder(abc.ABC):
             self._read_chain = (self.chain_epoch, chain)
         return chain
 
+    def write_chain(self) -> tuple[ActiveProperty, ...]:
+        """The ``GET_OUTPUT_STREAM`` chain, compiled once per version of
+        the dispatcher's registration tuple for that type (every
+        register, unregister and reorder replaces the tuple)."""
+        registered = self.dispatcher.registrations(EventType.GET_OUTPUT_STREAM)
+        compiled_for, chain = self._write_chain
+        if compiled_for is not registered:
+            chain = tuple(self.stream_chain(EventType.GET_OUTPUT_STREAM))
+            self._write_chain = (registered, chain)
+        return chain
+
     def stream_chain(self, event_type: EventType) -> list[ActiveProperty]:
         """Active properties registered for a stream event, in chain order.
 
         These are the properties whose custom streams join the calling
-        chain for that operation.  The write path and introspection
-        derive it per call; reads go through :meth:`read_chain`.
+        chain for that operation, derived per call; reads and writes
+        go through :meth:`read_chain` and :meth:`write_chain`.
         """
         registered = set(self.dispatcher.registered_properties(event_type))
         return [

@@ -104,10 +104,9 @@ class DocumentReference(PropertyHolder):
         event = self.make_event(EventType.GET_OUTPUT_STREAM)
         stream, sink = self.base.begin_write(event)
         self.dispatcher.dispatch(event)
-        ref_chain = self.stream_chain(EventType.GET_OUTPUT_STREAM)
         # Within the reference chain, the first property executes first
         # (outermost); wrap in reverse so chain order is execution order.
-        for prop in reversed(ref_chain):
+        for prop in reversed(self.write_chain()):
             stream = apply_write_wrapper(self.ctx, prop, stream, event)
         return WriteResult(stream=stream, sink=sink)
 

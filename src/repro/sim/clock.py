@@ -76,15 +76,19 @@ class VirtualClock:
         :attr:`total_charged_ms` so experiments can separate "time spent
         doing work" from idle time skipped between requests.
         """
-        if cost_ms < 0:
-            raise ClockError(f"cannot charge negative latency: {cost_ms}")
+        if not cost_ms >= 0:  # negative, or NaN (which compares false)
+            raise ClockError(f"cannot charge latency: {cost_ms}")
         self._total_charged_ms += cost_ms
-        self.advance(cost_ms)
+        schedule = self._schedule
+        if schedule and schedule[0].due_ms <= self._now_ms + cost_ms:
+            self.advance(cost_ms)
+        else:  # nothing due inside the window
+            self._now_ms += cost_ms
 
     def advance(self, delta_ms: float) -> None:
         """Move virtual time forward by *delta_ms*, firing due callbacks."""
-        if delta_ms < 0:
-            raise ClockError(f"cannot advance clock backwards: {delta_ms}")
+        if not delta_ms >= 0:  # backwards, or NaN
+            raise ClockError(f"cannot advance clock by {delta_ms}")
         target = self._now_ms + delta_ms
         self._run_until(target)
         # A callback fired during the window may itself have advanced the

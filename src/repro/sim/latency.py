@@ -154,10 +154,11 @@ class LatencyModel:
     def hop_cost_ms(self, hop: str, size_bytes: int = 0) -> float:
         """Latency of moving *size_bytes* across the named hop."""
         try:
-            table_entry = self.hops[hop]
+            cost = self.hops[hop]
         except KeyError:
             raise WorkloadError(f"unknown hop: {hop!r}") from None
-        return self._jitter(table_entry.cost_ms(size_bytes))
+        cost_ms = cost.fixed_ms + cost.per_kb_ms * (size_bytes / 1024.0)
+        return self._jitter(cost_ms) if self._jitter_fraction else cost_ms
 
     def repository_cost_ms(self, repository: str, size_bytes: int) -> float:
         """Service latency of fetching *size_bytes* from the repository."""

@@ -55,6 +55,10 @@ class Node:
     kind: NodeKind
 
 
+_APPLICATION_NOTIFIER_PATH = ("reference-to-base", "app-to-reference")
+_COLOCATED_NOTIFIER_PATH = ("reference-to-base",)
+
+
 @dataclass
 class Topology:
     """The testbed shape: which hops each access path crosses.
@@ -91,11 +95,11 @@ class Topology:
             "base-to-repository",
         ]
 
-    def notifier_path(self) -> list[str]:
+    def notifier_path(self) -> tuple[str, ...]:
         """Hops a notifier invalidation crosses to reach the cache."""
         if self.placement is CachePlacement.APPLICATION_LEVEL:
-            return ["reference-to-base", "app-to-reference"]
-        return ["reference-to-base"]
+            return _APPLICATION_NOTIFIER_PATH
+        return _COLOCATED_NOTIFIER_PATH
 
 
 @dataclass

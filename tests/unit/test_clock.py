@@ -57,6 +57,33 @@ class TestCharge:
         with pytest.raises(ClockError):
             VirtualClock().charge(-0.1)
 
+    @pytest.mark.parametrize("method", ["charge", "advance"])
+    def test_nan_is_refused_and_moves_nothing(self, method):
+        # NaN compares false with everything: taken, it would skip the
+        # due callback and poison ``total_charged_ms`` for the run.
+        clock = VirtualClock(start_ms=5.0)
+        clock.charge(1.0)
+        fired = []
+        clock.call_after(0.0, lambda: fired.append(clock.now_ms))
+        with pytest.raises(ClockError):
+            getattr(clock, method)(float("nan"))
+        assert (clock.now_ms, clock.total_charged_ms, fired) == (6.0, 1.0, [])
+
+    def test_charge_with_nothing_due_lands_on_the_sum(self):
+        clock = VirtualClock(start_ms=0.1)
+        clock.call_at(10.0, lambda: None)
+        clock.charge(0.2)
+        assert clock.now_ms == 0.1 + 0.2
+        assert clock.pending() == 1
+
+    def test_a_callback_that_charges_moves_past_the_window(self):
+        # A delayed delivery charges from inside ``charge``'s window:
+        # time ends at the later of the two, never back.
+        clock = VirtualClock()
+        clock.call_at(1.0, lambda: clock.charge(5.0))
+        clock.charge(2.0)
+        assert (clock.now_ms, clock.total_charged_ms) == (6.0, 7.0)
+
 
 class TestSchedule:
     def test_callback_fires_when_time_arrives(self):

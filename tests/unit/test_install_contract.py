@@ -134,7 +134,7 @@ def test_every_source_installs_a_whole_entry(source, driven):
 
     # In the table *and* the per-document index, as one object.
     entry = core.entries[key]
-    assert core.entries_for_document(key.document_id)[key] is entry
+    assert core.entries_by_document[key.document_id][key] is entry
     assert core.store.get(entry.signature) == content
     assert entry.size == len(content)
     # One store reference per entry naming the signature — no more (a

@@ -160,6 +160,74 @@ class TestBusStats:
         assert bus.stats.delivery_cost_ms > 0
         assert (bus.stats.delayed, bus.stats.delay_ms_total) == (2, 100.0)
 
+    def test_a_delayed_delivery_costs_its_path_but_charges_nothing(
+        self, world
+    ):
+        # The delay covered the transit: the delivery adds its path's
+        # cost to the stats, and the clock moves by the delay alone.
+        kernel, base, _, _, bus = world
+        cache_id, received = collect(bus, kernel)
+        ctx = kernel.ctx
+        ctx.faults = FaultPlan(
+            ctx.clock, notifier_delay_probability=1.0, notifier_delay_ms=50.0
+        )
+        path_cost = 0.0
+        for hop in ctx.topology.notifier_path():
+            path_cost += ctx.latency.hop_cost_ms(hop, 0)
+        start = ctx.clock.now_ms
+        bus.deliver(
+            cache_id,
+            Invalidation(InvalidationReason.EXPLICIT, base.document_id),
+        )
+        assert ctx.clock.now_ms == start
+        ctx.clock.advance(50.0)
+        assert len(received) == 1
+        assert ctx.clock.now_ms == start + 50.0
+        assert bus.stats.delivery_cost_ms == 0.0 + path_cost
+        assert ctx.clock.total_charged_ms == 0.0
+
+    def test_a_downed_second_hop_charges_the_first_and_loses_it(self, world):
+        kernel, base, _, _, bus = world
+        cache_id, received = collect(bus, kernel)
+        ctx = kernel.ctx
+        first, second = ctx.topology.notifier_path()
+        assert second == "app-to-reference"
+        ctx.faults = FaultPlan(
+            ctx.clock, link_outages=(OutageWindow(0.0, 1e9, second),)
+        )
+        start = ctx.clock.now_ms
+        bus.deliver(
+            cache_id,
+            Invalidation(InvalidationReason.EXPLICIT, base.document_id),
+        )
+        assert received == []
+        assert bus.stats == BusStats(lost=1)
+        assert ctx.clock.now_ms == start + ctx.latency.hop_cost_ms(first, 0)
+        assert bus.consume_lost(base.document_id)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [_lost_by_drop, _lost_by_partition, _lost_on_a_downed_link],
+        ids=["fault-plan-drop", "partition", "offline-link"],
+    )
+    def test_a_lost_delivery_uses_up_its_sequence_number(self, world, plan):
+        kernel, base, _, _, bus = world
+        cache_id, received = collect(bus, kernel)
+        bus.enable_sequencing(cache_id)
+        kernel.ctx.faults = plan(kernel.ctx.clock)
+        bus.deliver(
+            cache_id,
+            Invalidation(InvalidationReason.EXPLICIT, base.document_id),
+        )
+        kernel.ctx.faults = None
+        bus.deliver(
+            cache_id,
+            Invalidation(InvalidationReason.EXPLICIT, base.document_id),
+        )
+        assert [(i.epoch, i.sequence) for i in received] == [(1, 2)]
+        assert bus.channel_checkpoint(cache_id) == (1, 3)
+        assert (bus.stats.lost, bus.stats.deliveries) == (1, 1)
+
 
 class TestNotifierProperty:
     def test_fires_on_watched_event(self, world):

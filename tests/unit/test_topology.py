@@ -19,15 +19,15 @@ class TestTopologyPaths:
             "reference-to-base",
             "base-to-repository",
         ]
-        assert topology.notifier_path() == [
+        assert topology.notifier_path() == (
             "reference-to-base",
             "app-to-reference",
-        ]
+        )
 
     def test_server_colocated_paths(self):
         topology = Topology(placement=CachePlacement.SERVER_COLOCATED)
         assert topology.hit_path() == ["app-to-reference"]
-        assert topology.notifier_path() == ["reference-to-base"]
+        assert topology.notifier_path() == ("reference-to-base",)
         # The miss path is placement-independent.
         assert topology.fetch_path() == (
             Topology(
@@ -35,13 +35,20 @@ class TestTopologyPaths:
             ).fetch_path()
         )
 
+    def test_notifier_path_is_shared_and_follows_the_placement(self):
+        # Table 1 moves the cache between runs on one topology.
+        topology = Topology()
+        assert topology.notifier_path() is Topology().notifier_path()
+        topology.placement = CachePlacement.SERVER_COLOCATED
+        assert topology.notifier_path() == ("reference-to-base",)
+
     def test_every_named_hop_is_priced(self):
         latency = LatencyModel()
         topology = Topology()
         for hop in (
             topology.hit_path()
             + topology.fetch_path()
-            + topology.notifier_path()
+            + list(topology.notifier_path())
         ):
             assert latency.hop_cost_ms(hop, 1024) > 0.0
 
