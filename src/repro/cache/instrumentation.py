@@ -4,9 +4,11 @@ Every observable step of a cache access is one *stage event* — stage
 name, (document, user) key, outcome label, virtual-clock start/end,
 payload.  :meth:`~repro.cache.core.CacheCore.emit` is where a stage
 publishes one: it builds a :class:`StageEvent` and hands it to this
-module's :class:`InstrumentationBus` only when a subscriber hears its
-stage (a probe, the cluster's health feed, a test).  With no
-subscriber, an event builds nothing and reads no clock.
+module's :class:`InstrumentationBus` only when the bus has a
+subscriber (a probe, a :class:`StageRecorder`, a test).  With none, an
+event builds nothing and reads no clock.  Nothing the cache itself
+needs travels here: counters are written where they are decided, and
+a cluster's shard-health tracker is told at the read terminals.
 
 The stats dataclasses (``CacheStats``, ``MemoStats``,
 ``ConcurrencyStats``, ``OverloadStats``, ``RecoveryStats``,
@@ -28,7 +30,7 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.ids import DocumentId, UserId
 
@@ -83,10 +85,10 @@ class StageEvent(NamedTuple):
     """One structured observation emitted by a cache stage.
 
     A hot type: one is built per observable step of every access and
-    handed to every subscriber on its route.  A named tuple keeps it
-    immutable and slotted (no per-instance ``__dict__``) at a quarter
-    of a frozen dataclass's construction cost, and emit sites skip
-    construction entirely when nobody hears the stage.
+    handed to every subscriber.  A named tuple keeps it immutable and
+    slotted (no per-instance ``__dict__``) at a quarter of a frozen
+    dataclass's construction cost, and emit sites skip construction
+    entirely when the bus has no subscriber.
     """
 
     stage: str
@@ -104,13 +106,10 @@ class StageEvent(NamedTuple):
 
 
 class InstrumentationBus:
-    """Synchronous, stage-routed fan-out of stage events to subscribers.
+    """Synchronous fan-out of stage events to subscribers.
 
-    A subscriber may declare the stages it consumes; an event is
-    delivered to those subscribers plus the undeclared catch-alls, in
-    subscription order.  Subscribers are independent accumulators, so
-    skipping the ones that would have ignored an event changes nothing
-    they compute.
+    Every subscriber receives every event, in subscription order; one
+    that wants only some stages filters inside itself.
 
     The subscriber collection is copy-on-write: ``subscribe`` and
     ``unsubscribe`` *replace* an immutable tuple rather than mutating a
@@ -126,30 +125,15 @@ class InstrumentationBus:
 
     def __init__(self) -> None:
         self._subscribers: tuple[Callable[[StageEvent], None], ...] = ()
-        #: Declared stages per subscriber, parallel to ``_subscribers``
-        #: (``None`` = catch-all).
-        self._declared: tuple[frozenset[str] | None, ...] = ()
-        #: stage -> the subscribers it reaches; rebuilt lazily, replaced
-        #: wholesale whenever the subscription set changes.
-        self._routes: dict[str, tuple[Callable[[StageEvent], None], ...]] = {}
         #: True when at least one subscriber is registered.  Emit sites
         #: read it *before* constructing a :class:`StageEvent`, so an
         #: unobserved bus costs one attribute load and a truth test per
         #: would-be event.
         self.has_subscribers = False
 
-    def subscribe(
-        self,
-        subscriber: Callable[[StageEvent], None],
-        stages: Iterable[str] | None = None,
-    ) -> None:
-        """Register a subscriber; it runs inline on every emit of a
-        stage in *stages* (every stage when ``None``)."""
+    def subscribe(self, subscriber: Callable[[StageEvent], None]) -> None:
+        """Register a subscriber; it runs inline on every emit."""
         self._subscribers = self._subscribers + (subscriber,)
-        self._declared = self._declared + (
-            None if stages is None else frozenset(stages),
-        )
-        self._routes = {}
         self.has_subscribers = True
 
     def unsubscribe(self, subscriber: Callable[[StageEvent], None]) -> None:
@@ -163,37 +147,16 @@ class InstrumentationBus:
             self._subscribers = (
                 self._subscribers[:index] + self._subscribers[index + 1:]
             )
-            self._declared = (
-                self._declared[:index] + self._declared[index + 1:]
-            )
-            self._routes = {}
             self.has_subscribers = bool(self._subscribers)
 
-    def _route(self, stage: str) -> tuple[Callable[[StageEvent], None], ...]:
-        """The subscribers an event of *stage* reaches, in order."""
-        route = self._routes.get(stage)
-        if route is None:
-            route = self._routes[stage] = tuple(
-                subscriber
-                for subscriber, declared in zip(
-                    self._subscribers, self._declared
-                )
-                if declared is None or stage in declared
-            )
-        return route
-
-    def hears(self, stage: str) -> bool:
-        """True when an event of *stage* would reach some subscriber;
-        emit sites ask before building a :class:`StageEvent`."""
-        return bool(self._route(stage))
-
     def emit(self, event: StageEvent) -> None:
-        """Deliver one event along its stage's route.
+        """Deliver one event to every subscriber.
 
-        Binds the route once: subscriptions changed by a subscriber (or
-        by an interleaved read) take effect from the *next* emit.
+        Binds the subscriber tuple once: subscriptions changed by a
+        subscriber (or by an interleaved read) take effect from the
+        *next* emit.
         """
-        for subscriber in self._route(event.stage):
+        for subscriber in self._subscribers:
             subscriber(event)
 
 
@@ -296,8 +259,6 @@ class CounterProjection:
         self._rules: dict[str, dict] = {}
         for (stage, outcome), rule in rules.items():
             self._rules.setdefault(stage, {})[outcome] = rule
-        #: The stages this projection consumes (its table's keys).
-        self.stages = frozenset(self._rules)
 
     def __call__(self, event: StageEvent) -> None:
         outcomes = self._rules.get(event.stage)

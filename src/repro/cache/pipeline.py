@@ -504,6 +504,11 @@ class ReadPipeline:
         elapsed = core.ctx.clock.now_ms - ctx.started_ms
         core.stats.misses += 1
         core.stats.miss_latency_ms += elapsed
+        if core.health is not None:
+            core.health.observe_read(
+                core.name, elapsed,
+                fetched=disposition not in ("miss-memoized", "miss-promoted"),
+            )
         core.emit("read", disposition, key=ctx.key, started_ms=ctx.started_ms)
         return CacheReadOutcome(content, False, elapsed, disposition)
 
@@ -742,6 +747,8 @@ class ReadPipeline:
             raise
         except Exception as error:
             core.stats.fetch_failures += 1
+            if core.health is not None:
+                core.health.observe_error(core.name)
             core.emit("fetch", "failed", key=ctx.key)
             ctx.fetch_error = error
             return

@@ -36,7 +36,6 @@ byte-identical to a plain ``DocumentCache``.
 
 from __future__ import annotations
 
-import functools
 import typing
 
 from repro.cache.containment import ContainmentStats
@@ -96,7 +95,7 @@ class CacheCluster:
         .OverloadPolicy`), forwarded to every shard (deadline budgets +
         admission control per shard) and additionally activating the
         cluster-level machinery: a :class:`~repro.overload.health
-        .HealthTracker` fed from every shard's instrumentation bus,
+        .HealthTracker` told by every shard's read terminals,
         hedged reads that launch a backup on the replica shard once a
         miss stalls at the fetch seam for the healthy fleet's p95
         (loser cancelled), and placement failover that routes around a
@@ -141,8 +140,8 @@ class CacheCluster:
         self.cluster_policy = cluster_policy
         self.capacity_bytes = capacity_bytes
         #: Shard-health classification (``None`` without an overload
-        #: policy): EWMA latency + error streaks per shard, fed from
-        #: every shard's instrumentation bus.
+        #: policy): EWMA latency + error streaks per shard, told by
+        #: every shard where a read ends (``core.health``).
         self.health: HealthTracker | None = None
         self._failed_over: set[str] = set()
         self._probes: dict[str, int] = {}
@@ -214,10 +213,7 @@ class CacheCluster:
             self.shared_memo.attach(shard_name, shard.core)
         if self.health is not None:
             self.health.track(shard_name)
-            shard.instrumentation.subscribe(
-                functools.partial(self.health.on_event, shard_name),
-                stages=HealthTracker.stages,
-            )
+            shard.core.health = self.health
         self._shards[shard_name] = shard
         return shard
 
@@ -313,12 +309,14 @@ class CacheCluster:
     # -- read/write routing ---------------------------------------------------
 
     #: Every Nth read routed at a failed-over primary goes through as a
-    #: canary, so ``recovery_successes`` clean responses can restore
+    #: canary, so ``RECOVERY_SUCCESSES`` clean responses can restore
     #: its placement stickiness (routing *everything* around a shard
     #: would starve the health tracker of recovery evidence).
     _PROBE_INTERVAL = 4
 
-    def _route(self, reference: "DocumentReference") -> DocumentCache:
+    def _serving_shard(self, reference: "DocumentReference") -> DocumentCache:
+        """The shard that serves *reference* now: its placement, or
+        the replica while the primary is failed over."""
         key = EntryKey.for_reference(reference)
         shard_name = self._placement.place(key)
         if self.health is not None:
@@ -490,12 +488,12 @@ class CacheCluster:
         """Read through the owning shard (hedged when the overload
         policy enables hedging and a replica shard exists)."""
         if not self._hedging_active():
-            return self._route(reference).read(reference)
+            return self._serving_shard(reference).read(reference)
         return self._read_driven(reference)
 
     def write(self, reference: "DocumentReference", content: bytes) -> float:
         """Write through the owning shard; returns elapsed virtual ms."""
-        return self._route(reference).write(reference, content)
+        return self._serving_shard(reference).write(reference, content)
 
     def read_many(
         self,
@@ -528,7 +526,7 @@ class CacheCluster:
         touched: dict[str, DocumentCache] = {}
 
         def iterate(reference):
-            shard = self._route(reference)
+            shard = self._serving_shard(reference)
             touched[shard.cache_id] = shard
             return self._hedged_generator(
                 shard, reference, concurrent=True, enqueued_ms=enqueued_ms
@@ -563,7 +561,7 @@ class CacheCluster:
         fetch seam the hedge watches for; driven alone, it may lead a
         flight but never follows one.
         """
-        shard = self._route(reference)
+        shard = self._serving_shard(reference)
         outcome = drive(
             self._hedged_generator(
                 shard, reference, concurrent=self._hedging_active(),

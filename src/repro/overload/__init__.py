@@ -18,7 +18,7 @@ enforcement machinery, all off by default behind
   sacrificing the lowest :func:`priority_class` first so goodput stays
   flat past saturation instead of metastably collapsing.
 * :class:`HealthTracker` (:mod:`repro.overload.health`) — per-shard
-  EWMA latency and error counters fed from the instrumentation bus,
+  EWMA latency and error counters, told by each shard's read terminals,
   marking gray-failing shards for hedging and hard-failing shards for
   placement failover.
 * :func:`hedged_iterate` (:mod:`repro.overload.hedge`) — the hedged

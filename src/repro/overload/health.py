@@ -2,22 +2,25 @@
 
 A gray-failing shard is the nastiest overload case: it answers — so
 nothing trips a breaker — but slowly, so every read routed to it blows
-its deadline.  The tracker watches each shard's instrumentation bus
-(terminal ``read`` events for latency, ``fetch failed`` events for
-errors) and classifies shards three ways:
+its deadline.  Each shard tells the tracker what it needs where a read
+ends: the two read terminals (a served hit, a finished miss) call
+:meth:`HealthTracker.observe_read` and a failed fetch calls
+:meth:`HealthTracker.observe_error`.  The tracker classifies shards
+three ways:
 
 * **healthy** — the default;
 * **gray** — EWMA *fetch-path* latency at least
-  ``gray_latency_factor`` times the healthiest peer's, with at least
-  ``min_samples`` fetch-path observations: the hedge trigger.  Only
-  reads that actually went through a provider fetch feed the latency
-  signals — hits (and signature-only memo serves) are local and fast on
-  *every* shard, gray or not, so mixing them in would both mask a
-  slow shard behind its fast hits and make a healthy shard's normal
+  :data:`GRAY_LATENCY_FACTOR` times the healthiest peer's, with at
+  least ``min_samples`` fetch-path observations: the hedge trigger.
+  Only reads that actually went through a provider fetch feed the
+  latency signals — hits, memo serves and L2 promotions are local and
+  fast on *every* shard, gray or not, so mixing them in would both mask
+  a slow shard behind its fast hits and make a healthy shard's normal
   miss tail look gray next to a peer serving only hits;
-* **unhealthy** — ``error_threshold`` consecutive failed reads: the
-  placement-failover trigger.  ``recovery_successes`` consecutive
-  clean reads restore the shard (and its placement stickiness).
+* **unhealthy** — :data:`UNHEALTHY_ERROR_THRESHOLD` consecutive failed
+  reads: the placement-failover trigger.  :data:`RECOVERY_SUCCESSES`
+  consecutive clean reads restore the shard (and its placement
+  stickiness).
 
 The tracker also keeps a bounded ring of recent latencies per shard so
 the hedge delay can be set from the healthy fleet's p95 — hedging too
@@ -26,14 +29,10 @@ early doubles load for nothing, too late saves nothing.
 
 from __future__ import annotations
 
-import typing
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import WorkloadError
-
-if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.cache.instrumentation import StageEvent
 
 __all__ = ["ShardHealth", "HealthTracker"]
 
@@ -78,37 +77,13 @@ class ShardHealth:
 
 
 class HealthTracker:
-    """Classifies shards as healthy / gray / unhealthy from bus events."""
+    """Classifies shards as healthy / gray / unhealthy from what their
+    read terminals report."""
 
-    def __init__(
-        self,
-        *,
-        ewma_alpha: float = HEALTH_EWMA_ALPHA,
-        gray_latency_factor: float = GRAY_LATENCY_FACTOR,
-        min_samples: int = 8,
-        error_threshold: int = UNHEALTHY_ERROR_THRESHOLD,
-        recovery_successes: int = RECOVERY_SUCCESSES,
-        window: int = 128,
-    ) -> None:
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise WorkloadError(f"ewma_alpha must be in (0, 1]: {ewma_alpha}")
-        if gray_latency_factor <= 1.0:
-            raise WorkloadError(
-                f"gray_latency_factor must be > 1: {gray_latency_factor}"
-            )
-        if min_samples < 1 or error_threshold < 1 or recovery_successes < 1:
-            raise WorkloadError(
-                "min_samples, error_threshold and recovery_successes "
-                "must be >= 1"
-            )
-        if window < 2:
-            raise WorkloadError(f"window must be >= 2: {window}")
-        self.ewma_alpha = ewma_alpha
-        self.gray_latency_factor = gray_latency_factor
+    def __init__(self, *, min_samples: int = 8) -> None:
+        if min_samples < 1:
+            raise WorkloadError(f"min_samples must be >= 1: {min_samples}")
         self.min_samples = min_samples
-        self.error_threshold = error_threshold
-        self.recovery_successes = recovery_successes
-        self.window = window
         self._shards: dict[str, ShardHealth] = {}
         self.failovers = 0
         self.recoveries = 0
@@ -119,9 +94,7 @@ class HealthTracker:
         """Register *name* (idempotent) and return its health record."""
         health = self._shards.get(name)
         if health is None:
-            health = ShardHealth(name=name)
-            health.samples = deque(maxlen=self.window)
-            self._shards[name] = health
+            health = self._shards[name] = ShardHealth(name=name)
         return health
 
     def forget(self, name: str) -> None:
@@ -140,13 +113,13 @@ class HealthTracker:
             if health.ewma_ms is None:
                 health.ewma_ms = elapsed_ms
             else:
-                health.ewma_ms += self.ewma_alpha * (
+                health.ewma_ms += HEALTH_EWMA_ALPHA * (
                     elapsed_ms - health.ewma_ms
                 )
         health.consecutive_errors = 0
         if health.failed_over:
             health.consecutive_successes += 1
-            if health.consecutive_successes >= self.recovery_successes:
+            if health.consecutive_successes >= RECOVERY_SUCCESSES:
                 health.failed_over = False
                 health.consecutive_successes = 0
                 self.recoveries += 1
@@ -159,31 +132,10 @@ class HealthTracker:
         health.consecutive_successes = 0
         if (
             not health.failed_over
-            and health.consecutive_errors >= self.error_threshold
+            and health.consecutive_errors >= UNHEALTHY_ERROR_THRESHOLD
         ):
             health.failed_over = True
             self.failovers += 1
-
-    #: Terminal read dispositions answered without a provider fetch —
-    #: local work that is fast on every shard, excluded from the
-    #: latency signals (see the module docstring).
-    _FAST_PATHS = frozenset({
-        "hit", "revalidated", "miss-memoized", "miss-promoted",
-    })
-
-    #: The stages :meth:`on_event` consumes.
-    stages = frozenset({"read", "fetch"})
-
-    def on_event(self, name: str, event: "StageEvent") -> None:
-        """Instrumentation-bus subscriber seam for one shard."""
-        if event.stage == "read":
-            self.observe_read(
-                name,
-                event.elapsed_ms,
-                fetched=event.outcome not in self._FAST_PATHS,
-            )
-        elif event.stage == "fetch" and event.outcome == "failed":
-            self.observe_error(name)
 
     # -- classification ------------------------------------------------------
 
@@ -218,7 +170,7 @@ class HealthTracker:
         floor = self._healthy_floor_ms(excluding=name)
         if floor is None or floor <= 0.0:
             return False
-        return health.ewma_ms >= self.gray_latency_factor * floor
+        return health.ewma_ms >= GRAY_LATENCY_FACTOR * floor
 
     def is_unhealthy(self, name: str) -> bool:
         """True while placement should route around *name*."""

@@ -79,11 +79,13 @@ def chaos_run():
     unexplained_stale: list = []
 
     def audit_stale_hit(event) -> None:
+        if event.stage != "staleness":
+            return
         entry = cache.core.entries[EntryKey(event.document_id, event.user_id)]
         if not any(isinstance(v, TTLVerifier) for v in entry.verifiers):
             unexplained_stale.append(entry.key)
 
-    cache.instrumentation.subscribe(audit_stale_hit, stages=("staleness",))
+    cache.instrumentation.subscribe(audit_stale_hit)
     runner = TraceRunner(
         kernel, corpus, population.references, caches=cache,
         writes_via_cache=False,

@@ -8,7 +8,11 @@ from repro.cache.entry import EntryKey
 from repro.cluster.placement import HashRingPolicy, PlacementRing
 from repro.errors import WorkloadError
 from repro.ids import DocumentId, UserId
-from repro.overload.health import HealthTracker
+from repro.overload.health import (
+    RECOVERY_SUCCESSES,
+    UNHEALTHY_ERROR_THRESHOLD,
+    HealthTracker,
+)
 
 
 def _key(n: int) -> EntryKey:
@@ -18,10 +22,8 @@ def _key(n: int) -> EntryKey:
 
 
 class TestHealthTracker:
-    def _tracker(self, **kwargs):
-        defaults = dict(min_samples=2, gray_latency_factor=3.0)
-        defaults.update(kwargs)
-        return HealthTracker(**defaults)
+    def _tracker(self):
+        return HealthTracker(min_samples=2)
 
     def test_only_fetch_path_reads_feed_latency(self):
         tracker = self._tracker()
@@ -34,22 +36,6 @@ class TestHealthTracker:
         tracker.observe_read("s0", 10.0, fetched=True)
         assert health.fetches == 1
         assert health.ewma_ms == 10.0
-
-    def test_fast_dispositions_are_excluded_by_the_bus_feed(self):
-        class Event:
-            stage = "read"
-            elapsed_ms = 5.0
-
-            def __init__(self, outcome):
-                self.outcome = outcome
-
-        tracker = self._tracker()
-        for outcome in ("hit", "revalidated", "miss-memoized",
-                        "miss-promoted"):
-            tracker.on_event("s0", Event(outcome))
-        assert tracker.track("s0").fetches == 0
-        tracker.on_event("s0", Event("miss"))
-        assert tracker.track("s0").fetches == 1
 
     def test_gray_needs_samples_on_both_sides(self):
         tracker = self._tracker()
@@ -64,23 +50,24 @@ class TestHealthTracker:
         assert not tracker.is_gray("fast")
 
     def test_error_streak_fails_over_and_successes_recover(self):
-        tracker = self._tracker(error_threshold=3, recovery_successes=2)
-        for _ in range(2):
+        tracker = self._tracker()
+        for _ in range(UNHEALTHY_ERROR_THRESHOLD - 1):
             tracker.observe_error("s0")
         assert not tracker.is_unhealthy("s0")
         tracker.observe_error("s0")
         assert tracker.is_unhealthy("s0")
         assert tracker.failovers == 1
-        tracker.observe_read("s0", 5.0)
+        for _ in range(RECOVERY_SUCCESSES - 1):
+            tracker.observe_read("s0", 5.0)
         assert tracker.is_unhealthy("s0")
         tracker.observe_read("s0", 5.0)
         assert not tracker.is_unhealthy("s0")
         assert tracker.recoveries == 1
 
     def test_a_success_resets_the_error_streak(self):
-        tracker = self._tracker(error_threshold=3)
-        tracker.observe_error("s0")
-        tracker.observe_error("s0")
+        tracker = self._tracker()
+        for _ in range(UNHEALTHY_ERROR_THRESHOLD - 1):
+            tracker.observe_error("s0")
         tracker.observe_read("s0", 5.0)
         tracker.observe_error("s0")
         assert not tracker.is_unhealthy("s0")
@@ -99,7 +86,7 @@ class TestHealthTracker:
         for _ in range(2):
             tracker.observe_read("fast", 10.0)
             tracker.observe_read("gray", 100.0)
-        for _ in range(3):
+        for _ in range(UNHEALTHY_ERROR_THRESHOLD):
             tracker.observe_error("down")
         table = tracker.snapshot()
         assert table["fast"]["state"] == "healthy"
@@ -110,10 +97,6 @@ class TestHealthTracker:
         assert "gray" not in tracker.snapshot()
 
     def test_constructor_validation(self):
-        with pytest.raises(WorkloadError):
-            HealthTracker(ewma_alpha=0.0)
-        with pytest.raises(WorkloadError):
-            HealthTracker(gray_latency_factor=1.0)
         with pytest.raises(WorkloadError):
             HealthTracker(min_samples=0)
 

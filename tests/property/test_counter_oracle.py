@@ -179,9 +179,8 @@ class Oracle:
             if name not in TABLES or (name == "containment" and not builder):
                 continue
             projection = CounterProjection(copy.deepcopy(stats), TABLES[name])
-            cache.instrumentation.subscribe(
-                projection, stages=projection.stages
-            )
+            # A projection ignores the events its table does not name.
+            cache.instrumentation.subscribe(projection)
             self.pairs.append((f"{cache.core.name}/{name}", stats, projection))
 
     def check(self) -> set[str]:

@@ -5,14 +5,12 @@ operator attaches to the instrumentation bus must never change what it
 computes.  The per-hit events (``verifier/executed``, terminal
 ``read``) are counted into the cache's own ``CacheStats`` directly and
 materialised as ``StageEvent`` objects only for whoever listens, so
-these tests hold three subscriber sets to the same bar the pipeline
+these tests hold two subscriber sets to the same bar the pipeline
 refactor was held to:
 
-(a) nothing extra, (b) one late catch-all :class:`StageRecorder`, (c)
-one late stage-filtered :class:`StageRecorder` — byte-identical golden
-digests, stats, virtual clock and fault trace, seeded and under chaos;
-the filtered recorder sees exactly the catch-all's rows for its stages,
-and a late subscriber must see exactly the events the counters
+(a) nothing extra, (b) one late :class:`StageRecorder` — byte-identical
+golden digests, stats, virtual clock and fault trace, seeded and under
+chaos; and a late subscriber must see exactly the events the counters
 counted, no more and no fewer.
 """
 
@@ -31,13 +29,8 @@ from tests.property.test_pipeline_equivalence import (
     run_seeded_workload,
 )
 
-#: Extra subscriber sets: name -> the ``stages`` it declares (``...``
-#: meaning "subscribe nothing").
-_SUBSCRIBER_SETS = {
-    "none": ...,
-    "catch-all": None,
-    "filtered": ("read", "verifier"),
-}
+#: Extra subscriber sets: nothing, or one late recorder.
+_SUBSCRIBER_SETS = ("none", "catch-all")
 
 
 def _run(subscribers: str, **config):
@@ -45,17 +38,11 @@ def _run(subscribers: str, **config):
     recorder = StageRecorder()
 
     def wire(cache) -> None:
-        stages = _SUBSCRIBER_SETS[subscribers]
-        if stages is not ...:
-            cache.instrumentation.subscribe(recorder, stages=stages)
+        if subscribers == "catch-all":
+            cache.instrumentation.subscribe(recorder)
 
     snapshot = run_seeded_workload(wire=wire, **config)
     return snapshot, recorder.rows()
-
-
-def _filtered(rows):
-    stages = _SUBSCRIBER_SETS["filtered"]
-    return [row for row in rows if row[0] in stages]
 
 
 def _assert_counts_match_stats(rows, stats) -> None:
@@ -83,7 +70,7 @@ def _assert_counts_match_stats(rows, stats) -> None:
 class TestGoldens:
     """No subscriber set moves a golden digest."""
 
-    @pytest.mark.parametrize("subscribers", list(_SUBSCRIBER_SETS))
+    @pytest.mark.parametrize("subscribers", _SUBSCRIBER_SETS)
     def test_all_configs_match_goldens(self, subscribers):
         for name, config in _CONFIGS.items():
             snapshot, _ = _run(subscribers, **config)
@@ -96,11 +83,8 @@ class TestSubscriberIndependence:
     @staticmethod
     def _check(**config) -> None:
         plain, _ = _run("none", **config)
-        catch_all, everything = _run("catch-all", **config)
-        filtered, some = _run("filtered", **config)
+        catch_all, _ = _run("catch-all", **config)
         assert catch_all == plain
-        assert filtered == plain
-        assert some == _filtered(everything)
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))
@@ -121,9 +105,4 @@ class TestLateSubscriber:
     )
     def test_catch_all_counts(self, chaos):
         snapshot, rows = _run("catch-all", seed=7, chaos=chaos)
-        _assert_counts_match_stats(rows, snapshot["stats"])
-
-    def test_filtered_counts(self):
-        snapshot, rows = _run("filtered", seed=7, chaos=True)
-        assert rows == _filtered(_run("catch-all", seed=7, chaos=True)[1])
         _assert_counts_match_stats(rows, snapshot["stats"])

@@ -47,6 +47,7 @@ CONSTRUCTOR_KEYWORDS = {
         "bus", "placement", "write_mode", "install_notifiers",
         "use_verifiers", "track_staleness", "retry_policy",
     ],
+    "repro.overload.health.HealthTracker": ["min_samples"],
 }
 
 #: Options nothing under ``src/repro/`` (outside the defining module),

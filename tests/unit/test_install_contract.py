@@ -122,7 +122,9 @@ def test_every_source_installs_a_whole_entry(source, driven):
     key = EntryKey.for_reference(reference)
     assert key not in core.entries
     reads = StageRecorder()
-    core.instrumentation.subscribe(reads, stages=("read",))
+    core.instrumentation.subscribe(
+        lambda event: event.stage == "read" and reads(event)
+    )
 
     if driven:
         outcome = drive(cache.iterate_read(reference, concurrent=False))

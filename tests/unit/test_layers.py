@@ -53,8 +53,6 @@ ANNOTATION_ONLY_UPWARD = {
         "SimContext carries the world's FaultPlan in a typed slot",
     ("repro.sim.context", "cache"):
         "SimContext carries the world's ContainmentGuard in a typed slot",
-    ("repro.overload.health", "cache"):
-        "the tracker is subscribed to a shard's bus and is handed StageEvents",
     ("repro.cache.core", "storage"):
         "core.l2 is a typed slot for the tier the manager installs",
 }
@@ -150,7 +148,7 @@ class TestLayers:
             if RANK[dest] >= RANK[source]
         }
         assert set(ANNOTATION_ONLY_UPWARD) | RUNTIME_UPWARD == live
-        assert len(ANNOTATION_ONLY_UPWARD) <= 4
+        assert len(ANNOTATION_ONLY_UPWARD) <= 3
         assert all(ANNOTATION_ONLY_UPWARD.values())
 
     def test_the_middleware_does_not_name_the_cache(self):
@@ -215,7 +213,7 @@ class TestFreshInterpreter:
 #: Lines of Python under ``src/repro`` and in ``cache/manager.py``, as
 #: they stand.  A ceiling, not a target: deleting code lowers the count
 #: and the next change may lower the ceiling to match.
-SRC_LINE_CEILING = 24_417
+SRC_LINE_CEILING = 24_348
 MANAGER_LINE_CEILING = 651
 
 

@@ -485,15 +485,18 @@ class TestStatsProjection:
         stats = stats_type()
         projection = CounterProjection(stats, TABLES[stats_type])
         projection(StageEvent("no-such-stage", "whatever"))
-        for stage in projection.stages:
+        for stage in {stage for stage, _ in TABLES[stats_type]}:
             if (stage, None) not in TABLES[stats_type]:
                 projection(StageEvent(stage, "no-such-outcome"))
         assert stats == stats_type()
 
     @tables
     def test_stages_are_the_tables_stages(self, stats_type):
+        # The projection indexes its rules by the table's stages.
         projection = CounterProjection(stats_type(), TABLES[stats_type])
-        assert projection.stages == {stage for stage, _ in TABLES[stats_type]}
+        assert set(projection._rules) == {
+            stage for stage, _ in TABLES[stats_type]
+        }
 
     @tables
     def test_every_rule_targets_a_real_field(self, stats_type):
@@ -562,10 +565,10 @@ class TestStatsProjection:
         projection = StatsProjection(stats)
         assert type(projection) is CounterProjection
         assert projection.stats is stats
-        assert projection.stages == {s for s, _ in CacheStats.RULES}
+        assert set(projection._rules) == {s for s, _ in CacheStats.RULES}
         memo = MemoStatsProjection()
         assert type(memo) is CounterProjection
-        assert memo.stats == MemoStats() and memo.stages == {"memo"}
+        assert memo.stats == MemoStats() and set(memo._rules) == {"memo"}
 
     def _project(self, *events: StageEvent) -> CacheStats:
         stats = CacheStats()

@@ -260,8 +260,21 @@ def test_constants_that_replaced_options_are_pinned(module, name, value):
 
 
 def test_health_tracker_defaults_are_the_constants():
-    tracker = health.HealthTracker()
-    assert tracker.ewma_alpha == health.HEALTH_EWMA_ALPHA
-    assert tracker.gray_latency_factor == health.GRAY_LATENCY_FACTOR
-    assert tracker.error_threshold == health.UNHEALTHY_ERROR_THRESHOLD
-    assert tracker.recovery_successes == health.RECOVERY_SUCCESSES
+    # The tracker's one keyword is ``min_samples``; the smoothing
+    # weight, the gray factor, both streak lengths and the ring size
+    # are the module's constants.
+    tracker = health.HealthTracker(min_samples=1)
+    tracker.observe_read("fast", 10.0)
+    tracker.observe_read("slow", 10.0)
+    tracker.observe_read("slow", 110.0)
+    ewma = tracker.track("slow").ewma_ms
+    assert ewma == 10.0 + health.HEALTH_EWMA_ALPHA * 100.0
+    assert ewma == health.GRAY_LATENCY_FACTOR * 10.0
+    assert tracker.is_gray("slow")
+    for _ in range(health.UNHEALTHY_ERROR_THRESHOLD):
+        tracker.observe_error("fast")
+    assert tracker.is_unhealthy("fast")
+    for _ in range(health.RECOVERY_SUCCESSES):
+        tracker.observe_read("fast", 10.0)
+    assert not tracker.is_unhealthy("fast")
+    assert tracker.track("fast").samples.maxlen == 128
