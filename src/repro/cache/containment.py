@@ -220,35 +220,37 @@ class BreakerRegistry:
 
     def __init__(self, config: BreakerConfig) -> None:
         self.config = config
-        self._breakers: dict[BreakerKey, CircuitBreaker] = {}
+        #: Every breaker by key; empty (falsy) until some code has
+        #: failed, which is what lets a hot path skip building keys.
+        self.breakers: dict[BreakerKey, CircuitBreaker] = {}
 
     def get(self, key: BreakerKey) -> CircuitBreaker:
         """The breaker for *key*, created (closed) on first use."""
-        breaker = self._breakers.get(key)
+        breaker = self.breakers.get(key)
         if breaker is None:
-            breaker = self._breakers[key] = CircuitBreaker(self.config)
+            breaker = self.breakers[key] = CircuitBreaker(self.config)
         return breaker
 
     def peek(self, key: BreakerKey) -> CircuitBreaker | None:
         """The breaker for *key* if one exists, without creating it."""
-        return self._breakers.get(key)
+        return self.breakers.get(key)
 
     def open_keys(self) -> set[BreakerKey]:
         """Keys whose breaker is currently open (probation not reached)."""
         return {
             key
-            for key, breaker in self._breakers.items()
+            for key, breaker in self.breakers.items()
             if breaker.state is BreakerState.OPEN
         }
 
     def reset_all(self) -> int:
         """Forget every breaker; returns how many were open."""
         opened = len(self.open_keys())
-        self._breakers.clear()
+        self.breakers.clear()
         return opened
 
     def __len__(self) -> int:
-        return len(self._breakers)
+        return len(self.breakers)
 
 
 @dataclass(frozen=True)
@@ -505,7 +507,11 @@ class ContainmentGuard:
         A blocked verifier forces the access to miss to the kernel —
         the breaker-shaped successor of the quarantine's forced miss.
         An open breaker past its probation admits the caller as a probe
-        instead of blocking.
+        instead of blocking.  With no verifier breaker at all the
+        answer is False and nothing is touched, so the hit path calls
+        this (and :meth:`note_verifier_success`) only while
+        ``verifiers.breakers`` holds one: a fault-free hit builds no
+        :func:`verifier_key`.
         """
         blocked = False
         for verifier in entry.verifiers:
@@ -558,7 +564,7 @@ class ContainmentGuard:
         handlers); while its breaker is open the callback is suppressed
         entirely — mirroring how a crashed notifier simply misses events.
         """
-        breakers = self.notifiers._breakers  # empty until one has failed
+        breakers = self.notifiers.breakers  # empty until one has failed
         key = _notifier_key(prop, event) if breakers else None
         if key is not None and not self._allow(self.notifiers, key):
             self.stats.notifier_suppressed += 1

@@ -73,16 +73,26 @@ PROBE_COST_MS = 0.2
 
 
 class CacheCore:
-    """Mutable state + shared mechanics behind one ``DocumentCache``."""
+    """Mutable state + shared mechanics behind one ``DocumentCache``.
 
-    #: The cluster's shard-health tracker, set by the cluster that owns
-    #: this shard: each read terminal tells it the read's latency, and
-    #: a failed fetch tells it the error.  ``None`` for a standalone
-    #: cache.  A class-level default, not an instance attribute: a
-    #: 30th attribute in the instance dict slows every attribute load
-    #: on a core under CPython 3.11 (perfbench ``hot_hits``
-    #: ``hit_p50_us`` +8 %).
-    health: "HealthTracker | None" = None
+    Slotted: a core has no instance ``__dict__``, so every attribute
+    load on the read path is a fixed-offset slot read however many
+    attributes the core carries.  Under CPython 3.11 a dict-backed
+    instance past 29 attributes loses its shared-key layout, and every
+    attribute load on a cluster shard's core got slower (perfbench
+    ``hot_hits`` ``hit_p50_us`` +8 % at the 30th).  A new attribute is
+    a new slot name; a test that swaps a method patches the class.
+    """
+
+    __slots__ = (
+        "kernel", "ctx", "capacity_bytes", "name", "cache_id", "policy",
+        "degradation", "quarantine", "instrumentation", "bus", "topology",
+        "write_mode", "install_notifiers", "use_verifiers",
+        "track_staleness", "retry_policy", "stats", "metrics", "store",
+        "entries", "entries_by_document", "dirty", "recovery",
+        "containment", "memo", "flights", "concurrency", "l2", "overload",
+        "health",
+    )
 
     def __init__(
         self,
@@ -187,6 +197,11 @@ class CacheCore:
         #: ``None`` (the default) keeps every read unbudgeted and
         #: unshed — the historical path the golden digests pin.
         self.overload: "OverloadGate | None" = None
+        #: The cluster's shard-health tracker, set by the cluster that
+        #: owns this shard: each read terminal tells it the read's
+        #: latency, and a failed fetch tells it the error.  ``None`` for
+        #: a standalone cache.
+        self.health: "HealthTracker | None" = None
 
     # -- instrumentation -----------------------------------------------------
 

@@ -169,7 +169,8 @@ class ReadPipeline:
         core = self.core
         key = EntryKey.for_reference(reference)
         started_ms = core.ctx.clock.now_ms
-        if core.overload is not None:
+        overload = core.overload
+        if overload is not None and overload.admission is not None:
             self._admit(reference, key, enqueued_ms)
         result, stale = self.serve(reference, key, started_ms)
         if result is not None:
@@ -234,7 +235,9 @@ class ReadPipeline:
         key: EntryKey,
         enqueued_ms: float | None,
     ) -> None:
-        """Ask admission control; raises the typed error when shed."""
+        """Ask admission control; raises the typed error when shed.
+        Called only when the gate has admission control
+        (``shedding=True``): without it every read is admitted unasked."""
         core = self.core
         decision = core.overload.admit(reference, enqueued_ms)
         if decision is None:
@@ -272,7 +275,11 @@ class ReadPipeline:
         The loop is a follower's re-entry from the top after its wait."""
         core = self.core
         try:
-            if not prefix_ran and core.overload is not None:
+            overload = core.overload
+            if (
+                not prefix_ran and overload is not None
+                and overload.admission is not None
+            ):
                 self._admit(ctx.reference, ctx.key, ctx.enqueued_ms)
             while True:
                 if not prefix_ran:
@@ -386,12 +393,14 @@ class ReadPipeline:
 
         if core.use_verifiers:
             guard = core.containment
-            # The legacy quarantine only has state once some verifier
-            # has raised; until then there is nothing to consult or to
-            # reset, per hit or per verifier.
-            quarantine = guard is None and len(core.quarantine) > 0
+            # A breaker registry — the guard's or the legacy quarantine —
+            # has a breaker only once some verifier has raised; until
+            # then there is nothing to consult or to reset, per hit or
+            # per verifier, and no breaker key is built.
+            breakers = None if guard is None else guard.verifiers.breakers
+            quarantine = guard is None and bool(core.quarantine.breakers)
             if guard is not None:
-                if guard.verifier_blocked(entry):
+                if breakers and guard.verifier_blocked(entry):
                     # A breaker is open on one of the entry's verifiers:
                     # the entry cannot be trusted and the verifier cannot
                     # be afforded — force a miss.  Unlike the legacy
@@ -416,7 +425,7 @@ class ReadPipeline:
                     key, verifier_started_ms, verifier.cost_ms
                 )
                 try:
-                    if guard is not None:
+                    if guard is not None and guard.budget is not None:
                         guard.check_verifier_budget(entry, verifier)
                     if sim.faults is not None:
                         sim.faults.check_verifier(
@@ -436,7 +445,8 @@ class ReadPipeline:
                     core.note_verifier_caught_lost(entry)
                     return None, (content, entry.created_at_ms)
                 if guard is not None:
-                    guard.note_verifier_success(entry, verifier)
+                    if breakers:
+                        guard.note_verifier_success(entry, verifier)
                 elif quarantine:
                     core.note_verifier_success(verifier_key(entry, verifier))
                 if result.verdict is Verdict.INVALID:

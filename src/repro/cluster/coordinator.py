@@ -148,6 +148,10 @@ class CacheCluster:
         self._hedge_wins: dict[str, int] = {}
         self._probe_queue: list[tuple[str, "DocumentReference"]] = []
         self._draining_probes = False
+        #: Hedging is configured; it acts while two or more shards live.
+        self._hedging = (
+            overload_policy is not None and overload_policy.hedging
+        )
         if overload_policy is not None:
             self.health = HealthTracker(
                 min_samples=overload_policy.health_min_samples
@@ -316,10 +320,19 @@ class CacheCluster:
 
     def _serving_shard(self, reference: "DocumentReference") -> DocumentCache:
         """The shard that serves *reference* now: its placement, or
-        the replica while the primary is failed over."""
+        the replica while the primary is failed over.
+
+        :meth:`_failover` acts only on a primary that is unhealthy or
+        still failed over, so it is walked only while some shard is
+        failed over or the placed primary is unhealthy; a read of a
+        healthy fleet costs the ring lookup alone.
+        """
         key = EntryKey.for_reference(reference)
         shard_name = self._placement.place(key)
-        if self.health is not None:
+        health = self.health
+        if health is not None and (
+            self._failed_over or shard_name in health.unhealthy
+        ):
             shard_name = self._failover(key, shard_name)
         return self._shards[shard_name]
 
@@ -357,12 +370,7 @@ class CacheCluster:
     # -- hedged reads ---------------------------------------------------------
 
     def _hedging_active(self) -> bool:
-        policy = self._shard_kwargs["overload_policy"]
-        return (
-            policy is not None
-            and policy.hedging
-            and len(self._shards) >= 2
-        )
+        return self._hedging and len(self._shards) >= 2
 
     def _hedge_delay_ms(self, primary: str) -> float:
         """How long a miss may stall at the fetch seam before hedging.
@@ -487,9 +495,9 @@ class CacheCluster:
     def read(self, reference: "DocumentReference") -> CacheReadOutcome:
         """Read through the owning shard (hedged when the overload
         policy enables hedging and a replica shard exists)."""
-        if not self._hedging_active():
-            return self._serving_shard(reference).read(reference)
-        return self._read_driven(reference)
+        if self._hedging and len(self._shards) >= 2:
+            return self._read_driven(reference)
+        return self._serving_shard(reference).read(reference)
 
     def write(self, reference: "DocumentReference", content: bytes) -> float:
         """Write through the owning shard; returns elapsed virtual ms."""

@@ -64,8 +64,6 @@ class ShardHealth:
     errors: int = 0
     consecutive_errors: int = 0
     consecutive_successes: int = 0
-    #: True while placement routes around this shard.
-    failed_over: bool = False
 
     def p95_ms(self) -> float | None:
         """Nearest-rank p95 over the recent fetch-latency ring."""
@@ -85,6 +83,9 @@ class HealthTracker:
             raise WorkloadError(f"min_samples must be >= 1: {min_samples}")
         self.min_samples = min_samples
         self._shards: dict[str, ShardHealth] = {}
+        #: The shards placement routes around, by name: a router asks
+        #: membership (or emptiness) without a call per read.
+        self.unhealthy: set[str] = set()
         self.failovers = 0
         self.recoveries = 0
 
@@ -100,6 +101,7 @@ class HealthTracker:
     def forget(self, name: str) -> None:
         """Drop a departed shard's state."""
         self._shards.pop(name, None)
+        self.unhealthy.discard(name)
 
     def observe_read(
         self, name: str, elapsed_ms: float, *, fetched: bool = True
@@ -117,10 +119,10 @@ class HealthTracker:
                     elapsed_ms - health.ewma_ms
                 )
         health.consecutive_errors = 0
-        if health.failed_over:
+        if name in self.unhealthy:
             health.consecutive_successes += 1
             if health.consecutive_successes >= RECOVERY_SUCCESSES:
-                health.failed_over = False
+                self.unhealthy.discard(name)
                 health.consecutive_successes = 0
                 self.recoveries += 1
 
@@ -131,10 +133,10 @@ class HealthTracker:
         health.consecutive_errors += 1
         health.consecutive_successes = 0
         if (
-            not health.failed_over
+            name not in self.unhealthy
             and health.consecutive_errors >= UNHEALTHY_ERROR_THRESHOLD
         ):
-            health.failed_over = True
+            self.unhealthy.add(name)
             self.failovers += 1
 
     # -- classification ------------------------------------------------------
@@ -174,14 +176,13 @@ class HealthTracker:
 
     def is_unhealthy(self, name: str) -> bool:
         """True while placement should route around *name*."""
-        health = self._shards.get(name)
-        return health is not None and health.failed_over
+        return name in self.unhealthy
 
     def p95_healthy_ms(self, excluding: str | None = None) -> float | None:
         """Fetch-path p95 pooled over the non-gray, non-failed shards."""
         pooled: list[float] = []
         for name, health in self._shards.items():
-            if name == excluding or health.failed_over:
+            if name == excluding or name in self.unhealthy:
                 continue
             if self.is_gray(name):
                 continue
@@ -196,7 +197,7 @@ class HealthTracker:
         """Per-shard health table for introspection (the doctor)."""
         table: dict[str, dict[str, object]] = {}
         for name, health in sorted(self._shards.items()):
-            if health.failed_over:
+            if name in self.unhealthy:
                 state = "unhealthy"
             elif self.is_gray(name):
                 state = "gray"

@@ -11,6 +11,7 @@ workload.
 
 from __future__ import annotations
 
+from repro.cache.core import CacheCore
 from repro.cache.manager import CacheReadOutcome, DocumentCache
 from repro.cache.policies import DefaultOverloadPolicy
 from repro.cluster import CacheCluster
@@ -177,7 +178,9 @@ class TestFlashCrowdShedding:
         cache.core.fetch_with_retry(references[0], budget=budget)
         assert cache.overload_stats.deadline_violations == 1
 
-    def test_a_retry_begun_past_the_deadline_is_a_violation(self):
+    def test_a_retry_begun_past_the_deadline_is_a_violation(
+        self, monkeypatch
+    ):
         class BudgetBlindRetry:
             """Sleeps its backoff whatever the budget says — the bug
             ``RetryPolicy.call``'s ``delay_ms >= remaining`` rule rules
@@ -191,18 +194,21 @@ class TestFlashCrowdShedding:
                     on_retry(1, 50.0, error)
                     return fn()
 
+        fetch = CacheCore.fetch
+
         def run(retry_policy):
             cache, references = _deploy(_tight_policy(shedding=False))
             core = cache.core
             core.retry_policy = retry_policy
-            fetch, failures = core.fetch, [ContentUnavailableError("down")]
+            failures = [ContentUnavailableError("down")]
 
-            def fails_once(reference):
+            def fails_once(self, reference):
                 if failures:
                     raise failures.pop()
-                return fetch(reference)
+                return fetch(self, reference)
 
-            core.fetch = fails_once
+            # A core is slotted: the method is swapped on its class.
+            monkeypatch.setattr(CacheCore, "fetch", fails_once)
             budget = DeadlineBudget(core.ctx.clock, 10.0)
             try:
                 core.fetch_with_retry(references[0], budget=budget)

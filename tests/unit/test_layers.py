@@ -213,7 +213,7 @@ class TestFreshInterpreter:
 #: Lines of Python under ``src/repro`` and in ``cache/manager.py``, as
 #: they stand.  A ceiling, not a target: deleting code lowers the count
 #: and the next change may lower the ceiling to match.
-SRC_LINE_CEILING = 24_348
+SRC_LINE_CEILING = 24_388
 MANAGER_LINE_CEILING = 651
 
 

@@ -23,7 +23,11 @@ Python-level calls per miss
 and per plain kernel read, which must not depend on how many users'
 notifiers are armed on the document.  A write-through write has a call
 budget too, and a second write to a reference re-derives no stream
-chain.  Hits and re-misses also have an
+chain.  A verified hit has a call budget as well — plain, contained,
+and through a cluster wired like perfbench's ``seams_on`` —, a
+fault-free contained hit builds no breaker key, and a cluster shard's
+core is slotted, so no attribute load on it pays for a dict past
+CPython's shared-key limit.  Hits and re-misses also have an
 exact budget of *zero* Python ``__hash__`` / ``__eq__`` frames: ids are
 ``str`` subclasses and the invalidation reasons hash by identity, so
 every key probe runs in C.
@@ -63,12 +67,14 @@ from repro.cache.entry import EntryKey
 from repro.cache.instrumentation import StageEvent
 from repro.cache.manager import DocumentCache, WriteMode
 from repro.cache.policies import (
+    ConcurrencyPolicy,
     ContainmentPolicy,
+    MemoPolicy,
     OverloadPolicy,
     RecoveryPolicy,
     StoragePolicy,
 )
-from repro.cluster import CacheCluster
+from repro.cluster import CacheCluster, ClusterPolicy
 from repro.placeless.document import BaseDocument
 from repro.placeless.kernel import PlacelessKernel
 from repro.placeless.reference import DocumentReference
@@ -312,7 +318,13 @@ def test_fault_free_traffic_creates_no_breaker():
 
 def _calls(action, names: tuple[str, ...] = ()) -> int:
     """Python and C function calls *action* makes (``sys.setprofile``);
-    with *names*, only the Python frames of functions so named."""
+    with *names*, only the Python frames of functions so named.
+
+    The collector is off while *action* runs: a collection that happens
+    to fall inside it runs ``gc.callbacks`` (hypothesis installs one,
+    four profiled calls per collection once any property test has run)
+    and the finalizers of other tests' garbage, none of which *action*
+    made — whether one falls there depends on every allocation before."""
     count = 0
 
     def tracer(frame, event, arg):
@@ -323,11 +335,15 @@ def _calls(action, names: tuple[str, ...] = ()) -> int:
         elif event in ("call", "c_call"):
             count += 1
 
+    was_enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(tracer)
     try:
         action()
     finally:
         sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
     return count
 
 
@@ -367,6 +383,85 @@ def test_a_verified_hit_builds_no_verifier_result():
     kernel, cache, (reference, *_) = _armed_world(2)
     assert cache.core.entries[EntryKey.for_reference(reference)].verifiers
     assert _calls(lambda: cache.read(reference), ("__post_init__",)) == 0
+
+
+#: Python and C calls of one verified hit of a corpus document (one
+#: verifier on the entry): on a plain cache, through a containment guard,
+#: and through a 4-shard cluster wired like perfbench's ``seams_on``.
+#: Measured on CPython 3.11 (3.12 counts the same).  While the hit ran
+#: every seam whether or not it could act they took 44, 54 and 72: the
+#: guard built a breaker key per verifier twice per hit (gate and
+#: success note), the quarantine and the budget check were asked with
+#: nothing to say, and the cluster walked its failover and asked an
+#: admission gate it does not have.
+HIT_CALL_BUDGET = {"plain": 41, "contained": 41, "cluster": 52}
+
+
+def _hit_front(arm: str, directory):
+    """A front for *arm* whose next read of the returned reference is a
+    verified hit, and the shards it built (to shut down)."""
+    kernel = PlacelessKernel()
+    owner = kernel.create_user("owner")
+    corpus = build_corpus(kernel, owner, CorpusSpec(n_documents=8, seed=13))
+    guarded = {"containment_policy": ContainmentPolicy()}
+    if arm == "cluster":
+        front = CacheCluster(
+            kernel, 4, capacity_bytes=1 << 26,
+            cluster_policy=ClusterPolicy(),
+            memo_policy=MemoPolicy(),
+            concurrency_policy=ConcurrencyPolicy(),
+            overload_policy=OverloadPolicy(shedding=False, hedging=False),
+            shard_kwargs={
+                "storage_policy": StoragePolicy(directory=str(directory)),
+                **guarded,
+            },
+        )
+        shards = list(front.shards.values())
+    else:
+        front = DocumentCache(
+            kernel, capacity_bytes=1 << 28,
+            **(guarded if arm == "contained" else {}),
+        )
+        shards = [front]
+    reference = corpus[0].reference
+    front.read(reference)
+    assert front.read(reference).hit
+    return front, shards, reference
+
+
+@pytest.mark.parametrize("arm", list(HIT_CALL_BUDGET))
+def test_a_hit_stays_within_its_call_budget(arm, tmp_path):
+    front, shards, reference = _hit_front(arm, tmp_path)
+    try:
+        calls = _calls(lambda: front.read(reference))
+        assert calls <= HIT_CALL_BUDGET[arm], (
+            f"{arm} hit made {calls} calls (budget {HIT_CALL_BUDGET[arm]})"
+        )
+    finally:
+        for shard in shards:
+            shard.shutdown()
+
+
+def test_a_fault_free_contained_hit_builds_no_verifier_key():
+    # No verifier has failed, so no breaker exists to look a key up in.
+    front, _, reference = _hit_front("contained", None)
+    hits = front.stats.hits
+    assert _calls(lambda: front.read(reference), ("verifier_key",)) == 0
+    assert front.stats.hits == hits + 1
+    assert front.stats.verifier_executions
+
+
+def test_a_shard_core_has_no_instance_dict(tmp_path):
+    # A core past 29 dict attributes leaves CPython 3.11's shared-key
+    # layout and slows every attribute load; a slotted core cannot.
+    _, shards, _ = _hit_front("cluster", tmp_path)
+    try:
+        for shard in shards:
+            assert shard.core.health is not None
+            assert not hasattr(shard.core, "__dict__")
+    finally:
+        for shard in shards:
+            shard.shutdown()
 
 
 # -- write-path count budgets ---------------------------------------------------
