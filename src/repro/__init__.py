@@ -66,7 +66,6 @@ _EXPORTS = {
     ),
     "repro.cluster": (
         "CacheCluster", "ClusterPolicy", "DefaultClusterPolicy",
-        "PlacementRing",
     ),
     "repro.nfs": ("NFSServer", "NFSMount"),
     "repro.faults": (

@@ -246,7 +246,7 @@ class DocumentCache:
                 core.bus.register(core.cache_id, core.apply_invalidation)
             if storage_policy is not None:
                 # Last of the seams: the tier's construction-time recovery
-                # scan reloads into the memo table and dirty buffer.
+                # scan reloads into the memo table and recovery journal.
                 from repro.storage.tier import L2Tier
 
                 core.l2 = L2Tier(core, storage_policy)
@@ -600,9 +600,9 @@ class DocumentCache:
         lease is re-granted and the channel resynced; without one the
         restart comes back empty-handed.  With a storage policy the
         durable tier then recovers on top: the demotion catalog is
-        rebuilt (every recovered entry verify-on-first-serve), disk-
-        journalled writes the in-memory journal did not cover are
-        replayed, and spilled memo records reload — the warm restart.
+        rebuilt (every recovered entry verify-on-first-serve) and
+        spilled memo records reload — the warm restart; the journal
+        survived the crash, so its disk mirror is not read.
         """
         core = self._core
         replayed = 0

@@ -212,9 +212,11 @@ class StoragePolicy:
     A cache constructed with a storage policy gets an
     :class:`~repro.storage.tier.L2Tier`: evictions demote their bytes
     and metadata to checksummed on-disk segments, misses promote them
-    back (chain-, source-, CRC- and verifier-gated), the write-back
-    journal and transform memo spill to disk, and
-    ``DocumentCache.restart()`` recovers all of it after a crash.
+    back (chain-, source-, CRC- and verifier-gated), the transform memo
+    spills to disk, and ``DocumentCache.restart()`` recovers the
+    catalog and the memo after a crash.  With a recovery policy too,
+    the write-back journal is mirrored to disk and loaded back only
+    when a cache opens the directory.
     """
 
     #: Directory holding the tier's segments (one subdirectory per

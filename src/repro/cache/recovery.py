@@ -35,7 +35,10 @@ without one behaves byte-identically to the pre-recovery code):
   wipes the entry table and dirty buffer, and restart replays each
   key's latest unflushed write back into the dirty buffer idempotently
   (double replay restores nothing twice, and a later flush pushes each
-  write exactly once).
+  write exactly once).  It is the one journal: with a storage policy
+  the L2 tier mirrors its appends and flush marks to ``journal.seg``
+  and loads that segment into it once, when the cache opens its
+  directory, for the same replay.
 
 Everything observable is reported as a stage event (``channel``,
 ``lease``, ``resync``, ``journal``, ``crash``) through the cache's

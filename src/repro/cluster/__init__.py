@@ -17,13 +17,12 @@ cluster with no policy is byte-identical to a plain ``DocumentCache``.
 
 from repro.cluster.coordinator import CacheCluster
 from repro.cluster.memo_share import SharedTransformMemo
-from repro.cluster.placement import HashRingPolicy, PlacementRing
+from repro.cluster.placement import HashRingPolicy
 from repro.cluster.policy import ClusterPolicy, DefaultClusterPolicy
 
 __all__ = [
     "CacheCluster",
     "SharedTransformMemo",
-    "PlacementRing",
     "HashRingPolicy",
     "ClusterPolicy",
     "DefaultClusterPolicy",

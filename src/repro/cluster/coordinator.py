@@ -694,6 +694,9 @@ class CacheCluster:
         self.topology.remove_shard(shard_name)
         if self.health is not None:
             self.health.forget(shard_name)
+            # A read through a kept handle must not report the departed
+            # shard back into the health table.
+            shard.core.health = None
         self._failed_over.discard(shard_name)
         self._probes.pop(shard_name, None)
         self._hedge_wins.pop(shard_name, None)

@@ -2,8 +2,8 @@
 
 The cluster layer spreads ``(document, user)`` entry keys over N
 :class:`~repro.cache.manager.DocumentCache` shards by classic
-consistent hashing: :class:`HashRingPolicy` over a
-:class:`PlacementRing` with virtual nodes.  Placement is balanced to
+consistent hashing: :class:`HashRingPolicy` is a ring with virtual
+nodes.  Placement is balanced to
 within a small factor of ideal, and a shard join/leave moves only the
 keys in the arcs the changed shard owned (≈ ``K / N`` of the keyspace),
 never reshuffling the survivors' keys among themselves.
@@ -23,7 +23,7 @@ import typing
 from repro.cache.entry import EntryKey
 from repro.errors import WorkloadError
 
-__all__ = ["PlacementRing", "HashRingPolicy"]
+__all__ = ["HashRingPolicy"]
 
 
 def _hash_point(label: str) -> int:
@@ -45,8 +45,9 @@ def _key_point(key: "EntryKey") -> int:
     return _hash_point(placement_label(key))
 
 
-class PlacementRing:
-    """Consistent-hash ring with virtual nodes.
+class HashRingPolicy:
+    """The cluster's ``entry key → shard name`` decision: a
+    consistent-hash ring with virtual nodes, no feedback.
 
     Each shard contributes ``replicas`` points (virtual nodes) on a
     64-bit ring; a key is owned by the first shard point at or after
@@ -67,16 +68,9 @@ class PlacementRing:
         for shard in shards:
             self.add_shard(shard)
 
-    @property
     def shards(self) -> list[str]:
         """Registered shard names, insertion order."""
         return list(self._shards)
-
-    def __len__(self) -> int:
-        return len(self._shards)
-
-    def __contains__(self, shard: str) -> bool:
-        return shard in self._shards
 
     def add_shard(self, shard: str) -> None:
         """Add one shard's virtual nodes; rejects duplicates."""
@@ -128,29 +122,3 @@ class PlacementRing:
             if owner != primary:
                 return owner
         return None
-
-
-class HashRingPolicy:
-    """The cluster's ``entry key → shard name`` decision: pure
-    consistent hashing, no feedback."""
-
-    def __init__(
-        self, shards: typing.Iterable[str] = (), replicas: int = 64
-    ) -> None:
-        self.ring = PlacementRing(shards, replicas=replicas)
-
-    def shards(self) -> list[str]:
-        return self.ring.shards
-
-    def add_shard(self, shard: str) -> None:
-        self.ring.add_shard(shard)
-
-    def remove_shard(self, shard: str) -> None:
-        self.ring.remove_shard(shard)
-
-    def place(self, key: "EntryKey") -> str:
-        return self.ring.place(key)
-
-    def replica_for(self, key: "EntryKey", primary: str) -> str | None:
-        """*key*'s ring-successor replica (see the ring's method)."""
-        return self.ring.replica_for(key, primary)

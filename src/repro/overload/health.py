@@ -86,13 +86,13 @@ class HealthTracker:
         #: The shards placement routes around, by name: a router asks
         #: membership (or emptiness) without a call per read.
         self.unhealthy: set[str] = set()
-        self.failovers = 0
-        self.recoveries = 0
 
     # -- registration / feeds ------------------------------------------------
 
     def track(self, name: str) -> ShardHealth:
-        """Register *name* (idempotent) and return its health record."""
+        """Register *name* (idempotent) and return its health record;
+        the feeds below index the record, so a shard is tracked before
+        it reports and stops reporting once :meth:`forget` drops it."""
         health = self._shards.get(name)
         if health is None:
             health = self._shards[name] = ShardHealth(name=name)
@@ -107,7 +107,7 @@ class HealthTracker:
         self, name: str, elapsed_ms: float, *, fetched: bool = True
     ) -> None:
         """Feed one completed read; latency counts only when *fetched*."""
-        health = self.track(name)
+        health = self._shards[name]
         health.reads += 1
         if fetched:
             health.fetches += 1
@@ -124,11 +124,10 @@ class HealthTracker:
             if health.consecutive_successes >= RECOVERY_SUCCESSES:
                 self.unhealthy.discard(name)
                 health.consecutive_successes = 0
-                self.recoveries += 1
 
     def observe_error(self, name: str) -> None:
         """Feed one failed read (fetch error, degradation raise)."""
-        health = self.track(name)
+        health = self._shards[name]
         health.errors += 1
         health.consecutive_errors += 1
         health.consecutive_successes = 0
@@ -137,7 +136,6 @@ class HealthTracker:
             and health.consecutive_errors >= UNHEALTHY_ERROR_THRESHOLD
         ):
             self.unhealthy.add(name)
-            self.failovers += 1
 
     # -- classification ------------------------------------------------------
 

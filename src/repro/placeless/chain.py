@@ -50,8 +50,9 @@ def read_chain_properties(reference) -> tuple:
     """The active properties on *reference*'s read path, in chain order.
 
     Base-document properties first, then reference properties — the
-    execution order §2 prescribes and :func:`build_input_chain`
-    realises.  Metadata-only (no streams are built), so the chain
+    execution order §2 prescribes and the wrap loops of
+    ``BaseDocument.begin_read`` and ``DocumentReference.open_input``
+    realise.  Metadata-only (no streams are built), so the chain
     signature and chain fingerprint machinery can predict a read path
     without running it.
     """

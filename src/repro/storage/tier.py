@@ -8,8 +8,11 @@ segments in one directory:
   demoted bytes, deduplicated by content signature;
 * ``catalog.seg`` — demotion records (entry metadata) and drop
   tombstones; the last record per (document, user) key wins on replay;
-* ``journal.seg`` — the write-back journal spilled to disk: one record
-  per buffered write, plus flushed tombstones;
+* ``journal.seg`` — the disk mirror of the recovery manager's write-back
+  journal: one record per buffered write, plus flushed tombstones.  It
+  is read once, when a cache with a recovery policy opens the
+  directory, into that journal; an in-process restart replays the
+  journal itself and never reads the segment;
 * ``memo.seg`` — verifier-free transform-memo records, so a restarted
   cache keeps its ``(source, chain) → output`` knowledge.
 
@@ -53,6 +56,7 @@ from repro.cache.core import PROBE_COST_MS, CacheCore
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.memo import ChainFingerprint, MemoRecord
 from repro.cache.policies import StoragePolicy
+from repro.cache.recovery import WriteBackJournal
 from repro.content.signature import ContentSignature
 from repro.contract.cacheability import Cacheability
 from repro.contract.verifiers import Verifier
@@ -168,8 +172,6 @@ class StorageStats:
     promote_verifier_runs: int = 0
     #: Write-back journal records spilled to disk.
     journal_spills: int = 0
-    #: Dirty writes restored from the disk journal at recover time.
-    journal_replayed: int = 0
     #: Disk-journal records whose reference no longer resolves.
     journal_unresolved: int = 0
     #: Memo records spilled to disk / reloaded at recover time.
@@ -286,8 +288,8 @@ class L2Tier:
         # than since its own entry (crash-rebuild drops must count).
         self._disk_corrupt_seen = 0
         # A tier opened over an existing directory starts warm: the
-        # catalog, journal and memo segments are replayed immediately
-        # (a fresh directory replays empty scans and stays cold).
+        # catalog and memo segments are replayed and the journal loaded
+        # immediately (a fresh directory scans empty and stays cold).
         self.recover(restart=False)
 
     # -- breaker gating --------------------------------------------------------
@@ -578,8 +580,8 @@ class L2Tier:
         if self._sync("journal", self.journal_log):
             # The fsync lied.  Re-append and sync honestly — if the
             # first frame actually reached the platter this produces a
-            # duplicated tail record, which replay tolerates: it keeps
-            # the latest record per key and skips keys already dirty.
+            # duplicated tail record, which the open-time load
+            # tolerates: it keeps the latest record per key.
             self.journal_log.append(K_JOURNAL, payload)
             self._sync("journal-retry", self.journal_log)
         self.stats.journal_spills += 1
@@ -588,8 +590,11 @@ class L2Tier:
     def spill_journal_flushed(self, key: EntryKey) -> None:
         """Flush hook: tombstone the key's spilled journal records.
 
-        A lost tombstone merely over-replays on the next recover, and
-        replay into the dirty buffer is idempotent — so no retry.
+        The flush already retired the write from the in-memory journal,
+        which is all an in-process restart replays.  A lost tombstone
+        matters only to the next cache that opens this directory — it
+        pushes the write once more, at-least-once across process
+        death — so no retry.
         """
         if not self._allow("journal"):
             return
@@ -678,11 +683,17 @@ class L2Tier:
         self.stats.crashes += 1
 
     def recover(self, *, restart: bool = True) -> int:
-        """Rebuild the catalog, replay the journal, reload the memo.
+        """Rebuild the catalog and reload the memo; at open, also load
+        the journal.
 
         Every recovered catalog record is marked ``recovered`` — its
         first promotion re-runs verifiers unconditionally (the paper's
         "is this copy still valid?" answered after disconnection).
+        ``journal.seg`` is read only at open (``restart=False``), and
+        only by a cache with a recovery policy: after an in-process
+        crash the recovery journal holds every unflushed write the
+        segment does and none a flush retired, and a cache without one
+        could never retire what it replayed.
         Returns the number of live catalog records.
         """
         core = self.core
@@ -714,7 +725,9 @@ class L2Tier:
         )
         self._disk_corrupt_seen = self.disk.corrupt_dropped
         self.stats.recovered_entries = len(self._catalog)
-        self._replay_journal()
+        if not restart and core.recovery is not None:
+            self._load_journal(core.recovery.journal)
+            core.recovery.replay_journal()
         self._reload_memo()
         if restart:
             self.stats.restarts += 1
@@ -724,14 +737,9 @@ class L2Tier:
             )
         return len(self._catalog)
 
-    def _replay_journal(self) -> None:
-        """Latest unflushed spilled write per key → the dirty buffer.
-
-        Skips keys already dirty (the in-memory journal replays first),
-        so double replay — and the duplicated tail an fsync-lost retry
-        can leave — restores nothing twice.
-        """
-        core = self.core
+    def _load_journal(self, journal: "WriteBackJournal") -> None:
+        """Latest unflushed spilled write per key → the recovery journal
+        (tolerating the duplicated tail an fsync-lost retry leaves)."""
         records, corrupt = self.journal_log.scan_records()
         self.stats.corrupt_records_recovered += corrupt
         latest: dict[EntryKey, tuple[str, bytes]] = {}
@@ -745,23 +753,14 @@ class L2Tier:
                     latest.pop(key, None)
             except StorageError:
                 self.stats.corrupt_records_recovered += 1
+        spaces = self.core.kernel.space
         for key, (reference_id, content) in latest.items():
-            if key in core.dirty:
-                continue
             try:
-                reference = core.kernel.space(key.user_id).get(
-                    ReferenceId(reference_id)
-                )
+                reference = spaces(key.user_id).get(ReferenceId(reference_id))
             except PlacelessError:
                 self.stats.journal_unresolved += 1
                 continue
-            core.dirty[key] = (reference, content)
-            self.stats.journal_replayed += 1
-            if core.recovery is not None:
-                core.recovery.stats.journal_replayed += 1
-            core.emit(
-                "journal", "replayed", key=key, bytes=len(content)
-            )
+            journal.append(key, reference, content)
 
     def _reload_memo(self) -> None:
         """Verifier-free memo records back into the live memo table.

@@ -5,8 +5,9 @@ streams" (§2, footnote 1).  Active properties that transform content do so
 by interposing *custom streams*: on the read path each interested property
 wraps the stream produced so far in its own input stream; on the write
 path each wraps the downstream output stream.  This package provides the
-stream protocol, concrete byte-buffer streams, generic transform streams,
-and the chain builders that apply wrappers in the paper's order.
+stream protocol, concrete byte-buffer streams, generic transform streams
+and :func:`drain`; the documents themselves apply the wrappers in the
+paper's order.
 """
 
 from repro.streams.base import (
@@ -18,7 +19,7 @@ from repro.streams.base import (
     OutputStream,
     TeeOutputStream,
 )
-from repro.streams.chain import build_input_chain, build_output_chain, drain
+from repro.streams.chain import drain
 from repro.streams.transforms import (
     BufferedTransformInputStream,
     BufferedTransformOutputStream,
@@ -44,7 +45,5 @@ __all__ = [
     "LineTransformInputStream",
     "WordTable",
     "text_transform",
-    "build_input_chain",
-    "build_output_chain",
     "drain",
 ]

@@ -1,41 +1,28 @@
-"""Builders applying property stream-wrappers in the paper's order.
+"""Streams that go around a property's stream on a document path.
 
-Read path (§2): "The execution of custom input stream functionality on
-the read path occurs first at the base document and then at the document
-reference."  Content therefore flows
+The chain itself is built where a document is read or written: the
+wrap loops of :meth:`~repro.placeless.document.BaseDocument.begin_read`
+/ :meth:`~repro.placeless.document.BaseDocument.begin_write` and
+:meth:`~repro.placeless.reference.DocumentReference.open_input` /
+:meth:`~repro.placeless.reference.DocumentReference.open_output` apply
+each property's wrapper in §2's order (read: base, then reference;
+write: reference, then base).
 
-    repository → base-property streams → reference-property streams → app
-
-which, in wrapper terms, means reference wrappers wrap *outside* base
-wrappers: the application reads from the outermost (last reference
-property's) stream.
-
-Write path: "custom output-streams on the write path are first executed
-at the document reference and then at the base document" — the
-application writes into the outermost stream, which is the *first*
-reference property's; data then flows through the remaining reference
-wrappers, the base wrappers, and finally the bit-provider's sink.
-
-Both builders fail **closed**: a wrapper that raises during chain
-construction closes the partially-built chain before the error
-propagates, so no half-wrapped stream leaks to the caller.
-
-The firewall, byte-cap and corrupting streams at the end are what
+The firewall, byte-cap and corrupting streams here are what
 :func:`repro.placeless.chain.interpose` — the one body in which
 property stream code runs on a document path — puts around a
 property's stream; this module knows bytes, not documents.
+:func:`drain` is the application-shaped chunked reader.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.errors import BudgetExceededError, StreamError
 from repro.streams.base import InputStream, OutputStream
 
 __all__ = [
-    "build_input_chain",
-    "build_output_chain",
     "drain",
     "FirewallInputStream",
     "FirewallOutputStream",
@@ -43,61 +30,6 @@ __all__ = [
     "CorruptingInputStream",
     "CorruptingOutputStream",
 ]
-
-InputWrapper = Callable[[InputStream], InputStream]
-OutputWrapper = Callable[[OutputStream], OutputStream]
-
-
-def build_input_chain(
-    source: InputStream,
-    wrappers: Iterable[InputWrapper],
-) -> InputStream:
-    """Wrap *source* with each wrapper, in execution order.
-
-    *wrappers* must be supplied in the order the properties execute on the
-    read path (base-document properties first, then reference
-    properties).  The first wrapper ends up innermost — closest to the
-    repository — so it transforms the content first, exactly as §2's
-    calling chain describes.  Returns the outermost stream the application
-    reads from.
-
-    Fails closed: a raising wrapper closes the chain built so far before
-    the error propagates.
-    """
-    stream = source
-    for wrap in wrappers:
-        try:
-            stream = wrap(stream)
-        except Exception:
-            stream.close()
-            raise
-    return stream
-
-
-def build_output_chain(
-    sink: OutputStream,
-    wrappers: Iterable[OutputWrapper],
-) -> OutputStream:
-    """Wrap *sink* with each wrapper, in execution order.
-
-    *wrappers* must be supplied in the order the properties execute on the
-    write path (reference properties first, then base properties).  The
-    first wrapper ends up outermost — it is handed "to the next property
-    in the calling chain ... or if it is the last to the application" — so
-    the application's writes hit it first.  Returns the outermost stream
-    the application writes into.
-
-    Fails closed: a raising wrapper closes the chain built so far before
-    the error propagates.
-    """
-    stream = sink
-    for wrap in reversed(list(wrappers)):
-        try:
-            stream = wrap(stream)
-        except Exception:
-            stream.close()
-            raise
-    return stream
 
 
 def drain(source: InputStream, chunk_size: int = 4096) -> bytes:

@@ -30,8 +30,6 @@ from repro.workload.trace import (
     TraceEventKind,
     TraceSpec,
     generate_trace,
-    trace_from_jsonl,
-    trace_to_jsonl,
     zipf_indices,
 )
 from repro.workload.runner import RunnerReport, TraceRunner
@@ -54,8 +52,6 @@ __all__ = [
     "TraceEventKind",
     "TraceSpec",
     "generate_trace",
-    "trace_to_jsonl",
-    "trace_from_jsonl",
     "zipf_indices",
     "Population",
     "build_population",

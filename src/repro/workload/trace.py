@@ -21,10 +21,9 @@ from __future__ import annotations
 import bisect
 import enum
 import itertools
-import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.errors import WorkloadError
 
@@ -34,8 +33,6 @@ __all__ = [
     "TraceEvent",
     "TraceSpec",
     "generate_trace",
-    "trace_to_jsonl",
-    "trace_from_jsonl",
 ]
 
 
@@ -156,51 +153,3 @@ def generate_trace(spec: TraceSpec) -> Iterator[TraceEvent]:
             think_time_ms=think,
             detail=rng.randrange(1 << 30),
         )
-
-
-def trace_to_jsonl(events: Iterable[TraceEvent]) -> str:
-    """Serialize a trace as JSON lines (one event per line).
-
-    Traces are the reproducibility unit of an experiment: serializing
-    them lets a run be archived, diffed and replayed on another machine
-    (or another implementation) byte-for-byte.
-    """
-    lines = []
-    for event in events:
-        lines.append(
-            json.dumps(
-                {
-                    "kind": event.kind.value,
-                    "doc": event.document_index,
-                    "user": event.user_index,
-                    "think_ms": event.think_time_ms,
-                    "detail": event.detail,
-                },
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def trace_from_jsonl(text: str) -> list[TraceEvent]:
-    """Parse a trace previously serialized by :func:`trace_to_jsonl`."""
-    events = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            events.append(
-                TraceEvent(
-                    kind=TraceEventKind(record["kind"]),
-                    document_index=int(record["doc"]),
-                    user_index=int(record["user"]),
-                    think_time_ms=float(record.get("think_ms", 0.0)),
-                    detail=int(record.get("detail", 0)),
-                )
-            )
-        except (KeyError, ValueError, json.JSONDecodeError) as error:
-            raise WorkloadError(
-                f"bad trace line {line_number}: {error}"
-            ) from error
-    return events

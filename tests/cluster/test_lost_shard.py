@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.cache.policies import RecoveryPolicy
+from repro.cache.policies import OverloadPolicy, RecoveryPolicy
 from repro.cluster import CacheCluster
 from repro.faults.plan import FaultPlan
 from repro.placeless.kernel import PlacelessKernel
@@ -86,3 +86,26 @@ def test_shutting_a_lost_shard_down_again_changes_nothing():
     dead.shutdown()
     assert ctx.clock.pending() == pending
     assert cluster.bus.channel_checkpoint(dead.cache_id) is None
+
+
+def test_a_read_through_a_lost_shards_handle_stays_out_of_the_health_table():
+    ctx = SimContext()
+    kernel = PlacelessKernel(ctx)
+    cluster = CacheCluster(
+        kernel, 2, capacity_bytes=1 << 20,
+        recovery_policy=RecoveryPolicy(), overload_policy=OverloadPolicy(),
+    )
+    user = kernel.create_user("reader")
+    reference = kernel.import_document(
+        user, MemoryProvider(ctx, b"body"), "doc"
+    )
+    cluster.read(reference)
+    name, dead = next(iter(cluster.shards.items()))
+    cluster.lose_shard(name)
+    assert name not in cluster.health_snapshot()
+    # Someone kept the departed shard's handle and reads through it: a
+    # miss and then a hit, both read terminals.
+    dead.read(reference)
+    dead.read(reference)
+    assert name not in cluster.health_snapshot()
+    assert list(cluster.health_snapshot()) == list(cluster.shards)

@@ -15,11 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.entry import EntryKey
-from repro.cluster.placement import (
-    HashRingPolicy,
-    PlacementRing,
-    placement_label,
-)
+from repro.cluster.placement import HashRingPolicy, placement_label
 from repro.errors import WorkloadError
 
 
@@ -38,48 +34,46 @@ def _keys(n: int, seed: int = 0) -> list[EntryKey]:
 class TestPlacementRing:
     def test_empty_ring_refuses_placement(self):
         with pytest.raises(WorkloadError):
-            PlacementRing().place(EntryKey("d", "u"))
+            HashRingPolicy().place(EntryKey("d", "u"))
 
     def test_duplicate_and_unknown_shards_rejected(self):
-        ring = PlacementRing(["a"])
+        ring = HashRingPolicy(["a"])
         with pytest.raises(WorkloadError):
             ring.add_shard("a")
         with pytest.raises(WorkloadError):
             ring.remove_shard("b")
         with pytest.raises(WorkloadError):
-            PlacementRing(replicas=0)
+            HashRingPolicy(replicas=0)
 
     def test_membership_and_len(self):
-        ring = PlacementRing(["a", "b"])
-        assert len(ring) == 2
-        assert "a" in ring and "c" not in ring
-        assert ring.shards == ["a", "b"]
+        ring = HashRingPolicy(["a", "b"])
+        assert ring.shards() == ["a", "b"]
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_placement_is_deterministic_and_member(self, seed):
-        ring = PlacementRing(["a", "b", "c"])
+        ring = HashRingPolicy(["a", "b", "c"])
         for key in _keys(50, seed):
             shard = ring.place(key)
             assert shard == ring.place(key)
-            assert shard in ring
+            assert shard in ring.shards()
 
     def test_balance_within_bounds(self):
         # 64 virtual nodes per shard keeps the max/ideal load factor
         # small; assert a loose 2x bound plus no starved shard.
-        ring = PlacementRing(["a", "b", "c", "d"])
-        counts = dict.fromkeys(ring.shards, 0)
+        ring = HashRingPolicy(["a", "b", "c", "d"])
+        counts = dict.fromkeys(ring.shards(), 0)
         keys = _keys(2000)
         for key in keys:
             counts[ring.place(key)] += 1
-        ideal = len(keys) / len(ring)
+        ideal = len(keys) / len(counts)
         assert min(counts.values()) > 0
         assert max(counts.values()) <= 2.0 * ideal
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_join_moves_keys_only_onto_the_new_shard(self, seed):
-        ring = PlacementRing(["a", "b", "c"])
+        ring = HashRingPolicy(["a", "b", "c"])
         keys = _keys(120, seed)
         before = {placement_label(k): ring.place(k) for k in keys}
         ring.add_shard("d")
@@ -91,7 +85,7 @@ class TestPlacementRing:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_leave_moves_only_the_dead_shards_keys(self, seed):
-        ring = PlacementRing(["a", "b", "c", "d"])
+        ring = HashRingPolicy(["a", "b", "c", "d"])
         keys = _keys(120, seed)
         before = {placement_label(k): ring.place(k) for k in keys}
         ring.remove_shard("d")
@@ -106,14 +100,15 @@ class TestPlacementRing:
 
 class TestHashRingPolicy:
     def test_satisfies_protocol_and_delegates(self):
-        """The four calls ``CacheCluster`` makes all answer from the ring."""
+        """The four calls ``CacheCluster`` makes — ``place``,
+        ``replica_for``, ``add_shard``, ``remove_shard`` — all answer
+        from the one ring."""
         policy = HashRingPolicy(["a", "b"])
         key = EntryKey("doc", "user")
         placed = policy.place(key)
-        assert placed == policy.ring.place(key)
-        assert policy.replica_for(key, placed) == policy.ring.replica_for(
-            key, placed
-        )
+        assert placed in ("a", "b")
+        other = "b" if placed == "a" else "a"
+        assert policy.replica_for(key, placed) == other
         policy.add_shard("c")
         assert policy.shards() == ["a", "b", "c"]
         policy.remove_shard("c")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.entry import EntryKey
-from repro.cluster.placement import HashRingPolicy, PlacementRing
+from repro.cluster.placement import HashRingPolicy
 from repro.errors import WorkloadError
 from repro.ids import DocumentId, UserId
 from repro.overload.health import (
@@ -23,7 +23,12 @@ def _key(n: int) -> EntryKey:
 
 class TestHealthTracker:
     def _tracker(self):
-        return HealthTracker(min_samples=2)
+        # The feeds index a tracked shard's record, as the cluster's
+        # shards are tracked when built.
+        tracker = HealthTracker(min_samples=2)
+        for name in ("s0", "slow", "fast", "gray", "down"):
+            tracker.track(name)
+        return tracker
 
     def test_only_fetch_path_reads_feed_latency(self):
         tracker = self._tracker()
@@ -56,13 +61,12 @@ class TestHealthTracker:
         assert not tracker.is_unhealthy("s0")
         tracker.observe_error("s0")
         assert tracker.is_unhealthy("s0")
-        assert tracker.failovers == 1
         for _ in range(RECOVERY_SUCCESSES - 1):
             tracker.observe_read("s0", 5.0)
         assert tracker.is_unhealthy("s0")
         tracker.observe_read("s0", 5.0)
         assert not tracker.is_unhealthy("s0")
-        assert tracker.recoveries == 1
+        assert tracker.unhealthy == set()
 
     def test_a_success_resets_the_error_streak(self):
         tracker = self._tracker()
@@ -103,7 +107,7 @@ class TestHealthTracker:
 
 class TestReplicaPlacement:
     def test_replica_differs_from_primary_and_is_deterministic(self):
-        ring = PlacementRing(["s0", "s1", "s2"])
+        ring = HashRingPolicy(["s0", "s1", "s2"])
         for n in range(50):
             key = _key(n)
             primary = ring.place(key)
@@ -113,7 +117,7 @@ class TestReplicaPlacement:
             assert replica == ring.replica_for(key, primary)
 
     def test_single_shard_ring_has_no_replica(self):
-        ring = PlacementRing(["only"])
+        ring = HashRingPolicy(["only"])
         assert ring.replica_for(_key(1), "only") is None
 
     def test_policies_delegate_to_the_ring(self):

@@ -1,4 +1,4 @@
-"""Property-based tests: query algebra laws and trace serialization."""
+"""Property-based tests: query algebra laws."""
 
 from __future__ import annotations
 
@@ -8,14 +8,6 @@ from repro.placeless.kernel import PlacelessKernel
 from repro.placeless.properties import StaticProperty
 from repro.placeless.query import HasProperty, IsActive, Predicate, Query
 from repro.providers.memory import MemoryProvider
-from repro.workload.trace import (
-    TraceEvent,
-    TraceEventKind,
-    TraceSpec,
-    generate_trace,
-    trace_from_jsonl,
-    trace_to_jsonl,
-)
 
 LABELS = ["red", "green", "blue", "budget"]
 
@@ -92,42 +84,3 @@ class TestQueryAlgebra:
     def test_static_only_space_has_no_active_docs(self, assignments):
         space = build_space(assignments)
         assert IsActive().run(space) == []
-
-
-trace_specs = st.builds(
-    TraceSpec,
-    n_events=st.integers(min_value=0, max_value=200),
-    n_documents=st.integers(min_value=1, max_value=50),
-    n_users=st.integers(min_value=1, max_value=5),
-    p_write=st.floats(min_value=0.0, max_value=0.3),
-    p_out_of_band=st.floats(min_value=0.0, max_value=0.3),
-    mean_think_time_ms=st.sampled_from([0.0, 50.0]),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-
-
-class TestTraceSerialization:
-    @given(trace_specs)
-    @settings(max_examples=40, deadline=None)
-    def test_jsonl_roundtrip(self, spec):
-        events = list(generate_trace(spec))
-        assert trace_from_jsonl(trace_to_jsonl(events)) == events
-
-    def test_empty_trace_roundtrip(self):
-        assert trace_to_jsonl([]) == ""
-        assert trace_from_jsonl("") == []
-
-    def test_blank_lines_skipped(self):
-        event = TraceEvent(TraceEventKind.READ, 1, 0)
-        text = "\n" + trace_to_jsonl([event]) + "\n\n"
-        assert trace_from_jsonl(text) == [event]
-
-    def test_bad_line_raises_with_line_number(self):
-        import pytest
-
-        from repro.errors import WorkloadError
-
-        with pytest.raises(WorkloadError, match="line 1"):
-            trace_from_jsonl("{not json")
-        with pytest.raises(WorkloadError, match="line 2"):
-            trace_from_jsonl('{"kind":"read","doc":1,"user":0}\n{"kind":"??"}')

@@ -277,33 +277,39 @@ class TestDegradation:
 
 
 class TestJournalSpill:
-    def _write_back_cache(self, deployment):
+    """``journal.seg`` mirrors the recovery journal and is read only when
+    a cache opens its directory; process death is a second cache over
+    the same ``StoragePolicy(directory=...)``."""
+
+    def _write_back_cache(self, deployment, storage=None, *, recovery=True):
         return deployment(
             write_mode=WriteMode.WRITE_BACK,
             use_verifiers=False,
-            recovery_policy=DefaultRecoveryPolicy(),
+            recovery_policy=DefaultRecoveryPolicy() if recovery else None,
             slots=6,
+            storage=storage,
         )
 
     def test_spilled_journal_replays_after_total_process_loss(
-        self, deployment
+        self, deployment, tmp_path
     ):
-        _, cache, providers, references = self._write_back_cache(deployment)
-        cache.write(references[0], b"acknowledged-write")
-        assert cache.storage_stats.journal_spills == 1
-        cache.crash()
-        # Model full process death: the in-memory journal is gone too;
-        # only what the tier spilled to disk survives.
-        cache.recovery.journal.pending.clear()
-        cache.restart()
-        assert cache.storage_stats.journal_replayed == 1
+        storage = StoragePolicy(directory=str(tmp_path))
+        _, first, _, references = self._write_back_cache(deployment, storage)
+        first.write(references[0], b"acknowledged-write")
+        assert first.storage_stats.journal_spills == 1
+        # Full process death: the in-memory journal is gone; only what
+        # the tier spilled to disk survives, for the next process.
+        first.shutdown()
+        _, cache, providers, _ = self._write_back_cache(deployment, storage)
+        assert cache.recovery_stats.journal_replayed == 1
         cache.flush_all()
         assert providers[0].peek() == b"acknowledged-write"
 
-    def test_duplicated_tail_replays_once(self, deployment):
-        _, cache, providers, references = self._write_back_cache(deployment)
-        cache.write(references[0], b"acknowledged-write")
-        log = cache.storage.journal_log
+    def test_duplicated_tail_replays_once(self, deployment, tmp_path):
+        storage = StoragePolicy(directory=str(tmp_path))
+        _, first, _, references = self._write_back_cache(deployment, storage)
+        first.write(references[0], b"acknowledged-write")
+        log = first.storage.journal_log
         records, _ = log.scan_records()
         kind, payload, _ = records[-1]
         assert kind == K_JOURNAL
@@ -311,23 +317,23 @@ class TestJournalSpill:
         # same journal frame appended twice, both durable.
         log.append(K_JOURNAL, payload)
         log.sync()
-        cache.crash()
-        cache.recovery.journal.pending.clear()
-        cache.restart()
-        assert cache.storage_stats.journal_replayed == 1
+        first.shutdown()
+        _, cache, providers, _ = self._write_back_cache(deployment, storage)
+        assert cache.recovery_stats.journal_replayed == 1
         flushes_before = cache.stats.flushes
         cache.flush_all()
         assert cache.stats.flushes == flushes_before + 1
         assert providers[0].peek() == b"acknowledged-write"
 
-    def test_flushed_writes_are_not_replayed(self, deployment):
-        _, cache, providers, references = self._write_back_cache(deployment)
-        cache.write(references[0], b"flushed-before-crash")
-        cache.flush(references[0])
-        cache.crash()
-        cache.recovery.journal.pending.clear()
-        cache.restart()
-        assert cache.storage_stats.journal_replayed == 0
+    def test_flushed_writes_are_not_replayed(self, deployment, tmp_path):
+        storage = StoragePolicy(directory=str(tmp_path))
+        _, first, _, references = self._write_back_cache(deployment, storage)
+        first.write(references[0], b"flushed-before-crash")
+        first.flush(references[0])
+        first.shutdown()
+        _, cache, _, _ = self._write_back_cache(deployment, storage)
+        assert cache.recovery_stats.journal_replayed == 0
+        assert cache.dirty_count == 0
 
     def test_in_memory_journal_coalesces_duplicated_tail(self, deployment):
         _, cache, _, references = self._write_back_cache(deployment)
@@ -338,6 +344,113 @@ class TestJournalSpill:
         # same bytes for the same key changes nothing.
         journal.append(key, reference, b"same bytes")
         assert journal.pending == {key: (reference, b"same bytes")}
+
+    def test_opening_a_directory_replays_each_unflushed_write_once(
+        self, deployment, tmp_path
+    ):
+        storage = StoragePolicy(directory=str(tmp_path))
+        _, first, _, references = self._write_back_cache(deployment, storage)
+        for index, reference in enumerate(references[:3]):
+            first.write(reference, b"first %d" % index)
+            first.write(reference, b"second %d" % index)
+        first.write(references[3], b"flushed")
+        first.flush(references[3])
+        first.shutdown()
+        _, cache, providers, _ = self._write_back_cache(deployment, storage)
+        # Construction ends with the three latest writes dirty, replayed
+        # once, by the recovery journal.
+        assert cache.dirty_count == 3
+        assert cache.recovery_stats.journal_replayed == 3
+        assert len(cache.recovery.journal) == 3
+        assert cache.flush_all() == 3
+        assert [provider.peek() for provider in providers[:3]] == [
+            b"second 0", b"second 1", b"second 2",
+        ]
+
+    def test_an_in_process_restart_never_reads_the_disk_journal(
+        self, deployment, monkeypatch
+    ):
+        _, cache, _, references = self._write_back_cache(deployment)
+        cache.write(references[0], b"unflushed")
+        log = cache.storage.journal_log
+        scans = []
+        scan = log.scan_records
+        monkeypatch.setattr(
+            log, "scan_records", lambda: scans.append(1) or scan()
+        )
+        cache.crash()
+        assert cache.restart() == 1
+        assert scans == []
+        assert cache.recovery_stats.journal_replayed == 1
+
+
+class TestOneJournal:
+    """Regressions: a second replay from ``journal.seg`` beside the
+    recovery journal's brought flushed writes back and repeated itself."""
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            {"disk_write_fail_probability": 1.0},
+            {"disk_fsync_lost_probability": 1.0},
+        ],
+        ids=["write-fault", "lost-fsync"],
+    )
+    def test_a_flushed_write_does_not_come_back_after_a_restart(
+        self, deployment, fault
+    ):
+        kernel, cache, providers, references = deployment(
+            write_mode=WriteMode.WRITE_BACK,
+            use_verifiers=False,
+            recovery_policy=DefaultRecoveryPolicy(),
+            slots=6,
+        )
+        cache.write(references[0], b"flushed, then superseded")
+        # The flush reaches the server, but its K_FLUSHED tombstone
+        # never becomes durable.
+        kernel.ctx.faults = FaultPlan(kernel.ctx.clock, seed=1, **fault)
+        assert cache.flush(references[0])
+        kernel.ctx.faults = None
+        other = kernel.create_user("bob")
+        theirs = kernel.space(other).add_reference(references[0].base)
+        kernel.write(theirs, b"newer, by another writer")
+        cache.crash()
+        assert cache.restart() == 0
+        assert cache.recovery_stats.journal_replayed == 0
+        assert cache.flush_all() == 0
+        assert providers[0].peek() == b"newer, by another writer"
+
+    def test_a_cache_without_recovery_leaves_the_disk_journal_unread(
+        self, deployment, tmp_path
+    ):
+        storage = StoragePolicy(directory=str(tmp_path))
+        _, first, _, references = deployment(
+            write_mode=WriteMode.WRITE_BACK,
+            use_verifiers=False,
+            recovery_policy=DefaultRecoveryPolicy(),
+            slots=6,
+            storage=storage,
+        )
+        first.write(references[0], b"unflushed, by another process")
+        first.shutdown()
+        _, cache, providers, _ = deployment(
+            write_mode=WriteMode.WRITE_BACK,
+            use_verifiers=False,
+            slots=6,
+            storage=storage,
+        )
+        original = providers[0].peek()
+        # Without a recovery journal nothing could retire a replayed
+        # record, so every restart would push the old bytes again.
+        for _ in range(2):
+            assert cache.flush_all() == 0
+            cache.crash()
+            cache.restart()
+        assert cache.flush_all() == 0
+        assert providers[0].peek() == original
+        # The record stays on disk for a cache that can retire it.
+        records, _ = cache.storage.journal_log.scan_records()
+        assert [kind for kind, _, _ in records] == [K_JOURNAL]
 
 
 class TestMemoSpill:
@@ -414,8 +527,10 @@ def _json_1(**fields) -> bytes:
 
 
 #: Per record kind: its segment, its frame kind, the policies its replay
-#: needs, and CRC-valid payloads of the wrong shape — what format 1 read
-#: as a JSON list or string, and a format-2 record of another layout.
+#: needs (only a cache with a recovery journal reads ``journal.seg``),
+#: and CRC-valid payloads of the wrong shape — what format 1 read as a
+#: JSON list or string, and a format-2 record of another layout.
+_JOURNALLED = {"recovery_policy": DefaultRecoveryPolicy()}
 _WRONG_SHAPES = {
     "catalog": ("catalog.seg", K_DEMOTE, {}, [
         b"[]", b'"x"', pack_record("d0", "alice"),
@@ -427,11 +542,11 @@ _WRONG_SHAPES = {
     "tombstone": ("catalog.seg", K_DROP, {}, [
         b"[]", pack_record("d0", "alice", "extra"),
     ]),
-    "journal": ("journal.seg", K_JOURNAL, {}, [
+    "journal": ("journal.seg", K_JOURNAL, _JOURNALLED, [
         _fields_1(b"[]", b"bytes"),
         pack_record("d0", "alice"),
     ]),
-    "flushed": ("journal.seg", K_FLUSHED, {}, [
+    "flushed": ("journal.seg", K_FLUSHED, _JOURNALLED, [
         b"[1]", pack_record("d0", "alice", "r", b"x"),
     ]),
     "memo": ("memo.seg", K_MEMO, {"memo_policy": DefaultMemoPolicy()}, [
@@ -462,7 +577,7 @@ class TestMalformedRecords:
         )
         stats = cache.storage_stats
         assert stats.corrupt_records_recovered == len(payloads)
-        assert (len(cache.storage), stats.journal_replayed) == (0, 0)
+        assert (len(cache.storage), cache.dirty_count) == (0, 0)
         assert stats.memo_reloaded == 0
         assert cache.read(references[0]).content == providers[0].peek()
 
@@ -470,7 +585,7 @@ class TestMalformedRecords:
         self, deployment, tmp_path
     ):
         storage = StoragePolicy(directory=str(tmp_path))
-        policies = {"memo_policy": DefaultMemoPolicy()}
+        policies = {"memo_policy": DefaultMemoPolicy(), **_JOURNALLED}
         _, first, providers, references = deployment(
             storage=storage, **policies
         )
@@ -527,7 +642,7 @@ class TestMalformedRecords:
             len(frames) for frames in records.values()
         )
         assert len(cache.storage) == len(cache.storage.disk) == 0
-        assert (stats.journal_replayed, stats.memo_reloaded) == (0, 0)
+        assert (cache.dirty_count, stats.memo_reloaded) == (0, 0)
         outcome = cache.read(references[0])
         assert outcome.disposition == "miss"
         assert outcome.content == providers[0].peek()

@@ -1,10 +1,7 @@
-"""Error-path tests for the stream-chain builders and firewall streams.
+"""Error-path tests for the firewall, byte-cap and corrupting streams.
 
-The builders must fail *closed*: a wrapper that raises while the chain
-is being constructed closes every stream built so far before the error
-propagates, so no half-wrapped stream leaks to the caller.  The firewall
-streams must report a mid-stream failure exactly once and a clean end of
-stream exactly once.
+The firewall streams must report a mid-stream failure exactly once and
+a clean end of stream exactly once.
 """
 
 from __future__ import annotations
@@ -19,8 +16,6 @@ from repro.streams.chain import (
     CorruptingOutputStream,
     FirewallInputStream,
     FirewallOutputStream,
-    build_input_chain,
-    build_output_chain,
 )
 
 
@@ -41,63 +36,6 @@ class ExplodingInputStream(BytesInputStream):
 
     def _read_chunk(self, size):
         raise StreamError("exploding stream")
-
-
-class TestBuildersFailClosed:
-    def test_input_chain_closes_partial_chain_on_wrapper_raise(self):
-        source = RecordingInputStream(b"data")
-        built = []
-
-        def good(stream):
-            wrapper = FirewallInputStream(
-                stream, on_failure=lambda e: None, on_success=lambda: None
-            )
-            built.append(wrapper)
-            return wrapper
-
-        def bad(stream):
-            raise RuntimeError("wrapper construction failed")
-
-        with pytest.raises(RuntimeError):
-            build_input_chain(source, [good, bad])
-        assert built[0].closed
-        assert source.closed
-        assert source.close_calls == 1
-
-    def test_output_chain_closes_partial_chain_on_wrapper_raise(self):
-        sink = BytesOutputStream()
-        built = []
-
-        def good(stream):
-            wrapper = FirewallOutputStream(
-                stream, on_failure=lambda e: None, on_success=lambda: None
-            )
-            built.append(wrapper)
-            return wrapper
-
-        def bad(stream):
-            raise RuntimeError("wrapper construction failed")
-
-        # Output chains wrap in reverse: `bad` (first in execution
-        # order) is applied last, after `good` already wrapped the sink.
-        with pytest.raises(RuntimeError):
-            build_output_chain(sink, [bad, good])
-        assert built[0].closed
-        assert sink.closed
-
-    def test_raise_in_first_wrapper_closes_the_source(self):
-        source = RecordingInputStream(b"data")
-        with pytest.raises(RuntimeError):
-            build_input_chain(
-                source, [lambda s: (_ for _ in ()).throw(RuntimeError())]
-            )
-        assert source.close_calls == 1
-
-    def test_successful_chain_is_not_closed(self):
-        source = RecordingInputStream(b"data")
-        stream = build_input_chain(source, [lambda s: s, lambda s: s])
-        assert not stream.closed
-        assert stream.read(-1) == b"data"
 
 
 class TestFirewallInputStream:

@@ -264,6 +264,8 @@ def test_health_tracker_defaults_are_the_constants():
     # weight, the gray factor, both streak lengths and the ring size
     # are the module's constants.
     tracker = health.HealthTracker(min_samples=1)
+    tracker.track("fast")
+    tracker.track("slow")
     tracker.observe_read("fast", 10.0)
     tracker.observe_read("slow", 10.0)
     tracker.observe_read("slow", 110.0)

@@ -1,10 +1,13 @@
-"""Tests for the stream protocol, transforms and chain builders."""
+"""Tests for the stream protocol, transforms and the stream chain."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import StreamClosedError
+from repro.events.types import EventType
+from repro.placeless.properties import ActiveProperty
+from repro.providers.memory import MemoryProvider
 from repro.streams.base import (
     BytesInputStream,
     BytesOutputStream,
@@ -12,7 +15,7 @@ from repro.streams.base import (
     NullOutputStream,
     TeeOutputStream,
 )
-from repro.streams.chain import build_input_chain, build_output_chain, drain
+from repro.streams.chain import drain
 from repro.streams.transforms import (
     BufferedTransformInputStream,
     BufferedTransformOutputStream,
@@ -194,42 +197,58 @@ class TestLineTransform:
         assert stream.read(-1) == b"aa\nbb\n"
 
 
-class TestChains:
-    def test_input_chain_first_wrapper_transforms_first(self):
-        # Wrapper A appends "-A" to content, then B appends "-B"; if A is
-        # supplied first (executes first, innermost) the result is
-        # content-A-B.
-        def appender(tag: bytes):
-            return lambda inner: BufferedTransformInputStream(
-                inner, lambda data: data + tag
-            )
+class _Appender(ActiveProperty):
+    """Appends *tag* to what passes its read and write streams."""
 
-        chain = build_input_chain(
-            BytesInputStream(b"doc"), [appender(b"-A"), appender(b"-B")]
+    interest = frozenset(
+        {EventType.GET_INPUT_STREAM, EventType.GET_OUTPUT_STREAM}
+    )
+
+    def __init__(self, tag: bytes):
+        super().__init__(f"append{tag.decode()}")
+        self.tag = tag
+
+    def wrap_input(self, stream, event):
+        return BufferedTransformInputStream(
+            stream, lambda data: data + self.tag
         )
-        assert chain.read(-1) == b"doc-A-B"
 
-    def test_output_chain_first_wrapper_outermost(self):
+    def wrap_output(self, stream, event):
+        return BufferedTransformOutputStream(
+            stream, lambda data: data + self.tag
+        )
+
+
+def _chain(kernel, user, *tags: bytes):
+    """A document whose reference carries one appender per tag, in order."""
+    provider = MemoryProvider(kernel.ctx, b"doc")
+    reference = kernel.import_document(user, provider, "doc")
+    for tag in tags:
+        reference.attach(_Appender(tag))
+    return reference, provider
+
+
+class TestChains:
+    """The chain is the documents' wrap loops, in §2's order."""
+
+    def test_input_chain_first_wrapper_transforms_first(self, kernel, user):
+        # A is attached first, so it executes first (innermost) on the
+        # read path: content, then -A, then -B.
+        reference, _ = _chain(kernel, user, b"-A", b"-B")
+        assert reference.read_content() == b"doc-A-B"
+
+    def test_output_chain_first_wrapper_outermost(self, kernel, user):
         # On the write path the first wrapper executes first on the
         # written data (outermost): doc -> A -> B -> sink.
-        def appender(tag: bytes):
-            return lambda downstream: BufferedTransformOutputStream(
-                downstream, lambda data: data + tag
-            )
+        reference, provider = _chain(kernel, user, b"-A", b"-B")
+        reference.write_content(b"doc")
+        assert provider.peek() == b"doc-A-B"
 
-        sink = BytesOutputStream()
-        chain = build_output_chain(sink, [appender(b"-A"), appender(b"-B")])
-        chain.write(b"doc")
-        chain.close()
-        assert sink.getvalue() == b"doc-A-B"
-
-    def test_empty_chains_are_passthrough(self):
-        assert build_input_chain(BytesInputStream(b"x"), []).read(-1) == b"x"
-        sink = BytesOutputStream()
-        chain = build_output_chain(sink, [])
-        chain.write(b"y")
-        chain.close()
-        assert sink.getvalue() == b"y"
+    def test_empty_chains_are_passthrough(self, kernel, user):
+        reference, provider = _chain(kernel, user)
+        assert reference.read_content() == b"doc"
+        reference.write_content(b"y")
+        assert provider.peek() == b"y"
 
     def test_drain_reads_everything_and_closes(self):
         stream = BytesInputStream(b"z" * 10_000)
