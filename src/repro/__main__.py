@@ -8,10 +8,9 @@ Commands
     size runs that size) and every run writes ``BENCH_<ID>.json``;
     ``--faults`` runs it under a named chaos fault scenario
     (``standard`` when the name is omitted, ``partition`` / ``crash``
-    to add a bus blackout or a mid-run cache crash, ``misbehave``
-    to add raising/runaway/corrupting active-property code,
-    ``diskchaos`` to add a hostile disk under the durable L2 tier, or
-    ``grayshard`` to slow one cluster shard's fetches without erroring).
+    to add a bus blackout or a mid-run cache crash, ``diskchaos`` to
+    add a hostile disk under the durable L2 tier, or ``grayshard`` to
+    slow one cluster shard's fetches without erroring).
 ``doctor``
     Run a seeded smoke workload through a fully-wired two-shard
     cluster and print a health report: smoke-read outcomes, the
@@ -246,10 +245,10 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 
     print("\nconfiguration:")
     for seam, policy in wired.items():
-        print(f"  {seam:<12} " + " ".join(
+        print(f"  {seam:<12} " + (" ".join(
             f"{option}={value}"
             for option, value in dataclasses.asdict(policy).items()
-        ))
+        ) or "on"))
 
     print("\nshard health:")
     unhealthy = 0
@@ -286,7 +285,8 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     print("\nmemo:")
     for name, shard in cluster.shards.items():
         memo_stats = shard.memo_stats
-        print(f"  {name:<12} records={len(shard.memo)} "
+        memo = shard.memo
+        print(f"  {name:<12} records={len(memo)}/{memo.capacity} "
               f"adoptions={memo_stats.adoptions} "
               f"misses={memo_stats.misses}")
 
@@ -379,10 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--faults", nargs="?", const="standard", default=None,
-        choices=(
-            "standard", "partition", "crash", "misbehave", "diskchaos",
-            "grayshard",
-        ),
+        choices=("standard", "partition", "crash", "diskchaos", "grayshard"),
         metavar="SCENARIO",
         help="inject a named chaos fault scenario into every simulation "
         "context built while the experiment runs.  'standard' (the "
@@ -392,14 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
         "invalidation-bus blackout window (drops notifications, blocks "
         "lease renewals).  'crash': standard plus a mid-run cache "
         "crash/restart (write-back journals replay unflushed writes; "
-        "caches without one lose them).  'misbehave': standard plus "
-        "seed-deterministic property misbehaviour (raise / runaway "
-        "cost / corrupt output) at the stream-wrapper seam, the "
-        "faults the containment layer (circuit breakers, budgets, "
-        "firewalls) absorbs.  'diskchaos': crash-scenario chaos plus a "
-        "hostile disk (failed writes, lying fsyncs, corrupted records, "
-        "slow I/O) under any cache with a storage_policy, absorbed via "
-        "CRC drops, the storage breaker and L1-only fallback.  "
+        "caches without one lose them).  'diskchaos': crash-scenario "
+        "chaos plus a hostile disk (failed writes, lying fsyncs, "
+        "corrupted records, slow I/O) under any cache with a "
+        "storage_policy, absorbed via CRC drops, the storage breaker "
+        "and L1-only fallback.  "
         "'grayshard': standard plus one cluster shard (cluster-0) "
         "whose fetches burn 150 extra virtual ms without erroring — "
         "the gray failure the overload layer's EWMA health tracking "

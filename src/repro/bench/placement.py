@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from repro.bench.harness import corpus_world, table, write_artifact
 from repro.cache.manager import DocumentCache
+from repro.cache.memo import MEMO_CAPACITY
 from repro.cache.notifiers import InvalidationBus
 from repro.cache.policies import MemoPolicy
 from repro.cluster.memo_share import SharedTransformMemo
@@ -80,7 +81,7 @@ def _caches(deployment: str, kernel, n_users: int,
     plane = None
     if deployment == "app+memo":
         plane = SharedTransformMemo(
-            MemoPolicy().capacity * n_users,
+            MEMO_CAPACITY * n_users,
             topology=ClusterTopology(
                 shards=list(names), default_link="app-to-reference"
             ),

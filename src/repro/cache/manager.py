@@ -20,7 +20,7 @@ import typing
 from repro.cache.containment import ContainmentGuard, ContainmentStats
 from repro.cache.core import CacheCore
 from repro.cache.entry import CacheEntry, EntryKey
-from repro.cache.memo import MemoStats, TransformMemo
+from repro.cache.memo import MEMO_CAPACITY, MemoStats, TransformMemo
 from repro.cache.notifiers import InvalidationBus
 from repro.cache.pipeline import (
     CacheReadOutcome,
@@ -228,7 +228,7 @@ class DocumentCache:
             if memo_policy is not None:
                 core.memo = (
                     memo if memo is not None
-                    else TransformMemo(memo_policy.capacity)
+                    else TransformMemo(MEMO_CAPACITY)
                 )
                 core.metrics["memo"] = MemoStats()
             if flights is not None:

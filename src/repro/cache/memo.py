@@ -71,12 +71,17 @@ if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cache.core import CacheCore
 
 __all__ = [
+    "MEMO_CAPACITY",
     "ChainFingerprint",
     "MemoRecord",
     "TransformMemo",
     "MemoStats",
     "MemoStatsProjection",
 ]
+
+#: Records one cache's memo table holds (LRU beyond that); a cluster's
+#: shared table holds this many per shard.
+MEMO_CAPACITY = 1024
 
 
 @dataclass(slots=True)

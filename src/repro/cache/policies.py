@@ -151,15 +151,10 @@ class MemoPolicy:
     An UNCACHEABLE-voting chain records nothing and is never served
     from the memo.
     A record that carries verifiers (the paper's class-(d) external
-    conditions) re-runs them on every serve.
+    conditions) re-runs them on every serve.  The table holds
+    :data:`~repro.cache.memo.MEMO_CAPACITY` records; there is nothing to
+    set — constructing the policy is the opt-in.
     """
-
-    #: Maximum records the memo table holds (LRU beyond that).
-    capacity: int = 1024
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise CacheError(f"memo capacity must be >= 1: {self.capacity}")
 
 
 @dataclass(frozen=True)

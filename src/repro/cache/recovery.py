@@ -55,11 +55,7 @@ from dataclasses import dataclass, field
 
 from repro.contract.consistency import Invalidation, InvalidationReason
 from repro.contract.verifiers import Verdict
-from repro.errors import (
-    LeaseExpiredError,
-    NotificationLostError,
-    PlacelessError,
-)
+from repro.errors import NotificationLostError, PlacelessError
 from repro.placeless.chain import read_plan
 from repro.placeless.reference import DocumentReference
 from repro.sim.clock import ScheduledCall
@@ -106,14 +102,6 @@ class NotifierLease:
     def lapsed(self, now_ms: float) -> bool:
         """True once the lease has expired un-renewed."""
         return now_ms >= self.expires_at_ms
-
-    def check(self, now_ms: float) -> None:
-        """Raise :class:`LeaseExpiredError` if the lease has lapsed."""
-        if self.lapsed(now_ms):
-            raise LeaseExpiredError(
-                f"notifier lease lapsed at t={self.expires_at_ms:.1f}ms "
-                f"(now t={now_ms:.1f}ms, term {self.term_ms:.0f}ms)"
-            )
 
 
 class WriteBackJournal:

@@ -327,26 +327,24 @@ class ReinforcedCounterPolicy(_HeapPolicy):
 
     Reinforced counters as a replacement policy (arXiv:1501.03446's
     multilevel variant, there a content-placement rule): each
-    access bumps a per-entry counter capped at ``counter_cap``; every
-    ``decay_interval`` accesses (policy-wide) opens a new epoch that
-    halves every counter.  The halving is applied lazily — an entry's
-    effective counter is ``counter >> (epoch - entry_epoch)`` — so decay
-    is O(1) per access rather than a sweep over 10^6 entries.  The heap
+    access bumps a per-entry counter capped at :attr:`COUNTER_CAP`;
+    every :attr:`DECAY_INTERVAL` accesses (policy-wide) opens a new
+    epoch that halves every counter.  The halving is applied lazily —
+    an entry's effective counter is ``counter >> (epoch - entry_epoch)``
+    — so decay is O(1) per access rather than a sweep over 10^6 entries.  The heap
     victim is the minimum effective counter, ties broken by push order
     (older push evicts first), which approximates
     least-reinforced-recently under churn.
     """
 
     name = "rc"
+    #: Ceiling on an entry's reinforcement counter.
+    COUNTER_CAP = 8
+    #: Accesses (policy-wide) per decay epoch.
+    DECAY_INTERVAL = 256
 
-    def __init__(
-        self,
-        counter_cap: int = 8,
-        decay_interval: int = 256,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.counter_cap = counter_cap
-        self.decay_interval = decay_interval
         self._epoch = 0
         self._accesses = 0
         #: ``key → (counter, epoch of its last bump)`` per live entry.
@@ -358,9 +356,9 @@ class ReinforcedCounterPolicy(_HeapPolicy):
 
     def _note_access(self, entry: CacheEntry) -> None:
         self._accesses += 1
-        if self._accesses % self.decay_interval == 0:
+        if self._accesses % self.DECAY_INTERVAL == 0:
             self._epoch += 1
-        counter = min(self._counter_of(entry) + 1, self.counter_cap)
+        counter = min(self._counter_of(entry) + 1, self.COUNTER_CAP)
         self._counters[entry.key] = (counter, self._epoch)
 
     def priority(self, entry: CacheEntry) -> float:

@@ -41,7 +41,7 @@ import typing
 from repro.cache.containment import ContainmentStats
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.manager import CacheReadOutcome, DocumentCache
-from repro.cache.memo import MemoStats
+from repro.cache.memo import MEMO_CAPACITY, MemoStats
 from repro.cache.notifiers import InvalidationBus
 from repro.cache.policies import (
     ConcurrencyPolicy,
@@ -159,17 +159,15 @@ class CacheCluster:
         self._next_index = 0
         names = [self._next_name() for _ in range(shard_count)]
         self._placement = HashRingPolicy(names)
-        #: Per-shard link costs (all pairs ``shard-to-shard``), installed
-        #: into the kernel's latency model so cross-shard transfers
-        #: charge the virtual clock.
+        #: Names the hop every cross-shard transfer charges to the
+        #: virtual clock (``shard-to-shard``).
         self.topology = ClusterTopology(shards=list(names))
-        self.topology.install(self.ctx.latency)
         self.bus = InvalidationBus(self.ctx)
         self.shared_memo: SharedTransformMemo | None = None
         self.shared_flights: FlightTable | None = None
         if cluster_policy is not None:
             self.shared_memo = SharedTransformMemo(
-                memo_policy.capacity * shard_count, topology=self.topology
+                MEMO_CAPACITY * shard_count, topology=self.topology
             )
             self.shared_flights = FlightTable()
         #: The configuration every shard is built with, present and

@@ -23,7 +23,11 @@ import typing
 from repro.cache.entry import EntryKey
 from repro.errors import WorkloadError
 
-__all__ = ["HashRingPolicy"]
+__all__ = ["HashRingPolicy", "RING_REPLICAS"]
+
+#: Virtual nodes per shard: 64 keeps the max/ideal load factor under
+#: ~1.35 for small clusters while staying cheap to rebuild.
+RING_REPLICAS = 64
 
 
 def _hash_point(label: str) -> int:
@@ -49,19 +53,12 @@ class HashRingPolicy:
     """The cluster's ``entry key → shard name`` decision: a
     consistent-hash ring with virtual nodes, no feedback.
 
-    Each shard contributes ``replicas`` points (virtual nodes) on a
-    64-bit ring; a key is owned by the first shard point at or after
-    its own hash.  More replicas → tighter balance; 64 keeps the
-    max/ideal load factor under ~1.35 for small clusters while staying
-    cheap to rebuild.
+    Each shard contributes :data:`RING_REPLICAS` points (virtual nodes)
+    on a 64-bit ring; a key is owned by the first shard point at or
+    after its own hash.
     """
 
-    def __init__(
-        self, shards: typing.Iterable[str] = (), replicas: int = 64
-    ) -> None:
-        if replicas < 1:
-            raise WorkloadError(f"replicas must be >= 1: {replicas}")
-        self.replicas = replicas
+    def __init__(self, shards: typing.Iterable[str] = ()) -> None:
         self._shards: list[str] = []
         self._points: list[int] = []
         self._owners: list[str] = []
@@ -90,7 +87,7 @@ class HashRingPolicy:
     def _rebuild(self) -> None:
         points: list[tuple[int, str]] = []
         for shard in self._shards:
-            for replica in range(self.replicas):
+            for replica in range(RING_REPLICAS):
                 points.append((_hash_point(f"{shard}#{replica}"), shard))
         points.sort()
         self._points = [point for point, _ in points]

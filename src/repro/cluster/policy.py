@@ -29,7 +29,7 @@ class ClusterPolicy:
     single-flight coalescing on the ``(source signature, chain
     fingerprint)`` memo plane crosses shard boundaries and a 32-way
     cross-shard stampede still runs one chain.  The shared memo holds
-    the shard memo policy's capacity times the shard count; there is
+    :data:`~repro.cache.memo.MEMO_CAPACITY` records per shard; there is
     nothing to set — constructing the policy is the opt-in.
     """
 

@@ -33,7 +33,6 @@ __all__ = [
     "VerifierError",
     "NotifierError",
     "NotificationLostError",
-    "LeaseExpiredError",
     "ContainmentError",
     "CircuitOpenError",
     "BudgetExceededError",
@@ -157,17 +156,6 @@ class NotificationLostError(NotifierError):
     arrived — the paper's lost-callback problem made *detectable*.  The
     recovery layer converts it into an anti-entropy resync rather than
     letting the cache serve stale transformed content forever.
-    """
-
-
-class LeaseExpiredError(CacheError):
-    """A notifier-channel lease lapsed before it was renewed.
-
-    Raised at the lease seam when the cache could not renew its
-    registration within the lease term (e.g. a network partition blocked
-    the renewal).  A lapsed lease means pushed invalidations can no
-    longer be trusted to have arrived; the holder must resync against
-    server state before trusting its entries again.
     """
 
 

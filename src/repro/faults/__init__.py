@@ -30,10 +30,7 @@ from repro.faults.scenarios import (
     cache_crash_scenario,
     crash_chaos_scenario,
     diskchaos_chaos_scenario,
-    flaky_fetch_scenario,
-    lossy_bus_scenario,
     misbehave_chaos_scenario,
-    outage_scenario,
     partition_chaos_scenario,
     partition_scenario,
     standard_chaos_scenario,
@@ -51,9 +48,6 @@ __all__ = [
     "RetryPolicy",
     "set_default_fault_scenario",
     "clear_default_fault_scenario",
-    "outage_scenario",
-    "lossy_bus_scenario",
-    "flaky_fetch_scenario",
     "partition_scenario",
     "cache_crash_scenario",
     "standard_chaos_scenario",

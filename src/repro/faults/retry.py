@@ -30,6 +30,10 @@ __all__ = ["RetryPolicy"]
 class RetryPolicy:
     """Capped exponential backoff over transient provider failures.
 
+    Only a :class:`~repro.errors.ProviderError` (which covers both
+    ``ContentUnavailableError`` and ``RepositoryOfflineError``) is
+    transient; anything else propagates immediately.
+
     Parameters
     ----------
     max_attempts:
@@ -40,18 +44,12 @@ class RetryPolicy:
         Growth factor per further attempt.
     max_delay_ms:
         Cap on any single backoff wait.
-    retry_on:
-        Exception types considered transient; anything else propagates
-        immediately.  Defaults to :class:`~repro.errors.ProviderError`
-        (which covers both ``ContentUnavailableError`` and
-        ``RepositoryOfflineError``).
     """
 
     max_attempts: int = 3
     base_delay_ms: float = 5.0
     multiplier: float = 2.0
     max_delay_ms: float = 1_000.0
-    retry_on: tuple[type[BaseException], ...] = (ProviderError,)
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -109,7 +107,7 @@ class RetryPolicy:
         while True:
             try:
                 return fn()
-            except self.retry_on as error:
+            except ProviderError as error:
                 if attempt >= self.max_attempts:
                     raise
                 delay_ms = self.delay_before_retry_ms(attempt)

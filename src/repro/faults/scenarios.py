@@ -2,14 +2,16 @@
 
 Each factory takes the run's virtual clock (plus scenario knobs) and
 returns a ready :class:`~repro.faults.plan.FaultPlan`.  The CLI's
-``--faults`` flag installs :func:`standard_chaos_scenario` as the
-process-wide default, so every experiment context picks it up; that
-scenario injects only *absorbable* faults (notifier loss/delay and
+``--faults`` flag installs one of :data:`NAMED_CHAOS_SCENARIOS`
+(:func:`standard_chaos_scenario` when no name is given) as the
+process-wide default, so every experiment context picks it up; those
+scenarios inject only *absorbable* faults (notifier loss/delay and
 verifier flakiness — failures the cache machinery converts into
-conservative invalidations) so experiments not written for fault
-tolerance still complete.  The raising fault classes (outage windows,
-fetch failures) are exercised by the dedicated A12 bench, whose cache is
-configured with retries and degradation modes.
+conservative invalidations — plus a blackout, a crash, a hostile disk
+or a gray shard) so experiments not written for fault tolerance still
+complete.  The raising fault classes (outage windows, fetch failures,
+misbehaving properties) are exercised by the dedicated A12 and A14
+benches, whose caches are configured to absorb them.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from repro.faults.plan import FaultPlan, OutageWindow
 from repro.sim.clock import VirtualClock
 
 __all__ = [
-    "outage_scenario",
-    "lossy_bus_scenario",
-    "flaky_fetch_scenario",
     "partition_scenario",
     "cache_crash_scenario",
     "standard_chaos_scenario",
@@ -32,53 +31,6 @@ __all__ = [
     "grayshard_chaos_scenario",
     "NAMED_CHAOS_SCENARIOS",
 ]
-
-
-def outage_scenario(
-    clock: "VirtualClock",
-    start_ms: float,
-    duration_ms: float,
-    repository: str | None = None,
-    seed: int = 0,
-) -> FaultPlan:
-    """One repository outage window; everything else healthy."""
-    return FaultPlan(
-        clock,
-        seed=seed,
-        outages=(
-            OutageWindow(start_ms, start_ms + duration_ms, repository),
-        ),
-    )
-
-
-def lossy_bus_scenario(
-    clock: "VirtualClock",
-    loss_probability: float = 0.1,
-    delay_probability: float = 0.1,
-    delay_ms: float = 250.0,
-    seed: int = 0,
-) -> FaultPlan:
-    """The lost-callback problem: notifications dropped or delayed."""
-    return FaultPlan(
-        clock,
-        seed=seed,
-        notifier_loss_probability=loss_probability,
-        notifier_delay_probability=delay_probability,
-        notifier_delay_ms=delay_ms,
-    )
-
-
-def flaky_fetch_scenario(
-    clock: "VirtualClock",
-    failure_probability: float = 0.2,
-    seed: int = 0,
-) -> FaultPlan:
-    """Intermittent ContentUnavailableError on provider fetches."""
-    return FaultPlan(
-        clock,
-        seed=seed,
-        fetch_failure_probability=failure_probability,
-    )
 
 
 def partition_scenario(
@@ -180,14 +132,15 @@ def misbehave_chaos_scenario(
     seed: int = 0,
     property_failure_probability: float = 0.10,
 ) -> FaultPlan:
-    """``--faults misbehave``: standard chaos plus misbehaving properties.
+    """Standard chaos plus misbehaving properties.
 
     10 % of property stream-wrapper invocations misbehave (raise /
     runaway / corrupt, drawn uniformly) — the hazard the containment
     layer's breakers, budgets and firewalls exist to absorb.  Unlike the
-    other named scenarios this one *does* raise out of unprepared
-    deployments: run it against a cache with a containment policy (or a
-    runner that counts property failures against availability).
+    named scenarios this one *does* raise out of unprepared
+    deployments, so it is not one of :data:`NAMED_CHAOS_SCENARIOS`:
+    run it against a cache with a containment policy (or a runner that
+    counts property failures against availability).
     """
     return FaultPlan(
         clock,
@@ -264,12 +217,12 @@ def grayshard_chaos_scenario(
     )
 
 
-#: Scenario names accepted by the CLI's ``--faults [NAME]`` flag.
+#: Scenario names accepted by the CLI's ``--faults [NAME]`` flag: each
+#: must let every experiment, fault-aware or not, run to completion.
 NAMED_CHAOS_SCENARIOS = {
     "standard": standard_chaos_scenario,
     "partition": partition_chaos_scenario,
     "crash": crash_chaos_scenario,
-    "misbehave": misbehave_chaos_scenario,
     "diskchaos": diskchaos_chaos_scenario,
     "grayshard": grayshard_chaos_scenario,
 }

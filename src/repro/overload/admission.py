@@ -17,14 +17,15 @@ Three priority classes, derived from the paper's QoS property:
 Two signals gate a read:
 
 * **tokens** — a bucket refilled from the *virtual* clock at
-  ``rate_per_s`` with capacity ``burst``; the bucket may overdraw (the
-  overdraft models queue depth) down to ``-queue_limit``, past which
-  non-critical reads are shed outright.
+  ``rate_per_s`` with capacity :data:`ADMISSION_BURST`; the bucket may
+  overdraw (the overdraft models queue depth) down to
+  ``-``:data:`QUEUE_LIMIT`, past which non-critical reads are shed
+  outright.
 * **sojourn** — how long the read has already waited between enqueue
   (batch start) and admission, CoDel's insight that queue *residence
   time*, not length, is the robust overload signal.  With the bucket
   empty, a bulk read is shed once its sojourn passes
-  ``sojourn_threshold_ms`` and a QoS read at twice that.
+  :data:`SOJOURN_THRESHOLD_MS` and a QoS read at twice that.
 """
 
 from __future__ import annotations
@@ -43,7 +44,18 @@ __all__ = [
     "priority_class",
     "AdmissionDecision",
     "AdmissionController",
+    "ADMISSION_BURST",
+    "QUEUE_LIMIT",
+    "SOJOURN_THRESHOLD_MS",
 ]
+
+#: Token-bucket capacity: reads admitted back to back from idle.
+ADMISSION_BURST = 16.0
+#: Overdraft bound: queue depth past which non-critical reads shed.
+QUEUE_LIMIT = 32.0
+#: CoDel-style sojourn threshold (virtual ms); bulk reads shed past it,
+#: QoS reads past twice it, critical reads never.
+SOJOURN_THRESHOLD_MS = 100.0
 
 #: Highest class: a property on the chain pins the entry ("always
 #: available"); these reads are never shed.
@@ -83,40 +95,20 @@ class AdmissionController:
     """Token-bucket + sojourn admission gate over the virtual clock."""
 
     def __init__(
-        self,
-        clock: "VirtualClock",
-        *,
-        rate_per_s: float = 200.0,
-        burst: float = 16.0,
-        queue_limit: float = 32.0,
-        sojourn_threshold_ms: float = 100.0,
+        self, clock: "VirtualClock", *, rate_per_s: float = 200.0
     ) -> None:
         if rate_per_s <= 0:
             raise WorkloadError(f"rate_per_s must be positive: {rate_per_s}")
-        if burst < 1:
-            raise WorkloadError(f"burst must be >= 1: {burst}")
-        if queue_limit < 0:
-            raise WorkloadError(
-                f"queue_limit must be non-negative: {queue_limit}"
-            )
-        if sojourn_threshold_ms < 0:
-            raise WorkloadError(
-                "sojourn_threshold_ms must be non-negative: "
-                f"{sojourn_threshold_ms}"
-            )
         self.clock = clock
         self.rate_per_s = rate_per_s
-        self.burst = burst
-        self.queue_limit = queue_limit
-        self.sojourn_threshold_ms = sojourn_threshold_ms
-        self._tokens = burst
+        self._tokens = ADMISSION_BURST
         self._refilled_ms = clock.now_ms
 
     def _refill(self, now_ms: float) -> None:
         elapsed_ms = now_ms - self._refilled_ms
         if elapsed_ms > 0:
             self._tokens = min(
-                self.burst,
+                ADMISSION_BURST,
                 self._tokens + elapsed_ms * (self.rate_per_s / 1_000.0),
             )
             self._refilled_ms = now_ms
@@ -141,11 +133,11 @@ class AdmissionController:
         sojourn = 0.0 if enqueued_ms is None else max(0.0, now - enqueued_ms)
         depth = max(0.0, -self._tokens)
         if priority != PRIORITY_CRITICAL:
-            if depth >= self.queue_limit:
+            if depth >= QUEUE_LIMIT:
                 return AdmissionDecision(
                     False, priority, sojourn, depth, "queue-full"
                 )
-            threshold = self.sojourn_threshold_ms * (
+            threshold = SOJOURN_THRESHOLD_MS * (
                 2.0 if priority == PRIORITY_QOS else 1.0
             )
             if self._tokens < 1.0 and sojourn >= threshold:

@@ -9,7 +9,7 @@ backoff, L2 promotion probes, shard hops, single-flight follower waits
 budget at the seams where giving up early is cheaper than finishing
 late.  The paper's QoS property ("access time < .25 seconds", §3)
 supplies the per-document target; documents without one fall back to
-the policy's default.
+:data:`~repro.overload.gate.DEFAULT_DEADLINE_MS`.
 """
 
 from __future__ import annotations
@@ -76,19 +76,6 @@ class DeadlineBudget:
     def elapsed_ms(self) -> float:
         """Virtual milliseconds consumed since the budget started."""
         return self.clock.now_ms - self.started_ms
-
-    def check(self, site: str) -> None:
-        """Raise :class:`DeadlineExceededError` if the deadline passed.
-
-        ``site`` names the seam performing the check, so the error (and
-        the degradation ladder it lands in) can say *where* the budget
-        ran out.
-        """
-        if self.expired:
-            raise DeadlineExceededError(
-                f"deadline budget of {self.budget_ms:.1f}ms exhausted at "
-                f"the {site} seam ({self.elapsed_ms:.1f}ms elapsed)"
-            )
 
     def exceeded(self, site: str) -> DeadlineExceededError:
         """Build (without raising) the typed error for this budget."""

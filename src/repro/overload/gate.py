@@ -6,8 +6,8 @@ One :class:`OverloadGate` is wired onto each cache core that carries an
 owns the cache's :class:`~repro.overload.admission.AdmissionController`
 and builds the :class:`~repro.overload.budget.DeadlineBudget` for each
 read — from the chain's QoS access-time target when one is attached
-(the paper's "access time < .25 seconds" promise, §3), else the policy
-default.
+(the paper's "access time < .25 seconds" promise, §3), else
+:data:`DEFAULT_DEADLINE_MS`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,16 @@ from repro.overload.budget import DeadlineBudget
 from repro.placeless.chain import read_plan
 from repro.sim.clock import VirtualClock
 
-__all__ = ["OverloadGate", "OverloadPolicy", "OverloadStats"]
+__all__ = [
+    "DEFAULT_DEADLINE_MS",
+    "OverloadGate",
+    "OverloadPolicy",
+    "OverloadStats",
+]
+
+#: Allowance for chains without a tighter QoS target: the paper's §3
+#: example is 250 ms.
+DEFAULT_DEADLINE_MS = 250.0
 
 
 @dataclass(frozen=True)
@@ -44,52 +53,21 @@ class OverloadPolicy:
     around.
     """
 
-    #: Deadline propagation: budget every read, gate expensive seams.
-    deadlines: bool = True
     #: Admission control / load shedding.
     shedding: bool = True
     #: Cluster hedging (ignored by a standalone cache).
     hedging: bool = True
-    #: Allowance for chains without a finite QoS target (the paper's §3
-    #: example is 250 ms).
-    default_deadline_ms: float = 250.0
-    #: Tighten the allowance to the chain's QoS ``max_access_time_ms``.
-    deadline_from_qos: bool = True
-    #: Token-bucket refill rate (reads per virtual second) and capacity.
+    #: Token-bucket refill rate (reads per virtual second).
     admission_rate_per_s: float = 200.0
-    admission_burst: float = 16.0
-    #: Overdraft bound: queue depth past which non-critical reads shed.
-    queue_limit: float = 32.0
-    #: CoDel-style sojourn threshold; bulk reads shed past it, QoS
-    #: reads past twice it, critical reads never.
-    sojourn_threshold_ms: float = 100.0
     #: Fetch-path reads a shard must have served before the cluster's
     #: :class:`~repro.overload.health.HealthTracker` may call it gray.
     health_min_samples: int = 8
 
     def __post_init__(self) -> None:
-        if self.default_deadline_ms <= 0:
-            raise CacheError(
-                "default_deadline_ms must be positive: "
-                f"{self.default_deadline_ms}"
-            )
         if self.admission_rate_per_s <= 0:
             raise CacheError(
                 "admission_rate_per_s must be positive: "
                 f"{self.admission_rate_per_s}"
-            )
-        if self.admission_burst < 1:
-            raise CacheError(
-                f"admission_burst must be >= 1: {self.admission_burst}"
-            )
-        if self.queue_limit < 0:
-            raise CacheError(
-                f"queue_limit must be non-negative: {self.queue_limit}"
-            )
-        if self.sojourn_threshold_ms < 0:
-            raise CacheError(
-                "sojourn_threshold_ms must be non-negative: "
-                f"{self.sojourn_threshold_ms}"
             )
         if self.health_min_samples < 1:
             raise CacheError(
@@ -145,40 +123,30 @@ class OverloadGate:
 
     def __init__(self, clock: VirtualClock, policy: OverloadPolicy) -> None:
         self.clock = clock
-        self.policy = policy
         self.admission: AdmissionController | None = None
         if policy.shedding:
             self.admission = AdmissionController(
-                clock,
-                rate_per_s=policy.admission_rate_per_s,
-                burst=policy.admission_burst,
-                queue_limit=policy.queue_limit,
-                sojourn_threshold_ms=policy.sojourn_threshold_ms,
+                clock, rate_per_s=policy.admission_rate_per_s
             )
 
-    def deadline_ms_for(self, reference) -> float | None:
-        """The read's end-to-end allowance, or ``None`` for no deadline."""
-        if not self.policy.deadlines:
-            return None
-        budget_ms = self.policy.default_deadline_ms
-        if self.policy.deadline_from_qos:
-            budget_ms = min(budget_ms, read_plan(reference).qos_deadline_ms)
-        return budget_ms
+    def deadline_ms_for(self, reference) -> float:
+        """The read's end-to-end allowance: the chain's QoS target,
+        capped at :data:`DEFAULT_DEADLINE_MS`."""
+        return min(DEFAULT_DEADLINE_MS, read_plan(reference).qos_deadline_ms)
 
     def budget_for(
         self, reference, started_ms: float | None = None
-    ) -> DeadlineBudget | None:
-        """Build the read's deadline budget (``None`` = deadlines off).
+    ) -> DeadlineBudget:
+        """Build the read's deadline budget.
 
         ``started_ms`` is when the allowance began — the read's enqueue
         instant if it queued in a batch, else its recorded start — so
         time already spent counts.  The pipeline asks only once a read
         has left the hit prefix: no hit consults a deadline.
         """
-        budget_ms = self.deadline_ms_for(reference)
-        if budget_ms is None:
-            return None
-        return DeadlineBudget(self.clock, budget_ms, started_ms=started_ms)
+        return DeadlineBudget(
+            self.clock, self.deadline_ms_for(reference), started_ms=started_ms
+        )
 
     def admit(
         self, reference, enqueued_ms: float | None = None

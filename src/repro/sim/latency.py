@@ -11,8 +11,10 @@ The latencies the paper saw are a function of (a) network hops between the
 application, the Placeless reference/base servers and the repository and
 (b) repository service time, both roughly affine in the transferred size.
 We model exactly that: each hop and each repository has a fixed setup cost
-plus a per-byte cost, with optional deterministic jitter drawn from a
-seeded RNG so repeated runs are identical.
+plus a per-byte cost, and nothing else — no jitter, so repeated runs are
+identical.  Failures are not the model's business: repository outages,
+downed links and flaky fetches are scheduled by a
+:class:`~repro.faults.plan.FaultPlan`.
 
 The default constants were calibrated so that the three Table-1 documents
 land in the same relative bands the paper reports (tens of ms uncached for
@@ -21,10 +23,9 @@ web documents, ~1 ms for a local cache hit, small miss overhead).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
-from repro.errors import RepositoryOfflineError, WorkloadError
+from repro.errors import WorkloadError
 
 __all__ = ["HopCost", "RepositoryCost", "LatencySample", "LatencyModel"]
 
@@ -51,13 +52,11 @@ class RepositoryCost:
 
     ``connect_ms`` is paid once per request (TCP + request parsing for a
     web server, RPC setup for NFS); ``per_kb_ms`` is the read/transmit
-    rate.  ``offline`` lets failure-injection tests simulate unreachable
-    repositories.
+    rate.
     """
 
     connect_ms: float
     per_kb_ms: float = 0.0
-    offline: bool = False
 
     def cost_ms(self, size_bytes: int) -> float:
         """Service latency for producing *size_bytes* of content."""
@@ -111,45 +110,14 @@ DEFAULT_REPOSITORIES: dict[str, RepositoryCost] = {
 
 
 class LatencyModel:
-    """Maps hops and repository fetches to virtual-milliseconds costs.
+    """Maps hops and repository fetches to virtual-milliseconds costs,
+    from :data:`DEFAULT_HOPS` and :data:`DEFAULT_REPOSITORIES`; unknown
+    names raise :class:`WorkloadError` at use so configuration mistakes
+    surface immediately."""
 
-    Parameters
-    ----------
-    hops, repositories:
-        Override tables; unknown names raise :class:`WorkloadError` at use
-        so configuration mistakes surface immediately.
-    jitter_fraction:
-        If non-zero, each cost is multiplied by a factor drawn uniformly
-        from ``[1 - j, 1 + j]`` using a seeded RNG — deterministic across
-        runs but avoids perfectly identical repeated measurements.
-    seed:
-        Seed for the jitter RNG.
-    """
-
-    def __init__(
-        self,
-        hops: dict[str, HopCost] | None = None,
-        repositories: dict[str, RepositoryCost] | None = None,
-        jitter_fraction: float = 0.0,
-        seed: int = 0,
-    ) -> None:
-        if not 0.0 <= jitter_fraction < 1.0:
-            raise WorkloadError(
-                f"jitter_fraction must be in [0, 1): {jitter_fraction}"
-            )
-        self.hops = dict(DEFAULT_HOPS if hops is None else hops)
-        self.repositories = dict(
-            DEFAULT_REPOSITORIES if repositories is None else repositories
-        )
-        self._jitter_fraction = jitter_fraction
-        self._rng = random.Random(seed)
-
-    def _jitter(self, cost_ms: float) -> float:
-        if self._jitter_fraction == 0.0:
-            return cost_ms
-        low = 1.0 - self._jitter_fraction
-        high = 1.0 + self._jitter_fraction
-        return cost_ms * self._rng.uniform(low, high)
+    def __init__(self) -> None:
+        self.hops = dict(DEFAULT_HOPS)
+        self.repositories = dict(DEFAULT_REPOSITORIES)
 
     def hop_cost_ms(self, hop: str, size_bytes: int = 0) -> float:
         """Latency of moving *size_bytes* across the named hop."""
@@ -157,8 +125,7 @@ class LatencyModel:
             cost = self.hops[hop]
         except KeyError:
             raise WorkloadError(f"unknown hop: {hop!r}") from None
-        cost_ms = cost.fixed_ms + cost.per_kb_ms * (size_bytes / 1024.0)
-        return self._jitter(cost_ms) if self._jitter_fraction else cost_ms
+        return cost.fixed_ms + cost.per_kb_ms * (size_bytes / 1024.0)
 
     def repository_cost_ms(self, repository: str, size_bytes: int) -> float:
         """Service latency of fetching *size_bytes* from the repository."""
@@ -166,20 +133,4 @@ class LatencyModel:
             table_entry = self.repositories[repository]
         except KeyError:
             raise WorkloadError(f"unknown repository: {repository!r}") from None
-        if table_entry.offline:
-            raise RepositoryOfflineError(
-                f"repository {repository!r} is offline"
-            )
-        return self._jitter(table_entry.cost_ms(size_bytes))
-
-    def set_repository_offline(self, repository: str, offline: bool = True) -> None:
-        """Toggle a repository's reachability (failure injection)."""
-        try:
-            current = self.repositories[repository]
-        except KeyError:
-            raise WorkloadError(f"unknown repository: {repository!r}") from None
-        self.repositories[repository] = RepositoryCost(
-            connect_ms=current.connect_ms,
-            per_kb_ms=current.per_kb_ms,
-            offline=offline,
-        )
+        return table_entry.cost_ms(size_bytes)

@@ -5,18 +5,17 @@ the Placeless server and on the machine where applications are run".  The
 topology module captures that choice: given a cache placement it yields
 the ordered list of hops a request crosses on the hit path and on the
 miss/no-cache path, which the latency model turns into milliseconds.
+A cluster's :class:`ClusterTopology` names its shards and the one hop
+every cross-shard transfer crosses; hop costs live only in
+:class:`~repro.sim.latency.LatencyModel`'s fixed tables.
 """
 
 from __future__ import annotations
 
 import enum
-import typing
 from dataclasses import dataclass, field
 
 from repro.errors import WorkloadError
-
-if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.sim.latency import HopCost, LatencyModel
 
 __all__ = [
     "NodeKind",
@@ -109,24 +108,16 @@ class ClusterTopology:
     The paper's notifier model (AFS-style callbacks) was designed for
     *many* caches; the cluster layer runs N shards and moves memo
     records and content bytes between them.  This class names the
-    shards, resolves the hop a ``src → dst`` transfer crosses, and —
-    because :class:`~repro.sim.latency.LatencyModel` refuses unknown
-    hop names — registers every per-pair override into the model so
+    shards and resolves the hop a ``src → dst`` transfer crosses, so
     cross-shard traffic is charged on the virtual clock like any other
-    network crossing.
-
-    Links are symmetric by default: an override registered for
-    ``(a, b)`` also answers ``(b, a)``.  Pairs without an override use
-    the shared ``shard-to-shard`` hop from
-    :data:`~repro.sim.latency.DEFAULT_HOPS`.
+    network crossing.  Every pair of shards crosses the same
+    ``default_link`` hop of the latency model: ``shard-to-shard`` from
+    :data:`~repro.sim.latency.DEFAULT_HOPS` unless the deployment names
+    another.
     """
 
     shards: list[str] = field(default_factory=list)
-    #: Per-pair link cost overrides, keyed ``(src, dst)``.
-    overrides: dict[tuple[str, str], "HopCost"] = field(
-        default_factory=dict
-    )
-    #: Hop name used for pairs without an override.
+    #: Hop name every cross-shard transfer crosses.
     default_link: str = "shard-to-shard"
 
     def add_shard(self, name: str) -> None:
@@ -136,38 +127,14 @@ class ClusterTopology:
         self.shards.append(name)
 
     def remove_shard(self, name: str) -> None:
-        """Forget one shard (its overrides stay registered; harmless)."""
+        """Forget one shard."""
         try:
             self.shards.remove(name)
         except ValueError:
             raise WorkloadError(f"unknown shard: {name!r}") from None
 
-    @staticmethod
-    def link_name(src: str, dst: str) -> str:
-        """The latency-model hop name of one override direction."""
-        return f"shard-link:{src}->{dst}"
-
-    def set_link(self, src: str, dst: str, cost: "HopCost") -> None:
-        """Override the ``src ↔ dst`` link cost (symmetric)."""
-        for shard in (src, dst):
-            if shard not in self.shards:
-                raise WorkloadError(f"unknown shard: {shard!r}")
-        self.overrides[(src, dst)] = cost
-
     def link_path(self, src: str, dst: str) -> list[str]:
         """Hops one ``src → dst`` transfer crosses ([] when local)."""
         if src == dst:
             return []
-        for pair in ((src, dst), (dst, src)):
-            if pair in self.overrides:
-                return [self.link_name(*pair)]
         return [self.default_link]
-
-    def install(self, latency: "LatencyModel") -> None:
-        """Register every override hop into *latency*'s hop table.
-
-        Idempotent; must run before the first cross-shard charge, or
-        the model raises ``WorkloadError`` for the unknown hop name.
-        """
-        for (src, dst), cost in self.overrides.items():
-            latency.hops[self.link_name(src, dst)] = cost

@@ -90,7 +90,9 @@ LAYOUTS = {
     # fingerprints, source (or none), pinned
     K_DEMOTE: "sssqqdtto?",
     K_DROP: "ss",  # tombstone: document, user
-    K_JOURNAL: "sssb",  # document, user, reference, bytes
+    # document, user, reference, the source digest the write replaces,
+    # bytes
+    K_JOURNAL: "ssssb",
     K_FLUSHED: "ss",  # document, user
     # source, fingerprint, output, size, cacheability, cost, chain, pinned
     K_MEMO: "sssqqdt?",

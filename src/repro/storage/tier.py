@@ -9,10 +9,11 @@ segments in one directory:
 * ``catalog.seg`` — demotion records (entry metadata) and drop
   tombstones; the last record per (document, user) key wins on replay;
 * ``journal.seg`` — the disk mirror of the recovery manager's write-back
-  journal: one record per buffered write, plus flushed tombstones.  It
-  is read once, when a cache with a recovery policy opens the
-  directory, into that journal; an in-process restart replays the
-  journal itself and never reads the segment;
+  journal: one record per buffered write, naming the source signature
+  the write replaces, plus flushed tombstones.  It is read once, when a
+  cache with a recovery policy opens the directory, into that journal —
+  only the writes whose source has not moved since; an in-process
+  restart replays the journal itself and never reads the segment;
 * ``memo.seg`` — verifier-free transform-memo records, so a restarted
   cache keeps its ``(source, chain) → output`` knowledge.
 
@@ -172,7 +173,8 @@ class StorageStats:
     promote_verifier_runs: int = 0
     #: Write-back journal records spilled to disk.
     journal_spills: int = 0
-    #: Disk-journal records whose reference no longer resolves.
+    #: Disk-journal records whose reference, or its source, no longer
+    #: resolves.
     journal_unresolved: int = 0
     #: Memo records spilled to disk / reloaded at recover time.
     memo_spills: int = 0
@@ -573,7 +575,13 @@ class L2Tier:
             self.stats.write_failures += 1
             self._fail("journal")
             return
-        payload = _keyed(key, reference.reference_id.value, bytes(content))
+        # The source this write replaces: while the source still signs
+        # the same at open, no flush of the write (and no other writer)
+        # has reached it.
+        base = reference.base.provider.peek_signature()
+        payload = _keyed(
+            key, reference.reference_id.value, base.digest, bytes(content)
+        )
         self.journal_log.append(
             K_JOURNAL, payload, corrupt=(action == "corrupt")
         )
@@ -592,9 +600,9 @@ class L2Tier:
 
         The flush already retired the write from the in-memory journal,
         which is all an in-process restart replays.  A lost tombstone
-        matters only to the next cache that opens this directory — it
-        pushes the write once more, at-least-once across process
-        death — so no retry.
+        costs nothing either: the flush moved the source off the
+        signature the record names, so the next cache that opens this
+        directory does not load the record.
         """
         if not self._allow("journal"):
             return
@@ -739,28 +747,38 @@ class L2Tier:
 
     def _load_journal(self, journal: "WriteBackJournal") -> None:
         """Latest unflushed spilled write per key → the recovery journal
-        (tolerating the duplicated tail an fsync-lost retry leaves)."""
+        (tolerating the duplicated tail an fsync-lost retry leaves).
+
+        A write whose source no longer signs as the record says is not
+        loaded, tombstoned or not: either its flush landed or another
+        writer superseded it, and replaying it would put old bytes over
+        newer ones.
+        """
         records, corrupt = self.journal_log.scan_records()
         self.stats.corrupt_records_recovered += corrupt
-        latest: dict[EntryKey, tuple[str, bytes]] = {}
+        latest: dict[EntryKey, tuple[str, str, bytes]] = {}
         for kind, payload, _ in records:
             try:
                 if kind == K_JOURNAL:
-                    key, reference_id, content = _key_and(K_JOURNAL, payload)
-                    latest[key] = (reference_id, content)
+                    key, reference_id, base, content = _key_and(
+                        K_JOURNAL, payload
+                    )
+                    latest[key] = (reference_id, base, content)
                 elif kind == K_FLUSHED:
                     (key,) = _key_and(K_FLUSHED, payload)
                     latest.pop(key, None)
             except StorageError:
                 self.stats.corrupt_records_recovered += 1
         spaces = self.core.kernel.space
-        for key, (reference_id, content) in latest.items():
+        for key, (reference_id, base, content) in latest.items():
             try:
                 reference = spaces(key.user_id).get(ReferenceId(reference_id))
+                source = reference.base.provider.peek_signature()
             except PlacelessError:
                 self.stats.journal_unresolved += 1
                 continue
-            journal.append(key, reference, content)
+            if source.digest == base:
+                journal.append(key, reference, content)
 
     def _reload_memo(self) -> None:
         """Verifier-free memo records back into the live memo table.

@@ -16,7 +16,6 @@ from repro.workload.churn import (
     ChurnSpec,
     ZipfSampler,
     generate_churn,
-    universal_documents,
 )
 from repro.workload.documents import (
     CorpusDocument,
@@ -42,7 +41,6 @@ __all__ = [
     "ChurnSpec",
     "ZipfSampler",
     "generate_churn",
-    "universal_documents",
     "generate_text",
     "CorpusDocument",
     "CorpusSpec",

@@ -57,7 +57,6 @@ __all__ = [
     "ChurnEvent",
     "ChurnSpec",
     "generate_churn",
-    "universal_documents",
 ]
 
 
@@ -290,11 +289,6 @@ class ChurnSpec:
     day_fraction: float = 0.7
     night_think_factor: float = 4.0
     mean_think_time_ms: float = 0.0
-    #: Fraction of documents carrying only universal (user-independent)
-    #: properties; the rest are personalized per user.  Universal
-    #: documents are the ones the transform memo can share across
-    #: users (§3).
-    universal_fraction: float = 0.5
     seed: int = 0
 
     def validate(self) -> None:
@@ -309,25 +303,6 @@ class ChurnSpec:
         total = self.p_write + self.p_publish + self.p_perish
         if total > 1.0 + 1e-9:
             raise WorkloadError("event-kind probabilities exceed 1")
-        if not 0.0 <= self.universal_fraction <= 1.0:
-            raise WorkloadError(
-                f"universal_fraction must be in [0, 1]: "
-                f"{self.universal_fraction}"
-            )
-
-
-def universal_documents(spec: ChurnSpec) -> set[int]:
-    """The deterministic set of universal document indices.
-
-    A seeded draw per index (independent of the event stream), so the
-    split is stable whether or not a trace is ever generated.
-    """
-    rng = random.Random(spec.seed ^ 0x5EED)
-    return {
-        index
-        for index in range(spec.n_documents)
-        if rng.random() < spec.universal_fraction
-    }
 
 
 def generate_churn(spec: ChurnSpec) -> Iterator[ChurnEvent]:

@@ -42,7 +42,7 @@ class TestPlacementRing:
             ring.add_shard("a")
         with pytest.raises(WorkloadError):
             ring.remove_shard("b")
-        with pytest.raises(WorkloadError):
+        with pytest.raises(TypeError):
             HashRingPolicy(replicas=0)
 
     def test_membership_and_len(self):

@@ -18,7 +18,9 @@ def test_doctor_is_healthy_and_prints_the_wired_configuration(capsys):
         line.split()[0]: line.split()[1:] for line in block.splitlines()
     }
     assert set(lines) == {"memo", "overload", "containment", "storage"}
-    assert "capacity=1024" in lines["memo"]
+    assert lines["memo"] == ["on"]
+    memo = out.split("memo:\n", 1)[1].split("\n\n", 1)[0]
+    assert all("/1024 " in line for line in memo.splitlines())
     assert "shedding=True" in lines["overload"]
     assert "failure_threshold=3" in lines["containment"]
     assert "breaker_failure_threshold=3" in lines["storage"]

@@ -13,6 +13,7 @@ import pytest
 
 from repro.cache.manager import DocumentCache
 from repro.cache.notifiers import InvalidationBus
+from repro.cache.memo import MEMO_CAPACITY
 from repro.cache.policies import MemoPolicy
 from repro.cluster.memo_share import SharedTransformMemo
 from repro.errors import PermissionDeniedError
@@ -67,7 +68,7 @@ def office():
     bus = InvalidationBus(kernel.ctx)
     people = ("karin", "doug", "manager")
     plane = SharedTransformMemo(
-        MemoPolicy().capacity,
+        MEMO_CAPACITY,
         topology=ClusterTopology(
             shards=list(people), default_link="app-to-reference"
         ),

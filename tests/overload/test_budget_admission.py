@@ -18,6 +18,7 @@ from repro.overload.admission import (
     PRIORITY_QOS,
     AdmissionController,
 )
+from repro.overload import admission as admission_module
 from repro.overload.budget import DeadlineBudget
 from repro.sim.clock import VirtualClock
 from repro.sim.context import SimContext
@@ -35,14 +36,16 @@ class TestDeadlineBudget:
         assert budget.remaining_ms == 0.0
         assert budget.expired
 
-    def test_check_raises_only_after_expiry(self):
+    def test_expires_only_at_the_deadline(self):
         clock = VirtualClock()
         budget = DeadlineBudget(clock, 10.0)
-        budget.check("fetch")
-        clock.advance(10.0)
-        with pytest.raises(DeadlineExceededError) as excinfo:
-            budget.check("fetch")
-        assert "fetch" in str(excinfo.value)
+        clock.advance(9.0)
+        assert not budget.expired
+        clock.advance(1.0)
+        assert budget.expired
+        error = budget.exceeded("fetch")
+        assert isinstance(error, DeadlineExceededError)
+        assert "fetch" in str(error)
 
     def test_back_dated_start_counts_queueing_delay(self):
         clock = VirtualClock()
@@ -63,7 +66,6 @@ class TestDeadlineBudget:
         budget = DeadlineBudget(clock, float("inf"))
         clock.advance(1e12)
         assert not budget.expired
-        budget.check("anywhere")
 
     @given(
         budget_ms=st.floats(min_value=1.0, max_value=1e6),
@@ -90,14 +92,17 @@ class TestDeadlineBudget:
 
 
 class TestAdmissionController:
-    def _controller(self, **kwargs):
+    @pytest.fixture(autouse=True)
+    def small_bucket(self, monkeypatch):
+        """A bucket small enough to drain by hand: the controller reads
+        its three limits from module constants at decision time."""
+        monkeypatch.setattr(admission_module, "ADMISSION_BURST", 4.0)
+        monkeypatch.setattr(admission_module, "QUEUE_LIMIT", 4.0)
+        monkeypatch.setattr(admission_module, "SOJOURN_THRESHOLD_MS", 50.0)
+
+    def _controller(self, rate_per_s=100.0):
         clock = VirtualClock()
-        defaults = dict(
-            rate_per_s=100.0, burst=4.0, queue_limit=4.0,
-            sojourn_threshold_ms=50.0,
-        )
-        defaults.update(kwargs)
-        return clock, AdmissionController(clock, **defaults)
+        return clock, AdmissionController(clock, rate_per_s=rate_per_s)
 
     def test_burst_admits_then_queue_full_sheds_bulk(self):
         clock, admission = self._controller()

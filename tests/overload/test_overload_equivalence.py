@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.policies import DefaultOverloadPolicy
+from repro.overload import admission, gate
 from tests.property.test_pipeline_equivalence import (
     GOLDEN_DIGESTS,
     digest,
@@ -23,43 +24,41 @@ from tests.property.test_pipeline_equivalence import (
 )
 
 
-def _permissive_policy():
-    """Every mechanism armed, no limit reachable by a seeded workload."""
-    return DefaultOverloadPolicy(
-        default_deadline_ms=1e9,
-        deadline_from_qos=False,
-        admission_rate_per_s=1e9,
-        admission_burst=1e6,
-        queue_limit=1e6,
-        sojourn_threshold_ms=1e9,
-        hedging=False,
-    )
+@pytest.fixture
+def permissive_policy(monkeypatch):
+    """Every mechanism armed, no limit reachable by a seeded workload:
+    the limits that are constants are raised for the test's duration."""
+    monkeypatch.setattr(gate, "DEFAULT_DEADLINE_MS", 1e9)
+    monkeypatch.setattr(admission, "ADMISSION_BURST", 1e6)
+    monkeypatch.setattr(admission, "QUEUE_LIMIT", 1e6)
+    monkeypatch.setattr(admission, "SOJOURN_THRESHOLD_MS", 1e9)
+    return DefaultOverloadPolicy(admission_rate_per_s=1e9, hedging=False)
 
 
 class TestUntriggeredGateIsPure:
     @pytest.mark.parametrize("seed", [77, 101, 202])
     def test_chaos_runs_are_byte_identical_with_a_permissive_gate(
-        self, seed
+        self, seed, permissive_policy
     ):
         bare = run_seeded_workload(seed, chaos=True)
         gated = run_seeded_workload(
-            seed, chaos=True, overload_policy=_permissive_policy()
+            seed, chaos=True, overload_policy=permissive_policy
         )
         assert digest(gated) == digest(bare)
         assert gated["fault_trace"] == bare["fault_trace"]
 
     @pytest.mark.parametrize("seed", [77, 202])
     def test_healthy_runs_are_byte_identical_with_a_permissive_gate(
-        self, seed
+        self, seed, permissive_policy
     ):
         bare = run_seeded_workload(seed)
-        gated = run_seeded_workload(
-            seed, overload_policy=_permissive_policy()
-        )
+        gated = run_seeded_workload(seed, overload_policy=permissive_policy)
         assert digest(gated) == digest(bare)
 
-    def test_the_pinned_chaos_golden_survives_a_permissive_gate(self):
+    def test_the_pinned_chaos_golden_survives_a_permissive_gate(
+        self, permissive_policy
+    ):
         snap = run_seeded_workload(
-            7, chaos=True, overload_policy=_permissive_policy()
+            7, chaos=True, overload_policy=permissive_policy
         )
         assert digest(snap) == GOLDEN_DIGESTS["chaos"]

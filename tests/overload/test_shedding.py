@@ -11,6 +11,8 @@ workload.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.cache.core import CacheCore
 from repro.cache.manager import CacheReadOutcome, DocumentCache
 from repro.cache.policies import DefaultOverloadPolicy
@@ -21,6 +23,7 @@ from repro.errors import (
     OverloadShedError,
 )
 from repro.faults.retry import RetryPolicy
+from repro.overload import admission, gate
 from repro.overload.budget import DeadlineBudget
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.qos import AlwaysAvailableProperty
@@ -32,16 +35,20 @@ _N_USERS = 8
 _N_DOCUMENTS = 4
 
 
+@pytest.fixture(autouse=True)
+def tight_gate(monkeypatch):
+    """Admission so small a 32-way flash crowd must mostly shed, and a
+    default allowance no read reaches, which isolates the gate; a test
+    of the deadline half lowers the allowance itself."""
+    monkeypatch.setattr(admission, "ADMISSION_BURST", 2.0)
+    monkeypatch.setattr(admission, "QUEUE_LIMIT", 2.0)
+    monkeypatch.setattr(admission, "SOJOURN_THRESHOLD_MS", 0.5)
+    monkeypatch.setattr(gate, "DEFAULT_DEADLINE_MS", float("inf"))
+
+
 def _tight_policy(**overrides):
-    """Admission so small a 32-way flash crowd must mostly shed."""
-    settings = dict(
-        deadlines=False,
-        hedging=False,
-        admission_rate_per_s=1.0,
-        admission_burst=2.0,
-        queue_limit=2.0,
-        sojourn_threshold_ms=0.5,
-    )
+    """A one-read-per-second bucket over :func:`tight_gate`'s limits."""
+    settings = dict(hedging=False, admission_rate_per_s=1.0)
     settings.update(overrides)
     return DefaultOverloadPolicy(**settings)
 
@@ -144,12 +151,9 @@ class TestFlashCrowdShedding:
         assert stats.shed_critical == 0
         assert stats.shed_bulk > 0
 
-    def test_deadline_failures_also_return_in_place(self):
-        policy = _tight_policy(
-            deadlines=True,
-            default_deadline_ms=1.0,
-            shedding=False,
-        )
+    def test_deadline_failures_also_return_in_place(self, monkeypatch):
+        monkeypatch.setattr(gate, "DEFAULT_DEADLINE_MS", 1.0)
+        policy = _tight_policy(shedding=False)
         cache, references = _deploy(policy)
         outcomes = cache.read_many(references[:8])
         assert len(outcomes) == 8
@@ -258,10 +262,9 @@ class TestCacheClusterParity:
         assert 2 <= served <= 8
         assert cluster.overload_stats.shed == 32 - served
 
-    def test_parity_holds_for_deadline_failures_too(self):
-        policy_kwargs = dict(
-            deadlines=True, default_deadline_ms=1.0, shedding=False
-        )
+    def test_parity_holds_for_deadline_failures_too(self, monkeypatch):
+        monkeypatch.setattr(gate, "DEFAULT_DEADLINE_MS", 1.0)
+        policy_kwargs = dict(shedding=False)
         solo_cache, solo_refs = _deploy(
             _tight_policy(**policy_kwargs), name="solo-ddl"
         )

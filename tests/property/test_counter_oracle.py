@@ -29,7 +29,7 @@ import pytest
 
 from repro.cache.instrumentation import CounterProjection, StageEvent
 from repro.cache.manager import DocumentCache, WriteMode
-from repro.cache.memo import MemoStats
+from repro.cache.memo import MEMO_CAPACITY, MemoStats, TransformMemo
 from repro.cache.policies import (
     ConcurrencyPolicy,
     ContainmentPolicy,
@@ -48,6 +48,7 @@ from repro.errors import PlacelessError
 from repro.events.types import EventType
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.faults.scenarios import grayshard_chaos_scenario
+from repro.overload import admission, gate
 from repro.overload.budget import DeadlineBudget
 from repro.overload.gate import OverloadStats
 from repro.placeless.collection import DocumentCollection
@@ -293,7 +294,7 @@ def test_property_driven_counters_match():
     versioned.attach(VersioningProperty())
     # A sibling app-level cache on one memo plane, so a memo serve can
     # import its bytes.
-    plane = SharedTransformMemo(MemoPolicy().capacity)
+    plane = SharedTransformMemo(MEMO_CAPACITY)
     peer = DocumentCache(
         kernel, capacity_bytes=1 << 24, memo_policy=MemoPolicy(),
         memo=plane, name="peer",
@@ -440,7 +441,8 @@ def test_memo_and_single_flight_counters_match():
     corpus[1].reference.base.attach(_Verified("exploding", _Exploding))
     cache = DocumentCache(
         kernel, capacity_bytes=1 << 24,
-        memo_policy=MemoPolicy(capacity=4),
+        memo_policy=MemoPolicy(),
+        memo=TransformMemo(4),
         concurrency_policy=ConcurrencyPolicy(),
     )
     oracle = Oracle()
@@ -469,8 +471,13 @@ def test_memo_and_single_flight_counters_match():
 # -- overload ----------------------------------------------------------------
 
 
-def test_overload_counters_match_with_shedding_and_deadlines():
+def test_overload_counters_match_with_shedding_and_deadlines(monkeypatch):
     seed = CHAOS_SEED
+    # A tiny bucket for the shedding cache (the deadline cache does not
+    # shed); each cache reads under its own default allowance below.
+    monkeypatch.setattr(admission, "ADMISSION_BURST", 2.0)
+    monkeypatch.setattr(admission, "QUEUE_LIMIT", 2.0)
+    monkeypatch.setattr(admission, "SOJOURN_THRESHOLD_MS", 0.5)
     kernel, corpus, population = _world(seed, n_documents=8, n_users=4)
     for index in range(0, 8, 2):
         population.reference(1, index).attach(
@@ -479,8 +486,7 @@ def test_overload_counters_match_with_shedding_and_deadlines():
     shedding = DocumentCache(
         kernel, capacity_bytes=1 << 24, name="shedding",
         overload_policy=OverloadPolicy(
-            deadlines=False, hedging=False, admission_rate_per_s=1.0,
-            admission_burst=2.0, queue_limit=2.0, sojourn_threshold_ms=0.5,
+            hedging=False, admission_rate_per_s=1.0
         ),
     )
     deadlines = DocumentCache(
@@ -488,10 +494,7 @@ def test_overload_counters_match_with_shedding_and_deadlines():
         memo_policy=MemoPolicy(),
         concurrency_policy=ConcurrencyPolicy(),
         storage_policy=StoragePolicy(),
-        overload_policy=OverloadPolicy(
-            shedding=False, hedging=False, default_deadline_ms=1.0,
-            deadline_from_qos=False,
-        ),
+        overload_policy=OverloadPolicy(shedding=False, hedging=False),
     )
     oracle = Oracle()
     oracle.watch(shedding)
@@ -504,7 +507,9 @@ def test_overload_counters_match_with_shedding_and_deadlines():
     try:
         for _ in range(4):
             rng.shuffle(references)
+            monkeypatch.setattr(gate, "DEFAULT_DEADLINE_MS", float("inf"))
             shedding.read_many(references)
+            monkeypatch.setattr(gate, "DEFAULT_DEADLINE_MS", 1.0)
             deadlines.read_many(references[:12])
             kernel.ctx.clock.advance(2_000.0)
         expired = DeadlineBudget(kernel.ctx.clock, 1.0)

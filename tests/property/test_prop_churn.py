@@ -29,7 +29,6 @@ from repro.workload.churn import (
     ChurnSpec,
     ZipfSampler,
     generate_churn,
-    universal_documents,
 )
 from repro.workload.documents import CorpusSpec
 from repro.placeless.kernel import PlacelessKernel
@@ -71,12 +70,6 @@ class TestChurnDeterminism:
         second = list(generate_churn(spec))
         assert first == second
         assert len(first) >= spec.n_events  # publishes/perishes ride along
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=seeds)
-    def test_universal_set_deterministic(self, seed):
-        spec = spec_from(seed)
-        assert universal_documents(spec) == universal_documents(spec)
 
 
 class TestChurnLifecycle:

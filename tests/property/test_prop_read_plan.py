@@ -32,6 +32,8 @@ from repro.cache.memo import ChainFingerprint
 from repro.cache.notifiers import install_minimum_notifiers
 from repro.cache.policies import MemoPolicy, OverloadPolicy
 from repro.events.types import EventType
+from repro.overload import admission as admission_module
+from repro.overload import gate as gate_module
 from repro.overload.admission import (
     PRIORITY_BULK,
     PRIORITY_CRITICAL,
@@ -113,6 +115,15 @@ def _mutate(rng: random.Random, site, serial: int) -> None:
 
 
 def _check_interleaving(seed: int) -> None:
+    # A default allowance above every finite QoS target a chain can
+    # carry, and a bucket no read loop drains.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gate_module, "DEFAULT_DEADLINE_MS", _DEFAULT_DEADLINE_MS)
+        patch.setattr(admission_module, "ADMISSION_BURST", 1e6)
+        _interleave(seed)
+
+
+def _interleave(seed: int) -> None:
     rng = random.Random(seed)
     kernel = PlacelessKernel()
     owner = kernel.create_user("owner")
@@ -126,10 +137,7 @@ def _check_interleaving(seed: int) -> None:
     cache = DocumentCache(
         kernel, capacity_bytes=1 << 20,
         memo_policy=MemoPolicy(),
-        overload_policy=OverloadPolicy(
-            default_deadline_ms=_DEFAULT_DEADLINE_MS,
-            admission_rate_per_s=1e6, admission_burst=1e6,
-        ),
+        overload_policy=OverloadPolicy(admission_rate_per_s=1e6),
         name=f"plan-prop-{seed}",
     )
     gate = cache.core.overload

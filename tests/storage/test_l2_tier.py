@@ -40,8 +40,12 @@ from repro.storage.segment import HEADER_SIZE, pack_record
 from repro.storage.tier import BREAKER_PROBATION_MS
 
 
-def _deployment(n_docs=6, slots=2, *, faults=None, storage=None, **cache_kwargs):
-    """*n_docs* same-sized documents over an L1 holding *slots* of them."""
+def _deployment(
+    n_docs=6, slots=2, *, faults=None, storage=None, contents=None,
+    **cache_kwargs,
+):
+    """*n_docs* same-sized documents over an L1 holding *slots* of them;
+    *contents*, when given, is what their repository holds at start."""
     kernel = PlacelessKernel()
     if faults is not None:
         kernel.ctx.faults = FaultPlan(kernel.ctx.clock, **faults)
@@ -49,6 +53,8 @@ def _deployment(n_docs=6, slots=2, *, faults=None, storage=None, **cache_kwargs)
     providers, references = [], []
     for i in range(n_docs):
         content = f"doc-{i:02d}:".encode() + bytes(range(200))
+        if contents is not None:
+            content = contents[i]
         provider = MemoryProvider(kernel.ctx, content)
         providers.append(provider)
         references.append(kernel.import_document(user, provider, f"d{i}"))
@@ -420,6 +426,45 @@ class TestOneJournal:
         assert cache.flush_all() == 0
         assert providers[0].peek() == b"newer, by another writer"
 
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            {"disk_write_fail_probability": 1.0},
+            {"disk_fsync_lost_probability": 1.0},
+        ],
+        ids=["write-fault", "lost-fsync"],
+    )
+    def test_a_flushed_write_does_not_come_back_across_process_death(
+        self, deployment, tmp_path, fault
+    ):
+        world = dict(
+            write_mode=WriteMode.WRITE_BACK,
+            use_verifiers=False,
+            recovery_policy=DefaultRecoveryPolicy(),
+            slots=6,
+            storage=StoragePolicy(directory=str(tmp_path)),
+        )
+        kernel, first, providers, references = deployment(**world)
+        first.write(references[0], b"flushed, then superseded")
+        # The flush reaches the server, but its K_FLUSHED tombstone
+        # never becomes durable.
+        kernel.ctx.faults = FaultPlan(kernel.ctx.clock, seed=1, **fault)
+        assert first.flush(references[0])
+        kernel.ctx.faults = None
+        first.shutdown()
+        other = kernel.create_user("bob")
+        theirs = kernel.space(other).add_reference(references[0].base)
+        kernel.write(theirs, b"newer, by another writer")
+        # The next process: a second cache over the same directory, in a
+        # world whose repository kept what the first one's held.
+        _, cache, survivors, _ = deployment(
+            contents=[provider.peek() for provider in providers], **world
+        )
+        assert cache.recovery_stats.journal_replayed == 0
+        assert cache.dirty_count == 0
+        assert cache.flush_all() == 0
+        assert survivors[0].peek() == b"newer, by another writer"
+
     def test_a_cache_without_recovery_leaves_the_disk_journal_unread(
         self, deployment, tmp_path
     ):
@@ -545,9 +590,11 @@ _WRONG_SHAPES = {
     "journal": ("journal.seg", K_JOURNAL, _JOURNALLED, [
         _fields_1(b"[]", b"bytes"),
         pack_record("d0", "alice"),
+        # A journal record from before records named their source.
+        pack_record("d0", "alice", "r", b"x"),
     ]),
     "flushed": ("journal.seg", K_FLUSHED, _JOURNALLED, [
-        b"[1]", pack_record("d0", "alice", "r", b"x"),
+        b"[1]", pack_record("d0", "alice", "r", "digest", b"x"),
     ]),
     "memo": ("memo.seg", K_MEMO, {"memo_policy": DefaultMemoPolicy()}, [
         b"[]", pack_record("d0", "alice"),

@@ -71,10 +71,12 @@ def test_a_catalog_record_round_trips(record):
 
 
 @settings(max_examples=200)
-@given(key=_KEY, reference=_TEXT, content=st.binary(max_size=256))
-def test_a_journal_record_round_trips(key, reference, content):
-    payload = _keyed(key, reference, content)
-    assert _key_and(K_JOURNAL, payload) == (key, reference, content)
+@given(
+    key=_KEY, reference=_TEXT, base=_TEXT, content=st.binary(max_size=256)
+)
+def test_a_journal_record_round_trips(key, reference, base, content):
+    payload = _keyed(key, reference, base, content)
+    assert _key_and(K_JOURNAL, payload) == (key, reference, base, content)
 
 
 @settings(max_examples=200)

@@ -24,7 +24,8 @@ ALL_MODULES = sorted(_walk_modules())
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
-#: The options ledger: every constructor keyword of the cache, by name.
+#: The options ledger: every constructor keyword of the cache and of
+#: the classes whose settings a deployment could turn, by name.
 #: Growing a list is a design decision (CONTRIBUTING: "a new option
 #: needs two non-test callers with different values"), not a side effect.
 CONSTRUCTOR_KEYWORDS = {
@@ -48,6 +49,20 @@ CONSTRUCTOR_KEYWORDS = {
         "use_verifiers", "track_staleness", "retry_policy",
     ],
     "repro.overload.health.HealthTracker": ["min_samples"],
+    "repro.overload.admission.AdmissionController": ["clock", "rate_per_s"],
+    "repro.sim.latency.LatencyModel": [],
+    "repro.sim.topology.ClusterTopology": ["shards", "default_link"],
+    "repro.cluster.placement.HashRingPolicy": ["shards"],
+    "repro.cache.replacement.ReinforcedCounterPolicy": [],
+    "repro.faults.retry.RetryPolicy": [
+        "max_attempts", "base_delay_ms", "multiplier", "max_delay_ms",
+    ],
+    "repro.workload.churn.ChurnSpec": [
+        "n_events", "n_documents", "n_live_start", "n_users", "zipf_alpha",
+        "p_write", "p_publish", "p_perish", "p_flash", "flash_duration",
+        "flash_share", "cycle_period", "day_fraction", "night_think_factor",
+        "mean_think_time_ms", "seed",
+    ],
 }
 
 #: Options nothing under ``src/repro/`` (outside the defining module),
@@ -55,20 +70,6 @@ CONSTRUCTOR_KEYWORDS = {
 UNCALLED_OPTIONS = {
     "DocumentCache.fast_lane":
         "awaiting the benchmark PR: perfbench/probes.py forwards it",
-    "MemoPolicy.capacity":
-        "tests-only but load-bearing: the LRU bound is reached by shrinking it",
-    "OverloadPolicy.deadlines":
-        "tests-only but load-bearing: test_shedding isolates the gate",
-    "OverloadPolicy.default_deadline_ms":
-        "tests-only but load-bearing: on-but-idle overload equivalence",
-    "OverloadPolicy.deadline_from_qos":
-        "tests-only but load-bearing: on-but-idle overload equivalence",
-    "OverloadPolicy.admission_burst":
-        "tests-only but load-bearing: on-but-idle overload equivalence",
-    "OverloadPolicy.queue_limit":
-        "tests-only but load-bearing: on-but-idle overload equivalence",
-    "OverloadPolicy.sojourn_threshold_ms":
-        "tests-only but load-bearing: on-but-idle overload equivalence",
     "ContainmentPolicy.max_bytes":
         "safety: caps what runaway property code may stream",
     "ContainmentPolicy.deny_required":
@@ -79,6 +80,69 @@ UNCALLED_OPTIONS = {
 def _resolve(dotted: str):
     module_name, name = dotted.rsplit(".", 1)
     return getattr(importlib.import_module(module_name), name)
+
+
+def _ledger_classes() -> dict:
+    """Every class the options ledger covers → its option names."""
+    from repro.cache import policies
+    from repro.cluster.policy import ClusterPolicy
+
+    classes = {
+        cls: list(inspect.signature(cls).parameters)
+        for cls in map(_resolve, CONSTRUCTOR_KEYWORDS)
+    }
+    configs = [getattr(policies, name) for name in policies.__all__]
+    for cls in (*configs, ClusterPolicy):
+        # ``DefaultXPolicy is XPolicy``: the dict keeps one of them.
+        if dataclasses.is_dataclass(cls):
+            classes[cls] = [f.name for f in dataclasses.fields(cls)]
+    return classes
+
+
+def _calls():
+    """``(path, callee name, positional count, keywords)`` of every call
+    outside the tests."""
+    for directory in ("src/repro", "perfbench", "examples"):
+        for path in sorted((REPO / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    callee = getattr(
+                        node.func, "id", getattr(node.func, "attr", None)
+                    )
+                    yield path, callee, len(node.args), node.keywords
+
+
+def uncalled_options() -> set[str]:
+    """``Class.option`` for every ledger option no call outside the
+    tests sets.  From the repo root, to list the idle knobs:
+    ``PYTHONPATH=src:. python -c "from tests.unit.test_api_surface
+    import uncalled_options as u; print(*sorted(u()), sep='\\n')"``."""
+    calls = list(_calls())
+    uncalled = set()
+    for cls, options in _ledger_classes().items():
+        defining = pathlib.Path(inspect.getsourcefile(cls)).resolve()
+        names = {cls.__name__, f"Default{cls.__name__}"}
+        called: set = set()
+        for path, callee, positional, keywords in calls:
+            if path == defining:
+                continue
+            if callee in names:
+                called.update(options[:positional])
+                called.update(keyword.arg for keyword in keywords)
+            if cls.__name__ == "DocumentCache" and callee == "CacheCluster":
+                for keyword in keywords:
+                    if keyword.arg == "shard_kwargs" and isinstance(
+                        keyword.value, ast.Dict
+                    ):
+                        called.update(
+                            key.value for key in keyword.value.keys
+                            if isinstance(key, ast.Constant)
+                        )
+        uncalled.update(
+            f"{cls.__name__}.{option}"
+            for option in options if option not in called
+        )
+    return uncalled
 
 
 class TestTopLevelApi:
@@ -244,62 +308,8 @@ class TestOptionsLedger:
     ``UNCALLED_OPTIONS`` with its reason, or is deleted.
     """
 
-    @staticmethod
-    def _classes() -> dict:
-        from repro.cache import policies
-        from repro.cluster.policy import ClusterPolicy
-
-        classes = {
-            _resolve(dotted): list(keywords)
-            for dotted, keywords in CONSTRUCTOR_KEYWORDS.items()
-        }
-        configs = [getattr(policies, name) for name in policies.__all__]
-        for cls in (*configs, ClusterPolicy):
-            # ``DefaultXPolicy is XPolicy``: the dict keeps one of them.
-            if dataclasses.is_dataclass(cls):
-                classes[cls] = [f.name for f in dataclasses.fields(cls)]
-        return classes
-
-    @staticmethod
-    def _calls():
-        """``(callee name, positional count, keywords)`` of every call."""
-        for directory in ("src/repro", "perfbench", "examples"):
-            for path in sorted((REPO / directory).rglob("*.py")):
-                for node in ast.walk(ast.parse(path.read_text())):
-                    if isinstance(node, ast.Call):
-                        callee = getattr(
-                            node.func, "id", getattr(node.func, "attr", None)
-                        )
-                        yield path, callee, len(node.args), node.keywords
-
     def test_every_option_has_a_caller_outside_tests(self):
-        classes = self._classes()
-        calls = list(self._calls())
-        uncalled = set()
-        for cls, options in classes.items():
-            defining = pathlib.Path(inspect.getsourcefile(cls)).resolve()
-            names = {cls.__name__, f"Default{cls.__name__}"}
-            called: set = set()
-            for path, callee, positional, keywords in calls:
-                if path == defining:
-                    continue
-                if callee in names:
-                    called.update(options[:positional])
-                    called.update(keyword.arg for keyword in keywords)
-                if cls.__name__ == "DocumentCache" and callee == "CacheCluster":
-                    for keyword in keywords:
-                        if keyword.arg == "shard_kwargs" and isinstance(
-                            keyword.value, ast.Dict
-                        ):
-                            called.update(
-                                key.value for key in keyword.value.keys
-                                if isinstance(key, ast.Constant)
-                            )
-            uncalled.update(
-                f"{cls.__name__}.{option}"
-                for option in options if option not in called
-            )
-        assert uncalled == set(UNCALLED_OPTIONS)
+        assert uncalled_options() == set(UNCALLED_OPTIONS)
         assert all(len(reason) > 10 for reason in UNCALLED_OPTIONS.values())
 
     def test_the_idle_knobs_and_their_plumbing_are_gone(self):
@@ -316,6 +326,65 @@ class TestOptionsLedger:
         assert not {"core", "admission_policy", "instrumentation"} & set(
             inspect.signature(DocumentCache).parameters
         )
+
+
+    def test_the_settings_no_caller_turned_are_gone(self):
+        from repro.cache.policies import MemoPolicy, OverloadPolicy
+        from repro.cache.recovery import NotifierLease
+        from repro.cache.replacement import ReinforcedCounterPolicy
+        from repro.cluster.placement import HashRingPolicy
+        from repro.faults.retry import RetryPolicy
+        from repro.overload.admission import AdmissionController
+        from repro.overload.budget import DeadlineBudget
+        from repro.sim.latency import LatencyModel, RepositoryCost
+        from repro.sim.topology import ClusterTopology
+        from repro.workload.churn import ChurnSpec
+
+        removed = {
+            MemoPolicy: ["capacity"],
+            OverloadPolicy: [
+                "deadlines", "default_deadline_ms", "deadline_from_qos",
+                "admission_burst", "queue_limit", "sojourn_threshold_ms",
+            ],
+            LatencyModel: ["hops", "repositories", "jitter_fraction", "seed"],
+            RepositoryCost: ["offline"],
+            RetryPolicy: ["retry_on"],
+            ReinforcedCounterPolicy: ["counter_cap", "decay_interval"],
+            HashRingPolicy: ["replicas"],
+            ClusterTopology: ["overrides"],
+            ChurnSpec: ["universal_fraction"],
+            AdmissionController: [
+                "burst", "queue_limit", "sojourn_threshold_ms",
+            ],
+        }
+        for cls, keywords in removed.items():
+            for keyword in keywords:
+                assert keyword not in inspect.signature(cls).parameters, (
+                    cls, keyword,
+                )
+        gone = {
+            LatencyModel: ["set_repository_offline", "_jitter"],
+            ClusterTopology: ["set_link", "link_name", "install"],
+            NotifierLease: ["check"],
+            DeadlineBudget: ["check"],
+            importlib.import_module("repro.errors"): ["LeaseExpiredError"],
+            importlib.import_module("repro.workload"): ["universal_documents"],
+            importlib.import_module("repro.workload.churn"): [
+                "universal_documents",
+            ],
+            importlib.import_module("repro.faults"): [
+                "outage_scenario", "lossy_bus_scenario",
+                "flaky_fetch_scenario",
+            ],
+            importlib.import_module("repro.faults.scenarios"): [
+                "outage_scenario", "lossy_bus_scenario",
+                "flaky_fetch_scenario",
+            ],
+        }
+        for owner, names in gone.items():
+            for name in names:
+                assert not hasattr(owner, name), (owner, name)
+        assert not hasattr(importlib.import_module("repro.sim.latency"), "random")
 
 
 class TestOneBenchReport:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.cache.manager import DocumentCache
 from repro.cache.notifiers import InvalidationBus
+from repro.cache.memo import MEMO_CAPACITY
 from repro.cache.policies import MemoPolicy
 from repro.cache.replacement import LRUPolicy
 from repro.cluster.memo_share import SharedTransformMemo
@@ -151,7 +152,7 @@ def plane_caches(kernel, count, capacity=1 << 20, policy_class=None):
     """Per-user application-level caches sharing one memo plane."""
     names = [f"app-{index}" for index in range(count)]
     plane = SharedTransformMemo(
-        MemoPolicy().capacity * count,
+        MEMO_CAPACITY * count,
         topology=ClusterTopology(
             shards=list(names), default_link="app-to-reference"
         ),

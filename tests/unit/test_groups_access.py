@@ -9,6 +9,7 @@ from repro.__main__ import main as cli_main
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import DegradationPolicy, MemoPolicy
 from repro.errors import PermissionDeniedError, RepositoryOfflineError
+from repro.faults.plan import FaultPlan, OutageWindow
 from repro.properties.access import AccessControlProperty, WatermarkProperty
 from repro.properties.translate import TranslationProperty
 from repro.providers.memory import MemoryProvider
@@ -179,6 +180,16 @@ class TestWatermark:
         assert str(user).encode() in outcome.content
 
 
+def _take_www_offline(kernel, duration_ms=float("inf")):
+    """Schedule a ``www`` outage from now, as production does: through
+    the context's fault plan."""
+    now = kernel.ctx.clock.now_ms
+    kernel.ctx.faults = FaultPlan(
+        kernel.ctx.clock,
+        outages=(OutageWindow(now, now + duration_ms, "www"),),
+    )
+
+
 class TestServeStaleOnError:
     @pytest.fixture
     def flaky_world(self, kernel, user):
@@ -197,7 +208,7 @@ class TestServeStaleOnError:
         )
         cache.read(reference)
         kernel.ctx.clock.advance(2000.0)  # TTL expired
-        kernel.ctx.latency.set_repository_offline("www")
+        _take_www_offline(kernel)
         outcome = cache.read(reference)
         assert outcome.disposition == "stale-on-error"
         assert outcome.content == b"fresh content"
@@ -208,7 +219,7 @@ class TestServeStaleOnError:
         cache = DocumentCache(kernel, capacity_bytes=1 << 20)
         cache.read(reference)
         kernel.ctx.clock.advance(2000.0)
-        kernel.ctx.latency.set_repository_offline("www")
+        _take_www_offline(kernel)
         with pytest.raises(RepositoryOfflineError):
             cache.read(reference)
 
@@ -220,7 +231,7 @@ class TestServeStaleOnError:
             kernel, capacity_bytes=1 << 20,
             degradation_policy=DegradationPolicy(serve_stale_on_error=True),
         )
-        kernel.ctx.latency.set_repository_offline("www")
+        _take_www_offline(kernel)
         with pytest.raises(RepositoryOfflineError):
             cache.read(reference)  # nothing stale to fall back on
 
@@ -232,9 +243,9 @@ class TestServeStaleOnError:
         )
         cache.read(reference)
         kernel.ctx.clock.advance(2000.0)
-        kernel.ctx.latency.set_repository_offline("www")
+        _take_www_offline(kernel, duration_ms=1_000.0)
         cache.read(reference)  # stale
-        kernel.ctx.latency.set_repository_offline("www", False)
+        kernel.ctx.clock.advance(1_000.0)  # the outage window closes
         origin.author_edit("/page", b"recovered content")
         outcome = cache.read(reference)
         assert outcome.disposition == "miss"

@@ -17,6 +17,7 @@ from repro.cache.manager import DocumentCache
 from repro.cache.policies import ContainmentPolicy, OverloadPolicy
 from repro.cluster import CacheCluster
 from repro.errors import OverloadShedError
+from repro.overload import admission
 from repro.overload.health import RECOVERY_SUCCESSES, UNHEALTHY_ERROR_THRESHOLD
 from repro.placeless.kernel import PlacelessKernel
 from repro.workload.documents import CorpusSpec, build_corpus
@@ -88,7 +89,7 @@ def test_a_breaker_past_probation_admits_its_probe_and_closes():
     assert outcomes == ["tripped", "probe", "closed"]
 
 
-def test_a_shedding_gate_counts_every_hit_and_still_sheds():
+def test_a_shedding_gate_counts_every_hit_and_still_sheds(monkeypatch):
     kernel = PlacelessKernel()
     references = [document.reference for document in _corpus(kernel)]
     cache = DocumentCache(
@@ -102,11 +103,12 @@ def test_a_shedding_gate_counts_every_hit_and_still_sheds():
     assert cache.overload_stats.admitted == 3 * len(references)
     # One token that barely refills within the run, and a queue shorter
     # than one read: the third read in a row is shed.
+    monkeypatch.setattr(admission, "ADMISSION_BURST", 1.0)
+    monkeypatch.setattr(admission, "QUEUE_LIMIT", 0.5)
     tight = DocumentCache(
         kernel, capacity_bytes=1 << 28, name="tight",
         overload_policy=OverloadPolicy(
-            hedging=False, admission_rate_per_s=0.001, admission_burst=1.0,
-            queue_limit=0.5,
+            hedging=False, admission_rate_per_s=0.001
         ),
     )
     tight.read(references[0])

@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import RepositoryOfflineError, WorkloadError
+from repro.faults.plan import FaultPlan, OutageWindow
+from repro.providers.memory import MemoryProvider
+from repro.sim.context import SimContext
 from repro.sim.latency import HopCost, LatencyModel, LatencySample, RepositoryCost
 from repro.sim.topology import CachePlacement, Topology
 
@@ -50,38 +53,26 @@ class TestLatencyModel:
         second = model.repository_cost_ms("www", 5000)
         assert first == second
 
-    def test_jitter_varies_but_reproducibly(self):
-        first = LatencyModel(jitter_fraction=0.1, seed=3)
-        second = LatencyModel(jitter_fraction=0.1, seed=3)
-        samples_a = [first.hop_cost_ms("local") for _ in range(5)]
-        samples_b = [second.hop_cost_ms("local") for _ in range(5)]
-        assert samples_a == samples_b
-        assert len(set(samples_a)) > 1
-
-    def test_jitter_bounds(self):
-        model = LatencyModel(jitter_fraction=0.2, seed=1)
-        base = HopCost(fixed_ms=10.0).cost_ms(0)
-        for _ in range(100):
-            cost = model.hop_cost_ms("local", 0)
-            nominal = model.hops["local"].cost_ms(0)
-            assert 0.8 * nominal <= cost <= 1.2 * nominal
-        del base
-
     def test_invalid_jitter_raises(self):
-        with pytest.raises(WorkloadError):
-            LatencyModel(jitter_fraction=1.0)
+        # The model has no jitter (nor any other setting) to take.
+        with pytest.raises(TypeError):
+            LatencyModel(jitter_fraction=0.1)
 
     def test_offline_repository_raises(self):
-        model = LatencyModel()
-        model.set_repository_offline("www")
+        # An outage is the fault plan's to schedule; the model only
+        # prices the repository, before, during and after the window.
+        ctx = SimContext()
+        ctx.faults = FaultPlan(
+            ctx.clock, outages=(OutageWindow(0.0, 10.0, "www"),)
+        )
+        provider = MemoryProvider(ctx, b"page")
+        provider.repository_name = "www"
+        assert not hasattr(ctx.latency, "set_repository_offline")
         with pytest.raises(RepositoryOfflineError):
-            model.repository_cost_ms("www", 10)
-        model.set_repository_offline("www", False)
-        assert model.repository_cost_ms("www", 10) > 0
-
-    def test_offline_unknown_repository_raises(self):
-        with pytest.raises(WorkloadError):
-            LatencyModel().set_repository_offline("nope")
+            provider.fetch()
+        assert ctx.latency.repository_cost_ms("www", 10) > 0
+        ctx.clock.advance(10.0)
+        assert provider.fetch().content == b"page"
 
 
 class TestLatencySample:

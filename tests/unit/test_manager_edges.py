@@ -7,6 +7,7 @@ import pytest
 
 from repro.__main__ import describe_cache
 from repro.cache.manager import DocumentCache
+from repro.cache.memo import MEMO_CAPACITY
 from repro.cache.policies import MemoPolicy
 from repro.cluster.memo_share import SharedTransformMemo
 from repro.contract.verifiers import ThresholdVerifier
@@ -109,7 +110,7 @@ class TestAdoptionEdges:
         base = kernel.create_document(user, provider, "doc")
         mine = kernel.space(user).add_reference(base)
         theirs = kernel.space(other_user).add_reference(base)
-        plane = SharedTransformMemo(MemoPolicy().capacity)
+        plane = SharedTransformMemo(MEMO_CAPACITY)
         caches = []
         for name, reference in (("app-a", mine), ("app-b", theirs)):
             cache = DocumentCache(

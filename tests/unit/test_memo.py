@@ -28,7 +28,7 @@ from repro.cache.policies import (
 )
 from repro.content.signature import sign
 from repro.content.store import ContentStore
-from repro.errors import CacheError, PermissionDeniedError
+from repro.errors import PermissionDeniedError
 from repro.placeless.chain import property_site, read_plan
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.access import AccessControlProperty, WatermarkProperty
@@ -435,7 +435,7 @@ class TestMemoEndToEnd:
                 f"doc-{index}",
             )
             refs.append(kernel.space(user).add_reference(b))
-        cache = memo_cache(kernel, memo_policy=DefaultMemoPolicy(capacity=1))
+        cache = memo_cache(kernel, memo=TransformMemo(1))
         for reference in refs:
             cache.read(reference)
         assert len(cache.memo) == 1
@@ -490,7 +490,9 @@ class TestMemoEndToEnd:
         assert dropped == 2
 
     def test_policy_validation(self):
-        with pytest.raises(CacheError):
+        # The policy is an opt-in with nothing to set; the table
+        # validates its own bound (TestTransformMemo).
+        with pytest.raises(TypeError):
             DefaultMemoPolicy(capacity=0)
 
     def test_stats_projection_counts(self):

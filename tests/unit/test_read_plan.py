@@ -21,6 +21,7 @@ from repro.overload.admission import (
     PRIORITY_QOS,
     priority_class,
 )
+from repro.overload.gate import DEFAULT_DEADLINE_MS
 from repro.placeless.chain import read_chain_properties, read_plan
 from repro.properties.qos import AlwaysAvailableProperty, QoSProperty
 from repro.properties.spellcheck import SpellingCorrectorProperty
@@ -32,7 +33,7 @@ from tests.unit.test_memo import build_world
 def gated_cache(kernel) -> DocumentCache:
     return DocumentCache(
         kernel, capacity_bytes=1 << 20,
-        overload_policy=OverloadPolicy(default_deadline_ms=1_000.0),
+        overload_policy=OverloadPolicy(),
     )
 
 
@@ -71,9 +72,9 @@ class TestLateQoS:
         cache = gated_cache(kernel)
         gate = cache.core.overload
         cache.read(reference)
-        assert gate.deadline_ms_for(reference) == 1_000.0
-        reference.attach(QoSProperty(max_access_time_ms=250.0))
-        assert gate.deadline_ms_for(reference) == 250.0
+        assert gate.deadline_ms_for(reference) == DEFAULT_DEADLINE_MS
+        reference.attach(QoSProperty(max_access_time_ms=100.0))
+        assert gate.deadline_ms_for(reference) == 100.0
 
     def test_priority_class_lifts_on_the_next_read(self):
         kernel, _, (reference, _) = build_world()
@@ -92,7 +93,10 @@ class TestLateQoS:
         kernel, _, (reference, _) = build_world()
         cache = gated_cache(kernel)
         reference.attach(QoSProperty(max_access_time_ms=float("inf")))
-        assert cache.core.overload.deadline_ms_for(reference) == 1_000.0
+        assert (
+            cache.core.overload.deadline_ms_for(reference)
+            == DEFAULT_DEADLINE_MS
+        )
         assert priority_class(reference) == PRIORITY_BULK
 
 

@@ -16,12 +16,7 @@ from repro.cache.manager import DocumentCache
 from repro.cache.pipeline import WriteMode
 from repro.cache.policies import DefaultRecoveryPolicy
 from repro.cache.recovery import NotifierLease, WriteBackJournal
-from repro.errors import (
-    CacheError,
-    LeaseExpiredError,
-    NotificationLostError,
-    NotifierError,
-)
+from repro.errors import CacheError, NotificationLostError, NotifierError
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.translate import TranslationProperty
@@ -74,19 +69,15 @@ class TestErrors:
     def test_notification_lost_is_a_notifier_error(self):
         assert issubclass(NotificationLostError, NotifierError)
 
-    def test_lease_expired_is_a_cache_error(self):
-        assert issubclass(LeaseExpiredError, CacheError)
-
-    def test_lease_check_raises_after_expiry(self):
+    def test_lease_lapses_at_expiry(self):
         lease = NotifierLease.grant(100.0, now_ms=0.0)
-        lease.check(50.0)  # fine
-        with pytest.raises(LeaseExpiredError):
-            lease.check(100.0)
+        assert not lease.lapsed(50.0)
+        assert lease.lapsed(100.0)
 
     def test_lease_renew_extends_expiry(self):
         lease = NotifierLease.grant(100.0, now_ms=0.0)
         lease.renew(80.0)
-        lease.check(150.0)
+        assert not lease.lapsed(150.0)
         assert lease.expires_at_ms == 180.0
 
 

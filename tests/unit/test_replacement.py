@@ -301,20 +301,22 @@ class TestReinforcedCounter:
             policy.on_access(table[entries[2].key])
         assert policy.select_victim(table) == entries[0].key
 
-    def test_counter_caps(self):
+    def test_counter_caps(self, monkeypatch):
         from repro.cache.replacement import ReinforcedCounterPolicy
 
-        policy = ReinforcedCounterPolicy(counter_cap=4)
+        monkeypatch.setattr(ReinforcedCounterPolicy, "COUNTER_CAP", 4)
+        policy = ReinforcedCounterPolicy()
         entry = make_entry("capped")
         table = register(policy, [entry])
         for _ in range(50):
             policy.on_access(entry)
         assert policy._counter_of(entry) <= 4
 
-    def test_epoch_decay_halves_counters(self):
+    def test_epoch_decay_halves_counters(self, monkeypatch):
         from repro.cache.replacement import ReinforcedCounterPolicy
 
-        policy = ReinforcedCounterPolicy(counter_cap=8, decay_interval=4)
+        monkeypatch.setattr(ReinforcedCounterPolicy, "DECAY_INTERVAL", 4)
+        policy = ReinforcedCounterPolicy()
         entry = make_entry("decaying")
         register(policy, [entry])
         for _ in range(3):

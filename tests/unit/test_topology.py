@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import WorkloadError
-from repro.sim.context import SimContext
-from repro.sim.latency import DEFAULT_HOPS, HopCost, LatencyModel
+from repro.sim.latency import DEFAULT_HOPS, LatencyModel
 from repro.sim.topology import CachePlacement, ClusterTopology, Topology
 
 
@@ -73,30 +72,6 @@ class TestClusterTopology:
         topology = ClusterTopology(shards=["a", "b"])
         assert topology.link_path("a", "a") == []
         assert topology.link_path("a", "b") == ["shard-to-shard"]
-
-    def test_set_link_is_symmetric_and_validated(self):
-        topology = ClusterTopology(shards=["a", "b", "c"])
-        cost = HopCost(fixed_ms=5.0, per_kb_ms=1.0)
-        topology.set_link("a", "b", cost)
-        link = ClusterTopology.link_name("a", "b")
-        assert topology.link_path("a", "b") == [link]
-        assert topology.link_path("b", "a") == [link]
-        # Unrelated pairs still use the default hop.
-        assert topology.link_path("a", "c") == ["shard-to-shard"]
-        with pytest.raises(WorkloadError):
-            topology.set_link("a", "nope", cost)
-
-    def test_install_registers_override_hops(self):
-        topology = ClusterTopology(shards=["a", "b"])
-        topology.set_link("a", "b", HopCost(fixed_ms=5.0, per_kb_ms=0.0))
-        ctx = SimContext()
-        link = ClusterTopology.link_name("a", "b")
-        with pytest.raises(WorkloadError):
-            ctx.latency.hop_cost_ms(link, 0)
-        topology.install(ctx.latency)
-        before = ctx.clock.now_ms
-        ctx.charge_hop(link, 0)
-        assert ctx.clock.now_ms == pytest.approx(before + 5.0)
 
     def test_custom_default_link(self):
         topology = ClusterTopology(
