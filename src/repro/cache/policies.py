@@ -215,9 +215,9 @@ class StoragePolicy:
     """
 
     #: Directory holding the tier's segments (one subdirectory per
-    #: cache id), or ``None`` for a private temporary directory (fresh
-    #: per cache — durable across crashes within a run, not across
-    #: processes).
+    #: cache name, open in one live cache at a time), or ``None`` for a
+    #: private temporary directory (fresh per cache — durable across
+    #: crashes within a run, not across processes).
     directory: "str | None" = None
     #: Consecutive disk failures before the storage breaker trips open
     #: and the cache falls back to L1-only.

@@ -31,6 +31,7 @@ from repro.ids import PropertyId
 __all__ = ["Registration", "EventDispatcher"]
 
 Handler = Callable[[Event], Any]
+_EVENT_TYPES = frozenset(EventType)
 
 
 @dataclass(slots=True, eq=False)
@@ -64,10 +65,10 @@ class EventDispatcher:
     def checked(event_types: AbstractSet[EventType]) -> frozenset[EventType]:
         """*event_types* as a frozenset (the same object if it is one),
         or :class:`UnknownEventError` if a member is not an event type."""
-        for event_type in event_types:
-            if not isinstance(event_type, EventType):
-                raise UnknownEventError(event_type)
-        return frozenset(event_types)
+        types = frozenset(event_types)
+        if types <= _EVENT_TYPES:
+            return types
+        raise UnknownEventError(next(iter(types - _EVENT_TYPES)))
 
     def register(
         self,

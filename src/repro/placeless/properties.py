@@ -18,7 +18,7 @@ from typing import AbstractSet, Any
 
 from repro.contract.cacheability import Cacheability
 from repro.contract.verifiers import Verifier
-from repro.events.dispatcher import EventDispatcher, Registration
+from repro.events.dispatcher import Registration
 from repro.events.types import Event, EventType
 from repro.ids import PropertyId, UserId
 from repro.streams.base import InputStream, OutputStream
@@ -149,6 +149,7 @@ class ActiveProperty(Property):
         super().__init__(name)
         self.version = version
         self.dispatch_count = 0
+        #: Made at attach and cancelled at detach, by the holder.
         self._registration: Registration | None = None
 
     @property
@@ -160,23 +161,6 @@ class ActiveProperty(Property):
     def events_of_interest(self) -> AbstractSet[EventType]:
         """Event types this property registers for: :attr:`interest`."""
         return self.interest
-
-    def register_with(
-        self, dispatcher: EventDispatcher, event_types: frozenset[EventType]
-    ) -> None:
-        """Register the (checked) interest set with the attachment
-        point's dispatcher: one registration, none for an empty set."""
-        assert self.property_id is not None, "property must be bound first"
-        if event_types:
-            self._registration = dispatcher.register(
-                self.property_id, event_types, self
-            )
-
-    def cancel_registration(self) -> None:
-        """Cancel the live registration, if any (on detach)."""
-        if self._registration is not None:
-            self._registration.cancel()
-            self._registration = None
 
     def __call__(self, event: Event) -> Any:
         """Run one dispatched event: the registration's handler."""

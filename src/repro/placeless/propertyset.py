@@ -108,9 +108,10 @@ class PropertyHolder(abc.ABC):
             )
         # Checked before anything moves: a bad interest set raises
         # UnknownEventError and leaves no half-attached property behind.
+        active = isinstance(prop, ActiveProperty)
         interest = (
             EventDispatcher.checked(prop.events_of_interest())
-            if isinstance(prop, ActiveProperty) else frozenset()
+            if active else frozenset()
         )
         property_id = self.ctx.ids.property(prop.name)
         prop._bind(self, property_id, self.site, acting_user or self.owner)
@@ -119,19 +120,22 @@ class PropertyHolder(abc.ABC):
         # Announce the addition to the *previously* registered properties
         # before registering the newcomer, so a property does not observe
         # its own attachment (mirroring removal, where the property is
-        # unregistered before REMOVE_PROPERTY is raised).
-        self.dispatcher.dispatch(
-            self.make_event(
-                EventType.SET_PROPERTY,
-                user=acting_user or self.owner,
+        # unregistered before REMOVE_PROPERTY is raised) — if any listen.
+        if self.dispatcher.registrations(EventType.SET_PROPERTY):
+            self.dispatcher.dispatch(self.make_event(
+                EventType.SET_PROPERTY, user=acting_user or self.owner,
                 payload=self._property_payload(prop),
-            )
-        )
-        if isinstance(prop, ActiveProperty):
-            prop.register_with(self.dispatcher, interest)
-            # Registration is what puts the property on a stream chain,
-            # so the epoch moves here and not at the append above.
-            self._read_chain_changed(prop)
+            ))
+        if active:
+            # One registration for the whole interest set (none for an
+            # empty one).  Registration is what puts the property on a
+            # stream chain, so the epoch moves here, not at the append.
+            if interest:
+                prop._registration = self.dispatcher.register(
+                    prop.property_id, interest, prop
+                )
+            if EventType.GET_INPUT_STREAM in interest:
+                self.chain_epoch += 1
             prop.on_attach()
         return prop
 
@@ -168,7 +172,9 @@ class PropertyHolder(abc.ABC):
         if isinstance(prop, ActiveProperty):
             self._read_chain_changed(prop)
             prop.on_detach()
-            prop.cancel_registration()
+            if prop._registration is not None:
+                prop._registration.cancel()
+                prop._registration = None
             self.dispatcher.unregister_property(prop.property_id)
         payload = self._property_payload(prop)
         prop._unbind()

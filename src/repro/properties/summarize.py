@@ -11,6 +11,7 @@ size-aware replacement policies (Greedy-Dual-Size divides by size).
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from repro.events.types import Event, EventType
 from repro.placeless.properties import ActiveProperty
@@ -19,7 +20,8 @@ from repro.streams.transforms import BufferedTransformInputStream, text_transfor
 
 __all__ = ["SummaryProperty"]
 
-_SENTENCE_RE = re.compile(r"[^.!?]*[.!?]+\s*|[^.!?]+$")
+#: A sentence; the run stops only where a branch matches: no backtracking.
+_SENTENCE_RE = re.compile(r"[^.!?]*(?:[.!?]+\s*|$)")
 
 
 class SummaryProperty(ActiveProperty):
@@ -43,22 +45,21 @@ class SummaryProperty(ActiveProperty):
     def summarize_text(self, text: str) -> str:
         """Keep the leading sentences of each paragraph."""
         kept: list[str] = []
-        total = 0
-        paragraphs = text.split("\n\n")
-        for paragraph in paragraphs:
-            if total >= self.max_sentences:
-                break
-            sentences = [
-                s for s in _SENTENCE_RE.findall(paragraph) if s.strip()
-            ]
-            take = min(
-                self.sentences_per_paragraph,
-                self.max_sentences - total,
-                len(sentences),
-            )
-            if take > 0:
-                kept.append("".join(sentences[:take]).strip())
-                total += take
+        start = 0
+        room = self.max_sentences if self.sentences_per_paragraph > 0 else 0
+        while room > 0 and start <= len(text):
+            end = text.find("\n\n", start)
+            if end < 0:
+                end = len(text)
+            matches = _SENTENCE_RE.finditer(text, start, end)
+            sentences = list(islice(
+                filter(str.strip, map(re.Match.group, matches)),
+                min(self.sentences_per_paragraph, room),
+            ))
+            if sentences:
+                kept.append("".join(sentences).strip())
+                room -= len(sentences)
+            start = end + 2
         return "\n\n".join(kept)
 
     def wrap_input(self, stream: InputStream, event: Event) -> InputStream:

@@ -50,6 +50,7 @@ log releases it too).  Positioned I/O is POSIX-only.
 
 from __future__ import annotations
 
+import fcntl
 import marshal
 import os
 import struct
@@ -195,6 +196,15 @@ class SegmentLog:
         raise :class:`StorageError`."""
         self._closer()
         self._fd = -1
+
+    def lock(self) -> None:
+        """Hold the file's exclusive lock while the descriptor lives; if
+        another descriptor holds it, close this one and raise."""
+        try:
+            fcntl.flock(self._live(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            self.close()
+            raise StorageError(f"segment {self.path} is in use") from None
 
     @property
     def size(self) -> int:

@@ -266,11 +266,13 @@ class L2Tier:
             directory = Path(self._tmp.name)
         else:
             self._tmp = None
-            directory = Path(policy.directory) / _sanitize(core.cache_id)
+            directory = Path(policy.directory) / _sanitize(core.name)
         self.directory = directory
         try:
-            self.disk = DiskContentStore(directory / "content.seg")
+            # Locked first: a refused tier opens none of the live one's files.
             self.catalog_log = SegmentLog(directory / "catalog.seg")
+            self.catalog_log.lock()
+            self.disk = DiskContentStore(directory / "content.seg")
             self.journal_log = SegmentLog(directory / "journal.seg")
             self.memo_log = SegmentLog(directory / "memo.seg")
         except OSError as error:
@@ -804,10 +806,6 @@ class L2Tier:
             self.stats.memo_reloaded += 1
 
     # -- inspection ------------------------------------------------------------
-
-    def catalog_keys(self) -> list[EntryKey]:
-        """Keys currently demoted to this tier (for tests/benches)."""
-        return list(self._catalog)
 
     def __len__(self) -> int:
         return len(self._catalog)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import string
 import weakref
+from itertools import compress
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -351,15 +352,13 @@ class WordTable:
         found = list(map(self._lookup.get, runs.lower().split()))
         if not any(found):
             return text, 0
+        hits = list(compress(range(len(found)), found))
         words = runs.split()
-        replaced = 0
-        for i, known in enumerate(found):
-            if known is not None:
-                replaced += 1
-                # A run that starts upper-case sorts before b"a".
-                words[i] = known[words[i] < b"a"]
+        for i in hits:
+            # A run that starts upper-case sorts before b"a".
+            words[i] = found[i][words[i] < b"a"]
         pieces = [b""] * (2 * len(words) + 1)
         pieces[0::2] = raw.translate(_KEEP_GAPS).split()
         pieces[1::2] = words
         joined = b"".join(pieces).translate(_RESTORE_GAPS)
-        return joined[1:-1].decode("utf-8", "surrogatepass"), replaced
+        return joined[1:-1].decode("utf-8", "surrogatepass"), len(hits)

@@ -78,11 +78,12 @@ def generate_text(size_bytes: int, seed: int = 0) -> bytes:
     # and the separator that opened the line -- 73 columns less "", "\n"
     # or "\n\n" -- which is what the pinned corpus digests were cut from.
     lines: list[str] = []
-    start, separator = 0, ""
-    while start < len(text):
+    start, separator, laid = 0, "", 0
+    while laid < size_bytes:
         stop = text.rfind(" ", start, start + 73 - len(separator))
         separator = "\n" if (len(lines) + 1) % 6 else "\n\n"
         lines.append(text[start:stop] + separator)
+        laid += stop - start + len(separator)
         start = stop + 1
     return "".join(lines)[:size_bytes].encode("ascii")
 

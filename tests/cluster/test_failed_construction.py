@@ -108,14 +108,14 @@ def test_a_failed_add_shard_leaves_the_ring_as_it_was(tmp_path):
     ]
     placed = [cluster.shard_for(reference) for reference in references]
     pending = kernel.ctx.clock.pending()
-    # Each shard's segments live under ``<directory>/<its cache id>``;
-    # a regular file where the third shard's would go stops it.
+    # Each shard's segments live under ``<directory>/<its name>``; a
+    # regular file where the third shard's would go stops it.
     assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "cache_1-cluster-0", "cache_2-cluster-1",
+        "cluster-0", "cluster-1",
     ]
-    (tmp_path / "cache_3-cluster-2").write_bytes(b"")
+    (tmp_path / "cluster-2").write_bytes(b"")
 
-    with pytest.raises(StorageError, match="cache_3-cluster-2"):
+    with pytest.raises(StorageError, match="cluster-2"):
         cluster.add_shard()
 
     assert list(cluster.shards) == ["cluster-0", "cluster-1"]

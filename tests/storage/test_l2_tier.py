@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 import struct
 
 import pytest
@@ -147,7 +149,9 @@ class TestDemotePromote:
         _, cache, _, references = deployment()
         for reference in references:
             cache.read(reference)
-        key = cache.storage.catalog_keys()[0]
+        key = EntryKey.for_reference(
+            _demoted_references(cache, references)[0]
+        )
         assert key in cache.storage
         # Promoting the entry moves it back up: the L2 record is dropped.
         for reference in references:
@@ -730,3 +734,89 @@ class TestClose:
         finally:
             for survivor in cluster.shards.values():
                 survivor.shutdown()
+
+
+class TestDirectoryName:
+    """A tier's directory is named after its cache, not after the id the
+    kernel mints for it, so the same cache rebuilt over the same
+    directory in the same process finds what its predecessor left."""
+
+    def test_a_cache_rebuilt_in_the_same_process_starts_warm(
+        self, deployment, tmp_path
+    ):
+        storage = StoragePolicy(directory=str(tmp_path))
+        kernel, first, providers, references = deployment(storage=storage)
+        for reference in references:
+            first.read(reference)
+        demoted = _demoted_references(first, references)
+        assert demoted
+        first.shutdown()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cache"]
+        cache = DocumentCache(
+            kernel, capacity_bytes=first.capacity_bytes,
+            storage_policy=storage,
+        )
+        try:
+            outcome = cache.read(demoted[0])
+            assert outcome.disposition == "miss-promoted"
+            assert outcome.content == demoted[0].base.provider.peek()
+        finally:
+            cache.shutdown()
+
+    def test_a_second_live_tier_on_one_directory_is_refused(
+        self, deployment, tmp_path
+    ):
+        storage = StoragePolicy(directory=str(tmp_path))
+        kernel, first, providers, references = deployment(storage=storage)
+        with pytest.raises(StorageError, match="in use"):
+            DocumentCache(kernel, 1 << 20, storage_policy=storage)
+        other = DocumentCache(
+            kernel, 1 << 20, storage_policy=storage, name="other"
+        )
+        try:
+            assert other.storage.directory == tmp_path / "other"
+        finally:
+            other.shutdown()
+        assert first.read(references[0]).content == providers[0].peek()
+
+    def test_a_refused_tier_touches_no_file_of_the_live_one(
+        self, deployment, tmp_path
+    ):
+        # The live tier is mid-append: a frame header without its
+        # payload ends content.seg, which a recovery scan would cut.
+        storage = StoragePolicy(directory=str(tmp_path))
+        kernel, first, _, references = deployment(storage=storage)
+        for reference in references:
+            first.read(reference)
+        content = first.storage.directory / "content.seg"
+        with open(content, "ab") as segment:
+            segment.write(b"PL\x01\x00\x00\x01\x00")
+        size = content.stat().st_size
+        descriptors = len(os.listdir("/dev/fd"))
+        # The error keeps the refused tier's frames alive: what it left
+        # open would still be open.
+        with pytest.raises(StorageError, match="in use") as refused:
+            DocumentCache(kernel, 1 << 20, storage_policy=storage)
+        assert content.stat().st_size == size
+        assert len(os.listdir("/dev/fd")) == descriptors, refused
+
+    def test_a_directory_removed_beneath_a_live_tier_opens_afresh(
+        self, deployment, tmp_path
+    ):
+        storage = StoragePolicy(directory=str(tmp_path))
+        kernel, first, _, references = deployment(storage=storage)
+        for reference in references:
+            first.read(reference)
+        shutil.rmtree(first.storage.directory)
+        cache = DocumentCache(kernel, 1 << 20, storage_policy=storage)
+        try:
+            assert len(cache.storage) == 0
+        finally:
+            cache.shutdown()
+
+
+def _demoted_references(cache, references) -> list:
+    return [
+        reference for reference in references
+        if EntryKey.for_reference(reference) in cache.storage
+    ]
