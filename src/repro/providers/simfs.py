@@ -155,6 +155,9 @@ class SimulatedFileSystem:
         return sum(r.size for r in self._files.values())
 
     def _record(self, path: str) -> FileRecord:
+        # Keys are canonical: only a path not found as given is normalized.
+        if path in self._files:
+            return self._files[path]
         path = _normalize(path)
         try:
             return self._files[path]

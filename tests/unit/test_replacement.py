@@ -36,6 +36,11 @@ def make_entry(name: str, size: int = 100, cost: float = 1.0) -> CacheEntry:
     )
 
 
+def surplus(policy) -> int:
+    """Heap items beyond one per live key: superseded or dead."""
+    return len(policy._heap) - len(policy._stamps)
+
+
 def register(policy, entries):
     table = {}
     for entry in entries:
@@ -158,7 +163,7 @@ class TestGreedyDualSize:
         table = {entry.key: entry}
         policy.on_insert(entry)
         for _ in range(5):
-            policy.on_access(entry)  # five stale items + one live
+            policy.on_access(entry)  # five touches, one heap item
         assert policy.select_victim(table) == entry.key
 
 
@@ -230,7 +235,7 @@ class TestHeapCompaction:
         # 200 rounds x 65 touches ≈ 13k strandings; the heap must stay
         # within the compaction envelope, not accumulate all of them.
         assert len(policy._heap) <= 2 * _COMPACT_MIN_HEAP
-        assert policy.stale_items <= len(policy._heap)
+        assert surplus(policy) <= len(policy._heap)
 
     def test_reinstalled_key_does_not_alias_its_dead_incarnations(self):
         from repro.cache.replacement import _COMPACT_MIN_HEAP
@@ -259,33 +264,102 @@ class TestHeapCompaction:
             policy.on_remove(table.pop(victims[-1]))
         assert victims == recency
 
-    def test_compaction_preserves_victim_order(self):
-        from repro.cache.replacement import LRUPolicy
+    def test_compaction_preserves_victim_order(self, monkeypatch):
+        from repro.cache import replacement
 
         reference = LRUPolicy()
         compacted = LRUPolicy()
-        table_a, table_b = {}, {}
-        entries = [make_entry(f"e-{i}") for i in range(48)]
-        for entry_a in entries:
-            entry_b = make_entry(entry_a.key.document_id.value)
-            table_a[entry_a.key] = entry_a
-            table_b[entry_b.key] = entry_b
-            reference.on_insert(entry_a)
-            compacted.on_insert(entry_b)
-            reference.on_access(entry_a)
-            compacted.on_access(entry_b)
-        # Force a manual rebuild on one policy only.
-        compacted._heap = [
-            item
-            for item in compacted._heap
-            if compacted._stamps.get(item[2]) == item[1]
-        ]
-        import heapq
-
-        heapq.heapify(compacted._heap)
+        tables = ({}, {})
+        for policy, table in zip((reference, compacted), tables):
+            entries = [make_entry(f"e-{i}") for i in range(48)]
+            register(policy, entries)
+            for entry in entries:
+                table[entry.key] = entry
+            # Superseded items (each touch outranks the insert) and
+            # dead ones (a re-install under the same key).
+            for entry in entries[::2]:
+                policy.on_access(entry)
+            for entry in entries[::3]:
+                policy.on_remove(entry)
+                again = make_entry(entry.key.document_id.value)
+                table[entry.key] = again
+                policy.on_insert(again)
+        # Force the policy's own rebuild on one twin only.
+        monkeypatch.setattr(replacement, "_COMPACT_MIN_HEAP", 0)
+        monkeypatch.setattr(replacement, "_COMPACT_STALE_FRACTION", -1)
+        assert surplus(compacted) == 16
+        compacted._maybe_compact()
+        monkeypatch.undo()
+        assert surplus(compacted) == 0
+        assert surplus(reference) == 16
+        table_a, table_b = tables
         order_a = [reference.select_victim(table_a) for _ in range(48)]
         order_b = [compacted.select_victim(table_b) for _ in range(48)]
         assert order_a == order_b
+
+    @pytest.mark.parametrize(
+        "name", ["gds", "gdsf", "gds-costblind", "gd", "lru", "lfu", "fifo",
+                 "size"],
+    )
+    def test_hits_on_a_resident_set_push_nothing(self, name):
+        # A hit whose rank does not fall leaves the heap as it is: no
+        # item per touch, so read-only traffic never compacts.  With a
+        # push per touch, 5 000 hits grew the heap past the compaction
+        # threshold and rebuilt it.
+        policy = make_policy(name)
+        entries = [make_entry(f"r-{i}", size=50 + i, cost=1.0 + i % 7)
+                   for i in range(256)]
+        table = register(policy, entries)
+        heap = policy._heap
+        size = len(heap)
+        for hit in range(5_000):
+            entry = entries[(hit * 7919) % 256]
+            entry.access_count += 1
+            policy.on_access(entry)
+        assert policy._heap is heap and len(heap) == size
+        victims = [policy.select_victim(table) for _ in range(256)]
+        assert sorted(victims, key=str) == sorted(table, key=str)
+
+
+class TestProtect:
+    """``select_victim(protect=k)`` (a revalidation mid-refresh) must
+    leave *k* evictable later, whatever the policy does on access."""
+
+    @pytest.mark.parametrize("name", ["fifo", "size", "gds", "lru", "rc"])
+    def test_a_protected_entry_stays_evictable(self, name):
+        policy = make_policy(name)
+        a, b, c = (make_entry(n, size=s) for n, s in
+                   (("a", 300), ("b", 200), ("c", 100)))
+        table = register(policy, [a, b, c])
+        victim = policy.select_victim(table, protect=a.key)
+        assert victim != a.key
+        policy.on_remove(table.pop(victim))
+        policy.on_access(a)
+        while table:  # raised "no evictable entries" with FIFO and SIZE
+            policy.on_remove(table.pop(policy.select_victim(table)))
+
+    def test_a_protected_entry_is_never_chosen(self):
+        policy = FIFOPolicy()
+        (a,) = entries = [make_entry("a")]
+        table = register(policy, entries)
+        with pytest.raises(CacheError):
+            policy.select_victim(table, protect=a.key)
+        assert policy.select_victim(table) == a.key
+
+    @pytest.mark.parametrize("protected", [False, True])
+    def test_a_pinned_entry_leaves_the_heap_until_touched(self, protected):
+        policy = LRUPolicy()
+        pinned, other = make_entry("pinned"), make_entry("other")
+        table = register(policy, [pinned, other])
+        pinned.pinned = True
+        protect = pinned.key if protected else None
+        assert policy.select_victim(table, protect=protect) == other.key
+        del table[other.key]
+        pinned.pinned = False
+        with pytest.raises(CacheError):
+            policy.select_victim(table)
+        policy.on_access(pinned)
+        assert policy.select_victim(table) == pinned.key
 
 
 class TestReinforcedCounter:

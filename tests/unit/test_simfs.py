@@ -38,6 +38,18 @@ class TestWriteRead:
         assert fs.read("/a/b.txt") == b"x"
         assert fs.exists("a/b.txt")
 
+    def test_every_spelling_of_a_path_finds_one_record(self, fs):
+        # Canonical paths are looked up as given, the rest normalized
+        # first: the same record, and the same errors, either way.
+        fs.write("/a/b.txt", b"x")
+        record = fs.stat("/a/b.txt")
+        for spelling in ("a/b.txt", "//a//b.txt/", "/a/b.txt/"):
+            assert fs.stat(spelling) is record
+        with pytest.raises(ContentUnavailableError, match="/a/c.txt$"):
+            fs.mtime_ms("a//c.txt")
+        with pytest.raises(ProviderError, match="invalid path"):
+            fs.read("///")
+
     def test_empty_path_raises(self, fs):
         with pytest.raises(ProviderError):
             fs.write("", b"x")
