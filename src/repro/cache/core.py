@@ -217,9 +217,9 @@ class CacheCore:
         """Publish one stage event that ended at *ended_ms* (default:
         now) and started at *started_ms* (default: when it ended).
 
-        Builds a :class:`StageEvent` only when the bus has a subscriber;
-        with none, an event costs an attribute load and a truth test,
-        and reads no clock.  Counters are not derived here: the
+        Builds a :class:`StageEvent`, and reads the clock, only when
+        the bus has a subscriber (the hit's events and ``drop`` ask
+        first and skip the call).  Counters are not derived here: the
         caller has already written the ones this event decides.  *key*
         is anything carrying a ``document_id`` and a ``user_id`` (an
         entry key, a delivered :class:`Invalidation`).
@@ -244,7 +244,8 @@ class CacheCore:
         stats = self.stats
         stats.verifier_executions += 1
         stats.verifier_cost_ms += cost_ms
-        self.emit("verifier", "executed", key, started_ms, cost_ms=cost_ms)
+        if self.instrumentation.has_subscribers:
+            self.emit("verifier", "executed", key, started_ms, cost_ms=cost_ms)
 
     def hit_served(
         self, disposition: str, key: EntryKey, started_ms: float, size: int
@@ -260,7 +261,8 @@ class CacheCore:
         stats.bytes_served_from_cache += size
         if self.health is not None:
             self.health.observe_read(self.name, elapsed, fetched=False)
-        self.emit("read", disposition, key, started_ms, now, bytes=size)
+        if self.instrumentation.has_subscribers:
+            self.emit("read", disposition, key, started_ms, now, bytes=size)
         return elapsed
 
     def verifiers_agree(
@@ -278,7 +280,7 @@ class CacheCore:
         faults = self.ctx.faults if faulted else None
         for verifier in verifiers:
             started_ms = clock.now_ms
-            self.ctx.charge(verifier.cost_ms)
+            clock.charge(verifier.cost_ms)
             self.verifier_executed(key, started_ms, verifier.cost_ms)
             try:
                 if faults is not None:

@@ -47,6 +47,7 @@ from repro.cache.core import ADOPTION_COST_MS, PROBE_COST_MS, CacheCore
 from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.memo import ChainFingerprint
 from repro.cache.policies import AdmissionDecision, vote_admission
+from repro.contract.cacheability import Cacheability
 from repro.contract.consistency import InvalidationReason
 from repro.contract.verifiers import Verdict
 from repro.errors import CacheError, OverloadShedError
@@ -419,11 +420,9 @@ class ReadPipeline:
                 core.emit("quarantine", "forced-miss", key=key)
                 return None, (content, entry.created_at_ms)
             for verifier in entry.verifiers:
-                verifier_started_ms = clock.now_ms
-                sim.charge(verifier.cost_ms)
-                core.verifier_executed(
-                    key, verifier_started_ms, verifier.cost_ms
-                )
+                began = clock.now_ms
+                clock.charge(verifier.cost_ms)
+                core.verifier_executed(key, began, verifier.cost_ms)
                 try:
                     if guard is not None and guard.budget is not None:
                         guard.check_verifier_budget(entry, verifier)
@@ -467,7 +466,7 @@ class ReadPipeline:
                     core.emit("verifier", "revalidated", key=key)
                     disposition = "revalidated"
 
-        if entry.cacheability.requires_event_forwarding:
+        if entry.cacheability is Cacheability.CACHEABLE_WITH_EVENTS:
             core.forward_read(reference)
 
         entry.touch(clock.now_ms)

@@ -312,8 +312,10 @@ class SizePolicy(_HeapPolicy):
         return -float(entry.size)
 
     def on_access(self, entry: CacheEntry) -> None:
-        # Size never changes on access; no re-push needed.
-        pass
+        # A hit keeps its rank; a revalidation that resized it re-ranks.
+        held = self._stamps.get(entry.key)
+        if held is None or held[0] != -float(entry.size):
+            self.on_insert(entry)
 
 
 class ReinforcedCounterPolicy(_HeapPolicy):

@@ -51,23 +51,19 @@ class VirtualClock:
     fires any callbacks whose due time is reached, in order, *before*
     returning; a callback may schedule further callbacks, including ones
     due within the window being advanced through.
+
+    ``now_ms`` (read several times per hit) and ``total_charged_ms``
+    are plain attributes that only the clock's own methods write;
+    ``tests/unit/test_clock.py`` fails if any other module assigns one.
     """
 
     def __init__(self, start_ms: float = 0.0) -> None:
-        self._now_ms = float(start_ms)
+        #: Current virtual time in milliseconds.
+        self.now_ms = float(start_ms)
         self._schedule: list[ScheduledCall] = []
         self._serials = itertools.count()
-        self._total_charged_ms = 0.0
-
-    @property
-    def now_ms(self) -> float:
-        """Current virtual time in milliseconds."""
-        return self._now_ms
-
-    @property
-    def total_charged_ms(self) -> float:
-        """Cumulative latency charged via :meth:`charge` (not ``advance``)."""
-        return self._total_charged_ms
+        #: Cumulative latency charged via :meth:`charge` (not ``advance``).
+        self.total_charged_ms = 0.0
 
     def charge(self, cost_ms: float) -> None:
         """Account *cost_ms* of simulated latency.
@@ -78,37 +74,37 @@ class VirtualClock:
         """
         if not cost_ms >= 0:  # negative, or NaN (which compares false)
             raise ClockError(f"cannot charge latency: {cost_ms}")
-        self._total_charged_ms += cost_ms
+        self.total_charged_ms += cost_ms
         schedule = self._schedule
-        if schedule and schedule[0].due_ms <= self._now_ms + cost_ms:
+        if schedule and schedule[0].due_ms <= self.now_ms + cost_ms:
             self.advance(cost_ms)
         else:  # nothing due inside the window
-            self._now_ms += cost_ms
+            self.now_ms += cost_ms
 
     def advance(self, delta_ms: float) -> None:
         """Move virtual time forward by *delta_ms*, firing due callbacks."""
         if not delta_ms >= 0:  # backwards, or NaN
             raise ClockError(f"cannot advance clock by {delta_ms}")
-        target = self._now_ms + delta_ms
+        target = self.now_ms + delta_ms
         self._run_until(target)
         # A callback fired during the window may itself have advanced the
         # clock past *target* (e.g. a delayed delivery charging hops);
         # time never moves backwards.
-        self._now_ms = max(self._now_ms, target)
+        self.now_ms = max(self.now_ms, target)
 
     def advance_to(self, instant_ms: float) -> None:
         """Move virtual time forward to the absolute instant *instant_ms*."""
-        if instant_ms < self._now_ms:
+        if instant_ms < self.now_ms:
             raise ClockError(
-                f"cannot advance to {instant_ms}, already at {self._now_ms}"
+                f"cannot advance to {instant_ms}, already at {self.now_ms}"
             )
-        self.advance(instant_ms - self._now_ms)
+        self.advance(instant_ms - self.now_ms)
 
     def call_at(self, due_ms: float, callback: Callable[[], None]) -> ScheduledCall:
         """Schedule *callback* to run when virtual time reaches *due_ms*."""
-        if due_ms < self._now_ms:
+        if due_ms < self.now_ms:
             raise ClockError(
-                f"cannot schedule at {due_ms}, already at {self._now_ms}"
+                f"cannot schedule at {due_ms}, already at {self.now_ms}"
             )
         call = ScheduledCall(due_ms, next(self._serials), callback)
         heapq.heappush(self._schedule, call)
@@ -120,7 +116,7 @@ class VirtualClock:
         """Schedule *callback* to run *delay_ms* from now."""
         if delay_ms < 0:
             raise ClockError(f"cannot schedule in the past: {delay_ms}")
-        return self.call_at(self._now_ms + delay_ms, callback)
+        return self.call_at(self.now_ms + delay_ms, callback)
 
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled scheduled calls."""
@@ -134,5 +130,5 @@ class VirtualClock:
                 continue
             # Time visibly jumps to the callback's due instant so callbacks
             # observe a consistent "now" and may schedule relative to it.
-            self._now_ms = max(self._now_ms, call.due_ms)
+            self.now_ms = max(self.now_ms, call.due_ms)
             call.callback()

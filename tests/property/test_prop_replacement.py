@@ -28,6 +28,7 @@ from repro.cache.replacement import (
     _COMPACT_MIN_HEAP,
     _COMPACT_STALE_FRACTION,
     GreedyDualSizePolicy,
+    SizePolicy,
     _HeapPolicy,
     make_policy,
 )
@@ -226,6 +227,24 @@ def _reference_gds_priority(self, entry: CacheEntry) -> float:
 #: The Greedy-Dual-Size priority as it was (a cost frame, two ``max``).
 REFERENCE_GDS = {"_cost": _reference_cost, "priority": _reference_gds_priority}
 
+
+def _reference_size_on_access(self, entry: CacheEntry) -> None:
+    # Pushed again only when the entry's size moved since its held item
+    # (a revalidation resized it) or it holds none (passed over while
+    # pinned): a plain hit keeps its rank and its stamp.
+    stamp = self._stamps.get(entry.key)
+    held = next(
+        (item[0] for item in self._heap
+         if item[2] == entry.key and item[1] == stamp),
+        None,
+    )
+    if held != self.priority(entry):
+        self._push(entry)
+
+
+#: SIZE's access rule, on the push-per-touch machinery.
+REFERENCE_SIZE = {"on_access": _reference_size_on_access}
+
 HEAP_POLICIES = [
     "gds", "gdsf", "gds-costblind", "gd", "lru", "lfu", "fifo", "size", "rc",
 ]
@@ -235,9 +254,12 @@ def reference_policy(name: str) -> _HeapPolicy:
     """*name*'s policy running on :class:`ReferenceHeapPolicy`."""
     policy = make_policy(name)
     cls = type(policy)
-    extra = REFERENCE_GDS if cls is GreedyDualSizePolicy else {}
+    overrides = {
+        GreedyDualSizePolicy: REFERENCE_GDS, SizePolicy: REFERENCE_SIZE,
+    }
     policy.__class__ = type(
-        f"Reference{cls.__name__}", (cls, ReferenceHeapPolicy), extra
+        f"Reference{cls.__name__}", (cls, ReferenceHeapPolicy),
+        overrides.get(cls, {}),
     )
     return policy
 

@@ -2,10 +2,38 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
 from repro.errors import ClockError
 from repro.sim.clock import VirtualClock
+
+SRC = pathlib.Path(repro.__file__).resolve().parent
+
+#: The clock's attributes that only its own methods may write: the time
+#: must never move backwards, and nothing but a charge is charged.
+CLOCK_OWNED = ("now_ms", "total_charged_ms")
+
+
+def clock_attribute_writes(path: pathlib.Path) -> list[str]:
+    """Every place *path* assigns, augments or deletes an attribute
+    named in :data:`CLOCK_OWNED`, or names one to ``setattr``/``delattr``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr in CLOCK_OWNED
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            found.append(f"{path.name}:{node.lineno} .{node.attr}")
+        elif (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("setattr", "delattr")
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in CLOCK_OWNED):
+            found.append(f"{path.name}:{node.lineno} {node.func.id}")
+    return found
 
 
 class TestAdvance:
@@ -157,3 +185,34 @@ class TestSchedule:
         clock.call_after(1.0, lambda: fired.append(1))
         clock.charge(2.0)
         assert fired == [1]
+
+
+class TestOnlyTheClockMovesTime:
+    """``now_ms`` and ``total_charged_ms`` are plain attributes (a hit
+    reads the time several times), so no property stops a write."""
+
+    def test_the_scan_sees_the_clocks_own_writes(self):
+        writes = clock_attribute_writes(SRC / "sim" / "clock.py")
+        assert any(".now_ms" in w for w in writes)
+        assert any(".total_charged_ms" in w for w in writes)
+
+    def test_no_other_module_writes_the_clock(self):
+        clock = (SRC / "sim" / "clock.py").resolve()
+        writes = [
+            write
+            for path in sorted(SRC.rglob("*.py")) if path.resolve() != clock
+            for write in clock_attribute_writes(path)
+        ]
+        assert writes == []
+
+    def test_the_scan_catches_every_spelling(self, tmp_path):
+        module = tmp_path / "rogue.py"
+        module.write_text(
+            "clock.now_ms = 0.0\n"
+            "clock.now_ms -= 1.0\n"
+            "a, ctx.clock.now_ms = 1, 2\n"
+            "setattr(clock, 'total_charged_ms', 0.0)\n"
+            "clock.total_charged_ms: float = 0.0\n"
+            "print(clock.now_ms)\n"
+        )
+        assert len(clock_attribute_writes(module)) == 5

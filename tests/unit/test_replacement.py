@@ -90,6 +90,43 @@ class TestSize:
         table = register(policy, entries)
         assert policy.select_victim(table) == entries[1].key
 
+    def test_an_entry_a_revalidation_grows_is_re_ranked(self):
+        # ``replace_content`` resizes the entry, then the hit touches it.
+        policy = SizePolicy()
+        a, b = make_entry("a", size=100), make_entry("b", size=200)
+        table = register(policy, [a, b])
+        a.size = 1000
+        policy.on_access(a)
+        assert policy.select_victim(table) == a.key
+
+    def test_an_entry_a_revalidation_shrinks_is_re_ranked(self):
+        policy = SizePolicy()
+        a, b = make_entry("a", size=1000), make_entry("b", size=200)
+        table = register(policy, [a, b])
+        a.size = 100
+        policy.on_access(a)
+        assert policy.select_victim(table) == b.key
+
+    def test_a_plain_hit_keeps_its_rank_and_stamp(self):
+        policy = SizePolicy()
+        a, b = make_entry("a"), make_entry("b")
+        table = register(policy, [a, b])
+        held, heap = policy._stamps[a.key], list(policy._heap)
+        policy.on_access(a)
+        assert policy._stamps[a.key] is held and policy._heap == heap
+        assert policy.select_victim(table) == a.key  # insert order
+
+    def test_a_pinned_entry_passed_over_returns_on_its_next_access(self):
+        policy = SizePolicy()
+        big, small = make_entry("big", size=1000), make_entry("small")
+        table = register(policy, [big, small])
+        big.pinned = True
+        assert policy.select_victim(table) == small.key
+        del table[small.key]
+        big.pinned = False
+        policy.on_access(big)
+        assert policy.select_victim(table) == big.key
+
 
 class TestGreedyDualSize:
     def test_prefers_evicting_cheap_per_byte(self):
