@@ -303,6 +303,9 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 
     healthy = not problems and unhealthy == 0
     print(f"\nverdict: {'healthy' if healthy else 'UNHEALTHY'}")
+    # Release each shard's durable tier: descriptors, locks, directory.
+    for shard in cluster.shards.values():
+        shard.shutdown()
     return 0 if healthy else 1
 
 

@@ -208,7 +208,7 @@ def run_arm(
     )
     warm_hits = sum(1 for _, _, d in post if d in _WARM_DISPOSITIONS)
     stats = cache.storage_stats
-    return ArmResult(
+    result = ArmResult(
         label=label,
         storage=storage,
         hostile_disk=hostile_disk,
@@ -238,6 +238,9 @@ def run_arm(
         breaker_trips=stats.breaker_trips if stats else 0,
         breaker_closes=stats.breaker_closes if stats else 0,
     )
+    # Release the tier's segment descriptors and temporary directory.
+    cache.shutdown()
+    return result
 
 
 FULL = dict(n_docs=18, crash_at=3_000.0, rounds_post=8)

@@ -526,18 +526,6 @@ class DocumentCache:
         """Durable-tier counters (``None`` without a storage policy)."""
         return self._core.metrics.get("storage")
 
-    def compact_storage(self) -> int:
-        """Reclaim dead bytes in the durable tier; returns bytes freed.
-
-        Requires a storage policy (there is nothing to compact without
-        the tier).
-        """
-        if self._core.l2 is None:
-            raise CacheError(
-                "compact_storage requires a storage_policy on this cache"
-            )
-        return self._core.l2.compact()
-
     # -- consistency recovery --------------------------------------------------
 
     @property

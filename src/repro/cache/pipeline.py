@@ -96,11 +96,6 @@ class CacheReadOutcome:
         """True when this read was answered in a degradation mode."""
         return self.disposition in ("stale-on-error", "miss-degraded")
 
-    @property
-    def size(self) -> int:
-        """Bytes delivered to the application."""
-        return len(self.content)
-
 
 @dataclass(slots=True)
 class ReadContext:

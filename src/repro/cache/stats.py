@@ -143,11 +143,6 @@ class CacheStats:
         return self.hit_latency_ms / self.hits if self.hits else 0.0
 
     @property
-    def mean_miss_latency_ms(self) -> float:
-        """Average virtual latency of a miss (0.0 when no misses)."""
-        return self.miss_latency_ms / self.misses if self.misses else 0.0
-
-    @property
     def staleness_ratio(self) -> float:
         """Stale hits over hits (0.0 when no hits)."""
         return self.stale_hits / self.hits if self.hits else 0.0

@@ -578,10 +578,6 @@ class CacheCluster:
         self._drain_probes()
         return outcome
 
-    def flush_all(self) -> int:
-        """Flush buffered write-backs on every shard."""
-        return sum(shard.flush_all() for shard in self._shards.values())
-
     # -- invalidation ---------------------------------------------------------
 
     def invalidate_document(

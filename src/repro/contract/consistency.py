@@ -109,11 +109,6 @@ class Invalidation:
     epoch: int | None = None
     sequence: int | None = None
 
-    @property
-    def invalidation_class(self) -> InvalidationClass:
-        """The paper's consistency class for this invalidation."""
-        return self.reason.invalidation_class
-
     def matches(self, document_id: DocumentId, user_id: UserId) -> bool:
         """True if this invalidation covers the given cache entry key."""
         if self.document_id != document_id:

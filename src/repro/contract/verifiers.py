@@ -82,11 +82,6 @@ class VerifierResult:
         if self.patched_content is None and self.verdict is Verdict.REVALIDATED:
             raise VerifierError("a REVALIDATED verdict carries no patched content")
 
-    @property
-    def serves_from_cache(self) -> bool:
-        """True when the hit can be served without a refetch."""
-        return self.verdict is not Verdict.INVALID
-
 
 _VALID = VerifierResult(Verdict.VALID)
 _INVALID = VerifierResult(Verdict.INVALID)

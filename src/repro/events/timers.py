@@ -55,11 +55,6 @@ class TimerService:
         #: one or a fired one-shot is dropped at once.
         self._subscriptions: dict[TimerSubscription, None] = {}
 
-    @property
-    def clock(self) -> VirtualClock:
-        """The clock driving this service."""
-        return self._clock
-
     def subscribe_once(
         self,
         property_id: PropertyId,

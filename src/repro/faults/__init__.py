@@ -27,12 +27,10 @@ from repro.faults.plan import (
 from repro.faults.retry import RetryPolicy
 from repro.faults.scenarios import (
     NAMED_CHAOS_SCENARIOS,
-    cache_crash_scenario,
     crash_chaos_scenario,
     diskchaos_chaos_scenario,
     misbehave_chaos_scenario,
     partition_chaos_scenario,
-    partition_scenario,
     standard_chaos_scenario,
 )
 from repro.sim.context import (
@@ -48,8 +46,6 @@ __all__ = [
     "RetryPolicy",
     "set_default_fault_scenario",
     "clear_default_fault_scenario",
-    "partition_scenario",
-    "cache_crash_scenario",
     "standard_chaos_scenario",
     "partition_chaos_scenario",
     "crash_chaos_scenario",

@@ -16,13 +16,10 @@ benches, whose caches are configured to absorb them.
 
 from __future__ import annotations
 
-
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.sim.clock import VirtualClock
 
 __all__ = [
-    "partition_scenario",
-    "cache_crash_scenario",
     "standard_chaos_scenario",
     "partition_chaos_scenario",
     "crash_chaos_scenario",
@@ -31,43 +28,6 @@ __all__ = [
     "grayshard_chaos_scenario",
     "NAMED_CHAOS_SCENARIOS",
 ]
-
-
-def partition_scenario(
-    clock: "VirtualClock",
-    start_ms: float = 5_000.0,
-    duration_ms: float = 3_000.0,
-    target: str | None = None,
-    seed: int = 0,
-) -> FaultPlan:
-    """One invalidation-bus partition window; everything else healthy.
-
-    Every notification attempted inside the window is silently dropped
-    and lease renewals are blocked — the channel blackout that the
-    consistency-recovery layer (gap detection + leases + anti-entropy
-    resync) exists to survive.
-    """
-    return FaultPlan(
-        clock,
-        seed=seed,
-        bus_outages=(
-            OutageWindow(start_ms, start_ms + duration_ms, target),
-        ),
-    )
-
-
-def cache_crash_scenario(
-    clock: "VirtualClock",
-    at_ms: float = 6_000.0,
-    seed: int = 0,
-) -> FaultPlan:
-    """One scheduled cache crash/restart; everything else healthy.
-
-    Caches lose their entry tables and dirty write-back buffers at the
-    instant; a cache with a write-back journal replays unflushed writes
-    on restart, one without loses them.
-    """
-    return FaultPlan(clock, seed=seed, cache_crashes=(at_ms,))
 
 
 def standard_chaos_scenario(

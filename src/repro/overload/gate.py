@@ -112,11 +112,6 @@ class OverloadStats:
         """Total reads refused by admission control."""
         return self.shed_bulk + self.shed_qos + self.shed_critical
 
-    def shed_ratio(self) -> float:
-        """Fraction of gated reads that were shed (0.0 when idle)."""
-        total = self.admitted + self.shed
-        return self.shed / total if total else 0.0
-
 
 class OverloadGate:
     """Deadline + admission decisions for one cache."""

@@ -66,21 +66,6 @@ class DocumentCollection:
         return iter(self._members)
 
     @classmethod
-    def from_property(
-        cls, name: str, space: DocumentSpace, property_name: str
-    ) -> "DocumentCollection":
-        """Collect every reference in *space* carrying *property_name*.
-
-        Mirrors how Placeless itself forms collections: membership is a
-        statement made by properties, not an explicit list.
-        """
-        collection = cls(name, space.owner)
-        for reference in space.references():
-            if reference.has_property(property_name):
-                collection.add(reference)
-        return collection
-
-    @classmethod
     def from_query(
         cls, name: str, space: DocumentSpace, query
     ) -> "DocumentCollection":

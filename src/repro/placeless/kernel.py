@@ -43,11 +43,6 @@ class KernelReadOutcome:
     source_size: int
     elapsed_ms: float
 
-    @property
-    def size(self) -> int:
-        """Size of the content as delivered to the application."""
-        return len(self.content)
-
 
 @dataclass
 class KernelStats:
@@ -100,10 +95,6 @@ class PlacelessKernel:
         except KeyError:
             raise SpaceNotFoundError(user) from None
 
-    def users(self) -> list[UserId]:
-        """All registered users."""
-        return list(self._spaces)
-
     # -- documents -----------------------------------------------------------
 
     def create_document(
@@ -135,10 +126,6 @@ class PlacelessKernel:
             return self._documents[document_id]
         except KeyError:
             raise DocumentNotFoundError(document_id) from None
-
-    def documents(self) -> list[BaseDocument]:
-        """All base documents, in creation order."""
-        return list(self._documents.values())
 
     # -- routed I/O ---------------------------------------------------------------
 

@@ -90,13 +90,6 @@ class DocumentSpace:
                 return reference
         raise ReferenceNotFoundError(document_id)
 
-    def has_reference_to(self, document_id: DocumentId) -> bool:
-        """True if this space holds a reference to *document_id*."""
-        return any(
-            r.base.document_id == document_id
-            for r in self._references.values()
-        )
-
     def references(self) -> list[DocumentReference]:
         """All references in this space."""
         return list(self._references.values())

@@ -33,11 +33,6 @@ class VersionSnapshot:
     saved_at_ms: float
     saved_by: UserId | None
 
-    @property
-    def size(self) -> int:
-        """Snapshot size in bytes."""
-        return len(self.content)
-
 
 class VersioningProperty(ActiveProperty):
     """Archives the old content each time the document is opened for writing."""

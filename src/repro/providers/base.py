@@ -40,11 +40,6 @@ class ProviderFetch:
     retrieval_cost_ms: float
     cacheability: Cacheability = Cacheability.UNRESTRICTED
 
-    @property
-    def size(self) -> int:
-        """Size of the fetched content in bytes."""
-        return len(self.content)
-
 
 class BitProvider(abc.ABC):
     """Base class for all bit-providers.

@@ -41,11 +41,6 @@ class LiveFeedProvider(BitProvider):
         self._frame_source = frame_source or _default_frame
         self._frame_number = 0
 
-    @property
-    def frames_served(self) -> int:
-        """How many frames have been synthesized so far."""
-        return self._frame_number
-
     def cacheability(self) -> Cacheability:
         return Cacheability.UNCACHEABLE
 

@@ -36,11 +36,6 @@ class PageRecord:
     gets: int = 0
     puts: int = 0
 
-    @property
-    def size(self) -> int:
-        """Current page size in bytes."""
-        return len(self.content)
-
 
 @dataclass
 class WebOrigin:

@@ -41,9 +41,7 @@ append is one positioned write of header and payload
 whose length the caller holds (a content slot does), and truncation is
 :func:`os.ftruncate` on the same descriptor.
 With no user-space buffer, every append is a single kernel write, so a
-killed process loses nothing the kernel had accepted.  Compaction swaps
-a new file into place, so :meth:`SegmentLog.replace_with` reopens the
-descriptor on it — appends must not land in the unlinked old inode.
+killed process loses nothing the kernel had accepted.
 :meth:`SegmentLog.close` releases the descriptor (a garbage-collected
 log releases it too).  Positioned I/O is POSIX-only.
 """
@@ -164,7 +162,11 @@ class SegmentLog:
     def __init__(self, path: "Path | str") -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._open()
+        self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o666)
+        # The finalizer is the one place the descriptor is closed (by
+        # close() or garbage collection, once), so a collected log
+        # cannot close a number since reused.
+        self._closer = weakref.finalize(self, os.close, self._fd)
         self._size = os.fstat(self._fd).st_size
         #: Offset confirmed durable by the last (non-lost) fsync.  A
         #: freshly opened log trusts what it finds on disk — recovery
@@ -174,16 +176,6 @@ class SegmentLog:
         self.torn_truncations = 0
         #: Complete-but-corrupt records skipped across scans/reads.
         self.corrupt_skips = 0
-
-    def _open(self) -> None:
-        """Hold a read-write descriptor on :attr:`path`, creating it.
-
-        The finalizer is the one place the descriptor is closed — by
-        :meth:`close`, :meth:`replace_with` or garbage collection, once
-        — so a collected log cannot close a number since reused.
-        """
-        self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o666)
-        self._closer = weakref.finalize(self, os.close, self._fd)
 
     def _live(self) -> int:
         """The held descriptor; raises once the log is closed."""
@@ -313,31 +305,3 @@ class SegmentLog:
             self._durable = min(self._durable, truncate_at)
             self.torn_truncations += 1
         return records, corrupt
-
-    def replace_with(self, records: list[tuple[int, bytes]]) -> dict[int, int]:
-        """Atomically rewrite the log to exactly *records* (compaction).
-
-        Writes the survivors to a sibling file, fsyncs it, swaps it into
-        place with :func:`os.replace` and reopens the held descriptor on
-        it; returns a map from each record's *input index* to its new
-        offset.
-        """
-        self._live()
-        scratch = self.path.with_suffix(self.path.suffix + ".compact")
-        offsets: dict[int, int] = {}
-        with open(scratch, "wb") as handle:
-            position = 0
-            for index, (kind, payload) in enumerate(records):
-                header = _header(kind, payload)
-                handle.write(header)
-                handle.write(payload)
-                offsets[index] = position
-                position += _HEADER.size + len(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(scratch, self.path)
-        self._closer()
-        self._open()
-        self._size = os.fstat(self._fd).st_size
-        self._durable = self._size
-        return offsets

@@ -10,11 +10,7 @@ signature to its record offset and refcount.
 Refcounts here are *not* persisted: they describe which demoted catalog
 entries currently reference a blob, and recovery rebuilds them by
 re-adopting once per surviving catalog record.  Dead blobs (refcount
-zero) stay on disk until :meth:`DiskContentStore.compact` rewrites the
-segment with only live records — the same takeover shape as
-``ContentStore.put_signed`` + ``adopt``: the rewrite carries each
-surviving blob's refcount over verbatim, so no caller ever observes a
-count dip during compaction.
+zero) stay on disk: the segment only grows.
 """
 
 from __future__ import annotations
@@ -146,7 +142,7 @@ class DiskContentStore:
         return 0 if slot is None else slot.refcount
 
     def release(self, signature: ContentSignature) -> None:
-        """Drop one reference; the blob is dead (awaiting compaction) at 0."""
+        """Drop one reference; the blob is dead (left on disk) at 0."""
         slot = self._slot(signature)
         slot.refcount -= 1
         if slot.refcount <= 0:
@@ -155,25 +151,6 @@ class DiskContentStore:
     def drop(self, signature: ContentSignature) -> None:
         """Forget *signature* entirely regardless of refcount (corruption)."""
         self._by_signature.pop(signature, None)
-
-    def compact(self) -> int:
-        """Rewrite the segment with only live blobs; returns bytes freed.
-
-        Mirrors the in-memory store's refcount-takeover contract: each
-        surviving slot keeps its refcount across the rewrite, and the
-        swap is atomic (``os.replace``), so a crash mid-compaction
-        leaves either the old segment or the new one — never a mix.
-        """
-        before = self.log.size
-        live = sorted(self._by_signature.values(), key=lambda s: s.offset)
-        records: list[tuple[int, bytes]] = []
-        for slot in live:
-            _, payload = self.log.read(slot.offset, slot.length)
-            records.append((K_CONTENT, payload))
-        offsets = self.log.replace_with(records)
-        for index, slot in enumerate(live):
-            slot.offset = offsets[index]
-        return before - self.log.size
 
     def crash(self) -> None:
         """Lose unsynced bytes and rebuild the index from what survived.

@@ -199,8 +199,6 @@ class StorageStats:
     #: Crashes taken and recovers completed.
     crashes: int = 0
     restarts: int = 0
-    #: Bytes reclaimed by compactions.
-    compacted_bytes: int = 0
     by_reason: dict[str, int] = field(default_factory=dict)
 
 
@@ -662,15 +660,6 @@ class L2Tier:
         self._ok()
         self.core.emit("storage", "materialized", bytes=len(content))
         return content
-
-    # -- maintenance -----------------------------------------------------------
-
-    def compact(self) -> int:
-        """Reclaim dead content bytes; returns bytes freed."""
-        freed = self.disk.compact()
-        self.stats.compacted_bytes += freed
-        self.core.emit("storage", "compacted", bytes=freed)
-        return freed
 
     def close(self) -> None:
         """Release the four segment descriptors, and the directory when

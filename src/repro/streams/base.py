@@ -53,10 +53,6 @@ class InputStream(abc.ABC):
             return b""
         return self._read_chunk(size)
 
-    def read_all(self) -> bytes:
-        """Read to end of stream (alias for ``read(-1)``)."""
-        return self.read(-1)
-
     def close(self) -> None:
         """Close this stream and release any wrapped streams."""
         if not self._closed:

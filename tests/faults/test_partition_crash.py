@@ -17,13 +17,11 @@ from repro.errors import WorkloadError
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.faults.scenarios import (
     NAMED_CHAOS_SCENARIOS,
-    cache_crash_scenario,
     crash_chaos_scenario,
     diskchaos_chaos_scenario,
     grayshard_chaos_scenario,
     misbehave_chaos_scenario,
     partition_chaos_scenario,
-    partition_scenario,
     standard_chaos_scenario,
 )
 from repro.sim.clock import VirtualClock
@@ -82,18 +80,6 @@ class TestCrashSchedule:
 
 
 class TestScenarioFactories:
-    def test_partition_scenario_builds_one_window(self):
-        clock = VirtualClock()
-        plan = partition_scenario(clock, start_ms=10.0, duration_ms=5.0)
-        assert plan.bus_outages == (OutageWindow(10.0, 15.0),)
-        assert plan.cache_crashes == ()
-
-    def test_cache_crash_scenario_builds_one_instant(self):
-        clock = VirtualClock()
-        plan = cache_crash_scenario(clock, at_ms=42.0)
-        assert plan.cache_crashes == (42.0,)
-        assert plan.bus_outages == ()
-
     def test_named_scenarios_cover_the_cli_choices(self, capsys):
         assert set(NAMED_CHAOS_SCENARIOS) == {
             "standard", "partition", "crash", "diskchaos", "grayshard",

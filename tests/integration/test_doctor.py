@@ -5,6 +5,7 @@ kernel-wide containment guard's breakers are listed once."""
 from __future__ import annotations
 
 import argparse
+import tempfile
 
 from repro.__main__ import _cmd_doctor
 
@@ -26,3 +27,11 @@ def test_doctor_is_healthy_and_prints_the_wired_configuration(capsys):
     assert "breaker_failure_threshold=3" in lines["storage"]
     breakers = out.split("breakers (open):\n", 1)[1].split("\n\n", 1)[0]
     assert breakers.split() == ["wrapper=0", "verifier=0", "notifier=0"]
+
+
+def test_doctor_shuts_its_durable_tiers_down(monkeypatch, tmp_path):
+    # Each shard's L2 tier makes its own temporary directory; the
+    # doctor must release it, not leave it to a cyclic collection.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert _cmd_doctor(argparse.Namespace(seed=7)) == 0
+    assert list(tmp_path.iterdir()) == []

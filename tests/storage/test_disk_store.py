@@ -1,5 +1,5 @@
 """Disk content store: the shared refcount contract, then what only a
-disk can do — verification, compaction, recovery."""
+disk can do — verification and recovery."""
 
 from __future__ import annotations
 
@@ -68,24 +68,3 @@ class TestRecovery:
         assert good in store
         assert sign(bad_content) not in store
         assert store.corrupt_dropped == dropped_before + 1
-
-
-class TestCompaction:
-    def test_compact_frees_dead_bytes_and_keeps_live_reads(self, tmp_path):
-        store = DiskContentStore(tmp_path / "c.seg")
-        dead = put_bytes(store, b"x" * 256)
-        live = put_bytes(store, b"y" * 64)
-        store.release(dead)
-        freed = store.compact()
-        assert freed > 0
-        assert store.get(live) == b"y" * 64
-        assert dead not in store
-
-    def test_compact_preserves_refcounts(self, tmp_path):
-        store = DiskContentStore(tmp_path / "c.seg")
-        live = put_bytes(store, b"kept across the rewrite")
-        store.adopt(live)
-        store.compact()
-        assert store.refcount(live) == 2
-        store.release(live)
-        assert live in store

@@ -6,9 +6,11 @@ import json
 import os
 import shutil
 import struct
+import tempfile
 
 import pytest
 
+from repro.bench.persistence import SMOKE, run_arm
 from repro.cache.containment import BreakerState
 from repro.cache.entry import EntryKey
 from repro.cache.manager import DocumentCache
@@ -820,3 +822,12 @@ def _demoted_references(cache, references) -> list:
         reference for reference in references
         if EntryKey.for_reference(reference) in cache.storage
     ]
+
+
+def test_the_persistence_arm_shuts_its_tier_down(monkeypatch, tmp_path):
+    # A18's storage arm makes its tier a temporary directory; the arm
+    # must release it once its result is built.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    result = run_arm(storage=True, label="storage", **SMOKE)
+    assert result.post_warm_hits > 0
+    assert list(tmp_path.iterdir()) == []

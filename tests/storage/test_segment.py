@@ -149,35 +149,6 @@ class TestDamage:
         assert [p for _, p, _ in records] == [b"whole"]
 
 
-class TestCompaction:
-    def test_replace_with_rewrites_atomically(self, tmp_path):
-        log = SegmentLog(tmp_path / "t.seg")
-        log.append(K_CONTENT, b"dead")
-        log.append(K_CONTENT, b"live")
-        before = log.size
-        offsets = log.replace_with([(K_CONTENT, b"live")])
-        assert log.size < before
-        assert log.durable_size == log.size
-        live = log.read(offsets[0], _frame(b"live"))
-        assert live == (K_CONTENT, b"live")
-        records, corrupt = log.scan_records()
-        assert corrupt == 0
-        assert [p for _, p, _ in records] == [b"live"]
-
-    def test_append_after_replace_lands_in_the_live_file(self, tmp_path):
-        # Compaction swaps a new inode in under the path; an append into
-        # the held descriptor of the old one would vanish on reopen.
-        path = tmp_path / "t.seg"
-        log = SegmentLog(path)
-        log.append(K_CONTENT, b"dead")
-        log.replace_with([(K_CONTENT, b"live")])
-        offset = log.append(K_CONTENT, b"after")
-        assert log.read(offset, _frame(b"after")) == (K_CONTENT, b"after")
-        records, corrupt = SegmentLog(path).scan_records()
-        assert corrupt == 0
-        assert [p for _, p, _ in records] == [b"live", b"after"]
-
-
 class TestDescriptor:
     def test_crash_truncates_through_the_held_descriptor(self, tmp_path):
         path = tmp_path / "t.seg"

@@ -8,7 +8,6 @@ from repro.cache.manager import DocumentCache
 from repro.errors import PlacelessError
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.placeless.collection import DocumentCollection
-from repro.placeless.properties import StaticProperty
 from repro.properties.collection import (
     CollectionPrefetchProperty,
     attach_collection_prefetch,
@@ -67,15 +66,6 @@ class TestDocumentCollection:
         assert collection.document_ids() == {
             ref.base.document_id for ref in refs
         }
-
-    def test_from_property(self, kernel, user, project):
-        refs, _ = project
-        refs[0].attach(StaticProperty("budget related"))
-        refs[2].attach(StaticProperty("budget related"))
-        derived = DocumentCollection.from_property(
-            "budget", kernel.space(user), "budget related"
-        )
-        assert set(derived.members()) == {refs[0], refs[2]}
 
 
 class TestPrefetch:

@@ -213,8 +213,8 @@ class TestFreshInterpreter:
 #: Lines of Python under ``src/repro`` and in ``cache/manager.py``, as
 #: they stand.  A ceiling, not a target: deleting code lowers the count
 #: and the next change may lower the ceiling to match.
-SRC_LINE_CEILING = 23_997
-MANAGER_LINE_CEILING = 651
+SRC_LINE_CEILING = 23_784
+MANAGER_LINE_CEILING = 639
 
 
 def _line_count(path: pathlib.Path) -> int:

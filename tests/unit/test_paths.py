@@ -220,7 +220,7 @@ class TestKernelRouting:
         reference = kernel.import_document(
             user, MemoryProvider(kernel.ctx, b"x"), "imported"
         )
-        assert kernel.space(user).has_reference_to(reference.base.document_id)
+        assert reference in kernel.space(user).references()
 
     def test_document_lookup(self, world):
         kernel, base, _, _ = world

@@ -23,16 +23,12 @@ class TestCacheStatsHelpers:
         assert by_class[InvalidationClass.BOOKKEEPING] == 1
 
     def test_mean_latencies(self):
-        stats = CacheStats(
-            hits=2, hit_latency_ms=1.0, misses=4, miss_latency_ms=10.0
-        )
+        stats = CacheStats(hits=2, hit_latency_ms=1.0)
         assert stats.mean_hit_latency_ms == pytest.approx(0.5)
-        assert stats.mean_miss_latency_ms == pytest.approx(2.5)
 
     def test_means_zero_when_empty(self):
         stats = CacheStats()
         assert stats.mean_hit_latency_ms == 0.0
-        assert stats.mean_miss_latency_ms == 0.0
         assert stats.hit_ratio == 0.0
         assert stats.staleness_ratio == 0.0
 

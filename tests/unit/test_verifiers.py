@@ -25,19 +25,17 @@ class TestVerifierResult:
 
     def test_an_explicit_empty_patch_is_legal(self):
         result = VerifierResult(Verdict.REVALIDATED, b"")
-        assert result.patched_content == b"" and result.serves_from_cache
+        assert result.patched_content == b""
 
 
 class TestTrivialVerifiers:
     def test_always_valid(self):
         result = AlwaysValidVerifier().run(0.0, b"x")
         assert result.verdict is Verdict.VALID
-        assert result.serves_from_cache
 
     def test_always_invalid(self):
         result = AlwaysInvalidVerifier().run(0.0, b"x")
         assert result.verdict is Verdict.INVALID
-        assert not result.serves_from_cache
 
     def test_execution_count_tracks_runs(self):
         verifier = AlwaysValidVerifier()
@@ -161,7 +159,6 @@ class TestThresholdVerifier:
         result = verifier.run(0.0, b"quote")
         assert result.verdict is Verdict.REVALIDATED
         assert result.patched_content == b"quote|120.0"
-        assert result.serves_from_cache
 
     def test_patching_rebaselines(self):
         value = [120.0]
