@@ -259,8 +259,8 @@ class ThresholdVerifier(Verifier):
 
     Models §3's "financial portfolio page" example: *observe* samples the
     live value (e.g. a stock quote); while the relative drift from the
-    value at fill time stays below *threshold_fraction* the entry stays
-    valid.  Beyond the threshold, if a *patcher* is supplied the verifier
+    value at fill time does not exceed *threshold_fraction* the entry
+    stays valid.  Beyond the threshold, if a *patcher* is supplied the verifier
     rewrites the cached content with the fresh value and reports
     :attr:`Verdict.REVALIDATED`; otherwise it invalidates.
     """

@@ -1,8 +1,8 @@
-"""Changes to the read drivers must not move the golden digests.
+"""Changes to the read drivers must not move the golden snapshots.
 
 The default configuration — lone reads driven inline, no concurrency
-policy, coalescing off — has to reproduce the digests captured from the
-pre-refactor monolithic cache bit-for-bit: same stats, same virtual
+policy, coalescing off — has to reproduce the snapshots captured from
+the pre-refactor monolithic cache key by key: same stats, same virtual
 clock, same fault-injection trace.  This re-asserts the pins from
 ``tests/property/test_pipeline_equivalence.py`` inside the concurrency
 tier, so a driver change that perturbs the sequential path fails
@@ -20,14 +20,13 @@ from repro.placeless.kernel import PlacelessKernel
 from repro.providers.memory import MemoryProvider
 from tests.property.test_pipeline_equivalence import (
     _CONFIGS,
-    GOLDEN_DIGESTS,
-    digest,
+    moved,
     run_seeded_workload,
 )
 
 
 class TestSchedulerDefaults:
-    """The default wiring is the golden-digest-safe regime."""
+    """The default wiring is the golden-snapshot-safe regime."""
 
     def test_default_scheduler_is_sequential(self):
         """A lone ``read`` never opens a flight — not even on a cache
@@ -59,12 +58,10 @@ class TestSchedulerDefaults:
 
 
 class TestGoldenDigestsUnmoved:
-    """Every pinned digest reproduces bit-for-bit post-refactor."""
+    """Every pinned snapshot reproduces key by key post-refactor."""
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    @pytest.mark.parametrize("name", sorted(_CONFIGS))
     def test_pinned_digest_reproduces(self, name):
-        snapshot = run_seeded_workload(**_CONFIGS[name])
-        assert digest(snapshot) == GOLDEN_DIGESTS[name], (
-            f"golden digest {name!r} moved: the driver refactor "
-            "changed observable sequential behaviour"
-        )
+        # A key that moved: a driver change moved observable sequential
+        # behaviour.
+        assert moved(name, run_seeded_workload(**_CONFIGS[name])) == []

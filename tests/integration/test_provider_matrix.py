@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.entry import EntryKey
 from repro.cache.manager import DocumentCache
+from repro.cache.policies import StoragePolicy
 from repro.placeless.kernel import PlacelessKernel
 from repro.providers import (
     CompositeProvider,
@@ -157,6 +159,48 @@ class TestCompositeFamily:
         outcome = cache.read(reference)
         assert not outcome.hit
         assert b"part B changed" in outcome.content
+
+    def test_a_part_change_misses_across_a_demote_promote(self, tmp_path):
+        # A recovered L2 record rebuilds its verifiers from the provider:
+        # the composite's are its parts'.  Neither they nor the promote
+        # path may serve the old composition once any part has changed.
+        kernel = PlacelessKernel()
+        user = kernel.create_user("u")
+        parts = [MemoryProvider(kernel.ctx, p * 350) for p in (b"A", b"B")]
+        reference = kernel.import_document(
+            user, CompositeProvider(kernel.ctx, parts), "composed"
+        )
+        filler = kernel.import_document(
+            user, MemoryProvider(kernel.ctx, b"f" * 700), "filler"
+        )
+        cache = DocumentCache(
+            kernel, capacity_bytes=750,
+            storage_policy=StoragePolicy(directory=str(tmp_path)),
+        )
+
+        def demote_and_recover() -> None:
+            cache.read(filler)  # one slot: the composite is demoted
+            assert EntryKey.for_reference(reference) in cache.storage
+            cache.crash()
+            cache.restart()
+
+        def read() -> str:
+            outcome = cache.read(reference)
+            assert outcome.content == kernel.read(reference).content
+            return outcome.disposition
+
+        try:
+            cache.read(reference)
+            demote_and_recover()
+            assert read() == "miss-promoted"  # verifiers rebuilt
+            parts[0].mutate_out_of_band(b"part A changed")
+            assert read() == "miss"  # the rebuilt composite catches it
+            demote_and_recover()
+            parts[1].mutate_out_of_band(b"part B changed")
+            assert read() == "miss"  # the promotion is refused
+            assert read() == "hit"
+        finally:
+            cache.shutdown()
 
 
 class TestCrossFamilyCorpus:

@@ -108,6 +108,22 @@ def _l2_recovered():
     return _l2(recovered=True)
 
 
+@pytest.fixture
+def built():
+    """``built(source)`` calls *source*; what it built is shut down
+    after the test (an L2 tier's directory is not left to the collector)."""
+    caches: list = []
+
+    def build(source):
+        cache, reference, disposition = source()
+        caches.append(cache)
+        return cache, reference, disposition
+
+    yield build
+    for cache in caches:
+        cache.shutdown()
+
+
 SOURCES = pytest.mark.parametrize(
     "source", [_fill, _memo, _memo_import, _l2, _l2_recovered],
     ids=lambda source: source.__name__.strip("_"),
@@ -116,8 +132,8 @@ SOURCES = pytest.mark.parametrize(
 
 @SOURCES
 @pytest.mark.parametrize("driven", [False, True], ids=["read", "iterate"])
-def test_every_source_installs_a_whole_entry(source, driven):
-    cache, reference, disposition = source()
+def test_every_source_installs_a_whole_entry(source, driven, built):
+    cache, reference, disposition = built(source)
     core = cache.core
     key = EntryKey.for_reference(reference)
     assert key not in core.entries
@@ -157,11 +173,11 @@ def test_every_source_installs_a_whole_entry(source, driven):
     assert (again.disposition, again.content) == ("hit", content)
 
 
-def test_import_and_recovered_arms_took_the_path_they_name():
-    shard, reference, _ = _memo_import()
+def test_import_and_recovered_arms_took_the_path_they_name(built):
+    shard, reference, _ = built(_memo_import)
     shard.read(reference)
     assert shard.memo_stats.imports == 1
-    cache, reference, _ = _l2_recovered()
+    cache, reference, _ = built(_l2_recovered)
     cache.read(reference)
     assert cache.storage_stats.recovered_promotions == 1
 
@@ -188,8 +204,8 @@ def _under_pressure(cache):
 
 
 @SOURCES
-def test_every_source_makes_room_before_it_installs(source):
-    cache, reference, disposition = source()
+def test_every_source_makes_room_before_it_installs(source, built):
+    cache, reference, disposition = built(source)
     core = _under_pressure(cache)
     key = EntryKey.for_reference(reference)
     signatures_before = {e.signature for e in core.entries.values()}

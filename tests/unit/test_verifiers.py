@@ -80,6 +80,11 @@ class TestModificationTimeVerifier:
         mtime[0] = 43.0
         assert verifier.run(0.0, b"").verdict is Verdict.INVALID
 
+    def test_invalid_after_mtime_moves_back(self):
+        # A restored backup: an older mtime is a different file too.
+        verifier = ModificationTimeVerifier(lambda: 41.0, 42.0)
+        assert verifier.run(0.0, b"").verdict is Verdict.INVALID
+
     def test_invalidation_label_is_source(self):
         verifier = ModificationTimeVerifier(lambda: 0.0, 0.0)
         assert verifier.invalidation_label == "source"
@@ -175,6 +180,19 @@ class TestThresholdVerifier:
     def test_zero_baseline_uses_absolute_drift(self):
         verifier = ThresholdVerifier(
             observe=lambda: 0.0, baseline=0.0, threshold_fraction=0.5
+        )
+        assert verifier.run(0.0, b"").verdict is Verdict.VALID
+
+    def test_a_drift_off_a_zero_baseline_invalidates(self):
+        verifier = ThresholdVerifier(
+            observe=lambda: 1.0, baseline=0.0, threshold_fraction=0.5
+        )
+        assert verifier.run(0.0, b"").verdict is Verdict.INVALID
+
+    def test_a_drift_equal_to_the_threshold_stays_valid(self):
+        # 5 from 4 is a drift of exactly 0.25: it does not exceed 0.25.
+        verifier = ThresholdVerifier(
+            observe=lambda: 5.0, baseline=4.0, threshold_fraction=0.25
         )
         assert verifier.run(0.0, b"").verdict is Verdict.VALID
 
