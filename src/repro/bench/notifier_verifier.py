@@ -101,7 +101,6 @@ def _run_one(
         bus=bus,
         install_notifiers=install_notifiers,
         use_verifiers=use_verifiers,
-        track_staleness=True,
         name=f"a1-{label}",
     )
     spec = TraceSpec(
@@ -113,12 +112,11 @@ def _run_one(
         mean_think_time_ms=150.0,
         seed=seed,
     )
+    stale_hits = 0
     for event in generate_trace(spec):
         kernel.ctx.clock.advance(event.think_time_ms)
         document = corpus[event.document_index]
-        if event.kind is TraceEventKind.READ:
-            cache.read(document.reference)
-        elif event.kind is TraceEventKind.WRITE:
+        if event.kind is TraceEventKind.WRITE:
             new_content = generate_text(
                 document.size_bytes, seed=event.detail
             )
@@ -128,8 +126,15 @@ def _run_one(
                 document.size_bytes, seed=event.detail ^ 0x5A5A
             )
             document.provider.mutate_out_of_band(new_content)
-        else:  # other mutation kinds are not part of A1
-            cache.read(document.reference)
+        # A read (other mutation kinds are not part of A1), and ground
+        # truth a real cache could not see: a hit is stale when the
+        # repository's bytes moved since its entry was filled.
+        elif cache.read(document.reference).hit:
+            filled = cache.entry_for(document.reference).source_signature
+            if filled is not None and (
+                document.provider.peek_signature() != filled
+            ):
+                stale_hits += 1
 
     stats = cache.stats
     return ConsistencyConfigResult(
@@ -138,8 +143,8 @@ def _run_one(
         mean_hit_latency_ms=stats.mean_hit_latency_ms,
         verifier_cost_ms=stats.verifier_cost_ms,
         notifier_deliveries=bus.stats.deliveries,
-        staleness_ratio=stats.staleness_ratio,
-        stale_hits=stats.stale_hits,
+        staleness_ratio=stale_hits / stats.hits if stats.hits else 0.0,
+        stale_hits=stale_hits,
         invalidations=sum(stats.invalidations.values()),
     )
 

@@ -75,7 +75,7 @@ def _run(mode: WriteMode, n_saves: int, saves_per_flush: int,
         name=f"a11-author-{mode.value}",
     )
     reviewer_cache = DocumentCache(
-        kernel, capacity_bytes=1 << 20, bus=bus, track_staleness=True,
+        kernel, capacity_bytes=1 << 20, bus=bus,
         name=f"a11-reviewer-{mode.value}",
     )
 

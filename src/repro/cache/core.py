@@ -88,7 +88,7 @@ class CacheCore:
         "kernel", "ctx", "capacity_bytes", "name", "cache_id", "policy",
         "degradation", "quarantine", "instrumentation", "bus", "topology",
         "write_mode", "install_notifiers", "use_verifiers",
-        "track_staleness", "retry_policy", "stats", "metrics", "store",
+        "retry_policy", "stats", "metrics", "store",
         "entries", "entries_by_document", "dirty", "recovery",
         "containment", "memo", "flights", "concurrency", "l2", "overload",
         "health",
@@ -106,7 +106,6 @@ class CacheCore:
         write_mode: "WriteMode",
         install_notifiers: bool,
         use_verifiers: bool,
-        track_staleness: bool,
         retry_policy: "RetryPolicy | None",
     ) -> None:
         if capacity_bytes <= 0:
@@ -146,7 +145,6 @@ class CacheCore:
         self.write_mode = write_mode
         self.install_notifiers = install_notifiers
         self.use_verifiers = use_verifiers
-        self.track_staleness = track_staleness
         self.retry_policy = retry_policy
         self.stats = CacheStats()
         #: The stats object of every wired seam, by name: ``cache``,
@@ -585,6 +583,7 @@ class CacheCore:
         if meta.source_signature is None:
             return
         record = MemoRecord(
+            document_id=entry.key.document_id,
             source_signature=meta.source_signature,
             fingerprint=fingerprint,
             output_signature=entry.signature,
@@ -619,20 +618,6 @@ class CacheCore:
             self.metrics["memo"].purged += purged
             self.emit("memo", "purged", records=purged, origin=origin)
         return purged
-
-    def is_stale(
-        self, reference: "DocumentReference", entry: CacheEntry
-    ) -> bool:
-        """Ground-truth staleness: raw source changed since fill.
-
-        Uses :meth:`BitProvider.peek_signature`, which charges nothing —
-        this is simulation-side omniscience, not something a real cache
-        could do.
-        """
-        recorded = entry.source_signature
-        if recorded is None:
-            return False
-        return reference.base.provider.peek_signature() != recorded
 
     def note_verifier_failure(self, key: tuple["DocumentId", str]) -> bool:
         """Record one verifier raise; True when this newly quarantines."""

@@ -67,7 +67,6 @@ STAGE_ORDER = (
     "notifier",
     "forward",
     "prefetch",
-    "staleness",
     "bus-loss",
     "channel",
     "lease",

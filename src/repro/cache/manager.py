@@ -86,10 +86,6 @@ class DocumentCache:
         Whether fills install the §3 minimum notifier set, and whether
         hits execute verifiers.  The A1 ablation disables one of them to
         run verifier-only / notifier-only.
-    track_staleness:
-        Compare every hit against ground truth (the repository's current
-        raw bytes) to count stale hits — possible only in simulation,
-        free of charge to the virtual clock.
     placement:
         Where *this* cache sits (overrides the topology default): an
         application-level cache serves hits over the local hop, a
@@ -155,7 +151,6 @@ class DocumentCache:
         write_mode: WriteMode = WriteMode.WRITE_THROUGH,
         install_notifiers: bool = True,
         use_verifiers: bool = True,
-        track_staleness: bool = False,
         placement: "CachePlacement | None" = None,
         retry_policy: "RetryPolicy | None" = None,
         name: str = "cache",
@@ -197,7 +192,6 @@ class DocumentCache:
             write_mode=write_mode,
             install_notifiers=install_notifiers,
             use_verifiers=use_verifiers,
-            track_staleness=track_staleness,
             retry_policy=retry_policy,
         )
         self.instrumentation = core.instrumentation
@@ -277,7 +271,7 @@ class DocumentCache:
     _CORE_ATTRS = frozenset({
         "kernel", "ctx", "capacity_bytes", "policy", "bus", "stats",
         "store", "cache_id", "write_mode", "retry_policy",
-        "install_notifiers", "use_verifiers", "track_staleness",
+        "install_notifiers", "use_verifiers",
     })
 
     def __getattr__(self, name: str):
@@ -616,15 +610,19 @@ class DocumentCache:
         scheduled crash instants, the invalidation sink and its
         sequenced channel — so a departed cache (a shard its cluster
         lost) can never come back as a zombie.  The durable tier's
-        files are closed and the cache is L1-only from then on.
+        files are closed, after the same truncation to what they synced
+        but without the crash's read-back of the content index, and the
+        cache is L1-only from then on.
         """
+        core = self._core
+        l2, core.l2 = core.l2, None
         self.crash()
         for scheduled in self._scheduled_crashes:
             scheduled.cancel()
-        self._core.bus.unregister(self._core.cache_id)
-        if self._core.l2 is not None:
-            self._core.l2.close()
-            self._core.l2 = None
+        core.bus.unregister(core.cache_id)
+        if l2 is not None:
+            l2.crash(rebuild=False)
+            l2.close()
 
     # -- invalidation ------------------------------------------------------------
 

@@ -22,9 +22,9 @@ memo step (``ReadPipeline._memo``):
   signature, so the memo and the L2 tier agree on which chains are
   one.
 * :class:`TransformMemo` — a bounded LRU table mapping
-  ``(source signature, chain fingerprint) → output signature`` plus the
-  fill metadata needed to rebuild a cache entry.  A second user's miss
-  with a recorded pair becomes a signature-only
+  ``(document, source signature, chain fingerprint) → output
+  signature`` plus the fill metadata needed to rebuild a cache entry.
+  A second user's miss with a recorded key becomes a signature-only
   :meth:`~repro.content.store.ContentStore.adopt` instead of a provider
   fetch and a chain execution.  The table holds *no* content-store
   references of its own (refcount-aware by construction): a record whose
@@ -69,6 +69,7 @@ from repro.placeless.chain import ChainFingerprint
 
 if typing.TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cache.core import CacheCore
+    from repro.ids import DocumentId
 
 __all__ = [
     "MEMO_CAPACITY",
@@ -86,10 +87,16 @@ MEMO_CAPACITY = 1024
 
 @dataclass(slots=True)
 class MemoRecord:
-    """One memoized ``(source, chain) → output`` mapping, plus the fill
-    metadata a served entry is rebuilt from.  Only admitted outputs are
-    recorded: an UNCACHEABLE vote leaves nothing to record."""
+    """One memoized ``(document, source, chain) → output`` mapping, plus
+    the fill metadata a served entry is rebuilt from.  Only admitted
+    outputs are recorded: an UNCACHEABLE vote leaves nothing to record.
 
+    The document is part of the key because the verifiers are: two
+    documents holding the same bytes under the same chain produce the
+    same output, but an entry must be verified against its own source.
+    """
+
+    document_id: "DocumentId"
     source_signature: "ContentSignature"
     fingerprint: ChainFingerprint
     output_signature: "ContentSignature"
@@ -101,13 +108,13 @@ class MemoRecord:
     pinned: bool = False
 
     @property
-    def key(self) -> tuple["ContentSignature", ChainFingerprint]:
+    def key(self) -> tuple["DocumentId", "ContentSignature", ChainFingerprint]:
         """The memo-table key of this record."""
-        return (self.source_signature, self.fingerprint)
+        return (self.document_id, self.source_signature, self.fingerprint)
 
 
 class TransformMemo:
-    """Bounded LRU ``(source signature, chain fingerprint) → record``.
+    """Bounded LRU ``(document, source, chain fingerprint) → record``.
 
     The table stores signatures, never bytes, and takes no content-store
     references: output bytes stay alive only while some cache entry
@@ -120,21 +127,21 @@ class TransformMemo:
         if capacity < 1:
             raise ValueError(f"memo capacity must be >= 1: {capacity}")
         self.capacity = capacity
-        self._records: OrderedDict[
-            tuple["ContentSignature", ChainFingerprint], MemoRecord
-        ] = OrderedDict()
+        self._records: OrderedDict[tuple, MemoRecord] = OrderedDict()
         #: Records displaced by the LRU bound since construction.
         self.evictions = 0
 
     def lookup(
         self,
+        document_id: "DocumentId",
         source_signature: "ContentSignature",
         fingerprint: ChainFingerprint,
     ) -> MemoRecord | None:
-        """The live record for the pair, freshened in LRU order."""
-        record = self._records.get((source_signature, fingerprint))
+        """The live record for the key, freshened in LRU order."""
+        key = (document_id, source_signature, fingerprint)
+        record = self._records.get(key)
         if record is not None:
-            self._records.move_to_end((source_signature, fingerprint))
+            self._records.move_to_end(key)
         return record
 
     def record(self, record: MemoRecord) -> int:
@@ -196,11 +203,6 @@ class TransformMemo:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def __contains__(
-        self, key: tuple["ContentSignature", ChainFingerprint]
-    ) -> bool:
-        return key in self._records
 
 
 @dataclass(slots=True)

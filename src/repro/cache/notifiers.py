@@ -372,10 +372,11 @@ class NotifierProperty(ActiveProperty):
         if event.payload.get("infrastructure"):
             return True
         # Property additions, removals and modifications only matter when
-        # the property "could modify the content" (§3): static labels
-        # don't invalidate.
+        # the property "could modify the content" (§3) — or the vote or
+        # the reader check an entry was admitted under: any property on
+        # the read path.  Static labels don't invalidate.
         if event.type in _CHANGE_EVENTS:
-            if not event.payload.get("transforms_reads", False):
+            if not event.payload.get("on_read_path", False):
                 return True
         # A scoped notifier leaves its own user's writes to their cache.
         if event.type in _WRITE_WATCH and self.scope_user is not None:

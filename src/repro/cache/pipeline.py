@@ -466,9 +466,6 @@ class ReadPipeline:
 
         entry.touch(clock.now_ms)
         core.policy.on_access(entry)
-        if core.track_staleness and core.is_stale(reference, entry):
-            core.stats.stale_hits += 1
-            core.emit("staleness", "stale-hit", key=key)
         elapsed = core.hit_served(disposition, key, started_ms, len(content))
         if entry.prefetched:
             core.stats.prefetched_hits += 1
@@ -561,7 +558,8 @@ class ReadPipeline:
 
     def _memo(self, ctx: ReadContext):
         """Transform memoization: answer a miss from the
-        ``(source signature, chain fingerprint) → output signature`` memo.
+        ``(document, source signature, chain fingerprint) → output
+        signature`` memo.
 
         Between L2 promotion and fetch, and the one way a miss is
         answered with bytes another user's read produced (§3's sharing
@@ -609,11 +607,13 @@ class ReadPipeline:
         # matches a stale record.
         core.ctx.charge(PROBE_COST_MS)
         source_signature = ctx.reference.base.provider.peek_signature()
-        # The probed pair doubles as the memo-plane coalescing key for
+        # The probed key doubles as the memo-plane coalescing key for
         # the single-flight step downstream.
         ctx.memo_source = source_signature
         stats = core.metrics["memo"]
-        record = memo.lookup(source_signature, fingerprint)
+        record = memo.lookup(
+            ctx.key.document_id, source_signature, fingerprint
+        )
         if record is None:
             stats.misses += 1
             core.emit("memo", "missed", key=ctx.key)
@@ -716,7 +716,10 @@ class ReadPipeline:
             return None
         keys: tuple = (("entry", ctx.key),)
         if ctx.memo_source is not None and ctx.memo_fingerprint is not None:
-            keys += (("memo", ctx.memo_source, ctx.memo_fingerprint),)
+            keys += ((
+                "memo", ctx.key.document_id, ctx.memo_source,
+                ctx.memo_fingerprint,
+            ),)
         for key in keys:
             flight = core.flights.lookup(key)
             if flight is None:

@@ -116,9 +116,6 @@ class CacheStats:
     bytes_filled: int = 0
     hit_latency_ms: float = 0.0
     miss_latency_ms: float = 0.0
-    #: Hits that served bytes differing from what a fresh read would have
-    #: produced at that instant (ground-truth staleness; simulation-only).
-    stale_hits: int = 0
     invalidations: Counter = field(default_factory=Counter)
 
     def record_invalidation(self, reason: InvalidationReason) -> None:
@@ -141,11 +138,6 @@ class CacheStats:
     def mean_hit_latency_ms(self) -> float:
         """Average virtual latency of a hit (0.0 when no hits)."""
         return self.hit_latency_ms / self.hits if self.hits else 0.0
-
-    @property
-    def staleness_ratio(self) -> float:
-        """Stale hits over hits (0.0 when no hits)."""
-        return self.stale_hits / self.hits if self.hits else 0.0
 
     def invalidations_by_class(self) -> Counter:
         """Invalidations aggregated to the paper's four classes."""
@@ -187,7 +179,6 @@ class CacheStats:
         ("notifier", "delivered"): (("notifier_deliveries", 1),),
         ("forward", "read"): (("forwarded_reads", 1),),
         ("forward", "write"): (("forwarded_writes", 1),),
-        ("staleness", "stale-hit"): (("stale_hits", 1),),
         ("prefetch", "requested"): (("prefetch_requests", 1),),
         ("prefetch", "filled"): (("prefetch_fills", 1),),
         ("prefetch", "hit"): (("prefetched_hits", 1),),

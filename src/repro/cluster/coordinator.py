@@ -193,6 +193,9 @@ class CacheCluster:
         #: the passes :meth:`add_shard`/:meth:`lose_shard` run
         #: internally (A17's topology-churn metric).
         self.rebalance_repairs = 0
+        #: The key of each read :meth:`_drain_probes` ran on the
+        #: cluster's own behalf; shards and read-path properties count it.
+        self.probe_refills: tuple[EntryKey, ...] = ()
 
     # -- construction ---------------------------------------------------------
 
@@ -486,7 +489,8 @@ class CacheCluster:
                 try:
                     shard.read(reference)
                 except CacheError:
-                    pass
+                    continue
+                self.probe_refills += (EntryKey.for_reference(reference),)
         finally:
             self._draining_probes = False
 

@@ -216,10 +216,20 @@ class PredicateVerifier(Verifier):
         predicate: Callable[[float, bytes], bool],
         cost_ms: float = 0.05,
         label: str = "predicate",
+        observed: object = None,
     ) -> None:
         super().__init__(cost_ms)
         self._predicate = predicate
         self.label = label
+        #: The snapshot the predicate compares against, if it holds one:
+        #: a check rebuilt after that state moved is a different check.
+        self.observed = observed
+
+    def fingerprint(self) -> str:
+        base = super().fingerprint()
+        if self.observed is None:
+            return base
+        return f"{base}/{self.observed!r}"
 
     def verify(self, now_ms: float, content: bytes) -> VerifierResult:
         if self._predicate(now_ms, content):

@@ -16,6 +16,8 @@ read on the replica shard to completion:
   followers are promoted rather than stranded.
 * backup fails (any cache error) → the primary resumes exactly where
   it paused; the hedge cost is only the charged delay.
+* backup raises anything else (the path refused the reader) → that is
+  the read's answer: the primary is closed as on a win, and it raises.
 
 The combinator is a generator that forwards every other suspension
 (verifier seams, single-flight waits) to whatever is driving it, so the
@@ -76,6 +78,9 @@ def hedged_iterate(
                 outcome = backup_call()
             except CacheError:
                 outcome = None
+            except BaseException:
+                primary.close()  # the read's own answer: see above
+                raise
             if outcome is not None:
                 note("won")
                 primary.close()

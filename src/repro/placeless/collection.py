@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import PlacelessError
-from repro.ids import DocumentId, UserId
+from repro.ids import UserId
 from repro.placeless.reference import DocumentReference
 from repro.placeless.space import DocumentSpace
 
@@ -51,10 +51,6 @@ class DocumentCollection:
     def siblings_of(self, reference: DocumentReference) -> list[DocumentReference]:
         """Every member except *reference* itself."""
         return [member for member in self._members if member is not reference]
-
-    def document_ids(self) -> set[DocumentId]:
-        """The base-document ids of all members."""
-        return {member.base.document_id for member in self._members}
 
     def __contains__(self, reference: DocumentReference) -> bool:
         return reference in self._members

@@ -113,6 +113,7 @@ class PropertyHolder(abc.ABC):
             EventDispatcher.checked(prop.events_of_interest())
             if active else frozenset()
         )
+        reads = EventType.GET_INPUT_STREAM in interest
         property_id = self.ctx.ids.property(prop.name)
         prop._bind(self, property_id, self.site, acting_user or self.owner)
         self._properties.append(prop)
@@ -124,7 +125,7 @@ class PropertyHolder(abc.ABC):
         if self.dispatcher.registrations(EventType.SET_PROPERTY):
             self.dispatcher.dispatch(self.make_event(
                 EventType.SET_PROPERTY, user=acting_user or self.owner,
-                payload=self._property_payload(prop),
+                payload=self._property_payload(prop, reads),
             ))
         if active:
             # One registration for the whole interest set (none for an
@@ -134,26 +135,29 @@ class PropertyHolder(abc.ABC):
                 prop._registration = self.dispatcher.register(
                     prop.property_id, interest, prop
                 )
-            if EventType.GET_INPUT_STREAM in interest:
+            if reads:
                 self.chain_epoch += 1
             prop.on_attach()
         return prop
 
     @staticmethod
-    def _property_payload(prop: Property) -> dict[str, Any]:
+    def _property_payload(prop: Property, reads: bool) -> dict[str, Any]:
         """Event payload describing a property, for notifier filtering.
 
         Notifiers only invalidate for "additions or deletions of active
         properties that could modify the content" (§3), so the payload
         carries whether the property is active, whether it transforms
-        reads, and whether it is cache infrastructure (notifiers
-        themselves must not trigger each other).
+        reads, whether it *reads* at all — is on the read chain, where it
+        may also vote on cacheability or check the reader — and whether
+        it is cache infrastructure (notifiers themselves must not
+        trigger each other).
         """
         return {
             "property_id": prop.property_id,
             "name": prop.name,
             "is_active": prop.is_active,
             "transforms_reads": getattr(prop, "transforms_reads", False),
+            "on_read_path": reads,
             "infrastructure": getattr(prop, "is_infrastructure", False),
         }
 
@@ -169,14 +173,15 @@ class PropertyHolder(abc.ABC):
         remaining = self._names.pop(prop.name) - 1
         if remaining:
             self._names[prop.name] = remaining
+        reads = False
         if isinstance(prop, ActiveProperty):
-            self._read_chain_changed(prop)
+            reads = self._read_chain_changed(prop)
             prop.on_detach()
             if prop._registration is not None:
                 prop._registration.cancel()
                 prop._registration = None
             self.dispatcher.unregister_property(prop.property_id)
-        payload = self._property_payload(prop)
+        payload = self._property_payload(prop, reads)
         prop._unbind()
         self.dispatcher.dispatch(
             self.make_event(
@@ -219,23 +224,26 @@ class PropertyHolder(abc.ABC):
 
     def property_modified(self, prop: Property) -> None:
         """Raise MODIFY_PROPERTY for *prop* (e.g. after an upgrade)."""
-        self._read_chain_changed(prop)
+        reads = self._read_chain_changed(prop)
         self.dispatcher.dispatch(
             self.make_event(
                 EventType.MODIFY_PROPERTY,
                 user=prop.owner,
-                payload=self._property_payload(prop),
+                payload=self._property_payload(prop, reads),
             )
         )
 
     # -- read/write path helpers --------------------------------------------
 
-    def _read_chain_changed(self, prop: Property) -> None:
-        """Move the epoch if *prop* is (still) on the read stream chain."""
+    def _read_chain_changed(self, prop: Property) -> bool:
+        """Move the epoch if *prop* is (still) on the read stream chain;
+        True when it is."""
         if prop.property_id in self.dispatcher.registered_properties(
             EventType.GET_INPUT_STREAM
         ):
             self.chain_epoch += 1
+            return True
+        return False
 
     def read_chain(self) -> tuple[ActiveProperty, ...]:
         """The ``GET_INPUT_STREAM`` chain, compiled once per epoch.

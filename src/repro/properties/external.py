@@ -136,6 +136,7 @@ class ExternalDependencyProperty(ActiveProperty):
             still_current,
             cost_ms=self.sample_cost_ms,
             label=f"external:{self.name}",
+            observed=snapshot,
         )
 
     # -- notifier placement ---------------------------------------------------------

@@ -100,8 +100,8 @@ class BitProvider(abc.ABC):
     def peek_signature(self) -> "ContentSignature":
         """Signature of the current content, without charging latency.
 
-        Staleness probes (write-back ``is_stale``, the transform memo's
-        source check) call this once per read.
+        Staleness probes (the transform memo's source check, the L2
+        tier's promote gate) call this once per read.
         """
         return self.signature_of(self._retrieve())
 

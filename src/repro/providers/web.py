@@ -84,10 +84,6 @@ class WebOrigin:
         record.content = bytes(content)
         record.last_modified_ms = self.clock.now_ms
 
-    def urls(self) -> list[str]:
-        """All published URL paths, sorted."""
-        return sorted(self._pages)
-
     def _page(self, url: str) -> PageRecord:
         try:
             return self._pages[url]

@@ -104,11 +104,6 @@ class Flight:
         self.payload: tuple[str, Any] | None = None
         self._parked: list[tuple[deque, Any]] = []
 
-    @property
-    def waiters(self) -> int:
-        """Followers currently parked on this flight."""
-        return len(self._parked)
-
     def describe(self) -> str:
         """Short human-readable key list for traces."""
         return "+".join(str(key) for key in self.keys)

@@ -93,8 +93,9 @@ LAYOUTS = {
     # bytes
     K_JOURNAL: "ssssb",
     K_FLUSHED: "ss",  # document, user
-    # source, fingerprint, output, size, cacheability, cost, chain, pinned
-    K_MEMO: "sssqqdt?",
+    # document, source, fingerprint, output, size, cacheability, cost,
+    # chain, pinned
+    K_MEMO: "ssssqqdt?",
 }
 
 _MAGIC = b"PL"

@@ -152,14 +152,17 @@ class DiskContentStore:
         """Forget *signature* entirely regardless of refcount (corruption)."""
         self._by_signature.pop(signature, None)
 
-    def crash(self) -> None:
+    def crash(self, *, rebuild: bool = True) -> None:
         """Lose unsynced bytes and rebuild the index from what survived.
 
         Refcounts restart at zero — the owning tier re-adopts once per
-        catalog record it recovers, exactly like a fresh open.
+        catalog record it recovers, exactly like a fresh open.  Without
+        *rebuild* (a shutdown: the store is closed next) the segment is
+        only truncated, not read back.
         """
         self.log.crash()
-        self._recover_index()
+        if rebuild:
+            self._recover_index()
 
     def sync(self, *, lost: bool = False) -> None:
         """Fsync the segment (watermark not advanced when *lost*)."""

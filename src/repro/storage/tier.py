@@ -224,6 +224,7 @@ def _key_and(kind: int, payload: bytes) -> tuple:
 def _memo_payload(record: MemoRecord) -> bytes:
     """A memo segment payload for *record* (its verifiers excluded)."""
     return pack_record(
+        record.document_id.value,
         record.source_signature.digest, record.fingerprint.digest,
         record.output_signature.digest,
         record.size, record.cacheability.value, record.replacement_cost_ms,
@@ -233,10 +234,11 @@ def _memo_payload(record: MemoRecord) -> bytes:
 
 def _memo_record(payload: bytes) -> MemoRecord:
     """Invert :func:`_memo_payload`; raises :class:`StorageError`."""
-    source, fingerprint, output, size, vote, cost, chain, pinned = (
+    document, source, fingerprint, output, size, vote, cost, chain, pinned = (
         unpack_record(LAYOUTS[K_MEMO], payload)
     )
     return MemoRecord(
+        document_id=DocumentId(document),
         source_signature=ContentSignature(source),
         fingerprint=ChainFingerprint(fingerprint),
         output_signature=ContentSignature(output),
@@ -498,9 +500,11 @@ class L2Tier:
         tuple match proves the rebuilt set checks the same conditions
         the demoted entry's did.  Anything else (property gone,
         verifier reconfigured) refuses conservatively.  Observed state
-        inside a rebuilt verifier is *current* rather than fill-time,
-        which is sound here: the promote path has already probed that
-        the source bytes are unchanged since the demotion.
+        inside a rebuilt verifier is *current* rather than fill-time:
+        sound for the source, which the promote path has already probed
+        unchanged since the demotion; a verifier that snapshots an
+        external condition carries the snapshot in its fingerprint, so
+        one rebuilt after the condition moved does not match.
         """
         if record.verifiers is not None:
             return record.verifiers
@@ -673,9 +677,10 @@ class L2Tier:
 
     # -- crash / recover -------------------------------------------------------
 
-    def crash(self) -> None:
-        """Process death: unsynced bytes vanish, volatile catalog too."""
-        self.disk.crash()
+    def crash(self, *, rebuild: bool = True) -> None:
+        """Process death: unsynced bytes vanish, volatile catalog too.
+        *rebuild* re-reads the surviving content index for a restart."""
+        self.disk.crash(rebuild=rebuild)
         for log in (self.catalog_log, self.journal_log, self.memo_log):
             log.crash()
         self._catalog.clear()

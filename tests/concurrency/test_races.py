@@ -17,6 +17,7 @@ from repro.cache.manager import DocumentCache
 from repro.cache.memo import ChainFingerprint, MemoRecord, TransformMemo
 from repro.cache.policies import DefaultConcurrencyPolicy, DefaultMemoPolicy
 from repro.content.signature import sign
+from repro.ids import DocumentId
 from repro.placeless.kernel import PlacelessKernel
 from repro.providers.memory import MemoryProvider
 from repro.sim.context import SimContext
@@ -114,6 +115,7 @@ class TestMemoDiscardIdentityGuard:
     @staticmethod
     def _record(content: bytes, output: bytes) -> MemoRecord:
         return MemoRecord(
+            document_id=DocumentId("doc"),
             source_signature=sign(content),
             fingerprint=ChainFingerprint.compose(()),
             output_signature=sign(output),

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import gc
 import hashlib
+import heapq
 import io
 import itertools
 import json
@@ -34,9 +35,10 @@ from pathlib import Path
 
 from repro.bench.perf import allocation_probe
 from repro.cache.core import CacheCore
-from repro.cache.entry import EntryKey
+from repro.cache.entry import CacheEntry, EntryKey
 from repro.cache.instrumentation import StageEvent
 from repro.cache.manager import DocumentCache, WriteMode
+from repro.cache.notifiers import NotifierProperty
 from repro.cache.policies import (
     ConcurrencyPolicy,
     ContainmentPolicy,
@@ -67,6 +69,9 @@ COUNTED = {
     "emit": (CacheCore.emit.__code__,),
     "stage_events": (StageEvent.__new__.__code__,),
     "events": (Event.__init__.__code__,),
+    "notifier_attaches": (NotifierProperty.__init__.__code__,),
+    "entry_builds": (CacheEntry.__init__.__code__,),
+    "heap_pushes": (heapq.heappush,),
 }
 HIT_ARMS = ("plain", "contained", "cluster")
 WORLDS = ("hot_hits", "miss_chain", "churn_mixed", "seams_on")

@@ -3,7 +3,8 @@
 A long mixed trace (reads, in-band writes, out-of-band mutations,
 property churn, reorders) runs against a deployment that also has
 timer-driven replication, versioning, audit trails and a tight cache.
-After every burst the suite asserts the global invariants: cache
+Every serve is judged by the spec (:mod:`tests.property.spec`) as it
+happens; after the storm the suite asserts the global invariants: cache
 transparency (cached reads equal fresh reads), capacity, store refcount
 bookkeeping, audit completeness, and replica convergence.
 """
@@ -11,14 +12,13 @@ bookkeeping, audit completeness, and replica convergence.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import pytest
 
-from repro.cache.entry import EntryKey
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import DegradationPolicy
 from repro.cache.stats import CacheStats
-from repro.contract.verifiers import TTLVerifier
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.faults.retry import RetryPolicy
 from repro.placeless.kernel import PlacelessKernel
@@ -28,19 +28,71 @@ from repro.properties.versioning import VersioningProperty
 from repro.providers.simfs import SimulatedFileSystem
 from repro.workload.documents import CorpusSpec, build_corpus
 from repro.workload.runner import TraceRunner
-from repro.workload.trace import TraceSpec, generate_trace
+from repro.workload.trace import TraceEventKind, TraceSpec, generate_trace
 from repro.workload.users import build_population
+from tests.property import spec
 
 #: CI runs this tier across several seeds; locally it defaults to the
 #: historical seed 77 so golden expectations stay easy to reproduce.
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "77"))
 
-#: ``stale hits / hits`` of the storm at each seed CI runs.  The trace is
-#: seed-determined, so these are pins; any other seed gets the 0.25
-#: alarm.  Seed 202 sits above it on one document: 59 of its 60 stale
-#: hits are in-window reads of hot web document doc-0001, which GDS
-#: (rightly) never evicts, after out-of-band changes to it.
-_PINNED_STALENESS = {77: 1 / 91, 101: 9 / 133, 202: 60 / 234}
+
+
+#: The trace events a notifier sees, and the class of what they make go.
+_NOTIFIED = {
+    TraceEventKind.WRITE: spec.SOURCE,
+    TraceEventKind.PROPERTY_CHANGE: spec.PROPERTY_SET,
+    TraceEventKind.PROPERTY_REORDER: spec.PROPERTY_ORDER,
+}
+
+
+def judged(kernel, cache, corpus, references, judge: spec.CacheSpec):
+    """Hold *cache*'s every serve to *judge*: the violations found, and a
+    wrapper that tells *judge* what each trace event a runner executes
+    made go."""
+    violations: list = []
+    read = cache.read
+
+    def judged_read(reference):
+        started_ms, key = kernel.ctx.clock.now_ms, spec.key_of(reference)
+        outcome = read(reference)
+        fresh = judge.fresh(kernel, reference)
+        try:
+            judge.judge(
+                key, fresh, outcome.content, outcome.disposition, started_ms
+            )
+        except spec.SpecViolation as violation:
+            violations.append(violation)
+        judge.record(key, fresh, kernel.ctx.clock.now_ms)
+        return outcome
+
+    cache.read = judged_read
+
+    def observed(events):
+        for event in events:
+            document = corpus[event.document_index]
+            reference = references[event.user_index][event.document_index]
+            state = (document.provider.store_count, reference.properties)
+            yield event  # the runner executes it before asking again
+            label = _NOTIFIED.get(event.kind)
+            if label and state != (
+                document.provider.store_count, reference.properties
+            ):
+                judge.invalidate(
+                    document.reference.base.document_id,
+                    None if label == spec.SOURCE else reference.owner,
+                    label, kernel.ctx.clock.now_ms,
+                )
+
+    return violations, observed
+
+
+def refcounts_match(cache) -> bool:
+    naming = Counter(entry.signature for entry in cache.entries())
+    return len(cache.store) == len(naming) and all(
+        cache.store.refcount(signature) == count
+        for signature, count in naming.items()
+    )
 
 
 @pytest.fixture(scope="module")
@@ -71,26 +123,17 @@ def chaos_run():
         capacity_bytes=max(
             2048, sum(d.size_bytes for d in corpus) // 4
         ),
-        track_staleness=True,
         name="chaos",
     )
-    # Ground-truth stale hits no declared window explains: the entry
-    # served carried no TTL verifier (a pure observer of the bus).
-    unexplained_stale: list = []
-
-    def audit_stale_hit(event) -> None:
-        if event.stage != "staleness":
-            return
-        entry = cache.core.entries[EntryKey(event.document_id, event.user_id)]
-        if not any(isinstance(v, TTLVerifier) for v in entry.verifiers):
-            unexplained_stale.append(entry.key)
-
-    cache.instrumentation.subscribe(audit_stale_hit)
+    judge = spec.CacheSpec(ttl_ms=60_000.0)
+    violations, observed = judged(
+        kernel, cache, corpus, population.references, judge
+    )
     runner = TraceRunner(
         kernel, corpus, population.references, caches=cache,
         writes_via_cache=False,
     )
-    spec = TraceSpec(
+    trace = TraceSpec(
         n_events=1200, n_documents=10, n_users=3,
         p_write=0.06, p_out_of_band=0.06,
         p_property_change=0.04, p_property_reorder=0.02,
@@ -98,13 +141,14 @@ def chaos_run():
         mean_think_time_ms=120.0,
         seed=CHAOS_SEED,
     )
-    report = runner.execute(generate_trace(spec))
+    report = runner.execute(observed(generate_trace(trace)))
     return kernel, corpus, population, cache, report, {
         "versioning": versioning,
         "replication": replication,
         "audit": audit,
         "replica_fs": replica_fs,
-        "unexplained_stale": unexplained_stale,
+        "windows": dict(judge.windows),
+        "violations": violations,
     }
 
 
@@ -120,14 +164,7 @@ class TestChaosInvariants:
 
     def test_store_refcounts_consistent(self, chaos_run):
         _, _, _, cache, _, _ = chaos_run
-        by_signature: dict = {}
-        for entry in cache.entries():
-            by_signature[entry.signature] = (
-                by_signature.get(entry.signature, 0) + 1
-            )
-        assert len(cache.store) == len(by_signature)
-        for signature, count in by_signature.items():
-            assert cache.store.refcount(signature) == count
+        assert refcounts_match(cache)
 
     def test_cache_transparent_after_the_storm(self, chaos_run):
         kernel, corpus, population, cache, _, _ = chaos_run
@@ -166,20 +203,17 @@ class TestChaosInvariants:
         )
         assert audit.reads_observed == len(audit.trail)
 
-    def test_staleness_bounded(self, chaos_run):
-        _, _, _, cache, _, extras = chaos_run
-        # Notifiers + verifiers together: staleness is possible only
-        # inside a TTL window (an out-of-band change to a web document
-        # its TTL verifier has not yet expired on); anything else is a
-        # bug, and so is runaway staleness.
-        assert extras["unexplained_stale"] == []
-        ratio = cache.stats.staleness_ratio
-        if CHAOS_SEED in _PINNED_STALENESS:
-            assert ratio == pytest.approx(
-                _PINNED_STALENESS[CHAOS_SEED], abs=0.005
-            )
-        else:
-            assert ratio < 0.25
+    def test_every_serve_is_fresh_or_inside_a_declared_window(
+        self, chaos_run
+    ):
+        _, _, _, _, report, extras = chaos_run
+        # Notifiers + verifiers together: a serve may differ from the
+        # uncached read only inside a TTL window (an out-of-band change
+        # to a web document its TTL verifier has not yet expired on).
+        assert extras["violations"] == []
+        windows = extras["windows"]
+        assert set(windows) <= {spec.FRESH, spec.TTL_WINDOW}
+        assert sum(windows.values()) == report.reads
 
     def test_stats_merge_roundtrip(self, chaos_run):
         _, _, _, cache, _, _ = chaos_run
@@ -228,20 +262,29 @@ def _run_faulted_chaos(seed: int, n_events: int = 300):
         ),
         name="faulted-chaos",
     )
+    # A lossy, delaying bus leaves an entry to its verifiers.
+    violations, observed = judged(
+        kernel, cache, corpus, population.references, spec.CacheSpec(
+            ttl_ms=5_000.0, stale_max_age_ms=60_000.0, lossy=True,
+        ),
+    )
     runner = TraceRunner(
         kernel, corpus, population.references, caches=cache,
         writes_via_cache=False,
     )
-    spec = TraceSpec(
+    trace = TraceSpec(
         n_events=n_events, n_documents=8, n_users=3,
         p_write=0.06, p_out_of_band=0.06,
         mean_think_time_ms=120.0,
         seed=seed,
     )
-    report = runner.execute(generate_trace(spec))
+    report = runner.execute(observed(generate_trace(trace)))
     # The plan is returned separately: the recovery test detaches it
     # from the context, but later tests still inspect its stats.
-    return kernel, corpus, population, cache, report, kernel.ctx.faults
+    return (
+        kernel, corpus, population, cache, report, kernel.ctx.faults,
+        violations,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -253,32 +296,31 @@ class TestFaultedChaosInvariants:
     """The chaos invariants must survive an actively hostile world."""
 
     def test_trace_completed_despite_faults(self, faulted_chaos_run):
-        _, _, _, _, report, plan = faulted_chaos_run
+        _, _, _, _, report, plan, _ = faulted_chaos_run
         assert report.events == 300
         assert plan.stats.total > 0  # faults actually fired
 
+    def test_every_serve_is_fresh_or_inside_a_declared_window(
+        self, faulted_chaos_run
+    ):
+        *_, violations = faulted_chaos_run
+        assert violations == []
+
     def test_availability_stayed_high(self, faulted_chaos_run):
-        _, _, _, _, report, _ = faulted_chaos_run
+        _, _, _, _, report, _, _ = faulted_chaos_run
         # Retries + degradation absorb most injected failures.
         assert report.availability >= 0.9
 
     def test_capacity_never_exceeded(self, faulted_chaos_run):
-        _, _, _, cache, _, _ = faulted_chaos_run
+        _, _, _, cache, _, _, _ = faulted_chaos_run
         assert cache.used_bytes <= cache.capacity_bytes
 
     def test_store_refcounts_consistent(self, faulted_chaos_run):
-        _, _, _, cache, _, _ = faulted_chaos_run
-        by_signature: dict = {}
-        for entry in cache.entries():
-            by_signature[entry.signature] = (
-                by_signature.get(entry.signature, 0) + 1
-            )
-        assert len(cache.store) == len(by_signature)
-        for signature, count in by_signature.items():
-            assert cache.store.refcount(signature) == count
+        _, _, _, cache, _, _, _ = faulted_chaos_run
+        assert refcounts_match(cache)
 
     def test_transparency_restored_after_recovery(self, faulted_chaos_run):
-        kernel, corpus, population, cache, _, _ = faulted_chaos_run
+        kernel, corpus, population, cache, _, _, _ = faulted_chaos_run
         # Repair the world: past every window, faults off, quarantines
         # lifted, pending delayed deliveries drained.
         kernel.ctx.clock.advance(5_000.0)
@@ -294,7 +336,7 @@ class TestFaultedChaosInvariants:
     def test_lost_callbacks_were_injected_and_some_caught(
         self, faulted_chaos_run
     ):
-        _, _, _, cache, _, plan = faulted_chaos_run
+        _, _, _, cache, _, plan, _ = faulted_chaos_run
         assert plan.stats.notifications_lost > 0
         assert cache.bus.stats.lost > 0
         # Detection is workload-dependent; it must never exceed losses.
@@ -303,11 +345,11 @@ class TestFaultedChaosInvariants:
         )
 
     def test_same_seed_reproduces_the_run_exactly(self):
-        _, _, _, first_cache, first_report, first_plan = _run_faulted_chaos(
-            seed=123, n_events=150
+        _, _, _, first_cache, first_report, first_plan, _ = (
+            _run_faulted_chaos(seed=123, n_events=150)
         )
-        _, _, _, second_cache, second_report, second_plan = _run_faulted_chaos(
-            seed=123, n_events=150
+        _, _, _, second_cache, second_report, second_plan, _ = (
+            _run_faulted_chaos(seed=123, n_events=150)
         )
         assert first_plan.injection_trace() == second_plan.injection_trace()
         assert first_report.availability == second_report.availability

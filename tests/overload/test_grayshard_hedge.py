@@ -14,6 +14,10 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.overload import run_grayshard
+from repro.errors import PermissionDeniedError
+from repro.overload.hedge import hedged_iterate
+from repro.sim.clock import VirtualClock
+from repro.sim.scheduler import FETCH_SEAM, drive
 
 _ROUNDS = 12
 
@@ -63,3 +67,21 @@ class TestGrayShardHedging:
     def test_runs_are_deterministic(self, hedged):
         again = run_grayshard(True, n_rounds=_ROUNDS)
         assert again == hedged
+
+
+
+def test_a_refused_backup_closes_the_primary_it_raced():
+    # The replica's refusal is the read's answer, and the parked primary
+    # goes with it — with the flight it leads, or the next read of the
+    # key finds that flight and waits on it.
+    def primary():
+        yield FETCH_SEAM
+
+    def refused():
+        raise PermissionDeniedError("not this reader")
+
+    racing = primary()
+    hedge = hedged_iterate(racing, refused, clock=VirtualClock(), delay_ms=1.0)
+    with pytest.raises(PermissionDeniedError):
+        drive(hedge)
+    assert racing.gi_frame is None  # closed, not left suspended

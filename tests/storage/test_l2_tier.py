@@ -27,9 +27,11 @@ from repro.content.signature import sign
 from repro.contract.cacheability import Cacheability
 from repro.errors import StorageError
 from repro.faults.plan import FaultPlan
+from repro.ids import DocumentId
 from repro.placeless.chain import read_plan
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.audit import ReadAuditTrailProperty
+from repro.properties.external import ExternalDependencyProperty
 from repro.providers.memory import MemoryProvider
 from repro.storage import (
     K_CONTENT,
@@ -236,6 +238,26 @@ class TestCrashRestart:
         outcome = cache.read(references[0])
         assert outcome.content == b"changed while the cache was down"
         assert outcome.disposition != "miss-promoted"
+
+    def test_recovered_entry_refuses_a_changed_external_condition(
+        self, deployment
+    ):
+        # Class (d): the verifier rebuilt at promote time would snapshot
+        # the value as it is now and pass; its fingerprint carries the
+        # snapshot, so it no longer matches the demoted entry's.
+        value = [0]
+        kernel, cache, _, references = deployment()
+        references[0].attach(ExternalDependencyProperty(lambda: value[0]))
+        for reference in references:
+            cache.read(reference)
+        assert EntryKey.for_reference(references[0]) in cache.storage
+        cache.crash()
+        cache.restart()
+        value[0] = 1
+        outcome = cache.read(references[0])
+        assert outcome.content == kernel.read(references[0]).content
+        assert outcome.disposition == "miss"
+        assert cache.storage_stats.promote_verifier_drops == 1
 
     def test_unsynced_demotions_do_not_survive_a_lying_fsync(self, deployment):
         _, cache, _, references = deployment(
@@ -511,6 +533,7 @@ class TestMemoSpill:
         )
         tier = cache.storage
         record = MemoRecord(
+            document_id=DocumentId("doc"),
             source_signature=sign(b"source bytes"),
             fingerprint=ChainFingerprint("chain-fp"),
             output_signature=sign(b"output bytes"),
@@ -521,9 +544,7 @@ class TestMemoSpill:
         cache.crash()
         cache.restart()
         assert cache.storage_stats.memo_reloaded == 1
-        reloaded = cache._core.memo.lookup(
-            record.source_signature, record.fingerprint
-        )
+        reloaded = cache._core.memo.lookup(*record.key)
         assert reloaded is not None
         assert reloaded.output_signature == record.output_signature
         assert reloaded.size == 12
@@ -542,7 +563,7 @@ class TestMemoSpill:
         log = cache.storage.memo_log
         # The memo layout with its output slot empty.
         log.append(K_MEMO, pack_record(
-            source.digest, fingerprint.digest, None, 0,
+            "doc", source.digest, fingerprint.digest, None, 0,
             Cacheability.UNCACHEABLE.value, 0.0, (), False,
         ))
         log.sync()
@@ -552,7 +573,9 @@ class TestMemoSpill:
         stats = cache.storage_stats
         assert stats.corrupt_records_recovered == corrupt_before + 1
         assert stats.memo_reloaded == 0
-        assert cache._core.memo.lookup(source, fingerprint) is None
+        assert cache._core.memo.lookup(
+            DocumentId("doc"), source, fingerprint
+        ) is None
         assert len(cache._core.memo) == 0
 
     def test_records_with_verifiers_stay_in_memory_only(self, deployment):
@@ -719,6 +742,39 @@ class TestClose:
                 log.read(0, HEADER_SIZE)
         tier.close()  # closing again is harmless, and so is
         cache.shutdown()  # shutting down again
+
+    def test_shutdown_truncates_to_the_synced_bytes_and_reads_none_back(
+        self, deployment, tmp_path, monkeypatch
+    ):
+        storage = StoragePolicy(directory=str(tmp_path))
+        _, cache, _, references = deployment(storage=storage)
+        for reference in references:
+            cache.read(reference)
+        tier = cache.storage
+        tier.disk.log.append(K_CONTENT, b"appended, never synced")
+        logs = (
+            tier.disk.log, tier.catalog_log, tier.journal_log, tier.memo_log
+        )
+        synced = {
+            log.path: log.path.read_bytes()[:log.durable_size] for log in logs
+        }
+        assert tier.disk.log.size > tier.disk.log.durable_size
+        scans: list = []
+        monkeypatch.setattr(SegmentLog, "scan_records", scans.append)
+        cache.shutdown()
+        assert scans == []
+        assert {log.path: log.path.read_bytes() for log in logs} == synced
+
+    def test_shutdown_after_the_directory_was_removed(
+        self, deployment, tmp_path
+    ):
+        storage = StoragePolicy(directory=str(tmp_path))
+        _, cache, _, references = deployment(storage=storage)
+        for reference in references:
+            cache.read(reference)
+        shutil.rmtree(cache.storage.directory)
+        cache.shutdown()
+        assert cache.storage is None
 
     def test_a_lost_shard_closes_its_tier(self):
         kernel = PlacelessKernel()

@@ -51,6 +51,7 @@ _CATALOG = st.builds(
 
 _MEMO = st.builds(
     MemoRecord,
+    _TEXT.map(DocumentId),
     _DIGEST,
     _TEXT.map(ChainFingerprint),
     _DIGEST,

@@ -31,7 +31,7 @@ REPO = pathlib.Path(__file__).resolve().parents[2]
 CONSTRUCTOR_KEYWORDS = {
     "repro.cache.manager.DocumentCache": [
         "kernel", "capacity_bytes", "policy", "bus", "write_mode",
-        "install_notifiers", "use_verifiers", "track_staleness",
+        "install_notifiers", "use_verifiers",
         "placement", "retry_policy",
         "name", "degradation_policy", "recovery_policy",
         "containment_policy", "memo_policy", "concurrency_policy",
@@ -46,7 +46,7 @@ CONSTRUCTOR_KEYWORDS = {
     "repro.cache.core.CacheCore": [
         "kernel", "capacity_bytes", "name", "policy", "degradation",
         "bus", "placement", "write_mode", "install_notifiers",
-        "use_verifiers", "track_staleness", "retry_policy",
+        "use_verifiers", "retry_policy",
     ],
     "repro.overload.health.HealthTracker": ["min_samples"],
     "repro.overload.admission.AdmissionController": ["clock", "rate_per_s"],

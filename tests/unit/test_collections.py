@@ -61,12 +61,6 @@ class TestDocumentCollection:
         assert refs[2] not in siblings
         assert len(siblings) == 3
 
-    def test_document_ids(self, project):
-        refs, collection = project
-        assert collection.document_ids() == {
-            ref.base.document_id for ref in refs
-        }
-
 
 class TestPrefetch:
     def test_reading_one_member_prefetches_siblings(self, kernel, project):

@@ -541,5 +541,5 @@ class TestOffByDefaultGuarantee:
             "quarantined_verifiers", "quarantine_forced_misses",
             "dropped_notifier_detected", "flush_failures",
             "bytes_served_from_cache", "bytes_filled", "hit_latency_ms",
-            "miss_latency_ms", "stale_hits", "invalidations",
+            "miss_latency_ms", "invalidations",
         }

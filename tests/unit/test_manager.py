@@ -30,7 +30,7 @@ def world(kernel, user, other_user):
     base = kernel.create_document(user, provider, "doc")
     mine = kernel.space(user).add_reference(base)
     theirs = kernel.space(other_user).add_reference(base)
-    cache = DocumentCache(kernel, capacity_bytes=1 << 20, track_staleness=True)
+    cache = DocumentCache(kernel, capacity_bytes=1 << 20)
     return kernel, base, mine, theirs, provider, cache
 
 

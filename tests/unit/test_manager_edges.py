@@ -11,11 +11,14 @@ from repro.cache.memo import MEMO_CAPACITY
 from repro.cache.policies import MemoPolicy
 from repro.cluster.memo_share import SharedTransformMemo
 from repro.contract.verifiers import ThresholdVerifier
+from repro.errors import PermissionDeniedError
 from repro.events.types import EventType
 from repro.placeless.properties import ActiveProperty
+from repro.properties.access import AccessControlProperty
 from repro.properties.audit import ReadAuditTrailProperty
 from repro.properties.qos import AlwaysAvailableProperty
 from repro.properties.translate import TranslationProperty
+from repro.properties.uncacheable import UncacheableProperty
 from repro.providers.memory import MemoryProvider
 
 
@@ -143,7 +146,9 @@ class TestForwardingEdges:
         times = [record.at_ms for record in audit.trail]
         assert times == sorted(times)
 
-    def test_forwarding_survives_property_detach(self, kernel, user):
+    def test_detaching_the_audit_invalidates_the_entry_it_voted_on(
+        self, kernel, user
+    ):
         reference = kernel.import_document(
             user, MemoryProvider(kernel.ctx, b"doc"), "doc"
         )
@@ -152,13 +157,36 @@ class TestForwardingEdges:
         cache = DocumentCache(kernel, capacity_bytes=1 << 20)
         cache.read(reference)
         reference.detach(audit)
-        # The entry still says CACHEABLE_WITH_EVENTS (its vote at fill
-        # time) — but forwarded events now reach nobody.  Detaching an
-        # *active* non-transforming property does not invalidate, so the
-        # hit path keeps forwarding harmlessly.
+        # The entry was admitted under the audit's CACHEABLE_WITH_EVENTS
+        # vote; a property leaving the read path is class (b).
         outcome = cache.read(reference)
-        assert outcome.hit
+        assert not outcome.hit
+        assert cache.read(reference).hit
         assert audit.reads_observed == 1  # nothing new recorded
+
+
+@pytest.mark.parametrize("kind", ["access", "uncacheable", "audit"])
+def test_a_property_joining_the_read_path_invalidates(kind, kernel, user):
+    # Without transforming, it changes what the entry was admitted
+    # under — its vote, or who may read — as a transformer would.
+    base = kernel.create_document(
+        user, MemoryProvider(kernel.ctx, b"doc"), "doc"
+    )
+    reference = kernel.space(kernel.create_user("reader")).add_reference(base)
+    cache = DocumentCache(kernel, capacity_bytes=1 << 20)
+    cache.read(reference)
+    if kind == "access":
+        base.attach(AccessControlProperty(allowed=set()))
+        with pytest.raises(PermissionDeniedError):
+            cache.read(reference)
+    elif kind == "uncacheable":
+        base.attach(UncacheableProperty())
+        assert cache.read(reference).disposition == "uncacheable"
+    else:
+        audit = base.attach(ReadAuditTrailProperty())
+        cache.read(reference)
+        cache.read(reference)
+        assert [record.via_cache for record in audit.trail] == [False, True]
 
 
 class TestDescribe:

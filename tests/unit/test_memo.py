@@ -29,16 +29,19 @@ from repro.cache.policies import (
 from repro.content.signature import sign
 from repro.content.store import ContentStore
 from repro.errors import PermissionDeniedError
+from repro.ids import DocumentId
 from repro.placeless.chain import property_site, read_plan
 from repro.placeless.kernel import PlacelessKernel
 from repro.properties.access import AccessControlProperty, WatermarkProperty
 from repro.properties.audit import ReadAuditTrailProperty
 from repro.properties.encryption import EncryptionProperty
+from repro.properties.qos import AlwaysAvailableProperty
 from repro.properties.spellcheck import SpellingCorrectorProperty
 from repro.properties.summarize import SummaryProperty
 from repro.properties.translate import TranslationProperty
 from repro.properties.uncacheable import UncacheableProperty
 from repro.providers.memory import MemoryProvider
+from repro.providers.web import WebOrigin, WebProvider
 
 
 def build_world(content=b"hello world of documents", n_users=2):
@@ -167,6 +170,7 @@ class TestTransformMemo:
     @staticmethod
     def _record(tag: str, fingerprint: str = "chain") -> MemoRecord:
         return MemoRecord(
+            document_id=DocumentId("doc"),
             source_signature=sign(f"src-{tag}".encode()),
             fingerprint=ChainFingerprint.compose([fingerprint]),
             output_signature=sign(f"out-{tag}".encode()),
@@ -181,7 +185,12 @@ class TestTransformMemo:
         record = self._record("a")
         assert memo.record(record) == 0
         assert memo.lookup(*record.key) is record
-        assert memo.lookup(sign(b"other"), record.fingerprint) is None
+        assert memo.lookup(
+            record.document_id, sign(b"other"), record.fingerprint
+        ) is None
+        assert memo.lookup(
+            DocumentId("other"), record.source_signature, record.fingerprint
+        ) is None
 
     def test_lru_eviction_prefers_stale_records(self):
         memo = TransformMemo(2)
@@ -308,6 +317,21 @@ class TestMemoEndToEnd:
         outcome = cache.read(ref_b)
         assert outcome.disposition == "miss"
         assert cache.memo_stats.adoptions == 0
+
+    def test_another_documents_record_never_answers(self):
+        # Same bytes, same chain: the web copy's record, as the memory
+        # document's entry, would carry the web TTL, not that source's
+        # verifier, and serve an out-of-band change until the TTL ran.
+        kernel, base, (reference, _) = build_world(b"one text")
+        origin = WebOrigin(kernel.ctx.clock)
+        origin.publish("/page", b"one text", ttl_ms=60_000.0)
+        cache = memo_cache(kernel)
+        cache.read(kernel.import_document(
+            reference.owner, WebProvider(kernel.ctx, origin, "/page"), "web"
+        ))
+        assert cache.read(reference).disposition == "miss"
+        base.provider.mutate_out_of_band(b"new text")
+        assert cache.read(reference).content == b"new text"
 
     def test_property_add_changes_key(self):
         # Class (b): the second user's extra property misses the memo.
@@ -477,6 +501,15 @@ class TestMemoEndToEnd:
         breaker.record_failure(kernel.ctx.clock.now_ms)
         assert cache.read(ref_b).disposition != "miss-memoized"
         assert cache.memo_stats.contained_bypasses >= 1
+
+    def test_a_memo_serve_pins_as_a_fill_does(self):
+        kernel, base, (ref_a, ref_b) = build_world()
+        base.attach(TranslationProperty())
+        base.attach(AlwaysAvailableProperty())
+        cache = memo_cache(kernel)
+        cache.read(ref_a)
+        assert cache.read(ref_b).disposition == "miss-memoized"
+        assert cache.entry_for(ref_a).pinned and cache.entry_for(ref_b).pinned
 
     def test_memoized_entry_behaves_like_filled_entry(self):
         # The adopted entry must survive later hits and invalidations.

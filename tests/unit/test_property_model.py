@@ -157,6 +157,7 @@ class TestLifecycleEvents:
         assert payload["name"] == "added"
         assert payload["is_active"] is True
         assert payload["transforms_reads"] is True
+        assert payload["on_read_path"] is True
         assert payload["infrastructure"] is False
 
     def test_static_attach_payload_flags(self, base):
@@ -166,6 +167,7 @@ class TestLifecycleEvents:
         payload = watcher.seen[0].payload
         assert payload["is_active"] is False
         assert payload["transforms_reads"] is False
+        assert payload["on_read_path"] is False
 
     def test_detach_dispatches_remove_property(self, base):
         watcher = RecordingProperty(events={EventType.REMOVE_PROPERTY})

@@ -155,12 +155,6 @@ class TestWebProvider:
         assert record.last_modified_ms == 10.0
         assert record.puts == 0
 
-    def test_urls_listing(self, ctx):
-        origin = WebOrigin(ctx.clock)
-        origin.publish("/b", b"")
-        origin.publish("/a", b"")
-        assert origin.urls() == ["/a", "/b"]
-
 
 class TestLiveFeedProvider:
     def test_every_fetch_differs(self, ctx):

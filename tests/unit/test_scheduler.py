@@ -121,23 +121,6 @@ class TestRunBatch:
         assert results == ["led", ("f1", "landed", None), ("f2", "landed", None)]
         assert len(table) == 0
 
-    def test_waiters_counts_parked_followers(self):
-        table = FlightTable()
-        seen = []
-
-        def observer():
-            yield FETCH_SEAM  # after both followers parked
-            seen.append(table.lookup("k").waiters)
-            return "observed"
-
-        run_batch([
-            _leader([], table, "k", seams=2),
-            _follower([], table, "k", "f1"),
-            _follower([], table, "k", "f2"),
-            observer(),
-        ])
-        assert seen == [2]
-
     def test_failed_leader_promotes_the_first_woken_follower(self):
         log, table = [], FlightTable()
         error = RuntimeError("leader died")

@@ -30,7 +30,6 @@ class TestCacheStatsHelpers:
         stats = CacheStats()
         assert stats.mean_hit_latency_ms == 0.0
         assert stats.hit_ratio == 0.0
-        assert stats.staleness_ratio == 0.0
 
     def test_merged_empty_list(self):
         merged = CacheStats.merged([])
@@ -44,22 +43,6 @@ class TestCacheStatsHelpers:
 
 
 class TestSpaceLookups:
-    def test_reference_for_document(self, kernel, user):
-        reference = kernel.import_document(
-            user, MemoryProvider(kernel.ctx, b"x"), "doc"
-        )
-        space = kernel.space(user)
-        assert (
-            space.reference_for_document(reference.base.document_id)
-            is reference
-        )
-
-    def test_reference_for_unknown_document_raises(self, kernel, user):
-        from repro.ids import DocumentId
-
-        with pytest.raises(ReferenceNotFoundError):
-            kernel.space(user).reference_for_document(DocumentId("none"))
-
     def test_get_unknown_reference_raises(self, kernel, user):
         from repro.ids import ReferenceId
 
