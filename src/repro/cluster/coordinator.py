@@ -37,6 +37,7 @@ byte-identical to a plain ``DocumentCache``.
 from __future__ import annotations
 
 import typing
+from collections import Counter
 
 from repro.cache.containment import ContainmentStats
 from repro.cache.entry import CacheEntry, EntryKey
@@ -193,9 +194,9 @@ class CacheCluster:
         #: the passes :meth:`add_shard`/:meth:`lose_shard` run
         #: internally (A17's topology-churn metric).
         self.rebalance_repairs = 0
-        #: The key of each read :meth:`_drain_probes` ran on the
-        #: cluster's own behalf; shards and read-path properties count it.
-        self.probe_refills: tuple[EntryKey, ...] = ()
+        #: Reads :meth:`_drain_probes` ran on the cluster's own behalf, by
+        #: key; shards and read-path properties count them too.
+        self.probe_refills: Counter[EntryKey] | None = None
 
     # -- construction ---------------------------------------------------------
 
@@ -490,7 +491,8 @@ class CacheCluster:
                     shard.read(reference)
                 except CacheError:
                     continue
-                self.probe_refills += (EntryKey.for_reference(reference),)
+                self.probe_refills = self.probe_refills or Counter()
+                self.probe_refills[EntryKey.for_reference(reference)] += 1
         finally:
             self._draining_probes = False
 

@@ -157,8 +157,7 @@ class DiskContentStore:
 
         Refcounts restart at zero — the owning tier re-adopts once per
         catalog record it recovers, exactly like a fresh open.  Without
-        *rebuild* (a shutdown: the store is closed next) the segment is
-        only truncated, not read back.
+        *rebuild* (a shutdown) the segment is truncated, not read back.
         """
         self.log.crash()
         if rebuild:

@@ -499,12 +499,11 @@ class L2Tier:
         fingerprints cover code identity + configuration, so an exact
         tuple match proves the rebuilt set checks the same conditions
         the demoted entry's did.  Anything else (property gone,
-        verifier reconfigured) refuses conservatively.  Observed state
-        inside a rebuilt verifier is *current* rather than fill-time:
-        sound for the source, which the promote path has already probed
-        unchanged since the demotion; a verifier that snapshots an
-        external condition carries the snapshot in its fingerprint, so
-        one rebuilt after the condition moved does not match.
+        verifier reconfigured) refuses conservatively.  A rebuilt
+        verifier observes *current* state: sound for the source, which
+        the promote path probed unchanged since the demotion; one that
+        snapshots an external condition has the snapshot in its
+        fingerprint, so it does not match once the condition moved.
         """
         if record.verifiers is not None:
             return record.verifiers
@@ -678,8 +677,8 @@ class L2Tier:
     # -- crash / recover -------------------------------------------------------
 
     def crash(self, *, rebuild: bool = True) -> None:
-        """Process death: unsynced bytes vanish, volatile catalog too.
-        *rebuild* re-reads the surviving content index for a restart."""
+        """Process death: unsynced bytes vanish, volatile catalog too
+        (*rebuild*: and the content index is read back for a restart)."""
         self.disk.crash(rebuild=rebuild)
         for log in (self.catalog_log, self.journal_log, self.memo_log):
             log.crash()

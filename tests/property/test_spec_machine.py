@@ -179,8 +179,8 @@ class SpecMachine(RuleBasedStateMachine):
 
     def probes(self, key=None) -> int:
         """Reads a cluster ran on its own behalf (of *key*, or of any)."""
-        probes = getattr(self.system, "probe_refills", ())
-        return len(probes) if key is None else probes.count(EntryKey(*key))
+        probes = getattr(self.system, "probe_refills", None) or Counter()
+        return probes.total() if key is None else probes[EntryKey(*key)]
 
     # -- reads ----------------------------------------------------------------
 
