@@ -54,6 +54,16 @@ class EventType(enum.Enum):
     # identity hashing, not Enum's Python-level ``hash(self._name_)``.
     __hash__ = object.__hash__
 
+    @property
+    def is_stream_event(self) -> bool:
+        """True for the two events that carry stream interposition."""
+        return self in (EventType.GET_INPUT_STREAM, EventType.GET_OUTPUT_STREAM)
+
+    @property
+    def is_forwarded(self) -> bool:
+        """True for operations forwarded by a cache rather than executed."""
+        return self in (EventType.READ_FORWARDED, EventType.WRITE_FORWARDED)
+
 
 @dataclass
 class Event:

@@ -12,7 +12,7 @@ reference id and by the referenced document id.
 from __future__ import annotations
 
 from repro.errors import ReferenceNotFoundError
-from repro.ids import ReferenceId, UserId
+from repro.ids import DocumentId, ReferenceId, UserId
 from repro.placeless.document import BaseDocument
 from repro.placeless.reference import DocumentReference
 from repro.sim.context import SimContext
@@ -70,12 +70,25 @@ class DocumentSpace:
         self._references[reference_id] = reference
         return reference
 
+    def drop_reference(self, reference_id: ReferenceId) -> None:
+        """Remove a reference from this space (the base document remains)."""
+        reference = self.get(reference_id)
+        reference.base.unregister_reference(reference)
+        del self._references[reference_id]
+
     def get(self, reference_id: ReferenceId) -> DocumentReference:
         """Look up a reference by id."""
         try:
             return self._references[reference_id]
         except KeyError:
             raise ReferenceNotFoundError(reference_id) from None
+
+    def reference_for_document(self, document_id: DocumentId) -> DocumentReference:
+        """This user's reference to *document_id* (first if several)."""
+        for reference in self._references.values():
+            if reference.base.document_id == document_id:
+                return reference
+        raise ReferenceNotFoundError(document_id)
 
     def references(self) -> list[DocumentReference]:
         """All references in this space."""

@@ -1,16 +1,26 @@
-"""``CacheCluster.read_many`` against routed reads, under chaos.
+"""Sequential ≡ batch equivalence, extended to ``CacheCluster.read_many``.
 
-What a fanned batch may serve on a healthy deployment is the spec's
-(``tests/property/test_spec_machine.py``).  Under the chaos plan the two
-modes legitimately diverge (coalescing changes the per-seam RNG draw
-sequence), so at the pinned chaos seeds 77/101/202 the properties are
-per-mode: determinism (same seed twice → identical outcome sequence and
-aggregate stats) and conservation of ``hits + misses``.
+The single-cache property (tests/property/test_prop_scheduler.py)
+promises that driving a read burst as one interleaved batch serves
+byte-identical content to sequential reads.  The cluster fans one
+``read_many`` batch across shards in one FIFO queue, with cross-shard
+single-flight and memo imports in the middle — so the property is
+re-stated at cluster scope: per-burst bytes are identical whether the
+burst runs as routed sequential ``read`` calls or as one fanned
+``read_many``, on a healthy 3-shard shared deployment.
+
+Under the chaos plan the two modes legitimately diverge (coalescing
+changes the per-seam RNG draw sequence), so at the pinned chaos seeds
+77/101/202 the properties are per-mode: determinism (same seed twice →
+identical outcome sequence and aggregate stats) and conservation of
+``hits + misses``.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.policies import (
     DefaultConcurrencyPolicy,
@@ -18,7 +28,10 @@ from repro.cache.policies import (
     DegradationPolicy,
 )
 from repro.cluster import CacheCluster, DefaultClusterPolicy
-from tests.property.test_prop_scheduler import _served, chaos_world
+from repro.faults.plan import FaultPlan
+from repro.placeless.kernel import PlacelessKernel
+from repro.workload.documents import CorpusSpec, build_corpus
+from repro.workload.users import build_population
 
 _N_DOCUMENTS = 5
 _N_USERS = 4
@@ -26,8 +39,26 @@ _N_SHARDS = 3
 _CHAOS_SEEDS = (77, 101, 202)
 
 
-def _build(seed: int):
-    kernel, corpus, population = chaos_world(seed, _N_DOCUMENTS, _N_USERS)
+def _build(seed: int, chaos: bool = False):
+    kernel = PlacelessKernel()
+    if chaos:
+        kernel.ctx.faults = FaultPlan(
+            kernel.ctx.clock,
+            seed=seed,
+            fetch_failure_probability=0.05,
+            notifier_loss_probability=0.10,
+            notifier_delay_probability=0.10,
+            notifier_delay_ms=150.0,
+            verifier_failure_probability=0.02,
+        )
+    owner = kernel.create_user("owner")
+    corpus = build_corpus(
+        kernel, owner,
+        CorpusSpec(n_documents=_N_DOCUMENTS, ttl_ms=3_600_000.0, seed=seed),
+    )
+    population = build_population(
+        kernel, corpus, _N_USERS, personalized_fraction=0.5, seed=seed
+    )
     cluster = CacheCluster(
         kernel,
         _N_SHARDS,
@@ -36,7 +67,7 @@ def _build(seed: int):
         concurrency_policy=DefaultConcurrencyPolicy(),
         memo_policy=DefaultMemoPolicy(),
         shard_kwargs={
-            "degradation_policy": DegradationPolicy(serve_stale_on_error=True)
+            "degradation_policy": DegradationPolicy(serve_stale_on_error=chaos)
         },
         name=f"cluster-prop-{seed}",
     )
@@ -68,9 +99,9 @@ def _script(seed: int) -> list[tuple]:
     return operations
 
 
-def _run(seed: int, concurrent: bool):
+def _run(seed: int, concurrent: bool, chaos: bool = False):
     """Execute the script; one result list per burst, burst order."""
-    kernel, corpus, population, cluster = _build(seed)
+    kernel, corpus, population, cluster = _build(seed, chaos=chaos)
     results: list[list] = []
     for operation in _script(seed):
         if operation[0] == "burst":
@@ -108,13 +139,54 @@ def _run(seed: int, concurrent: bool):
     return results, cluster
 
 
+def _served(results: list[list]) -> int:
+    return sum(
+        1
+        for burst in results
+        for result in burst
+        if isinstance(result, bytes)
+    )
+
+
+class TestClusterSequentialAsyncEquivalence:
+    """Healthy runs: fanned and sequential reads serve the same bytes."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    def test_byte_identical_content(self, seed):
+        sequential, _ = _run(seed, concurrent=False)
+        concurrent, _ = _run(seed, concurrent=True)
+        assert sequential == concurrent
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    def test_hits_plus_misses_conserved_in_both_modes(self, seed):
+        for concurrent in (False, True):
+            results, cluster = _run(seed, concurrent=concurrent)
+            stats = cluster.aggregate_stats()
+            assert stats.hits + stats.misses == _served(results)
+
+    def test_cross_shard_sharing_actually_engages(self):
+        # Guard against vacuous equivalence: some pinned seed must
+        # produce real follows AND real cross-shard memo imports.
+        for seed in range(20):
+            _, cluster = _run(seed, concurrent=True)
+            follows = cluster.concurrency_stats.follows
+            imports = cluster.shared_memo.imports
+            if follows > 0 and imports > 0:
+                return
+        raise AssertionError(
+            "no seed in 0..19 exercised cross-shard coalescing + imports"
+        )
+
+
 class TestClusterChaosSeeds:
     """Pinned chaos seeds: per-mode determinism + conservation."""
 
     @pytest.mark.parametrize("seed", _CHAOS_SEEDS)
     def test_async_chaos_is_deterministic(self, seed):
-        first, first_cluster = _run(seed, concurrent=True)
-        second, second_cluster = _run(seed, concurrent=True)
+        first, first_cluster = _run(seed, concurrent=True, chaos=True)
+        second, second_cluster = _run(seed, concurrent=True, chaos=True)
         assert first == second
         assert vars(first_cluster.aggregate_stats()) == vars(
             second_cluster.aggregate_stats()
@@ -122,13 +194,13 @@ class TestClusterChaosSeeds:
 
     @pytest.mark.parametrize("seed", _CHAOS_SEEDS)
     def test_sequential_chaos_is_deterministic(self, seed):
-        first, _ = _run(seed, concurrent=False)
-        second, _ = _run(seed, concurrent=False)
+        first, _ = _run(seed, concurrent=False, chaos=True)
+        second, _ = _run(seed, concurrent=False, chaos=True)
         assert first == second
 
     @pytest.mark.parametrize("seed", _CHAOS_SEEDS)
     def test_conservation_holds_under_chaos_in_both_modes(self, seed):
         for concurrent in (False, True):
-            results, cluster = _run(seed, concurrent=concurrent)
+            results, cluster = _run(seed, concurrent=concurrent, chaos=True)
             stats = cluster.aggregate_stats()
             assert stats.hits + stats.misses == _served(results)

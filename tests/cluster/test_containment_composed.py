@@ -4,13 +4,15 @@ The containment guard fences the *kernel's* property code, so it is one
 object per simulation context however many caches stand on it.  These
 tests hold that against the things that used to break it — N shards
 each building a guard, ``add_shard``/``lose_shard`` replacing or
-orphaning it, a second cache with another tuning.  What every seam
-composition may serve is ``tests/property/test_spec_machine.py``'s.
+orphaning it, a second cache with another tuning — and then run one op
+stream through every containment × memo × concurrency × shard-count
+combination under the invariants a seam matrix exists to check.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 
 import pytest
 
@@ -21,14 +23,26 @@ from repro.cache.policies import (
     MemoPolicy,
     RecoveryPolicy,
 )
-from repro.cluster import CacheCluster
+from repro.cluster import CacheCluster, ClusterPolicy
 from repro.contract.verifiers import Verifier
-from repro.errors import CacheError
+from repro.errors import (
+    CacheError,
+    ContainmentError,
+    PropertyError,
+    StreamError,
+)
 from repro.events.types import EventType
+from repro.faults.plan import FaultPlan
 from repro.placeless.kernel import PlacelessKernel
 from repro.placeless.properties import ActiveProperty
+from repro.properties.translate import TranslationProperty
 from repro.providers.memory import MemoryProvider
+from repro.sim.context import SimContext
+from repro.workload.documents import CorpusSpec, build_corpus, generate_text
+from repro.workload.trace import TraceEventKind, TraceSpec, generate_trace
+from repro.workload.users import build_population
 
+CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "77"))
 POLICY = ContainmentPolicy(failure_threshold=2, probation_delay_ms=500.0)
 
 
@@ -208,3 +222,146 @@ class TestOneGuardPerWorld:
         reference.attach(Flaky())
         assert bare.read(reference).degraded
         assert guard.stats.failures_contained == 1
+
+
+# -- the seam matrix ----------------------------------------------------------
+
+_SPEC = TraceSpec(
+    n_events=240, n_documents=8, n_users=3,
+    p_write=0.08, p_property_change=0.04, p_property_reorder=0.02,
+    mean_think_time_ms=120.0, seed=CHAOS_SEED,
+)
+_FAILURES = (PropertyError, StreamError, ContainmentError)
+
+
+def _run_matrix_cell(contained, memo, concurrent, shard_count):
+    """The misbehave tier's op stream (tests/faults/test_misbehave.py:
+    writes and property toggles among Zipf reads, plus chain reorders)
+    through one configuration; runs of consecutive reads go out as one
+    ``read_many`` so the same stream exercises both read drivers.
+
+    The plan carries the scenario's property misbehaviour only, and the
+    trace no out-of-band updates: a lossy bus and TTL-bounded sources
+    make stale serves legitimate, which is the recovery tier's subject
+    and would leave the byte oracle nothing to say.
+    """
+    ctx = SimContext()
+    ctx.faults = FaultPlan(
+        ctx.clock, seed=CHAOS_SEED, property_failure_probability=0.10
+    )
+    kernel = PlacelessKernel(ctx)
+    owner = kernel.create_user("owner")
+    corpus = build_corpus(
+        kernel, owner,
+        CorpusSpec(n_documents=_SPEC.n_documents, seed=CHAOS_SEED),
+    )
+    references = build_population(
+        kernel, corpus, _SPEC.n_users, personalized_fraction=0.5,
+        seed=CHAOS_SEED,
+    ).references
+    # Tight, so that every shard evicts in every cell — including the
+    # memo × 4-shard ones, where cross-shard imports install under
+    # pressure (the path that used to orphan its own entry).
+    total = sum(d.size_bytes for d in corpus)
+    cluster = CacheCluster(
+        kernel, shard_count,
+        capacity_bytes=total // 2,
+        cluster_policy=ClusterPolicy() if memo else None,
+        memo_policy=MemoPolicy() if memo else None,
+        concurrency_policy=ConcurrencyPolicy() if concurrent else None,
+        shard_kwargs={
+            "containment_policy": ContainmentPolicy(
+                failure_threshold=1, probation_delay_ms=2_000.0,
+                max_cost_ms=5.0,
+            ),
+        } if contained else {},
+    )
+
+    def fresh(reference):
+        """What the kernel serves with nothing injected or fenced."""
+        plan, guard = ctx.faults, ctx.containment
+        ctx.faults = ctx.containment = None
+        try:
+            return kernel.read(reference).content
+        finally:
+            ctx.faults, ctx.containment = plan, guard
+
+    answered = failed = 0
+
+    def flush(batch):
+        nonlocal answered, failed
+        for reference, outcome in zip(
+            batch, cluster.read_many(batch, return_exceptions=True)
+        ):
+            if isinstance(outcome, Exception):
+                # Typed, and with a guard only what no firewall can
+                # take back: a stream that broke after it was handed on.
+                assert isinstance(outcome, _FAILURES), outcome
+                assert not contained or isinstance(outcome, StreamError)
+                failed += 1
+                continue
+            answered += 1
+            if not outcome.degraded:
+                assert outcome.content == fresh(reference)
+        batch.clear()
+
+    batch: list = []
+    for event in generate_trace(_SPEC):
+        ctx.clock.advance(event.think_time_ms)
+        reference = references[event.user_index][event.document_index]
+        if event.kind is TraceEventKind.READ:
+            batch.append(reference)
+            continue
+        flush(batch)
+        if event.kind is TraceEventKind.WRITE:
+            try:
+                cluster.write(reference, generate_text(
+                    corpus[event.document_index].size_bytes, seed=event.detail
+                ))
+            except _FAILURES:
+                pass
+        elif event.kind is TraceEventKind.PROPERTY_CHANGE:
+            if reference.has_property("matrix-toggle"):
+                reference.detach_by_name("matrix-toggle")
+            else:
+                reference.attach(TranslationProperty(name="matrix-toggle"))
+        elif event.kind is TraceEventKind.PROPERTY_REORDER:
+            ids = [p.property_id for p in reference.active_properties()]
+            reference.reorder(ids[1:] + ids[:1])
+    flush(batch)
+    return kernel, cluster, answered, failed
+
+
+@pytest.mark.parametrize(
+    "contained, memo, concurrent, shard_count",
+    list(itertools.product((False, True), (False, True), (False, True), (1, 4))),
+)
+def test_seam_matrix(contained, memo, concurrent, shard_count):
+    kernel, cluster, answered, failed = _run_matrix_cell(
+        contained, memo, concurrent, shard_count
+    )
+    assert answered > failed
+    assert kernel.ctx.faults.stats.properties_raised  # the scenario engaged
+    # Every read is a hit, a miss or a typed failure.
+    totals = cluster.aggregate_stats()
+    assert totals.hits + totals.misses == answered
+
+    if memo:
+        assert cluster.memo_stats.adoptions
+    if concurrent:
+        assert cluster.concurrency_stats.flights_led
+
+    guard = kernel.ctx.containment
+    assert (guard is not None) == contained
+    assert not contained or cluster.containment_stats.total
+    for shard in cluster.shards.values():
+        assert shard.containment is guard
+        naming: dict = {}
+        for entry in shard.entries():
+            naming[entry.signature] = naming.get(entry.signature, 0) + 1
+        assert len(shard.store) == len(naming)
+        for signature, count in naming.items():
+            assert shard.store.refcount(signature) == count
+    cluster.clear()
+    for shard in cluster.shards.values():
+        assert len(shard.store) == 0 and shard.used_bytes == 0

@@ -1,15 +1,28 @@
-"""The read drivers' wiring defaults, which the golden snapshots of
-``tests/property/test_pipeline_equivalence.py`` take for granted: a
-lone read is driven inline and never opens a flight, and no
-concurrency policy means no single-flight plane.
+"""Changes to the read drivers must not move the golden snapshots.
+
+The default configuration — lone reads driven inline, no concurrency
+policy, coalescing off — has to reproduce the snapshots captured from
+the pre-refactor monolithic cache key by key: same stats, same virtual
+clock, same fault-injection trace.  This re-asserts the pins from
+``tests/property/test_pipeline_equivalence.py`` inside the concurrency
+tier, so a driver change that perturbs the sequential path fails
+here even when only this tier runs, and additionally pins the *wiring*
+defaults the equivalence suite takes for granted.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import ConcurrencyPolicy
 from repro.placeless.kernel import PlacelessKernel
 from repro.providers.memory import MemoryProvider
+from tests.property.test_pipeline_equivalence import (
+    _CONFIGS,
+    moved,
+    run_seeded_workload,
+)
 
 
 class TestSchedulerDefaults:
@@ -43,3 +56,12 @@ class TestSchedulerDefaults:
         assert cache.concurrency_stats is None
         assert len(cache._core.flights) == 0
 
+
+class TestGoldenDigestsUnmoved:
+    """Every pinned snapshot reproduces key by key post-refactor."""
+
+    @pytest.mark.parametrize("name", sorted(_CONFIGS))
+    def test_pinned_digest_reproduces(self, name):
+        # A key that moved: a driver change moved observable sequential
+        # behaviour.
+        assert moved(name, run_seeded_workload(**_CONFIGS[name])) == []

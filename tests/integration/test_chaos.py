@@ -203,9 +203,7 @@ class TestChaosInvariants:
         )
         assert audit.reads_observed == len(audit.trail)
 
-    def test_every_serve_is_fresh_or_inside_a_declared_window(
-        self, chaos_run
-    ):
+    def test_staleness_bounded(self, chaos_run):
         _, _, _, _, report, extras = chaos_run
         # Notifiers + verifiers together: a serve may differ from the
         # uncached read only inside a TTL window (an out-of-band change

@@ -93,3 +93,14 @@ class TestCrossUserConsistency:
         cache.read(population.reference(0, 1))
         cache.write(population.reference(1, 0), b"rewrite doc zero")
         assert cache.read(population.reference(0, 1)).hit
+
+    def test_hit_content_matches_fresh_kernel_read(self, world):
+        kernel, corpus, population, cache = world
+        for user_index in range(3):
+            for document_index in range(3):
+                reference = population.reference(user_index, document_index)
+                cached = cache.read(reference)
+                again = cache.read(reference)
+                fresh = kernel.read(reference).content
+                assert again.content == fresh
+                assert cached.content == fresh

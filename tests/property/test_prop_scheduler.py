@@ -1,18 +1,28 @@
-"""The two read drivers under the chaos fault plan.
+"""Property-based equivalence between the two read drivers.
 
-What a ``read_many`` batch may serve on a healthy deployment is the
-spec's (``tests/property/test_spec_machine.py``).  Under the chaos
-plan the batch and sequential drivers legitimately diverge — a
-coalesced batch makes fewer fetches, shifting every subsequent per-seam
-RNG draw — so the properties are per-mode: the batch driver is
-*deterministic* (same seed twice → identical outcome sequence and stats
-at the pinned chaos seeds 77/101/202), and both conserve
-``hits + misses == reads served``.
+The contract: for a seed-derived interleaving of read bursts, writes
+and out-of-band source mutations, driving every read burst through
+``read_many`` as one interleaved batch (with single-flight
+coalescing on) serves **byte-identical content** to driving the same
+burst as sequential ``read`` calls — and both modes conserve the
+accounting invariant ``hits + misses == reads served``.  Coalescing may
+*reclassify* an access (a follower becomes a hit, a cross-user miss
+becomes a memo adoption) but must never change the bytes an
+application observes on a healthy deployment.
+
+Under the chaos fault plan the two modes legitimately diverge — a
+coalesced batch makes fewer fetches, shifting every subsequent
+per-seam RNG draw — so there the properties are per-mode: the batch
+driver is *deterministic* (same seed twice → identical outcome
+sequence and stats at the pinned chaos seeds 77/101/202) and conserves
+hits + misses.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.manager import DocumentCache
 from repro.cache.policies import (
@@ -30,32 +40,36 @@ _N_USERS = 4
 _CHAOS_SEEDS = (77, 101, 202)
 
 
-def chaos_world(seed: int, n_documents: int, n_users: int):
-    """A kernel under the chaos fault plan, its corpus and population.
-    Long TTLs: an interleaving shifts virtual timestamps a little, and a
-    read must never flip between fresh and expired because of *when*
-    its verifier ran."""
+def _build(seed: int, chaos: bool = False):
+    """One deterministic deployment: kernel, corpus, population, cache."""
     kernel = PlacelessKernel()
-    kernel.ctx.faults = FaultPlan(
-        kernel.ctx.clock, seed=seed, fetch_failure_probability=0.05,
-        notifier_loss_probability=0.10, notifier_delay_probability=0.10,
-        notifier_delay_ms=150.0, verifier_failure_probability=0.02,
+    if chaos:
+        kernel.ctx.faults = FaultPlan(
+            kernel.ctx.clock,
+            seed=seed,
+            fetch_failure_probability=0.05,
+            notifier_loss_probability=0.10,
+            notifier_delay_probability=0.10,
+            notifier_delay_ms=150.0,
+            verifier_failure_probability=0.02,
+        )
+    owner = kernel.create_user("owner")
+    corpus = build_corpus(
+        kernel, owner,
+        # Long TTLs: scheduler interleaving shifts virtual timestamps a
+        # little, and a read must never flip between fresh and expired
+        # because of *when* its verifier ran within a burst.
+        CorpusSpec(n_documents=_N_DOCUMENTS, ttl_ms=3_600_000.0, seed=seed),
     )
-    corpus = build_corpus(kernel, kernel.create_user("owner"), CorpusSpec(
-        n_documents=n_documents, ttl_ms=3_600_000.0, seed=seed,
-    ))
-    return kernel, corpus, build_population(
-        kernel, corpus, n_users, personalized_fraction=0.5, seed=seed
+    population = build_population(
+        kernel, corpus, _N_USERS, personalized_fraction=0.5, seed=seed
     )
-
-
-def _build(seed: int):
-    kernel, corpus, population = chaos_world(seed, _N_DOCUMENTS, _N_USERS)
     cache = DocumentCache(
-        kernel, capacity_bytes=1 << 30,
+        kernel,
+        capacity_bytes=1 << 30,
         concurrency_policy=DefaultConcurrencyPolicy(),
         memo_policy=DefaultMemoPolicy(),
-        degradation_policy=DegradationPolicy(serve_stale_on_error=True),
+        degradation_policy=DegradationPolicy(serve_stale_on_error=chaos),
         name=f"sched-prop-{seed}",
     )
     return kernel, corpus, population, cache
@@ -90,14 +104,14 @@ def _script(seed: int) -> list[tuple]:
     return operations
 
 
-def _run(seed: int, concurrent: bool):
+def _run(seed: int, concurrent: bool, chaos: bool = False):
     """Execute the script; returns (per-read results, cache, kernel).
 
     Each burst contributes one list of results in burst order; a result
     is the served bytes, or the exception type name for chaos-mode
     failures.
     """
-    kernel, corpus, population, cache = _build(seed)
+    kernel, corpus, population, cache = _build(seed, chaos=chaos)
     results: list[list] = []
     for operation in _script(seed):
         if operation[0] == "burst":
@@ -137,7 +151,44 @@ def _run(seed: int, concurrent: bool):
 
 def _served(results: list[list]) -> int:
     """Reads that terminated with content (not an exception name)."""
-    return sum(isinstance(one, bytes) for burst in results for one in burst)
+    return sum(
+        1
+        for burst in results
+        for result in burst
+        if isinstance(result, bytes)
+    )
+
+
+class TestSequentialAsyncEquivalence:
+    """Healthy runs: both schedulers serve byte-identical content."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    def test_byte_identical_content(self, seed):
+        sequential, _, _ = _run(seed, concurrent=False)
+        concurrent, _, _ = _run(seed, concurrent=True)
+        assert sequential == concurrent
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**16))
+    def test_hits_plus_misses_conserved_in_both_modes(self, seed):
+        for concurrent in (False, True):
+            results, cache, _ = _run(seed, concurrent=concurrent)
+            assert (
+                cache.stats.hits + cache.stats.misses == _served(results)
+            )
+
+    def test_coalescing_actually_engages(self):
+        # Guard against vacuous equivalence: at least one pinned seed
+        # must produce real flights and real follows.
+        for seed in range(20):
+            _, cache, _ = _run(seed, concurrent=True)
+            stats = cache.concurrency_stats
+            if stats.flights_led > 0 and stats.follows > 0:
+                return
+        raise AssertionError(
+            "no seed in 0..19 exercised single-flight coalescing"
+        )
 
 
 class TestChaosSeeds:
@@ -145,15 +196,15 @@ class TestChaosSeeds:
 
     @pytest.mark.parametrize("seed", _CHAOS_SEEDS)
     def test_async_chaos_is_deterministic(self, seed):
-        first, first_cache, _ = _run(seed, concurrent=True)
-        second, second_cache, _ = _run(seed, concurrent=True)
+        first, first_cache, _ = _run(seed, concurrent=True, chaos=True)
+        second, second_cache, _ = _run(seed, concurrent=True, chaos=True)
         assert first == second
         assert vars(first_cache.stats) == vars(second_cache.stats)
 
     @pytest.mark.parametrize("seed", _CHAOS_SEEDS)
     def test_conservation_holds_under_chaos_in_both_modes(self, seed):
         for concurrent in (False, True):
-            results, cache, _ = _run(seed, concurrent=concurrent)
+            results, cache, _ = _run(seed, concurrent=concurrent, chaos=True)
             assert (
                 cache.stats.hits + cache.stats.misses == _served(results)
             )

@@ -34,6 +34,16 @@ def make_event(event_type=EventType.GET_INPUT_STREAM, **payload):
 
 
 class TestEventType:
+    def test_stream_events_flagged(self):
+        assert EventType.GET_INPUT_STREAM.is_stream_event
+        assert EventType.GET_OUTPUT_STREAM.is_stream_event
+        assert not EventType.TIMER.is_stream_event
+
+    def test_forwarded_events_flagged(self):
+        assert EventType.READ_FORWARDED.is_forwarded
+        assert EventType.WRITE_FORWARDED.is_forwarded
+        assert not EventType.GET_INPUT_STREAM.is_forwarded
+
     def test_describe_mentions_user_and_type(self):
         text = make_event().describe()
         assert "get-input-stream" in text

@@ -146,9 +146,7 @@ class TestForwardingEdges:
         times = [record.at_ms for record in audit.trail]
         assert times == sorted(times)
 
-    def test_detaching_the_audit_invalidates_the_entry_it_voted_on(
-        self, kernel, user
-    ):
+    def test_forwarding_survives_property_detach(self, kernel, user):
         reference = kernel.import_document(
             user, MemoryProvider(kernel.ctx, b"doc"), "doc"
         )
@@ -158,7 +156,8 @@ class TestForwardingEdges:
         cache.read(reference)
         reference.detach(audit)
         # The entry was admitted under the audit's CACHEABLE_WITH_EVENTS
-        # vote; a property leaving the read path is class (b).
+        # vote; a property leaving the read path is class (b), so the
+        # next read refills, and forwarded events reach nobody.
         outcome = cache.read(reference)
         assert not outcome.hit
         assert cache.read(reference).hit

@@ -239,3 +239,10 @@ class TestKernelRouting:
 
         with pytest.raises(SpaceNotFoundError):
             kernel.space(UserId("ghost"))
+
+    def test_drop_reference(self, world):
+        kernel, base, reference, _ = world
+        owner_space = kernel.space(reference.owner)
+        owner_space.drop_reference(reference.reference_id)
+        assert len(owner_space) == 0
+        assert reference not in base.references

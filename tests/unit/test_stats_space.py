@@ -43,6 +43,22 @@ class TestCacheStatsHelpers:
 
 
 class TestSpaceLookups:
+    def test_reference_for_document(self, kernel, user):
+        reference = kernel.import_document(
+            user, MemoryProvider(kernel.ctx, b"x"), "doc"
+        )
+        space = kernel.space(user)
+        assert (
+            space.reference_for_document(reference.base.document_id)
+            is reference
+        )
+
+    def test_reference_for_unknown_document_raises(self, kernel, user):
+        from repro.ids import DocumentId
+
+        with pytest.raises(ReferenceNotFoundError):
+            kernel.space(user).reference_for_document(DocumentId("none"))
+
     def test_get_unknown_reference_raises(self, kernel, user):
         from repro.ids import ReferenceId
 
