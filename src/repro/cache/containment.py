@@ -6,8 +6,9 @@ and write (§2) and "verifiers … are executed each time an entry is
 retrieved" (§3).  That code is the availability hazard — a single
 raising, runaway or corrupt property poisons every access to its
 document.  This module contains the blast radius with three mechanisms
-wrapped around the three untrusted-code seams (stream wrappers, verifier
-execution, notifier callbacks):
+wrapped around two untrusted-code seams, stream wrappers and notifier
+callbacks (a raising verifier is caught by the cache's own hit path,
+and the cache's quarantine stops one that keeps raising):
 
 * per-(document, code-site) **circuit breakers** with the full
   closed → open → half-open probation state machine, driven by the
@@ -33,7 +34,7 @@ in any one cache, so there is one guard per
 :class:`~repro.sim.context.SimContext` (DESIGN.md §6.2): the first cache
 that passes a ``containment_policy`` builds it, later caches passing an
 equal policy attach to it, a different policy is refused.  The policy
-opts a cache's *own* seams in (verifier gate, memo and single-flight
+opts a cache's *own* seams in (the memo and single-flight
 bail-outs); its kernel reads pass through the world's guard either way.
 
 Everything here is **off by default**: on a context where no cache
@@ -75,8 +76,8 @@ __all__ = [
 ]
 
 #: A breaker is keyed by (document id, code-site label); site labels are
-#: ``stream:<property name>``, the verifier type name (matching the
-#: legacy quarantine key shape), or ``notifier:<property name>``.
+#: ``stream:<property name>``, the verifier type name (the cache
+#: quarantine's key), or ``notifier:<property name>``.
 BreakerKey = tuple[Any, str]
 
 
@@ -89,7 +90,7 @@ class _EventKey(NamedTuple):
 
 
 def verifier_key(entry: "CacheEntry", verifier: Any) -> BreakerKey:
-    """The breaker (and legacy quarantine) key for one entry's verifier:
+    """The quarantine's breaker key for one entry's verifier:
     stable across refills (which rebuild verifier objects), so repeated
     failures accumulate per document and verifier type, not per object."""
     return (entry.document_id, type(verifier).__name__)
@@ -114,8 +115,7 @@ class BreakerConfig:
     probation_delay_ms:
         Virtual time an open breaker waits before admitting a half-open
         probe.  ``None`` means *no probation*: the breaker stays open
-        until explicitly reset — exactly the legacy permanent verifier
-        quarantine, re-expressed.
+        until explicitly reset — the cache's verifier quarantine.
     half_open_successes:
         Consecutive successful probes required to close again.
     """
@@ -145,7 +145,7 @@ class CircuitBreaker:
 
     All timing is virtual-clock milliseconds supplied by the caller, so
     the machine is deterministic and usable both with a clock (the
-    containment guard) and without one (the quarantine re-expression,
+    containment guard) and without one (the verifier quarantine,
     which never probes).
     """
 
@@ -307,8 +307,8 @@ class ContainmentStats:
     probes: int = 0
     #: Optional transformers skipped (served degraded).
     optional_skips: int = 0
-    #: Accesses forced to miss to the kernel (required transformer or
-    #: verifier-gate breaker open).
+    #: Accesses forced to miss to the kernel (a required transformer's
+    #: breaker open).
     forced_misses: int = 0
     #: Accesses denied with a typed error.
     denials: int = 0
@@ -322,12 +322,13 @@ class ContainmentStats:
 
 
 class ContainmentGuard:
-    """Coordinates breakers, budgets and firewalls across the three seams.
+    """Coordinates breakers, budgets and firewalls across two seams.
 
     One per simulation context, at ``ctx.containment``, where
     :mod:`repro.streams.chain` (stream wrappers) and
     :mod:`repro.cache.notifiers` (callbacks) find it; a cache built with
-    its policy holds it as ``core.containment`` for the verifier gate.
+    its policy holds it as ``core.containment`` for the memo and
+    single-flight bail-outs (:meth:`chain_blocked`).
     It writes its own :attr:`stats` and reports each event through
     *emit*, the ``emit`` of the cache that built it; no cache owns it,
     so shards may come and go under it.
@@ -345,7 +346,6 @@ class ContainmentGuard:
         self.budget: ExecutionBudget | None = policy.execution_budget()
         breaker_config = policy.breaker_config()
         self.wrappers = BreakerRegistry(breaker_config)
-        self.verifiers = BreakerRegistry(breaker_config)
         self.notifiers = BreakerRegistry(breaker_config)
         self.stats = ContainmentStats()
 
@@ -499,57 +499,6 @@ class ContainmentGuard:
                 return True
         return False
 
-    # -- verifier seam ---------------------------------------------------------
-
-    def verifier_blocked(self, entry: "CacheEntry") -> bool:
-        """Is any of the entry's verifiers behind an open breaker?
-
-        A blocked verifier forces the access to miss to the kernel —
-        the breaker-shaped successor of the quarantine's forced miss.
-        An open breaker past its probation admits the caller as a probe
-        instead of blocking.  With no verifier breaker at all the
-        answer is False and nothing is touched, so the hit path calls
-        this (and :meth:`note_verifier_success`) only while
-        ``verifiers.breakers`` holds one: a fault-free hit builds no
-        :func:`verifier_key`.
-        """
-        blocked = False
-        for verifier in entry.verifiers:
-            if not self._allow(self.verifiers, verifier_key(entry, verifier)):
-                blocked = True
-        if blocked:
-            self.stats.forced_misses += 1
-            self._emit(
-                "forced-miss", entry.document_id, "verifier-gate",
-                seam="verifier",
-            )
-        return blocked
-
-    def check_verifier_budget(
-        self, entry: "CacheEntry", verifier: Any
-    ) -> None:
-        """Budget gate before a verifier runs; raises on overrun."""
-        budget = self.budget
-        if budget is None:
-            return
-        key = verifier_key(entry, verifier)
-        try:
-            budget.check_cost(verifier.cost_ms, key[1])
-        except BudgetExceededError:
-            self.stats.budget_overruns += 1
-            self._emit("budget-exceeded", *key, cost_ms=verifier.cost_ms)
-            raise
-
-    def note_verifier_failure(
-        self, entry: "CacheEntry", verifier: Any
-    ) -> None:
-        self._failure(self.verifiers, verifier_key(entry, verifier))
-
-    def note_verifier_success(
-        self, entry: "CacheEntry", verifier: Any
-    ) -> None:
-        self._success(self.verifiers, verifier_key(entry, verifier))
-
     # -- notifier seam ---------------------------------------------------------
 
     def run_notifier(
@@ -588,6 +537,5 @@ class ContainmentGuard:
         """Currently-open breakers per seam (for benches and bridges)."""
         return {
             "wrapper": self.wrappers.open_keys(),
-            "verifier": self.verifiers.open_keys(),
             "notifier": self.notifiers.open_keys(),
         }

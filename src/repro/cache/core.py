@@ -122,7 +122,8 @@ class CacheCore:
         self.policy = policy
         self.degradation = degradation
         threshold = degradation.verifier_quarantine_threshold
-        #: The legacy verifier quarantine, as circuit breakers keyed by
+        #: The verifier quarantine, the hit's one verifier gate with or
+        #: without containment, as circuit breakers keyed by
         #: :func:`~repro.cache.containment.verifier_key`: ``threshold``
         #: consecutive raises trip, and with no probation delay an open
         #: breaker stays open until ``quarantine.reset_all()``.  State,
@@ -169,8 +170,8 @@ class CacheCore:
         #: This cache's handle on the world's containment guard
         #: (``ctx.containment``), set by the manager when a containment
         #: policy is configured; ``None`` (the default) keeps this
-        #: cache's own seams — verifier gate, memo and single-flight
-        #: bail-outs — on the historical unguarded path.
+        #: cache's own seams — the memo and single-flight bail-outs — on
+        #: the historical unguarded path.
         self.containment: "ContainmentGuard | None" = None
         #: The transform memoization plane, installed by the manager
         #: when a memo policy is configured; ``None`` (the default)

@@ -367,8 +367,8 @@ class ReadPipeline:
         served if its verifiers agree.  ``result`` is the terminal
         :class:`CacheReadOutcome`, or ``None`` when the miss steps must
         continue — then ``stale`` is the invalidated ``(bytes,
-        filled-at)`` pair, if a verifier, a quarantine or an open
-        breaker dropped the entry, for bounded serve-stale.  *entry* is
+        filled-at)`` pair, if a verifier or the quarantine dropped the
+        entry, for bounded serve-stale.  *entry* is
         :meth:`_lookup`'s result when the generator split the prefix at
         the verifier seam.
         """
@@ -388,24 +388,11 @@ class ReadPipeline:
             sim.charge_hop(hop, entry.size)
 
         if core.use_verifiers:
-            guard = core.containment
-            # A breaker registry — the guard's or the legacy quarantine —
-            # has a breaker only once some verifier has raised; until
-            # then there is nothing to consult or to reset, per hit or
-            # per verifier, and no breaker key is built.
-            breakers = None if guard is None else guard.verifiers.breakers
-            quarantine = guard is None and bool(core.quarantine.breakers)
-            if guard is not None:
-                if breakers and guard.verifier_blocked(entry):
-                    # A breaker is open on one of the entry's verifiers:
-                    # the entry cannot be trusted and the verifier cannot
-                    # be afforded — force a miss.  Unlike the legacy
-                    # quarantine this heals itself: after the probation
-                    # delay the breaker admits a probe.
-                    core.drop(entry, InvalidationReason.VERIFIER_FAILED,
-                              origin="containment")
-                    return None, (content, entry.created_at_ms)
-            elif quarantine and self._entry_quarantined(entry):
+            # The quarantine has a breaker only once some verifier has
+            # raised; until then there is nothing to consult or to
+            # reset, per hit or per verifier, and no breaker key is built.
+            quarantine = core.quarantine.breakers
+            if quarantine and self._entry_quarantined(entry):
                 # A repeatedly-failing verifier guards this entry: the
                 # entry cannot be trusted and the verifier cannot be
                 # afforded — force a miss instead of verifying.
@@ -419,8 +406,6 @@ class ReadPipeline:
                 clock.charge(verifier.cost_ms)
                 core.verifier_executed(key, began, verifier.cost_ms)
                 try:
-                    if guard is not None and guard.budget is not None:
-                        guard.check_verifier_budget(entry, verifier)
                     if sim.faults is not None:
                         sim.faults.check_verifier(
                             verifier.cost_ms,
@@ -428,20 +413,14 @@ class ReadPipeline:
                         )
                     result = verifier.run(clock.now_ms, content)
                 except Exception:
-                    if guard is not None:
-                        guard.note_verifier_failure(entry, verifier)
-                    else:
-                        self._note_failure(entry, verifier)
+                    self._note_failure(entry, verifier)
                     core.drop(entry, InvalidationReason.VERIFIER_FAILED,
                               origin="verifier")
                     core.stats.verifier_invalidations += 1
                     core.emit("verifier", "invalidated", key=key)
                     core.note_verifier_caught_lost(entry)
                     return None, (content, entry.created_at_ms)
-                if guard is not None:
-                    if breakers:
-                        guard.note_verifier_success(entry, verifier)
-                elif quarantine:
+                if quarantine:
                     core.note_verifier_success(verifier_key(entry, verifier))
                 if result.verdict is Verdict.INVALID:
                     reason = (

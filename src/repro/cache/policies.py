@@ -83,8 +83,8 @@ class ContainmentPolicy:
 
     The first cache constructed with a containment policy builds its
     kernel context's :class:`~repro.cache.containment.ContainmentGuard`
-    around the three untrusted-code seams (stream wrappers, verifiers,
-    notifier callbacks), all sharing one breaker configuration; later
+    around two untrusted-code seams (stream wrappers and notifier
+    callbacks), both sharing one breaker configuration; later
     caches on that context must pass an equal policy to attach.
     """
 
@@ -106,7 +106,7 @@ class ContainmentPolicy:
         self.execution_budget()
 
     def breaker_config(self) -> BreakerConfig:
-        """The breaker tuning for all three seams."""
+        """The breaker tuning for both seams."""
         return BreakerConfig(
             failure_threshold=self.failure_threshold,
             probation_delay_ms=self.probation_delay_ms,
@@ -246,7 +246,7 @@ class DegradationPolicy:
     #: … but only if the entry is at most this old (``None`` = any age).
     stale_serve_max_age_ms: float | None = None
     #: Quarantine a verifier after this many consecutive raises
-    #: (``None`` = never quarantine).
+    #: (``None`` = never quarantine), contained cache or not.
     verifier_quarantine_threshold: int | None = None
 
     def __post_init__(self) -> None:

@@ -55,11 +55,12 @@ from repro.cluster.memo_share import SharedTransformMemo
 from repro.cluster.placement import HashRingPolicy
 from repro.cluster.policy import ClusterPolicy
 from repro.contract.consistency import InvalidationReason
-from repro.errors import CacheError
+from repro.errors import UNAVAILABLE_ERRORS, CacheError
 from repro.ids import DocumentId, UserId
 from repro.overload.gate import OverloadStats
 from repro.overload.health import HealthTracker
 from repro.overload.hedge import hedged_iterate
+from repro.placeless.chain import read_plan
 from repro.placeless.kernel import PlacelessKernel
 from repro.placeless.reference import DocumentReference
 from repro.sim.scheduler import FlightTable, drive, settle_batch
@@ -457,10 +458,17 @@ class CacheCluster:
     def _note_hedge_win(
         self, primary_name: str, reference: "DocumentReference"
     ) -> None:
-        """Queue an off-path probe-refill every Nth win against a shard."""
+        """Queue an off-path probe-refill every Nth win against a shard.
+
+        Not for a chain that sees every read (an access check, an audit
+        trail): its refill would be a read no user made.
+        """
         count = self._hedge_wins.get(primary_name, 0) + 1
         self._hedge_wins[primary_name] = count
-        if count % self._HEDGE_PROBE_INTERVAL == 0:
+        if (
+            count % self._HEDGE_PROBE_INTERVAL == 0
+            and read_plan(reference).shareable
+        ):
             self._probe_queue.append((primary_name, reference))
 
     def _drain_probes(self) -> None:
@@ -489,7 +497,7 @@ class CacheCluster:
                     continue
                 try:
                     shard.read(reference)
-                except CacheError:
+                except (CacheError, *UNAVAILABLE_ERRORS):
                     continue
                 self.probe_refills = self.probe_refills or Counter()
                 self.probe_refills[EntryKey.for_reference(reference)] += 1

@@ -22,9 +22,12 @@ from repro.cache.policies import (
     DefaultRecoveryPolicy,
 )
 from repro.cluster import CacheCluster, DefaultClusterPolicy
-from repro.errors import CacheError
+from repro.errors import CacheError, ContentUnavailableError
+from repro.overload.gate import OverloadPolicy
 from repro.placeless.kernel import PlacelessKernel
+from repro.properties.audit import ReadAuditTrailProperty
 from repro.properties.translate import TranslationProperty
+from repro.providers.memory import MemoryProvider
 from repro.workload.documents import CorpusSpec, build_corpus
 from repro.workload.users import build_population
 
@@ -367,6 +370,54 @@ class TestSequentialFallback:
         ]
         assert cluster.concurrency_stats is None
         assert cluster.read_many([], return_exceptions=True) == []
+
+
+class _GoneProvider(MemoryProvider):
+    def _retrieve(self) -> bytes:
+        raise ContentUnavailableError("the repository lost it")
+
+
+class TestProbeRefills:
+    """A hedge win against a shard queues a probe that re-reads the
+    cancelled reference there, after the next read's answer is made."""
+
+    def _hedged(self, provider_type=MemoryProvider):
+        """A hedging two-shard cluster, a document served by a
+        *provider_type* and another one."""
+        kernel = PlacelessKernel()
+        owner = kernel.create_user("owner")
+        first = kernel.import_document(
+            owner, provider_type(kernel.ctx, b"first bytes"), "first"
+        )
+        other = kernel.import_document(
+            owner, MemoryProvider(kernel.ctx, b"other bytes"), "other"
+        )
+        cluster = CacheCluster(
+            kernel, 2, capacity_bytes=1 << 20,
+            overload_policy=OverloadPolicy(shedding=False),
+        )
+        return cluster, first, other
+
+    def _win_probe_interval(self, cluster, reference) -> None:
+        shard = cluster.shard_for(reference)
+        (name,) = [n for n, s in cluster.shards.items() if s is shard]
+        for _ in range(cluster._HEDGE_PROBE_INTERVAL):
+            cluster._note_hedge_win(name, reference)
+
+    def test_a_failed_probe_fetch_leaves_the_answered_read_alone(self):
+        cluster, gone, other = self._hedged(_GoneProvider)
+        self._win_probe_interval(cluster, gone)
+        assert cluster.read(other).content == b"other bytes"
+        assert cluster.probe_refills is None
+
+    def test_an_audited_document_is_never_probed(self):
+        cluster, audited, other = self._hedged()
+        audit = audited.base.attach(ReadAuditTrailProperty())
+        assert cluster.read(audited).content == b"first bytes"
+        self._win_probe_interval(cluster, audited)
+        cluster.read(other)
+        assert audit.reads_observed == 1
+        assert cluster.probe_refills is None
 
 
 class TestSingleCacheParity:

@@ -20,6 +20,7 @@ from repro.cache.manager import DocumentCache
 from repro.cache.policies import (
     ConcurrencyPolicy,
     ContainmentPolicy,
+    DegradationPolicy,
     MemoPolicy,
     RecoveryPolicy,
 )
@@ -196,8 +197,16 @@ class TestOneGuardPerWorld:
 
     def test_a_policy_less_cache_keeps_its_own_seams_unguarded(self):
         kernel = PlacelessKernel()
-        contained = DocumentCache(kernel, 1 << 20, containment_policy=POLICY)
-        bare = DocumentCache(kernel, 1 << 20, name="bare")
+        quarantining = DegradationPolicy(
+            verifier_quarantine_threshold=POLICY.failure_threshold
+        )
+        contained = DocumentCache(
+            kernel, 1 << 20, containment_policy=POLICY,
+            degradation_policy=quarantining,
+        )
+        bare = DocumentCache(
+            kernel, 1 << 20, name="bare", degradation_policy=quarantining
+        )
         guard = kernel.ctx.containment
         assert bare.containment is None
         assert bare.containment_stats is None
@@ -208,15 +217,18 @@ class TestOneGuardPerWorld:
         reference = kernel.space(user).add_reference(
             kernel.create_document(user, provider, "doc")
         )
-        # Its verifier gate is the historical one: a raising verifier
-        # invalidates, and no breaker of the world's guard hears of it.
+        # Its verifier gate is its own quarantine: a raising verifier
+        # invalidates until it is quarantined, and the world's guard
+        # holds no verifier breakers to hear of it.
+        assert not hasattr(guard, "verifiers")
         for _ in range(POLICY.failure_threshold + 1):
             assert not bare.read(reference).hit
-        assert len(guard.verifiers) == 0
-        # The contained neighbour's gate trips on the same verifier.
+        assert len(bare.core.quarantine.open_keys()) == 1
+        # The contained neighbour's gate is its own quarantine too.
+        assert len(contained.core.quarantine) == 0
         for _ in range(POLICY.failure_threshold + 1):
             contained.read(reference)
-        assert len(guard.verifiers.open_keys()) == 1
+        assert len(contained.core.quarantine.open_keys()) == 1
 
         # Its kernel reads still run where the guard stands.
         reference.attach(Flaky())

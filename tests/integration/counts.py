@@ -269,7 +269,7 @@ def group_breaker() -> dict:
     guard, stats = cache.containment, cache.stats
     return {"fault_free": {
         "wrappers": len(guard.wrappers),
-        "verifiers": len(guard.verifiers),
+        "verifiers": len(cache.core.quarantine),
         "notifiers": len(guard.notifiers),
         "deliveries": stats.notifier_deliveries,
         "verifier_executions": stats.verifier_executions,

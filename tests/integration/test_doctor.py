@@ -26,7 +26,7 @@ def test_doctor_is_healthy_and_prints_the_wired_configuration(capsys):
     assert "failure_threshold=3" in lines["containment"]
     assert "breaker_failure_threshold=3" in lines["storage"]
     breakers = out.split("breakers (open):\n", 1)[1].split("\n\n", 1)[0]
-    assert breakers.split() == ["wrapper=0", "verifier=0", "notifier=0"]
+    assert breakers.split() == ["wrapper=0", "notifier=0"]
 
 
 def test_doctor_shuts_its_durable_tiers_down(monkeypatch, tmp_path):

@@ -3,7 +3,9 @@
 Whatever interleaving of reads, writes, outage toggles and clock
 advances the fault plan throws at the cache, two invariants must hold:
 the content store's refcounts exactly mirror the live entries, and the
-physically stored bytes never exceed ``capacity_bytes``.
+physically stored bytes never exceed ``capacity_bytes``.  Each run
+draws whether the cache is contained: its verifiers answer to the one
+quarantine either way.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from hypothesis.stateful import (
 )
 
 from repro.cache.manager import DocumentCache
-from repro.cache.policies import DegradationPolicy
+from repro.cache.policies import ContainmentPolicy, DegradationPolicy
 from repro.errors import ProviderError
 from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
@@ -35,9 +37,12 @@ N_USERS = 2
 doc_indices = st.integers(min_value=0, max_value=N_DOCS - 1)
 user_indices = st.integers(min_value=0, max_value=N_USERS - 1)
 contents = st.binary(min_size=0, max_size=128)
+containment_policies = st.sampled_from([None, ContainmentPolicy()])
 
 
-def _build_deployment(capacity_bytes: int):
+def _build_deployment(
+    capacity_bytes: int, containment_policy: ContainmentPolicy | None = None
+):
     kernel = PlacelessKernel()
     users = [kernel.create_user(f"user{i}") for i in range(N_USERS)]
     providers = []
@@ -58,6 +63,7 @@ def _build_deployment(capacity_bytes: int):
         degradation_policy=DegradationPolicy(
             serve_stale_on_error=True, verifier_quarantine_threshold=3
         ),
+        containment_policy=containment_policy,
     )
     return kernel, users, providers, refs, cache
 
@@ -77,11 +83,14 @@ def _assert_bookkeeping(cache: DocumentCache) -> None:
 class FaultedCacheMachine(RuleBasedStateMachine):
     """Random ops under a togglable fault plan; bookkeeping must hold."""
 
-    @initialize(seed=st.integers(min_value=0, max_value=2**16))
-    def setup(self, seed):
+    @initialize(
+        seed=st.integers(min_value=0, max_value=2**16),
+        containment_policy=containment_policies,
+    )
+    def setup(self, seed, containment_policy):
         (
             self.kernel, self.users, self.providers, self.refs, self.cache
-        ) = _build_deployment(capacity_bytes=300)
+        ) = _build_deployment(300, containment_policy)
         self._healthy_plan = None
         self._faulty_plan = FaultPlan(
             self.kernel.ctx.clock,
@@ -158,10 +167,13 @@ class TestFaultedReadSequences:
         # Bookkeeping survived; and the counters add up.
         assert cache.stats.fetch_failures >= failures
 
-    @given(seed=st.integers(min_value=0, max_value=2**16))
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        containment_policy=containment_policies,
+    )
     @settings(max_examples=20, deadline=None)
-    def test_recovery_restores_transparency(self, seed):
-        kernel, _, _, refs, cache = _build_deployment(capacity_bytes=400)
+    def test_recovery_restores_transparency(self, seed, containment_policy):
+        kernel, _, _, refs, cache = _build_deployment(400, containment_policy)
         kernel.ctx.faults = FaultPlan(
             kernel.ctx.clock, seed=seed,
             fetch_failure_probability=0.6,

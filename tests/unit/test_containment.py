@@ -507,15 +507,16 @@ class TestQuarantineOwnedByBreakers:
         assert not hasattr(cache, "lift_quarantines")
 
     def test_breaker_registry_owns_quarantine(self):
+        # A contained cache's verifiers answer to its own quarantine.
         _, cache, _ = _deployment(DefaultContainmentPolicy())
-        guard = cache.containment
+        quarantine = cache.core.quarantine
         key = ("doc", "TTLVerifier")
-        breaker = guard.verifiers.get(key)
-        for _ in range(guard.verifiers.config.failure_threshold):
+        breaker = quarantine.get(key)
+        for _ in range(quarantine.config.failure_threshold):
             breaker.record_failure()
-        assert key in guard.verifiers.open_keys()
-        assert guard.verifiers.reset_all() == 1
-        assert not guard.verifiers.open_keys()
+        assert key in quarantine.open_keys()
+        assert quarantine.reset_all() == 1
+        assert not quarantine.open_keys()
 
 
 class TestOffByDefaultGuarantee:

@@ -1,26 +1,34 @@
 """The gates a verified hit skips while they cannot act still act.
 
-A hit asks the verifier breakers only once one exists, admission
-control only when the cache sheds, and the failover walk only while a
-shard is failed over or its primary is unhealthy.  Each test here makes
-the skipped gate able to act and checks that it does: an open verifier
-breaker forces a miss, a breaker past probation admits its probe and
-closes, a shedding gate counts every hit and still sheds, and a primary
-that turns unhealthy mid-run fails over on its next read and recovers.
+A hit asks the verifier quarantine only once it holds a breaker,
+admission control only when the cache sheds, and the failover walk only
+while a shard is failed over or its primary is unhealthy.  Each test
+here makes the skipped gate able to act and checks that it does: an
+open quarantine breaker forces a hit to miss, contained or not, a
+shedding gate counts every hit and still sheds, and a primary that
+turns unhealthy mid-run fails over on its next read and recovers.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cache.containment import verifier_key
 from repro.cache.manager import DocumentCache
-from repro.cache.policies import ContainmentPolicy, OverloadPolicy
+from repro.cache.policies import (
+    ContainmentPolicy,
+    DegradationPolicy,
+    OverloadPolicy,
+)
 from repro.cluster import CacheCluster
 from repro.errors import OverloadShedError
+from repro.faults.plan import FaultPlan
 from repro.overload import admission
 from repro.overload.health import RECOVERY_SUCCESSES, UNHEALTHY_ERROR_THRESHOLD
 from repro.placeless.kernel import PlacelessKernel
 from repro.workload.documents import CorpusSpec, build_corpus
+
+THRESHOLD = 2
 
 
 def _corpus(kernel: PlacelessKernel, n_documents: int = 8):
@@ -31,13 +39,18 @@ def _corpus(kernel: PlacelessKernel, n_documents: int = 8):
     )
 
 
-def _contained_hit(policy: ContainmentPolicy):
-    """A contained cache holding one verified entry, and a recorder of
-    every stage event it emits from here on."""
+def _verified_hit(containment_policy: ContainmentPolicy | None):
+    """A cache that quarantines after ``THRESHOLD`` raises, holding one
+    verified entry, and a recorder of every stage event it emits from
+    here on."""
     kernel = PlacelessKernel()
     reference = _corpus(kernel)[0].reference
     cache = DocumentCache(
-        kernel, capacity_bytes=1 << 28, containment_policy=policy
+        kernel, capacity_bytes=1 << 28,
+        containment_policy=containment_policy,
+        degradation_policy=DegradationPolicy(
+            verifier_quarantine_threshold=THRESHOLD
+        ),
     )
     assert cache.read(reference).disposition == "miss"
     entry = cache.entry_for(reference)
@@ -47,46 +60,39 @@ def _contained_hit(policy: ContainmentPolicy):
     return cache, reference, entry, events
 
 
-def _trip(cache: DocumentCache, entry) -> None:
-    """Fail the entry's first verifier until its breaker opens."""
-    guard = cache.containment
-    for _ in range(guard.policy.failure_threshold):
-        guard.note_verifier_failure(entry, entry.verifiers[0])
-    assert cache.containment_stats.trips == 1
-
-
 def test_an_open_verifier_breaker_forces_a_contained_hit_to_miss():
-    cache, reference, entry, events = _contained_hit(ContainmentPolicy())
-    _trip(cache, entry)
-    stats = cache.containment_stats
-    forced = stats.forced_misses
+    cache, reference, entry, events = _verified_hit(ContainmentPolicy())
+    core = cache.core
+    key = verifier_key(entry, entry.verifiers[0])
+    for _ in range(THRESHOLD):
+        core.note_verifier_failure(key)
+    assert core.is_quarantined(key)
+    forced = cache.stats.quarantine_forced_misses
     outcome = cache.read(reference)
     assert not outcome.hit
-    assert stats.forced_misses == forced + 1
+    assert cache.stats.quarantine_forced_misses == forced + 1
     assert [
-        event.payload["seam"] for event in events
-        if (event.stage, event.outcome) == ("containment", "forced-miss")
-    ] == ["verifier"]
+        event.outcome for event in events if event.stage == "quarantine"
+    ] == ["forced-miss"]
+    # The guard's breakers never heard of the verifier.
+    assert cache.containment_stats.forced_misses == 0
 
 
-def test_a_breaker_past_probation_admits_its_probe_and_closes():
-    policy = ContainmentPolicy(
-        failure_threshold=1, probation_delay_ms=10.0, half_open_successes=2
-    )
-    cache, reference, entry, events = _contained_hit(policy)
-    _trip(cache, entry)
-    stats = cache.containment_stats
-    cache.core.ctx.clock.advance(policy.probation_delay_ms)
-    assert cache.read(reference).hit  # the probe
-    assert (stats.probes, stats.closes) == (1, 0)
-    for _ in range(policy.half_open_successes - 1):
-        assert cache.read(reference).hit
-    assert (stats.probes, stats.closes, stats.forced_misses) == (1, 1, 0)
-    assert cache.containment.open_sites()["verifier"] == set()
-    outcomes = [
-        event.outcome for event in events if event.stage == "containment"
-    ]
-    assert outcomes == ["tripped", "probe", "closed"]
+@pytest.mark.parametrize(
+    "policy", [None, ContainmentPolicy()], ids=["plain", "contained"]
+)
+def test_a_raising_verifier_is_quarantined_after_the_threshold(policy):
+    cache, reference, _, _ = _verified_hit(policy)
+    ctx = cache.core.ctx
+    ctx.faults = FaultPlan(ctx.clock, seed=1, verifier_failure_probability=1.0)
+    for _ in range(THRESHOLD):
+        assert not cache.read(reference).hit  # the verifier raises
+    stats = cache.stats
+    assert stats.quarantined_verifiers == 1
+    assert stats.quarantine_forced_misses == 0
+    assert not cache.read(reference).hit  # the quarantine forces it
+    assert stats.quarantine_forced_misses == 1
+    assert len(cache.core.quarantine.open_keys()) == 1
 
 
 def test_a_shedding_gate_counts_every_hit_and_still_sheds(monkeypatch):
