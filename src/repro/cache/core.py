@@ -655,8 +655,8 @@ class CacheCore:
         for hop in self.topology.notifier_path():
             self.ctx.charge_hop(hop, 0)
         event = reference.make_event(EventType.READ_FORWARDED)
-        reference.base.dispatcher.dispatch(event)
-        reference.dispatcher.dispatch(event)
+        reference.base.dispatch(event)
+        reference.dispatch(event)
         self.stats.forwarded_reads += 1
         self.emit("forward", "read", key=EntryKey.for_reference(reference))
 
@@ -664,12 +664,8 @@ class CacheCore:
         self, reference: "DocumentReference", size: int
     ) -> None:
         """Forward a buffered write as WRITE_FORWARDED events, if wanted."""
-        base_wants = reference.base.dispatcher.has_listener(
-            EventType.WRITE_FORWARDED
-        )
-        ref_wants = reference.dispatcher.has_listener(
-            EventType.WRITE_FORWARDED
-        )
+        base_wants = reference.base.has_listener(EventType.WRITE_FORWARDED)
+        ref_wants = reference.has_listener(EventType.WRITE_FORWARDED)
         if not (base_wants or ref_wants):
             return
         # Stamped before the hops are charged, as the write happened.
@@ -679,8 +675,8 @@ class CacheCore:
         for hop in self.topology.notifier_path():
             self.ctx.charge_hop(hop, 0)
         if base_wants:
-            reference.base.dispatcher.dispatch(event)
+            reference.base.dispatch(event)
         if ref_wants:
-            reference.dispatcher.dispatch(event)
+            reference.dispatch(event)
         self.stats.forwarded_writes += 1
         self.emit("forward", "write", key=EntryKey.for_reference(reference))

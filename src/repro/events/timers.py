@@ -4,9 +4,9 @@ The paper's replication property "is invoked only as a result of timer
 events, assuming that Eyal's replication between PARC and Rice occurs only
 once at the end of the day".  The :class:`TimerService` lets a property
 subscribe to one-shot or periodic timers; when a timer fires, the service
-raises a :class:`~repro.events.types.Event` of type ``TIMER`` through the
-document's dispatcher so the normal dispatch machinery (including ordering
-and cancellation) applies.
+builds a :class:`~repro.events.types.Event` of type ``TIMER`` and hands
+it to the subscriber's ``deliver``; cancelling the subscription (as
+detaching the property does) stops it.
 """
 
 from __future__ import annotations

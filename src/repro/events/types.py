@@ -50,7 +50,7 @@ class EventType(enum.Enum):
     #: Same as :attr:`READ_FORWARDED` for writes under a write-back cache.
     WRITE_FORWARDED = "write-forwarded"
 
-    # Members are singletons keyed into every dispatcher's table:
+    # Members are singletons keyed into every holder's dispatch table:
     # identity hashing, not Enum's Python-level ``hash(self._name_)``.
     __hash__ = object.__hash__
 

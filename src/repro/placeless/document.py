@@ -133,8 +133,8 @@ class WriteResult:
 class _ProviderSink(BytesOutputStream):
     """Terminal output stream: on close, stores the bytes in-band.
 
-    The store itself raises CONTENT_UPDATED through the base document's
-    dispatcher (via the provider's snoop listeners), which is how
+    The store itself raises CONTENT_UPDATED on the base document (via
+    the provider's snoop listeners), which is how
     Placeless "can snoop on all update operations" made through it (§3).
     """
 
@@ -212,7 +212,7 @@ class BaseDocument(PropertyHolder):
         chain's custom input streams — "first at the base document" (§2).
         Returns the stream after base-side wrapping plus the raw size.
         """
-        self.dispatcher.dispatch(event)
+        self.dispatch(event)
         fetch = self.provider.fetch()
         meta.source_signature = self.provider.signature_of(fetch.content)
         meta.replacement_cost_ms += fetch.retrieval_cost_ms
@@ -235,7 +235,7 @@ class BaseDocument(PropertyHolder):
         universal chain's custom output streams — they execute *after*
         the reference's, so they sit innermost, closest to the provider.
         """
-        self.dispatcher.dispatch(event)
+        self.dispatch(event)
         sink = _ProviderSink(self, event)
         stream: OutputStream = sink
         # Base wrappers execute last on the write path, hence are applied
@@ -252,7 +252,7 @@ class BaseDocument(PropertyHolder):
             EventType.CONTENT_UPDATED,
             payload={"size": len(content)},
         )
-        self.dispatcher.dispatch(event)
+        self.dispatch(event)
 
     def describe(self) -> str:
         """Human-readable summary for traces."""

@@ -18,7 +18,6 @@ from typing import AbstractSet, Any
 
 from repro.contract.cacheability import Cacheability
 from repro.contract.verifiers import Verifier
-from repro.events.dispatcher import Registration
 from repro.events.types import Event, EventType
 from repro.ids import PropertyId, UserId
 from repro.streams.base import InputStream, OutputStream
@@ -49,6 +48,11 @@ class Property(abc.ABC):
     time; identity (:class:`~repro.ids.PropertyId`) is assigned at attach
     time by the owning kernel's id generator.
     """
+
+    #: The event types the holder dispatches to this property: its
+    #: interest set while attached (the same frozenset object), empty
+    #: while detached and for a static label.
+    _watching: frozenset[EventType] = frozenset()
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -118,10 +122,10 @@ class ActiveProperty(Property):
 
     Subclasses declare the events they want in :attr:`interest` (one
     frozenset per class, shared by every instance), or per configuration
-    by overriding :meth:`events_of_interest` — registered once, as one
-    :class:`~repro.events.dispatcher.Registration` whose handler is the
-    property itself (:meth:`__call__`), when the property is attached —
-    and override the hooks that matter to them:
+    by overriding :meth:`events_of_interest` — read once, when the
+    property is attached; the holder then calls the property itself
+    (:meth:`__call__`) for each event of those types — and override the
+    hooks that matter to them:
 
     * :meth:`handle` — arbitrary event processing;
     * :meth:`wrap_input` / :meth:`wrap_output` — custom stream
@@ -149,8 +153,6 @@ class ActiveProperty(Property):
         super().__init__(name)
         self.version = version
         self.dispatch_count = 0
-        #: Made at attach and cancelled at detach, by the holder.
-        self._registration: Registration | None = None
 
     @property
     def is_active(self) -> bool:
@@ -159,18 +161,19 @@ class ActiveProperty(Property):
     # -- registration ------------------------------------------------------
 
     def events_of_interest(self) -> AbstractSet[EventType]:
-        """Event types this property registers for: :attr:`interest`."""
+        """Event types this property listens to: :attr:`interest`."""
         return self.interest
 
     def __call__(self, event: Event) -> Any:
-        """Run one dispatched event: the registration's handler."""
+        """Run one dispatched event."""
         self.dispatch_count += 1
         return self.handle(event)
 
     # -- behaviour hooks -----------------------------------------------------
 
     def on_attach(self) -> None:
-        """Called once after binding and event registration (default: no-op).
+        """Called once after binding, when the property already hears its
+        events (default: no-op).
 
         Properties that need infrastructure — e.g. the replication
         property subscribing to a timer — set it up here, reading their
@@ -178,7 +181,8 @@ class ActiveProperty(Property):
         """
 
     def on_detach(self) -> None:
-        """Called just before the registration is cancelled (default: no-op)."""
+        """Called just before the property stops hearing events (default:
+        no-op)."""
 
     def handle(self, event: Event) -> Any:
         """Process one event (default: no-op)."""

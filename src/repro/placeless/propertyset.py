@@ -3,22 +3,32 @@
 Both attachment points manage an *ordered* chain of properties — order is
 semantically significant (§3: "the result of applying a spell checking
 property to a document varies whether it is applied before or after a
-language translation property") — and both raise property-lifecycle
-events (SET / MODIFY / REMOVE / REORDER) through their dispatcher so
-notifier properties can observe them.
+language translation property") — and the chain is also the event
+table: when an event occurs, "all registered properties on that
+document are invoked" (§2), in chain order.  Lifecycle events (SET /
+MODIFY / REMOVE / REORDER) go through the same dispatch, so notifier
+properties can observe them.
+
+A holder keeps, per event type it has dispatched, the tuple of the
+properties watching that type, in chain order: built from the chain by
+the type's first dispatch and dropped when a property watching the type
+attaches or detaches, or the chain is reordered.  An event type nobody
+dispatches costs nothing, and a read walks only its own type's tuple, so
+it costs the same however many caches and users have armed notifiers
+on the holder.  Whether anybody listens at all is one bitmask test.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterator
+from typing import AbstractSet, Any, Iterator
 
 from repro.errors import (
     DuplicatePropertyError,
     PropertyNotFoundError,
     PropertyOrderError,
+    UnknownEventError,
 )
-from repro.events.dispatcher import EventDispatcher
 from repro.events.types import Event, EventType
 from repro.ids import PropertyId, UserId
 from repro.placeless.properties import ActiveProperty, AttachmentSite, Property
@@ -26,26 +36,47 @@ from repro.sim.context import SimContext
 
 __all__ = ["PropertyHolder"]
 
+#: One bit per event type: a holder's :attr:`~PropertyHolder._watched`.
+_BITS = {event_type: 1 << index for index, event_type in enumerate(EventType)}
+_READS = EventType.GET_INPUT_STREAM
+_WRITES = EventType.GET_OUTPUT_STREAM
+_READ_BIT, _WRITE_BIT = _BITS[_READS], _BITS[_WRITES]
+_SET_PROPERTY_BIT = _BITS[EventType.SET_PROPERTY]
+#: The table of a holder that has built none; never written.
+_NO_CHAINS: dict[EventType, tuple[ActiveProperty, ...]] = {}
+
+
+def _mask(event_types: AbstractSet[EventType]) -> int:
+    """The bits of *event_types*, or :class:`UnknownEventError` if a
+    member is not an event type."""
+    mask = 0
+    for event_type in event_types:
+        if event_type not in _BITS:
+            raise UnknownEventError(event_type)
+        mask |= _BITS[event_type]
+    return mask
+
 
 class PropertyHolder(abc.ABC):
-    """Ordered property chain + lifecycle-event plumbing."""
+    """Ordered property chain, dispatched in chain order."""
 
     site: AttachmentSite
-    #: ``(registrations, chain)`` as last compiled by :meth:`write_chain`;
-    #: class-level, so a holder never written carries no attribute for it.
-    _write_chain: tuple[tuple, tuple[ActiveProperty, ...]] = ((), ())
 
     def __init__(self, ctx: SimContext, owner: UserId) -> None:
         self.ctx = ctx
         self.owner = owner
-        self.dispatcher = EventDispatcher()
         self._properties: list[Property] = []
+        #: The bits of every event type some attached property watches.
+        self._watched = 0
+        #: Event type -> the attached properties watching it, in chain
+        #: order: what :meth:`dispatch`, :meth:`read_chain` and
+        #: :meth:`write_chain` walk.  The shared empty table until a
+        #: watched type is first dispatched.
+        self._chains = _NO_CHAINS
         #: name -> how many attached properties carry it (names may
         #: repeat); what makes :meth:`has_property` one probe however
         #: many notifiers the caches have armed here.
         self._names: dict[str, int] = {}
-        #: ``(chain_epoch, chain)`` as last compiled by :meth:`read_chain`.
-        self._read_chain: tuple[int, tuple[ActiveProperty, ...]] = (-1, ())
         #: Bumped whenever the *read* stream chain's members, order or
         #: releases move (attach, detach, reorder, modify — §3's
         #: invalidation classes (b) and (c)); a cached
@@ -94,13 +125,87 @@ class PropertyHolder(abc.ABC):
     def __len__(self) -> int:
         return len(self._properties)
 
+    # -- dispatch ------------------------------------------------------------------
+
+    def has_listener(self, event_type: EventType) -> bool:
+        """True if some attached property watches *event_type*."""
+        return self._watched & _BITS[event_type] != 0
+
+    def dispatch(self, event: Event) -> list[Any]:
+        """Invoke every property watching the event's type, in chain
+        order, and collect what each returns.
+
+        The type's tuple is the snapshot: a property attached by a
+        handler replaces it, and so first runs on the next dispatch.
+        Each property is checked to be still attached before it runs,
+        though: a handler that detaches a later property stops it
+        within this same dispatch.
+        """
+        event_type = event.type
+        chains = self._chains
+        if event_type in chains:
+            chain = chains[event_type]
+        elif self._watched & _BITS[event_type]:
+            chain = self._build_chain(event_type)
+        else:
+            return []
+        results: list[Any] = []
+        for prop in chain:
+            if prop._attachment is self:
+                results.append(prop(event))
+        return results
+
+    def _build_chain(self, event_type: EventType) -> tuple[ActiveProperty, ...]:
+        """Build a watched *event_type*'s tuple from the chain, and keep
+        it."""
+        chain = tuple([
+            p for p in self._properties if event_type in p._watching
+        ])
+        chains = self._chains
+        if chains is _NO_CHAINS:
+            chains = self._chains = {}
+        chains[event_type] = chain
+        return chain
+
+    def _drop_chains(self, event_types: AbstractSet[EventType]) -> None:
+        """Forget the tuples of *event_types*: they are rebuilt on
+        their next dispatch."""
+        chains = self._chains
+        if chains:
+            for event_type in event_types:
+                chains.pop(event_type, None)
+
+    def read_chain(self) -> tuple[ActiveProperty, ...]:
+        """The ``GET_INPUT_STREAM`` chain, as dispatched.
+
+        What the kernel's read path and the cache's
+        :class:`~repro.placeless.chain.ReadPlan` both walk.  Every change
+        of that chain's members or order moves :attr:`chain_epoch`, and
+        arming a notifier does neither, so a read costs the same however
+        many caches and users watch this holder.
+        """
+        chains = self._chains
+        if _READS in chains:
+            return chains[_READS]
+        return self._build_chain(_READS) if self._watched & _READ_BIT else ()
+
+    def write_chain(self) -> tuple[ActiveProperty, ...]:
+        """The ``GET_OUTPUT_STREAM`` chain, as dispatched: kept until a
+        property watching writes attaches or detaches, or a reorder."""
+        chains = self._chains
+        if _WRITES in chains:
+            return chains[_WRITES]
+        return self._build_chain(_WRITES) if self._watched & _WRITE_BIT else ()
+
     # -- chain mutation ----------------------------------------------------------
 
     def attach(self, prop: Property, acting_user: UserId | None = None) -> Property:
         """Attach *prop* at the end of the chain.
 
-        Raises SET_PROPERTY through the dispatcher after registration so
-        notifiers (including ones attached earlier) observe the addition.
+        Raises SET_PROPERTY for the properties attached before it, so
+        notifiers observe the addition, and only then starts dispatching
+        to *prop*.  A SET_PROPERTY handler that raises rolls the attach
+        back before the error propagates.
         """
         if prop.is_attached:
             raise DuplicatePropertyError(
@@ -109,36 +214,44 @@ class PropertyHolder(abc.ABC):
         # Checked before anything moves: a bad interest set raises
         # UnknownEventError and leaves no half-attached property behind.
         active = isinstance(prop, ActiveProperty)
-        interest = (
-            EventDispatcher.checked(prop.events_of_interest())
-            if active else frozenset()
-        )
-        reads = EventType.GET_INPUT_STREAM in interest
+        interest = frozenset(prop.events_of_interest()) if active else frozenset()
+        mask = _mask(interest)
+        reads = _READS in interest
         property_id = self.ctx.ids.property(prop.name)
         prop._bind(self, property_id, self.site, acting_user or self.owner)
         self._properties.append(prop)
         self._names[prop.name] = self._names.get(prop.name, 0) + 1
-        # Announce the addition to the *previously* registered properties
-        # before registering the newcomer, so a property does not observe
-        # its own attachment (mirroring removal, where the property is
-        # unregistered before REMOVE_PROPERTY is raised) — if any listen.
-        if self.dispatcher.registrations(EventType.SET_PROPERTY):
-            self.dispatcher.dispatch(self.make_event(
-                EventType.SET_PROPERTY, user=acting_user or self.owner,
-                payload=self._property_payload(prop, reads),
-            ))
+        # Announce the addition to the properties already listening
+        # before the newcomer joins them, so a property does not observe
+        # its own attachment (mirroring removal) — if any listen.
+        if self._watched & _SET_PROPERTY_BIT:
+            try:
+                self.dispatch(self.make_event(
+                    EventType.SET_PROPERTY, user=acting_user or self.owner,
+                    payload=self._property_payload(prop, reads),
+                ))
+            except BaseException:
+                self._forget(prop)
+                prop._unbind()
+                raise
         if active:
-            # One registration for the whole interest set (none for an
-            # empty one).  Registration is what puts the property on a
-            # stream chain, so the epoch moves here, not at the append.
+            # Watching is what puts the property on a stream chain, so
+            # the epoch moves here, not at the append.
             if interest:
-                prop._registration = self.dispatcher.register(
-                    prop.property_id, interest, prop
-                )
+                prop._watching = interest
+                self._watched |= mask
+                self._drop_chains(interest)
             if reads:
                 self.chain_epoch += 1
             prop.on_attach()
         return prop
+
+    def _forget(self, prop: Property) -> None:
+        """Take *prop* out of the chain and the name index."""
+        self._properties.remove(prop)
+        remaining = self._names.pop(prop.name) - 1
+        if remaining:
+            self._names[prop.name] = remaining
 
     @staticmethod
     def _property_payload(prop: Property, reads: bool) -> dict[str, Any]:
@@ -162,28 +275,31 @@ class PropertyHolder(abc.ABC):
         }
 
     def detach(self, prop: Property, acting_user: UserId | None = None) -> None:
-        """Detach *prop*, cancelling its registrations.
+        """Detach *prop*, which stops hearing events at once.
 
-        Raises REMOVE_PROPERTY *after* the removal (with the property no
-        longer registered), so the remover does not observe its own event.
+        Raises REMOVE_PROPERTY *after* the removal, so the remover does
+        not observe its own event.
         """
         if prop not in self._properties:
             raise PropertyNotFoundError(prop.name)
-        self._properties.remove(prop)
-        remaining = self._names.pop(prop.name) - 1
-        if remaining:
-            self._names[prop.name] = remaining
-        reads = False
+        self._forget(prop)
+        # Judged by what the property watched, not by the chain it has
+        # already left.
+        reads = self._read_chain_changed(prop)
         if isinstance(prop, ActiveProperty):
-            reads = self._read_chain_changed(prop)
             prop.on_detach()
-            if prop._registration is not None:
-                prop._registration.cancel()
-                prop._registration = None
-            self.dispatcher.unregister_property(prop.property_id)
+            interest = prop._watching
+            if interest:
+                prop._watching = frozenset()
+                self._drop_chains(interest)
+                watched = 0
+                for other in self._properties:
+                    if other._watching:
+                        watched |= _mask(other._watching)
+                self._watched = watched
         payload = self._property_payload(prop, reads)
         prop._unbind()
-        self.dispatcher.dispatch(
+        self.dispatch(
             self.make_event(
                 EventType.REMOVE_PROPERTY,
                 user=acting_user or self.owner,
@@ -202,8 +318,8 @@ class PropertyHolder(abc.ABC):
     ) -> None:
         """Permute the property chain to *new_order* (a full permutation).
 
-        Dispatch order of every registered handler follows, and a
-        REORDER_PROPERTIES event is raised (§3 consistency class 3).
+        Dispatch order follows the chain, and a REORDER_PROPERTIES event
+        is raised (§3 consistency class 3).
         """
         current = {p.property_id: p for p in self._properties}
         if set(new_order) != set(current) or len(new_order) != len(current):
@@ -212,9 +328,9 @@ class PropertyHolder(abc.ABC):
             )
         old_order = [p.property_id for p in self._properties]
         self._properties = [current[pid] for pid in new_order]
-        self.dispatcher.reorder(new_order)
+        self._chains = _NO_CHAINS
         self.chain_epoch += 1
-        self.dispatcher.dispatch(
+        self.dispatch(
             self.make_event(
                 EventType.REORDER_PROPERTIES,
                 user=acting_user or self.owner,
@@ -225,7 +341,7 @@ class PropertyHolder(abc.ABC):
     def property_modified(self, prop: Property) -> None:
         """Raise MODIFY_PROPERTY for *prop* (e.g. after an upgrade)."""
         reads = self._read_chain_changed(prop)
-        self.dispatcher.dispatch(
+        self.dispatch(
             self.make_event(
                 EventType.MODIFY_PROPERTY,
                 user=prop.owner,
@@ -233,52 +349,10 @@ class PropertyHolder(abc.ABC):
             )
         )
 
-    # -- read/write path helpers --------------------------------------------
-
     def _read_chain_changed(self, prop: Property) -> bool:
-        """Move the epoch if *prop* is (still) on the read stream chain;
-        True when it is."""
-        if prop.property_id in self.dispatcher.registered_properties(
-            EventType.GET_INPUT_STREAM
-        ):
+        """Move the epoch if *prop* watches reads (is on the read stream
+        chain); True when it does."""
+        if _READS in prop._watching:
             self.chain_epoch += 1
             return True
         return False
-
-    def read_chain(self) -> tuple[ActiveProperty, ...]:
-        """The ``GET_INPUT_STREAM`` chain, compiled once per epoch.
-
-        What the kernel's read path and the cache's
-        :class:`~repro.placeless.chain.ReadPlan` both walk.  Every change
-        of that chain's members or order moves :attr:`chain_epoch`, and
-        arming a notifier does not, so a read costs the same however
-        many caches and users watch this holder.
-        """
-        epoch, chain = self._read_chain
-        if epoch != self.chain_epoch:
-            chain = tuple(self.stream_chain(EventType.GET_INPUT_STREAM))
-            self._read_chain = (self.chain_epoch, chain)
-        return chain
-
-    def write_chain(self) -> tuple[ActiveProperty, ...]:
-        """The ``GET_OUTPUT_STREAM`` chain, compiled once per version of
-        the dispatcher's registration tuple for that type (every
-        register, unregister and reorder replaces the tuple)."""
-        registered = self.dispatcher.registrations(EventType.GET_OUTPUT_STREAM)
-        compiled_for, chain = self._write_chain
-        if compiled_for is not registered:
-            chain = tuple(self.stream_chain(EventType.GET_OUTPUT_STREAM))
-            self._write_chain = (registered, chain)
-        return chain
-
-    def stream_chain(self, event_type: EventType) -> list[ActiveProperty]:
-        """Active properties registered for a stream event, in chain order.
-
-        These are the properties whose custom streams join the calling
-        chain for that operation, derived per call; reads and writes
-        go through :meth:`read_chain` and :meth:`write_chain`.
-        """
-        registered = set(self.dispatcher.registered_properties(event_type))
-        return [
-            p for p in self.active_properties() if p.property_id in registered
-        ]

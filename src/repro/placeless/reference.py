@@ -80,7 +80,7 @@ class DocumentReference(PropertyHolder):
         event = self.make_event(EventType.GET_INPUT_STREAM)
         meta = PathMeta()
         stream, source_size = self.base.begin_read(event, meta)
-        self.dispatcher.dispatch(event)
+        self.dispatch(event)
         for prop in self.read_chain():
             stream = apply_read_wrapper(self.ctx, prop, stream, event, meta)
         return ReadResult(stream=stream, meta=meta, source_size=source_size)
@@ -103,7 +103,7 @@ class DocumentReference(PropertyHolder):
         """
         event = self.make_event(EventType.GET_OUTPUT_STREAM)
         stream, sink = self.base.begin_write(event)
-        self.dispatcher.dispatch(event)
+        self.dispatch(event)
         # Within the reference chain, the first property executes first
         # (outermost); wrap in reverse so chain order is execution order.
         for prop in reversed(self.write_chain()):

@@ -293,7 +293,7 @@ def group_write() -> dict:
             lambda: cache.write(writer, b"a new version " * 40))
         scenarios[arm]["deliveries"] = sent.deliveries - delivered
     scenarios["second"] = tally(
-        lambda: cache.write(writer, b"and another " * 40), ("stream_chain",))
+        lambda: cache.write(writer, b"and another " * 40), ("_build_chain",))
     return scenarios
 
 

@@ -20,10 +20,23 @@ import pytest
 from repro.events.types import EventType
 from repro.nfs.server import NFSServer
 from repro.placeless.kernel import PlacelessKernel
+from repro.properties.recorder import EventRecorder
 from repro.properties.spellcheck import SpellingCorrectorProperty
 from repro.properties.versioning import VersioningProperty
 from repro.providers.filesystem import FileSystemProvider
 from repro.providers.simfs import SimulatedFileSystem
+
+
+class OrderProbe(EventRecorder):
+    """Records like any recorder, and appends its label to a shared log."""
+
+    def __init__(self, event_type, label, order):
+        super().__init__({event_type}, name=f"probe-{label}")
+        self.label, self.order = label, order
+
+    def handle(self, event):
+        self.order.append(self.label)
+        return super().handle(event)
 
 
 @pytest.fixture
@@ -65,16 +78,8 @@ class TestWritePath:
     def test_write_dispatch_base_before_reference(self, figure2):
         kernel, fs, base, reference, versioning, spell, mount = figure2
         order = []
-        base.dispatcher.register(
-            kernel.ctx.ids.property("probe-base"),
-            {EventType.GET_OUTPUT_STREAM},
-            lambda e: order.append("base"),
-        )
-        reference.dispatcher.register(
-            kernel.ctx.ids.property("probe-ref"),
-            {EventType.GET_OUTPUT_STREAM},
-            lambda e: order.append("reference"),
-        )
+        base.attach(OrderProbe(EventType.GET_OUTPUT_STREAM, "base", order))
+        reference.attach(OrderProbe(EventType.GET_OUTPUT_STREAM, "reference", order))
         mount.write_file("/hotos.doc", b"x")
         assert order == ["base", "reference"]
 
@@ -90,16 +95,8 @@ class TestReadPath:
     def test_read_dispatch_base_before_reference(self, figure2):
         kernel, fs, base, reference, versioning, spell, mount = figure2
         order = []
-        base.dispatcher.register(
-            kernel.ctx.ids.property("probe-base"),
-            {EventType.GET_INPUT_STREAM},
-            lambda e: order.append("base"),
-        )
-        reference.dispatcher.register(
-            kernel.ctx.ids.property("probe-ref"),
-            {EventType.GET_INPUT_STREAM},
-            lambda e: order.append("reference"),
-        )
+        base.attach(OrderProbe(EventType.GET_INPUT_STREAM, "base", order))
+        reference.attach(OrderProbe(EventType.GET_INPUT_STREAM, "reference", order))
         mount.read_file("/hotos.doc")
         assert order == ["base", "reference"]
 

@@ -25,6 +25,13 @@ row instead of a charge to whichever frame was open.  A tick's *leaf*
 is the innermost frame of a ``repro`` function; every distinct
 ``repro`` function on the stack gets the tick *inclusive*.  Prints both
 shares per function, largest leaf first, then the largest inclusive.
+
+Before them, the collector's share per pass, A and B each summed over
+the rounds: its CPU seconds, its full and young collections, and the
+objects each operation promoted to the oldest generation (at every
+generation-1 collection, the objects of generations 0 and 1 less those
+it collected); and the objects the collector tracked once each world
+was built and collected.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import pathlib
 import signal
 import tempfile
 import time
+from dataclasses import dataclass
 
 import repro
 from perfbench.workloads import BUILDERS, SIZES
@@ -43,6 +51,17 @@ from perfbench.workloads import BUILDERS, SIZES
 SRC = str(pathlib.Path(repro.__file__).resolve().parent) + "/"
 COLLECTOR = "(collector)"
 OUTSIDE = "(outside repro: driver, stdlib)"
+
+
+@dataclass
+class PassCollector:
+    """What the cyclic collector did in one timed pass, over all rounds."""
+
+    operations: int = 0
+    seconds: float = 0.0
+    full: int = 0
+    young: int = 0
+    promoted: int = 0
 
 
 class Sampler:
@@ -54,7 +73,12 @@ class Sampler:
         self.inclusive: collections.Counter = collections.Counter()
         self.total_s = 0.0
         self.ticks = 0
-        self.collections: collections.Counter = collections.Counter()
+        #: Pass label -> its collector record; objects tracked after
+        #: each round's set-up.
+        self.passes: dict[str, PassCollector] = {}
+        self.tracked: list[int] = []
+        self._pass = PassCollector()
+        self._young = 0  # generations 0 + 1 as a gen-1 collection starts
         self._labels: dict = {}
         self._last = 0.0
         self._collector_s = 0.0  # collector time since the last tick
@@ -72,12 +96,23 @@ class Sampler:
         return label
 
     def _on_gc(self, phase: str, info: dict) -> None:
+        generation = info["generation"]
         if phase == "start":
+            if generation == 1:
+                self._young = len(gc.get_objects(0)) + len(gc.get_objects(1))
             self._collecting_since = time.process_time()
         elif self._collecting_since is not None:
-            self._collector_s += time.process_time() - self._collecting_since
+            spent = time.process_time() - self._collecting_since
+            self._collector_s += spent
             self._collecting_since = None
-            self.collections[info["generation"]] += 1
+            record = self._pass
+            record.seconds += spent
+            if generation == 2:
+                record.full += 1
+            else:
+                record.young += 1
+            if generation == 1:
+                record.promoted += self._young - info["collected"]
 
     def _on_tick(self, signum, frame) -> None:
         if self._collecting_since is not None:
@@ -99,7 +134,15 @@ class Sampler:
             frame = frame.f_back
         self.leaf[leaf or OUTSIDE] += weight
 
-    def run(self, action) -> None:
+    def run(self, label: str, operations: list, drive) -> None:
+        """Sample ``drive(operations)``, one timed pass, as pass *label*."""
+        self._pass = self.passes.setdefault(label, PassCollector())
+        self._pass.operations += len(operations)
+
+        def action() -> None:
+            laps = drive(operations)
+            assert not laps.failed, laps.first_error
+
         previous = signal.signal(signal.SIGPROF, self._on_tick)
         gc.callbacks.append(self._on_gc)
         self._last = time.process_time()
@@ -122,13 +165,9 @@ def sample(
             world = BUILDERS[workload](seed, size, pathlib.Path(scratch))
             try:
                 gc.collect()
-
-                def passes() -> None:
-                    for laps in (world.run_plain(world.passes[0]),
-                                 world.run_lapped(world.passes[1])):
-                        assert not laps.failed, laps.first_error
-
-                sampler.run(passes)
+                sampler.tracked.append(len(gc.get_objects()))
+                sampler.run("A", world.passes[0], world.run_plain)
+                sampler.run("B", world.passes[1], world.run_lapped)
             finally:
                 world.close()
     return sampler
@@ -136,14 +175,22 @@ def sample(
 
 def report(sampler: Sampler, workload: str, seeds: range, top: int) -> None:
     total = sampler.total_s or 1.0
-    young = sum(n for generation, n in sampler.collections.items()
-                if generation < 2)
+    full = sum(record.full for record in sampler.passes.values())
+    young = sum(record.young for record in sampler.passes.values())
     print(
         f"{workload}, round seeds {seeds.start}-{seeds.stop - 1}, passes A+B: "
         f"{sampler.total_s:.2f} s CPU in {sampler.ticks} ticks; collector "
-        f"{sampler.leaf[COLLECTOR]:.3f} s ({sampler.collections[2]} full, "
+        f"{sampler.leaf[COLLECTOR]:.3f} s ({full} full, "
         f"{young} young collections)"
     )
+    print("tracked objects after set-up: "
+          + ", ".join(f"{n:,}" for n in sampler.tracked))
+    print(f"{'pass':>4s}{'operations':>12s}{'collector s':>13s}{'full':>6s}"
+          f"{'young':>7s}{'promoted/op':>13s}")
+    for label, record in sampler.passes.items():
+        per_operation = record.promoted / max(record.operations, 1)
+        print(f"{label:>4s}{record.operations:12d}{record.seconds:13.3f}"
+              f"{record.full:6d}{record.young:7d}{per_operation:13.1f}")
     print(f"{'leaf %':>7s}{'incl %':>8s}  function")
     for label, weight in sampler.leaf.most_common(top):
         inclusive = sampler.inclusive.get(label)

@@ -11,7 +11,7 @@ class.  And between mutations the plan must not be rebuilt at all.
 
 The second property holds the *kernel's* side of the same chain:
 ``PropertyHolder.read_chain()`` — what ``kernel.read`` and the plan both
-walk — against ``stream_chain`` re-derived per call, ``has_property``
+walk — against the chain filtered by interest per call, ``has_property``
 against the name scan it replaced, and the bytes of a read against a
 chain wrapped from scratch, while two caches arm notifiers for three
 users in between (which must move neither epoch).
@@ -49,6 +49,7 @@ from repro.properties.spellcheck import SpellingCorrectorProperty
 from repro.properties.translate import TranslationProperty
 from repro.providers.memory import MemoryProvider
 from repro.streams.base import BytesInputStream
+from tests.property.test_prop_write_chain import scratch_chain
 
 _CHAOS_SEEDS = (77, 101, 202)
 _DEFAULT_DEADLINE_MS = 2_000.0
@@ -190,7 +191,7 @@ def _scratch_read(reference) -> bytes:
     event = reference.make_event(EventType.GET_INPUT_STREAM)
     stream = BytesInputStream(reference.base.provider.peek())
     for holder in (reference.base, reference):
-        for prop in holder.stream_chain(EventType.GET_INPUT_STREAM):
+        for prop in scratch_chain(holder, EventType.GET_INPUT_STREAM):
             stream = prop.wrap_input(stream, event)
     return stream.read(-1)
 
@@ -246,8 +247,8 @@ def _check_read_chain(seed: int) -> None:
             assert [holder.chain_epoch for holder in holders] == epochs
             assert ctx.read_plans_rebuilt == rebuilt, (seed, step)
         for holder in holders:
-            assert holder.read_chain() == tuple(
-                holder.stream_chain(EventType.GET_INPUT_STREAM)
+            assert holder.read_chain() == scratch_chain(
+                holder, EventType.GET_INPUT_STREAM
             ), (seed, step)
             names = {p.name for p in holder.properties} | set(_LABELS)
             for name in names:

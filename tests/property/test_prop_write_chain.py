@@ -1,20 +1,20 @@
-"""Property test: the compiled write chain ≡ ``stream_chain`` per call.
+"""Property test: the compiled write chain ≡ a from-scratch derivation.
 
-``PropertyHolder.write_chain()`` compiles the ``GET_OUTPUT_STREAM``
-chain once per version of the dispatcher's registration tuple for that
-type.  A seed-derived interleaving of attach / detach / reorder /
-modify on a base document and on a reference must leave both holders'
-compiled chains equal — at *every* step — to
-``stream_chain(GET_OUTPUT_STREAM)`` derived from scratch, and between
+``PropertyHolder.write_chain()`` is the holder's ``GET_OUTPUT_STREAM``
+dispatch tuple, built from the chain on first use and kept until a
+property watching writes attaches or detaches, or a reorder.  A
+seed-derived interleaving of attach / detach / reorder / modify on a
+base document and on a reference must leave both holders' compiled
+chains equal — at *every* step — to :func:`scratch_chain` (the chain
+filtered by each property's interest, re-derived per call), and between
 mutations the compiled tuple must be reused as it is.
 
 The mutations mix what can and cannot join the write chain: active
 properties with and without a write interest, passive labels, notifiers
 (a cache's minimum set armed by its reads, and a bare write watch), and
-a plain function registered on the dispatcher under an id that names no
-attached property, which changes the registration tuple but never the
-chain.  Writes through the kernel run in between, so each compiled
-chain is also the one a write wraps.
+a recorder that watches only timers, whose attach and detach must
+leave a compiled write chain as it is.  Writes through the kernel run
+in between, so each compiled chain is also the one a write wraps.
 
 Seeds come from hypothesis and from the pinned chaos seeds 77/101/202.
 """
@@ -32,6 +32,7 @@ from repro.cache.notifiers import NotifierProperty
 from repro.events.types import EventType
 from repro.placeless.kernel import PlacelessKernel
 from repro.placeless.properties import ActiveProperty, StaticProperty
+from repro.properties.recorder import EventRecorder
 from repro.properties.spellcheck import SpellingCorrectorProperty
 from repro.properties.translate import TranslationProperty
 from repro.properties.versioning import VersioningProperty
@@ -48,30 +49,40 @@ _FACTORIES = (
 )
 
 
+def scratch_chain(holder, event_type: EventType) -> tuple:
+    """The attached active properties whose interest names
+    *event_type*, in chain order: derived from nothing kept."""
+    return tuple(
+        p for p in holder.properties
+        if isinstance(p, ActiveProperty)
+        and event_type in p.events_of_interest()
+    )
+
+
 def _mutate(rng: random.Random, site, serial: int, bus, cache_id) -> None:
-    """One random change to *site*'s properties or registrations."""
-    ctx = site.ctx
+    """One random change to *site*'s properties."""
     action = rng.choice((
-        "attach", "attach", "notifier", "function", "detach", "reorder",
+        "attach", "attach", "notifier", "timer-watch", "detach", "reorder",
         "modify",
     ))
     props = site.properties
-    if action == "attach" or (not props and action != "function"):
+    if action == "timer-watch":
+        # Off the write chain: the compiled tuple survives both moves.
+        before = site.write_chain()
+        watch = site.attach(
+            EventRecorder({EventType.TIMER}, name=f"timer-{serial}")
+        )
+        assert site.write_chain() is before
+        if rng.random() < 0.5:
+            site.detach(watch)
+            assert site.write_chain() is before
+    elif action == "attach" or not props:
         site.attach(rng.choice(_FACTORIES)(serial))
     elif action == "notifier":
         site.attach(NotifierProperty(
             bus, cache_id, {EventType.GET_OUTPUT_STREAM},
             name=f"notify-{serial}",
         ))
-    elif action == "function":
-        # Registered, then (half the time) dropped again by its id: the
-        # tuple moves both times, the chain never.
-        property_id = ctx.ids.property(f"probe-{serial}")
-        site.dispatcher.register(
-            property_id, {EventType.GET_OUTPUT_STREAM}, lambda event: None
-        )
-        if rng.random() < 0.5:
-            site.dispatcher.unregister_property(property_id)
     elif action == "detach":
         site.detach(rng.choice(props))
     elif action == "reorder":
@@ -110,8 +121,8 @@ def _check_interleaving(seed: int) -> None:
             kernel.write(rng.choice((reference, writer)), b"v%d" % step)
         for holder in holders:
             compiled = holder.write_chain()
-            assert compiled == tuple(
-                holder.stream_chain(EventType.GET_OUTPUT_STREAM)
+            assert compiled == scratch_chain(
+                holder, EventType.GET_OUTPUT_STREAM
             ), (seed, step, holder)
             # Nothing moved since: the compiled tuple itself comes back.
             assert holder.write_chain() is compiled, (seed, step)
@@ -137,8 +148,10 @@ def test_only_a_written_holder_with_a_write_chain_keeps_one():
     reference = kernel.space(owner).add_reference(base)
     reference.attach(SpellingCorrectorProperty())
     kernel.read(reference)
-    assert "_write_chain" not in vars(reference)
+    assert list(reference._chains) == [EventType.GET_INPUT_STREAM]
     kernel.write(reference, b"teh")
-    # Nothing registered at the base: the class default already holds.
-    assert "_write_chain" not in vars(base)
-    assert vars(reference)["_write_chain"][1] == tuple(reference.properties)
+    # Nothing watches the base: it dispatched, and built nothing.
+    assert base._chains == {}
+    assert reference._chains[EventType.GET_OUTPUT_STREAM] == tuple(
+        reference.properties
+    )

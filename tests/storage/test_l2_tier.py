@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -792,6 +793,58 @@ class TestClose:
         finally:
             for survivor in cluster.shards.values():
                 survivor.shutdown()
+
+
+def _held_by_cyclic_garbage(build) -> list:
+    """What *build* (builds caches, reads, shuts them down and drops
+    them) left to the collector that holds a descriptor or a directory:
+    every open ``SegmentLog`` and every ``TemporaryDirectory`` in the
+    cyclic garbage, kept there by ``gc.DEBUG_SAVEALL``."""
+    gc.collect()
+    build()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return [
+            type(o).__name__ for o in gc.garbage
+            if isinstance(o, tempfile.TemporaryDirectory)
+            or (isinstance(o, SegmentLog) and o._fd >= 0)
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize("arm", ["plain", "storage", "cluster"])
+def test_a_dropped_cache_leaves_no_resource_to_the_collector(arm):
+    def build() -> None:
+        kernel = PlacelessKernel()
+        user = kernel.create_user("alice")
+        references = [
+            kernel.import_document(
+                user, MemoryProvider(kernel.ctx, bytes([65 + i]) * 4_000),
+                f"d{i}",
+            )
+            for i in range(4)
+        ]
+        if arm == "cluster":
+            caches = list(CacheCluster(
+                kernel, 2, 1 << 20,
+                shard_kwargs={"storage_policy": DefaultStoragePolicy()},
+            ).shards.values())
+        else:
+            caches = [DocumentCache(
+                kernel, capacity_bytes=9_000,
+                storage_policy=(
+                    DefaultStoragePolicy() if arm == "storage" else None
+                ),
+            )]
+        for cache in caches:
+            for reference in references:
+                cache.read(reference)
+            cache.shutdown()
+
+    assert _held_by_cyclic_garbage(build) == []
 
 
 class TestDirectoryName:

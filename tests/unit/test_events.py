@@ -1,23 +1,23 @@
-"""Tests for the event vocabulary, dispatcher and timer service."""
+"""Tests for the event vocabulary, holder dispatch and timer service."""
 
 from __future__ import annotations
 
 import gc
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import AbstractSet, Any, Callable
 
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.events.dispatcher import EventDispatcher
 from repro.events.timers import TimerService
 from repro.events.types import Event, EventType
 from repro.ids import DocumentId, PropertyId, UserId
 from repro.errors import ClockError, UnknownEventError
 from repro.placeless.kernel import PlacelessKernel
 from repro.placeless.properties import ActiveProperty
+from repro.properties.recorder import EventRecorder
 from repro.properties.replication import ReplicationProperty
 from repro.providers.memory import MemoryProvider
 from repro.providers.simfs import SimulatedFileSystem
@@ -54,138 +54,122 @@ class TestEventType:
         assert "<system>" in event.describe()
 
 
+def make_holder():
+    kernel = PlacelessKernel()
+    return kernel.create_document(
+        kernel.create_user("owner"), MemoryProvider(kernel.ctx, b"bytes"), "doc"
+    )
+
+
+class Probe(EventRecorder):
+    """A recorder that also logs ``(label, type)`` into a shared list,
+    returns its label, and runs *action* (once) on the first event whose
+    payload carries ``probe``."""
+
+    def __init__(self, label, watch, log, action=None):
+        super().__init__(set(watch), name=label)
+        self.label, self.log, self.action = label, log, action
+
+    def handle(self, event):
+        super().handle(event)
+        self.log.append((self.label, event.type))
+        if self.action is not None and event.payload.get("probe"):
+            action, self.action = self.action, None
+            action()
+        return self.label
+
+
 class TestDispatcher:
+    """A holder's dispatch: its attached properties are its registrations."""
+
     def test_dispatch_invokes_registered_handler(self):
-        dispatcher = EventDispatcher()
-        seen = []
-        dispatcher.register(
-            PropertyId("p1"), {EventType.GET_INPUT_STREAM}, seen.append
-        )
+        holder = make_holder()
+        recorder = holder.attach(EventRecorder({EventType.GET_INPUT_STREAM}))
         event = make_event()
-        dispatcher.dispatch(event)
-        assert seen == [event]
+        holder.dispatch(event)
+        assert recorder.events_seen() == [event]
 
     def test_dispatch_only_matching_type(self):
-        dispatcher = EventDispatcher()
-        seen = []
-        dispatcher.register(PropertyId("p1"), {EventType.TIMER}, seen.append)
-        dispatcher.dispatch(make_event())
-        assert seen == []
+        holder = make_holder()
+        recorder = holder.attach(EventRecorder({EventType.TIMER}))
+        holder.dispatch(make_event())
+        assert recorder.events_seen() == []
 
     def test_handlers_run_in_registration_order(self):
-        dispatcher = EventDispatcher()
-        order = []
+        holder, log = make_holder(), []
         for index in range(4):
-            dispatcher.register(
-                PropertyId(f"p{index}"),
-                {EventType.GET_INPUT_STREAM},
-                lambda _e, i=index: order.append(i),
-            )
-        dispatcher.dispatch(make_event())
-        assert order == [0, 1, 2, 3]
+            holder.attach(Probe(f"p{index}", {EventType.GET_INPUT_STREAM}, log))
+        holder.dispatch(make_event())
+        assert [label for label, _ in log] == ["p0", "p1", "p2", "p3"]
 
     def test_dispatch_collects_return_values(self):
-        dispatcher = EventDispatcher()
-        dispatcher.register(
-            PropertyId("a"), {EventType.GET_INPUT_STREAM}, lambda e: "x"
-        )
-        dispatcher.register(
-            PropertyId("b"), {EventType.GET_INPUT_STREAM}, lambda e: "y"
-        )
-        assert dispatcher.dispatch(make_event()) == ["x", "y"]
+        holder, log = make_holder(), []
+        holder.attach(Probe("x", {EventType.GET_INPUT_STREAM}, log))
+        holder.attach(Probe("y", {EventType.GET_INPUT_STREAM}, log))
+        assert holder.dispatch(make_event()) == ["x", "y"]
 
     def test_cancelled_registration_is_skipped(self):
-        dispatcher = EventDispatcher()
-        seen = []
-        registration = dispatcher.register(
-            PropertyId("p"), {EventType.GET_INPUT_STREAM}, seen.append
-        )
-        registration.cancel()
-        dispatcher.dispatch(make_event())
-        assert seen == []
+        holder = make_holder()
+        recorder = holder.attach(EventRecorder({EventType.GET_INPUT_STREAM}))
+        holder.detach(recorder)
+        holder.dispatch(make_event())
+        assert recorder.events_seen() == []
 
     def test_unregister_property_removes_all(self):
-        dispatcher = EventDispatcher()
-        dispatcher.register(PropertyId("p"), {EventType.TIMER}, lambda e: None)
-        dispatcher.register(
-            PropertyId("p"), {EventType.GET_INPUT_STREAM}, lambda e: None
+        holder, log = make_holder(), []
+        probe = holder.attach(
+            Probe("p", {EventType.TIMER, EventType.GET_INPUT_STREAM}, log)
         )
-        removed = dispatcher.unregister_property(PropertyId("p"))
-        assert removed == 2
-        assert not dispatcher.has_listener(EventType.TIMER)
+        holder.detach(probe)
+        holder.dispatch(make_event(EventType.TIMER))
+        holder.dispatch(make_event())
+        assert log == []
+        assert not holder.has_listener(EventType.TIMER)
+        assert not holder.has_listener(EventType.GET_INPUT_STREAM)
 
     def test_reorder_changes_dispatch_order(self):
-        dispatcher = EventDispatcher()
-        order = []
-        for name in ("a", "b", "c"):
-            dispatcher.register(
-                PropertyId(name),
-                {EventType.GET_INPUT_STREAM},
-                lambda _e, n=name: order.append(n),
-            )
-        dispatcher.reorder([PropertyId("c"), PropertyId("a"), PropertyId("b")])
-        dispatcher.dispatch(make_event())
-        assert order == ["c", "a", "b"]
-
-    def test_reorder_keeps_unlisted_properties_last(self):
-        dispatcher = EventDispatcher()
-        order = []
-        for name in ("a", "infra"):
-            dispatcher.register(
-                PropertyId(name),
-                {EventType.GET_INPUT_STREAM},
-                lambda _e, n=name: order.append(n),
-            )
-        dispatcher.reorder([PropertyId("a")])
-        dispatcher.dispatch(make_event())
-        assert order == ["a", "infra"]
+        holder, log = make_holder(), []
+        probes = {
+            name: holder.attach(Probe(name, {EventType.GET_INPUT_STREAM}, log))
+            for name in "abc"
+        }
+        assert holder.dispatch(make_event()) == ["a", "b", "c"]
+        holder.reorder([probes[name].property_id for name in "cab"])
+        assert holder.dispatch(make_event()) == ["c", "a", "b"]
 
     def test_registered_properties_lists_in_order(self):
-        dispatcher = EventDispatcher()
-        dispatcher.register(PropertyId("a"), {EventType.TIMER}, lambda e: None)
-        dispatcher.register(PropertyId("b"), {EventType.TIMER}, lambda e: None)
-        assert dispatcher.registered_properties(EventType.TIMER) == [
-            PropertyId("a"),
-            PropertyId("b"),
-        ]
+        holder = make_holder()
+        a = holder.attach(EventRecorder({EventType.TIMER}, name="a"))
+        b = holder.attach(EventRecorder({EventType.TIMER}, name="b"))
+        holder.dispatch(make_event(EventType.TIMER))
+        assert holder._chains[EventType.TIMER] == (a, b)
 
     def test_handler_registered_during_dispatch_not_invoked_now(self):
-        dispatcher = EventDispatcher()
-        seen = []
+        holder, log = make_holder(), []
 
-        def register_more(event):
-            dispatcher.register(
-                PropertyId("late"), {EventType.GET_INPUT_STREAM}, seen.append
-            )
+        def attach_more():
+            holder.attach(Probe("late", {EventType.GET_INPUT_STREAM}, log))
 
-        dispatcher.register(
-            PropertyId("first"), {EventType.GET_INPUT_STREAM}, register_more
+        holder.attach(
+            Probe("first", {EventType.GET_INPUT_STREAM}, log, attach_more)
         )
-        dispatcher.dispatch(make_event())
-        assert seen == []
-        dispatcher.dispatch(make_event())
-        assert len(seen) == 1
+        assert holder.dispatch(make_event(probe=True)) == ["first"]
+        assert holder.dispatch(make_event()) == ["first", "late"]
 
     def test_handler_cancelling_a_later_registration_stops_it_now(self):
-        # The snapshot fixes who *may* run; liveness is read per handler.
-        dispatcher = EventDispatcher()
-        seen = []
-        dispatcher.register(
-            PropertyId("first"), {EventType.GET_INPUT_STREAM},
-            lambda event: later.cancel(),
-        )
-        later = dispatcher.register(
-            PropertyId("later"), {EventType.GET_INPUT_STREAM}, seen.append
-        )
-        assert dispatcher.dispatch(make_event()) == [None]
-        assert seen == []
+        # The snapshot fixes who *may* run; attachment is read per
+        # property.
+        holder, log = make_holder(), []
+        holder.attach(Probe(
+            "first", {EventType.GET_INPUT_STREAM}, log,
+            lambda: holder.detach(later),
+        ))
+        later = holder.attach(Probe("later", {EventType.GET_INPUT_STREAM}, log))
+        assert holder.dispatch(make_event(probe=True)) == ["first"]
+        assert log == [("first", EventType.GET_INPUT_STREAM)]
 
     def test_property_detaching_a_later_one_stops_it_now(self):
-        kernel = PlacelessKernel()
-        owner = kernel.create_user("owner")
-        base = kernel.create_document(
-            owner, MemoryProvider(kernel.ctx, b"bytes"), "doc"
-        )
+        base = make_holder()
 
         class Watcher(ActiveProperty):
             def events_of_interest(self):
@@ -197,76 +181,78 @@ class TestDispatcher:
 
         base.attach(Detacher("detacher"))
         later = base.attach(Watcher("later"))
-        base.dispatcher.dispatch(base.make_event(EventType.TIMER))
+        base.dispatch(base.make_event(EventType.TIMER))
         assert later.dispatch_count == 0
         assert not later.is_attached
 
     def test_a_non_event_type_is_unknown(self):
-        dispatcher = EventDispatcher()
+        holder = make_holder()
         with pytest.raises(UnknownEventError):
-            dispatcher.register(
-                PropertyId("p"), {EventType.TIMER, "timer"}, lambda e: None
-            )
-        # Validated before anything is listed.
-        assert not dispatcher.has_listener(EventType.TIMER)
+            holder.attach(EventRecorder({EventType.TIMER, "timer"}))
+        # Checked before anything binds.
+        assert not holder.has_listener(EventType.TIMER)
+        assert len(holder) == 0
 
     def test_a_two_type_registration_is_one_object(self):
-        dispatcher = EventDispatcher()
-        seen = []
-        registration = dispatcher.register(
-            PropertyId("p"),
-            {EventType.TIMER, EventType.GET_INPUT_STREAM},
-            seen.append,
-        )
-        assert registration.event_types == {
-            EventType.TIMER, EventType.GET_INPUT_STREAM
+        # The property keeps its interest set as it is; the holder lists
+        # it in a tuple per dispatched type, and forgets it on detach.
+        holder = make_holder()
+        recorder = EventRecorder({EventType.TIMER, EventType.GET_INPUT_STREAM})
+        interest = recorder.events_of_interest()
+        holder.attach(recorder)
+        assert recorder._watching is interest
+        holder.dispatch(make_event(EventType.TIMER))
+        holder.dispatch(make_event())
+        assert holder._chains == {
+            EventType.TIMER: (recorder,),
+            EventType.GET_INPUT_STREAM: (recorder,),
         }
-        for event_type in registration.event_types:
-            listed = dispatcher._registrations[event_type]
-            assert type(listed) is tuple and listed == (registration,)
-        dispatcher.dispatch(make_event(EventType.TIMER))
-        dispatcher.dispatch(make_event())
-        assert len(seen) == 2
-        registration.cancel()
-        dispatcher.dispatch(make_event(EventType.TIMER))
-        dispatcher.dispatch(make_event())
-        assert len(seen) == 2
-        assert not dispatcher.has_listener(EventType.TIMER)
-        assert not dispatcher.has_listener(EventType.GET_INPUT_STREAM)
-        assert dispatcher.unregister_property(PropertyId("p")) == 1
+        assert len(recorder.records) == 2
+        holder.detach(recorder)
+        assert recorder._watching == frozenset()
+        assert holder._chains == {}
 
     def test_an_unwatched_type_creates_no_list(self):
-        dispatcher = EventDispatcher()
-        assert dispatcher._registrations == {}
-        assert dispatcher.dispatch(make_event()) == []
-        assert not dispatcher.has_listener(EventType.TIMER)
-        assert dispatcher.registered_properties(EventType.TIMER) == []
-        dispatcher.reorder([PropertyId("p")])
-        assert dispatcher._registrations == {}
-        dispatcher.register(PropertyId("p"), {EventType.TIMER}, lambda e: None)
-        dispatcher.dispatch(make_event())
-        assert list(dispatcher._registrations) == [EventType.TIMER]
-        dispatcher.unregister_property(PropertyId("p"))
-        assert dispatcher._registrations == {}
+        holder = make_holder()
+        assert holder.dispatch(make_event()) == []
+        holder.attach(EventRecorder({EventType.TIMER}))
+        assert holder.dispatch(make_event()) == []
+        assert holder.read_chain() == holder.write_chain() == ()
+        assert holder._chains == {}
+
+    def test_the_listener_mask_is_exact_after_a_detach(self):
+        holder = make_holder()
+        both = holder.attach(
+            EventRecorder({EventType.TIMER, EventType.SET_PROPERTY})
+        )
+        timer = holder.attach(EventRecorder({EventType.TIMER}, name="t"))
+        holder.detach(both)
+        assert holder.has_listener(EventType.TIMER)
+        assert not holder.has_listener(EventType.SET_PROPERTY)
+        holder.detach(timer)
+        assert holder._watched == 0
 
 
-# -- the per-type dispatcher, as the oracle ----------------------------------
+# -- the dispatcher the chain replaced, as the oracle -----------------------
 #
-# A dict of one list per ``EventType`` built up front, and one
-# registration per (property, event type).  The machine below drives it
-# and ``EventDispatcher`` with the same operations: a registration for a
-# set of types must behave as one per-type registration per member.
+# ``EventDispatcher`` and ``Registration`` below are the per-holder
+# registration table that ``PropertyHolder`` kept beside its chain until
+# the chain became the event table, verbatim.  ``OracleHolder`` drives
+# it through attach / detach / reorder exactly as the holder did then.
 
-OracleHandler = Callable[[Event], Any]
+Handler = Callable[[Event], Any]
+_EVENT_TYPES = frozenset(EventType)
 
 
-@dataclass(slots=True)
-class OracleRegistration:
-    """One property's interest in one event type."""
+@dataclass(slots=True, eq=False)
+class Registration:
+    """One property's interest in a set of event types (compared, and
+    hashed, by identity)."""
 
     property_id: PropertyId
-    event_type: EventType
-    handler: OracleHandler
+    #: The caller's frozenset, kept as is (properties share theirs).
+    event_types: frozenset[EventType]
+    handler: Handler
     active: bool = True
 
     def cancel(self) -> None:
@@ -274,57 +260,75 @@ class OracleRegistration:
         self.active = False
 
 
-class PerTypeDispatcher:
+class EventDispatcher:
     """Ordered event registration table for one attachment point.
 
-    Registrations for each event type are kept in a list whose order
-    follows property attachment order; :meth:`reorder` re-sorts every list
-    when the owning document's property chain is permuted.
+    Registrations for each watched event type are kept in a tuple whose
+    order follows property attachment order; :meth:`reorder` re-sorts
+    every tuple when the owning document's property chain is permuted.
     """
 
     def __init__(self) -> None:
-        self._registrations: dict[EventType, list[OracleRegistration]] = {
-            event_type: [] for event_type in EventType
-        }
+        self._registrations: dict[EventType, tuple[Registration, ...]] = {}
+
+    @staticmethod
+    def checked(event_types: AbstractSet[EventType]) -> frozenset[EventType]:
+        """*event_types* as a frozenset (the same object if it is one),
+        or :class:`UnknownEventError` if a member is not an event type."""
+        types = frozenset(event_types)
+        if types <= _EVENT_TYPES:
+            return types
+        raise UnknownEventError(next(iter(types - _EVENT_TYPES)))
 
     def register(
         self,
         property_id: PropertyId,
-        event_type: EventType,
-        handler: OracleHandler,
-    ) -> OracleRegistration:
-        """Register *handler* for *event_type* on behalf of a property."""
-        registrations = self._registrations.get(event_type)
-        if registrations is None:
-            raise UnknownEventError(event_type)
-        registration = OracleRegistration(property_id, event_type, handler)
-        registrations.append(registration)
+        event_types: AbstractSet[EventType],
+        handler: Handler,
+    ) -> Registration:
+        """Register *handler* for every type in *event_types* on behalf
+        of a property, as one registration."""
+        event_types = self.checked(event_types)
+        registration = Registration(property_id, event_types, handler)
+        table = self._registrations
+        for event_type in event_types:
+            table[event_type] = table.get(event_type, ()) + (registration,)
         return registration
 
     def unregister_property(self, property_id: PropertyId) -> int:
         """Drop every registration owned by *property_id*.
 
-        Returns the number of registrations removed.  Called when a
-        property is detached from its document.
+        Returns the number of distinct registrations removed.  Called
+        when a property is detached from its document; a type nobody
+        watches any more loses its entry.
         """
-        removed = 0
+        removed: set[Registration] = set()
+        table: dict[EventType, tuple[Registration, ...]] = {}
         for event_type, registrations in self._registrations.items():
-            kept = [r for r in registrations if r.property_id != property_id]
-            removed += len(registrations) - len(kept)
-            self._registrations[event_type] = kept
-        return removed
+            removed.update(
+                r for r in registrations if r.property_id == property_id
+            )
+            kept = tuple(r for r in registrations if r not in removed)
+            if kept:
+                table[event_type] = kept
+        self._registrations = table
+        return len(removed)
+
+    def registrations(self, event_type: EventType) -> tuple[Registration, ...]:
+        """The type's registration tuple: replaced on every change."""
+        return self._registrations.get(event_type, ())
 
     def registered_properties(self, event_type: EventType) -> list[PropertyId]:
         """Property ids with live registrations for *event_type*, in order."""
         return [
             r.property_id
-            for r in self._registrations[event_type]
+            for r in self._registrations.get(event_type, ())
             if r.active
         ]
 
     def has_listener(self, event_type: EventType) -> bool:
         """True if any live registration exists for *event_type*."""
-        return any(r.active for r in self._registrations[event_type])
+        return any(r.active for r in self._registrations.get(event_type, ()))
 
     def reorder(self, chain_order: list[PropertyId]) -> None:
         """Re-sort registrations to follow a new property chain order.
@@ -337,95 +341,115 @@ class PerTypeDispatcher:
         rank = {pid: index for index, pid in enumerate(chain_order)}
         fallback = len(rank)
         for event_type, registrations in self._registrations.items():
-            self._registrations[event_type] = sorted(
+            self._registrations[event_type] = tuple(sorted(
                 registrations,
                 key=lambda r: rank.get(r.property_id, fallback),
-            )
+            ))
 
     def dispatch(self, event: Event) -> list[Any]:
         """Invoke every live handler registered for the event's type.
 
         Handlers run in registration (chain) order; each handler's return
-        value is collected.  Handlers are invoked against a snapshot of the
-        registration list, so a registration added by a handler first runs
-        on the next dispatch.  Liveness is checked per handler, though: a
+        value is collected.  The type's tuple is the snapshot: a
+        registration added by a handler replaces it, and so first runs on
+        the next dispatch.  Liveness is checked per handler, though: a
         handler that cancels a later registration — as detaching its
         property does — stops it within this same dispatch.
         """
-        registrations = self._registrations[event.type]
+        registrations = self._registrations.get(event.type)
         if not registrations:
             return []
         results: list[Any] = []
-        for registration in list(registrations):
+        for registration in registrations:
             if not registration.active:
                 continue
             results.append(registration.handler(event))
         return results
 
 
+class OracleHolder:
+    """Attach, detach and reorder over the oracle dispatcher, as the
+    holder ran them: SET_PROPERTY goes to those already registered, then
+    the newcomer registers; a detach cancels and unregisters, then raises
+    REMOVE_PROPERTY; a reorder re-sorts every type's tuple, then raises
+    REORDER_PROPERTIES."""
+
+    def __init__(self) -> None:
+        self.dispatcher = EventDispatcher()
+        self.properties: list[ActiveProperty] = []
+        self.registrations: dict[int, Registration] = {}
+
+    def make_event(self, event_type, payload=None) -> Event:
+        return make_event(event_type, **(payload or {}))
+
+    def attach(self, prop) -> None:
+        interest = EventDispatcher.checked(prop.events_of_interest())
+        prop.property_id = PropertyId(prop.name)
+        self.properties.append(prop)
+        if self.dispatcher.registrations(EventType.SET_PROPERTY):
+            self.dispatcher.dispatch(self.make_event(EventType.SET_PROPERTY))
+        self.registrations[id(prop)] = self.dispatcher.register(
+            prop.property_id, interest, prop
+        )
+
+    def detach(self, prop) -> None:
+        self.properties.remove(prop)
+        self.registrations.pop(id(prop)).cancel()
+        self.dispatcher.unregister_property(prop.property_id)
+        self.dispatcher.dispatch(self.make_event(EventType.REMOVE_PROPERTY))
+
+    def reorder(self, order: list[PropertyId]) -> None:
+        by_id = {p.property_id: p for p in self.properties}
+        self.properties = [by_id[pid] for pid in order]
+        self.dispatcher.reorder(order)
+        self.dispatcher.dispatch(self.make_event(EventType.REORDER_PROPERTIES))
+
+    def dispatch(self, event: Event) -> list[Any]:
+        return self.dispatcher.dispatch(event)
+
+
 class _Side:
-    """One dispatcher driven by the machine, with the handler calls it
-    made.  A *label* names one registration of a set of types: one
-    registration on the set-valued side, one per type on the oracle's."""
+    """One holder driven by the machine, with the calls its probes made.
+    A *label* names one attached probe on each side."""
 
-    def __init__(self, dispatcher, per_type: bool) -> None:
-        self.dispatcher = dispatcher
-        self.per_type = per_type
+    def __init__(self, holder) -> None:
+        self.holder = holder
         self.calls: list[tuple[str, EventType]] = []
-        self.by_label: dict[str, list] = {}
-        self.owner: dict[str, PropertyId] = {}
-        self.listed: set[str] = set()
+        self.probes: dict[str, Probe] = {}
 
-    def register(self, label, property_id, event_types, action) -> None:
-        def handler(event: Event) -> str:
-            self.calls.append((label, event.type))
-            if action is not None:
-                action(self)
-            return label
+    def attached(self) -> list[str]:
+        return [p.label for p in self.holder.properties]
 
-        if self.per_type:
-            self.by_label[label] = [
-                self.dispatcher.register(property_id, event_type, handler)
-                for event_type in event_types
-            ]
-        else:
-            self.by_label[label] = [
-                self.dispatcher.register(property_id, event_types, handler)
-            ]
-        self.owner[label] = property_id
-        self.listed.add(label)
+    def attach(self, label, event_types, effect) -> None:
+        action = None if effect is None else (lambda: effect(self))
+        self.probes[label] = Probe(label, event_types, self.calls, action)
+        self.holder.attach(self.probes[label])
 
-    def cancel(self, label: str) -> None:
-        for registration in self.by_label[label]:
-            registration.cancel()
+    def detach(self, label) -> None:
+        if label in self.attached():
+            self.holder.detach(self.probes[label])
 
-    def unregister(self, property_id: PropertyId) -> int:
-        """Labels dropped: what the set-valued side returns, and what the
-        oracle's per-type count comes to once grouped."""
-        dropped = {l for l in self.listed if self.owner[l] == property_id}
-        self.listed -= dropped
-        removed = self.dispatcher.unregister_property(property_id)
-        if not self.per_type:
-            return removed
-        assert removed == sum(len(self.by_label[l]) for l in dropped)
-        return len(dropped)
+    def reorder(self, labels) -> None:
+        self.holder.reorder([self.probes[l].property_id for l in labels])
+
+    def dispatch(self, event_type) -> list[Any]:
+        return self.holder.dispatch(
+            self.holder.make_event(event_type, payload={"probe": True})
+        )
 
 
-_PROPERTY_IDS = [PropertyId(name) for name in "abcd"]
 _TYPES = st.frozensets(st.sampled_from(list(EventType)), min_size=1, max_size=4)
 
 
 class DispatcherOracleMachine(RuleBasedStateMachine):
-    """Set-valued registrations behave exactly as one per-type
-    registration each: same handler calls, in the same order, with the
-    same return values, under mid-dispatch registration and cancels."""
+    """The holder dispatching from its chain makes the same calls as the
+    registration table it replaced, in the same order, with the same
+    return values: under attach, detach and reorder, and under handlers
+    that attach or detach mid-dispatch."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.sides = (
-            _Side(EventDispatcher(), per_type=False),
-            _Side(PerTypeDispatcher(), per_type=True),
-        )
+        self.sides = (_Side(make_holder()), _Side(OracleHolder()))
         self.labels: list[str] = []
 
     def _label(self) -> str:
@@ -434,69 +458,68 @@ class DispatcherOracleMachine(RuleBasedStateMachine):
         return label
 
     @rule(
-        property_id=st.sampled_from(_PROPERTY_IDS),
         event_types=_TYPES,
-        action=st.sampled_from(["none", "register", "cancel"]),
+        action=st.sampled_from(["none", "attach", "detach"]),
         data=st.data(),
     )
-    def register(self, property_id, event_types, action, data):
+    def attach(self, event_types, action, data):
         label = self._label()
-        if action == "register":
-            # First call registers one more label, mid-dispatch.
-            late = (
-                data.draw(st.sampled_from(_PROPERTY_IDS)), data.draw(_TYPES)
-            )
-            late_label = f"{label}-late"
-            fired: set[_Side] = set()
+        if action == "attach":
+            # Attaches one more probe, mid-dispatch.
+            late, late_types = self._label(), data.draw(_TYPES)
 
             def effect(side):
-                if side not in fired:
-                    fired.add(side)
-                    side.register(late_label, *late, None)
-        elif action == "cancel":
+                side.attach(late, late_types, None)
+        elif action == "detach":
             target = data.draw(st.sampled_from(self.labels))
 
             def effect(side):
-                side.cancel(target)
+                side.detach(target)
         else:
             effect = None
         for side in self.sides:
-            side.register(label, property_id, event_types, effect)
+            side.attach(label, event_types, effect)
+        self._same_calls()
 
     @precondition(lambda self: self.labels)
     @rule(data=st.data())
-    def cancel(self, data):
+    def detach(self, data):
         label = data.draw(st.sampled_from(self.labels))
         for side in self.sides:
-            side.cancel(label)
+            side.detach(label)
+        self._same_calls()
 
-    @rule(property_id=st.sampled_from(_PROPERTY_IDS))
-    def unregister(self, property_id):
-        removed = [side.unregister(property_id) for side in self.sides]
-        assert removed[0] == removed[1]
-
-    @rule(order=st.lists(st.sampled_from(_PROPERTY_IDS), unique=True))
-    def reorder(self, order):
+    @rule(data=st.data())
+    def reorder(self, data):
+        order = data.draw(st.permutations(self.sides[0].attached()))
         for side in self.sides:
-            side.dispatcher.reorder(order)
+            side.reorder(order)
+        self._same_calls()
 
     @rule(event_type=st.sampled_from(list(EventType)))
     def dispatch(self, event_type):
-        event = make_event(event_type)
-        results = [side.dispatcher.dispatch(event) for side in self.sides]
+        results = [side.dispatch(event_type) for side in self.sides]
         assert results[0] == results[1]
+        self._same_calls()
+
+    def _same_calls(self) -> None:
         assert self.sides[0].calls == self.sides[1].calls
 
     @invariant()
     def same_listeners(self):
-        new, oracle = (side.dispatcher for side in self.sides)
+        holder, oracle = (side.holder for side in self.sides)
+        assert self.sides[0].attached() == self.sides[1].attached()
         for event_type in EventType:
-            assert new.registered_properties(
-                event_type
-            ) == oracle.registered_properties(event_type)
-            assert new.has_listener(event_type) == oracle.has_listener(
-                event_type
-            )
+            listening = [
+                pid.value
+                for pid in oracle.dispatcher.registered_properties(event_type)
+            ]
+            assert holder.has_listener(event_type) == bool(listening)
+            # A kept tuple is never stale.
+            if event_type in holder._chains:
+                assert [
+                    p.label for p in holder._chains[event_type]
+                ] == listening
 
 
 DispatcherOracleMachine.TestCase.settings = settings(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cache.manager import DocumentCache
 from repro.cache.notifiers import (
     BusStats,
     InvalidationBus,
@@ -15,6 +16,8 @@ from repro.errors import NotifierError
 from repro.events.types import EventType
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.placeless.properties import StaticProperty
+from repro.properties.audit import ReadAuditTrailProperty
+from repro.properties.recorder import EventRecorder
 from repro.properties.translate import TranslationProperty
 from repro.providers.memory import MemoryProvider
 
@@ -292,6 +295,23 @@ class TestNotifierProperty:
             InvalidationReason.PROPERTY_ADDED,
             InvalidationReason.PROPERTY_REMOVED,
         ]
+
+    def test_detaching_a_read_chain_property_invalidates(self, world):
+        # "Was it on the read chain" is judged from what the property
+        # watched: the chain it has just left no longer lists it.  The
+        # audit trail reads without transforming, so only that flag
+        # makes its removal matter.
+        kernel, base, mine, _, bus = world
+        cache = DocumentCache(kernel, capacity_bytes=1 << 20, bus=bus)
+        audit = mine.attach(ReadAuditTrailProperty())
+        removals = mine.attach(EventRecorder({EventType.REMOVE_PROPERTY}))
+        assert cache.read(mine).disposition == "miss"
+        mine.detach(audit)
+        [event] = removals.events_seen()
+        assert event.payload["on_read_path"] is True
+        reason = InvalidationReason.PROPERTY_REMOVED
+        assert cache.stats.invalidations[reason] == 1
+        assert cache.read(mine).disposition == "miss"
 
     def test_infrastructure_properties_ignored(self, world):
         kernel, base, _, _, bus = world

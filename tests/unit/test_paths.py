@@ -13,6 +13,7 @@ from repro.contract.cacheability import Cacheability
 from repro.contract.verifiers import AlwaysValidVerifier
 from repro.events.types import Event, EventType
 from repro.placeless.properties import ActiveProperty
+from repro.properties.recorder import EventRecorder
 from repro.providers.memory import MemoryProvider
 from repro.streams.transforms import (
     BufferedTransformInputStream,
@@ -184,13 +185,11 @@ class TestWritePath:
 
     def test_content_updated_dispatched_on_store(self, world):
         kernel, base, reference, _ = world
-        seen = []
-        base.dispatcher.register(
-            kernel.ctx.ids.property("watch"),
-            {EventType.CONTENT_UPDATED},
-            seen.append,
+        watch = base.attach(
+            EventRecorder({EventType.CONTENT_UPDATED}, name="watch")
         )
         reference.write_content(b"X")
+        seen = watch.events_seen()
         assert len(seen) == 1
         assert seen[0].payload["size"] == 1
 

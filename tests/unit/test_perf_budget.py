@@ -211,7 +211,7 @@ def test_a_write_fan_out_stays_within_its_call_budget(arm, measured):
 def test_a_second_write_reuses_the_compiled_write_chains(measured):
     # Both halves of the write path (reference, then base) wrap the
     # chain compiled by the first write: nothing is re-derived.
-    assert "write.second.stream_chain" not in pinned(measured, "write",
+    assert "write.second._build_chain" not in pinned(measured, "write",
                                                      "write.second")
 
 
@@ -255,10 +255,10 @@ def test_write_back_without_a_forward_listener_builds_no_event(measured):
 
 
 def test_holders_and_armed_notifiers_track_few_objects(measured):
-    # A holder lists only the event types something watches (a new
-    # reference watches none), and a notifier registers once for its
-    # whole watch set: one ``Registration`` whose handler is the
-    # notifier itself, with no closure and no bound method.
+    # A holder keeps a tuple only for a watched type it has dispatched
+    # (a new reference keeps none), and an armed notifier keeps its
+    # shared watch set: the holder calls the notifier itself, with no
+    # registration object, closure or bound method between them.
     found = pinned(measured, "arming")
     assert found["arming.add_reference.tracked"] < found[
         "arming.second_user_first_read.tracked"

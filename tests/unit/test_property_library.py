@@ -219,7 +219,7 @@ class TestAudit:
         audit = ReadAuditTrailProperty()
         reference.attach(audit)
         event = reference.make_event(EventType.READ_FORWARDED)
-        reference.dispatcher.dispatch(event)
+        reference.dispatch(event)
         assert audit.cache_served_reads == 1
 
 
@@ -400,4 +400,4 @@ def test_instances_share_one_interest_set(cls, kernel, user):
         assert type(interest) is frozenset and interest
         assert second.events_of_interest() is interest
         base.attach(first)
-        assert first._registration.event_types is interest
+        assert first._watching is interest

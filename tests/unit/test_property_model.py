@@ -87,7 +87,7 @@ class TestAttachment:
         chain = base.read_chain()
         before = (
             base.properties, base.chain_epoch,
-            dict(base.dispatcher._registrations), list(recorder.records),
+            dict(base._chains), base._watched, list(recorder.records),
         )
         bad = RecordingProperty(
             "bad", events={EventType.GET_INPUT_STREAM, "get-input-stream"}
@@ -96,7 +96,7 @@ class TestAttachment:
             base.attach(bad)
         assert before == (
             base.properties, base.chain_epoch,
-            dict(base.dispatcher._registrations), list(recorder.records),
+            dict(base._chains), base._watched, list(recorder.records),
         )
         assert base.read_chain() is chain
         assert not base.has_property("bad")
@@ -106,6 +106,30 @@ class TestAttachment:
         bad._events = {EventType.GET_INPUT_STREAM}
         base.attach(bad)
         assert base.read_chain() == (recorder, bad)
+
+    def test_a_raising_set_property_handler_rolls_the_attach_back(self, base):
+        class Refuser(ActiveProperty):
+            interest = frozenset({EventType.SET_PROPERTY})
+
+            def handle(self, event):
+                raise RuntimeError("refused")
+
+        refuser = base.attach(Refuser("refuser"))
+        before = (base.properties, base.chain_epoch, base.read_chain())
+        newcomer = RecordingProperty("newcomer")
+        with pytest.raises(RuntimeError, match="refused"):
+            base.attach(newcomer)
+        # The chain is as it was: the read-path newcomer is not half in it.
+        assert (base.properties, base.chain_epoch, base.read_chain()) == before
+        assert not base.has_property("newcomer")
+        assert not newcomer.is_attached
+        assert not base.has_listener(EventType.GET_INPUT_STREAM)
+        # Once nothing refuses, the same object attaches and runs.
+        base.detach(refuser)
+        base.attach(newcomer)
+        assert base.read_chain() == (newcomer,)
+        base.dispatch(base.make_event(EventType.GET_INPUT_STREAM))
+        assert len(newcomer.seen) == 1
 
     def test_detach_unbinds(self, base):
         prop = StaticProperty("label")
