@@ -38,11 +38,12 @@ class Cacheability(enum.Enum):
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, Cacheability):
             return NotImplemented
-        return self.value < other.value
+        return self._value_ < other._value_
 
     def combine(self, other: "Cacheability") -> "Cacheability":
-        """The more restrictive of the two votes."""
-        return self if self.value <= other.value else other
+        """The more restrictive of the two votes.  Members compare their
+        ``_value_``: ``.value`` runs two Python frames per read."""
+        return self if self._value_ <= other._value_ else other
 
     @classmethod
     def aggregate(cls, votes: Iterable["Cacheability"]) -> "Cacheability":

@@ -74,7 +74,7 @@ class Property(abc.ABC):
     @property
     @abc.abstractmethod
     def is_active(self) -> bool:
-        """True for active (code-carrying) properties."""
+        """True for active (code-carrying) properties; a class attribute."""
 
     def _bind(
         self,
@@ -112,9 +112,7 @@ class StaticProperty(Property):
         super().__init__(name)
         self.value = value
 
-    @property
-    def is_active(self) -> bool:
-        return False
+    is_active = False
 
 
 class ActiveProperty(Property):
@@ -154,9 +152,7 @@ class ActiveProperty(Property):
         self.version = version
         self.dispatch_count = 0
 
-    @property
-    def is_active(self) -> bool:
-        return True
+    is_active = True
 
     # -- registration ------------------------------------------------------
 

@@ -44,6 +44,8 @@ _READ_BIT, _WRITE_BIT = _BITS[_READS], _BITS[_WRITES]
 _SET_PROPERTY_BIT = _BITS[EventType.SET_PROPERTY]
 #: The table of a holder that has built none; never written.
 _NO_CHAINS: dict[EventType, tuple[ActiveProperty, ...]] = {}
+#: Interest set -> its bits, for every set an attach has checked.
+_MASKS: dict[frozenset[EventType], int] = {}
 
 
 def _mask(event_types: AbstractSet[EventType]) -> int:
@@ -65,7 +67,8 @@ class PropertyHolder(abc.ABC):
     def __init__(self, ctx: SimContext, owner: UserId) -> None:
         self.ctx = ctx
         self.owner = owner
-        self._properties: list[Property] = []
+        #: The shared empty tuple until the first attach makes a list.
+        self._properties: list[Property] | tuple[()] = ()
         #: The bits of every event type some attached property watches.
         self._watched = 0
         #: Event type -> the attached properties watching it, in chain
@@ -106,7 +109,7 @@ class PropertyHolder(abc.ABC):
 
     def active_properties(self) -> list[ActiveProperty]:
         """Only the active properties, in chain order."""
-        return [p for p in self._properties if isinstance(p, ActiveProperty)]
+        return [p for p in self._properties if p.is_active]
 
     def find_property(self, name: str) -> Property:
         """First property named *name*; raises if absent."""
@@ -171,9 +174,8 @@ class PropertyHolder(abc.ABC):
         """Forget the tuples of *event_types*: they are rebuilt on
         their next dispatch."""
         chains = self._chains
-        if chains:
-            for event_type in event_types:
-                chains.pop(event_type, None)
+        for event_type in event_types:
+            chains.pop(event_type, None)  # never writes _NO_CHAINS
 
     def read_chain(self) -> tuple[ActiveProperty, ...]:
         """The ``GET_INPUT_STREAM`` chain, as dispatched.
@@ -207,18 +209,21 @@ class PropertyHolder(abc.ABC):
         to *prop*.  A SET_PROPERTY handler that raises rolls the attach
         back before the error propagates.
         """
-        if prop.is_attached:
+        if prop._attachment is not None:
             raise DuplicatePropertyError(
                 f"{prop.name!r} is already attached elsewhere"
             )
         # Checked before anything moves: a bad interest set raises
         # UnknownEventError and leaves no half-attached property behind.
-        active = isinstance(prop, ActiveProperty)
+        active = prop.is_active
         interest = frozenset(prop.events_of_interest()) if active else frozenset()
-        mask = _mask(interest)
+        mask = _MASKS.get(interest)
+        if mask is None:
+            mask = _MASKS[interest] = _mask(interest)
         reads = _READS in interest
         property_id = self.ctx.ids.property(prop.name)
         prop._bind(self, property_id, self.site, acting_user or self.owner)
+        self._properties = self._properties or []  # a list from now on
         self._properties.append(prop)
         self._names[prop.name] = self._names.get(prop.name, 0) + 1
         # Announce the addition to the properties already listening
@@ -240,7 +245,8 @@ class PropertyHolder(abc.ABC):
             if interest:
                 prop._watching = interest
                 self._watched |= mask
-                self._drop_chains(interest)
+                if self._chains:
+                    self._drop_chains(interest)
             if reads:
                 self.chain_epoch += 1
             prop.on_attach()
@@ -286,7 +292,7 @@ class PropertyHolder(abc.ABC):
         # Judged by what the property watched, not by the chain it has
         # already left.
         reads = self._read_chain_changed(prop)
-        if isinstance(prop, ActiveProperty):
+        if prop.is_active:
             prop.on_detach()
             interest = prop._watching
             if interest:

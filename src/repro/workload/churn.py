@@ -167,6 +167,8 @@ class ChurnCatalog:
             host: WebOrigin(kernel.ctx.clock, host=host) for host in _WEB_HOSTS
         }
         self._documents: dict[int, CorpusDocument] = {}
+        #: One containment test bounds an index, a negative one too.
+        self._indices = range(spec.n_documents)
 
     def __len__(self) -> int:
         return self.spec.n_documents
@@ -178,11 +180,19 @@ class ChurnCatalog:
 
     def size_of(self, index: int) -> int:
         """Index *i*'s content size, without materializing it."""
+        if index not in self._indices:
+            raise self._out_of_range(index)
         return self._sizes[index]
 
     def repository_of(self, index: int) -> str:
         """Index *i*'s repository name, without materializing it."""
+        if index not in self._indices:
+            raise self._out_of_range(index)
         return self._names[self._repositories[index]]
+
+    def _out_of_range(self, index: int) -> WorkloadError:
+        return WorkloadError(f"document index out of range: {index} "
+                             f"(catalog holds {len(self)})")
 
     def peek(self, index: int) -> CorpusDocument | None:
         """The document if already materialized, else ``None``."""
@@ -193,13 +203,8 @@ class ChurnCatalog:
         built = self._documents.get(index)
         if built is not None:
             return built
-        if not 0 <= index < self.spec.n_documents:
-            raise WorkloadError(
-                f"document index out of range: {index} "
-                f"(catalog holds {self.spec.n_documents})"
-            )
         spec = self.spec
-        size = self._sizes[index]
+        size = self.size_of(index)
         content = generate_text(size, seed=spec.seed * 100_003 + index)
         repository = self._names[self._repositories[index]]
         label = f"doc-{index:04d}"

@@ -15,6 +15,7 @@ replacement/sharing/consistency benches.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 
 from repro.errors import WorkloadError
@@ -55,6 +56,23 @@ _REDRAWN = bytes(range(len(_WORDS) << 2, 256))
 #: buffers stay small whatever the document size.
 _MAX_DRAWS = 4096
 
+#: One match per six-line paragraph, a group per line.  Every word
+#: carries its trailing space, so a line is everything up to the last
+#: space inside its width: 73 columns less the separator that opened it
+#: ("", "\n" or "\n\n"), as the pinned corpus digests were cut.  Each
+#: lookahead takes the longest run before a space and its backreference
+#: consumes it: no line gives a word back when a later one fails (an
+#: atomic group, spelled for Python 3.10).
+_FIRST, _LATER = (
+    re.compile("".join(f"(?=(.{{0,{width - 1}}}) )\\{line} "
+                       for line, width in enumerate(widths, 1)))
+    for widths in ((73, 72, 72, 72, 72, 72), (71, 72, 72, 72, 72, 72))
+)
+#: Six full lines past the drawn text, for a last paragraph that
+#: outruns it: a break the filler moves has its newline at or past
+#: *size_bytes*, so no byte kept moves.
+_FILLER = "x " * 36 * 6
+
 
 def generate_text(size_bytes: int, seed: int = 0) -> bytes:
     """Deterministic English-ish text of exactly *size_bytes* bytes.
@@ -73,19 +91,16 @@ def generate_text(size_bytes: int, seed: int = 0) -> bytes:
         draws = min((size_bytes - len(text)) // 4 + 16, _MAX_DRAWS)
         picks = rng.randbytes(4 * draws)[3::4].translate(_PICK, _REDRAWN)
         text += "".join([_SPACED[pick] for pick in picks])
-    # Every word carries its trailing space, so a line is everything up
-    # to the last space inside its width.  The width counts that space
-    # and the separator that opened the line -- 73 columns less "", "\n"
-    # or "\n\n" -- which is what the pinned corpus digests were cut from.
-    lines: list[str] = []
-    start, separator, laid = 0, "", 0
+    paragraphs: list[str] = []
+    start, laid, pattern = 0, 0, _FIRST
     while laid < size_bytes:
-        stop = text.rfind(" ", start, start + 73 - len(separator))
-        separator = "\n" if (len(lines) + 1) % 6 else "\n\n"
-        lines.append(text[start:stop] + separator)
-        laid += stop - start + len(separator)
-        start = stop + 1
-    return "".join(lines)[:size_bytes].encode("ascii")
+        match = pattern.match(text, start) or pattern.match(
+            text + _FILLER, start)
+        paragraphs.append("\n".join(match.groups()))
+        laid += match.end() + 1 - start  # six spaces: five "\n", one "\n\n"
+        start = match.end()
+        pattern = _LATER
+    return ("\n\n".join(paragraphs) + "\n\n")[:size_bytes].encode("ascii")
 
 
 @dataclass

@@ -26,11 +26,14 @@ is the innermost frame of a ``repro`` function; every distinct
 ``repro`` function on the stack gets the tick *inclusive*.  Prints both
 shares per function, largest leaf first, then the largest inclusive.
 
-Before them, the collector's share per pass, A and B each summed over
-the rounds: its CPU seconds, its full and young collections, and the
-objects each operation promoted to the oldest generation (at every
+Before them, per pass, A and B each summed over the rounds: the pass's
+CPU seconds; the workload engine's, the ticks whose stack holds a
+``repro/workload/`` frame (minting a catalog's documents, drawing the
+trace), so that a workload's cache share can be read apart from them;
+and the collector's CPU seconds, its full and young collections, and
+the objects each operation promoted to the oldest generation (at every
 generation-1 collection, the objects of generations 0 and 1 less those
-it collected); and the objects the collector tracked once each world
+it collected).  Then the objects the collector tracked once each world
 was built and collected.
 """
 
@@ -50,14 +53,18 @@ from perfbench.workloads import BUILDERS, SIZES
 
 SRC = str(pathlib.Path(repro.__file__).resolve().parent) + "/"
 COLLECTOR = "(collector)"
+WORKLOAD = "workload/"
 OUTSIDE = "(outside repro: driver, stdlib)"
 
 
 @dataclass
 class PassCollector:
-    """What the cyclic collector did in one timed pass, over all rounds."""
+    """One timed pass, over all rounds: its CPU, the workload engine's,
+    and what the cyclic collector did."""
 
     operations: int = 0
+    cpu_s: float = 0.0
+    workload_s: float = 0.0
     seconds: float = 0.0
     full: int = 0
     young: int = 0
@@ -121,6 +128,7 @@ class Sampler:
         weight = now - self._last - self._collector_s
         self.leaf[COLLECTOR] += self._collector_s
         self.total_s += now - self._last
+        self._pass.cpu_s += now - self._last
         self._collector_s, self._last = 0.0, now
         self.ticks += 1
         leaf, seen = None, set()
@@ -133,6 +141,8 @@ class Sampler:
                     self.inclusive[label] += weight
             frame = frame.f_back
         self.leaf[leaf or OUTSIDE] += weight
+        if any(label.startswith(WORKLOAD) for label in seen):
+            self._pass.workload_s += weight
 
     def run(self, label: str, operations: list, drive) -> None:
         """Sample ``drive(operations)``, one timed pass, as pass *label*."""
@@ -185,11 +195,14 @@ def report(sampler: Sampler, workload: str, seeds: range, top: int) -> None:
     )
     print("tracked objects after set-up: "
           + ", ".join(f"{n:,}" for n in sampler.tracked))
-    print(f"{'pass':>4s}{'operations':>12s}{'collector s':>13s}{'full':>6s}"
-          f"{'young':>7s}{'promoted/op':>13s}")
+    print(f"{'pass':>4s}{'operations':>12s}{'CPU s':>8s}{'workload s':>12s}"
+          f"{'workload %':>12s}{'collector s':>13s}{'full':>6s}{'young':>7s}"
+          f"{'promoted/op':>13s}")
     for label, record in sampler.passes.items():
         per_operation = record.promoted / max(record.operations, 1)
-        print(f"{label:>4s}{record.operations:12d}{record.seconds:13.3f}"
+        share = 100 * record.workload_s / (record.cpu_s or 1.0)
+        print(f"{label:>4s}{record.operations:12d}{record.cpu_s:8.2f}"
+              f"{record.workload_s:12.3f}{share:12.1f}{record.seconds:13.3f}"
               f"{record.full:6d}{record.young:7d}{per_operation:13.1f}")
     print(f"{'leaf %':>7s}{'incl %':>8s}  function")
     for label, weight in sampler.leaf.most_common(top):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 from repro.contract.cacheability import Cacheability
 
 
@@ -65,6 +67,27 @@ class TestAggregate:
     def test_aggregate_accepts_generators(self):
         votes = (Cacheability.UNRESTRICTED for _ in range(3))
         assert Cacheability.aggregate(votes) is Cacheability.UNRESTRICTED
+
+
+class TestAgainstTheDeclaredValues:
+    """Members compare their ``_value_``; every answer must be what the
+    declared values give."""
+
+    def test_every_pair(self):
+        for a, b in itertools.product(Cacheability, repeat=2):
+            assert a.combine(b) is (a if a.value <= b.value else b)
+            assert (a < b) == (a.value < b.value)
+            assert (a <= b) == (a.value <= b.value)
+            assert (a > b) == (a.value > b.value)
+            assert (a >= b) == (a.value >= b.value)
+
+    def test_every_vote_sequence_up_to_four(self):
+        for n in range(5):
+            for votes in itertools.product(Cacheability, repeat=n):
+                expected = min(votes, key=lambda vote: vote.value,
+                               default=Cacheability.UNRESTRICTED)
+                assert Cacheability.aggregate(votes) is expected
+                assert Cacheability.aggregate(iter(votes)) is expected
 
 
 class TestFlags:

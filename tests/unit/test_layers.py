@@ -213,7 +213,7 @@ class TestFreshInterpreter:
 #: Lines of Python under ``src/repro`` and in ``cache/manager.py``, as
 #: they stand.  A ceiling, not a target: deleting code lowers the count
 #: and the next change may lower the ceiling to match.
-SRC_LINE_CEILING = 23_643
+SRC_LINE_CEILING = 23_666
 MANAGER_LINE_CEILING = 639
 
 

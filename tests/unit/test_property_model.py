@@ -107,6 +107,41 @@ class TestAttachment:
         base.attach(bad)
         assert base.read_chain() == (recorder, bad)
 
+    def test_a_non_event_still_raises_after_the_good_set_attached(self, base):
+        # attach remembers the bits of each interest set it has checked;
+        # a set naming a non-event must never be answered from them.
+        good = {EventType.GET_INPUT_STREAM, EventType.TIMER}
+        first = base.attach(RecordingProperty("first", events=good))
+        watched, epoch = base._watched, base.chain_epoch
+        for _ in range(2):
+            bad = RecordingProperty("bad", events=good | {"timer"})
+            with pytest.raises(UnknownEventError):
+                base.attach(bad)
+            assert not bad.is_attached and not base.has_property("bad")
+            assert (base._watched, base.chain_epoch) == (watched, epoch)
+        # An equal good set, another object, attaches with the same bits.
+        second = base.attach(RecordingProperty("second", events=set(good)))
+        assert base._watched == watched
+        assert base.read_chain() == (first, second)
+
+    def test_fresh_holders_never_share_a_mutable_chain(self, kernel, user):
+        first, second = (
+            kernel.create_document(user, MemoryProvider(kernel.ctx, b"d"), n)
+            for n in ("first", "second")
+        )
+        # No property, no list: every empty holder holds the one ().
+        assert first._properties is second._properties == ()
+        label = first.attach(StaticProperty("label"))
+        assert (list(first), list(second)) == ([label], [])
+        assert second._properties == ()
+        first.detach(label)
+        assert (len(first), len(second)) == (0, 0)
+        recorder = first.attach(RecordingProperty("recorder"))
+        assert (list(first), list(second)) == ([recorder], [])
+        assert first.read_chain() == (recorder,) and second.read_chain() == ()
+        other = second.attach(StaticProperty("other"))
+        assert (list(first), list(second)) == ([recorder], [other])
+
     def test_a_raising_set_property_handler_rolls_the_attach_back(self, base):
         class Refuser(ActiveProperty):
             interest = frozenset({EventType.SET_PROPERTY})

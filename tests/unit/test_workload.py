@@ -95,6 +95,19 @@ class TestCorpus:
         with pytest.raises(WorkloadError):
             build_corpus(kernel, owner, spec)
 
+    @pytest.mark.parametrize("index", [-1, -5, 5, 6])
+    def test_an_index_outside_the_catalog_is_a_workload_error(self, index):
+        kernel = PlacelessKernel()
+        catalog = ChurnCatalog(
+            kernel, kernel.create_user("o"), CorpusSpec(n_documents=5)
+        )
+        for lookup in (catalog.size_of, catalog.repository_of,
+                       catalog.document):
+            with pytest.raises(WorkloadError, match="out of range"):
+                lookup(index)
+        assert catalog.materialized_count == 0
+        assert catalog.size_of(4) == catalog.document(4).size_bytes
+
     def test_unmintable_repository_is_rejected_by_name(self):
         kernel = PlacelessKernel()
         owner = kernel.create_user("o")
